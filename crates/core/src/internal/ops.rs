@@ -164,8 +164,8 @@ impl InternalStore {
         for rel in self.schema.relations() {
             let rel_id = self.schema.relation_id(rel.name())?;
             let vt = self.db.table(&v_table(rel.name()))?;
-            for (_, row) in vt.iter() {
-                if row[0] == wid.value() && row[4] == explicit_value(true) {
+            for row in vt.index_rows(super::V_BY_WID, &[wid.value()])? {
+                if row[4] == explicit_value(true) {
                     let tid = crate::ids::Tid::from_value(&row[1]).expect("tid column");
                     let sign = Sign::from_value(&row[3]).expect("sign column");
                     out.push(BeliefStatement::new(

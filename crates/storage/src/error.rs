@@ -30,6 +30,9 @@ pub enum StorageError {
     NoSuchIndex { table: String, name: String },
     /// A row id referenced a deleted or out-of-range slot.
     InvalidRowId { table: String, row_id: usize },
+    /// The table's heap has used every slot its indexes can address
+    /// (slots are never reused, so deletes do not free any).
+    TableFull { table: String, max_slots: usize },
     /// An expression referenced a column index beyond the row arity.
     ColumnOutOfRange { index: usize, arity: usize },
     /// An expression was applied to operands of incompatible types.
@@ -79,6 +82,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::InvalidRowId { table, row_id } => {
                 write!(f, "invalid row id {row_id} for table `{table}`")
+            }
+            StorageError::TableFull { table, max_slots } => {
+                write!(f, "table `{table}` is full: all {max_slots} row slots used")
             }
             StorageError::ColumnOutOfRange { index, arity } => {
                 write!(f, "column index {index} out of range for arity {arity}")

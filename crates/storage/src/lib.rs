@@ -41,6 +41,8 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod index;
+#[cfg(test)]
+mod index_model_tests;
 pub mod obs;
 pub mod opt;
 pub mod persist;

@@ -120,8 +120,10 @@ pub fn statements_table() -> Arc<dyn VirtualTable> {
 }
 
 /// `sys.tables` — one row per *base* table in the scanned database:
-/// shape (rows, columns, indexes, version) plus the cumulative
-/// [`TableAccess`](crate::table::TableAccess) counters.
+/// shape (rows, columns, indexes, version), the cumulative
+/// [`TableAccess`](crate::table::TableAccess) counters, and where its
+/// memory is (`heap_bytes`, `index_bytes`: estimates from slot, row and
+/// index-entry counts, not allocator measurements).
 pub fn tables_table() -> Arc<dyn VirtualTable> {
     FnTable::new(
         "sys.tables",
@@ -138,6 +140,8 @@ pub fn tables_table() -> Arc<dyn VirtualTable> {
             "deletes",
             "updates",
             "transpose_rebuilds",
+            "heap_bytes",
+            "index_bytes",
         ],
         |db| {
             db.table_names()
@@ -158,6 +162,8 @@ pub fn tables_table() -> Arc<dyn VirtualTable> {
                         uint(del),
                         uint(upd),
                         uint(rebuilds),
+                        uint(t.heap_bytes() as u64),
+                        uint(t.index_bytes() as u64),
                     ])
                 })
                 .collect()
@@ -313,6 +319,9 @@ mod tests {
         assert_eq!(r.get(1).unwrap().as_int(), Some(2)); // rows
         assert_eq!(r.get(2).unwrap().as_int(), Some(2)); // columns
         assert_eq!(r.get(8).unwrap().as_int(), Some(2)); // inserts
+        let heap = 2 * (std::mem::size_of::<Option<Row>>() + 2 * std::mem::size_of::<Value>());
+        assert_eq!(r.get(12).unwrap().as_int(), Some(heap as i64)); // heap_bytes
+        assert_eq!(r.get(13).unwrap().as_int(), Some(0)); // index_bytes: no index
     }
 
     #[test]

