@@ -745,13 +745,24 @@ impl Session {
         // "correct a sighting" semantics); negative updates rewrite stated
         // negatives.
         let targets: Vec<Row> = match sign {
-            Sign::Pos => self
-                .bdms
-                .world(&path)?
-                .pos_tuples()
-                .filter(|t| t.rel == rel && matcher.matches(&t.row))
-                .map(|t| t.row)
-                .collect(),
+            // A WHERE that pins the external key names one slice of the
+            // world: probe it instead of materializing the world.
+            Sign::Pos => match matcher.pinned_key() {
+                Some(key) => self
+                    .bdms
+                    .believed_at(&path, rel, key)?
+                    .into_iter()
+                    .filter(|t| matcher.matches(&t.row))
+                    .map(|t| t.row)
+                    .collect(),
+                None => self
+                    .bdms
+                    .world(&path)?
+                    .pos_tuples()
+                    .filter(|t| t.rel == rel && matcher.matches(&t.row))
+                    .map(|t| t.row)
+                    .collect(),
+            },
             Sign::Neg => self
                 .bdms
                 .explicit_statements_at(&path)?
@@ -972,6 +983,16 @@ impl RowMatcher {
             conds.push((side(&c.left)?, c.op, side(&c.right)?));
         }
         Ok(RowMatcher { conds })
+    }
+
+    /// The value a `key = literal` condition (either way round) pins the
+    /// external key column to, if there is one.
+    fn pinned_key(&self) -> Option<&Value> {
+        self.conds.iter().find_map(|cond| match cond {
+            (CondSide::Col(0), beliefdb_storage::CmpOp::Eq, CondSide::Lit(v))
+            | (CondSide::Lit(v), beliefdb_storage::CmpOp::Eq, CondSide::Col(0)) => Some(v),
+            _ => None,
+        })
     }
 
     fn matches(&self, row: &Row) -> bool {
@@ -1435,5 +1456,51 @@ mod tests {
         assert_eq!(s.query(sql).unwrap(), plain);
         s.clear_slowlog();
         assert!(s.slowlog_entries().is_empty());
+    }
+
+    /// A positive UPDATE whose WHERE pins the external key finds its target
+    /// through one slice probe; any other WHERE materializes the world.
+    /// Both must report the same count and leave the same database.
+    #[test]
+    fn key_pinned_update_matches_the_world_scan() {
+        use beliefdb_core::path::path;
+        // Each statement, and the same selection written so that
+        // `RowMatcher::pinned_key` does not recognize it.
+        let unpin = |sql: &str| sql.replace("sid = 's2'", "sid >= 's2' and sid <= 's2'");
+        let cases = [
+            // One hit, at a state and at a world that only inherits.
+            ("update BELIEF 'Alice' Sightings set location = 'X' where sid = 's2'", 1),
+            ("update BELIEF 'Alice' Sightings set location = 'X' where 's2' = sid", 1),
+            ("update BELIEF 'Bob' BELIEF 'Alice' Sightings set date = 'd' where sid = 's2'", 1),
+            ("update Sightings set location = 'X' where sid = 's2'", 0),
+            // The key matches, another condition or the assignment does not.
+            ("update BELIEF 'Bob' Sightings set date = 'd' where sid = 's2' and species = 'crow'", 0),
+            ("update BELIEF 'Bob' Sightings set species = 'raven' where sid = 's2'", 0),
+            // No such key, and a key of another type.
+            ("update BELIEF 'Alice' Sightings set location = 'X' where sid = 'zz'", 0),
+            ("update BELIEF 'Alice' Sightings set location = 'X' where sid = 2", 0),
+            // Never pinned: the fallback alone.
+            ("update BELIEF 'Alice' Sightings set location = 'X' where species = 'crow'", 1),
+        ];
+        for (sql, expected) in cases {
+            let (mut pinned, mut scanned) = (session(), session());
+            let got = pinned.execute(sql).unwrap();
+            assert_eq!(got, ExecResult::Updated(expected), "{sql}");
+            assert_eq!(scanned.execute(&unpin(sql)).unwrap(), got, "{sql}");
+            for p in [
+                path(&[]),
+                path(&[1]),
+                path(&[2]),
+                path(&[2, 1]),
+                path(&[1, 2]),
+            ] {
+                assert_eq!(
+                    pinned.bdms().world(&p).unwrap(),
+                    scanned.bdms().world(&p).unwrap(),
+                    "{sql} at {p}"
+                );
+            }
+            assert_eq!(pinned.bdms().stats(), scanned.bdms().stats(), "{sql}");
+        }
     }
 }

@@ -20,6 +20,7 @@ use crate::world::BeliefWorld;
 use beliefdb_storage::persist::PersistEngine;
 use beliefdb_storage::{
     metrics, Database, Metric, MetricsSnapshot, QueryTrace, Recorder, Row, SlowLog, StorageError,
+    Value,
 };
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -426,11 +427,8 @@ impl Bdms {
         let outcome = self.store.insert(&path, &new, Sign::Pos)?;
         // Count the pair as one logical update on the content table
         // (the delete/insert halves already bumped their own counters).
-        if let Ok(def) = self.store.schema().relation(rel) {
-            let star = crate::internal::star_table(def.name());
-            if let Ok(t) = self.store.database().table(&star) {
-                t.note_update();
-            }
+        if let Ok(t) = self.store.star_of(rel) {
+            t.note_update();
         }
         self.auto_checkpoint()?;
         Ok(outcome)
@@ -556,6 +554,18 @@ impl Bdms {
     /// Materialize the entailed belief world at a path.
     pub fn world(&self, path: &BeliefPath) -> Result<BeliefWorld> {
         self.store.world(path)
+    }
+
+    /// The positive tuples of `rel` with external key `key` in the entailed
+    /// world at a path: [`Bdms::world`] restricted to one key, found
+    /// through one index probe instead of materializing the world.
+    pub fn believed_at(
+        &self,
+        path: &BeliefPath,
+        rel: RelId,
+        key: &Value,
+    ) -> Result<Vec<GroundTuple>> {
+        self.store.believed_at(path, rel, key)
     }
 
     /// The explicit statements recorded at a path.

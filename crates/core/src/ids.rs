@@ -1,6 +1,6 @@
 //! Typed identifiers.
 
-use beliefdb_storage::Value;
+use beliefdb_storage::{Cell, Value};
 use std::fmt;
 
 macro_rules! id_type {
@@ -17,7 +17,12 @@ macro_rules! id_type {
 
             /// Recover the identifier from a storage [`Value`].
             pub fn from_value(v: &Value) -> Option<Self> {
-                v.as_int().and_then(|i| u32::try_from(i).ok()).map($name)
+                Self::from_cell(v.as_cell())
+            }
+
+            /// Recover the identifier from a table [`Cell`].
+            pub fn from_cell(cell: Cell<'_>) -> Option<Self> {
+                cell.as_int().and_then(|i| u32::try_from(i).ok()).map($name)
             }
         }
 

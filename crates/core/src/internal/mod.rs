@@ -50,7 +50,7 @@ use crate::path::BeliefPath;
 use crate::schema::ExternalSchema;
 use crate::statement::{GroundTuple, Sign};
 use crate::world::BeliefWorld;
-use beliefdb_storage::{Database, Row, TableSchema, Value};
+use beliefdb_storage::{Database, Row, Table, TableSchema, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -119,12 +119,31 @@ pub const E_BY_SRC_USER: &str = "by_src_user";
 /// Index name on `E` covering `(wid1)` — the hop lookups of the `E*` walk.
 pub const E_BY_SRC: &str = "by_src";
 
+/// The names of the two internal tables of one external relation.
+pub(crate) struct RelTables {
+    /// `{R}__star`.
+    pub(crate) star: String,
+    /// `V__{R}`.
+    pub(crate) v: String,
+}
+
+/// The table names of `rel`. A free function over the field, so a caller
+/// can go on to borrow the store's database mutably.
+fn rel_names(rel_tables: &[RelTables], rel: RelId) -> Result<&RelTables> {
+    rel_tables
+        .get(rel.0 as usize)
+        .ok_or_else(|| BeliefError::NoSuchRelation(format!("#{rel}")))
+}
+
 /// The materialized canonical representation: a [`Database`] holding the
 /// internal schema, plus the in-memory mirrors (world directory, user list,
 /// tuple-id cache) that the update algorithms consult.
 pub struct InternalStore {
     pub(crate) db: Database,
     pub(crate) schema: Arc<ExternalSchema>,
+    /// Internal table names by [`RelId`], resolved once: Alg. 2–4 look a
+    /// table up per dependent world and per row.
+    pub(crate) rel_tables: Vec<RelTables>,
     pub(crate) users: Vec<(UserId, String)>,
     pub(crate) dir: WorldDirectory,
     pub(crate) next_tid: u32,
@@ -151,16 +170,24 @@ impl InternalStore {
     pub fn new(schema: ExternalSchema) -> Result<Self> {
         let schema = Arc::new(schema);
         let mut db = Database::new();
+        let rel_tables: Vec<RelTables> = schema
+            .relations()
+            .iter()
+            .map(|rel| RelTables {
+                star: star_table(rel.name()),
+                v: v_table(rel.name()),
+            })
+            .collect();
 
-        for rel in schema.relations() {
+        for (rel, names) in schema.relations().iter().zip(&rel_tables) {
             // R*_i(tid, key, att2, ...): one extra surrogate-key column.
             let mut cols: Vec<&str> = vec!["tid"];
             cols.extend(rel.columns().iter().map(|c| c.as_str()));
-            db.create_table(TableSchema::with_key(star_table(rel.name()), &cols))?;
+            db.create_table(TableSchema::with_key(names.star.as_str(), &cols))?;
 
             // V_i(wid, tid, key, s, e): multiset with the slice index.
             let vt = db.create_table(TableSchema::keyless(
-                v_table(rel.name()),
+                names.v.as_str(),
                 &["wid", "tid", "key", "s", "e"],
             ))?;
             vt.create_index(V_BY_WID_KEY, &["wid", "key"])?;
@@ -184,6 +211,7 @@ impl InternalStore {
         Ok(InternalStore {
             db,
             schema,
+            rel_tables,
             users: Vec::new(),
             dir,
             stats: std::sync::Mutex::new(beliefdb_storage::StatsCatalog::default()),
@@ -197,6 +225,26 @@ impl InternalStore {
 
     pub fn schema(&self) -> &ExternalSchema {
         &self.schema
+    }
+
+    /// The ids of the external relations, ascending.
+    pub(crate) fn rel_ids(&self) -> impl Iterator<Item = RelId> {
+        (0..self.rel_tables.len() as u32).map(RelId)
+    }
+
+    /// The content table `R*_rel`.
+    pub(crate) fn star_of(&self, rel: RelId) -> Result<&Table> {
+        Ok(self.db.table(&rel_names(&self.rel_tables, rel)?.star)?)
+    }
+
+    /// The valuation table `V_rel`.
+    pub(crate) fn v_of(&self, rel: RelId) -> Result<&Table> {
+        Ok(self.db.table(&rel_names(&self.rel_tables, rel)?.v)?)
+    }
+
+    /// The valuation table `V_rel`, for writing.
+    pub(crate) fn v_of_mut(&mut self, rel: RelId) -> Result<&mut Table> {
+        Ok(self.db.table_mut(&rel_names(&self.rel_tables, rel)?.v)?)
     }
 
     pub fn schema_arc(&self) -> Arc<ExternalSchema> {
@@ -309,25 +357,27 @@ impl InternalStore {
         }
         let tid = Tid(self.next_tid);
         self.next_tid += 1;
-        let rel_name = self.schema.relation(tuple.rel)?.name().to_string();
+        let star = &rel_names(&self.rel_tables, tuple.rel)?.star;
         let mut vals = Vec::with_capacity(tuple.row.arity() + 1);
         vals.push(tid.value());
         vals.extend(tuple.row.values().iter().cloned());
-        self.db
-            .table_mut(&star_table(&rel_name))?
-            .insert(Row::new(vals))?;
+        self.db.table_mut(star)?.insert(Row::new(vals))?;
         self.tid_cache.insert(tuple.clone(), tid);
         Ok(tid)
     }
 
     /// Look up the ground tuple for a tid.
     pub fn tuple_of(&self, rel: RelId, tid: Tid) -> Result<GroundTuple> {
-        let rel_name = self.schema.relation(rel)?.name().to_string();
-        let table = self.db.table(&star_table(&rel_name))?;
-        let row = table.get_by_key(&tid.value()).ok_or_else(|| {
-            BeliefError::MalformedQuery(format!("dangling tid {tid} in relation {rel_name}"))
+        let table = self.star_of(rel)?;
+        let rid = table.rid_by_key(&tid.value()).ok_or_else(|| {
+            let star = table.schema().name();
+            BeliefError::MalformedQuery(format!("dangling tid {tid} in table {star}"))
         })?;
-        Ok(GroundTuple::new(rel, row.suffix(1)))
+        // Everything but the tid column, straight from the heap's cells.
+        let attrs = (1..table.schema().arity())
+            .map(|c| Ok(table.cell(rid, c)?.to_value()))
+            .collect::<Result<Vec<Value>>>()?;
+        Ok(GroundTuple::new(rel, Row::from(attrs)))
     }
 
     /// Total number of tuples in the internal database — the paper's
@@ -355,51 +405,50 @@ impl InternalStore {
     pub fn world(&self, path: &BeliefPath) -> Result<BeliefWorld> {
         let wid = self.resolve(path);
         let mut world = BeliefWorld::new();
-        for rel in self.schema.relations() {
-            let rel_id = self.schema.relation_id(rel.name())?;
-            let vt = self.db.table(&v_table(rel.name()))?;
-            for row in vt.index_rows(V_BY_WID, &[wid.value()])? {
-                let tid = Tid::from_value(&row[1]).expect("tid column");
-                let tuple = self.tuple_of(rel_id, tid)?;
-                let sign = Sign::from_value(&row[3]).expect("sign column");
-                world.add(tuple, sign);
+        for rel in self.rel_ids() {
+            let vt = self.v_of(rel)?;
+            for rid in vt.index_lookup(V_BY_WID, &[wid.value()])? {
+                let entry = slices::slice_entry(vt, rid)?;
+                world.add(self.tuple_of(rel, entry.tid)?, entry.sign);
             }
         }
         Ok(world)
+    }
+
+    /// The positive tuples of `rel` with external key `key` that the world
+    /// at `path` entails (at most one in a consistent world, Γ1) — what
+    /// [`InternalStore::world`] holds for that key, off one `(wid, key)`
+    /// slice probe.
+    pub fn believed_at(
+        &self,
+        path: &BeliefPath,
+        rel: RelId,
+        key: &Value,
+    ) -> Result<Vec<GroundTuple>> {
+        self.read_slice(rel, self.resolve(path), key)?
+            .into_iter()
+            .filter(|e| e.sign == Sign::Pos)
+            .map(|e| self.tuple_of(rel, e.tid))
+            .collect()
     }
 
     /// World-level entailment `D |= w t^s` directly off the `(wid, key)`
     /// slice — the fast path used by [`crate::bdms::Bdms::entails`].
     pub fn entails(&self, path: &BeliefPath, tuple: &GroundTuple, sign: Sign) -> Result<bool> {
         let wid = self.resolve(path);
-        let rel_name = self.schema.relation(tuple.rel)?.name().to_string();
-        let vt = self.db.table(&v_table(&rel_name))?;
-        let slice = vt.index_rows(V_BY_WID_KEY, &[wid.value(), tuple.key().clone()])?;
+        let slice = self.read_slice(tuple.rel, wid, tuple.key())?;
         let tid = self.tid_cache.get(tuple).copied();
-        match sign {
-            Sign::Pos => {
-                let Some(tid) = tid else { return Ok(false) };
-                Ok(slice
-                    .iter()
-                    .any(|r| r[1] == tid.value() && r[3] == Sign::Pos.value()))
-            }
-            Sign::Neg => {
-                // Stated negative: exact tid with '-'; unstated: any other
-                // positive tid in the slice (Prop. 7).
-                for r in slice {
-                    if r[3] == Sign::Neg.value() {
-                        if let Some(tid) = tid {
-                            if r[1] == tid.value() {
-                                return Ok(true);
-                            }
-                        }
-                    } else if tid.is_none_or(|t| r[1] != t.value()) {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-        }
+        Ok(match sign {
+            Sign::Pos => slice
+                .iter()
+                .any(|e| Some(e.tid) == tid && e.sign == Sign::Pos),
+            // Stated negative: exact tid with '-'; unstated: any other
+            // positive tid in the slice (Prop. 7).
+            Sign::Neg => slice.iter().any(|e| match e.sign {
+                Sign::Neg => Some(e.tid) == tid,
+                Sign::Pos => Some(e.tid) != tid,
+            }),
+        })
     }
 
     /// Reconstruct the logical belief database (explicit statements only)
@@ -410,19 +459,19 @@ impl InternalStore {
         for (_, name) in &self.users {
             out.add_user(name.clone())?;
         }
-        for rel in self.schema.relations() {
-            let rel_id = self.schema.relation_id(rel.name())?;
-            let vt = self.db.table(&v_table(rel.name()))?;
-            for (_, row) in vt.iter() {
-                if row[4] != explicit_value(true) {
+        for rel in self.rel_ids() {
+            let vt = self.v_of(rel)?;
+            for rid in vt.row_ids() {
+                let entry = slices::slice_entry(vt, rid)?;
+                if !entry.explicit {
                     continue;
                 }
-                let wid = Wid::from_value(&row[0]).expect("wid column");
-                let tid = Tid::from_value(&row[1]).expect("tid column");
-                let sign = Sign::from_value(&row[3]).expect("sign column");
-                let tuple = self.tuple_of(rel_id, tid)?;
+                let wid = Wid::from_cell(vt.cell(rid, 0)?).expect("wid column");
+                let tuple = self.tuple_of(rel, entry.tid)?;
                 let path = self.dir.path(wid).clone();
-                out.insert_unchecked(crate::statement::BeliefStatement::new(path, tuple, sign))?;
+                out.insert_unchecked(crate::statement::BeliefStatement::new(
+                    path, tuple, entry.sign,
+                ))?;
             }
         }
         Ok(out)

@@ -1,11 +1,11 @@
 //! Statement-level updates: `insertTuple` (Algorithm 4) and deletes.
 
-use super::slices::SliceEntry;
-use super::{explicit_value, v_table, InsertOutcome, InternalStore};
+use super::slices::{slice_entry, SliceEntry};
+use super::{explicit_value, InsertOutcome, InternalStore};
 use crate::error::{BeliefError, Result};
 use crate::path::BeliefPath;
 use crate::statement::{BeliefStatement, GroundTuple, Sign};
-use beliefdb_storage::Row;
+use beliefdb_storage::{Row, Value};
 
 impl InternalStore {
     /// Validate a statement's relation arity and user ids without
@@ -50,7 +50,7 @@ impl InternalStore {
             Some(SliceEntry {
                 explicit: false, ..
             }) => {
-                self.set_explicit_flag(tuple.rel, wid, tid, sign, true)?;
+                self.set_explicit_flag(tuple.rel, wid, tid, &key, sign, true)?;
                 return Ok(InsertOutcome::MadeExplicit);
             }
             None => {}
@@ -72,16 +72,13 @@ impl InternalStore {
 
         // lines 6–7: record the explicit tuple; the slice rebuild evicts any
         // implicit tuples it overrides.
-        let rel_name = self.schema.relation(tuple.rel)?.name().to_string();
-        self.db
-            .table_mut(&v_table(&rel_name))?
-            .insert(Row::new(vec![
-                wid.value(),
-                tid.value(),
-                key.clone(),
-                sign.value(),
-                explicit_value(true),
-            ]))?;
+        self.v_of_mut(tuple.rel)?.insert(Row::new(vec![
+            wid.value(),
+            tid.value(),
+            key.clone(),
+            sign.value(),
+            explicit_value(true),
+        ]))?;
         // lines 8–14: recompute this world's key slice and propagate to the
         // dependent worlds in ascending depth order.
         self.propagate_key(tuple.rel, path, &key)?;
@@ -115,12 +112,11 @@ impl InternalStore {
         {
             return Ok(false);
         }
-        let rel_name = self.schema.relation(tuple.rel)?.name().to_string();
-        self.db
-            .table_mut(&v_table(&rel_name))?
-            .delete_by_index_where(super::V_BY_WID_KEY, &[wid.value(), key.clone()], |r| {
-                r[1] == tid.value() && r[3] == sign.value() && r[4] == explicit_value(true)
-            })?;
+        self.v_of_mut(tuple.rel)?.delete_by_index_where(
+            super::V_BY_WID_KEY,
+            &[wid.value(), key.clone()],
+            |r| r[1] == tid.value() && r[3] == sign.value() && r[4] == explicit_value(true),
+        )?;
         self.propagate_key(tuple.rel, path, &key)?;
         Ok(true)
     }
@@ -136,19 +132,18 @@ impl InternalStore {
         rel: crate::ids::RelId,
         wid: crate::ids::Wid,
         tid: crate::ids::Tid,
+        key: &Value,
         sign: Sign,
         explicit: bool,
     ) -> Result<()> {
-        let rel_name = self.schema.relation(rel)?.name().to_string();
-        let key = self.tuple_of(rel, tid)?.key().clone();
-        let vt = self.db.table_mut(&v_table(&rel_name))?;
+        let vt = self.v_of_mut(rel)?;
         vt.delete_by_index_where(super::V_BY_WID_KEY, &[wid.value(), key.clone()], |r| {
             r[1] == tid.value() && r[3] == sign.value()
         })?;
         vt.insert(Row::new(vec![
             wid.value(),
             tid.value(),
-            key,
+            key.clone(),
             sign.value(),
             explicit_value(explicit),
         ]))?;
@@ -161,17 +156,15 @@ impl InternalStore {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for rel in self.schema.relations() {
-            let rel_id = self.schema.relation_id(rel.name())?;
-            let vt = self.db.table(&v_table(rel.name()))?;
-            for row in vt.index_rows(super::V_BY_WID, &[wid.value()])? {
-                if row[4] == explicit_value(true) {
-                    let tid = crate::ids::Tid::from_value(&row[1]).expect("tid column");
-                    let sign = Sign::from_value(&row[3]).expect("sign column");
+        for rel in self.rel_ids() {
+            let vt = self.v_of(rel)?;
+            for rid in vt.index_lookup(super::V_BY_WID, &[wid.value()])? {
+                let entry = slice_entry(vt, rid)?;
+                if entry.explicit {
                     out.push(BeliefStatement::new(
                         path.clone(),
-                        self.tuple_of(rel_id, tid)?,
-                        sign,
+                        self.tuple_of(rel, entry.tid)?,
+                        entry.sign,
                     ));
                 }
             }

@@ -20,11 +20,11 @@
 //! (e.g. parent's crow was overridden by raven, so the child's inherited
 //! crow must disappear), which the literal pseudo-code misses. Def. 9 wins.
 
-use super::{explicit_value, v_table, InternalStore, V_BY_WID_KEY};
+use super::{explicit_value, InternalStore, V_BY_WID_KEY};
 use crate::error::Result;
 use crate::ids::{RelId, Tid, Wid};
 use crate::statement::Sign;
-use beliefdb_storage::{Row, Value};
+use beliefdb_storage::{Row, RowId, Table, Value};
 
 /// One `V` entry of a slice: `(tid, sign, explicit)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,20 +34,22 @@ pub(crate) struct SliceEntry {
     pub explicit: bool,
 }
 
+/// The `tid`, `s` and `e` cells of row `rid` of a `V` table, read in place.
+pub(crate) fn slice_entry(vt: &Table, rid: RowId) -> Result<SliceEntry> {
+    Ok(SliceEntry {
+        tid: Tid::from_cell(vt.cell(rid, 1)?).expect("tid column"),
+        sign: Sign::from_cell(vt.cell(rid, 3)?).expect("sign column"),
+        explicit: vt.cell(rid, 4)?.as_str() == Some("y"),
+    })
+}
+
 impl InternalStore {
     /// Read the `(world, key)` slice of `V_rel`.
     pub(crate) fn read_slice(&self, rel: RelId, wid: Wid, key: &Value) -> Result<Vec<SliceEntry>> {
-        let rel_name = self.schema.relation(rel)?.name().to_string();
-        let vt = self.db.table(&v_table(&rel_name))?;
-        let rows = vt.index_rows(V_BY_WID_KEY, &[wid.value(), key.clone()])?;
-        Ok(rows
-            .into_iter()
-            .map(|r| SliceEntry {
-                tid: Tid::from_value(&r[1]).expect("tid column"),
-                sign: Sign::from_value(&r[3]).expect("sign column"),
-                explicit: r[4] == explicit_value(true),
-            })
-            .collect())
+        let vt = self.v_of(rel)?;
+        vt.index_lookup(V_BY_WID_KEY, &[wid.value(), key.clone()])?
+            .map(|rid| slice_entry(vt, rid))
+            .collect()
     }
 
     /// Rebuild the `(world, key)` slice: explicit entries stay; the suffix
@@ -103,8 +105,7 @@ impl InternalStore {
         if a == b {
             return Ok(());
         }
-        let rel_name = self.schema.relation(rel)?.name().to_string();
-        let vt = self.db.table_mut(&v_table(&rel_name))?;
+        let vt = self.v_of_mut(rel)?;
         vt.delete_by_index(V_BY_WID_KEY, &[wid.value(), key.clone()])?;
         for e in next {
             vt.insert(Row::new(vec![
@@ -165,7 +166,7 @@ mod tests {
         let tuple = GroundTuple::new(rel, row![key, species]);
         let wid = store.ensure_world(p).unwrap();
         let tid = store.tid_of_or_create(&tuple).unwrap();
-        let vt = store.db.table_mut(&v_table("S")).unwrap();
+        let vt = store.v_of_mut(rel).unwrap();
         // remove a pre-existing implicit copy of the same tid+sign, if any
         vt.delete_where(|r| r[0] == wid.value() && r[1] == tid.value() && r[3] == sign.value())
             .unwrap();

@@ -194,10 +194,15 @@ impl InternalStore {
     /// The unique `E` target of `(world, user)`.
     pub(crate) fn edge_target(&self, wid: Wid, user: crate::ids::UserId) -> Result<Wid> {
         let e = self.db.table(E_TABLE)?;
-        let hits = e.index_rows(super::E_BY_SRC_USER, &[wid.value(), user.value()])?;
-        debug_assert!(hits.len() <= 1, "E must be deterministic per (world, user)");
-        match hits.first() {
-            Some(row) => Ok(Wid::from_value(&row[2]).expect("wid column")),
+        let key = [wid.value(), user.value()];
+        let mut hits = e.index_lookup(super::E_BY_SRC_USER, &key)?;
+        let first = hits.next();
+        debug_assert!(
+            hits.next().is_none(),
+            "E must be deterministic per (world, user)"
+        );
+        match first {
+            Some(rid) => Ok(Wid::from_cell(e.cell(rid, 2)?).expect("wid column")),
             // No edge materialized (e.g. user registered after queries
             // started, or u = last(w)): fall back to the directory.
             None => {
@@ -216,8 +221,8 @@ impl InternalStore {
             return Ok(Wid::ROOT);
         }
         let s = self.db.table(S_TABLE)?;
-        match s.get_by_key(&wid.value()) {
-            Some(row) => Ok(Wid::from_value(&row[1]).expect("wid column")),
+        match s.rid_by_key(&wid.value()) {
+            Some(rid) => Ok(Wid::from_cell(s.cell(rid, 1)?).expect("wid column")),
             None => Ok(Wid::ROOT),
         }
     }
@@ -229,23 +234,21 @@ impl InternalStore {
         if from == to {
             return Ok(());
         }
-        for rel in self.schema.relations().to_vec() {
-            let vt_name = super::v_table(rel.name());
-            let vt = self.db.table(&vt_name)?;
-            let copies: Vec<Row> = vt
-                .index_rows(super::V_BY_WID, &[from.value()])?
-                .into_iter()
-                .map(|r| {
-                    Row::new(vec![
+        for names in &self.rel_tables {
+            let vt = self.db.table(&names.v)?;
+            let copies = vt
+                .index_lookup(super::V_BY_WID, &[from.value()])?
+                .map(|rid| {
+                    Ok(Row::new(vec![
                         to.value(),
-                        r[1].clone(),
-                        r[2].clone(),
-                        r[3].clone(),
+                        vt.cell(rid, 1)?.to_value(),
+                        vt.cell(rid, 2)?.to_value(),
+                        vt.cell(rid, 3)?.to_value(),
                         super::explicit_value(false),
-                    ])
+                    ]))
                 })
-                .collect();
-            let vt = self.db.table_mut(&vt_name)?;
+                .collect::<Result<Vec<Row>>>()?;
+            let vt = self.db.table_mut(&names.v)?;
             for row in copies {
                 vt.insert(row)?;
             }

@@ -2,7 +2,7 @@
 
 use crate::ids::RelId;
 use crate::path::BeliefPath;
-use beliefdb_storage::{Row, Value};
+use beliefdb_storage::{Cell, Row, Value};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -41,7 +41,12 @@ impl Sign {
     }
 
     pub fn from_value(v: &Value) -> Option<Sign> {
-        match v.as_str() {
+        Sign::from_cell(v.as_cell())
+    }
+
+    /// The sign held by a table cell of the `s` attribute.
+    pub fn from_cell(cell: Cell<'_>) -> Option<Sign> {
+        match cell.as_str() {
             Some("+") => Some(Sign::Pos),
             Some("-") => Some(Sign::Neg),
             _ => None,

@@ -17,8 +17,8 @@
 //! code-compare loop — no per-row string comparison, no `Value`
 //! materialization.
 //!
-//! Tables cache one `ColumnSet` per mutation version
-//! ([`crate::table::Table::columnar`]); the executor's `Scan` slices it
+//! Tables build one `ColumnSet` per mutation version from their column
+//! heap ([`crate::table::Table::columnar`]); the executor's `Scan` slices it
 //! into chunks by `(start, len)` windows without cloning a single row,
 //! and the spill layer reuses the same classification for its columnar
 //! block encoding.
@@ -44,6 +44,16 @@ impl Bitmap {
         }
     }
 
+    /// `len` copies of `bit`.
+    pub fn filled(len: usize, bit: bool) -> Bitmap {
+        let mut words = vec![if bit { u64::MAX } else { 0 }; len.div_ceil(64)];
+        if bit && !len.is_multiple_of(64) {
+            // Bits past `len` stay clear, as `push` leaves them.
+            *words.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
+        }
+        Bitmap { words, len }
+    }
+
     /// Append one bit.
     pub fn push(&mut self, bit: bool) {
         let word = self.len / 64;
@@ -54,6 +64,45 @@ impl Bitmap {
             self.words[word] |= 1u64 << (self.len % 64);
         }
         self.len += 1;
+    }
+
+    /// Overwrite the bit at `i`, or append it when `i == len`.
+    pub fn put(&mut self, i: usize, bit: bool) {
+        if i == self.len {
+            return self.push(bit);
+        }
+        assert!(i < self.len, "bit {i} of a {}-bit bitmap", self.len);
+        let mask = 1u64 << (i % 64);
+        if bit {
+            self.words[i / 64] |= mask;
+        } else {
+            self.words[i / 64] &= !mask;
+        }
+    }
+
+    /// Positions of the set bits, ascending.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(w * 64 + bit)
+            })
+        })
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Bytes of the bit vector.
+    pub fn byte_len(&self) -> usize {
+        self.words.len() * 8
     }
 
     /// The bit at `i`.
@@ -104,7 +153,7 @@ impl Default for Bitmap {
 /// (the common case pays no mask check); `Some(bitmap)` marks NULL cells
 /// with a cleared bit, and the corresponding slot in the data vector is
 /// a don't-care placeholder (`0`, `false`, code `0`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Unboxed 64-bit integers.
     Int {
@@ -193,7 +242,7 @@ pub fn dict_upper_bound(dict: &[Arc<str>], s: &str) -> u32 {
 /// A columnar batch: one [`Column`] per schema position, all the same
 /// length. Built once per table version and shared by `Arc`, so scan
 /// chunks are `(Arc, start, len)` windows — zero row clones.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSet {
     cols: Vec<Column>,
     len: usize,
@@ -205,9 +254,16 @@ impl ColumnSet {
     /// non-null type gets an unboxed vector (with a validity bitmap only
     /// if NULLs occur), mixed types keep boxed values.
     pub fn from_rows(arity: usize, rows: &[&Row]) -> ColumnSet {
-        let n = rows.len();
-        let cols = (0..arity).map(|c| build_column(rows, c)).collect();
-        ColumnSet { cols, len: n }
+        let cols = (0..arity)
+            .map(|c| build_column(rows.iter().map(move |r| &r[c])))
+            .collect();
+        ColumnSet::from_columns(cols, rows.len())
+    }
+
+    /// A set of already built columns, each `len` cells long.
+    pub(crate) fn from_columns(cols: Vec<Column>, len: usize) -> ColumnSet {
+        debug_assert!(cols.iter().all(|c| c.len() == len));
+        ColumnSet { cols, len }
     }
 
     /// Number of rows.
@@ -239,11 +295,14 @@ impl ColumnSet {
     }
 }
 
-fn build_column(rows: &[&Row], c: usize) -> Column {
-    let n = rows.len();
-    let (mut nulls, mut ints, mut bools, mut strs) = (0usize, 0usize, 0usize, 0usize);
-    for r in rows {
-        match &r[c] {
+/// Classify the cells of one column and build its vector (the rule of
+/// [`ColumnSet::from_rows`]). The cells are walked twice.
+pub(crate) fn build_column<'a>(cells: impl Iterator<Item = &'a Value> + Clone) -> Column {
+    let (mut n, mut nulls, mut ints, mut bools, mut strs) =
+        (0usize, 0usize, 0usize, 0usize, 0usize);
+    for v in cells.clone() {
+        n += 1;
+        match v {
             Value::Null => nulls += 1,
             Value::Int(_) => ints += 1,
             Value::Bool(_) => bools += 1,
@@ -253,55 +312,44 @@ fn build_column(rows: &[&Row], c: usize) -> Column {
     if nulls == n {
         return Column::Null(n);
     }
-    let validity = |rows: &[&Row]| -> Option<Bitmap> {
+    let validity = || -> Option<Bitmap> {
         if nulls == 0 {
             return None;
         }
         let mut b = Bitmap::new();
-        for r in rows {
-            b.push(!matches!(r[c], Value::Null));
+        for v in cells.clone() {
+            b.push(!v.is_null());
         }
         Some(b)
     };
     if ints + nulls == n {
-        let vals = rows
-            .iter()
-            .map(|r| match r[c] {
-                Value::Int(x) => x,
-                _ => 0,
-            })
-            .collect();
         return Column::Int {
-            vals,
-            validity: validity(rows),
+            vals: cells.clone().map(|v| v.as_int().unwrap_or(0)).collect(),
+            validity: validity(),
         };
     }
     if bools + nulls == n {
-        let vals = rows
-            .iter()
-            .map(|r| match r[c] {
-                Value::Bool(x) => x,
-                _ => false,
-            })
-            .collect();
         return Column::Bool {
-            vals,
-            validity: validity(rows),
+            vals: cells
+                .clone()
+                .map(|v| v.as_bool().unwrap_or(false))
+                .collect(),
+            validity: validity(),
         };
     }
     if strs + nulls == n {
-        let mut dict: Vec<Arc<str>> = rows
-            .iter()
-            .filter_map(|r| match &r[c] {
+        let mut dict: Vec<Arc<str>> = cells
+            .clone()
+            .filter_map(|v| match v {
                 Value::Str(s) => Some(Arc::clone(s)),
                 _ => None,
             })
             .collect();
         dict.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
         dict.dedup();
-        let codes = rows
-            .iter()
-            .map(|r| match &r[c] {
+        let codes = cells
+            .clone()
+            .map(|v| match v {
                 Value::Str(s) => dict_code(&dict, s).expect("string is in its own dict"),
                 _ => 0,
             })
@@ -309,10 +357,10 @@ fn build_column(rows: &[&Row], c: usize) -> Column {
         return Column::Str {
             dict,
             codes,
-            validity: validity(rows),
+            validity: validity(),
         };
     }
-    Column::Mixed(rows.iter().map(|r| r[c].clone()).collect())
+    Column::Mixed(cells.cloned().collect())
 }
 
 #[cfg(test)]

@@ -273,7 +273,7 @@ fn try_index_join(
         let lc = on[0].0;
         for lrow in lrows {
             if let Some(rrow) = table.get_by_key(&lrow[lc]) {
-                emit(lrow, rrow)?;
+                emit(lrow, &rrow)?;
             }
         }
     } else {
@@ -289,7 +289,7 @@ fn try_index_join(
                 })
                 .collect();
             for rrow in table.index_rows(&index_name, &key)? {
-                emit(lrow, rrow)?;
+                emit(lrow, &rrow)?;
             }
         }
     }
@@ -308,8 +308,8 @@ fn try_index_selection(table: &Table, predicate: &Expr) -> Result<Option<Vec<Row
         if let Some((_, v)) = eqs.iter().find(|(c, _)| *c == kc) {
             let mut out = Vec::new();
             if let Some(row) = table.get_by_key(v) {
-                if predicate.eval_bool(row)? {
-                    out.push(row.clone());
+                if predicate.eval_bool(&row)? {
+                    out.push(row);
                 }
             }
             return Ok(Some(out));
@@ -332,8 +332,8 @@ fn try_index_selection(table: &Table, predicate: &Expr) -> Result<Option<Vec<Row
                 .collect();
             let mut out = Vec::new();
             for row in table.index_rows(name, &key)? {
-                if predicate.eval_bool(row)? {
-                    out.push(row.clone());
+                if predicate.eval_bool(&row)? {
+                    out.push(row);
                 }
             }
             return Ok(Some(out));

@@ -64,7 +64,7 @@ fn collect(iter: BoxRowIter<'_>) -> Result<Vec<Row>> {
 fn open_node<'a>(db: &'a Database, plan: &'a Plan) -> Result<BoxRowIter<'a>> {
     match plan {
         Plan::Scan { table } => match db.table(table) {
-            Ok(t) => Ok(Box::new(t.iter().map(|(_, r)| Ok(r.clone())))),
+            Ok(t) => Ok(Box::new(t.iter().map(|(_, r)| Ok(r)))),
             // Virtual (`sys.*`) relation: snapshot the provider's rows.
             Err(e) => match db.virtual_table(table) {
                 Some(vt) => Ok(Box::new(vt.rows(db).into_iter().map(Ok))),
@@ -330,7 +330,7 @@ struct IndexJoin<'a> {
     residual: Option<&'a Expr>,
     pk_path: bool,
     index: Option<(String, Vec<usize>)>,
-    current: Option<(Row, Vec<&'a Row>)>,
+    current: Option<(Row, Vec<Row>)>,
     pos: usize,
 }
 
@@ -365,7 +365,7 @@ impl Iterator for IndexJoin<'_> {
         loop {
             if let Some((lrow, hits)) = &self.current {
                 while self.pos < hits.len() {
-                    let rrow = hits[self.pos];
+                    let rrow = &hits[self.pos];
                     self.pos += 1;
                     match self.try_emit(lrow, rrow) {
                         Ok(Some(joined)) => return Some(Ok(joined)),
@@ -376,7 +376,7 @@ impl Iterator for IndexJoin<'_> {
                 self.current = None;
             }
             let lrow = self.lrows.next()?;
-            let hits: Vec<&Row> = if self.pk_path {
+            let hits: Vec<Row> = if self.pk_path {
                 let lc = self.on[0].0;
                 self.table.get_by_key(&lrow[lc]).into_iter().collect()
             } else {

@@ -1091,7 +1091,7 @@ fn open_node<'a>(
                 t.note_seq_scan(t.len() as u64);
                 match batch.layout {
                     ChunkLayout::Columnar => chunked_cols(t.columnar(), batch.effective),
-                    ChunkLayout::Rows => chunked_refs(t.iter().map(|(_, r)| r), batch.effective),
+                    ChunkLayout::Rows => chunked_rows(t.iter().map(|(_, r)| r), batch.effective),
                 }
             }
             // Virtual (`sys.*`) relation: snapshot the provider's rows
@@ -1107,7 +1107,7 @@ fn open_node<'a>(
                 chunked_cols(set, batch.effective)
             }
         },
-        Plan::Values { rows, .. } => chunked_refs(rows.iter(), batch.effective),
+        Plan::Values { rows, .. } => chunked_rows(rows.iter().cloned(), batch.effective),
         Plan::Selection { input, predicate } => {
             open_selection(db, input, predicate, batch, spill, obs)?
         }
@@ -1245,16 +1245,17 @@ fn open_node<'a>(
 /// `batch`.
 const RAMP_START: usize = 32;
 
-/// Clone an iterator of borrowed rows into batches, lazily, ramping the
-/// chunk size up from [`RAMP_START`] to `batch`. Batch buffers come
-/// from the thread-local pool.
-fn chunked_refs<'a>(iter: impl Iterator<Item = &'a Row> + 'a, batch: usize) -> BoxChunkIter<'a> {
+/// Gather an iterator of rows (materialized from a table heap, or cloned
+/// from a literal relation) into batches, lazily, ramping the chunk size
+/// up from [`RAMP_START`] to `batch`. Batch buffers come from the
+/// thread-local pool.
+fn chunked_rows<'a>(iter: impl Iterator<Item = Row> + 'a, batch: usize) -> BoxChunkIter<'a> {
     let mut iter = iter.peekable();
     let mut size = RAMP_START.min(batch);
     Box::new(std::iter::from_fn(move || {
         iter.peek()?;
         let mut rows = pool::take_rows(size);
-        rows.extend(iter.by_ref().take(size).cloned());
+        rows.extend(iter.by_ref().take(size));
         size = (size * 2).min(batch);
         metrics().add(Metric::RowsScanned, rows.len() as u64);
         Some(Ok(Chunk::new(rows)))
@@ -1263,7 +1264,7 @@ fn chunked_refs<'a>(iter: impl Iterator<Item = &'a Row> + 'a, batch: usize) -> B
 
 /// Slice a columnar batch into window chunks without touching a single
 /// row, ramping the chunk size up from [`RAMP_START`] to `batch` exactly
-/// like [`chunked_refs`]. Each chunk is an `Arc` clone plus two offsets.
+/// like [`chunked_rows`]. Each chunk is an `Arc` clone plus two offsets.
 fn chunked_cols<'a>(cols: Arc<ColumnSet>, batch: usize) -> BoxChunkIter<'a> {
     let total = cols.len();
     let mut start = 0usize;
@@ -1356,7 +1357,7 @@ fn open_selection<'a>(
                         ));
                     }
                     ChunkLayout::Rows => {
-                        return Ok(chunked_refs(
+                        return Ok(chunked_rows(
                             t.iter().map(|(_, r)| r).filter(move |r| {
                                 if let Some(n) = &prof {
                                     bump(&n.rows_in, 1);
@@ -1369,10 +1370,10 @@ fn open_selection<'a>(
                     }
                 }
             }
-            let refs = t.iter().map(|(_, r)| r);
+            let rows = t.iter().map(|(_, r)| r);
             let prof = obs.spill_prof();
-            return Ok(filtered_ref_scan(
-                refs.inspect(move |_| {
+            return Ok(filtered_scan(
+                rows.inspect(move |_| {
                     if let Some(n) = &prof {
                         bump(&n.rows_in, 1);
                         bump(&n.fallback_rows, 1);
@@ -1410,15 +1411,15 @@ fn open_selection<'a>(
     }))
 }
 
-/// Interpreter filter over borrowed scan rows with error splitting: rows
-/// before a failing row are emitted (already cloned) ahead of the error,
-/// and scanning resumes behind it.
-fn filtered_ref_scan<'a>(
-    refs: impl Iterator<Item = &'a Row> + 'a,
+/// Interpreter filter over scan rows with error splitting: rows before a
+/// failing row are emitted ahead of the error, and scanning resumes
+/// behind it.
+fn filtered_scan<'a>(
+    rows: impl Iterator<Item = Row> + 'a,
     predicate: &'a Expr,
     batch: usize,
 ) -> BoxChunkIter<'a> {
-    let mut refs = refs.peekable();
+    let mut refs = rows.peekable();
     let mut pending: VecDeque<Result<Chunk>> = VecDeque::new();
     Box::new(std::iter::from_fn(move || loop {
         if let Some(item) = pending.pop_front() {
@@ -1427,9 +1428,9 @@ fn filtered_ref_scan<'a>(
         refs.peek()?;
         let mut out: Vec<Row> = pool::take_rows(batch.min(RAMP_START));
         for row in refs.by_ref() {
-            match predicate.eval_bool(row) {
+            match predicate.eval_bool(&row) {
                 Ok(true) => {
-                    out.push(row.clone());
+                    out.push(row);
                     if out.len() >= batch {
                         break;
                     }
@@ -1919,7 +1920,7 @@ fn index_probe(
     index: &Option<(String, Vec<usize>)>,
     out: &mut Vec<Row>,
 ) -> Result<()> {
-    let hits: Vec<&Row> = if pk_path {
+    let hits: Vec<Row> = if pk_path {
         let lc = on[0].0;
         table.get_by_key(&lrow[lc]).into_iter().collect()
     } else {
@@ -1933,7 +1934,7 @@ fn index_probe(
             .collect();
         table.index_rows(name, &key)?
     };
-    for rrow in hits {
+    for rrow in &hits {
         // Re-verify every join pair: with duplicate right columns in `on`
         // the index key only pins one left column per right column.
         if on.iter().any(|&(lc, rc)| lrow[lc] != rrow[rc]) {

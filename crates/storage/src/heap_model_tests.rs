@@ -1,0 +1,320 @@
+//! Model-based property test of the column heap: random insert / delete /
+//! `delete_by_index_where` / get / iterate / `columnar()` sequences on a
+//! [`Table`] against a `Vec<Option<Row>>` of slots with a free list, once
+//! with the real index hasher and once with every key in one bucket.
+//!
+//! The columns cover what a heap column can go through: one stays `Int`,
+//! one is `Bool` or NULL, one is a string or NULL, one takes every value
+//! type (so `Int(1)` meets `Str("1")` and the column is demoted), one is
+//! NULL except for a rare late integer. NULLs come first, last or in the
+//! middle as the case generator pleases.
+
+use crate::column::ColumnSet;
+use crate::heap::Heap;
+use crate::index::{CollideAll, Index, IndexRid, RowId};
+use crate::row::Row;
+use crate::schema::TableSchema;
+use crate::table::Table;
+use crate::value::Value;
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+const COLUMNS: [&str; 5] = ["i", "b", "s", "any", "late"];
+const BY_ANY_S: [usize; 2] = [3, 2];
+
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(Row),
+    /// Delete the n-th live row (modulo the live count).
+    Delete(usize),
+    /// `delete_by_index_where` on `(any, s)`, keeping rows whose `i` is odd.
+    DeleteEvenByKey(Value, Value),
+    /// `get` and `cell` on slot n, live or not.
+    Get(usize),
+    /// Iteration, `scan`, `columnar()` and the indexes against the model.
+    Check,
+}
+
+fn or_null(v: impl Strategy<Value = Value> + 'static) -> impl Strategy<Value = Value> {
+    prop_oneof![3 => v, 1 => Just(Value::Null)]
+}
+
+fn string() -> impl Strategy<Value = Value> {
+    (0i64..4).prop_map(|i| Value::str(i.to_string()))
+}
+
+/// Few values of every type, so keys repeat and `Int(1)` meets `Str("1")`.
+fn any_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (0i64..3).prop_map(Value::int),
+        string(),
+        Just(Value::Null),
+        proptest::bool::ANY.prop_map(Value::Bool),
+    ]
+}
+
+fn row() -> impl Strategy<Value = Row> {
+    (
+        (0i64..100).prop_map(Value::int),
+        or_null(proptest::bool::ANY.prop_map(Value::Bool)),
+        or_null(string()),
+        any_value(),
+        prop_oneof![9 => Just(Value::Null), 1 => (0i64..3).prop_map(Value::int)],
+    )
+        .prop_map(|(i, b, s, any, late)| Row::new([i, b, s, any, late]))
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => row().prop_map(Op::Insert),
+        3 => (0usize..64).prop_map(Op::Delete),
+        1 => (any_value(), or_null(string())).prop_map(|(a, s)| Op::DeleteEvenByKey(a, s)),
+        1 => (0usize..48).prop_map(Op::Get),
+        1 => Just(Op::Check),
+    ]
+}
+
+/// The slots of a heap and the order its free slots are reused in.
+#[derive(Default)]
+struct Model {
+    slots: Vec<Option<Row>>,
+    free: Vec<RowId>,
+}
+
+impl Model {
+    fn insert(&mut self, row: Row) -> RowId {
+        let rid = self.free.pop().unwrap_or(self.slots.len());
+        if rid == self.slots.len() {
+            self.slots.push(None);
+        }
+        self.slots[rid] = Some(row);
+        rid
+    }
+
+    fn delete(&mut self, rid: RowId) -> Row {
+        self.free.push(rid);
+        self.slots[rid].take().expect("live row")
+    }
+
+    fn live(&self) -> impl Iterator<Item = (RowId, &Row)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(rid, slot)| Some((rid, slot.as_ref()?)))
+    }
+
+    fn keys(&self, cols: &[usize]) -> BTreeSet<Vec<Value>> {
+        self.live()
+            .map(|(_, row)| cols.iter().map(|&c| row[c].clone()).collect())
+            .collect()
+    }
+}
+
+fn check(t: &Table, model: &Model) -> Result<(), TestCaseError> {
+    let live: Vec<(RowId, Row)> = model.live().map(|(rid, r)| (rid, r.clone())).collect();
+    prop_assert_eq!(
+        &t.iter().collect::<Vec<_>>(),
+        &live,
+        "live rows in slot order"
+    );
+    prop_assert_eq!(
+        t.row_ids().collect::<Vec<_>>(),
+        live.iter().map(|(rid, _)| *rid).collect::<Vec<_>>()
+    );
+    prop_assert_eq!(
+        t.scan(),
+        live.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>()
+    );
+
+    // The same typed vectors, sorted dictionaries and validity bitmaps a
+    // transpose of the live rows would build.
+    let refs: Vec<&Row> = live.iter().map(|(_, r)| r).collect();
+    let want = ColumnSet::from_rows(COLUMNS.len(), &refs);
+    let got = t.columnar();
+    for (i, (_, row)) in live.iter().enumerate() {
+        prop_assert_eq!(&got.row_at(i), row, "columnar row {}", i);
+    }
+    prop_assert_eq!(&*got, &want);
+
+    for (index, cols) in [("by_any_s", &BY_ANY_S[..]), ("by_i", &[0][..])] {
+        let keys = model.keys(cols);
+        let stats = t.index_stats();
+        let (_, _, distinct) = stats.iter().find(|s| s.0 == index).unwrap();
+        prop_assert_eq!(*distinct, keys.len(), "distinct keys of {}", index);
+        for key in &keys {
+            let hits: BTreeSet<RowId> = t.index_lookup(index, key).unwrap().collect();
+            let want: BTreeSet<RowId> = model
+                .live()
+                .filter(|(_, r)| cols.iter().zip(key).all(|(&c, k)| r[c] == *k))
+                .map(|(rid, _)| rid)
+                .collect();
+            prop_assert_eq!(hits, want, "{} {:?}", index, key);
+        }
+    }
+    Ok(())
+}
+
+fn run(ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut t = Table::new(TableSchema::keyless("T", &COLUMNS));
+    t.create_index("by_any_s", &["any", "s"]).unwrap();
+    t.create_index("by_i", &["i"]).unwrap();
+    let mut model = Model::default();
+    for op in ops {
+        match op {
+            Op::Insert(row) => {
+                let rid = t.insert(row.clone()).unwrap();
+                prop_assert_eq!(rid, model.insert(row.clone()), "slot of the new row");
+            }
+            Op::Delete(n) => {
+                let live: Vec<RowId> = model.live().map(|(rid, _)| rid).collect();
+                if let Some(&rid) = live.get(n % live.len().max(1)) {
+                    prop_assert_eq!(t.delete(rid).unwrap(), model.delete(rid));
+                    prop_assert!(t.delete(rid).is_err(), "deleted twice");
+                }
+            }
+            Op::DeleteEvenByKey(any, s) => {
+                let even = |r: &Row| r[0].as_int().unwrap() % 2 == 0;
+                let key = [any.clone(), s.clone()];
+                // Index order is not slot order: free the slots as the
+                // table does.
+                let victims: Vec<RowId> = t.index_lookup("by_any_s", &key).unwrap().collect();
+                let deleted = t.delete_by_index_where("by_any_s", &key, even).unwrap();
+                let mut expected = 0;
+                for rid in victims {
+                    if model.slots[rid].as_ref().is_some_and(even) {
+                        model.delete(rid);
+                        expected += 1;
+                    }
+                }
+                prop_assert_eq!(deleted, expected);
+                let left = model
+                    .live()
+                    .filter(|(_, r)| r[3] == *any && r[2] == *s && even(r))
+                    .count();
+                prop_assert_eq!(left, 0, "an even row with the key survived");
+            }
+            Op::Get(rid) => match model.slots.get(*rid).and_then(Option::as_ref) {
+                Some(row) => {
+                    prop_assert_eq!(&t.get(*rid).unwrap(), row);
+                    for (c, v) in row.values().iter().enumerate() {
+                        prop_assert_eq!(t.cell(*rid, c).unwrap(), v.as_cell());
+                    }
+                }
+                None => prop_assert!(t.get(*rid).is_err() && t.cell(*rid, 0).is_err()),
+            },
+            Op::Check => check(&t, &model)?,
+        }
+        prop_assert_eq!(
+            (t.len(), t.slots()),
+            (model.live().count(), model.slots.len())
+        );
+    }
+    check(&t, &model)
+}
+
+/// An index asked about a slot the heap has cleared but the index still
+/// lists — the order `heap.remove`, `index.remove` — must not see it.
+fn run_cleared_slots(ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut heap = Heap::new(COLUMNS.len());
+    let mut idx = Index::new("by_any_s", BY_ANY_S.to_vec());
+    let mut model = Model::default();
+    for op in ops {
+        match op {
+            Op::Insert(row) => {
+                let rid = heap.insert(row.clone());
+                prop_assert_eq!(rid, model.insert(row.clone()));
+                idx.insert(&heap, rid as IndexRid).unwrap();
+            }
+            Op::Delete(n) => {
+                let live: Vec<RowId> = model.live().map(|(rid, _)| rid).collect();
+                let Some(&rid) = live.get(n % live.len().max(1)) else {
+                    continue;
+                };
+                let row = model.delete(rid);
+                let key: Vec<Value> = BY_ANY_S.iter().map(|&c| row[c].clone()).collect();
+                heap.remove(rid);
+                let hits: BTreeSet<RowId> = idx.matches(&heap, &key).collect();
+                let want: BTreeSet<RowId> = model
+                    .live()
+                    .filter(|(_, r)| BY_ANY_S.iter().zip(&key).all(|(&c, k)| r[c] == *k))
+                    .map(|(rid, _)| rid)
+                    .collect();
+                prop_assert_eq!(hits, want, "cleared slot {} under {:?}", rid, key);
+                idx.remove(&heap, rid as IndexRid).unwrap();
+                prop_assert_eq!(idx.distinct_keys(), model.keys(&BY_ANY_S).len());
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn heap_follows_the_model_with_the_real_hasher(
+        ops in proptest::collection::vec(op(), 0..160)
+    ) {
+        run(&ops)?;
+        run_cleared_slots(&ops)?;
+    }
+
+    #[test]
+    fn heap_follows_the_model_when_every_key_collides(
+        ops in proptest::collection::vec(op(), 0..160)
+    ) {
+        let _collide = CollideAll::on();
+        run(&ops)?;
+        run_cleared_slots(&ops)?;
+    }
+}
+
+/// The column states a random case may or may not reach, spelled out.
+#[test]
+fn nulls_first_last_and_between_and_a_demotion() {
+    let null = || Value::Null;
+    let mut t = Table::new(TableSchema::keyless(
+        "T",
+        &["first", "last", "mid", "demoted", "never"],
+    ));
+    let rows = [
+        Row::new([
+            null(),
+            Value::int(1),
+            Value::str("a"),
+            Value::int(1),
+            null(),
+        ]),
+        Row::new([
+            Value::int(7),
+            Value::int(2),
+            null(),
+            Value::str("1"),
+            null(),
+        ]),
+        Row::new([
+            Value::int(8),
+            null(),
+            Value::str("b"),
+            Value::Bool(true),
+            null(),
+        ]),
+    ];
+    for row in &rows {
+        t.insert(row.clone()).unwrap();
+    }
+    assert_eq!(t.scan(), rows);
+    let refs: Vec<&Row> = rows.iter().collect();
+    assert_eq!(*t.columnar(), ColumnSet::from_rows(5, &refs));
+    // Delete the string and the boolean: the demoted column's live cells
+    // are integers again, and `first` is NULL in every live row.
+    t.delete(1).unwrap();
+    t.delete(2).unwrap();
+    assert_eq!(*t.columnar(), ColumnSet::from_rows(5, &refs[..1]));
+    // The freed slots take rows of yet another shape.
+    let late = Row::new([Value::str("x"), null(), null(), null(), Value::Bool(false)]);
+    assert_eq!(t.insert(late.clone()).unwrap(), 2);
+    assert_eq!(t.scan(), [rows[0].clone(), late.clone()]);
+    assert_eq!(*t.columnar(), ColumnSet::from_rows(5, &[&rows[0], &late]));
+}

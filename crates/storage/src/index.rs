@@ -2,13 +2,13 @@
 //!
 //! An index stores no copy of the keys it covers: it maps the 64-bit hash
 //! of a row's indexed columns to the ids of the rows holding them, and
-//! resolves hash collisions by comparing those columns in the table heap,
-//! which [`crate::table::Table`] passes down on every call. See
+//! resolves hash collisions by comparing those cells in the table's column
+//! heap, which [`crate::table::Table`] passes down on every call. See
 //! `docs/execution.md`, "Heap and index layout".
 
 use crate::error::{Result, StorageError};
-use crate::row::Row;
-use crate::value::Value;
+use crate::heap::Heap;
+use crate::value::{Cell, Value};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -39,22 +39,22 @@ impl Hasher for PassThrough {
 }
 
 /// The row ids sharing one key hash. Almost always a single id (the
-/// `(wid, key)` slices of `V`), which is held inline; `Many` holds two or
-/// more, in insertion order up to `swap_remove`. The `Vec` is boxed to
-/// keep a map entry at 24 bytes instead of 32: the map is sized for the
-/// common single-id case.
-#[derive(Debug, Clone)]
-#[allow(clippy::box_collection)]
+/// `(wid, key)` slices of `V`), which is held inline; `Many` is the number
+/// of a list in [`Index::lists`] holding two or more, in insertion order
+/// up to `swap_remove`. Eight bytes, so a map entry is 16: the map is
+/// sized for the common single-id case and is the largest structure of a
+/// belief database.
+#[derive(Debug, Clone, Copy)]
 enum Bucket {
     One(IndexRid),
-    Many(Box<Vec<IndexRid>>),
+    Many(u32),
 }
 
 impl Bucket {
-    fn ids(&self) -> &[IndexRid] {
+    fn ids<'a>(&'a self, lists: &'a [Vec<IndexRid>]) -> &'a [IndexRid] {
         match self {
             Bucket::One(rid) => std::slice::from_ref(rid),
-            Bucket::Many(rids) => rids,
+            Bucket::Many(list) => &lists[*list as usize],
         }
     }
 }
@@ -67,10 +67,30 @@ thread_local! {
     pub(crate) static COLLIDE_ALL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Hash of a key, the same for a lookup key and for the projection of a
-/// row holding it. `DefaultHasher::new()` is SipHash with a fixed key, so
+/// Test-only: [`COLLIDE_ALL`] on for as long as the guard lives; the real
+/// hasher is back when a case ends, also by `?` or panic.
+#[cfg(test)]
+pub(crate) struct CollideAll;
+
+#[cfg(test)]
+impl CollideAll {
+    pub(crate) fn on() -> Self {
+        COLLIDE_ALL.with(|c| c.set(true));
+        CollideAll
+    }
+}
+
+#[cfg(test)]
+impl Drop for CollideAll {
+    fn drop(&mut self) {
+        COLLIDE_ALL.with(|c| c.set(false));
+    }
+}
+
+/// Hash of a key, the same for a lookup key and for the cells of a row
+/// holding it. `DefaultHasher::new()` is SipHash with a fixed key, so
 /// bucket contents — and with them lookup order — repeat across runs.
-fn hash_key<'a>(key: impl Iterator<Item = &'a Value>) -> u64 {
+fn hash_key<'a>(key: impl Iterator<Item = Cell<'a>>) -> u64 {
     #[cfg(test)]
     if COLLIDE_ALL.with(|c| c.get()) {
         return 0;
@@ -82,12 +102,15 @@ fn hash_key<'a>(key: impl Iterator<Item = &'a Value>) -> u64 {
     hasher.finish()
 }
 
-/// Does one of the live rows `ids` of `heap` agree with `row` on `cols`?
-fn holds_key(cols: &[usize], heap: &[Option<Row>], ids: &[IndexRid], row: &Row) -> bool {
-    ids.iter().any(|&rid| {
-        heap[rid as usize]
-            .as_ref()
-            .is_some_and(|other| cols.iter().all(|&c| other[c] == row[c]))
+/// Does one of the live rows `ids` of `heap` agree on `cols` with the row
+/// in slot `rid`?
+fn holds_key(cols: &[usize], heap: &Heap, ids: &[IndexRid], rid: IndexRid) -> bool {
+    let rid = rid as usize;
+    ids.iter().map(|&other| other as usize).any(|other| {
+        heap.is_live(other)
+            && cols
+                .iter()
+                .all(|&c| heap.cell(other, c) == heap.cell(rid, c))
     })
 }
 
@@ -102,6 +125,10 @@ pub struct Index {
     name: String,
     cols: Vec<usize>,
     map: HashMap<u64, Bucket, BuildHasherDefault<PassThrough>>,
+    /// The id lists of the [`Bucket::Many`] entries, by list number.
+    lists: Vec<Vec<IndexRid>>,
+    /// Numbers of the lists no entry uses: emptied, capacity kept.
+    free_lists: Vec<u32>,
     /// Distinct keys (not hashes) currently indexed.
     distinct: usize,
 }
@@ -113,6 +140,8 @@ impl Index {
             name: name.into(),
             cols,
             map: HashMap::default(),
+            lists: Vec::new(),
+            free_lists: Vec::new(),
             distinct: 0,
         }
     }
@@ -125,70 +154,78 @@ impl Index {
         &self.cols
     }
 
-    /// Error unless `row` has every indexed column.
-    pub(crate) fn check_row(&self, row: &Row) -> Result<()> {
-        match self.cols.iter().find(|&&c| c >= row.arity()) {
-            Some(&index) => Err(StorageError::ColumnOutOfRange {
-                index,
-                arity: row.arity(),
-            }),
+    /// Error unless rows of `arity` columns have every indexed column.
+    pub(crate) fn check_arity(&self, arity: usize) -> Result<()> {
+        match self.cols.iter().find(|&&c| c >= arity) {
+            Some(&index) => Err(StorageError::ColumnOutOfRange { index, arity }),
             None => Ok(()),
         }
     }
 
-    fn row_hash(&self, row: &Row) -> u64 {
-        hash_key(self.cols.iter().map(|&c| &row[c]))
+    fn row_hash(&self, heap: &Heap, rid: IndexRid) -> u64 {
+        hash_key(self.cols.iter().map(|&c| heap.cell(rid as usize, c)))
     }
 
-    /// Index `row` under `rid`. `heap` is the table heap holding the rows
-    /// already indexed; `row` itself need not be in it yet. Fails, with the
-    /// index unchanged, if `row` lacks an indexed column.
-    pub(crate) fn insert(&mut self, heap: &[Option<Row>], row: &Row, rid: IndexRid) -> Result<()> {
-        self.check_row(row)?;
-        match self.map.entry(self.row_hash(row)) {
+    /// Index the row `heap` holds in slot `rid`. Fails, with the index
+    /// unchanged, if the heap's rows lack an indexed column.
+    pub(crate) fn insert(&mut self, heap: &Heap, rid: IndexRid) -> Result<()> {
+        self.check_arity(heap.arity())?;
+        match self.map.entry(self.row_hash(heap, rid)) {
             Entry::Vacant(slot) => {
                 slot.insert(Bucket::One(rid));
                 self.distinct += 1;
             }
             Entry::Occupied(mut slot) => {
                 let bucket = slot.get_mut();
-                if !holds_key(&self.cols, heap, bucket.ids(), row) {
+                if !holds_key(&self.cols, heap, bucket.ids(&self.lists), rid) {
                     self.distinct += 1;
                 }
-                match bucket {
-                    Bucket::One(first) => *bucket = Bucket::Many(Box::new(vec![*first, rid])),
-                    Bucket::Many(rids) => rids.push(rid),
+                match *bucket {
+                    Bucket::One(first) => {
+                        let list = self.free_lists.pop().unwrap_or_else(|| {
+                            self.lists.push(Vec::new());
+                            // Fewer lists than rows, and those fit `u32`.
+                            (self.lists.len() - 1) as u32
+                        });
+                        self.lists[list as usize].extend([first, rid]);
+                        *bucket = Bucket::Many(list);
+                    }
+                    Bucket::Many(list) => self.lists[list as usize].push(rid),
                 }
             }
         }
         Ok(())
     }
 
-    /// Drop `rid`, whose row `row` has already left `heap`. A `rid` the
+    /// Drop `rid`, whose row is still in its slot of `heap`: the table
+    /// clears the slot once every index has let go of it. A `rid` the
     /// index does not hold is ignored. Fails, with the index unchanged, if
-    /// `row` lacks an indexed column.
-    pub(crate) fn remove(&mut self, heap: &[Option<Row>], row: &Row, rid: IndexRid) -> Result<()> {
-        self.check_row(row)?;
-        let Entry::Occupied(mut slot) = self.map.entry(self.row_hash(row)) else {
+    /// the heap's rows lack an indexed column.
+    pub(crate) fn remove(&mut self, heap: &Heap, rid: IndexRid) -> Result<()> {
+        self.check_arity(heap.arity())?;
+        let Entry::Occupied(mut slot) = self.map.entry(self.row_hash(heap, rid)) else {
             return Ok(());
         };
-        match slot.get_mut() {
+        match *slot.get() {
             Bucket::One(only) => {
-                if *only != rid {
+                if only != rid {
                     return Ok(());
                 }
                 slot.remove();
                 self.distinct -= 1;
             }
-            Bucket::Many(rids) => {
+            Bucket::Many(list) => {
+                let rids = &mut self.lists[list as usize];
                 let Some(pos) = rids.iter().position(|&r| r == rid) else {
                     return Ok(());
                 };
                 rids.swap_remove(pos);
-                if !holds_key(&self.cols, heap, rids, row) {
+                if !holds_key(&self.cols, heap, rids, rid) {
                     self.distinct -= 1;
                 }
                 if let [last] = rids[..] {
+                    rids.clear();
+                    self.free_lists.push(list);
                     *slot.get_mut() = Bucket::One(last);
                 }
             }
@@ -196,26 +233,33 @@ impl Index {
         Ok(())
     }
 
-    /// The rows of `heap` whose projection equals `key`, with their ids, in
-    /// index order (insertion order up to `swap_remove`). A key of the
-    /// wrong length matches nothing.
+    /// The ids of the live rows of `heap` whose indexed cells equal `key`,
+    /// in index order (insertion order up to `swap_remove`). A key of the
+    /// wrong length matches nothing. A cleared slot keeps its cells, so
+    /// the live bit, not the comparison, is what hides a dead row.
     pub(crate) fn matches<'a, 'k>(
         &'a self,
-        heap: &'a [Option<Row>],
+        heap: &'a Heap,
         key: &'k [Value],
-    ) -> impl Iterator<Item = (RowId, &'a Row)> + use<'a, 'k> {
+    ) -> impl Iterator<Item = RowId> + use<'a, 'k> {
         let candidates = if key.len() == self.cols.len() {
-            self.map.get(&hash_key(key.iter())).map(Bucket::ids)
+            self.map
+                .get(&hash_key(key.iter().map(Value::as_cell)))
+                .map(|bucket| bucket.ids(&self.lists))
         } else {
             None
         };
         candidates
             .unwrap_or_default()
             .iter()
-            .filter_map(move |&rid| {
-                let row = heap[rid as usize].as_ref()?;
-                let hit = self.cols.iter().zip(key).all(|(&c, k)| row[c] == *k);
-                hit.then_some((rid as RowId, row))
+            .map(|&rid| rid as RowId)
+            .filter(move |&rid| {
+                heap.is_live(rid)
+                    && self
+                        .cols
+                        .iter()
+                        .zip(key)
+                        .all(|(&c, k)| heap.cell(rid, c) == *k)
             })
     }
 
@@ -227,9 +271,9 @@ impl Index {
 
     /// Estimated bytes held by the index when it covers `rows` rows (every
     /// live row of its table, once): one map entry (hash, inline id or
-    /// `Vec` pointer, control byte) per distinct hash, plus four bytes for
+    /// list number, control byte) per distinct hash, plus four bytes for
     /// every further row id sharing a hash. Capacity slack of the map and
-    /// of the id vectors is not counted.
+    /// of the id lists is not counted.
     pub(crate) fn approx_bytes(&self, rows: usize) -> usize {
         let entry = std::mem::size_of::<(u64, Bucket)>() + 1;
         let further = rows.saturating_sub(self.map.len());
@@ -241,41 +285,41 @@ impl Index {
 mod tests {
     use super::*;
     use crate::row;
+    use crate::row::Row;
 
     /// A heap plus one index over it, kept in step the way `Table` does.
     struct Indexed {
-        heap: Vec<Option<Row>>,
+        heap: Heap,
         idx: Index,
     }
 
     impl Indexed {
-        fn new(cols: Vec<usize>) -> Self {
+        fn new(arity: usize, cols: Vec<usize>) -> Self {
             Indexed {
-                heap: Vec::new(),
+                heap: Heap::new(arity),
                 idx: Index::new("i", cols),
             }
         }
 
         fn insert(&mut self, row: Row) -> IndexRid {
-            let rid = self.heap.len() as IndexRid;
-            self.idx.insert(&self.heap, &row, rid).unwrap();
-            self.heap.push(Some(row));
+            let rid = self.heap.insert(row) as IndexRid;
+            self.idx.insert(&self.heap, rid).unwrap();
             rid
         }
 
         fn remove(&mut self, rid: IndexRid) {
-            let row = self.heap[rid as usize].take().unwrap();
-            self.idx.remove(&self.heap, &row, rid).unwrap();
+            self.idx.remove(&self.heap, rid).unwrap();
+            self.heap.remove(rid as usize);
         }
 
         fn get(&self, key: &[Value]) -> Vec<RowId> {
-            self.idx.matches(&self.heap, key).map(|(r, _)| r).collect()
+            self.idx.matches(&self.heap, key).collect()
         }
     }
 
     #[test]
     fn insert_get_remove() {
-        let mut t = Indexed::new(vec![0, 2]);
+        let mut t = Indexed::new(3, vec![0, 2]);
         let r1 = t.insert(row![1, "t1", "s1"]);
         let r2 = t.insert(row![1, "t2", "s1"]);
         let r3 = t.insert(row![2, "t1", "s1"]);
@@ -295,17 +339,32 @@ mod tests {
 
     #[test]
     fn remove_is_idempotent_for_missing_rid() {
-        let mut t = Indexed::new(vec![0]);
+        let mut t = Indexed::new(1, vec![0]);
         t.insert(row![5]);
-        t.idx.remove(&t.heap, &row![5], 99).unwrap();
-        t.idx.remove(&t.heap, &row![6], 0).unwrap();
+        // A row the index was never told about, in a bucket of its own and
+        // in the bucket of the indexed row.
+        for row in [row![6], row![5]] {
+            let unindexed = t.heap.insert(row) as IndexRid;
+            t.idx.remove(&t.heap, unindexed).unwrap();
+            t.heap.remove(unindexed as usize);
+        }
         assert_eq!(t.get(&[Value::int(5)]), vec![0]);
         assert_eq!(t.idx.distinct_keys(), 1);
     }
 
     #[test]
+    fn cleared_slot_is_invisible_even_while_listed() {
+        // The state inside `Table::delete` had it cleared the slot first:
+        // the cells are still there, only the live bit says the row is gone.
+        let mut t = Indexed::new(1, vec![0]);
+        let rid = t.insert(row![5]);
+        t.heap.remove(rid as usize);
+        assert!(t.get(&[Value::int(5)]).is_empty());
+    }
+
+    #[test]
     fn wrong_length_key_matches_nothing() {
-        let mut t = Indexed::new(vec![0, 1]);
+        let mut t = Indexed::new(2, vec![0, 1]);
         t.insert(row![1, 2]);
         assert!(t.get(&[Value::int(1)]).is_empty());
         assert!(t
@@ -315,8 +374,8 @@ mod tests {
 
     #[test]
     fn colliding_keys_stay_apart_and_are_counted_apart() {
-        COLLIDE_ALL.with(|c| c.set(true));
-        let mut t = Indexed::new(vec![0]);
+        let _collide = CollideAll::on();
+        let mut t = Indexed::new(2, vec![0]);
         let a1 = t.insert(row![1, "a"]);
         let s1 = t.insert(row!["1", "b"]);
         let a2 = t.insert(row![1, "c"]);
@@ -335,24 +394,25 @@ mod tests {
 
     #[test]
     fn out_of_range_column_fails_before_the_map_changes() {
-        let mut t = Indexed::new(vec![0, 3]);
-        let err = t.idx.insert(&t.heap, &row![1, 2], 0).unwrap_err();
+        let mut t = Indexed::new(2, vec![0, 3]);
+        let rid = t.heap.insert(row![1, 2]) as IndexRid;
+        let err = t.idx.insert(&t.heap, rid).unwrap_err();
         assert_eq!(err, StorageError::ColumnOutOfRange { index: 3, arity: 2 });
-        let err = t.idx.remove(&t.heap, &row![1, 2], 0).unwrap_err();
+        let err = t.idx.remove(&t.heap, rid).unwrap_err();
         assert_eq!(err, StorageError::ColumnOutOfRange { index: 3, arity: 2 });
         assert_eq!((t.idx.distinct_keys(), t.idx.approx_bytes(0)), (0, 0));
     }
 
     #[test]
     fn approx_bytes_counts_entries_and_further_ids() {
-        let mut t = Indexed::new(vec![0]);
+        let mut t = Indexed::new(1, vec![0]);
         t.insert(row![1]);
         t.insert(row![2]);
         let two_entries = t.idx.approx_bytes(2);
         // The layout docs/execution.md and docs/observability.md quote.
-        assert_eq!(std::mem::size_of::<(u64, Bucket)>(), 24);
-        assert_eq!(std::mem::size_of::<Option<Row>>(), 16);
-        assert_eq!(two_entries, 2 * (24 + 1));
+        assert_eq!(std::mem::size_of::<(u64, Bucket)>(), 16);
+        assert_eq!(crate::heap::DICT_ENTRY_BYTES, 41);
+        assert_eq!(two_entries, 2 * (16 + 1));
         t.insert(row![2]);
         assert_eq!(t.idx.approx_bytes(3), two_entries + 4);
     }

@@ -5,7 +5,7 @@
 //! collision paths of insert, remove, lookup and the distinct-key counter
 //! all run.
 
-use crate::index::{RowId, COLLIDE_ALL};
+use crate::index::{CollideAll, RowId};
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::table::Table;
@@ -126,22 +126,6 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
     }
     prop_assert_eq!(t.index_bytes(), 0);
     Ok(())
-}
-
-/// Restores the real hasher when a case ends, also by `?` or panic.
-struct CollideAll;
-
-impl CollideAll {
-    fn on() -> Self {
-        COLLIDE_ALL.with(|c| c.set(true));
-        CollideAll
-    }
-}
-
-impl Drop for CollideAll {
-    fn drop(&mut self) {
-        COLLIDE_ALL.with(|c| c.set(false));
-    }
 }
 
 proptest! {

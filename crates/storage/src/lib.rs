@@ -40,6 +40,9 @@ pub mod datalog;
 pub mod error;
 pub mod exec;
 pub mod expr;
+mod heap;
+#[cfg(test)]
+mod heap_model_tests;
 pub mod index;
 #[cfg(test)]
 mod index_model_tests;
@@ -74,4 +77,4 @@ pub use row::{Projector, Row};
 pub use schema::{ColumnDef, KeyMode, TableSchema};
 pub use sema::{lint_program, set_verify, verify_enabled, verify_plan, Diagnostic, Severity};
 pub use table::Table;
-pub use value::Value;
+pub use value::{Cell, Value};

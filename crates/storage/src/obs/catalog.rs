@@ -122,8 +122,8 @@ pub fn statements_table() -> Arc<dyn VirtualTable> {
 /// `sys.tables` — one row per *base* table in the scanned database:
 /// shape (rows, columns, indexes, version), the cumulative
 /// [`TableAccess`](crate::table::TableAccess) counters, and where its
-/// memory is (`heap_bytes`, `index_bytes`: estimates from slot, row and
-/// index-entry counts, not allocator measurements).
+/// memory is (`heap_bytes`, `index_bytes`: estimates from slot,
+/// dictionary-entry and index-entry counts, not allocator measurements).
 pub fn tables_table() -> Arc<dyn VirtualTable> {
     FnTable::new(
         "sys.tables",
@@ -319,8 +319,10 @@ mod tests {
         assert_eq!(r.get(1).unwrap().as_int(), Some(2)); // rows
         assert_eq!(r.get(2).unwrap().as_int(), Some(2)); // columns
         assert_eq!(r.get(8).unwrap().as_int(), Some(2)); // inserts
-        let heap = 2 * (std::mem::size_of::<Option<Row>>() + 2 * std::mem::size_of::<Value>());
-        assert_eq!(r.get(12).unwrap().as_int(), Some(heap as i64)); // heap_bytes
+                                                         // Two slots: an `i64` column, a code column with two dictionary
+                                                         // entries, and one word of live bits.
+        let heap = 2 * 8 + (2 * 4 + 2 * 41) + 8;
+        assert_eq!(r.get(12).unwrap().as_int(), Some(heap)); // heap_bytes
         assert_eq!(r.get(13).unwrap().as_int(), Some(0)); // index_bytes: no index
     }
 

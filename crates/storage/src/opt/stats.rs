@@ -150,20 +150,19 @@ impl TableStats {
             }
         }
 
-        // Deterministic bounded sample for the rest.
+        // Deterministic bounded sample for the rest, materialized once.
+        let sample: Vec<Row> = table.iter().map(|(_, r)| r).take(SAMPLE_CAP).collect();
         let unresolved: Vec<usize> = (0..arity).filter(|&c| !resolved[c]).collect();
         if !unresolved.is_empty() && rows > 0 {
             let mut seen: Vec<HashSet<&crate::value::Value>> =
                 unresolved.iter().map(|_| HashSet::new()).collect();
-            let mut sampled = 0usize;
-            for (_, row) in table.iter().take(SAMPLE_CAP) {
-                sampled += 1;
+            for row in &sample {
                 for (slot, &c) in unresolved.iter().enumerate() {
                     seen[slot].insert(&row[c]);
                 }
             }
             for (slot, &c) in unresolved.iter().enumerate() {
-                distinct[c] = extrapolate_distinct(seen[slot].len(), sampled, rows);
+                distinct[c] = extrapolate_distinct(seen[slot].len(), sample.len(), rows);
             }
         }
 
@@ -171,8 +170,8 @@ impl TableStats {
         // sample prefix.
         let (mcv, hist) = if rows > 0 {
             (
-                mcv_lists(arity, table.iter().map(|(_, r)| r).take(SAMPLE_CAP)),
-                hist_lists(arity, table.iter().map(|(_, r)| r).take(SAMPLE_CAP)),
+                mcv_lists(arity, sample.iter()),
+                hist_lists(arity, sample.iter()),
             )
         } else {
             (vec![Vec::new(); arity], vec![None; arity])

@@ -1,13 +1,16 @@
 //! Rows (tuples) of values.
+//!
+//! A [`Row`] is what goes into and comes out of the engine: the argument of
+//! `Table::insert`, the rows of a query result, what `Table::get` or
+//! `Table::iter` materialize. A table does not keep `Row`s — its cells live
+//! in the column heap (`crate::heap`) — so a row read from a table is an
+//! owned copy, built at the API edge.
 
 use crate::error::{Result, StorageError};
 use crate::value::Value;
 use std::fmt;
 
-/// An immutable tuple of [`Value`]s.
-///
-/// Rows are the unit of storage and of query results. They are stored as a
-/// boxed slice to keep the in-memory footprint at two words plus payload.
+/// An immutable tuple of [`Value`]s: a boxed slice, two words plus payload.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Row(Box<[Value]>);
 
@@ -33,6 +36,11 @@ impl Row {
     /// Borrow all values.
     pub fn values(&self) -> &[Value] {
         &self.0
+    }
+
+    /// Take the values out of the row.
+    pub fn into_values(self) -> Vec<Value> {
+        self.0.into_vec()
     }
 
     /// Build a new row keeping only the columns at `indices`, in order.

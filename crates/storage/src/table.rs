@@ -1,11 +1,20 @@
-//! Heap tables with primary-key enforcement and secondary indexes.
+//! Tables: a column heap of rows with primary-key enforcement and secondary
+//! indexes.
+//!
+//! A table does not hold [`Row`]s. Its cells live in the typed,
+//! dictionary-coded vectors of [`crate::heap`]; a row is a slot number
+//! there. The methods that hand out rows (`get`, `iter`, `scan`,
+//! `index_rows`, `get_by_key`, `delete`) materialize owned copies; `cell`,
+//! `row_ids` and `index_lookup` read in place. See `docs/execution.md`,
+//! "Heap and index layout".
 
 use crate::column::ColumnSet;
 use crate::error::{Result, StorageError};
+use crate::heap::Heap;
 use crate::index::{Index, IndexRid, RowId};
 use crate::row::Row;
 use crate::schema::{KeyMode, TableSchema};
-use crate::value::Value;
+use crate::value::{Cell, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,21 +71,25 @@ impl TableAccess {
     }
 }
 
-/// An in-memory table: a slotted heap of rows, an optional primary-key map
-/// (over the first column, per the paper's schema convention), and any
-/// number of secondary hash indexes.
+/// An in-memory table: a column heap of rows ([`crate::heap`]), an optional
+/// primary-key map (over the first column, per the paper's schema
+/// convention), and any number of secondary hash indexes.
+///
+/// Rows are not stored as [`Row`]s. [`Table::get`], [`Table::iter`],
+/// [`Table::index_rows`], [`Table::get_by_key`], [`Table::scan`] and
+/// [`Table::delete`] materialize owned rows; [`Table::cell`] and
+/// [`Table::index_lookup`] read the heap without allocating.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    rows: Vec<Option<Row>>,
-    live: usize,
+    heap: Heap,
     pk: HashMap<Value, RowId>,
     indexes: Vec<Index>,
     /// Bumped on every insert/delete; lets the optimizer's statistics
     /// catalog detect stale snapshots without rescanning.
     version: u64,
-    /// Lazily built columnar transpose of the live rows, keyed by the
-    /// version it was built at (see [`Table::columnar`]).
+    /// Lazily built columnar copy of the live rows, keyed by the version
+    /// it was built at (see [`Table::columnar`]).
     columnar: RefCell<Option<(u64, Arc<ColumnSet>)>>,
     /// Cumulative access stats, shared across clones (see [`TableAccess`]).
     access: Arc<TableAccess>,
@@ -85,9 +98,8 @@ pub struct Table {
 impl Table {
     pub fn new(schema: TableSchema) -> Self {
         Table {
+            heap: Heap::new(schema.arity()),
             schema,
-            rows: Vec::new(),
-            live: 0,
             pk: HashMap::new(),
             indexes: Vec::new(),
             version: 0,
@@ -119,11 +131,18 @@ impl Table {
 
     /// Number of live rows.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.len() == 0
+    }
+
+    /// Number of heap slots, live and dead. Deleting a row leaves its slot
+    /// for a later insert to reuse, so this is the largest number of rows
+    /// the table has held at once.
+    pub fn slots(&self) -> usize {
+        self.heap.slots()
     }
 
     /// Create a secondary hash index over the named columns.
@@ -139,11 +158,9 @@ impl Table {
             .map(|c| self.schema.column_index(c))
             .collect::<Result<Vec<_>>>()?;
         let mut idx = Index::new(name, cols);
-        for (rid, slot) in self.rows.iter().enumerate() {
-            if let Some(row) = slot {
-                // Slots were counted in `u32` when they were filled.
-                idx.insert(&self.rows, row, rid as IndexRid)?;
-            }
+        for rid in self.heap.live_slots() {
+            // Slots were counted in `u32` when they were filled.
+            idx.insert(&self.heap, rid as IndexRid)?;
         }
         self.indexes.push(idx);
         // A new index changes the statistics surface (exact distinct-key
@@ -164,8 +181,8 @@ impl Table {
     }
 
     /// The id of heap slot number `slot`, as indexes store it. A heap holds
-    /// at most `u32::MAX` slots and never reuses one, so this bounds the
-    /// rows a table can ever have held.
+    /// at most `u32::MAX` slots; since dead slots are reused, that bounds
+    /// the rows a table can hold at once.
     fn index_rid(&self, slot: usize) -> Result<IndexRid> {
         match IndexRid::try_from(slot) {
             Ok(rid) if rid < IndexRid::MAX => Ok(rid),
@@ -176,15 +193,23 @@ impl Table {
         }
     }
 
+    fn invalid_row_id(&self, rid: RowId) -> StorageError {
+        StorageError::InvalidRowId {
+            table: self.schema.name().to_string(),
+            row_id: rid,
+        }
+    }
+
     /// Insert a row, enforcing the primary-key constraint when the schema
-    /// declares one. Returns the new row's id. A failed insert leaves the
-    /// heap, the primary-key map and every index as they were: every check
-    /// runs before the first of them is touched.
+    /// declares one. Returns the new row's id: the slot of the row deleted
+    /// last, if one is free, else a new one. Ids of live rows never change.
+    /// A failed insert leaves the heap, the primary-key map and every index
+    /// as they were: every check runs before the first of them is touched.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
         self.check_arity(&row)?;
-        let rid = self.index_rid(self.rows.len())?;
+        let rid = self.index_rid(self.heap.next_slot())?;
         for idx in &self.indexes {
-            idx.check_row(&row)?;
+            idx.check_arity(row.arity())?;
         }
         if self.schema.key_mode() == KeyMode::PrimaryKey {
             let key = row.get(0)?;
@@ -196,49 +221,67 @@ impl Table {
             }
             self.pk.insert(key.clone(), rid as RowId);
         }
+        let slot = self.heap.insert(row);
+        debug_assert_eq!(slot, rid as usize);
         for idx in &mut self.indexes {
-            idx.insert(&self.rows, &row, rid)?;
+            idx.insert(&self.heap, rid)?;
         }
-        let rid = rid as RowId;
-        self.rows.push(Some(row));
-        self.live += 1;
         self.version += 1;
         TableAccess::bump(&self.access.inserts, 1);
-        Ok(rid)
+        Ok(rid as RowId)
     }
 
-    /// Fetch a live row by id.
-    pub fn get(&self, rid: RowId) -> Result<&Row> {
-        self.rows
-            .get(rid)
-            .and_then(|s| s.as_ref())
-            .ok_or(StorageError::InvalidRowId {
-                table: self.schema.name().to_string(),
-                row_id: rid,
-            })
+    /// Fetch a live row by id (materialized; see [`Table::cell`]).
+    pub fn get(&self, rid: RowId) -> Result<Row> {
+        if !self.heap.is_live(rid) {
+            return Err(self.invalid_row_id(rid));
+        }
+        Ok(self.heap.row(rid))
+    }
+
+    /// One cell of a live row, borrowed from the heap: no allocation and
+    /// no reference-count traffic.
+    pub fn cell(&self, rid: RowId, col: usize) -> Result<Cell<'_>> {
+        if !self.heap.is_live(rid) {
+            return Err(self.invalid_row_id(rid));
+        }
+        if col >= self.schema.arity() {
+            return Err(StorageError::ColumnOutOfRange {
+                index: col,
+                arity: self.schema.arity(),
+            });
+        }
+        Ok(self.heap.cell(rid, col))
     }
 
     /// Delete a row by id, returning it.
     pub fn delete(&mut self, rid: RowId) -> Result<Row> {
-        let slot = self.rows.get_mut(rid).ok_or(StorageError::InvalidRowId {
-            table: self.schema.name().to_string(),
-            row_id: rid,
-        })?;
-        let row = slot.take().ok_or(StorageError::InvalidRowId {
-            table: self.schema.name().to_string(),
-            row_id: rid,
-        })?;
+        let row = self.get(rid)?;
+        self.remove_live(rid)?;
+        Ok(row)
+    }
+
+    /// Drop the live row `rid` from the key map, every index and the heap,
+    /// without materializing it.
+    fn remove_live(&mut self, rid: RowId) -> Result<()> {
         if self.schema.key_mode() == KeyMode::PrimaryKey {
-            self.pk.remove(row.get(0)?);
+            self.pk.remove(&self.heap.cell(rid, 0).to_value());
         }
         for idx in &mut self.indexes {
-            // `rid` named a filled slot, and those are counted in `u32`.
-            idx.remove(&self.rows, &row, rid as IndexRid)?;
+            // `rid` names a filled slot, and those are counted in `u32`.
+            idx.remove(&self.heap, rid as IndexRid)?;
         }
-        self.live -= 1;
+        self.heap.remove(rid);
         self.version += 1;
         TableAccess::bump(&self.access.deletes, 1);
-        Ok(row)
+        Ok(())
+    }
+
+    fn remove_all(&mut self, victims: Vec<RowId>) -> Result<usize> {
+        for &rid in &victims {
+            self.remove_live(rid)?;
+        }
+        Ok(victims.len())
     }
 
     /// Delete every row matching `pred`; returns the number deleted.
@@ -246,16 +289,12 @@ impl Table {
     /// Scans the whole heap — prefer [`Table::delete_by_index_where`] on
     /// large tables when an index covers the selection.
     pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> Result<usize> {
-        let victims: Vec<RowId> = self
-            .rows
+        let victims = self
             .iter()
-            .enumerate()
-            .filter_map(|(rid, s)| s.as_ref().filter(|r| pred(r)).map(|_| rid))
+            .filter(|(_, row)| pred(row))
+            .map(|(rid, _)| rid)
             .collect();
-        for rid in &victims {
-            self.delete(*rid)?;
-        }
-        Ok(victims.len())
+        self.remove_all(victims)
     }
 
     /// Delete the rows matching `key` on the named index that also satisfy
@@ -266,26 +305,22 @@ impl Table {
         key: &[Value],
         mut pred: impl FnMut(&Row) -> bool,
     ) -> Result<usize> {
-        let victims: Vec<RowId> = self
-            .index_matches(index, key)?
-            .filter(|(_, row)| pred(row))
-            .map(|(rid, _)| rid)
+        let victims = self
+            .index_lookup(index, key)?
+            .filter(|&rid| pred(&self.heap.row(rid)))
             .collect();
-        for rid in &victims {
-            self.delete(*rid)?;
-        }
-        Ok(victims.len())
+        self.remove_all(victims)
     }
 
     /// Delete all rows with this index key.
     pub fn delete_by_index(&mut self, index: &str, key: &[Value]) -> Result<usize> {
-        self.delete_by_index_where(index, key, |_| true)
+        let victims = self.index_lookup(index, key)?.collect();
+        self.remove_all(victims)
     }
 
     /// Look up a row by primary key.
-    pub fn get_by_key(&self, key: &Value) -> Option<&Row> {
-        let rid = *self.pk.get(key)?;
-        self.rows[rid].as_ref()
+    pub fn get_by_key(&self, key: &Value) -> Option<Row> {
+        self.pk.get(key).map(|&rid| self.heap.row(rid))
     }
 
     /// Row id for a primary key.
@@ -293,13 +328,13 @@ impl Table {
         self.pk.get(key).copied()
     }
 
-    /// One probe of the named secondary index: the live rows matching
-    /// `key`, with their ids.
-    fn index_matches<'a, 'k>(
+    /// One probe of the named secondary index: the ids of the live rows
+    /// matching `key`. Read their cells with [`Table::cell`].
+    pub fn index_lookup<'a, 'k>(
         &'a self,
         index: &str,
         key: &'k [Value],
-    ) -> Result<impl Iterator<Item = (RowId, &'a Row)> + use<'a, 'k>> {
+    ) -> Result<impl Iterator<Item = RowId> + use<'a, 'k>> {
         let idx = self
             .indexes
             .iter()
@@ -309,43 +344,39 @@ impl Table {
                 name: index.to_string(),
             })?;
         TableAccess::bump(&self.access.index_probes, 1);
-        Ok(idx.matches(&self.rows, key))
+        Ok(idx.matches(&self.heap, key))
     }
 
-    /// Row ids matching `key` on the named secondary index.
-    pub fn index_lookup<'a, 'k>(
-        &'a self,
-        index: &str,
-        key: &'k [Value],
-    ) -> Result<impl Iterator<Item = RowId> + use<'a, 'k>> {
-        Ok(self.index_matches(index, key)?.map(|(rid, _)| rid))
-    }
-
-    /// Rows matching `key` on the named secondary index.
-    pub fn index_rows(&self, index: &str, key: &[Value]) -> Result<Vec<&Row>> {
+    /// Rows matching `key` on the named secondary index, materialized.
+    pub fn index_rows(&self, index: &str, key: &[Value]) -> Result<Vec<Row>> {
         Ok(self
-            .index_matches(index, key)?
-            .map(|(_, row)| row)
+            .index_lookup(index, key)?
+            .map(|rid| self.heap.row(rid))
             .collect())
     }
 
-    /// Iterate over live rows with their ids.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
+    /// Ids of the live rows, ascending. Read their cells with
+    /// [`Table::cell`].
+    pub fn row_ids(&self) -> impl Iterator<Item = RowId> + '_ {
+        self.heap.live_slots()
     }
 
-    /// Clone all live rows (used by the materializing executor's `Scan`).
+    /// Iterate over live rows with their ids, in slot order, materializing
+    /// each.
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, Row)> + '_ {
+        self.row_ids().map(|rid| (rid, self.heap.row(rid)))
+    }
+
+    /// All live rows (used by the materializing executor's `Scan`).
     pub fn scan(&self) -> Vec<Row> {
-        self.iter().map(|(_, r)| r.clone()).collect()
+        self.iter().map(|(_, r)| r).collect()
     }
 
-    /// The columnar transpose of the live rows, built lazily and cached
-    /// per [`Table::version`]. The vectorized executor's `Scan` slices
-    /// this shared set into chunk windows instead of cloning rows; a
-    /// mutation invalidates the cache by bumping the version.
+    /// The live rows as a [`ColumnSet`], built lazily from the heap's
+    /// column vectors and cached per [`Table::version`]. The vectorized
+    /// executor's `Scan` slices this shared set into chunk windows instead
+    /// of materializing rows; a mutation invalidates the cache by bumping
+    /// the version.
     pub fn columnar(&self) -> Arc<ColumnSet> {
         let mut cache = self.columnar.borrow_mut();
         if let Some((version, set)) = cache.as_ref() {
@@ -353,8 +384,7 @@ impl Table {
                 return Arc::clone(set);
             }
         }
-        let refs: Vec<&Row> = self.iter().map(|(_, r)| r).collect();
-        let set = Arc::new(ColumnSet::from_rows(self.schema.arity(), &refs));
+        let set = Arc::new(self.heap.columnar());
         *cache = Some((self.version, Arc::clone(&set)));
         TableAccess::bump(&self.access.transpose_rebuilds, 1);
         set
@@ -384,12 +414,12 @@ impl Table {
             .collect()
     }
 
-    /// Estimated bytes of the row heap, from counts: one slot header per
-    /// slot ever filled (dead slots are not reused) plus the values of the
-    /// live rows. String payloads are shared `Arc<str>` and not counted.
+    /// Estimated bytes of the column heap, from the widths of its column
+    /// vectors over all slots, its dictionary entries and its bitmaps (the
+    /// formula is in `docs/observability.md`). The text of strings is
+    /// shared `Arc<str>` and not counted.
     pub fn heap_bytes(&self) -> usize {
-        self.rows.len() * std::mem::size_of::<Option<Row>>()
-            + self.live * self.schema.arity() * std::mem::size_of::<Value>()
+        self.heap.approx_bytes()
     }
 
     /// Estimated bytes of all secondary indexes, from their entry and
@@ -397,7 +427,7 @@ impl Table {
     pub fn index_bytes(&self) -> usize {
         self.indexes
             .iter()
-            .map(|idx| idx.approx_bytes(self.live))
+            .map(|idx| idx.approx_bytes(self.heap.len()))
             .sum()
     }
 
@@ -483,6 +513,65 @@ mod tests {
             t.get_by_key(&Value::int(2)).unwrap()[1],
             Value::str("Bobby")
         );
+    }
+
+    #[test]
+    fn dead_slots_are_reused_and_live_ids_stay_put() {
+        let mut t = Table::new(TableSchema::with_key("T", &["k", "v"]));
+        t.create_index("by_v", &["v"]).unwrap();
+        for k in 0..100 {
+            t.insert(row![k, k % 7]).unwrap();
+        }
+        let keeper = t.rid_by_key(&Value::int(42)).unwrap();
+        let (slots, heap_bytes) = (t.slots(), t.heap_bytes());
+        assert_eq!(slots, 100);
+        for cycle in 0..10_000i64 {
+            let victim = if cycle % 100 == 42 { 43 } else { cycle % 100 };
+            let rid = t.rid_by_key(&Value::int(victim)).unwrap();
+            assert_eq!(t.delete(rid).unwrap(), row![victim, victim % 7]);
+            // The freed slot is the one the next insert fills.
+            assert_eq!(t.insert(row![victim, victim % 7]).unwrap(), rid);
+        }
+        assert_eq!(
+            (t.len(), t.slots(), t.heap_bytes()),
+            (100, slots, heap_bytes)
+        );
+        assert_eq!(t.rid_by_key(&Value::int(42)), Some(keeper));
+        assert_eq!(t.get(keeper).unwrap(), row![42, 0]);
+        assert_eq!(t.index_rows("by_v", &[Value::int(0)]).unwrap().len(), 15);
+        // Several free slots are handed out last-freed first.
+        let freed: Vec<RowId> = (0..3)
+            .map(|k| t.rid_by_key(&Value::int(k)).unwrap())
+            .collect();
+        for &rid in &freed {
+            t.delete(rid).unwrap();
+        }
+        let refilled: Vec<RowId> = (0..3).map(|k| t.insert(row![k, 0]).unwrap()).collect();
+        assert_eq!(refilled, freed.into_iter().rev().collect::<Vec<_>>());
+        assert_eq!(t.slots(), slots);
+    }
+
+    #[test]
+    fn cells_are_read_in_place() {
+        let mut t = users();
+        let rid = t.rid_by_key(&Value::int(2)).unwrap();
+        assert_eq!(t.cell(rid, 0).unwrap().as_int(), Some(2));
+        assert_eq!(t.cell(rid, 1).unwrap().as_str(), Some("Bob"));
+        assert_eq!(t.cell(rid, 1).unwrap(), Value::str("Bob"));
+        assert!(matches!(
+            t.cell(rid, 2),
+            Err(StorageError::ColumnOutOfRange { index: 2, arity: 2 })
+        ));
+        t.delete(rid).unwrap();
+        assert!(matches!(
+            t.cell(rid, 0),
+            Err(StorageError::InvalidRowId { .. })
+        ));
+        assert!(matches!(
+            t.cell(99, 0),
+            Err(StorageError::InvalidRowId { .. })
+        ));
+        assert_eq!(t.row_ids().collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]

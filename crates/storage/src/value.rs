@@ -1,9 +1,12 @@
 //! Dynamically-typed scalar values.
 //!
-//! The engine stores every cell as a [`Value`]. Strings are reference-counted
-//! (`Arc<str>`) because the belief-database encoding duplicates the same
-//! attribute values across many belief worlds (the `V` relation of the
-//! paper's internal schema), and cloning must stay cheap.
+//! A [`Value`] is what crosses the engine's API: cells of the rows callers
+//! insert, of query results and of lookup keys. Tables do not store
+//! `Value`s — the column heap (`crate::heap`) keeps integers unboxed and
+//! strings as dictionary codes — and hand out either materialized `Value`s
+//! or a borrowed [`Cell`]. Strings are reference-counted (`Arc<str>`), so
+//! materializing a cell of a string column is a reference-count bump on
+//! the table's dictionary entry, never a copy of the text.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -72,6 +75,72 @@ impl Value {
             Value::Str(_) => 3,
         }
     }
+
+    /// This value as a borrowed [`Cell`].
+    pub fn as_cell(&self) -> Cell<'_> {
+        match self {
+            Value::Null => Cell::Null,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Str(s) => Cell::Str(s),
+        }
+    }
+}
+
+/// One cell of a table, borrowed: what [`crate::table::Table::cell`] hands
+/// out without allocating or touching a reference count. Equality and
+/// hashing agree with [`Value`]'s (`Value`'s `Hash` *is* this one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cell<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Str(&'a Arc<str>),
+}
+
+impl<'a> Cell<'a> {
+    /// Extract an integer, if this cell holds one.
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            Cell::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// Extract a string slice, if this cell holds one.
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            Cell::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Materialize the cell (a reference-count bump for strings).
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Str(s) => Value::Str(Arc::clone(s)),
+        }
+    }
+}
+
+impl PartialEq<Value> for Cell<'_> {
+    fn eq(&self, other: &Value) -> bool {
+        *self == other.as_cell()
+    }
+}
+
+impl std::hash::Hash for Cell<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match self {
+            Cell::Null => 0u8.hash(state),
+            Cell::Bool(b) => (1u8, b).hash(state),
+            Cell::Int(i) => (2u8, i).hash(state),
+            Cell::Str(s) => (3u8, s.as_bytes()).hash(state),
+        }
+    }
 }
 
 impl PartialEq for Value {
@@ -111,13 +180,7 @@ impl Ord for Value {
 
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.type_rank().hash(state);
-        match self {
-            Value::Null => {}
-            Value::Bool(b) => b.hash(state),
-            Value::Int(i) => i.hash(state),
-            Value::Str(s) => s.as_bytes().hash(state),
-        }
+        self.as_cell().hash(state);
     }
 }
 

@@ -295,34 +295,50 @@ fn memory_row(session: &Session, table: &str) -> [i64; 5] {
 
 #[test]
 fn sys_tables_says_where_the_memory_is() {
-    const SLOT: i64 = std::mem::size_of::<Option<Row>>() as i64;
-    const VALUE: i64 = std::mem::size_of::<Value>() as i64;
+    // The column heap's layout constants (docs/observability.md): an
+    // integer cell, a string cell (a dictionary code), one dictionary
+    // entry (vector pointer, map entry, control byte; the text is shared
+    // and not counted), one word of live bits per 64 slots, and one
+    // free-list entry per dead slot.
+    const INT: i64 = 8;
+    const CODE: i64 = 4;
+    const DICT_ENTRY: i64 = 16 + 24 + 1;
+    const FREE_SLOT: i64 = 4;
+    let live_bits = |slots: i64| (slots + 63) / 64 * 8;
     let mut session = session_with_rows(30);
     session.add_user("Alice").unwrap();
 
-    // R*: a primary key but no secondary index, and no slot ever freed.
+    // R* (tid, sid, species): a primary key but no secondary index; 30
+    // distinct sids and 3 species.
     let [rows, cols, indexes, heap, index] = memory_row(&session, "Sightings__star");
-    assert_eq!((rows, indexes, index), (30, 0, 0));
-    assert_eq!(heap, rows * (SLOT + cols * VALUE));
+    assert_eq!((rows, cols, indexes, index), (30, 3, 0, 0));
+    assert_eq!(
+        heap,
+        rows * (INT + 2 * CODE) + (30 + 3) * DICT_ENTRY + live_bits(rows)
+    );
 
-    // V: two indexes; every row sits in both, once.
+    // V (wid, tid, key, s, e): 28 bytes of cells per row, 30 keys, one
+    // sign and one flag so far; two indexes, every row in both, once.
     let [rows, cols, indexes, heap, index] = memory_row(&session, "V__Sightings");
     assert_eq!((rows, cols, indexes), (30, 5, 2));
-    assert_eq!(heap, rows * (SLOT + cols * VALUE));
+    assert_eq!(
+        heap,
+        rows * (2 * INT + 3 * CODE) + (30 + 1 + 1) * DICT_ENTRY + live_bits(rows)
+    );
     // `by_wid_key` has one entry per row here, `by_wid` one in all.
     assert!(
         index >= rows * (8 + 4) + (rows - 1) * 4,
         "index_bytes {index}"
     );
-    assert!(index < heap, "indexes hold no keys: {index} vs {heap}");
 
-    // A delete keeps the slot and drops the values and the index entries.
+    // A delete drops the index entries; the slot stays, now on the free
+    // list, and so does the key's dictionary entry.
     session
         .execute("delete from Sightings where sid = 's0'")
         .unwrap();
     let [rows2, _, _, heap2, index2] = memory_row(&session, "V__Sightings");
     assert_eq!(rows2, rows - 1);
-    assert_eq!(heap2, heap - cols * VALUE);
+    assert_eq!(heap2, heap + FREE_SLOT);
     assert!(index2 < index);
 
     // A belief world copies the root's rows: more of both.
