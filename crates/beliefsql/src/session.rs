@@ -5,7 +5,7 @@ use crate::error::{Result, SqlError};
 use crate::lower::{lower_dml_prefix, SelectLowerer};
 use crate::parser::parse;
 use beliefdb_core::internal::InsertOutcome;
-use beliefdb_core::{Bdms, BeliefError, ExternalSchema, GroundTuple, Sign};
+use beliefdb_core::{Bdms, BeliefError, BeliefPath, ExternalSchema, Sign};
 use beliefdb_storage::obs::{note_statement_peak, record_statement, statements_enabled};
 use beliefdb_storage::sema::{self, codes, lint_program, Diagnostic};
 use beliefdb_storage::{
@@ -704,20 +704,35 @@ impl Session {
         let binding = del.alias.as_deref().unwrap_or(&del.table);
         let matcher = RowMatcher::new(&self.bdms, rel, binding, &del.conditions)?;
 
-        let victims: Vec<GroundTuple> = self
-            .bdms
-            .explicit_statements_at(&path)?
-            .into_iter()
-            .filter(|s| s.tuple.rel == rel && s.sign == sign && matcher.matches(&s.tuple.row))
-            .map(|s| s.tuple)
-            .collect();
         let mut deleted = 0;
-        for t in victims {
-            if self.bdms.delete(path.clone(), rel, t.row, sign)? {
+        for row in self.stated_matches(&path, rel, sign, &matcher)? {
+            if self.bdms.delete(path.clone(), rel, row, sign)? {
                 deleted += 1;
             }
         }
         Ok(ExecResult::Deleted(deleted))
+    }
+
+    /// The tuples of `rel` the world at `path` states with `sign` that
+    /// satisfy `matcher`, in statement order. A WHERE that pins the
+    /// external key names one slice of the world: probe it instead of
+    /// listing the world.
+    fn stated_matches(
+        &self,
+        path: &BeliefPath,
+        rel: beliefdb_core::RelId,
+        sign: Sign,
+        matcher: &RowMatcher,
+    ) -> Result<Vec<Row>> {
+        let stated = match matcher.pinned_key() {
+            Some(key) => self.bdms.explicit_at(path, rel, key)?,
+            None => self.bdms.explicit_statements_at(path)?,
+        };
+        Ok(stated
+            .into_iter()
+            .filter(|s| s.tuple.rel == rel && s.sign == sign && matcher.matches(&s.tuple.row))
+            .map(|s| s.tuple.row)
+            .collect())
     }
 
     fn run_update(&mut self, up: &UpdateStmt) -> Result<ExecResult> {
@@ -763,15 +778,7 @@ impl Session {
                     .map(|t| t.row)
                     .collect(),
             },
-            Sign::Neg => self
-                .bdms
-                .explicit_statements_at(&path)?
-                .into_iter()
-                .filter(|s| {
-                    s.tuple.rel == rel && s.sign == Sign::Neg && matcher.matches(&s.tuple.row)
-                })
-                .map(|s| s.tuple.row)
-                .collect(),
+            Sign::Neg => self.stated_matches(&path, rel, Sign::Neg, &matcher)?,
         };
 
         let mut updated = 0;
@@ -1501,6 +1508,92 @@ mod tests {
                 );
             }
             assert_eq!(pinned.bdms().stats(), scanned.bdms().stats(), "{sql}");
+        }
+    }
+
+    /// A DELETE, or an UPDATE of stated negatives, whose WHERE pins the
+    /// external key finds its statements through one slice probe; any other
+    /// WHERE lists the world. Both must report the same count and leave
+    /// the same database.
+    #[test]
+    fn key_pinned_delete_matches_the_world_listing() {
+        use beliefdb_core::path::path;
+        let unpin = |sql: &str| sql.replace("sid = 's2'", "sid >= 's2' and sid <= 's2'");
+        // Bob also states that the crow is wrong.
+        let denial = "insert into BELIEF 'Bob' not Sightings values \
+                      ('s2','Alice','crow','6-14-08','Lake Placid')";
+        let cases = [
+            // Hits: a positive, and one sign of a slice that holds both.
+            (
+                "delete from BELIEF 'Alice' Sightings where sid = 's2'",
+                ExecResult::Deleted(1),
+            ),
+            (
+                "delete from BELIEF 'Alice' Sightings where 's2' = sid",
+                ExecResult::Deleted(1),
+            ),
+            (
+                "delete from BELIEF 'Bob' Sightings where sid = 's2'",
+                ExecResult::Deleted(1),
+            ),
+            (
+                "delete from BELIEF 'Bob' not Sightings where sid = 's2'",
+                ExecResult::Deleted(1),
+            ),
+            (
+                "update BELIEF 'Bob' not Sightings set location = 'X' where sid = 's2'",
+                ExecResult::Updated(1),
+            ),
+            // A path that only inherits states nothing, nor does the root.
+            (
+                "delete from BELIEF 'Bob' BELIEF 'Alice' Sightings where sid = 's2'",
+                ExecResult::Deleted(0),
+            ),
+            (
+                "delete from Sightings where sid = 's2'",
+                ExecResult::Deleted(0),
+            ),
+            // The key matches, another condition does not.
+            (
+                "delete from BELIEF 'Bob' Sightings where sid = 's2' and species = 'crow'",
+                ExecResult::Deleted(0),
+            ),
+            // No such key, and a key of another type.
+            (
+                "delete from BELIEF 'Alice' Sightings where sid = 'zz'",
+                ExecResult::Deleted(0),
+            ),
+            (
+                "delete from BELIEF 'Alice' Sightings where sid = 2",
+                ExecResult::Deleted(0),
+            ),
+            // Never pinned: the listing alone.
+            (
+                "delete from BELIEF 'Alice' Sightings where species = 'crow'",
+                ExecResult::Deleted(1),
+            ),
+        ];
+        for (sql, expected) in cases {
+            let (mut pinned, mut listed) = (session(), session());
+            pinned.execute(denial).unwrap();
+            listed.execute(denial).unwrap();
+            let got = pinned.execute(sql).unwrap();
+            assert_eq!(got, expected, "{sql}");
+            assert_eq!(listed.execute(&unpin(sql)).unwrap(), got, "{sql}");
+            for p in [
+                path(&[]),
+                path(&[1]),
+                path(&[2]),
+                path(&[2, 1]),
+                path(&[1, 2]),
+            ] {
+                assert_eq!(
+                    pinned.bdms().world(&p).unwrap(),
+                    listed.bdms().world(&p).unwrap(),
+                    "{sql} at {p}"
+                );
+            }
+            assert_eq!(pinned.bdms().stats(), listed.bdms().stats(), "{sql}");
         }
     }
 }

@@ -403,7 +403,8 @@ impl Bdms {
     /// with the same key (the conflicting-alternative semantics of Sect. 2).
     /// If the old tuple was only implicit, the new tuple simply overrides
     /// it. Returns the outcome of the final insert. Logged as a single
-    /// WAL record on durable instances.
+    /// WAL record on durable instances, and propagated through the
+    /// dependent worlds in a single walk.
     pub fn update(
         &mut self,
         path: BeliefPath,
@@ -423,10 +424,9 @@ impl Bdms {
                 new_row: new.row.clone(),
             })?;
         }
-        self.store.delete(&path, &old, Sign::Pos)?;
-        let outcome = self.store.insert(&path, &new, Sign::Pos)?;
-        // Count the pair as one logical update on the content table
-        // (the delete/insert halves already bumped their own counters).
+        let outcome = self.store.update(&path, &old, &new)?;
+        // Count one logical update on the content table (the rows written
+        // to `V` bumped their own counters).
         if let Ok(t) = self.store.star_of(rel) {
             t.note_update();
         }
@@ -571,6 +571,19 @@ impl Bdms {
     /// The explicit statements recorded at a path.
     pub fn explicit_statements_at(&self, path: &BeliefPath) -> Result<Vec<BeliefStatement>> {
         self.store.explicit_statements_at(path)
+    }
+
+    /// The explicit statements recorded at a path about tuples of `rel`
+    /// with external key `key`: [`Bdms::explicit_statements_at`] restricted
+    /// to one key, found through one index probe instead of listing the
+    /// world.
+    pub fn explicit_at(
+        &self,
+        path: &BeliefPath,
+        rel: RelId,
+        key: &Value,
+    ) -> Result<Vec<BeliefStatement>> {
+        self.store.explicit_at(path, rel, key)
     }
 
     /// Snapshot of the Datalog plan-cache counters (hits, misses, cached

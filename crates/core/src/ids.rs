@@ -15,6 +15,11 @@ macro_rules! id_type {
                 Value::Int(self.0 as i64)
             }
 
+            /// The identifier as a table [`Cell`].
+            pub fn cell(self) -> Cell<'static> {
+                Cell::Int(self.0 as i64)
+            }
+
             /// Recover the identifier from a storage [`Value`].
             pub fn from_value(v: &Value) -> Option<Self> {
                 Self::from_cell(v.as_cell())

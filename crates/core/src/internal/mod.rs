@@ -24,16 +24,19 @@
 //!   running Algorithm 3's `E*`-join + MAX query each time (same result,
 //!   same information source).
 //! * `insertTuple` is implemented as Algorithm 4 *reformulated per key
-//!   slice*: an insert/delete of key `k` at world `w` recomputes the
-//!   `(world, k)` slice of `V` for `w` and each dependent world (worlds
-//!   having `w` as proper suffix) in ascending depth order, from the world's
-//!   explicit tuples plus its suffix-parent slice (`S`). This follows the
-//!   overriding-union characterization of Thm. 17(2a) / Fig. 9 and fixes a
-//!   corner case in the paper's pseudo-code where a dependent world could
-//!   retain a stale implicit tuple after its parent chain changed (the
-//!   formal spec, Def. 9, always wins; see `slices.rs`). Deletes use the
-//!   same machinery, which is why they "follow a similar semantics as
-//!   inserts" (Sect. 5.3).
+//!   slice and applied as a delta*: an insert, delete or update of key `k`
+//!   at world `w` walks `w` and its dependent worlds (those having `w` as
+//!   proper suffix) once, in ascending depth order, derives each world's
+//!   new `(world, k)` slice from its explicit tuples plus the new slice of
+//!   its suffix parent (`S`) — kept in memory for the statement, not read
+//!   back — and writes only the difference: rows that disappeared are
+//!   deleted, rows that appeared are inserted, an unchanged slice is left
+//!   alone. This follows the overriding-union characterization of
+//!   Thm. 17(2a) / Fig. 9 and fixes a corner case in the paper's
+//!   pseudo-code where a dependent world could retain a stale implicit
+//!   tuple after its parent chain changed (the formal spec, Def. 9, always
+//!   wins; see `slices.rs`). Deletes and updates are the same walk, which
+//!   is why they "follow a similar semantics as inserts" (Sect. 5.3).
 //! * Worlds are never destroyed by deletes; a state with an empty explicit
 //!   world is transparent (its entailed world equals its suffix-parent's),
 //!   so keeping it does not change any query answer.
@@ -50,7 +53,7 @@ use crate::path::BeliefPath;
 use crate::schema::ExternalSchema;
 use crate::statement::{GroundTuple, Sign};
 use crate::world::BeliefWorld;
-use beliefdb_storage::{Database, Row, Table, TableSchema, Value};
+use beliefdb_storage::{Cell, Database, IndexId, Row, Table, TableSchema, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -82,14 +85,14 @@ impl InsertOutcome {
     }
 }
 
-/// Interned `'y'` / `'n'` values for the explicitness flag.
-pub(crate) fn explicit_value(explicit: bool) -> Value {
+/// The interned `'y'` / `'n'` of the explicitness flag, as a table cell.
+pub(crate) fn explicit_cell(explicit: bool) -> Cell<'static> {
     static YES: OnceLock<Arc<str>> = OnceLock::new();
     static NO: OnceLock<Arc<str>> = OnceLock::new();
     if explicit {
-        Value::Str(YES.get_or_init(|| Arc::from("y")).clone())
+        Cell::Str(YES.get_or_init(|| Arc::from("y")))
     } else {
-        Value::Str(NO.get_or_init(|| Arc::from("n")).clone())
+        Cell::Str(NO.get_or_init(|| Arc::from("n")))
     }
 }
 
@@ -119,12 +122,17 @@ pub const E_BY_SRC_USER: &str = "by_src_user";
 /// Index name on `E` covering `(wid1)` — the hop lookups of the `E*` walk.
 pub const E_BY_SRC: &str = "by_src";
 
-/// The names of the two internal tables of one external relation.
+/// The two internal tables of one external relation, by name, and the
+/// handles of `V__{R}`'s indexes.
 pub(crate) struct RelTables {
     /// `{R}__star`.
     pub(crate) star: String,
     /// `V__{R}`.
     pub(crate) v: String,
+    /// [`V_BY_WID_KEY`] of `V__{R}`.
+    pub(crate) by_wid_key: IndexId,
+    /// [`V_BY_WID`] of `V__{R}`.
+    pub(crate) by_wid: IndexId,
 }
 
 /// The table names of `rel`. A free function over the field, so a caller
@@ -141,8 +149,8 @@ fn rel_names(rel_tables: &[RelTables], rel: RelId) -> Result<&RelTables> {
 pub struct InternalStore {
     pub(crate) db: Database,
     pub(crate) schema: Arc<ExternalSchema>,
-    /// Internal table names by [`RelId`], resolved once: Alg. 2–4 look a
-    /// table up per dependent world and per row.
+    /// Internal table names and index handles by [`RelId`], resolved once:
+    /// Alg. 2–4 probe `V` per dependent world.
     pub(crate) rel_tables: Vec<RelTables>,
     pub(crate) users: Vec<(UserId, String)>,
     pub(crate) dir: WorldDirectory,
@@ -170,28 +178,28 @@ impl InternalStore {
     pub fn new(schema: ExternalSchema) -> Result<Self> {
         let schema = Arc::new(schema);
         let mut db = Database::new();
-        let rel_tables: Vec<RelTables> = schema
-            .relations()
-            .iter()
-            .map(|rel| RelTables {
-                star: star_table(rel.name()),
-                v: v_table(rel.name()),
-            })
-            .collect();
-
-        for (rel, names) in schema.relations().iter().zip(&rel_tables) {
+        let mut rel_tables = Vec::with_capacity(schema.relations().len());
+        for rel in schema.relations() {
             // R*_i(tid, key, att2, ...): one extra surrogate-key column.
+            let star = star_table(rel.name());
             let mut cols: Vec<&str> = vec!["tid"];
             cols.extend(rel.columns().iter().map(|c| c.as_str()));
-            db.create_table(TableSchema::with_key(names.star.as_str(), &cols))?;
+            db.create_table(TableSchema::with_key(star.as_str(), &cols))?;
 
             // V_i(wid, tid, key, s, e): multiset with the slice index.
+            let v = v_table(rel.name());
             let vt = db.create_table(TableSchema::keyless(
-                names.v.as_str(),
+                v.as_str(),
                 &["wid", "tid", "key", "s", "e"],
             ))?;
             vt.create_index(V_BY_WID_KEY, &["wid", "key"])?;
             vt.create_index(V_BY_WID, &["wid"])?;
+            rel_tables.push(RelTables {
+                star,
+                v,
+                by_wid_key: vt.index_id(V_BY_WID_KEY)?,
+                by_wid: vt.index_id(V_BY_WID)?,
+            });
         }
 
         db.create_table(TableSchema::with_key(U_TABLE, &["uid", "name"]))?;
@@ -240,11 +248,6 @@ impl InternalStore {
     /// The valuation table `V_rel`.
     pub(crate) fn v_of(&self, rel: RelId) -> Result<&Table> {
         Ok(self.db.table(&rel_names(&self.rel_tables, rel)?.v)?)
-    }
-
-    /// The valuation table `V_rel`, for writing.
-    pub(crate) fn v_of_mut(&mut self, rel: RelId) -> Result<&mut Table> {
-        Ok(self.db.table_mut(&rel_names(&self.rel_tables, rel)?.v)?)
     }
 
     pub fn schema_arc(&self) -> Arc<ExternalSchema> {
@@ -405,9 +408,9 @@ impl InternalStore {
     pub fn world(&self, path: &BeliefPath) -> Result<BeliefWorld> {
         let wid = self.resolve(path);
         let mut world = BeliefWorld::new();
-        for rel in self.rel_ids() {
-            let vt = self.v_of(rel)?;
-            for rid in vt.index_lookup(V_BY_WID, &[wid.value()])? {
+        for (rel, names) in self.rel_ids().zip(&self.rel_tables) {
+            let vt = self.db.table(&names.v)?;
+            for rid in vt.probe(names.by_wid, &[wid.cell()])? {
                 let entry = slices::slice_entry(vt, rid)?;
                 world.add(self.tuple_of(rel, entry.tid)?, entry.sign);
             }
@@ -545,7 +548,7 @@ mod tests {
     fn naming_helpers() {
         assert_eq!(star_table("Sightings"), "Sightings__star");
         assert_eq!(v_table("Sightings"), "V__Sightings");
-        assert_eq!(explicit_value(true), Value::str("y"));
-        assert_eq!(explicit_value(false), Value::str("n"));
+        assert_eq!(explicit_cell(true), Value::str("y"));
+        assert_eq!(explicit_cell(false), Value::str("n"));
     }
 }

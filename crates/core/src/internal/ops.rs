@@ -1,11 +1,40 @@
-//! Statement-level updates: `insertTuple` (Algorithm 4) and deletes.
+//! Statement-level updates: `insertTuple` (Algorithm 4), deletes and
+//! updates, as one revision of a `(world, key)` slice.
 
-use super::slices::{slice_entry, SliceEntry};
-use super::{explicit_value, InsertOutcome, InternalStore};
+use super::slices::{overriding_union, slice_entry, slice_rows, SliceEntry};
+use super::{explicit_cell, rel_names, InsertOutcome, InternalStore};
 use crate::error::{BeliefError, Result};
+use crate::ids::{RelId, Tid, Wid};
 use crate::path::BeliefPath;
 use crate::statement::{BeliefStatement, GroundTuple, Sign};
-use beliefdb_storage::{Row, Value};
+use beliefdb_storage::Value;
+
+/// Alg. 4 lines 3–5: what asserting `tid^sign` comes to in a world whose
+/// slice for the tuple's key is `slice`.
+fn gate(slice: &[SliceEntry], tid: Tid, sign: Sign) -> InsertOutcome {
+    match slice.iter().find(|e| e.tid == tid && e.sign == sign) {
+        // line 3: already explicitly present.
+        Some(SliceEntry { explicit: true, .. }) => return InsertOutcome::AlreadyExplicit,
+        // line 4: implicitly present — promote to explicit.
+        Some(_) => return InsertOutcome::MadeExplicit,
+        None => {}
+    }
+    // line 5: consistency against *explicit* tuples only (implicit ones
+    // are overridden by the new statement).
+    let conflict = match sign {
+        Sign::Pos => slice
+            .iter()
+            .any(|e| e.explicit && ((e.sign == Sign::Neg && e.tid == tid) || e.sign == Sign::Pos)),
+        Sign::Neg => slice
+            .iter()
+            .any(|e| e.explicit && e.sign == Sign::Pos && e.tid == tid),
+    };
+    if conflict {
+        InsertOutcome::Rejected
+    } else {
+        InsertOutcome::Inserted
+    }
+}
 
 impl InternalStore {
     /// Validate a statement's relation arity and user ids without
@@ -20,6 +49,87 @@ impl InternalStore {
             }
         }
         Ok(())
+    }
+
+    /// One statement about key `key` of `rel` at the world `wid` of `path`:
+    /// withdraw the explicit `retract`, if the world states it, then put
+    /// `assert` through Algorithm 4's gate, and propagate the two together
+    /// in one walk over the dependent worlds. Returns whether the
+    /// retraction took place and what the assertion came to.
+    fn revise(
+        &mut self,
+        rel: RelId,
+        path: &BeliefPath,
+        wid: Wid,
+        key: &Value,
+        retract: Option<(Tid, Sign)>,
+        assert: Option<(Tid, Sign)>,
+    ) -> Result<(bool, Option<InsertOutcome>)> {
+        let names = rel_names(&self.rel_tables, rel)?;
+        // T1: the world's tuples with this key (Alg. 4 line 2).
+        let mut rows = slice_rows(self.db.table(&names.v)?, names.by_wid_key, wid, key)?;
+
+        let stated = retract.and_then(|(tid, sign)| {
+            rows.iter()
+                .position(|(_, e)| e.explicit && e.tid == tid && e.sign == sign)
+        });
+        if let Some(pos) = stated {
+            let (rid, _) = rows.swap_remove(pos);
+            self.db.table_mut(&names.v)?.remove(rid)?;
+        }
+
+        let mut inherited = None;
+        let mut outcome = None;
+        if let Some((tid, sign)) = assert {
+            let decided = if stated.is_some() {
+                // The gate sees the world as the retraction leaves it:
+                // what was overridden by the withdrawn tuple is back.
+                let mut arena = self.parent_slice(rel, wid, key)?;
+                let parent = 0..arena.len();
+                let explicit = rows.iter().map(|&(_, e)| e).filter(|e| e.explicit);
+                let view = overriding_union(&mut arena, explicit, parent.clone());
+                let decided = gate(&arena[view], tid, sign);
+                arena.truncate(parent.end);
+                inherited = Some(arena);
+                decided
+            } else {
+                let view: Vec<SliceEntry> = rows.iter().map(|&(_, e)| e).collect();
+                gate(&view, tid, sign)
+            };
+            if decided.changed() {
+                let vt = self.db.table_mut(&names.v)?;
+                // line 4: an implicit copy gives way to the explicit row.
+                if let Some(pos) = rows
+                    .iter()
+                    .position(|(_, e)| e.tid == tid && e.sign == sign)
+                {
+                    let (rid, _) = rows.swap_remove(pos);
+                    vt.remove(rid)?;
+                }
+                // lines 6–7: record the explicit tuple.
+                let rid = vt.insert_cells(&[
+                    wid.cell(),
+                    tid.cell(),
+                    key.as_cell(),
+                    sign.cell(),
+                    explicit_cell(true),
+                ])?;
+                let stated = SliceEntry {
+                    tid,
+                    sign,
+                    explicit: true,
+                };
+                rows.push((rid, stated));
+            }
+            outcome = Some(decided);
+        }
+
+        // lines 8–14. A promotion alone leaves the content of this world
+        // and of all dependents as it was.
+        if stated.is_some() || outcome == Some(InsertOutcome::Inserted) {
+            self.propagate(rel, path, key, rows, inherited)?;
+        }
+        Ok((stated.is_some(), outcome))
     }
 
     /// `insertTuple` (Algorithm 4): insert the signed tuple into world
@@ -37,52 +147,9 @@ impl InternalStore {
         self.check_statement(path, tuple)?;
         let wid = self.ensure_world(path)?;
         let tid = self.tid_of_or_create(tuple)?;
-        let key = tuple.key().clone();
-
-        // T1: the world's tuples with this key (Alg. 4 line 2).
-        let slice = self.read_slice(tuple.rel, wid, &key)?;
-        let mine = slice.iter().find(|e| e.tid == tid && e.sign == sign);
-        match mine {
-            // line 3: already explicitly present.
-            Some(SliceEntry { explicit: true, .. }) => return Ok(InsertOutcome::AlreadyExplicit),
-            // line 4: implicitly present — promote to explicit. Content of
-            // this world and all dependents is unchanged.
-            Some(SliceEntry {
-                explicit: false, ..
-            }) => {
-                self.set_explicit_flag(tuple.rel, wid, tid, &key, sign, true)?;
-                return Ok(InsertOutcome::MadeExplicit);
-            }
-            None => {}
-        }
-
-        // line 5: consistency against *explicit* tuples only (implicit ones
-        // are overridden by the new statement).
-        let conflict = match sign {
-            Sign::Pos => slice.iter().any(|e| {
-                e.explicit && ((e.sign == Sign::Neg && e.tid == tid) || e.sign == Sign::Pos)
-            }),
-            Sign::Neg => slice
-                .iter()
-                .any(|e| e.explicit && e.sign == Sign::Pos && e.tid == tid),
-        };
-        if conflict {
-            return Ok(InsertOutcome::Rejected);
-        }
-
-        // lines 6–7: record the explicit tuple; the slice rebuild evicts any
-        // implicit tuples it overrides.
-        self.v_of_mut(tuple.rel)?.insert(Row::new(vec![
-            wid.value(),
-            tid.value(),
-            key.clone(),
-            sign.value(),
-            explicit_value(true),
-        ]))?;
-        // lines 8–14: recompute this world's key slice and propagate to the
-        // dependent worlds in ascending depth order.
-        self.propagate_key(tuple.rel, path, &key)?;
-        Ok(InsertOutcome::Inserted)
+        let (_, outcome) =
+            self.revise(tuple.rel, path, wid, tuple.key(), None, Some((tid, sign)))?;
+        Ok(outcome.expect("a statement was asserted"))
     }
 
     /// Insert a [`BeliefStatement`].
@@ -91,10 +158,10 @@ impl InternalStore {
     }
 
     /// Delete an explicit statement ("deletes follow a similar semantics as
-    /// inserts", Sect. 5.3): retract the explicit mark and recompute the key
-    /// slice here and at all dependents — the tuple may be re-inherited
-    /// from the suffix parent, or vanish entirely. Returns `true` iff the
-    /// statement was explicitly present.
+    /// inserts", Sect. 5.3): retract the explicit mark and bring the key
+    /// slice here and at all dependents up to date — the tuple may be
+    /// re-inherited from the suffix parent, or vanish entirely. Returns
+    /// `true` iff the statement was explicitly present.
     pub fn delete(&mut self, path: &BeliefPath, tuple: &GroundTuple, sign: Sign) -> Result<bool> {
         self.check_statement(path, tuple)?;
         let Some(wid) = self.dir.get(path) else {
@@ -103,22 +170,9 @@ impl InternalStore {
         let Some(&tid) = self.tid_cache.get(tuple) else {
             return Ok(false);
         };
-        let key = tuple.key().clone();
-
-        let slice = self.read_slice(tuple.rel, wid, &key)?;
-        if !slice
-            .iter()
-            .any(|e| e.tid == tid && e.sign == sign && e.explicit)
-        {
-            return Ok(false);
-        }
-        self.v_of_mut(tuple.rel)?.delete_by_index_where(
-            super::V_BY_WID_KEY,
-            &[wid.value(), key.clone()],
-            |r| r[1] == tid.value() && r[3] == sign.value() && r[4] == explicit_value(true),
-        )?;
-        self.propagate_key(tuple.rel, path, &key)?;
-        Ok(true)
+        let (retracted, _) =
+            self.revise(tuple.rel, path, wid, tuple.key(), Some((tid, sign)), None)?;
+        Ok(retracted)
     }
 
     /// Delete a [`BeliefStatement`].
@@ -126,28 +180,29 @@ impl InternalStore {
         self.delete(&stmt.path, &stmt.tuple, stmt.sign)
     }
 
-    /// Flip the explicitness flag of one `V` row in place.
-    fn set_explicit_flag(
+    /// Replace the explicit positive `old` at `path` by `new`: the state
+    /// and the outcome of `delete(old)` followed by `insert(new)`. When the
+    /// two share relation and key — an update in place — the dependent
+    /// worlds are walked once, also when `new` ends rejected or was there
+    /// already, so that the retraction still reaches them.
+    pub fn update(
         &mut self,
-        rel: crate::ids::RelId,
-        wid: crate::ids::Wid,
-        tid: crate::ids::Tid,
-        key: &Value,
-        sign: Sign,
-        explicit: bool,
-    ) -> Result<()> {
-        let vt = self.v_of_mut(rel)?;
-        vt.delete_by_index_where(super::V_BY_WID_KEY, &[wid.value(), key.clone()], |r| {
-            r[1] == tid.value() && r[3] == sign.value()
-        })?;
-        vt.insert(Row::new(vec![
-            wid.value(),
-            tid.value(),
-            key.clone(),
-            sign.value(),
-            explicit_value(explicit),
-        ]))?;
-        Ok(())
+        path: &BeliefPath,
+        old: &GroundTuple,
+        new: &GroundTuple,
+    ) -> Result<InsertOutcome> {
+        self.check_statement(path, old)?;
+        self.check_statement(path, new)?;
+        if old.rel != new.rel || old.key() != new.key() {
+            self.delete(path, old, Sign::Pos)?;
+            return self.insert(path, new, Sign::Pos);
+        }
+        let wid = self.ensure_world(path)?;
+        let tid = self.tid_of_or_create(new)?;
+        let retract = self.tid_cache.get(old).map(|&old| (old, Sign::Pos));
+        let assert = Some((tid, Sign::Pos));
+        let (_, outcome) = self.revise(new.rel, path, wid, new.key(), retract, assert)?;
+        Ok(outcome.expect("a statement was asserted"))
     }
 
     /// The explicit statements at a path (for introspection and tests).
@@ -156,9 +211,9 @@ impl InternalStore {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for rel in self.rel_ids() {
-            let vt = self.v_of(rel)?;
-            for rid in vt.index_lookup(super::V_BY_WID, &[wid.value()])? {
+        for (rel, names) in self.rel_ids().zip(&self.rel_tables) {
+            let vt = self.db.table(&names.v)?;
+            for rid in vt.probe(names.by_wid, &[wid.cell()])? {
                 let entry = slice_entry(vt, rid)?;
                 if entry.explicit {
                     out.push(BeliefStatement::new(
@@ -169,6 +224,34 @@ impl InternalStore {
                 }
             }
         }
+        out.sort();
+        Ok(out)
+    }
+
+    /// The explicit statements at a path about the tuples of `rel` with
+    /// external key `key` — what [`InternalStore::explicit_statements_at`]
+    /// lists for that key, off one `(wid, key)` slice probe.
+    pub fn explicit_at(
+        &self,
+        path: &BeliefPath,
+        rel: RelId,
+        key: &Value,
+    ) -> Result<Vec<BeliefStatement>> {
+        let Some(wid) = self.dir.get(path) else {
+            return Ok(Vec::new());
+        };
+        let mut out = self
+            .read_slice(rel, wid, key)?
+            .into_iter()
+            .filter(|e| e.explicit)
+            .map(|e| {
+                Ok(BeliefStatement::new(
+                    path.clone(),
+                    self.tuple_of(rel, e.tid)?,
+                    e.sign,
+                ))
+            })
+            .collect::<Result<Vec<_>>>()?;
         out.sort();
         Ok(out)
     }

@@ -3,28 +3,34 @@
 //! The message-board closure is *key-local*: whether a tuple `t^s` is
 //! inherited by a world depends only on tuples with the same `(relation,
 //! key)` already in that world (Γ1 compares keys, Γ2 compares whole tuples
-//! — both within one key group). An insert or delete of key `k` at world
-//! `w` therefore only changes the `(·, k)` slices of `w` and of its
-//! dependent worlds (those with `w` as proper suffix).
+//! — both within one key group). A statement about key `k` at world `w`
+//! therefore only changes the `(·, k)` slices of `w` and of its dependent
+//! worlds (those with `w` as proper suffix).
 //!
-//! `recompute_slice` rebuilds one `(world, key)` slice from first
+//! [`overriding_union`] derives one `(world, key)` slice from first
 //! principles: the world's explicit tuples win; the suffix parent's slice
-//! (read through `S`) contributes every tuple consistent with them — the
-//! overriding union of Thm. 17(2a), restricted to one key. Processing
-//! dependents in ascending depth order guarantees each world's parent slice
-//! is already up to date.
+//! (`S`) contributes every tuple consistent with them — the overriding
+//! union of Thm. 17(2a), restricted to one key.
+//! [`InternalStore::propagate`] runs it once per statement over `w` and
+//! its dependents in ascending depth order. A dependent's suffix parent is
+//! `w` or a shallower dependent, so its new slice was derived earlier in
+//! the same walk and is taken from memory; the stored slice is read once
+//! and only its difference to the derived one is written.
 //!
 //! This is the behaviour Algorithm 4's dependent-world loop (lines 8–14)
-//! aims for; rebuilding the slice instead of patching it also handles the
+//! aims for; deriving the slice instead of patching it also handles the
 //! corner case where a dependent world must *drop* a stale implicit tuple
 //! (e.g. parent's crow was overridden by raven, so the child's inherited
 //! crow must disappear), which the literal pseudo-code misses. Def. 9 wins.
 
-use super::{explicit_value, InternalStore, V_BY_WID_KEY};
+use super::{explicit_cell, rel_names, InternalStore};
 use crate::error::Result;
 use crate::ids::{RelId, Tid, Wid};
+use crate::path::BeliefPath;
 use crate::statement::Sign;
-use beliefdb_storage::{Row, RowId, Table, Value};
+use beliefdb_storage::{IndexId, RowId, Table, Value};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// One `V` entry of a slice: `(tid, sign, explicit)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +39,9 @@ pub(crate) struct SliceEntry {
     pub sign: Sign,
     pub explicit: bool,
 }
+
+/// A slice entry and the `V` row holding it.
+pub(crate) type SliceRow = (RowId, SliceEntry);
 
 /// The `tid`, `s` and `e` cells of row `rid` of a `V` table, read in place.
 pub(crate) fn slice_entry(vt: &Table, rid: RowId) -> Result<SliceEntry> {
@@ -43,97 +52,147 @@ pub(crate) fn slice_entry(vt: &Table, rid: RowId) -> Result<SliceEntry> {
     })
 }
 
+/// The stored `(world, key)` slice of the `V` table `vt`: one index probe.
+pub(crate) fn slice_rows(
+    vt: &Table,
+    by_wid_key: IndexId,
+    wid: Wid,
+    key: &Value,
+) -> Result<Vec<SliceRow>> {
+    vt.probe(by_wid_key, &[wid.cell(), key.as_cell()])?
+        .map(|rid| Ok((rid, slice_entry(vt, rid)?)))
+        .collect()
+}
+
+/// Append to `arena` the slice of a world that states `explicit` and whose
+/// suffix parent holds the slice `arena[parent]`; returns where it is.
+pub(crate) fn overriding_union(
+    arena: &mut Vec<SliceEntry>,
+    explicit: impl Iterator<Item = SliceEntry>,
+    parent: Range<usize>,
+) -> Range<usize> {
+    let start = arena.len();
+    arena.extend(explicit);
+    // Positives before negatives keeps the loop order-independent in
+    // spirit; within a consistent parent slice it cannot matter.
+    for phase in [Sign::Pos, Sign::Neg] {
+        for inherited in parent.clone() {
+            let entry = arena[inherited];
+            let next = &arena[start..];
+            if entry.sign != phase
+                // already present (explicitly)
+                || next
+                    .iter()
+                    .any(|e| e.tid == entry.tid && e.sign == entry.sign)
+            {
+                continue;
+            }
+            let ok = match entry.sign {
+                // Γ1: no positive occupies the key; Γ2: the tuple is not
+                // negative here.
+                Sign::Pos => !next
+                    .iter()
+                    .any(|e| e.sign == Sign::Pos || (e.sign == Sign::Neg && e.tid == entry.tid)),
+                // Γ2 only: the exact tuple is not positive here.
+                Sign::Neg => !next
+                    .iter()
+                    .any(|e| e.sign == Sign::Pos && e.tid == entry.tid),
+            };
+            if ok {
+                arena.push(SliceEntry {
+                    explicit: false,
+                    ..entry
+                });
+            }
+        }
+    }
+    start..arena.len()
+}
+
 impl InternalStore {
     /// Read the `(world, key)` slice of `V_rel`.
     pub(crate) fn read_slice(&self, rel: RelId, wid: Wid, key: &Value) -> Result<Vec<SliceEntry>> {
-        let vt = self.v_of(rel)?;
-        vt.index_lookup(V_BY_WID_KEY, &[wid.value(), key.clone()])?
-            .map(|rid| slice_entry(vt, rid))
-            .collect()
+        let names = rel_names(&self.rel_tables, rel)?;
+        let rows = slice_rows(self.db.table(&names.v)?, names.by_wid_key, wid, key)?;
+        Ok(rows.into_iter().map(|(_, entry)| entry).collect())
     }
 
-    /// Rebuild the `(world, key)` slice: explicit entries stay; the suffix
-    /// parent's entries are inherited when consistent.
-    pub(crate) fn recompute_slice(&mut self, rel: RelId, wid: Wid, key: &Value) -> Result<()> {
-        let current = self.read_slice(rel, wid, key)?;
-        let explicit: Vec<SliceEntry> = current.iter().copied().filter(|e| e.explicit).collect();
-
-        let mut next: Vec<SliceEntry> = explicit;
-        if wid != Wid::ROOT {
-            let parent = self.suffix_parent(wid)?;
-            let parent_slice = self.read_slice(rel, parent, key)?;
-            // Positives before negatives keeps the loop order-independent in
-            // spirit; within a consistent parent slice it cannot matter.
-            for phase in [Sign::Pos, Sign::Neg] {
-                for entry in parent_slice.iter().filter(|e| e.sign == phase) {
-                    if next
-                        .iter()
-                        .any(|e| e.tid == entry.tid && e.sign == entry.sign)
-                    {
-                        continue; // already present (explicitly)
-                    }
-                    let ok = match entry.sign {
-                        // Γ1: no positive occupies the key; Γ2: the tuple is
-                        // not negative here.
-                        Sign::Pos => !next.iter().any(|e| {
-                            e.sign == Sign::Pos || (e.sign == Sign::Neg && e.tid == entry.tid)
-                        }),
-                        // Γ2 only: the exact tuple is not positive here.
-                        Sign::Neg => !next
-                            .iter()
-                            .any(|e| e.sign == Sign::Pos && e.tid == entry.tid),
-                    };
-                    if ok {
-                        next.push(SliceEntry {
-                            tid: entry.tid,
-                            sign: entry.sign,
-                            explicit: false,
-                        });
-                    }
-                }
-            }
+    /// The `(·, key)` slice of the suffix parent of `wid`, which the world
+    /// inherits from; the root inherits nothing.
+    pub(crate) fn parent_slice(
+        &self,
+        rel: RelId,
+        wid: Wid,
+        key: &Value,
+    ) -> Result<Vec<SliceEntry>> {
+        if wid == Wid::ROOT {
+            return Ok(Vec::new());
         }
-
-        // No-op check as multisets: the stored order (heap/index order) and
-        // the rebuilt order (explicit first) differ even when the content is
-        // identical.
-        let mut a = next.clone();
-        let mut b = current;
-        let entry_key = |e: &SliceEntry| (e.tid, e.sign, e.explicit);
-        a.sort_by_key(entry_key);
-        b.sort_by_key(entry_key);
-        if a == b {
-            return Ok(());
-        }
-        let vt = self.v_of_mut(rel)?;
-        vt.delete_by_index(V_BY_WID_KEY, &[wid.value(), key.clone()])?;
-        for e in next {
-            vt.insert(Row::new(vec![
-                wid.value(),
-                e.tid.value(),
-                key.clone(),
-                e.sign.value(),
-                explicit_value(e.explicit),
-            ]))?;
-        }
-        Ok(())
+        self.read_slice(rel, self.suffix_parent(wid)?, key)
     }
 
-    /// Recompute the key slice at `w` and at every dependent world, in
-    /// ascending depth order (Alg. 4's propagation loop).
-    pub(crate) fn propagate_key(
+    /// Bring the `(·, key)` slices of the world at `path` and of every
+    /// dependent world up to date, in ascending depth order (Alg. 4's
+    /// propagation loop, lines 8–14). `rows` is the stored slice of the
+    /// world at `path`, with its explicit rows as the statement leaves
+    /// them, and `inherited` the slice of its suffix parent if the caller
+    /// has read it. Costs one index probe per world; writes only the rows
+    /// that differ.
+    pub(crate) fn propagate(
         &mut self,
         rel: RelId,
-        path: &crate::path::BeliefPath,
+        path: &BeliefPath,
         key: &Value,
+        mut rows: Vec<SliceRow>,
+        inherited: Option<Vec<SliceEntry>>,
     ) -> Result<()> {
         let wid = self
             .dir
             .get(path)
             .expect("world must exist before propagation");
-        self.recompute_slice(rel, wid, key)?;
-        for dep in self.dir.dependents(path) {
-            self.recompute_slice(rel, dep, key)?;
+        let mut worlds = vec![wid];
+        worlds.extend(self.dir.dependents(path));
+        let parents = worlds
+            .iter()
+            .map(|&x| self.suffix_parent(x))
+            .collect::<Result<Vec<Wid>>>()?;
+
+        // The derived slices of this statement, back to back, and where
+        // each world's is. No dependent of `w` is the suffix parent of `w`,
+        // so the first entry is only ever read for `w` itself.
+        let mut arena = match inherited {
+            Some(slice) => slice,
+            None => self.parent_slice(rel, wid, key)?,
+        };
+        let mut derived: HashMap<Wid, Range<usize>> = HashMap::with_capacity(worlds.len() + 1);
+        derived.insert(parents[0], 0..arena.len());
+
+        let names = rel_names(&self.rel_tables, rel)?;
+        let by_wid_key = names.by_wid_key;
+        let vt = self.db.table_mut(&names.v)?;
+        for (&x, parent) in worlds.iter().zip(parents) {
+            if x != wid {
+                rows = slice_rows(vt, by_wid_key, x, key)?;
+            }
+            let explicit = rows.iter().map(|&(_, e)| e).filter(|e| e.explicit);
+            let next = overriding_union(&mut arena, explicit, derived[&parent].clone());
+            for &(rid, entry) in &rows {
+                if !arena[next.clone()].contains(&entry) {
+                    vt.remove(rid)?;
+                }
+            }
+            for entry in &arena[next.clone()] {
+                if !rows.iter().any(|(_, stored)| stored == entry) {
+                    vt.insert_cells(&[
+                        x.cell(),
+                        entry.tid.cell(),
+                        key.as_cell(),
+                        entry.sign.cell(),
+                        explicit_cell(entry.explicit),
+                    ])?;
+                }
+            }
+            derived.insert(x, next);
         }
         Ok(())
     }
@@ -142,7 +201,7 @@ impl InternalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::{path, BeliefPath};
+    use crate::path::path;
     use crate::schema::ExternalSchema;
     use crate::statement::GroundTuple;
     use beliefdb_storage::row;
@@ -166,19 +225,29 @@ mod tests {
         let tuple = GroundTuple::new(rel, row![key, species]);
         let wid = store.ensure_world(p).unwrap();
         let tid = store.tid_of_or_create(&tuple).unwrap();
-        let vt = store.v_of_mut(rel).unwrap();
+        let key = Value::str(key);
+        let vt = store.db.table_mut("V__S").unwrap();
         // remove a pre-existing implicit copy of the same tid+sign, if any
         vt.delete_where(|r| r[0] == wid.value() && r[1] == tid.value() && r[3] == sign.value())
             .unwrap();
-        vt.insert(Row::new(vec![
-            wid.value(),
-            tid.value(),
-            Value::str(key),
-            sign.value(),
-            explicit_value(true),
-        ]))
+        vt.insert_cells(&[
+            wid.cell(),
+            tid.cell(),
+            key.as_cell(),
+            sign.cell(),
+            explicit_cell(true),
+        ])
         .unwrap();
-        store.propagate_key(rel, p, &Value::str(key)).unwrap();
+        propagate_stored(store, p, &key);
+    }
+
+    /// Propagate from the slice as it is stored at `p`.
+    fn propagate_stored(store: &mut InternalStore, p: &crate::path::BeliefPath, key: &Value) {
+        let rel = store.schema().relation_id("S").unwrap();
+        let names = rel_names(&store.rel_tables, rel).unwrap();
+        let wid = store.dir.get(p).unwrap();
+        let rows = slice_rows(store.v_of(rel).unwrap(), names.by_wid_key, wid, key).unwrap();
+        store.propagate(rel, p, key, rows, None).unwrap();
     }
 
     fn slice(
@@ -276,17 +345,19 @@ mod tests {
     }
 
     #[test]
-    fn recompute_is_idempotent() {
+    fn propagating_an_up_to_date_key_writes_nothing() {
         let mut s = store();
         s.ensure_world(&path(&[2, 1])).unwrap();
         insert_explicit(&mut s, &BeliefPath::root(), "s1", "crow", Sign::Pos);
         let rel = s.schema().relation_id("S").unwrap();
         let before = slice(&s, &path(&[2, 1]), "s1");
-        s.propagate_key(rel, &BeliefPath::root(), &Value::str("s1"))
-            .unwrap();
-        s.propagate_key(rel, &BeliefPath::root(), &Value::str("s1"))
-            .unwrap();
+        let [.., probes, inserts, deletes, _, _] = s.v_of(rel).unwrap().access().snapshot();
+        propagate_stored(&mut s, &BeliefPath::root(), &Value::str("s1"));
         assert_eq!(slice(&s, &path(&[2, 1]), "s1"), before);
+        // One probe per dependent world (2 and 2·1) and the two of this
+        // test's own slice reads; no row written.
+        let after = s.v_of(rel).unwrap().access().snapshot();
+        assert_eq!(after[2..5], [probes + 4, inserts, deletes]);
     }
 
     #[test]

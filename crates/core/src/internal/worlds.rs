@@ -5,7 +5,7 @@ use super::{InternalStore, D_TABLE, E_TABLE, S_TABLE};
 use crate::error::Result;
 use crate::ids::Wid;
 use crate::path::BeliefPath;
-use beliefdb_storage::{Row, Value};
+use beliefdb_storage::{Row, RowId, Value};
 use std::collections::HashMap;
 
 /// Bidirectional mapping `wid ↔ belief path`.
@@ -229,28 +229,17 @@ impl InternalStore {
 
     /// Copy every `V` row of `from` into `to` with `e = 'n'` (Alg. 2
     /// line 9: a new world starts with the implicit content of its suffix
-    /// parent).
+    /// parent). Rows are copied inside the table: `tid`, `key` and `s` keep
+    /// their stored form.
     fn copy_world_as_implicit(&mut self, from: Wid, to: Wid) -> Result<()> {
         if from == to {
             return Ok(());
         }
         for names in &self.rel_tables {
-            let vt = self.db.table(&names.v)?;
-            let copies = vt
-                .index_lookup(super::V_BY_WID, &[from.value()])?
-                .map(|rid| {
-                    Ok(Row::new(vec![
-                        to.value(),
-                        vt.cell(rid, 1)?.to_value(),
-                        vt.cell(rid, 2)?.to_value(),
-                        vt.cell(rid, 3)?.to_value(),
-                        super::explicit_value(false),
-                    ]))
-                })
-                .collect::<Result<Vec<Row>>>()?;
             let vt = self.db.table_mut(&names.v)?;
-            for row in copies {
-                vt.insert(row)?;
+            let rows: Vec<RowId> = vt.probe(names.by_wid, &[from.cell()])?.collect();
+            for rid in rows {
+                vt.copy_row(rid, &[(0, to.cell()), (4, super::explicit_cell(false))])?;
             }
         }
         Ok(())

@@ -171,8 +171,11 @@ impl LogRecord {
                 old_row,
                 new_row,
             } => {
-                store.delete(path, &GroundTuple::new(*rel, old_row.clone()), Sign::Pos)?;
-                store.insert(path, &GroundTuple::new(*rel, new_row.clone()), Sign::Pos)?;
+                store.update(
+                    path,
+                    &GroundTuple::new(*rel, old_row.clone()),
+                    &GroundTuple::new(*rel, new_row.clone()),
+                )?;
             }
         }
         Ok(())

@@ -32,11 +32,16 @@ impl Sign {
     /// attribute). The two strings are interned once so the millions of `V`
     /// rows the encoding creates share a single allocation each.
     pub fn value(self) -> Value {
+        self.cell().to_value()
+    }
+
+    /// The sign as a table cell: the interned string itself, borrowed.
+    pub fn cell(self) -> Cell<'static> {
         static POS: OnceLock<Arc<str>> = OnceLock::new();
         static NEG: OnceLock<Arc<str>> = OnceLock::new();
         match self {
-            Sign::Pos => Value::Str(POS.get_or_init(|| Arc::from("+")).clone()),
-            Sign::Neg => Value::Str(NEG.get_or_init(|| Arc::from("-")).clone()),
+            Sign::Pos => Cell::Str(POS.get_or_init(|| Arc::from("+"))),
+            Sign::Neg => Cell::Str(NEG.get_or_init(|| Arc::from("-"))),
         }
     }
 

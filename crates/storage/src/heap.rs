@@ -33,8 +33,10 @@ struct Interner {
 }
 
 impl Interner {
-    fn intern(&mut self, s: Arc<str>) -> u32 {
-        if self.strings.get(self.last as usize) == Some(&s) {
+    /// The code of `s`; the string is shared (a reference-count bump),
+    /// and only the first time the column sees it.
+    fn intern(&mut self, s: &Arc<str>) -> u32 {
+        if self.strings.get(self.last as usize) == Some(s) {
             return self.last;
         }
         if let Some(&code) = self.codes.get(s.as_ref()) {
@@ -43,8 +45,8 @@ impl Interner {
         }
         // Each entry costs tens of bytes, so memory runs out long before.
         let code = u32::try_from(self.strings.len()).expect("fewer than 2^32 distinct strings");
-        self.strings.push(Arc::clone(&s));
-        self.codes.insert(s, code);
+        self.strings.push(Arc::clone(s));
+        self.codes.insert(Arc::clone(s), code);
         self.last = code;
         code
     }
@@ -145,27 +147,29 @@ impl HeapColumn {
         }
     }
 
-    /// Write `v` at `slot` (an existing position, or the next one).
-    fn write(&mut self, slot: usize, v: Value) {
+    /// Write `v` at `slot` (an existing position, or the next one). A
+    /// typed column stores the payload unboxed; nothing is allocated unless
+    /// the column meets a new string or is demoted.
+    fn write(&mut self, slot: usize, v: Cell<'_>) {
         let fits = matches!(
-            (&*self, &v),
-            (_, Value::Null)
+            (&*self, v),
+            (_, Cell::Null)
                 | (HeapColumn::Mixed(_), _)
-                | (HeapColumn::Int { .. }, Value::Int(_))
-                | (HeapColumn::Bool { .. }, Value::Bool(_))
-                | (HeapColumn::Str { .. }, Value::Str(_))
+                | (HeapColumn::Int { .. }, Cell::Int(_))
+                | (HeapColumn::Bool { .. }, Cell::Bool(_))
+                | (HeapColumn::Str { .. }, Cell::Str(_))
         );
         if !fits {
-            *self = match (&*self, &v) {
+            *self = match (&*self, v) {
                 // First non-NULL value: the column takes its type.
                 (&HeapColumn::Null(len), _) => {
                     let valid = (len > 0).then(|| Bitmap::filled(len, false));
                     match v {
-                        Value::Int(_) => HeapColumn::Int {
+                        Cell::Int(_) => HeapColumn::Int {
                             vals: vec![0; len],
                             valid,
                         },
-                        Value::Bool(_) => HeapColumn::Bool {
+                        Cell::Bool(_) => HeapColumn::Bool {
                             vals: vec![false; len],
                             valid,
                         },
@@ -182,15 +186,40 @@ impl HeapColumn {
         }
         match (self, v) {
             (HeapColumn::Null(len), _) => *len = (*len).max(slot + 1),
-            (HeapColumn::Mixed(vals), v) => put(vals, slot, v),
+            (HeapColumn::Mixed(vals), v) => put(vals, slot, v.to_value()),
             (HeapColumn::Int { vals, valid }, v) => put_typed(vals, valid, slot, v.as_int()),
             (HeapColumn::Bool { vals, valid }, v) => put_typed(vals, valid, slot, v.as_bool()),
             (HeapColumn::Str { codes, dict, valid }, v) => {
                 let code = match v {
-                    Value::Str(s) => Some(dict.intern(s)),
+                    Cell::Str(s) => Some(dict.intern(s)),
                     _ => None,
                 };
                 put_typed(codes, valid, slot, code);
+            }
+        }
+    }
+
+    /// Write the cell of slot `src` at `slot` as the column holds it: the
+    /// typed value or the dictionary code with its validity bit, no
+    /// interning and no boxing.
+    fn copy_within(&mut self, src: usize, slot: usize) {
+        match self {
+            HeapColumn::Null(len) => *len = (*len).max(slot + 1),
+            HeapColumn::Mixed(vals) => {
+                let v = vals[src].clone();
+                put(vals, slot, v);
+            }
+            HeapColumn::Int { vals, valid } => {
+                let v = is_valid(valid, src).then(|| vals[src]);
+                put_typed(vals, valid, slot, v);
+            }
+            HeapColumn::Bool { vals, valid } => {
+                let v = is_valid(valid, src).then(|| vals[src]);
+                put_typed(vals, valid, slot, v);
+            }
+            HeapColumn::Str { codes, valid, .. } => {
+                let v = is_valid(valid, src).then(|| codes[src]);
+                put_typed(codes, valid, slot, v);
             }
         }
     }
@@ -277,7 +306,7 @@ pub(crate) struct Heap {
     /// One bit per slot: set while the slot holds a row.
     live: Bitmap,
     live_rows: usize,
-    /// Cleared slots, reused last-in first-out by [`Heap::insert`].
+    /// Cleared slots, reused last-in first-out by inserts and copies.
     free: Vec<IndexRid>,
 }
 
@@ -305,19 +334,41 @@ impl Heap {
         self.live.len()
     }
 
-    /// The slot the next [`Heap::insert`] fills.
+    /// The slot the next [`Heap::insert_cells`] or [`Heap::copy_row`] fills.
     pub(crate) fn next_slot(&self) -> usize {
         self.free.last().map_or(self.slots(), |&slot| slot as usize)
     }
 
-    /// Store `row` (of the heap's arity) in [`Heap::next_slot`].
-    pub(crate) fn insert(&mut self, row: Row) -> usize {
-        debug_assert_eq!(row.arity(), self.arity());
-        let slot = self.next_slot();
-        self.free.pop();
-        for (col, v) in self.cols.iter_mut().zip(row.into_values()) {
+    /// Store a row of `cells` (one per column) in [`Heap::next_slot`].
+    pub(crate) fn insert_cells(&mut self, cells: &[Cell<'_>]) -> usize {
+        debug_assert_eq!(cells.len(), self.arity());
+        let slot = self.take_slot();
+        for (col, &v) in self.cols.iter_mut().zip(cells) {
             col.write(slot, v);
         }
+        slot
+    }
+
+    /// Store in [`Heap::next_slot`] a copy of the live row in slot `src`
+    /// whose columns listed in `overrides` (in range; the first entry for a
+    /// column counts) hold the given cells instead. The other cells are
+    /// copied as the columns hold them.
+    pub(crate) fn copy_row(&mut self, src: usize, overrides: &[(usize, Cell<'_>)]) -> usize {
+        debug_assert!(self.is_live(src));
+        let slot = self.take_slot();
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            match overrides.iter().find(|(over, _)| *over == c) {
+                Some(&(_, v)) => col.write(slot, v),
+                None => col.copy_within(src, slot),
+            }
+        }
+        slot
+    }
+
+    /// Mark [`Heap::next_slot`] live; the caller fills every column of it.
+    fn take_slot(&mut self) -> usize {
+        let slot = self.next_slot();
+        self.free.pop();
         self.live.put(slot, true);
         self.live_rows += 1;
         slot

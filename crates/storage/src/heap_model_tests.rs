@@ -1,7 +1,8 @@
-//! Model-based property test of the column heap: random insert / delete /
-//! `delete_by_index_where` / get / iterate / `columnar()` sequences on a
-//! [`Table`] against a `Vec<Option<Row>>` of slots with a free list, once
-//! with the real index hasher and once with every key in one bucket.
+//! Model-based property test of the column heap: random insert /
+//! `insert_cells` / `copy_row` / delete / `delete_by_index_where` / get /
+//! iterate / `columnar()` sequences on a [`Table`] against a
+//! `Vec<Option<Row>>` of slots with a free list, once with the real index
+//! hasher and once with every key in one bucket.
 //!
 //! The columns cover what a heap column can go through: one stays `Int`,
 //! one is `Bool` or NULL, one is a string or NULL, one takes every value
@@ -15,7 +16,7 @@ use crate::index::{CollideAll, Index, IndexRid, RowId};
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{Cell, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -25,6 +26,13 @@ const BY_ANY_S: [usize; 2] = [3, 2];
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Row),
+    /// The same row through `insert_cells`, borrowed.
+    InsertCells(Row),
+    /// `copy_row` of the n-th live row (modulo the live count) with these
+    /// columns overridden: a column may meet a value of another type (and
+    /// be demoted), the NULL-only `late` column its first value, and the
+    /// copy lands in a reused slot whenever one is free.
+    CopyRow(usize, Vec<(usize, Value)>),
     /// Delete the n-th live row (modulo the live count).
     Delete(usize),
     /// `delete_by_index_where` on `(any, s)`, keeping rows whose `i` is odd.
@@ -64,9 +72,17 @@ fn row() -> impl Strategy<Value = Row> {
         .prop_map(|(i, b, s, any, late)| Row::new([i, b, s, any, late]))
 }
 
+/// Overrides for every column but `i`, which the delete operation needs
+/// to stay an integer.
+fn overrides() -> impl Strategy<Value = Vec<(usize, Value)>> {
+    proptest::collection::vec((1..COLUMNS.len(), any_value()), 0..4)
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => row().prop_map(Op::Insert),
+        4 => row().prop_map(Op::Insert),
+        2 => row().prop_map(Op::InsertCells),
+        3 => ((0usize..64), overrides()).prop_map(|(n, over)| Op::CopyRow(n, over)),
         3 => (0usize..64).prop_map(Op::Delete),
         1 => (any_value(), or_null(string())).prop_map(|(a, s)| Op::DeleteEvenByKey(a, s)),
         1 => (0usize..48).prop_map(Op::Get),
@@ -165,6 +181,26 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
                 let rid = t.insert(row.clone()).unwrap();
                 prop_assert_eq!(rid, model.insert(row.clone()), "slot of the new row");
             }
+            Op::InsertCells(row) => {
+                let rid = t.insert_cells(&row.cells()).unwrap();
+                prop_assert_eq!(rid, model.insert(row.clone()), "slot of the new row");
+            }
+            Op::CopyRow(n, over) => {
+                let live: Vec<RowId> = model.live().map(|(rid, _)| rid).collect();
+                let Some(&src) = live.get(n % live.len().max(1)) else {
+                    continue;
+                };
+                // Of two entries for one column the first counts.
+                let mut copy = model.slots[src].clone().expect("live row").into_values();
+                for (col, v) in over.iter().rev() {
+                    copy[*col] = v.clone();
+                }
+                let cells: Vec<(usize, Cell<'_>)> =
+                    over.iter().map(|(col, v)| (*col, v.as_cell())).collect();
+                let rid = t.copy_row(src, &cells).unwrap();
+                prop_assert_eq!(rid, model.insert(Row::new(copy)), "slot of the copy");
+                prop_assert_eq!(&t.get(rid).unwrap(), model.slots[rid].as_ref().unwrap());
+            }
             Op::Delete(n) => {
                 let live: Vec<RowId> = model.live().map(|(rid, _)| rid).collect();
                 if let Some(&rid) = live.get(n % live.len().max(1)) {
@@ -220,8 +256,8 @@ fn run_cleared_slots(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut model = Model::default();
     for op in ops {
         match op {
-            Op::Insert(row) => {
-                let rid = heap.insert(row.clone());
+            Op::Insert(row) | Op::InsertCells(row) => {
+                let rid = heap.insert_cells(&row.cells());
                 prop_assert_eq!(rid, model.insert(row.clone()));
                 idx.insert(&heap, rid as IndexRid).unwrap();
             }
@@ -317,4 +353,58 @@ fn nulls_first_last_and_between_and_a_demotion() {
     assert_eq!(t.insert(late.clone()).unwrap(), 2);
     assert_eq!(t.scan(), [rows[0].clone(), late.clone()]);
     assert_eq!(*t.columnar(), ColumnSet::from_rows(5, &[&rows[0], &late]));
+}
+
+/// The copies a random case may or may not reach, spelled out: an override
+/// that demotes its column, one on a column that has only ever held NULL,
+/// and a copy into a reused slot.
+#[test]
+fn copies_override_demote_and_reuse_slots() {
+    let mut t = Table::new(TableSchema::keyless("T", &["w", "k", "flag", "never"]));
+    t.create_index("by_w_k", &["w", "k"]).unwrap();
+    let first = Row::new([
+        Value::int(1),
+        Value::str("s1"),
+        Value::str("y"),
+        Value::Null,
+    ]);
+    let src = t.insert(first.clone()).unwrap();
+    let dead = t
+        .insert(Row::new([
+            Value::int(1),
+            Value::str("s2"),
+            Value::str("y"),
+            Value::Null,
+        ]))
+        .unwrap();
+    t.delete(dead).unwrap();
+
+    // Into the reused slot: integer and string overrides, `k` copied as a
+    // code, `never` copied as the NULL it is.
+    let n = Value::str("n");
+    let copy = t
+        .copy_row(src, &[(0, Cell::Int(2)), (2, n.as_cell())])
+        .unwrap();
+    assert_eq!(copy, dead);
+    let second = Row::new([Value::int(2), Value::str("s1"), n.clone(), Value::Null]);
+    assert_eq!(t.get(copy).unwrap(), second);
+    // The NULL-only column takes a type from an override ...
+    let typed = t.copy_row(copy, &[(3, Cell::Bool(true))]).unwrap();
+    let third = Row::new([Value::int(2), Value::str("s1"), n, Value::Bool(true)]);
+    assert_eq!(t.get(typed).unwrap(), third);
+    // ... and a string column is demoted by an integer.
+    let demoted = t.copy_row(src, &[(1, Cell::Int(7))]).unwrap();
+    let fourth = Row::new([Value::int(1), Value::int(7), Value::str("y"), Value::Null]);
+    assert_eq!(t.get(demoted).unwrap(), fourth);
+    // A copy of the demoted row copies the boxed value.
+    let again = t.copy_row(demoted, &[]).unwrap();
+    assert_eq!(t.get(again).unwrap(), fourth);
+
+    let rows = [first, second, third, fourth.clone(), fourth];
+    assert_eq!(t.scan(), rows);
+    let refs: Vec<&Row> = rows.iter().collect();
+    assert_eq!(*t.columnar(), ColumnSet::from_rows(4, &refs));
+    let key = [Value::int(2), Value::str("s1")];
+    let hits: Vec<RowId> = t.index_lookup("by_w_k", &key).unwrap().collect();
+    assert_eq!(hits, vec![copy, typed]);
 }

@@ -8,8 +8,8 @@
 
 use crate::error::{Result, StorageError};
 use crate::heap::Heap;
-use crate::value::{Cell, Value};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use crate::value::{AsCell, Cell};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -87,15 +87,70 @@ impl Drop for CollideAll {
     }
 }
 
+/// The hasher of index keys: one rotate, xor and multiply per word fed to
+/// it, and an avalanche at the end (the 64-bit finalizer of MurmurHash3)
+/// so that the low bits the map picks a bucket by and the top seven it
+/// tags entries with depend on every input bit. It has no key: index keys
+/// are cells of the user's own tables, and collisions are resolved against
+/// the heap, so a bad key set costs time, never an answer.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
+    }
+
+    /// Eight bytes a word, the last one zero-padded: `[u8]`'s `Hash` feeds
+    /// the length first, so padding cannot make two strings alike.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.mix(u64::from(byte));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.mix(word);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.mix(word as u64);
+    }
+}
+
 /// Hash of a key, the same for a lookup key and for the cells of a row
-/// holding it. `DefaultHasher::new()` is SipHash with a fixed key, so
-/// bucket contents — and with them lookup order — repeat across runs.
+/// holding it, and the same in every run: the map is only ever probed,
+/// never iterated, so the hash decides which keys share a bucket and
+/// nothing about the order of the ids inside one.
 fn hash_key<'a>(key: impl Iterator<Item = Cell<'a>>) -> u64 {
     #[cfg(test)]
     if COLLIDE_ALL.with(|c| c.get()) {
         return 0;
     }
-    let mut hasher = DefaultHasher::new();
+    let mut hasher = KeyHasher::default();
     for value in key {
         value.hash(&mut hasher);
     }
@@ -237,14 +292,14 @@ impl Index {
     /// in index order (insertion order up to `swap_remove`). A key of the
     /// wrong length matches nothing. A cleared slot keeps its cells, so
     /// the live bit, not the comparison, is what hides a dead row.
-    pub(crate) fn matches<'a, 'k>(
+    pub(crate) fn matches<'a, 'k, K: AsCell>(
         &'a self,
         heap: &'a Heap,
-        key: &'k [Value],
-    ) -> impl Iterator<Item = RowId> + use<'a, 'k> {
+        key: &'k [K],
+    ) -> impl Iterator<Item = RowId> + use<'a, 'k, K> {
         let candidates = if key.len() == self.cols.len() {
             self.map
-                .get(&hash_key(key.iter().map(Value::as_cell)))
+                .get(&hash_key(key.iter().map(AsCell::as_cell)))
                 .map(|bucket| bucket.ids(&self.lists))
         } else {
             None
@@ -259,7 +314,7 @@ impl Index {
                         .cols
                         .iter()
                         .zip(key)
-                        .all(|(&c, k)| heap.cell(rid, c) == *k)
+                        .all(|(&c, k)| heap.cell(rid, c) == k.as_cell())
             })
     }
 
@@ -286,6 +341,7 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::row::Row;
+    use crate::value::Value;
 
     /// A heap plus one index over it, kept in step the way `Table` does.
     struct Indexed {
@@ -302,7 +358,7 @@ mod tests {
         }
 
         fn insert(&mut self, row: Row) -> IndexRid {
-            let rid = self.heap.insert(row) as IndexRid;
+            let rid = self.heap.insert_cells(&row.cells()) as IndexRid;
             self.idx.insert(&self.heap, rid).unwrap();
             rid
         }
@@ -344,7 +400,7 @@ mod tests {
         // A row the index was never told about, in a bucket of its own and
         // in the bucket of the indexed row.
         for row in [row![6], row![5]] {
-            let unindexed = t.heap.insert(row) as IndexRid;
+            let unindexed = t.heap.insert_cells(&row.cells()) as IndexRid;
             t.idx.remove(&t.heap, unindexed).unwrap();
             t.heap.remove(unindexed as usize);
         }
@@ -395,7 +451,7 @@ mod tests {
     #[test]
     fn out_of_range_column_fails_before_the_map_changes() {
         let mut t = Indexed::new(2, vec![0, 3]);
-        let rid = t.heap.insert(row![1, 2]) as IndexRid;
+        let rid = t.heap.insert_cells(&row![1, 2].cells()) as IndexRid;
         let err = t.idx.insert(&t.heap, rid).unwrap_err();
         assert_eq!(err, StorageError::ColumnOutOfRange { index: 3, arity: 2 });
         let err = t.idx.remove(&t.heap, rid).unwrap_err();
@@ -415,6 +471,58 @@ mod tests {
         assert_eq!(two_entries, 2 * (16 + 1));
         t.insert(row![2]);
         assert_eq!(t.idx.approx_bytes(3), two_entries + 4);
+    }
+
+    /// Pearson's statistic of `counts` against the uniform distribution
+    /// over its buckets, and the value eight standard deviations above its
+    /// mean under a random function (`df + 8·√(2·df)`).
+    fn chi_square(counts: &[u32]) -> (f64, f64) {
+        let total: f64 = counts.iter().map(|&c| f64::from(c)).sum();
+        let expected = total / counts.len() as f64;
+        let chi2 = counts
+            .iter()
+            .map(|&c| (f64::from(c) - expected).powi(2) / expected)
+            .sum();
+        let df = (counts.len() - 1) as f64;
+        (chi2, df + 8.0 * (2.0 * df).sqrt())
+    }
+
+    /// The key shape of the largest index of a belief database: `(wid,
+    /// key)` with small dense world ids and keys `"s<n>"`. All 10⁷ hashes
+    /// differ, and the bits hashbrown picks a bucket by (the low ones) and
+    /// tags entries with (the top seven) are as even as a random function
+    /// would leave them.
+    #[test]
+    fn hashes_of_wid_key_pairs_are_distinct_and_even() {
+        let keys: Vec<Value> = (0..10_000).map(|n| Value::str(format!("s{n}"))).collect();
+        let mut hashes = Vec::with_capacity(1_000 * keys.len());
+        let mut low16 = vec![0u32; 1 << 16];
+        let mut top7 = vec![0u32; 1 << 7];
+        for wid in 0..1_000 {
+            for key in &keys {
+                let h = hash_key([Cell::Int(wid), key.as_cell()].into_iter());
+                low16[(h & 0xFFFF) as usize] += 1;
+                top7[(h >> 57) as usize] += 1;
+                hashes.push(h);
+            }
+        }
+        hashes.sort_unstable();
+        assert!(
+            hashes.windows(2).all(|w| w[0] != w[1]),
+            "two keys share a hash"
+        );
+        for (bits, counts) in [("low 16", &low16), ("top 7", &top7)] {
+            let (chi2, limit) = chi_square(counts);
+            assert!(
+                chi2 < limit,
+                "{bits} bits uneven: chi² {chi2:.0}, limit {limit:.0}"
+            );
+        }
+        // The same keys with integer-typed and string-typed ids stay apart.
+        assert_ne!(
+            hash_key([Cell::Int(1)].into_iter()),
+            hash_key([Value::str("1").as_cell()].into_iter())
+        );
     }
 
     #[test]

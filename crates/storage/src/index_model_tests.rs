@@ -9,7 +9,7 @@ use crate::index::{CollideAll, RowId};
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{Cell, Value};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,10 +54,18 @@ fn model_of(live: &BTreeMap<RowId, Row>, cols: &[usize]) -> Model {
     model
 }
 
+/// One lookup by name with owned values, and the same through the index
+/// handle with borrowed cells.
 fn lookup(t: &Table, index: &str, key: &[Value]) -> Result<BTreeSet<RowId>, TestCaseError> {
     let hits: Vec<RowId> = t.index_lookup(index, key).unwrap().collect();
     let set: BTreeSet<RowId> = hits.iter().copied().collect();
     prop_assert_eq!(set.len(), hits.len(), "a row id came back twice");
+    let cells: Vec<Cell<'_>> = key.iter().map(Value::as_cell).collect();
+    let probed: Vec<RowId> = t
+        .probe(t.index_id(index).unwrap(), &cells)
+        .unwrap()
+        .collect();
+    prop_assert_eq!(probed, hits, "probe by handle and cells");
     Ok(set)
 }
 

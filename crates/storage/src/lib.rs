@@ -76,5 +76,5 @@ pub use plan::{Agg, Plan, SortKey};
 pub use row::{Projector, Row};
 pub use schema::{ColumnDef, KeyMode, TableSchema};
 pub use sema::{lint_program, set_verify, verify_enabled, verify_plan, Diagnostic, Severity};
-pub use table::Table;
-pub use value::{Cell, Value};
+pub use table::{IndexId, Table};
+pub use value::{AsCell, Cell, Value};

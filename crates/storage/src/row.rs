@@ -7,7 +7,7 @@
 //! owned copy, built at the API edge.
 
 use crate::error::{Result, StorageError};
-use crate::value::Value;
+use crate::value::{Cell, Value};
 use std::fmt;
 
 /// An immutable tuple of [`Value`]s: a boxed slice, two words plus payload.
@@ -36,6 +36,11 @@ impl Row {
     /// Borrow all values.
     pub fn values(&self) -> &[Value] {
         &self.0
+    }
+
+    /// The values as borrowed [`Cell`]s, the form tables take rows in.
+    pub fn cells(&self) -> Vec<Cell<'_>> {
+        self.0.iter().map(Value::as_cell).collect()
     }
 
     /// Take the values out of the row.

@@ -5,8 +5,9 @@
 //! dictionary-coded vectors of [`crate::heap`]; a row is a slot number
 //! there. The methods that hand out rows (`get`, `iter`, `scan`,
 //! `index_rows`, `get_by_key`, `delete`) materialize owned copies; `cell`,
-//! `row_ids` and `index_lookup` read in place. See `docs/execution.md`,
-//! "Heap and index layout".
+//! `row_ids`, `index_lookup` and `probe` read in place, and `insert_cells`,
+//! `copy_row` and `remove` write without a [`Row`] in between. See
+//! `docs/execution.md`, "Heap and index layout".
 
 use crate::column::ColumnSet;
 use crate::error::{Result, StorageError};
@@ -14,7 +15,7 @@ use crate::heap::Heap;
 use crate::index::{Index, IndexRid, RowId};
 use crate::row::Row;
 use crate::schema::{KeyMode, TableSchema};
-use crate::value::{Cell, Value};
+use crate::value::{AsCell, Cell, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,6 +71,12 @@ impl TableAccess {
         ]
     }
 }
+
+/// A secondary index of one table, resolved from its name once by
+/// [`Table::index_id`]. Indexes are never dropped, so an id stays good for
+/// the life of the table (and of its clones).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexId(usize);
 
 /// An in-memory table: a column heap of rows ([`crate::heap`]), an optional
 /// primary-key map (over the first column, per the paper's schema
@@ -169,12 +176,22 @@ impl Table {
         Ok(())
     }
 
-    fn check_arity(&self, row: &Row) -> Result<()> {
-        if row.arity() != self.schema.arity() {
+    fn check_arity(&self, got: usize) -> Result<()> {
+        if got != self.schema.arity() {
             return Err(StorageError::ArityMismatch {
                 table: self.schema.name().to_string(),
                 expected: self.schema.arity(),
-                got: row.arity(),
+                got,
+            });
+        }
+        Ok(())
+    }
+
+    fn check_column(&self, col: usize) -> Result<()> {
+        if col >= self.schema.arity() {
+            return Err(StorageError::ColumnOutOfRange {
+                index: col,
+                arity: self.schema.arity(),
             });
         }
         Ok(())
@@ -200,28 +217,72 @@ impl Table {
         }
     }
 
-    /// Insert a row, enforcing the primary-key constraint when the schema
-    /// declares one. Returns the new row's id: the slot of the row deleted
-    /// last, if one is free, else a new one. Ids of live rows never change.
-    /// A failed insert leaves the heap, the primary-key map and every index
-    /// as they were: every check runs before the first of them is touched.
+    /// Insert a row. [`Table::insert_cells`] on the row's values.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
-        self.check_arity(&row)?;
+        self.insert_cells(&row.cells())
+    }
+
+    /// Insert a row given as one cell per column, enforcing the primary-key
+    /// constraint when the schema declares one. Strings are shared with the
+    /// caller, not copied, and a string the column already holds costs no
+    /// reference count either. Returns the new row's id: the slot of the
+    /// row deleted last, if one is free, else a new one. Ids of live rows
+    /// never change. A failed insert leaves the heap, the primary-key map
+    /// and every index as they were: every check runs before the first of
+    /// them is touched.
+    pub fn insert_cells(&mut self, cells: &[Cell<'_>]) -> Result<RowId> {
+        self.check_arity(cells.len())?;
+        let rid = self.admit(cells.first().copied())?;
+        let slot = self.heap.insert_cells(cells);
+        self.index_new_row(rid, slot)
+    }
+
+    /// Insert a copy of the live row `src` in which the columns listed in
+    /// `overrides` hold the given cells (of two entries for one column the
+    /// first counts). Every other cell is copied the way the heap holds it
+    /// — a typed value or a dictionary code — so nothing is interned, boxed
+    /// or reference counted for it. Checks, result and failure behaviour
+    /// are those of [`Table::insert_cells`].
+    pub fn copy_row(&mut self, src: RowId, overrides: &[(usize, Cell<'_>)]) -> Result<RowId> {
+        if !self.heap.is_live(src) {
+            return Err(self.invalid_row_id(src));
+        }
+        for &(col, _) in overrides {
+            self.check_column(col)?;
+        }
+        let key = match overrides.iter().find(|&&(col, _)| col == 0) {
+            Some(&(_, cell)) => Some(cell.to_value()),
+            None => (self.schema.arity() > 0).then(|| self.heap.cell(src, 0).to_value()),
+        };
+        let rid = self.admit(key.as_ref().map(Value::as_cell))?;
+        let slot = self.heap.copy_row(src, overrides);
+        self.index_new_row(rid, slot)
+    }
+
+    /// Every check an insert makes, and the primary-key entry of the row
+    /// about to fill [`Heap::next_slot`], whose first cell is `key`.
+    fn admit(&mut self, key: Option<Cell<'_>>) -> Result<IndexRid> {
         let rid = self.index_rid(self.heap.next_slot())?;
         for idx in &self.indexes {
-            idx.check_arity(row.arity())?;
+            idx.check_arity(self.schema.arity())?;
         }
         if self.schema.key_mode() == KeyMode::PrimaryKey {
-            let key = row.get(0)?;
-            if self.pk.contains_key(key) {
+            let key = key.ok_or(StorageError::ColumnOutOfRange { index: 0, arity: 0 })?;
+            let key = key.to_value();
+            if self.pk.contains_key(&key) {
                 return Err(StorageError::DuplicateKey {
                     table: self.schema.name().to_string(),
                     key: format!("{key}"),
                 });
             }
-            self.pk.insert(key.clone(), rid as RowId);
+            self.pk.insert(key, rid as RowId);
         }
-        let slot = self.heap.insert(row);
+        Ok(rid)
+    }
+
+    /// Index the row the heap just stored in `slot`, the one [`Table::admit`]
+    /// announced as `rid`.
+    fn index_new_row(&mut self, rid: IndexRid, slot: usize) -> Result<RowId> {
         debug_assert_eq!(slot, rid as usize);
         for idx in &mut self.indexes {
             idx.insert(&self.heap, rid)?;
@@ -245,12 +306,7 @@ impl Table {
         if !self.heap.is_live(rid) {
             return Err(self.invalid_row_id(rid));
         }
-        if col >= self.schema.arity() {
-            return Err(StorageError::ColumnOutOfRange {
-                index: col,
-                arity: self.schema.arity(),
-            });
-        }
+        self.check_column(col)?;
         Ok(self.heap.cell(rid, col))
     }
 
@@ -259,6 +315,14 @@ impl Table {
         let row = self.get(rid)?;
         self.remove_live(rid)?;
         Ok(row)
+    }
+
+    /// Delete a row by id without materializing it.
+    pub fn remove(&mut self, rid: RowId) -> Result<()> {
+        if !self.heap.is_live(rid) {
+            return Err(self.invalid_row_id(rid));
+        }
+        self.remove_live(rid)
     }
 
     /// Drop the live row `rid` from the key map, every index and the heap,
@@ -328,20 +392,42 @@ impl Table {
         self.pk.get(key).copied()
     }
 
-    /// One probe of the named secondary index: the ids of the live rows
-    /// matching `key`. Read their cells with [`Table::cell`].
-    pub fn index_lookup<'a, 'k>(
-        &'a self,
-        index: &str,
-        key: &'k [Value],
-    ) -> Result<impl Iterator<Item = RowId> + use<'a, 'k>> {
-        let idx = self
-            .indexes
+    /// The handle of the named secondary index, for [`Table::probe`].
+    pub fn index_id(&self, index: &str) -> Result<IndexId> {
+        self.indexes
             .iter()
-            .find(|i| i.name() == index)
+            .position(|i| i.name() == index)
+            .map(IndexId)
             .ok_or_else(|| StorageError::NoSuchIndex {
                 table: self.schema.name().to_string(),
                 name: index.to_string(),
+            })
+    }
+
+    /// One probe of the named secondary index: [`Table::probe`] after
+    /// [`Table::index_id`].
+    pub fn index_lookup<'a, 'k, K: AsCell>(
+        &'a self,
+        index: &str,
+        key: &'k [K],
+    ) -> Result<impl Iterator<Item = RowId> + use<'a, 'k, K>> {
+        self.probe(self.index_id(index)?, key)
+    }
+
+    /// One probe of a secondary index: the ids of the live rows matching
+    /// `key`, which may be [`Value`]s or borrowed [`Cell`]s. Read their
+    /// cells with [`Table::cell`].
+    pub fn probe<'a, 'k, K: AsCell>(
+        &'a self,
+        index: IndexId,
+        key: &'k [K],
+    ) -> Result<impl Iterator<Item = RowId> + use<'a, 'k, K>> {
+        let idx = self
+            .indexes
+            .get(index.0)
+            .ok_or_else(|| StorageError::NoSuchIndex {
+                table: self.schema.name().to_string(),
+                name: format!("#{}", index.0),
             })?;
         TableAccess::bump(&self.access.index_probes, 1);
         Ok(idx.matches(&self.heap, key))
@@ -703,6 +789,68 @@ mod tests {
             .index_rows("by_name", &[Value::str("Imposter")])
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn failed_copy_leaves_heap_key_map_and_indexes_unchanged() {
+        let mut t = users();
+        t.create_index("by_name", &["name"]).unwrap();
+        let before = footprint(&t);
+        let src = t.rid_by_key(&Value::int(1)).unwrap();
+        // The copy keeps the key, the override names a column the schema
+        // lacks, the source is gone.
+        let dup = t.copy_row(src, &[(1, Cell::Null)]).unwrap_err();
+        assert!(matches!(dup, StorageError::DuplicateKey { .. }));
+        let range = t.copy_row(src, &[(0, Cell::Int(9)), (2, Cell::Null)]);
+        assert_eq!(
+            range.unwrap_err(),
+            StorageError::ColumnOutOfRange { index: 2, arity: 2 }
+        );
+        assert!(matches!(
+            t.copy_row(99, &[(0, Cell::Int(9))]),
+            Err(StorageError::InvalidRowId { .. })
+        ));
+        assert_eq!(footprint(&t), before);
+        assert!(t.get_by_key(&Value::int(9)).is_none());
+
+        // With a fresh key the copy goes through, name and all.
+        let rid = t.copy_row(src, &[(0, Cell::Int(9))]).unwrap();
+        assert_eq!(t.get(rid).unwrap(), row![9, "Alice"]);
+        assert_eq!(t.rid_by_key(&Value::int(9)), Some(rid));
+        let alice = [Value::str("Alice")];
+        assert_eq!(t.index_rows("by_name", &alice).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn rows_are_written_probed_and_removed_without_a_row() {
+        let mut t = Table::new(TableSchema::keyless("V", &["wid", "key", "e"]));
+        t.create_index("by_wid_key", &["wid", "key"]).unwrap();
+        let by_wid_key = t.index_id("by_wid_key").unwrap();
+        assert!(matches!(
+            t.index_id("by_key"),
+            Err(StorageError::NoSuchIndex { .. })
+        ));
+        let (s1, y) = (Value::str("s1"), Value::str("y"));
+        let a = t
+            .insert_cells(&[Cell::Int(1), s1.as_cell(), y.as_cell()])
+            .unwrap();
+        let b = t.copy_row(a, &[(0, Cell::Int(2))]).unwrap();
+        assert_eq!(t.get(b).unwrap(), row![2, "s1", "y"]);
+        assert!(matches!(
+            t.insert_cells(&[Cell::Int(1)]),
+            Err(StorageError::ArityMismatch { got: 1, .. })
+        ));
+
+        let key = [Cell::Int(2), s1.as_cell()];
+        assert_eq!(t.probe(by_wid_key, &key).unwrap().collect::<Vec<_>>(), [b]);
+        t.remove(b).unwrap();
+        assert_eq!(t.probe(by_wid_key, &key).unwrap().count(), 0);
+        assert!(matches!(
+            t.remove(b),
+            Err(StorageError::InvalidRowId { .. })
+        ));
+        let [.., probes, inserts, deletes, _, _] = t.access().snapshot();
+        assert_eq!((probes, inserts, deletes, t.len()), (2, 2, 1, 1));
     }
 
     #[test]

@@ -115,6 +115,14 @@ impl<'a> Cell<'a> {
         }
     }
 
+    /// Extract a boolean, if this cell holds one.
+    pub fn as_bool(self) -> Option<bool> {
+        match self {
+            Cell::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
     /// Materialize the cell (a reference-count bump for strings).
     pub fn to_value(self) -> Value {
         match self {
@@ -129,6 +137,24 @@ impl<'a> Cell<'a> {
 impl PartialEq<Value> for Cell<'_> {
     fn eq(&self, other: &Value) -> bool {
         *self == other.as_cell()
+    }
+}
+
+/// What an index key is made of: a [`Value`] a caller owns or a [`Cell`]
+/// borrowed from a table or a static, probed alike and without a copy.
+pub trait AsCell {
+    fn as_cell(&self) -> Cell<'_>;
+}
+
+impl AsCell for Value {
+    fn as_cell(&self) -> Cell<'_> {
+        Value::as_cell(self)
+    }
+}
+
+impl AsCell for Cell<'_> {
+    fn as_cell(&self) -> Cell<'_> {
+        *self
     }
 }
 

@@ -4,9 +4,11 @@
 # workload and seed, and print per metric both medians, the parent's
 # quartiles and how many pairs the change won.
 #
-#   scripts/bench-pairs.sh <parent-ref> <workload> [seed=42] [pairs=10] [counters]
+#   scripts/bench-pairs.sh <parent-ref> <workload|all> [seed=42] [pairs=10] [counters]
 #
-# With a fifth argument `counters`, one `--trace 1` run per side follows and
+# `all` runs every workload of BENCHMARK.json, one after the other off the
+# same pair of builds, and prints one table per workload. With a fifth
+# argument `counters`, one `--trace 1` run per side follows each series and
 # the program's deterministic counters are printed side by side.
 #
 # Everything lives under target/bench-pairs/ (ignored by git): the parent's
@@ -15,7 +17,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,14p' "$0" >&2
+    sed -n '2,16p' "$0" >&2
     exit 2
 fi
 parent_ref=$1
@@ -27,10 +29,14 @@ counters=${5:-}
 cd "$(git rev-parse --show-toplevel)"
 sha=$(git rev-parse --short "$parent_ref^{commit}")
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+if [ "$workload" = all ]; then
+    workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+else
+    workloads=$workload
+fi
 work=target/bench-pairs
 parent_src=$work/parent-$sha
-runs=$work/runs/$workload-$seed
-mkdir -p "$work" "$runs"
+mkdir -p "$work"
 
 if [ ! -d "$parent_src" ]; then
     mkdir -p "$parent_src.tmp"
@@ -53,14 +59,17 @@ run() { # side, output file, extra arguments
         --seconds "$seconds" "$@" >"$out" 2>&1 || echo "  $side run failed: $out" >&2
 }
 
-rm -f "$runs"/parent-*.txt "$runs"/change-*.txt
+for workload in $workloads; do
+runs=$work/runs/$workload-$seed
+mkdir -p "$runs"
+rm -f "$runs"/parent-*.txt "$runs"/change-*.txt "$runs"/traced-*.txt
 for i in $(seq 1 "$pairs"); do
     # A B, B A, A B, ...
     if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do
         run "$side" "$runs/$side-$i.txt" --trace 0
     done
-    echo "pair $i/$pairs done" >&2
+    echo "$workload: pair $i/$pairs done" >&2
 done
 if [ "$counters" = counters ]; then
     for side in parent change; do
@@ -145,3 +154,5 @@ if all(os.path.exists(p) for p in traced.values()):
             mark = "" if a.get(name) == b.get(name) else "   <-- differs"
             print(f"{name:34} {a.get(name, 'n/a'):>16} {b.get(name, 'n/a'):>16}{mark}")
 PY
+echo
+done

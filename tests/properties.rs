@@ -7,7 +7,11 @@
 //!   per (state, user) with `u ≠ last(w)`) and satisfies Thm. 17;
 //! * the store's structural invariants (`E(w,u) = dss(w·u)`,
 //!   `S(w) = dss(w[2,d])`, `D` depths) hold after arbitrary updates;
-//! * `|R*|` respects the size bound of Sect. 5.4.
+//! * `|R*|` respects the size bound of Sect. 5.4;
+//! * after *every* insert, delete or update, `V` holds exactly the closure
+//!   of the explicit statements — no stale row, no duplicate, the right
+//!   rows flagged explicit — and an update leaves what `delete` followed by
+//!   `insert` leaves.
 
 use beliefdb::core::closure::Closure;
 use beliefdb::core::{
@@ -352,6 +356,247 @@ proptest! {
         shadow_sorted.sort();
         prop_assert_eq!(store_stmts, shadow_sorted);
     }
+}
+
+/// One step of a random write workload. Deletes and updates aim at a
+/// statement the store holds three times out of four (the `usize` picks
+/// it), otherwise at the random one.
+#[derive(Debug, Clone)]
+enum Write {
+    Insert(BeliefStatement),
+    Delete(BeliefStatement, usize),
+    /// `Bdms::update` at the statement's path: its tuple becomes the one
+    /// with value `v<n>` and the same key.
+    Update(BeliefStatement, usize, u8),
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        3 => arb_statement().prop_map(Write::Insert),
+        2 => (arb_statement(), 0..64usize).prop_map(|(s, pick)| Write::Delete(s, pick)),
+        2 => (arb_statement(), 0..64usize, 0..4u8)
+            .prop_map(|(s, pick, v)| Write::Update(s, pick, v)),
+    ]
+}
+
+/// `random`, or three times out of four one of `held`.
+fn aim<'a>(
+    held: &'a [BeliefStatement],
+    random: &'a BeliefStatement,
+    pick: usize,
+) -> &'a BeliefStatement {
+    match held.len() {
+        0 => random,
+        _ if pick.is_multiple_of(4) => random,
+        n => &held[pick % n],
+    }
+}
+
+/// The tuple `stmt` is about with its value replaced by `v<val>`.
+fn revalued(stmt: &BeliefStatement, val: u8) -> GroundTuple {
+    let key = stmt.tuple.row[0].clone();
+    GroundTuple::new(RelId(0), row![key, format!("v{val}").as_str()])
+}
+
+/// Apply `write` to `bdms` and to the explicit statements `shadow` expected
+/// in it afterwards.
+fn apply(bdms: &mut Bdms, shadow: &mut Vec<BeliefStatement>, write: &Write) {
+    let stated = match write {
+        Write::Insert(stmt) => {
+            let outcome = bdms.insert_statement(stmt).unwrap();
+            outcome.accepted().then(|| stmt.clone())
+        }
+        Write::Delete(stmt, pick) => {
+            let stmt = aim(shadow, stmt, *pick).clone();
+            let present = bdms.delete_statement(&stmt).unwrap();
+            assert_eq!(present, shadow.contains(&stmt), "delete of {stmt}");
+            shadow.retain(|s| *s != stmt);
+            None
+        }
+        Write::Update(stmt, pick, val) => {
+            let stmt = aim(shadow, stmt, *pick).clone();
+            let old = BeliefStatement::positive(stmt.path.clone(), stmt.tuple.clone());
+            let new = BeliefStatement::positive(stmt.path.clone(), revalued(&stmt, *val));
+            let (old_row, new_row) = (old.tuple.row.clone(), new.tuple.row.clone());
+            let outcome = bdms
+                .update(stmt.path.clone(), RelId(0), old_row, new_row)
+                .unwrap();
+            shadow.retain(|s| *s != old);
+            outcome.accepted().then_some(new)
+        }
+    };
+    if let Some(stmt) = stated {
+        if !shadow.contains(&stmt) {
+            shadow.push(stmt);
+        }
+    }
+}
+
+/// `V` is exactly the closure of `shadow`, world by world: the entailed
+/// tuples, one row each, and the explicit flag on the stated ones.
+fn check_v_is_the_closure(
+    bdms: &Bdms,
+    shadow: &[BeliefStatement],
+    step: usize,
+) -> Result<(), TestCaseError> {
+    let mut logical = fresh_logical();
+    for stmt in shadow {
+        logical.insert_unchecked(stmt.clone()).unwrap();
+    }
+    prop_assert!(logical.is_consistent(), "shadow went inconsistent");
+    let mut cl = Closure::new(&logical);
+    let v = bdms.storage().table("V__S").unwrap();
+    let mut rows_seen = 0;
+    for (wid, p) in bdms.internal().directory().iter() {
+        let spec = cl.entailed_world(p).clone();
+        prop_assert_eq!(
+            &bdms.world(p).unwrap(),
+            &spec,
+            "step {}: world {} diverged",
+            step,
+            p
+        );
+        // World equality is set equality: a stale or doubled row hides
+        // behind it, the row count does not.
+        let rows = v.index_rows("by_wid", &[wid.value()]).unwrap();
+        prop_assert_eq!(rows.len(), spec.len(), "step {}: rows of world {}", step, p);
+        rows_seen += rows.len();
+        let mut flagged: Vec<BeliefStatement> = rows
+            .iter()
+            .filter(|r| r[4] == Value::str("y"))
+            .map(|r| {
+                let tid = beliefdb::core::Tid::from_value(&r[1]).unwrap();
+                let tuple = bdms.internal().tuple_of(RelId(0), tid).unwrap();
+                BeliefStatement::new(p.clone(), tuple, Sign::from_value(&r[3]).unwrap())
+            })
+            .collect();
+        flagged.sort();
+        let mut stated: Vec<BeliefStatement> =
+            shadow.iter().filter(|s| s.path == *p).cloned().collect();
+        stated.sort();
+        prop_assert_eq!(
+            &flagged,
+            &stated,
+            "step {}: explicit rows of world {}",
+            step,
+            p
+        );
+        prop_assert_eq!(bdms.explicit_statements_at(p).unwrap(), stated);
+    }
+    prop_assert_eq!(rows_seen, v.len(), "step {}: rows of no world", step);
+    Ok(())
+}
+
+/// Everything an update may touch, in an order that does not depend on
+/// which slots the rows landed in.
+fn store_image(
+    bdms: &Bdms,
+) -> (
+    Vec<beliefdb::storage::Row>,
+    Vec<beliefdb::storage::Row>,
+    Vec<BeliefPath>,
+) {
+    let sorted = |table: &str| {
+        let mut rows = bdms.storage().table(table).unwrap().scan();
+        rows.sort();
+        rows
+    };
+    let worlds = bdms
+        .internal()
+        .directory()
+        .iter()
+        .map(|(_, p)| p.clone())
+        .collect();
+    (sorted("V__S"), sorted("S__star"), worlds)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// After every single step of a random interleaving of inserts,
+    /// deletes and updates — worlds are created whenever a path is first
+    /// written to, before or after the worlds depending on it — `V` holds
+    /// the closure of the explicit statements and nothing else.
+    #[test]
+    fn every_step_leaves_v_exactly_the_closure(
+        writes in proptest::collection::vec(arb_write(), 1..40)
+    ) {
+        let mut bdms = fresh_bdms();
+        let mut shadow: Vec<BeliefStatement> = Vec::new();
+        for (step, write) in writes.iter().enumerate() {
+            apply(&mut bdms, &mut shadow, write);
+            check_v_is_the_closure(&bdms, &shadow, step)?;
+        }
+    }
+
+    /// `update` is `delete` then `insert`, walked once: same outcome, same
+    /// `V`, same `R*`, same worlds — whether the new tuple is inserted,
+    /// promoted, already stated or rejected.
+    #[test]
+    fn update_equals_delete_then_insert(
+        stmts in proptest::collection::vec(arb_statement(), 0..40),
+        target in arb_statement(),
+        pick in 0..64usize,
+        val in 0..4u8,
+    ) {
+        let target = aim(&stmts, &target, pick);
+        let mut once = fresh_bdms();
+        let mut twice = fresh_bdms();
+        for stmt in &stmts {
+            once.insert_statement(stmt).unwrap();
+            twice.insert_statement(stmt).unwrap();
+        }
+        let (old, new) = (target.tuple.clone(), revalued(target, val));
+        let outcome = once
+            .update(target.path.clone(), RelId(0), old.row.clone(), new.row.clone())
+            .unwrap();
+        twice
+            .delete(target.path.clone(), RelId(0), old.row, Sign::Pos)
+            .unwrap();
+        let expected = twice
+            .insert(target.path.clone(), RelId(0), new.row, Sign::Pos)
+            .unwrap();
+        prop_assert_eq!(outcome, expected);
+        prop_assert_eq!(store_image(&once), store_image(&twice));
+        prop_assert_eq!(once.stats(), twice.stats());
+    }
+}
+
+/// The update whose new tuple the gate rejects still withdraws the old
+/// one, here and in the dependent worlds.
+#[test]
+fn rejected_update_still_propagates_the_retraction() {
+    let alice = BeliefPath::new(vec![UserId(1)]).unwrap();
+    let bob_alice = BeliefPath::new(vec![UserId(2), UserId(1)]).unwrap();
+    let crow = GroundTuple::new(RelId(0), row!["k0", "crow"]);
+    let raven = GroundTuple::new(RelId(0), row!["k0", "raven"]);
+    let mut bdms = fresh_bdms();
+    for stmt in [
+        BeliefStatement::positive(alice.clone(), crow.clone()),
+        BeliefStatement::negative(alice.clone(), raven.clone()),
+        // Bob's view of Alice exists and inherits both.
+        BeliefStatement::positive(
+            bob_alice.clone(),
+            GroundTuple::new(RelId(0), row!["k1", "owl"]),
+        ),
+    ] {
+        assert!(bdms.insert_statement(&stmt).unwrap().changed());
+    }
+    let inherited = BeliefStatement::positive(bob_alice, crow.clone());
+    assert!(bdms.entails(&inherited).unwrap());
+
+    let outcome = bdms
+        .update(alice.clone(), RelId(0), crow.row.clone(), raven.row.clone())
+        .unwrap();
+    assert_eq!(outcome, beliefdb::core::internal::InsertOutcome::Rejected);
+    assert!(!bdms
+        .entails(&BeliefStatement::positive(alice.clone(), crow))
+        .unwrap());
+    assert!(!bdms.entails(&inherited).unwrap());
+    assert_eq!(
+        bdms.explicit_statements_at(&alice).unwrap(),
+        vec![BeliefStatement::negative(alice, raven)]
+    );
 }
 
 /// Deterministic regression cases distilled from earlier failures and edge

@@ -1,0 +1,60 @@
+//! Write-amplification guard: what Algorithms 2–4 cost `V` per tuple it
+//! ends up holding.
+//!
+//! Every annotation is paid for in Alg. 4's dependent-world loop and Alg. 2's
+//! world copy, so the two numbers that matter on the write path are how
+//! often `V`'s indexes are probed and how many rows are written (inserted
+//! or deleted) for each tuple `V` finally holds. Both are counts the tables
+//! keep themselves (`Table::access()`), repeat exactly for a seed and do
+//! not depend on the machine. This test builds the Table 2 store and
+//! bounds them, so the write path cannot go back to re-reading and
+//! re-writing slices unnoticed.
+//!
+//! History of the same store (n = 10,000, seed 42, 789,836 rows of `V`):
+//!
+//! | | probes per tuple | writes per tuple |
+//! |---|---|---|
+//! | every slice re-read twice, rewritten whole when it changed | 2.069 | 1.187 |
+//! | one walk per statement, parent slices from memory, delta applied | 0.715 | 1.073 |
+//!
+//! The probe budget is the second row + 10 %. Writes get 1.10: what is left
+//! above 1.0 is rows that a later statement overrides, and a tenth more of
+//! the measured value would let the first row's 1.187 back in.
+
+use beliefdb::gen::generate_bdms;
+use beliefdb::gen::scenarios::table2_config;
+
+/// Upper bound on `V` index probes per final `V` tuple.
+const MAX_PROBES_PER_TUPLE: f64 = 0.79;
+/// Upper bound on `V` rows inserted or deleted per final `V` tuple.
+const MAX_WRITES_PER_TUPLE: f64 = 1.10;
+
+#[test]
+fn table2_store_is_built_within_the_probe_and_write_budgets() {
+    let (bdms, report) = generate_bdms(&table2_config(10_000, 42)).unwrap();
+    let v = bdms.storage().table("V__S").unwrap();
+    let [_, _, probes, inserts, deletes, ..] = v.access().snapshot();
+    let tuples = v.len() as f64;
+    assert!(
+        report.accepted >= 10_000 && v.len() > 20 * report.accepted,
+        "not the Table 2 store: {report:?}, {} rows of V",
+        v.len()
+    );
+    assert_eq!(inserts - deletes, v.len() as u64, "every write is counted");
+
+    let probes_per_tuple = probes as f64 / tuples;
+    let writes_per_tuple = (inserts + deletes) as f64 / tuples;
+    println!(
+        "{} rows of V: {probes} probes ({probes_per_tuple:.3} per tuple), \
+         {inserts} inserts + {deletes} deletes ({writes_per_tuple:.3} per tuple)",
+        v.len()
+    );
+    assert!(
+        probes_per_tuple <= MAX_PROBES_PER_TUPLE,
+        "{probes_per_tuple:.3} index probes per V tuple, budget {MAX_PROBES_PER_TUPLE}"
+    );
+    assert!(
+        writes_per_tuple <= MAX_WRITES_PER_TUPLE,
+        "{writes_per_tuple:.3} row writes per V tuple, budget {MAX_WRITES_PER_TUPLE}"
+    );
+}
