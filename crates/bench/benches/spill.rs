@@ -4,10 +4,11 @@
 //! Four plans over the fanout-4 join schema — full sort, high-
 //! cardinality aggregate, distinct, wide join — each run at budgets ∞
 //! (identical code path to the unbudgeted executor; the <5% regression
-//! guard), ½·input, and ⅒·input (the ≤3× slowdown acceptance bar,
-//! asserted by the `spill_harness_runs_and_meets_the_slowdown_bar`
-//! test; here the cells are just timed). The budgeted executor is
-//! asserted to agree with the in-memory one before anything is timed.
+//! guard), ½·input, and ⅒·input (the ≤3× slowdown acceptance bar; the
+//! `spill_harness_runs_and_spills_under_a_budget` test prints the
+//! slowdowns and asserts only that every budgeted run spilled). The
+//! budgeted executor is asserted to agree with the in-memory one before
+//! anything is timed.
 
 use beliefdb_bench::{exec_streaming_db, spill_budget, spill_plans};
 use beliefdb_storage::{execute, Executor, SpillOptions};

@@ -11,6 +11,11 @@
 //! | `U` | `uid, name` | `uid` |
 //! | `V__{R}` | `wid, tid, key, s, e` | multiset, index `(wid, key)` |
 //! | `E` | `wid1, uid, wid2` | multiset, index `(wid1, uid)` |
+//!
+//! `V` and `E` carry that one index each. The storage engine groups an
+//! index by its first column, so the same index answers the slice probe
+//! `(wid, key)` of Alg. 4, the whole-world probe `(wid)` of world dumps and
+//! of Alg. 2 line 9, and the `(wid1)` hops of the `E*` walk.
 //! | `D` | `wid, d` | `wid` |
 //! | `S` | `wid1, wid2` | `wid1` |
 //!
@@ -26,7 +31,7 @@
 //! * `insertTuple` is implemented as Algorithm 4 *reformulated per key
 //!   slice and applied as a delta*: an insert, delete or update of key `k`
 //!   at world `w` walks `w` and its dependent worlds (those having `w` as
-//!   proper suffix) once, in ascending depth order, derives each world's
+//!   proper suffix) once, each after its suffix parent, derives each world's
 //!   new `(world, k)` slice from its explicit tuples plus the new slice of
 //!   its suffix parent (`S`) — kept in memory for the statement, not read
 //!   back — and writes only the difference: rows that disappeared are
@@ -37,6 +42,14 @@
 //!   tuple after its parent chain changed (the formal spec, Def. 9, always
 //!   wins; see `slices.rs`). Deletes and updates are the same walk, which
 //!   is why they "follow a similar semantics as inserts" (Sect. 5.3).
+//! * Alg. 2 line 9 (a new world starts as the implicit copy of its suffix
+//!   parent) is one group copy per relation: `V`'s rows of the parent are
+//!   duplicated under the new `wid` inside the table, and their index run
+//!   is cloned rather than rebuilt (`Table::copy_group`).
+//! * The suffix-parent relation `S` has an in-memory mirror in the world
+//!   directory, with the children of every world: the dependents of a
+//!   world are its subtree there, and propagation reads parents from it
+//!   instead of from the `S` table, which stays as what queries read.
 //! * Worlds are never destroyed by deletes; a state with an empty explicit
 //!   world is transparent (its entailed world equals its suffix-parent's),
 //!   so keeping it does not change any query answer.
@@ -112,18 +125,15 @@ pub const E_TABLE: &str = "E";
 pub const D_TABLE: &str = "D";
 pub const S_TABLE: &str = "S";
 
-/// Index name on every `V__{R}` table covering `(wid, key)`.
+/// Index name on every `V__{R}` table covering `(wid, key)`: slices by the
+/// full key, whole worlds (Alg. 2 line 9, world dumps) by `wid` alone.
 pub const V_BY_WID_KEY: &str = "by_wid_key";
-/// Index name on every `V__{R}` table covering `(wid)` — used when copying
-/// a whole world (Alg. 2 line 9) and for world dumps.
-pub const V_BY_WID: &str = "by_wid";
-/// Index name on `E` covering `(wid1, uid)`.
+/// Index name on `E` covering `(wid1, uid)`: one edge by the full key, the
+/// hops of the `E*` walk by `wid1` alone.
 pub const E_BY_SRC_USER: &str = "by_src_user";
-/// Index name on `E` covering `(wid1)` — the hop lookups of the `E*` walk.
-pub const E_BY_SRC: &str = "by_src";
 
 /// The two internal tables of one external relation, by name, and the
-/// handles of `V__{R}`'s indexes.
+/// handle of `V__{R}`'s index.
 pub(crate) struct RelTables {
     /// `{R}__star`.
     pub(crate) star: String,
@@ -131,8 +141,6 @@ pub(crate) struct RelTables {
     pub(crate) v: String,
     /// [`V_BY_WID_KEY`] of `V__{R}`.
     pub(crate) by_wid_key: IndexId,
-    /// [`V_BY_WID`] of `V__{R}`.
-    pub(crate) by_wid: IndexId,
 }
 
 /// The table names of `rel`. A free function over the field, so a caller
@@ -193,19 +201,16 @@ impl InternalStore {
                 &["wid", "tid", "key", "s", "e"],
             ))?;
             vt.create_index(V_BY_WID_KEY, &["wid", "key"])?;
-            vt.create_index(V_BY_WID, &["wid"])?;
             rel_tables.push(RelTables {
                 star,
                 v,
                 by_wid_key: vt.index_id(V_BY_WID_KEY)?,
-                by_wid: vt.index_id(V_BY_WID)?,
             });
         }
 
         db.create_table(TableSchema::with_key(U_TABLE, &["uid", "name"]))?;
         let e = db.create_table(TableSchema::keyless(E_TABLE, &["wid1", "uid", "wid2"]))?;
         e.create_index(E_BY_SRC_USER, &["wid1", "uid"])?;
-        e.create_index(E_BY_SRC, &["wid1"])?;
         db.create_table(TableSchema::with_key(D_TABLE, &["wid", "d"]))?;
         db.create_table(TableSchema::with_key(S_TABLE, &["wid1", "wid2"]))?;
 
@@ -410,7 +415,7 @@ impl InternalStore {
         let mut world = BeliefWorld::new();
         for (rel, names) in self.rel_ids().zip(&self.rel_tables) {
             let vt = self.db.table(&names.v)?;
-            for rid in vt.probe(names.by_wid, &[wid.cell()])? {
+            for rid in vt.probe(names.by_wid_key, &[wid.cell()])? {
                 let entry = slices::slice_entry(vt, rid)?;
                 world.add(self.tuple_of(rel, entry.tid)?, entry.sign);
             }

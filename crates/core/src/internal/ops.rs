@@ -213,7 +213,7 @@ impl InternalStore {
         let mut out = Vec::new();
         for (rel, names) in self.rel_ids().zip(&self.rel_tables) {
             let vt = self.db.table(&names.v)?;
-            for rid in vt.probe(names.by_wid, &[wid.cell()])? {
+            for rid in vt.probe(names.by_wid_key, &[wid.cell()])? {
                 let entry = slice_entry(vt, rid)?;
                 if entry.explicit {
                     out.push(BeliefStatement::new(

@@ -12,8 +12,9 @@
 //! (`S`) contributes every tuple consistent with them — the overriding
 //! union of Thm. 17(2a), restricted to one key.
 //! [`InternalStore::propagate`] runs it once per statement over `w` and
-//! its dependents in ascending depth order. A dependent's suffix parent is
-//! `w` or a shallower dependent, so its new slice was derived earlier in
+//! its dependents — the subtree below `w` in the world directory's suffix
+//! tree, every world after its suffix parent. A dependent's suffix parent
+//! is `w` or another dependent, so its new slice was derived earlier in
 //! the same walk and is taken from memory; the stored slice is read once
 //! and only its difference to the derived one is written.
 //!
@@ -128,11 +129,11 @@ impl InternalStore {
         if wid == Wid::ROOT {
             return Ok(Vec::new());
         }
-        self.read_slice(rel, self.suffix_parent(wid)?, key)
+        self.read_slice(rel, self.dir.suffix_parent(wid), key)
     }
 
     /// Bring the `(·, key)` slices of the world at `path` and of every
-    /// dependent world up to date, in ascending depth order (Alg. 4's
+    /// dependent world up to date, every world after its suffix parent (Alg. 4's
     /// propagation loop, lines 8–14). `rows` is the stored slice of the
     /// world at `path`, with its explicit rows as the statement leaves
     /// them, and `inherited` the slice of its suffix parent if the caller
@@ -152,10 +153,6 @@ impl InternalStore {
             .expect("world must exist before propagation");
         let mut worlds = vec![wid];
         worlds.extend(self.dir.dependents(path));
-        let parents = worlds
-            .iter()
-            .map(|&x| self.suffix_parent(x))
-            .collect::<Result<Vec<Wid>>>()?;
 
         // The derived slices of this statement, back to back, and where
         // each world's is. No dependent of `w` is the suffix parent of `w`,
@@ -165,12 +162,13 @@ impl InternalStore {
             None => self.parent_slice(rel, wid, key)?,
         };
         let mut derived: HashMap<Wid, Range<usize>> = HashMap::with_capacity(worlds.len() + 1);
-        derived.insert(parents[0], 0..arena.len());
+        derived.insert(self.dir.suffix_parent(wid), 0..arena.len());
 
         let names = rel_names(&self.rel_tables, rel)?;
         let by_wid_key = names.by_wid_key;
         let vt = self.db.table_mut(&names.v)?;
-        for (&x, parent) in worlds.iter().zip(parents) {
+        for x in worlds {
+            let parent = self.dir.suffix_parent(x);
             if x != wid {
                 rows = slice_rows(vt, by_wid_key, x, key)?;
             }

@@ -5,18 +5,26 @@ use super::{InternalStore, D_TABLE, E_TABLE, S_TABLE};
 use crate::error::Result;
 use crate::ids::Wid;
 use crate::path::BeliefPath;
-use beliefdb_storage::{Row, RowId, Value};
+use beliefdb_storage::{Row, Value};
 use std::collections::HashMap;
 
-/// Bidirectional mapping `wid ↔ belief path`.
+/// Bidirectional mapping `wid ↔ belief path`, and the suffix tree of the
+/// worlds.
 ///
-/// This mirrors what the `E` and `D` relations encode (a path is the label
-/// sequence of forward edges from the root); keeping it in memory turns
-/// Algorithm 3's `E*`-join-plus-MAX query into a suffix walk.
+/// This mirrors what the `E`, `D` and `S` relations encode (a path is the
+/// label sequence of forward edges from the root; `S` maps a world to its
+/// suffix parent); keeping it in memory turns Algorithm 3's
+/// `E*`-join-plus-MAX query into a suffix walk and Algorithm 4's
+/// dependent-world query into a subtree walk.
 #[derive(Debug, Clone, Default)]
 pub struct WorldDirectory {
     paths: Vec<BeliefPath>,
     ids: HashMap<BeliefPath, Wid>,
+    /// `S`: the suffix parent of every world, the deepest state whose path
+    /// is a proper suffix of its own. The root is its own.
+    suffix_parents: Vec<Wid>,
+    /// The worlds a world is the suffix parent of, ascending.
+    children: Vec<Vec<Wid>>,
 }
 
 impl WorldDirectory {
@@ -24,10 +32,38 @@ impl WorldDirectory {
         WorldDirectory::default()
     }
 
-    /// Register a new world; ids are dense starting at 0 (the root).
+    /// Register a new world; ids are dense starting at 0 (the root). The
+    /// world takes its place in the suffix tree: below the deepest state
+    /// its path ends in, and above those of that state's children whose
+    /// paths end in the new one — they are [`WorldDirectory::children`] of
+    /// the new world afterwards.
     pub(crate) fn insert(&mut self, path: BeliefPath) -> Wid {
         debug_assert!(!self.ids.contains_key(&path), "world already exists");
         let wid = Wid(self.paths.len() as u32);
+        let mut adopted = Vec::new();
+        let parent = if path.is_root() {
+            wid
+        } else {
+            // A world the new one slides in under had the same suffix
+            // parent until now: no state was in between.
+            let parent = self.dss(&path.drop_first());
+            let siblings = &mut self.children[parent.0 as usize];
+            let paths = &self.paths;
+            siblings.retain(|&z| {
+                let below = path.is_proper_suffix_of(&paths[z.0 as usize]);
+                if below {
+                    adopted.push(z);
+                }
+                !below
+            });
+            siblings.push(wid);
+            parent
+        };
+        for &z in &adopted {
+            self.suffix_parents[z.0 as usize] = wid;
+        }
+        self.suffix_parents.push(parent);
+        self.children.push(adopted);
         self.ids.insert(path.clone(), wid);
         self.paths.push(path);
         wid
@@ -72,17 +108,36 @@ impl WorldDirectory {
         unreachable!("root world always exists")
     }
 
-    /// Dependent worlds of `w`: states having `w` as *proper* suffix, in
-    /// ascending depth order. An insert at `w` must be re-examined at
-    /// exactly these worlds (Alg. 4 line 8).
+    /// The suffix parent of a world (`S`); the root's is the root.
+    pub fn suffix_parent(&self, wid: Wid) -> Wid {
+        self.suffix_parents[wid.0 as usize]
+    }
+
+    /// The worlds whose suffix parent is `wid`, ascending.
+    pub fn children(&self, wid: Wid) -> &[Wid] {
+        &self.children[wid.0 as usize]
+    }
+
+    /// Dependent worlds of `w`: states having `w` as *proper* suffix, every
+    /// one after its suffix parent. An insert at `w` must be re-examined at
+    /// exactly these worlds (Alg. 4 line 8). They are the subtree below
+    /// `w` in the suffix tree — for a `w` that is no state, the subtrees of
+    /// those children of `dss(w)` whose paths end in `w`.
     pub fn dependents(&self, path: &BeliefPath) -> Vec<Wid> {
-        let mut deps: Vec<(usize, Wid)> = self
+        let base = self.dss(path);
+        let is_state = self.path(base).depth() == path.depth();
+        let mut deps: Vec<Wid> = self
+            .children(base)
             .iter()
-            .filter(|(_, p)| path.is_proper_suffix_of(p))
-            .map(|(wid, p)| (p.depth(), wid))
+            .copied()
+            .filter(|&child| is_state || path.is_proper_suffix_of(self.path(child)))
             .collect();
-        deps.sort_unstable();
-        deps.into_iter().map(|(_, w)| w).collect()
+        let mut walked = 0;
+        while let Some(&world) = deps.get(walked) {
+            deps.extend(self.children(world));
+            walked += 1;
+        }
+        deps
     }
 }
 
@@ -164,25 +219,15 @@ impl InternalStore {
         // and repoint S of worlds whose suffix parent is now x. Repointing
         // needs no content rebuild: x was just created with exactly the
         // entailed content of the old parent chain.
-        let s_parent = self.dir.dss(&path.drop_first());
-        self.db
-            .table_mut(S_TABLE)?
-            .insert(Row::new(vec![x.value(), s_parent.value()]))?;
-        let repoint: Vec<Wid> = self
-            .dir
-            .iter()
-            .filter(|(z, z_path)| *z != x && path.is_suffix_of(&z_path.drop_first()))
-            .map(|(z, _)| z)
-            .collect();
-        for z in repoint {
-            let current = self.suffix_parent(z)?;
-            if self.dir.path(current).depth() < d {
-                let s = self.db.table_mut(S_TABLE)?;
-                if let Some(rid) = s.rid_by_key(&z.value()) {
-                    s.delete(rid)?;
-                }
-                s.insert(Row::new(vec![z.value(), x.value()]))?;
+        // The directory found both when it registered x.
+        let s_parent = self.dir.suffix_parent(x);
+        let s = self.db.table_mut(S_TABLE)?;
+        s.insert(Row::new(vec![x.value(), s_parent.value()]))?;
+        for z in self.dir.children(x) {
+            if let Some(rid) = s.rid_by_key(&z.value()) {
+                s.delete(rid)?;
             }
+            s.insert(Row::new(vec![z.value(), x.value()]))?;
         }
 
         // (7) copy the suffix parent's tuples into x as implicit beliefs.
@@ -215,32 +260,18 @@ impl InternalStore {
         }
     }
 
-    /// The `S` parent of a world (None for the root).
-    pub(crate) fn suffix_parent(&self, wid: Wid) -> Result<Wid> {
-        if wid == Wid::ROOT {
-            return Ok(Wid::ROOT);
-        }
-        let s = self.db.table(S_TABLE)?;
-        match s.rid_by_key(&wid.value()) {
-            Some(rid) => Ok(Wid::from_cell(s.cell(rid, 1)?).expect("wid column")),
-            None => Ok(Wid::ROOT),
-        }
-    }
-
     /// Copy every `V` row of `from` into `to` with `e = 'n'` (Alg. 2
     /// line 9: a new world starts with the implicit content of its suffix
-    /// parent). Rows are copied inside the table: `tid`, `key` and `s` keep
-    /// their stored form.
+    /// parent). One group copy per relation: `tid`, `key` and `s` keep
+    /// their stored form, and the index run of `from` is cloned for `to`.
     fn copy_world_as_implicit(&mut self, from: Wid, to: Wid) -> Result<()> {
         if from == to {
             return Ok(());
         }
+        let implicit = [(0, to.cell()), (4, super::explicit_cell(false))];
         for names in &self.rel_tables {
             let vt = self.db.table_mut(&names.v)?;
-            let rows: Vec<RowId> = vt.probe(names.by_wid, &[from.cell()])?.collect();
-            for rid in rows {
-                vt.copy_row(rid, &[(0, to.cell()), (4, super::explicit_cell(false))])?;
-            }
+            vt.copy_group(names.by_wid_key, &[from.cell()], &implicit)?;
         }
         Ok(())
     }
@@ -289,24 +320,51 @@ mod tests {
     }
 
     #[test]
-    fn directory_dependents_sorted_by_depth() {
+    fn directory_dependents_follow_the_suffix_tree() {
         let mut dir = WorldDirectory::new();
         dir.insert(BeliefPath::root());
         let w1 = dir.insert(path(&[1]));
         let w21 = dir.insert(path(&[2, 1]));
         let w321 = dir.insert(path(&[3, 2, 1]));
         let w2 = dir.insert(path(&[2]));
-        // dependents of ε: every other world, shallow first.
-        let deps = dir.dependents(&BeliefPath::root());
-        assert_eq!(deps.len(), 4);
-        assert_eq!(deps[0], w1); // depth 1 worlds first (w1 inserted before w2)
-        assert!(deps.contains(&w2));
-        assert_eq!(*deps.last().unwrap(), w321);
+        // dependents of ε: every other world, each after its suffix parent.
+        assert_eq!(dir.dependents(&BeliefPath::root()), vec![w1, w2, w21, w321]);
         // dependents of [1]: 2·1 and 3·2·1, not [1] itself.
         assert_eq!(dir.dependents(&path(&[1])), vec![w21, w321]);
         // dependents of [2·1]: 3·2·1.
         assert_eq!(dir.dependents(&path(&[2, 1])), vec![w321]);
         assert!(dir.dependents(&path(&[3, 2, 1])).is_empty());
+        // A path that is no state: what ends in it, below its `dss`.
+        assert_eq!(dir.dependents(&path(&[3, 2])), vec![]);
+        assert_eq!(dir.dependents(&path(&[3])), vec![]);
+        let w13 = dir.insert(path(&[1, 3]));
+        let w213 = dir.insert(path(&[2, 1, 3]));
+        assert_eq!(dir.dependents(&path(&[3])), vec![w13, w213]);
+    }
+
+    #[test]
+    fn a_new_world_slides_in_under_its_suffix_parent() {
+        let mut dir = WorldDirectory::new();
+        let root = dir.insert(BeliefPath::root());
+        let w321 = dir.insert(path(&[3, 2, 1]));
+        let w421 = dir.insert(path(&[4, 2, 1]));
+        let w31 = dir.insert(path(&[3, 1]));
+        assert_eq!(dir.suffix_parent(root), root);
+        assert_eq!(dir.children(root), [w321, w421, w31]);
+        // [1] takes all three from the root, [2·1] two of them from [1].
+        let w1 = dir.insert(path(&[1]));
+        assert_eq!(dir.children(root), [w1]);
+        assert_eq!(dir.children(w1), [w321, w421, w31]);
+        let w21 = dir.insert(path(&[2, 1]));
+        assert_eq!(dir.children(w1), [w31, w21]);
+        assert_eq!(dir.children(w21), [w321, w421]);
+        assert_eq!(dir.suffix_parent(w321), w21);
+        assert_eq!(dir.suffix_parent(w31), w1);
+        assert_eq!(dir.suffix_parent(w21), w1);
+        assert_eq!(
+            dir.dependents(&BeliefPath::root()),
+            vec![w1, w31, w21, w321, w421]
+        );
     }
 
     #[test]
@@ -359,15 +417,15 @@ mod tests {
         let (u1, _u2) = (UserId(1), UserId(2));
         // Before: dss(1) = ε.
         assert_eq!(store.edge_target(root, u1).unwrap(), root);
-        assert_eq!(store.suffix_parent(w21).unwrap(), root);
+        assert_eq!(store.dir.suffix_parent(w21), root);
 
         let w1 = store.ensure_world(&path(&[1])).unwrap();
         // Root's 1-edge now reaches the new world.
         assert_eq!(store.edge_target(root, u1).unwrap(), w1);
         // S(2·1) repointed to the deeper suffix parent [1].
-        assert_eq!(store.suffix_parent(w21).unwrap(), w1);
+        assert_eq!(store.dir.suffix_parent(w21), w1);
         // S(1) = root.
-        assert_eq!(store.suffix_parent(w1).unwrap(), root);
+        assert_eq!(store.dir.suffix_parent(w1), root);
     }
 
     #[test]
@@ -395,13 +453,9 @@ mod tests {
         let w21 = store.ensure_world(&path(&[2, 1])).unwrap();
         let w321 = store.ensure_world(&path(&[3, 2, 1])).unwrap();
         let w1 = store.dir.get(&path(&[1])).unwrap();
+        assert_eq!(store.dir.suffix_parent(w21), w1, "S(2·1) = dss(1) = [1]");
         assert_eq!(
-            store.suffix_parent(w21).unwrap(),
-            w1,
-            "S(2·1) = dss(1) = [1]"
-        );
-        assert_eq!(
-            store.suffix_parent(w321).unwrap(),
+            store.dir.suffix_parent(w321),
             w21,
             "S(3·2·1) = dss(2·1) = [2·1]"
         );

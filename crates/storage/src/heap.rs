@@ -365,6 +365,42 @@ impl Heap {
         slot
     }
 
+    /// Store copies of the live rows in the slots `src`, as
+    /// [`Heap::copy_row`] would one by one but column by column, and return
+    /// their slots: ascending, the n-th holding the copy of `src[n]`. Free
+    /// slots are used up before the heap grows.
+    pub(crate) fn copy_rows(
+        &mut self,
+        src: &[usize],
+        overrides: &[(usize, Cell<'_>)],
+    ) -> Vec<IndexRid> {
+        let reused = self.free.len().min(src.len());
+        let mut slots = self.free.split_off(self.free.len() - reused);
+        slots.sort_unstable();
+        // `Table::copy_group` admits the batch only if these numbers fit.
+        slots.extend(
+            (self.slots()..)
+                .take(src.len() - reused)
+                .map(|s| s as IndexRid),
+        );
+        for &slot in &slots {
+            self.live.put(slot as usize, true);
+        }
+        self.live_rows += src.len();
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            match overrides.iter().find(|(over, _)| *over == c) {
+                Some(&(_, v)) => slots.iter().for_each(|&slot| col.write(slot as usize, v)),
+                None => {
+                    for (&from, &slot) in src.iter().zip(&slots) {
+                        debug_assert!(self.live.get(from));
+                        col.copy_within(from, slot as usize);
+                    }
+                }
+            }
+        }
+        slots
+    }
+
     /// Mark [`Heap::next_slot`] live; the caller fills every column of it.
     fn take_slot(&mut self) -> usize {
         let slot = self.next_slot();

@@ -1,8 +1,8 @@
 //! Model-based property test of the column heap: random insert /
-//! `insert_cells` / `copy_row` / delete / `delete_by_index_where` / get /
-//! iterate / `columnar()` sequences on a [`Table`] against a
-//! `Vec<Option<Row>>` of slots with a free list, once with the real index
-//! hasher and once with every key in one bucket.
+//! `insert_cells` / `copy_row` / `copy_group` / delete /
+//! `delete_by_index_where` / get / iterate / `columnar()` sequences on a
+//! [`Table`] against a `Vec<Option<Row>>` of slots with a free list, once
+//! with the real index hasher and once with every key in one group.
 //!
 //! The columns cover what a heap column can go through: one stays `Int`,
 //! one is `Bool` or NULL, one is a string or NULL, one takes every value
@@ -12,7 +12,7 @@
 
 use crate::column::ColumnSet;
 use crate::heap::Heap;
-use crate::index::{CollideAll, Index, IndexRid, RowId};
+use crate::index::{tag_of_cells, CollideAll, Index, IndexRid, RowId};
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::table::Table;
@@ -33,6 +33,11 @@ enum Op {
     /// be demoted), the NULL-only `late` column its first value, and the
     /// copy lands in a reused slot whenever one is free.
     CopyRow(usize, Vec<(usize, Value)>),
+    /// `copy_group` on `(any, s)` of the rows with this `any`, or on `i` of
+    /// the rows with the n-th live row's `i`, with these columns
+    /// overridden: the copies fill the free slots, lowest first, in index
+    /// order.
+    CopyGroup(Option<Value>, usize, Vec<(usize, Value)>),
     /// Delete the n-th live row (modulo the live count).
     Delete(usize),
     /// `delete_by_index_where` on `(any, s)`, keeping rows whose `i` is odd.
@@ -83,6 +88,8 @@ fn op() -> impl Strategy<Value = Op> {
         4 => row().prop_map(Op::Insert),
         2 => row().prop_map(Op::InsertCells),
         3 => ((0usize..64), overrides()).prop_map(|(n, over)| Op::CopyRow(n, over)),
+        2 => (prop_oneof![any_value().prop_map(Some), Just(None)], 0usize..64, overrides())
+            .prop_map(|(any, n, over)| Op::CopyGroup(any, n, over)),
         3 => (0usize..64).prop_map(Op::Delete),
         1 => (any_value(), or_null(string())).prop_map(|(a, s)| Op::DeleteEvenByKey(a, s)),
         1 => (0usize..48).prop_map(Op::Get),
@@ -124,6 +131,40 @@ impl Model {
             .map(|(_, row)| cols.iter().map(|&c| row[c].clone()).collect())
             .collect()
     }
+
+    /// The rows holding `key` — all of `cols` or the first alone — in the
+    /// order an index over `cols` lists them: by the tag of the remaining
+    /// indexed cells, then by row id.
+    fn sequence(&self, cols: &[usize], key: &[Value]) -> Vec<RowId> {
+        let mut hits: Vec<(u32, RowId)> = self
+            .live()
+            .filter(|(_, r)| cols.iter().zip(key).all(|(&c, k)| r[c] == *k))
+            .map(|(rid, r)| (tag_of_cells(cols[1..].iter().map(|&c| r[c].as_cell())), rid))
+            .collect();
+        hits.sort_unstable();
+        hits.into_iter().map(|(_, rid)| rid).collect()
+    }
+
+    /// Copies of the rows `src` with `over` applied (of two entries for one
+    /// column the first counts), stored the way `Heap::copy_rows` does:
+    /// the free slots taken last-freed first but filled lowest first, then
+    /// new ones.
+    fn copy_rows(&mut self, src: &[RowId], over: &[(usize, Value)]) -> Vec<RowId> {
+        let reused = self.free.len().min(src.len());
+        let mut slots = self.free.split_off(self.free.len() - reused);
+        slots.sort_unstable();
+        slots.extend((self.slots.len()..).take(src.len() - reused));
+        self.slots
+            .resize(self.slots.len() + src.len() - reused, None);
+        for (&from, &slot) in src.iter().zip(&slots) {
+            let mut copy = self.slots[from].clone().expect("live row").into_values();
+            for (col, v) in over.iter().rev() {
+                copy[*col] = v.clone();
+            }
+            self.slots[slot] = Some(Row::new(copy));
+        }
+        slots
+    }
 }
 
 fn check(t: &Table, model: &Model) -> Result<(), TestCaseError> {
@@ -154,17 +195,15 @@ fn check(t: &Table, model: &Model) -> Result<(), TestCaseError> {
 
     for (index, cols) in [("by_any_s", &BY_ANY_S[..]), ("by_i", &[0][..])] {
         let keys = model.keys(cols);
+        let firsts = model.keys(&cols[..1]);
         let stats = t.index_stats();
-        let (_, _, distinct) = stats.iter().find(|s| s.0 == index).unwrap();
-        prop_assert_eq!(*distinct, keys.len(), "distinct keys of {}", index);
-        for key in &keys {
-            let hits: BTreeSet<RowId> = t.index_lookup(index, key).unwrap().collect();
-            let want: BTreeSet<RowId> = model
-                .live()
-                .filter(|(_, r)| cols.iter().zip(key).all(|(&c, k)| r[c] == *k))
-                .map(|(rid, _)| rid)
-                .collect();
-            prop_assert_eq!(hits, want, "{} {:?}", index, key);
+        let distinct = |cols: &[usize]| stats.iter().find(|s| s.0 == index && s.1 == cols);
+        prop_assert_eq!(distinct(cols).unwrap().2, keys.len(), "keys of {}", index);
+        let (.., groups) = distinct(&cols[..1]).unwrap();
+        prop_assert_eq!(*groups, firsts.len(), "first-column values of {}", index);
+        for key in keys.iter().chain(&firsts) {
+            let hits: Vec<RowId> = t.index_lookup(index, key).unwrap().collect();
+            prop_assert_eq!(hits, model.sequence(cols, key), "{} {:?}", index, key);
         }
     }
     Ok(())
@@ -200,6 +239,23 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
                 let rid = t.copy_row(src, &cells).unwrap();
                 prop_assert_eq!(rid, model.insert(Row::new(copy)), "slot of the copy");
                 prop_assert_eq!(&t.get(rid).unwrap(), model.slots[rid].as_ref().unwrap());
+            }
+            Op::CopyGroup(any, n, over) => {
+                let live: Vec<&Row> = model.live().map(|(_, row)| row).collect();
+                let (index, cols, key) = match (any, live.get(n % live.len().max(1))) {
+                    (Some(any), _) => ("by_any_s", &BY_ANY_S[..], any.clone()),
+                    (None, Some(row)) => ("by_i", &[0][..], row[0].clone()),
+                    (None, None) => continue,
+                };
+                let src = model.sequence(cols, std::slice::from_ref(&key));
+                let cells: Vec<(usize, Cell<'_>)> =
+                    over.iter().map(|(col, v)| (*col, v.as_cell())).collect();
+                let index = t.index_id(index).unwrap();
+                prop_assert_eq!(t.copy_group(index, &[key], &cells).unwrap(), src.len());
+                for rid in model.copy_rows(&src, over) {
+                    prop_assert_eq!(&t.get(rid).unwrap(), model.slots[rid].as_ref().unwrap());
+                }
+                check(&t, &model)?;
             }
             Op::Delete(n) => {
                 let live: Vec<RowId> = model.live().map(|(rid, _)| rid).collect();
@@ -269,15 +325,14 @@ fn run_cleared_slots(ops: &[Op]) -> Result<(), TestCaseError> {
                 let row = model.delete(rid);
                 let key: Vec<Value> = BY_ANY_S.iter().map(|&c| row[c].clone()).collect();
                 heap.remove(rid);
-                let hits: BTreeSet<RowId> = idx.matches(&heap, &key).collect();
-                let want: BTreeSet<RowId> = model
-                    .live()
-                    .filter(|(_, r)| BY_ANY_S.iter().zip(&key).all(|(&c, k)| r[c] == *k))
-                    .map(|(rid, _)| rid)
-                    .collect();
-                prop_assert_eq!(hits, want, "cleared slot {} under {:?}", rid, key);
+                for key in [&key[..], &key[..1]] {
+                    let hits: Vec<RowId> = idx.matches(&heap, key).collect();
+                    let want = model.sequence(&BY_ANY_S, key);
+                    prop_assert_eq!(hits, want, "cleared slot {} under {:?}", rid, key);
+                }
                 idx.remove(&heap, rid as IndexRid).unwrap();
                 prop_assert_eq!(idx.distinct_keys(), model.keys(&BY_ANY_S).len());
+                prop_assert_eq!(idx.distinct_firsts(), model.keys(&BY_ANY_S[..1]).len());
             }
             _ => {}
         }
@@ -407,4 +462,72 @@ fn copies_override_demote_and_reuse_slots() {
     let key = [Value::int(2), Value::str("s1")];
     let hits: Vec<RowId> = t.index_lookup("by_w_k", &key).unwrap().collect();
     assert_eq!(hits, vec![copy, typed]);
+}
+
+/// The group copies a random case may or may not reach, spelled out: into
+/// a table with free slots (lowest first, the rest appended, in index
+/// order), with an override that demotes its column, and over a second
+/// index that is not the one copied by.
+#[test]
+fn group_copies_reuse_slots_and_demote() {
+    let mut t = Table::new(TableSchema::keyless("T", &["w", "k", "flag"]));
+    t.create_index("by_w_k", &["w", "k"]).unwrap();
+    t.create_index("by_flag", &["flag"]).unwrap();
+    let by_w_k = t.index_id("by_w_k").unwrap();
+    let row =
+        |w: i64, k: &str, flag: &str| Row::new([Value::int(w), Value::str(k), Value::str(flag)]);
+    for k in ["a", "b", "c", "d", "e"] {
+        t.insert(row(1, k, "y")).unwrap();
+    }
+    // Slots 3 and 1 are free, in that order.
+    t.delete(3).unwrap();
+    t.delete(1).unwrap();
+    let source: Vec<RowId> = t
+        .index_lookup("by_w_k", &[Value::int(1)])
+        .unwrap()
+        .collect();
+    assert_eq!(source.len(), 3);
+
+    let n = Value::str("n");
+    let over = [(0, Cell::Int(2)), (2, n.as_cell())];
+    assert_eq!(t.copy_group(by_w_k, &[Cell::Int(1)], &over).unwrap(), 3);
+    let copies: Vec<RowId> = t
+        .index_lookup("by_w_k", &[Value::int(2)])
+        .unwrap()
+        .collect();
+    assert_eq!(copies, [1, 3, 5], "free slots lowest first, then a new one");
+    for (&copy, &from) in copies.iter().zip(&source) {
+        let key = t.get(from).unwrap()[1].clone();
+        assert_eq!(
+            t.get(copy).unwrap(),
+            Row::new([Value::int(2), key, n.clone()])
+        );
+    }
+    assert_eq!(t.slots(), 6);
+    let flagged = |flag: &str| t.index_rows("by_flag", &[Value::str(flag)]).unwrap().len();
+    assert_eq!((flagged("y"), flagged("n")), (3, 3));
+
+    // The integer column takes a string: demoted, the copies hold the
+    // string and the sources their integers.
+    let w = Value::str("two");
+    assert_eq!(
+        t.copy_group(by_w_k, &[Cell::Int(2)], &[(0, w.as_cell())])
+            .unwrap(),
+        3
+    );
+    let demoted = t.index_rows("by_w_k", std::slice::from_ref(&w)).unwrap();
+    assert_eq!(demoted.len(), 3);
+    assert!(demoted.iter().all(|r| r[0] == w && r[2] == n));
+    assert_eq!(t.index_rows("by_w_k", &[Value::int(2)]).unwrap().len(), 3);
+    let rows = t.scan();
+    let refs: Vec<&Row> = rows.iter().collect();
+    assert_eq!(*t.columnar(), ColumnSet::from_rows(3, &refs));
+    assert_eq!(
+        t.index_stats(),
+        [
+            ("by_w_k", &[0, 1][..], 9),
+            ("by_w_k", &[0][..], 3),
+            ("by_flag", &[2][..], 2)
+        ]
+    );
 }

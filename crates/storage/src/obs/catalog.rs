@@ -153,7 +153,7 @@ pub fn tables_table() -> Arc<dyn VirtualTable> {
                         Value::str(name),
                         uint(t.len() as u64),
                         uint(t.schema().arity() as u64),
-                        uint(t.index_stats().len() as u64),
+                        uint(t.index_count() as u64),
                         uint(t.version()),
                         uint(seq),
                         uint(read),

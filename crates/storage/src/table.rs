@@ -6,8 +6,13 @@
 //! there. The methods that hand out rows (`get`, `iter`, `scan`,
 //! `index_rows`, `get_by_key`, `delete`) materialize owned copies; `cell`,
 //! `row_ids`, `index_lookup` and `probe` read in place, and `insert_cells`,
-//! `copy_row` and `remove` write without a [`Row`] in between. See
-//! `docs/execution.md`, "Heap and index layout".
+//! `copy_row`, `copy_group` and `remove` write without a [`Row`] in
+//! between.
+//!
+//! A secondary index ([`crate::index`]) groups the rows by its first
+//! column, so one index over `(a, b)` answers probes for `(a, b)` and for
+//! `a` alone, and [`Table::copy_group`] copies all rows of one `a` at once.
+//! See `docs/execution.md`, "Heap and index layout".
 
 use crate::column::ColumnSet;
 use crate::error::{Result, StorageError};
@@ -45,6 +50,12 @@ pub struct TableAccess {
     /// Columnar-transpose cache rebuilds (a proxy for mutation churn on
     /// scanned tables).
     pub transpose_rebuilds: AtomicU64,
+    /// Secondary-index entries written: one per index for every row
+    /// inserted or deleted. Not part of [`TableAccess::snapshot`].
+    pub index_writes: AtomicU64,
+    /// Rows inserted by [`Table::copy_group`] (counted in `inserts` too).
+    /// Not part of [`TableAccess::snapshot`].
+    pub group_copied: AtomicU64,
 }
 
 impl TableAccess {
@@ -57,8 +68,8 @@ impl TableAccess {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Snapshot all counters as `(seq_scans, rows_read, index_probes,
-    /// inserts, deletes, updates, transpose_rebuilds)`.
+    /// Snapshot the counters `sys.tables` shows as `(seq_scans, rows_read,
+    /// index_probes, inserts, deletes, updates, transpose_rebuilds)`.
     pub fn snapshot(&self) -> [u64; 7] {
         [
             Self::get(&self.seq_scans),
@@ -80,7 +91,7 @@ pub struct IndexId(usize);
 
 /// An in-memory table: a column heap of rows ([`crate::heap`]), an optional
 /// primary-key map (over the first column, per the paper's schema
-/// convention), and any number of secondary hash indexes.
+/// convention), and any number of secondary indexes.
 ///
 /// Rows are not stored as [`Row`]s. [`Table::get`], [`Table::iter`],
 /// [`Table::index_rows`], [`Table::get_by_key`], [`Table::scan`] and
@@ -152,7 +163,8 @@ impl Table {
         self.heap.slots()
     }
 
-    /// Create a secondary hash index over the named columns.
+    /// Create a secondary index over the named columns, grouped by the
+    /// first: it serves probes for all of them and for the first alone.
     pub fn create_index(&mut self, name: &str, columns: &[&str]) -> Result<()> {
         if self.indexes.iter().any(|i| i.name() == name) {
             return Err(StorageError::IndexExists {
@@ -287,9 +299,79 @@ impl Table {
         for idx in &mut self.indexes {
             idx.insert(&self.heap, rid)?;
         }
-        self.version += 1;
-        TableAccess::bump(&self.access.inserts, 1);
+        self.note_inserts(1);
         Ok(rid as RowId)
+    }
+
+    /// Count `rows` inserted rows, indexed everywhere.
+    fn note_inserts(&mut self, rows: usize) {
+        self.version += rows as u64;
+        TableAccess::bump(&self.access.inserts, rows as u64);
+        let entries = rows * self.indexes.len();
+        TableAccess::bump(&self.access.index_writes, entries as u64);
+    }
+
+    /// Insert a copy of every live row matching `key` on `index` — a key
+    /// [`Table::probe`] accepts — in which the columns listed in
+    /// `overrides` hold the given cells: [`Table::copy_row`] applied to a
+    /// group. The heap copies column by column, and when `key` is the
+    /// index's first column alone and `overrides` changes that column and
+    /// no other indexed one, the index clones the group's run instead of
+    /// placing row after row. Returns the number of rows copied; they fill
+    /// the free slots first. Counts as one index probe. Every check runs
+    /// before the first change, as for [`Table::insert_cells`].
+    pub fn copy_group<K: AsCell>(
+        &mut self,
+        index: IndexId,
+        key: &[K],
+        overrides: &[(usize, Cell<'_>)],
+    ) -> Result<usize> {
+        let src: Vec<RowId> = self.probe(index, key)?.collect();
+        for &(col, _) in overrides {
+            self.check_column(col)?;
+        }
+        for idx in &self.indexes {
+            idx.check_arity(self.schema.arity())?;
+        }
+        let fresh = src
+            .len()
+            .saturating_sub(self.heap.slots() - self.heap.len());
+        if fresh > 0 {
+            self.index_rid(self.heap.slots() + fresh - 1)?;
+        }
+        if let (KeyMode::PrimaryKey, Some(&first)) = (self.schema.key_mode(), src.first()) {
+            // A copy keeps its source's key or shares the overriding one
+            // with every other copy.
+            let over = overrides.iter().find(|&&(col, _)| col == 0);
+            match over.map(|&(_, cell)| cell.to_value()) {
+                Some(key) if src.len() == 1 && !self.pk.contains_key(&key) => {
+                    self.pk.insert(key, self.heap.next_slot());
+                }
+                taken => {
+                    let key = taken.unwrap_or_else(|| self.heap.cell(first, 0).to_value());
+                    return Err(StorageError::DuplicateKey {
+                        table: self.schema.name().to_string(),
+                        key: format!("{key}"),
+                    });
+                }
+            }
+        }
+        let copies = self.heap.copy_rows(&src, overrides);
+        for (i, idx) in self.indexes.iter_mut().enumerate() {
+            match key {
+                [from] if i == index.0 => {
+                    idx.insert_copies(&self.heap, from, &copies, overrides)?
+                }
+                _ => {
+                    for &rid in &copies {
+                        idx.insert(&self.heap, rid)?;
+                    }
+                }
+            }
+        }
+        self.note_inserts(copies.len());
+        TableAccess::bump(&self.access.group_copied, copies.len() as u64);
+        Ok(copies.len())
     }
 
     /// Fetch a live row by id (materialized; see [`Table::cell`]).
@@ -338,6 +420,7 @@ impl Table {
         self.heap.remove(rid);
         self.version += 1;
         TableAccess::bump(&self.access.deletes, 1);
+        TableAccess::bump(&self.access.index_writes, self.indexes.len() as u64);
         Ok(())
     }
 
@@ -415,8 +498,12 @@ impl Table {
     }
 
     /// One probe of a secondary index: the ids of the live rows matching
-    /// `key`, which may be [`Value`]s or borrowed [`Cell`]s. Read their
-    /// cells with [`Table::cell`].
+    /// `key`, which may be [`Value`]s or borrowed [`Cell`]s and covers
+    /// every indexed column or the first alone (any other length matches
+    /// nothing). The ids come in the index's `(tag, row id)` order: the
+    /// same for the same rows whatever the order they were written in, and
+    /// ascending among the rows of one full key. Read their cells with
+    /// [`Table::cell`].
     pub fn probe<'a, 'k, K: AsCell>(
         &'a self,
         index: IndexId,
@@ -433,12 +520,21 @@ impl Table {
         Ok(idx.matches(&self.heap, key))
     }
 
-    /// Rows matching `key` on the named secondary index, materialized.
+    /// Rows matching `key` on the named secondary index, materialized, in
+    /// slot order rather than index order: the heap's column vectors are
+    /// read front to back, and what an executor builds from the rows (join
+    /// sides, the relations a cached plan embeds) keeps the locality of the
+    /// order they were written in. The rows of one full key are in slot
+    /// order as the index lists them; those of a group are sorted here.
     pub fn index_rows(&self, index: &str, key: &[Value]) -> Result<Vec<Row>> {
-        Ok(self
-            .index_lookup(index, key)?
-            .map(|rid| self.heap.row(rid))
-            .collect())
+        let id = self.index_id(index)?;
+        let rids = self.probe(id, key)?;
+        if key.len() == self.indexes[id.0].columns().len() {
+            return Ok(rids.map(|rid| self.heap.row(rid)).collect());
+        }
+        let mut rids: Vec<RowId> = rids.collect();
+        rids.sort_unstable();
+        Ok(rids.into_iter().map(|rid| self.heap.row(rid)).collect())
     }
 
     /// Ids of the live rows, ascending. Read their cells with
@@ -476,12 +572,12 @@ impl Table {
         set
     }
 
-    /// True iff the table has an index with this exact column list.
+    /// The index a probe for exactly this column list goes to: one over
+    /// these columns in this order, else one whose first column this is.
     pub fn has_index_on(&self, cols: &[usize]) -> Option<&str> {
-        self.indexes
-            .iter()
-            .find(|i| i.columns() == cols)
-            .map(|i| i.name())
+        let exact = self.indexes.iter().find(|i| i.columns() == cols);
+        let prefix = || self.indexes.iter().find(|i| i.columns()[..1] == *cols);
+        exact.or_else(prefix).map(|i| i.name())
     }
 
     /// Monotone mutation counter (insert/delete), used by the optimizer's
@@ -490,14 +586,25 @@ impl Table {
         self.version
     }
 
-    /// Per-index statistics: `(name, columns, distinct keys)`. Distinct-key
-    /// counts are maintained incrementally by insert/delete, so this is
-    /// O(#indexes).
+    /// Number of secondary indexes.
+    pub fn index_count(&self) -> usize {
+        self.indexes.len()
+    }
+
+    /// Per-index statistics: `(name, columns, distinct keys)` for every
+    /// index, followed for an index over several columns by `(name, first
+    /// column, distinct values)` — the two probe shapes it serves. Both
+    /// counts are exact and maintained incrementally by insert/delete, so
+    /// this is O(#indexes).
     pub fn index_stats(&self) -> Vec<(&str, &[usize], usize)> {
-        self.indexes
-            .iter()
-            .map(|i| (i.name(), i.columns(), i.distinct_keys()))
-            .collect()
+        let mut stats = Vec::with_capacity(2 * self.indexes.len());
+        for i in &self.indexes {
+            stats.push((i.name(), i.columns(), i.distinct_keys()));
+            if i.columns().len() > 1 {
+                stats.push((i.name(), &i.columns()[..1], i.distinct_firsts()));
+            }
+        }
+        stats
     }
 
     /// Estimated bytes of the column heap, from the widths of its column
@@ -508,29 +615,29 @@ impl Table {
         self.heap.approx_bytes()
     }
 
-    /// Estimated bytes of all secondary indexes, from their entry and
-    /// row-id counts.
+    /// Estimated bytes of all secondary indexes, from their row and group
+    /// counts.
     pub fn index_bytes(&self) -> usize {
-        self.indexes
-            .iter()
-            .map(|idx| idx.approx_bytes(self.heap.len()))
-            .sum()
+        self.indexes.iter().map(Index::approx_bytes).sum()
     }
 
-    /// Find an index over exactly this *set* of columns (order-insensitive).
-    /// Returns the index name and its column order, which callers must use
-    /// when assembling lookup keys.
+    /// Find an index serving probes on this *set* of columns
+    /// (order-insensitive): one over exactly these columns, else one whose
+    /// first column is the only column asked for. Returns the index name
+    /// and the column order of the key to probe it with.
     pub fn find_index_for(&self, cols: &[usize]) -> Option<(&str, &[usize])> {
         let mut want: Vec<usize> = cols.to_vec();
         want.sort_unstable();
-        self.indexes
-            .iter()
-            .find(|i| {
-                let mut have: Vec<usize> = i.columns().to_vec();
-                have.sort_unstable();
-                have == want
-            })
-            .map(|i| (i.name(), i.columns()))
+        let exact = self.indexes.iter().find(|i| {
+            let mut have: Vec<usize> = i.columns().to_vec();
+            have.sort_unstable();
+            have == want
+        });
+        let prefix = || {
+            let first = self.indexes.iter().find(|i| i.columns()[..1] == *cols)?;
+            Some((first.name(), &first.columns()[..1]))
+        };
+        exact.map(|i| (i.name(), i.columns())).or_else(prefix)
     }
 }
 
@@ -713,6 +820,41 @@ mod tests {
     }
 
     #[test]
+    fn an_index_serves_its_first_column_alone() {
+        let mut t = Table::new(TableSchema::keyless("V", &["wid", "tid", "key"]));
+        t.create_index("by_wid_key", &["wid", "key"]).unwrap();
+        for (wid, tid, key) in [(1, 10, "s1"), (1, 11, "s2"), (2, 10, "s1")] {
+            t.insert(row![wid, tid, key]).unwrap();
+        }
+        assert_eq!(t.has_index_on(&[0]), Some("by_wid_key"));
+        assert_eq!(t.has_index_on(&[2]), None);
+        assert_eq!(t.find_index_for(&[0]), Some(("by_wid_key", &[0][..])));
+        assert_eq!(t.find_index_for(&[2, 0]), Some(("by_wid_key", &[0, 2][..])));
+        assert_eq!(t.find_index_for(&[2]), None);
+        // Both probe shapes have their statistics row, both exact.
+        assert_eq!(
+            t.index_stats(),
+            [("by_wid_key", &[0, 2][..], 3), ("by_wid_key", &[0][..], 2)]
+        );
+        assert_eq!(t.index_count(), 1);
+        assert_eq!(
+            t.index_rows("by_wid_key", &[Value::int(1)]).unwrap().len(),
+            2
+        );
+        assert_eq!(
+            t.delete_by_index("by_wid_key", &[Value::int(1)]).unwrap(),
+            2
+        );
+        assert_eq!(t.scan(), [row![2, 10, "s1"]]);
+
+        // An index over exactly the column goes first.
+        t.create_index("by_wid", &["wid"]).unwrap();
+        assert_eq!(t.has_index_on(&[0]), Some("by_wid"));
+        assert_eq!(t.find_index_for(&[0]), Some(("by_wid", &[0][..])));
+        assert_eq!(t.index_stats().len(), 3);
+    }
+
+    #[test]
     fn columnar_cache_tracks_versions_and_skips_dead_rows() {
         let mut t = users();
         let first = t.columnar();
@@ -754,9 +896,11 @@ mod tests {
     }
 
     /// Everything a failed insert must leave alone.
-    fn footprint(t: &Table) -> (usize, usize, u64, Vec<usize>, usize) {
+    fn footprint(t: &Table) -> (usize, usize, u64, Vec<usize>, usize, u64) {
         let distinct = t.index_stats().iter().map(|s| s.2).collect();
-        (t.len(), t.pk.len(), t.version(), distinct, t.index_bytes())
+        let written = TableAccess::get(&t.access.index_writes);
+        let bytes = t.index_bytes();
+        (t.len(), t.pk.len(), t.version(), distinct, bytes, written)
     }
 
     #[test]
@@ -819,6 +963,131 @@ mod tests {
         assert_eq!(t.rid_by_key(&Value::int(9)), Some(rid));
         let alice = [Value::str("Alice")];
         assert_eq!(t.index_rows("by_name", &alice).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn failed_copy_group_leaves_heap_key_map_and_indexes_unchanged() {
+        let mut t = users();
+        t.create_index("by_name", &["name"]).unwrap();
+        let by_name = t.index_id("by_name").unwrap();
+        t.insert(row![4, "Alice"]).unwrap();
+        let before = footprint(&t);
+        let alice = [Value::str("Alice")];
+
+        // Two copies would share the overriding key, one copy keeps its
+        // own, the key is taken, the override names a column the schema
+        // lacks, the handle is of another table.
+        let shared = t.copy_group(by_name, &alice, &[(0, Cell::Int(9))]);
+        assert!(matches!(shared, Err(StorageError::DuplicateKey { .. })));
+        let bob = [Value::str("Bob")];
+        let kept = t.copy_group(by_name, &bob, &[(1, Cell::Null)]);
+        assert!(matches!(kept, Err(StorageError::DuplicateKey { .. })));
+        let taken = t.copy_group(by_name, &bob, &[(0, Cell::Int(3))]);
+        assert!(matches!(taken, Err(StorageError::DuplicateKey { .. })));
+        let range = t.copy_group(by_name, &bob, &[(0, Cell::Int(9)), (2, Cell::Null)]);
+        assert_eq!(
+            range.unwrap_err(),
+            StorageError::ColumnOutOfRange { index: 2, arity: 2 }
+        );
+        assert!(matches!(
+            t.copy_group(IndexId(5), &bob, &[(0, Cell::Int(9))]),
+            Err(StorageError::NoSuchIndex { .. })
+        ));
+        // ... or an index refuses the rows, after the heap and the key map
+        // would have taken them.
+        t.indexes.push(Index::new("broken", vec![7]));
+        let broken = t.copy_group(by_name, &bob, &[(0, Cell::Int(9))]);
+        assert_eq!(
+            broken.unwrap_err(),
+            StorageError::ColumnOutOfRange { index: 7, arity: 2 }
+        );
+        t.indexes.pop();
+        assert_eq!(footprint(&t), before);
+        assert!(t.get_by_key(&Value::int(9)).is_none());
+
+        // A key nobody holds copies nothing; one row with a fresh key goes
+        // through, name and all.
+        let nobody = [Value::str("Zoe")];
+        assert_eq!(t.copy_group(by_name, &nobody, &[]).unwrap(), 0);
+        assert_eq!(footprint(&t), before);
+        assert_eq!(
+            t.copy_group(by_name, &bob, &[(0, Cell::Int(9))]).unwrap(),
+            1
+        );
+        assert_eq!(t.get_by_key(&Value::int(9)).unwrap(), row![9, "Bob"]);
+        assert_eq!(t.index_rows("by_name", &bob).unwrap().len(), 2);
+        assert_eq!(t.version(), before.2 + 1);
+    }
+
+    #[test]
+    fn a_group_is_copied_in_one_call() {
+        let mut t = Table::new(TableSchema::keyless("V", &["wid", "key", "e"]));
+        t.create_index("by_wid_key", &["wid", "key"]).unwrap();
+        let by_wid_key = t.index_id("by_wid_key").unwrap();
+        for key in ["s1", "s2", "s3", "s2"] {
+            t.insert(row![1, key, "y"]).unwrap();
+        }
+        t.insert(row![2, "s1", "y"]).unwrap();
+        let n = Value::str("n");
+        let implicit = [(0, Cell::Int(3)), (2, n.as_cell())];
+        // A world's rows in index order.
+        let world = |t: &Table, wid: i64| -> Vec<Row> {
+            let key = [Cell::Int(wid)];
+            let rids: Vec<RowId> = t.probe(by_wid_key, &key).unwrap().collect();
+            rids.into_iter().map(|rid| t.get(rid).unwrap()).collect()
+        };
+
+        assert_eq!(
+            t.copy_group(by_wid_key, &[Cell::Int(1)], &implicit)
+                .unwrap(),
+            4
+        );
+        let [.., probes, inserts, _, _, _] = t.access().snapshot();
+        assert_eq!((probes, inserts), (1, 9), "a group copy is one probe");
+        let copy = world(&t, 3);
+        let source = world(&t, 1);
+        assert_eq!(copy.len(), 4);
+        for (copy, source) in copy.iter().zip(&source) {
+            // Same keys in the same order: the run was cloned.
+            assert_eq!(copy, &row![3, source[1].clone(), "n"]);
+        }
+        let key = [Value::int(3), Value::str("s2")];
+        let pair: Vec<RowId> = t.index_lookup("by_wid_key", &key).unwrap().collect();
+        assert_eq!(pair.len(), 2);
+        assert!(pair[0] < pair[1]);
+        assert_eq!(
+            t.index_stats(),
+            [("by_wid_key", &[0, 1][..], 7), ("by_wid_key", &[0][..], 3)]
+        );
+
+        // Into a world that exists, and onto itself: row by row, same
+        // result.
+        assert_eq!(
+            t.copy_group(by_wid_key, &[Cell::Int(2)], &implicit)
+                .unwrap(),
+            1
+        );
+        assert_eq!(world(&t, 3).len(), 5);
+        assert_eq!(t.copy_group(by_wid_key, &[Cell::Int(2)], &[]).unwrap(), 1);
+        assert_eq!(world(&t, 2), [row![2, "s1", "y"], row![2, "s1", "y"]]);
+        // A full key copies its slice.
+        let slice = [Value::int(1), Value::str("s2")];
+        assert_eq!(
+            t.copy_group(by_wid_key, &slice, &[(0, Cell::Int(4))])
+                .unwrap(),
+            2
+        );
+        assert_eq!(world(&t, 4), [row![4, "s2", "y"], row![4, "s2", "y"]]);
+        assert_eq!(
+            t.index_stats(),
+            [("by_wid_key", &[0, 1][..], 8), ("by_wid_key", &[0][..], 4)]
+        );
+
+        let [.., inserts, deletes, _, _] = t.access().snapshot();
+        assert_eq!((inserts, deletes, t.len()), (13, 0, 13));
+        assert_eq!(TableAccess::get(&t.access.group_copied), 8);
+        assert_eq!(TableAccess::get(&t.access.index_writes), 13);
+        assert_eq!(t.version(), 1 + 13);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 # `all` runs every workload of BENCHMARK.json, one after the other off the
 # same pair of builds, and prints one table per workload. With a fifth
 # argument `counters`, one `--trace 1` run per side follows each series and
-# the program's deterministic counters are printed side by side.
+# the program's deterministic counters are printed side by side — and, for
+# table1_ingest, the ten `ops.cell_s.*` timings of those two runs.
 #
 # Everything lives under target/bench-pairs/ (ignored by git): the parent's
 # files (a `git archive` of the commit, so .git is not touched), one cargo
@@ -17,7 +18,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,16p' "$0" >&2
+    sed -n '2,17p' "$0" >&2
     exit 2
 fi
 parent_ref=$1
@@ -153,6 +154,14 @@ if all(os.path.exists(p) for p in traced.values()):
         if name in a or name in b:
             mark = "" if a.get(name) == b.get(name) else "   <-- differs"
             print(f"{name:34} {a.get(name, 'n/a'):>16} {b.get(name, 'n/a'):>16}{mark}")
+    # table1_ingest times each cell of the Table 1 grid: the wide worlds
+    # (m = 100, shallow) are where an index layout that moves entries shows.
+    cells = [name for name in a if name.startswith("ops.cell_s.") and a[name] and b.get(name)]
+    if cells:
+        print("\ntimed cells of the same two runs (s; one sample a side, not a pair series):")
+        for name in cells:
+            delta = f"{(b[name] - a[name]) / a[name] * 100:+.1f}%"
+            print(f"{name:34} {a[name]:16.6g} {b[name]:16.6g} {delta:>8}")
 PY
 echo
 done

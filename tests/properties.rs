@@ -6,7 +6,8 @@
 //! * the canonical Kripke structure is deterministic (exactly one successor
 //!   per (state, user) with `u ≠ last(w)`) and satisfies Thm. 17;
 //! * the store's structural invariants (`E(w,u) = dss(w·u)`,
-//!   `S(w) = dss(w[2,d])`, `D` depths) hold after arbitrary updates;
+//!   `S(w) = dss(w[2,d])`, `D` depths) hold after arbitrary updates, and
+//!   the directory's suffix tree mirrors `S` under any creation order;
 //! * `|R*|` respects the size bound of Sect. 5.4;
 //! * after *every* insert, delete or update, `V` holds exactly the closure
 //!   of the explicit statements — no stale row, no duplicate, the right
@@ -212,6 +213,59 @@ proptest! {
             let row = s.get_by_key(&wid.value()).unwrap();
             let target = beliefdb::core::Wid::from_value(&row[1]).unwrap();
             prop_assert_eq!(dir.dss(&path.drop_first()), target);
+        }
+    }
+
+    /// The directory's suffix tree under random creation orders — worlds
+    /// slide in above, below and between existing ones: after every
+    /// statement `suffix_parent` is the `S` row, `children` is its inverse,
+    /// and `dependents` lists what the suffix test over all worlds finds,
+    /// for states and for paths that are none, each world after its suffix
+    /// parent.
+    #[test]
+    fn the_directory_knows_its_suffix_tree(
+        stmts in proptest::collection::vec(arb_statement(), 1..40),
+        probes in proptest::collection::vec(arb_statement(), 0..12),
+    ) {
+        let mut bdms = fresh_bdms();
+        for stmt in &stmts {
+            let _ = bdms.insert_statement(stmt).unwrap();
+            let dir = bdms.internal().directory();
+            let s = bdms.storage().table("S").unwrap();
+            for (wid, path) in dir.iter() {
+                let parent = dir.suffix_parent(wid);
+                match s.get_by_key(&wid.value()) {
+                    Some(row) => prop_assert_eq!(&row[1], &parent.value(), "S({})", path),
+                    None => prop_assert!(path.is_root() && parent == wid),
+                }
+                let children: Vec<_> = dir
+                    .iter()
+                    .filter(|&(z, p)| !p.is_root() && dir.suffix_parent(z) == wid)
+                    .map(|(z, _)| z)
+                    .collect();
+                prop_assert_eq!(dir.children(wid), &children[..], "children of {}", path);
+            }
+            let states = dir.iter().map(|(_, p)| p.clone());
+            let others = probes.iter().map(|probe| probe.path.clone());
+            for path in states.chain(others).collect::<Vec<_>>() {
+                let deps = dir.dependents(&path);
+                let mut listed = deps.clone();
+                listed.sort();
+                let by_suffix: Vec<_> = dir
+                    .iter()
+                    .filter(|(_, p)| path.is_proper_suffix_of(p))
+                    .map(|(wid, _)| wid)
+                    .collect();
+                prop_assert_eq!(&listed, &by_suffix, "dependents of {}", path);
+                for (at, &wid) in deps.iter().enumerate() {
+                    let parent = dir.suffix_parent(wid);
+                    prop_assert!(
+                        !deps[at..].contains(&parent),
+                        "{} listed before its suffix parent",
+                        dir.path(wid)
+                    );
+                }
+            }
         }
     }
 
@@ -458,7 +512,8 @@ fn check_v_is_the_closure(
         );
         // World equality is set equality: a stale or doubled row hides
         // behind it, the row count does not.
-        let rows = v.index_rows("by_wid", &[wid.value()]).unwrap();
+        // One probe of `by_wid_key` for the first column alone: the world.
+        let rows = v.index_rows("by_wid_key", &[wid.value()]).unwrap();
         prop_assert_eq!(rows.len(), spec.len(), "step {}: rows of world {}", step, p);
         rows_seen += rows.len();
         let mut flagged: Vec<BeliefStatement> = rows

@@ -318,18 +318,22 @@ fn sys_tables_says_where_the_memory_is() {
     );
 
     // V (wid, tid, key, s, e): 28 bytes of cells per row, 30 keys, one
-    // sign and one flag so far; two indexes, every row in both, once.
+    // sign and one flag so far; one index, grouped by world.
     let [rows, cols, indexes, heap, index] = memory_row(&session, "V__Sightings");
-    assert_eq!((rows, cols, indexes), (30, 5, 2));
+    assert_eq!((rows, cols, indexes), (30, 5, 1));
     assert_eq!(
         heap,
         rows * (2 * INT + 3 * CODE) + (30 + 1 + 1) * DICT_ENTRY + live_bits(rows)
     );
-    // `by_wid_key` has one entry per row here, `by_wid` one in all.
-    assert!(
-        index >= rows * (8 + 4) + (rows - 1) * 4,
-        "index_bytes {index}"
-    );
+    // `by_wid_key`: one run entry per row and one directory entry (hash,
+    // group, control byte) per world — the root is the only one so far.
+    const RUN_ENTRY: i64 = 8;
+    const GROUP: i64 = 8 + 48 + 1;
+    assert_eq!(index, rows * RUN_ENTRY + GROUP);
+    // The same index lists the world for the first column alone.
+    let v = session.bdms().storage().table("V__Sightings").unwrap();
+    let world = v.index_rows("by_wid_key", &[Value::int(0)]).unwrap();
+    assert_eq!(world.len() as i64, rows);
 
     // A delete drops the index entries; the slot stays, now on the free
     // list, and so does the key's dictionary entry.
@@ -339,14 +343,15 @@ fn sys_tables_says_where_the_memory_is() {
     let [rows2, _, _, heap2, index2] = memory_row(&session, "V__Sightings");
     assert_eq!(rows2, rows - 1);
     assert_eq!(heap2, heap + FREE_SLOT);
-    assert!(index2 < index);
+    assert_eq!(index2, index - RUN_ENTRY);
 
     // A belief world copies the root's rows: more of both.
     session
         .execute("insert into BELIEF 'Alice' Sightings values ('s1','owl')")
         .unwrap();
     let [rows3, _, _, heap3, index3] = memory_row(&session, "V__Sightings");
-    assert!(rows3 > rows2 && heap3 > heap2 && index3 > index2);
+    assert!(rows3 > rows2 && heap3 > heap2);
+    assert_eq!(index3, rows3 * RUN_ENTRY + 2 * GROUP);
 }
 
 #[test]

@@ -3,12 +3,13 @@
 //!
 //! Every annotation is paid for in Alg. 4's dependent-world loop and Alg. 2's
 //! world copy, so the two numbers that matter on the write path are how
-//! often `V`'s indexes are probed and how many rows are written (inserted
-//! or deleted) for each tuple `V` finally holds. Both are counts the tables
-//! keep themselves (`Table::access()`), repeat exactly for a seed and do
-//! not depend on the machine. This test builds the Table 2 store and
-//! bounds them, so the write path cannot go back to re-reading and
-//! re-writing slices unnoticed.
+//! often `V`'s index is probed, how many rows are written (inserted or
+//! deleted) for each tuple `V` finally holds, and how many index entries
+//! each row write costs. All are counts the tables keep themselves
+//! (`Table::access()`), repeat exactly for a seed and do not depend on the
+//! machine. This test builds the Table 2 store and bounds them, so the
+//! write path cannot go back to re-reading and re-writing slices, to a
+//! second index on `V`, or to copying worlds row by row unnoticed.
 //!
 //! History of the same store (n = 10,000, seed 42, 789,836 rows of `V`):
 //!
@@ -20,20 +21,33 @@
 //! The probe budget is the second row + 10 %. Writes get 1.10: what is left
 //! above 1.0 is rows that a later statement overrides, and a tenth more of
 //! the measured value would let the first row's 1.187 back in.
+//!
+//! Every row write used to cost two index entries (`by_wid_key` and
+//! `by_wid`); with the one grouped index it costs exactly one, and the
+//! 293,497 rows that Alg. 2 line 9 copies into new worlds arrive through
+//! `Table::copy_group` (one call per world and relation), none of them
+//! through `copy_row`.
 
 use beliefdb::gen::generate_bdms;
 use beliefdb::gen::scenarios::table2_config;
+use std::sync::atomic::Ordering;
 
 /// Upper bound on `V` index probes per final `V` tuple.
 const MAX_PROBES_PER_TUPLE: f64 = 0.79;
 /// Upper bound on `V` rows inserted or deleted per final `V` tuple.
 const MAX_WRITES_PER_TUPLE: f64 = 1.10;
+/// Upper bound on index entries written per `V` row inserted or deleted.
+const MAX_INDEX_WRITES_PER_ROW_WRITE: f64 = 1.0;
+/// Rows of `V` that are world copies (Alg. 2 line 9) at n = 10,000, seed 42.
+const WORLD_COPY_ROWS: u64 = 293_497;
 
 #[test]
 fn table2_store_is_built_within_the_probe_and_write_budgets() {
     let (bdms, report) = generate_bdms(&table2_config(10_000, 42)).unwrap();
     let v = bdms.storage().table("V__S").unwrap();
     let [_, _, probes, inserts, deletes, ..] = v.access().snapshot();
+    let index_writes = v.access().index_writes.load(Ordering::Relaxed);
+    let group_copied = v.access().group_copied.load(Ordering::Relaxed);
     let tuples = v.len() as f64;
     assert!(
         report.accepted >= 10_000 && v.len() > 20 * report.accepted,
@@ -44,9 +58,12 @@ fn table2_store_is_built_within_the_probe_and_write_budgets() {
 
     let probes_per_tuple = probes as f64 / tuples;
     let writes_per_tuple = (inserts + deletes) as f64 / tuples;
+    let index_writes_per_write = index_writes as f64 / (inserts + deletes) as f64;
     println!(
         "{} rows of V: {probes} probes ({probes_per_tuple:.3} per tuple), \
-         {inserts} inserts + {deletes} deletes ({writes_per_tuple:.3} per tuple)",
+         {inserts} inserts + {deletes} deletes ({writes_per_tuple:.3} per tuple), \
+         {index_writes} index entries written ({index_writes_per_write:.3} per row write), \
+         {group_copied} rows through copy_group",
         v.len()
     );
     assert!(
@@ -57,4 +74,10 @@ fn table2_store_is_built_within_the_probe_and_write_budgets() {
         writes_per_tuple <= MAX_WRITES_PER_TUPLE,
         "{writes_per_tuple:.3} row writes per V tuple, budget {MAX_WRITES_PER_TUPLE}"
     );
+    assert!(
+        index_writes_per_write <= MAX_INDEX_WRITES_PER_ROW_WRITE,
+        "{index_writes_per_write:.3} index entries per V row write, \
+         budget {MAX_INDEX_WRITES_PER_ROW_WRITE}"
+    );
+    assert_eq!(group_copied, WORLD_COPY_ROWS, "rows written by copy_group");
 }
