@@ -22,6 +22,12 @@
 //! `s` is the sign (`'+'`/`'-'`), `e` records whether the tuple is explicit
 //! (`'y'`) or implied by the message-board assumption (`'n'`).
 //!
+//! `|R*|` is the paper's cost axis, and almost all of it is `V`. What a `V`
+//! row costs is the storage engine's business, but the shape helps it:
+//! `wid` and `tid` are dense counters and `s`, `e` have two values each,
+//! which its column heap keeps in one or two bytes a cell — 8 B a row at
+//! the paper's n = 10,000 (`docs/execution.md`, "Heap and index layout").
+//!
 //! ## Fidelity notes
 //!
 //! * The world directory (`wid ↔ belief path`) is kept in memory as a cache

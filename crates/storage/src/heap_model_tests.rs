@@ -8,7 +8,12 @@
 //! one is `Bool` or NULL, one is a string or NULL, one takes every value
 //! type (so `Int(1)` meets `Str("1")` and the column is demoted), one is
 //! NULL except for a rare late integer. NULLs come first, last or in the
-//! middle as the case generator pleases.
+//! middle as the case generator pleases. Integers come from both sides of
+//! every lane width of the heap's narrow vectors (`EDGES`), in rows and as
+//! the override of a copy, so a column is re-typed wider by an insert, by
+//! one row copy and in the middle of a group copy, before and after slots
+//! were freed. (Dictionaries past 255 and 65,535 entries need more rows
+//! than a case has: `heap.rs` has those, with the exact byte estimates.)
 
 use crate::column::ColumnSet;
 use crate::heap::Heap;
@@ -52,23 +57,54 @@ fn or_null(v: impl Strategy<Value = Value> + 'static) -> impl Strategy<Value = V
     prop_oneof![3 => v, 1 => Just(Value::Null)]
 }
 
+/// Integers next to the limits of one-, two- and four-byte lanes, zig-zag
+/// mapped (−128..=127, ..) and plain (0..=255, ..), and the two ends.
+const EDGES: [i64; 20] = [
+    127,
+    128,
+    -128,
+    -129,
+    255,
+    256,
+    32_767,
+    32_768,
+    -32_768,
+    -32_769,
+    65_535,
+    65_536,
+    i32::MAX as i64,
+    i32::MAX as i64 + 1,
+    i32::MIN as i64,
+    i32::MIN as i64 - 1,
+    u32::MAX as i64,
+    u32::MAX as i64 + 1,
+    i64::MAX,
+    i64::MIN,
+];
+
+fn edge_int() -> impl Strategy<Value = Value> {
+    (0..EDGES.len()).prop_map(|n| Value::int(EDGES[n]))
+}
+
 fn string() -> impl Strategy<Value = Value> {
     (0i64..4).prop_map(|i| Value::str(i.to_string()))
 }
 
-/// Few values of every type, so keys repeat and `Int(1)` meets `Str("1")`.
+/// Few values of every type, so keys repeat and `Int(1)` meets `Str("1")`,
+/// and now and then an integer that needs wider lanes.
 fn any_value() -> impl Strategy<Value = Value> {
     prop_oneof![
-        (0i64..3).prop_map(Value::int),
-        string(),
-        Just(Value::Null),
-        proptest::bool::ANY.prop_map(Value::Bool),
+        3 => (0i64..3).prop_map(Value::int),
+        3 => string(),
+        3 => Just(Value::Null),
+        3 => proptest::bool::ANY.prop_map(Value::Bool),
+        2 => edge_int(),
     ]
 }
 
 fn row() -> impl Strategy<Value = Row> {
     (
-        (0i64..100).prop_map(Value::int),
+        prop_oneof![7 => (0i64..100).prop_map(Value::int), 1 => edge_int()],
         or_null(proptest::bool::ANY.prop_map(Value::Bool)),
         or_null(string()),
         any_value(),
@@ -77,10 +113,14 @@ fn row() -> impl Strategy<Value = Row> {
         .prop_map(|(i, b, s, any, late)| Row::new([i, b, s, any, late]))
 }
 
-/// Overrides for every column but `i`, which the delete operation needs
-/// to stay an integer.
+/// Overrides: any value for every column but `i`, which the delete
+/// operation needs to stay an integer and which gets one that may widen it.
 fn overrides() -> impl Strategy<Value = Vec<(usize, Value)>> {
-    proptest::collection::vec((1..COLUMNS.len(), any_value()), 0..4)
+    let one = prop_oneof![
+        5 => (1..COLUMNS.len(), any_value()),
+        1 => (Just(0usize), edge_int()),
+    ];
+    proptest::collection::vec(one, 0..4)
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -300,6 +340,19 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
             (t.len(), t.slots()),
             (model.live().count(), model.slots.len())
         );
+        // Cell for cell after every step: a column re-typed by this one
+        // still holds what every other row wrote.
+        for (rid, row) in model.live() {
+            for (c, v) in row.values().iter().enumerate() {
+                prop_assert_eq!(
+                    t.cell(rid, c).unwrap(),
+                    v.as_cell(),
+                    "row {} col {}",
+                    rid,
+                    c
+                );
+            }
+        }
     }
     check(&t, &model)
 }

@@ -194,7 +194,19 @@ struct Run {
     len: usize,
 }
 
+/// Slots a run reserves at a time past its last home. The vector is sized
+/// to its homes exactly, so a plain `push` there would double it.
+const SPILL: usize = 4;
+
 impl Run {
+    /// Append a slot past the last home.
+    fn spill(&mut self, entry: RunEntry) {
+        if self.slots.len() == self.slots.capacity() {
+            self.slots.reserve_exact(SPILL);
+        }
+        self.slots.push(entry);
+    }
+
     fn home(&self, entry: RunEntry) -> usize {
         (((entry >> 32) * self.homes as u64) >> 32) as usize
     }
@@ -231,7 +243,7 @@ impl Run {
             let at = self.home(entry).max(free);
             match self.slots.get_mut(at) {
                 Some(slot) => *slot = entry,
-                None => self.slots.push(entry),
+                None => self.spill(entry),
             }
             free = at + 1;
         }
@@ -246,7 +258,7 @@ impl Run {
         let tail = self.slots[at..].iter().position(|&e| e == EMPTY);
         let free = tail.map_or(self.slots.len(), |n| at + n);
         if free == self.slots.len() {
-            self.slots.push(EMPTY);
+            self.spill(EMPTY);
         }
         self.slots.copy_within(at..free, at + 1);
         self.slots[at] = entry;
@@ -346,8 +358,6 @@ pub struct Index {
     cols: Vec<usize>,
     /// The groups by the hash of their rows' first indexed cell.
     groups: HashMap<u64, Group, BuildHasherDefault<PassThrough>>,
-    /// Rows indexed.
-    rows: usize,
     /// Distinct values (not hashes) of the first indexed column.
     distinct_firsts: usize,
     /// Distinct keys (not hashes) currently indexed.
@@ -361,7 +371,6 @@ impl Index {
             name: name.into(),
             cols,
             groups: HashMap::default(),
-            rows: 0,
             distinct_firsts: 0,
             distinct: 0,
         }
@@ -407,7 +416,6 @@ impl Index {
             self.distinct += 1;
         }
         group.run.insert(entry);
-        self.rows += 1;
         Ok(())
     }
 
@@ -425,7 +433,6 @@ impl Index {
         if !group.run.remove(entry) {
             return Ok(());
         }
-        self.rows -= 1;
         let tagged = group.run.entries(Some(entry_tag(entry)));
         if !holds(&self.cols, heap, tagged, false, rid) {
             group.keys -= 1;
@@ -478,7 +485,6 @@ impl Index {
                     run: source.run.with_rids(copies),
                     ..*source
                 };
-                self.rows += copies.len();
                 self.distinct_firsts += 1;
                 self.distinct += group.keys as usize;
                 self.groups.insert(to, group);
@@ -540,12 +546,14 @@ impl Index {
         self.distinct_firsts
     }
 
-    /// Estimated bytes held by the index: one run entry per row and one
+    /// Estimated bytes held by the index: the slots of every run, taken
+    /// or free (a run keeps between one and seven of eight taken), and one
     /// directory entry (hash, group, control byte) per group. Capacity
-    /// slack of the directory and of the runs is not counted.
+    /// slack of the directory is not counted. O(groups).
     pub(crate) fn approx_bytes(&self) -> usize {
         let group = std::mem::size_of::<(u64, Group)>() + 1;
-        self.rows * std::mem::size_of::<RunEntry>() + self.groups.len() * group
+        let slots: usize = self.groups.values().map(|g| g.run.slots.len()).sum();
+        slots * std::mem::size_of::<RunEntry>() + self.groups.len() * group
     }
 }
 
@@ -742,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_counts_rows_and_groups() {
+    fn approx_bytes_counts_run_slots_and_groups() {
         let mut t = Indexed::new(1, vec![0]);
         t.insert(row![1]);
         t.insert(row![2]);
@@ -751,9 +759,16 @@ mod tests {
         assert_eq!(std::mem::size_of::<RunEntry>(), 8);
         assert_eq!(std::mem::size_of::<(u64, Group)>(), 56);
         assert_eq!(crate::heap::DICT_ENTRY_BYTES, 41);
-        assert_eq!(two_groups, 2 * 8 + 2 * (56 + 1));
+        // A run starts with four slots, taken or not.
+        assert_eq!(two_groups, 2 * 4 * 8 + 2 * (56 + 1));
         t.insert(row![2]);
-        assert_eq!(t.idx.approx_bytes(), two_groups + 8);
+        t.insert(row![2]);
+        assert_eq!(t.idx.approx_bytes(), two_groups, "three of four slots");
+        // The fourth entry doubles that run.
+        let fourth = t.insert(row![2]);
+        assert_eq!(t.idx.approx_bytes(), two_groups + 4 * 8);
+        t.remove(fourth);
+        assert_eq!(t.idx.approx_bytes(), two_groups + 4 * 8, "not halved yet");
     }
 
     /// A run of `n` random-looking entries, some tags taken several times,
@@ -830,6 +845,51 @@ mod tests {
             [run_entry(u32::MAX - 1, 9)]
         );
         assert_eq!(run.slots.len(), run.homes, "the spill-over is given back");
+    }
+
+    /// What a run has allocated stays within a few slots of what it uses:
+    /// entries pushed past the last home must not double the vector.
+    #[test]
+    fn a_run_allocates_its_homes_and_a_few_spill_slots() {
+        fn check(run: &Run, when: &str) {
+            let (used, held) = (run.slots.len(), run.slots.capacity());
+            assert!(used >= run.homes && held < used + SPILL, "{when}: {run:?}");
+            // Random tags overflow the last home by a cluster, not more.
+            assert!(held <= run.homes + 64, "{when}: {held} of {}", run.homes);
+        }
+        let entry = |i: u64| {
+            let tag = hash_cells([Cell::Int(i as i64)].into_iter()) >> 32;
+            run_entry(tag as u32, i as IndexRid)
+        };
+        let mut run = Run::default();
+        let mut spilled = 0;
+        for i in 0..20_000 {
+            run.insert(entry(i));
+            check(&run, "insert");
+            spilled += usize::from(run.slots.len() > run.homes);
+        }
+        assert!(spilled > 0, "no insert went past the last home");
+        let rids: Vec<IndexRid> = (0..20_000).collect();
+        let copy = run.with_rids(&rids);
+        check(&copy, "copy");
+        assert_eq!(copy.slots.capacity(), copy.slots.len());
+        // Down to an eighth of the entries and up again, through every
+        // halving and doubling.
+        for i in 0..17_500 {
+            assert!(run.remove(entry(i)));
+            check(&run, "remove");
+        }
+        for i in 0..17_500 {
+            run.insert(entry(i));
+            check(&run, "reinsert");
+        }
+        // Every entry on the last home: the spill-over is as long as the
+        // run, and still not doubled.
+        let mut run = Run::default();
+        for rid in 0..1_000 {
+            run.insert(run_entry(u32::MAX, rid));
+            assert!(run.slots.capacity() < run.slots.len() + SPILL);
+        }
     }
 
     /// Pearson's statistic of `counts` against the uniform distribution

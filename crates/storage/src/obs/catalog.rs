@@ -122,8 +122,9 @@ pub fn statements_table() -> Arc<dyn VirtualTable> {
 /// `sys.tables` — one row per *base* table in the scanned database:
 /// shape (rows, columns, indexes, version), the cumulative
 /// [`TableAccess`](crate::table::TableAccess) counters, and where its
-/// memory is (`heap_bytes`, `index_bytes`: estimates from slot,
-/// dictionary-entry and index-entry counts, not allocator measurements).
+/// memory is (`heap_bytes`, `index_bytes`: estimates from slot counts at
+/// the width each column's cells have, dictionary entries and the slots of
+/// the index runs, not allocator measurements).
 pub fn tables_table() -> Arc<dyn VirtualTable> {
     FnTable::new(
         "sys.tables",
@@ -319,11 +320,22 @@ mod tests {
         assert_eq!(r.get(1).unwrap().as_int(), Some(2)); // rows
         assert_eq!(r.get(2).unwrap().as_int(), Some(2)); // columns
         assert_eq!(r.get(8).unwrap().as_int(), Some(2)); // inserts
-                                                         // Two slots: an `i64` column, a code column with two dictionary
-                                                         // entries, and one word of live bits.
-        let heap = 2 * 8 + (2 * 4 + 2 * 41) + 8;
+
+        // Two slots: an integer column and a code column with two
+        // dictionary entries, a byte a cell, and one word of live bits.
+        let heap = 2 + (2 + 2 * 41) + 8;
         assert_eq!(r.get(12).unwrap().as_int(), Some(heap)); // heap_bytes
         assert_eq!(r.get(13).unwrap().as_int(), Some(0)); // index_bytes: no index
+
+        // An integer past the byte lanes re-types its column, and the
+        // estimate follows the width.
+        db.table_mut("Users")
+            .unwrap()
+            .insert(row![300, "a"])
+            .unwrap();
+        let r = &vt.rows(&db)[0];
+        let heap = 3 * 2 + (3 + 2 * 41) + 8;
+        assert_eq!(r.get(12).unwrap().as_int(), Some(heap));
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! indexes.
 //!
 //! A table does not hold [`Row`]s. Its cells live in the typed,
-//! dictionary-coded vectors of [`crate::heap`]; a row is a slot number
-//! there. The methods that hand out rows (`get`, `iter`, `scan`,
+//! dictionary-coded vectors of [`crate::heap`], integers and codes in the
+//! narrowest lanes that have held every value of their column; a row is a
+//! slot number there. A column re-typed to wider lanes by a write is not an
+//! event at this level: [`Table::version`] counts rows written, whatever
+//! their width, and only [`Table::heap_bytes`] tells. The methods that hand out rows (`get`, `iter`, `scan`,
 //! `index_rows`, `get_by_key`, `delete`) materialize owned copies; `cell`,
 //! `row_ids`, `index_lookup` and `probe` read in place, and `insert_cells`,
 //! `copy_row`, `copy_group` and `remove` write without a [`Row`] in
@@ -607,16 +610,17 @@ impl Table {
         stats
     }
 
-    /// Estimated bytes of the column heap, from the widths of its column
-    /// vectors over all slots, its dictionary entries and its bitmaps (the
+    /// Estimated bytes of the column heap, from the widths its column
+    /// vectors have now (1, 2, 4 or 8 bytes a cell for integers and string
+    /// codes) over all slots, its dictionary entries and its bitmaps (the
     /// formula is in `docs/observability.md`). The text of strings is
     /// shared `Arc<str>` and not counted.
     pub fn heap_bytes(&self) -> usize {
         self.heap.approx_bytes()
     }
 
-    /// Estimated bytes of all secondary indexes, from their row and group
-    /// counts.
+    /// Estimated bytes of all secondary indexes, from the slots of their
+    /// runs and their group counts.
     pub fn index_bytes(&self) -> usize {
         self.indexes.iter().map(Index::approx_bytes).sum()
     }
@@ -869,6 +873,40 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(second.len(), 2);
         assert_eq!(second.row_at(1), row![3, "Carol"]);
+    }
+
+    /// A value that re-types a heap column wider is a write like any other:
+    /// the version moves by the rows written, the columnar copy is rebuilt
+    /// once per read after a write, and only `heap_bytes` tells.
+    #[test]
+    fn widening_a_column_is_invisible_above_the_heap() {
+        let run = |w: i64, k: i64| {
+            let mut t = Table::new(TableSchema::keyless("T", &["w", "k"]));
+            t.create_index("by_w_k", &["w", "k"]).unwrap();
+            let by_w_k = t.index_id("by_w_k").unwrap();
+            for n in 0..100 {
+                t.insert(row![1, n]).unwrap();
+            }
+            let first = t.columnar();
+            let (version, bytes) = (t.version(), t.heap_bytes());
+            // `k` takes the value by an insert, `w` in the middle of a
+            // group copy.
+            t.insert(row![1, k]).unwrap();
+            let over = [(0, Cell::Int(w))];
+            assert_eq!(t.copy_group(by_w_k, &[Cell::Int(1)], &over).unwrap(), 101);
+            let second = t.columnar();
+            assert!(!Arc::ptr_eq(&first, &second) && Arc::ptr_eq(&second, &t.columnar()));
+            assert_eq!(second.len(), 202);
+            assert_eq!(second.row_at(100), row![1, k]);
+            assert!((101..202).all(|n| second.row_at(n)[0] == Value::int(w)));
+            assert_eq!(t.index_rows("by_w_k", &[Value::int(w)]).unwrap().len(), 101);
+            let rebuilds = t.access().snapshot()[6];
+            (t.version() - version, rebuilds, t.heap_bytes() - bytes)
+        };
+        let (narrow, wide) = (run(2, 100), run(70_000, -200));
+        assert_eq!(narrow, (102, 2, 2 * 102 + 16));
+        // `w` in four-byte lanes, `k` in two-byte ones, all 202 slots.
+        assert_eq!(wide, (102, 2, (4 + 2) * 202 - 2 * 100 + 16));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 # The pairing rule of ROADMAP.md in one command: build beliefbench at a
 # parent commit and at the working tree, run the two alternately on one
 # workload and seed, and print per metric both medians, the parent's
-# quartiles and how many pairs the change won.
+# quartiles and how many pairs the change won — the end-to-end metrics, the
+# `session.*` lines, and the `peak_rss_mb.<phase>` laps (the high-water
+# mark as it stood after set-up and main loop, after close and after
+# reopen: which phase set `peak_rss_mb`).
 #
 #   scripts/bench-pairs.sh <parent-ref> <workload|all> [seed=42] [pairs=10] [counters]
 #
@@ -18,7 +21,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,20p' "$0" >&2
     exit 2
 fi
 parent_ref=$1
@@ -96,7 +99,7 @@ def read(path):
         elif len(parts) >= 4 and parts[0] == workload:
             if parts[1] == "answers":
                 digest = parts[-1]
-            elif parts[1] in end_to_end or parts[1].startswith("session."):
+            elif parts[1] in end_to_end or parts[1].startswith(("session.", "peak_rss_mb.")):
                 try:
                     metrics[parts[1]] = float(parts[2])
                 except ValueError:

@@ -488,12 +488,13 @@ fn apply(bdms: &mut Bdms, shadow: &mut Vec<BeliefStatement>, write: &Write) {
 
 /// `V` is exactly the closure of `shadow`, world by world: the entailed
 /// tuples, one row each, and the explicit flag on the stated ones.
+/// `logical` is an empty belief database with the users of `bdms`.
 fn check_v_is_the_closure(
     bdms: &Bdms,
+    mut logical: BeliefDatabase,
     shadow: &[BeliefStatement],
     step: usize,
 ) -> Result<(), TestCaseError> {
-    let mut logical = fresh_logical();
     for stmt in shadow {
         logical.insert_unchecked(stmt.clone()).unwrap();
     }
@@ -580,7 +581,7 @@ proptest! {
         let mut shadow: Vec<BeliefStatement> = Vec::new();
         for (step, write) in writes.iter().enumerate() {
             apply(&mut bdms, &mut shadow, write);
-            check_v_is_the_closure(&bdms, &shadow, step)?;
+            check_v_is_the_closure(&bdms, fresh_logical(), &shadow, step)?;
         }
     }
 
@@ -614,6 +615,96 @@ proptest! {
         prop_assert_eq!(outcome, expected);
         prop_assert_eq!(store_image(&once), store_image(&twice));
         prop_assert_eq!(once.stats(), twice.stats());
+    }
+}
+
+/// The same, on a store that outgrows the narrow lanes of the column heap
+/// (`docs/execution.md`, "Heap and index layout") while it is written: 100
+/// users and mostly nested paths, so a few hundred annotations make more
+/// than 256 worlds and more than 256 tuples, and `V`'s `wid` and `tid`
+/// columns are re-typed wider in the middle of a world's group copy and of
+/// a propagation. Held against the closure after every statement, and
+/// against the naive evaluator at the end.
+#[test]
+fn v_stays_the_closure_while_wid_and_tid_outgrow_their_lanes() {
+    use beliefdb::core::bcq::dsl::{pv, qany, qv};
+    use beliefdb::core::bcq::Bcq;
+    use beliefdb::gen::{
+        experiment_schema, fresh_bdms, CandidateStream, DepthDist, GeneratorConfig,
+    };
+
+    let cfg = GeneratorConfig::new(100, 280)
+        .with_depth(DepthDist::new(&[0.03, 0.12, 0.85]))
+        .with_seed(20_260_926);
+    let mut bdms = fresh_bdms(&cfg).unwrap();
+    let mut empty = BeliefDatabase::new(experiment_schema());
+    for user in 1..=cfg.users {
+        empty.add_user(format!("u{user}")).unwrap();
+    }
+    let mut stream = CandidateStream::new(&cfg);
+    let mut shadow: Vec<BeliefStatement> = Vec::new();
+    for step in 0.. {
+        if shadow.len() == cfg.annotations {
+            break;
+        }
+        assert!(step < 50 * cfg.annotations, "generator saturated");
+        let stmt = stream.next_candidate();
+        if bdms.insert_statement(&stmt).unwrap().changed() {
+            shadow.push(stmt);
+        }
+        check_v_is_the_closure(&bdms, empty.clone(), &shadow, step).unwrap();
+    }
+
+    // Past both one-byte ranges (zig-zag 127, plain 255), and a good part
+    // of the rows arrived as group copies of a suffix parent's world.
+    let stats = bdms.stats();
+    let v = bdms.storage().table("V__S").unwrap();
+    let tuples = bdms.storage().table("S__star").unwrap().len();
+    let copied = v
+        .access()
+        .group_copied
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(stats.worlds > 256 && tuples > 256, "{stats:?}");
+    assert!(copied > 1_000, "{copied} rows copied with their world");
+    // Two bytes a cell for `wid` and `tid`, one for the codes of `key`,
+    // `s` and `e`; a dictionary entry per key, sign and flag; live bits.
+    let keys: std::collections::BTreeSet<_> = shadow.iter().map(|s| &s.tuple.row[0]).collect();
+    assert_eq!(v.slots(), v.len(), "no slot is free");
+    assert_eq!(
+        v.heap_bytes(),
+        v.len() * (2 + 2 + 1 + 1 + 1) + (keys.len() + 2 + 2) * 41 + v.len().div_ceil(64) * 8
+    );
+
+    let s = bdms.schema().relation_id("S").unwrap();
+    let queries = [
+        // Content at the root, and at every user's world.
+        Bcq::builder(vec![qv("a"), qv("c")])
+            .positive(vec![], s, vec![qv("a"), qany(), qv("c"), qany(), qany()])
+            .build(bdms.schema())
+            .unwrap(),
+        Bcq::builder(vec![qv("x"), qv("a"), qv("c")])
+            .positive(
+                vec![pv("x")],
+                s,
+                vec![qv("a"), qany(), qv("c"), qany(), qany()],
+            )
+            .build(bdms.schema())
+            .unwrap(),
+        // Who denies a sighting?
+        Bcq::builder(vec![qv("x"), qv("a")])
+            .negative(
+                vec![pv("x")],
+                s,
+                vec![qv("a"), qv("b"), qv("c"), qv("d"), qv("e")],
+            )
+            .positive(vec![], s, vec![qv("a"), qv("b"), qv("c"), qv("d"), qv("e")])
+            .build(bdms.schema())
+            .unwrap(),
+    ];
+    for q in &queries {
+        let answers = bdms.query(q).unwrap();
+        assert!(!answers.is_empty(), "{q}");
+        assert_eq!(answers, bdms.query_naive(q).unwrap(), "{q}");
     }
 }
 

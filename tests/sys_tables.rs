@@ -296,12 +296,14 @@ fn memory_row(session: &Session, table: &str) -> [i64; 5] {
 #[test]
 fn sys_tables_says_where_the_memory_is() {
     // The column heap's layout constants (docs/observability.md): an
-    // integer cell, a string cell (a dictionary code), one dictionary
-    // entry (vector pointer, map entry, control byte; the text is shared
-    // and not counted), one word of live bits per 64 slots, and one
-    // free-list entry per dead slot.
-    const INT: i64 = 8;
-    const CODE: i64 = 4;
+    // integer cell and a string cell (a dictionary code) in the narrowest
+    // lanes that have held every value of the column — one byte below 128
+    // and for the first 256 strings —, one dictionary entry (vector
+    // pointer, map entry, control byte; the text is shared and not
+    // counted), one word of live bits per 64 slots, and one free-list
+    // entry per dead slot.
+    const INT: i64 = 1;
+    const CODE: i64 = 1;
     const DICT_ENTRY: i64 = 16 + 24 + 1;
     const FREE_SLOT: i64 = 4;
     let live_bits = |slots: i64| (slots + 63) / 64 * 8;
@@ -317,19 +319,37 @@ fn sys_tables_says_where_the_memory_is() {
         rows * (INT + 2 * CODE) + (30 + 3) * DICT_ENTRY + live_bits(rows)
     );
 
-    // V (wid, tid, key, s, e): 28 bytes of cells per row, 30 keys, one
-    // sign and one flag so far; one index, grouped by world.
+    // V (wid, tid, key, s, e): 5 bytes of cells per row at this size (8
+    // at the paper's), 30 keys, one sign and one flag so far; one index,
+    // grouped by world.
     let [rows, cols, indexes, heap, index] = memory_row(&session, "V__Sightings");
     assert_eq!((rows, cols, indexes), (30, 5, 1));
     assert_eq!(
         heap,
         rows * (2 * INT + 3 * CODE) + (30 + 1 + 1) * DICT_ENTRY + live_bits(rows)
     );
-    // `by_wid_key`: one run entry per row and one directory entry (hash,
-    // group, control byte) per world — the root is the only one so far.
-    const RUN_ENTRY: i64 = 8;
+    // `by_wid_key`: the slots of each world's run, taken or free, and one
+    // directory entry (hash, group, control byte) per world — the root is
+    // the only one so far. A run doubles its home slots when seven of
+    // eight are taken, and a few more slots follow the last home while
+    // entries are pushed past it.
+    const RUN_SLOT: i64 = 8;
     const GROUP: i64 = 8 + 48 + 1;
-    assert_eq!(index, rows * RUN_ENTRY + GROUP);
+    let homes = |entries: i64| {
+        let fits = |homes: &i64| entries * 8 <= homes * 7;
+        (2..).map(|n| 1i64 << n).find(fits).unwrap()
+    };
+    let slots_past_homes = |index: i64, groups: i64, homes: i64| {
+        let slots = (index - groups * GROUP) / RUN_SLOT;
+        assert_eq!(slots * RUN_SLOT + groups * GROUP, index);
+        assert!(
+            (0..8).contains(&(slots - homes)),
+            "{slots} slots, {homes} homes"
+        );
+        slots - homes
+    };
+    assert_eq!(homes(rows), 64);
+    let spilled = slots_past_homes(index, 1, homes(rows));
     // The same index lists the world for the first column alone.
     let v = session.bdms().storage().table("V__Sightings").unwrap();
     let world = v.index_rows("by_wid_key", &[Value::int(0)]).unwrap();
@@ -343,7 +363,10 @@ fn sys_tables_says_where_the_memory_is() {
     let [rows2, _, _, heap2, index2] = memory_row(&session, "V__Sightings");
     assert_eq!(rows2, rows - 1);
     assert_eq!(heap2, heap + FREE_SLOT);
-    assert_eq!(index2, index - RUN_ENTRY);
+    assert!(
+        slots_past_homes(index2, 1, homes(rows)) <= spilled,
+        "a run is not rebuilt by a delete"
+    );
 
     // A belief world copies the root's rows: more of both.
     session
@@ -351,7 +374,10 @@ fn sys_tables_says_where_the_memory_is() {
         .unwrap();
     let [rows3, _, _, heap3, index3] = memory_row(&session, "V__Sightings");
     assert!(rows3 > rows2 && heap3 > heap2);
-    assert_eq!(index3, rows3 * RUN_ENTRY + 2 * GROUP);
+    // Alice's world is the root's run cloned slot for slot, with her owl
+    // in the place of the root's `s1`.
+    assert_eq!(rows3, 2 * rows2);
+    slots_past_homes(index3, 2, 2 * homes(rows2));
 }
 
 #[test]
