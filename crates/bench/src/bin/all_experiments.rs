@@ -29,21 +29,6 @@ fn main() {
     let (bdms, rows) = run_table2(n, seeds[0], reps).expect("table2");
     println!("{}", format_table2(&rows, n, bdms.stats().total_tuples));
 
-    println!("=== Streaming executor ===");
-    let rows = run_exec_streaming(n, reps.clamp(3, 20)).expect("exec_streaming");
-    println!("{}", format_exec_streaming(&rows, n));
-
-    println!("=== Vectorized executor ===");
-    let (rows, sweep) = run_exec_vectorized(n, reps.clamp(3, 20)).expect("exec_vectorized");
-    println!("{}", format_exec_vectorized(&rows, &sweep, n));
-
-    println!("=== Columnar executor ===");
-    let rows = run_exec_columnar(n, reps.clamp(3, 20)).expect("exec_columnar");
-    println!("{}", format_exec_columnar(&rows, n));
-    let path = std::path::Path::new("BENCH_columnar.json");
-    write_bench_columnar_json(path, &rows, n).expect("write BENCH_columnar.json");
-    println!("wrote {}", path.display());
-
     println!("=== Magic sets (demand-driven Datalog) ===");
     let rows = run_opt_magic(n, reps.clamp(3, 20)).expect("opt_magic");
     println!("{}", format_opt_magic(&rows, n));

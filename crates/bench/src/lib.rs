@@ -308,30 +308,12 @@ pub fn format_table2(rows: &[Table2Row], n: usize, total_tuples: usize) -> Strin
 }
 
 // ---------------------------------------------------------------------------
-// Streaming vs materializing executor
+// Executor workload (shared by the spill and observability experiments)
 // ---------------------------------------------------------------------------
 
-/// One measured plan of the streaming-vs-materializing comparison.
-#[derive(Debug, Clone)]
-pub struct ExecStreamingRow {
-    pub name: &'static str,
-    pub streaming: Duration,
-    pub materialized: Duration,
-    pub result_size: usize,
-}
-
-impl ExecStreamingRow {
-    /// Materialized-over-streaming time ratio (>1 means streaming wins).
-    pub fn speedup(&self) -> f64 {
-        self.materialized.as_secs_f64() / self.streaming.as_secs_f64().max(1e-12)
-    }
-}
-
-/// The wide-intermediate workload of the executor comparison: a fact
-/// table `F` (`n` rows) joined against a fanout-4 dimension `D`, so the
-/// join's intermediate is `4n` rows wide before a selective filter cuts
-/// it down. The materializing executor allocates that intermediate; the
-/// streaming executor pipelines `F` through the build table row by row.
+/// The wide-intermediate executor workload: a fact table `F` (`n` rows)
+/// joined against a fanout-4 dimension `D`, so the join's intermediate
+/// is `4n` rows wide before a selective filter cuts it down.
 pub fn exec_streaming_db(n: usize) -> Result<beliefdb_storage::Database> {
     use beliefdb_storage::{row, Database, TableSchema};
     let mut db = Database::new();
@@ -369,185 +351,6 @@ pub fn exec_streaming_plans() -> Vec<(&'static str, beliefdb_storage::Plan)> {
         ("wide_join", wide_join),
         ("first_100", first_rows),
     ]
-}
-
-/// Time each workload plan under both executors (`reps` runs each,
-/// best-of to damp scheduler noise) and sanity-check that they agree.
-pub fn run_exec_streaming(n: usize, reps: usize) -> Result<Vec<ExecStreamingRow>> {
-    use beliefdb_storage::{execute, execute_materialized};
-    let db = exec_streaming_db(n)?;
-    let mut out = Vec::new();
-    for (name, plan) in exec_streaming_plans() {
-        let mut streamed = execute(&db, &plan)?;
-        let mut materialized = execute_materialized(&db, &plan)?;
-        streamed.sort();
-        materialized.sort();
-        assert_eq!(streamed, materialized, "executors disagree on {name}");
-        let best = |f: &dyn Fn() -> usize| -> Duration {
-            let mut best = Duration::MAX;
-            for _ in 0..reps.max(1) {
-                let start = Instant::now();
-                std::hint::black_box(f());
-                best = best.min(start.elapsed());
-            }
-            best
-        };
-        let streaming = best(&|| execute(&db, &plan).expect("streaming run").len());
-        let materializing = best(&|| {
-            execute_materialized(&db, &plan)
-                .expect("materialized run")
-                .len()
-        });
-        out.push(ExecStreamingRow {
-            name,
-            streaming,
-            materialized: materializing,
-            result_size: streamed.len(),
-        });
-    }
-    Ok(out)
-}
-
-/// Render the executor comparison as a small report table.
-pub fn format_exec_streaming(rows: &[ExecStreamingRow], n: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Streaming vs materializing executor (fact table of {n} rows, fanout-4 join)\n"
-    ));
-    out.push_str(&format!(
-        "{:<12}{:>14}{:>14}{:>10}{:>10}\n",
-        "plan", "stream(ms)", "mat(ms)", "speedup", "rows"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12}{:>14.3}{:>14.3}{:>9.2}x{:>10}\n",
-            r.name,
-            r.streaming.as_secs_f64() * 1e3,
-            r.materialized.as_secs_f64() * 1e3,
-            r.speedup(),
-            r.result_size
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized (chunked) vs row-at-a-time executor
-// ---------------------------------------------------------------------------
-
-/// One measured plan of the vectorization comparison.
-#[derive(Debug, Clone)]
-pub struct ExecVectorizedRow {
-    pub name: &'static str,
-    pub chunked: Duration,
-    pub row_at_a_time: Duration,
-    pub result_size: usize,
-}
-
-impl ExecVectorizedRow {
-    /// Row-at-a-time over chunked time ratio (>1 means chunked wins).
-    pub fn speedup(&self) -> f64 {
-        self.row_at_a_time.as_secs_f64() / self.chunked.as_secs_f64().max(1e-12)
-    }
-}
-
-/// One point of the batch-size sweep on the selective-filter plan.
-#[derive(Debug, Clone)]
-pub struct BatchSweepRow {
-    pub batch: usize,
-    pub chunked: Duration,
-}
-
-/// Time each workload plan under the chunked and row-at-a-time streaming
-/// executors (`reps` runs each, best-of to damp scheduler noise) and
-/// sanity-check that they agree. Same plans as the streaming-vs-
-/// materializing comparison: selective filter, wide fanout-4 join, and
-/// the short-circuiting first-100-rows query (which must *not* regress
-/// under chunking — `Limit` caps its subtree's batch size).
-pub fn run_exec_vectorized(
-    n: usize,
-    reps: usize,
-) -> Result<(Vec<ExecVectorizedRow>, Vec<BatchSweepRow>)> {
-    use beliefdb_storage::{execute, execute_rows, Executor};
-    let db = exec_streaming_db(n)?;
-    let best = |f: &dyn Fn() -> usize| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-    let mut out = Vec::new();
-    for (name, plan) in exec_streaming_plans() {
-        let mut chunked = execute(&db, &plan)?;
-        let mut row_wise = execute_rows(&db, &plan)?;
-        chunked.sort();
-        row_wise.sort();
-        assert_eq!(chunked, row_wise, "executors disagree on {name}");
-        let chunked_time = best(&|| execute(&db, &plan).expect("chunked run").len());
-        let row_time = best(&|| execute_rows(&db, &plan).expect("row run").len());
-        out.push(ExecVectorizedRow {
-            name,
-            chunked: chunked_time,
-            row_at_a_time: row_time,
-            result_size: chunked.len(),
-        });
-    }
-    // Batch-size sweep over the selective filter.
-    let (_, filter_plan) = exec_streaming_plans().swap_remove(0);
-    let mut sweep = Vec::new();
-    for batch in [128usize, 1024, 4096] {
-        let time = best(&|| {
-            Executor::with_batch_size(&db, batch)
-                .open_chunks(&filter_plan)
-                .expect("open")
-                .collect_rows()
-                .expect("sweep run")
-                .len()
-        });
-        sweep.push(BatchSweepRow {
-            batch,
-            chunked: time,
-        });
-    }
-    Ok((out, sweep))
-}
-
-/// Render the vectorization comparison as a small report table.
-pub fn format_exec_vectorized(
-    rows: &[ExecVectorizedRow],
-    sweep: &[BatchSweepRow],
-    n: usize,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Chunked (vectorized) vs row-at-a-time executor (fact table of {n} rows)\n"
-    ));
-    out.push_str(&format!(
-        "{:<12}{:>14}{:>14}{:>10}{:>10}\n",
-        "plan", "chunked(ms)", "row(ms)", "speedup", "rows"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12}{:>14.3}{:>14.3}{:>9.2}x{:>10}\n",
-            r.name,
-            r.chunked.as_secs_f64() * 1e3,
-            r.row_at_a_time.as_secs_f64() * 1e3,
-            r.speedup(),
-            r.result_size
-        ));
-    }
-    out.push_str("batch-size sweep (selective filter):\n");
-    for s in sweep {
-        out.push_str(&format!(
-            "  batch={:<6}{:>12.3}ms\n",
-            s.batch,
-            s.chunked.as_secs_f64() * 1e3
-        ));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1052,186 +855,6 @@ pub fn format_obs(report: &ObsReport, n: usize) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Columnar vs row-layout chunk executor
-// ---------------------------------------------------------------------------
-
-/// One measured plan of the columnar-layout comparison.
-#[derive(Debug, Clone)]
-pub struct ExecColumnarRow {
-    pub name: &'static str,
-    /// Default executor: zero-copy column windows + selection vectors.
-    pub columnar: Duration,
-    /// The prior chunk executor: same pipeline over cloned row batches.
-    pub row_chunks: Duration,
-    pub row_at_a_time: Duration,
-    pub result_size: usize,
-}
-
-impl ExecColumnarRow {
-    /// Row-chunk over columnar time ratio (>1 means columnar wins).
-    pub fn speedup_vs_chunks(&self) -> f64 {
-        self.row_chunks.as_secs_f64() / self.columnar.as_secs_f64().max(1e-12)
-    }
-
-    /// Row-at-a-time over columnar time ratio.
-    pub fn speedup_vs_rows(&self) -> f64 {
-        self.row_at_a_time.as_secs_f64() / self.columnar.as_secs_f64().max(1e-12)
-    }
-}
-
-/// The columnar workload schema: the fanout-4 join tables plus a
-/// dictionary-encoded string column on the fact table (20 distinct
-/// tags, so the sorted dictionary and code vector carry the filter).
-pub fn columnar_db(n: usize) -> Result<beliefdb_storage::Database> {
-    use beliefdb_storage::{row, Database, TableSchema};
-    let mut db = Database::new();
-    let f = db.create_table(TableSchema::keyless("F", &["fid", "k", "v", "tag"]))?;
-    for i in 0..n as i64 {
-        f.insert(row![
-            i,
-            i % 50,
-            i % 997,
-            format!("tag{:02}", i % 20).as_str()
-        ])?;
-    }
-    let d = db.create_table(TableSchema::keyless("D", &["k", "tag"]))?;
-    for k in 0..50i64 {
-        for copy in 0..4i64 {
-            d.insert(row![k, k * 4 + copy])?;
-        }
-    }
-    // The transpose is table-resident state; build it outside the
-    // timed region like a warm production cache.
-    db.table("F").expect("F").columnar();
-    db.table("D").expect("D").columnar();
-    Ok(db)
-}
-
-/// The measured plans: the selective int filter (unboxed `i64` kernel),
-/// the wide fanout-4 join, and a dictionary-string filter.
-pub fn columnar_plans() -> Vec<(&'static str, beliefdb_storage::Plan)> {
-    use beliefdb_storage::{CmpOp, Expr, Plan};
-    let filter = Plan::scan("F")
-        .select(Expr::col_eq_lit(2, 3i64))
-        .project_cols(&[0]);
-    let wide_join = Plan::scan("F")
-        .join(Plan::scan("D"), vec![(1, 0)])
-        .select(Expr::cmp(CmpOp::Lt, Expr::Col(2), Expr::lit(5i64)))
-        .project_cols(&[0, 5]);
-    let dict_filter = Plan::scan("F")
-        .select(Expr::and(vec![
-            Expr::col_eq_lit(3, "tag07"),
-            Expr::cmp(CmpOp::Lt, Expr::Col(2), Expr::lit(500i64)),
-        ]))
-        .project_cols(&[0, 3]);
-    vec![
-        ("filter", filter),
-        ("wide_join", wide_join),
-        ("dict_filter", dict_filter),
-    ]
-}
-
-/// Time each workload under the columnar chunk executor, the row-layout
-/// chunk executor, and the row-at-a-time executor (`reps` runs, best-of)
-/// after asserting all three agree.
-pub fn run_exec_columnar(n: usize, reps: usize) -> Result<Vec<ExecColumnarRow>> {
-    use beliefdb_storage::{execute_rows, ChunkLayout, Executor};
-    let db = columnar_db(n)?;
-    let run = |layout: ChunkLayout, plan: &beliefdb_storage::Plan| -> Vec<beliefdb_storage::Row> {
-        Executor::new(&db)
-            .layout(layout)
-            .open_chunks(plan)
-            .expect("open")
-            .collect_rows()
-            .expect("query")
-    };
-    let best = |f: &dyn Fn() -> usize| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-    let mut out = Vec::new();
-    for (name, plan) in columnar_plans() {
-        let mut columnar = run(ChunkLayout::Columnar, &plan);
-        let mut row_chunks = run(ChunkLayout::Rows, &plan);
-        let mut row_wise = execute_rows(&db, &plan)?;
-        columnar.sort();
-        row_chunks.sort();
-        row_wise.sort();
-        assert_eq!(columnar, row_chunks, "layouts disagree on {name}");
-        assert_eq!(columnar, row_wise, "row executor disagrees on {name}");
-        let columnar_time = best(&|| run(ChunkLayout::Columnar, &plan).len());
-        let chunk_time = best(&|| run(ChunkLayout::Rows, &plan).len());
-        let row_time = best(&|| execute_rows(&db, &plan).expect("row run").len());
-        out.push(ExecColumnarRow {
-            name,
-            columnar: columnar_time,
-            row_chunks: chunk_time,
-            row_at_a_time: row_time,
-            result_size: columnar.len(),
-        });
-    }
-    Ok(out)
-}
-
-/// Render the columnar comparison as a small report table.
-pub fn format_exec_columnar(rows: &[ExecColumnarRow], n: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Columnar vs row-layout chunk executor (fact table of {n} rows)\n"
-    ));
-    out.push_str(&format!(
-        "{:<12}{:>14}{:>14}{:>14}{:>10}{:>10}\n",
-        "plan", "columnar(ms)", "chunks(ms)", "row(ms)", "speedup", "rows"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12}{:>14.3}{:>14.3}{:>14.3}{:>9.2}x{:>10}\n",
-            r.name,
-            r.columnar.as_secs_f64() * 1e3,
-            r.row_chunks.as_secs_f64() * 1e3,
-            r.row_at_a_time.as_secs_f64() * 1e3,
-            r.speedup_vs_chunks(),
-            r.result_size
-        ));
-    }
-    out
-}
-
-/// Write the machine-readable columnar report: `{"n", "workloads":
-/// {name: {median_ns_columnar, median_ns_row_chunks, median_ns_row,
-/// speedup_vs_chunks, rows}}}`. Hand-rolled JSON like the obs report —
-/// fixed identifier keys and finite numbers only.
-pub fn write_bench_columnar_json(
-    path: &std::path::Path,
-    rows: &[ExecColumnarRow],
-    n: usize,
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str("  \"workloads\": {\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"median_ns_columnar\": {}, \"median_ns_row_chunks\": {}, \
-             \"median_ns_row\": {}, \"speedup_vs_chunks\": {:.4}, \"rows\": {}}}{}\n",
-            r.name,
-            r.columnar.as_nanos(),
-            r.row_chunks.as_nanos(),
-            r.row_at_a_time.as_nanos(),
-            r.speedup_vs_chunks(),
-            r.result_size,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    std::fs::write(path, out)
-}
-
 /// One measured query of the magic-sets comparison.
 #[derive(Debug, Clone)]
 pub struct OptMagicRow {
@@ -1353,7 +976,7 @@ pub fn format_opt_magic(rows: &[OptMagicRow], n: usize) -> String {
 
 /// Write the machine-readable magic-sets report: `{"n", "workloads":
 /// {name: {median_ns_magic, median_ns_nomagic, speedup, rows}}}`.
-/// Hand-rolled JSON like the columnar report — known keys, finite
+/// Hand-rolled JSON like the obs report — known keys, finite
 /// numbers, nothing to escape.
 pub fn write_bench_magic_json(
     path: &std::path::Path,
@@ -1643,23 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_report_covers_every_workload_and_serializes() {
-        let rows = run_exec_columnar(500, 2).unwrap();
-        let names: Vec<_> = rows.iter().map(|r| r.name).collect();
-        assert_eq!(names, vec!["filter", "wide_join", "dict_filter"]);
-        assert!(rows.iter().all(|r| r.result_size > 0));
-        let path = persist_scratch_dir("columnar-json").with_extension("json");
-        write_bench_columnar_json(&path, &rows, 500).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        for name in names {
-            assert!(text.contains(&format!("\"{name}\"")), "{text}");
-        }
-        assert!(text.contains("\"median_ns_columnar\""), "{text}");
-        assert!(format_exec_columnar(&rows, 500).contains("dict_filter"));
-    }
-
-    #[test]
     fn opt_magic_report_covers_every_workload_and_serializes() {
         let rows = run_opt_magic(400, 2).unwrap();
         let names: Vec<_> = rows.iter().map(|r| r.name).collect();
@@ -1745,18 +1351,6 @@ mod tests {
         assert!(rendered.contains("E(ms)"));
         // content queries should return something on a populated database
         assert!(rows[1].result_size > 0, "q1,1 empty: {rows:?}");
-    }
-
-    #[test]
-    fn exec_vectorized_harness_runs_and_formats() {
-        let (rows, sweep) = run_exec_vectorized(2_000, 2).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].name, "filter");
-        assert_eq!(sweep.len(), 3);
-        assert_eq!(sweep[0].batch, 128);
-        let rendered = format_exec_vectorized(&rows, &sweep, 2_000);
-        assert!(rendered.contains("chunked(ms)"));
-        assert!(rendered.contains("batch=1024"));
     }
 
     #[test]

@@ -31,8 +31,11 @@ use super::{Bcq, PathElem, QueryTerm};
 use crate::error::{BeliefError, Result};
 use crate::internal::{star_table, v_table, InternalStore, E_TABLE, U_TABLE};
 use crate::statement::Sign;
-use beliefdb_storage::datalog::{Atom, BodyLit, CmpLit, Evaluator, Program, Rule, Term};
-use beliefdb_storage::{CmpOp, Recorder, Row};
+use beliefdb_storage::datalog::{
+    AnalyzedPlans, Atom, BodyLit, CmpLit, Evaluator, PlanCache, Program, Rule, Term,
+};
+use beliefdb_storage::{metrics, CmpOp, Metric, Plan, Recorder, Row};
+use std::time::Instant;
 
 /// A translated query: the Datalog program plus the name of the answer
 /// relation.
@@ -237,15 +240,6 @@ impl Default for EvalOptions {
     }
 }
 
-impl EvalOptions {
-    fn budget(memory_budget: Option<usize>) -> Self {
-        EvalOptions {
-            memory_budget,
-            ..EvalOptions::default()
-        }
-    }
-}
-
 /// The program evaluation runs: the translated rule stack, rewritten
 /// demand-driven when `magic` is on (the answer relation and answer rows
 /// are unchanged either way — the rewrite is answer-preserving).
@@ -261,171 +255,162 @@ fn effective_program(translated: &TranslatedQuery, opts: &EvalOptions) -> Result
     }
 }
 
-/// Translate and execute a query against the store. The translated rule
-/// stack is first made demand-driven (magic sets / SIP — bound queries
-/// derive only the tuples they can reach), rule plans go through the
-/// storage-layer cost-based optimizer (`beliefdb_storage::opt`) — the
-/// role the paper delegates to "the database optimizer" — and the
-/// optimized plans are cached in the store keyed by (program, versions
-/// of the tables it reads), so repeat queries skip the rewrite passes
-/// entirely.
-pub fn evaluate(store: &InternalStore, q: &Bcq) -> Result<Vec<Row>> {
-    evaluate_with_options(store, q, &EvalOptions::default())
-}
-
-/// [`evaluate`] under a per-query memory budget (bytes): the chunked
-/// executor's materialization points spill to disk past their share of
-/// it (grace hash join, external merge sort — see
-/// `beliefdb_storage::exec::spill`). `None` is exactly [`evaluate`].
-pub fn evaluate_with_budget(
-    store: &InternalStore,
-    q: &Bcq,
-    memory_budget: Option<usize>,
-) -> Result<Vec<Row>> {
-    evaluate_with_options(store, q, &EvalOptions::budget(memory_budget))
-}
-
-/// [`evaluate`] with explicit [`EvalOptions`] (memory budget, magic-sets
-/// rewrite on/off).
-pub fn evaluate_with_options(
-    store: &InternalStore,
-    q: &Bcq,
-    opts: &EvalOptions,
-) -> Result<Vec<Row>> {
-    use beliefdb_storage::datalog::PlanCache;
-    let translated = translate(store, q)?;
-    let program = effective_program(&translated, opts)?;
-    let mut ev = Evaluator::new(store.database())
-        .seed_stats(store.stats_catalog())
-        .with_memory_budget(opts.memory_budget);
-    // The cache lock is held only for the brief lookup/store calls —
-    // never while plans execute — so concurrent queries don't serialize
-    // on each other's evaluation. Rewritten and unrewritten programs
-    // have distinct texts, hence distinct cache entries.
-    let key = program.to_string();
-    let versions = PlanCache::read_versions(store.database(), &program);
-    let cached = store.with_plan_cache(|cache| cache.lookup(&key, &versions));
-    match cached {
-        Some(plans) => {
-            ev.run_cached_plans(&program, &plans)
-                .map_err(BeliefError::from)?;
-        }
-        None => {
-            let (_, plans) = ev
-                .run_collecting_plans(&program)
-                .map_err(BeliefError::from)?;
-            store.with_plan_cache(|cache| cache.store(key, versions, plans));
-        }
-    }
-    collect_answer(&ev, &translated)
-}
-
-/// [`evaluate_with_budget`] with per-operator profiling on — the
-/// `EXPLAIN ANALYZE` backend. Returns the answer rows **plus** a report:
-/// each answer-rule plan annotated with estimated *and* actual rows,
-/// chunks, wall time, kernel-vs-fallback filter rows, and spill traffic.
-/// Participates in the same plan cache as [`evaluate`] (a repeat query
-/// profiles the cached plans; a first run stores the plans it collected).
-pub fn evaluate_analyze_with_budget(
-    store: &InternalStore,
-    q: &Bcq,
-    memory_budget: Option<usize>,
-    rec: &mut Recorder,
-) -> Result<(Vec<Row>, String)> {
-    evaluate_analyze_with_options(store, q, &EvalOptions::budget(memory_budget), rec)
-}
-
-/// [`evaluate_analyze_with_budget`] with explicit [`EvalOptions`].
-pub fn evaluate_analyze_with_options(
-    store: &InternalStore,
+/// The front half every optimized entry point shares: Algorithm 1, the
+/// magic-sets rewrite when on, and an evaluator seeded with the store's
+/// statistics under the query's memory budget.
+fn prepare<'s>(
+    store: &'s InternalStore,
     q: &Bcq,
     opts: &EvalOptions,
     rec: &mut Recorder,
-) -> Result<(Vec<Row>, String)> {
-    use beliefdb_storage::datalog::PlanCache;
+) -> Result<(TranslatedQuery, Program, Evaluator<'s>)> {
     let translated = rec.span("translate", || translate(store, q))?;
     let program = effective_program(&translated, opts)?;
-    let mut ev = Evaluator::new(store.database())
+    let ev = Evaluator::new(store.database())
         .seed_stats(store.stats_catalog())
         .with_memory_budget(opts.memory_budget);
-    // Same brief-lock cache protocol as [`evaluate_with_options`].
-    let key = program.to_string();
-    let versions = PlanCache::read_versions(store.database(), &program);
-    let cached = rec.span("cache_lookup", || {
-        store.with_plan_cache(|cache| cache.lookup(&key, &versions))
-    });
-    let profiled = match cached {
-        Some(plans) => {
-            let (_, profiled) = rec
-                .span("execute", || ev.run_cached_analyze(&program, &plans))
-                .map_err(BeliefError::from)?;
-            profiled
-        }
-        None => {
-            let (_, profiled) = rec
-                .span("execute", || ev.run_collecting_analyze(&program))
-                .map_err(BeliefError::from)?;
-            let plans: Vec<_> = profiled.iter().map(|(p, _)| p.clone()).collect();
+    Ok((translated, program, ev))
+}
+
+/// What [`run_query`] does with the answer relation.
+enum Answer<'k> {
+    /// Collect it, sorted.
+    Collect,
+    /// Collect it, sorted, with every answer-rule plan profiled and the
+    /// `EXPLAIN ANALYZE` report rendered.
+    Analyze,
+    /// Hand its rows to the callback as the final rule produces them;
+    /// nothing is collected.
+    Stream(&'k mut dyn FnMut(Row)),
+}
+
+/// Run one query through the store's plan cache — the path every
+/// evaluating entry point takes. Optimized rule plans are cached keyed by
+/// the program text and the versions of the tables it reads (rewritten
+/// and unrewritten programs have distinct texts, hence distinct
+/// entries): a hit executes the cached plans, skipping the rewrite passes
+/// and intermediate re-derivation; a miss derives fresh plans and stores
+/// them. Every call bumps `query.executed` and feeds the latency
+/// histogram, however the answer is delivered.
+///
+/// Returns the sorted answer rows (empty when streamed) and the report
+/// (empty unless analyzing).
+fn run_query(
+    store: &InternalStore,
+    q: &Bcq,
+    opts: &EvalOptions,
+    rec: &mut Recorder,
+    answer: Answer<'_>,
+) -> Result<(Vec<Row>, String)> {
+    metrics().incr(Metric::QueriesExecuted);
+    let t0 = Instant::now();
+    let out = (|| -> Result<(Vec<Row>, String)> {
+        let (translated, program, mut ev) = prepare(store, q, opts, rec)?;
+        // The cache lock is held only for the brief lookup/store calls —
+        // never while plans execute — so concurrent queries don't
+        // serialize on each other's evaluation.
+        let key = program.to_string();
+        let versions = PlanCache::read_versions(store.database(), &program);
+        let cached = rec.span("cache_lookup", || {
+            store.with_plan_cache(|cache| cache.lookup(&key, &versions))
+        });
+        let (collect, analyze) = match answer {
+            Answer::Collect => (true, false),
+            Answer::Analyze => (true, true),
+            Answer::Stream(_) => (false, false),
+        };
+        let mut profiled: AnalyzedPlans = Vec::new();
+        let fresh = rec.span(
+            "execute",
+            || -> beliefdb_storage::Result<Option<Vec<Plan>>> {
+                let program = &program;
+                Ok(match (answer, cached.as_deref()) {
+                    (Answer::Collect, Some(plans)) => {
+                        ev.run_cached_plans(program, plans)?;
+                        None
+                    }
+                    (Answer::Collect, None) => Some(ev.run_collecting_plans(program)?.1),
+                    (Answer::Analyze, Some(plans)) => {
+                        profiled = ev.run_cached_analyze(program, plans)?.1;
+                        None
+                    }
+                    (Answer::Analyze, None) => {
+                        profiled = ev.run_collecting_analyze(program)?.1;
+                        Some(profiled.iter().map(|(p, _)| p.clone()).collect())
+                    }
+                    (Answer::Stream(sink), Some(plans)) => {
+                        ev.stream_cached_plans(program, plans, sink)?;
+                        None
+                    }
+                    (Answer::Stream(sink), None) => {
+                        Some(ev.run_streaming_collecting_plans(program, sink)?)
+                    }
+                })
+            },
+        )?;
+        if let Some(plans) = fresh {
             store.with_plan_cache(|cache| cache.store(key, versions, plans));
-            profiled
         }
-    };
-    let report = ev.render_analyze_report(&profiled);
-    let rows = rec.span("sort", || collect_answer(&ev, &translated))?;
-    Ok((rows, report))
+        let report = if analyze {
+            ev.render_analyze_report(&profiled)
+        } else {
+            String::new()
+        };
+        let rows = if collect {
+            rec.span("sort", || collect_answer(&ev, &translated))
+        } else {
+            Vec::new()
+        };
+        Ok((rows, report))
+    })();
+    metrics().record_latency(t0.elapsed().as_nanos() as u64);
+    out
+}
+
+/// Translate and execute a query against the store. The translated rule
+/// stack is first made demand-driven (magic sets / SIP — bound queries
+/// derive only the tuples they can reach) unless `opts.magic` is off,
+/// rule plans go through the storage-layer cost-based optimizer
+/// (`beliefdb_storage::opt`) — the role the paper delegates to "the
+/// database optimizer" — and the optimized plans are cached in the store
+/// keyed by (program, versions of the tables it reads), so repeat queries
+/// skip the rewrite passes entirely. Under `opts.memory_budget` the chunked
+/// executor's materialization points spill to disk past their share of
+/// it (grace hash join, external merge sort — see
+/// `beliefdb_storage::exec::spill`).
+pub fn evaluate(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<Vec<Row>> {
+    run_query(store, q, opts, &mut Recorder::disabled(), Answer::Collect).map(|(rows, _)| rows)
+}
+
+/// [`evaluate`] with per-operator profiling on — the `EXPLAIN ANALYZE`
+/// backend. Returns the answer rows **plus** a report: each answer-rule
+/// plan annotated with estimated *and* actual rows, chunks, wall time,
+/// kernel-vs-fallback filter rows, and spill traffic. An enabled `rec`
+/// additionally gets `translate` / `cache_lookup` / `execute` / `sort`
+/// spans. Shares the plan cache with [`evaluate`] (a repeat query
+/// profiles the cached plans; a first run stores the plans it collected).
+pub fn evaluate_analyze(
+    store: &InternalStore,
+    q: &Bcq,
+    opts: &EvalOptions,
+    rec: &mut Recorder,
+) -> Result<(Vec<Row>, String)> {
+    run_query(store, q, opts, rec, Answer::Analyze)
 }
 
 /// Translate and execute, **streaming** the answer rows into `sink` as
 /// the final Datalog rule produces them: the answer relation is never
 /// collected or sorted. Rows are deduplicated but arrive in executor
 /// order; intermediate temp tables are still materialized (they feed
-/// later rules).
-pub fn evaluate_streaming(store: &InternalStore, q: &Bcq, sink: impl FnMut(Row)) -> Result<()> {
-    evaluate_streaming_with_budget(store, q, None, sink)
-}
-
-/// [`evaluate_streaming`] under a per-query memory budget (bytes); see
-/// [`evaluate_with_budget`].
-pub fn evaluate_streaming_with_budget(
-    store: &InternalStore,
-    q: &Bcq,
-    memory_budget: Option<usize>,
-    sink: impl FnMut(Row),
-) -> Result<()> {
-    evaluate_streaming_with_options(store, q, &EvalOptions::budget(memory_budget), sink)
-}
-
-/// [`evaluate_streaming`] with explicit [`EvalOptions`].
-pub fn evaluate_streaming_with_options(
+/// later rules). Shares the plan cache with [`evaluate`].
+pub fn evaluate_streaming(
     store: &InternalStore,
     q: &Bcq,
     opts: &EvalOptions,
-    sink: impl FnMut(Row),
+    mut sink: impl FnMut(Row),
 ) -> Result<()> {
-    use beliefdb_storage::datalog::PlanCache;
-    let translated = translate(store, q)?;
-    let program = effective_program(&translated, opts)?;
-    let mut ev = Evaluator::new(store.database())
-        .seed_stats(store.stats_catalog())
-        .with_memory_budget(opts.memory_budget);
-    // Same brief-lock cache protocol as [`evaluate`]: a repeat query
-    // streams the cached answer plan directly, skipping rewrite passes
-    // and intermediate re-derivation.
-    let key = program.to_string();
-    let versions = PlanCache::read_versions(store.database(), &program);
-    let cached = store.with_plan_cache(|cache| cache.lookup(&key, &versions));
-    match cached {
-        Some(plans) => ev
-            .stream_cached_plans(&program, &plans, sink)
-            .map_err(BeliefError::from),
-        None => {
-            let plans = ev
-                .run_streaming_collecting_plans(&program, sink)
-                .map_err(BeliefError::from)?;
-            store.with_plan_cache(|cache| cache.store(key, versions, plans));
-            Ok(())
-        }
-    }
+    let answer = Answer::Stream(&mut sink);
+    run_query(store, q, opts, &mut Recorder::disabled(), answer).map(|_| ())
 }
 
 /// Translate and execute without the optimizer: plans run exactly as
@@ -437,8 +422,8 @@ pub fn evaluate_unoptimized(store: &InternalStore, q: &Bcq) -> Result<Vec<Row>> 
 }
 
 /// Translate and execute with the materializing (operator-at-a-time)
-/// executor instead of the streaming one. Kept as the reference side of
-/// the streaming-vs-materializing differential suite.
+/// reference executor instead of the streaming one: the reference side
+/// of the differential suites.
 pub fn evaluate_materialized(store: &InternalStore, q: &Bcq) -> Result<Vec<Row>> {
     let translated = translate(store, q)?;
     let ev = Evaluator::new(store.database())
@@ -447,60 +432,29 @@ pub fn evaluate_materialized(store: &InternalStore, q: &Bcq) -> Result<Vec<Row>>
     run_program(ev, &translated)
 }
 
-/// Translate and execute with the row-at-a-time streaming executor (the
-/// PR 2 tuple pipeline) instead of the vectorized chunk-at-a-time one.
-/// Kept as the vectorization baseline: the `exec_vectorized` bench and
-/// the three-way differential suite (chunked / row / materialized) run
-/// whole BCQs through this path.
-pub fn evaluate_rows(store: &InternalStore, q: &Bcq) -> Result<Vec<Row>> {
-    let translated = translate(store, q)?;
-    let ev = Evaluator::new(store.database())
-        .seed_stats(store.stats_catalog())
-        .use_row_executor();
-    run_program(ev, &translated)
-}
-
 fn run_program(mut ev: Evaluator<'_>, translated: &TranslatedQuery) -> Result<Vec<Row>> {
     ev.run(&translated.program).map_err(BeliefError::from)?;
-    collect_answer(&ev, translated)
+    Ok(collect_answer(&ev, translated))
 }
 
-fn collect_answer(ev: &Evaluator<'_>, translated: &TranslatedQuery) -> Result<Vec<Row>> {
+fn collect_answer(ev: &Evaluator<'_>, translated: &TranslatedQuery) -> Vec<Row> {
     let mut rows = ev
         .relation(&translated.answer)
         .map(|r| r.to_vec())
         .unwrap_or_default();
     rows.sort();
-    Ok(rows)
+    rows
 }
 
 /// Full `EXPLAIN` of a query: the Datalog program Algorithm 1 produces,
-/// followed by the optimized physical plan of every rule.
-pub fn explain(store: &InternalStore, q: &Bcq) -> Result<String> {
-    explain_with_budget(store, q, None)
-}
-
-/// [`explain`] under a per-query memory budget: materialization points
-/// additionally carry `[spill budget=… partitions=…]` tags showing the
-/// per-point share and partition fan-out.
-pub fn explain_with_budget(
-    store: &InternalStore,
-    q: &Bcq,
-    memory_budget: Option<usize>,
-) -> Result<String> {
-    explain_with_options(store, q, &EvalOptions::budget(memory_budget))
-}
-
-/// [`explain`] with explicit [`EvalOptions`]: with the magic rewrite on,
-/// generated rules carry deterministic `[magic seed adorn=…]` /
-/// `[magic adorn=…]` tags; with it off the output is byte-identical to
-/// the pre-rewrite engine's.
-pub fn explain_with_options(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<String> {
-    let translated = translate(store, q)?;
-    let program = effective_program(&translated, opts)?;
-    let mut ev = Evaluator::new(store.database())
-        .seed_stats(store.stats_catalog())
-        .with_memory_budget(opts.memory_budget);
+/// followed by the optimized physical plan of every rule. With the magic
+/// rewrite on, generated rules carry deterministic `[magic seed adorn=…]`
+/// / `[magic adorn=…]` tags; with it off the output is byte-identical to
+/// the pre-rewrite engine's. Under a memory budget, materialization
+/// points additionally carry `[spill budget=… partitions=…]` tags showing
+/// the per-point share and partition fan-out.
+pub fn explain(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<String> {
+    let (_, program, mut ev) = prepare(store, q, opts, &mut Recorder::disabled())?;
     ev.explain_program(&program).map_err(BeliefError::from)
 }
 
@@ -579,7 +533,7 @@ mod tests {
             )
             .build(st.schema())
             .unwrap();
-        let translated = evaluate(&st, &q).unwrap();
+        let translated = evaluate(&st, &q, &EvalOptions::default()).unwrap();
         let mut reference = naive::evaluate(&db, &q).unwrap();
         reference.sort();
         assert_eq!(translated, reference);
@@ -594,7 +548,10 @@ mod tests {
             .positive(vec![], s, vec![qv("sid"), qany(), qany(), qany(), qany()])
             .build(st.schema())
             .unwrap();
-        assert_eq!(evaluate(&st, &q).unwrap(), vec![row!["s1"]]);
+        assert_eq!(
+            evaluate(&st, &q, &EvalOptions::default()).unwrap(),
+            vec![row!["s1"]]
+        );
     }
 
     #[test]
@@ -609,7 +566,7 @@ mod tests {
             .positive(vec![pu(alice)], s, args)
             .build(st.schema())
             .unwrap();
-        let translated = evaluate(&st, &q).unwrap();
+        let translated = evaluate(&st, &q, &EvalOptions::default()).unwrap();
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(translated, reference);
         assert_eq!(translated, vec![row![2]]);
@@ -626,7 +583,7 @@ mod tests {
             .negative(vec![pu(bob)], s, args)
             .build(st.schema())
             .unwrap();
-        let translated = evaluate(&st, &q).unwrap();
+        let translated = evaluate(&st, &q, &EvalOptions::default()).unwrap();
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(translated, reference);
         assert_eq!(translated.len(), 2);
@@ -656,7 +613,7 @@ mod tests {
             .negative(vec![pv("z")], r, vec![qv("x"), qv("u"), qv("v")])
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q).unwrap();
+        let rows = evaluate(&st, &q, &EvalOptions::default()).unwrap();
         // Sample a is disputed in both directions; b is not disputed.
         assert!(rows.contains(&row!["a", 1, 2]));
         assert!(rows.contains(&row!["a", 2, 1]));
@@ -682,7 +639,7 @@ mod tests {
             )
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q).unwrap();
+        let rows = evaluate(&st, &q, &EvalOptions::default()).unwrap();
         assert!(!rows.is_empty());
         for r in &rows {
             assert_ne!(r[0], r[1], "translated query leaked a path outside Û*");
@@ -712,7 +669,7 @@ mod tests {
             .pred(qv("sp1"), beliefdb_storage::CmpOp::Ne, qv("sp2"))
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q).unwrap();
+        let rows = evaluate(&st, &q, &EvalOptions::default()).unwrap();
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(rows, reference);
         assert_eq!(rows, vec![row![2, "crow", "raven"]]);
@@ -741,7 +698,7 @@ mod tests {
         ];
         for q in &queries {
             assert_eq!(
-                evaluate(&st, q).unwrap(),
+                evaluate(&st, q, &EvalOptions::default()).unwrap(),
                 evaluate_unoptimized(&st, q).unwrap(),
                 "optimizer changed semantics of {q}"
             );
@@ -760,12 +717,12 @@ mod tests {
             )
             .build(st.schema())
             .unwrap();
-        let text = explain(&st, &q).unwrap();
+        let text = explain(&st, &q, &EvalOptions::default()).unwrap();
         assert!(text.contains("__bcq_T1"), "{text}");
         assert!(text.contains("Scan"), "{text}");
         assert_eq!(
             text,
-            explain(&st, &q).unwrap(),
+            explain(&st, &q, &EvalOptions::default()).unwrap(),
             "explain must be deterministic"
         );
     }

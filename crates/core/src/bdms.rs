@@ -19,12 +19,10 @@ use crate::statement::{BeliefStatement, GroundTuple, Sign};
 use crate::world::BeliefWorld;
 use beliefdb_storage::persist::PersistEngine;
 use beliefdb_storage::{
-    metrics, Database, Metric, MetricsSnapshot, QueryTrace, Recorder, Row, SlowLog, StorageError,
-    Value,
+    metrics, Database, MetricsSnapshot, QueryTrace, Recorder, Row, SlowLog, StorageError, Value,
 };
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Size report for the internal database (`|R*|` of Sect. 5.4).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -460,19 +458,13 @@ impl Bdms {
     /// spans plus the full `EXPLAIN ANALYZE` report attached; a disabled
     /// recorder makes this exactly the plain query path (no profiling).
     pub fn query_traced(&self, q: &Bcq, rec: &mut Recorder) -> Result<Vec<Row>> {
-        metrics().incr(Metric::QueriesExecuted);
-        let t0 = Instant::now();
-        let out = if rec.is_enabled() {
-            bcq::translate::evaluate_analyze_with_options(&self.store, q, &self.eval_options(), rec)
-                .map(|(rows, report)| {
-                    rec.set_profile(report);
-                    rows
-                })
-        } else {
-            bcq::translate::evaluate_with_options(&self.store, q, &self.eval_options())
-        };
-        metrics().record_latency(t0.elapsed().as_nanos() as u64);
-        out
+        let opts = self.eval_options();
+        if !rec.is_enabled() {
+            return bcq::translate::evaluate(&self.store, q, &opts);
+        }
+        let (rows, report) = bcq::translate::evaluate_analyze(&self.store, q, &opts, rec)?;
+        rec.set_profile(report);
+        Ok(rows)
     }
 
     /// `EXPLAIN ANALYZE`: run the query with per-operator profiling on
@@ -481,16 +473,12 @@ impl Bdms {
     /// rows, chunks, wall time, kernel-vs-fallback filter rows, and
     /// spill traffic. Shares the plan cache with [`Bdms::query`].
     pub fn explain_analyze_query(&self, q: &Bcq) -> Result<(Vec<Row>, String)> {
-        metrics().incr(Metric::QueriesExecuted);
-        let t0 = Instant::now();
-        let out = bcq::translate::evaluate_analyze_with_options(
+        bcq::translate::evaluate_analyze(
             &self.store,
             q,
             &self.eval_options(),
             &mut Recorder::disabled(),
-        );
-        metrics().record_latency(t0.elapsed().as_nanos() as u64);
-        out
+        )
     }
 
     /// Evaluate a BCQ, streaming answer rows into `sink` as the final
@@ -498,9 +486,9 @@ impl Bdms {
     /// `Vec` (and is therefore *unsorted*, unlike [`Bdms::query`]). Rows
     /// are deduplicated. This is the path interactive consumers (the
     /// BeliefSQL shell) use to show first results before the query
-    /// finishes.
+    /// finishes. Counted in the metrics registry like [`Bdms::query`].
     pub fn query_streaming(&self, q: &Bcq, sink: impl FnMut(Row)) -> Result<()> {
-        bcq::translate::evaluate_streaming_with_options(&self.store, q, &self.eval_options(), sink)
+        bcq::translate::evaluate_streaming(&self.store, q, &self.eval_options(), sink)
     }
 
     /// Evaluate via the Algorithm 1 translation with the optimizer off:
@@ -509,27 +497,17 @@ impl Bdms {
         bcq::translate::evaluate_unoptimized(&self.store, q)
     }
 
-    /// Evaluate with the materializing (operator-at-a-time) executor
-    /// instead of the streaming one — the reference side of the
-    /// streaming-vs-materializing differential suite and the
-    /// `exec_streaming` bench baseline.
+    /// Evaluate with the materializing (operator-at-a-time) reference
+    /// executor instead of the streaming one — the reference side of the
+    /// differential suites.
     pub fn query_materialized(&self, q: &Bcq) -> Result<Vec<Row>> {
         bcq::translate::evaluate_materialized(&self.store, q)
-    }
-
-    /// Evaluate with the row-at-a-time streaming executor (the PR 2
-    /// tuple pipeline) instead of the vectorized chunk-at-a-time one —
-    /// the baseline the `exec_vectorized` bench measures against, and
-    /// the third voice of the chunked/row/materialized differential
-    /// suite.
-    pub fn query_row_at_a_time(&self, q: &Bcq) -> Result<Vec<Row>> {
-        bcq::translate::evaluate_rows(&self.store, q)
     }
 
     /// `EXPLAIN`: the optimized physical plan of every Datalog rule the
     /// Algorithm 1 translation produces for this query.
     pub fn explain_query(&self, q: &Bcq) -> Result<String> {
-        bcq::translate::explain_with_options(&self.store, q, &self.eval_options())
+        bcq::translate::explain(&self.store, q, &self.eval_options())
     }
 
     /// Evaluate via the naive Def. 14 evaluator (reference semantics; used
@@ -677,7 +655,7 @@ mod tests {
     use crate::bcq::dsl::*;
     use crate::database::running_example;
     use crate::path::path;
-    use beliefdb_storage::row;
+    use beliefdb_storage::{row, Metric};
 
     fn running_bdms() -> (Bdms, UserId, UserId, UserId) {
         let (db, a, b, c) = running_example();
@@ -822,15 +800,16 @@ mod tests {
                 .unwrap(),
         ];
         for q in &queries {
+            let rows = bdms.query(q).unwrap();
             assert_eq!(
-                bdms.query(q).unwrap(),
+                rows,
                 bdms.query_materialized(q).unwrap(),
                 "executors disagree on {q}"
             );
             assert_eq!(
-                bdms.query(q).unwrap(),
-                bdms.query_row_at_a_time(q).unwrap(),
-                "chunked and row-at-a-time executors disagree on {q}"
+                rows,
+                bdms.query_naive(q).unwrap(),
+                "oracle disagrees on {q}"
             );
         }
     }
@@ -899,6 +878,37 @@ mod tests {
         assert_eq!(streamed, after);
         let (h3, _) = bdms.internal().with_plan_cache(|c| (c.hits(), c.misses()));
         assert_eq!(h3, 2);
+
+        // The analyze path takes the same lookup-or-store protocol: on a
+        // fresh store it is the miss that stores the plans, and every
+        // other entry point then hits them.
+        let (fresh, _, _, _) = running_bdms();
+        let counts = || {
+            fresh
+                .internal()
+                .with_plan_cache(|c| (c.hits(), c.misses(), c.len()))
+        };
+        let (rows, report) = fresh.explain_analyze_query(&q).unwrap();
+        assert!(report.contains("actual"), "{report}");
+        assert_eq!(counts(), (0, 1, 1));
+        assert_eq!(fresh.query(&q).unwrap(), rows);
+        assert_eq!(counts(), (1, 1, 1));
+        let mut streamed = Vec::new();
+        fresh.query_streaming(&q, |row| streamed.push(row)).unwrap();
+        streamed.sort();
+        assert_eq!(streamed, rows);
+        assert_eq!(counts(), (2, 1, 1));
+        let mut rec = Recorder::enabled(q.to_string());
+        assert_eq!(fresh.query_traced(&q, &mut rec).unwrap(), rows);
+        assert_eq!(counts(), (3, 1, 1));
+        let trace = rec.finish().expect("enabled recorder yields a trace");
+        assert!(
+            trace
+                .profile
+                .as_deref()
+                .is_some_and(|p| p.contains("actual")),
+            "{trace:?}"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   restoring them in id order reproduces the exact wid/tid
 //!   assignment, so `SizeStats` match the pre-crash store.
 //!
-//! [`Durability`] glues a [`PersistEngine`] to a store: append a record
+//! `Durability` glues a [`PersistEngine`] to a store: append a record
 //! before applying it ("append-then-apply" — mutations are validated
 //! first so a logged record always replays cleanly), checkpoint on
 //! demand or when the live log passes the configured threshold.

@@ -298,7 +298,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Size ranges accepted by [`vec`].
+    /// Size ranges accepted by [`vec()`].
     pub trait SizeRange {
         fn bounds(&self) -> (usize, usize);
     }

@@ -325,21 +325,6 @@ pub struct Program {
     pub rules: Vec<Rule>,
 }
 
-/// Which executor evaluates rule plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The vectorized chunk-at-a-time streaming executor (default):
-    /// rule rows flow out of the executor a batch at a time.
-    #[default]
-    Chunked,
-    /// The row-at-a-time streaming executor (the PR 2 pipeline), kept as
-    /// the vectorization baseline and differential voice.
-    RowAtATime,
-    /// The operator-at-a-time materializing executor (the executable
-    /// specification the streaming executors are tested against).
-    Materializing,
-}
-
 /// Each answer rule's optimized plan paired with its execution profile —
 /// what a profiled program run (`run_*_analyze`) returns.
 pub type AnalyzedPlans = Vec<(Plan, crate::obs::Profile)>;
@@ -357,28 +342,26 @@ pub struct Evaluator<'a> {
     derived: HashMap<String, (usize, Vec<Row>)>,
     optimizer: Option<crate::opt::OptimizerOptions>,
     stats: Option<crate::opt::StatsCatalog>,
-    /// Which executor runs rule plans (differential testing and the
-    /// vectorization benches switch this; production stays chunked).
-    mode: ExecMode,
+    /// Run rule plans through the materializing reference executor
+    /// ([`crate::exec::execute_materialized`]) instead of the chunked one
+    /// — only the differential suites set this.
+    materialized: bool,
     /// Memory budget for the chunked executor's materialization points
-    /// (see [`crate::exec::spill`]); unlimited by default. The row and
-    /// materializing executors ignore it (they are test baselines).
+    /// (see [`crate::exec::spill`]); unlimited by default. The
+    /// materializing reference executor ignores it.
     spill: crate::exec::SpillOptions,
-    /// Leaf-scan layout for the chunked executor (columnar by default;
-    /// the differential suites also run the row-layout chunks).
-    layout: crate::exec::ChunkLayout,
 }
 
-/// Pull every result row of `plan` through the chosen executor into
-/// `sink`, in executor order. The chunked path hands whole batches
-/// across the executor boundary — the per-row virtual call of the PR 2
-/// interface happens only inside this loop, not per operator.
+/// Pull every result row of `plan` through the chunked executor (or, with
+/// `materialized`, the reference executor) into `sink`, in executor
+/// order. The chunked path hands whole batches across the executor
+/// boundary — the per-row call happens only inside this loop, not per
+/// operator.
 fn drive(
     db: &Database,
     plan: &Plan,
-    mode: ExecMode,
+    materialized: bool,
     spill: &crate::exec::SpillOptions,
-    layout: crate::exec::ChunkLayout,
     mut sink: impl FnMut(Row),
 ) -> Result<()> {
     // Rows delivered are accumulated locally and added to the metrics
@@ -389,31 +372,20 @@ fn drive(
         sink(row)
     };
     let result = (|| {
-        match mode {
-            ExecMode::Chunked => {
-                // Drain through a reused scratch buffer so each chunk's
-                // backing storage goes back to the executor's pool instead
-                // of being reallocated per batch.
-                let mut scratch: Vec<Row> = Vec::new();
-                for chunk in crate::exec::Executor::with_spill(db, spill.clone())
-                    .layout(layout)
-                    .open_chunks(plan)?
-                {
-                    chunk?.drain_into(&mut scratch);
-                    for row in scratch.drain(..) {
-                        sink(row);
-                    }
-                }
+        if materialized {
+            for row in crate::exec::execute_materialized(db, plan)? {
+                sink(row);
             }
-            ExecMode::RowAtATime => {
-                for item in crate::exec::stream_rows(db, plan)? {
-                    sink(item?);
-                }
-            }
-            ExecMode::Materializing => {
-                for row in crate::exec::execute_materialized(db, plan)? {
-                    sink(row);
-                }
+            return Ok(());
+        }
+        // Drain through a reused scratch buffer so each chunk's backing
+        // storage goes back to the executor's pool instead of being
+        // reallocated per batch.
+        let mut scratch: Vec<Row> = Vec::new();
+        for chunk in crate::exec::Executor::with_spill(db, spill.clone()).open_chunks(plan)? {
+            chunk?.drain_into(&mut scratch);
+            for row in scratch.drain(..) {
+                sink(row);
             }
         }
         Ok(())
@@ -430,10 +402,9 @@ fn drive_profiled(
     db: &Database,
     plan: &Plan,
     spill: &crate::exec::SpillOptions,
-    layout: crate::exec::ChunkLayout,
     mut sink: impl FnMut(Row),
 ) -> Result<crate::obs::Profile> {
-    let exec = crate::exec::Executor::with_spill(db, spill.clone()).layout(layout);
+    let exec = crate::exec::Executor::with_spill(db, spill.clone());
     let (stream, profile) = exec.open_chunks_profiled(plan)?;
     let mut scratch: Vec<Row> = Vec::new();
     let mut emitted = 0u64;
@@ -575,35 +546,24 @@ impl<'a> Evaluator<'a> {
             derived: HashMap::new(),
             optimizer: Some(crate::opt::OptimizerOptions::default()),
             stats: None,
-            mode: ExecMode::Chunked,
+            materialized: false,
             spill: crate::exec::SpillOptions::unlimited(),
-            layout: crate::exec::ChunkLayout::default(),
         }
     }
 
     /// An evaluator that executes rule plans exactly as compiled.
     pub fn new_unoptimized(db: &'a Database) -> Self {
         Evaluator {
-            db,
-            derived: HashMap::new(),
             optimizer: None,
-            stats: None,
-            mode: ExecMode::Chunked,
-            spill: crate::exec::SpillOptions::unlimited(),
-            layout: crate::exec::ChunkLayout::default(),
+            ..Evaluator::new(db)
         }
     }
 
     /// An evaluator with explicit optimizer options.
     pub fn with_optimizer(db: &'a Database, opts: crate::opt::OptimizerOptions) -> Self {
         Evaluator {
-            db,
-            derived: HashMap::new(),
             optimizer: Some(opts),
-            stats: None,
-            mode: ExecMode::Chunked,
-            spill: crate::exec::SpillOptions::unlimited(),
-            layout: crate::exec::ChunkLayout::default(),
+            ..Evaluator::new(db)
         }
     }
 
@@ -612,21 +572,8 @@ impl<'a> Evaluator<'a> {
     /// one. The executors are differentially tested to agree; this
     /// switch exists so higher layers can run both sides of that
     /// comparison.
-    pub fn use_materializing_executor(self) -> Self {
-        self.with_exec_mode(ExecMode::Materializing)
-    }
-
-    /// Evaluate rule plans with the row-at-a-time streaming executor
-    /// ([`crate::exec::stream_rows`]) instead of the chunked one — the
-    /// vectorization baseline side of the differential suites and the
-    /// `exec_vectorized` bench.
-    pub fn use_row_executor(self) -> Self {
-        self.with_exec_mode(ExecMode::RowAtATime)
-    }
-
-    /// Evaluate rule plans with an explicit executor.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
+    pub fn use_materializing_executor(mut self) -> Self {
+        self.materialized = true;
         self
     }
 
@@ -643,14 +590,6 @@ impl<'a> Evaluator<'a> {
     /// Replace the full spill options (budget + run-file directory).
     pub fn with_spill_options(mut self, spill: crate::exec::SpillOptions) -> Self {
         self.spill = spill;
-        self
-    }
-
-    /// Choose the chunked executor's leaf-scan layout (columnar by
-    /// default; [`crate::exec::ChunkLayout::Rows`] keeps the row-layout
-    /// chunks as a differential voice).
-    pub fn with_layout(mut self, layout: crate::exec::ChunkLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -710,7 +649,7 @@ impl<'a> Evaluator<'a> {
             let plan = self.plan_rule(rule)?;
             self.refresh_stats();
             let stats = self.stats.as_ref().expect("just refreshed");
-            out.push_str(&crate::opt::render_with_budget(
+            out.push_str(&crate::opt::render(
                 self.db,
                 stats,
                 &plan,
@@ -779,12 +718,11 @@ impl<'a> Evaluator<'a> {
     /// the executor boundary.
     fn consume_into_head(&mut self, rule: &Rule, plan: &Plan) -> Result<()> {
         let db = self.db;
-        let mode = self.mode;
-        let layout = self.layout;
+        let materialized = self.materialized;
         let spill = self.spill.clone();
         let entry = self.head_entry(rule)?;
         let mut seen: HashSet<Row> = entry.1.iter().cloned().collect();
-        drive(db, plan, mode, &spill, layout, |row| {
+        drive(db, plan, materialized, &spill, |row| {
             if seen.insert(row.clone()) {
                 entry.1.push(row);
             }
@@ -799,11 +737,10 @@ impl<'a> Evaluator<'a> {
         plan: &Plan,
     ) -> Result<crate::obs::Profile> {
         let db = self.db;
-        let layout = self.layout;
         let spill = self.spill.clone();
         let entry = self.head_entry(rule)?;
         let mut seen: HashSet<Row> = entry.1.iter().cloned().collect();
-        drive_profiled(db, plan, &spill, layout, |row| {
+        drive_profiled(db, plan, &spill, |row| {
             if seen.insert(row.clone()) {
                 entry.1.push(row);
             }
@@ -826,7 +763,7 @@ impl<'a> Evaluator<'a> {
     /// streaming from the executor into the derived relations — exactly
     /// the pre-recursion engine, byte for byte. Programs whose
     /// head-dependency graph has cycles switch to stratified semi-naive
-    /// fixpoint evaluation ([`Evaluator::run_recursive`]).
+    /// fixpoint evaluation (`Evaluator::run_recursive`).
     pub fn run(&mut self, program: &Program) -> Result<Option<String>> {
         let graph = head_graph(program);
         let comps = graph.sccs();
@@ -1004,7 +941,7 @@ impl<'a> Evaluator<'a> {
     fn eval_rule_rows(&mut self, rule: &Rule) -> Result<Vec<Row>> {
         let plan = self.plan_rule(rule)?;
         let mut rows = Vec::new();
-        drive(self.db, &plan, self.mode, &self.spill, self.layout, |row| {
+        drive(self.db, &plan, self.materialized, &self.spill, |row| {
             rows.push(row)
         })?;
         Ok(rows)
@@ -1232,7 +1169,7 @@ impl<'a> Evaluator<'a> {
             }
             None => HashSet::new(),
         };
-        drive(self.db, &plan, self.mode, &self.spill, self.layout, |row| {
+        drive(self.db, &plan, self.materialized, &self.spill, |row| {
             if seen.insert(row.clone()) {
                 sink(row);
             }
@@ -1266,7 +1203,7 @@ impl<'a> Evaluator<'a> {
         }
         let mut seen: HashSet<Row> = HashSet::new();
         for plan in plans {
-            drive(self.db, plan, self.mode, &self.spill, self.layout, |row| {
+            drive(self.db, plan, self.materialized, &self.spill, |row| {
                 if seen.insert(row.clone()) {
                     sink(row);
                 }
@@ -1311,7 +1248,7 @@ impl<'a> Evaluator<'a> {
             plan = crate::opt::optimize_with(self.db, plan, opts)?;
         }
         let mut rows = Vec::new();
-        drive(self.db, &plan, self.mode, &self.spill, self.layout, |row| {
+        drive(self.db, &plan, self.materialized, &self.spill, |row| {
             rows.push(row)
         })?;
         dedup_rows(&mut rows);
@@ -2121,21 +2058,6 @@ mod tests {
     }
 
     #[test]
-    fn row_layout_evaluator_matches_columnar() {
-        let db = db();
-        let prog = reach_program();
-        let mut cols = Evaluator::new(&db);
-        cols.run(&prog).unwrap();
-        let mut rows_ev = Evaluator::new(&db).with_layout(crate::exec::ChunkLayout::Rows);
-        rows_ev.run(&prog).unwrap();
-        let mut a = cols.relation("Reach2").unwrap().to_vec();
-        let mut b = rows_ev.relation("Reach2").unwrap().to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn plan_cache_declines_predefined_relations() {
         let db = db();
         let mut cache = PlanCache::new();
@@ -2333,17 +2255,23 @@ mod tests {
                 pos("E", vec![v("w"), v("u2"), v("w2")]),
             ],
         );
-        let chunked = Evaluator::new(&db);
-        let row_at_a_time = Evaluator::new(&db).use_row_executor();
-        let materializing = Evaluator::new(&db).use_materializing_executor();
+        let mut chunked = Evaluator::new(&db);
+        let mut materializing = Evaluator::new(&db).use_materializing_executor();
         let mut a = chunked.eval_rule(&r).unwrap();
         let mut b = materializing.eval_rule(&r).unwrap();
-        let mut c = row_at_a_time.eval_rule(&r).unwrap();
         a.sort();
         b.sort();
-        c.sort();
         assert_eq!(a, b);
-        assert_eq!(a, c);
+        // And a whole program, intermediate heads included.
+        let prog = reach_program();
+        chunked.run(&prog).unwrap();
+        materializing.run(&prog).unwrap();
+        let mut a = chunked.relation("Reach2").unwrap().to_vec();
+        let mut b = materializing.relation("Reach2").unwrap().to_vec();
+        a.sort();
+        b.sort();
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,57 +1,45 @@
-//! Plan execution.
+//! Plan execution: one production executor and one executable
+//! specification it is differentially tested against.
 //!
-//! Three executors share this module:
-//!
-//! * the **vectorized streaming executor** ([`stream`],
-//!   [`stream_chunks`], [`Executor`], [`Chunk`], [`ChunkStream`]) — the
-//!   default. Operators exchange batches of up to [`BATCH_SIZE`] rows
-//!   with selection vectors; leaf scans emit **columnar windows** over
-//!   the table's typed column vectors ([`crate::column`]) without
-//!   cloning a row ([`ChunkLayout::Columnar`]; `ChunkLayout::Rows`
-//!   reproduces the previous clone-at-scan executor for benchmarking),
-//!   filters run kernel passes over primitive column slices into the
-//!   selection vector, projections precompile their column maps and
-//!   gather straight from columns, and hash joins probe a whole chunk
-//!   per call. Scan, Selection, Projection, Union, Limit, and the probe
-//!   side of (anti-)joins pipeline; the **materialization points** are
-//!   the hash build sides of keyed joins and anti-joins, cross-join
-//!   right sides, Aggregate, Sort, and Distinct's seen-set (Distinct
-//!   streams first occurrences but still accumulates every distinct
-//!   row). Each of those points can spill to disk under a per-query
-//!   memory budget — grace hash (anti-)join, external merge sort,
-//!   partial-aggregate and distinct partitioning, cross-join and
+//! * The **vectorized streaming executor** ([`stream`](mod@stream),
+//!   [`stream_chunks`], [`Executor`], [`Chunk`], [`ChunkStream`]) runs
+//!   every query. Operators exchange batches of up to [`BATCH_SIZE`]
+//!   rows with selection vectors; leaf scans emit **columnar windows**
+//!   over the table's typed column vectors ([`crate::column`]) without
+//!   cloning a row, filters run kernel passes over primitive column
+//!   slices into the selection vector, projections precompile their
+//!   column maps and gather straight from columns, and hash joins probe
+//!   a whole chunk per call. Scan, Selection, Projection, Union, Limit,
+//!   and the probe side of (anti-)joins pipeline; the **materialization
+//!   points** are the hash build sides of keyed joins and anti-joins,
+//!   cross-join right sides, Aggregate, Sort, and Distinct's seen-set
+//!   (Distinct streams first occurrences but still accumulates every
+//!   distinct row). Each of those points can spill to disk under a
+//!   per-query memory budget — grace hash (anti-)join, external merge
+//!   sort, partial-aggregate and distinct partitioning, cross-join and
 //!   residual-only anti-join right-side overflow runs; see [`spill`].
-//!   [`RowStream`]
-//!   adapts the chunk pipeline to the row-at-a-time interface for
-//!   external sinks;
-//! * the **row-at-a-time streaming executor** ([`stream_rows`],
-//!   [`execute_rows`], [`rows::RowExecutor`]) — the PR 2 tuple-at-a-time
-//!   pipeline, kept as the baseline the `exec_vectorized` bench measures
-//!   against and as a third voice in the differential suites;
-//! * the **materializing executor** ([`execute_materialized`]) — the
-//!   original operator-at-a-time evaluator, kept as the executable
-//!   specification for differential testing.
+//!   [`RowStream`] adapts the chunk pipeline to a row-at-a-time
+//!   iterator for external sinks, and [`execute`] collects it into a
+//!   `Vec<Row>`.
+//! * The **materializing executor** ([`execute_materialized`]) is the
+//!   original operator-at-a-time evaluator: every operator's full output
+//!   is built before its parent runs. It is the reference side of the
+//!   differential suites, not a production path.
 //!
-//! [`execute`] collects the chunk stream, so call sites that want a
-//! `Vec<Row>` are unchanged.
-//!
-//! One access-path optimization is applied by all three, mirroring what
-//! the paper gets from SQL Server's "clustered indexes over the internal
+//! Both apply the same access-path optimization, mirroring what the
+//! paper gets from SQL Server's "clustered indexes over the internal
 //! keys": a `Selection` directly over a `Scan` uses the table's primary
 //! key or a covering secondary index when the predicate pins those
 //! columns with equality conjuncts, and small join inputs probe indexes
-//! on the other side instead of materializing it.
+//! on a base-table right side instead of materializing it.
 
-pub mod rows;
 pub mod spill;
 pub mod stream;
 
-pub use rows::{stream_rows, RowExecutor};
 pub use spill::{spill_points, SpillOptions, SPILL_PARTITIONS};
+use stream::base_access;
 pub(crate) use stream::{chunked_owned, selection_kernel_label};
-pub use stream::{
-    stream, stream_chunks, Chunk, ChunkLayout, ChunkStream, Executor, RowStream, BATCH_SIZE,
-};
+pub use stream::{stream, stream_chunks, Chunk, ChunkStream, Executor, RowStream, BATCH_SIZE};
 
 use crate::catalog::Database;
 use crate::error::{Result, StorageError};
@@ -65,17 +53,10 @@ use std::collections::HashMap;
 /// Execute a plan against a database, returning materialized rows.
 ///
 /// This is a thin wrapper collecting the vectorized executor's chunks;
-/// use [`stream_chunks`] (or [`stream`] for a row-at-a-time view) to
+/// use [`stream_chunks`] (or [`stream()`] for a row-at-a-time view) to
 /// consume results without building the vector.
 pub fn execute(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
     stream::stream_chunks(db, plan)?.collect_rows()
-}
-
-/// Execute with the row-at-a-time streaming executor ([`rows`]): the
-/// PR 2 tuple pipeline kept as the vectorization baseline and as a third
-/// differential voice next to [`execute`] and [`execute_materialized`].
-pub fn execute_rows(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
-    rows::stream_rows(db, plan)?.collect_rows()
 }
 
 /// Run the plan through the cost-based optimizer (see [`crate::opt`]),
@@ -89,8 +70,7 @@ pub fn execute_optimized(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
 
 /// Execute with the original operator-at-a-time evaluator, which
 /// materializes every operator's full output. Kept as the executable
-/// specification the streaming executor is differentially tested against
-/// (and as the baseline of the `exec_streaming` bench).
+/// specification the streaming executor is differentially tested against.
 pub fn execute_materialized(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
     // Validate arities once at the root; recursion below assumes shapes are
     // consistent.
@@ -215,13 +195,8 @@ fn try_index_join(
     if on.is_empty() {
         return Ok(None);
     }
-    let (table_name, pred) = match right {
-        Plan::Scan { table } => (table, None),
-        Plan::Selection { input, predicate } => match input.as_ref() {
-            Plan::Scan { table } => (table, Some(predicate)),
-            _ => return Ok(None),
-        },
-        _ => return Ok(None),
+    let Some((table_name, pred)) = base_access(right) else {
+        return Ok(None);
     };
     let Ok(table) = db.table(table_name) else {
         // Virtual relation (or resolution error): no index to probe; the

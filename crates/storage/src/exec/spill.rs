@@ -1,7 +1,7 @@
 //! Spill-to-disk materialization points: memory-budgeted counterparts of
 //! the executor's unbounded buffers.
 //!
-//! The chunked executor ([`super::stream`]) pipelines most operators,
+//! The chunked executor ([`super::stream`](mod@super::stream)) pipelines most operators,
 //! but several places materialize: the hash build sides of keyed joins
 //! and anti-joins, `Aggregate`, `Sort`, and `Distinct`'s seen-set.
 //! Without a budget those grow with the input and cap the
@@ -12,13 +12,13 @@
 //!   *and* probe rows are hash-partitioned into [`SPILL_PARTITIONS`] run
 //!   files on the join key; each partition pair then joins independently
 //!   (an oversized partition re-partitions with a different hash seed,
-//!   up to [`MAX_RECURSION`] levels). The keyed **anti-join** build side
+//!   up to `MAX_RECURSION` levels). The keyed **anti-join** build side
 //!   spills the same way, with the probe phase inverted: a left row is
 //!   emitted iff its partition's build table holds no residual-
 //!   satisfying match;
 //! * **external merge sort** — input rows accumulate up to the budget,
 //!   are sorted (stably) into run files, and a k-way merge (fan-in
-//!   capped at [`MAX_MERGE_FANIN`], multi-pass beyond that) streams the
+//!   capped at `MAX_MERGE_FANIN`, multi-pass beyond that) streams the
 //!   result back out in chunks. Ties break by run index, so the output
 //!   order is **identical** to the in-memory stable sort;
 //! * **spilling aggregate** — accumulators are *mergeable* (count sums,
@@ -52,7 +52,7 @@
 //!   `0` NULL (no data), `1` Bool (validity + one byte per cell), `2`
 //!   Int (validity + one `i64` per cell), `3` Str (validity + a sorted
 //!   dictionary of length-prefixed strings + one `u16 LE` code per
-//!   cell; a block holds at most [`BLOCK_ROWS`] rows, so codes cannot
+//!   cell; a block holds at most `BLOCK_ROWS` rows, so codes cannot
 //!   overflow), `4` Mixed (one `put_value` per cell) — where `validity`
 //!   is `[has: u8]` plus, when `has == 1`, `ceil(count / 8)` LSB-first
 //!   bitmap bytes (bit set = value present). This is the same column
@@ -63,7 +63,7 @@
 //!
 //! Every writer — sort runs and hash partitioners alike — buffers rows
 //! into a per-file block builder that flushes a frame per
-//! [`BLOCK_ROWS`] rows, so the header, CRC, and transpose amortize over
+//! `BLOCK_ROWS` rows, so the header, CRC, and transpose amortize over
 //! the block. Files
 //! live in [`SpillOptions::dir`] (the OS temp dir by default) and are
 //! deleted when their owner drops — on success, on error, and on early
@@ -115,7 +115,7 @@ const MAX_RECURSION: u32 = 4;
 /// Partitions at or below this many rows are always processed in
 /// memory: re-partitioning a handful of rows cannot pay for its file
 /// traffic, and under a degenerate budget (0 bytes) it would recurse to
-/// [`MAX_RECURSION`] on every partition. This floors the effective
+/// `MAX_RECURSION` on every partition. This floors the effective
 /// working set at a few dozen rows per point, not at zero.
 const MIN_PARTITION_ROWS: u64 = 64;
 
@@ -138,7 +138,7 @@ const MAX_MERGE_FANIN: usize = 16;
 /// Upper bound on one spill-block payload; a corrupt length field must
 /// surface as [`StorageError::Corrupt`], not a giant allocation (same
 /// defense as the WAL's frame limit). Writers stay far below this:
-/// writers flush at [`BLOCK_ROWS`] rows or [`SOFT_BLOCK_PAYLOAD`]
+/// writers flush at `BLOCK_ROWS` rows or [`SOFT_BLOCK_PAYLOAD`]
 /// bytes, whichever comes first.
 const MAX_BLOCK_PAYLOAD: usize = 1 << 26;
 
@@ -284,7 +284,7 @@ pub(crate) struct RunFile {
     enc: Enc,
     /// The block under construction: rows buffer here and are transposed
     /// into the columnar block encoding when a frame is emitted — once
-    /// [`BLOCK_ROWS`] rows (or the soft payload cap) is reached. One
+    /// `BLOCK_ROWS` rows (or the soft payload cap) is reached. One
     /// header + CRC + transpose per block, not per row.
     block: Vec<Row>,
     /// Approximate in-memory bytes of the buffered block (soft-cap
@@ -458,8 +458,8 @@ impl Drop for RunFile {
 
 /// Encode a block body: the columnar transpose when every row shares
 /// one arity (the normal case), plain rows otherwise. `rows` is
-/// non-empty and holds at most [`BLOCK_ROWS`] rows — which also caps a
-/// string dictionary at [`BLOCK_ROWS`] entries, so the `u16` code
+/// non-empty and holds at most `BLOCK_ROWS` rows — which also caps a
+/// string dictionary at `BLOCK_ROWS` entries, so the `u16` code
 /// encoding cannot overflow.
 fn encode_block(enc: &mut Enc, rows: &[Row]) {
     let arity = rows[0].arity();

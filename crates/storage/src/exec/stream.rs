@@ -1,19 +1,21 @@
-//! The vectorized (chunk-at-a-time) streaming executor.
+//! The vectorized (chunk-at-a-time) streaming executor — the engine's one
+//! production executor.
 //!
 //! [`Executor::open_chunks`] compiles a [`Plan`] into a [`ChunkStream`]
 //! — a pull-based iterator of `Result<Chunk>` where a [`Chunk`] is a
 //! batch of up to [`BATCH_SIZE`] rows plus an optional **selection
 //! vector**. Every operator produces and consumes whole chunks, so the
-//! per-row cost of the tuple-at-a-time pipeline ([`super::rows`]) — one
-//! dynamic-dispatch `next()` call plus an `Expr` interpretation per row
-//! — is amortized over up to `BATCH_SIZE` rows per call:
+//! per-row cost of a tuple-at-a-time pipeline — one dynamic-dispatch
+//! `next()` call plus an `Expr` interpretation per row — is amortized
+//! over up to `BATCH_SIZE` rows per call:
 //!
-//! * **Scan / Values** emit batches of table (or literal) rows; a
-//!   selection directly over a scan filters *references* before cloning,
-//!   so non-qualifying rows are never copied;
+//! * **Scan** emits columnar windows over the table's column vectors
+//!   (no row is cloned); a selection directly over a scan runs its
+//!   kernel over those windows, so non-qualifying rows are never
+//!   materialized; **Values** emits row-major batches of its literals;
 //! * **Selection** evaluates its predicate into the selection vector —
 //!   no row is moved or cloned by a filter. `col op literal` predicates
-//!   compile to a [`ColLitKernel`] with specialized fast paths for
+//!   compile to a `ColLitKernel` with specialized fast paths for
 //!   `=`/`<`/`<=` on int and string columns (no interpreter walk, no
 //!   `Value` clones); everything else falls back to the row-wise `Expr`
 //!   interpreter inside the chunk loop;
@@ -21,9 +23,10 @@
 //!   at open time when all expressions are plain columns — the per-row
 //!   `Result` and bounds re-check disappear from the inner loop;
 //! * **hash joins** build once, then probe an entire chunk per call;
-//!   the adaptive bounded-buffer index-nested-loop path of the row
-//!   executor is kept (buffer left rows up to `|table|/4`, probe the
-//!   index if the left side exhausts, replay into a hash join if not);
+//!   a base-table right side takes the adaptive bounded-buffer
+//!   index-nested-loop path instead (buffer left rows up to
+//!   `|table|/4`, probe the index if the left side exhausts, replay into
+//!   a hash join if not);
 //! * **Distinct** marks first occurrences in the selection vector;
 //!   **Limit** truncates mid-chunk and stops pulling upstream — and
 //!   additionally caps its subtree's batch size at `n`, so a `LIMIT 100`
@@ -38,15 +41,11 @@
 //! operators keep that contract by **splitting** a chunk at the first
 //! failing row: the successfully processed prefix is emitted first, the
 //! error after it, and processing resumes behind it. A `Limit` that is
-//! satisfied by the prefix therefore never observes the error — the
-//! laziness-semantics differential tests pass unchanged against the row
-//! executor.
+//! satisfied by the prefix therefore never observes the error.
 //!
-//! [`RowStream`] survives as a thin row-at-a-time adapter over
-//! [`ChunkStream`], so every external sink written against the PR 2
-//! interface (`Iterator<Item = Result<Row>>`) is source-compatible.
+//! [`RowStream`] is a thin row-at-a-time adapter over [`ChunkStream`]
+//! for sinks written against `Iterator<Item = Result<Row>>`.
 
-use super::rows::base_access;
 use super::spill::{self, SpillCtx, SpillOptions};
 use super::{aggregate_stream, try_index_selection};
 use crate::catalog::Database;
@@ -546,8 +545,7 @@ impl Iterator for ChunkRows {
 }
 
 /// A pull-based stream of rows: the row-at-a-time adapter over
-/// [`ChunkStream`] (and the native interface of the tuple-at-a-time
-/// executor in [`super::rows`]).
+/// [`ChunkStream`].
 ///
 /// Rows are computed on demand: dropping the stream early (or wrapping it
 /// in a `take`) abandons the rest of the computation. An `Err` item
@@ -580,27 +578,11 @@ impl Iterator for RowStream<'_> {
 // Executor
 // ---------------------------------------------------------------------------
 
-/// The physical layout leaf scans emit.
-///
-/// [`ChunkLayout::Columnar`] (the default) slices table storage into
-/// shared columnar windows — a scan clones zero rows, and compiled
-/// filter kernels run over primitive column slices. [`ChunkLayout::Rows`]
-/// reproduces the previous chunk executor (rows cloned into row-major
-/// batches at the leaf), kept for benchmarking and as a differential
-/// voice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChunkLayout {
-    #[default]
-    Columnar,
-    Rows,
-}
-
 /// Entry point of the vectorized executor.
 pub struct Executor<'a> {
     db: &'a Database,
     batch: usize,
     spill: SpillOptions,
-    layout: ChunkLayout,
 }
 
 impl<'a> Executor<'a> {
@@ -609,7 +591,6 @@ impl<'a> Executor<'a> {
             db,
             batch: BATCH_SIZE,
             spill: SpillOptions::unlimited(),
-            layout: ChunkLayout::default(),
         }
     }
 
@@ -638,19 +619,13 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Choose the leaf scan layout (builder style); see [`ChunkLayout`].
-    pub fn layout(mut self, layout: ChunkLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
     /// Open a plan as a chunk stream. Arities are validated once up
     /// front; materialization points (aggregate/sort inputs, join build
     /// sides) do their buffering eagerly here, pipelined operators do no
     /// work until the stream is pulled.
     pub fn open_chunks(&self, plan: &'a Plan) -> Result<ChunkStream<'a>> {
         plan.arity(self.db)?;
-        // Last verification boundary before layout threading: whatever
+        // Last verification boundary before execution: whatever
         // plan reaches the executor — optimized, cached, or hand-built —
         // is checked once more with the verifier armed.
         crate::sema::verify_plan_if_enabled(self.db, plan, "exec_open")?;
@@ -658,7 +633,7 @@ impl<'a> Executor<'a> {
         Ok(ChunkStream::new(open_node(
             self.db,
             plan,
-            Batch::new(self.batch, self.layout),
+            Batch::new(self.batch),
             &spill,
             &NodeObs::disabled(),
         )?))
@@ -676,7 +651,7 @@ impl<'a> Executor<'a> {
         let stream = ChunkStream::new(open_node(
             self.db,
             plan,
-            Batch::new(self.batch, self.layout),
+            Batch::new(self.batch),
             &spill,
             &NodeObs::enabled(Rc::clone(&root)),
         )?);
@@ -969,8 +944,8 @@ impl FilterKernel {
         }
     }
 
-    #[inline]
-    pub(crate) fn test(&self, row: &Row) -> bool {
+    #[cfg(test)]
+    fn test(&self, row: &Row) -> bool {
         match self {
             FilterKernel::One(k) => k.test(row),
             FilterKernel::And(ks) => ks.iter().all(|k| k.test(row)),
@@ -1045,16 +1020,13 @@ pub(crate) fn selection_kernel_label(pred: &Expr) -> Option<String> {
 struct Batch {
     configured: usize,
     effective: usize,
-    /// The leaf scan layout in effect for the whole tree.
-    layout: ChunkLayout,
 }
 
 impl Batch {
-    fn new(configured: usize, layout: ChunkLayout) -> Batch {
+    fn new(configured: usize) -> Batch {
         Batch {
             configured,
             effective: configured,
-            layout,
         }
     }
 
@@ -1089,10 +1061,7 @@ fn open_node<'a>(
         Plan::Scan { table } => match db.table(table) {
             Ok(t) => {
                 t.note_seq_scan(t.len() as u64);
-                match batch.layout {
-                    ChunkLayout::Columnar => chunked_cols(t.columnar(), batch.effective),
-                    ChunkLayout::Rows => chunked_rows(t.iter().map(|(_, r)| r), batch.effective),
-                }
+                chunked_cols(t.columnar(), batch.effective)
             }
             // Virtual (`sys.*`) relation: snapshot the provider's rows
             // into a ColumnSet at open time and stream it through the
@@ -1245,10 +1214,9 @@ fn open_node<'a>(
 /// `batch`.
 const RAMP_START: usize = 32;
 
-/// Gather an iterator of rows (materialized from a table heap, or cloned
-/// from a literal relation) into batches, lazily, ramping the chunk size
-/// up from [`RAMP_START`] to `batch`. Batch buffers come from the
-/// thread-local pool.
+/// Gather the rows of a literal relation into batches, lazily, ramping
+/// the chunk size up from [`RAMP_START`] to `batch`. Batch buffers come
+/// from the thread-local pool.
 fn chunked_rows<'a>(iter: impl Iterator<Item = Row> + 'a, batch: usize) -> BoxChunkIter<'a> {
     let mut iter = iter.peekable();
     let mut size = RAMP_START.min(batch);
@@ -1326,49 +1294,31 @@ fn open_selection<'a>(
                 return Ok(chunked_owned(rows, batch.effective));
             }
             t.note_seq_scan(t.len() as u64);
-            // Filter-over-scan fusion. Columnar layout: slice the table's
-            // column vectors into windows and run the kernel's
-            // selection-vector passes over primitive slices — no row is
-            // cloned or materialized anywhere, survivors included. Row
-            // layout (the previous executor, kept for benchmarking): test
-            // table rows *by reference* and clone only the survivors.
+            // Filter-over-scan fusion: slice the table's column vectors
+            // into windows and run the kernel's selection-vector passes
+            // over primitive slices — no row is cloned or materialized
+            // anywhere, survivors included.
             if let Some(kernel) = FilterKernel::compile(predicate) {
                 let prof = obs.spill_prof();
-                match batch.layout {
-                    ChunkLayout::Columnar => {
-                        return Ok(Box::new(
-                            chunked_cols(t.columnar(), batch.effective).filter_map(move |item| {
-                                match item {
-                                    Ok(mut chunk) => {
-                                        if let Some(n) = &prof {
-                                            bump(&n.rows_in, chunk.len() as u64);
-                                            bump(&n.kernel_rows, chunk.len() as u64);
-                                        }
-                                        kernel.filter_chunk(&mut chunk);
-                                        if chunk.is_empty() {
-                                            chunk.recycle();
-                                            return None;
-                                        }
-                                        Some(Ok(chunk))
-                                    }
-                                    Err(e) => Some(Err(e)),
-                                }
-                            }),
-                        ));
-                    }
-                    ChunkLayout::Rows => {
-                        return Ok(chunked_rows(
-                            t.iter().map(|(_, r)| r).filter(move |r| {
+                return Ok(Box::new(
+                    chunked_cols(t.columnar(), batch.effective).filter_map(
+                        move |item| match item {
+                            Ok(mut chunk) => {
                                 if let Some(n) = &prof {
-                                    bump(&n.rows_in, 1);
-                                    bump(&n.kernel_rows, 1);
+                                    bump(&n.rows_in, chunk.len() as u64);
+                                    bump(&n.kernel_rows, chunk.len() as u64);
                                 }
-                                kernel.test(r)
-                            }),
-                            batch.effective,
-                        ));
-                    }
-                }
+                                kernel.filter_chunk(&mut chunk);
+                                if chunk.is_empty() {
+                                    chunk.recycle();
+                                    return None;
+                                }
+                                Some(Ok(chunk))
+                            }
+                            Err(e) => Some(Err(e)),
+                        },
+                    ),
+                ));
             }
             let rows = t.iter().map(|(_, r)| r);
             let prof = obs.spill_prof();
@@ -1766,6 +1716,20 @@ impl Iterator for LimitChunks<'_> {
 // ---------------------------------------------------------------------------
 // Joins
 // ---------------------------------------------------------------------------
+
+/// The right side of a join as a base-table access: `(table, selection)`
+/// for a `Scan`, or a `Selection` directly over one — the shape the
+/// index-nested-loop paths of both executors can probe.
+pub(super) fn base_access(plan: &Plan) -> Option<(&str, Option<&Expr>)> {
+    match plan {
+        Plan::Scan { table } => Some((table, None)),
+        Plan::Selection { input, predicate } => match input.as_ref() {
+            Plan::Scan { table } => Some((table, Some(predicate))),
+            _ => None,
+        },
+        _ => None,
+    }
+}
 
 #[allow(clippy::too_many_arguments)]
 fn open_join<'a>(
@@ -2181,7 +2145,7 @@ fn anti_filter<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, execute_materialized, execute_rows};
+    use crate::exec::{execute, execute_materialized};
     use crate::row;
     use crate::schema::TableSchema;
 
@@ -2576,9 +2540,9 @@ mod tests {
 
     #[test]
     fn limit_counts_errors_like_the_row_executor() {
-        // `take(n)` over `Result<Row>` items counts an Err toward the
-        // limit; the chunked Limit must too, so a consumer pulling past
-        // errors sees the same item sequence from both executors.
+        // A tuple-at-a-time `take(n)` over `Result<Row>` items counts an
+        // Err toward the limit; the chunked Limit does too, so a consumer
+        // pulling past errors sees exactly that item sequence.
         let db = db();
         let plan = Plan::Values {
             arity: 1,
@@ -2587,10 +2551,8 @@ mod tests {
         .select(Expr::Col(0))
         .limit(1);
         let chunked: Vec<Result<Row>> = stream(&db, &plan).unwrap().collect();
-        let rowwise: Vec<Result<Row>> = crate::exec::stream_rows(&db, &plan).unwrap().collect();
         assert_eq!(chunked.len(), 1, "{chunked:?}");
-        assert_eq!(rowwise.len(), 1);
-        assert!(chunked[0].is_err() && rowwise[0].is_err());
+        assert!(chunked[0].is_err());
         // With room for two items: the error plus exactly one row.
         let plan = Plan::Values {
             arity: 1,
@@ -2599,13 +2561,9 @@ mod tests {
         .select(Expr::Col(0))
         .limit(2);
         let chunked: Vec<Result<Row>> = stream(&db, &plan).unwrap().collect();
-        let rowwise: Vec<Result<Row>> = crate::exec::stream_rows(&db, &plan).unwrap().collect();
         assert_eq!(chunked.len(), 2, "{chunked:?}");
         assert!(chunked[0].is_err());
         assert_eq!(chunked[1].as_ref().unwrap(), &row![true]);
-        assert_eq!(rowwise.len(), 2);
-        assert!(rowwise[0].is_err());
-        assert_eq!(rowwise[1].as_ref().unwrap(), &row![true]);
     }
 
     #[test]
@@ -2666,24 +2624,5 @@ mod tests {
         let rows = execute(&db, &mixed).unwrap();
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|r| r[1] == Value::str("x")));
-    }
-
-    #[test]
-    fn chunked_and_row_executors_agree_on_scan_order_and_limits() {
-        let db = db();
-        for plan in [
-            Plan::scan("E"),
-            Plan::scan("E").select(Expr::col_eq_lit(0, 0i64)),
-            Plan::scan("E").project_cols(&[1]).limit(2),
-            Plan::scan("Users").join(Plan::scan("E"), vec![(0, 1)]),
-        ] {
-            let chunked = stream(&db, &plan).unwrap().collect_rows().unwrap();
-            let rowwise = crate::exec::stream_rows(&db, &plan)
-                .unwrap()
-                .collect_rows()
-                .unwrap();
-            assert_eq!(chunked, rowwise, "order diverged on {plan:?}");
-            assert_eq!(chunked, execute_rows(&db, &plan).unwrap());
-        }
     }
 }

@@ -17,7 +17,7 @@
 //! with one tag sit side by side in it: either costs comparisons, never an
 //! answer. A tag does not depend on `c0`, so a group can be copied under
 //! another `c0` value with its tags as they are
-//! ([`Index::insert_copies`]). See `docs/execution.md`, "Heap and index
+//! (`Index::insert_copies`). See `docs/execution.md`, "Heap and index
 //! layout".
 
 use crate::error::{Result, StorageError};

@@ -60,9 +60,8 @@ pub use catalog::{Database, VirtualTable, SYS_PREFIX};
 pub use column::{Bitmap, Column, ColumnSet};
 pub use error::{Result, StorageError};
 pub use exec::{
-    execute, execute_materialized, execute_optimized, execute_rows, spill_points, stream,
-    stream_chunks, stream_rows, Chunk, ChunkLayout, ChunkStream, Executor, RowStream, SpillOptions,
-    BATCH_SIZE, SPILL_PARTITIONS,
+    execute, execute_materialized, execute_optimized, spill_points, stream, stream_chunks, Chunk,
+    ChunkStream, Executor, RowStream, SpillOptions, BATCH_SIZE, SPILL_PARTITIONS,
 };
 pub use expr::{CmpOp, Expr};
 pub use index::RowId;

@@ -10,7 +10,7 @@
 //!   fallback row counts, spill bytes/partitions/passes, peak build
 //!   memory, and inclusive wall time. Surfaced as `EXPLAIN ANALYZE` via
 //!   [`crate::opt::explain::render_analyze`].
-//! * [`metrics`] — a process-wide sharded-counter registry unifying the
+//! * [`metrics`](mod@metrics) — a process-wide sharded-counter registry unifying the
 //!   engine's scattered counters (plan-cache hits/misses, WAL
 //!   appends/syncs/checkpoints, spill run files, chunk-pool recycling,
 //!   rows scanned/emitted) plus a query-latency histogram. Counters are

@@ -37,7 +37,7 @@ pub struct ProfNode {
     pub chunks_out: Cell<u64>,
     /// Rows filtered through a compiled [`FilterKernel`] fast path.
     ///
-    /// [`FilterKernel`]: crate::exec::stream
+    /// [`FilterKernel`]: mod@crate::exec::stream
     pub kernel_rows: Cell<u64>,
     /// Rows filtered through the row-wise `Expr` interpreter fallback.
     pub fallback_rows: Cell<u64>,

@@ -2,10 +2,10 @@
 //! annotated with estimated cardinalities, the access path the executor
 //! will pick (primary-key lookup, secondary-index probe, or scan), and
 //! whether each operator pipelines rows or materializes its input under
-//! the streaming executor ([`crate::exec::stream`]).
+//! the streaming executor ([`crate::exec::stream`](mod@crate::exec::stream)).
 //!
 //! Estimates are computed in **one bottom-up pass** shared with the
-//! rendering ([`EstTree`]): every node — in particular every sampled
+//! rendering (`EstTree`): every node — in particular every sampled
 //! `Values` leaf — is estimated exactly once, so rendering is linear in
 //! plan size instead of quadratic.
 
@@ -20,40 +20,42 @@ use std::rc::Rc;
 
 /// Render a plan as an indented tree. Deterministic: node order follows
 /// the plan structure, estimates are integers, and no hash-map iteration
-/// is involved.
-pub fn render(db: &Database, catalog: &StatsCatalog, plan: &Plan) -> String {
-    render_with_budget(db, catalog, plan, None)
-}
-
-/// [`render`] under a per-query memory budget: every materialization
+/// is involved. Under a per-query memory `budget` every materialization
 /// point (sort, aggregate, distinct, hash-join build) additionally
 /// carries a `[spill budget=… partitions=…]` tag showing its share of
-/// the budget and the partition fan-out a spill would use. With `None`
-/// the output is byte-identical to [`render`].
-pub fn render_with_budget(
-    db: &Database,
-    catalog: &StatsCatalog,
-    plan: &Plan,
-    budget: Option<usize>,
-) -> String {
+/// the budget and the partition fan-out a spill would use.
+pub fn render(db: &Database, catalog: &StatsCatalog, plan: &Plan, budget: Option<usize>) -> String {
     let est = EstTree::build(catalog, plan);
-    let spill_tag = budget
+    let mut out = String::new();
+    render_node(
+        db,
+        plan,
+        &est,
+        0,
+        &spill_tag(plan, budget),
+        &ProfCtx::Off,
+        &mut out,
+    );
+    out
+}
+
+/// The `[spill …]` suffix of every materialization point under `budget`
+/// (empty without one).
+fn spill_tag(plan: &Plan, budget: Option<usize>) -> String {
+    budget
         .map(|b| {
             let per_point = b / spill_points(plan).max(1);
             format!(" [spill budget={per_point} partitions={SPILL_PARTITIONS}]")
         })
-        .unwrap_or_default();
-    let mut out = String::new();
-    render_node(db, plan, &est, 0, &spill_tag, &ProfCtx::Off, &mut out);
-    out
+        .unwrap_or_default()
 }
 
-/// Render with a fresh statistics snapshot.
+/// Render with a fresh statistics snapshot and no memory budget.
 pub fn render_with_snapshot(db: &Database, plan: &Plan) -> String {
-    render(db, &StatsCatalog::snapshot(db), plan)
+    render(db, &StatsCatalog::snapshot(db), plan, None)
 }
 
-/// `EXPLAIN ANALYZE`: the [`render_with_budget`] tree with a ` | actual …`
+/// `EXPLAIN ANALYZE`: the [`render`] tree with a ` | actual …`
 /// suffix on every line reporting what the executor really did — rows and
 /// chunks emitted, inclusive and exclusive wall time, kernel-vs-fallback
 /// filter rows, spill bytes / run files / extra passes, and the peak bytes
@@ -71,15 +73,9 @@ pub fn render_analyze(
     budget: Option<usize>,
 ) -> String {
     let est = EstTree::build(catalog, plan);
-    let spill_tag = budget
-        .map(|b| {
-            let per_point = b / spill_points(plan).max(1);
-            format!(" [spill budget={per_point} partitions={SPILL_PARTITIONS}]")
-        })
-        .unwrap_or_default();
     let mut out = String::new();
     let prof = ProfCtx::On(Some(Rc::clone(profile.root())));
-    render_node(db, plan, &est, 0, &spill_tag, &prof, &mut out);
+    render_node(db, plan, &est, 0, &spill_tag(plan, budget), &prof, &mut out);
     out
 }
 
@@ -587,7 +583,7 @@ mod tests {
         let catalog = StatsCatalog::snapshot(&db);
         // Three spill points (join build, distinct, sort): each gets a
         // third of the budget, and the fan-out is reported.
-        let text = render_with_budget(&db, &catalog, &plan, Some(3 * 4096));
+        let text = render(&db, &catalog, &plan, Some(3 * 4096));
         assert_eq!(text.matches("[spill budget=4096 partitions=16]").count(), 3);
         assert!(
             !text
@@ -601,11 +597,8 @@ mod tests {
                 .any(|l| l.contains("Scan") && l.contains("spill")),
             "{text}"
         );
-        // No budget: byte-identical to the plain rendering.
-        assert_eq!(
-            render_with_budget(&db, &catalog, &plan, None),
-            render(&db, &catalog, &plan)
-        );
+        // No budget: no tag anywhere.
+        assert!(!render(&db, &catalog, &plan, None).contains("spill"));
     }
 
     #[test]
@@ -618,7 +611,7 @@ mod tests {
         let db = db();
         let catalog = StatsCatalog::snapshot(&db);
         let cross = Plan::scan("V").join(Plan::scan("R"), vec![]);
-        let text = render_with_budget(&db, &catalog, &cross, Some(4096));
+        let text = render(&db, &catalog, &cross, Some(4096));
         assert!(
             text.lines()
                 .any(|l| l.contains("Join") && l.contains("[spill budget=4096")),
@@ -630,7 +623,7 @@ mod tests {
             on: vec![],
             residual: None,
         };
-        let text = render_with_budget(&db, &catalog, &anti, Some(4096));
+        let text = render(&db, &catalog, &anti, Some(4096));
         assert!(
             text.lines()
                 .any(|l| l.contains("AntiJoin") && l.contains("[spill budget=")),
@@ -732,7 +725,7 @@ mod tests {
         let profile = profiled(&db, &plan);
         let catalog = StatsCatalog::snapshot(&db);
         let analyzed = render_analyze(&db, &catalog, &plan, &profile, None);
-        let plain = render(&db, &catalog, &plan);
+        let plain = render(&db, &catalog, &plan, None);
         // Stripping the actual notes recovers the plain rendering.
         let stripped: String = analyzed
             .lines()

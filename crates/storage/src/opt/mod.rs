@@ -39,7 +39,7 @@ pub mod magic;
 pub mod rules;
 pub mod stats;
 
-pub use explain::{render, render_analyze, render_with_budget, render_with_snapshot};
+pub use explain::{render, render_analyze, render_with_snapshot};
 pub use stats::{combine, estimate, selectivity, Histogram, RelEstimate, StatsCatalog, TableStats};
 
 use crate::catalog::Database;

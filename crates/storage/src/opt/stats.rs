@@ -3,7 +3,7 @@
 //! reorderer consume.
 //!
 //! Row counts and index distinct-key counts are maintained incrementally
-//! by [`Table`](crate::table::Table) on insert/delete; a snapshot records
+//! by [`Table`] on insert/delete; a snapshot records
 //! each table's mutation [`version`](crate::table::Table::version) so
 //! callers can detect staleness in O(#tables). Distinct estimates for
 //! non-indexed columns come from a bounded deterministic sample of the
@@ -33,7 +33,7 @@ const RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 const HIST_BUCKETS: usize = 16;
 
 /// An equi-depth histogram over one column: `bounds` holds the sampled
-/// values at the [`HIST_BUCKETS`] + 1 equally-spaced rank positions of
+/// values at the `HIST_BUCKETS` + 1 equally-spaced rank positions of
 /// the sorted sample (natural [`Value`] order, so NULLs sort first and
 /// mixed-type columns still work). Each adjacent pair of bounds brackets
 /// an equal share of the sampled rows, so heavy values simply repeat as
@@ -108,7 +108,7 @@ pub struct TableStats {
     pub rows: usize,
     /// Estimated number of distinct values per column.
     pub distinct: Vec<f64>,
-    /// Per-column most-common-value list: up to [`MCV_CAP`] `(value,
+    /// Per-column most-common-value list: up to `MCV_CAP` `(value,
     /// fraction-of-rows)` pairs, most frequent first. Only values seen
     /// at least twice in the sample qualify, so key-like columns carry
     /// empty lists and equality selectivity falls back to `1/distinct`.
@@ -119,7 +119,7 @@ pub struct TableStats {
     /// Per-column equi-depth histogram from the same sample prefix
     /// (`None` for tiny or constant columns). Prices range predicates:
     /// without it every `<`/`<=`/`>`/`>=` is a flat
-    /// [`RANGE_SELECTIVITY`] regardless of the constant.
+    /// `RANGE_SELECTIVITY` regardless of the constant.
     pub hist: Vec<Option<Histogram>>,
     /// The table's mutation version at snapshot time.
     pub version: u64,
@@ -187,7 +187,7 @@ impl TableStats {
 }
 
 /// Count a bounded row sample into per-column most-common-value lists:
-/// top [`MCV_CAP`] values seen at least twice, as fractions of the
+/// top `MCV_CAP` values seen at least twice, as fractions of the
 /// sample, most frequent first (ties broken by value for determinism).
 fn mcv_lists<'a>(arity: usize, rows: impl Iterator<Item = &'a Row>) -> Vec<Vec<(Value, f64)>> {
     let mut counts: Vec<HashMap<&Value, usize>> = vec![HashMap::new(); arity];
@@ -599,7 +599,7 @@ pub fn selectivity(pred: &Expr, input: &RelEstimate) -> f64 {
 /// equi-depth histogram and the other a literal, read the fraction off
 /// the histogram's rank function (flipping the operator when the
 /// literal is on the left). Anything else — no histogram, column-column,
-/// computed operands — keeps the flat [`RANGE_SELECTIVITY`] guess.
+/// computed operands — keeps the flat `RANGE_SELECTIVITY` guess.
 fn range_lit_selectivity(op: CmpOp, a: &Expr, b: &Expr, input: &RelEstimate) -> f64 {
     let (c, v, op) = match (a, b) {
         (Expr::Col(c), Expr::Lit(v)) => (*c, v, op),

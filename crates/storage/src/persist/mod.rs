@@ -6,7 +6,7 @@
 //!
 //! | Module | Responsibility |
 //! |---|---|
-//! | [`format`] | CRC32 + little-endian codec primitives ([`Value`](crate::Value)/[`Row`](crate::Row) included) |
+//! | [`format`](mod@format) | CRC32 + little-endian codec primitives ([`Value`](crate::Value)/[`Row`](crate::Row) included) |
 //! | [`wal`] | segmented, checksummed, length-prefixed log of opaque payloads |
 //! | [`snapshot`] | atomically-written full-state images with a WAL high-water mark |
 //! | [`recover`] | [`PersistEngine`]: open/create a directory, stitch snapshot + log tail |

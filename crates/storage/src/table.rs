@@ -2,7 +2,7 @@
 //! indexes.
 //!
 //! A table does not hold [`Row`]s. Its cells live in the typed,
-//! dictionary-coded vectors of [`crate::heap`], integers and codes in the
+//! dictionary-coded vectors of `crate::heap`, integers and codes in the
 //! narrowest lanes that have held every value of their column; a row is a
 //! slot number there. A column re-typed to wider lanes by a write is not an
 //! event at this level: [`Table::version`] counts rows written, whatever
@@ -92,7 +92,7 @@ impl TableAccess {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexId(usize);
 
-/// An in-memory table: a column heap of rows ([`crate::heap`]), an optional
+/// An in-memory table: a column heap of rows (`crate::heap`), an optional
 /// primary-key map (over the first column, per the paper's schema
 /// convention), and any number of secondary indexes.
 ///

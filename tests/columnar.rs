@@ -2,26 +2,25 @@
 //! scans emit zero-copy windows over the table's column cache
 //! (unboxed `i64`/`bool` vectors, dictionary-encoded strings, validity
 //! bitmaps) and the compiled filter kernels run directly on those
-//! columns through a selection vector. Every answer must be
-//! byte-for-byte what the row-layout chunk executor and the
-//! row-at-a-time executor produce — across fuzzed plans, spill
-//! budgets, batch-boundary table sizes, all-NULL columns, dictionaries
-//! past the u16 code range, and selection-vector/validity interaction.
+//! columns through a selection vector. Every answer must be what the
+//! materializing reference executor produces — across fuzzed plans,
+//! spill budgets, batch-boundary table sizes, all-NULL columns,
+//! dictionaries past the u16 code range, and selection-vector/validity
+//! interaction.
 
 mod common;
 
 use beliefdb::storage::{
-    execute_materialized, execute_rows, row, ChunkLayout, CmpOp, Database, Executor, Expr, Plan,
-    Row, SpillOptions, TableSchema, Value,
+    execute_materialized, row, CmpOp, Database, Executor, Expr, Plan, Row, SpillOptions,
+    TableSchema, Value,
 };
 use common::{contains_order_sensitive_limit, gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Collect a plan's rows through a specific chunk layout.
-fn run_layout(db: &Database, plan: &Plan, layout: ChunkLayout) -> Vec<Row> {
+/// Collect a plan's rows through the columnar executor.
+fn run_columnar(db: &Database, plan: &Plan) -> Vec<Row> {
     Executor::new(db)
-        .layout(layout)
         .open_chunks(plan)
         .unwrap()
         .collect_rows()
@@ -38,7 +37,7 @@ fn run_budgeted(db: &Database, plan: &Plan, budget: usize, dir: &std::path::Path
 }
 
 // ---------------------------------------------------------------------------
-// Fuzzed three-way differential, with and without spill budgets
+// Fuzzed differential, with and without spill budgets
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -63,23 +62,11 @@ fn fuzzed_plans_agree_across_layouts_and_budgets() {
             nontrivial += 1;
         }
         let reference = sorted(reference);
-        let columnar = run_layout(&db, &plan, ChunkLayout::Columnar);
+        let columnar = run_columnar(&db, &plan);
         assert_eq!(
             reference,
             sorted(columnar),
-            "case {case}: columnar layout diverged on {plan:?}"
-        );
-        let rows_layout = run_layout(&db, &plan, ChunkLayout::Rows);
-        assert_eq!(
-            reference,
-            sorted(rows_layout),
-            "case {case}: row layout diverged on {plan:?}"
-        );
-        let row_wise = execute_rows(&db, &plan).expect("row-at-a-time failed");
-        assert_eq!(
-            reference,
-            sorted(row_wise),
-            "case {case}: row-at-a-time diverged on {plan:?}"
+            "case {case}: columnar executor diverged on {plan:?}"
         );
         // Under a tiny budget every materialization point spills: the
         // columnar run-file block encoding round-trips the same rows.
@@ -149,8 +136,8 @@ fn batch_boundary_scans_agree_exactly_across_layouts() {
             scan.clone()
                 .select(Expr::cmp(CmpOp::Lt, Expr::Col(1), Expr::lit("-"))),
             // Range over the nullable int: NULL sorts below every int,
-            // so invalid slots pass `<` and fail `>=` — both layouts
-            // must agree on that.
+            // so invalid slots pass `<` and fail `>=` — the kernels must
+            // agree with the interpreter on that.
             scan.clone()
                 .select(Expr::cmp(CmpOp::Lt, Expr::Col(2), Expr::lit(500i64))),
             scan.clone()
@@ -173,15 +160,13 @@ fn batch_boundary_scans_agree_exactly_across_layouts() {
             scan.clone().distinct(),
         ];
         for plan in &plans {
-            let columnar = run_layout(&db, plan, ChunkLayout::Columnar);
-            let rows_layout = run_layout(&db, plan, ChunkLayout::Rows);
-            // Scans and filters preserve heap order in both layouts, so
-            // the comparison is exact, not just multiset.
-            assert_eq!(columnar, rows_layout, "n={n}: layouts diverged on {plan:?}");
+            let columnar = run_columnar(&db, plan);
             let materialized = execute_materialized(&db, plan).expect("materializing failed");
+            // Scans, filters, projections, limits and distinct preserve
+            // heap order in both executors, so the comparison is exact,
+            // not just multiset.
             assert_eq!(
-                sorted(columnar),
-                sorted(materialized),
+                columnar, materialized,
                 "n={n}: columnar vs materialized diverged on {plan:?}"
             );
         }
@@ -214,13 +199,15 @@ fn dictionary_past_u16_code_range_filters_correctly() {
         Expr::lit(format!("s{:06}", 66_000).as_str()),
     ));
     for plan in [&eq, &lt] {
-        let columnar = run_layout(&db, plan, ChunkLayout::Columnar);
-        let rows_layout = run_layout(&db, plan, ChunkLayout::Rows);
-        assert_eq!(columnar, rows_layout, "layouts diverged on {plan:?}");
+        assert_eq!(
+            run_columnar(&db, plan),
+            execute_materialized(&db, plan).unwrap(),
+            "columnar vs materialized diverged on {plan:?}"
+        );
     }
-    assert_eq!(run_layout(&db, &eq, ChunkLayout::Columnar).len(), 1);
+    assert_eq!(run_columnar(&db, &eq).len(), 1);
     assert_eq!(
-        run_layout(&db, &lt, ChunkLayout::Columnar).len(),
+        run_columnar(&db, &lt).len(),
         66_000,
         "lt over the wide dictionary miscounted"
     );
@@ -232,7 +219,7 @@ fn dictionary_past_u16_code_range_filters_correctly() {
     std::fs::create_dir_all(&dir).unwrap();
     let sort = Plan::scan("Big").sort(vec![1]);
     let spilled = run_budgeted(&db, &sort, 64 * 1024, &dir);
-    let unspilled = run_layout(&db, &sort, ChunkLayout::Columnar);
+    let unspilled = run_columnar(&db, &sort);
     assert_eq!(spilled, unspilled, "spilled sort changed the answer");
     assert_eq!(
         std::fs::read_dir(&dir).unwrap().count(),
@@ -271,23 +258,19 @@ fn selection_vector_respects_validity_under_and_chains() {
         Expr::col_eq_lit(0, 1i64),
         Expr::col_eq_lit(1, 10i64),
     ]));
-    assert_eq!(run_layout(&db, &eq, ChunkLayout::Columnar).len(), 2);
+    assert_eq!(run_columnar(&db, &eq).len(), 2);
     // a = 1 AND b < 50: NULL sorts below every int, so the NULL slots
     // *pass* the range check.
     let lt = Plan::scan("M").select(Expr::and(vec![
         Expr::col_eq_lit(0, 1i64),
         Expr::cmp(CmpOp::Lt, Expr::Col(1), Expr::lit(50i64)),
     ]));
-    assert_eq!(run_layout(&db, &lt, ChunkLayout::Columnar).len(), 4);
+    assert_eq!(run_columnar(&db, &lt).len(), 4);
     for plan in [&eq, &lt] {
         assert_eq!(
-            run_layout(&db, plan, ChunkLayout::Columnar),
-            run_layout(&db, plan, ChunkLayout::Rows),
-            "layouts diverged on {plan:?}"
-        );
-        assert_eq!(
-            sorted(run_layout(&db, plan, ChunkLayout::Columnar)),
-            sorted(execute_materialized(&db, plan).unwrap()),
+            run_columnar(&db, plan),
+            execute_materialized(&db, plan).unwrap(),
+            "columnar vs materialized diverged on {plan:?}"
         );
     }
 }

@@ -1,20 +1,18 @@
-//! Differential suite for the streaming executors: the vectorized
-//! chunk-at-a-time pipeline (`execute` / `stream` / `stream_chunks`),
-//! the row-at-a-time pipeline (`execute_rows`), and the original
-//! operator-at-a-time evaluator (`execute_materialized`) must return
-//! identical row multisets.
+//! Differential suite for the streaming executor: the vectorized
+//! chunk-at-a-time pipeline (`execute` / `stream` / `stream_chunks`) and
+//! the original operator-at-a-time evaluator (`execute_materialized`, the
+//! executable specification) must return identical row multisets.
 //!
 //! Four layers, mirroring `tests/optimizer_equivalence.rs`:
 //!
 //! 1. **fuzzed relational plans** — arity-correct random plans (shared
-//!    generator in `tests/common`), unoptimized and optimized, three-way
-//!    chunked vs row-streaming vs materializing;
+//!    generator in `tests/common`), unoptimized and optimized, chunked
+//!    vs materializing;
 //! 2. **fuzzed belief conjunctive queries** — `Bdms::query` (chunked)
-//!    vs `Bdms::query_row_at_a_time` vs `Bdms::query_materialized`,
-//!    plus `Bdms::query_streaming`;
+//!    vs `Bdms::query_materialized`, plus `Bdms::query_streaming`;
 //! 3. **batch boundaries** — inputs of size 1, 1023, 1024, 1025, 2048
 //!    driven through Limit/Distinct/Union operators straddling a chunk
-//!    edge, compared exactly (all three executors preserve order here);
+//!    edge, compared exactly (both executors preserve order here);
 //! 4. **laziness semantics** — streaming is allowed to do strictly less
 //!    work (a `Limit` stops pulling; errors surface only if the failing
 //!    row is actually demanded), never more — including when the
@@ -26,8 +24,7 @@ use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::{
-    execute, execute_materialized, execute_optimized, execute_rows, optimize, row, CmpOp, Expr,
-    Plan, Row,
+    execute, execute_materialized, execute_optimized, optimize, row, CmpOp, Expr, Plan, Row,
 };
 use common::{contains_order_sensitive_limit, gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
@@ -66,14 +63,6 @@ fn fuzzed_plans_stream_and_materialize_identically() {
             sorted(reference.clone()),
             sorted(streamed),
             "case {case}: executors disagree on {plan:?}"
-        );
-        // Three-way: the row-at-a-time pipeline is a separate executor
-        // and must agree too.
-        let row_streamed = execute_rows(&db, &plan).expect("row-streaming execution failed");
-        assert_eq!(
-            sorted(reference.clone()),
-            sorted(row_streamed),
-            "case {case}: row-at-a-time executor disagrees on {plan:?}"
         );
         // And through the optimizer: optimized+streamed still matches the
         // unoptimized materialized reference.
@@ -218,13 +207,6 @@ fn fuzzed_bcqs_stream_and_materialize_identically() {
             streaming, materialized,
             "executors changed the answer of {q}"
         );
-        let row_at_a_time = bdms
-            .query_row_at_a_time(&q)
-            .expect("row-at-a-time BCQ evaluation failed");
-        assert_eq!(
-            streaming, row_at_a_time,
-            "chunked and row-at-a-time executors disagree on {q}"
-        );
         // The row-streaming entry point agrees too (same multiset; it
         // only skips the final sort+collect).
         let mut pushed = Vec::new();
@@ -249,8 +231,8 @@ use common::boundary_values;
 
 #[test]
 fn batch_boundaries_agree_exactly_across_executors() {
-    // All three executors preserve input order on these operators, so
-    // the comparison is exact (not just multiset equality).
+    // Both executors preserve input order on these operators, so the
+    // comparison is exact (not just multiset equality).
     let db = plan_db();
     for n in BOUNDARY_SIZES {
         let v = boundary_values(n);
@@ -287,9 +269,7 @@ fn batch_boundaries_agree_exactly_across_executors() {
         ];
         for plan in &plans {
             let chunked = execute(&db, plan).expect("chunked failed");
-            let row_wise = execute_rows(&db, plan).expect("row-at-a-time failed");
             let materialized = execute_materialized(&db, plan).expect("materializing failed");
-            assert_eq!(chunked, row_wise, "n={n}: chunked vs row order diverged");
             assert_eq!(
                 chunked, materialized,
                 "n={n}: chunked vs materialized diverged"
@@ -306,7 +286,7 @@ fn batch_boundary_distinct_dedups_across_the_chunk_edge() {
     let plan = boundary_values(1025).distinct();
     let rows = execute(&db, &plan).unwrap();
     assert_eq!(rows.len(), 700, "700 distinct values in 1025 rows");
-    assert_eq!(rows, execute_rows(&db, &plan).unwrap());
+    assert_eq!(rows, execute_materialized(&db, &plan).unwrap());
 }
 
 // ---------------------------------------------------------------------------
@@ -328,7 +308,6 @@ fn limit_short_circuits_instead_of_materializing() {
     .select(Expr::Col(0))
     .limit(1);
     assert_eq!(execute(&db, &plan).unwrap(), vec![row![true]]);
-    assert_eq!(execute_rows(&db, &plan).unwrap(), vec![row![true]]);
     assert!(execute_materialized(&db, &plan).is_err());
     // Same shape at a chunk boundary: 1023 good rows, a poisoned one at
     // index 1023, and a Limit satisfied just before it.

@@ -1,9 +1,10 @@
 //! Fuzzed differential coverage for the magic-sets / SIP rewrite
 //! (`beliefdb_storage::opt::magic`): the rewritten program must derive
 //! exactly the same answer multiset as the unrewritten Algorithm 1 rule
-//! stack for every query — bound, unbound, and partially bound — across
-//! both chunk layouts {Columnar, Rows} and both budget regimes
-//! {unlimited, tight}, and must reject exactly the same invalid queries
+//! stack for every query — bound, unbound, and partially bound — under
+//! the chunked executor in both budget regimes {unlimited, tight} and
+//! under the materializing reference executor, and must reject exactly
+//! the same invalid queries
 //! with the same errors. The rewrite only prunes *irrelevant* derivations;
 //! any answer-row difference is a soundness bug.
 
@@ -13,7 +14,7 @@ use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::datalog::{Atom, BodyLit, Evaluator, Program, Rule, Term};
 use beliefdb::storage::opt::magic;
-use beliefdb::storage::{ChunkLayout, CmpOp, Row};
+use beliefdb::storage::{CmpOp, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,9 +22,20 @@ const USERS: u32 = 3;
 const ARITY: usize = 5;
 const VARS: [&str; 5] = ["x", "y", "a", "b", "c"];
 
-/// A tight budget forces every materialization point through the spill
-/// path; unlimited is the plain in-memory executor.
-const BUDGETS: [Option<usize>; 2] = [None, Some(4096)];
+/// The executors every program runs under: the chunked executor in
+/// memory and under a tight budget (which forces every materialization
+/// point through the spill path), and the materializing reference.
+#[derive(Clone, Copy, Debug)]
+enum Voice {
+    Chunked(Option<usize>),
+    Materialized,
+}
+
+const VOICES: [Voice; 3] = [
+    Voice::Chunked(None),
+    Voice::Chunked(Some(4096)),
+    Voice::Materialized,
+];
 
 fn workload() -> Bdms {
     let cfg = GeneratorConfig::new(USERS as usize, 120)
@@ -134,16 +146,12 @@ fn gen_query(rng: &mut StdRng, bound: Boundness) -> Bcq {
 
 /// Evaluate a program at the storage layer and collect the answer
 /// relation as a sorted multiset.
-fn run_program(
-    bdms: &Bdms,
-    program: &Program,
-    answer: &str,
-    layout: ChunkLayout,
-    budget: Option<usize>,
-) -> Vec<Row> {
-    let mut ev = Evaluator::new(bdms.internal().database())
-        .with_layout(layout)
-        .with_memory_budget(budget);
+fn run_program(bdms: &Bdms, program: &Program, answer: &str, voice: Voice) -> Vec<Row> {
+    let ev = Evaluator::new(bdms.internal().database());
+    let mut ev = match voice {
+        Voice::Chunked(budget) => ev.with_memory_budget(budget),
+        Voice::Materialized => ev.use_materializing_executor(),
+    };
     ev.run(program).unwrap();
     let mut rows: Vec<Row> = ev.relation(answer).map(|r| r.to_vec()).unwrap_or_default();
     rows.sort();
@@ -151,7 +159,7 @@ fn run_program(
 }
 
 // ---------------------------------------------------------------------------
-// The main fuzz: rewritten vs unrewritten × layouts × budgets
+// The main fuzz: rewritten vs unrewritten × executors × budgets
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -175,9 +183,9 @@ fn rewritten_matches_unrewritten_across_layouts_and_budgets() {
             // Invalid queries must fail identically with the rewrite on
             // and off: validation runs before the rewrite ever sees the
             // program.
-            let on = translate::evaluate_with_options(bdms.internal(), &q, &EvalOptions::default())
+            let on = translate::evaluate(bdms.internal(), &q, &EvalOptions::default())
                 .expect_err("translate rejected but evaluate(magic=on) accepted");
-            let off = translate::evaluate_with_options(
+            let off = translate::evaluate(
                 bdms.internal(),
                 &q,
                 &EvalOptions {
@@ -204,21 +212,18 @@ fn rewritten_matches_unrewritten_across_layouts_and_budgets() {
             magicked.to_string(),
             "case {case}: rewrite not idempotent on {q}"
         );
-        let reference = run_program(&bdms, &program, &answer, ChunkLayout::Columnar, None);
-        for layout in [ChunkLayout::Columnar, ChunkLayout::Rows] {
-            for budget in BUDGETS {
-                let plain = run_program(&bdms, &program, &answer, layout, budget);
-                assert_eq!(
-                    reference, plain,
-                    "case {case}: unrewritten diverged at {layout:?}/{budget:?} on {q}"
-                );
-                let demand = run_program(&bdms, &magicked, &answer, layout, budget);
-                assert_eq!(
-                    reference, demand,
-                    "case {case}: magic rewrite changed the answer at \
-                     {layout:?}/{budget:?} on {q}"
-                );
-            }
+        let reference = run_program(&bdms, &program, &answer, Voice::Chunked(None));
+        for voice in VOICES {
+            let plain = run_program(&bdms, &program, &answer, voice);
+            assert_eq!(
+                reference, plain,
+                "case {case}: unrewritten diverged at {voice:?} on {q}"
+            );
+            let demand = run_program(&bdms, &magicked, &answer, voice);
+            assert_eq!(
+                reference, demand,
+                "case {case}: magic rewrite changed the answer at {voice:?} on {q}"
+            );
         }
     }
     assert!(valid > 80, "only {valid} valid cases — generator too weak");
@@ -268,7 +273,7 @@ fn bdms_toggle_agrees_on_fuzzed_queries() {
 }
 
 // ---------------------------------------------------------------------------
-// Recursion: semi-naive fixpoint × layouts, rewritten and not
+// Recursion: semi-naive fixpoint × executors, rewritten and not
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -310,20 +315,18 @@ fn recursive_reachability_matches_under_rewrite_and_layouts() {
         program.to_string(),
         "bound recursive closure should be rewritten"
     );
-    let reference = run_program(&bdms, &program, "ans", ChunkLayout::Columnar, None);
+    let reference = run_program(&bdms, &program, "ans", Voice::Chunked(None));
     assert!(!reference.is_empty(), "workload has no reachable worlds");
-    for layout in [ChunkLayout::Columnar, ChunkLayout::Rows] {
-        for budget in BUDGETS {
-            assert_eq!(
-                reference,
-                run_program(&bdms, &program, "ans", layout, budget),
-                "plain recursion diverged at {layout:?}/{budget:?}"
-            );
-            assert_eq!(
-                reference,
-                run_program(&bdms, &magicked, "ans", layout, budget),
-                "rewritten recursion diverged at {layout:?}/{budget:?}"
-            );
-        }
+    for voice in VOICES {
+        assert_eq!(
+            reference,
+            run_program(&bdms, &program, "ans", voice),
+            "plain recursion diverged at {voice:?}"
+        );
+        assert_eq!(
+            reference,
+            run_program(&bdms, &magicked, "ans", voice),
+            "rewritten recursion diverged at {voice:?}"
+        );
     }
 }
