@@ -2058,6 +2058,45 @@ mod tests {
     }
 
     #[test]
+    fn row_layout_evaluator_matches_columnar() {
+        // The same edges twice: as the base table `E`, which scans as
+        // columnar windows, and as a relation defined on the evaluator,
+        // which reaches the executor as row-major `Values` chunks.
+        let db = db();
+        let mut cols = Evaluator::new(&db);
+        cols.run(&reach_program()).unwrap();
+
+        let edges = execute(&db, &Plan::scan("E")).unwrap();
+        let mut rows_ev = Evaluator::new(&db);
+        rows_ev.define("ERows", 3, edges);
+        let prog = Program {
+            rules: vec![
+                rule(
+                    "Reach1",
+                    vec![v("w")],
+                    vec![pos("ERows", vec![c(0), any(), v("w")])],
+                ),
+                rule(
+                    "Reach2",
+                    vec![v("w")],
+                    vec![
+                        pos("Reach1", vec![v("x")]),
+                        pos("ERows", vec![v("x"), any(), v("w")]),
+                    ],
+                ),
+            ],
+        };
+        rows_ev.run(&prog).unwrap();
+
+        let mut a = cols.relation("Reach2").unwrap().to_vec();
+        let mut b = rows_ev.relation("Reach2").unwrap().to_vec();
+        a.sort();
+        b.sort();
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn plan_cache_declines_predefined_relations() {
         let db = db();
         let mut cache = PlanCache::new();

@@ -33,13 +33,15 @@
 //! columns with equality conjuncts, and small join inputs probe indexes
 //! on a base-table right side instead of materializing it.
 
+pub mod rows;
 pub mod spill;
 pub mod stream;
 
+pub use rows::RowStream;
 pub use spill::{spill_points, SpillOptions, SPILL_PARTITIONS};
 use stream::base_access;
 pub(crate) use stream::{chunked_owned, selection_kernel_label};
-pub use stream::{stream, stream_chunks, Chunk, ChunkStream, Executor, RowStream, BATCH_SIZE};
+pub use stream::{stream, stream_chunks, Chunk, ChunkStream, Executor, BATCH_SIZE};
 
 use crate::catalog::Database;
 use crate::error::{Result, StorageError};

@@ -1,515 +1,91 @@
-//! The row-at-a-time (tuple-at-a-time) streaming executor.
+//! The row-at-a-time view of the chunked executor.
 //!
-//! This is the PR 2 pull-based pipeline, kept intact after the executor
-//! went chunk-at-a-time ([`super::stream`]): one dynamic-dispatch
-//! `next()` call per row, one `Expr` interpretation per predicate per
-//! row. It remains for two reasons:
-//!
-//! * it is the **baseline** the `exec_vectorized` bench measures the
-//!   vectorized executor against (the speedup claim is relative to this
-//!   code, not to the materializing evaluator);
-//! * it is a third voice in the differential suites: chunked,
-//!   row-at-a-time, and materializing execution must agree on every
-//!   fuzzed plan and BCQ.
-//!
-//! Operator classification is identical to the chunked executor: Scan,
-//! Selection, Projection, Union, Limit, Distinct, and the probe side of
-//! (anti-)joins pipeline; hash-join build sides, Aggregate, and Sort
-//! materialize. The index-nested-loop path buffers left rows up to the
-//! `|table|/4` break-even budget and falls back to a hash build past it.
+//! [`RowStream`] flattens a [`ChunkStream`](super::ChunkStream) into
+//! single rows for sinks written against `Iterator<Item = Result<Row>>`
+//! (the shell, `run_streaming` callbacks, embedders). Rows of the current
+//! chunk are handed out one by one; the next chunk is pulled only when
+//! they run out, and each exhausted chunk's buffers return to the pool.
+//! An `Err` chunk becomes one `Err` row item at the same position, so the
+//! chunked executor's error order carries over row for row.
 
-use super::stream::RowStream;
-use super::{aggregate_stream, try_index_selection};
-use crate::catalog::Database;
+use super::stream::{BoxChunkIter, Chunk};
 use crate::error::Result;
-use crate::expr::Expr;
-use crate::plan::Plan;
 use crate::row::Row;
-use crate::table::Table;
-use crate::value::Value;
-use std::collections::{HashMap, HashSet};
 
-/// A boxed iterator of fallible rows — the wire between operators.
-type BoxRowIter<'a> = Box<dyn Iterator<Item = Result<Row>> + 'a>;
-
-/// Entry point of the row-at-a-time executor.
-pub struct RowExecutor<'a> {
-    db: &'a Database,
+/// A pull-based stream of rows: the row-at-a-time adapter over
+/// [`ChunkStream`](super::ChunkStream).
+///
+/// Rows are computed on demand: dropping the stream early (or wrapping it
+/// in a `take`) abandons the rest of the computation. An `Err` item
+/// reports an evaluation error; pulling past it is allowed but yields
+/// whatever the underlying operators produce next.
+pub struct RowStream<'a> {
+    inner: Box<dyn Iterator<Item = Result<Row>> + 'a>,
 }
 
-impl<'a> RowExecutor<'a> {
-    pub fn new(db: &'a Database) -> Self {
-        RowExecutor { db }
+impl<'a> RowStream<'a> {
+    /// Flatten a chunk iterator into rows.
+    pub(super) fn from_chunks(chunks: BoxChunkIter<'a>) -> Self {
+        RowStream {
+            inner: Box::new(chunks.flat_map(|item| match item {
+                Ok(chunk) => ChunkRows::Rows(Some(chunk), 0),
+                Err(e) => ChunkRows::Err(std::iter::once(Err(e))),
+            })),
+        }
     }
 
-    /// Open a plan as a row stream. Arities are validated once up front;
-    /// materialization points (aggregate/sort inputs, join build sides)
-    /// do their buffering eagerly here, pipelined operators do no work
-    /// until the stream is pulled.
-    pub fn open(&self, plan: &'a Plan) -> Result<RowStream<'a>> {
-        plan.arity(self.db)?;
-        Ok(RowStream::new(open_node(self.db, plan)?))
-    }
-}
-
-/// Open `plan` against `db` as a tuple-at-a-time [`RowStream`].
-pub fn stream_rows<'a>(db: &'a Database, plan: &'a Plan) -> Result<RowStream<'a>> {
-    RowExecutor::new(db).open(plan)
-}
-
-fn collect(iter: BoxRowIter<'_>) -> Result<Vec<Row>> {
-    iter.collect()
-}
-
-fn open_node<'a>(db: &'a Database, plan: &'a Plan) -> Result<BoxRowIter<'a>> {
-    match plan {
-        Plan::Scan { table } => match db.table(table) {
-            Ok(t) => Ok(Box::new(t.iter().map(|(_, r)| Ok(r)))),
-            // Virtual (`sys.*`) relation: snapshot the provider's rows.
-            Err(e) => match db.virtual_table(table) {
-                Some(vt) => Ok(Box::new(vt.rows(db).into_iter().map(Ok))),
-                None => Err(e),
-            },
-        },
-        Plan::Values { rows, .. } => Ok(Box::new(rows.iter().map(|r| Ok(r.clone())))),
-        Plan::Selection { input, predicate } => {
-            // Index access path: a selection directly over a scan whose
-            // predicate pins indexed columns fetches candidates through
-            // the index (a small, already-filtered set).
-            if let Plan::Scan { table } = input.as_ref() {
-                if let Ok(t) = db.table(table) {
-                    if let Some(rows) = try_index_selection(t, predicate)? {
-                        return Ok(Box::new(rows.into_iter().map(Ok)));
-                    }
-                }
-            }
-            let input = open_node(db, input)?;
-            Ok(Box::new(input.filter_map(move |item| match item {
-                Ok(row) => match predicate.eval_bool(&row) {
-                    Ok(true) => Some(Ok(row)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                },
-                Err(e) => Some(Err(e)),
-            })))
-        }
-        Plan::Projection { input, exprs } => {
-            let input = open_node(db, input)?;
-            Ok(Box::new(input.map(move |item| {
-                let row = item?;
-                let mut vals = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    vals.push(e.eval(&row)?);
-                }
-                Ok(Row::new(vals))
-            })))
-        }
-        Plan::Join {
-            left,
-            right,
-            on,
-            residual,
-        } => open_join(db, left, right, on, residual.as_ref()),
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => open_anti_join(db, left, right, on, residual.as_ref()),
-        Plan::Distinct { input } => {
-            let input = open_node(db, input)?;
-            let mut seen: HashSet<Row> = HashSet::new();
-            Ok(Box::new(input.filter_map(move |item| match item {
-                Ok(row) => seen.insert(row.clone()).then_some(Ok(row)),
-                Err(e) => Some(Err(e)),
-            })))
-        }
-        Plan::Union { inputs } => {
-            let mut streams = Vec::with_capacity(inputs.len());
-            for p in inputs {
-                streams.push(open_node(db, p)?);
-            }
-            Ok(Box::new(streams.into_iter().flatten()))
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            // Materialization point: the accumulators must see every input
-            // row, but only one row per group is ever held.
-            let input = open_node(db, input)?;
-            let rows = aggregate_stream(input, group_by, aggs)?;
-            Ok(Box::new(rows.into_iter().map(Ok)))
-        }
-        Plan::Sort { input, by } => {
-            // Materialization point.
-            let mut rows = collect(open_node(db, input)?)?;
-            rows.sort_by(|a, b| super::spill::cmp_by(by, a, b));
-            Ok(Box::new(rows.into_iter().map(Ok)))
-        }
-        Plan::Limit { input, n } => {
-            let input = open_node(db, input)?;
-            Ok(Box::new(input.take(*n)))
-        }
+    /// Drain the stream into a vector, stopping at the first error.
+    pub fn collect_rows(self) -> Result<Vec<Row>> {
+        self.inner.collect()
     }
 }
 
-// ---------------------------------------------------------------------------
-// Joins
-// ---------------------------------------------------------------------------
-
-/// The right side of a join as a base-table access: `(table, selection)`.
-pub(super) fn base_access(plan: &Plan) -> Option<(&str, Option<&Expr>)> {
-    match plan {
-        Plan::Scan { table } => Some((table, None)),
-        Plan::Selection { input, predicate } => match input.as_ref() {
-            Plan::Scan { table } => Some((table, Some(predicate))),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-fn open_join<'a>(
-    db: &'a Database,
-    left: &'a Plan,
-    right: &'a Plan,
-    on: &'a [(usize, usize)],
-    residual: Option<&'a Expr>,
-) -> Result<BoxRowIter<'a>> {
-    if !on.is_empty() {
-        // Base tables only: virtual (`sys.*`) relations have no indexes,
-        // so they take the generic hash-join path below.
-        if let Some((table_name, pred)) = base_access(right).filter(|(n, _)| db.has_table(n)) {
-            let table = db.table(table_name)?;
-            let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-            let pk_path = table.schema().key_column() == Some(0) && rcols == [0];
-            let index = if pk_path {
-                None
-            } else {
-                table
-                    .find_index_for(&rcols)
-                    .map(|(name, order)| (name.to_string(), order.to_vec()))
-            };
-            if pk_path || index.is_some() {
-                // Adaptive index-nested-loop: buffer left rows up to the
-                // break-even point of the materializing heuristic
-                // (`4·|left| ≤ |table|`). Exhausting within the budget
-                // means probing beats building a hash over the table.
-                let budget = table.len().max(1) / 4;
-                let mut left_stream = open_node(db, left)?;
-                let mut buf: Vec<Row> = Vec::new();
-                let mut small_left = true;
-                loop {
-                    if buf.len() > budget {
-                        small_left = false;
-                        break;
-                    }
-                    match left_stream.next() {
-                        Some(row) => buf.push(row?),
-                        None => break,
-                    }
-                }
-                if small_left {
-                    return Ok(Box::new(IndexJoin {
-                        table,
-                        lrows: buf.into_iter(),
-                        on,
-                        pred,
-                        residual,
-                        pk_path,
-                        index,
-                        current: None,
-                        pos: 0,
-                    }));
-                }
-                // Too many left rows: replay the buffer in front of the
-                // rest of the stream and hash-join instead.
-                let probe: BoxRowIter<'a> = Box::new(buf.into_iter().map(Ok).chain(left_stream));
-                return hash_join(db, probe, right, on, residual);
-            }
-        }
-        let probe = open_node(db, left)?;
-        return hash_join(db, probe, right, on, residual);
-    }
-    // Cross/theta join: the right side is materialized once, the left
-    // side pipelines through the nested loop.
-    let rrows = collect(open_node(db, right)?)?;
-    let left = open_node(db, left)?;
-    Ok(Box::new(NestedLoopJoin {
-        left,
-        rrows,
-        residual,
-        current: None,
-        pos: 0,
-    }))
-}
-
-/// Build a hash table over the right side, then stream the probe rows.
-fn hash_join<'a>(
-    db: &'a Database,
-    probe: BoxRowIter<'a>,
-    right: &'a Plan,
-    on: &'a [(usize, usize)],
-    residual: Option<&'a Expr>,
-) -> Result<BoxRowIter<'a>> {
-    let mut build: HashMap<Box<[Value]>, Vec<Row>> = HashMap::new();
-    for item in open_node(db, right)? {
-        let row = item?;
-        let key: Box<[Value]> = on.iter().map(|&(_, rc)| row[rc].clone()).collect();
-        build.entry(key).or_default().push(row);
-    }
-    Ok(Box::new(HashJoin {
-        probe,
-        build,
-        on,
-        residual,
-        current: None,
-        pos: 0,
-    }))
-}
-
-/// Streaming probe over a pre-built hash table. Output rows are
-/// `probe ++ build` (the probe side is the join's left input).
-struct HashJoin<'a> {
-    probe: BoxRowIter<'a>,
-    build: HashMap<Box<[Value]>, Vec<Row>>,
-    on: &'a [(usize, usize)],
-    residual: Option<&'a Expr>,
-    current: Option<(Row, Box<[Value]>)>,
-    pos: usize,
-}
-
-impl Iterator for HashJoin<'_> {
+impl Iterator for RowStream<'_> {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some((lrow, key)) = &self.current {
-                let hits = self.build.get(key).expect("current key has matches");
-                while self.pos < hits.len() {
-                    let rrow = &hits[self.pos];
-                    self.pos += 1;
-                    let joined = lrow.concat(rrow);
-                    match self.residual {
-                        None => return Some(Ok(joined)),
-                        Some(e) => match e.eval_bool(&joined) {
-                            Ok(true) => return Some(Ok(joined)),
-                            Ok(false) => {}
-                            Err(err) => return Some(Err(err)),
-                        },
-                    }
-                }
-                self.current = None;
-            }
-            match self.probe.next()? {
-                Ok(lrow) => {
-                    let key: Box<[Value]> =
-                        self.on.iter().map(|&(lc, _)| lrow[lc].clone()).collect();
-                    if self.build.contains_key(&key) {
-                        self.current = Some((lrow, key));
-                        self.pos = 0;
-                    }
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
+        self.inner.next()
     }
 }
 
-/// Index-nested-loop join: bounded buffered left rows probe the right
-/// table's primary key or a covering secondary index, emitting matches
-/// one at a time.
-struct IndexJoin<'a> {
-    table: &'a Table,
-    lrows: std::vec::IntoIter<Row>,
-    on: &'a [(usize, usize)],
-    /// Selection predicate of a `Selection`-over-`Scan` right side.
-    pred: Option<&'a Expr>,
-    residual: Option<&'a Expr>,
-    pk_path: bool,
-    index: Option<(String, Vec<usize>)>,
-    current: Option<(Row, Vec<Row>)>,
-    pos: usize,
+/// Flattening adapter behind [`RowStream::from_chunks`]: hands out the
+/// chunk's live rows one by one and recycles the chunk's buffers once
+/// the last row is gone (abandoned chunks just drop their buffers).
+enum ChunkRows {
+    Rows(Option<Chunk>, usize),
+    Err(std::iter::Once<Result<Row>>),
 }
 
-impl IndexJoin<'_> {
-    /// Re-verify every join pair (with duplicate right columns in `on` the
-    /// index key only pins one left column per right column), apply the
-    /// right-side selection and the residual.
-    fn try_emit(&self, lrow: &Row, rrow: &Row) -> Result<Option<Row>> {
-        for &(lc, rc) in self.on {
-            if lrow[lc] != rrow[rc] {
-                return Ok(None);
-            }
-        }
-        if let Some(p) = self.pred {
-            if !p.eval_bool(rrow)? {
-                return Ok(None);
-            }
-        }
-        let joined = lrow.concat(rrow);
-        let keep = match self.residual {
-            Some(e) => e.eval_bool(&joined)?,
-            None => true,
-        };
-        Ok(keep.then_some(joined))
-    }
-}
-
-impl Iterator for IndexJoin<'_> {
+impl Iterator for ChunkRows {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some((lrow, hits)) = &self.current {
-                while self.pos < hits.len() {
-                    let rrow = &hits[self.pos];
-                    self.pos += 1;
-                    match self.try_emit(lrow, rrow) {
-                        Ok(Some(joined)) => return Some(Ok(joined)),
-                        Ok(None) => {}
-                        Err(e) => return Some(Err(e)),
-                    }
+        match self {
+            ChunkRows::Rows(slot, pos) => {
+                let chunk = slot.as_mut()?;
+                if *pos < chunk.len() {
+                    let i = chunk.live_at(*pos);
+                    *pos += 1;
+                    Some(Ok(chunk.take_row(i)))
+                } else {
+                    slot.take().expect("checked above").recycle();
+                    None
                 }
-                self.current = None;
             }
-            let lrow = self.lrows.next()?;
-            let hits: Vec<Row> = if self.pk_path {
-                let lc = self.on[0].0;
-                self.table.get_by_key(&lrow[lc]).into_iter().collect()
-            } else {
-                let (name, order) = self.index.as_ref().expect("index path");
-                let key: Vec<Value> = order
-                    .iter()
-                    .map(|rc| {
-                        let (lc, _) = self.on.iter().find(|(_, r)| r == rc).expect("covered");
-                        lrow[*lc].clone()
-                    })
-                    .collect();
-                match self.table.index_rows(name, &key) {
-                    Ok(rows) => rows,
-                    Err(e) => return Some(Err(e)),
-                }
-            };
-            if !hits.is_empty() {
-                self.current = Some((lrow, hits));
-                self.pos = 0;
-            }
+            ChunkRows::Err(it) => it.next(),
         }
     }
-}
-
-/// Cross/theta join: materialized right rows, streaming left.
-struct NestedLoopJoin<'a> {
-    left: BoxRowIter<'a>,
-    rrows: Vec<Row>,
-    residual: Option<&'a Expr>,
-    current: Option<Row>,
-    pos: usize,
-}
-
-impl Iterator for NestedLoopJoin<'_> {
-    type Item = Result<Row>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(lrow) = &self.current {
-                while self.pos < self.rrows.len() {
-                    let rrow = &self.rrows[self.pos];
-                    self.pos += 1;
-                    let joined = lrow.concat(rrow);
-                    match self.residual {
-                        None => return Some(Ok(joined)),
-                        Some(e) => match e.eval_bool(&joined) {
-                            Ok(true) => return Some(Ok(joined)),
-                            Ok(false) => {}
-                            Err(err) => return Some(Err(err)),
-                        },
-                    }
-                }
-                self.current = None;
-            }
-            match self.left.next()? {
-                Ok(lrow) => {
-                    if !self.rrows.is_empty() {
-                        self.current = Some(lrow);
-                        self.pos = 0;
-                    }
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
-fn open_anti_join<'a>(
-    db: &'a Database,
-    left: &'a Plan,
-    right: &'a Plan,
-    on: &'a [(usize, usize)],
-    residual: Option<&'a Expr>,
-) -> Result<BoxRowIter<'a>> {
-    let left_stream = open_node(db, left)?;
-    if on.is_empty() {
-        // A left row survives iff no right row makes the residual hold.
-        let rrows = collect(open_node(db, right)?)?;
-        return Ok(Box::new(left_stream.filter_map(move |item| match item {
-            Ok(lrow) => {
-                for rrow in &rrows {
-                    let joined = lrow.concat(rrow);
-                    match residual {
-                        None => return None,
-                        Some(e) => match e.eval_bool(&joined) {
-                            Ok(true) => return None,
-                            Ok(false) => {}
-                            Err(err) => return Some(Err(err)),
-                        },
-                    }
-                }
-                Some(Ok(lrow))
-            }
-            Err(e) => Some(Err(e)),
-        })));
-    }
-    let mut build: HashMap<Box<[Value]>, Vec<Row>> = HashMap::new();
-    for item in open_node(db, right)? {
-        let row = item?;
-        let key: Box<[Value]> = on.iter().map(|&(_, rc)| row[rc].clone()).collect();
-        build.entry(key).or_default().push(row);
-    }
-    Ok(Box::new(left_stream.filter_map(move |item| match item {
-        Ok(lrow) => {
-            let key: Box<[Value]> = on.iter().map(|&(lc, _)| lrow[lc].clone()).collect();
-            match build.get(&key) {
-                None => Some(Ok(lrow)),
-                Some(hits) => match residual {
-                    None => None,
-                    Some(e) => {
-                        for rrow in hits {
-                            let joined = lrow.concat(rrow);
-                            match e.eval_bool(&joined) {
-                                Ok(true) => return None,
-                                Ok(false) => {}
-                                Err(err) => return Some(Err(err)),
-                            }
-                        }
-                        Some(Ok(lrow))
-                    }
-                },
-            }
-        }
-        Err(e) => Some(Err(e)),
-    })))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::exec::{execute_materialized, execute_rows};
-    use crate::expr::CmpOp;
+    use crate::catalog::Database;
+    use crate::error::Result;
+    use crate::exec::{execute_materialized, stream};
+    use crate::expr::{CmpOp, Expr};
+    use crate::plan::Plan;
     use crate::row;
+    use crate::row::Row;
     use crate::schema::TableSchema;
 
     fn db() -> Database {
@@ -530,6 +106,11 @@ mod tests {
         e.insert(row![1, 2, 2]).unwrap();
         e.insert(row![1, 3, 0]).unwrap();
         db
+    }
+
+    /// Every row of `plan`, pulled one at a time through [`RowStream`].
+    fn pull_rows(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
+        stream(db, plan)?.collect()
     }
 
     fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -564,7 +145,7 @@ mod tests {
         ];
         for plan in &plans {
             assert_eq!(
-                sorted(execute_rows(&db, plan).unwrap()),
+                sorted(pull_rows(&db, plan).unwrap()),
                 sorted(execute_materialized(&db, plan).unwrap()),
                 "row-streaming and materializing disagree on {plan:?}"
             );
@@ -575,7 +156,7 @@ mod tests {
     fn row_streaming_preserves_scan_order() {
         let db = db();
         let plan = Plan::scan("Users");
-        let rows = stream_rows(&db, &plan).unwrap().collect_rows().unwrap();
+        let rows = stream(&db, &plan).unwrap().collect_rows().unwrap();
         assert_eq!(
             rows,
             vec![row![1, "Alice"], row![2, "Bob"], row![3, "Carol"]]
@@ -594,7 +175,7 @@ mod tests {
         }
         .select(Expr::Col(0))
         .limit(1);
-        assert_eq!(execute_rows(&db, &plan).unwrap(), vec![row![true]]);
+        assert_eq!(pull_rows(&db, &plan).unwrap(), vec![row![true]]);
         assert!(execute_materialized(&db, &plan).is_err());
     }
 
@@ -606,7 +187,7 @@ mod tests {
             rows: vec![row![2], row![1], row![2], row![3], row![1]],
         }
         .distinct();
-        let rows = stream_rows(&db, &plan).unwrap().collect_rows().unwrap();
+        let rows = stream(&db, &plan).unwrap().collect_rows().unwrap();
         assert_eq!(rows, vec![row![2], row![1], row![3]]);
     }
 
@@ -619,10 +200,10 @@ mod tests {
             rows: vec![row![1]],
         }
         .select(Expr::Col(0));
-        assert!(execute_rows(&db, &plan).is_err());
+        assert!(pull_rows(&db, &plan).is_err());
         // And through a projection above it.
         let plan = plan.project_cols(&[0]);
-        assert!(execute_rows(&db, &plan).is_err());
+        assert!(pull_rows(&db, &plan).is_err());
     }
 
     #[test]
@@ -641,7 +222,7 @@ mod tests {
         probe.insert(row![3]).unwrap();
         probe.insert(row![7]).unwrap();
         let plan = Plan::scan("Probe").join(Plan::scan("V"), vec![(0, 0)]);
-        let rows = execute_rows(&db, &plan).unwrap();
+        let rows = pull_rows(&db, &plan).unwrap();
         assert_eq!(rows.len(), 40);
         assert_eq!(
             sorted(rows),
@@ -669,7 +250,7 @@ mod tests {
         }
         let plan = Plan::scan("Probe").join(Plan::scan("V"), vec![(0, 0)]);
         assert_eq!(
-            sorted(execute_rows(&db, &plan).unwrap()),
+            sorted(pull_rows(&db, &plan).unwrap()),
             sorted(execute_materialized(&db, &plan).unwrap())
         );
     }

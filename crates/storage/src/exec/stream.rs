@@ -43,9 +43,10 @@
 //! error after it, and processing resumes behind it. A `Limit` that is
 //! satisfied by the prefix therefore never observes the error.
 //!
-//! [`RowStream`] is a thin row-at-a-time adapter over [`ChunkStream`]
-//! for sinks written against `Iterator<Item = Result<Row>>`.
+//! [`RowStream`] ([`super::rows`]) is a thin row-at-a-time adapter over
+//! [`ChunkStream`] for sinks written against `Iterator<Item = Result<Row>>`.
 
+use super::rows::RowStream;
 use super::spill::{self, SpillCtx, SpillOptions};
 use super::{aggregate_stream, try_index_selection};
 use crate::catalog::Database;
@@ -390,7 +391,7 @@ impl Chunk {
     }
 
     /// Window-relative index of the `k`-th live row.
-    fn live_at(&self, k: usize) -> u32 {
+    pub(super) fn live_at(&self, k: usize) -> u32 {
         match &self.sel {
             Some(sel) => sel[k],
             None => k as u32,
@@ -409,7 +410,7 @@ impl Chunk {
     /// Move the backing row at a window-relative index out of the chunk
     /// (row-major chunks leave a placeholder; columnar chunks
     /// materialize the row — the window is immutable shared storage).
-    fn take_row(&mut self, i: u32) -> Row {
+    pub(super) fn take_row(&mut self, i: u32) -> Row {
         match &mut self.repr {
             Repr::Rows(rows) => std::mem::replace(&mut rows[i as usize], Row::new(vec![])),
             Repr::Cols(w) => w.cols.row_at(w.start + i as usize),
@@ -495,79 +496,14 @@ impl<'a> ChunkStream<'a> {
         Ok(out)
     }
 
-    /// Adapt to a row-at-a-time stream (the source-compatible PR 2
-    /// interface). Rows of the current chunk are handed out one by one;
-    /// the next chunk is pulled only when they run out, and each
-    /// exhausted chunk's buffers return to the pool.
+    /// Adapt to a row-at-a-time stream (see [`super::rows`]).
     pub fn rows(self) -> RowStream<'a> {
-        RowStream::new(Box::new(self.inner.flat_map(|item| match item {
-            Ok(chunk) => ChunkRows::Rows(Some(chunk), 0),
-            Err(e) => ChunkRows::Err(std::iter::once(Err(e))),
-        })))
+        RowStream::from_chunks(self.inner)
     }
 }
 
 impl Iterator for ChunkStream<'_> {
     type Item = Result<Chunk>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
-/// Flattening adapter used by [`ChunkStream::rows`]: hands out the
-/// chunk's live rows one by one and recycles the chunk's buffers once
-/// the last row is gone (abandoned chunks just drop their buffers).
-enum ChunkRows {
-    Rows(Option<Chunk>, usize),
-    Err(std::iter::Once<Result<Row>>),
-}
-
-impl Iterator for ChunkRows {
-    type Item = Result<Row>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            ChunkRows::Rows(slot, pos) => {
-                let chunk = slot.as_mut()?;
-                if *pos < chunk.len() {
-                    let i = chunk.live_at(*pos);
-                    *pos += 1;
-                    Some(Ok(chunk.take_row(i)))
-                } else {
-                    slot.take().expect("checked above").recycle();
-                    None
-                }
-            }
-            ChunkRows::Err(it) => it.next(),
-        }
-    }
-}
-
-/// A pull-based stream of rows: the row-at-a-time adapter over
-/// [`ChunkStream`].
-///
-/// Rows are computed on demand: dropping the stream early (or wrapping it
-/// in a `take`) abandons the rest of the computation. An `Err` item
-/// reports an evaluation error; pulling past it is allowed but yields
-/// whatever the underlying operators produce next.
-pub struct RowStream<'a> {
-    inner: Box<dyn Iterator<Item = Result<Row>> + 'a>,
-}
-
-impl<'a> RowStream<'a> {
-    pub(crate) fn new(inner: Box<dyn Iterator<Item = Result<Row>> + 'a>) -> Self {
-        RowStream { inner }
-    }
-
-    /// Drain the stream into a vector, stopping at the first error.
-    pub fn collect_rows(self) -> Result<Vec<Row>> {
-        self.inner.collect()
-    }
-}
-
-impl Iterator for RowStream<'_> {
-    type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.inner.next()
