@@ -3,9 +3,10 @@
 //!
 //! The paper's eager materialization makes inserts the expensive operation
 //! (Sect. 6.3); this ablation shows why the incremental algorithm is still
-//! far better than the naive alternative of re-ingesting everything.
+//! far better than the naive alternative of re-ingesting everything. Both
+//! run on the `Eager` store, the one with propagation to maintain.
 
-use beliefdb_core::Bdms;
+use beliefdb_core::{Bdms, DefaultPolicy};
 use beliefdb_gen::{experiment_schema, CandidateStream, GeneratorConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -17,7 +18,7 @@ fn candidates(cfg: &GeneratorConfig, n: usize) -> Vec<beliefdb_core::BeliefState
 }
 
 fn fresh(users: usize) -> Bdms {
-    let mut bdms = Bdms::new(experiment_schema()).expect("schema");
+    let mut bdms = Bdms::with_policy(experiment_schema(), DefaultPolicy::Eager).expect("schema");
     for i in 1..=users {
         bdms.add_user(format!("u{i}")).expect("user");
     }

@@ -2,8 +2,10 @@
 //! for the two depth distributions of the figure. The measured quantity is
 //! the end-to-end build of the belief database (what the figure's x-axis
 //! sweeps); the overhead values themselves are printed by the `fig6` binary.
+//! Like the binary, it builds the paper's `Eager` store.
 
-use beliefdb_gen::generate_bdms;
+use beliefdb_core::DefaultPolicy;
+use beliefdb_gen::generate_bdms_with_policy;
 use beliefdb_gen::scenarios::fig6_series;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -20,7 +22,8 @@ fn bench_fig6(c: &mut Criterion) {
                 &cfg,
                 |b, cfg| {
                     b.iter(|| {
-                        let (bdms, _) = generate_bdms(cfg).expect("generation failed");
+                        let (bdms, _) = generate_bdms_with_policy(cfg, DefaultPolicy::Eager)
+                            .expect("generation failed");
                         std::hint::black_box(bdms.stats().total_tuples)
                     })
                 },

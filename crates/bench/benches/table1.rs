@@ -2,8 +2,10 @@
 //! generation + ingestion (the cost behind each Table 1 cell), at a reduced
 //! `n` so a criterion run stays in seconds. Use the `table1` binary for the
 //! full-scale paper numbers.
+//! Like the binary, it builds the paper's `Eager` store.
 
-use beliefdb_gen::generate_bdms;
+use beliefdb_core::DefaultPolicy;
+use beliefdb_gen::generate_bdms_with_policy;
 use beliefdb_gen::scenarios::table1_cells;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -21,7 +23,8 @@ fn bench_table1(c: &mut Criterion) {
             &cell.config,
             |b, cfg| {
                 b.iter(|| {
-                    let (bdms, _) = generate_bdms(cfg).expect("generation failed");
+                    let (bdms, _) = generate_bdms_with_policy(cfg, DefaultPolicy::Eager)
+                        .expect("generation failed");
                     std::hint::black_box(bdms.stats().total_tuples)
                 })
             },

@@ -1,15 +1,18 @@
 //! Criterion bench for Table 2: latency of the seven example queries over
 //! a generated belief database (reduced `n` for criterion; the `table2`
 //! binary runs the full 10,000-annotation configuration).
+//! Like the binary, it builds the paper's `Eager` store.
 
 use beliefdb_bench::table2_queries;
-use beliefdb_gen::generate_bdms;
+use beliefdb_core::DefaultPolicy;
+use beliefdb_gen::generate_bdms_with_policy;
 use beliefdb_gen::scenarios::table2_config;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_table2(c: &mut Criterion) {
     let cfg = table2_config(2_000, 42);
-    let (bdms, _) = generate_bdms(&cfg).expect("generation failed");
+    let (bdms, _) =
+        generate_bdms_with_policy(&cfg, DefaultPolicy::Eager).expect("generation failed");
     let queries = table2_queries(&bdms).expect("query construction failed");
 
     let mut group = c.benchmark_group("table2_queries");

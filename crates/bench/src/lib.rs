@@ -12,14 +12,19 @@
 //! * ablations (criterion benches) comparing evaluation strategies,
 //!   canonical-construction cost, and insert strategies.
 //!
+//! All three figures run on the paper's `Eager` store, where `V`
+//! materializes every entailed tuple. Table 1 and Figure 6 also print the
+//! `Lazy` store of the same annotations beside it: the curve Sect. 6.3
+//! predicts but does not measure.
+//!
 //! Binaries (`table1`, `fig6`, `table2`, `all_experiments`) print
 //! paper-style reports; criterion benches wrap the same code paths.
 
 use beliefdb_core::bcq::dsl::*;
 use beliefdb_core::bcq::Bcq;
-use beliefdb_core::{Bdms, Result, UserId};
+use beliefdb_core::{Bdms, DefaultPolicy, Result, UserId};
 use beliefdb_gen::scenarios::{fig6_series, table1_cells, table2_config};
-use beliefdb_gen::{generate_bdms, GeneratorConfig};
+use beliefdb_gen::{generate_bdms, generate_bdms_with_policy, GeneratorConfig};
 use std::time::{Duration, Instant};
 
 /// One measured cell of Table 1.
@@ -28,10 +33,25 @@ pub struct Table1Row {
     pub depth_label: &'static str,
     pub users: usize,
     pub zipf: bool,
-    /// Mean relative overhead `|R*|/n` over the seeds.
+    /// Mean relative overhead `|R*|/n` of the `Eager` store over the seeds.
     pub overhead: f64,
     /// Per-seed values (for dispersion reporting).
     pub samples: Vec<f64>,
+    /// Mean relative overhead of the `Lazy` store of the same annotations.
+    pub lazy_overhead: f64,
+    /// Per-seed values of the `Lazy` store.
+    pub lazy_samples: Vec<f64>,
+}
+
+/// `|R*|/n` of the store `cfg` generates under `policy`.
+fn overhead_under(cfg: &GeneratorConfig, policy: DefaultPolicy) -> Result<f64> {
+    let (bdms, report) = generate_bdms_with_policy(cfg, policy)?;
+    debug_assert_eq!(report.accepted, cfg.annotations);
+    Ok(bdms.stats().relative_overhead(cfg.annotations))
+}
+
+fn mean(samples: &[f64]) -> f64 {
+    samples.iter().sum::<f64>() / samples.len() as f64
 }
 
 /// Run the Table 1 grid: `n` annotations per database, averaging over
@@ -40,40 +60,46 @@ pub fn run_table1(n: usize, seeds: &[u64]) -> Result<Vec<Table1Row>> {
     let mut rows: Vec<Table1Row> = Vec::new();
     for seed in seeds {
         for cell in table1_cells(n, *seed) {
-            let (bdms, report) = generate_bdms(&cell.config)?;
-            debug_assert_eq!(report.accepted, n);
-            let overhead = bdms.stats().relative_overhead(n);
+            let eager = overhead_under(&cell.config, DefaultPolicy::Eager)?;
+            let lazy = overhead_under(&cell.config, DefaultPolicy::Lazy)?;
             match rows.iter_mut().find(|r| {
                 r.depth_label == cell.depth_label && r.users == cell.users && r.zipf == cell.zipf
             }) {
-                Some(row) => row.samples.push(overhead),
+                Some(row) => {
+                    row.samples.push(eager);
+                    row.lazy_samples.push(lazy);
+                }
                 None => rows.push(Table1Row {
                     depth_label: cell.depth_label,
                     users: cell.users,
                     zipf: cell.zipf,
                     overhead: 0.0,
-                    samples: vec![overhead],
+                    samples: vec![eager],
+                    lazy_overhead: 0.0,
+                    lazy_samples: vec![lazy],
                 }),
             }
         }
     }
     for row in &mut rows {
-        row.overhead = row.samples.iter().sum::<f64>() / row.samples.len() as f64;
+        row.overhead = mean(&row.samples);
+        row.lazy_overhead = mean(&row.lazy_samples);
     }
     Ok(rows)
 }
 
-/// Render Table 1 in the paper's layout.
+/// Render Table 1 in the paper's layout, each cell as the `Eager`
+/// overhead (the paper's) and the `Lazy` one beside it.
 pub fn format_table1(rows: &[Table1Row], n: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "Table 1: relative overhead |R*|/n for n = {n} annotations\n"
+        "Table 1: relative overhead |R*|/n for n = {n} annotations (Eager / Lazy)\n"
     ));
     out.push_str(&format!(
-        "{:<22} | {:>10} {:>10} | {:>10} {:>10}\n",
+        "{:<22} | {:>13} | {:>13} | {:>13} | {:>13}\n",
         "Pr[d = {0,1,2}]", "m=10 Zipf", "m=10 unif", "m=100 Zipf", "m=100 unif"
     ));
-    out.push_str(&"-".repeat(70));
+    out.push_str(&"-".repeat(88));
     out.push('\n');
     for depth in [
         "[1/3, 1/3, 1/3]",
@@ -83,11 +109,11 @@ pub fn format_table1(rows: &[Table1Row], n: usize) -> String {
         let cell = |users: usize, zipf: bool| -> String {
             rows.iter()
                 .find(|r| r.depth_label == depth && r.users == users && r.zipf == zipf)
-                .map(|r| format!("{:.0}", r.overhead))
+                .map(|r| format!("{:.0} / {:.2}", r.overhead, r.lazy_overhead))
                 .unwrap_or_else(|| "-".into())
         };
         out.push_str(&format!(
-            "{:<22} | {:>10} {:>10} | {:>10} {:>10}\n",
+            "{:<22} | {:>13} | {:>13} | {:>13} | {:>13}\n",
             depth,
             cell(10, true),
             cell(10, false),
@@ -102,7 +128,10 @@ pub fn format_table1(rows: &[Table1Row], n: usize) -> String {
 #[derive(Debug, Clone)]
 pub struct Fig6Point {
     pub n: usize,
+    /// `|R*|/n` of the `Eager` store.
     pub overhead: f64,
+    /// `|R*|/n` of the `Lazy` store of the same annotations.
+    pub lazy_overhead: f64,
 }
 
 /// One series of Figure 6.
@@ -119,11 +148,10 @@ pub fn run_fig6(ns: &[usize], seed: u64) -> Result<Vec<Fig6Series>> {
     for (label, configs) in fig6_series(ns, seed) {
         let mut points = Vec::with_capacity(configs.len());
         for cfg in configs {
-            let n = cfg.annotations;
-            let (bdms, _) = generate_bdms(&cfg)?;
             points.push(Fig6Point {
-                n,
-                overhead: bdms.stats().relative_overhead(n),
+                n: cfg.annotations,
+                overhead: overhead_under(&cfg, DefaultPolicy::Eager)?,
+                lazy_overhead: overhead_under(&cfg, DefaultPolicy::Lazy)?,
             });
         }
         out.push(Fig6Series { label, points });
@@ -138,9 +166,15 @@ pub fn format_fig6(series: &[Fig6Series]) -> String {
     out.push_str("(100 users, uniform participation)\n\n");
     for s in series {
         out.push_str(&format!("series: {}\n", s.label));
-        out.push_str(&format!("{:>10} | {:>12}\n", "n", "|R*|/n"));
+        out.push_str(&format!(
+            "{:>10} | {:>12} | {:>12}\n",
+            "n", "|R*|/n Eager", "|R*|/n Lazy"
+        ));
         for p in &s.points {
-            out.push_str(&format!("{:>10} | {:>12.1}\n", p.n, p.overhead));
+            out.push_str(&format!(
+                "{:>10} | {:>12.1} | {:>12.2}\n",
+                p.n, p.overhead, p.lazy_overhead
+            ));
         }
         out.push('\n');
     }
@@ -235,11 +269,12 @@ pub struct Table2Row {
     pub result_size: usize,
 }
 
-/// Run Table 2: build the `n`-annotation database, execute each query
-/// `reps` times, report mean/σ latency and result sizes.
+/// Run Table 2: build the `n`-annotation database (`Eager`, as the paper
+/// measures it), execute each query `reps` times, report mean/σ latency
+/// and result sizes.
 pub fn run_table2(n: usize, seed: u64, reps: usize) -> Result<(Bdms, Vec<Table2Row>)> {
     let cfg = table2_config(n, seed);
-    let (bdms, _) = generate_bdms(&cfg)?;
+    let (bdms, _) = generate_bdms_with_policy(&cfg, DefaultPolicy::Eager)?;
     let rows = run_table2_queries(&bdms, reps)?;
     Ok((bdms, rows))
 }
@@ -1286,8 +1321,9 @@ mod tests {
         let rows = run_table1(60, &[1, 2]).unwrap();
         assert_eq!(rows.len(), 12);
         for r in &rows {
-            assert_eq!(r.samples.len(), 2);
+            assert_eq!((r.samples.len(), r.lazy_samples.len()), (2, 2));
             assert!(r.overhead >= 1.0, "|R*| at least stores the annotations");
+            assert!(r.lazy_overhead >= 1.0 && r.lazy_overhead <= r.overhead);
         }
         let rendered = format_table1(&rows, 60);
         assert!(rendered.contains("m=100 Zipf"));

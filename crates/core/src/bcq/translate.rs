@@ -26,10 +26,34 @@
 //! * positive subgoals push their constants and the `s = '+'` filter into
 //!   the temp-table rule (the paper notes selections *can* be pushed for
 //!   positive subgoals, and must not be for negative ones).
+//!
+//! Under [`DefaultPolicy::Lazy`] `V` holds the explicit statements only,
+//! and the `V(z, t, _, s, _)` atom becomes the entailed view of Sect. 6.3:
+//! the temp table is a union of one rule per sign and per chain position
+//! `j = 0..d` (`d` the smaller of the subgoal's path length and the depth
+//! of the directory's deepest state), each reading `V` at `Sʲ(z)` through
+//! `j` joins with `S` and anti-joining the overrides at `S⁰(z) … Sʲ⁻¹(z)`
+//! (`x₁` is the key attribute of `R*(t, x̄)`, which `V`'s key column
+//! repeats):
+//!
+//! ```text
+//! T_i(w̄, x̄, +) :− E*(0, w̄, z), S(z, z1), …, S(zj−1, zj), V(zj, t, _, +, _),
+//!                 R*(t, x̄), ⋀_{h<j} ¬V(zh, _, x₁, +, _) ∧ ¬V(zh, t, x₁, −, _)
+//! T_i(w̄, x̄, −) :− E*(0, w̄, z), S(z, z1), …, S(zj−1, zj), V(zj, t, _, −, _),
+//!                 R*(t, x̄), ⋀_{h<j} ¬V(zh, t, x₁, +, _)
+//! ```
+//!
+//! — a positive is inherited unless a nearer world states a positive for
+//! its key (Γ1) or its negative (Γ2), a negative unless a nearer world
+//! states its positive (Γ2): the overriding union of Thm. 17(2a), unrolled.
+//! The program stays non-recursive, so it is plan-cached and `EXPLAIN`ed
+//! like the eager one.
 
 use super::{Bcq, PathElem, QueryTerm};
 use crate::error::{BeliefError, Result};
-use crate::internal::{star_table, v_table, InternalStore, E_TABLE, U_TABLE};
+use crate::internal::{
+    star_table, v_table, DefaultPolicy, InternalStore, E_TABLE, S_TABLE, U_TABLE,
+};
 use crate::statement::Sign;
 use beliefdb_storage::datalog::{
     AnalyzedPlans, Atom, BodyLit, CmpLit, Evaluator, PlanCache, Program, Rule, Term,
@@ -98,6 +122,7 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
         }
 
         // V(z, t, _, s, _)
+        let v = v_table(rel_def.name());
         let tid = Term::var(format!("__t{i}"));
         let sign_term: Term = match sg.sign {
             // Positive subgoals only need stated positives: filter early.
@@ -105,14 +130,10 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
             // Negative subgoals need both signs in the temp table.
             Sign::Neg => Term::var(format!("__s{i}")),
         };
-        body.push(BodyLit::Pos(Atom::new(
-            v_table(rel_def.name()),
-            vec![prev, tid.clone(), Term::Any, sign_term.clone(), Term::Any],
-        )));
 
         // R*(t, x̄): fresh column variables; positive subgoals additionally
         // push their constant selections here.
-        let mut star_terms: Vec<Term> = vec![tid];
+        let mut star_terms: Vec<Term> = vec![tid.clone()];
         let mut col_terms: Vec<Term> = Vec::with_capacity(arity);
         for (j, arg) in sg.args.iter().enumerate() {
             let col = match (sg.sign, arg) {
@@ -122,17 +143,48 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
             star_terms.push(col.clone());
             col_terms.push(col);
         }
-        body.push(BodyLit::Pos(Atom::new(
-            star_table(rel_def.name()),
-            star_terms,
-        )));
+        let star = BodyLit::Pos(Atom::new(star_table(rel_def.name()), star_terms));
+        head_terms.extend(col_terms.iter().cloned());
 
-        head_terms.extend(col_terms.clone());
-        head_terms.push(sign_term);
-        rules.push(Rule {
-            head: Atom::new(&temp, head_terms),
-            body,
-        });
+        match store.policy() {
+            DefaultPolicy::Eager => {
+                body.push(BodyLit::Pos(Atom::new(
+                    v,
+                    vec![prev, tid, Term::Any, sign_term.clone(), Term::Any],
+                )));
+                body.push(star);
+                head_terms.push(sign_term);
+                rules.push(Rule {
+                    head: Atom::new(&temp, head_terms),
+                    body,
+                });
+            }
+            DefaultPolicy::Lazy => {
+                let signs: &[Sign] = match sg.sign {
+                    Sign::Pos => &[Sign::Pos],
+                    Sign::Neg => &[Sign::Pos, Sign::Neg],
+                };
+                // `V`'s key column is the tuple's first attribute, bound by
+                // `R*`: the anti-joins run once `R*` — and a magic guard
+                // on the tuple's columns — has been joined.
+                let key = &col_terms[0];
+                // The world `z` of a path of length l has depth ≤ l.
+                let deepest = sg.path.len().min(store.directory().max_depth());
+                for &sign in signs {
+                    for j in 0..=deepest {
+                        let mut rule_body = body.clone();
+                        rule_body.extend(entailed_v(&v, &prev, &tid, key, sign, i, j));
+                        rule_body.push(star.clone());
+                        let mut head = head_terms.clone();
+                        head.push(Term::Const(sign.value()));
+                        rules.push(Rule {
+                            head: Atom::new(&temp, head),
+                            body: rule_body,
+                        });
+                    }
+                }
+            }
+        }
 
         // ---- final-rule atom + conditions C_i -----------------------------
         let mut atom_terms: Vec<Term> = Vec::with_capacity(sg.path.len() + arity + 1);
@@ -458,6 +510,54 @@ pub fn explain(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<Str
     ev.explain_program(&program).map_err(BeliefError::from)
 }
 
+/// The body literals under which world `z` entails `tid` (whose key is
+/// `key`) with `sign` because its `j`-th suffix ancestor `Sʲ(z)` states it
+/// and no world nearer on the chain overrides it: `j` hops along `S`, the
+/// stated row, and an anti-join against `V` per nearer world (subgoal `i`
+/// names the variables).
+fn entailed_v(
+    v: &str,
+    z: &Term,
+    tid: &Term,
+    key: &Term,
+    sign: Sign,
+    i: usize,
+    j: usize,
+) -> Vec<BodyLit> {
+    let chain: Vec<Term> = std::iter::once(z.clone())
+        .chain((1..=j).map(|h| Term::var(format!("__c{i}_{h}"))))
+        .collect();
+    let mut body: Vec<BodyLit> = chain
+        .windows(2)
+        .map(|hop| BodyLit::Pos(Atom::new(S_TABLE, hop.to_vec())))
+        .collect();
+    let stated = |world: &Term, t: Term, k: Term, s: Sign| {
+        Atom::new(
+            v,
+            vec![world.clone(), t, k, Term::Const(s.value()), Term::Any],
+        )
+    };
+    body.push(BodyLit::Pos(stated(
+        &chain[j],
+        tid.clone(),
+        Term::Any,
+        sign,
+    )));
+    for nearer in &chain[..j] {
+        let overridden_by = |t: Term, s: Sign| BodyLit::Neg(stated(nearer, t, key.clone(), s));
+        match sign {
+            // Γ1: no positive for the key; Γ2: not the tuple's negative.
+            Sign::Pos => {
+                body.push(overridden_by(Term::Any, Sign::Pos));
+                body.push(overridden_by(tid.clone(), Sign::Neg));
+            }
+            // Γ2: not the tuple's positive.
+            Sign::Neg => body.push(overridden_by(tid.clone(), Sign::Pos)),
+        }
+    }
+    body
+}
+
 fn path_term(elem: &PathElem) -> Term {
     match elem {
         PathElem::User(u) => Term::Const(u.value()),
@@ -484,8 +584,12 @@ mod tests {
 
     /// Build an InternalStore holding the running example.
     fn store() -> InternalStore {
+        store_with(DefaultPolicy::default())
+    }
+
+    fn store_with(policy: DefaultPolicy) -> InternalStore {
         let (db, ..) = running_example();
-        let mut store = InternalStore::new(db.schema().clone()).unwrap();
+        let mut store = InternalStore::with_policy(db.schema().clone(), policy).unwrap();
         for u in db.users() {
             store
                 .add_user(db.user_name(u).unwrap().to_string())
@@ -499,7 +603,7 @@ mod tests {
 
     #[test]
     fn translation_produces_one_rule_per_subgoal_plus_answer() {
-        let st = store();
+        let st = store_with(DefaultPolicy::Eager);
         let s = st.schema().relation_id("Sightings").unwrap();
         let q = Bcq::builder(vec![qv("x")])
             .positive(
@@ -518,6 +622,18 @@ mod tests {
             .body
             .iter()
             .any(|b| matches!(b, BodyLit::Pos(a) if a.relation == "E")));
+
+        // Under `Lazy` the temp table is the unrolled view: the world
+        // itself and its suffix parent (a depth-1 world has no more).
+        let lazy = store_with(DefaultPolicy::Lazy);
+        let t = translate(&lazy, &q).unwrap();
+        assert_eq!(t.program.rules.len(), 3);
+        let (own, inherited) = (&t.program.rules[0], &t.program.rules[1]);
+        let count = |r: &Rule, f: fn(&BodyLit) -> bool| r.body.iter().filter(|b| f(b)).count();
+        let hop = |b: &BodyLit| matches!(b, BodyLit::Pos(a) if a.relation == "S");
+        let blocker = |b: &BodyLit| matches!(b, BodyLit::Neg(_));
+        assert_eq!((count(own, hop), count(own, blocker)), (0, 0));
+        assert_eq!((count(inherited, hop), count(inherited, blocker)), (1, 2));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::canonical::CanonicalKripke;
 use crate::database::BeliefDatabase;
 use crate::error::{BeliefError, Result};
 use crate::ids::{RelId, UserId};
-use crate::internal::{InsertOutcome, InternalStore};
+use crate::internal::{DefaultPolicy, InsertOutcome, InternalStore};
 use crate::path::BeliefPath;
 use crate::persist::{Durability, LogRecord, PersistOptions, SnapshotData, WalStats};
 use crate::schema::ExternalSchema;
@@ -113,10 +113,20 @@ impl std::fmt::Debug for Bdms {
 }
 
 impl Bdms {
-    /// Create an in-memory BDMS over an external schema.
+    /// Create an in-memory BDMS over an external schema, under the
+    /// default policy ([`DefaultPolicy::Lazy`]: `V` keeps the explicit
+    /// statements only).
     pub fn new(schema: ExternalSchema) -> Result<Self> {
+        Bdms::with_policy(schema, DefaultPolicy::default())
+    }
+
+    /// Create an in-memory BDMS that applies the default rule as `policy`
+    /// says. [`DefaultPolicy::Eager`] materializes every entailed tuple in
+    /// `V` — the paper's Sect. 5 representation, whose size Table 1 and
+    /// Fig. 6 report. The policy is fixed for the life of the store.
+    pub fn with_policy(schema: ExternalSchema, policy: DefaultPolicy) -> Result<Self> {
         let mut bdms = Bdms {
-            store: InternalStore::new(schema)?,
+            store: InternalStore::with_policy(schema, policy)?,
             persist: None,
             memory_budget: None,
             magic: true,
@@ -127,8 +137,9 @@ impl Bdms {
     }
 
     /// Initialize a durable BDMS in `dir` (created if missing; must not
-    /// already hold a belief database). An initial snapshot is written
-    /// immediately, so [`Bdms::open`] always finds the schema.
+    /// already hold a belief database) under [`DefaultPolicy::Lazy`]. An
+    /// initial snapshot is written immediately, so [`Bdms::open`] always
+    /// finds the schema and the policy.
     pub fn create(dir: impl AsRef<Path>, schema: ExternalSchema) -> Result<Self> {
         Bdms::create_with_options(dir, schema, PersistOptions::default())
     }
@@ -226,6 +237,11 @@ impl Bdms {
         self.persist.is_some()
     }
 
+    /// How this store applies the message-board default rule.
+    pub fn policy(&self) -> DefaultPolicy {
+        self.store.policy()
+    }
+
     /// Bound the memory each query's materialization points (hash-join
     /// builds, aggregates, sorts, distincts) may hold; past the budget
     /// they spill to disk — grace hash join, external merge sort,
@@ -310,7 +326,8 @@ impl Bdms {
         Ok(())
     }
 
-    /// Create a BDMS preloaded with a logical belief database.
+    /// Create a BDMS preloaded with a logical belief database, under the
+    /// default policy.
     pub fn from_belief_database(db: &BeliefDatabase) -> Result<Self> {
         let mut bdms = Bdms::new(db.schema().clone())?;
         for u in db.users() {

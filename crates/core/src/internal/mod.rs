@@ -22,6 +22,22 @@
 //! `s` is the sign (`'+'`/`'-'`), `e` records whether the tuple is explicit
 //! (`'y'`) or implied by the message-board assumption (`'n'`).
 //!
+//! ## Default policy (Sect. 6.3)
+//!
+//! A store is created with a [`DefaultPolicy`] and keeps it for life.
+//! Under [`DefaultPolicy::Eager`] — the paper's Sect. 5 representation —
+//! `V` holds every entailed tuple: Alg. 2 line 9 copies a new world's
+//! suffix parent into it and Alg. 4 propagates every statement to the
+//! dependent worlds. Under [`DefaultPolicy::Lazy`] — the paper's Sect. 6.3
+//! proposal — `V` holds the explicit statements only (every `e` is `'y'`),
+//! and the default rule is applied on read: a slice is the overriding union
+//! folded down the suffix chain `Sᵈ(w) … S(w), w`, and Algorithm 1 reads
+//! the same fold as an unrolled union (`bcq::translate`). The policy is
+//! read in three places only: the slice read ([`InternalStore::world`] and
+//! the slice reads behind the gate, `believed_at` and `entails`), the write
+//! path after the explicit row (propagation and Alg. 2 line 9), and
+//! Algorithm 1's `V` atom.
+//!
 //! `|R*|` is the paper's cost axis, and almost all of it is `V`. What a `V`
 //! row costs is the storage engine's business, but the shape helps it:
 //! `wid` and `tid` are dense counters and `s`, `e` have two values each,
@@ -56,6 +72,11 @@
 //!   directory, with the children of every world: the dependents of a
 //!   world are its subtree there, and propagation reads parents from it
 //!   instead of from the `S` table, which stays as what queries read.
+//! * Under `Lazy` the last three notes describe work that is not done:
+//!   a statement writes or removes its one explicit row, and a new world
+//!   starts empty (`E`, `D`, `S` are maintained exactly as under `Eager`).
+//!   The Alg. 4 gate still sees the entailed slice, now folded from the
+//!   suffix chain, so outcomes are the same under both policies.
 //! * Worlds are never destroyed by deletes; a state with an empty explicit
 //!   world is transparent (its entailed world equals its suffix-parent's),
 //!   so keeping it does not change any query answer.
@@ -102,6 +123,20 @@ impl InsertOutcome {
     pub fn accepted(self) -> bool {
         !matches!(self, InsertOutcome::Rejected)
     }
+}
+
+/// How a store applies the message-board default rule (Sect. 6.3). Fixed
+/// when the store is created.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DefaultPolicy {
+    /// `V` holds every entailed tuple: the paper's Sect. 5 representation,
+    /// maintained by Alg. 2 line 9 and Alg. 4's propagation.
+    Eager,
+    /// `V` holds the explicit statements only; entailed tuples are
+    /// derived on read by folding the overriding union down the suffix
+    /// chain.
+    #[default]
+    Lazy,
 }
 
 /// The interned `'y'` / `'n'` of the explicitness flag, as a table cell.
@@ -168,6 +203,8 @@ pub struct InternalStore {
     pub(crate) rel_tables: Vec<RelTables>,
     pub(crate) users: Vec<(UserId, String)>,
     pub(crate) dir: WorldDirectory,
+    /// Whether `V` materializes the default rule (see [`DefaultPolicy`]).
+    pub(crate) policy: DefaultPolicy,
     pub(crate) next_tid: u32,
     /// Reverse lookup `ground tuple → tid` (an in-memory unique index over
     /// `R*` minus the tid column).
@@ -188,8 +225,14 @@ pub struct InternalStore {
 
 impl InternalStore {
     /// Create the internal schema for an external one and initialize the
-    /// root world (`wid 0`, depth 0).
+    /// root world (`wid 0`, depth 0), under the default policy
+    /// ([`DefaultPolicy::Lazy`]).
     pub fn new(schema: ExternalSchema) -> Result<Self> {
+        InternalStore::with_policy(schema, DefaultPolicy::default())
+    }
+
+    /// [`InternalStore::new`] under an explicit [`DefaultPolicy`].
+    pub fn with_policy(schema: ExternalSchema, policy: DefaultPolicy) -> Result<Self> {
         let schema = Arc::new(schema);
         let mut db = Database::new();
         let mut rel_tables = Vec::with_capacity(schema.relations().len());
@@ -233,6 +276,7 @@ impl InternalStore {
             rel_tables,
             users: Vec::new(),
             dir,
+            policy,
             stats: std::sync::Mutex::new(beliefdb_storage::StatsCatalog::default()),
             plan_cache: Arc::new(std::sync::Mutex::new(
                 beliefdb_storage::datalog::PlanCache::new(),
@@ -244,6 +288,11 @@ impl InternalStore {
 
     pub fn schema(&self) -> &ExternalSchema {
         &self.schema
+    }
+
+    /// The store's [`DefaultPolicy`].
+    pub fn policy(&self) -> DefaultPolicy {
+        self.policy
     }
 
     /// The ids of the external relations, ascending.
@@ -419,10 +468,8 @@ impl InternalStore {
     pub fn world(&self, path: &BeliefPath) -> Result<BeliefWorld> {
         let wid = self.resolve(path);
         let mut world = BeliefWorld::new();
-        for (rel, names) in self.rel_ids().zip(&self.rel_tables) {
-            let vt = self.db.table(&names.v)?;
-            for rid in vt.probe(names.by_wid_key, &[wid.cell()])? {
-                let entry = slices::slice_entry(vt, rid)?;
+        for rel in self.rel_ids() {
+            for entry in self.read_world(rel, wid)? {
                 world.add(self.tuple_of(rel, entry.tid)?, entry.sign);
             }
         }
@@ -432,7 +479,8 @@ impl InternalStore {
     /// The positive tuples of `rel` with external key `key` that the world
     /// at `path` entails (at most one in a consistent world, Γ1) — what
     /// [`InternalStore::world`] holds for that key, off one `(wid, key)`
-    /// slice probe.
+    /// slice probe per stored world (one under `Eager`, the suffix chain
+    /// under `Lazy`).
     pub fn believed_at(
         &self,
         path: &BeliefPath,

@@ -2,7 +2,7 @@
 //! updates, as one revision of a `(world, key)` slice.
 
 use super::slices::{overriding_union, slice_entry, slice_rows, SliceEntry};
-use super::{explicit_cell, rel_names, InsertOutcome, InternalStore};
+use super::{explicit_cell, rel_names, DefaultPolicy, InsertOutcome, InternalStore};
 use crate::error::{BeliefError, Result};
 use crate::ids::{RelId, Tid, Wid};
 use crate::path::BeliefPath;
@@ -53,9 +53,9 @@ impl InternalStore {
 
     /// One statement about key `key` of `rel` at the world `wid` of `path`:
     /// withdraw the explicit `retract`, if the world states it, then put
-    /// `assert` through Algorithm 4's gate, and propagate the two together
-    /// in one walk over the dependent worlds. Returns whether the
-    /// retraction took place and what the assertion came to.
+    /// `assert` through Algorithm 4's gate, and — under `Eager` — propagate
+    /// the two together in one walk over the dependent worlds. Returns
+    /// whether the retraction took place and what the assertion came to.
     fn revise(
         &mut self,
         rel: RelId,
@@ -65,6 +65,10 @@ impl InternalStore {
         retract: Option<(Tid, Sign)>,
         assert: Option<(Tid, Sign)>,
     ) -> Result<(bool, Option<InsertOutcome>)> {
+        // Under `Eager` the stored slice is the world's content; under
+        // `Lazy` it is the explicit part, and the rest is folded from the
+        // suffix chain.
+        let eager = self.policy == DefaultPolicy::Eager;
         let names = rel_names(&self.rel_tables, rel)?;
         // T1: the world's tuples with this key (Alg. 4 line 2).
         let mut rows = slice_rows(self.db.table(&names.v)?, names.by_wid_key, wid, key)?;
@@ -81,7 +85,7 @@ impl InternalStore {
         let mut inherited = None;
         let mut outcome = None;
         if let Some((tid, sign)) = assert {
-            let decided = if stated.is_some() {
+            let decided = if stated.is_some() || !eager {
                 // The gate sees the world as the retraction leaves it:
                 // what was overridden by the withdrawn tuple is back.
                 let mut arena = self.parent_slice(rel, wid, key)?;
@@ -125,8 +129,9 @@ impl InternalStore {
         }
 
         // lines 8–14. A promotion alone leaves the content of this world
-        // and of all dependents as it was.
-        if stated.is_some() || outcome == Some(InsertOutcome::Inserted) {
+        // and of all dependents as it was; under `Lazy` every dependent
+        // reads the new row through its suffix chain.
+        if eager && (stated.is_some() || outcome == Some(InsertOutcome::Inserted)) {
             self.propagate(rel, path, key, rows, inherited)?;
         }
         Ok((stated.is_some(), outcome))
@@ -134,7 +139,7 @@ impl InternalStore {
 
     /// `insertTuple` (Algorithm 4): insert the signed tuple into world
     /// `path` if consistent with the world's *explicit* beliefs, then
-    /// propagate through the dependent worlds.
+    /// (under `Eager`) propagate through the dependent worlds.
     ///
     /// Like the paper's procedure, this creates the world (and the `R*`
     /// row) even when the statement itself ends up rejected.

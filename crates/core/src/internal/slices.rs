@@ -23,8 +23,14 @@
 //! corner case where a dependent world must *drop* a stale implicit tuple
 //! (e.g. parent's crow was overridden by raven, so the child's inherited
 //! crow must disappear), which the literal pseudo-code misses. Def. 9 wins.
+//!
+//! Under [`DefaultPolicy::Lazy`] nothing is propagated: `V` holds the
+//! explicit rows only, and [`InternalStore::read_slice`] runs the same
+//! [`overriding_union`] at read time, folded from the root down the suffix
+//! chain — one probe per world on it instead of one per dependent world
+//! per statement.
 
-use super::{explicit_cell, rel_names, InternalStore};
+use super::{explicit_cell, rel_names, DefaultPolicy, InternalStore};
 use crate::error::Result;
 use crate::ids::{RelId, Tid, Wid};
 use crate::path::BeliefPath;
@@ -111,11 +117,71 @@ pub(crate) fn overriding_union(
 }
 
 impl InternalStore {
-    /// Read the `(world, key)` slice of `V_rel`.
+    /// The worlds whose stored `V` rows make up the entailed content of
+    /// `wid`, root-most first: `wid` alone under `Eager`, where `V` holds
+    /// the closure, and its suffix chain `Sᵈ(w) … S(w), w` under `Lazy`,
+    /// where it holds the explicit statements only.
+    fn stored_chain(&self, wid: Wid) -> Vec<Wid> {
+        let mut chain = vec![wid];
+        if self.policy == DefaultPolicy::Lazy {
+            let mut x = wid;
+            while x != Wid::ROOT {
+                x = self.dir.suffix_parent(x);
+                chain.push(x);
+            }
+            chain.reverse();
+        }
+        chain
+    }
+
+    /// Read the entailed `(world, key)` slice of `V_rel`: the stored rows
+    /// of every world on [`InternalStore::stored_chain`], each world's
+    /// overriding its suffix parent's (with a single world, that is its
+    /// stored slice as it is).
     pub(crate) fn read_slice(&self, rel: RelId, wid: Wid, key: &Value) -> Result<Vec<SliceEntry>> {
         let names = rel_names(&self.rel_tables, rel)?;
-        let rows = slice_rows(self.db.table(&names.v)?, names.by_wid_key, wid, key)?;
-        Ok(rows.into_iter().map(|(_, entry)| entry).collect())
+        let vt = self.db.table(&names.v)?;
+        let mut arena = Vec::new();
+        let mut slice = 0..0;
+        for x in self.stored_chain(wid) {
+            let stored = slice_rows(vt, names.by_wid_key, x, key)?;
+            slice = overriding_union(&mut arena, stored.into_iter().map(|(_, e)| e), slice);
+        }
+        arena.drain(..slice.start);
+        Ok(arena)
+    }
+
+    /// The entailed content of world `wid` in `V_rel`: what
+    /// [`InternalStore::read_slice`] gives for every key, off one `(wid)`
+    /// probe per world on the stored chain.
+    pub(crate) fn read_world(&self, rel: RelId, wid: Wid) -> Result<Vec<SliceEntry>> {
+        let names = rel_names(&self.rel_tables, rel)?;
+        let vt = self.db.table(&names.v)?;
+        let chain = self.stored_chain(wid);
+        if let [x] = chain[..] {
+            // One stored world is its own content.
+            return vt
+                .probe(names.by_wid_key, &[x.cell()])?
+                .map(|rid| slice_entry(vt, rid))
+                .collect();
+        }
+        let mut folded: HashMap<Value, Vec<SliceEntry>> = HashMap::new();
+        for x in chain {
+            let mut stated: HashMap<Value, Vec<SliceEntry>> = HashMap::new();
+            for rid in vt.probe(names.by_wid_key, &[x.cell()])? {
+                let key = vt.cell(rid, 2)?.to_value();
+                stated.entry(key).or_default().push(slice_entry(vt, rid)?);
+            }
+            // A key `x` states nothing about is inherited unchanged.
+            for (key, explicit) in stated {
+                let mut arena = folded.remove(&key).unwrap_or_default();
+                let parent = 0..arena.len();
+                let next = overriding_union(&mut arena, explicit.into_iter(), parent);
+                arena.drain(..next.start);
+                folded.insert(key, arena);
+            }
+        }
+        Ok(folded.into_values().flatten().collect())
     }
 
     /// The `(·, key)` slice of the suffix parent of `wid`, which the world
@@ -206,7 +272,8 @@ mod tests {
 
     fn store() -> InternalStore {
         let schema = ExternalSchema::new().with_relation("S", &["sid", "species"]);
-        let mut s = InternalStore::new(schema).unwrap();
+        // These tests are about the materialized closure.
+        let mut s = InternalStore::with_policy(schema, DefaultPolicy::Eager).unwrap();
         s.add_user("Alice").unwrap();
         s.add_user("Bob").unwrap();
         s

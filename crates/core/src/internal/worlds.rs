@@ -1,7 +1,7 @@
 //! World management: the world directory, `dss` (Algorithm 3) and
 //! `idWorld` (Algorithm 2, with the tech-report errata applied).
 
-use super::{InternalStore, D_TABLE, E_TABLE, S_TABLE};
+use super::{DefaultPolicy, InternalStore, D_TABLE, E_TABLE, S_TABLE};
 use crate::error::Result;
 use crate::ids::Wid;
 use crate::path::BeliefPath;
@@ -25,6 +25,8 @@ pub struct WorldDirectory {
     suffix_parents: Vec<Wid>,
     /// The worlds a world is the suffix parent of, ascending.
     children: Vec<Vec<Wid>>,
+    /// The depth of the deepest world.
+    max_depth: usize,
 }
 
 impl WorldDirectory {
@@ -64,6 +66,7 @@ impl WorldDirectory {
         }
         self.suffix_parents.push(parent);
         self.children.push(adopted);
+        self.max_depth = self.max_depth.max(path.depth());
         self.ids.insert(path.clone(), wid);
         self.paths.push(path);
         wid
@@ -83,6 +86,12 @@ impl WorldDirectory {
 
     pub fn is_empty(&self) -> bool {
         self.paths.is_empty()
+    }
+
+    /// The depth of the deepest world: no suffix chain has more than
+    /// `max_depth() + 1` worlds.
+    pub fn max_depth(&self) -> usize {
+        self.max_depth
     }
 
     pub fn wids(&self) -> Vec<Wid> {
@@ -154,7 +163,8 @@ impl InternalStore {
     ///    current target is shallower than `d` (those edges now reach `x`),
     /// 6. insert `S(x, dss(w[2,d]))` (errata version) and also repoint the
     ///    `S` entry of any world whose deepest suffix parent is now `x`,
-    /// 7. copy all tuples of the suffix parent into `x` as implicit.
+    /// 7. copy all tuples of the suffix parent into `x` as implicit (under
+    ///    [`DefaultPolicy::Eager`] only).
     pub fn ensure_world(&mut self, path: &BeliefPath) -> Result<Wid> {
         if let Some(wid) = self.dir.get(path) {
             return Ok(wid);
@@ -230,8 +240,11 @@ impl InternalStore {
             s.insert(Row::new(vec![z.value(), x.value()]))?;
         }
 
-        // (7) copy the suffix parent's tuples into x as implicit beliefs.
-        self.copy_world_as_implicit(s_parent, x)?;
+        // (7) copy the suffix parent's tuples into x as implicit beliefs —
+        // under `Lazy` x starts empty and reads them through `S`.
+        if self.policy == DefaultPolicy::Eager {
+            self.copy_world_as_implicit(s_parent, x)?;
+        }
 
         Ok(x)
     }

@@ -11,10 +11,10 @@
 //!   structure — tids, the tid cache, the world directory, `V`-slices,
 //!   `E`/`D`/`S`, optimizer table versions — is rebuilt consistently
 //!   without being serialized.
-//! * [`SnapshotData`] — a full-state image: external schema, user
-//!   table, the world directory (in wid order), the `R*` tuple table
-//!   (in tid order), and every explicit belief statement. Worlds and
-//!   tuples are snapshotted separately from the statements because
+//! * [`SnapshotData`] — a full-state image: the store's default policy,
+//!   external schema, user table, the world directory (in wid order), the
+//!   `R*` tuple table (in tid order), and every explicit belief statement.
+//!   Worlds and tuples are snapshotted separately from the statements because
 //!   Algorithm 4 creates them even for *rejected* inserts (Sect. 5.3);
 //!   restoring them in id order reproduces the exact wid/tid
 //!   assignment, so `SizeStats` match the pre-crash store.
@@ -26,7 +26,7 @@
 
 use crate::error::{BeliefError, Result};
 use crate::ids::{RelId, Tid, UserId, Wid};
-use crate::internal::InternalStore;
+use crate::internal::{DefaultPolicy, InternalStore};
 use crate::path::BeliefPath;
 use crate::schema::ExternalSchema;
 use crate::statement::{BeliefStatement, GroundTuple, Sign};
@@ -187,11 +187,22 @@ impl LogRecord {
 // ---------------------------------------------------------------------------
 
 /// Snapshot format version (bumped on incompatible layout changes).
-const SNAPSHOT_VERSION: u8 = 1;
+/// Version 2 adds the policy byte after the version; a version-1 snapshot
+/// was written by an `Eager` store and opens as one.
+const SNAPSHOT_VERSION: u8 = 2;
+
+fn policy_code(policy: DefaultPolicy) -> u8 {
+    match policy {
+        DefaultPolicy::Eager => 0,
+        DefaultPolicy::Lazy => 1,
+    }
+}
 
 /// A full-state image of an [`InternalStore`], in logical form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotData {
+    /// How the store applies the default rule.
+    pub policy: DefaultPolicy,
     /// External relations as `(name, columns)`.
     pub relations: Vec<(String, Vec<String>)>,
     /// User names in registration order (`UserId` 1, 2, ...).
@@ -226,6 +237,7 @@ impl SnapshotData {
             .collect::<Result<Vec<_>>>()?;
         let statements = store.to_belief_database()?.statements();
         Ok(SnapshotData {
+            policy: store.policy(),
             relations,
             users,
             worlds,
@@ -237,6 +249,7 @@ impl SnapshotData {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.put_u8(SNAPSHOT_VERSION);
+        e.put_u8(policy_code(self.policy));
         e.put_u32(self.relations.len() as u32);
         for (name, cols) in &self.relations {
             e.put_str(name);
@@ -267,10 +280,15 @@ impl SnapshotData {
 
     pub fn decode(bytes: &[u8]) -> Result<SnapshotData> {
         let mut d = Dec::new(bytes);
-        let version = d.take_u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(corrupt(format!("unsupported snapshot version {version}")));
-        }
+        let policy = match d.take_u8()? {
+            1 => DefaultPolicy::Eager,
+            SNAPSHOT_VERSION => match d.take_u8()? {
+                0 => DefaultPolicy::Eager,
+                1 => DefaultPolicy::Lazy,
+                p => return Err(corrupt(format!("unknown default policy {p}"))),
+            },
+            version => return Err(corrupt(format!("unsupported snapshot version {version}"))),
+        };
         let nrels = d.take_u32()? as usize;
         let mut relations = Vec::with_capacity(nrels.min(1024));
         for _ in 0..nrels {
@@ -306,6 +324,7 @@ impl SnapshotData {
         }
         d.finish()?;
         Ok(SnapshotData {
+            policy,
             relations,
             users,
             worlds,
@@ -318,14 +337,16 @@ impl SnapshotData {
     /// tuples are registered in id order first (reproducing the exact
     /// `UserId`/`Wid`/`Tid` assignment, including ids that exist only
     /// because of rejected inserts), then the explicit statements are
-    /// inserted through Algorithm 4, which rebuilds every `V`-slice.
+    /// inserted through Algorithm 4, which rebuilds every `V`-slice under
+    /// the snapshot's policy (under `Lazy`, one row and a chain fold per
+    /// statement).
     pub(crate) fn restore(&self) -> Result<InternalStore> {
         let mut schema = ExternalSchema::new();
         for (name, cols) in &self.relations {
             let cols: Vec<&str> = cols.iter().map(|c| c.as_str()).collect();
             schema.add_relation(name.clone(), &cols)?;
         }
-        let mut store = InternalStore::new(schema)?;
+        let mut store = InternalStore::with_policy(schema, self.policy)?;
         for name in &self.users {
             store.add_user(name.clone())?;
         }
@@ -449,6 +470,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_bytes() {
         let data = SnapshotData {
+            policy: DefaultPolicy::Lazy,
             relations: vec![("S".into(), vec!["sid".into(), "species".into()])],
             users: vec!["Alice".into(), "Bob".into()],
             worlds: vec![BeliefPath::root(), path(&[1]), path(&[2, 1])],
@@ -460,9 +482,19 @@ mod tests {
         };
         let bytes = data.encode();
         assert_eq!(SnapshotData::decode(&bytes).unwrap(), data);
-        // Version byte is checked.
+        // Version and policy bytes are checked.
         let mut bad = bytes.clone();
         bad[0] = 77;
         assert!(SnapshotData::decode(&bad).is_err());
+        let mut bad = bytes.clone();
+        bad[1] = 7;
+        assert!(SnapshotData::decode(&bad).is_err());
+        // A version-1 image has no policy byte and is an `Eager` store's.
+        let mut v1 = bytes[..1].to_vec();
+        v1[0] = 1;
+        v1.extend_from_slice(&bytes[2..]);
+        let eager = SnapshotData::decode(&v1).unwrap();
+        assert_eq!(eager.policy, DefaultPolicy::Eager);
+        assert_eq!(eager.statements, data.statements);
     }
 }

@@ -15,8 +15,8 @@
 use crate::depth::DepthDist;
 use crate::participation::{Participation, UserSampler};
 use beliefdb_core::{
-    Bdms, BeliefDatabase, BeliefError, BeliefStatement, ExternalSchema, GroundTuple, Result, Sign,
-    UserId,
+    Bdms, BeliefDatabase, BeliefError, BeliefStatement, DefaultPolicy, ExternalSchema, GroundTuple,
+    Result, Sign, UserId,
 };
 use beliefdb_storage::{Row, Value};
 use rand::rngs::StdRng;
@@ -179,9 +179,15 @@ impl PopulateReport {
     }
 }
 
-/// Create a BDMS with `cfg.users` registered users (named `u1..um`).
+/// Create a BDMS with `cfg.users` registered users (named `u1..um`), under
+/// the default policy.
 pub fn fresh_bdms(cfg: &GeneratorConfig) -> Result<Bdms> {
-    let mut bdms = Bdms::new(experiment_schema())?;
+    fresh_bdms_with_policy(cfg, DefaultPolicy::default())
+}
+
+/// [`fresh_bdms`] under an explicit default policy.
+pub fn fresh_bdms_with_policy(cfg: &GeneratorConfig, policy: DefaultPolicy) -> Result<Bdms> {
+    let mut bdms = Bdms::with_policy(experiment_schema(), policy)?;
     for i in 1..=cfg.users {
         bdms.add_user(format!("u{i}"))?;
     }
@@ -214,9 +220,19 @@ pub fn populate(bdms: &mut Bdms, cfg: &GeneratorConfig) -> Result<PopulateReport
     Ok(report)
 }
 
-/// Generate a whole BDMS in one call.
+/// Generate a whole BDMS in one call, under the default policy.
 pub fn generate_bdms(cfg: &GeneratorConfig) -> Result<(Bdms, PopulateReport)> {
-    let mut bdms = fresh_bdms(cfg)?;
+    generate_bdms_with_policy(cfg, DefaultPolicy::default())
+}
+
+/// [`generate_bdms`] under an explicit default policy:
+/// [`DefaultPolicy::Eager`] is the store the paper's Table 1 and Fig. 6
+/// measure.
+pub fn generate_bdms_with_policy(
+    cfg: &GeneratorConfig,
+    policy: DefaultPolicy,
+) -> Result<(Bdms, PopulateReport)> {
+    let mut bdms = fresh_bdms_with_policy(cfg, policy)?;
     let report = populate(&mut bdms, cfg)?;
     Ok((bdms, report))
 }

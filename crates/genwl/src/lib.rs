@@ -24,7 +24,8 @@ pub mod scenarios;
 
 pub use depth::DepthDist;
 pub use generator::{
-    experiment_schema, fresh_bdms, generate_bdms, generate_logical, populate, CandidateStream,
-    GeneratorConfig, PopulateReport,
+    experiment_schema, fresh_bdms, fresh_bdms_with_policy, generate_bdms,
+    generate_bdms_with_policy, generate_logical, populate, CandidateStream, GeneratorConfig,
+    PopulateReport,
 };
 pub use participation::{Participation, UserSampler};

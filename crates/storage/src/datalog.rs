@@ -1315,12 +1315,15 @@ impl<'a> Evaluator<'a> {
             for (name, col) in new_binds {
                 bind.insert(name, col);
             }
-            self.apply_ready(&mut acc, &bind, &mut pending)?;
+            self.apply_ready(&mut acc, &bind, &mut pending, false)?;
         }
 
-        // Anything still pending must now be applicable (negated atoms and
-        // comparisons whose variables never bound are unsafe).
-        self.apply_ready(&mut acc, &bind, &mut pending)?;
+        // Negated atoms go on top of the whole join: the positive atoms
+        // form one block the optimizer can order, and an anti-join probes
+        // only the rows that survive it. Anything still pending must now
+        // be applicable (negated atoms and comparisons whose variables
+        // never bound are unsafe).
+        self.apply_ready(&mut acc, &bind, &mut pending, true)?;
         if let Some(stuck) = pending.first() {
             return Err(StorageError::DatalogError(format!(
                 "unsafe rule: literal {stuck:?} has variables with no positive binding"
@@ -1350,17 +1353,19 @@ impl<'a> Evaluator<'a> {
         Ok(acc.project(exprs).distinct())
     }
 
-    /// Apply every pending literal whose variables are all bound.
+    /// Apply every pending literal whose variables are all bound — negated
+    /// atoms only if `negations` is set.
     fn apply_ready(
         &self,
         acc: &mut Plan,
         bind: &HashMap<String, usize>,
         pending: &mut Vec<&BodyLit>,
+        negations: bool,
     ) -> Result<()> {
         let mut i = 0;
         while i < pending.len() {
             let lit = pending[i];
-            if self.lit_ready(lit, bind) {
+            if (negations || !matches!(lit, BodyLit::Neg(_))) && self.lit_ready(lit, bind) {
                 let taken = pending.remove(i);
                 let next = std::mem::replace(acc, Plan::unit());
                 *acc = self.apply_lit(next, taken, bind)?;

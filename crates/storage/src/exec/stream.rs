@@ -26,7 +26,9 @@
 //!   a base-table right side takes the adaptive bounded-buffer
 //!   index-nested-loop path instead (buffer left rows up to
 //!   `|table|/4`, probe the index if the left side exhausts, replay into
-//!   a hash join if not);
+//!   a hash join if not); a keyed anti-join over a base table with an index
+//!   on some of its key columns probes it for every left row as they
+//!   stream by;
 //! * **Distinct** marks first occurrences in the selection vector;
 //!   **Limit** truncates mid-chunk and stops pulling upstream — and
 //!   additionally caps its subtree's batch size at `n`, so a `LIMIT 100`
@@ -1667,6 +1669,73 @@ pub(super) fn base_access(plan: &Plan) -> Option<(&str, Option<&Expr>)> {
     }
 }
 
+/// A base-table right side that an index-nested loop can probe for the
+/// join columns `on`: the table, the selection over it, and the index to
+/// probe (`None`: the primary key, for a join on column 0 alone).
+struct IndexAccess<'a> {
+    table: &'a crate::table::Table,
+    pred: Option<&'a Expr>,
+    pk_path: bool,
+    index: Option<(String, Vec<usize>)>,
+}
+
+impl IndexAccess<'_> {
+    /// The joined rows `lrow` has in the table under `on` and `residual`.
+    fn probe(
+        &self,
+        lrow: &Row,
+        on: &[(usize, usize)],
+        residual: Option<&Expr>,
+        out: &mut Vec<Row>,
+    ) -> Result<()> {
+        let (pred, index) = (self.pred, &self.index);
+        index_probe(
+            self.table,
+            lrow,
+            on,
+            pred,
+            residual,
+            self.pk_path,
+            index,
+            out,
+        )
+    }
+}
+
+/// The index access to `right` for `on`, if it is a base table (virtual
+/// `sys.*` relations have no indexes) with a primary key or an index that
+/// [`crate::table::Table::find_index_for`] offers for the right columns —
+/// or, when `covering` is set, [`crate::table::Table::index_within`] them
+/// (the probe re-checks every pair of `on`). Joins take the first, anti-
+/// joins the second (`EXPLAIN` notes both as `[probe …]`).
+fn index_access<'a>(
+    db: &'a Database,
+    right: &'a Plan,
+    on: &[(usize, usize)],
+    covering: bool,
+) -> Result<Option<IndexAccess<'a>>> {
+    let Some((table_name, pred)) = base_access(right).filter(|(n, _)| db.has_table(n)) else {
+        return Ok(None);
+    };
+    let table = db.table(table_name)?;
+    let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
+    let pk_path = table.schema().key_column() == Some(0) && rcols == [0];
+    let index = if pk_path {
+        None
+    } else {
+        table
+            .find_index_for(&rcols)
+            .or_else(|| covering.then(|| table.index_within(&rcols)).flatten())
+            .map(|(name, order)| (name.to_string(), order.to_vec()))
+    };
+    Ok((pk_path || index.is_some()).then_some(IndexAccess {
+        table,
+        pred,
+        pk_path,
+        index,
+    }))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn open_join<'a>(
     db: &'a Database,
@@ -1679,61 +1748,47 @@ fn open_join<'a>(
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
     if !on.is_empty() {
-        // Base tables only: virtual (`sys.*`) relations have no indexes,
-        // so they take the generic hash-join path below.
-        if let Some((table_name, pred)) = base_access(right).filter(|(n, _)| db.has_table(n)) {
-            let table = db.table(table_name)?;
-            let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-            let pk_path = table.schema().key_column() == Some(0) && rcols == [0];
-            let index = if pk_path {
-                None
-            } else {
-                table
-                    .find_index_for(&rcols)
-                    .map(|(name, order)| (name.to_string(), order.to_vec()))
-            };
-            if pk_path || index.is_some() {
-                // Adaptive index-nested-loop: buffer left rows (by whole
-                // chunks) up to the break-even point of the materializing
-                // heuristic (`4·|left| ≤ |table|`) — and, under a memory
-                // budget, no further than this join's byte share (the
-                // buffered left side is materialized state like any
-                // other; past the share we fall back to the hash join,
-                // which spills).
-                let budget = table.len().max(1) / 4;
-                let mut left_stream = open_node(db, left, batch, spill, &obs.child(0))?;
-                let mut buf: Vec<Row> = Vec::new();
-                let mut buf_bytes = 0usize;
-                let mut small_left = true;
-                loop {
-                    if buf.len() > budget || spill.per_point.is_some_and(|b| buf_bytes > b) {
-                        small_left = false;
-                        break;
-                    }
-                    match left_stream.next() {
-                        Some(chunk) => {
-                            let before = buf.len();
-                            chunk?.drain_into(&mut buf);
-                            buf_bytes += buf[before..].iter().map(spill::row_bytes).sum::<usize>();
-                            if let Some(n) = obs.node() {
-                                raise(&n.peak_bytes, buf_bytes as u64);
-                            }
+        if let Some(access) = index_access(db, right, on, false)? {
+            // Adaptive index-nested-loop: buffer left rows (by whole
+            // chunks) up to the break-even point of the materializing
+            // heuristic (`4·|left| ≤ |table|`) — and, under a memory
+            // budget, no further than this join's byte share (the
+            // buffered left side is materialized state like any
+            // other; past the share we fall back to the hash join,
+            // which spills).
+            let budget = access.table.len().max(1) / 4;
+            let mut left_stream = open_node(db, left, batch, spill, &obs.child(0))?;
+            let mut buf: Vec<Row> = Vec::new();
+            let mut buf_bytes = 0usize;
+            let mut small_left = true;
+            loop {
+                if buf.len() > budget || spill.per_point.is_some_and(|b| buf_bytes > b) {
+                    small_left = false;
+                    break;
+                }
+                match left_stream.next() {
+                    Some(chunk) => {
+                        let before = buf.len();
+                        chunk?.drain_into(&mut buf);
+                        buf_bytes += buf[before..].iter().map(spill::row_bytes).sum::<usize>();
+                        if let Some(n) = obs.node() {
+                            raise(&n.peak_bytes, buf_bytes as u64);
                         }
-                        None => break,
                     }
+                    None => break,
                 }
-                if small_left {
-                    let probe = chunked_owned(buf, batch.effective);
-                    return Ok(map_chunks(probe, batch.effective, move |lrow, out| {
-                        index_probe(table, lrow, on, pred, residual, pk_path, &index, out)
-                    }));
-                }
-                // Too many left rows: replay the buffer in front of the
-                // rest of the stream and hash-join instead.
-                let probe: BoxChunkIter<'a> =
-                    Box::new(chunked_owned(buf, batch.effective).chain(left_stream));
-                return hash_join(db, probe, right, on, residual, batch, spill, obs);
             }
+            if small_left {
+                let probe = chunked_owned(buf, batch.effective);
+                return Ok(map_chunks(probe, batch.effective, move |lrow, out| {
+                    access.probe(lrow, on, residual, out)
+                }));
+            }
+            // Too many left rows: replay the buffer in front of the
+            // rest of the stream and hash-join instead.
+            let probe: BoxChunkIter<'a> =
+                Box::new(chunked_owned(buf, batch.effective).chain(left_stream));
+            return hash_join(db, probe, right, on, residual, batch, spill, obs);
         }
         let probe = open_node(db, left, batch, spill, &obs.child(0))?;
         return hash_join(db, probe, right, on, residual, batch, spill, obs);
@@ -1957,6 +2012,21 @@ fn open_anti_join<'a>(
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
     let left_stream = open_node(db, left, batch, spill, &obs.child(0))?;
+    if !on.is_empty() {
+        // A base-table right side with an index over some of the key
+        // columns is probed row by row instead of hashed whole: the left
+        // rows stream through, nothing is materialized, and a selective
+        // index (`V`'s `(wid, key)` under the lazy view) makes each probe
+        // a few entries.
+        if let Some(access) = index_access(db, right, on, true)? {
+            let mut hits = Vec::new();
+            return Ok(filter_chunks(left_stream, move |lrow| {
+                hits.clear();
+                access.probe(lrow, on, residual, &mut hits)?;
+                Ok(hits.is_empty())
+            }));
+        }
+    }
     if on.is_empty() {
         // A left row survives iff no right row makes the residual hold.
         // Anti-joins keep left rows unchanged, so this is a pure

@@ -328,15 +328,21 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                 .as_ref()
                 .map(|r| format!(" where {r}"))
                 .unwrap_or_default();
-            let probe = join_probe_note(db, right, on);
+            let probe = join_probe_note(db, right, on, false);
             format!("Join{}{res}{probe}{}{exec}", on_note(on), est_note(est))
         }
-        Plan::AntiJoin { on, residual, .. } => {
+        Plan::AntiJoin {
+            left: _,
+            right,
+            on,
+            residual,
+        } => {
             let res = residual
                 .as_ref()
                 .map(|r| format!(" where {r}"))
                 .unwrap_or_default();
-            format!("AntiJoin{}{res}{}{exec}", on_note(on), est_note(est))
+            let probe = join_probe_note(db, right, on, true);
+            format!("AntiJoin{}{res}{probe}{}{exec}", on_note(on), est_note(est))
         }
         Plan::Distinct { .. } => format!("Distinct{}{exec}", est_note(est)),
         Plan::Union { .. } => format!("Union{}{exec}", est_note(est)),
@@ -382,8 +388,9 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
 }
 
 /// Annotation when the executor's index-nested-loop join can probe the
-/// right side of a join through an index instead of materializing it.
-fn join_probe_note(db: &Database, right: &Plan, on: &[(usize, usize)]) -> String {
+/// right side of a join through an index instead of materializing it — or,
+/// for an anti-join (`anti`), through an index within its key columns.
+fn join_probe_note(db: &Database, right: &Plan, on: &[(usize, usize)], anti: bool) -> String {
     if on.is_empty() {
         return String::new();
     }
@@ -402,10 +409,13 @@ fn join_probe_note(db: &Database, right: &Plan, on: &[(usize, usize)]) -> String
     if t.schema().key_column() == Some(0) && rcols == [0] {
         return format!(" [probe {table}.pk]");
     }
-    if let Some((name, _)) = t.find_index_for(&rcols) {
-        return format!(" [probe {table}.{name}]");
+    let index = t
+        .find_index_for(&rcols)
+        .or_else(|| anti.then(|| t.index_within(&rcols)).flatten());
+    match index {
+        Some((name, _)) => format!(" [probe {table}.{name}]"),
+        None => String::new(),
     }
-    String::new()
 }
 
 #[cfg(test)]

@@ -643,6 +643,18 @@ impl Table {
         };
         exact.map(|i| (i.name(), i.columns())).or_else(prefix)
     }
+
+    /// The index over the most of `cols` that covers no other column (an
+    /// index counts with its first column alone too): what a probe keyed
+    /// by all of `cols` can narrow its candidates with before it re-checks
+    /// the rest.
+    pub fn index_within(&self, cols: &[usize]) -> Option<(&str, &[usize])> {
+        self.index_stats()
+            .into_iter()
+            .filter(|(_, indexed, _)| indexed.iter().all(|c| cols.contains(c)))
+            .max_by_key(|(_, indexed, _)| indexed.len())
+            .map(|(name, indexed, _)| (name, indexed))
+    }
 }
 
 #[cfg(test)]
@@ -835,6 +847,12 @@ mod tests {
         assert_eq!(t.find_index_for(&[0]), Some(("by_wid_key", &[0][..])));
         assert_eq!(t.find_index_for(&[2, 0]), Some(("by_wid_key", &[0, 2][..])));
         assert_eq!(t.find_index_for(&[2]), None);
+        // Within a wider key the whole index narrows a probe best, the
+        // first column alone when the second is not in the key.
+        let within = |cols: &[usize]| t.index_within(cols).map(|(_, c)| c.to_vec());
+        assert_eq!(within(&[2, 1, 0]), Some(vec![0, 2]));
+        assert_eq!(within(&[1, 0]), Some(vec![0]));
+        assert_eq!(within(&[1, 2]), None);
         // Both probe shapes have their statistics row, both exact.
         assert_eq!(
             t.index_stats(),

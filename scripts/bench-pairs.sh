@@ -13,7 +13,9 @@
 # same pair of builds, and prints one table per workload. With a fifth
 # argument `counters`, one `--trace 1` run per side follows each series and
 # the program's deterministic counters are printed side by side — and, for
-# table1_ingest, the ten `ops.cell_s.*` timings of those two runs.
+# table1_ingest, the ten `ops.cell_s.*` timings and the ten
+# `ops.overhead.*` ratios of those two runs, with `ops.tuples_per_annotation`
+# (the per-cell breakdown of `overhead_ratio`).
 #
 # Everything lives under target/bench-pairs/ (ignored by git): the parent's
 # files (a `git archive` of the commit, so .git is not touched), one cargo
@@ -159,12 +161,17 @@ if all(os.path.exists(p) for p in traced.values()):
             print(f"{name:34} {a.get(name, 'n/a'):>16} {b.get(name, 'n/a'):>16}{mark}")
     # table1_ingest times each cell of the Table 1 grid: the wide worlds
     # (m = 100, shallow) are where an index layout that moves entries shows.
-    cells = [name for name in a if name.startswith("ops.cell_s.") and a[name] and b.get(name)]
-    if cells:
-        print("\ntimed cells of the same two runs (s; one sample a side, not a pair series):")
-        for name in cells:
+    def side_by_side(prefix, title):
+        names = [n for n in a if n.startswith(prefix) and a[n] and b.get(n)]
+        if names and title:
+            print(f"\n{title}")
+        for name in names:
             delta = f"{(b[name] - a[name]) / a[name] * 100:+.1f}%"
             print(f"{name:34} {a[name]:16.6g} {b[name]:16.6g} {delta:>8}")
+    side_by_side("ops.cell_s.", "timed cells of the same two runs (s; one sample a side, not a pair series):")
+    # Deterministic: |R*| / n per cell of the grid, and over the whole grid.
+    side_by_side("ops.overhead.", "tuples per annotation per cell of the same two runs (exact):")
+    side_by_side("ops.tuples_per_annotation", None)
 PY
 echo
 done

@@ -41,7 +41,7 @@ fn run_budgeted(db: &Database, plan: &Plan, budget: usize, dir: &std::path::Path
 // ---------------------------------------------------------------------------
 
 #[test]
-fn fuzzed_plans_agree_across_layouts_and_budgets() {
+fn fuzzed_plans_agree_across_executors_and_budgets() {
     // Arm the plan verifier: every optimized plan in this suite is
     // invariant-checked at every rewrite stage and at executor open.
     beliefdb::storage::sema::set_verify(true);
@@ -120,7 +120,7 @@ fn boundary_table(db: &mut Database, name: &str, n: usize) {
 }
 
 #[test]
-fn batch_boundary_scans_agree_exactly_across_layouts() {
+fn batch_boundary_scans_agree_exactly_across_executors() {
     let mut db = Database::new();
     for n in BOUNDARY_SIZES {
         boundary_table(&mut db, &format!("T{n}"), n);

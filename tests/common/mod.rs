@@ -1,5 +1,7 @@
 //! Shared fuzzing helpers for the executor/optimizer differential
-//! suites (`tests/optimizer_equivalence.rs`, `tests/exec_streaming.rs`).
+//! suites (`tests/optimizer_equivalence.rs`, `tests/exec_streaming.rs`),
+//! and in [`bcq`] the random BCQs of `tests/query_fuzz.rs` and
+//! `tests/lazy_mode.rs`.
 //!
 //! The plan generator produces arity-correct random plans over a
 //! mixed-size database: joins, anti-joins, unions, selections,
@@ -7,6 +9,8 @@
 //! relations.
 
 #![allow(dead_code)]
+
+pub mod bcq;
 
 use beliefdb::storage::{row, Agg, CmpOp, Database, Expr, Plan, Row, TableSchema, Value};
 use rand::rngs::StdRng;

@@ -14,10 +14,18 @@
 //! narrowest lanes that hold them (8 B a `V` row, not 28) and index runs
 //! that allocate what they use (the budget is that + 15 %).
 //!
+//! The store is built under the `Eager` default policy, the representation
+//! those numbers describe. Under `Lazy`, `V` keeps only the explicit
+//! statements and 3.9 tuples an annotation remain, so the bound is per
+//! annotation instead: 556 B measured (most of it `R*` and the tid cache),
+//! budget + 15 %, where the `Eager` store holds 1,186 B an annotation —
+//! the test checks that the budget would fail it.
+//!
 //! Measured with a counting global allocator (the whole binary holds
 //! exactly one `#[test]`, so no other thread skews the counter).
 
-use beliefdb::gen::generate_bdms;
+use beliefdb::core::DefaultPolicy;
+use beliefdb::gen::generate_bdms_with_policy;
 use beliefdb::gen::scenarios::table2_config;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -55,24 +63,47 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static ALLOCATOR: LiveBytes = LiveBytes;
 
-/// Upper bound on live requested bytes per `R*` tuple.
+/// Upper bound on live requested bytes per `R*` tuple of the `Eager` store.
 const MAX_BYTES_PER_TUPLE: f64 = 42.0;
+/// Upper bound on live requested bytes per annotation of the `Lazy` store.
+const MAX_LAZY_BYTES_PER_ANNOTATION: f64 = 640.0;
+
+/// Build the Table 2 store at n = 2,000 under `policy` and drop it; returns
+/// the live bytes it held, its `R*` tuples and its accepted annotations.
+fn footprint(policy: DefaultPolicy) -> (f64, usize, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let (bdms, report) = generate_bdms_with_policy(&table2_config(2_000, 7), policy).unwrap();
+    let held = (LIVE.load(Ordering::Relaxed) - before) as f64;
+    (held, bdms.stats().total_tuples, report.accepted)
+}
 
 #[test]
 fn table2_store_stays_under_the_per_tuple_budget() {
-    let before = LIVE.load(Ordering::Relaxed);
-    let (bdms, report) = generate_bdms(&table2_config(2_000, 7)).unwrap();
-    let held = (LIVE.load(Ordering::Relaxed) - before) as f64;
-
-    let tuples = bdms.stats().total_tuples;
+    let (held, tuples, accepted) = footprint(DefaultPolicy::Eager);
     assert!(
-        report.accepted >= 2_000 && tuples > 20 * report.accepted,
-        "not the Table 2 store: {report:?}, {tuples} tuples"
+        accepted >= 2_000 && tuples > 20 * accepted,
+        "not the Table 2 store: {accepted} annotations, {tuples} tuples"
     );
     let per_tuple = held / tuples as f64;
-    println!("{held} B live for {tuples} tuples: {per_tuple:.1} B per tuple");
+    let eager_per_annotation = held / accepted as f64;
+    println!(
+        "Eager: {held} B live for {tuples} tuples: {per_tuple:.1} B per tuple, \
+         {eager_per_annotation:.0} B per annotation"
+    );
     assert!(
         per_tuple <= MAX_BYTES_PER_TUPLE,
         "{per_tuple:.1} B per R* tuple, budget {MAX_BYTES_PER_TUPLE} B"
+    );
+
+    let (held, tuples, accepted) = footprint(DefaultPolicy::Lazy);
+    let per_annotation = held / accepted as f64;
+    println!("Lazy: {held} B live for {tuples} tuples: {per_annotation:.0} B per annotation");
+    assert!(
+        per_annotation <= MAX_LAZY_BYTES_PER_ANNOTATION,
+        "{per_annotation:.0} B per annotation, budget {MAX_LAZY_BYTES_PER_ANNOTATION} B"
+    );
+    assert!(
+        eager_per_annotation > MAX_LAZY_BYTES_PER_ANNOTATION,
+        "the Lazy budget does not tell the policies apart"
     );
 }

@@ -163,7 +163,7 @@ fn run_program(bdms: &Bdms, program: &Program, answer: &str, voice: Voice) -> Ve
 // ---------------------------------------------------------------------------
 
 #[test]
-fn rewritten_matches_unrewritten_across_layouts_and_budgets() {
+fn rewritten_matches_unrewritten_across_executors_and_budgets() {
     // Arm the verifier: every rewritten program passes the magic-guard
     // check and every compiled plan is invariant-checked per pass.
     beliefdb::storage::sema::set_verify(true);
@@ -277,7 +277,7 @@ fn bdms_toggle_agrees_on_fuzzed_queries() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn recursive_reachability_matches_under_rewrite_and_layouts() {
+fn recursive_reachability_matches_under_rewrite_and_executors() {
     // Transitive closure over the belief graph's E edges, demanded from
     // the root world only. The rewrite turns the full closure into a
     // forward frontier seeded at world 0; both must agree on the

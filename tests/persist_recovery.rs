@@ -16,9 +16,15 @@
 //!   segment; recovery must stitch snapshot + tail;
 //! * **snapshot loss** — the only snapshot corrupted: open must fail
 //!   cleanly, not panic or half-recover.
+//!
+//! Two more cases pin the default policy byte of the snapshot: a
+//! version-1 snapshot (written before the byte existed) opens as an
+//! `Eager` store, and a `Lazy` store comes back `Lazy`.
 
+use beliefdb::core::persist::SnapshotData;
 use beliefdb::core::prelude::*;
-use beliefdb::storage::persist::{frame_spans, list_segments};
+use beliefdb::core::DefaultPolicy;
+use beliefdb::storage::persist::{frame_spans, list_segments, PersistEngine, PersistOptions};
 use beliefdb::storage::row;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,7 +143,11 @@ fn history() -> Vec<Op> {
 
 /// The expected in-memory store after the first `k` ops.
 fn expected_after(k: usize) -> Bdms {
-    let mut bdms = Bdms::new(schema()).unwrap();
+    expected_under(DefaultPolicy::default(), k)
+}
+
+fn expected_under(policy: DefaultPolicy, k: usize) -> Bdms {
+    let mut bdms = Bdms::with_policy(schema(), policy).unwrap();
     for op in &history()[..k] {
         apply(&mut bdms, op);
     }
@@ -420,5 +430,104 @@ fn auto_checkpoint_kicks_in_and_bounds_the_log() {
     assert!(list_segments(&dir).unwrap().len() <= 2);
     let reopened = Bdms::open_with_options(&dir, opts).unwrap();
     assert_same(&reopened, &bdms, "auto-checkpointed history");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A snapshot in the version-1 format — no policy byte after the version
+/// byte — was written by an `Eager` store, and opens as one with the same
+/// `SizeStats`.
+#[test]
+fn version_1_snapshot_opens_as_eager() {
+    let eager = expected_under(DefaultPolicy::Eager, history().len());
+    let internal = eager.internal();
+    let schema = eager.schema();
+    // `R*` rows by tid: `(tid, attributes...)` in every relation's table.
+    let mut tuples = std::collections::BTreeMap::new();
+    for (rel, def) in schema.relations().iter().enumerate() {
+        let star = internal.database().table(&format!("{}__star", def.name()));
+        for r in star.unwrap().scan() {
+            let row = beliefdb::storage::Row::from(r.values()[1..].to_vec());
+            tuples.insert(
+                Tid::from_value(&r[0]).unwrap(),
+                GroundTuple::new(RelId(rel as u32), row),
+            );
+        }
+    }
+    let image = SnapshotData {
+        policy: DefaultPolicy::Eager,
+        relations: schema
+            .relations()
+            .iter()
+            .map(|r| (r.name().to_string(), r.columns().to_vec()))
+            .collect(),
+        users: eager
+            .users()
+            .into_iter()
+            .map(|u| eager.user_name(u).unwrap().to_string())
+            .collect(),
+        worlds: internal
+            .directory()
+            .iter()
+            .map(|(_, p)| p.clone())
+            .collect(),
+        tuples: tuples.into_values().collect(),
+        statements: eager.to_belief_database().unwrap().statements(),
+    };
+    // Version 2 is the version byte, the policy byte, then the version-1
+    // layout.
+    let v2 = image.encode();
+    assert_eq!(v2[..2], [2, 0]);
+    let v1: Vec<u8> = std::iter::once(1).chain(v2[2..].iter().copied()).collect();
+
+    let dir = temp_dir("v1");
+    PersistEngine::create(&dir, PersistOptions::default())
+        .unwrap()
+        .checkpoint(&v1)
+        .unwrap();
+    let reopened = Bdms::open(&dir).unwrap();
+    assert_eq!(reopened.policy(), DefaultPolicy::Eager);
+    assert_same(&reopened, &eager, "version-1 snapshot");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `Lazy` durable store survives a checkpoint and a reopen as itself:
+/// same policy, same `SizeStats` (so `V` still holds the explicit
+/// statements only), same answers.
+#[test]
+fn lazy_store_survives_checkpoint_and_reopen() {
+    let dir = temp_dir("lazy");
+    let mut built = build(&dir, Some(5));
+    assert_eq!(built.policy(), DefaultPolicy::Lazy);
+    let explicit = built.to_belief_database().unwrap().len();
+    let v_rows = |b: &Bdms| {
+        ["V__Sightings", "V__Comments"]
+            .iter()
+            .map(|t| b.storage().table(t).unwrap().len())
+            .sum::<usize>()
+    };
+    assert_eq!(v_rows(&built), explicit);
+    for checkpoint in [false, true] {
+        if checkpoint {
+            built.checkpoint().unwrap();
+        }
+        let reopened = Bdms::open(&dir).unwrap();
+        assert_eq!(reopened.policy(), DefaultPolicy::Lazy);
+        assert_eq!(v_rows(&reopened), explicit);
+        assert_same(&reopened, &built, "lazy reopen");
+        assert_same(
+            &reopened,
+            &expected_after(history().len()),
+            "lazy vs reference",
+        );
+        // Same answers as the `Eager` store of the same history.
+        let eager = expected_under(DefaultPolicy::Eager, history().len());
+        use beliefdb::core::bcq::dsl::*;
+        let s = reopened.schema().relation_id("Sightings").unwrap();
+        let q = Bcq::builder(vec![qv("x"), qv("sid"), qv("sp")])
+            .positive(vec![pv("x")], s, vec![qv("sid"), qv("sp")])
+            .build(reopened.schema())
+            .unwrap();
+        assert_eq!(reopened.query(&q).unwrap(), eager.query(&q).unwrap());
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

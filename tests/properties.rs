@@ -10,14 +10,15 @@
 //!   the directory's suffix tree mirrors `S` under any creation order;
 //! * `|R*|` respects the size bound of Sect. 5.4;
 //! * after *every* insert, delete or update, `V` holds exactly the closure
-//!   of the explicit statements — no stale row, no duplicate, the right
-//!   rows flagged explicit — and an update leaves what `delete` followed by
-//!   `insert` leaves.
+//!   of the explicit statements under the `Eager` default policy — no stale
+//!   row, no duplicate, the right rows flagged explicit — and exactly the
+//!   explicit statements under `Lazy`, whose fold equals the closure; and
+//!   an update leaves what `delete` followed by `insert` leaves, under both.
 
 use beliefdb::core::closure::Closure;
 use beliefdb::core::{
-    Bdms, BeliefDatabase, BeliefPath, BeliefStatement, CanonicalKripke, ExternalSchema,
-    GroundTuple, RelId, Sign, UserId,
+    Bdms, BeliefDatabase, BeliefPath, BeliefStatement, CanonicalKripke, DefaultPolicy,
+    ExternalSchema, GroundTuple, RelId, Sign, UserId,
 };
 use beliefdb::storage::{row, Value};
 use proptest::prelude::*;
@@ -52,8 +53,15 @@ fn schema() -> ExternalSchema {
     ExternalSchema::new().with_relation("S", &["sid", "species"])
 }
 
+/// Both default policies, for the properties that must hold under each.
+const POLICIES: [DefaultPolicy; 2] = [DefaultPolicy::Eager, DefaultPolicy::Lazy];
+
 fn fresh_bdms() -> Bdms {
-    let mut bdms = Bdms::new(schema()).unwrap();
+    fresh_bdms_under(DefaultPolicy::default())
+}
+
+fn fresh_bdms_under(policy: DefaultPolicy) -> Bdms {
+    let mut bdms = Bdms::with_policy(schema(), policy).unwrap();
     for i in 1..=MAX_USERS {
         bdms.add_user(format!("u{i}")).unwrap();
     }
@@ -486,8 +494,10 @@ fn apply(bdms: &mut Bdms, shadow: &mut Vec<BeliefStatement>, write: &Write) {
     }
 }
 
-/// `V` is exactly the closure of `shadow`, world by world: the entailed
-/// tuples, one row each, and the explicit flag on the stated ones.
+/// `V` is exactly what the store's policy says of `shadow`, world by world:
+/// under `Eager` the entailed tuples, one row each, and the explicit flag
+/// on the stated ones; under `Lazy` the stated tuples only, each flagged
+/// explicit. Under both, the world the store reads equals the closure's.
 /// `logical` is an empty belief database with the users of `bdms`.
 fn check_v_is_the_closure(
     bdms: &Bdms,
@@ -515,7 +525,12 @@ fn check_v_is_the_closure(
         // behind it, the row count does not.
         // One probe of `by_wid_key` for the first column alone: the world.
         let rows = v.index_rows("by_wid_key", &[wid.value()]).unwrap();
-        prop_assert_eq!(rows.len(), spec.len(), "step {}: rows of world {}", step, p);
+        let stated_here = shadow.iter().filter(|s| s.path == *p).count();
+        let expected = match bdms.policy() {
+            DefaultPolicy::Eager => spec.len(),
+            DefaultPolicy::Lazy => stated_here,
+        };
+        prop_assert_eq!(rows.len(), expected, "step {}: rows of world {}", step, p);
         rows_seen += rows.len();
         let mut flagged: Vec<BeliefStatement> = rows
             .iter()
@@ -577,11 +592,13 @@ proptest! {
     fn every_step_leaves_v_exactly_the_closure(
         writes in proptest::collection::vec(arb_write(), 1..40)
     ) {
-        let mut bdms = fresh_bdms();
-        let mut shadow: Vec<BeliefStatement> = Vec::new();
-        for (step, write) in writes.iter().enumerate() {
-            apply(&mut bdms, &mut shadow, write);
-            check_v_is_the_closure(&bdms, fresh_logical(), &shadow, step)?;
+        for policy in POLICIES {
+            let mut bdms = fresh_bdms_under(policy);
+            let mut shadow: Vec<BeliefStatement> = Vec::new();
+            for (step, write) in writes.iter().enumerate() {
+                apply(&mut bdms, &mut shadow, write);
+                check_v_is_the_closure(&bdms, fresh_logical(), &shadow, step)?;
+            }
         }
     }
 
@@ -596,25 +613,27 @@ proptest! {
         val in 0..4u8,
     ) {
         let target = aim(&stmts, &target, pick);
-        let mut once = fresh_bdms();
-        let mut twice = fresh_bdms();
-        for stmt in &stmts {
-            once.insert_statement(stmt).unwrap();
-            twice.insert_statement(stmt).unwrap();
+        for policy in POLICIES {
+            let mut once = fresh_bdms_under(policy);
+            let mut twice = fresh_bdms_under(policy);
+            for stmt in &stmts {
+                once.insert_statement(stmt).unwrap();
+                twice.insert_statement(stmt).unwrap();
+            }
+            let (old, new) = (target.tuple.clone(), revalued(target, val));
+            let outcome = once
+                .update(target.path.clone(), RelId(0), old.row.clone(), new.row.clone())
+                .unwrap();
+            twice
+                .delete(target.path.clone(), RelId(0), old.row, Sign::Pos)
+                .unwrap();
+            let expected = twice
+                .insert(target.path.clone(), RelId(0), new.row, Sign::Pos)
+                .unwrap();
+            prop_assert_eq!(outcome, expected);
+            prop_assert_eq!(store_image(&once), store_image(&twice));
+            prop_assert_eq!(once.stats(), twice.stats());
         }
-        let (old, new) = (target.tuple.clone(), revalued(target, val));
-        let outcome = once
-            .update(target.path.clone(), RelId(0), old.row.clone(), new.row.clone())
-            .unwrap();
-        twice
-            .delete(target.path.clone(), RelId(0), old.row, Sign::Pos)
-            .unwrap();
-        let expected = twice
-            .insert(target.path.clone(), RelId(0), new.row, Sign::Pos)
-            .unwrap();
-        prop_assert_eq!(outcome, expected);
-        prop_assert_eq!(store_image(&once), store_image(&twice));
-        prop_assert_eq!(once.stats(), twice.stats());
     }
 }
 
@@ -630,13 +649,14 @@ fn v_stays_the_closure_while_wid_and_tid_outgrow_their_lanes() {
     use beliefdb::core::bcq::dsl::{pv, qany, qv};
     use beliefdb::core::bcq::Bcq;
     use beliefdb::gen::{
-        experiment_schema, fresh_bdms, CandidateStream, DepthDist, GeneratorConfig,
+        experiment_schema, fresh_bdms_with_policy, CandidateStream, DepthDist, GeneratorConfig,
     };
 
     let cfg = GeneratorConfig::new(100, 280)
         .with_depth(DepthDist::new(&[0.03, 0.12, 0.85]))
         .with_seed(20_260_926);
-    let mut bdms = fresh_bdms(&cfg).unwrap();
+    // Group copies and propagation are the `Eager` write path.
+    let mut bdms = fresh_bdms_with_policy(&cfg, DefaultPolicy::Eager).unwrap();
     let mut empty = BeliefDatabase::new(experiment_schema());
     for user in 1..=cfg.users {
         empty.add_user(format!("u{user}")).unwrap();
@@ -709,14 +729,20 @@ fn v_stays_the_closure_while_wid_and_tid_outgrow_their_lanes() {
 }
 
 /// The update whose new tuple the gate rejects still withdraws the old
-/// one, here and in the dependent worlds.
+/// one, here and in the dependent worlds, under both policies.
 #[test]
 fn rejected_update_still_propagates_the_retraction() {
+    for policy in POLICIES {
+        rejected_update_withdraws_the_old_tuple(policy);
+    }
+}
+
+fn rejected_update_withdraws_the_old_tuple(policy: DefaultPolicy) {
     let alice = BeliefPath::new(vec![UserId(1)]).unwrap();
     let bob_alice = BeliefPath::new(vec![UserId(2), UserId(1)]).unwrap();
     let crow = GroundTuple::new(RelId(0), row!["k0", "crow"]);
     let raven = GroundTuple::new(RelId(0), row!["k0", "raven"]);
-    let mut bdms = fresh_bdms();
+    let mut bdms = fresh_bdms_under(policy);
     for stmt in [
         BeliefStatement::positive(alice.clone(), crow.clone()),
         BeliefStatement::negative(alice.clone(), raven.clone()),

@@ -9,8 +9,8 @@
 //! core of Algorithm 1) purely through the storage layer.
 
 use beliefdb::core::internal::{D_TABLE, E_TABLE};
-use beliefdb::core::{Bdms, BeliefPath, UserId, Wid};
-use beliefdb::gen::{generate_bdms, DepthDist, GeneratorConfig};
+use beliefdb::core::{Bdms, BeliefPath, DefaultPolicy, UserId, Wid};
+use beliefdb::gen::{generate_bdms_with_policy, DepthDist, GeneratorConfig};
 use beliefdb::storage::datalog::{dsl, Evaluator};
 use beliefdb::storage::{Row, Value};
 
@@ -58,10 +58,14 @@ fn relational_dss(bdms: &Bdms, path: &BeliefPath) -> Wid {
 }
 
 fn test_bdms() -> Bdms {
+    test_bdms_under(DefaultPolicy::default())
+}
+
+fn test_bdms_under(policy: DefaultPolicy) -> Bdms {
     let cfg = GeneratorConfig::new(4, 150)
         .with_depth(DepthDist::new(&[0.2, 0.4, 0.3, 0.1]))
         .with_seed(63);
-    let (bdms, _) = generate_bdms(&cfg).unwrap();
+    let (bdms, _) = generate_bdms_with_policy(&cfg, policy).unwrap();
     bdms
 }
 
@@ -99,7 +103,8 @@ fn algorithm3_relational_form_agrees_with_directory() {
 /// `W(sid, species, s) :− E*(0, w, z), V__S(z, t, _, s, _), S__star(t, sid, _, species, _, _)`.
 #[test]
 fn world_contents_via_pure_relational_walk() {
-    let bdms = test_bdms();
+    // `V` holds every world's content only under `Eager`.
+    let bdms = test_bdms_under(DefaultPolicy::Eager);
     let ev = Evaluator::new(bdms.storage());
     let users: Vec<UserId> = bdms.users();
 

@@ -4,14 +4,19 @@
 //! intermediate artefact checked against the paper.
 
 use beliefdb::core::{
-    closure, running_example, BeliefPath, BeliefStatement, CanonicalKripke, GroundTuple, Sign,
-    UserId,
+    closure, running_example, Bdms, BeliefPath, BeliefStatement, CanonicalKripke, DefaultPolicy,
+    GroundTuple, Sign, UserId,
 };
 use beliefdb::sql::Session;
 use beliefdb::storage::{row, Value};
 
 fn sql_session() -> Session {
-    let mut s = Session::new(beliefdb::core::naturemapping_schema()).unwrap();
+    sql_session_under(DefaultPolicy::default())
+}
+
+fn sql_session_under(policy: DefaultPolicy) -> Session {
+    let schema = beliefdb::core::naturemapping_schema();
+    let mut s = Session::from_bdms(Bdms::with_policy(schema, policy).unwrap());
     s.add_user("Alice").unwrap();
     s.add_user("Bob").unwrap();
     s.add_user("Carol").unwrap();
@@ -32,7 +37,10 @@ fn sql_session() -> Session {
 
 #[test]
 fn fig5_internal_representation_shape() {
-    let session = sql_session();
+    // Fig. 5 draws the `Eager` representation; under `Lazy` only `V`
+    // differs, holding the eight explicit statements.
+    let lazy = sql_session();
+    let session = sql_session_under(DefaultPolicy::Eager);
     let storage = session.bdms().storage();
     // Fig. 5's tables: Sightings* has 4 ground tuples, Comments* has 3.
     assert_eq!(storage.table("Sightings__star").unwrap().len(), 4);
@@ -46,6 +54,16 @@ fn fig5_internal_representation_shape() {
     // V_Sightings in Fig. 5 has 8 rows; V_Comments has 4.
     assert_eq!(storage.table("V__Sightings").unwrap().len(), 8);
     assert_eq!(storage.table("V__Comments").unwrap().len(), 4);
+    let sizes = |s: &Session| s.bdms().stats().per_table;
+    let (lazy_sizes, eager_sizes) = (sizes(&lazy), sizes(&session));
+    for ((name, n), (eager_name, eager_n)) in lazy_sizes.iter().zip(&eager_sizes) {
+        assert_eq!(name, eager_name);
+        match name.as_str() {
+            "V__Sightings" => assert_eq!(*n, 5),
+            "V__Comments" => assert_eq!(*n, 3),
+            _ => assert_eq!(n, eager_n, "{name}"),
+        }
+    }
 }
 
 #[test]

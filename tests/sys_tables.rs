@@ -23,7 +23,7 @@
 //!   sessions (`\open`) register the catalog but never persist it, and
 //!   the magic-sets rewrite refuses programs touching `sys.*`.
 
-use beliefdb::core::ExternalSchema;
+use beliefdb::core::{Bdms, DefaultPolicy, ExternalSchema};
 use beliefdb::sql::Session;
 use beliefdb::storage::datalog::{Atom, BodyLit, Program, Rule, Term};
 use beliefdb::storage::obs::{fingerprint, statements_snapshot};
@@ -36,7 +36,11 @@ fn schema() -> ExternalSchema {
 }
 
 fn session_with_rows(n: i64) -> Session {
-    let mut s = Session::new(schema()).unwrap();
+    session_under(DefaultPolicy::default(), n)
+}
+
+fn session_under(policy: DefaultPolicy, n: i64) -> Session {
+    let mut s = Session::from_bdms(Bdms::with_policy(schema(), policy).unwrap());
     for i in 0..n {
         s.execute(&format!(
             "insert into Sightings values ('s{i}','sp{}')",
@@ -307,7 +311,9 @@ fn sys_tables_says_where_the_memory_is() {
     const DICT_ENTRY: i64 = 16 + 24 + 1;
     const FREE_SLOT: i64 = 4;
     let live_bits = |slots: i64| (slots + 63) / 64 * 8;
-    let mut session = session_with_rows(30);
+    // The sizes below are those of the `Eager` layout, where a new world
+    // copies its suffix parent's rows.
+    let mut session = session_under(DefaultPolicy::Eager, 30);
     session.add_user("Alice").unwrap();
 
     // R* (tid, sid, species): a primary key but no secondary index; 30

@@ -27,9 +27,17 @@
 //! 293,497 rows that Alg. 2 line 9 copies into new worlds arrive through
 //! `Table::copy_group` (one call per world and relation), none of them
 //! through `copy_row`.
+//!
+//! All of that is the `Eager` default policy's write path, which the store
+//! here is built under. Under `Lazy` nothing propagates and nothing is
+//! copied: a statement that changes the database writes exactly one `V`
+//! row, one that does not writes none, no row goes through `copy_group`,
+//! and the gate's slice read probes at most the depth + 1 worlds of the
+//! statement's suffix chain.
 
-use beliefdb::gen::generate_bdms;
+use beliefdb::core::DefaultPolicy;
 use beliefdb::gen::scenarios::table2_config;
+use beliefdb::gen::{fresh_bdms, generate_bdms_with_policy, CandidateStream};
 use std::sync::atomic::Ordering;
 
 /// Upper bound on `V` index probes per final `V` tuple.
@@ -43,7 +51,8 @@ const WORLD_COPY_ROWS: u64 = 293_497;
 
 #[test]
 fn table2_store_is_built_within_the_probe_and_write_budgets() {
-    let (bdms, report) = generate_bdms(&table2_config(10_000, 42)).unwrap();
+    let (bdms, report) =
+        generate_bdms_with_policy(&table2_config(10_000, 42), DefaultPolicy::Eager).unwrap();
     let v = bdms.storage().table("V__S").unwrap();
     let [_, _, probes, inserts, deletes, ..] = v.access().snapshot();
     let index_writes = v.access().index_writes.load(Ordering::Relaxed);
@@ -80,4 +89,40 @@ fn table2_store_is_built_within_the_probe_and_write_budgets() {
          budget {MAX_INDEX_WRITES_PER_ROW_WRITE}"
     );
     assert_eq!(group_copied, WORLD_COPY_ROWS, "rows written by copy_group");
+}
+
+#[test]
+fn lazy_statements_write_one_row_and_probe_their_suffix_chain() {
+    let cfg = table2_config(10_000, 42);
+    let mut bdms = fresh_bdms(&cfg).unwrap();
+    assert_eq!(bdms.policy(), DefaultPolicy::Lazy);
+    let counters = |bdms: &beliefdb::core::Bdms| {
+        let [_, _, probes, inserts, deletes, ..] =
+            bdms.storage().table("V__S").unwrap().access().snapshot();
+        (probes, inserts + deletes)
+    };
+    let mut stream = CandidateStream::new(&cfg);
+    let (mut accepted, mut statements, mut probes) = (0, 0u64, 0u64);
+    while accepted < cfg.annotations {
+        let stmt = stream.next_candidate();
+        let (p0, w0) = counters(&bdms);
+        let changed = bdms.insert_statement(&stmt).unwrap().changed();
+        let (p1, w1) = counters(&bdms);
+        assert_eq!(w1 - w0, changed as u64, "V rows written for {stmt}");
+        let depth = stmt.path.depth() as u64;
+        assert!(p1 - p0 <= depth + 1, "{} probes for {stmt}", p1 - p0);
+        accepted += changed as usize;
+        statements += 1;
+        probes += p1 - p0;
+    }
+    let v = bdms.storage().table("V__S").unwrap();
+    let group_copied = v.access().group_copied.load(Ordering::Relaxed);
+    println!(
+        "Lazy: {} rows of V for {accepted} annotations, {statements} statements, \
+         {probes} probes ({:.3} per statement), {group_copied} rows through copy_group",
+        v.len(),
+        probes as f64 / statements as f64
+    );
+    assert_eq!(v.len(), accepted);
+    assert_eq!(group_copied, 0, "rows written by copy_group");
 }
