@@ -307,29 +307,37 @@ fn effective_program(translated: &TranslatedQuery, opts: &EvalOptions) -> Result
     }
 }
 
-/// The front half every optimized entry point shares: Algorithm 1, the
-/// magic-sets rewrite when on, and an evaluator seeded with the store's
-/// statistics under the query's memory budget.
-fn prepare<'s>(
-    store: &'s InternalStore,
+/// The front half every optimized entry point shares: Algorithm 1 and
+/// the magic-sets rewrite when on.
+fn prepare(
+    store: &InternalStore,
     q: &Bcq,
     opts: &EvalOptions,
     rec: &mut Recorder,
-) -> Result<(TranslatedQuery, Program, Evaluator<'s>)> {
+) -> Result<(TranslatedQuery, Program)> {
     let translated = rec.span("translate", || translate(store, q))?;
     let program = effective_program(&translated, opts)?;
-    let ev = Evaluator::new(store.database())
+    Ok((translated, program))
+}
+
+/// An evaluator seeded with the store's statistics under the query's
+/// memory budget.
+fn evaluator<'s>(store: &'s InternalStore, opts: &EvalOptions) -> Evaluator<'s> {
+    Evaluator::new(store.database())
         .seed_stats(store.stats_catalog())
-        .with_memory_budget(opts.memory_budget);
-    Ok((translated, program, ev))
+        .with_memory_budget(opts.memory_budget)
 }
 
 /// What [`run_query`] does with the answer relation.
 enum Answer<'k> {
     /// Collect it, sorted.
     Collect,
+    /// Collect it, sorted; when plans run, profile every answer-rule plan
+    /// and attach the `EXPLAIN ANALYZE` report to the recorder.
+    Profile,
     /// Collect it, sorted, with every answer-rule plan profiled and the
-    /// `EXPLAIN ANALYZE` report rendered.
+    /// `EXPLAIN ANALYZE` report rendered — always by running the plans,
+    /// even when the cache holds the answer.
     Analyze,
     /// Hand its rows to the callback as the final rule produces them;
     /// nothing is collected.
@@ -340,10 +348,13 @@ enum Answer<'k> {
 /// evaluating entry point takes. Optimized rule plans are cached keyed by
 /// the program text and the versions of the tables it reads (rewritten
 /// and unrewritten programs have distinct texts, hence distinct
-/// entries): a hit executes the cached plans, skipping the rewrite passes
-/// and intermediate re-derivation; a miss derives fresh plans and stores
-/// them. Every call bumps `query.executed` and feeds the latency
-/// histogram, however the answer is delivered.
+/// entries): a miss derives fresh plans and stores them; the first hit
+/// executes the cached plans, skipping the rewrite passes and
+/// intermediate re-derivation, and attaches the sorted answer to the
+/// entry; every later hit returns that answer without building an
+/// evaluator, executing or sorting (except under [`Answer::Analyze`],
+/// which always profiles the plans). Every call bumps `query.executed`
+/// and feeds the latency histogram, however the answer is delivered.
 ///
 /// Returns the sorted answer rows (empty when streamed) and the report
 /// (empty unless analyzing).
@@ -357,36 +368,51 @@ fn run_query(
     metrics().incr(Metric::QueriesExecuted);
     let t0 = Instant::now();
     let out = (|| -> Result<(Vec<Row>, String)> {
-        let (translated, program, mut ev) = prepare(store, q, opts, rec)?;
-        // The cache lock is held only for the brief lookup/store calls —
-        // never while plans execute — so concurrent queries don't
+        let (translated, program) = prepare(store, q, opts, rec)?;
+        // The cache lock is held only for the brief lookup/store/attach
+        // calls — never while plans execute — so concurrent queries don't
         // serialize on each other's evaluation.
         let key = program.to_string();
         let versions = PlanCache::read_versions(store.database(), &program);
         let cached = rec.span("cache_lookup", || {
-            store.with_plan_cache(|cache| cache.lookup(&key, &versions))
+            store.with_plan_cache(|cache| cache.lookup_entry(&key, &versions))
         });
+        let stored = match (&answer, &cached) {
+            (Answer::Analyze, _) | (_, None) => None,
+            (_, Some(hit)) => hit.answer.clone(),
+        };
+        if let Some(rows) = stored {
+            return Ok(match answer {
+                Answer::Stream(sink) => {
+                    rows.iter().cloned().for_each(sink);
+                    (Vec::new(), String::new())
+                }
+                _ => (rows.to_vec(), String::new()),
+            });
+        }
         let (collect, analyze) = match answer {
             Answer::Collect => (true, false),
-            Answer::Analyze => (true, true),
+            Answer::Profile | Answer::Analyze => (true, true),
             Answer::Stream(_) => (false, false),
         };
+        let mut ev = evaluator(store, opts);
+        let plans = cached.map(|hit| hit.plans);
         let mut profiled: AnalyzedPlans = Vec::new();
         let fresh = rec.span(
             "execute",
             || -> beliefdb_storage::Result<Option<Vec<Plan>>> {
                 let program = &program;
-                Ok(match (answer, cached.as_deref()) {
+                Ok(match (answer, plans.as_deref()) {
                     (Answer::Collect, Some(plans)) => {
                         ev.run_cached_plans(program, plans)?;
                         None
                     }
                     (Answer::Collect, None) => Some(ev.run_collecting_plans(program)?.1),
-                    (Answer::Analyze, Some(plans)) => {
+                    (Answer::Profile | Answer::Analyze, Some(plans)) => {
                         profiled = ev.run_cached_analyze(program, plans)?.1;
                         None
                     }
-                    (Answer::Analyze, None) => {
+                    (Answer::Profile | Answer::Analyze, None) => {
                         profiled = ev.run_collecting_analyze(program)?.1;
                         Some(profiled.iter().map(|(p, _)| p.clone()).collect())
                     }
@@ -400,9 +426,6 @@ fn run_query(
                 })
             },
         )?;
-        if let Some(plans) = fresh {
-            store.with_plan_cache(|cache| cache.store(key, versions, plans));
-        }
         let report = if analyze {
             ev.render_analyze_report(&profiled)
         } else {
@@ -413,6 +436,14 @@ fn run_query(
         } else {
             Vec::new()
         };
+        match fresh {
+            Some(plans) => store.with_plan_cache(|cache| cache.store(key, versions, plans)),
+            // The first replay of cached plans: keep the answer with them.
+            None if collect => {
+                store.with_plan_cache(|cache| cache.attach_answer(&key, &versions, &rows));
+            }
+            None => {}
+        }
         Ok((rows, report))
     })();
     metrics().record_latency(t0.elapsed().as_nanos() as u64);
@@ -426,12 +457,30 @@ fn run_query(
 /// (`beliefdb_storage::opt`) — the role the paper delegates to "the
 /// database optimizer" — and the optimized plans are cached in the store
 /// keyed by (program, versions of the tables it reads), so repeat queries
-/// skip the rewrite passes entirely. Under `opts.memory_budget` the chunked
-/// executor's materialization points spill to disk past their share of
-/// it (grace hash join, external merge sort — see
+/// skip the rewrite passes entirely, and from the second repeat on are
+/// answered from the cache without executing. Under `opts.memory_budget`
+/// the chunked executor's materialization points spill to disk past their
+/// share of it (grace hash join, external merge sort — see
 /// `beliefdb_storage::exec::spill`).
 pub fn evaluate(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<Vec<Row>> {
     run_query(store, q, opts, &mut Recorder::disabled(), Answer::Collect).map(|(rows, _)| rows)
+}
+
+/// [`evaluate`] recording `translate` / `cache_lookup` / `execute` /
+/// `sort` spans into `rec`, and, whenever plans run, the `EXPLAIN
+/// ANALYZE` report of the run as its profile. A query answered from the
+/// cache records neither `execute` nor `sort` and attaches no profile.
+pub fn evaluate_traced(
+    store: &InternalStore,
+    q: &Bcq,
+    opts: &EvalOptions,
+    rec: &mut Recorder,
+) -> Result<Vec<Row>> {
+    let (rows, report) = run_query(store, q, opts, rec, Answer::Profile)?;
+    if !report.is_empty() {
+        rec.set_profile(report);
+    }
+    Ok(rows)
 }
 
 /// [`evaluate`] with per-operator profiling on — the `EXPLAIN ANALYZE`
@@ -440,7 +489,8 @@ pub fn evaluate(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<Ve
 /// kernel-vs-fallback filter rows, and spill traffic. An enabled `rec`
 /// additionally gets `translate` / `cache_lookup` / `execute` / `sort`
 /// spans. Shares the plan cache with [`evaluate`] (a repeat query
-/// profiles the cached plans; a first run stores the plans it collected).
+/// profiles the cached plans, even when the cache holds its answer; a
+/// first run stores the plans it collected).
 pub fn evaluate_analyze(
     store: &InternalStore,
     q: &Bcq,
@@ -454,7 +504,8 @@ pub fn evaluate_analyze(
 /// the final Datalog rule produces them: the answer relation is never
 /// collected or sorted. Rows are deduplicated but arrive in executor
 /// order; intermediate temp tables are still materialized (they feed
-/// later rules). Shares the plan cache with [`evaluate`].
+/// later rules). Shares the plan cache with [`evaluate`]: when the cache
+/// holds the query's answer, its (sorted) rows are emitted instead.
 pub fn evaluate_streaming(
     store: &InternalStore,
     q: &Bcq,
@@ -506,8 +557,10 @@ fn collect_answer(ev: &Evaluator<'_>, translated: &TranslatedQuery) -> Vec<Row> 
 /// points additionally carry `[spill budget=… partitions=…]` tags showing
 /// the per-point share and partition fan-out.
 pub fn explain(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<String> {
-    let (_, program, mut ev) = prepare(store, q, opts, &mut Recorder::disabled())?;
-    ev.explain_program(&program).map_err(BeliefError::from)
+    let (_, program) = prepare(store, q, opts, &mut Recorder::disabled())?;
+    evaluator(store, opts)
+        .explain_program(&program)
+        .map_err(BeliefError::from)
 }
 
 /// The body literals under which world `z` entails `tid` (whose key is

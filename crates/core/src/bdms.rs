@@ -52,7 +52,8 @@ impl SizeStats {
 /// debugger (the shell's `\stats` prints these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Queries served from cached answer plans.
+    /// Queries served from the cache (cached answer plans or a stored
+    /// answer).
     pub hits: u64,
     /// Queries that had to plan from scratch.
     pub misses: u64,
@@ -60,6 +61,8 @@ pub struct PlanCacheStats {
     pub entries: usize,
     /// Rows pinned inside cached plans as `Values` leaves.
     pub embedded_rows: usize,
+    /// Rows of the sorted answers kept with cached plans.
+    pub answer_rows: usize,
 }
 
 impl PlanCacheStats {
@@ -472,16 +475,16 @@ impl Bdms {
 
     /// [`Bdms::query`] with caller-owned span recording: an enabled
     /// recorder gets `translate` / `cache_lookup` / `execute` / `sort`
-    /// spans plus the full `EXPLAIN ANALYZE` report attached; a disabled
-    /// recorder makes this exactly the plain query path (no profiling).
+    /// spans plus the full `EXPLAIN ANALYZE` report attached whenever
+    /// plans run (a query answered from the plan cache has neither
+    /// `execute` nor `sort` nor a profile); a disabled recorder makes this
+    /// exactly the plain query path (no profiling).
     pub fn query_traced(&self, q: &Bcq, rec: &mut Recorder) -> Result<Vec<Row>> {
         let opts = self.eval_options();
         if !rec.is_enabled() {
             return bcq::translate::evaluate(&self.store, q, &opts);
         }
-        let (rows, report) = bcq::translate::evaluate_analyze(&self.store, q, &opts, rec)?;
-        rec.set_profile(report);
-        Ok(rows)
+        bcq::translate::evaluate_traced(&self.store, q, &opts, rec)
     }
 
     /// `EXPLAIN ANALYZE`: run the query with per-operator profiling on
@@ -582,13 +585,15 @@ impl Bdms {
     }
 
     /// Snapshot of the Datalog plan-cache counters (hits, misses, cached
-    /// programs, embedded rows). Takes the cache lock briefly.
+    /// programs, embedded rows, answer rows). Takes the cache lock
+    /// briefly.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.store.with_plan_cache(|cache| PlanCacheStats {
             hits: cache.hits(),
             misses: cache.misses(),
             entries: cache.len(),
             embedded_rows: cache.embedded_row_count(),
+            answer_rows: cache.answer_row_count(),
         })
     }
 
@@ -908,16 +913,11 @@ mod tests {
         let (rows, report) = fresh.explain_analyze_query(&q).unwrap();
         assert!(report.contains("actual"), "{report}");
         assert_eq!(counts(), (0, 1, 1));
-        assert_eq!(fresh.query(&q).unwrap(), rows);
-        assert_eq!(counts(), (1, 1, 1));
-        let mut streamed = Vec::new();
-        fresh.query_streaming(&q, |row| streamed.push(row)).unwrap();
-        streamed.sort();
-        assert_eq!(streamed, rows);
-        assert_eq!(counts(), (2, 1, 1));
+        // The first hit replays the plans — profiled, on the traced path —
+        // and keeps the answer with them.
         let mut rec = Recorder::enabled(q.to_string());
         assert_eq!(fresh.query_traced(&q, &mut rec).unwrap(), rows);
-        assert_eq!(counts(), (3, 1, 1));
+        assert_eq!(counts(), (1, 1, 1));
         let trace = rec.finish().expect("enabled recorder yields a trace");
         assert!(
             trace
@@ -926,6 +926,25 @@ mod tests {
                 .is_some_and(|p| p.contains("actual")),
             "{trace:?}"
         );
+        assert_eq!(fresh.plan_cache_stats().answer_rows, rows.len());
+        // Later hits read the stored answer, on every path but EXPLAIN
+        // ANALYZE, which still profiles the cached plans.
+        assert_eq!(fresh.query(&q).unwrap(), rows);
+        assert_eq!(counts(), (2, 1, 1));
+        let mut streamed = Vec::new();
+        fresh.query_streaming(&q, |row| streamed.push(row)).unwrap();
+        streamed.sort();
+        assert_eq!(streamed, rows);
+        assert_eq!(counts(), (3, 1, 1));
+        let mut rec = Recorder::enabled(q.to_string());
+        assert_eq!(fresh.query_traced(&q, &mut rec).unwrap(), rows);
+        assert_eq!(counts(), (4, 1, 1));
+        let trace = rec.finish().expect("enabled recorder yields a trace");
+        assert!(trace.profile.is_none(), "{trace:?}");
+        let (again, report) = fresh.explain_analyze_query(&q).unwrap();
+        assert_eq!(again, rows);
+        assert!(report.contains("actual"), "{report}");
+        assert_eq!(counts(), (5, 1, 1));
     }
 
     #[test]
@@ -1058,6 +1077,17 @@ mod tests {
             trace.profile.as_deref().unwrap().contains("| actual"),
             "{trace:?}"
         );
+
+        // That run kept the answer; the next one is served from it, and
+        // its capture shows no execution, no sort and no profile.
+        bdms.clear_slowlog();
+        bdms.query(&q).unwrap();
+        let entries = bdms.slowlog_entries();
+        assert_eq!(entries.len(), 1);
+        let trace = &entries[0];
+        let names: Vec<&str> = trace.spans.iter().map(|sp| sp.name).collect();
+        assert_eq!(names, ["translate", "cache_lookup"], "{trace:?}");
+        assert!(trace.profile.is_none(), "{trace:?}");
 
         bdms.clear_slowlog();
         assert!(bdms.slowlog_entries().is_empty());

@@ -28,11 +28,12 @@ use std::sync::Arc;
 /// Entries kept in a [`PlanCache`] before first-in-first-out eviction.
 const PLAN_CACHE_CAP: usize = 64;
 
-/// Total rows embedded (as `Values` leaves) across all cached plans the
-/// cache will hold; entries are evicted FIFO past this budget, and a
-/// single program whose plans embed more than the whole budget is not
-/// cached at all. Keeps the cache from pinning large intermediate
-/// results in memory after queries complete.
+/// Total rows the cache will hold: rows embedded (as `Values` leaves) in
+/// cached plans plus rows of stored answers. Entries are evicted FIFO
+/// past this budget, a single program whose plans embed more than the
+/// whole budget is not cached at all, and an answer that would take its
+/// entry past it is not stored. Keeps the cache from pinning large
+/// intermediate results in memory after queries complete.
 const PLAN_CACHE_ROW_BUDGET: usize = 200_000;
 
 /// A cache of optimized physical plans for the *answer* rules of whole
@@ -52,21 +53,29 @@ const PLAN_CACHE_ROW_BUDGET: usize = 200_000;
 /// `Values` leaf, so they are self-contained. Replaying them is sound
 /// because program evaluation is deterministic — with identical
 /// base-table versions every derived relation is reproduced exactly.
+/// The same argument covers the last step: an entry can also keep the
+/// program's sorted answer ([`PlanCache::attach_answer`]), which a caller
+/// attaches the first time it replays the entry's plans, so a program
+/// that is never repeated pays nothing for it. A hit on an entry with an
+/// answer ([`PlanCache::lookup_entry`]) needs no execution at all.
 /// For the same reason the cache only serves evaluators with **no
 /// pre-registered derived relations** ([`Evaluator::define`]) — those
 /// rows are outside the cache key.
 ///
 /// Locking discipline: [`PlanCache::lookup`] and [`PlanCache::store`]
-/// are brief (a version compare plus an `Arc` clone); callers holding
+/// are brief (a version compare plus an `Arc` clone), and
+/// [`PlanCache::attach_answer`] copies one answer once; callers holding
 /// the cache behind a mutex should release it while the plans execute
 /// (see `beliefdb-core`'s `bcq::translate::evaluate`).
 pub struct PlanCache {
     entries: HashMap<String, CachedProgram>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<String>,
-    /// Rows embedded across all cached entries (tracked against the
-    /// budget).
-    total_rows: usize,
+    /// Rows embedded across all cached entries' plans.
+    embedded_rows: usize,
+    /// Rows of the answers stored with cached entries. Tracked against
+    /// the budget together with `embedded_rows`.
+    answer_rows: usize,
     row_budget: usize,
     hits: u64,
     misses: u64,
@@ -80,6 +89,15 @@ struct CachedProgram {
     plans: Arc<Vec<Plan>>,
     /// Rows embedded in `plans` as `Values` leaves.
     rows: usize,
+    /// The program's sorted answer at `versions`, once attached.
+    answer: Option<Arc<Vec<Row>>>,
+}
+
+/// What a hit on a [`PlanCache`] entry returns: the cached answer plans,
+/// and the program's sorted answer once one was attached.
+pub struct CacheHit {
+    pub plans: Arc<Vec<Plan>>,
+    pub answer: Option<Arc<Vec<Row>>>,
 }
 
 impl Default for PlanCache {
@@ -99,7 +117,8 @@ impl PlanCache {
         PlanCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
-            total_rows: 0,
+            embedded_rows: 0,
+            answer_rows: 0,
             row_budget,
             hits: 0,
             misses: 0,
@@ -164,11 +183,20 @@ impl PlanCache {
     /// Cached answer plans for `key`, if present and planned at exactly
     /// these table versions. Counts a hit or miss.
     pub fn lookup(&mut self, key: &str, versions: &[(String, u64)]) -> Option<Arc<Vec<Plan>>> {
+        self.lookup_entry(key, versions).map(|hit| hit.plans)
+    }
+
+    /// [`PlanCache::lookup`], also returning the entry's stored answer
+    /// when one was attached. Counts a hit or miss.
+    pub fn lookup_entry(&mut self, key: &str, versions: &[(String, u64)]) -> Option<CacheHit> {
         match self.entries.get(key) {
             Some(entry) if entry.versions == versions => {
                 self.hits += 1;
                 crate::obs::metrics().incr(crate::obs::Metric::PlanCacheHits);
-                Some(Arc::clone(&entry.plans))
+                Some(CacheHit {
+                    plans: Arc::clone(&entry.plans),
+                    answer: entry.answer.clone(),
+                })
             }
             _ => {
                 self.misses += 1;
@@ -181,25 +209,24 @@ impl PlanCache {
     /// Record the answer plans of a freshly planned program. Oversized
     /// entries (more embedded rows than the whole budget) are dropped;
     /// otherwise older entries are evicted FIFO until both the entry
-    /// count and the row budget fit.
+    /// count and the row budget fit. Either way an entry already stored
+    /// under `key` is replaced: it is removed first.
     pub fn store(&mut self, key: String, versions: Vec<(String, u64)>, plans: Vec<Plan>) {
+        if self.entries.contains_key(&key) {
+            self.order.retain(|k| k != &key);
+            self.forget(&key);
+        }
         let rows: usize = plans.iter().map(embedded_rows).sum();
         if rows > self.row_budget {
             return;
         }
-        if let Some(old) = self.entries.remove(&key) {
-            self.total_rows -= old.rows;
-            self.order.retain(|k| k != &key);
-        }
         while !self.order.is_empty()
-            && (self.order.len() >= PLAN_CACHE_CAP || self.total_rows + rows > self.row_budget)
+            && (self.order.len() >= PLAN_CACHE_CAP || self.held_rows() + rows > self.row_budget)
         {
             let victim = self.order.pop_front().expect("order non-empty");
-            if let Some(evicted) = self.entries.remove(&victim) {
-                self.total_rows -= evicted.rows;
-            }
+            self.forget(&victim);
         }
-        self.total_rows += rows;
+        self.embedded_rows += rows;
         self.order.push_back(key.clone());
         self.entries.insert(
             key,
@@ -207,8 +234,54 @@ impl PlanCache {
                 versions,
                 plans: Arc::new(plans),
                 rows,
+                answer: None,
             },
         );
+    }
+
+    /// Keep `answer`, the sorted answer of the program cached under `key`,
+    /// with its entry, so later hits return it without executing. Sound
+    /// for the same reason replaying the plans is: the answer was computed
+    /// at `versions`, and the entry is only served at exactly those. Does
+    /// nothing when the entry is absent, was planned at other versions or
+    /// already has an answer, or when its plans and this answer together
+    /// exceed the whole row budget; otherwise older entries are evicted
+    /// FIFO until the answer fits. Returns whether the answer was stored.
+    pub fn attach_answer(&mut self, key: &str, versions: &[(String, u64)], answer: &[Row]) -> bool {
+        match self.entries.get(key) {
+            Some(entry)
+                if entry.versions == versions
+                    && entry.answer.is_none()
+                    && entry.rows + answer.len() <= self.row_budget => {}
+            _ => return false,
+        }
+        while self.held_rows() + answer.len() > self.row_budget {
+            // The entry alone fits, so an older one is left to evict.
+            let at = self
+                .order
+                .iter()
+                .position(|k| k != key)
+                .expect("another entry");
+            let victim = self.order.remove(at).expect("position in range");
+            self.forget(&victim);
+        }
+        self.answer_rows += answer.len();
+        let entry = self.entries.get_mut(key).expect("entry checked above");
+        entry.answer = Some(Arc::new(answer.to_vec()));
+        true
+    }
+
+    /// Drop the entry under `key` (already out of `order`) and its rows.
+    fn forget(&mut self, key: &str) {
+        if let Some(old) = self.entries.remove(key) {
+            self.embedded_rows -= old.rows;
+            self.answer_rows -= old.answer.map_or(0, |a| a.len());
+        }
+    }
+
+    /// Rows held against the budget.
+    fn held_rows(&self) -> usize {
+        self.embedded_rows + self.answer_rows
     }
 
     /// Number of cached programs.
@@ -222,7 +295,12 @@ impl PlanCache {
 
     /// Rows embedded (as `Values` leaves) across all cached entries.
     pub fn embedded_row_count(&self) -> usize {
-        self.total_rows
+        self.embedded_rows
+    }
+
+    /// Rows of the answers stored across all cached entries.
+    pub fn answer_row_count(&self) -> usize {
+        self.answer_rows
     }
 
     /// Lookups served from the cache since creation.
@@ -2286,6 +2364,83 @@ mod tests {
         ev.run_cached(&prog, &mut none).unwrap();
         assert_eq!(ev.relation("Q").unwrap().len(), 3);
         assert!(none.is_empty() || none.embedded_row_count() == 0);
+    }
+
+    /// A plan embedding `n` one-column rows.
+    fn values_plan(n: i64) -> Vec<Plan> {
+        vec![Plan::Values {
+            arity: 1,
+            rows: (0..n).map(|i| row![i]).collect(),
+        }]
+    }
+
+    fn version(v: u64) -> Vec<(String, u64)> {
+        vec![("E".to_string(), v)]
+    }
+
+    #[test]
+    fn oversized_store_drops_the_stale_entry_under_its_key() {
+        let mut cache = PlanCache::with_row_budget(4);
+        cache.store("p".into(), version(1), values_plan(2));
+        assert_eq!((cache.len(), cache.embedded_row_count()), (1, 2));
+        // The replacement is over budget and is not cached; the entry it
+        // replaces must not linger (and keep its rows in the count).
+        cache.store("p".into(), version(2), values_plan(10));
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.embedded_row_count(), 0);
+        assert!(cache.lookup("p", &version(1)).is_none());
+    }
+
+    #[test]
+    fn attached_answer_is_served_at_its_versions_only() {
+        let mut cache = PlanCache::new();
+        let answer = vec![row![1], row![2]];
+        // No entry yet: nothing to attach to.
+        assert!(!cache.attach_answer("p", &version(1), &answer));
+        cache.store("p".into(), version(1), values_plan(3));
+        let hit = cache.lookup_entry("p", &version(1)).expect("stored");
+        assert!(hit.answer.is_none(), "a fresh entry has no answer");
+        // Attaching at other versions is refused; at the entry's, kept once.
+        assert!(!cache.attach_answer("p", &version(2), &answer));
+        assert!(cache.attach_answer("p", &version(1), &answer));
+        assert!(!cache.attach_answer("p", &version(1), &answer));
+        assert_eq!(cache.embedded_row_count(), 3);
+        assert_eq!(cache.answer_row_count(), 2);
+
+        let hit = cache.lookup_entry("p", &version(1)).expect("stored");
+        assert_eq!(hit.answer.as_deref(), Some(&answer));
+        assert_eq!(hit.plans.len(), 1, "the plans stay with the answer");
+        assert!(cache.lookup_entry("p", &version(2)).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+
+        // Replanning under the key drops the answer with the old entry.
+        cache.store("p".into(), version(2), values_plan(3));
+        assert_eq!(cache.answer_row_count(), 0);
+        let hit = cache.lookup_entry("p", &version(2)).expect("restored");
+        assert!(hit.answer.is_none());
+    }
+
+    #[test]
+    fn answers_share_the_row_budget() {
+        let mut cache = PlanCache::with_row_budget(10);
+        cache.store("a".into(), version(1), values_plan(3));
+        cache.store("b".into(), version(1), values_plan(3));
+        // Plans and answer of `b` together exceed the budget: refused,
+        // and nothing is evicted for it.
+        let big: Vec<Row> = (0..8).map(|i| row![i]).collect();
+        assert!(!cache.attach_answer("b", &version(1), &big));
+        assert_eq!(cache.len(), 2);
+        // An answer that fits only without `a` evicts `a`, never `b`.
+        let fits: Vec<Row> = (0..5).map(|i| row![i]).collect();
+        assert!(cache.attach_answer("b", &version(1), &fits));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup("a", &version(1)).is_none());
+        assert_eq!(cache.embedded_row_count() + cache.answer_row_count(), 8);
+        // Answer rows count when later stores make room.
+        cache.store("c".into(), version(1), values_plan(4));
+        assert_eq!(cache.len(), 1, "`b` and its answer were evicted");
+        assert_eq!(cache.answer_row_count(), 0);
+        assert_eq!(cache.embedded_row_count(), 4);
     }
 
     #[test]

@@ -172,12 +172,12 @@ pub fn tables_table() -> Arc<dyn VirtualTable> {
     )
 }
 
-/// `sys.plan_cache (hits, misses, entries, embedded_rows)` — a single
-/// row snapshotting the engine's plan cache.
+/// `sys.plan_cache (hits, misses, entries, embedded_rows, answer_rows)` —
+/// a single row snapshotting the engine's plan cache.
 pub fn plan_cache_table(cache: Arc<Mutex<PlanCache>>) -> Arc<dyn VirtualTable> {
     FnTable::new(
         "sys.plan_cache",
-        &["hits", "misses", "entries", "embedded_rows"],
+        &["hits", "misses", "entries", "embedded_rows", "answer_rows"],
         move |_db| {
             let c = cache.lock().expect("plan cache poisoned");
             vec![Row::new([
@@ -185,6 +185,7 @@ pub fn plan_cache_table(cache: Arc<Mutex<PlanCache>>) -> Arc<dyn VirtualTable> {
                 uint(c.misses()),
                 uint(c.len() as u64),
                 uint(c.embedded_row_count() as u64),
+                uint(c.answer_row_count() as u64),
             ])]
         },
     )
@@ -345,7 +346,7 @@ mod tests {
         let vt = plan_cache_table(Arc::clone(&cache));
         let rows = vt.rows(&db);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].arity(), 4);
+        assert_eq!(rows[0].arity(), 5);
 
         let log = Arc::new(SlowLog::new());
         log.set_threshold_ms(Some(0));

@@ -233,10 +233,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         };
                         println!(
                             "plan cache: {hits} hits, {misses} misses ({:.0}% hit rate), \
-                             {} cached program(s), {} embedded row(s)",
+                             {} cached program(s), {} embedded row(s), {} answer row(s)",
                             rate * 100.0,
                             v[2],
-                            v[3]
+                            v[3],
+                            v[4]
                         );
                     }
                     print_wal(&session);

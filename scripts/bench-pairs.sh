@@ -17,13 +17,24 @@
 # `ops.overhead.*` ratios of those two runs, with `ops.tuples_per_annotation`
 # (the per-cell breakdown of `overhead_ratio`).
 #
+# Each end-to-end metric also gets a verdict, with its bound from
+# BENCHMARK.json (a fraction of the parent's median):
+#   claim met     the change won at least 9 in 10 pairs and its median is
+#                 better than the parent's by more than the parent's
+#                 interquartile range;
+#   REGRESSION    the change's median is worse than the parent's by more
+#                 than the bound;
+#   unresolved    either side's interquartile range, as a fraction of its
+#                 median, is wider than the bound;
+#   within bound  otherwise.
+#
 # Everything lives under target/bench-pairs/ (ignored by git): the parent's
 # files (a `git archive` of the commit, so .git is not touched), one cargo
 # target directory per side, and the output of every run.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,30p' "$0" >&2
     exit 2
 fi
 parent_ref=$1
@@ -90,6 +101,7 @@ runs, workload, pairs, sha, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), s
 bench = json.load(open("BENCHMARK.json"))
 better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 end_to_end = [m["name"] for m in bench["end_to_end"]]
+bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
 def read(path):
     """Metrics, answer digest and the closing JSON object of one run."""
@@ -119,6 +131,23 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
+def verdict(name, p, c, wins, lower):
+    """The verdict on one end-to-end metric (see the header of this script)."""
+    pm, cm = statistics.median(p), statistics.median(c)
+    q1, q3 = quartiles(p)
+    gain = (pm - cm) if lower else (cm - pm)
+    if wins * 10 >= 9 * len(p) and gain > q3 - q1:
+        return "claim met"
+    if pm and -gain / abs(pm) > bound[name]:
+        return "REGRESSION"
+    def spread(xs):
+        lo, hi = quartiles(xs)
+        m = statistics.median(xs)
+        return (hi - lo) / abs(m) if m else 0.0
+    if max(spread(p), spread(c)) > bound[name]:
+        return "unresolved"
+    return "within bound"
+
 print(f"{workload}, seed {seed}: parent {sha} vs working tree, {pairs} alternating pairs")
 print(f"answers digest: {'identical ' + digests.pop() if len(digests) == 1 else 'DIFFER ' + str(digests)}; "
       f"runs not correct or with failures: {bad or 'none'}")
@@ -138,7 +167,8 @@ for name in names:
     delta = f"{(cm - pm) / pm * 100:+.1f}%" if pm else "n/a"
     exact = " exact" if pairs > 1 and len(set(p)) == 1 and len(set(c)) == 1 else ""
     tied = f" ({ties} ties)" if ties else ""
-    print(f"{name:34} {pm:14.6g} {q1:12.6g}..{q3:<11.6g} {cm:14.6g} {delta:>8} {wins:3}/{pairs}{tied}{exact}")
+    judged = f"  {verdict(name, p, c, wins, lower)}" if name in bound else ""
+    print(f"{name:34} {pm:14.6g} {q1:12.6g}..{q3:<11.6g} {cm:14.6g} {delta:>8} {wins:3}/{pairs}{tied}{exact}{judged}")
 
 traced = {s: f"{runs}/traced-{s}.txt" for s in ("parent", "change")}
 if all(os.path.exists(p) for p in traced.values()):

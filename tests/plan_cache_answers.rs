@@ -1,0 +1,297 @@
+//! Answers served from the plan cache.
+//!
+//! A plan-cache entry keeps its program's sorted answer from the first
+//! replay of its plans on, and every later hit at the same read-set
+//! versions returns that answer without executing. This suite holds the
+//! stored answers to the two references that never touch the cache:
+//!
+//! * seeded interleavings of the seven Table 2 queries and the key-bound
+//!   probe, each read repeated one to three times, with inserts, deletes,
+//!   updates and new users in between, on a Table 2 store at n = 300
+//!   under both default policies — after every step every collected and
+//!   every streamed answer equals `query_naive` and `query_materialized`;
+//! * the counters: a third repeat scans no row and counts one hit, a
+//!   write outside a program's read set keeps its answer, and a write
+//!   inside it forces a miss.
+//!
+//! The metrics registry is process-global, so every test here holds
+//! `METRICS` while it runs: the deltas are then exact.
+
+use beliefdb::core::bcq::dsl::*;
+use beliefdb::core::bcq::Bcq;
+use beliefdb::core::internal::{E_TABLE, U_TABLE};
+use beliefdb::core::{Bdms, BeliefPath, BeliefStatement, DefaultPolicy, GroundTuple, Sign, UserId};
+use beliefdb::gen::scenarios::table2_config;
+use beliefdb::gen::{fresh_bdms_with_policy, CandidateStream};
+use beliefdb::storage::datalog::PlanCache;
+use beliefdb::storage::{metrics, CmpOp, Metric, Row, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
+
+static METRICS: Mutex<()> = Mutex::new(());
+
+const POLICIES: [DefaultPolicy; 2] = [DefaultPolicy::Eager, DefaultPolicy::Lazy];
+
+/// A Table 2 store at n = 300 under `policy`, with the generator stream
+/// that built it (the next candidates are fresh inserts) and the
+/// statements it accepted (targets for deletes and updates).
+fn table2_store(policy: DefaultPolicy, seed: u64) -> (Bdms, CandidateStream, Vec<BeliefStatement>) {
+    let cfg = table2_config(300, seed);
+    let mut bdms = fresh_bdms_with_policy(&cfg, policy).unwrap();
+    let mut stream = CandidateStream::new(&cfg);
+    let mut accepted = Vec::new();
+    while accepted.len() < cfg.annotations {
+        let stmt = stream.next_candidate();
+        if bdms.insert_statement(&stmt).unwrap().changed() {
+            accepted.push(stmt);
+        }
+    }
+    (bdms, stream, accepted)
+}
+
+/// The seven Table 2 queries, then the key-bound probe: `q1,2` restricted
+/// to `key`.
+fn reads(bdms: &Bdms, key: &str) -> Vec<(String, Bcq)> {
+    let mut queries = beliefdb_bench::table2_queries(bdms).unwrap();
+    let s = bdms.schema().relation_id("S").unwrap();
+    let probe = Bcq::builder(vec![qv("x"), qv("y")])
+        .positive(
+            vec![pu(UserId(2)), pu(UserId(1))],
+            s,
+            vec![qv("x"), qany(), qv("y"), qany(), qany()],
+        )
+        .pred(qv("x"), CmpOp::Eq, qc(key))
+        .build(bdms.schema())
+        .unwrap();
+    queries.push(("probe".into(), probe));
+    queries
+}
+
+/// The key the probe asks for: the middle sighting of the `q1,2` answer
+/// (as in beliefbench), or a key no sighting has when it is empty.
+fn probe_key(bdms: &Bdms) -> String {
+    let q12 = &beliefdb_bench::table2_queries(bdms).unwrap()[2].1;
+    let rows = bdms.query_naive(q12).unwrap();
+    rows.get(rows.len() / 2)
+        .map_or_else(|| "none".to_string(), |r| r.values()[0].to_string())
+}
+
+fn streamed(bdms: &Bdms, q: &Bcq) -> Vec<Row> {
+    let mut rows = Vec::new();
+    bdms.query_streaming(q, |row| rows.push(row)).unwrap();
+    rows.sort();
+    rows
+}
+
+/// One seeded interleaving: `steps` steps, each a write or a read of one
+/// query repeated one to three times through both cached paths, checked
+/// against both references after every step. Returns the cache's hits
+/// and the answer rows it held at some point (so the caller can tell the
+/// answer path was exercised).
+fn interleaving(policy: DefaultPolicy, seed: u64, steps: usize) -> (u64, usize) {
+    let (mut bdms, mut stream, mut explicit) = table2_store(policy, seed);
+    let s = bdms.schema().relation_id("S").unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut users = 10;
+    let mut max_answer_rows = 0;
+    let mut key = probe_key(&bdms);
+    for step in 0..steps {
+        let ctx = format!("{policy:?} seed {seed} step {step}");
+        match rng.gen_range(0..10) {
+            0 => {
+                // Every other insert lands in a world the `q1` queries
+                // read, so most inserts change some answer.
+                let mut stmt = stream.next_candidate();
+                if rng.gen_range(0..2) == 0 {
+                    let paths: &[&[u32]] = &[&[], &[1], &[2, 1]];
+                    let path = paths[rng.gen_range(0..paths.len())]
+                        .iter()
+                        .map(|&u| UserId(u));
+                    stmt = BeliefStatement::new(
+                        BeliefPath::new(path.collect::<Vec<_>>()).unwrap(),
+                        stmt.tuple,
+                        stmt.sign,
+                    );
+                }
+                if bdms.insert_statement(&stmt).unwrap().changed() {
+                    explicit.push(stmt);
+                }
+            }
+            1 => {
+                let stmt = explicit.swap_remove(rng.gen_range(0..explicit.len()));
+                bdms.delete_statement(&stmt).unwrap();
+            }
+            2 => {
+                // Replace a stated positive by one with the same key and
+                // another species.
+                let i = rng.gen_range(0..explicit.len());
+                let old = explicit[i].clone();
+                if old.sign == Sign::Pos {
+                    let mut values = old.tuple.row.values().to_vec();
+                    values[2] = Value::str(format!("species{}", rng.gen_range(0..40)));
+                    let new_row = Row::new(values);
+                    let outcome = bdms
+                        .update(old.path.clone(), s, old.tuple.row.clone(), new_row.clone())
+                        .unwrap();
+                    if outcome.changed() {
+                        explicit[i] =
+                            BeliefStatement::new(old.path, GroundTuple::new(s, new_row), Sign::Pos);
+                    }
+                }
+            }
+            3 => {
+                users += 1;
+                bdms.add_user(format!("u{users}")).unwrap();
+            }
+            _ => {
+                if rng.gen_range(0..4) == 0 {
+                    key = probe_key(&bdms);
+                }
+                let queries = reads(&bdms, &key);
+                let (name, q) = &queries[rng.gen_range(0..queries.len())];
+                let naive = bdms.query_naive(q).unwrap();
+                assert_eq!(
+                    bdms.query_materialized(q).unwrap(),
+                    naive,
+                    "{ctx}: {name}: references disagree"
+                );
+                for repeat in 0..=rng.gen_range(0..3) {
+                    assert_eq!(
+                        bdms.query(q).unwrap(),
+                        naive,
+                        "{ctx}: {name} collected, repeat {repeat}"
+                    );
+                    assert_eq!(
+                        streamed(&bdms, q),
+                        naive,
+                        "{ctx}: {name} streamed, repeat {repeat}"
+                    );
+                }
+            }
+        }
+        // Every query whose answer the cache may hold, whatever the last
+        // step was: collected and streamed against both references.
+        for (name, q) in reads(&bdms, &key) {
+            let stats = bdms.plan_cache_stats();
+            max_answer_rows = max_answer_rows.max(stats.answer_rows);
+            let naive = bdms.query_naive(&q).unwrap();
+            assert_eq!(bdms.query_materialized(&q).unwrap(), naive, "{ctx}: {name}");
+            assert_eq!(bdms.query(&q).unwrap(), naive, "{ctx}: {name} collected");
+            assert_eq!(streamed(&bdms, &q), naive, "{ctx}: {name} streamed");
+        }
+    }
+    (bdms.plan_cache_stats().hits, max_answer_rows)
+}
+
+#[test]
+fn cached_answers_match_both_references_through_seeded_interleavings() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    for policy in POLICIES {
+        for seed in [5, 17] {
+            let (hits, answer_rows) = interleaving(policy, seed, 40);
+            assert!(hits > 0, "{policy:?} seed {seed}: no query hit the cache");
+            assert!(
+                answer_rows > 0,
+                "{policy:?} seed {seed}: no answer was ever stored"
+            );
+        }
+    }
+}
+
+/// Deltas of the counters this suite asserts on across `f`.
+fn deltas(f: impl FnOnce()) -> (u64, u64, u64) {
+    let before = metrics().snapshot();
+    f();
+    let d = metrics().snapshot().since(&before);
+    (
+        d.get(Metric::RowsScanned),
+        d.get(Metric::PlanCacheHits),
+        d.get(Metric::PlanCacheMisses),
+    )
+}
+
+#[test]
+fn a_third_repeat_scans_nothing_and_counts_a_hit() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    for policy in POLICIES {
+        let (bdms, _, _) = table2_store(policy, 3);
+        let key = probe_key(&bdms);
+        for (name, q) in reads(&bdms, &key) {
+            let naive = bdms.query_naive(&q).unwrap();
+            let (scanned, hits, misses) = deltas(|| assert_eq!(bdms.query(&q).unwrap(), naive));
+            assert_eq!((hits, misses), (0, 1), "{policy:?} {name}: first run");
+            assert!(scanned > 0, "{policy:?} {name}: a miss executes");
+            let (_, hits, misses) = deltas(|| assert_eq!(bdms.query(&q).unwrap(), naive));
+            assert_eq!((hits, misses), (1, 0), "{policy:?} {name}: second run");
+            let third = deltas(|| assert_eq!(bdms.query(&q).unwrap(), naive));
+            assert_eq!(third, (0, 1, 0), "{policy:?} {name}: third run");
+            // The streamed path emits the stored rows just as cheaply.
+            let fourth = deltas(|| assert_eq!(streamed(&bdms, &q), naive));
+            assert_eq!(fourth, (0, 1, 0), "{policy:?} {name}: streamed repeat");
+        }
+        assert!(bdms.plan_cache_stats().answer_rows > 0);
+    }
+}
+
+#[test]
+fn writes_outside_the_read_set_keep_the_answer_and_writes_inside_do_not() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    for policy in POLICIES {
+        let (mut bdms, mut stream, _) = table2_store(policy, 9);
+        let key = probe_key(&bdms);
+        let queries = reads(&bdms, &key);
+        // Which queries read the two tables a new user writes.
+        let reads_users = |q: &Bcq| {
+            let program = bdms.translate(q).unwrap().program;
+            PlanCache::read_versions(bdms.storage(), &program)
+                .iter()
+                .any(|(t, _)| t == U_TABLE || t == E_TABLE)
+        };
+        let touched: Vec<bool> = queries.iter().map(|(_, q)| reads_users(q)).collect();
+        assert!(
+            touched.contains(&true) && touched.contains(&false),
+            "{touched:?}"
+        );
+        for (_, q) in &queries {
+            bdms.query(q).unwrap();
+            bdms.query(q).unwrap();
+        }
+
+        // A new user writes `U` and `E` only.
+        bdms.add_user("newcomer").unwrap();
+        for ((name, q), touched) in queries.iter().zip(&touched) {
+            let naive = bdms.query_naive(q).unwrap();
+            let (scanned, hits, misses) = deltas(|| assert_eq!(bdms.query(q).unwrap(), naive));
+            if *touched {
+                assert_eq!(
+                    (hits, misses),
+                    (0, 1),
+                    "{policy:?} {name}: read set written"
+                );
+            } else {
+                assert_eq!(
+                    (scanned, hits, misses),
+                    (0, 1, 0),
+                    "{policy:?} {name}: answer kept across an unrelated write"
+                );
+            }
+        }
+
+        // An accepted insert writes `V`, which every query reads.
+        for (_, q) in &queries {
+            bdms.query(q).unwrap();
+            bdms.query(q).unwrap();
+        }
+        while !bdms
+            .insert_statement(&stream.next_candidate())
+            .unwrap()
+            .changed()
+        {}
+        for (name, q) in &queries {
+            let naive = bdms.query_naive(q).unwrap();
+            let (_, hits, misses) = deltas(|| assert_eq!(bdms.query(q).unwrap(), naive));
+            assert_eq!((hits, misses), (0, 1), "{policy:?} {name}: after an insert");
+        }
+    }
+}

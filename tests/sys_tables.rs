@@ -10,6 +10,9 @@
 //!   total_time_ns DESC LIMIT 5` end-to-end through a session;
 //! * plan-cache non-interaction — sys scans are never cached and never
 //!   count as hits or misses, and their snapshots are never stale;
+//! * `sys.plan_cache.answer_rows` — an answer is kept from the first
+//!   repeat of a query on, apart from `embedded_rows`, and agrees with
+//!   `Bdms::plan_cache_stats`;
 //! * `sys.metrics` vs `metrics().snapshot()` — every counter row is
 //!   bracketed by snapshots taken around the scan (counters are
 //!   monotonic, so `before ≤ scanned ≤ after` is exact under
@@ -177,6 +180,61 @@ fn sys_scans_never_touch_the_plan_cache_and_never_go_stale() {
         .iter()
         .any(|r| cell_str(r, 0) == fp);
     assert!(found, "sys.statements missed a statement just executed");
+}
+
+#[test]
+fn sys_plan_cache_counts_answer_rows_apart_from_embedded_rows() {
+    let mut session = session_with_rows(5);
+    let sql = "select B1.sid, B1.species from Sightings as B1";
+    let cache = |s: &Session| -> Vec<i64> {
+        let result = s.query("select * from sys.plan_cache").unwrap();
+        assert_eq!(
+            result.columns(),
+            ["hits", "misses", "entries", "embedded_rows", "answer_rows"]
+        );
+        let row = &result.rows()[0];
+        let cells: Vec<i64> = (0..5).map(|i| cell_int(row, i)).collect();
+        // The engine's own snapshot says the same.
+        let stats = s.bdms().plan_cache_stats();
+        assert_eq!(
+            cells,
+            [
+                stats.hits as i64,
+                stats.misses as i64,
+                stats.entries as i64,
+                stats.embedded_rows as i64,
+                stats.answer_rows as i64,
+            ]
+        );
+        cells
+    };
+    assert_eq!(cache(&session), [0, 0, 0, 0, 0]);
+
+    // The miss stores the plans only.
+    let answer = session.query(sql).unwrap().rows().to_vec();
+    assert_eq!(answer.len(), 5);
+    let miss = cache(&session);
+    assert_eq!((miss[1], miss[2], miss[4]), (1, 1, 0));
+    // The first hit replays them and keeps the answer beside them.
+    assert_eq!(session.query(sql).unwrap().rows(), answer);
+    let first_hit = cache(&session);
+    assert_eq!(first_hit[0], 1);
+    assert_eq!(first_hit[3], miss[3], "embedded_rows keeps its meaning");
+    assert_eq!(first_hit[4], 5);
+    // A later hit reads it; nothing is added.
+    assert_eq!(session.query(sql).unwrap().rows(), answer);
+    let later = cache(&session);
+    assert_eq!(later[0], 2);
+    assert_eq!(later[2..], first_hit[2..]);
+
+    // A write to the program's read set voids the entry; replanning
+    // under its key drops the answer with it.
+    session
+        .execute("insert into Sightings values ('s9','owl')")
+        .unwrap();
+    assert_eq!(session.query(sql).unwrap().rows().len(), 6);
+    let after = cache(&session);
+    assert_eq!((after[1], after[2], after[4]), (2, 1, 0));
 }
 
 #[test]
