@@ -1,6 +1,6 @@
 //! Durability bench: WAL append throughput vs the in-memory insert
-//! path (the acceptance bar is < 2x on the `ablation_insert` workload),
-//! recovery time as a function of WAL length, and checkpoint cost.
+//! path on the `ablation_insert` workload, recovery time as a function
+//! of WAL length, and checkpoint cost.
 //!
 //! Each timed iteration that needs a durable store builds it in a fresh
 //! scratch directory and removes it afterwards, so runs are independent
@@ -40,8 +40,9 @@ fn bench_append(c: &mut Criterion) {
             })
         });
         // Note: this iteration includes scratch-directory setup and
-        // cleanup (criterion's iter can't exclude them); the isolated
-        // append-overhead ratio is what `run_persist` reports.
+        // cleanup (criterion's iter can't exclude them); beliefbench's
+        // `curate_durable` workload times the append alone
+        // (`wal.append_ns_p50`).
         group.bench_with_input(BenchmarkId::new("durable_wal", n), &stmts, |b, stmts| {
             b.iter(|| {
                 let dir = persist_scratch_dir("bench-append");

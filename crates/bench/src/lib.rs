@@ -10,21 +10,23 @@
 //! * **Table 2** — latency and result sizes of the seven example queries
 //!   `q1,0..q1,4`, `q2`, `q3` ([`run_table2`]);
 //! * ablations (criterion benches) comparing evaluation strategies,
-//!   canonical-construction cost, and insert strategies.
+//!   canonical-construction cost, and insert strategies, plus benches of
+//!   the optimizer, magic sets, spill, persistence and `sys.*` scans,
+//!   whose query sets and workloads live here.
 //!
 //! All three figures run on the paper's `Eager` store, where `V`
 //! materializes every entailed tuple. Table 1 and Figure 6 also print the
 //! `Lazy` store of the same annotations beside it: the curve Sect. 6.3
 //! predicts but does not measure.
 //!
-//! Binaries (`table1`, `fig6`, `table2`, `all_experiments`) print
-//! paper-style reports; criterion benches wrap the same code paths.
+//! The binaries `table1`, `fig6` and `table2` print paper-style reports;
+//! `table2_queries` is also the oracle query set of beliefbench.
 
 use beliefdb_core::bcq::dsl::*;
 use beliefdb_core::bcq::Bcq;
 use beliefdb_core::{Bdms, DefaultPolicy, Result, UserId};
 use beliefdb_gen::scenarios::{fig6_series, table1_cells, table2_config};
-use beliefdb_gen::{generate_bdms, generate_bdms_with_policy, GeneratorConfig};
+use beliefdb_gen::{generate_bdms_with_policy, GeneratorConfig};
 use std::time::{Duration, Instant};
 
 /// One measured cell of Table 1.
@@ -343,12 +345,12 @@ pub fn format_table2(rows: &[Table2Row], n: usize, total_tuples: usize) -> Strin
 }
 
 // ---------------------------------------------------------------------------
-// Executor workload (shared by the spill and observability experiments)
+// Helpers shared with the criterion benches
 // ---------------------------------------------------------------------------
 
-/// The wide-intermediate executor workload: a fact table `F` (`n` rows)
-/// joined against a fanout-4 dimension `D`, so the join's intermediate
-/// is `4n` rows wide before a selective filter cuts it down.
+/// The wide-intermediate executor workload of the `spill` bench: a fact
+/// table `F` (`n` rows) joined against a fanout-4 dimension `D`, so the
+/// join's intermediate is `4n` rows wide.
 pub fn exec_streaming_db(n: usize) -> Result<beliefdb_storage::Database> {
     use beliefdb_storage::{row, Database, TableSchema};
     let mut db = Database::new();
@@ -363,57 +365,6 @@ pub fn exec_streaming_db(n: usize) -> Result<beliefdb_storage::Database> {
         }
     }
     Ok(db)
-}
-
-/// The measured plans: a selective scan→filter→project pipeline, the
-/// wide-intermediate join, and a first-rows query where streaming's
-/// short-circuiting `Limit` never runs the full join.
-pub fn exec_streaming_plans() -> Vec<(&'static str, beliefdb_storage::Plan)> {
-    use beliefdb_storage::{CmpOp, Expr, Plan};
-    let selective = Plan::scan("F")
-        .select(Expr::col_eq_lit(2, 3i64))
-        .project_cols(&[0]);
-    let wide_join = Plan::scan("F")
-        .join(Plan::scan("D"), vec![(1, 0)])
-        .select(Expr::cmp(CmpOp::Lt, Expr::Col(2), Expr::lit(5i64)))
-        .project_cols(&[0, 4]);
-    let first_rows = Plan::scan("F")
-        .join(Plan::scan("D"), vec![(1, 0)])
-        .project_cols(&[0, 4])
-        .limit(100);
-    vec![
-        ("filter", selective),
-        ("wide_join", wide_join),
-        ("first_100", first_rows),
-    ]
-}
-
-// ---------------------------------------------------------------------------
-// Spill-to-disk materialization points
-// ---------------------------------------------------------------------------
-
-/// One measured cell of the spill comparison: a plan at a budget.
-#[derive(Debug, Clone)]
-pub struct SpillRow {
-    pub plan: &'static str,
-    /// `"inf"`, `"1/2"`, or `"1/10"` of the input volume.
-    pub budget_label: &'static str,
-    pub budget: Option<usize>,
-    pub time: Duration,
-    /// The unlimited (fully in-memory) time for the same plan.
-    pub in_memory: Duration,
-    pub result_size: usize,
-    /// Bytes written to spill files, and files created, by one profiled
-    /// run at this budget (zero without one).
-    pub spill_bytes: u64,
-    pub spill_partitions: u64,
-}
-
-impl SpillRow {
-    /// Budgeted over in-memory time ratio (>1 means spilling costs).
-    pub fn slowdown(&self) -> f64 {
-        self.time.as_secs_f64() / self.in_memory.as_secs_f64().max(1e-12)
-    }
 }
 
 /// The spill workload plans: a full sort, a high-cardinality aggregate,
@@ -442,114 +393,6 @@ pub fn spill_budget(n: usize, num: usize, den: usize) -> usize {
     n * 70 * num / den
 }
 
-/// Time the spill workloads at budgets ∞, ½·input, and ⅒·input
-/// (best-of-`reps`), asserting the budgeted executor agrees with the
-/// in-memory one before anything is timed.
-pub fn run_spill(n: usize, reps: usize) -> Result<Vec<SpillRow>> {
-    use beliefdb_storage::{execute, Executor, SpillOptions};
-    let db = exec_streaming_db(n)?;
-    let best = |f: &dyn Fn() -> usize| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-    let budgets: [(&'static str, Option<usize>); 3] = [
-        ("inf", None),
-        ("1/2", Some(spill_budget(n, 1, 2))),
-        ("1/10", Some(spill_budget(n, 1, 10))),
-    ];
-    let run = |plan: &beliefdb_storage::Plan, budget: Option<usize>| -> usize {
-        let exec = match budget {
-            Some(b) => Executor::with_spill(&db, SpillOptions::with_budget(b)),
-            None => Executor::new(&db),
-        };
-        let mut out = 0usize;
-        for chunk in exec.open_chunks(plan).expect("open") {
-            out += chunk.expect("chunk").len();
-        }
-        out
-    };
-    let mut rows = Vec::new();
-    for (name, plan) in &spill_plans() {
-        let mut reference = execute(&db, plan)?;
-        reference.sort();
-        // One baseline measurement per plan; every budget row compares
-        // against it. The "inf" row is the same configuration but gets
-        // its own independent sample — that difference is what the
-        // <5%-regression guard actually measures.
-        let in_memory = best(&|| run(plan, None));
-        for (label, budget) in budgets {
-            let mut spilled = (0, 0);
-            let time = match budget {
-                None => best(&|| run(plan, None)),
-                Some(b) => {
-                    let exec = Executor::with_spill(&db, SpillOptions::with_budget(b));
-                    let (stream, profile) = exec.open_chunks_profiled(plan)?;
-                    let mut got = stream.collect_rows()?;
-                    got.sort();
-                    assert_eq!(got, reference, "budgeted executor diverged on {name}");
-                    spilled = spill_totals(profile.root());
-                    best(&|| run(plan, budget))
-                }
-            };
-            rows.push(SpillRow {
-                plan: name,
-                budget_label: label,
-                budget,
-                time,
-                in_memory,
-                result_size: reference.len(),
-                spill_bytes: spilled.0,
-                spill_partitions: spilled.1,
-            });
-        }
-    }
-    Ok(rows)
-}
-
-/// Spill bytes and spill files of an operator and everything below it.
-fn spill_totals(node: &beliefdb_storage::obs::ProfNode) -> (u64, u64) {
-    let mut totals = (node.spill_bytes.get(), node.spill_partitions.get());
-    for child in (0..2).filter_map(|slot| node.child_at(slot)) {
-        let (bytes, files) = spill_totals(&child);
-        totals = (totals.0 + bytes, totals.1 + files);
-    }
-    totals
-}
-
-/// Render the spill comparison as a small report table.
-pub fn format_spill(rows: &[SpillRow], n: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Spill-to-disk materialization points (fact table of {n} rows; \
-         budgets as fractions of the input volume)\n"
-    ));
-    out.push_str(&format!(
-        "{:<12}{:>8}{:>14}{:>14}{:>10}{:>10}\n",
-        "plan", "budget", "time(ms)", "in-mem(ms)", "slowdown", "rows"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12}{:>8}{:>14.3}{:>14.3}{:>9.2}x{:>10}\n",
-            r.plan,
-            r.budget_label,
-            r.time.as_secs_f64() * 1e3,
-            r.in_memory.as_secs_f64() * 1e3,
-            r.slowdown(),
-            r.result_size
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Persistence (WAL / snapshot / recovery)
-// ---------------------------------------------------------------------------
-
 /// A fresh scratch directory for durable-BDMS measurements.
 pub fn persist_scratch_dir(tag: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -568,343 +411,6 @@ pub fn no_auto_checkpoint() -> beliefdb_core::PersistOptions {
         segment_limit: 1 << 20,
         checkpoint_threshold: u64::MAX,
         sync_on_commit: false,
-    }
-}
-
-/// The persistence report: append overhead vs the in-memory path on the
-/// `ablation_insert` workload, recovery time as a function of WAL
-/// length, and checkpoint cost.
-#[derive(Debug, Clone)]
-pub struct PersistReport {
-    pub n: usize,
-    /// Apply all `n` candidate statements to an in-memory BDMS.
-    pub in_memory_insert: Duration,
-    /// Same workload with write-ahead logging (fresh directory per run).
-    pub durable_insert: Duration,
-    /// `Bdms::open` wall time per replayed WAL length (records, time).
-    pub recovery: Vec<(usize, Duration)>,
-    /// `Bdms::open` when a snapshot covers everything (empty tail).
-    pub snapshot_recovery: Duration,
-    /// One `checkpoint()` of the fully-loaded store.
-    pub checkpoint: Duration,
-    /// Live WAL bytes after the full un-checkpointed run.
-    pub wal_bytes_full: u64,
-}
-
-impl PersistReport {
-    /// Durable over in-memory insert-time ratio (the acceptance bar is
-    /// < 2×).
-    pub fn append_overhead(&self) -> f64 {
-        self.durable_insert.as_secs_f64() / self.in_memory_insert.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Run the persistence measurements: `n` candidate statements from the
-/// `ablation_insert` generator (10 users, seed 42), `reps` runs each,
-/// best-of to damp scheduler noise.
-pub fn run_persist(n: usize, reps: usize) -> Result<PersistReport> {
-    use beliefdb_gen::{experiment_schema, CandidateStream};
-    let cfg = ablation_config(n, 10, 42);
-    let mut stream = CandidateStream::new(&cfg);
-    let stmts: Vec<beliefdb_core::BeliefStatement> =
-        (0..n).map(|_| stream.next_candidate()).collect();
-
-    let fresh_users = |bdms: &mut Bdms| {
-        for i in 1..=10 {
-            bdms.add_user(format!("u{i}")).expect("user");
-        }
-    };
-    let best = |f: &mut dyn FnMut() -> usize| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-
-    // Both sides time *only* the statement loop: store construction,
-    // scratch-directory setup, and cleanup happen outside the clock so
-    // the reported ratio isolates the WAL append cost itself.
-    let mut in_memory_insert = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let mut bdms = Bdms::new(beliefdb_gen::experiment_schema()).expect("schema");
-        fresh_users(&mut bdms);
-        let start = Instant::now();
-        for s in &stmts {
-            let _ = bdms.insert_statement(s).expect("insert");
-        }
-        std::hint::black_box(bdms.stats().total_tuples);
-        in_memory_insert = in_memory_insert.min(start.elapsed());
-    }
-
-    let mut durable_insert = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let dir = persist_scratch_dir("append");
-        let mut bdms = Bdms::create_with_options(&dir, experiment_schema(), no_auto_checkpoint())
-            .expect("create");
-        fresh_users(&mut bdms);
-        let start = Instant::now();
-        for s in &stmts {
-            let _ = bdms.insert_statement(s).expect("insert");
-        }
-        std::hint::black_box(bdms.stats().total_tuples);
-        durable_insert = durable_insert.min(start.elapsed());
-        drop(bdms);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    // Recovery time vs WAL length: durable histories of growing record
-    // counts, reopened cold (snapshot holds only the empty store).
-    let mut recovery = Vec::new();
-    let mut wal_bytes_full = 0;
-    let mut full_dir = None;
-    for len in [n / 4, n / 2, n] {
-        if len == 0 {
-            continue;
-        }
-        let dir = persist_scratch_dir("recover");
-        let mut bdms = Bdms::create_with_options(&dir, experiment_schema(), no_auto_checkpoint())
-            .expect("create");
-        fresh_users(&mut bdms);
-        for s in &stmts[..len] {
-            let _ = bdms.insert_statement(s).expect("insert");
-        }
-        if len == n {
-            wal_bytes_full = bdms.wal_stats().expect("durable").wal_bytes;
-        }
-        drop(bdms);
-        let time = best(&mut || {
-            Bdms::open_with_options(&dir, no_auto_checkpoint())
-                .expect("open")
-                .stats()
-                .total_tuples
-        });
-        recovery.push((len + 10, time)); // +10 user records
-        if len == n {
-            full_dir = Some(dir);
-        } else {
-            std::fs::remove_dir_all(&dir).expect("cleanup");
-        }
-    }
-
-    // Checkpoint cost on the full store, then snapshot-only recovery.
-    let full_dir = full_dir.expect("n >= 1");
-    let mut bdms = Bdms::open_with_options(&full_dir, no_auto_checkpoint()).expect("open");
-    let start = Instant::now();
-    bdms.checkpoint().expect("checkpoint");
-    let checkpoint = start.elapsed();
-    drop(bdms);
-    let snapshot_recovery = best(&mut || {
-        Bdms::open_with_options(&full_dir, no_auto_checkpoint())
-            .expect("open")
-            .stats()
-            .total_tuples
-    });
-    std::fs::remove_dir_all(&full_dir).expect("cleanup");
-
-    Ok(PersistReport {
-        n,
-        in_memory_insert,
-        durable_insert,
-        recovery,
-        snapshot_recovery,
-        checkpoint,
-        wal_bytes_full,
-    })
-}
-
-/// Render the persistence report.
-pub fn format_persist(r: &PersistReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Durability: WAL append overhead and recovery time ({} statements, 10 users)\n",
-        r.n
-    ));
-    out.push_str(&format!(
-        "  insert workload   in-memory {:>10.3}ms   durable {:>10.3}ms   overhead {:.2}x\n",
-        r.in_memory_insert.as_secs_f64() * 1e3,
-        r.durable_insert.as_secs_f64() * 1e3,
-        r.append_overhead()
-    ));
-    out.push_str(&format!(
-        "  live WAL after full run: {} bytes\n",
-        r.wal_bytes_full
-    ));
-    out.push_str("  recovery (snapshot of empty store + WAL-tail replay):\n");
-    for (records, time) in &r.recovery {
-        out.push_str(&format!(
-            "    {:>8} records {:>10.3}ms\n",
-            records,
-            time.as_secs_f64() * 1e3
-        ));
-    }
-    out.push_str(&format!(
-        "  checkpoint of full store: {:.3}ms; reopen from snapshot: {:.3}ms\n",
-        r.checkpoint.as_secs_f64() * 1e3,
-        r.snapshot_recovery.as_secs_f64() * 1e3
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Observability overhead (BENCH_obs.json)
-// ---------------------------------------------------------------------------
-
-/// One measured workload of the observability experiment: the same plan
-/// drained with obs disabled and with per-operator profiling on.
-#[derive(Debug, Clone)]
-pub struct ObsRow {
-    pub name: &'static str,
-    pub disabled: Duration,
-    pub profiled: Duration,
-    pub result_size: usize,
-}
-
-impl ObsRow {
-    /// Profiled-over-disabled time ratio (1.0 = profiling is free).
-    pub fn overhead(&self) -> f64 {
-        self.profiled.as_secs_f64() / self.disabled.as_secs_f64().max(1e-12)
-    }
-
-    /// Disabled-path throughput in result rows per second.
-    pub fn rows_per_sec(&self) -> f64 {
-        self.result_size as f64 / self.disabled.as_secs_f64().max(1e-12)
-    }
-}
-
-/// The observability experiment's output: per-workload medians plus the
-/// engine metrics the run itself generated (a registry snapshot delta).
-#[derive(Debug, Clone)]
-pub struct ObsReport {
-    pub rows: Vec<ObsRow>,
-    pub metrics: Vec<(&'static str, u64)>,
-}
-
-/// The measured workloads: the executor-comparison plans plus a hash
-/// join + distinct forced to spill under a ⅒-of-input budget.
-pub fn obs_workloads(n: usize) -> Vec<(&'static str, beliefdb_storage::Plan, Option<usize>)> {
-    let mut out: Vec<_> = exec_streaming_plans()
-        .into_iter()
-        .map(|(name, plan)| (name, plan, None))
-        .collect();
-    let spilling = beliefdb_storage::Plan::scan("F")
-        .join(beliefdb_storage::Plan::scan("D"), vec![(1, 0)])
-        .distinct();
-    out.push(("spill_join", spilling, Some(spill_budget(n, 1, 10))));
-    out
-}
-
-/// Run every obs workload (`reps` runs each, **median** — this report
-/// feeds a machine-readable file, so a robust central value beats
-/// best-of) with profiling off and on, asserting the profile agrees
-/// with the materialized result before anything is recorded.
-pub fn run_obs(n: usize, reps: usize) -> Result<ObsReport> {
-    use beliefdb_storage::{metrics, Executor, SpillOptions};
-    let db = exec_streaming_db(n)?;
-    let before = metrics().snapshot();
-    let mut rows = Vec::new();
-    for (name, plan, budget) in obs_workloads(n) {
-        let exec = match budget {
-            Some(b) => Executor::with_spill(&db, SpillOptions::with_budget(b)),
-            None => Executor::new(&db),
-        };
-        let drain_plain = || -> usize {
-            let mut out = 0usize;
-            for chunk in exec.open_chunks(&plan).expect("open") {
-                out += chunk.expect("chunk").len();
-            }
-            out
-        };
-        let drain_profiled = || -> usize {
-            let (stream, profile) = exec.open_chunks_profiled(&plan).expect("open profiled");
-            let mut out = 0usize;
-            for chunk in stream {
-                out += chunk.expect("chunk").len();
-            }
-            assert_eq!(profile.rows_out() as usize, out, "{name}: profile drift");
-            out
-        };
-        let size = drain_plain();
-        assert_eq!(
-            drain_profiled(),
-            size,
-            "{name}: profiling changed the result"
-        );
-        let median = |f: &dyn Fn() -> usize| -> Duration {
-            let mut samples: Vec<Duration> = (0..reps.max(1))
-                .map(|_| {
-                    let start = Instant::now();
-                    std::hint::black_box(f());
-                    start.elapsed()
-                })
-                .collect();
-            samples.sort_unstable();
-            samples[samples.len() / 2]
-        };
-        let disabled = median(&drain_plain);
-        let profiled = median(&drain_profiled);
-        rows.push(ObsRow {
-            name,
-            disabled,
-            profiled,
-            result_size: size,
-        });
-    }
-    let delta = metrics().snapshot().since(&before);
-    Ok(ObsReport {
-        rows,
-        metrics: delta.counters().collect(),
-    })
-}
-
-/// Render the observability report as a small table plus the metrics
-/// the run generated.
-pub fn format_obs(report: &ObsReport, n: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Observability overhead (fact table of {n} rows; per-workload medians)\n"
-    ));
-    out.push_str(&format!(
-        "{:<12}{:>12}{:>14}{:>10}{:>14}{:>10}\n",
-        "workload", "off(ms)", "profiled(ms)", "overhead", "rows/s", "rows"
-    ));
-    for r in &report.rows {
-        out.push_str(&format!(
-            "{:<12}{:>12.3}{:>14.3}{:>9.2}x{:>14.0}{:>10}\n",
-            r.name,
-            r.disabled.as_secs_f64() * 1e3,
-            r.profiled.as_secs_f64() * 1e3,
-            r.overhead(),
-            r.rows_per_sec(),
-            r.result_size
-        ));
-    }
-    out.push_str("run-generated metrics (registry delta, nonzero):\n");
-    for (name, v) in &report.metrics {
-        if *v > 0 {
-            out.push_str(&format!("  {name:<24} {v:>12}\n"));
-        }
-    }
-    out
-}
-
-/// One measured query of the magic-sets comparison.
-#[derive(Debug, Clone)]
-pub struct OptMagicRow {
-    pub name: &'static str,
-    /// Best-of time with the demand-driven rewrite on (the default path).
-    pub magic_on: Duration,
-    /// Best-of time evaluating the raw Algorithm 1 rule stack.
-    pub magic_off: Duration,
-    pub result_size: usize,
-}
-
-impl OptMagicRow {
-    /// Unrewritten over rewritten time ratio (>1 means magic wins).
-    pub fn speedup(&self) -> f64 {
-        self.magic_off.as_secs_f64() / self.magic_on.as_secs_f64().max(1e-12)
     }
 }
 
@@ -952,154 +458,6 @@ pub fn opt_magic_queries(bdms: &Bdms) -> Result<Vec<(&'static str, Bcq)>> {
     ])
 }
 
-/// Time each magic-sets workload with the rewrite on and off (`reps`
-/// runs, best-of) after asserting both paths agree. Each path warms its
-/// own plan-cache entry first, so the timings measure evaluation, not
-/// optimization.
-pub fn run_opt_magic(n: usize, reps: usize) -> Result<Vec<OptMagicRow>> {
-    let (mut bdms, _) = generate_bdms(&table2_config(n, 42))?;
-    let queries = opt_magic_queries(&bdms)?;
-    let mut out = Vec::new();
-    for (name, q) in queries {
-        bdms.set_magic(true);
-        let on_rows = bdms.query(&q)?;
-        bdms.set_magic(false);
-        let off_rows = bdms.query(&q)?;
-        assert_eq!(on_rows, off_rows, "magic rewrite changed answers on {name}");
-        let mut best = [Duration::MAX; 2];
-        for (slot, magic) in [(0usize, true), (1usize, false)] {
-            bdms.set_magic(magic);
-            for _ in 0..reps.max(1) {
-                let start = Instant::now();
-                std::hint::black_box(bdms.query(&q)?.len());
-                best[slot] = best[slot].min(start.elapsed());
-            }
-        }
-        bdms.set_magic(true);
-        out.push(OptMagicRow {
-            name,
-            magic_on: best[0],
-            magic_off: best[1],
-            result_size: on_rows.len(),
-        });
-    }
-    Ok(out)
-}
-
-/// Render the magic-sets comparison as a small report table.
-pub fn format_opt_magic(rows: &[OptMagicRow], n: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Demand-driven rewrite vs raw rule stack ({n} annotations)\n"
-    ));
-    out.push_str(&format!(
-        "{:<14}{:>12}{:>14}{:>10}{:>10}\n",
-        "query", "magic(ms)", "nomagic(ms)", "speedup", "rows"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14}{:>12.3}{:>14.3}{:>9.2}x{:>10}\n",
-            r.name,
-            r.magic_on.as_secs_f64() * 1e3,
-            r.magic_off.as_secs_f64() * 1e3,
-            r.speedup(),
-            r.result_size
-        ));
-    }
-    out
-}
-
-/// Write the machine-readable magic-sets report: `{"n", "workloads":
-/// {name: {median_ns_magic, median_ns_nomagic, speedup, rows}}}`.
-/// Hand-rolled JSON like the obs report — known keys, finite
-/// numbers, nothing to escape.
-pub fn write_bench_magic_json(
-    path: &std::path::Path,
-    rows: &[OptMagicRow],
-    n: usize,
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str("  \"workloads\": {\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"median_ns_magic\": {}, \"median_ns_nomagic\": {}, \
-             \"speedup\": {:.4}, \"rows\": {}}}{}\n",
-            r.name,
-            r.magic_on.as_nanos(),
-            r.magic_off.as_nanos(),
-            r.speedup(),
-            r.result_size,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    std::fs::write(path, out)
-}
-
-/// Write the machine-readable report: `{"n", "workloads": {name:
-/// {median_ns_*, overhead, rows_per_s, rows}}, "metrics": {...}}`.
-/// Hand-rolled JSON — every key is a known identifier and every value a
-/// finite number, so nothing needs escaping (and the offline build
-/// keeps its zero-dependency rule).
-pub fn write_bench_obs_json(
-    path: &std::path::Path,
-    report: &ObsReport,
-    n: usize,
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str("  \"workloads\": {\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"median_ns_disabled\": {}, \"median_ns_profiled\": {}, \
-             \"overhead\": {:.4}, \"rows_per_s\": {:.1}, \"rows\": {}}}{}\n",
-            r.name,
-            r.disabled.as_nanos(),
-            r.profiled.as_nanos(),
-            r.overhead(),
-            r.rows_per_sec(),
-            r.result_size,
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n  \"metrics\": {\n");
-    for (i, (name, v)) in report.metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{name}\": {v}{}\n",
-            if i + 1 < report.metrics.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    std::fs::write(path, out)
-}
-
-// ---------------------------------------------------------------------------
-// System catalog (sys.*) scans
-// ---------------------------------------------------------------------------
-
-/// One measured `sys.*` catalog scan: a full BeliefSQL round trip
-/// (parse → plan → optimize → chunked executor) through a live session.
-#[derive(Debug, Clone)]
-pub struct SysTableRow {
-    pub name: &'static str,
-    pub sql: &'static str,
-    pub median: Duration,
-    pub rows: usize,
-}
-
-/// The system-catalog experiment's output: per-scan medians plus the
-/// fingerprint population resident when measured.
-#[derive(Debug, Clone)]
-pub struct SysTablesReport {
-    pub rows: Vec<SysTableRow>,
-    pub tracked_statements: usize,
-}
-
 /// The measured catalog scans, the acceptance query first.
 pub fn obs_systables_queries() -> Vec<(&'static str, &'static str)> {
     vec![
@@ -1118,8 +476,8 @@ pub fn obs_systables_queries() -> Vec<(&'static str, &'static str)> {
 
 /// A session whose statement store carries a realistic fingerprint
 /// population: `n.min(2000)` seed inserts (inserts run the full
-/// BeliefSQL path, so the count is capped to keep the harness
-/// interactive at large `--n`) plus 64 distinct query shapes.
+/// BeliefSQL path, so the count is capped to keep set-up short at large
+/// `n`) plus 64 distinct query shapes.
 pub fn obs_systables_session(n: usize) -> beliefdb_sql::Session {
     let mut session = beliefdb_sql::Session::new(
         beliefdb_core::ExternalSchema::new().with_relation("Facts", &["k", "v"]),
@@ -1138,91 +496,6 @@ pub fn obs_systables_session(n: usize) -> beliefdb_sql::Session {
         }
     }
     session
-}
-
-/// Run every catalog scan (`reps` runs each, median) through a seeded
-/// session. Scan statements are themselves tracked while they run —
-/// that is the production configuration, so it is what gets measured.
-pub fn run_obs_systables(n: usize, reps: usize) -> Result<SysTablesReport> {
-    let session = obs_systables_session(n);
-    let tracked = beliefdb_storage::obs::statements_snapshot().len();
-    let mut rows = Vec::new();
-    for (name, sql) in obs_systables_queries() {
-        let run = || session.query(sql).expect("sys scan").rows().len();
-        let size = run();
-        assert!(size > 0, "{name}: empty catalog scan");
-        let mut samples: Vec<Duration> = (0..reps.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(run());
-                start.elapsed()
-            })
-            .collect();
-        samples.sort_unstable();
-        rows.push(SysTableRow {
-            name,
-            sql,
-            median: samples[samples.len() / 2],
-            rows: size,
-        });
-    }
-    Ok(SysTablesReport {
-        rows,
-        tracked_statements: tracked,
-    })
-}
-
-/// Render the system-catalog report as a small table.
-pub fn format_obs_systables(report: &SysTablesReport, n: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "System-catalog scans (fact table of {} rows, {} tracked fingerprint(s); \
-         full session round trips; medians)\n",
-        n.min(2_000),
-        report.tracked_statements
-    ));
-    out.push_str(&format!(
-        "{:<18}{:>12}{:>8}  {}\n",
-        "scan", "median(us)", "rows", "statement"
-    ));
-    for r in &report.rows {
-        out.push_str(&format!(
-            "{:<18}{:>12.1}{:>8}  {}\n",
-            r.name,
-            r.median.as_secs_f64() * 1e6,
-            r.rows,
-            r.sql
-        ));
-    }
-    out
-}
-
-/// Write the machine-readable report: `{"n", "tracked_statements",
-/// "workloads": {name: {"median_ns", "rows"}}}`. Hand-rolled JSON like
-/// the other report writers — every key is a known identifier.
-pub fn write_bench_systables_json(
-    path: &std::path::Path,
-    report: &SysTablesReport,
-    n: usize,
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!(
-        "  \"tracked_statements\": {},\n",
-        report.tracked_statements
-    ));
-    out.push_str("  \"workloads\": {\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"median_ns\": {}, \"rows\": {}}}{}\n",
-            r.name,
-            r.median.as_nanos(),
-            r.rows,
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    std::fs::write(path, out)
 }
 
 /// Parse `--flag value` style arguments with defaults (tiny helper shared
@@ -1244,77 +517,10 @@ pub fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Default generator config used by the storage/insert ablations.
-pub fn ablation_config(n: usize, users: usize, seed: u64) -> GeneratorConfig {
-    GeneratorConfig::new(users, n).with_seed(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn obs_report_covers_every_workload_and_serializes() {
-        let report = run_obs(300, 2).unwrap();
-        let names: Vec<_> = report.rows.iter().map(|r| r.name).collect();
-        assert_eq!(
-            names,
-            vec!["filter", "wide_join", "first_100", "spill_join"]
-        );
-        assert!(report.rows.iter().all(|r| r.result_size > 0));
-        let path = persist_scratch_dir("obs-json").with_extension("json");
-        write_bench_obs_json(&path, &report, 300).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        for name in names {
-            assert!(text.contains(&format!("\"{name}\"")), "{text}");
-        }
-        assert!(text.contains("\"exec.rows_scanned\""), "{text}");
-        assert!(format_obs(&report, 300).contains("spill_join"));
-    }
-
-    #[test]
-    fn systables_report_covers_every_scan_and_serializes() {
-        let report = run_obs_systables(200, 2).unwrap();
-        let names: Vec<_> = report.rows.iter().map(|r| r.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "statements_top5",
-                "statements_full",
-                "metrics_scan",
-                "tables_scan"
-            ]
-        );
-        assert!(report.tracked_statements >= 64);
-        let top5 = &report.rows[0];
-        assert_eq!(top5.rows, 5, "LIMIT 5 must cap the acceptance query");
-        let path = persist_scratch_dir("systables-json").with_extension("json");
-        write_bench_systables_json(&path, &report, 200).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        for name in names {
-            assert!(text.contains(&format!("\"{name}\"")), "{text}");
-        }
-        assert!(text.contains("\"tracked_statements\""), "{text}");
-        assert!(format_obs_systables(&report, 200).contains("statements_top5"));
-    }
-
-    #[test]
-    fn opt_magic_report_covers_every_workload_and_serializes() {
-        let rows = run_opt_magic(400, 2).unwrap();
-        let names: Vec<_> = rows.iter().map(|r| r.name).collect();
-        assert_eq!(names, vec!["bound_probe", "sip_join", "unbound_scan"]);
-        let path = persist_scratch_dir("magic-json").with_extension("json");
-        write_bench_magic_json(&path, &rows, 400).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        for name in names {
-            assert!(text.contains(&format!("\"{name}\"")), "{text}");
-        }
-        assert!(text.contains("\"median_ns_magic\""), "{text}");
-        assert!(format_opt_magic(&rows, 400).contains("bound_probe"));
-    }
+    use beliefdb_gen::generate_bdms;
 
     #[test]
     fn table1_runs_at_small_scale() {
@@ -1387,58 +593,6 @@ mod tests {
         assert!(rendered.contains("E(ms)"));
         // content queries should return something on a populated database
         assert!(rows[1].result_size > 0, "q1,1 empty: {rows:?}");
-    }
-
-    #[test]
-    fn spill_harness_runs_and_spills_under_a_budget() {
-        let n = if cfg!(debug_assertions) {
-            6_000
-        } else {
-            40_000
-        };
-        // `run_spill` itself holds every budgeted answer to the unbudgeted
-        // one. What is asserted here repeats exactly; the slowdown depends
-        // on the machine and the moment and is only printed.
-        let rows = run_spill(n, 3).unwrap();
-        assert_eq!(rows.len(), 12, "4 plans x 3 budgets");
-        for r in &rows {
-            assert!(r.result_size > 0, "{r:?}");
-            // The sort and the distinct hold their whole input, so any
-            // budget below it makes them spill; the aggregate's groups and
-            // the join's build side may fit.
-            let spilled = r.spill_bytes > 0 && r.spill_partitions > 0;
-            match (r.plan, r.budget) {
-                (_, None) => assert_eq!((r.spill_bytes, r.spill_partitions), (0, 0), "{r:?}"),
-                ("sort" | "distinct", Some(_)) => assert!(spilled, "{r:?}"),
-                _ => {}
-            }
-        }
-        let rendered = format_spill(&rows, n);
-        println!("{rendered}");
-        assert!(rendered.contains("slowdown"));
-        assert!(rendered.contains("1/10"));
-    }
-
-    #[test]
-    fn persist_harness_runs_and_meets_the_overhead_bar() {
-        let report = run_persist(400, 3).unwrap();
-        assert_eq!(report.recovery.len(), 3);
-        assert!(report.wal_bytes_full > 0);
-        // Recovery work grows with WAL length (compare endpoints; the
-        // times themselves are asserted only for sanity, not ordered,
-        // to stay robust on noisy CI machines).
-        assert!(report.recovery[0].0 < report.recovery[2].0);
-        // Acceptance bar: WAL append keeps the insert workload under
-        // 2x the in-memory path (best-of-3 damps scheduler noise).
-        assert!(
-            report.append_overhead() < 2.0,
-            "durable insert overhead {}x exceeds the 2x bar",
-            report.append_overhead()
-        );
-        let rendered = format_persist(&report);
-        assert!(rendered.contains("overhead"));
-        assert!(rendered.contains("records"));
-        assert!(rendered.contains("checkpoint"));
     }
 
     #[test]

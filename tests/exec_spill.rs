@@ -187,14 +187,25 @@ fn dedicated_workloads_spill_at_just_below_input_budgets() {
             aggs: vec![Agg::Count, Agg::Min(1), Agg::Max(0)],
         },
     ];
+    // The rows, and the bytes and run files the root operator spilled.
+    let run = |exec: &Executor, plan: &Plan| {
+        let (stream, profile) = exec.open_chunks_profiled(plan).unwrap();
+        let rows = stream.collect_rows().unwrap();
+        let root = profile.root();
+        (rows, root.spill_bytes.get(), root.spill_partitions.get())
+    };
     for plan in &plans {
         let reference = execute(&db, plan).unwrap();
+        let (_, bytes, files) = run(&Executor::new(&db), plan);
+        assert_eq!((bytes, files), (0, 0), "spilled without a budget: {plan:?}");
         for budget in [just_below, just_below / 10] {
-            let got = budgeted(&db, budget, &dir)
-                .open_chunks(plan)
-                .unwrap()
-                .collect_rows()
-                .unwrap();
+            let (got, bytes, files) = run(&budgeted(&db, budget, &dir), plan);
+            // A sort and a distinct hold their whole input, so any budget
+            // below it makes them spill; the aggregate's groups and the
+            // join's build side may fit.
+            if matches!(plan, Plan::Sort { .. } | Plan::Distinct { .. }) {
+                assert!(bytes > 0 && files > 0, "no spill at {budget}: {plan:?}");
+            }
             if matches!(plan, Plan::Sort { .. }) {
                 assert_eq!(got, reference, "sort order diverged at budget {budget}");
             } else {

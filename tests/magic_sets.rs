@@ -270,6 +270,15 @@ fn bdms_toggle_agrees_on_fuzzed_queries() {
         bdms.set_magic(true);
     }
     assert!(checked > 20, "only {checked} valid cases");
+
+    // The three shapes the `opt_magic` bench times.
+    for (name, q) in beliefdb_bench::opt_magic_queries(&bdms).unwrap() {
+        let on = bdms.query(&q).unwrap();
+        bdms.set_magic(false);
+        let off = bdms.query(&q).unwrap();
+        bdms.set_magic(true);
+        assert_eq!(on, off, "magic toggle changed answers on {name}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -68,11 +68,12 @@ fn cell_str(row: &Row, i: usize) -> String {
 #[test]
 fn acceptance_query_end_to_end() {
     let session = session_with_rows(4);
-    // Accumulate a few distinct statements first.
-    session.query("select A7.sid from Sightings as A7").unwrap();
-    session
-        .query("select A8.species from Sightings as A8")
-        .unwrap();
+    // Accumulate more distinct statements than the LIMIT keeps.
+    for i in 0..6 {
+        session
+            .query(&format!("select A{i}.sid from Sightings as A{i}"))
+            .unwrap();
+    }
 
     let result = session
         .query("SELECT * FROM sys.statements ORDER BY total_time_ns DESC LIMIT 5")
@@ -96,7 +97,7 @@ fn acceptance_query_end_to_end() {
         ]
     );
     let rows = result.rows();
-    assert!(!rows.is_empty() && rows.len() <= 5, "LIMIT 5 must cap rows");
+    assert_eq!(rows.len(), 5, "LIMIT 5 must cap rows");
     // ORDER BY total_time_ns DESC: non-increasing down the result.
     for pair in rows.windows(2) {
         assert!(
