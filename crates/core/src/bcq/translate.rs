@@ -5,11 +5,13 @@
 //! table
 //!
 //! ```text
-//! T_i(w̄_i, x̄, s) :− E*(0, w̄_i, z), V(z, t, _, s, _), R*(t, x̄)
+//! T_i(w̄_i, x̄, s) :− E*(0, w̄_i, z), V(z, t, x₁, s, _), R*(t, x̄)
 //! ```
 //!
 //! where `E*` is the chain of edge joins walking the belief path from the
-//! root, and then composes a final rule joining the temp tables with the
+//! root and `x₁` is the key attribute of `R*(t, x̄)`, which `V`'s key column
+//! repeats (the paper writes `_` there; naming it lets a rule restricted to
+//! demanded keys probe `V` on `(wid, key)`), and then composes a final rule joining the temp tables with the
 //! paper's conditions `C_i`:
 //!
 //! * positive subgoal: sign `'+'` and the subgoal's own terms (constants
@@ -28,18 +30,16 @@
 //!   positive subgoals, and must not be for negative ones).
 //!
 //! Under [`DefaultPolicy::Lazy`] `V` holds the explicit statements only,
-//! and the `V(z, t, _, s, _)` atom becomes the entailed view of Sect. 6.3:
+//! and the `V(z, t, x₁, s, _)` atom becomes the entailed view of Sect. 6.3:
 //! the temp table is a union of one rule per sign and per chain position
 //! `j = 0..d` (`d` the smaller of the subgoal's path length and the depth
 //! of the directory's deepest state), each reading `V` at `Sʲ(z)` through
-//! `j` joins with `S` and anti-joining the overrides at `S⁰(z) … Sʲ⁻¹(z)`
-//! (`x₁` is the key attribute of `R*(t, x̄)`, which `V`'s key column
-//! repeats):
+//! `j` joins with `S` and anti-joining the overrides at `S⁰(z) … Sʲ⁻¹(z)`:
 //!
 //! ```text
-//! T_i(w̄, x̄, +) :− E*(0, w̄, z), S(z, z1), …, S(zj−1, zj), V(zj, t, _, +, _),
+//! T_i(w̄, x̄, +) :− E*(0, w̄, z), S(z, z1), …, S(zj−1, zj), V(zj, t, x₁, +, _),
 //!                 R*(t, x̄), ⋀_{h<j} ¬V(zh, _, x₁, +, _) ∧ ¬V(zh, t, x₁, −, _)
-//! T_i(w̄, x̄, −) :− E*(0, w̄, z), S(z, z1), …, S(zj−1, zj), V(zj, t, _, −, _),
+//! T_i(w̄, x̄, −) :− E*(0, w̄, z), S(z, z1), …, S(zj−1, zj), V(zj, t, x₁, −, _),
 //!                 R*(t, x̄), ⋀_{h<j} ¬V(zh, t, x₁, +, _)
 //! ```
 //!
@@ -121,7 +121,7 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
             }
         }
 
-        // V(z, t, _, s, _)
+        // V(z, t, x₁, s, _)
         let v = v_table(rel_def.name());
         let tid = Term::var(format!("__t{i}"));
         let sign_term: Term = match sg.sign {
@@ -146,11 +146,15 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
         let star = BodyLit::Pos(Atom::new(star_table(rel_def.name()), star_terms));
         head_terms.extend(col_terms.iter().cloned());
 
+        // `V`'s key column repeats the tuple's first attribute: writing it
+        // into the stated `V` atom lets a rule restricted on the key probe
+        // `(wid, key)` instead of reading the whole world.
+        let key = &col_terms[0];
         match store.policy() {
             DefaultPolicy::Eager => {
                 body.push(BodyLit::Pos(Atom::new(
                     v,
-                    vec![prev, tid, Term::Any, sign_term.clone(), Term::Any],
+                    vec![prev, tid, key.clone(), sign_term.clone(), Term::Any],
                 )));
                 body.push(star);
                 head_terms.push(sign_term);
@@ -164,10 +168,6 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
                     Sign::Pos => &[Sign::Pos],
                     Sign::Neg => &[Sign::Pos, Sign::Neg],
                 };
-                // `V`'s key column is the tuple's first attribute, bound by
-                // `R*`: the anti-joins run once `R*` — and a magic guard
-                // on the tuple's columns — has been joined.
-                let key = &col_terms[0];
                 // The world `z` of a path of length l has depth ≤ l.
                 let deepest = sg.path.len().min(store.directory().max_depth());
                 for &sign in signs {
@@ -593,7 +593,7 @@ fn entailed_v(
     body.push(BodyLit::Pos(stated(
         &chain[j],
         tid.clone(),
-        Term::Any,
+        key.clone(),
         sign,
     )));
     for nearer in &chain[..j] {
@@ -675,6 +675,18 @@ mod tests {
             .body
             .iter()
             .any(|b| matches!(b, BodyLit::Pos(a) if a.relation == "E")));
+        // `V(z, t, x₁, s, _)`: the stated row names the key `R*(t, x̄)`
+        // binds, so a rule restricted on the key probes `(wid, key)`.
+        let atom = |rel: &str| {
+            temp.body
+                .iter()
+                .find_map(|b| match b {
+                    BodyLit::Pos(a) if a.relation == rel => Some(a.terms.clone()),
+                    _ => None,
+                })
+                .unwrap()
+        };
+        assert_eq!(atom("V__Sightings")[2], atom("Sightings__star")[1]);
 
         // Under `Lazy` the temp table is the unrolled view: the world
         // itself and its suffix parent (a depth-1 world has no more).

@@ -428,6 +428,10 @@ pub struct Evaluator<'a> {
     /// (see [`crate::exec::spill`]); unlimited by default. The
     /// materializing reference executor ignores it.
     spill: crate::exec::SpillOptions,
+    /// The dedup set of the head the last rule fed: a head's rules run
+    /// back to back, so the next rule of the same head extends it instead
+    /// of rebuilding it from the head's rows.
+    head_seen: Option<(String, HashSet<Row>)>,
 }
 
 /// Pull every result row of `plan` through the chunked executor (or, with
@@ -626,6 +630,7 @@ impl<'a> Evaluator<'a> {
             stats: None,
             materialized: false,
             spill: crate::exec::SpillOptions::unlimited(),
+            head_seen: None,
         }
     }
 
@@ -766,6 +771,7 @@ impl<'a> Evaluator<'a> {
     /// Fold `rows` into the head relation's derived entry, enforcing that
     /// every rule deriving the same head agrees on its arity.
     fn materialize_head(&mut self, rule: &Rule, rows: Vec<Row>) -> Result<()> {
+        self.head_seen = None;
         let entry = self.head_entry(rule)?;
         entry.1.extend(rows);
         dedup_rows(&mut entry.1);
@@ -798,12 +804,26 @@ impl<'a> Evaluator<'a> {
         let db = self.db;
         let materialized = self.materialized;
         let spill = self.spill.clone();
+        let mut seen = self.take_head_seen(rule)?;
         let entry = self.head_entry(rule)?;
-        let mut seen: HashSet<Row> = entry.1.iter().cloned().collect();
-        drive(db, plan, materialized, &spill, |row| {
+        let out = drive(db, plan, materialized, &spill, |row| {
             if seen.insert(row.clone()) {
                 entry.1.push(row);
             }
+        });
+        self.head_seen = Some((rule.head.relation.clone(), seen));
+        out
+    }
+
+    /// The dedup set of `rule`'s head: the one the previous rule left if
+    /// it fed the same head (and the head has not changed since), else
+    /// built from the head's rows.
+    fn take_head_seen(&mut self, rule: &Rule) -> Result<HashSet<Row>> {
+        let cached = self.head_seen.take();
+        let rows = &self.head_entry(rule)?.1;
+        Ok(match cached {
+            Some((head, seen)) if head == rule.head.relation && seen.len() == rows.len() => seen,
+            _ => rows.iter().cloned().collect(),
         })
     }
 
@@ -816,17 +836,20 @@ impl<'a> Evaluator<'a> {
     ) -> Result<crate::obs::Profile> {
         let db = self.db;
         let spill = self.spill.clone();
+        let mut seen = self.take_head_seen(rule)?;
         let entry = self.head_entry(rule)?;
-        let mut seen: HashSet<Row> = entry.1.iter().cloned().collect();
-        drive_profiled(db, plan, &spill, |row| {
+        let out = drive_profiled(db, plan, &spill, |row| {
             if seen.insert(row.clone()) {
                 entry.1.push(row);
             }
-        })
+        });
+        self.head_seen = Some((rule.head.relation.clone(), seen));
+        out
     }
 
     /// Register a pre-materialized relation (e.g. a literal temp table).
     pub fn define(&mut self, name: impl Into<String>, arity: usize, rows: Vec<Row>) {
+        self.head_seen = None;
         self.derived.insert(name.into(), (arity, rows));
     }
 

@@ -212,8 +212,8 @@ fn try_index_join(
     }
     let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
 
-    // Primary-key fast path: joining on exactly the key column.
-    let pk_path = table.schema().key_column() == Some(0) && rcols == [0];
+    // Primary-key fast path: the join columns include the key column.
+    let pk_path = table.pk_within(&rcols);
     let index = if pk_path {
         None
     } else {
@@ -247,9 +247,12 @@ fn try_index_join(
         Ok(())
     };
     if pk_path {
-        let lc = on[0].0;
+        let (lc, _) = on
+            .iter()
+            .find(|&&(_, rc)| rc == 0)
+            .expect("key column joined");
         for lrow in lrows {
-            if let Some(rrow) = table.get_by_key(&lrow[lc]) {
+            if let Some(rrow) = table.get_by_key(&lrow[*lc]) {
                 emit(lrow, &rrow)?;
             }
         }

@@ -1671,7 +1671,8 @@ pub(super) fn base_access(plan: &Plan) -> Option<(&str, Option<&Expr>)> {
 
 /// A base-table right side that an index-nested loop can probe for the
 /// join columns `on`: the table, the selection over it, and the index to
-/// probe (`None`: the primary key, for a join on column 0 alone).
+/// probe (`None`: the primary key, for a join whose right columns include
+/// column 0 — see [`crate::table::Table::pk_within`]).
 struct IndexAccess<'a> {
     table: &'a crate::table::Table,
     pred: Option<&'a Expr>,
@@ -1719,7 +1720,7 @@ fn index_access<'a>(
     };
     let table = db.table(table_name)?;
     let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-    let pk_path = table.schema().key_column() == Some(0) && rcols == [0];
+    let pk_path = table.pk_within(&rcols);
     let index = if pk_path {
         None
     } else {
@@ -1876,8 +1877,11 @@ fn index_probe(
     out: &mut Vec<Row>,
 ) -> Result<()> {
     let hits: Vec<Row> = if pk_path {
-        let lc = on[0].0;
-        table.get_by_key(&lrow[lc]).into_iter().collect()
+        let (lc, _) = on
+            .iter()
+            .find(|&&(_, rc)| rc == 0)
+            .expect("key column joined");
+        table.get_by_key(&lrow[*lc]).into_iter().collect()
     } else {
         let (name, order) = index.as_ref().expect("index path");
         let key: Vec<Value> = order
@@ -2314,6 +2318,40 @@ mod tests {
             sorted(rows),
             sorted(execute_materialized(&db, &plan).unwrap())
         );
+    }
+
+    #[test]
+    fn primary_key_probe_rechecks_the_other_join_pairs() {
+        // `V(z, t, x₁) ⋈ R*(t, x₁)`: a join on the key column *and* a
+        // second column goes through the primary key and re-checks the
+        // second pair on the one row it finds.
+        let mut db = Database::new();
+        let r = db
+            .create_table(TableSchema::with_key("R", &["tid", "key", "val"]))
+            .unwrap();
+        for i in 0..40i64 {
+            r.insert(row![i, format!("k{i}").as_str(), i * 10]).unwrap();
+        }
+        let left = db
+            .create_table(TableSchema::keyless("L", &["l_tid", "l_key"]))
+            .unwrap();
+        left.insert(row![1, "k1"]).unwrap(); // both match
+        left.insert(row![2, "k9"]).unwrap(); // key matches, second pair not
+        left.insert(row![3, "k3"]).unwrap(); // both match
+        left.insert(row![77, "k77"]).unwrap(); // no such key
+        let plan = Plan::scan("L").join(Plan::scan("R"), vec![(0, 0), (1, 1)]);
+        let scans_before = db.table("R").unwrap().access().snapshot()[0];
+        let rows = sorted(execute(&db, &plan).unwrap());
+        assert_eq!(
+            db.table("R").unwrap().access().snapshot()[0],
+            scans_before,
+            "the join must probe R's primary key, not scan R"
+        );
+        assert_eq!(
+            rows,
+            vec![row![1, "k1", 1, "k1", 10], row![3, "k3", 3, "k3", 30]]
+        );
+        assert_eq!(rows, sorted(execute_materialized(&db, &plan).unwrap()));
     }
 
     #[test]

@@ -406,7 +406,7 @@ fn join_probe_note(db: &Database, right: &Plan, on: &[(usize, usize)], anti: boo
         return String::new();
     };
     let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-    if t.schema().key_column() == Some(0) && rcols == [0] {
+    if t.pk_within(&rcols) {
         return format!(" [probe {table}.pk]");
     }
     let index = t

@@ -5,15 +5,18 @@
 //! all expressed over *global* column positions (the columns of the
 //! original join output, left to right). The chain is then rebuilt
 //! left-deep: start from the leaf with the smallest estimated
-//! cardinality, and repeatedly join the connected leaf whose addition has
-//! the smallest estimated result — preferring leaves the executor can
-//! probe through an index (a scan, or a selection over a scan, whose join
-//! columns are covered by the primary key or a secondary hash index). A
-//! final projection restores the original column order, so the rewrite is
-//! bag-equivalent to the input plan.
+//! cardinality, and repeatedly join the leaf whose addition is cheapest —
+//! its estimated result, discounted when the executor can probe the leaf
+//! through an index (a scan, or a selection over a scan, whose join
+//! columns include the primary key or are covered by a secondary index),
+//! and otherwise charged the rows building it reads. A leaf with no edge
+//! to the accumulator is a cross product and competes on the same terms,
+//! so crossing a few demanded keys with a few worlds can beat hash-building
+//! a large table. A final projection restores the original column order,
+//! so the rewrite is bag-equivalent to the input plan.
 
 use super::rules::{cols_of, join_and, split_and};
-use super::stats::{estimate, RelEstimate, StatsCatalog};
+use super::stats::{equi_join_rows, estimate, RelEstimate, StatsCatalog};
 use crate::catalog::Database;
 use crate::error::Result;
 use crate::expr::Expr;
@@ -97,7 +100,24 @@ fn index_probeable(db: &Database, plan: &Plan, cols: &[usize]) -> bool {
         return false;
     }
     let Ok(t) = db.table(table) else { return false };
-    (t.schema().key_column() == Some(0) && cols == [0]) || t.find_index_for(cols).is_some()
+    t.pk_within(cols) || t.find_index_for(cols).is_some()
+}
+
+/// Rows a hash join reads to build `leaf` (estimated at `est` rows): a
+/// selection over a base table that no index serves scans the whole table
+/// and filters; any other leaf reads what it yields.
+fn build_rows(db: &Database, leaf: &Plan, est: f64) -> f64 {
+    match leaf {
+        Plan::Selection { input, predicate } => match input.as_ref() {
+            Plan::Scan { table }
+                if crate::exec::access_path_note(db, table, predicate).is_none() =>
+            {
+                db.table(table).map_or(est, |t| t.len() as f64)
+            }
+            _ => est,
+        },
+        _ => est,
+    }
 }
 
 /// Reorder every maximal join chain in the plan. Recurses into non-join
@@ -201,6 +221,9 @@ fn reorder_chain(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Result<Pl
     }
 
     let ests: Vec<RelEstimate> = chain.leaves.iter().map(|l| estimate(catalog, l)).collect();
+    let builds: Vec<f64> = (0..n)
+        .map(|i| build_rows(db, &chain.leaves[i], ests[i].rows))
+        .collect();
 
     // Map a global column to its owning leaf and local position.
     let owner = |g: usize| -> (usize, usize) {
@@ -213,13 +236,16 @@ fn reorder_chain(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Result<Pl
     };
 
     // --- greedy ordering ---------------------------------------------------
-    // Score of joining `cand` onto an accumulator covering `placed` with
-    // `acc_rows` estimated rows: estimated output cardinality over the
-    // available equality edges, discounted when the executor can turn
-    // the join into index probes. Shared by the greedy search and the
+    // Cost of joining `cand` onto an accumulator covering `placed` with
+    // `acc_rows` estimated rows, and the estimated rows it yields. The
+    // cost is the output cardinality over the available equality edges,
+    // discounted when the executor can turn the join into index probes,
+    // and otherwise charged the rows building the candidate reads
+    // ([`build_rows`]): a hash join builds its right side, a cross
+    // product materializes it. Shared by the greedy search and the
     // whole-order costing below so the two are never inconsistent.
-    let step_score = |placed: &[bool], acc_rows: f64, cand: usize| -> (f64, bool) {
-        let mut sel = 1.0f64;
+    let step_score = |placed: &[bool], acc_rows: f64, cand: usize| -> (f64, f64) {
+        let mut pairs: Vec<(f64, f64)> = Vec::new();
         let mut join_cols: Vec<usize> = Vec::new();
         for &(a, b) in &chain.eqs {
             let (oa, ca) = owner(a);
@@ -242,18 +268,19 @@ fn reorder_chain(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Result<Pl
                 .get(cand_col)
                 .copied()
                 .unwrap_or(ests[cand].rows);
-            sel /= d_acc.max(d_cand).max(1.0);
+            pairs.push((d_acc, d_cand));
             join_cols.push(cand_col);
         }
-        let connected = !join_cols.is_empty();
         join_cols.sort_unstable();
         join_cols.dedup();
-        let mut score = acc_rows * ests[cand].rows * sel;
-        if connected && index_probeable(db, &chain.leaves[cand], &join_cols) {
+        let rows = equi_join_rows(acc_rows, ests[cand].rows, pairs);
+        let score = if index_probeable(db, &chain.leaves[cand], &join_cols) {
             // The executor can turn this join into index probes.
-            score *= 0.9;
-        }
-        (score, connected)
+            rows * 0.9
+        } else {
+            rows + builds[cand]
+        };
+        (score, rows)
     };
 
     let mut placed = vec![false; n];
@@ -273,34 +300,23 @@ fn reorder_chain(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Result<Pl
     let mut acc_rows = ests[first].rows;
 
     while order.len() < n {
-        // Candidate score: estimated rows after joining the accumulator
-        // with the candidate over the available equality edges.
-        let mut best: Option<(f64, usize)> = None;
-        let connected_exists = (0..n).any(|i| {
-            !placed[i]
-                && chain.eqs.iter().any(|&(a, b)| {
-                    let (oa, _) = owner(a);
-                    let (ob, _) = owner(b);
-                    (placed[oa] && ob == i) || (placed[ob] && oa == i)
-                })
-        });
+        // The cheapest next join; a small cross product competes with
+        // connected joins that would build a large input.
+        let mut best: Option<(f64, f64, usize)> = None;
         for cand in 0..n {
             if placed[cand] {
                 continue;
             }
-            let (score, connected) = step_score(&placed, acc_rows, cand);
-            if connected_exists && !connected {
-                continue; // never introduce a cross product early
-            }
+            let (score, rows) = step_score(&placed, acc_rows, cand);
             match best {
-                Some((bs, bi)) if bs < score || (bs == score && bi < cand) => {}
-                _ => best = Some((score, cand)),
+                Some((bs, _, bi)) if bs < score || (bs == score && bi < cand) => {}
+                _ => best = Some((score, rows, cand)),
             }
         }
-        let (score, next) = best.expect("unplaced leaf exists");
+        let (_, rows, next) = best.expect("unplaced leaf exists");
         placed[next] = true;
         order.push(next);
-        acc_rows = score.max(1.0);
+        acc_rows = rows.max(1.0);
     }
 
     // --- keep the written order unless the reorder is strictly cheaper ----
@@ -319,9 +335,9 @@ fn reorder_chain(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Result<Pl
         let mut acc = ests[order[0]].rows;
         let mut total = 0.0;
         for &cand in &order[1..] {
-            let (score, _) = step_score(&placed, acc, cand);
+            let (score, rows) = step_score(&placed, acc, cand);
             total += score;
-            acc = score.max(1.0);
+            acc = rows.max(1.0);
             placed[cand] = true;
         }
         (total, acc)
@@ -619,6 +635,59 @@ mod tests {
         let original = Plan::scan("Big").join(Plan::scan("Small"), vec![(0, 0)]);
         let reordered = reorder_joins(&db, &catalog, original.clone()).unwrap();
         assert_eq!(reordered, original);
+    }
+
+    #[test]
+    fn a_small_cross_product_beats_building_a_big_input() {
+        // magic(k) ⋈ V(wid, tid, key) on key, V ⋈ E(w) on wid. Joining V
+        // on the key alone cannot probe `by_wid_key` and would hash-build
+        // all of V; crossing the 5 demanded keys with the 20 worlds first
+        // lets V be probed on (wid, key) instead.
+        let mut db = Database::new();
+        let v = db
+            .create_table(TableSchema::keyless("V", &["wid", "tid", "key"]))
+            .unwrap();
+        v.create_index("by_wid_key", &["wid", "key"]).unwrap();
+        for i in 0..4000i64 {
+            v.insert(row![i % 20, i, i % 1000]).unwrap();
+        }
+        let e = db.create_table(TableSchema::keyless("E", &["w"])).unwrap();
+        for w in 0..20i64 {
+            e.insert(row![w]).unwrap();
+        }
+        let catalog = StatsCatalog::snapshot(&db);
+        let magic = Plan::Values {
+            arity: 1,
+            rows: (0..5i64).map(|k| row![k * 7]).collect(),
+        };
+        let original = magic
+            .join(Plan::scan("V"), vec![(0, 2)])
+            .join(Plan::scan("E"), vec![(1, 0)]);
+        let reordered = reorder_joins(&db, &catalog, original.clone()).unwrap();
+        fn v_join_cols(p: &Plan) -> Option<Vec<usize>> {
+            match p {
+                Plan::Join {
+                    left, right, on, ..
+                } => {
+                    if right.as_ref() == &Plan::scan("V") {
+                        let mut cols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
+                        cols.sort_unstable();
+                        return Some(cols);
+                    }
+                    v_join_cols(left)
+                }
+                Plan::Projection { input, .. } | Plan::Selection { input, .. } => {
+                    v_join_cols(input)
+                }
+                _ => None,
+            }
+        }
+        assert_eq!(
+            v_join_cols(&reordered),
+            Some(vec![0, 2]),
+            "V must be joined last, on (wid, key): {reordered:?}"
+        );
+        assert_equivalent(&db, &original, &reordered);
     }
 
     #[test]

@@ -7,18 +7,22 @@
 //! — "what does **this** user believe about **this** tuple" — so almost
 //! all of that work is wasted. This pass makes evaluation demand-driven:
 //!
-//! 1. **Adornment.** Walking each answer rule left to right, every
-//!    argument position of a derived subgoal is classified *bound* (`b`)
-//!    or *free* (`f`). A position is bound when the caller has a value
-//!    for it: a constant, a variable bound by an earlier positive atom
-//!    (the sideways-information-passing order), or a variable pinned to
-//!    a constant by an equality comparison anywhere in the body.
+//! 1. **Adornment.** Walking each answer rule in the
+//!    sideways-information-passing (SIP) order — base-table atoms first,
+//!    in their written order, then derived subgoals most-bound-first
+//!    (constants, bound variables and `x = c` pins count; ties keep the
+//!    written order) — every argument position of a derived subgoal is
+//!    classified *bound* (`b`) or *free* (`f`). A position is bound when
+//!    the caller has a value for it: a constant, a variable bound by an
+//!    atom visited earlier, or a variable pinned to a constant by an
+//!    equality comparison anywhere in the body. Visiting the most
+//!    selective subgoal first lets its keys restrict the others.
 //! 2. **Magic seeds.** For each adorned use `R^a` a demand rule is
-//!    emitted deriving `__magic__R__a(bound args) :- <earlier positive
-//!    atoms>` — the exact set of keys with which the rewritten rule will
-//!    probe `R`. Comparison/negation literals are *not* copied into the
-//!    seed (dropping filters can only enlarge the demand set, which is
-//!    always safe).
+//!    emitted deriving `__magic__R__a(bound args) :- <positive atoms
+//!    visited earlier>` — the exact set of keys with which the rewritten
+//!    rule will probe `R`. Comparison/negation literals are *not* copied
+//!    into the seed (dropping filters can only enlarge the demand set,
+//!    which is always safe).
 //! 3. **Restricted copies.** Each rule defining `R` is copied to derive
 //!    `R__a` instead, with the magic atom prepended so derivation starts
 //!    from the demanded keys; the copy's body is rewritten recursively
@@ -248,10 +252,18 @@ struct Rewriter<'p> {
 }
 
 impl Rewriter<'_> {
-    /// Rewrite a rule body left to right under `bound` (the variables
-    /// the rule's own magic guard provides, empty for answer rules).
-    /// `prefix` accumulates the positive atoms already emitted — the SIP
-    /// context every magic seed derives its demand from.
+    /// Rewrite a rule body under `bound` (the variables the rule's own
+    /// magic guard provides, empty for answer rules). `prefix`
+    /// accumulates the positive atoms already visited — the SIP context
+    /// every magic seed derives its demand from.
+    ///
+    /// The SIP order: base-table atoms first, in their written order
+    /// (they are never rewritten, so they only contribute bindings), then
+    /// derived atoms most-bound-first — at each step the one with the
+    /// most constant, bound or `x = c`-pinned terms, ties in written
+    /// order — so the most selective subgoal restricts the others rather
+    /// than the other way round. The rewritten body keeps the written
+    /// literal order; join order is the optimizer's business.
     fn process_body(
         &mut self,
         body: &[BodyLit],
@@ -259,27 +271,52 @@ impl Rewriter<'_> {
         mut prefix: Vec<Atom>,
     ) -> Vec<BodyLit> {
         let subst = const_subst(body);
-        let mut out = Vec::with_capacity(body.len());
-        for lit in body {
-            match lit {
-                BodyLit::Pos(atom) => {
-                    let rewritten = self.adorn_atom(atom, &bound, &subst, &prefix);
-                    for t in &rewritten.terms {
-                        if let Term::Var(n) = t {
-                            bound.insert(n.clone());
-                        }
-                    }
-                    prefix.push(rewritten.clone());
-                    out.push(BodyLit::Pos(rewritten));
-                }
-                BodyLit::Neg(a) => {
-                    self.note_plain_use(&a.relation);
-                    out.push(lit.clone());
-                }
-                other => out.push(other.clone()),
+        // Positive atoms in SIP order: a stable sort puts the base-table
+        // atoms first in their written order; each derived atom's place
+        // is picked when it is reached, from the bindings at that point.
+        let mut order: Vec<(usize, &Atom, bool)> = body
+            .iter()
+            .enumerate()
+            .filter_map(|(i, lit)| match lit {
+                BodyLit::Pos(a) => Some((i, a, self.defs.contains_key(&a.relation))),
+                _ => None,
+            })
+            .collect();
+        order.sort_by_key(|&(_, _, derived)| derived);
+        let mut adorned: Vec<Option<Atom>> = vec![None; body.len()];
+        for k in 0..order.len() {
+            if order[k].2 {
+                // The most-bound derived atom left. `max_by_key` keeps the
+                // last maximum; scanning in reverse sends ties to the
+                // earliest written atom, and the rotation keeps the rest in
+                // written order.
+                let best = (k..order.len())
+                    .rev()
+                    .max_by_key(|&j| bound_terms(order[j].1, &bound, &subst))
+                    .expect("k < order.len()");
+                order[k..=best].rotate_right(1);
             }
+            let (i, atom, _) = order[k];
+            let rewritten = self.adorn_atom(atom, &bound, &subst, &prefix);
+            for t in &rewritten.terms {
+                if let Term::Var(n) = t {
+                    bound.insert(n.clone());
+                }
+            }
+            prefix.push(rewritten.clone());
+            adorned[i] = Some(rewritten);
         }
-        out
+        body.iter()
+            .zip(adorned)
+            .map(|(lit, adorned)| match (lit, adorned) {
+                (_, Some(atom)) => BodyLit::Pos(atom),
+                (BodyLit::Neg(a), None) => {
+                    self.note_plain_use(&a.relation);
+                    lit.clone()
+                }
+                (other, None) => other.clone(),
+            })
+            .collect()
     }
 
     /// Adorn one positive atom: emit its magic seed, queue the restricted
@@ -362,6 +399,17 @@ impl Rewriter<'_> {
             self.plain_used.insert(rel.to_string());
         }
     }
+}
+
+/// Terms of `atom` a caller has a value for: constants, variables already
+/// bound, and variables pinned by an `x = c` comparison.
+fn bound_terms(atom: &Atom, bound: &HashSet<String>, subst: &HashMap<String, Value>) -> usize {
+    let known = |t: &&Term| match t {
+        Term::Const(_) => true,
+        Term::Var(n) => bound.contains(n) || subst.contains_key(n),
+        Term::Any => false,
+    };
+    atom.terms.iter().filter(known).count()
 }
 
 /// Variables pinned to a constant by a top-level `x = c` comparison
@@ -558,6 +606,81 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("tagged__bf"), "{text}");
+    }
+
+    #[test]
+    fn sip_visits_base_atoms_first_then_the_most_bound_subgoal() {
+        let hop = rule(
+            "hop",
+            vec![v("x"), v("y")],
+            vec![
+                pos("e", vec![v("x"), v("z")]),
+                pos("e", vec![v("z"), v("y")]),
+            ],
+        );
+        let sel = rule(
+            "sel",
+            vec![v("x"), v("t")],
+            vec![pos("lbl", vec![v("x"), v("t")])],
+        );
+        // A base atom written after the subgoal still binds it: in
+        // written order `hop` would be visited with nothing bound.
+        let base_last = Program {
+            rules: vec![
+                hop.clone(),
+                rule(
+                    "ans",
+                    vec![v("y")],
+                    vec![
+                        pos("hop", vec![v("x"), v("y")]),
+                        pos("e", vec![c(0), v("x")]),
+                    ],
+                ),
+            ],
+        };
+        let text = rewrite(&base_last).to_string();
+        assert!(text.contains("__magic__hop__bf(x) :- e(0, x)."), "{text}");
+        // The subgoal with a constant is visited first and its keys
+        // restrict the one written before it.
+        let selective_last = Program {
+            rules: vec![
+                hop,
+                sel,
+                rule(
+                    "ans",
+                    vec![v("x")],
+                    vec![
+                        pos("hop", vec![v("x"), v("y")]),
+                        pos("sel", vec![v("y"), c("a")]),
+                    ],
+                ),
+            ],
+        };
+        let rewritten = rewrite(&selective_last);
+        let text = rewritten.to_string();
+        assert!(
+            text.contains("__magic__hop__fb(y) :- sel__fb(y, "),
+            "{text}"
+        );
+        // The body keeps its written order.
+        let answer = rewritten.rules.last().unwrap().to_string();
+        assert!(
+            answer.starts_with("ans(x) :- hop__fb(x, y), sel__fb(y, "),
+            "{answer}"
+        );
+        let db = db();
+        for prog in [&base_last, &selective_last] {
+            let mut plain = Evaluator::new(&db);
+            plain.run(prog).unwrap();
+            let mut want = plain.relation("ans").unwrap().to_vec();
+            want.sort();
+            let mut ev = Evaluator::new(&db);
+            ev.run(&rewrite(prog)).unwrap();
+            let mut got = ev.relation("ans").unwrap().to_vec();
+            got.sort();
+            assert!(!want.is_empty(), "{prog}");
+            assert_eq!(got, want, "rewrite changed answers of {prog}");
+        }
     }
 
     #[test]

@@ -393,12 +393,15 @@ pub fn combine(catalog: &StatsCatalog, plan: &Plan, children: &[RelEstimate]) ->
         }
         Plan::Join { on, residual, .. } => {
             let (l, r) = (&children[0], &children[1]);
-            let mut rows = l.rows * r.rows;
-            for &(lc, rc) in on {
-                let dl = l.distinct.get(lc).copied().unwrap_or(l.rows);
-                let dr = r.distinct.get(rc).copied().unwrap_or(r.rows);
-                rows /= dl.max(dr).max(1.0);
-            }
+            let rows = equi_join_rows(
+                l.rows,
+                r.rows,
+                on.iter().map(|&(lc, rc)| {
+                    let dl = l.distinct.get(lc).copied().unwrap_or(l.rows);
+                    let dr = r.distinct.get(rc).copied().unwrap_or(r.rows);
+                    (dl, dr)
+                }),
+            );
             let mut distinct = l.distinct.clone();
             distinct.extend(r.distinct.iter().copied());
             // Joined rows keep both sides' columns; pad the left lists to
@@ -524,6 +527,31 @@ pub fn combine(catalog: &StatsCatalog, plan: &Plan, children: &[RelEstimate]) ->
             .capped()
         }
     }
+}
+
+/// Estimated rows of an equi-join of `left_rows` with `right_rows` rows
+/// over pairs of columns with distinct counts `(d_left, d_right)`. Pairs
+/// filter independently (`1 / max(d_left, d_right)` each), except that a
+/// pair whose right column is unique — as many distinct values as rows,
+/// e.g. a primary key — matches each left row at most once: the estimate
+/// is then that pair's alone, and the other pairs count as functions of
+/// it. (In `V(z, t, x₁, …) ⋈ R*(t, x₁, …)` the key `x₁` is a function of
+/// the tuple id `t`; multiplying both selectivities drove estimates to 0.)
+pub fn equi_join_rows(
+    left_rows: f64,
+    right_rows: f64,
+    pairs: impl IntoIterator<Item = (f64, f64)>,
+) -> f64 {
+    let mut sel = 1.0f64;
+    let mut keyed: Option<f64> = None;
+    for (dl, dr) in pairs {
+        let pair = 1.0 / dl.max(dr).max(1.0);
+        sel *= pair;
+        if dr >= right_rows {
+            keyed = Some(keyed.map_or(pair, |k| k.min(pair)));
+        }
+    }
+    left_rows * right_rows * keyed.unwrap_or(sel)
 }
 
 /// Sampled statistics for a literal relation (bounded work per call —
@@ -732,6 +760,41 @@ mod tests {
         assert!(est.rows <= 210.0, "estimated {}", est.rows);
         assert!(est.rows >= 10.0, "estimated {}", est.rows);
         assert_eq!(est.distinct.len(), 5);
+    }
+
+    #[test]
+    fn a_key_join_matches_each_left_row_at_most_once() {
+        // `V(z, t, x₁) ⋈ R*(t, x₁)`: the key `x₁` is a function of the
+        // tuple id `t`, so every `V` row has exactly one partner. Treating
+        // the two pairs as independent estimated 200 · 100 / 100 / 100 = 2.
+        let mut db = Database::new();
+        let v = db
+            .create_table(TableSchema::keyless("V", &["wid", "tid", "key"]))
+            .unwrap();
+        for i in 0..200i64 {
+            let tid = i % 100;
+            v.insert(row![i % 10, tid, format!("k{tid}").as_str()])
+                .unwrap();
+        }
+        let r = db
+            .create_table(TableSchema::with_key("R", &["tid", "key"]))
+            .unwrap();
+        for i in 0..100i64 {
+            r.insert(row![i, format!("k{i}").as_str()]).unwrap();
+        }
+        let cat = StatsCatalog::snapshot(&db);
+        let plan = Plan::scan("V").join(Plan::scan("R"), vec![(1, 0), (2, 1)]);
+        let est = estimate(&cat, &plan);
+        assert!(
+            (100.0..=200.0).contains(&est.rows),
+            "estimated {} rows of 200",
+            est.rows
+        );
+        // Without a unique right column the pairs still multiply.
+        let independent = equi_join_rows(200.0, 100.0, [(10.0, 20.0), (5.0, 50.0)]);
+        assert!((independent - 20.0).abs() < 1e-9, "{independent}");
+        let keyed = equi_join_rows(200.0, 100.0, [(10.0, 100.0), (5.0, 50.0)]);
+        assert!((keyed - 200.0).abs() < 1e-9, "{keyed}");
     }
 
     #[test]

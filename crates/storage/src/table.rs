@@ -625,6 +625,14 @@ impl Table {
         self.indexes.iter().map(Index::approx_bytes).sum()
     }
 
+    /// True iff a probe keyed by `cols` can go through the primary key:
+    /// the table is keyed on column 0 and `cols` includes it. A key
+    /// matches at most one row, so the probe re-checks the other columns
+    /// on that row instead of looking for an index over all of them.
+    pub fn pk_within(&self, cols: &[usize]) -> bool {
+        self.schema().key_column() == Some(0) && cols.contains(&0)
+    }
+
     /// Find an index serving probes on this *set* of columns
     /// (order-insensitive): one over exactly these columns, else one whose
     /// first column is the only column asked for. Returns the index name

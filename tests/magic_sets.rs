@@ -339,3 +339,156 @@ fn recursive_reachability_matches_under_rewrite_and_executors() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// q3: the selective subgoal drives the rewrite
+// ---------------------------------------------------------------------------
+
+/// Table 2's q3 — who disagrees with a belief of user 1 at `loc0` — in
+/// four shapes: with and without a `Users` atom binding the user, its two
+/// subgoals written negative-first (as the paper does) and positive-first.
+/// Each comes with the temp relation of its negative subgoal.
+fn q3_forms(bdms: &Bdms) -> Vec<(String, Bcq, &'static str)> {
+    use beliefdb::core::bcq::dsl::{pu, pv, qany, qc, qv};
+    let s = bdms.schema().relation_id("S").unwrap();
+    let args = vec![qv("y"), qv("z"), qv("u"), qv("v"), qc("loc0")];
+    let mut forms = Vec::new();
+    for users in [true, false] {
+        for negative_first in [true, false] {
+            let mut b = Bcq::builder(vec![qv("x")]);
+            if users {
+                b = b.user(qv("x"), qany());
+            }
+            let negative =
+                |b: beliefdb::core::bcq::BcqBuilder| b.negative(vec![pv("x")], s, args.clone());
+            let positive = |b: beliefdb::core::bcq::BcqBuilder| {
+                b.positive(vec![pu(UserId(1))], s, args.clone())
+            };
+            let (b, negative_temp) = if negative_first {
+                (positive(negative(b)), "__bcq_T1")
+            } else {
+                (negative(positive(b)), "__bcq_T2")
+            };
+            let name = format!("q3 users={users} negative_first={negative_first}");
+            forms.push((name, b.build(bdms.schema()).unwrap(), negative_temp));
+        }
+    }
+    forms
+}
+
+/// `sys.tables`' `rows_read`, summed over the store's tables.
+fn rows_read(bdms: &Bdms) -> u64 {
+    let db = bdms.storage();
+    db.table_names()
+        .into_iter()
+        .map(|name| db.table(name).unwrap().access().snapshot()[1])
+        .sum()
+}
+
+/// The plan lines of every rule in a `Bdms::explain_query` text, keyed by
+/// the rule's header line (`-- <rule> [tags]`).
+fn explained_rules(text: &str) -> Vec<(&str, Vec<&str>)> {
+    let mut rules: Vec<(&str, Vec<&str>)> = Vec::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        match line.strip_prefix("-- ") {
+            Some(header) => rules.push((header, Vec::new())),
+            None => rules.last_mut().expect("plan before its rule").1.push(line),
+        }
+    }
+    rules
+}
+
+/// Hash joins (no `[probe …]` note) whose build side — the join's second
+/// child — is a scan of `table`, directly or under a selection.
+fn hash_builds_of(plan: &[&str], table: &str) -> usize {
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let scan = format!("Scan {table} ");
+    let mut found = 0;
+    for (i, line) in plan.iter().enumerate() {
+        let t = line.trim_start();
+        if !t.starts_with("Join") || t.contains("[probe") {
+            continue;
+        }
+        let depth = indent(line);
+        let children: Vec<usize> = (i + 1..plan.len())
+            .take_while(|&j| indent(plan[j]) > depth)
+            .filter(|&j| indent(plan[j]) == depth + 2)
+            .collect();
+        let Some(&right) = children.get(1) else {
+            continue;
+        };
+        let mut access = plan[right].trim_start();
+        if access.starts_with("Select") {
+            access = plan.get(right + 1).map_or("", |l| l.trim_start());
+        }
+        if access.starts_with(&scan) {
+            found += 1;
+        }
+    }
+    found
+}
+
+#[test]
+fn q3_selective_subgoal_drives_the_rewrite() {
+    use beliefdb::core::DefaultPolicy;
+    use beliefdb::gen::generate_bdms_with_policy;
+    use beliefdb::gen::scenarios::table2_config;
+    for policy in [DefaultPolicy::Eager, DefaultPolicy::Lazy] {
+        let (mut bdms, _) = generate_bdms_with_policy(&table2_config(2_000, 42), policy).unwrap();
+        for (name, q, negative_temp) in q3_forms(&bdms) {
+            let context = format!("{name} under {policy:?}");
+            // Answers: the oracle, and the rule stack without the rewrite.
+            // The cold runs count the rows their scans read.
+            let naive = bdms.query_naive(&q).unwrap();
+            assert!(!naive.is_empty(), "{context}: empty answer");
+            let before = rows_read(&bdms);
+            let on = bdms.query(&q).unwrap();
+            let read_on = rows_read(&bdms) - before;
+            bdms.set_magic(false);
+            let before = rows_read(&bdms);
+            let off = bdms.query(&q).unwrap();
+            let read_off = rows_read(&bdms) - before;
+            bdms.set_magic(true);
+            assert_eq!(on, naive, "{context}: magic on disagrees with the oracle");
+            assert_eq!(off, naive, "{context}: magic off disagrees with the oracle");
+            assert!(
+                read_on * 5 < read_off,
+                "{context}: a cold read scanned {read_on} rows, magic off {read_off}"
+            );
+
+            // Mechanism: the positive subgoal, with its three constants,
+            // is visited first, and its keys seed the negative one — with
+            // the user too when a `Users` atom binds it.
+            let rewritten = magic::rewrite(&bdms.translate(&q).unwrap().program).to_string();
+            let adorn = if q.user_atoms.is_empty() {
+                "fbfffff"
+            } else {
+                "bbfffff"
+            };
+            assert!(
+                rewritten.contains(&format!("__magic__{negative_temp}__{adorn}(")),
+                "{context}: {negative_temp} not seeded with {adorn}:\n{rewritten}"
+            );
+
+            // Every restricted rule probes `V` through its index, and no
+            // rule hash-builds `V`.
+            let explain = bdms.explain_query(&q).unwrap();
+            for (header, plan) in explained_rules(&explain) {
+                if header.starts_with(negative_temp) && header.contains("[magic adorn=") {
+                    assert!(
+                        plan.iter()
+                            .any(|l| l.contains("Join on") && l.contains("[probe V__S.by_wid_key]")),
+                        "{context}: restricted rule does not probe V__S:\n{header}\n{}",
+                        plan.join("\n")
+                    );
+                }
+                assert_eq!(
+                    hash_builds_of(&plan, "V__S"),
+                    0,
+                    "{context}: a hash join builds V__S:\n{header}\n{}",
+                    plan.join("\n")
+                );
+            }
+        }
+    }
+}
