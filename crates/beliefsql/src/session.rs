@@ -396,40 +396,32 @@ impl Session {
         sql: &str,
         mut on_row: impl FnMut(Row),
     ) -> Result<(Vec<String>, usize)> {
-        if self.bdms.slowlog().enabled() {
-            let mut rec = self.recorder(sql);
-            let stmt = rec.span("parse", || parse(sql))?;
-            let Statement::Select(sel) = stmt else {
-                return Err(SqlError::Lower(
-                    "query_streaming() only accepts SELECT statements".into(),
-                ));
-            };
-            streaming_supported(&sel)?;
-            let lowered = rec.span("lower", || SelectLowerer::lower(&self.bdms, &sel))?;
-            let mut emitted = 0usize;
-            if let Some(q) = &lowered.query {
-                for row in self.bdms.query_traced(q, &mut rec)? {
-                    emitted += 1;
-                    on_row(row);
-                }
-            }
-            self.observe(rec);
-            return Ok((lowered.columns, emitted));
-        }
-        let Statement::Select(sel) = parse(sql)? else {
+        let mut rec = self.recorder(sql);
+        let Statement::Select(sel) = rec.span("parse", || parse(sql))? else {
             return Err(SqlError::Lower(
                 "query_streaming() only accepts SELECT statements".into(),
             ));
         };
         streaming_supported(&sel)?;
-        let lowered = SelectLowerer::lower(&self.bdms, &sel)?;
+        let lowered = rec.span("lower", || SelectLowerer::lower(&self.bdms, &sel))?;
         let mut emitted = 0usize;
+        let emit = |row| {
+            emitted += 1;
+            on_row(row);
+        };
         if let Some(q) = &lowered.query {
-            self.bdms.query_streaming(q, |row| {
-                emitted += 1;
-                on_row(row);
-            })?;
+            if rec.is_enabled() {
+                // The slowlog is armed: profile the run, then replay its
+                // (sorted) answer.
+                self.bdms
+                    .query_traced(q, &mut rec)?
+                    .into_iter()
+                    .for_each(emit);
+            } else {
+                self.bdms.query_streaming(q, emit)?;
+            }
         }
+        self.observe(rec);
         Ok((lowered.columns, emitted))
     }
 

@@ -56,9 +56,9 @@ use crate::internal::{
 };
 use crate::statement::Sign;
 use beliefdb_storage::datalog::{
-    AnalyzedPlans, Atom, BodyLit, CmpLit, Evaluator, PlanCache, Program, Rule, Term,
+    Atom, BodyLit, CmpLit, Evaluator, Output, PlanCache, Program, Rule, Term,
 };
-use beliefdb_storage::{metrics, CmpOp, Metric, Plan, Recorder, Row};
+use beliefdb_storage::{metrics, CmpOp, Metric, Recorder, Row};
 use std::time::Instant;
 
 /// A translated query: the Datalog program plus the name of the answer
@@ -330,13 +330,12 @@ fn evaluator<'s>(store: &'s InternalStore, opts: &EvalOptions) -> Evaluator<'s> 
 
 /// What [`run_query`] does with the answer relation.
 enum Answer<'k> {
-    /// Collect it, sorted.
+    /// Collect it, sorted. When plans run under an enabled recorder, every
+    /// answer-rule plan is profiled and the `EXPLAIN ANALYZE` report is
+    /// attached to the recorder.
     Collect,
-    /// Collect it, sorted; when plans run, profile every answer-rule plan
-    /// and attach the `EXPLAIN ANALYZE` report to the recorder.
-    Profile,
     /// Collect it, sorted, with every answer-rule plan profiled and the
-    /// `EXPLAIN ANALYZE` report rendered — always by running the plans,
+    /// `EXPLAIN ANALYZE` report returned — always by running the plans,
     /// even when the cache holds the answer.
     Analyze,
     /// Hand its rows to the callback as the final rule produces them;
@@ -377,9 +376,10 @@ fn run_query(
         let cached = rec.span("cache_lookup", || {
             store.with_plan_cache(|cache| cache.lookup_entry(&key, &versions))
         });
-        let stored = match (&answer, &cached) {
-            (Answer::Analyze, _) | (_, None) => None,
-            (_, Some(hit)) => hit.answer.clone(),
+        let analyze = matches!(answer, Answer::Analyze);
+        let (plans, stored) = match cached {
+            Some(hit) => (Some(hit.plans), hit.answer.filter(|_| !analyze)),
+            None => (None, None),
         };
         if let Some(rows) = stored {
             return Ok(match answer {
@@ -390,44 +390,18 @@ fn run_query(
                 _ => (rows.to_vec(), String::new()),
             });
         }
-        let (collect, analyze) = match answer {
-            Answer::Collect => (true, false),
-            Answer::Profile | Answer::Analyze => (true, true),
-            Answer::Stream(_) => (false, false),
+        let out = match answer {
+            Answer::Stream(sink) => Output::Stream(sink),
+            Answer::Collect if !rec.is_enabled() => Output::Collect,
+            Answer::Collect | Answer::Analyze => Output::Profile,
         };
+        let collect = !matches!(out, Output::Stream(_));
+        let profile = matches!(out, Output::Profile);
         let mut ev = evaluator(store, opts);
-        let plans = cached.map(|hit| hit.plans);
-        let mut profiled: AnalyzedPlans = Vec::new();
-        let fresh = rec.span(
-            "execute",
-            || -> beliefdb_storage::Result<Option<Vec<Plan>>> {
-                let program = &program;
-                Ok(match (answer, plans.as_deref()) {
-                    (Answer::Collect, Some(plans)) => {
-                        ev.run_cached_plans(program, plans)?;
-                        None
-                    }
-                    (Answer::Collect, None) => Some(ev.run_collecting_plans(program)?.1),
-                    (Answer::Profile | Answer::Analyze, Some(plans)) => {
-                        profiled = ev.run_cached_analyze(program, plans)?.1;
-                        None
-                    }
-                    (Answer::Profile | Answer::Analyze, None) => {
-                        profiled = ev.run_collecting_analyze(program)?.1;
-                        Some(profiled.iter().map(|(p, _)| p.clone()).collect())
-                    }
-                    (Answer::Stream(sink), Some(plans)) => {
-                        ev.stream_cached_plans(program, plans, sink)?;
-                        None
-                    }
-                    (Answer::Stream(sink), None) => {
-                        Some(ev.run_streaming_collecting_plans(program, sink)?)
-                    }
-                })
-            },
-        )?;
-        let report = if analyze {
-            ev.render_analyze_report(&profiled)
+        let cached_plans = plans.as_deref().map(Vec::as_slice);
+        let ran = rec.span("execute", || ev.run_answer(&program, cached_plans, out))?;
+        let mut report = if profile {
+            ev.render_analyze_report(&ran.plans, &ran.profiles)
         } else {
             String::new()
         };
@@ -436,13 +410,15 @@ fn run_query(
         } else {
             Vec::new()
         };
-        match fresh {
-            Some(plans) => store.with_plan_cache(|cache| cache.store(key, versions, plans)),
+        if plans.is_none() {
+            let fresh = ran.plans.into_owned();
+            store.with_plan_cache(|cache| cache.store(key, versions, fresh));
+        } else if collect {
             // The first replay of cached plans: keep the answer with them.
-            None if collect => {
-                store.with_plan_cache(|cache| cache.attach_answer(&key, &versions, &rows));
-            }
-            None => {}
+            store.with_plan_cache(|cache| cache.attach_answer(&key, &versions, &rows));
+        }
+        if !analyze && !report.is_empty() {
+            rec.set_profile(std::mem::take(&mut report));
         }
         Ok((rows, report))
     })();
@@ -462,25 +438,19 @@ fn run_query(
 /// the chunked executor's materialization points spill to disk past their
 /// share of it (grace hash join, external merge sort — see
 /// `beliefdb_storage::exec::spill`).
-pub fn evaluate(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<Vec<Row>> {
-    run_query(store, q, opts, &mut Recorder::disabled(), Answer::Collect).map(|(rows, _)| rows)
-}
-
-/// [`evaluate`] recording `translate` / `cache_lookup` / `execute` /
-/// `sort` spans into `rec`, and, whenever plans run, the `EXPLAIN
-/// ANALYZE` report of the run as its profile. A query answered from the
-/// cache records neither `execute` nor `sort` and attaches no profile.
-pub fn evaluate_traced(
+///
+/// An enabled `rec` gets `translate` / `cache_lookup` / `execute` /
+/// `sort` spans and, whenever plans run, the `EXPLAIN ANALYZE` report of
+/// the run as its profile; a query answered from the cache records
+/// neither `execute` nor `sort` and attaches no profile. A disabled `rec`
+/// profiles nothing.
+pub fn evaluate(
     store: &InternalStore,
     q: &Bcq,
     opts: &EvalOptions,
     rec: &mut Recorder,
 ) -> Result<Vec<Row>> {
-    let (rows, report) = run_query(store, q, opts, rec, Answer::Profile)?;
-    if !report.is_empty() {
-        rec.set_profile(report);
-    }
-    Ok(rows)
+    run_query(store, q, opts, rec, Answer::Collect).map(|(rows, _)| rows)
 }
 
 /// [`evaluate`] with per-operator profiling on — the `EXPLAIN ANALYZE`
@@ -714,7 +684,8 @@ mod tests {
             )
             .build(st.schema())
             .unwrap();
-        let translated = evaluate(&st, &q, &EvalOptions::default()).unwrap();
+        let translated =
+            evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
         let mut reference = naive::evaluate(&db, &q).unwrap();
         reference.sort();
         assert_eq!(translated, reference);
@@ -730,7 +701,7 @@ mod tests {
             .build(st.schema())
             .unwrap();
         assert_eq!(
-            evaluate(&st, &q, &EvalOptions::default()).unwrap(),
+            evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap(),
             vec![row!["s1"]]
         );
     }
@@ -747,7 +718,8 @@ mod tests {
             .positive(vec![pu(alice)], s, args)
             .build(st.schema())
             .unwrap();
-        let translated = evaluate(&st, &q, &EvalOptions::default()).unwrap();
+        let translated =
+            evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(translated, reference);
         assert_eq!(translated, vec![row![2]]);
@@ -764,7 +736,8 @@ mod tests {
             .negative(vec![pu(bob)], s, args)
             .build(st.schema())
             .unwrap();
-        let translated = evaluate(&st, &q, &EvalOptions::default()).unwrap();
+        let translated =
+            evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(translated, reference);
         assert_eq!(translated.len(), 2);
@@ -794,7 +767,7 @@ mod tests {
             .negative(vec![pv("z")], r, vec![qv("x"), qv("u"), qv("v")])
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q, &EvalOptions::default()).unwrap();
+        let rows = evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
         // Sample a is disputed in both directions; b is not disputed.
         assert!(rows.contains(&row!["a", 1, 2]));
         assert!(rows.contains(&row!["a", 2, 1]));
@@ -820,7 +793,7 @@ mod tests {
             )
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q, &EvalOptions::default()).unwrap();
+        let rows = evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
         assert!(!rows.is_empty());
         for r in &rows {
             assert_ne!(r[0], r[1], "translated query leaked a path outside Û*");
@@ -850,7 +823,7 @@ mod tests {
             .pred(qv("sp1"), beliefdb_storage::CmpOp::Ne, qv("sp2"))
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q, &EvalOptions::default()).unwrap();
+        let rows = evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(rows, reference);
         assert_eq!(rows, vec![row![2, "crow", "raven"]]);
@@ -879,7 +852,7 @@ mod tests {
         ];
         for q in &queries {
             assert_eq!(
-                evaluate(&st, q, &EvalOptions::default()).unwrap(),
+                evaluate(&st, q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap(),
                 evaluate_unoptimized(&st, q).unwrap(),
                 "optimizer changed semantics of {q}"
             );

@@ -480,11 +480,7 @@ impl Bdms {
     /// `execute` nor `sort` nor a profile); a disabled recorder makes this
     /// exactly the plain query path (no profiling).
     pub fn query_traced(&self, q: &Bcq, rec: &mut Recorder) -> Result<Vec<Row>> {
-        let opts = self.eval_options();
-        if !rec.is_enabled() {
-            return bcq::translate::evaluate(&self.store, q, &opts);
-        }
-        bcq::translate::evaluate_traced(&self.store, q, &opts, rec)
+        bcq::translate::evaluate(&self.store, q, &self.eval_options(), rec)
     }
 
     /// `EXPLAIN ANALYZE`: run the query with per-operator profiling on

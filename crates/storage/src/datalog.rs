@@ -58,9 +58,9 @@ const PLAN_CACHE_ROW_BUDGET: usize = 200_000;
 /// attaches the first time it replays the entry's plans, so a program
 /// that is never repeated pays nothing for it. A hit on an entry with an
 /// answer ([`PlanCache::lookup_entry`]) needs no execution at all.
-/// For the same reason the cache only serves evaluators with **no
-/// pre-registered derived relations** ([`Evaluator::define`]) — those
-/// rows are outside the cache key.
+/// For the same reason cached plans may only be run by, and collected
+/// from, evaluators with **no pre-registered derived relations**
+/// ([`Evaluator::define`]) — those rows are outside the cache key.
 ///
 /// Locking discipline: [`PlanCache::lookup`] and [`PlanCache::store`]
 /// are brief (a version compare plus an `Arc` clone), and
@@ -168,8 +168,9 @@ impl PlanCache {
     /// virtual (`sys.*`) relation. Such programs must never be cached:
     /// virtual rows are scan-time snapshots with no version counter, so
     /// [`PlanCache::read_versions`] cannot represent them and a cached
-    /// entry would silently serve stale introspection data. All cached
-    /// entry points check this and fall back to direct evaluation.
+    /// entry would silently serve stale introspection data. A caller
+    /// that caches arbitrary programs checks this and runs such a program
+    /// uncached.
     pub fn program_reads_virtual(db: &Database, program: &Program) -> bool {
         program.rules.iter().any(|rule| {
             db.is_virtual(&rule.head.relation)
@@ -403,9 +404,35 @@ pub struct Program {
     pub rules: Vec<Rule>,
 }
 
-/// Each answer rule's optimized plan paired with its execution profile —
-/// what a profiled program run (`run_*_analyze`) returns.
-pub type AnalyzedPlans = Vec<(Plan, crate::obs::Profile)>;
+/// Where [`Evaluator::run_answer`] sends the rows of the answer relation
+/// (the head of the program's last rule). Rules deriving any other head
+/// always materialize it: later rules read it.
+pub enum Output<'s> {
+    /// Materialize the answer head like every other head; read it with
+    /// [`Evaluator::relation`].
+    Collect,
+    /// [`Output::Collect`], with every answer-rule plan run under
+    /// per-operator profiling ([`Ran::profiles`]).
+    Profile,
+    /// Hand each answer row to the callback as the executor produces it,
+    /// deduplicated and unsorted; the answer head is never materialized.
+    /// Rows an earlier [`Evaluator::define`] put in the head come first.
+    Stream(&'s mut dyn FnMut(Row)),
+}
+
+/// What [`Evaluator::run_answer`] ran.
+pub struct Ran<'p> {
+    /// The answer relation, `None` for an empty program.
+    pub answer: Option<String>,
+    /// The answer rules' optimized plans in program order: the cached
+    /// plans when they ran, else the freshly planned ones — the list a
+    /// miss hands to [`PlanCache::store`]. Empty for a recursive program,
+    /// whose fixpoint rounds have no fixed answer-plan list.
+    pub plans: std::borrow::Cow<'p, [Plan]>,
+    /// Under [`Output::Profile`], the execution profile of each plan in
+    /// `plans`; empty otherwise.
+    pub profiles: Vec<crate::obs::Profile>,
+}
 
 /// Evaluates programs and rules against a database, holding materialized
 /// derived relations.
@@ -438,14 +465,18 @@ pub struct Evaluator<'a> {
 /// `materialized`, the reference executor) into `sink`, in executor
 /// order. The chunked path hands whole batches across the executor
 /// boundary — the per-row call happens only inside this loop, not per
-/// operator.
+/// operator. With `profile` on, the chunked executor always runs (a
+/// profile describes its operator tree) and its live
+/// [`Profile`](crate::obs::Profile) is returned: the `EXPLAIN ANALYZE`
+/// backend.
 fn drive(
     db: &Database,
     plan: &Plan,
     materialized: bool,
     spill: &crate::exec::SpillOptions,
+    profile: bool,
     mut sink: impl FnMut(Row),
-) -> Result<()> {
+) -> Result<Option<crate::obs::Profile>> {
     // Rows delivered are accumulated locally and added to the metrics
     // registry once per plan — no atomic traffic in the row loop.
     let mut emitted = 0u64;
@@ -454,54 +485,33 @@ fn drive(
         sink(row)
     };
     let result = (|| {
-        if materialized {
+        if materialized && !profile {
             for row in crate::exec::execute_materialized(db, plan)? {
                 sink(row);
             }
-            return Ok(());
+            return Ok(None);
         }
+        let exec = crate::exec::Executor::with_spill(db, spill.clone());
+        let (chunks, profile) = if profile {
+            let (chunks, profile) = exec.open_chunks_profiled(plan)?;
+            (chunks, Some(profile))
+        } else {
+            (exec.open_chunks(plan)?, None)
+        };
         // Drain through a reused scratch buffer so each chunk's backing
         // storage goes back to the executor's pool instead of being
         // reallocated per batch.
         let mut scratch: Vec<Row> = Vec::new();
-        for chunk in crate::exec::Executor::with_spill(db, spill.clone()).open_chunks(plan)? {
+        for chunk in chunks {
             chunk?.drain_into(&mut scratch);
             for row in scratch.drain(..) {
                 sink(row);
             }
         }
-        Ok(())
+        Ok(profile)
     })();
     crate::obs::metrics().add(crate::obs::Metric::RowsEmitted, emitted);
     result
-}
-
-/// [`drive`] with per-operator profiling on: always runs the chunked
-/// executor (profiles describe its operator tree) and returns the live
-/// [`Profile`](crate::obs::Profile) alongside. The `EXPLAIN ANALYZE`
-/// backend.
-fn drive_profiled(
-    db: &Database,
-    plan: &Plan,
-    spill: &crate::exec::SpillOptions,
-    mut sink: impl FnMut(Row),
-) -> Result<crate::obs::Profile> {
-    let exec = crate::exec::Executor::with_spill(db, spill.clone());
-    let (stream, profile) = exec.open_chunks_profiled(plan)?;
-    let mut scratch: Vec<Row> = Vec::new();
-    let mut emitted = 0u64;
-    let result = (|| {
-        for chunk in stream {
-            chunk?.drain_into(&mut scratch);
-            for row in scratch.drain(..) {
-                emitted += 1;
-                sink(row);
-            }
-        }
-        Ok(())
-    })();
-    crate::obs::metrics().add(crate::obs::Metric::RowsEmitted, emitted);
-    result.map(|()| profile)
 }
 
 /// Reserved name prefix for the per-round delta relations the
@@ -642,14 +652,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// An evaluator with explicit optimizer options.
-    pub fn with_optimizer(db: &'a Database, opts: crate::opt::OptimizerOptions) -> Self {
-        Evaluator {
-            optimizer: Some(opts),
-            ..Evaluator::new(db)
-        }
-    }
-
     /// Evaluate rule plans with the materializing executor
     /// ([`crate::exec::execute_materialized`]) instead of the streaming
     /// one. The executors are differentially tested to agree; this
@@ -667,12 +669,6 @@ impl<'a> Evaluator<'a> {
     /// default) keeps every materialization fully in memory.
     pub fn with_memory_budget(mut self, budget: Option<usize>) -> Self {
         self.spill.budget = budget;
-        self
-    }
-
-    /// Replace the full spill options (budget + run-file directory).
-    pub fn with_spill_options(mut self, spill: crate::exec::SpillOptions) -> Self {
-        self.spill = spill;
         self
     }
 
@@ -746,17 +742,21 @@ impl<'a> Evaluator<'a> {
         Ok(out)
     }
 
-    /// Render the `EXPLAIN ANALYZE` report for plans profiled by
-    /// [`Evaluator::run_collecting_analyze`] /
-    /// [`Evaluator::run_cached_analyze`]: every operator line carries its
-    /// estimate **and** what actually happened (rows, chunks, wall time,
+    /// Render the `EXPLAIN ANALYZE` report for the plans and profiles of
+    /// a run under [`Output::Profile`] ([`Ran::plans`] /
+    /// [`Ran::profiles`]): every operator line carries its estimate
+    /// **and** what actually happened (rows, chunks, wall time,
     /// kernel-vs-fallback rows, spill traffic). Call after the run so the
     /// profiles are final.
-    pub fn render_analyze_report(&mut self, profiled: &[(Plan, crate::obs::Profile)]) -> String {
+    pub fn render_analyze_report(
+        &mut self,
+        plans: &[Plan],
+        profiles: &[crate::obs::Profile],
+    ) -> String {
         self.refresh_stats();
         let stats = self.stats.as_ref().expect("just refreshed");
         let mut out = String::new();
-        for (plan, profile) in profiled {
+        for (plan, profile) in plans.iter().zip(profiles) {
             out.push_str(&crate::opt::render_analyze(
                 self.db,
                 stats,
@@ -786,12 +786,7 @@ impl<'a> Evaluator<'a> {
             .derived
             .entry(rule.head.relation.clone())
             .or_insert_with(|| (arity, Vec::new()));
-        if entry.0 != arity {
-            return Err(StorageError::DatalogError(format!(
-                "relation `{}` derived with conflicting arities {} and {arity}",
-                rule.head.relation, entry.0
-            )));
-        }
+        check_arity(&rule.head.relation, entry.0, arity)?;
         Ok(entry)
     }
 
@@ -801,18 +796,10 @@ impl<'a> Evaluator<'a> {
     /// no per-rule intermediate `Vec`, and no per-row virtual call at
     /// the executor boundary.
     fn consume_into_head(&mut self, rule: &Rule, plan: &Plan) -> Result<()> {
-        let db = self.db;
-        let materialized = self.materialized;
-        let spill = self.spill.clone();
         let mut seen = self.take_head_seen(rule)?;
-        let entry = self.head_entry(rule)?;
-        let out = drive(db, plan, materialized, &spill, |row| {
-            if seen.insert(row.clone()) {
-                entry.1.push(row);
-            }
-        });
+        let out = self.feed(rule, plan, &mut Output::Collect, &mut seen);
         self.head_seen = Some((rule.head.relation.clone(), seen));
-        out
+        out.map(|_| ())
     }
 
     /// The dedup set of `rule`'s head: the one the previous rule left if
@@ -825,26 +812,6 @@ impl<'a> Evaluator<'a> {
             Some((head, seen)) if head == rule.head.relation && seen.len() == rows.len() => seen,
             _ => rows.iter().cloned().collect(),
         })
-    }
-
-    /// [`Evaluator::consume_into_head`] with per-operator profiling on
-    /// (chunked executor only — profiles describe its operator tree).
-    fn consume_into_head_profiled(
-        &mut self,
-        rule: &Rule,
-        plan: &Plan,
-    ) -> Result<crate::obs::Profile> {
-        let db = self.db;
-        let spill = self.spill.clone();
-        let mut seen = self.take_head_seen(rule)?;
-        let entry = self.head_entry(rule)?;
-        let out = drive_profiled(db, plan, &spill, |row| {
-            if seen.insert(row.clone()) {
-                entry.1.push(row);
-            }
-        });
-        self.head_seen = Some((rule.head.relation.clone(), seen));
-        out
     }
 
     /// Register a pre-materialized relation (e.g. a literal temp table).
@@ -861,24 +828,127 @@ impl<'a> Evaluator<'a> {
     /// Run every rule, materializing head relations. Returns the name of
     /// the last head (by convention the query answer). Non-recursive
     /// programs evaluate rule-at-a-time in definition order, rows
-    /// streaming from the executor into the derived relations — exactly
-    /// the pre-recursion engine, byte for byte. Programs whose
-    /// head-dependency graph has cycles switch to stratified semi-naive
-    /// fixpoint evaluation (`Evaluator::run_recursive`).
+    /// streaming from the executor into the derived relations. Programs
+    /// whose head-dependency graph has cycles switch to stratified
+    /// semi-naive fixpoint evaluation (`Evaluator::run_recursive`).
     pub fn run(&mut self, program: &Program) -> Result<Option<String>> {
-        let graph = head_graph(program);
-        let comps = graph.sccs();
-        if comps.iter().any(|c| graph.component_recursive(c)) {
-            return self.run_recursive(program, &graph, &comps);
+        self.run_answer(program, None, Output::Collect)
+            .map(|ran| ran.answer)
+    }
+
+    /// Run `program` with its answer relation — the last rule's head —
+    /// delivered through `out`: the one rule loop behind every way a
+    /// query runs.
+    ///
+    /// With `cached` plans (from [`PlanCache::lookup`]) that line up with
+    /// the program's answer rules, only those plans run — they embed
+    /// every derived relation they read as `Values` — and no other head
+    /// is derived. Otherwise every rule is planned and run in definition
+    /// order, and [`Ran::plans`] returns the answer rules' fresh plans
+    /// for [`PlanCache::store`]; a plan list that does not line up (a
+    /// stale or foreign cache entry) falls back to this full run.
+    /// Recursive programs take the semi-naive fixpoint path, and under
+    /// [`Output::Stream`] their answer rows are emitted once it finishes.
+    /// The answer rules share one dedup set, whether their rows go to the
+    /// head or to the sink.
+    pub fn run_answer<'p>(
+        &mut self,
+        program: &Program,
+        cached: Option<&'p [Plan]>,
+        mut out: Output<'_>,
+    ) -> Result<Ran<'p>> {
+        let mut ran = Ran {
+            answer: program.rules.last().map(|r| r.head.relation.clone()),
+            plans: Vec::new().into(),
+            profiles: Vec::new(),
+        };
+        let Some(last) = program.rules.last() else {
+            return Ok(ran);
+        };
+        let head = &last.head.relation;
+        let answer_rules = program.rules.iter().filter(|r| &r.head.relation == head);
+        let replay = cached.filter(|plans| plans.len() == answer_rules.clone().count());
+        // Under `Stream` no head entry checks that the answer rules agree
+        // on the arity, so check it up front for every output.
+        let width = last.head.terms.len();
+        for rule in answer_rules.clone() {
+            check_arity(head, rule.head.terms.len(), width)?;
         }
-        let mut last = None;
+        if replay.is_none() {
+            let graph = head_graph(program);
+            let comps = graph.sccs();
+            if comps.iter().any(|c| graph.component_recursive(c)) {
+                self.run_recursive(program, &graph, &comps)?;
+                if let (Output::Stream(sink), Some(rows)) = (out, self.relation(head)) {
+                    rows.iter().cloned().for_each(sink);
+                }
+                return Ok(ran);
+            }
+        }
+        // Answer rows already in the head (pre-registered ones) seed the
+        // dedup set; a streamed answer starts with them.
+        let mut seen: HashSet<Row> = HashSet::new();
+        if let Some((arity, rows)) = self.derived.get(head) {
+            check_arity(head, *arity, width)?;
+            seen.extend(rows.iter().cloned());
+            if let Output::Stream(sink) = &mut out {
+                for row in rows {
+                    sink(row.clone());
+                }
+            }
+        }
+        if let Some(plans) = replay {
+            for (rule, plan) in answer_rules.zip(plans) {
+                ran.profiles
+                    .extend(self.feed(rule, plan, &mut out, &mut seen)?);
+            }
+            ran.plans = plans.into();
+            return Ok(ran);
+        }
+        let mut plans = Vec::new();
         for rule in &program.rules {
             self.check_nonrecursive(rule)?;
             let plan = self.plan_rule(rule)?;
-            self.consume_into_head(rule, &plan)?;
-            last = Some(rule.head.relation.clone());
+            if &rule.head.relation == head {
+                ran.profiles
+                    .extend(self.feed(rule, &plan, &mut out, &mut seen)?);
+                plans.push(plan);
+            } else {
+                self.consume_into_head(rule, &plan)?;
+            }
         }
-        Ok(last)
+        ran.plans = plans.into();
+        Ok(ran)
+    }
+
+    /// Run one rule's plan into `out`, deduplicated against `seen`: into
+    /// the rule's head under [`Output::Collect`] / [`Output::Profile`]
+    /// (returning the profile under the latter), into the callback under
+    /// [`Output::Stream`].
+    fn feed(
+        &mut self,
+        rule: &Rule,
+        plan: &Plan,
+        out: &mut Output<'_>,
+        seen: &mut HashSet<Row>,
+    ) -> Result<Option<crate::obs::Profile>> {
+        let db = self.db;
+        let materialized = self.materialized;
+        let spill = self.spill.clone();
+        let profile = matches!(out, Output::Profile);
+        if let Output::Stream(sink) = out {
+            return drive(db, plan, materialized, &spill, false, |row| {
+                if seen.insert(row.clone()) {
+                    sink(row);
+                }
+            });
+        }
+        let entry = self.head_entry(rule)?;
+        drive(db, plan, materialized, &spill, profile, |row| {
+            if seen.insert(row.clone()) {
+                entry.1.push(row);
+            }
+        })
     }
 
     /// Stratified semi-naive evaluation for recursive programs.
@@ -1042,74 +1112,27 @@ impl<'a> Evaluator<'a> {
     fn eval_rule_rows(&mut self, rule: &Rule) -> Result<Vec<Row>> {
         let plan = self.plan_rule(rule)?;
         let mut rows = Vec::new();
-        drive(self.db, &plan, self.materialized, &self.spill, |row| {
-            rows.push(row)
-        })?;
+        drive(
+            self.db,
+            &plan,
+            self.materialized,
+            &self.spill,
+            false,
+            |row| rows.push(row),
+        )?;
         Ok(rows)
     }
 
-    /// Like [`Evaluator::run`], but consulting `cache` for the optimized
-    /// answer plans of the program: a hit (same program text, same table
-    /// versions) skips compilation, safety checks, every optimizer
-    /// rewrite pass, and the re-derivation of intermediate relations —
-    /// **on a hit only the final head relation is materialized**. Falls
-    /// back to the uncached path when this evaluator carries
-    /// pre-registered derived relations (their rows are outside the
-    /// cache key) or has the optimizer disabled.
-    ///
-    /// This convenience holds no lock; callers sharing a `PlanCache`
-    /// behind a mutex should instead do the brief
-    /// [`PlanCache::lookup`]/[`PlanCache::store`] calls under the lock
-    /// and run [`Evaluator::run_cached_plans`] /
-    /// [`Evaluator::run_collecting_plans`] outside it.
-    pub fn run_cached(
-        &mut self,
-        program: &Program,
-        cache: &mut PlanCache,
-    ) -> Result<Option<String>> {
-        if !self.derived.is_empty()
-            || self.optimizer.is_none()
-            || program_recursive(program)
-            || PlanCache::program_reads_virtual(self.db, program)
-        {
-            return self.run(program);
-        }
-        let key = program.to_string();
-        let versions = PlanCache::read_versions(self.db, program);
-        if let Some(plans) = cache.lookup(&key, &versions) {
-            return self.run_cached_plans(program, &plans);
-        }
-        let (last, plans) = self.run_collecting_plans(program)?;
-        cache.store(key, versions, plans);
-        Ok(last)
-    }
-
     /// Execute cached answer plans (from [`PlanCache::lookup`]) for
-    /// `program`: only the rules deriving the final head run — their
-    /// plans embed every derived relation they read as `Values` — and
-    /// only that head is materialized. Falls back to [`Evaluator::run`]
-    /// if the plan list does not line up with the program (a stale or
-    /// foreign cache entry).
+    /// `program`: [`Evaluator::run_answer`] under [`Output::Collect`], kept
+    /// with this signature for callers that replay plans themselves.
     pub fn run_cached_plans(
         &mut self,
         program: &Program,
         plans: &[Plan],
     ) -> Result<Option<String>> {
-        let Some(last) = program.rules.last() else {
-            return Ok(None);
-        };
-        let answer_rules: Vec<&Rule> = program
-            .rules
-            .iter()
-            .filter(|r| r.head.relation == last.head.relation)
-            .collect();
-        if answer_rules.len() != plans.len() {
-            return self.run(program);
-        }
-        for (rule, plan) in answer_rules.into_iter().zip(plans) {
-            self.consume_into_head(rule, plan)?;
-        }
-        Ok(Some(last.head.relation.clone()))
+        self.run_answer(program, Some(plans), Output::Collect)
+            .map(|ran| ran.answer)
     }
 
     /// Run the whole program (exactly like [`Evaluator::run`]) and also
@@ -1119,198 +1142,8 @@ impl<'a> Evaluator<'a> {
         &mut self,
         program: &Program,
     ) -> Result<(Option<String>, Vec<Plan>)> {
-        if program_recursive(program) {
-            // Fixpoint rounds have no fixed answer-plan list to cache.
-            let last = self.run(program)?;
-            return Ok((last, Vec::new()));
-        }
-        let mut plans: Vec<(String, Plan)> = Vec::with_capacity(program.rules.len());
-        let mut last = None;
-        for rule in &program.rules {
-            self.check_nonrecursive(rule)?;
-            let plan = self.plan_rule(rule)?;
-            self.consume_into_head(rule, &plan)?;
-            plans.push((rule.head.relation.clone(), plan));
-            last = Some(rule.head.relation.clone());
-        }
-        let answer_plans = match &last {
-            Some(head) => plans
-                .into_iter()
-                .filter(|(h, _)| h == head)
-                .map(|(_, p)| p)
-                .collect(),
-            None => Vec::new(),
-        };
-        Ok((last, answer_plans))
-    }
-
-    /// Run the whole program (exactly like [`Evaluator::run`]), profiling
-    /// the rules that derive the final head: returns the last head name
-    /// plus each answer rule's optimized plan and execution profile —
-    /// the `EXPLAIN ANALYZE` backend. The answer plans are the same list
-    /// [`Evaluator::run_collecting_plans`] would hand to
-    /// [`PlanCache::store`].
-    pub fn run_collecting_analyze(
-        &mut self,
-        program: &Program,
-    ) -> Result<(Option<String>, AnalyzedPlans)> {
-        if program_recursive(program) {
-            // Per-round variants make per-rule profiles ill-defined.
-            let last = self.run(program)?;
-            return Ok((last, Vec::new()));
-        }
-        let answer_head = program.rules.last().map(|r| r.head.relation.clone());
-        let mut profiled = Vec::new();
-        let mut last = None;
-        for rule in &program.rules {
-            self.check_nonrecursive(rule)?;
-            let plan = self.plan_rule(rule)?;
-            if Some(&rule.head.relation) == answer_head.as_ref() {
-                let profile = self.consume_into_head_profiled(rule, &plan)?;
-                profiled.push((plan, profile));
-            } else {
-                self.consume_into_head(rule, &plan)?;
-            }
-            last = Some(rule.head.relation.clone());
-        }
-        Ok((last, profiled))
-    }
-
-    /// Execute cached answer plans (like [`Evaluator::run_cached_plans`])
-    /// with profiling on, returning each plan's execution profile. Falls
-    /// back to [`Evaluator::run_collecting_analyze`] if the plan list
-    /// does not line up with the program.
-    pub fn run_cached_analyze(
-        &mut self,
-        program: &Program,
-        plans: &[Plan],
-    ) -> Result<(Option<String>, AnalyzedPlans)> {
-        let Some(last) = program.rules.last() else {
-            return Ok((None, Vec::new()));
-        };
-        let answer_rules: Vec<&Rule> = program
-            .rules
-            .iter()
-            .filter(|r| r.head.relation == last.head.relation)
-            .collect();
-        if answer_rules.len() != plans.len() {
-            return self.run_collecting_analyze(program);
-        }
-        let mut profiled = Vec::with_capacity(plans.len());
-        for (rule, plan) in answer_rules.into_iter().zip(plans) {
-            let profile = self.consume_into_head_profiled(rule, plan)?;
-            profiled.push((plan.clone(), profile));
-        }
-        Ok((Some(last.head.relation.clone()), profiled))
-    }
-
-    /// Run every rule, materializing intermediate heads, but **stream**
-    /// the final head's rows into `sink` as the executor produces them —
-    /// the query answer is never collected into a `Vec` here. Rows
-    /// derived by earlier rules sharing the final rule's head are
-    /// emitted first (they are part of the answer, exactly as in
-    /// [`Evaluator::run`]); the final rule's own rows then stream,
-    /// deduplicated against them. Rows arrive in executor order,
-    /// unsorted.
-    pub fn run_streaming(&mut self, program: &Program, sink: impl FnMut(Row)) -> Result<()> {
-        self.run_streaming_collecting_plans(program, sink)
-            .map(|_| ())
-    }
-
-    /// [`Evaluator::run_streaming`], additionally returning the optimized
-    /// plans of the rules deriving the final head for a later
-    /// [`PlanCache::store`] (the streaming counterpart of
-    /// [`Evaluator::run_collecting_plans`]).
-    pub fn run_streaming_collecting_plans(
-        &mut self,
-        program: &Program,
-        mut sink: impl FnMut(Row),
-    ) -> Result<Vec<Plan>> {
-        let Some((last, init)) = program.rules.split_last() else {
-            return Ok(Vec::new());
-        };
-        if program_recursive(program) {
-            // No single streaming answer plan exists: evaluate the
-            // fixpoint fully, then emit the final head's rows.
-            self.run(program)?;
-            if let Some((_, rows)) = self.derived.get(&last.head.relation) {
-                for row in rows.clone() {
-                    sink(row);
-                }
-            }
-            return Ok(Vec::new());
-        }
-        let mut answer_plans: Vec<Plan> = Vec::new();
-        for rule in init {
-            self.check_nonrecursive(rule)?;
-            let plan = self.plan_rule(rule)?;
-            self.consume_into_head(rule, &plan)?;
-            if rule.head.relation == last.head.relation {
-                answer_plans.push(plan);
-            }
-        }
-        self.check_nonrecursive(last)?;
-        let plan = self.plan_rule(last)?;
-        let mut seen: HashSet<Row> = match self.derived.get(&last.head.relation) {
-            Some((arity, rows)) => {
-                if *arity != last.head.terms.len() {
-                    return Err(StorageError::DatalogError(format!(
-                        "relation `{}` derived with conflicting arities {} and {}",
-                        last.head.relation,
-                        arity,
-                        last.head.terms.len()
-                    )));
-                }
-                // Earlier rules already derived (deduplicated) answer
-                // rows: they belong to the streamed result.
-                for row in rows {
-                    sink(row.clone());
-                }
-                rows.iter().cloned().collect()
-            }
-            None => HashSet::new(),
-        };
-        drive(self.db, &plan, self.materialized, &self.spill, |row| {
-            if seen.insert(row.clone()) {
-                sink(row);
-            }
-        })?;
-        answer_plans.push(plan);
-        Ok(answer_plans)
-    }
-
-    /// Stream cached answer plans (from [`PlanCache::lookup`]) into
-    /// `sink`: nothing but the final head's rows is computed — the
-    /// cached plans embed every derived relation they read — and the
-    /// answer is never collected. Rows are deduplicated across the
-    /// plans. Falls back to [`Evaluator::run_streaming`] if the plan
-    /// list does not line up with the program.
-    pub fn stream_cached_plans(
-        &mut self,
-        program: &Program,
-        plans: &[Plan],
-        mut sink: impl FnMut(Row),
-    ) -> Result<()> {
-        let Some(last) = program.rules.last() else {
-            return Ok(());
-        };
-        let n_answer = program
-            .rules
-            .iter()
-            .filter(|r| r.head.relation == last.head.relation)
-            .count();
-        if n_answer != plans.len() {
-            return self.run_streaming(program, sink);
-        }
-        let mut seen: HashSet<Row> = HashSet::new();
-        for plan in plans {
-            drive(self.db, plan, self.materialized, &self.spill, |row| {
-                if seen.insert(row.clone()) {
-                    sink(row);
-                }
-            })?;
-        }
-        Ok(())
+        let ran = self.run_answer(program, None, Output::Collect)?;
+        Ok((ran.answer, ran.plans.into_owned()))
     }
 
     fn check_nonrecursive(&self, rule: &Rule) -> Result<()> {
@@ -1349,9 +1182,14 @@ impl<'a> Evaluator<'a> {
             plan = crate::opt::optimize_with(self.db, plan, opts)?;
         }
         let mut rows = Vec::new();
-        drive(self.db, &plan, self.materialized, &self.spill, |row| {
-            rows.push(row)
-        })?;
+        drive(
+            self.db,
+            &plan,
+            self.materialized,
+            &self.spill,
+            false,
+            |row| rows.push(row),
+        )?;
         dedup_rows(&mut rows);
         Ok(rows)
     }
@@ -1593,6 +1431,16 @@ impl<'a> Evaluator<'a> {
         }
         Ok((Plan::scan(&atom.relation), arity))
     }
+}
+
+/// The error for a relation derived with arity `got` after arity `had`.
+fn check_arity(relation: &str, had: usize, got: usize) -> Result<()> {
+    if had == got {
+        return Ok(());
+    }
+    Err(StorageError::DatalogError(format!(
+        "relation `{relation}` derived with conflicting arities {had} and {got}"
+    )))
 }
 
 fn dedup_rows(rows: &mut Vec<Row>) {
@@ -2090,6 +1938,32 @@ mod tests {
         }
     }
 
+    /// A plan-cache round trip as a caller sharing a cache makes it: look
+    /// the program up under its read versions, run the hit's plans (or the
+    /// whole program), and store the plans a miss collected. An evaluator
+    /// with pre-registered relations or the optimizer off, and a recursive
+    /// or `sys.*`-reading program, run uncached: their rows or plans are
+    /// outside the cache key.
+    fn run_cached(ev: &mut Evaluator<'_>, prog: &Program, cache: &mut PlanCache) {
+        if !ev.derived.is_empty()
+            || ev.optimizer.is_none()
+            || program_recursive(prog)
+            || PlanCache::program_reads_virtual(ev.db, prog)
+        {
+            ev.run(prog).unwrap();
+            return;
+        }
+        let key = prog.to_string();
+        let versions = PlanCache::read_versions(ev.db, prog);
+        let hit = cache.lookup(&key, &versions);
+        let ran = ev
+            .run_answer(prog, hit.as_deref().map(Vec::as_slice), Output::Collect)
+            .unwrap();
+        if hit.is_none() {
+            cache.store(key, versions, ran.plans.into_owned());
+        }
+    }
+
     #[test]
     fn plan_cache_hits_on_repeat_and_invalidates_on_mutation() {
         let mut db = db();
@@ -2097,7 +1971,7 @@ mod tests {
         let mut cache = PlanCache::new();
 
         let mut ev = Evaluator::new(&db);
-        ev.run_cached(&prog, &mut cache).unwrap();
+        run_cached(&mut ev, &prog, &mut cache);
         let mut first = ev.relation("Reach2").unwrap().to_vec();
         first.sort();
         assert_eq!(cache.misses(), 1);
@@ -2108,7 +1982,7 @@ mod tests {
         // answer — and the intermediate relation is *not* re-derived
         // (the cached answer plan embeds it).
         let mut ev = Evaluator::new(&db);
-        ev.run_cached(&prog, &mut cache).unwrap();
+        run_cached(&mut ev, &prog, &mut cache);
         let mut second = ev.relation("Reach2").unwrap().to_vec();
         second.sort();
         assert_eq!(cache.hits(), 1);
@@ -2122,7 +1996,7 @@ mod tests {
         // served, and the recomputed answer reflects the new row.
         db.table_mut("E").unwrap().insert(row![0, 1, 9]).unwrap();
         let mut ev = Evaluator::new(&db);
-        ev.run_cached(&prog, &mut cache).unwrap();
+        run_cached(&mut ev, &prog, &mut cache);
         assert_eq!(cache.misses(), 2);
         let reach1 = ev.relation("Reach1").unwrap();
         assert!(reach1.contains(&row![9]), "{reach1:?}");
@@ -2142,7 +2016,7 @@ mod tests {
         let mut db = db();
         let prog = reach_program(); // reads only E
         let mut cache = PlanCache::new();
-        Evaluator::new(&db).run_cached(&prog, &mut cache).unwrap();
+        run_cached(&mut Evaluator::new(&db), &prog, &mut cache);
         assert_eq!(cache.misses(), 1);
         // Inserting into a table the program never reads must not void
         // the entry: the key covers the read set, not the whole catalog.
@@ -2151,7 +2025,7 @@ mod tests {
             .insert(row![9, "Zoe"])
             .unwrap();
         let mut ev = Evaluator::new(&db);
-        ev.run_cached(&prog, &mut cache).unwrap();
+        run_cached(&mut ev, &prog, &mut cache);
         assert_eq!(cache.hits(), 1, "unrelated mutation evicted the plan");
         assert!(
             ev.relation("Reach1").is_none(),
@@ -2212,7 +2086,7 @@ mod tests {
         for rows in [vec![row![1]], vec![row![2]]] {
             let mut ev = Evaluator::new(&db);
             ev.define("T", 1, rows.clone());
-            ev.run_cached(&prog, &mut cache).unwrap();
+            run_cached(&mut ev, &prog, &mut cache);
             // The evaluator carries out-of-program state: the cache must
             // not serve (or record) plans embedding it.
             assert_eq!(ev.relation("Q").unwrap(), rows.as_slice());
@@ -2237,7 +2111,7 @@ mod tests {
                 )],
             };
             let mut ev = Evaluator::new(&db);
-            ev.run_cached(&prog, &mut cache).unwrap();
+            run_cached(&mut ev, &prog, &mut cache);
         }
         assert_eq!(cache.len(), super::PLAN_CACHE_CAP);
     }
@@ -2253,7 +2127,8 @@ mod tests {
 
         let mut ev = Evaluator::new(&db);
         let mut got = Vec::new();
-        ev.run_streaming(&prog, |row| got.push(row)).unwrap();
+        ev.run_answer(&prog, None, Output::Stream(&mut |row| got.push(row)))
+            .unwrap();
         got.sort();
         assert_eq!(got, want);
 
@@ -2294,7 +2169,8 @@ mod tests {
 
         let mut ev = Evaluator::new(&db);
         let mut got = Vec::new();
-        ev.run_streaming(&prog, |row| got.push(row)).unwrap();
+        ev.run_answer(&prog, None, Output::Stream(&mut |row| got.push(row)))
+            .unwrap();
         got.sort();
         assert_eq!(got, want);
         assert_eq!(got, vec![row![1], row![2], row![3]]);
@@ -2310,8 +2186,10 @@ mod tests {
         let mut ev = Evaluator::new(&db);
         let mut first = Vec::new();
         let plans = ev
-            .run_streaming_collecting_plans(&prog, |row| first.push(row))
-            .unwrap();
+            .run_answer(&prog, None, Output::Stream(&mut |row| first.push(row)))
+            .unwrap()
+            .plans
+            .into_owned();
         cache.store(prog.to_string(), PlanCache::db_versions(&db), plans);
         first.sort();
 
@@ -2322,13 +2200,68 @@ mod tests {
             .expect("entry just stored");
         let mut ev = Evaluator::new(&db);
         let mut second = Vec::new();
-        ev.stream_cached_plans(&prog, &cached, |row| second.push(row))
-            .unwrap();
+        let sink = Output::Stream(&mut |row| second.push(row));
+        ev.run_answer(&prog, Some(&cached), sink).unwrap();
         second.sort();
         assert_eq!(first, second);
         assert!(
             ev.relation("Reach1").is_none(),
             "cached streaming must skip intermediate derivation"
+        );
+    }
+
+    #[test]
+    fn misaligned_cached_plans_fall_back_to_a_full_run() {
+        let db = db();
+        let prog = reach_program();
+        let mut reference = Evaluator::new(&db);
+        reference.run(&prog).unwrap();
+        let mut want = reference.relation("Reach2").unwrap().to_vec();
+        want.sort();
+        assert!(!want.is_empty());
+        // Two plans for the program's one answer rule: a stale or foreign
+        // entry. Every output must ignore it and run the whole program.
+        let foreign = [values_plan(5), values_plan(7)].concat();
+        let answer = |ev: &Evaluator<'_>| {
+            let mut rows = ev.relation("Reach2").unwrap().to_vec();
+            rows.sort();
+            rows
+        };
+
+        let mut ev = Evaluator::new(&db);
+        let ran = ev
+            .run_answer(&prog, Some(&foreign), Output::Collect)
+            .unwrap();
+        assert_eq!(answer(&ev), want);
+        assert_eq!(
+            ran.plans.len(),
+            1,
+            "the fresh answer plan, not the foreign two"
+        );
+        assert!(ran.profiles.is_empty());
+        assert!(ev.relation("Reach1").is_some(), "a full run derives Reach1");
+
+        let mut ev = Evaluator::new(&db);
+        let ran = ev
+            .run_answer(&prog, Some(&foreign), Output::Profile)
+            .unwrap();
+        assert_eq!(answer(&ev), want);
+        assert_eq!((ran.plans.len(), ran.profiles.len()), (1, 1));
+        assert!(ev.relation("Reach1").is_some(), "a full run derives Reach1");
+        let report = ev.render_analyze_report(&ran.plans, &ran.profiles);
+        assert!(report.contains("actual rows="), "{report}");
+
+        let mut ev = Evaluator::new(&db);
+        let mut got = Vec::new();
+        let sink = Output::Stream(&mut |row| got.push(row));
+        let ran = ev.run_answer(&prog, Some(&foreign), sink).unwrap();
+        got.sort();
+        assert_eq!(got, want);
+        assert_eq!(ran.plans.len(), 1);
+        assert!(ev.relation("Reach1").is_some(), "a full run derives Reach1");
+        assert!(
+            ev.relation("Reach2").is_none(),
+            "a streamed head stays empty"
         );
     }
 
@@ -2360,7 +2293,7 @@ mod tests {
                 ],
             };
             let mut ev = Evaluator::new(&db);
-            ev.run_cached(&prog, &mut cache).unwrap();
+            run_cached(&mut ev, &prog, &mut cache);
             assert!(
                 cache.embedded_row_count() <= 4,
                 "budget exceeded: {} rows cached",
@@ -2384,7 +2317,7 @@ mod tests {
             )],
         };
         let mut ev = Evaluator::new(&db);
-        ev.run_cached(&prog, &mut none).unwrap();
+        run_cached(&mut ev, &prog, &mut none);
         assert_eq!(ev.relation("Q").unwrap().len(), 3);
         assert!(none.is_empty() || none.embedded_row_count() == 0);
     }

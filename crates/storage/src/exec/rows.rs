@@ -2,7 +2,7 @@
 //!
 //! [`RowStream`] flattens a [`ChunkStream`](super::ChunkStream) into
 //! single rows for sinks written against `Iterator<Item = Result<Row>>`
-//! (the shell, `run_streaming` callbacks, embedders). Rows of the current
+//! (the shell, `Output::Stream` callbacks, embedders). Rows of the current
 //! chunk are handed out one by one; the next chunk is pulled only when
 //! they run out, and each exhausted chunk's buffers return to the pool.
 //! An `Err` chunk becomes one `Err` row item at the same position, so the

@@ -14,7 +14,7 @@ use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::datalog::{Atom, BodyLit, Evaluator, Program, Rule, Term};
 use beliefdb::storage::opt::magic;
-use beliefdb::storage::{CmpOp, Row};
+use beliefdb::storage::{CmpOp, Recorder, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -183,7 +183,8 @@ fn rewritten_matches_unrewritten_across_executors_and_budgets() {
             // Invalid queries must fail identically with the rewrite on
             // and off: validation runs before the rewrite ever sees the
             // program.
-            let on = translate::evaluate(bdms.internal(), &q, &EvalOptions::default())
+            let mut rec = Recorder::disabled();
+            let on = translate::evaluate(bdms.internal(), &q, &EvalOptions::default(), &mut rec)
                 .expect_err("translate rejected but evaluate(magic=on) accepted");
             let off = translate::evaluate(
                 bdms.internal(),
@@ -192,6 +193,7 @@ fn rewritten_matches_unrewritten_across_executors_and_budgets() {
                     magic: false,
                     ..EvalOptions::default()
                 },
+                &mut rec,
             )
             .expect_err("translate rejected but evaluate(magic=off) accepted");
             assert_eq!(

@@ -8,8 +8,9 @@
 //! * seeded interleavings of the seven Table 2 queries and the key-bound
 //!   probe, each read repeated one to three times, with inserts, deletes,
 //!   updates and new users in between, on a Table 2 store at n = 300
-//!   under both default policies — after every step every collected and
-//!   every streamed answer equals `query_naive` and `query_materialized`;
+//!   under both default policies — after every step every collected,
+//!   streamed, traced (profiled) and `EXPLAIN ANALYZE` answer equals
+//!   `query_naive` and `query_materialized`;
 //! * the counters: a third repeat scans no row and counts one hit, a
 //!   write outside a program's read set keeps its answer, and a write
 //!   inside it forces a miss.
@@ -24,7 +25,7 @@ use beliefdb::core::{Bdms, BeliefPath, BeliefStatement, DefaultPolicy, GroundTup
 use beliefdb::gen::scenarios::table2_config;
 use beliefdb::gen::{fresh_bdms_with_policy, CandidateStream};
 use beliefdb::storage::datalog::PlanCache;
-use beliefdb::storage::{metrics, CmpOp, Metric, Row, Value};
+use beliefdb::storage::{metrics, CmpOp, Metric, Recorder, Row, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -84,8 +85,32 @@ fn streamed(bdms: &Bdms, q: &Bcq) -> Vec<Row> {
     rows
 }
 
+/// One read of `q` through every way a query runs on the plan cache, in
+/// an order rotated by `turn` so that each way in turn meets the miss, the
+/// first hit (which replays the cached plans) and the later hits (which
+/// return the stored answer): collected, streamed, traced under an
+/// enabled recorder (a profiled run), and `EXPLAIN ANALYZE` (which always
+/// runs the plans). Every answer comes back sorted, named by its way.
+fn cached_reads(bdms: &Bdms, q: &Bcq, turn: usize) -> Vec<(&'static str, Vec<Row>)> {
+    type Read = fn(&Bdms, &Bcq) -> Vec<Row>;
+    let ways: [(&str, Read); 4] = [
+        ("collected", |b, q| b.query(q).unwrap()),
+        ("streamed", streamed),
+        ("traced", |b, q| {
+            b.query_traced(q, &mut Recorder::enabled("traced")).unwrap()
+        }),
+        ("analyzed", |b, q| b.explain_analyze_query(q).unwrap().0),
+    ];
+    (0..ways.len())
+        .map(|i| {
+            let (way, read) = ways[(turn + i) % ways.len()];
+            (way, read(bdms, q))
+        })
+        .collect()
+}
+
 /// One seeded interleaving: `steps` steps, each a write or a read of one
-/// query repeated one to three times through both cached paths, checked
+/// query repeated one to three times through every cached path, checked
 /// against both references after every step. Returns the cache's hits
 /// and the answer rows it held at some point (so the caller can tell the
 /// answer path was exercised).
@@ -157,28 +182,22 @@ fn interleaving(policy: DefaultPolicy, seed: u64, steps: usize) -> (u64, usize) 
                     "{ctx}: {name}: references disagree"
                 );
                 for repeat in 0..=rng.gen_range(0..3) {
-                    assert_eq!(
-                        bdms.query(q).unwrap(),
-                        naive,
-                        "{ctx}: {name} collected, repeat {repeat}"
-                    );
-                    assert_eq!(
-                        streamed(&bdms, q),
-                        naive,
-                        "{ctx}: {name} streamed, repeat {repeat}"
-                    );
+                    for (way, rows) in cached_reads(&bdms, q, step + repeat) {
+                        assert_eq!(rows, naive, "{ctx}: {name} {way}, repeat {repeat}");
+                    }
                 }
             }
         }
         // Every query whose answer the cache may hold, whatever the last
-        // step was: collected and streamed against both references.
+        // step was: every way it runs against both references.
         for (name, q) in reads(&bdms, &key) {
             let stats = bdms.plan_cache_stats();
             max_answer_rows = max_answer_rows.max(stats.answer_rows);
             let naive = bdms.query_naive(&q).unwrap();
             assert_eq!(bdms.query_materialized(&q).unwrap(), naive, "{ctx}: {name}");
-            assert_eq!(bdms.query(&q).unwrap(), naive, "{ctx}: {name} collected");
-            assert_eq!(streamed(&bdms, &q), naive, "{ctx}: {name} streamed");
+            for (way, rows) in cached_reads(&bdms, &q, step) {
+                assert_eq!(rows, naive, "{ctx}: {name} {way}");
+            }
         }
     }
     (bdms.plan_cache_stats().hits, max_answer_rows)
