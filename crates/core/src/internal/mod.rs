@@ -85,6 +85,7 @@ mod ops;
 mod slices;
 mod worlds;
 
+pub(crate) use slices::slice_entry;
 pub use worlds::WorldDirectory;
 
 use crate::error::{BeliefError, Result};

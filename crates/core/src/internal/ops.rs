@@ -157,6 +157,23 @@ impl InternalStore {
         Ok(outcome.expect("a statement was asserted"))
     }
 
+    /// [`InternalStore::insert`] of a statement already resolved to ids:
+    /// the tuple `tid` of `rel`, whose key is `key`, at the existing world
+    /// `wid`. Restoring a snapshot goes through here, so neither the path
+    /// nor the tuple is looked up again.
+    pub(crate) fn insert_ids(
+        &mut self,
+        wid: Wid,
+        rel: RelId,
+        tid: Tid,
+        key: &Value,
+        sign: Sign,
+    ) -> Result<InsertOutcome> {
+        let path = self.dir.path(wid).clone();
+        let (_, outcome) = self.revise(rel, &path, wid, key, None, Some((tid, sign)))?;
+        Ok(outcome.expect("a statement was asserted"))
+    }
+
     /// Insert a [`BeliefStatement`].
     pub fn insert_statement(&mut self, stmt: &BeliefStatement) -> Result<InsertOutcome> {
         self.insert(&stmt.path, &stmt.tuple, stmt.sign)

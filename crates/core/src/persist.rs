@@ -13,7 +13,9 @@
 //!   without being serialized.
 //! * [`SnapshotData`] — a full-state image: the store's default policy,
 //!   external schema, user table, the world directory (in wid order), the
-//!   `R*` tuple table (in tid order), and every explicit belief statement.
+//!   `R*` tuple table (in tid order), and every explicit belief statement
+//!   as a `(wid, tid, sign)` reference into those two lists.
+//!   `encode_snapshot` writes it straight from the store's tables.
 //!   Worlds and tuples are snapshotted separately from the statements because
 //!   Algorithm 4 creates them even for *rejected* inserts (Sect. 5.3);
 //!   restoring them in id order reproduces the exact wid/tid
@@ -26,12 +28,13 @@
 
 use crate::error::{BeliefError, Result};
 use crate::ids::{RelId, Tid, UserId, Wid};
-use crate::internal::{DefaultPolicy, InternalStore};
+use crate::internal::{slice_entry, DefaultPolicy, InternalStore};
 use crate::path::BeliefPath;
 use crate::schema::ExternalSchema;
 use crate::statement::{BeliefStatement, GroundTuple, Sign};
 use beliefdb_storage::persist::{Dec, Enc, PersistEngine};
 use beliefdb_storage::{Row, StorageError};
+use std::collections::HashMap;
 
 pub use beliefdb_storage::persist::{PersistOptions, WalStats};
 
@@ -93,9 +96,12 @@ fn take_statement(d: &mut Dec) -> Result<BeliefStatement> {
     let path = take_path(d)?;
     let rel = RelId(d.take_u32()?);
     let row = d.take_row()?;
-    let sign =
-        Sign::from_code(d.take_u8()?).ok_or_else(|| corrupt("invalid sign byte in log record"))?;
+    let sign = take_sign(d)?;
     Ok(BeliefStatement::new(path, GroundTuple::new(rel, row), sign))
+}
+
+fn take_sign(d: &mut Dec) -> Result<Sign> {
+    Sign::from_code(d.take_u8()?).ok_or_else(|| corrupt("invalid sign byte"))
 }
 
 impl LogRecord {
@@ -187,9 +193,12 @@ impl LogRecord {
 // ---------------------------------------------------------------------------
 
 /// Snapshot format version (bumped on incompatible layout changes).
-/// Version 2 adds the policy byte after the version; a version-1 snapshot
-/// was written by an `Eager` store and opens as one.
-const SNAPSHOT_VERSION: u8 = 2;
+/// Version 3 stores each statement as `(wid, tid, sign)`, ids into the
+/// image's own world and tuple sections. Version 2 spelled each statement
+/// out (path, relation, row, sign) and version 1 also lacks the policy byte
+/// after the version: it was written by an `Eager` store and opens as one.
+/// Only version 3 is written; all three are read.
+const SNAPSHOT_VERSION: u8 = 3;
 
 fn policy_code(policy: DefaultPolicy) -> u8 {
     match policy {
@@ -198,7 +207,18 @@ fn policy_code(policy: DefaultPolicy) -> u8 {
     }
 }
 
-/// A full-state image of an [`InternalStore`], in logical form.
+/// One explicit statement of a [`SnapshotData`], by id: the world
+/// `worlds[wid]` states the tuple `tuples[tid]` (which names the relation)
+/// with sign `sign`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatementRef {
+    pub wid: Wid,
+    pub tid: Tid,
+    pub sign: Sign,
+}
+
+/// A full-state image of an [`InternalStore`], as read back from a
+/// snapshot payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotData {
     /// How the store applies the default rule.
@@ -211,78 +231,100 @@ pub struct SnapshotData {
     pub worlds: Vec<BeliefPath>,
     /// Ground tuples of the `R*` tables in tid order.
     pub tuples: Vec<GroundTuple>,
-    /// Every explicit belief statement.
-    pub statements: Vec<BeliefStatement>,
+    /// Every explicit belief statement, by id into `worlds` and `tuples`.
+    pub statements: Vec<StatementRef>,
+}
+
+/// Encode the version-3 image of `store` straight from its tables: the
+/// world directory in wid order, the `R*` heaps in tid order, and the
+/// explicit rows of every `V` table as `(wid, tid, sign)`. Its cost is
+/// proportional to worlds + tuples + explicit statements; no logical
+/// copy of the store is built.
+pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
+    let mut e = Enc::new();
+    e.put_u8(SNAPSHOT_VERSION);
+    e.put_u8(policy_code(store.policy()));
+    let relations = store.schema().relations();
+    e.put_u32(relations.len() as u32);
+    for r in relations {
+        e.put_str(r.name());
+        e.put_u32(r.columns().len() as u32);
+        for c in r.columns() {
+            e.put_str(c);
+        }
+    }
+    e.put_u32(store.users.len() as u32);
+    for (_, name) in &store.users {
+        e.put_str(name);
+    }
+    e.put_u32(store.dir.len() as u32);
+    for (_, path) in store.dir.iter() {
+        put_path(&mut e, path);
+    }
+
+    // Tids are dense across relations: place every `R*` row by its tid
+    // column, then write the rows out in tid order, cell by cell.
+    let stars = store
+        .rel_ids()
+        .map(|rel| store.star_of(rel))
+        .collect::<Result<Vec<_>>>()?;
+    let mut by_tid = vec![None; store.next_tid as usize];
+    for (rel, star) in stars.iter().enumerate() {
+        for rid in star.row_ids() {
+            let slot = Tid::from_cell(star.cell(rid, 0)?)
+                .and_then(|tid| by_tid.get_mut(tid.0 as usize))
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "{} holds a tid past the last",
+                        star.schema().name()
+                    ))
+                })?;
+            *slot = Some((rel, rid));
+        }
+    }
+    e.put_u32(by_tid.len() as u32);
+    for (tid, slot) in by_tid.iter().enumerate() {
+        let (rel, rid) = slot.ok_or_else(|| corrupt(format!("tid {tid} missing from R*")))?;
+        let star = stars[rel];
+        let arity = star.schema().arity() - 1;
+        e.put_u32(rel as u32);
+        e.put_u32(arity as u32);
+        for col in 1..=arity {
+            e.put_cell(star.cell(rid, col)?);
+        }
+    }
+
+    // Under `Eager`, `V` also holds the implicit rows the default rule
+    // derives; only the explicit ones are written.
+    let count_at = e.bytes().len();
+    e.put_u32(0);
+    let mut count = 0u32;
+    for rel in store.rel_ids() {
+        let vt = store.v_of(rel)?;
+        for rid in vt.row_ids() {
+            let entry = slice_entry(vt, rid)?;
+            if !entry.explicit {
+                continue;
+            }
+            let wid = Wid::from_cell(vt.cell(rid, 0)?).ok_or_else(|| corrupt("bad wid in V"))?;
+            e.put_u32(wid.0);
+            e.put_u32(entry.tid.0);
+            e.put_u8(entry.sign.code());
+            count += 1;
+        }
+    }
+    e.patch_u32(count_at, count);
+    Ok(e.into_bytes())
 }
 
 impl SnapshotData {
-    /// Capture the logical image of a store.
-    pub(crate) fn of(store: &InternalStore) -> Result<SnapshotData> {
-        let relations = store
-            .schema()
-            .relations()
-            .iter()
-            .map(|r| (r.name().to_string(), r.columns().to_vec()))
-            .collect();
-        let users = store.users.iter().map(|(_, n)| n.clone()).collect();
-        let worlds = store.dir.iter().map(|(_, p)| p.clone()).collect();
-        let mut tuples: Vec<Option<GroundTuple>> = vec![None; store.next_tid as usize];
-        for (tuple, tid) in &store.tid_cache {
-            tuples[tid.0 as usize] = Some(tuple.clone());
-        }
-        let tuples = tuples
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| t.ok_or_else(|| corrupt(format!("tid {i} missing from tid cache"))))
-            .collect::<Result<Vec<_>>>()?;
-        let statements = store.to_belief_database()?.statements();
-        Ok(SnapshotData {
-            policy: store.policy(),
-            relations,
-            users,
-            worlds,
-            tuples,
-            statements,
-        })
-    }
-
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.put_u8(SNAPSHOT_VERSION);
-        e.put_u8(policy_code(self.policy));
-        e.put_u32(self.relations.len() as u32);
-        for (name, cols) in &self.relations {
-            e.put_str(name);
-            e.put_u32(cols.len() as u32);
-            for c in cols {
-                e.put_str(c);
-            }
-        }
-        e.put_u32(self.users.len() as u32);
-        for name in &self.users {
-            e.put_str(name);
-        }
-        e.put_u32(self.worlds.len() as u32);
-        for path in &self.worlds {
-            put_path(&mut e, path);
-        }
-        e.put_u32(self.tuples.len() as u32);
-        for t in &self.tuples {
-            e.put_u32(t.rel.0);
-            e.put_row(&t.row);
-        }
-        e.put_u32(self.statements.len() as u32);
-        for stmt in &self.statements {
-            put_statement(&mut e, stmt);
-        }
-        e.into_bytes()
-    }
-
+    /// Decode a snapshot payload of any version (1 to 3).
     pub fn decode(bytes: &[u8]) -> Result<SnapshotData> {
         let mut d = Dec::new(bytes);
-        let policy = match d.take_u8()? {
+        let version = d.take_u8()?;
+        let policy = match version {
             1 => DefaultPolicy::Eager,
-            SNAPSHOT_VERSION => match d.take_u8()? {
+            2 | SNAPSHOT_VERSION => match d.take_u8()? {
                 0 => DefaultPolicy::Eager,
                 1 => DefaultPolicy::Lazy,
                 p => return Err(corrupt(format!("unknown default policy {p}"))),
@@ -319,8 +361,36 @@ impl SnapshotData {
         }
         let nstmts = d.take_u32()? as usize;
         let mut statements = Vec::with_capacity(nstmts.min(1024));
-        for _ in 0..nstmts {
-            statements.push(take_statement(&mut d)?);
+        if version == SNAPSHOT_VERSION {
+            for _ in 0..nstmts {
+                statements.push(StatementRef {
+                    wid: Wid(d.take_u32()?),
+                    tid: Tid(d.take_u32()?),
+                    sign: take_sign(&mut d)?,
+                });
+            }
+        } else {
+            // Versions 1 and 2 spell each statement out: find its ids in
+            // the image's own world and tuple sections.
+            let wids: HashMap<&BeliefPath, Wid> =
+                (0..).map(Wid).zip(&worlds).map(|(w, p)| (p, w)).collect();
+            let tids: HashMap<&GroundTuple, Tid> =
+                (0..).map(Tid).zip(&tuples).map(|(t, g)| (g, t)).collect();
+            for _ in 0..nstmts {
+                let stmt = take_statement(&mut d)?;
+                match (wids.get(&stmt.path), tids.get(&stmt.tuple)) {
+                    (Some(&wid), Some(&tid)) => statements.push(StatementRef {
+                        wid,
+                        tid,
+                        sign: stmt.sign,
+                    }),
+                    _ => {
+                        return Err(corrupt(format!(
+                            "snapshot statement {stmt} names no world or tuple of the snapshot"
+                        )))
+                    }
+                }
+            }
         }
         d.finish()?;
         Ok(SnapshotData {
@@ -336,8 +406,8 @@ impl SnapshotData {
     /// Rebuild the store this snapshot describes. Users, worlds, and
     /// tuples are registered in id order first (reproducing the exact
     /// `UserId`/`Wid`/`Tid` assignment, including ids that exist only
-    /// because of rejected inserts), then the explicit statements are
-    /// inserted through Algorithm 4, which rebuilds every `V`-slice under
+    /// because of rejected inserts), then each explicit statement is put
+    /// through Algorithm 4 by its ids, which rebuilds every `V`-slice under
     /// the snapshot's policy (under `Lazy`, one row and a chain fold per
     /// statement).
     pub(crate) fn restore(&self) -> Result<InternalStore> {
@@ -355,6 +425,9 @@ impl SnapshotData {
             _ => return Err(corrupt("snapshot world directory must start at ε")),
         }
         for (i, path) in self.worlds.iter().enumerate().skip(1) {
+            if let Some(u) = path.users().iter().find(|u| !store.has_user(**u)) {
+                return Err(corrupt(format!("world {path} names unknown user {u}")));
+            }
             let wid = store.ensure_world(path)?;
             if wid != Wid(i as u32) {
                 return Err(corrupt(format!(
@@ -363,6 +436,7 @@ impl SnapshotData {
             }
         }
         for (i, tuple) in self.tuples.iter().enumerate() {
+            store.schema().check_tuple(tuple.rel, &tuple.row)?;
             let tid = store.tid_of_or_create(tuple)?;
             if tid != Tid(i as u32) {
                 return Err(corrupt(format!(
@@ -370,11 +444,22 @@ impl SnapshotData {
                 )));
             }
         }
-        for stmt in &self.statements {
-            let outcome = store.insert_statement(stmt)?;
+        for s in &self.statements {
+            let stated = self.tuples.get(s.tid.0 as usize).and_then(|t| {
+                let key = t.row.values().first()?;
+                (s.wid.0 < self.worlds.len() as u32).then_some((t.rel, key))
+            });
+            let Some((rel, key)) = stated else {
+                return Err(corrupt(format!(
+                    "snapshot statement ({}, {}) names no world or tuple of the snapshot",
+                    s.wid, s.tid
+                )));
+            };
+            let outcome = store.insert_ids(s.wid, rel, s.tid, key, s.sign)?;
             if !outcome.accepted() {
                 return Err(corrupt(format!(
-                    "snapshot statement {stmt} rejected on restore"
+                    "snapshot statement ({}, {}, {}) rejected on restore",
+                    s.wid, s.tid, s.sign
                 )));
             }
         }
@@ -402,8 +487,7 @@ impl Durability {
 
     /// Snapshot `store` and truncate the log it covers.
     pub(crate) fn checkpoint(&mut self, store: &InternalStore) -> Result<u64> {
-        let payload = SnapshotData::of(store)?.encode();
-        Ok(self.engine.checkpoint(&payload)?)
+        self.engine.checkpoint_with(|| encode_snapshot(store))
     }
 }
 
@@ -467,21 +551,113 @@ mod tests {
         assert!(LogRecord::decode(&bad_path).is_err());
     }
 
+    /// A store with two users, statements at three worlds, a rejected
+    /// insert (its world and tuple are still created) and a delete.
+    fn sample(policy: DefaultPolicy) -> InternalStore {
+        let schema = ExternalSchema::new().with_relation("S", &["sid", "species"]);
+        let mut store = InternalStore::with_policy(schema, policy).unwrap();
+        store.add_user("Alice").unwrap();
+        store.add_user("Bob").unwrap();
+        let t = |sid: &str, sp: &str| GroundTuple::new(RelId(0), row![sid, sp]);
+        let stated = [
+            BeliefStatement::positive(path(&[1]), t("s1", "crow")),
+            BeliefStatement::negative(path(&[2, 1]), t("s1", "crow")),
+            BeliefStatement::positive(path(&[2, 1]), t("s1", "raven")),
+            BeliefStatement::positive(BeliefPath::root(), t("s2", "owl")),
+            BeliefStatement::positive(BeliefPath::root(), t("s3", "sparrow")),
+            // Rejected: Alice already states a positive s1.
+            BeliefStatement::positive(path(&[1]), t("s1", "heron")),
+        ];
+        for stmt in &stated {
+            store.insert_statement(stmt).unwrap();
+        }
+        store
+            .delete_statement(&BeliefStatement::positive(
+                BeliefPath::root(),
+                t("s2", "owl"),
+            ))
+            .unwrap();
+        store
+    }
+
+    /// The version-1 or -2 layout of `data` with `statements` spelled out
+    /// in place of `data.statements`.
+    fn legacy_encode(version: u8, data: &SnapshotData, statements: &[BeliefStatement]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.put_u8(version);
+        if version == 2 {
+            e.put_u8(policy_code(data.policy));
+        }
+        e.put_u32(data.relations.len() as u32);
+        for (name, cols) in &data.relations {
+            e.put_str(name);
+            e.put_u32(cols.len() as u32);
+            for c in cols {
+                e.put_str(c);
+            }
+        }
+        e.put_u32(data.users.len() as u32);
+        for name in &data.users {
+            e.put_str(name);
+        }
+        e.put_u32(data.worlds.len() as u32);
+        for p in &data.worlds {
+            put_path(&mut e, p);
+        }
+        e.put_u32(data.tuples.len() as u32);
+        for t in &data.tuples {
+            e.put_u32(t.rel.0);
+            e.put_row(&t.row);
+        }
+        e.put_u32(statements.len() as u32);
+        for stmt in statements {
+            put_statement(&mut e, stmt);
+        }
+        e.into_bytes()
+    }
+
     #[test]
     fn snapshot_round_trips_through_bytes() {
-        let data = SnapshotData {
-            policy: DefaultPolicy::Lazy,
-            relations: vec![("S".into(), vec!["sid".into(), "species".into()])],
-            users: vec!["Alice".into(), "Bob".into()],
-            worlds: vec![BeliefPath::root(), path(&[1]), path(&[2, 1])],
-            tuples: vec![GroundTuple::new(RelId(0), row!["s1", "crow"])],
-            statements: vec![BeliefStatement::positive(
-                path(&[1]),
-                GroundTuple::new(RelId(0), row!["s1", "crow"]),
-            )],
-        };
-        let bytes = data.encode();
-        assert_eq!(SnapshotData::decode(&bytes).unwrap(), data);
+        let store = sample(DefaultPolicy::Lazy);
+        let bytes = encode_snapshot(&store).unwrap();
+        assert_eq!(bytes[..2], [SNAPSHOT_VERSION, 1]);
+        let data = SnapshotData::decode(&bytes).unwrap();
+        assert_eq!(data.policy, DefaultPolicy::Lazy);
+        assert_eq!(
+            data.relations,
+            vec![(
+                "S".to_string(),
+                vec!["sid".to_string(), "species".to_string()]
+            )]
+        );
+        assert_eq!(data.users, ["Alice", "Bob"]);
+        assert_eq!(
+            data.worlds,
+            store.dir.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>()
+        );
+        for (i, t) in data.tuples.iter().enumerate() {
+            assert_eq!(store.tid_cache[t], Tid(i as u32));
+        }
+        assert_eq!(data.tuples.len(), store.tid_cache.len());
+        let spelled: Vec<BeliefStatement> = data
+            .statements
+            .iter()
+            .map(|s| {
+                BeliefStatement::new(
+                    data.worlds[s.wid.0 as usize].clone(),
+                    data.tuples[s.tid.0 as usize].clone(),
+                    s.sign,
+                )
+            })
+            .collect();
+        let mut sorted = spelled.clone();
+        sorted.sort();
+        let mut stated = store.to_belief_database().unwrap().statements();
+        stated.sort();
+        assert_eq!(sorted, stated);
+        let restored = data.restore().unwrap();
+        assert_eq!(restored.table_sizes(), store.table_sizes());
+        assert_eq!(encode_snapshot(&restored).unwrap(), bytes);
         // Version and policy bytes are checked.
         let mut bad = bytes.clone();
         bad[0] = 77;
@@ -489,12 +665,46 @@ mod tests {
         let mut bad = bytes.clone();
         bad[1] = 7;
         assert!(SnapshotData::decode(&bad).is_err());
-        // A version-1 image has no policy byte and is an `Eager` store's.
-        let mut v1 = bytes[..1].to_vec();
-        v1[0] = 1;
-        v1.extend_from_slice(&bytes[2..]);
-        let eager = SnapshotData::decode(&v1).unwrap();
+        // Versions 1 and 2 spell the statements out and decode to the same
+        // ids; a version-1 image has no policy byte and is an `Eager` store's.
+        let v2 = legacy_encode(2, &data, &spelled);
+        assert_eq!(SnapshotData::decode(&v2).unwrap(), data);
+        let eager = SnapshotData::decode(&legacy_encode(1, &data, &spelled)).unwrap();
         assert_eq!(eager.policy, DefaultPolicy::Eager);
         assert_eq!(eager.statements, data.statements);
+        // A spelled-out statement whose world or tuple the image lacks.
+        let unknown = GroundTuple::new(RelId(0), row!["s9", "wren"]);
+        for stray in [
+            BeliefStatement::positive(path(&[1, 2]), spelled[0].tuple.clone()),
+            BeliefStatement::positive(BeliefPath::root(), unknown),
+        ] {
+            let mut listed = spelled.clone();
+            listed.push(stray);
+            assert!(SnapshotData::decode(&legacy_encode(2, &data, &listed)).is_err());
+        }
+    }
+
+    /// Version 3 spends 9 bytes on an explicit statement (`wid` and `tid`
+    /// as u32, the sign byte) beyond the world and tuple sections, and
+    /// nothing on the implicit rows `Eager` keeps in `V`. Deleting every
+    /// statement keeps the worlds and tuples, so the difference in size is
+    /// the statement section alone.
+    #[test]
+    fn version_3_costs_nine_bytes_per_explicit_statement() {
+        for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
+            let mut store = sample(policy);
+            let stated = store.to_belief_database().unwrap().statements();
+            assert_eq!(stated.len(), 4);
+            let full = encode_snapshot(&store).unwrap().len();
+            for stmt in &stated {
+                assert!(store.delete_statement(stmt).unwrap());
+            }
+            let bare = encode_snapshot(&store).unwrap();
+            assert!(SnapshotData::decode(&bare).unwrap().statements.is_empty());
+            assert_eq!(full - bare.len(), 9 * stated.len(), "{policy:?}");
+        }
+        let eager = sample(DefaultPolicy::Eager);
+        let v_rows = eager.v_of(RelId(0)).unwrap().len();
+        assert!(v_rows > 4, "Eager's V holds implicit rows too: {v_rows}");
     }
 }

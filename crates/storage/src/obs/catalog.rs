@@ -234,6 +234,8 @@ pub fn wal_table(
             "checkpoints",
             "syncs",
             "truncated_on_open",
+            "snapshot_bytes",
+            "checkpoint_us",
         ],
         move |_db| {
             stats()
@@ -247,6 +249,8 @@ pub fn wal_table(
                         uint(s.checkpoints),
                         uint(s.syncs),
                         Value::Bool(s.truncated_on_open),
+                        uint(s.snapshot_bytes),
+                        uint(s.checkpoint_us),
                     ])
                 })
                 .into_iter()
@@ -376,6 +380,8 @@ mod tests {
                 next_lsn: 4,
                 snapshot_hwm: 0,
                 checkpoints: 0,
+                snapshot_bytes: 10,
+                checkpoint_us: 11,
                 syncs: 9,
                 truncated_on_open: false,
             })
@@ -383,5 +389,7 @@ mod tests {
         let rows = vt.rows(&db);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(6).unwrap().as_int(), Some(9));
+        assert_eq!(rows[0].get(8).unwrap().as_int(), Some(10));
+        assert_eq!(rows[0].get(9).unwrap().as_int(), Some(11));
     }
 }

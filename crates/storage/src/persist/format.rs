@@ -9,7 +9,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::row::Row;
-use crate::value::Value;
+use crate::value::{Cell, Value};
 
 // ---------------------------------------------------------------------------
 // CRC32
@@ -140,17 +140,24 @@ impl Enc {
     }
 
     pub fn put_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.put_u8(0),
-            Value::Bool(b) => {
+        self.put_cell(v.as_cell());
+    }
+
+    /// A table cell in [`Enc::put_value`]'s encoding, read back by
+    /// [`Dec::take_value`]: a heap can be written out without building
+    /// its rows.
+    pub fn put_cell(&mut self, c: Cell<'_>) {
+        match c {
+            Cell::Null => self.put_u8(0),
+            Cell::Bool(b) => {
                 self.put_u8(1);
-                self.put_u8(*b as u8);
+                self.put_u8(b as u8);
             }
-            Value::Int(i) => {
+            Cell::Int(i) => {
                 self.put_u8(2);
-                self.put_i64(*i);
+                self.put_i64(i);
             }
-            Value::Str(s) => {
+            Cell::Str(s) => {
                 self.put_u8(3);
                 self.put_str(s);
             }

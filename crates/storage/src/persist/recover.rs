@@ -18,6 +18,7 @@ use super::snapshot;
 use super::wal::{self, Wal};
 use crate::error::{Result, StorageError};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Tuning knobs for a durable directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +63,14 @@ pub struct WalStats {
     pub snapshot_hwm: u64,
     /// Checkpoints taken since this engine was opened.
     pub checkpoints: u64,
+    /// Payload bytes of the newest snapshot (the one loaded on open,
+    /// until this engine writes its own; 0 if there is none).
+    pub snapshot_bytes: u64,
+    /// Wall time of this engine's last checkpoint in microseconds: the
+    /// capture and encoding of the payload plus the write (WAL sync,
+    /// rotation, snapshot write, fsync, rename, pruning). 0 until the
+    /// first checkpoint.
+    pub checkpoint_us: u64,
     /// fsyncs issued since this engine was opened (group commits,
     /// checkpoints, segment rotations).
     pub syncs: u64,
@@ -77,6 +86,8 @@ pub struct PersistEngine {
     opts: PersistOptions,
     snapshot_hwm: u64,
     checkpoints: u64,
+    snapshot_bytes: u64,
+    checkpoint_us: u64,
     truncated_on_open: bool,
 }
 
@@ -107,6 +118,8 @@ impl PersistEngine {
             opts,
             snapshot_hwm: 0,
             checkpoints: 0,
+            snapshot_bytes: 0,
+            checkpoint_us: 0,
             truncated_on_open: false,
         })
     }
@@ -183,6 +196,8 @@ impl PersistEngine {
                 opts,
                 snapshot_hwm,
                 checkpoints: 0,
+                snapshot_bytes: snapshot.as_ref().map_or(0, |p| p.len() as u64),
+                checkpoint_us: 0,
                 truncated_on_open: replay.truncated,
             },
             snapshot,
@@ -223,6 +238,23 @@ impl PersistEngine {
     /// drop the log segments (and older snapshots) it makes redundant.
     /// Returns the snapshot's high-water mark.
     pub fn checkpoint(&mut self, payload: &[u8]) -> Result<u64> {
+        self.checkpoint_with(|| Ok::<_, StorageError>(payload))
+    }
+
+    /// [`PersistEngine::checkpoint`] of the payload `capture` returns,
+    /// with the capture counted in [`WalStats::checkpoint_us`]. An error
+    /// from `capture` leaves the directory untouched.
+    pub fn checkpoint_with<P, E>(
+        &mut self,
+        capture: impl FnOnce() -> std::result::Result<P, E>,
+    ) -> std::result::Result<u64, E>
+    where
+        P: AsRef<[u8]>,
+        E: From<StorageError>,
+    {
+        let started = Instant::now();
+        let payload = capture()?;
+        let payload = payload.as_ref();
         let hwm = self.wal.next_lsn();
         // Everything the snapshot will claim to cover must actually be
         // on disk first (rotation then fsyncs the sealed segment as
@@ -239,6 +271,8 @@ impl PersistEngine {
         self.wal.prune_sealed()?;
         snapshot::prune(&self.dir, hwm)?;
         self.snapshot_hwm = hwm;
+        self.snapshot_bytes = payload.len() as u64;
+        self.checkpoint_us = started.elapsed().as_micros() as u64;
         self.checkpoints += 1;
         crate::obs::metrics().incr(crate::obs::Metric::WalCheckpoints);
         Ok(hwm)
@@ -260,6 +294,8 @@ impl PersistEngine {
             next_lsn: self.wal.next_lsn(),
             snapshot_hwm: self.snapshot_hwm,
             checkpoints: self.checkpoints,
+            snapshot_bytes: self.snapshot_bytes,
+            checkpoint_us: self.checkpoint_us,
             syncs: self.wal.syncs(),
             truncated_on_open: self.truncated_on_open,
         }
@@ -320,9 +356,13 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.snapshot_hwm, 4);
         assert_eq!(stats.checkpoints, 1);
+        assert_eq!(stats.snapshot_bytes, 7);
+        assert!(stats.checkpoint_us > 0);
         drop(engine);
         let rec = PersistEngine::open(&dir, opts()).unwrap();
         assert_eq!(rec.snapshot.as_deref(), Some(&b"STATE@4"[..]));
+        assert_eq!(rec.engine.stats().snapshot_bytes, 7);
+        assert_eq!(rec.engine.stats().checkpoint_us, 0);
         assert_eq!(rec.tail, vec![vec![9u8; 4], vec![10u8; 4]]);
         assert_eq!(rec.engine.stats().next_lsn, 6);
         std::fs::remove_dir_all(&dir).unwrap();

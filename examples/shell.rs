@@ -99,6 +99,10 @@ fn print_wal(session: &Session) {
                 "     next lsn {}, snapshot covers < {}, {} checkpoint(s) this session",
                 v[3], v[4], v[5]
             );
+            println!(
+                "     snapshot {} byte(s), last checkpoint {} us",
+                v[8], v[9]
+            );
         }
         None => println!("in-memory session (use \\open <dir> for durability)"),
     }

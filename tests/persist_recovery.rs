@@ -17,15 +17,22 @@
 //! * **snapshot loss** — the only snapshot corrupted: open must fail
 //!   cleanly, not panic or half-recover.
 //!
-//! Two more cases pin the default policy byte of the snapshot: a
-//! version-1 snapshot (written before the byte existed) opens as an
-//! `Eager` store, and a `Lazy` store comes back `Lazy`.
+//! The snapshot format is pinned too. A version-1 snapshot (written
+//! before the policy byte existed) opens as an `Eager` store, and a
+//! version-2 one (statements spelled out) opens as its store and is
+//! rewritten as version 3 (statements as `(wid, tid, sign)` ids) by the
+//! next checkpoint. `Lazy` and `Eager` stores come back as themselves,
+//! and forged version-3 payloads with a valid checksum fail the open as
+//! `Corrupt`.
 
 use beliefdb::core::persist::SnapshotData;
 use beliefdb::core::prelude::*;
 use beliefdb::core::DefaultPolicy;
-use beliefdb::storage::persist::{frame_spans, list_segments, PersistEngine, PersistOptions};
+use beliefdb::storage::persist::{
+    frame_spans, list_segments, snapshot, Enc, PersistEngine, PersistOptions,
+};
 use beliefdb::storage::row;
+use beliefdb::storage::StorageError;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -433,61 +440,214 @@ fn auto_checkpoint_kicks_in_and_bounds_the_log() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A snapshot of `store` in the version-1 or -2 layout, which the
+/// production writer no longer emits: schema, users, worlds in wid order,
+/// `R*` tuples in tid order, then every explicit statement spelled out as
+/// path, relation, row and sign. Version 2 puts the policy byte after the
+/// version byte; version 1 has none.
+fn legacy_image(version: u8, store: &Bdms) -> Vec<u8> {
+    fn put_path(e: &mut Enc, path: &BeliefPath) {
+        e.put_u32(path.depth() as u32);
+        for u in path.users() {
+            e.put_u32(u.0);
+        }
+    }
+    let internal = store.internal();
+    let mut e = Enc::new();
+    e.put_u8(version);
+    if version == 2 {
+        e.put_u8(match store.policy() {
+            DefaultPolicy::Eager => 0,
+            DefaultPolicy::Lazy => 1,
+        });
+    }
+    let relations = store.schema().relations();
+    e.put_u32(relations.len() as u32);
+    for r in relations {
+        e.put_str(r.name());
+        e.put_u32(r.columns().len() as u32);
+        for c in r.columns() {
+            e.put_str(c);
+        }
+    }
+    let users = store.users();
+    e.put_u32(users.len() as u32);
+    for u in users {
+        e.put_str(store.user_name(u).unwrap());
+    }
+    e.put_u32(internal.directory().len() as u32);
+    for (_, path) in internal.directory().iter() {
+        put_path(&mut e, path);
+    }
+    // `R*` rows by tid: `(tid, attributes...)` in every relation's table.
+    let mut tuples = std::collections::BTreeMap::new();
+    for (rel, def) in relations.iter().enumerate() {
+        let star = internal.database().table(&format!("{}__star", def.name()));
+        for r in star.unwrap().scan() {
+            let row = beliefdb::storage::Row::from(r.values()[1..].to_vec());
+            tuples.insert(Tid::from_value(&r[0]).unwrap(), (rel as u32, row));
+        }
+    }
+    e.put_u32(tuples.len() as u32);
+    for (rel, row) in tuples.values() {
+        e.put_u32(*rel);
+        e.put_row(row);
+    }
+    let statements = store.to_belief_database().unwrap().statements();
+    e.put_u32(statements.len() as u32);
+    for stmt in &statements {
+        put_path(&mut e, &stmt.path);
+        e.put_u32(stmt.tuple.rel.0);
+        e.put_row(&stmt.tuple.row);
+        e.put_u8(stmt.sign.code());
+    }
+    e.into_bytes()
+}
+
+/// A fresh durable directory whose only state is a snapshot with `payload`.
+fn dir_with_snapshot(tag: &str, payload: &[u8]) -> PathBuf {
+    let dir = temp_dir(tag);
+    PersistEngine::create(&dir, PersistOptions::default())
+        .unwrap()
+        .checkpoint(payload)
+        .unwrap();
+    dir
+}
+
+/// The payload of the newest snapshot in `dir`.
+fn latest_snapshot(dir: &Path) -> Vec<u8> {
+    snapshot::load_latest(dir).unwrap().unwrap().1
+}
+
 /// A snapshot in the version-1 format — no policy byte after the version
 /// byte — was written by an `Eager` store, and opens as one with the same
 /// `SizeStats`.
 #[test]
 fn version_1_snapshot_opens_as_eager() {
     let eager = expected_under(DefaultPolicy::Eager, history().len());
-    let internal = eager.internal();
-    let schema = eager.schema();
-    // `R*` rows by tid: `(tid, attributes...)` in every relation's table.
-    let mut tuples = std::collections::BTreeMap::new();
-    for (rel, def) in schema.relations().iter().enumerate() {
-        let star = internal.database().table(&format!("{}__star", def.name()));
-        for r in star.unwrap().scan() {
-            let row = beliefdb::storage::Row::from(r.values()[1..].to_vec());
-            tuples.insert(
-                Tid::from_value(&r[0]).unwrap(),
-                GroundTuple::new(RelId(rel as u32), row),
-            );
-        }
-    }
-    let image = SnapshotData {
-        policy: DefaultPolicy::Eager,
-        relations: schema
-            .relations()
-            .iter()
-            .map(|r| (r.name().to_string(), r.columns().to_vec()))
-            .collect(),
-        users: eager
-            .users()
-            .into_iter()
-            .map(|u| eager.user_name(u).unwrap().to_string())
-            .collect(),
-        worlds: internal
-            .directory()
-            .iter()
-            .map(|(_, p)| p.clone())
-            .collect(),
-        tuples: tuples.into_values().collect(),
-        statements: eager.to_belief_database().unwrap().statements(),
-    };
-    // Version 2 is the version byte, the policy byte, then the version-1
-    // layout.
-    let v2 = image.encode();
-    assert_eq!(v2[..2], [2, 0]);
-    let v1: Vec<u8> = std::iter::once(1).chain(v2[2..].iter().copied()).collect();
-
-    let dir = temp_dir("v1");
-    PersistEngine::create(&dir, PersistOptions::default())
-        .unwrap()
-        .checkpoint(&v1)
-        .unwrap();
+    let dir = dir_with_snapshot("v1", &legacy_image(1, &eager));
     let reopened = Bdms::open(&dir).unwrap();
     assert_eq!(reopened.policy(), DefaultPolicy::Eager);
     assert_same(&reopened, &eager, "version-1 snapshot");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A version-2 snapshot (statements spelled out) opens as the store it
+/// was taken of; the next checkpoint writes version 3, which opens as the
+/// same store again.
+#[test]
+fn version_2_snapshot_opens_and_is_rewritten_as_version_3() {
+    for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
+        let want = expected_under(policy, history().len());
+        let v2 = legacy_image(2, &want);
+        let dir = dir_with_snapshot("v2", &v2);
+        let mut reopened = Bdms::open(&dir).unwrap();
+        assert_eq!(reopened.policy(), policy);
+        assert_same(&reopened, &want, "version-2 snapshot");
+        reopened.checkpoint().unwrap();
+        drop(reopened);
+        let v3 = latest_snapshot(&dir);
+        assert_eq!(v3[..2], [3, v2[1]], "version and policy bytes");
+        assert!(v3.len() < v2.len(), "{} B vs {} B", v3.len(), v2.len());
+        let again = Bdms::open(&dir).unwrap();
+        assert_eq!(again.policy(), policy);
+        assert_same(&again, &want, "version-3 rewrite of a version-2 snapshot");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A durable `Eager` store keeps implicit rows in `V`; a checkpoint
+/// writes only the explicit ones, and the store reopens as itself: same
+/// policy, same `V` rows and `SizeStats`, same answers.
+#[test]
+fn eager_store_survives_checkpoint_and_reopen() {
+    // Only a snapshot makes a durable store `Eager`: open one from the
+    // image of an empty `Eager` store, then write the history through it.
+    let empty = expected_under(DefaultPolicy::Eager, 0);
+    let dir = dir_with_snapshot("eager", &legacy_image(2, &empty));
+    let mut built = Bdms::open(&dir).unwrap();
+    assert_eq!(built.policy(), DefaultPolicy::Eager);
+    for (i, op) in history().iter().enumerate() {
+        if i == 5 {
+            built.checkpoint().unwrap();
+        }
+        apply(&mut built, op);
+    }
+    let explicit = built.to_belief_database().unwrap().len();
+    let v_rows = |b: &Bdms| {
+        ["V__Sightings", "V__Comments"]
+            .iter()
+            .map(|t| b.storage().table(t).unwrap().len())
+            .sum::<usize>()
+    };
+    assert!(
+        v_rows(&built) > explicit,
+        "the history leaves no implicit row in V"
+    );
+    let want = expected_under(DefaultPolicy::Eager, history().len());
+    for checkpoint in [false, true] {
+        if checkpoint {
+            built.checkpoint().unwrap();
+            let image = SnapshotData::decode(&latest_snapshot(&dir)).unwrap();
+            assert_eq!(image.statements.len(), explicit);
+        }
+        let reopened = Bdms::open(&dir).unwrap();
+        assert_eq!(reopened.policy(), DefaultPolicy::Eager);
+        assert_eq!(v_rows(&reopened), v_rows(&built));
+        assert_same(&reopened, &built, "eager reopen");
+        assert_same(&reopened, &want, "eager vs reference");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Version-3 payloads with a valid checksum but one fault each — a
+/// statement naming a world or a tuple past the image's lists, an invalid
+/// sign byte, a statement count larger than the payload — fail the open
+/// with `Corrupt`, without a panic.
+#[test]
+fn forged_version_3_snapshots_are_corrupt() {
+    let dir = temp_dir("forge-src");
+    let mut built = build(&dir, None);
+    built.checkpoint().unwrap();
+    let image = latest_snapshot(&dir);
+    let parsed = SnapshotData::decode(&image).unwrap();
+    let (nworlds, ntuples) = (parsed.worlds.len() as u32, parsed.tuples.len() as u32);
+    drop(built);
+    std::fs::remove_dir_all(&dir).unwrap();
+    // The statement section closes the payload: a u32 count, then 9 bytes
+    // (wid u32, tid u32, sign u8) per statement.
+    let n = parsed.statements.len();
+    assert!(n > 0);
+    let count_at = image.len() - 4 - 9 * n;
+    let first = count_at + 4;
+    assert_eq!(image[count_at..first], (n as u32).to_le_bytes());
+    let forge = |at: usize, bytes: &[u8]| {
+        let mut forged = image.clone();
+        forged[at..at + bytes.len()].copy_from_slice(bytes);
+        forged
+    };
+    let cases = [
+        ("wid past the worlds", forge(first, &nworlds.to_le_bytes())),
+        ("wid u32::MAX", forge(first, &u32::MAX.to_le_bytes())),
+        (
+            "tid past the tuples",
+            forge(first + 4, &ntuples.to_le_bytes()),
+        ),
+        ("sign byte", forge(first + 8, b"x")),
+        (
+            "count past the payload",
+            forge(count_at, &(n as u32 + 1).to_le_bytes()),
+        ),
+        ("count u32::MAX", forge(count_at, &u32::MAX.to_le_bytes())),
+    ];
+    for (fault, forged) in cases {
+        let dir = dir_with_snapshot("forged", &forged);
+        match Bdms::open(&dir) {
+            Err(BeliefError::Storage(StorageError::Corrupt(_))) => {}
+            other => panic!("{fault}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// A `Lazy` durable store survives a checkpoint and a reopen as itself:

@@ -525,6 +525,34 @@ fn durable_sessions_register_but_never_persist_the_catalog() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `sys.wal` reports the size of the newest snapshot and what the last
+/// checkpoint cost: both are set once this session has checkpointed, and
+/// they are the values `Bdms::wal_stats` returns.
+#[test]
+fn sys_wal_reports_snapshot_bytes_and_checkpoint_time() {
+    let dir = temp_dir("wal-cost");
+    let mut session = Session::create(&dir, schema()).unwrap();
+    session.add_user("Alice").unwrap();
+    session
+        .execute("insert into BELIEF 'Alice' Sightings values ('w1','wren')")
+        .unwrap();
+    session.checkpoint().unwrap();
+    let result = session
+        .query("select W.snapshot_bytes, W.checkpoint_us from sys.wal as W")
+        .unwrap();
+    let row = &result.rows()[0];
+    let (bytes, us) = (cell_int(row, 0), cell_int(row, 1));
+    assert!(
+        bytes > 0 && us > 0,
+        "snapshot_bytes {bytes}, checkpoint_us {us}"
+    );
+    let stats = session.bdms().wal_stats().unwrap();
+    assert_eq!(bytes as u64, stats.snapshot_bytes);
+    assert_eq!(us as u64, stats.checkpoint_us);
+    drop(session);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn magic_rewrite_refuses_system_relations() {
     use beliefdb::storage::opt::magic::rewrite_checked;
