@@ -2,7 +2,7 @@
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
-use crate::lower::{lower_dml_prefix, SelectLowerer};
+use crate::lower::{lower_dml_prefix, LoweredSelect, SelectLowerer};
 use crate::parser::parse;
 use beliefdb_core::internal::InsertOutcome;
 use beliefdb_core::{Bdms, BeliefError, BeliefPath, ExternalSchema, Sign};
@@ -13,6 +13,7 @@ use beliefdb_storage::{
     Value, SYS_PREFIX,
 };
 use std::fmt;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Result of executing one BeliefSQL statement.
@@ -244,28 +245,12 @@ impl Session {
     /// which case the check is a single atomic load and nothing is
     /// allocated or recorded.
     pub fn execute(&mut self, sql: &str) -> Result<ExecResult> {
-        if !statements_enabled() {
-            return self.execute_inner(sql);
-        }
-        let before = metrics().snapshot();
-        let t0 = Instant::now();
-        let result = self.execute_inner(sql);
-        record_statement_capture(
-            sql,
-            t0,
-            &before,
-            result.as_ref().map(|r| r.rows().len() as u64).unwrap_or(0),
-            result.is_err(),
-        );
-        result
+        captured(sql, || self.execute_inner(sql), |r| r.rows().len() as u64)
     }
 
     fn execute_inner(&mut self, sql: &str) -> Result<ExecResult> {
-        if let Some(rest) = strip_explain(sql) {
-            if let Some(inner) = strip_analyze(rest) {
-                return Ok(ExecResult::Explain(self.explain_analyze(inner)?));
-            }
-            return Ok(ExecResult::Explain(self.explain(rest)?));
+        if let Some(explained) = self.explain_form(sql) {
+            return explained;
         }
         let mut rec = self.recorder(sql);
         let stmt = rec.span("parse", || parse(sql))?;
@@ -283,28 +268,12 @@ impl Session {
     /// `EXPLAIN ANALYZE`). Feeds `sys.statements` exactly like
     /// [`Session::execute`].
     pub fn query(&self, sql: &str) -> Result<ExecResult> {
-        if !statements_enabled() {
-            return self.query_inner(sql);
-        }
-        let before = metrics().snapshot();
-        let t0 = Instant::now();
-        let result = self.query_inner(sql);
-        record_statement_capture(
-            sql,
-            t0,
-            &before,
-            result.as_ref().map(|r| r.rows().len() as u64).unwrap_or(0),
-            result.is_err(),
-        );
-        result
+        captured(sql, || self.query_inner(sql), |r| r.rows().len() as u64)
     }
 
     fn query_inner(&self, sql: &str) -> Result<ExecResult> {
-        if let Some(rest) = strip_explain(sql) {
-            if let Some(inner) = strip_analyze(rest) {
-                return Ok(ExecResult::Explain(self.explain_analyze(inner)?));
-            }
-            return Ok(ExecResult::Explain(self.explain(rest)?));
+        if let Some(explained) = self.explain_form(sql) {
+            return explained;
         }
         let mut rec = self.recorder(sql);
         let stmt = rec.span("parse", || parse(sql))?;
@@ -316,6 +285,17 @@ impl Session {
         };
         self.observe(rec);
         result
+    }
+
+    /// `EXPLAIN [ANALYZE] <select>` run as a statement form, when `sql`
+    /// is one.
+    fn explain_form(&self, sql: &str) -> Option<Result<ExecResult>> {
+        let rest = strip_explain(sql)?;
+        let explained = match strip_analyze(rest) {
+            Some(inner) => self.explain_analyze(inner),
+            None => self.explain(rest),
+        };
+        Some(explained.map(ExecResult::Explain))
     }
 
     /// A span recorder for one statement: enabled (so the run is traced
@@ -368,27 +348,11 @@ impl Session {
         sql: &str,
         on_row: impl FnMut(Row),
     ) -> Result<(Vec<String>, usize)> {
-        if !statements_enabled() {
-            return self.query_streaming_inner(sql, on_row);
-        }
-        let before = metrics().snapshot();
-        let t0 = Instant::now();
-        let result = self.query_streaming_inner(sql, on_row);
-        // A "not streamable; use query()" rejection is an API redirection,
-        // not a statement execution: the caller retries through query(),
-        // which records the real call. Capturing the rejection too would
-        // double-count the statement and mark it errored.
-        let redirected = matches!(&result, Err(e) if e.to_string().contains("use query()"));
-        if !redirected {
-            record_statement_capture(
-                sql,
-                t0,
-                &before,
-                result.as_ref().map(|(_, n)| *n as u64).unwrap_or(0),
-                result.is_err(),
-            );
-        }
-        result
+        captured(
+            sql,
+            || self.query_streaming_inner(sql, on_row),
+            |(_, n)| *n as u64,
+        )
     }
 
     fn query_streaming_inner(
@@ -429,15 +393,10 @@ impl Session {
     /// lowers to, the non-recursive Datalog program Algorithm 1 produces,
     /// and the optimized physical plan of every rule.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let Statement::Select(sel) = parse(sql)? else {
-            return Err(SqlError::Lower(
-                "explain() only accepts SELECT statements".into(),
-            ));
+        let lowered = match self.explain_front(sql, false)? {
+            ControlFlow::Break(sys) => return Ok(sys),
+            ControlFlow::Continue(lowered) => lowered,
         };
-        if sel.from.iter().any(|f| f.table.starts_with(SYS_PREFIX)) {
-            return self.explain_sys(&sel, false);
-        }
-        let lowered = SelectLowerer::lower(&self.bdms, &sel)?;
         let mut out = String::new();
         match &lowered.query {
             None => {
@@ -477,15 +436,10 @@ impl Session {
     /// plan annotated with estimated **and** actual rows, chunks, wall
     /// time, kernel-vs-fallback filter rows, and spill traffic.
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let Statement::Select(sel) = parse(sql)? else {
-            return Err(SqlError::Lower(
-                "explain analyze only accepts SELECT statements".into(),
-            ));
+        let lowered = match self.explain_front(sql, true)? {
+            ControlFlow::Break(sys) => return Ok(sys),
+            ControlFlow::Continue(lowered) => lowered,
         };
-        if sel.from.iter().any(|f| f.table.starts_with(SYS_PREFIX)) {
-            return self.explain_sys(&sel, true);
-        }
-        let lowered = SelectLowerer::lower(&self.bdms, &sel)?;
         let mut out = String::new();
         match &lowered.query {
             None => out.push_str("-- contradictory constants: empty result\n"),
@@ -502,6 +456,32 @@ impl Session {
             }
         }
         Ok(out)
+    }
+
+    /// The front half [`Session::explain`] and [`Session::explain_analyze`]
+    /// share: parse the SELECT, then either render a `sys.*` one whole
+    /// (`Break`) or lower it to the belief query the caller renders
+    /// (`Continue`).
+    fn explain_front(
+        &self,
+        sql: &str,
+        analyze: bool,
+    ) -> Result<ControlFlow<String, LoweredSelect>> {
+        let Statement::Select(sel) = parse(sql)? else {
+            let form = if analyze {
+                "explain analyze"
+            } else {
+                "explain()"
+            };
+            return Err(SqlError::Lower(format!(
+                "{form} only accepts SELECT statements"
+            )));
+        };
+        if sel.from.iter().any(|f| f.table.starts_with(SYS_PREFIX)) {
+            return self.explain_sys(&sel, analyze).map(ControlFlow::Break);
+        }
+        let lowered = SelectLowerer::lower(&self.bdms, &sel)?;
+        Ok(ControlFlow::Continue(lowered))
     }
 
     /// Arm (or disarm, with `None`) the slow-query log: statements whose
@@ -798,10 +778,41 @@ impl Session {
     }
 }
 
+/// Run one statement as `sys.statements` sees it: with tracking on,
+/// record its wall time, row count (`rows` of the result), error flag,
+/// and the plan-cache / spill counter deltas bracketing the run into the
+/// per-fingerprint statistics. With tracking off this is a single atomic
+/// load: nothing is allocated or recorded.
+///
+/// A [`USE_QUERY`] rejection is an API redirection, not a statement
+/// execution: the caller retries through [`Session::query`], which
+/// records the real call. Capturing the rejection too would
+/// double-count the statement and mark it errored.
+fn captured<T>(
+    sql: &str,
+    run: impl FnOnce() -> Result<T>,
+    rows: impl FnOnce(&T) -> u64,
+) -> Result<T> {
+    if !statements_enabled() {
+        return run();
+    }
+    let before = metrics().snapshot();
+    let t0 = Instant::now();
+    let result = run();
+    let redirected = matches!(&result, Err(e) if e.to_string().contains(USE_QUERY));
+    if !redirected {
+        let rows = result.as_ref().map_or(0, rows);
+        record_statement_capture(sql, t0, &before, rows, result.is_err());
+    }
+    result
+}
+
+/// The tail of every streaming-path rejection: the statement is valid,
+/// only not through [`Session::query_streaming`].
+const USE_QUERY: &str = "use query()";
+
 /// Record one finished statement execution into the per-fingerprint
-/// statistics: wall time, row count, error flag, and the plan-cache /
-/// spill counter deltas bracketing the run. Only called with tracking
-/// enabled — the disabled path never reaches here.
+/// statistics (see [`captured`]).
 fn record_statement_capture(
     sql: &str,
     t0: Instant,
@@ -829,14 +840,14 @@ fn record_statement_capture(
 /// refuse what it cannot honor rather than silently dropping clauses.
 fn streaming_supported(sel: &SelectStmt) -> Result<()> {
     if sel.from.iter().any(|f| f.table.starts_with(SYS_PREFIX)) {
-        return Err(SqlError::Lower(
-            "system tables are not streamable; use query()".into(),
-        ));
+        return Err(SqlError::Lower(format!(
+            "system tables are not streamable; {USE_QUERY}"
+        )));
     }
     if !sel.order_by.is_empty() || sel.limit.is_some() {
-        return Err(SqlError::Lower(
-            "ORDER BY / LIMIT are not supported on the streaming path; use query()".into(),
-        ));
+        return Err(SqlError::Lower(format!(
+            "ORDER BY / LIMIT are not supported on the streaming path; {USE_QUERY}"
+        )));
     }
     Ok(())
 }
@@ -868,7 +879,9 @@ fn contradictory_constants_diag() -> Diagnostic {
 
 /// Resolve ORDER BY keys against a select list's column labels: an
 /// exact label match (`S.sid`), or for an unqualified key the label's
-/// final `.`-separated component.
+/// final `.`-separated component. An unqualified key whose component
+/// names two different labels (`S1.species` and `S2.species`) is
+/// ambiguous and rejected, not resolved to the first of them.
 fn resolve_order_keys(
     columns: &[String],
     order_by: &[(ColumnRef, bool)],
@@ -877,15 +890,21 @@ fn resolve_order_keys(
         .iter()
         .map(|(c, desc)| {
             let target = c.to_string();
-            let found = columns.iter().position(|l| *l == target).or_else(|| {
-                if c.qualifier.is_none() {
-                    columns
-                        .iter()
-                        .position(|l| l.rsplit('.').next() == Some(c.column.as_str()))
-                } else {
-                    None
+            let mut found = columns.iter().position(|l| *l == target);
+            if found.is_none() && c.qualifier.is_none() {
+                let mut hits = columns
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| l.rsplit('.').next() == Some(c.column.as_str()));
+                if let Some((i, label)) = hits.next() {
+                    if hits.any(|(_, l)| l != label) {
+                        return Err(SqlError::Lower(format!(
+                            "ORDER BY column `{target}` is ambiguous"
+                        )));
+                    }
+                    found = Some(i);
                 }
-            });
+            }
             match found {
                 Some(i) => Ok((i, *desc)),
                 None => Err(SqlError::Lower(format!(
@@ -1008,6 +1027,7 @@ impl RowMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beliefdb_storage::row;
 
     fn session() -> Session {
         let schema = ExternalSchema::new()
@@ -1366,6 +1386,34 @@ mod tests {
             .query("select S.sid from BELIEF 'Bob' Sightings as S order by location")
             .unwrap_err();
         assert!(err.to_string().contains("ORDER BY"), "{err}");
+        // Two users' conflicting sightings side by side: an unqualified
+        // key naming both species columns is ambiguous, not silently the
+        // first of them; qualifying it picks one.
+        s.execute(
+            "insert into BELIEF 'Alice' Sightings values \
+             ('s4','Bob','zebra','6-15-08','Lake Placid')",
+        )
+        .unwrap();
+        s.execute(
+            "insert into BELIEF 'Bob' Sightings values \
+             ('s4','Bob','auk','6-15-08','Lake Placid')",
+        )
+        .unwrap();
+        let both = "select S1.species, S2.species \
+                    from BELIEF 'Alice' Sightings as S1, BELIEF 'Bob' Sightings as S2 \
+                    where S1.sid = S2.sid";
+        let err = s
+            .query(&format!("{both} order by species desc"))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("ORDER BY column `species` is ambiguous"),
+            "{err}"
+        );
+        let by_bob = s
+            .query(&format!("{both} order by S2.species desc"))
+            .unwrap();
+        assert_eq!(by_bob.rows(), [row!["crow", "raven"], row!["zebra", "auk"]]);
         // Streaming refuses ORDER BY / LIMIT instead of dropping them.
         assert!(s
             .query_streaming(
@@ -1412,6 +1460,40 @@ mod tests {
             .find(|st| st.fingerprint == bad_fp)
             .expect("failed statement tracked");
         assert!(stat.errors >= 1);
+    }
+
+    #[test]
+    fn each_entry_point_records_one_call_and_a_redirect_none() {
+        use beliefdb_storage::obs::{fingerprint, statements_snapshot};
+        let mut s = session();
+        let calls = |sql: &str| {
+            let fp = fingerprint(sql);
+            statements_snapshot()
+                .into_iter()
+                .find(|st| st.fingerprint == fp)
+                .map_or(0, |st| st.calls)
+        };
+        // Aliases no other test uses, so parallel tests can't collide.
+        let write = "delete from BELIEF 'Alice' Sightings as AcctDel where AcctDel.sid = 's9'";
+        let read = "select AcctQ.sid from BELIEF 'Bob' Sightings as AcctQ";
+        let streamed = "select AcctS.sid from BELIEF 'Bob' Sightings as AcctS";
+        let redirected = "select AcctR.sid from BELIEF 'Bob' Sightings as AcctR order by sid";
+        let before: Vec<u64> = [write, read, streamed, redirected].map(calls).into();
+        s.execute(write).unwrap();
+        s.query(read).unwrap();
+        s.query_streaming(streamed, |_| {}).unwrap();
+        // ORDER BY is not streamable: the rejection sends the caller to
+        // query() and is not a statement execution of its own.
+        let err = s.query_streaming(redirected, |_| {}).unwrap_err();
+        assert!(err.to_string().contains(USE_QUERY), "{err}");
+        let after: Vec<u64> = [write, read, streamed, redirected].map(calls).into();
+        assert_eq!(
+            after,
+            [before[0] + 1, before[1] + 1, before[2] + 1, before[3]]
+        );
+        // The retry through query() is the one recorded call.
+        s.query(redirected).unwrap();
+        assert_eq!(calls(redirected), before[3] + 1);
     }
 
     #[test]

@@ -328,8 +328,8 @@ fn evaluator<'s>(store: &'s InternalStore, opts: &EvalOptions) -> Evaluator<'s> 
         .with_memory_budget(opts.memory_budget)
 }
 
-/// What [`run_query`] does with the answer relation.
-enum Answer<'k> {
+/// What [`evaluate`] does with the answer relation.
+pub enum Answer<'k> {
     /// Collect it, sorted. When plans run under an enabled recorder, every
     /// answer-rule plan is profiled and the `EXPLAIN ANALYZE` report is
     /// attached to the recorder.
@@ -338,26 +338,44 @@ enum Answer<'k> {
     /// `EXPLAIN ANALYZE` report returned — always by running the plans,
     /// even when the cache holds the answer.
     Analyze,
-    /// Hand its rows to the callback as the final rule produces them;
-    /// nothing is collected.
+    /// Hand its rows to the callback as the final rule produces them:
+    /// deduplicated, in executor order, never collected or sorted
+    /// (intermediate temp tables are still materialized — they feed later
+    /// rules). When the cache holds the answer, its sorted rows are
+    /// handed over instead.
     Stream(&'k mut dyn FnMut(Row)),
 }
 
-/// Run one query through the store's plan cache — the path every
-/// evaluating entry point takes. Optimized rule plans are cached keyed by
-/// the program text and the versions of the tables it reads (rewritten
-/// and unrewritten programs have distinct texts, hence distinct
-/// entries): a miss derives fresh plans and stores them; the first hit
-/// executes the cached plans, skipping the rewrite passes and
-/// intermediate re-derivation, and attaches the sorted answer to the
-/// entry; every later hit returns that answer without building an
-/// evaluator, executing or sorting (except under [`Answer::Analyze`],
-/// which always profiles the plans). Every call bumps `query.executed`
-/// and feeds the latency histogram, however the answer is delivered.
+/// Translate and execute a query against the store: the one path every
+/// evaluating entry point takes. The translated rule stack is first made
+/// demand-driven (magic sets / SIP — bound queries derive only the tuples
+/// they can reach) unless `opts.magic` is off, and rule plans go through
+/// the storage-layer cost-based optimizer (`beliefdb_storage::opt`) — the
+/// role the paper delegates to "the database optimizer". Under
+/// `opts.memory_budget` the chunked executor's materialization points
+/// spill to disk past their share of it (grace hash join, external merge
+/// sort — see `beliefdb_storage::exec::spill`).
+///
+/// Optimized rule plans are cached in the store keyed by the program text
+/// and the versions of the tables it reads (rewritten and unrewritten
+/// programs have distinct texts, hence distinct entries): a miss derives
+/// fresh plans and stores them; the first hit executes the cached plans,
+/// skipping the rewrite passes and intermediate re-derivation, and
+/// attaches the sorted answer to the entry; every later hit returns that
+/// answer without building an evaluator, executing or sorting (except
+/// under [`Answer::Analyze`], which always profiles the plans). Every call
+/// bumps `query.executed` and feeds the latency histogram, however the
+/// answer is delivered.
+///
+/// An enabled `rec` gets `translate` / `cache_lookup` / `execute` /
+/// `sort` spans and, whenever plans run, the `EXPLAIN ANALYZE` report of
+/// the run as its profile; a query answered from the cache records
+/// neither `execute` nor `sort` and attaches no profile. A disabled `rec`
+/// profiles nothing (unless analyzing).
 ///
 /// Returns the sorted answer rows (empty when streamed) and the report
 /// (empty unless analyzing).
-fn run_query(
+pub fn evaluate(
     store: &InternalStore,
     q: &Bcq,
     opts: &EvalOptions,
@@ -424,66 +442,6 @@ fn run_query(
     })();
     metrics().record_latency(t0.elapsed().as_nanos() as u64);
     out
-}
-
-/// Translate and execute a query against the store. The translated rule
-/// stack is first made demand-driven (magic sets / SIP — bound queries
-/// derive only the tuples they can reach) unless `opts.magic` is off,
-/// rule plans go through the storage-layer cost-based optimizer
-/// (`beliefdb_storage::opt`) — the role the paper delegates to "the
-/// database optimizer" — and the optimized plans are cached in the store
-/// keyed by (program, versions of the tables it reads), so repeat queries
-/// skip the rewrite passes entirely, and from the second repeat on are
-/// answered from the cache without executing. Under `opts.memory_budget`
-/// the chunked executor's materialization points spill to disk past their
-/// share of it (grace hash join, external merge sort — see
-/// `beliefdb_storage::exec::spill`).
-///
-/// An enabled `rec` gets `translate` / `cache_lookup` / `execute` /
-/// `sort` spans and, whenever plans run, the `EXPLAIN ANALYZE` report of
-/// the run as its profile; a query answered from the cache records
-/// neither `execute` nor `sort` and attaches no profile. A disabled `rec`
-/// profiles nothing.
-pub fn evaluate(
-    store: &InternalStore,
-    q: &Bcq,
-    opts: &EvalOptions,
-    rec: &mut Recorder,
-) -> Result<Vec<Row>> {
-    run_query(store, q, opts, rec, Answer::Collect).map(|(rows, _)| rows)
-}
-
-/// [`evaluate`] with per-operator profiling on — the `EXPLAIN ANALYZE`
-/// backend. Returns the answer rows **plus** a report: each answer-rule
-/// plan annotated with estimated *and* actual rows, chunks, wall time,
-/// kernel-vs-fallback filter rows, and spill traffic. An enabled `rec`
-/// additionally gets `translate` / `cache_lookup` / `execute` / `sort`
-/// spans. Shares the plan cache with [`evaluate`] (a repeat query
-/// profiles the cached plans, even when the cache holds its answer; a
-/// first run stores the plans it collected).
-pub fn evaluate_analyze(
-    store: &InternalStore,
-    q: &Bcq,
-    opts: &EvalOptions,
-    rec: &mut Recorder,
-) -> Result<(Vec<Row>, String)> {
-    run_query(store, q, opts, rec, Answer::Analyze)
-}
-
-/// Translate and execute, **streaming** the answer rows into `sink` as
-/// the final Datalog rule produces them: the answer relation is never
-/// collected or sorted. Rows are deduplicated but arrive in executor
-/// order; intermediate temp tables are still materialized (they feed
-/// later rules). Shares the plan cache with [`evaluate`]: when the cache
-/// holds the query's answer, its (sorted) rows are emitted instead.
-pub fn evaluate_streaming(
-    store: &InternalStore,
-    q: &Bcq,
-    opts: &EvalOptions,
-    mut sink: impl FnMut(Row),
-) -> Result<()> {
-    let answer = Answer::Stream(&mut sink);
-    run_query(store, q, opts, &mut Recorder::disabled(), answer).map(|_| ())
 }
 
 /// Translate and execute without the optimizer: plans run exactly as
@@ -605,6 +563,14 @@ mod tests {
     use crate::schema::ExternalSchema;
     use beliefdb_storage::row;
 
+    /// The sorted answer of `q` under the default options.
+    fn collected(st: &InternalStore, q: &Bcq) -> Vec<Row> {
+        let mut rec = Recorder::disabled();
+        let (rows, _) =
+            evaluate(st, q, &EvalOptions::default(), &mut rec, Answer::Collect).unwrap();
+        rows
+    }
+
     /// Build an InternalStore holding the running example.
     fn store() -> InternalStore {
         store_with(DefaultPolicy::default())
@@ -684,8 +650,7 @@ mod tests {
             )
             .build(st.schema())
             .unwrap();
-        let translated =
-            evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
+        let translated = collected(&st, &q);
         let mut reference = naive::evaluate(&db, &q).unwrap();
         reference.sort();
         assert_eq!(translated, reference);
@@ -700,10 +665,7 @@ mod tests {
             .positive(vec![], s, vec![qv("sid"), qany(), qany(), qany(), qany()])
             .build(st.schema())
             .unwrap();
-        assert_eq!(
-            evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap(),
-            vec![row!["s1"]]
-        );
+        assert_eq!(collected(&st, &q), vec![row!["s1"]]);
     }
 
     #[test]
@@ -718,8 +680,7 @@ mod tests {
             .positive(vec![pu(alice)], s, args)
             .build(st.schema())
             .unwrap();
-        let translated =
-            evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
+        let translated = collected(&st, &q);
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(translated, reference);
         assert_eq!(translated, vec![row![2]]);
@@ -736,8 +697,7 @@ mod tests {
             .negative(vec![pu(bob)], s, args)
             .build(st.schema())
             .unwrap();
-        let translated =
-            evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
+        let translated = collected(&st, &q);
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(translated, reference);
         assert_eq!(translated.len(), 2);
@@ -767,7 +727,7 @@ mod tests {
             .negative(vec![pv("z")], r, vec![qv("x"), qv("u"), qv("v")])
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
+        let rows = collected(&st, &q);
         // Sample a is disputed in both directions; b is not disputed.
         assert!(rows.contains(&row!["a", 1, 2]));
         assert!(rows.contains(&row!["a", 2, 1]));
@@ -793,7 +753,7 @@ mod tests {
             )
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
+        let rows = collected(&st, &q);
         assert!(!rows.is_empty());
         for r in &rows {
             assert_ne!(r[0], r[1], "translated query leaked a path outside Û*");
@@ -823,7 +783,7 @@ mod tests {
             .pred(qv("sp1"), beliefdb_storage::CmpOp::Ne, qv("sp2"))
             .build(st.schema())
             .unwrap();
-        let rows = evaluate(&st, &q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap();
+        let rows = collected(&st, &q);
         let reference = naive::evaluate(&db, &q).unwrap();
         assert_eq!(rows, reference);
         assert_eq!(rows, vec![row![2, "crow", "raven"]]);
@@ -852,7 +812,7 @@ mod tests {
         ];
         for q in &queries {
             assert_eq!(
-                evaluate(&st, q, &EvalOptions::default(), &mut Recorder::disabled()).unwrap(),
+                collected(&st, q),
                 evaluate_unoptimized(&st, q).unwrap(),
                 "optimizer changed semantics of {q}"
             );

@@ -6,6 +6,7 @@
 //! Algorithm 1 translation. This is the type applications interact with;
 //! `beliefdb-sql` layers the BeliefSQL surface syntax on top of it.
 
+use crate::bcq::translate::{evaluate, Answer};
 use crate::bcq::{self, Bcq};
 use crate::canonical::CanonicalKripke;
 use crate::database::BeliefDatabase;
@@ -480,7 +481,8 @@ impl Bdms {
     /// `execute` nor `sort` nor a profile); a disabled recorder makes this
     /// exactly the plain query path (no profiling).
     pub fn query_traced(&self, q: &Bcq, rec: &mut Recorder) -> Result<Vec<Row>> {
-        bcq::translate::evaluate(&self.store, q, &self.eval_options(), rec)
+        let (rows, _) = evaluate(&self.store, q, &self.eval_options(), rec, Answer::Collect)?;
+        Ok(rows)
     }
 
     /// `EXPLAIN ANALYZE`: run the query with per-operator profiling on
@@ -489,11 +491,13 @@ impl Bdms {
     /// rows, chunks, wall time, kernel-vs-fallback filter rows, and
     /// spill traffic. Shares the plan cache with [`Bdms::query`].
     pub fn explain_analyze_query(&self, q: &Bcq) -> Result<(Vec<Row>, String)> {
-        bcq::translate::evaluate_analyze(
+        let mut rec = Recorder::disabled();
+        evaluate(
             &self.store,
             q,
             &self.eval_options(),
-            &mut Recorder::disabled(),
+            &mut rec,
+            Answer::Analyze,
         )
     }
 
@@ -503,8 +507,11 @@ impl Bdms {
     /// are deduplicated. This is the path interactive consumers (the
     /// BeliefSQL shell) use to show first results before the query
     /// finishes. Counted in the metrics registry like [`Bdms::query`].
-    pub fn query_streaming(&self, q: &Bcq, sink: impl FnMut(Row)) -> Result<()> {
-        bcq::translate::evaluate_streaming(&self.store, q, &self.eval_options(), sink)
+    pub fn query_streaming(&self, q: &Bcq, mut sink: impl FnMut(Row)) -> Result<()> {
+        let mut rec = Recorder::disabled();
+        let answer = Answer::Stream(&mut sink);
+        evaluate(&self.store, q, &self.eval_options(), &mut rec, answer)?;
+        Ok(())
     }
 
     /// Evaluate via the Algorithm 1 translation with the optimizer off:

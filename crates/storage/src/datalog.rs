@@ -445,7 +445,9 @@ pub struct Ran<'p> {
 pub struct Evaluator<'a> {
     db: &'a Database,
     derived: HashMap<String, (usize, Vec<Row>)>,
-    optimizer: Option<crate::opt::OptimizerOptions>,
+    /// Run every compiled rule plan through [`crate::opt`]'s fixed
+    /// pipeline; off only under [`Evaluator::new_unoptimized`].
+    optimize: bool,
     stats: Option<crate::opt::StatsCatalog>,
     /// Run rule plans through the materializing reference executor
     /// ([`crate::exec::execute_materialized`]) instead of the chunked one
@@ -636,7 +638,7 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             db,
             derived: HashMap::new(),
-            optimizer: Some(crate::opt::OptimizerOptions::default()),
+            optimize: true,
             stats: None,
             materialized: false,
             spill: crate::exec::SpillOptions::unlimited(),
@@ -647,7 +649,7 @@ impl<'a> Evaluator<'a> {
     /// An evaluator that executes rule plans exactly as compiled.
     pub fn new_unoptimized(db: &'a Database) -> Self {
         Evaluator {
-            optimizer: None,
+            optimize: false,
             ..Evaluator::new(db)
         }
     }
@@ -689,17 +691,17 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Compile a rule and run it through the optimizer (when enabled).
+    /// Compile a rule and run it through the optimizer (when enabled),
+    /// against the evaluator's statistics snapshot: taken on first use,
+    /// refreshed only when the database has changed since.
     pub fn plan_rule(&mut self, rule: &Rule) -> Result<Plan> {
         let plan = self.compile_rule(rule)?;
-        match self.optimizer.clone() {
-            Some(opts) => {
-                self.refresh_stats();
-                let stats = self.stats.as_ref().expect("just refreshed");
-                crate::opt::optimize_with_stats(self.db, stats, plan, &opts)
-            }
-            None => Ok(plan),
+        if !self.optimize {
+            return Ok(plan);
         }
+        self.refresh_stats();
+        let stats = self.stats.as_ref().expect("just refreshed");
+        crate::opt::optimize_with_stats(self.db, stats, plan)
     }
 
     /// Render the optimized physical plan of each rule (the program-level
@@ -1175,21 +1177,10 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// Evaluate a single rule to its (deduplicated) head rows.
-    pub fn eval_rule(&self, rule: &Rule) -> Result<Vec<Row>> {
-        let mut plan = self.compile_rule(rule)?;
-        if let Some(opts) = &self.optimizer {
-            plan = crate::opt::optimize_with(self.db, plan, opts)?;
-        }
-        let mut rows = Vec::new();
-        drive(
-            self.db,
-            &plan,
-            self.materialized,
-            &self.spill,
-            false,
-            |row| rows.push(row),
-        )?;
+    /// Evaluate a single rule to its (deduplicated) head rows, planned
+    /// through [`Evaluator::plan_rule`].
+    pub fn eval_rule(&mut self, rule: &Rule) -> Result<Vec<Row>> {
+        let mut rows = self.eval_rule_rows(rule)?;
         dedup_rows(&mut rows);
         Ok(rows)
     }
@@ -1518,7 +1509,7 @@ mod tests {
     #[test]
     fn single_atom_rule() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         let r = rule("Q", vec![v("n")], vec![pos("Users", vec![v("u"), v("n")])]);
         let mut rows = ev.eval_rule(&r).unwrap();
         rows.sort();
@@ -1528,7 +1519,7 @@ mod tests {
     #[test]
     fn constants_select() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         let r = rule(
             "Q",
             vec![v("u")],
@@ -1540,7 +1531,7 @@ mod tests {
     #[test]
     fn join_via_shared_variable() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         // Two-hop paths from world 0: E(0,u1,w), E(w,u2,w2)
         let r = rule(
             "Q",
@@ -1568,7 +1559,7 @@ mod tests {
     #[test]
     fn repeated_variable_within_atom() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         // Self-loops: E(w, u, w)
         let r = rule(
             "Q",
@@ -1581,7 +1572,7 @@ mod tests {
     #[test]
     fn negated_atom() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         // Users with no outgoing edge from world 1: E(1, u, _) misses u ∈ {1,3}.
         let r = rule(
             "Q",
@@ -1599,7 +1590,7 @@ mod tests {
     #[test]
     fn comparison_literals() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         let r = rule(
             "Q",
             vec![v("u")],
@@ -1616,7 +1607,7 @@ mod tests {
     #[test]
     fn disjunction_literal() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         let r = rule(
             "Q",
             vec![v("n")],
@@ -1644,7 +1635,7 @@ mod tests {
     #[test]
     fn head_constants_and_duplicates_deduped() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         let r = rule(
             "Q",
             vec![c("marker")],
@@ -1656,7 +1647,7 @@ mod tests {
     #[test]
     fn unsafe_rules_rejected() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         // Head var never bound.
         let r = rule("Q", vec![v("x")], vec![pos("Users", vec![v("u"), any()])]);
         assert!(ev.eval_rule(&r).is_err());
@@ -1843,8 +1834,8 @@ mod tests {
             ),
         ];
         for r in &rules {
-            let optimized = Evaluator::new(&db);
-            let plain = Evaluator::new_unoptimized(&db);
+            let mut optimized = Evaluator::new(&db);
+            let mut plain = Evaluator::new_unoptimized(&db);
             let mut a = optimized.eval_rule(r).unwrap();
             let mut b = plain.eval_rule(r).unwrap();
             a.sort();
@@ -1910,7 +1901,7 @@ mod tests {
     #[test]
     fn arity_mismatch_detected() {
         let db = db();
-        let ev = Evaluator::new(&db);
+        let mut ev = Evaluator::new(&db);
         let r = rule("Q", vec![v("u")], vec![pos("Users", vec![v("u")])]);
         assert!(matches!(
             ev.eval_rule(&r),
@@ -1946,7 +1937,7 @@ mod tests {
     /// outside the cache key.
     fn run_cached(ev: &mut Evaluator<'_>, prog: &Program, cache: &mut PlanCache) {
         if !ev.derived.is_empty()
-            || ev.optimizer.is_none()
+            || !ev.optimize
             || program_recursive(prog)
             || PlanCache::program_reads_virtual(ev.db, prog)
         {

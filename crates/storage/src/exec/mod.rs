@@ -18,9 +18,10 @@
 //!   per-query memory budget — grace hash (anti-)join, external merge
 //!   sort, partial-aggregate and distinct partitioning, cross-join and
 //!   residual-only anti-join right-side overflow runs; see [`spill`].
-//!   [`RowStream`] adapts the chunk pipeline to a row-at-a-time
-//!   iterator for external sinks, and [`execute`] collects it into a
-//!   `Vec<Row>`.
+//!   [`Executor::open_chunks`] (and its profiled twin
+//!   [`Executor::open_chunks_profiled`], the `EXPLAIN ANALYZE` backend)
+//!   is the one way a plan is opened; [`stream_chunks`] opens one with
+//!   default settings, and [`execute`] collects it into a `Vec<Row>`.
 //! * The **materializing executor** ([`execute_materialized`]) is the
 //!   original operator-at-a-time evaluator: every operator's full output
 //!   is built before its parent runs. It is the reference side of the
@@ -33,15 +34,13 @@
 //! columns with equality conjuncts, and small join inputs probe indexes
 //! on a base-table right side instead of materializing it.
 
-pub mod rows;
 pub mod spill;
 pub mod stream;
 
-pub use rows::RowStream;
 pub use spill::{spill_points, SpillOptions, SPILL_PARTITIONS};
 use stream::base_access;
 pub(crate) use stream::{chunked_owned, selection_kernel_label};
-pub use stream::{stream, stream_chunks, Chunk, ChunkStream, Executor, BATCH_SIZE};
+pub use stream::{stream_chunks, Chunk, ChunkStream, Executor, BATCH_SIZE};
 
 use crate::catalog::Database;
 use crate::error::{Result, StorageError};
@@ -55,19 +54,9 @@ use std::collections::HashMap;
 /// Execute a plan against a database, returning materialized rows.
 ///
 /// This is a thin wrapper collecting the vectorized executor's chunks;
-/// use [`stream_chunks`] (or [`stream()`] for a row-at-a-time view) to
-/// consume results without building the vector.
+/// use [`stream_chunks`] to consume results without building the vector.
 pub fn execute(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
     stream::stream_chunks(db, plan)?.collect_rows()
-}
-
-/// Run the plan through the cost-based optimizer (see [`crate::opt`]),
-/// then execute it. Semantics are identical to [`execute`]; only the
-/// evaluation order (and therefore the running time) changes.
-pub fn execute_optimized(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
-    let optimized = crate::opt::optimize(db, plan.clone())?;
-    let rows = stream::stream_chunks(db, &optimized)?.collect_rows();
-    rows
 }
 
 /// Execute with the original operator-at-a-time evaluator, which
@@ -163,7 +152,7 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
             aggs,
         } => {
             let rows = run(db, input)?;
-            aggregate_stream(rows.into_iter().map(Ok), group_by, aggs)
+            aggregate_stream(chunked_owned(rows, BATCH_SIZE), group_by, aggs)
         }
         Plan::Values { rows, .. } => Ok(rows.clone()),
         Plan::Sort { input, by } => {
@@ -577,12 +566,13 @@ pub(crate) fn merge_accs(into: &mut [Acc], from: &[Acc]) {
     }
 }
 
-/// Hash aggregation over a stream of rows. Shared by both executors: the
+/// Hash aggregation over a stream of chunks. Shared by both executors
+/// (the materializing one re-batches its input): the
 /// accumulators consume rows one at a time, so only one row per group is
 /// ever held (the aggregate's output, not its input, bounds the memory).
 /// The memory-budgeted counterpart is [`spill::grace_aggregate`].
 fn aggregate_stream(
-    rows: impl Iterator<Item = Result<Row>>,
+    chunks: impl Iterator<Item = Result<Chunk>>,
     group_by: &[usize],
     aggs: &[Agg],
 ) -> Result<Vec<Row>> {
@@ -591,11 +581,15 @@ fn aggregate_stream(
     if group_by.is_empty() {
         groups.insert(Box::from([]), fresh_accs(aggs));
     }
-    for row in rows {
-        let row = row?;
-        let key: Box<[Value]> = group_by.iter().map(|&c| row[c].clone()).collect();
-        let accs = groups.entry(key).or_insert_with(|| fresh_accs(aggs));
-        update_accs(accs, aggs, &row)?;
+    for chunk in chunks {
+        let mut chunk = chunk?;
+        chunk.ensure_rows();
+        for row in chunk.iter() {
+            let key: Box<[Value]> = group_by.iter().map(|&c| row[c].clone()).collect();
+            let accs = groups.entry(key).or_insert_with(|| fresh_accs(aggs));
+            update_accs(accs, aggs, row)?;
+        }
+        chunk.recycle();
     }
     let mut out = Vec::with_capacity(groups.len());
     for (key, accs) in groups {

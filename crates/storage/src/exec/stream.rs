@@ -44,11 +44,7 @@
 //! failing row: the successfully processed prefix is emitted first, the
 //! error after it, and processing resumes behind it. A `Limit` that is
 //! satisfied by the prefix therefore never observes the error.
-//!
-//! [`RowStream`] ([`super::rows`]) is a thin row-at-a-time adapter over
-//! [`ChunkStream`] for sinks written against `Iterator<Item = Result<Row>>`.
 
-use super::rows::RowStream;
 use super::spill::{self, SpillCtx, SpillOptions};
 use super::{aggregate_stream, try_index_selection};
 use crate::catalog::Database;
@@ -78,9 +74,8 @@ pub const BATCH_SIZE: usize = 1024;
 /// The steady state of a long pipeline is "allocate a `Vec<Row>` (and a
 /// selection vector) per chunk, drop it one operator later" — pure
 /// allocator churn. Operators instead take buffers from this pool and
-/// consumers hand them back ([`Chunk::recycle`] / [`Chunk::drain_into`]
-/// / the row adapter), so after warm-up the hot loop allocates rows,
-/// never buffers. The pool is bounded (a handful of buffers per
+/// consumers hand them back ([`Chunk::recycle`] / [`Chunk::drain_into`]),
+/// so after warm-up the hot loop allocates rows, never buffers. The pool is bounded (a handful of buffers per
 /// thread) and thread-local, so there is no locking and no cross-query
 /// pinning beyond a few dozen KiB.
 mod pool {
@@ -170,7 +165,7 @@ mod pool {
 /// moves or clones rows — it writes the **window-relative** indices of
 /// surviving rows into `sel`; downstream operators iterate only the live
 /// rows. Compaction to rows happens where boxed rows are needed anyway
-/// (join probes, sort inputs, the row-stream adapter) via
+/// (join probes, sort inputs, aggregate inputs) via
 /// [`Chunk::ensure_rows`].
 #[derive(Debug, Clone)]
 pub struct Chunk {
@@ -393,7 +388,7 @@ impl Chunk {
     }
 
     /// Window-relative index of the `k`-th live row.
-    pub(super) fn live_at(&self, k: usize) -> u32 {
+    fn live_at(&self, k: usize) -> u32 {
         match &self.sel {
             Some(sel) => sel[k],
             None => k as u32,
@@ -412,7 +407,7 @@ impl Chunk {
     /// Move the backing row at a window-relative index out of the chunk
     /// (row-major chunks leave a placeholder; columnar chunks
     /// materialize the row — the window is immutable shared storage).
-    pub(super) fn take_row(&mut self, i: u32) -> Row {
+    fn take_row(&mut self, i: u32) -> Row {
         match &mut self.repr {
             Repr::Rows(rows) => std::mem::replace(&mut rows[i as usize], Row::new(vec![])),
             Repr::Cols(w) => w.cols.row_at(w.start + i as usize),
@@ -471,7 +466,7 @@ impl<'a> Iterator for ChunkIter<'a> {
 // ---------------------------------------------------------------------------
 
 /// A boxed iterator of fallible chunks — the wire between operators.
-pub(crate) type BoxChunkIter<'a> = Box<dyn Iterator<Item = Result<Chunk>> + 'a>;
+type BoxChunkIter<'a> = Box<dyn Iterator<Item = Result<Chunk>> + 'a>;
 
 /// A pull-based stream of chunks produced by [`Executor::open_chunks`].
 ///
@@ -496,11 +491,6 @@ impl<'a> ChunkStream<'a> {
             chunk?.drain_into(&mut out);
         }
         Ok(out)
-    }
-
-    /// Adapt to a row-at-a-time stream (see [`super::rows`]).
-    pub fn rows(self) -> RowStream<'a> {
-        RowStream::from_chunks(self.inner)
     }
 }
 
@@ -532,8 +522,9 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// An executor with an explicit batch size (benchmark sweeps and
-    /// memory-constrained embedders).
+    /// An executor with an explicit batch size: the seam tests use to
+    /// force chunk boundaries (batch-edge cases, Limit caps, re-batching
+    /// at materialization points) without building kilorow inputs.
     pub fn with_batch_size(db: &'a Database, batch: usize) -> Self {
         Executor {
             batch: batch.max(1),
@@ -551,30 +542,12 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Replace this executor's spill options (builder style).
-    pub fn spill(mut self, spill: SpillOptions) -> Self {
-        self.spill = spill;
-        self
-    }
-
     /// Open a plan as a chunk stream. Arities are validated once up
     /// front; materialization points (aggregate/sort inputs, join build
     /// sides) do their buffering eagerly here, pipelined operators do no
     /// work until the stream is pulled.
     pub fn open_chunks(&self, plan: &'a Plan) -> Result<ChunkStream<'a>> {
-        plan.arity(self.db)?;
-        // Last verification boundary before execution: whatever
-        // plan reaches the executor — optimized, cached, or hand-built —
-        // is checked once more with the verifier armed.
-        crate::sema::verify_plan_if_enabled(self.db, plan, "exec_open")?;
-        let spill = SpillCtx::for_plan(&self.spill, plan);
-        Ok(ChunkStream::new(open_node(
-            self.db,
-            plan,
-            Batch::new(self.batch),
-            &spill,
-            &NodeObs::disabled(),
-        )?))
+        self.open_with(plan, NodeObs::disabled())
     }
 
     /// Open a plan with per-operator profiling on: every operator's
@@ -582,31 +555,25 @@ impl<'a> Executor<'a> {
     /// returned [`Profile`], whose counters are live — read them after
     /// draining the stream. This is the `EXPLAIN ANALYZE` entry point.
     pub fn open_chunks_profiled(&self, plan: &'a Plan) -> Result<(ChunkStream<'a>, Profile)> {
-        plan.arity(self.db)?;
-        crate::sema::verify_plan_if_enabled(self.db, plan, "exec_open_profiled")?;
-        let spill = SpillCtx::for_plan(&self.spill, plan);
         let root = ProfNode::new();
-        let stream = ChunkStream::new(open_node(
-            self.db,
-            plan,
-            Batch::new(self.batch),
-            &spill,
-            &NodeObs::enabled(Rc::clone(&root)),
-        )?);
+        let stream = self.open_with(plan, NodeObs::enabled(Rc::clone(&root)))?;
         Ok((stream, Profile::new(root)))
     }
 
-    /// Open a plan as a row stream (the chunked pipeline behind the
-    /// row-at-a-time adapter).
-    pub fn open(&self, plan: &'a Plan) -> Result<RowStream<'a>> {
-        Ok(self.open_chunks(plan)?.rows())
+    /// The one body behind both `open_chunks*`: validate, verify, and
+    /// compile the operator tree with `obs` at its root.
+    fn open_with(&self, plan: &'a Plan, obs: NodeObs) -> Result<ChunkStream<'a>> {
+        plan.arity(self.db)?;
+        // Last verification boundary before execution: whatever
+        // plan reaches the executor — optimized, cached, or hand-built —
+        // is checked once more with the verifier armed.
+        crate::sema::verify_plan_if_enabled(self.db, plan, "exec_open")?;
+        let spill = SpillCtx::for_plan(&self.spill, plan);
+        let batch = Batch::new(self.batch);
+        Ok(ChunkStream::new(open_node(
+            self.db, plan, batch, &spill, &obs,
+        )?))
     }
-}
-
-/// Convenience: open `plan` against `db` as a [`RowStream`] backed by the
-/// vectorized executor.
-pub fn stream<'a>(db: &'a Database, plan: &'a Plan) -> Result<RowStream<'a>> {
-    Executor::new(db).open(plan)
 }
 
 /// Convenience: open `plan` against `db` as a [`ChunkStream`].
@@ -1094,7 +1061,7 @@ fn open_node<'a>(
             let input = open_node(db, input, batch.full(), spill, &obs.child(0))?;
             match spill.per_point {
                 None => {
-                    let rows = aggregate_stream(ChunkStream::new(input).rows(), group_by, aggs)?;
+                    let rows = aggregate_stream(input, group_by, aggs)?;
                     chunked_owned(rows, batch.effective)
                 }
                 // Budgeted: partial accumulators partition to disk when
@@ -2227,7 +2194,7 @@ mod tests {
     fn chunked_preserves_scan_order() {
         let db = db();
         let plan = Plan::scan("Users");
-        let rows = stream(&db, &plan).unwrap().collect_rows().unwrap();
+        let rows = execute(&db, &plan).unwrap();
         assert_eq!(
             rows,
             vec![row![1, "Alice"], row![2, "Bob"], row![3, "Carol"]]
@@ -2259,7 +2226,7 @@ mod tests {
             rows: vec![row![2], row![1], row![2], row![3], row![1]],
         }
         .distinct();
-        let rows = stream(&db, &plan).unwrap().collect_rows().unwrap();
+        let rows = execute(&db, &plan).unwrap();
         assert_eq!(rows, vec![row![2], row![1], row![3]]);
     }
 
@@ -2582,6 +2549,20 @@ mod tests {
         assert_eq!(sizes, vec![10]);
     }
 
+    /// Every item of `plan`'s chunk stream flattened to rows in order, an
+    /// `Err` chunk standing as one `Err` item: the sequence a consumer
+    /// pulling past errors sees.
+    fn pull_items(db: &Database, plan: &Plan) -> Vec<Result<Row>> {
+        let mut items = Vec::new();
+        for chunk in stream_chunks(db, plan).unwrap() {
+            match chunk {
+                Ok(chunk) => items.extend(chunk.into_rows().into_iter().map(Ok)),
+                Err(e) => items.push(Err(e)),
+            }
+        }
+        items
+    }
+
     #[test]
     fn limit_counts_errors_like_the_row_executor() {
         // A tuple-at-a-time `take(n)` over `Result<Row>` items counts an
@@ -2594,7 +2575,7 @@ mod tests {
         }
         .select(Expr::Col(0))
         .limit(1);
-        let chunked: Vec<Result<Row>> = stream(&db, &plan).unwrap().collect();
+        let chunked = pull_items(&db, &plan);
         assert_eq!(chunked.len(), 1, "{chunked:?}");
         assert!(chunked[0].is_err());
         // With room for two items: the error plus exactly one row.
@@ -2604,7 +2585,7 @@ mod tests {
         }
         .select(Expr::Col(0))
         .limit(2);
-        let chunked: Vec<Result<Row>> = stream(&db, &plan).unwrap().collect();
+        let chunked = pull_items(&db, &plan);
         assert_eq!(chunked.len(), 2, "{chunked:?}");
         assert!(chunked[0].is_err());
         assert_eq!(chunked[1].as_ref().unwrap(), &row![true]);

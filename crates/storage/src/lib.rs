@@ -60,8 +60,8 @@ pub use catalog::{Database, VirtualTable, SYS_PREFIX};
 pub use column::{Bitmap, Column, ColumnSet};
 pub use error::{Result, StorageError};
 pub use exec::{
-    execute, execute_materialized, execute_optimized, spill_points, stream, stream_chunks, Chunk,
-    ChunkStream, Executor, RowStream, SpillOptions, BATCH_SIZE, SPILL_PARTITIONS,
+    execute, execute_materialized, spill_points, stream_chunks, Chunk, ChunkStream, Executor,
+    SpillOptions, BATCH_SIZE, SPILL_PARTITIONS,
 };
 pub use expr::{CmpOp, Expr};
 pub use index::RowId;
@@ -69,7 +69,7 @@ pub use obs::{
     metrics, Metric, MetricsSnapshot, Profile, QueryTrace, Recorder, SlowLog, SpanRecord,
     StatementObs, StatementStats,
 };
-pub use opt::{optimize, optimize_with, OptimizerOptions, StatsCatalog};
+pub use opt::{optimize, StatsCatalog};
 pub use persist::{PersistEngine, PersistOptions, WalStats};
 pub use plan::{Agg, Plan, SortKey};
 pub use row::{Projector, Row};

@@ -46,60 +46,21 @@ use crate::catalog::Database;
 use crate::error::Result;
 use crate::plan::Plan;
 
-/// Which rewrites to run. All on by default; the flags exist for the
-/// differential tests and the optimizer-ablation benches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptimizerOptions {
-    pub fold: bool,
-    pub pushdown: bool,
-    pub simplify: bool,
-    pub reorder_joins: bool,
-    pub prune: bool,
-}
-
-impl Default for OptimizerOptions {
-    fn default() -> Self {
-        OptimizerOptions {
-            fold: true,
-            pushdown: true,
-            simplify: true,
-            reorder_joins: true,
-            prune: true,
-        }
-    }
-}
-
-impl OptimizerOptions {
-    /// Everything off — `optimize_with` becomes the identity.
-    pub fn disabled() -> Self {
-        OptimizerOptions {
-            fold: false,
-            pushdown: false,
-            simplify: false,
-            reorder_joins: false,
-            prune: false,
-        }
-    }
-}
-
-/// Optimize a plan with the default pipeline.
+/// Optimize a plan against a fresh statistics snapshot.
 ///
 /// Plans are taken by value: the pipeline moves unchanged subtrees (in
 /// particular materialized `Values` relations) instead of cloning them,
 /// so optimization cost does not scale with intermediate-result sizes.
 pub fn optimize(db: &Database, plan: Plan) -> Result<Plan> {
-    optimize_with(db, plan, &OptimizerOptions::default())
+    optimize_with_stats(db, &StatsCatalog::snapshot(db), plan)
 }
 
 /// Optimize a plan with an explicit statistics snapshot (callers issuing
 /// many queries against an unchanged database can reuse one snapshot; see
-/// [`StatsCatalog::is_stale`] and [`StatsCatalog::refresh`]).
-pub fn optimize_with_stats(
-    db: &Database,
-    catalog: &StatsCatalog,
-    plan: Plan,
-    opts: &OptimizerOptions,
-) -> Result<Plan> {
+/// [`StatsCatalog::is_stale`] and [`StatsCatalog::refresh`]). The
+/// pipeline is fixed: the passes listed in the module doc, in that
+/// order.
+pub fn optimize_with_stats(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Result<Plan> {
     // Validate before rewriting: the rules assume a well-formed plan.
     plan.arity(db)?;
     let mut p = plan;
@@ -108,48 +69,28 @@ pub fn optimize_with_stats(
     // full invariant check — a rule bug surfaces as a `BD10x` violation
     // naming the pass that introduced it, not as a wrong answer
     // downstream. Each call is a single atomic load when disabled.
-    if opts.fold {
-        p = rules::fold_plan(p);
-        crate::sema::verify_plan_if_enabled(db, &p, "fold")?;
-    }
-    if opts.pushdown {
-        p = rules::push_selections(db, p)?;
-        crate::sema::verify_plan_if_enabled(db, &p, "pushdown")?;
-    }
-    if opts.simplify {
-        p = rules::simplify(db, p)?;
-        crate::sema::verify_plan_if_enabled(db, &p, "simplify")?;
-    }
-    if opts.reorder_joins {
-        p = join_order::reorder_joins(db, catalog, p)?;
-        crate::sema::verify_plan_if_enabled(db, &p, "reorder_joins")?;
-    }
-    if opts.pushdown {
-        // The reorder introduces selections for residual predicates; push
-        // them toward the new leaf positions.
-        p = rules::push_selections(db, p)?;
-        crate::sema::verify_plan_if_enabled(db, &p, "pushdown_after_reorder")?;
-    }
-    if opts.prune {
-        p = rules::fuse_projections(p);
-        p = rules::prune_columns(db, p)?;
-        p = rules::fuse_projections(p);
-        crate::sema::verify_plan_if_enabled(db, &p, "prune_columns")?;
-    }
-    if opts.simplify {
-        p = rules::simplify(db, p)?;
-        crate::sema::verify_plan_if_enabled(db, &p, "final_simplify")?;
-    }
+    p = rules::fold_plan(p);
+    crate::sema::verify_plan_if_enabled(db, &p, "fold")?;
+    p = rules::push_selections(db, p)?;
+    crate::sema::verify_plan_if_enabled(db, &p, "pushdown")?;
+    p = rules::simplify(db, p)?;
+    crate::sema::verify_plan_if_enabled(db, &p, "simplify")?;
+    p = join_order::reorder_joins(db, catalog, p)?;
+    crate::sema::verify_plan_if_enabled(db, &p, "reorder_joins")?;
+    // The reorder introduces selections for residual predicates; push
+    // them toward the new leaf positions.
+    p = rules::push_selections(db, p)?;
+    crate::sema::verify_plan_if_enabled(db, &p, "pushdown_after_reorder")?;
+    p = rules::fuse_projections(p);
+    p = rules::prune_columns(db, p)?;
+    p = rules::fuse_projections(p);
+    crate::sema::verify_plan_if_enabled(db, &p, "prune_columns")?;
+    p = rules::simplify(db, p)?;
+    crate::sema::verify_plan_if_enabled(db, &p, "final_simplify")?;
     // The rewritten plan must still validate — a cheap guard against rule
     // bugs corrupting arities.
     p.arity(db)?;
     Ok(p)
-}
-
-/// Optimize a plan with explicit options and a fresh statistics snapshot.
-pub fn optimize_with(db: &Database, plan: Plan, opts: &OptimizerOptions) -> Result<Plan> {
-    let catalog = StatsCatalog::snapshot(db);
-    optimize_with_stats(db, &catalog, plan, opts)
 }
 
 #[cfg(test)]
@@ -202,16 +143,6 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn disabled_options_are_identity() {
-        let db = db();
-        let plan = Plan::scan("V")
-            .join(Plan::scan("Probe"), vec![(0, 0)])
-            .select(Expr::col_eq_lit(2, "+"));
-        let same = optimize_with(&db, plan.clone(), &OptimizerOptions::disabled()).unwrap();
-        assert_eq!(same, plan);
     }
 
     #[test]

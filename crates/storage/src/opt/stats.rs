@@ -978,14 +978,8 @@ mod tests {
             )
             .sort(vec![0]);
         let optimized = crate::opt::optimize(&db, plan.clone()).unwrap();
-        let a = crate::exec::stream(&db, &plan)
-            .unwrap()
-            .collect::<crate::error::Result<Vec<_>>>()
-            .unwrap();
-        let b = crate::exec::stream(&db, &optimized)
-            .unwrap()
-            .collect::<crate::error::Result<Vec<_>>>()
-            .unwrap();
+        let a = crate::exec::execute(&db, &plan).unwrap();
+        let b = crate::exec::execute(&db, &optimized).unwrap();
         assert_eq!(a, b);
         assert!(!a.is_empty(), "workload degenerated to empty");
     }

@@ -11,9 +11,10 @@
 //!
 //! This is a from-scratch Rust reproduction of *"Believe It or Not: Adding
 //! Belief Annotations to Databases"* (Gatterbauer, Balazinska,
-//! Khoussainova, Suciu; VLDB 2009). See `README.md` for a tour, `DESIGN.md`
-//! for the system inventory, and `EXPERIMENTS.md` for the reproduced
-//! evaluation (Table 1, Figure 6, Table 2).
+//! Khoussainova, Suciu; VLDB 2009). See `README.md` for a tour and the
+//! reproduced evaluation (Table 1, Figure 6, Table 2), and `docs/` for
+//! the engine's layers: execution, the optimizer, persistence, the
+//! static analyzer and observability.
 //!
 //! ## Quick start
 //!

@@ -61,12 +61,12 @@ fn drain_items(
     };
     let mut rows = Vec::new();
     let mut errors = 0;
-    match exec.open(plan) {
+    match exec.open_chunks(plan) {
         Err(_) => errors += 1,
         Ok(stream) => {
             for item in stream {
                 match item {
-                    Ok(row) => rows.push(row),
+                    Ok(chunk) => chunk.drain_into(&mut rows),
                     Err(_) => errors += 1,
                 }
             }

@@ -1,5 +1,5 @@
 //! Differential suite for the streaming executor: the vectorized
-//! chunk-at-a-time pipeline (`execute` / `stream` / `stream_chunks`) and
+//! chunk-at-a-time pipeline (`execute` / `stream_chunks`) and
 //! the original operator-at-a-time evaluator (`execute_materialized`, the
 //! executable specification) must return identical row multisets.
 //!
@@ -24,7 +24,7 @@ use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::{
-    execute, execute_materialized, execute_optimized, optimize, row, CmpOp, Expr, Plan, Row,
+    execute, execute_materialized, optimize, row, stream_chunks, CmpOp, Expr, Plan, Row,
 };
 use common::{contains_order_sensitive_limit, gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
@@ -66,7 +66,9 @@ fn fuzzed_plans_stream_and_materialize_identically() {
         );
         // And through the optimizer: optimized+streamed still matches the
         // unoptimized materialized reference.
-        let optimized = execute_optimized(&db, &plan).expect("optimized execution failed");
+        let optimized = optimize(&db, plan.clone())
+            .and_then(|p| execute(&db, &p))
+            .expect("optimized execution failed");
         assert_eq!(
             sorted(reference),
             sorted(optimized),
@@ -338,14 +340,15 @@ fn streaming_surfaces_demanded_errors() {
 fn streaming_iterator_yields_incrementally() {
     let db = plan_db();
     // Pull exactly three rows from a selective pipeline and stop: the
-    // stream hands back rows one at a time without draining the scan.
+    // stream hands back chunks on demand without draining the scan.
     let plan = Plan::scan("E")
         .select(Expr::cmp(CmpOp::Ge, Expr::Col(2), Expr::lit(0i64)))
         .project_cols(&[2, 1]);
-    let mut stream = beliefdb::storage::stream(&db, &plan).unwrap();
+    let mut stream = stream_chunks(&db, &plan).unwrap();
     let mut taken = Vec::new();
-    for _ in 0..3 {
-        taken.push(stream.next().unwrap().unwrap());
+    while taken.len() < 3 {
+        let chunk = stream.next().unwrap().unwrap();
+        taken.extend(chunk.into_rows().into_iter().take(3 - taken.len()));
     }
     drop(stream); // abandoning the rest of the pipeline is fine
     let full = execute(&db, &plan).unwrap();

@@ -8,7 +8,7 @@
 //! with the same errors. The rewrite only prunes *irrelevant* derivations;
 //! any answer-row difference is a soundness bug.
 
-use beliefdb::core::bcq::translate::{self, EvalOptions, TranslatedQuery};
+use beliefdb::core::bcq::translate::{self, Answer, EvalOptions, TranslatedQuery};
 use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
@@ -184,8 +184,14 @@ fn rewritten_matches_unrewritten_across_executors_and_budgets() {
             // and off: validation runs before the rewrite ever sees the
             // program.
             let mut rec = Recorder::disabled();
-            let on = translate::evaluate(bdms.internal(), &q, &EvalOptions::default(), &mut rec)
-                .expect_err("translate rejected but evaluate(magic=on) accepted");
+            let on = translate::evaluate(
+                bdms.internal(),
+                &q,
+                &EvalOptions::default(),
+                &mut rec,
+                Answer::Collect,
+            )
+            .expect_err("translate rejected but evaluate(magic=on) accepted");
             let off = translate::evaluate(
                 bdms.internal(),
                 &q,
@@ -194,6 +200,7 @@ fn rewritten_matches_unrewritten_across_executors_and_budgets() {
                     ..EvalOptions::default()
                 },
                 &mut rec,
+                Answer::Collect,
             )
             .expect_err("translate rejected but evaluate(magic=off) accepted");
             assert_eq!(

@@ -5,8 +5,8 @@
 //!
 //! 1. **fuzzed relational plans** — arity-correct random plans (joins,
 //!    anti-joins, unions, selections, projections, distinct, sort, limit,
-//!    literal relations) over a mixed-size database, `execute` vs
-//!    `execute_optimized`;
+//!    literal relations) over a mixed-size database, `execute` of the
+//!    plan vs `execute` of its `optimize`d form;
 //! 2. **fuzzed belief conjunctive queries** — random BCQs over a
 //!    generated annotation workload, `Bdms::query` (optimizer on) vs
 //!    `Bdms::query_unoptimized`;
@@ -19,7 +19,7 @@ use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::{
-    execute, execute_optimized, row, CmpOp, Database, Expr, Plan, TableSchema,
+    execute, optimize, row, CmpOp, Database, Expr, Plan, StatsCatalog, TableSchema,
 };
 use common::{contains_order_sensitive_limit, gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
@@ -48,7 +48,9 @@ fn fuzzed_plans_agree_with_and_without_optimizer() {
             continue;
         }
         let base = execute(&db, &plan).expect("unoptimized execution failed");
-        let optimized = execute_optimized(&db, &plan).expect("optimized execution failed");
+        let optimized = optimize(&db, plan.clone())
+            .and_then(|p| execute(&db, &p))
+            .expect("optimized execution failed");
         if !base.is_empty() {
             nontrivial += 1;
         }
@@ -76,14 +78,8 @@ fn reorder_keeps_fallible_residuals_intact() {
     let u = db.create_table(TableSchema::keyless("U", &["b"])).unwrap();
     u.insert(row![2]).unwrap();
     let plan = Plan::scan("T").join_where(Plan::scan("U"), vec![], Expr::Col(0));
-    let opts = beliefdb::storage::OptimizerOptions {
-        fold: false,
-        pushdown: false,
-        simplify: false,
-        reorder_joins: true,
-        prune: false,
-    };
-    let optimized = beliefdb::storage::optimize_with(&db, plan.clone(), &opts)
+    let stats = StatsCatalog::snapshot(&db);
+    let optimized = beliefdb::storage::opt::join_order::reorder_joins(&db, &stats, plan.clone())
         .expect("reorder must not reject a fallible residual");
     // Both plans evaluate the residual over a real row pair, so both must
     // surface the same TypeError instead of silently dropping rows.
@@ -117,7 +113,9 @@ fn contradictory_conjunctions_fold_to_empty_and_agree() {
     ];
     for plan in cases {
         let base = execute(&db, &plan).expect("unoptimized execution failed");
-        let optimized = execute_optimized(&db, &plan).expect("optimized execution failed");
+        let optimized = optimize(&db, plan.clone())
+            .and_then(|p| execute(&db, &p))
+            .expect("optimized execution failed");
         assert_eq!(
             sorted(base),
             sorted(optimized),

@@ -18,7 +18,7 @@ use beliefdb::storage::{Row, Value};
 /// `T(z, y) :− E*(0, w[p,d], z), D(z, y)` and return the `z` with maximum
 /// depth `y` (the paper's max-operator step).
 fn relational_dss(bdms: &Bdms, path: &BeliefPath) -> Wid {
-    let ev = Evaluator::new(bdms.storage());
+    let mut ev = Evaluator::new(bdms.storage());
     let mut best: Option<(i64, i64)> = None; // (depth, wid)
     let d = path.depth();
     for p in 1..=d + 1 {
@@ -105,7 +105,7 @@ fn algorithm3_relational_form_agrees_with_directory() {
 fn world_contents_via_pure_relational_walk() {
     // `V` holds every world's content only under `Eager`.
     let bdms = test_bdms_under(DefaultPolicy::Eager);
-    let ev = Evaluator::new(bdms.storage());
+    let mut ev = Evaluator::new(bdms.storage());
     let users: Vec<UserId> = bdms.users();
 
     for &u in &users {

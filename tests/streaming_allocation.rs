@@ -11,7 +11,7 @@
 //! large-allocation counts (the whole binary holds exactly one
 //! `#[test]` so no other thread skews the counters).
 
-use beliefdb::storage::{execute, execute_materialized, row, stream, stream_chunks};
+use beliefdb::storage::{execute, execute_materialized, row, stream_chunks};
 use beliefdb::storage::{CmpOp, Database, Expr, Plan, TableSchema};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -164,10 +164,9 @@ fn selective_pipelines_do_not_materialize_their_input() {
     // is — far below materializing anything.
     let wide = Plan::scan("T").project_cols(&[0, 1]);
     let ((), peak_take) = peak_of(|| {
-        let mut rows = stream(&db, &wide).unwrap();
-        for _ in 0..3 {
-            rows.next().unwrap().unwrap();
-        }
+        let mut chunks = stream_chunks(&db, &wide).unwrap();
+        let first = chunks.next().unwrap().unwrap().into_rows();
+        assert_eq!(first.into_iter().take(3).count(), 3);
     });
     assert!(
         peak_take * 10 < peak_mat,
@@ -242,14 +241,24 @@ fn selective_pipelines_do_not_materialize_their_input() {
          chunk buffers are not being recycled"
     );
 
-    // The row-at-a-time adapter and collectors recycle internally too:
-    // draining through `stream()` must also keep large allocations flat
-    // (the pulled rows are tiny; only buffers cross the BIG threshold).
-    let (n_rows, big) = big_allocs_of(|| stream(&db, &wide4).unwrap().count());
+    // Collectors recycle internally too: draining every chunk into one
+    // reused scratch vector with `Chunk::drain_into` (how the Datalog
+    // evaluator consumes plans) must also keep large allocations flat
+    // (the drained rows are tiny; only buffers cross the BIG threshold).
+    let (n_rows, big) = big_allocs_of(|| {
+        let mut scratch = Vec::new();
+        let mut n = 0usize;
+        for chunk in stream_chunks(&db, &wide4).unwrap() {
+            chunk.unwrap().drain_into(&mut scratch);
+            n += scratch.len();
+            scratch.clear();
+        }
+        n
+    });
     assert_eq!(n_rows, 4 * N as usize);
     assert!(
         big <= 24,
-        "row-adapter drain performed {big} large allocations — buffers leak from the pool"
+        "draining collector performed {big} large allocations — buffers leak from the pool"
     );
 
     // --- zero-copy columnar scans -----------------------------------------
