@@ -17,6 +17,7 @@ use crate::kripke::{Kripke, StateId};
 use crate::path::BeliefPath;
 use crate::statement::BeliefStatement;
 use crate::world::BeliefWorld;
+use beliefdb_storage::CellHash;
 use std::collections::HashMap;
 
 /// The canonical Kripke structure of a belief database.
@@ -25,7 +26,7 @@ pub struct CanonicalKripke {
     /// State id → belief path; state 0 is always the root `ε`.
     paths: Vec<BeliefPath>,
     /// Belief path → state id.
-    index: HashMap<BeliefPath, StateId>,
+    index: HashMap<BeliefPath, StateId, CellHash>,
     /// Entailed world `D̄_v` per state.
     worlds: Vec<BeliefWorld>,
     /// Deterministic successor per (state, user) — only for users that can
@@ -42,7 +43,7 @@ impl CanonicalKripke {
 
         let mut paths = Vec::with_capacity(state_worlds.len());
         let mut worlds = Vec::with_capacity(state_worlds.len());
-        let mut index = HashMap::with_capacity(state_worlds.len());
+        let mut index = HashMap::with_capacity_and_hasher(state_worlds.len(), CellHash::default());
         for (path, world) in state_worlds {
             index.insert(path.clone(), paths.len());
             paths.push(path);
@@ -167,7 +168,7 @@ impl CanonicalKripke {
     }
 }
 
-fn dss_in(index: &HashMap<BeliefPath, StateId>, path: &BeliefPath) -> StateId {
+fn dss_in(index: &HashMap<BeliefPath, StateId, CellHash>, path: &BeliefPath) -> StateId {
     for suffix in path.suffixes() {
         if let Some(&sid) = index.get(&suffix) {
             return sid;

@@ -27,6 +27,7 @@ use crate::database::BeliefDatabase;
 use crate::path::BeliefPath;
 use crate::statement::BeliefStatement;
 use crate::world::BeliefWorld;
+use beliefdb_storage::CellHash;
 use std::collections::HashMap;
 
 /// Memoizing evaluator for entailed worlds of one (frozen) belief database.
@@ -35,14 +36,14 @@ use std::collections::HashMap;
 /// steps the first time and is O(1) afterwards.
 pub struct Closure<'a> {
     db: &'a BeliefDatabase,
-    cache: HashMap<BeliefPath, BeliefWorld>,
+    cache: HashMap<BeliefPath, BeliefWorld, CellHash>,
 }
 
 impl<'a> Closure<'a> {
     pub fn new(db: &'a BeliefDatabase) -> Self {
         Closure {
             db,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
         }
     }
 

@@ -7,15 +7,19 @@
 //!
 //! | Table | Columns | Key |
 //! |---|---|---|
-//! | `{R}__star` | `tid, key, att2, ...` | `tid` |
+//! | `{R}__star` | `tid, key, att2, ...` | `tid`, index `(key, att2, ...)` |
 //! | `U` | `uid, name` | `uid` |
 //! | `V__{R}` | `wid, tid, key, s, e` | multiset, index `(wid, key)` |
 //! | `E` | `wid1, uid, wid2` | multiset, index `(wid1, uid)` |
 //!
-//! `V` and `E` carry that one index each. The storage engine groups an
+//! `R*`, `V` and `E` carry one index each. The storage engine groups an
 //! index by its first column, so the same index answers the slice probe
 //! `(wid, key)` of Alg. 4, the whole-world probe `(wid)` of world dumps and
-//! of Alg. 2 line 9, and the `(wid1)` hops of the `E*` walk.
+//! of Alg. 2 line 9, and the `(wid1)` hops of the `E*` walk. `R*`'s
+//! [`R_BY_TUPLE`] over every attribute column is how a tuple finds its
+//! tid (Alg. 4 line 1): one probe on the tuple's cells, the collisions
+//! resolved against `R*`'s own heap, and no copy of the tuples anywhere
+//! else; a query's selection on the key probes it by its first column.
 //! | `D` | `wid, d` | `wid` |
 //! | `S` | `wid1, wid2` | `wid1` |
 //!
@@ -95,7 +99,6 @@ use crate::schema::ExternalSchema;
 use crate::statement::{GroundTuple, Sign};
 use crate::world::BeliefWorld;
 use beliefdb_storage::{Cell, Database, IndexId, Row, Table, TableSchema, Value};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Result of an insert attempt (Algorithm 4's return value, refined).
@@ -167,6 +170,10 @@ pub const E_TABLE: &str = "E";
 pub const D_TABLE: &str = "D";
 pub const S_TABLE: &str = "S";
 
+/// Index name on every `{R}__star` table covering the attribute columns
+/// `(key, att2, ...)`: the tid of a tuple by the full tuple, its rows by
+/// the key alone.
+pub const R_BY_TUPLE: &str = "by_tuple";
 /// Index name on every `V__{R}` table covering `(wid, key)`: slices by the
 /// full key, whole worlds (Alg. 2 line 9, world dumps) by `wid` alone.
 pub const V_BY_WID_KEY: &str = "by_wid_key";
@@ -175,10 +182,12 @@ pub const V_BY_WID_KEY: &str = "by_wid_key";
 pub const E_BY_SRC_USER: &str = "by_src_user";
 
 /// The two internal tables of one external relation, by name, and the
-/// handle of `V__{R}`'s index.
+/// handles of their indexes.
 pub(crate) struct RelTables {
     /// `{R}__star`.
     pub(crate) star: String,
+    /// [`R_BY_TUPLE`] of `{R}__star`.
+    pub(crate) by_tuple: IndexId,
     /// `V__{R}`.
     pub(crate) v: String,
     /// [`V_BY_WID_KEY`] of `V__{R}`.
@@ -194,8 +203,8 @@ fn rel_names(rel_tables: &[RelTables], rel: RelId) -> Result<&RelTables> {
 }
 
 /// The materialized canonical representation: a [`Database`] holding the
-/// internal schema, plus the in-memory mirrors (world directory, user list,
-/// tuple-id cache) that the update algorithms consult.
+/// internal schema, plus the in-memory mirrors (world directory, user
+/// list) that the update algorithms consult.
 pub struct InternalStore {
     pub(crate) db: Database,
     pub(crate) schema: Arc<ExternalSchema>,
@@ -207,9 +216,6 @@ pub struct InternalStore {
     /// Whether `V` materializes the default rule (see [`DefaultPolicy`]).
     pub(crate) policy: DefaultPolicy,
     pub(crate) next_tid: u32,
-    /// Reverse lookup `ground tuple → tid` (an in-memory unique index over
-    /// `R*` minus the tid column).
-    pub(crate) tid_cache: HashMap<GroundTuple, Tid>,
     /// Optimizer statistics, shared across queries and refreshed lazily
     /// (table versions detect staleness, so refresh is O(#tables) when the
     /// store has not mutated).
@@ -242,7 +248,9 @@ impl InternalStore {
             let star = star_table(rel.name());
             let mut cols: Vec<&str> = vec!["tid"];
             cols.extend(rel.columns().iter().map(|c| c.as_str()));
-            db.create_table(TableSchema::with_key(star.as_str(), &cols))?;
+            let st = db.create_table(TableSchema::with_key(star.as_str(), &cols))?;
+            st.create_index(R_BY_TUPLE, &cols[1..])?;
+            let by_tuple = st.index_id(R_BY_TUPLE)?;
 
             // V_i(wid, tid, key, s, e): multiset with the slice index.
             let v = v_table(rel.name());
@@ -253,6 +261,7 @@ impl InternalStore {
             vt.create_index(V_BY_WID_KEY, &["wid", "key"])?;
             rel_tables.push(RelTables {
                 star,
+                by_tuple,
                 v,
                 by_wid_key: vt.index_id(V_BY_WID_KEY)?,
             });
@@ -283,7 +292,6 @@ impl InternalStore {
                 beliefdb_storage::datalog::PlanCache::new(),
             )),
             next_tid: 0,
-            tid_cache: HashMap::new(),
         })
     }
 
@@ -413,20 +421,38 @@ impl InternalStore {
         Ok(id)
     }
 
+    /// The internal tuple id of a ground tuple, if `R*` holds it: one
+    /// [`R_BY_TUPLE`] probe on the tuple's cells. A tuple of another arity
+    /// than the relation's has none.
+    pub fn tid_of(&self, tuple: &GroundTuple) -> Result<Option<Tid>> {
+        let names = rel_names(&self.rel_tables, tuple.rel)?;
+        let star = self.db.table(&names.star)?;
+        if tuple.row.arity() + 1 != star.schema().arity() {
+            return Ok(None);
+        }
+        let Some(rid) = star.probe(names.by_tuple, tuple.row.values())?.next() else {
+            return Ok(None);
+        };
+        let tid = Tid::from_cell(star.cell(rid, 0)?).ok_or_else(|| {
+            let name = star.schema().name();
+            BeliefError::MalformedQuery(format!("row {rid} of {name} has no integer tid"))
+        })?;
+        Ok(Some(tid))
+    }
+
     /// The internal tuple id for a ground tuple, creating the `R*` row on
     /// first sight (Alg. 4 line 1).
     pub(crate) fn tid_of_or_create(&mut self, tuple: &GroundTuple) -> Result<Tid> {
-        if let Some(&tid) = self.tid_cache.get(tuple) {
+        if let Some(tid) = self.tid_of(tuple)? {
             return Ok(tid);
         }
         let tid = Tid(self.next_tid);
-        self.next_tid += 1;
         let star = &rel_names(&self.rel_tables, tuple.rel)?.star;
-        let mut vals = Vec::with_capacity(tuple.row.arity() + 1);
-        vals.push(tid.value());
-        vals.extend(tuple.row.values().iter().cloned());
-        self.db.table_mut(star)?.insert(Row::new(vals))?;
-        self.tid_cache.insert(tuple.clone(), tid);
+        let mut cells = Vec::with_capacity(tuple.row.arity() + 1);
+        cells.push(tid.cell());
+        cells.extend(tuple.row.values().iter().map(Value::as_cell));
+        self.db.table_mut(star)?.insert_cells(&cells)?;
+        self.next_tid += 1;
         Ok(tid)
     }
 
@@ -500,7 +526,7 @@ impl InternalStore {
     pub fn entails(&self, path: &BeliefPath, tuple: &GroundTuple, sign: Sign) -> Result<bool> {
         let wid = self.resolve(path);
         let slice = self.read_slice(tuple.rel, wid, tuple.key())?;
-        let tid = self.tid_cache.get(tuple).copied();
+        let tid = self.tid_of(tuple)?;
         Ok(match sign {
             Sign::Pos => slice
                 .iter()

@@ -189,7 +189,7 @@ impl InternalStore {
         let Some(wid) = self.dir.get(path) else {
             return Ok(false);
         };
-        let Some(&tid) = self.tid_cache.get(tuple) else {
+        let Some(tid) = self.tid_of(tuple)? else {
             return Ok(false);
         };
         let (retracted, _) =
@@ -221,7 +221,7 @@ impl InternalStore {
         }
         let wid = self.ensure_world(path)?;
         let tid = self.tid_of_or_create(new)?;
-        let retract = self.tid_cache.get(old).map(|&old| (old, Sign::Pos));
+        let retract = self.tid_of(old)?.map(|old| (old, Sign::Pos));
         let assert = Some((tid, Sign::Pos));
         let (_, outcome) = self.revise(new.rel, path, wid, new.key(), retract, assert)?;
         Ok(outcome.expect("a statement was asserted"))
@@ -477,7 +477,7 @@ mod tests {
             InsertOutcome::Rejected
         );
         // owl's R* row exists even though rejected.
-        assert!(s.tid_cache.contains_key(&owl));
+        assert!(s.tid_of(&owl).unwrap().is_some());
     }
 
     #[test]

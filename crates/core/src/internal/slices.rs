@@ -35,7 +35,7 @@ use crate::error::Result;
 use crate::ids::{RelId, Tid, Wid};
 use crate::path::BeliefPath;
 use crate::statement::Sign;
-use beliefdb_storage::{IndexId, RowId, Table, Value};
+use beliefdb_storage::{CellHash, IndexId, RowId, Table, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -165,9 +165,9 @@ impl InternalStore {
                 .map(|rid| slice_entry(vt, rid))
                 .collect();
         }
-        let mut folded: HashMap<Value, Vec<SliceEntry>> = HashMap::new();
+        let mut folded: HashMap<Value, Vec<SliceEntry>, CellHash> = HashMap::default();
         for x in chain {
-            let mut stated: HashMap<Value, Vec<SliceEntry>> = HashMap::new();
+            let mut stated: HashMap<Value, Vec<SliceEntry>, CellHash> = HashMap::default();
             for rid in vt.probe(names.by_wid_key, &[x.cell()])? {
                 let key = vt.cell(rid, 2)?.to_value();
                 stated.entry(key).or_default().push(slice_entry(vt, rid)?);

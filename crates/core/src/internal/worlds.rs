@@ -5,7 +5,7 @@ use super::{DefaultPolicy, InternalStore, D_TABLE, E_TABLE, S_TABLE};
 use crate::error::Result;
 use crate::ids::Wid;
 use crate::path::BeliefPath;
-use beliefdb_storage::{Row, Value};
+use beliefdb_storage::{CellHash, Row, Value};
 use std::collections::HashMap;
 
 /// Bidirectional mapping `wid ↔ belief path`, and the suffix tree of the
@@ -19,7 +19,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct WorldDirectory {
     paths: Vec<BeliefPath>,
-    ids: HashMap<BeliefPath, Wid>,
+    ids: HashMap<BeliefPath, Wid, CellHash>,
     /// `S`: the suffix parent of every world, the deepest state whose path
     /// is a proper suffix of its own. The root is its own.
     suffix_parents: Vec<Wid>,

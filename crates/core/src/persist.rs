@@ -8,9 +8,9 @@
 //!   `Delete`, `Update`). The log is logical rather than physical on
 //!   purpose: replay goes through the exact same `insert_statement` /
 //!   `delete_statement` code paths as live traffic, so every derived
-//!   structure — tids, the tid cache, the world directory, `V`-slices,
-//!   `E`/`D`/`S`, optimizer table versions — is rebuilt consistently
-//!   without being serialized.
+//!   structure — tids, the indexes (`R*`'s tuple index among them), the
+//!   world directory, `V`-slices, `E`/`D`/`S`, optimizer table versions —
+//!   is rebuilt consistently without being serialized.
 //! * [`SnapshotData`] — a full-state image: the store's default policy,
 //!   external schema, user table, the world directory (in wid order), the
 //!   `R*` tuple table (in tid order), and every explicit belief statement
@@ -33,7 +33,7 @@ use crate::path::BeliefPath;
 use crate::schema::ExternalSchema;
 use crate::statement::{BeliefStatement, GroundTuple, Sign};
 use beliefdb_storage::persist::{Dec, Enc, PersistEngine};
-use beliefdb_storage::{Row, StorageError};
+use beliefdb_storage::{CellHash, Row, StorageError};
 use std::collections::HashMap;
 
 pub use beliefdb_storage::persist::{PersistOptions, WalStats};
@@ -372,9 +372,9 @@ impl SnapshotData {
         } else {
             // Versions 1 and 2 spell each statement out: find its ids in
             // the image's own world and tuple sections.
-            let wids: HashMap<&BeliefPath, Wid> =
+            let wids: HashMap<&BeliefPath, Wid, CellHash> =
                 (0..).map(Wid).zip(&worlds).map(|(w, p)| (p, w)).collect();
-            let tids: HashMap<&GroundTuple, Tid> =
+            let tids: HashMap<&GroundTuple, Tid, CellHash> =
                 (0..).map(Tid).zip(&tuples).map(|(t, g)| (g, t)).collect();
             for _ in 0..nstmts {
                 let stmt = take_statement(&mut d)?;
@@ -636,9 +636,13 @@ mod tests {
             store.dir.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>()
         );
         for (i, t) in data.tuples.iter().enumerate() {
-            assert_eq!(store.tid_cache[t], Tid(i as u32));
+            assert_eq!(store.tid_of(t).unwrap(), Some(Tid(i as u32)));
         }
-        assert_eq!(data.tuples.len(), store.tid_cache.len());
+        let stored: usize = store
+            .rel_ids()
+            .map(|r| store.star_of(r).unwrap().len())
+            .sum();
+        assert_eq!(data.tuples.len(), stored);
         let spelled: Vec<BeliefStatement> = data
             .statements
             .iter()

@@ -19,6 +19,7 @@ use crate::catalog::Database;
 use crate::error::{Result, StorageError};
 use crate::exec::execute;
 use crate::expr::{CmpOp, Expr};
+use crate::index::CellHash;
 use crate::plan::Plan;
 use crate::row::Row;
 use crate::value::Value;
@@ -460,7 +461,7 @@ pub struct Evaluator<'a> {
     /// The dedup set of the head the last rule fed: a head's rules run
     /// back to back, so the next rule of the same head extends it instead
     /// of rebuilding it from the head's rows.
-    head_seen: Option<(String, HashSet<Row>)>,
+    head_seen: Option<(String, HashSet<Row, CellHash>)>,
 }
 
 /// Pull every result row of `plan` through the chunked executor (or, with
@@ -807,7 +808,7 @@ impl<'a> Evaluator<'a> {
     /// The dedup set of `rule`'s head: the one the previous rule left if
     /// it fed the same head (and the head has not changed since), else
     /// built from the head's rows.
-    fn take_head_seen(&mut self, rule: &Rule) -> Result<HashSet<Row>> {
+    fn take_head_seen(&mut self, rule: &Rule) -> Result<HashSet<Row, CellHash>> {
         let cached = self.head_seen.take();
         let rows = &self.head_entry(rule)?.1;
         Ok(match cached {
@@ -889,7 +890,7 @@ impl<'a> Evaluator<'a> {
         }
         // Answer rows already in the head (pre-registered ones) seed the
         // dedup set; a streamed answer starts with them.
-        let mut seen: HashSet<Row> = HashSet::new();
+        let mut seen: HashSet<Row, CellHash> = HashSet::default();
         if let Some((arity, rows)) = self.derived.get(head) {
             check_arity(head, *arity, width)?;
             seen.extend(rows.iter().cloned());
@@ -932,7 +933,7 @@ impl<'a> Evaluator<'a> {
         rule: &Rule,
         plan: &Plan,
         out: &mut Output<'_>,
-        seen: &mut HashSet<Row>,
+        seen: &mut HashSet<Row, CellHash>,
     ) -> Result<Option<crate::obs::Profile>> {
         let db = self.db;
         let materialized = self.materialized;
@@ -1029,7 +1030,7 @@ impl<'a> Evaluator<'a> {
         // before any rule reads a fellow member, and snapshot the
         // pre-existing rows as the dedup baseline. Pre-existing rows feed
         // derivations through round zero's full evaluation.
-        let mut seen: HashMap<String, HashSet<Row>> = HashMap::new();
+        let mut seen: HashMap<String, HashSet<Row, CellHash>> = HashMap::new();
         for rule in rules {
             let entry = self.head_entry(rule)?;
             seen.entry(rule.head.relation.clone())
@@ -1089,7 +1090,7 @@ impl<'a> Evaluator<'a> {
         &mut self,
         members: &HashSet<&str>,
         candidates: Vec<(String, Vec<Row>)>,
-        seen: &mut HashMap<String, HashSet<Row>>,
+        seen: &mut HashMap<String, HashSet<Row, CellHash>>,
     ) -> HashMap<String, Vec<Row>> {
         let mut delta: HashMap<String, Vec<Row>> = members
             .iter()
@@ -1435,7 +1436,8 @@ fn check_arity(relation: &str, had: usize, got: usize) -> Result<()> {
 }
 
 fn dedup_rows(rows: &mut Vec<Row>) {
-    let mut seen = std::collections::HashSet::with_capacity(rows.len());
+    let mut seen: HashSet<Row, CellHash> =
+        HashSet::with_capacity_and_hasher(rows.len(), CellHash::default());
     rows.retain(|r| seen.insert(r.clone()));
 }
 

@@ -45,6 +45,7 @@ pub use stream::{stream_chunks, Chunk, ChunkStream, Executor, BATCH_SIZE};
 use crate::catalog::Database;
 use crate::error::{Result, StorageError};
 use crate::expr::{CmpOp, Expr};
+use crate::index::CellHash;
 use crate::plan::{Agg, Plan};
 use crate::row::Row;
 use crate::table::Table;
@@ -130,7 +131,11 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
         }
         Plan::Distinct { input } => {
             let rows = run(db, input)?;
-            let mut seen = std::collections::HashSet::with_capacity(rows.len());
+            let mut seen: std::collections::HashSet<Row, CellHash> =
+                std::collections::HashSet::with_capacity_and_hasher(
+                    rows.len(),
+                    CellHash::default(),
+                );
             let mut out = Vec::new();
             for r in rows {
                 if seen.insert(r.clone()) {
@@ -414,7 +419,8 @@ fn join_rows(
             .map(|&(lc, rc)| row[if left_side { lc } else { rc }].clone())
             .collect()
     };
-    let mut map: HashMap<Box<[Value]>, Vec<usize>> = HashMap::with_capacity(build.len());
+    let mut map: HashMap<Box<[Value]>, Vec<usize>, CellHash> =
+        HashMap::with_capacity_and_hasher(build.len(), CellHash::default());
     for (i, row) in build.iter().enumerate() {
         map.entry(key_of(row, build_left)).or_default().push(i);
     }
@@ -462,7 +468,8 @@ fn anti_join_rows(
         }
         return Ok(out);
     }
-    let mut map: HashMap<Box<[Value]>, Vec<usize>> = HashMap::with_capacity(rrows.len());
+    let mut map: HashMap<Box<[Value]>, Vec<usize>, CellHash> =
+        HashMap::with_capacity_and_hasher(rrows.len(), CellHash::default());
     for (i, row) in rrows.iter().enumerate() {
         let key: Box<[Value]> = on.iter().map(|&(_, rc)| row[rc].clone()).collect();
         map.entry(key).or_default().push(i);
@@ -576,7 +583,7 @@ fn aggregate_stream(
     group_by: &[usize],
     aggs: &[Agg],
 ) -> Result<Vec<Row>> {
-    let mut groups: HashMap<Box<[Value]>, Vec<Acc>> = HashMap::new();
+    let mut groups: HashMap<Box<[Value]>, Vec<Acc>, CellHash> = HashMap::default();
     // Global aggregation over zero rows must still produce one row.
     if group_by.is_empty() {
         groups.insert(Box::from([]), fresh_accs(aggs));

@@ -85,6 +85,7 @@ use super::{fresh_accs, merge_accs, update_accs, Acc};
 use crate::column::{Bitmap, Column, ColumnSet};
 use crate::error::{Result, StorageError};
 use crate::expr::Expr;
+use crate::index::CellHash;
 use crate::obs::metrics::{metrics, Metric};
 use crate::obs::profile::{bump, raise, ProfNode};
 use crate::persist::format::{crc32, Dec, Enc};
@@ -966,7 +967,7 @@ pub(crate) fn grace_aggregate<'a>(
     batch: usize,
     prof: SpillProf,
 ) -> Result<Box<dyn Iterator<Item = Result<super::Chunk>> + 'a>> {
-    let mut groups: HashMap<Box<[Value]>, Vec<Acc>> = HashMap::new();
+    let mut groups: HashMap<Box<[Value]>, Vec<Acc>, CellHash> = HashMap::default();
     let mut bytes = 0usize;
     let mut partitions: Option<Vec<RunFile>> = None;
     if group_by.is_empty() {
@@ -1065,7 +1066,7 @@ pub(crate) fn grace_aggregate<'a>(
                 }
                 return Ok(());
             }
-            let mut merged: HashMap<Box<[Value]>, Vec<Acc>> = HashMap::new();
+            let mut merged: HashMap<Box<[Value]>, Vec<Acc>, CellHash> = HashMap::default();
             let mut reader = file.reader()?;
             while let Some((_, row)) = reader.next()? {
                 let key: Box<[Value]> = row.values()[..key_len].to_vec().into();
@@ -1114,7 +1115,7 @@ const TAG_FRESH: u8 = 1;
 /// operator exactly.
 pub(crate) struct SpillDistinct<'a> {
     input: Box<dyn Iterator<Item = Result<super::Chunk>> + 'a>,
-    seen: HashSet<Row>,
+    seen: HashSet<Row, CellHash>,
     seen_bytes: usize,
     budget: usize,
     dir: PathBuf,
@@ -1146,7 +1147,7 @@ impl<'a> SpillDistinct<'a> {
     ) -> SpillDistinct<'a> {
         SpillDistinct {
             input,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             seen_bytes: 0,
             budget,
             dir: dir.to_path_buf(),
@@ -1288,7 +1289,7 @@ impl Iterator for SpillDistinct<'_> {
                             }
                             return Ok(());
                         }
-                        let mut local: HashSet<Row> = HashSet::new();
+                        let mut local: HashSet<Row, CellHash> = HashSet::default();
                         let mut reader = file.reader()?;
                         while let Some((tag, row)) = reader.next()? {
                             let fresh = local.insert(row.clone());
@@ -1316,7 +1317,7 @@ impl Iterator for SpillDistinct<'_> {
 /// The outcome of consuming a join's build side under a budget: either
 /// the familiar in-memory hash table, or build partitions on disk.
 pub(crate) enum BuildSide {
-    InMemory(HashMap<Box<[Value]>, Vec<Row>>),
+    InMemory(HashMap<Box<[Value]>, Vec<Row>, CellHash>),
     Spilled(Vec<RunFile>),
 }
 
@@ -1330,7 +1331,7 @@ pub(crate) fn build_or_spill(
     dir: &Path,
     prof: SpillProf,
 ) -> Result<BuildSide> {
-    let mut map: HashMap<Box<[Value]>, Vec<Row>> = HashMap::new();
+    let mut map: HashMap<Box<[Value]>, Vec<Row>, CellHash> = HashMap::default();
     let mut bytes = 0usize;
     let mut parts: Option<Vec<RunFile>> = None;
     let mut scratch: Vec<Row> = Vec::new();
@@ -1401,7 +1402,7 @@ pub(crate) struct GraceJoin<'a> {
 }
 
 struct CurrentPair {
-    table: HashMap<Box<[Value]>, Vec<Row>>,
+    table: HashMap<Box<[Value]>, Vec<Row>, CellHash>,
     /// Keeps the pair's files alive until the probe stream finishes.
     _build: RunFile,
     _probe: RunFile,
@@ -1517,7 +1518,7 @@ impl<'a> GraceJoin<'a> {
             }
             return Ok(());
         }
-        let mut table: HashMap<Box<[Value]>, Vec<Row>> = HashMap::new();
+        let mut table: HashMap<Box<[Value]>, Vec<Row>, CellHash> = HashMap::default();
         let mut reader = build.reader()?;
         while let Some((_, row)) = reader.next()? {
             let key: Box<[Value]> = self.on.iter().map(|&(_, rc)| row[rc].clone()).collect();

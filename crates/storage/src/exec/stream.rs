@@ -49,13 +49,15 @@ use super::spill::{self, SpillCtx, SpillOptions};
 use super::{aggregate_stream, try_index_selection};
 use crate::catalog::Database;
 use crate::column::{self, Column, ColumnSet};
-use crate::error::Result;
-use crate::expr::{CmpOp, Expr};
+use crate::error::{Result, StorageError};
+use crate::expr::{CmpOp, ColumnSource, Expr};
+use crate::index::{CellHash, RowId};
 use crate::obs::metrics::{metrics, Metric};
 use crate::obs::profile::{bump, raise, NodeObs, ProfNode, Profile};
 use crate::plan::Plan;
 use crate::row::{Projector, Row};
-use crate::value::Value;
+use crate::table::{IndexId, Table};
+use crate::value::{Cell, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -1028,7 +1030,7 @@ fn open_node<'a>(
             match spill.per_point {
                 // Unlimited: the pre-existing streaming seen-set.
                 None => {
-                    let mut seen: HashSet<Row> = HashSet::new();
+                    let mut seen: HashSet<Row, CellHash> = HashSet::default();
                     filter_chunks(input, move |row| Ok(seen.insert(row.clone())))
                 }
                 // Budgeted: stream identically while the seen-set fits,
@@ -1636,19 +1638,140 @@ pub(super) fn base_access(plan: &Plan) -> Option<(&str, Option<&Expr>)> {
     }
 }
 
-/// A base-table right side that an index-nested loop can probe for the
-/// join columns `on`: the table, the selection over it, and the index to
-/// probe (`None`: the primary key, for a join whose right columns include
-/// column 0 — see [`crate::table::Table::pk_within`]).
-struct IndexAccess<'a> {
-    table: &'a crate::table::Table,
-    pred: Option<&'a Expr>,
-    pk_path: bool,
-    index: Option<(String, Vec<usize>)>,
+/// How an index-nested loop finds a left row's candidates in the right
+/// table, resolved once per join.
+enum ProbePath {
+    /// The primary key, by the left column joined to column 0 (see
+    /// [`crate::table::Table::pk_within`]).
+    Key(usize),
+    /// A secondary index, by the left columns that fill its key, in key
+    /// order: all indexed columns or the first alone.
+    Index {
+        id: IndexId,
+        key_cols: Vec<usize>,
+        /// The key is the first column alone, whose rows the index lists
+        /// by tag; they are visited in slot order instead, as
+        /// [`crate::table::Table::index_rows`] returns them.
+        prefix: bool,
+    },
 }
 
+/// A base-table right side that an index-nested loop can probe for the
+/// join columns `on`: the table, the selection over it and the path to
+/// the candidates.
+struct IndexAccess<'a> {
+    table: &'a Table,
+    pred: Option<&'a Expr>,
+    path: ProbePath,
+}
+
+/// The columns of a left row followed by those of a table row, read in
+/// place: what the right-side selection (no left columns) and the
+/// residual test a probe candidate on before a joined row is built.
+struct Probed<'a> {
+    left: &'a [Value],
+    table: &'a Table,
+    rid: RowId,
+}
+
+impl ColumnSource for Probed<'_> {
+    fn cell(&self, i: usize) -> Result<Cell<'_>> {
+        let arity = self.left.len() + self.table.schema().arity();
+        match i.checked_sub(self.left.len()) {
+            None => Ok(self.left[i].as_cell()),
+            Some(c) if i < arity => self.table.cell(self.rid, c),
+            Some(_) => Err(StorageError::ColumnOutOfRange { index: i, arity }),
+        }
+    }
+}
+
+/// Key cells a probe carries inline; a longer key is collected.
+const INLINE_KEY: usize = 8;
+
 impl IndexAccess<'_> {
-    /// The joined rows `lrow` has in the table under `on` and `residual`.
+    /// Call `hit` with the id of every table row that joins `lrow` under
+    /// `on`, the selection and `residual`, until it returns false. Join
+    /// pairs (re-checked: with duplicate right columns in `on` the key
+    /// pins one left column per right column), selection and residual
+    /// are tested against the heap's cells; no row is built here.
+    fn each_match(
+        &self,
+        lrow: &Row,
+        on: &[(usize, usize)],
+        residual: Option<&Expr>,
+        mut hit: impl FnMut(RowId) -> Result<bool>,
+    ) -> Result<()> {
+        let table = self.table;
+        let joins = |rid: RowId| -> Result<bool> {
+            for &(lc, rc) in on {
+                if table.cell(rid, rc)? != lrow[lc] {
+                    return Ok(false);
+                }
+            }
+            if let Some(p) = self.pred {
+                if !p.eval_bool(&Probed {
+                    left: &[],
+                    table,
+                    rid,
+                })? {
+                    return Ok(false);
+                }
+            }
+            match residual {
+                None => Ok(true),
+                Some(e) => e.eval_bool(&Probed {
+                    left: lrow.values(),
+                    table,
+                    rid,
+                }),
+            }
+        };
+        let (id, key_cols, prefix) = match &self.path {
+            ProbePath::Key(lc) => {
+                if let Some(rid) = table.rid_by_key(&lrow[*lc]) {
+                    if joins(rid)? {
+                        hit(rid)?;
+                    }
+                }
+                return Ok(());
+            }
+            ProbePath::Index {
+                id,
+                key_cols,
+                prefix,
+            } => (*id, key_cols, *prefix),
+        };
+        let mut inline = [Cell::Null; INLINE_KEY];
+        let collected: Vec<Cell<'_>>;
+        let key: &[Cell<'_>] = if key_cols.len() <= INLINE_KEY {
+            for (slot, &lc) in inline.iter_mut().zip(key_cols) {
+                *slot = lrow[lc].as_cell();
+            }
+            &inline[..key_cols.len()]
+        } else {
+            collected = key_cols.iter().map(|&lc| lrow[lc].as_cell()).collect();
+            &collected
+        };
+        let mut visit = |rids: &mut dyn Iterator<Item = RowId>| -> Result<()> {
+            for rid in rids {
+                if joins(rid)? && !hit(rid)? {
+                    break;
+                }
+            }
+            Ok(())
+        };
+        let mut rids = table.probe(id, key)?;
+        if prefix {
+            let mut sorted: Vec<RowId> = rids.collect();
+            sorted.sort_unstable();
+            visit(&mut sorted.into_iter())
+        } else {
+            visit(&mut rids)
+        }
+    }
+
+    /// Push the joined rows `lrow` has in the table under `on` and
+    /// `residual`: each built once, from the left row and the heap cells.
     fn probe(
         &self,
         lrow: &Row,
@@ -1656,17 +1779,32 @@ impl IndexAccess<'_> {
         residual: Option<&Expr>,
         out: &mut Vec<Row>,
     ) -> Result<()> {
-        let (pred, index) = (self.pred, &self.index);
-        index_probe(
-            self.table,
-            lrow,
-            on,
-            pred,
-            residual,
-            self.pk_path,
-            index,
-            out,
-        )
+        let arity = self.table.schema().arity();
+        self.each_match(lrow, on, residual, |rid| {
+            let mut vals = Vec::with_capacity(lrow.arity() + arity);
+            vals.extend_from_slice(lrow.values());
+            for c in 0..arity {
+                vals.push(self.table.cell(rid, c)?.to_value());
+            }
+            out.push(Row::from(vals));
+            Ok(true)
+        })
+    }
+
+    /// Does `lrow` have a row in the table under `on` and `residual`?
+    /// Stops at the first, building nothing.
+    fn any_match(
+        &self,
+        lrow: &Row,
+        on: &[(usize, usize)],
+        residual: Option<&Expr>,
+    ) -> Result<bool> {
+        let mut found = false;
+        self.each_match(lrow, on, residual, |_| {
+            found = true;
+            Ok(false)
+        })?;
+        Ok(found)
     }
 }
 
@@ -1687,21 +1825,26 @@ fn index_access<'a>(
     };
     let table = db.table(table_name)?;
     let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-    let pk_path = table.pk_within(&rcols);
-    let index = if pk_path {
-        None
+    let left_of = |rc: &usize| on.iter().find(|(_, r)| r == rc).expect("covered").0;
+    let path = if table.pk_within(&rcols) {
+        Some(ProbePath::Key(left_of(&0)))
     } else {
-        table
+        let index = table
             .find_index_for(&rcols)
-            .or_else(|| covering.then(|| table.index_within(&rcols)).flatten())
-            .map(|(name, order)| (name.to_string(), order.to_vec()))
+            .or_else(|| covering.then(|| table.index_within(&rcols)).flatten());
+        match index {
+            Some((name, order)) => {
+                let id = table.index_id(name)?;
+                Some(ProbePath::Index {
+                    id,
+                    key_cols: order.iter().map(left_of).collect(),
+                    prefix: table.index_columns(id)?.len() != order.len(),
+                })
+            }
+            None => None,
+        }
     };
-    Ok((pk_path || index.is_some()).then_some(IndexAccess {
-        table,
-        pred,
-        pk_path,
-        index,
-    }))
+    Ok(path.map(|path| IndexAccess { table, pred, path }))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1829,61 +1972,6 @@ fn open_join<'a>(
     }))
 }
 
-/// Probe the right table's primary key or covering index for one left
-/// row, re-verifying every join pair and applying the right-side
-/// selection and residual (shared by the chunked index-nested-loop).
-#[allow(clippy::too_many_arguments)]
-fn index_probe(
-    table: &crate::table::Table,
-    lrow: &Row,
-    on: &[(usize, usize)],
-    pred: Option<&Expr>,
-    residual: Option<&Expr>,
-    pk_path: bool,
-    index: &Option<(String, Vec<usize>)>,
-    out: &mut Vec<Row>,
-) -> Result<()> {
-    let hits: Vec<Row> = if pk_path {
-        let (lc, _) = on
-            .iter()
-            .find(|&&(_, rc)| rc == 0)
-            .expect("key column joined");
-        table.get_by_key(&lrow[*lc]).into_iter().collect()
-    } else {
-        let (name, order) = index.as_ref().expect("index path");
-        let key: Vec<Value> = order
-            .iter()
-            .map(|rc| {
-                let (lc, _) = on.iter().find(|(_, r)| r == rc).expect("covered");
-                lrow[*lc].clone()
-            })
-            .collect();
-        table.index_rows(name, &key)?
-    };
-    for rrow in &hits {
-        // Re-verify every join pair: with duplicate right columns in `on`
-        // the index key only pins one left column per right column.
-        if on.iter().any(|&(lc, rc)| lrow[lc] != rrow[rc]) {
-            continue;
-        }
-        if let Some(p) = pred {
-            if !p.eval_bool(rrow)? {
-                continue;
-            }
-        }
-        let joined = lrow.concat(rrow);
-        match residual {
-            None => out.push(joined),
-            Some(e) => {
-                if e.eval_bool(&joined)? {
-                    out.push(joined);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Build a hash table over the right side, then probe whole chunks.
 /// Under a memory budget the build side may spill, turning this into a
 /// grace hash join (build and probe partitioned to disk on the key).
@@ -1958,8 +2046,8 @@ fn build_side(
     batch: Batch,
     spill: &SpillCtx,
     obs: &NodeObs,
-) -> Result<HashMap<Box<[Value]>, Vec<Row>>> {
-    let mut build: HashMap<Box<[Value]>, Vec<Row>> = HashMap::new();
+) -> Result<HashMap<Box<[Value]>, Vec<Row>, CellHash>> {
+    let mut build: HashMap<Box<[Value]>, Vec<Row>, CellHash> = HashMap::default();
     let mut scratch: Vec<Row> = Vec::new();
     for chunk in ChunkStream::new(open_node(db, right, batch.full(), spill, obs)?) {
         chunk?.drain_into(&mut scratch);
@@ -1990,11 +2078,8 @@ fn open_anti_join<'a>(
         // index (`V`'s `(wid, key)` under the lazy view) makes each probe
         // a few entries.
         if let Some(access) = index_access(db, right, on, true)? {
-            let mut hits = Vec::new();
             return Ok(filter_chunks(left_stream, move |lrow| {
-                hits.clear();
-                access.probe(lrow, on, residual, &mut hits)?;
-                Ok(hits.is_empty())
+                Ok(!access.any_match(lrow, on, residual)?)
             }));
         }
     }
@@ -2096,7 +2181,7 @@ fn open_anti_join<'a>(
 /// selection-vector filter: left rows pass through unchanged).
 fn anti_filter<'a>(
     left: BoxChunkIter<'a>,
-    build: HashMap<Box<[Value]>, Vec<Row>>,
+    build: HashMap<Box<[Value]>, Vec<Row>, CellHash>,
     on: &'a [(usize, usize)],
     residual: Option<&'a Expr>,
 ) -> BoxChunkIter<'a> {
@@ -2285,6 +2370,118 @@ mod tests {
             sorted(rows),
             sorted(execute_materialized(&db, &plan).unwrap())
         );
+    }
+
+    #[test]
+    fn index_probes_test_heap_cells_like_the_row_evaluator() {
+        // R(k, a, b) behind an index on k, probed for a few left rows
+        // L(j, x): the right-side selection and the residual are tested
+        // on R's heap cells in place. Every comparison operator, And / Or
+        // / Not and literals on either side, over cells of every type —
+        // NULL, booleans, integers and strings that print alike — must
+        // keep and drop what the materializing executor does, under the
+        // index-probe join and anti-join alike.
+        let cells = [
+            Value::Null,
+            Value::Bool(true),
+            Value::int(1),
+            Value::int(2),
+            Value::str("1"),
+            Value::str("2"),
+        ];
+        let mut db = Database::new();
+        let r = db
+            .create_table(TableSchema::keyless("R", &["k", "a", "b"]))
+            .unwrap();
+        r.create_index("by_k", &["k"]).unwrap();
+        for (i, a) in cells.iter().enumerate() {
+            for (j, b) in cells.iter().enumerate() {
+                r.insert(Row::new([
+                    Value::int(((i + j) % 3) as i64),
+                    a.clone(),
+                    b.clone(),
+                ]))
+                .unwrap();
+            }
+        }
+        let l = db
+            .create_table(TableSchema::keyless("L", &["j", "x"]))
+            .unwrap();
+        for (j, x) in [(0, 2), (1, 4), (2, 0), (3, 3), (0, 1)] {
+            l.insert(Row::new([Value::int(j), cells[x].clone()]))
+                .unwrap();
+        }
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        // Columns of R alone (the selection) and of L ++ R (the residual).
+        let (ra, rb, lx, ja, jb) = (1, 2, 1, 3, 4);
+        let mut right_preds = Vec::new();
+        let mut joined_preds = Vec::new();
+        for op in ops {
+            for lit in &cells {
+                right_preds.push(Expr::cmp(op, Expr::col(ra), Expr::Lit(lit.clone())));
+                right_preds.push(Expr::cmp(op, Expr::Lit(lit.clone()), Expr::col(rb)));
+            }
+            right_preds.push(Expr::cmp(op, Expr::col(ra), Expr::col(rb)));
+            joined_preds.push(Expr::cmp(op, Expr::col(lx), Expr::col(ja)));
+            joined_preds.push(Expr::cmp(op, Expr::col(jb), Expr::col(lx)));
+        }
+        let connected = |preds: &[Expr], a: usize, b: usize| {
+            let lt = Expr::cmp(CmpOp::Lt, Expr::col(a), Expr::lit(2));
+            let ne = Expr::cmp(CmpOp::Ne, Expr::Lit(Value::Null), Expr::col(b));
+            let mut out = preds.to_vec();
+            out.push(Expr::And(vec![lt.clone(), ne.clone()]));
+            out.push(Expr::Or(vec![lt.clone(), Expr::Not(Box::new(ne.clone()))]));
+            out.push(Expr::Not(Box::new(Expr::Or(vec![lt, ne]))));
+            out.push(Expr::And(vec![]));
+            out.push(Expr::Or(vec![]));
+            out
+        };
+        let right_preds = connected(&right_preds, ra, rb);
+        let joined_preds = connected(&joined_preds, ja, lx);
+
+        let anti = |right: Plan, residual: Option<Expr>| Plan::AntiJoin {
+            left: Box::new(Plan::scan("L")),
+            right: Box::new(right),
+            on: vec![(0, 0)],
+            residual,
+        };
+        let mut plans = Vec::new();
+        for p in right_preds {
+            let right = Plan::scan("R").select(p);
+            plans.push(Plan::scan("L").join(right.clone(), vec![(0, 0)]));
+            plans.push(anti(right, None));
+        }
+        for p in joined_preds {
+            plans.push(Plan::scan("L").join_where(Plan::scan("R"), vec![(0, 0)], p.clone()));
+            plans.push(anti(Plan::scan("R"), Some(p)));
+        }
+        let (mut kept, mut dropped) = (0, 0);
+        for plan in &plans {
+            let scans = db.table("R").unwrap().access().snapshot()[0];
+            let rows = sorted(execute(&db, plan).unwrap());
+            assert_eq!(
+                db.table("R").unwrap().access().snapshot()[0],
+                scans,
+                "{plan:?} must probe R's index, not scan R"
+            );
+            assert_eq!(
+                rows,
+                sorted(execute_materialized(&db, plan).unwrap()),
+                "{plan:?}"
+            );
+            if matches!(plan, Plan::Join { .. }) {
+                kept += rows.len();
+                dropped += usize::from(rows.is_empty());
+            }
+        }
+        assert!(kept > 0 && dropped > 0, "the predicates keep and drop rows");
     }
 
     #[test]

@@ -5,11 +5,28 @@
 //! `(s = '−' ∧ x̄t = x̄) ∨ (s = '+' ∧ ⋁_j x̄t[j] ≠ x̄[j])`. The expression
 //! language here is exactly what that translation needs: column references,
 //! literals, the six comparison operators, and AND/OR/NOT.
+//!
+//! An expression reads its columns from a [`ColumnSource`]: a [`Row`], or
+//! cells read in place where no row has been built (an index probe tests a
+//! table's heap cells, and the join pair they would form, this way).
 
 use crate::error::{Result, StorageError};
 use crate::row::Row;
-use crate::value::Value;
+use crate::value::{Cell, Value};
 use std::fmt;
+
+/// Where an [`Expr`] reads column `i` from.
+pub trait ColumnSource {
+    /// The cell in column `i`, borrowed; an error if there is no such
+    /// column.
+    fn cell(&self, i: usize) -> Result<Cell<'_>>;
+}
+
+impl ColumnSource for Row {
+    fn cell(&self, i: usize) -> Result<Cell<'_>> {
+        Ok(self.get(i)?.as_cell())
+    }
+}
 
 /// Comparison operators (the paper's arithmetic predicates, Def. 13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +41,11 @@ pub enum CmpOp {
 
 impl CmpOp {
     pub fn eval(self, a: &Value, b: &Value) -> bool {
+        self.test(a.as_cell(), b.as_cell())
+    }
+
+    /// [`CmpOp::eval`] on borrowed cells, in [`Value`]'s total order.
+    pub fn test(self, a: Cell<'_>, b: Cell<'_>) -> bool {
         match self {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
@@ -118,38 +140,47 @@ impl Expr {
     }
 
     /// Evaluate to a [`Value`].
-    pub fn eval(&self, row: &Row) -> Result<Value> {
+    pub fn eval<S: ColumnSource + ?Sized>(&self, src: &S) -> Result<Value> {
+        Ok(self.eval_cell(src)?.to_value())
+    }
+
+    /// Evaluate to a cell borrowed from `src` or from this expression.
+    fn eval_cell<'a, S: ColumnSource + ?Sized>(&'a self, src: &'a S) -> Result<Cell<'a>> {
         Ok(match self {
-            Expr::Col(i) => row.get(*i)?.clone(),
-            Expr::Lit(v) => v.clone(),
-            Expr::Cmp(op, a, b) => Value::Bool(op.eval(&a.eval(row)?, &b.eval(row)?)),
-            Expr::And(parts) => {
-                for p in parts {
-                    if !p.eval_bool(row)? {
-                        return Ok(Value::Bool(false));
-                    }
-                }
-                Value::Bool(true)
-            }
-            Expr::Or(parts) => {
-                for p in parts {
-                    if p.eval_bool(row)? {
-                        return Ok(Value::Bool(true));
-                    }
-                }
-                Value::Bool(false)
-            }
-            Expr::Not(inner) => Value::Bool(!inner.eval_bool(row)?),
+            Expr::Col(i) => src.cell(*i)?,
+            Expr::Lit(v) => v.as_cell(),
+            predicate => Cell::Bool(predicate.eval_bool(src)?),
         })
     }
 
     /// Evaluate as a boolean predicate.
-    pub fn eval_bool(&self, row: &Row) -> Result<bool> {
-        match self.eval(row)? {
-            Value::Bool(b) => Ok(b),
-            other => Err(StorageError::TypeError(format!(
-                "expected boolean predicate, got `{other}`"
-            ))),
+    pub fn eval_bool<S: ColumnSource + ?Sized>(&self, src: &S) -> Result<bool> {
+        match self {
+            Expr::Cmp(op, a, b) => Ok(op.test(a.eval_cell(src)?, b.eval_cell(src)?)),
+            Expr::And(parts) => {
+                for p in parts {
+                    if !p.eval_bool(src)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Expr::Or(parts) => {
+                for p in parts {
+                    if p.eval_bool(src)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+            Expr::Not(inner) => Ok(!inner.eval_bool(src)?),
+            Expr::Col(_) | Expr::Lit(_) => match self.eval_cell(src)? {
+                Cell::Bool(b) => Ok(b),
+                other => Err(StorageError::TypeError(format!(
+                    "expected boolean predicate, got `{}`",
+                    other.to_value()
+                ))),
+            },
         }
     }
 

@@ -23,7 +23,7 @@
 //! width: [`Heap::cell`] and [`Heap::columnar`] decode to `i64` and `u32`.
 
 use crate::column::{build_column, Bitmap, Column, ColumnSet};
-use crate::index::IndexRid;
+use crate::index::{CellHash, IndexRid};
 use crate::row::Row;
 use crate::value::{Cell, Value};
 use std::collections::HashMap;
@@ -33,7 +33,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 struct Interner {
     strings: Vec<Arc<str>>,
-    codes: HashMap<Arc<str>, u32>,
+    codes: HashMap<Arc<str>, u32, CellHash>,
     /// The code handed out last. Runs of one value (a key propagated
     /// through the worlds, a sign, a flag) skip the map.
     last: u32,

@@ -80,14 +80,22 @@ impl Drop for CollideAll {
     }
 }
 
-/// The hasher of index keys: one rotate, xor and multiply per word fed to
+/// The hasher of index keys and of every map the engine keys by cells,
+/// rows, tuples or paths: one rotate, xor and multiply per word fed to
 /// it, and an avalanche at the end (the 64-bit finalizer of MurmurHash3)
-/// so that the low bits the directory picks a bucket by and the 32 a run
-/// is ordered by depend on every input bit. It has no key: index keys
-/// are cells of the user's own tables, and collisions are resolved against
-/// the heap, so a bad key set costs time, never an answer.
-#[derive(Default)]
-struct KeyHasher(u64);
+/// so that the low bits a table picks a bucket by and the 32 a run is
+/// ordered by depend on every input bit. It has no key: what it hashes
+/// are cells of the user's own tables, and collisions are resolved by
+/// comparing them (against the heap in an index, by `Eq` in a map), so a
+/// bad key set costs time, never an answer. Use it through [`CellHash`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+/// The [`std::hash::BuildHasher`] of [`KeyHasher`], zero-sized: the hasher
+/// parameter of the engine's maps and sets keyed by values, rows, tuples
+/// and paths (`HashMap<K, V, CellHash>`), in place of the keyed SipHash of
+/// `RandomState`.
+pub type CellHash = BuildHasherDefault<KeyHasher>;
 
 impl KeyHasher {
     #[inline]

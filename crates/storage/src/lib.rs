@@ -63,8 +63,8 @@ pub use exec::{
     execute, execute_materialized, spill_points, stream_chunks, Chunk, ChunkStream, Executor,
     SpillOptions, BATCH_SIZE, SPILL_PARTITIONS,
 };
-pub use expr::{CmpOp, Expr};
-pub use index::RowId;
+pub use expr::{CmpOp, ColumnSource, Expr};
+pub use index::{CellHash, RowId};
 pub use obs::{
     metrics, Metric, MetricsSnapshot, Profile, QueryTrace, Recorder, SlowLog, SpanRecord,
     StatementObs, StatementStats,

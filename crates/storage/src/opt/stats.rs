@@ -12,6 +12,7 @@
 
 use crate::catalog::Database;
 use crate::expr::{CmpOp, Expr};
+use crate::index::CellHash;
 use crate::plan::{Agg, Plan};
 use crate::row::Row;
 use crate::table::Table;
@@ -154,8 +155,8 @@ impl TableStats {
         let sample: Vec<Row> = table.iter().map(|(_, r)| r).take(SAMPLE_CAP).collect();
         let unresolved: Vec<usize> = (0..arity).filter(|&c| !resolved[c]).collect();
         if !unresolved.is_empty() && rows > 0 {
-            let mut seen: Vec<HashSet<&crate::value::Value>> =
-                unresolved.iter().map(|_| HashSet::new()).collect();
+            let mut seen: Vec<HashSet<&crate::value::Value, CellHash>> =
+                unresolved.iter().map(|_| HashSet::default()).collect();
             for row in &sample {
                 for (slot, &c) in unresolved.iter().enumerate() {
                     seen[slot].insert(&row[c]);
@@ -190,7 +191,7 @@ impl TableStats {
 /// top `MCV_CAP` values seen at least twice, as fractions of the
 /// sample, most frequent first (ties broken by value for determinism).
 fn mcv_lists<'a>(arity: usize, rows: impl Iterator<Item = &'a Row>) -> Vec<Vec<(Value, f64)>> {
-    let mut counts: Vec<HashMap<&Value, usize>> = vec![HashMap::new(); arity];
+    let mut counts: Vec<HashMap<&Value, usize, CellHash>> = vec![HashMap::default(); arity];
     let mut sampled = 0usize;
     for row in rows {
         sampled += 1;
@@ -564,7 +565,7 @@ fn values_estimate(arity: usize, rows: &[Row]) -> RelEstimate {
     if !rows.is_empty() {
         let cap = rows.len().min(SAMPLE_CAP);
         for (c, d) in distinct.iter_mut().enumerate() {
-            let seen: HashSet<_> = rows[..cap].iter().map(|r| &r[c]).collect();
+            let seen: HashSet<_, CellHash> = rows[..cap].iter().map(|r| &r[c]).collect();
             *d = extrapolate_distinct(seen.len(), cap, rows.len());
         }
         mcv = mcv_lists(arity, rows[..cap].iter());

@@ -20,7 +20,7 @@
 use crate::column::ColumnSet;
 use crate::error::{Result, StorageError};
 use crate::heap::Heap;
-use crate::index::{Index, IndexRid, RowId};
+use crate::index::{CellHash, Index, IndexRid, RowId};
 use crate::row::Row;
 use crate::schema::{KeyMode, TableSchema};
 use crate::value::{AsCell, Cell, Value};
@@ -104,7 +104,7 @@ pub struct IndexId(usize);
 pub struct Table {
     schema: TableSchema,
     heap: Heap,
-    pk: HashMap<Value, RowId>,
+    pk: HashMap<Value, RowId, CellHash>,
     indexes: Vec<Index>,
     /// Bumped on every insert/delete; lets the optimizer's statistics
     /// catalog detect stale snapshots without rescanning.
@@ -121,7 +121,7 @@ impl Table {
         Table {
             heap: Heap::new(schema.arity()),
             schema,
-            pk: HashMap::new(),
+            pk: HashMap::default(),
             indexes: Vec::new(),
             version: 0,
             columnar: RefCell::new(None),
@@ -512,15 +512,23 @@ impl Table {
         index: IndexId,
         key: &'k [K],
     ) -> Result<impl Iterator<Item = RowId> + use<'a, 'k, K>> {
-        let idx = self
-            .indexes
+        let idx = self.index(index)?;
+        TableAccess::bump(&self.access.index_probes, 1);
+        Ok(idx.matches(&self.heap, key))
+    }
+
+    /// The columns a secondary index covers, in key order.
+    pub fn index_columns(&self, index: IndexId) -> Result<&[usize]> {
+        Ok(self.index(index)?.columns())
+    }
+
+    fn index(&self, index: IndexId) -> Result<&Index> {
+        self.indexes
             .get(index.0)
             .ok_or_else(|| StorageError::NoSuchIndex {
                 table: self.schema.name().to_string(),
                 name: format!("#{}", index.0),
-            })?;
-        TableAccess::bump(&self.access.index_probes, 1);
-        Ok(idx.matches(&self.heap, key))
+            })
     }
 
     /// Rows matching `key` on the named secondary index, materialized, in

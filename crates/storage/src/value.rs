@@ -66,16 +66,6 @@ impl Value {
         }
     }
 
-    /// Rank used to order values of different types (Null < Bool < Int < Str).
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 2,
-            Value::Str(_) => 3,
-        }
-    }
-
     /// This value as a borrowed [`Cell`].
     pub fn as_cell(&self) -> Cell<'_> {
         match self {
@@ -130,6 +120,37 @@ impl<'a> Cell<'a> {
             Cell::Bool(b) => Value::Bool(b),
             Cell::Int(i) => Value::Int(i),
             Cell::Str(s) => Value::Str(Arc::clone(s)),
+        }
+    }
+}
+
+impl Cell<'_> {
+    /// Rank used to order values of different types (Null < Bool < Int < Str).
+    fn type_rank(self) -> u8 {
+        match self {
+            Cell::Null => 0,
+            Cell::Bool(_) => 1,
+            Cell::Int(_) => 2,
+            Cell::Str(_) => 3,
+        }
+    }
+}
+
+impl PartialOrd for Cell<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Cell<'_> {
+    /// [`Value`]'s total order: first by type rank, then by payload.
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Cell::Null, Cell::Null) => Ordering::Equal,
+            (Cell::Bool(a), Cell::Bool(b)) => a.cmp(b),
+            (Cell::Int(a), Cell::Int(b)) => a.cmp(b),
+            (Cell::Str(a), Cell::Str(b)) => a.as_ref().cmp(b.as_ref()),
+            _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
 }
@@ -194,13 +215,7 @@ impl Ord for Value {
     /// opposed to SQL's partial one) keeps sorting and distinct-elimination
     /// deterministic.
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
-            _ => self.type_rank().cmp(&other.type_rank()),
-        }
+        self.as_cell().cmp(&other.as_cell())
     }
 }
 

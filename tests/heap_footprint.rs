@@ -12,14 +12,17 @@
 //! column heap and two hash maps of 16-byte entries on `V`, 57.7 B with one
 //! index of 8-byte entries grouped by world, 36.4 B with heap cells in the
 //! narrowest lanes that hold them (8 B a `V` row, not 28) and index runs
-//! that allocate what they use (the budget is that + 15 %).
+//! that allocate what they use, 27.9 B once a tuple's tid is found through
+//! an index over `R*` itself instead of a hash map holding a second, owned
+//! copy of every `R*` tuple (the budget is that + 15 %).
 //!
 //! The store is built under the `Eager` default policy, the representation
 //! those numbers describe. Under `Lazy`, `V` keeps only the explicit
 //! statements and 3.9 tuples an annotation remain, so the bound is per
-//! annotation instead: 556 B measured (most of it `R*` and the tid cache),
-//! budget + 15 %, where the `Eager` store holds 1,186 B an annotation —
-//! the test checks that the budget would fail it.
+//! annotation instead: 556 B measured with that copy, 279 B without it
+//! (`R*`'s heap and its `by_tuple` index are most of it), budget + 15 %,
+//! where the `Eager` store holds 909 B an annotation — the test checks
+//! that the budget would fail it.
 //!
 //! Measured with a counting global allocator (the whole binary holds
 //! exactly one `#[test]`, so no other thread skews the counter).
@@ -64,9 +67,9 @@ unsafe impl GlobalAlloc for LiveBytes {
 static ALLOCATOR: LiveBytes = LiveBytes;
 
 /// Upper bound on live requested bytes per `R*` tuple of the `Eager` store.
-const MAX_BYTES_PER_TUPLE: f64 = 42.0;
+const MAX_BYTES_PER_TUPLE: f64 = 32.0;
 /// Upper bound on live requested bytes per annotation of the `Lazy` store.
-const MAX_LAZY_BYTES_PER_ANNOTATION: f64 = 640.0;
+const MAX_LAZY_BYTES_PER_ANNOTATION: f64 = 320.0;
 
 /// Build the Table 2 store at n = 2,000 under `policy` and drop it; returns
 /// the live bytes it held, its `R*` tuples and its accepted annotations.

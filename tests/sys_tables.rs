@@ -375,14 +375,23 @@ fn sys_tables_says_where_the_memory_is() {
     let mut session = session_under(DefaultPolicy::Eager, 30);
     session.add_user("Alice").unwrap();
 
-    // R* (tid, sid, species): a primary key but no secondary index; 30
-    // distinct sids and 3 species.
+    // An index (docs/observability.md) holds the slots of each group's
+    // run, taken or free, and one directory entry (hash, group, control
+    // byte) per group. A run starts at four home slots.
+    const RUN_SLOT: i64 = 8;
+    const GROUP: i64 = 8 + 48 + 1;
+    const FIRST_RUN: i64 = 4;
+
+    // R* (tid, sid, species): a primary key and `by_tuple` over (sid,
+    // species), grouped by sid; 30 distinct sids and 3 species, so 30
+    // groups of one entry each.
     let [rows, cols, indexes, heap, index] = memory_row(&session, "Sightings__star");
-    assert_eq!((rows, cols, indexes, index), (30, 3, 0, 0));
+    assert_eq!((rows, cols, indexes), (30, 3, 1));
     assert_eq!(
         heap,
         rows * (INT + 2 * CODE) + (30 + 3) * DICT_ENTRY + live_bits(rows)
     );
+    assert_eq!(index, 30 * (FIRST_RUN * RUN_SLOT + GROUP));
 
     // V (wid, tid, key, s, e): 5 bytes of cells per row at this size (8
     // at the paper's), 30 keys, one sign and one flag so far; one index,
@@ -393,13 +402,10 @@ fn sys_tables_says_where_the_memory_is() {
         heap,
         rows * (2 * INT + 3 * CODE) + (30 + 1 + 1) * DICT_ENTRY + live_bits(rows)
     );
-    // `by_wid_key`: the slots of each world's run, taken or free, and one
-    // directory entry (hash, group, control byte) per world — the root is
-    // the only one so far. A run doubles its home slots when seven of
-    // eight are taken, and a few more slots follow the last home while
-    // entries are pushed past it.
-    const RUN_SLOT: i64 = 8;
-    const GROUP: i64 = 8 + 48 + 1;
+    // `by_wid_key`: one group per world — the root is the only one so far.
+    // A run doubles its home slots when seven of eight are taken, and a
+    // few more slots follow the last home while entries are pushed past
+    // it.
     let homes = |entries: i64| {
         let fits = |homes: &i64| entries * 8 <= homes * 7;
         (2..).map(|n| 1i64 << n).find(fits).unwrap()
