@@ -23,23 +23,28 @@ pub enum Keyword {
 }
 
 impl Keyword {
+    /// The keyword `s` spells in any letter case. Compares in place: no
+    /// upper-cased copy of every identifier.
     fn from_ident(s: &str) -> Option<Keyword> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "SELECT" => Keyword::Select,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "AND" => Keyword::And,
-            "AS" => Keyword::As,
-            "BELIEF" => Keyword::Belief,
-            "NOT" => Keyword::Not,
-            "INSERT" => Keyword::Insert,
-            "INTO" => Keyword::Into,
-            "VALUES" => Keyword::Values,
-            "DELETE" => Keyword::Delete,
-            "UPDATE" => Keyword::Update,
-            "SET" => Keyword::Set,
-            _ => return None,
-        })
+        const KEYWORDS: [(&str, Keyword); 13] = [
+            ("SELECT", Keyword::Select),
+            ("FROM", Keyword::From),
+            ("WHERE", Keyword::Where),
+            ("AND", Keyword::And),
+            ("AS", Keyword::As),
+            ("BELIEF", Keyword::Belief),
+            ("NOT", Keyword::Not),
+            ("INSERT", Keyword::Insert),
+            ("INTO", Keyword::Into),
+            ("VALUES", Keyword::Values),
+            ("DELETE", Keyword::Delete),
+            ("UPDATE", Keyword::Update),
+            ("SET", Keyword::Set),
+        ];
+        KEYWORDS
+            .iter()
+            .find(|(word, _)| word.eq_ignore_ascii_case(s))
+            .map(|&(_, k)| k)
     }
 }
 
@@ -327,6 +332,15 @@ mod tests {
                 TokenKind::Keyword(Keyword::Belief),
                 TokenKind::Keyword(Keyword::Belief),
                 TokenKind::Keyword(Keyword::Belief),
+                TokenKind::Eof
+            ]
+        );
+        // A keyword's letters in a longer word do not make it one.
+        assert_eq!(
+            kinds("SeLeCtIon Asset"),
+            vec![
+                TokenKind::Ident("SeLeCtIon".into()),
+                TokenKind::Ident("Asset".into()),
                 TokenKind::Eof
             ]
         );

@@ -15,7 +15,9 @@
 //!   external schema, user table, the world directory (in wid order), the
 //!   `R*` tuple table (in tid order), and every explicit belief statement
 //!   as a `(wid, tid, sign)` reference into those two lists.
-//!   `encode_snapshot` writes it straight from the store's tables.
+//!   `encode_snapshot` writes it straight from the store's tables, `R*`
+//!   column by column with each string column as the heap's own
+//!   dictionary and one code per tuple.
 //!   Worlds and tuples are snapshotted separately from the statements because
 //!   Algorithm 4 creates them even for *rejected* inserts (Sect. 5.3);
 //!   restoring them in id order reproduces the exact wid/tid
@@ -33,7 +35,7 @@ use crate::path::BeliefPath;
 use crate::schema::ExternalSchema;
 use crate::statement::{BeliefStatement, GroundTuple, Sign};
 use beliefdb_storage::persist::{Dec, Enc, PersistEngine};
-use beliefdb_storage::{CellHash, Row, StorageError};
+use beliefdb_storage::{Cell, CellHash, Row, RowId, StorageError, Table, Value};
 use std::collections::HashMap;
 
 pub use beliefdb_storage::persist::{PersistOptions, WalStats};
@@ -64,37 +66,41 @@ pub enum LogRecord {
     },
 }
 
-const TAG_ADD_USER: u8 = 1;
-const TAG_INSERT: u8 = 2;
-const TAG_DELETE: u8 = 3;
-const TAG_UPDATE: u8 = 4;
+// A record's first byte names its kind and its layout. The varint codec's
+// tags are written; 1 to 4 are the same kinds in the fixed-width layout of
+// WAL v1 segments, and are only read.
+const TAG_ADD_USER: u8 = 5;
+const TAG_INSERT: u8 = 6;
+const TAG_DELETE: u8 = 7;
+const TAG_UPDATE: u8 = 8;
+const FIXED_TAGS: u8 = TAG_ADD_USER - 1;
 
 fn put_path(e: &mut Enc, path: &BeliefPath) {
-    e.put_u32(path.depth() as u32);
+    e.put_var(path.depth() as u64);
     for u in path.users() {
-        e.put_u32(u.0);
+        e.put_var(u.0.into());
     }
 }
 
 fn take_path(d: &mut Dec) -> Result<BeliefPath> {
-    let n = d.take_u32()? as usize;
-    let mut users = Vec::with_capacity(n.min(1024));
+    let n = d.take_len()?;
+    let mut users = Vec::new();
     for _ in 0..n {
-        users.push(UserId(d.take_u32()?));
+        users.push(UserId(d.take_id()?));
     }
     BeliefPath::new(users)
 }
 
 fn put_statement(e: &mut Enc, stmt: &BeliefStatement) {
     put_path(e, &stmt.path);
-    e.put_u32(stmt.tuple.rel.0);
+    e.put_var(stmt.tuple.rel.0.into());
     e.put_row(&stmt.tuple.row);
     e.put_u8(stmt.sign.code());
 }
 
 fn take_statement(d: &mut Dec) -> Result<BeliefStatement> {
     let path = take_path(d)?;
-    let rel = RelId(d.take_u32()?);
+    let rel = RelId(d.take_id()?);
     let row = d.take_row()?;
     let sign = take_sign(d)?;
     Ok(BeliefStatement::new(path, GroundTuple::new(rel, row), sign))
@@ -128,7 +134,7 @@ impl LogRecord {
             } => {
                 e.put_u8(TAG_UPDATE);
                 put_path(&mut e, path);
-                e.put_u32(rel.0);
+                e.put_var(rel.0.into());
                 e.put_row(old_row);
                 e.put_row(new_row);
             }
@@ -136,15 +142,21 @@ impl LogRecord {
         e.into_bytes()
     }
 
+    /// Decode a record of either layout (see the tags above).
     pub fn decode(bytes: &[u8]) -> Result<LogRecord> {
-        let mut d = Dec::new(bytes);
-        let rec = match d.take_u8()? {
+        let tag = *bytes.first().ok_or_else(|| corrupt("empty log record"))?;
+        let (mut d, tag) = match tag {
+            1..=FIXED_TAGS => (Dec::fixed(bytes), tag + FIXED_TAGS),
+            _ => (Dec::new(bytes), tag),
+        };
+        d.take_u8()?;
+        let rec = match tag {
             TAG_ADD_USER => LogRecord::AddUser(d.take_str()?.to_string()),
             TAG_INSERT => LogRecord::Insert(take_statement(&mut d)?),
             TAG_DELETE => LogRecord::Delete(take_statement(&mut d)?),
             TAG_UPDATE => LogRecord::Update {
                 path: take_path(&mut d)?,
-                rel: RelId(d.take_u32()?),
+                rel: RelId(d.take_id()?),
                 old_row: d.take_row()?,
                 new_row: d.take_row()?,
             },
@@ -193,12 +205,22 @@ impl LogRecord {
 // ---------------------------------------------------------------------------
 
 /// Snapshot format version (bumped on incompatible layout changes).
-/// Version 3 stores each statement as `(wid, tid, sign)`, ids into the
-/// image's own world and tuple sections. Version 2 spelled each statement
-/// out (path, relation, row, sign) and version 1 also lacks the policy byte
-/// after the version: it was written by an `Eager` store and opens as one.
-/// Only version 3 is written; all three are read.
-const SNAPSHOT_VERSION: u8 = 3;
+/// Version 4 is version 3 in the varint codec, with `R*` written column
+/// by column (see [`encode_snapshot`]). Version 3 stores each statement as
+/// `(wid, tid, sign)`, ids into the image's own world and tuple sections,
+/// in the fixed-width layout. Version 2 spelled each statement out (path,
+/// relation, row, sign) and version 1 also lacks the policy byte after the
+/// version: it was written by an `Eager` store and opens as one. Only
+/// version 4 is written; all four are read.
+const SNAPSHOT_VERSION: u8 = 4;
+
+/// How a version-4 image writes one attribute column of a relation's
+/// `R*` tuples, in tid order: a string dictionary and a varint code per
+/// tuple (0 for NULL, `i + 1` for entry `i`), a zig-zag varint per tuple,
+/// or a tagged value per tuple.
+const COLUMN_STR: u8 = 1;
+const COLUMN_INT: u8 = 2;
+const COLUMN_MIXED: u8 = 3;
 
 fn policy_code(policy: DefaultPolicy) -> u8 {
     match policy {
@@ -235,35 +257,48 @@ pub struct SnapshotData {
     pub statements: Vec<StatementRef>,
 }
 
-/// Encode the version-3 image of `store` straight from its tables: the
+/// Encode the version-4 image of `store` straight from its tables: the
 /// world directory in wid order, the `R*` heaps in tid order, and the
 /// explicit rows of every `V` table as `(wid, tid, sign)`. Its cost is
 /// proportional to worlds + tuples + explicit statements; no logical
-/// copy of the store is built.
+/// copy of the store is built, and nothing is hashed.
+///
+/// ```text
+/// [version: u8 = 4] [policy: u8]
+/// [n] n × ([name: str] [k] k × [column: str])     external schema
+/// [n] n × [user name: str]                        UserId 1, 2, … in order
+/// [n] n × ([depth] depth × [uid])                 world paths, wid order
+/// [n] n × [rel]                                   each R* tuple's relation
+/// per relation, per attribute column: [kind: u8] + its tuples' cells
+/// [n] n × ([wid] [tid · 2 + (sign = '-')])        explicit statements
+/// ```
+///
+/// Every number is a varint and every `str` a varint length and UTF-8.
 pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
     let mut e = Enc::new();
     e.put_u8(SNAPSHOT_VERSION);
     e.put_u8(policy_code(store.policy()));
     let relations = store.schema().relations();
-    e.put_u32(relations.len() as u32);
+    e.put_var(relations.len() as u64);
     for r in relations {
         e.put_str(r.name());
-        e.put_u32(r.columns().len() as u32);
+        e.put_var(r.columns().len() as u64);
         for c in r.columns() {
             e.put_str(c);
         }
     }
-    e.put_u32(store.users.len() as u32);
+    e.put_var(store.users.len() as u64);
     for (_, name) in &store.users {
         e.put_str(name);
     }
-    e.put_u32(store.dir.len() as u32);
+    e.put_var(store.dir.len() as u64);
     for (_, path) in store.dir.iter() {
         put_path(&mut e, path);
     }
 
     // Tids are dense across relations: place every `R*` row by its tid
-    // column, then write the rows out in tid order, cell by cell.
+    // column, write the relation of each tid, then each relation's rows
+    // in tid order, column by column.
     let stars = store
         .rel_ids()
         .map(|rel| store.star_of(rel))
@@ -282,23 +317,23 @@ pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
             *slot = Some((rel, rid));
         }
     }
-    e.put_u32(by_tid.len() as u32);
+    let mut rows_of = vec![Vec::new(); stars.len()];
+    e.put_var(by_tid.len() as u64);
     for (tid, slot) in by_tid.iter().enumerate() {
         let (rel, rid) = slot.ok_or_else(|| corrupt(format!("tid {tid} missing from R*")))?;
-        let star = stars[rel];
-        let arity = star.schema().arity() - 1;
-        e.put_u32(rel as u32);
-        e.put_u32(arity as u32);
-        for col in 1..=arity {
-            e.put_cell(star.cell(rid, col)?);
+        e.put_var(rel as u64);
+        rows_of[rel].push(rid);
+    }
+    for (star, rids) in stars.iter().zip(&rows_of) {
+        for col in 1..star.schema().arity() {
+            put_column(&mut e, star, col, rids)?;
         }
     }
 
     // Under `Eager`, `V` also holds the implicit rows the default rule
     // derives; only the explicit ones are written.
-    let count_at = e.bytes().len();
-    e.put_u32(0);
-    let mut count = 0u32;
+    let mut statements = Enc::new();
+    let mut count = 0u64;
     for rel in store.rel_ids() {
         let vt = store.v_of(rel)?;
         for rid in vt.row_ids() {
@@ -307,65 +342,191 @@ pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
                 continue;
             }
             let wid = Wid::from_cell(vt.cell(rid, 0)?).ok_or_else(|| corrupt("bad wid in V"))?;
-            e.put_u32(wid.0);
-            e.put_u32(entry.tid.0);
-            e.put_u8(entry.sign.code());
+            statements.put_var(wid.0.into());
+            statements.put_var((u64::from(entry.tid.0) << 1) | u64::from(entry.sign == Sign::Neg));
             count += 1;
         }
     }
-    e.patch_u32(count_at, count);
-    Ok(e.into_bytes())
+    e.put_var(count);
+    let mut bytes = e.into_bytes();
+    bytes.extend_from_slice(statements.bytes());
+    Ok(bytes)
+}
+
+/// Write column `col` of the `R*` rows `rids` (see [`COLUMN_STR`]). A
+/// string column is written as the heap keeps it: its dictionary, in the
+/// order the column met the strings, and each row's code.
+fn put_column(e: &mut Enc, star: &Table, col: usize, rids: &[RowId]) -> Result<()> {
+    if let Some(dict) = star.dictionary(col)? {
+        e.put_u8(COLUMN_STR);
+        e.put_var(dict.len() as u64);
+        for s in dict {
+            e.put_str(s);
+        }
+        for &rid in rids {
+            e.put_var(star.code(rid, col)?.map_or(0, |c| u64::from(c) + 1));
+        }
+        return Ok(());
+    }
+    let mut ints = true;
+    for &rid in rids {
+        ints &= matches!(star.cell(rid, col)?, Cell::Int(_));
+    }
+    e.put_u8(if ints { COLUMN_INT } else { COLUMN_MIXED });
+    for &rid in rids {
+        match star.cell(rid, col)? {
+            Cell::Int(i) if ints => e.put_zig(i),
+            cell => e.put_cell(cell),
+        }
+    }
+    Ok(())
+}
+
+/// Read back one column [`put_column`] wrote for `count` tuples.
+fn take_column(d: &mut Dec, count: usize) -> Result<Vec<Value>> {
+    let mut vals = Vec::new();
+    match d.take_u8()? {
+        COLUMN_STR => {
+            let n = d.take_len()?;
+            let mut dict = Vec::new();
+            for _ in 0..n {
+                dict.push(Value::str(d.take_str()?));
+            }
+            for _ in 0..count {
+                vals.push(match d.take_var()? {
+                    0 => Value::Null,
+                    code => usize::try_from(code - 1)
+                        .ok()
+                        .and_then(|i| dict.get(i))
+                        .cloned()
+                        .ok_or_else(|| {
+                            corrupt(format!("string code {code} past a dictionary of {n}"))
+                        })?,
+                });
+            }
+        }
+        COLUMN_INT => {
+            for _ in 0..count {
+                vals.push(Value::Int(d.take_zig()?));
+            }
+        }
+        COLUMN_MIXED => {
+            for _ in 0..count {
+                vals.push(d.take_value()?);
+            }
+        }
+        kind => return Err(corrupt(format!("unknown column kind {kind}"))),
+    }
+    Ok(vals)
+}
+
+/// Read back the tuple section of a version-4 image: each tid's relation,
+/// then each relation's columns, zipped into rows in tid order.
+fn take_tuples(d: &mut Dec, relations: &[(String, Vec<String>)]) -> Result<Vec<GroundTuple>> {
+    let n = d.take_len()?;
+    let mut rels = Vec::new();
+    let mut counts = vec![0; relations.len()];
+    for _ in 0..n {
+        let rel = d.take_id()?;
+        *counts
+            .get_mut(rel as usize)
+            .ok_or_else(|| corrupt(format!("tuple of relation {rel}, past the schema")))? += 1;
+        rels.push(RelId(rel));
+    }
+    let mut columns = Vec::new();
+    for ((_, cols), &count) in relations.iter().zip(&counts) {
+        let mut rel_columns = Vec::new();
+        for _ in cols {
+            rel_columns.push(take_column(d, count)?.into_iter());
+        }
+        columns.push(rel_columns);
+    }
+    Ok(rels
+        .into_iter()
+        .map(|rel| {
+            let cells = columns[rel.0 as usize]
+                .iter_mut()
+                .map(|c| c.next().expect("count cells per column"));
+            GroundTuple::new(rel, Row::new(cells))
+        })
+        .collect())
 }
 
 impl SnapshotData {
-    /// Decode a snapshot payload of any version (1 to 3).
+    /// Decode a snapshot payload of any version (1 to 4).
     pub fn decode(bytes: &[u8]) -> Result<SnapshotData> {
-        let mut d = Dec::new(bytes);
-        let version = d.take_u8()?;
+        let version = *bytes.first().ok_or_else(|| corrupt("empty snapshot"))?;
+        let mut d = match version {
+            SNAPSHOT_VERSION => Dec::new(bytes),
+            _ => Dec::fixed(bytes),
+        };
+        d.take_u8()?;
         let policy = match version {
             1 => DefaultPolicy::Eager,
-            2 | SNAPSHOT_VERSION => match d.take_u8()? {
+            2..=SNAPSHOT_VERSION => match d.take_u8()? {
                 0 => DefaultPolicy::Eager,
                 1 => DefaultPolicy::Lazy,
                 p => return Err(corrupt(format!("unknown default policy {p}"))),
             },
             version => return Err(corrupt(format!("unsupported snapshot version {version}"))),
         };
-        let nrels = d.take_u32()? as usize;
-        let mut relations = Vec::with_capacity(nrels.min(1024));
+        let nrels = d.take_len()?;
+        let mut relations = Vec::new();
         for _ in 0..nrels {
             let name = d.take_str()?.to_string();
-            let ncols = d.take_u32()? as usize;
-            let mut cols = Vec::with_capacity(ncols.min(1024));
+            let ncols = d.take_len()?;
+            let mut cols = Vec::new();
             for _ in 0..ncols {
                 cols.push(d.take_str()?.to_string());
             }
             relations.push((name, cols));
         }
-        let nusers = d.take_u32()? as usize;
-        let mut users = Vec::with_capacity(nusers.min(1024));
+        let nusers = d.take_len()?;
+        let mut users = Vec::new();
         for _ in 0..nusers {
             users.push(d.take_str()?.to_string());
         }
-        let nworlds = d.take_u32()? as usize;
-        let mut worlds = Vec::with_capacity(nworlds.min(1024));
+        let nworlds = d.take_len()?;
+        let mut worlds = Vec::new();
         for _ in 0..nworlds {
             worlds.push(take_path(&mut d)?);
         }
-        let ntuples = d.take_u32()? as usize;
-        let mut tuples = Vec::with_capacity(ntuples.min(1024));
-        for _ in 0..ntuples {
-            let rel = RelId(d.take_u32()?);
-            let row = d.take_row()?;
-            tuples.push(GroundTuple::new(rel, row));
-        }
-        let nstmts = d.take_u32()? as usize;
-        let mut statements = Vec::with_capacity(nstmts.min(1024));
+        let tuples = if version == SNAPSHOT_VERSION {
+            take_tuples(&mut d, &relations)?
+        } else {
+            let ntuples = d.take_len()?;
+            let mut tuples = Vec::new();
+            for _ in 0..ntuples {
+                let rel = RelId(d.take_id()?);
+                let row = d.take_row()?;
+                tuples.push(GroundTuple::new(rel, row));
+            }
+            tuples
+        };
+        let nstmts = d.take_len()?;
+        let mut statements = Vec::new();
         if version == SNAPSHOT_VERSION {
             for _ in 0..nstmts {
+                let wid = Wid(d.take_id()?);
+                let signed = d.take_var()?;
+                let tid = u32::try_from(signed >> 1)
+                    .map_err(|_| corrupt(format!("statement tid {} past 32 bits", signed >> 1)))?;
+                let sign = if signed & 1 == 1 {
+                    Sign::Neg
+                } else {
+                    Sign::Pos
+                };
                 statements.push(StatementRef {
-                    wid: Wid(d.take_u32()?),
-                    tid: Tid(d.take_u32()?),
+                    wid,
+                    tid: Tid(tid),
+                    sign,
+                });
+            }
+        } else if version == 3 {
+            for _ in 0..nstmts {
+                statements.push(StatementRef {
+                    wid: Wid(d.take_id()?),
+                    tid: Tid(d.take_id()?),
                     sign: take_sign(&mut d)?,
                 });
             }
@@ -544,11 +705,124 @@ mod tests {
         // Invalid path (adjacent repetition) is rejected by validation.
         let mut e = Enc::new();
         e.put_u8(TAG_INSERT);
-        e.put_u32(2);
-        e.put_u32(5);
-        e.put_u32(5);
+        e.put_var(2);
+        e.put_var(5);
+        e.put_var(5);
         let bad_path = e.into_bytes();
         assert!(LogRecord::decode(&bad_path).is_err());
+        // A uid past 32 bits.
+        let mut e = Enc::new();
+        e.put_u8(TAG_ADD_USER + 1);
+        e.put_var(1);
+        e.put_var(1 << 32);
+        assert!(LogRecord::decode(&e.into_bytes()).is_err());
+        assert!(LogRecord::decode(&[]).is_err());
+    }
+
+    /// The fixed-width layout of WAL v1 payloads and snapshots v1 to v3,
+    /// which only these tests still write.
+    #[derive(Default)]
+    struct Fixed(Vec<u8>);
+
+    impl Fixed {
+        fn u8(&mut self, v: u8) {
+            self.0.push(v);
+        }
+        fn u32(&mut self, v: u32) {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+        fn str(&mut self, v: &str) {
+            self.u32(v.len() as u32);
+            self.0.extend_from_slice(v.as_bytes());
+        }
+        fn row(&mut self, row: &Row) {
+            self.u32(row.arity() as u32);
+            for v in row.values() {
+                match v {
+                    Value::Null => self.u8(0),
+                    Value::Bool(b) => {
+                        self.u8(1);
+                        self.u8(*b as u8);
+                    }
+                    Value::Int(i) => {
+                        self.u8(2);
+                        self.0.extend_from_slice(&i.to_le_bytes());
+                    }
+                    Value::Str(s) => {
+                        self.u8(3);
+                        self.str(s);
+                    }
+                }
+            }
+        }
+        fn path(&mut self, path: &BeliefPath) {
+            self.u32(path.depth() as u32);
+            for u in path.users() {
+                self.u32(u.0);
+            }
+        }
+        fn statement(&mut self, stmt: &BeliefStatement) {
+            self.path(&stmt.path);
+            self.u32(stmt.tuple.rel.0);
+            self.row(&stmt.tuple.row);
+            self.u8(stmt.sign.code());
+        }
+    }
+
+    /// A record as WAL v1 segments hold it: tags 1 to 4, fixed width.
+    fn fixed_record(rec: &LogRecord) -> Vec<u8> {
+        let mut f = Fixed::default();
+        match rec {
+            LogRecord::AddUser(name) => {
+                f.u8(1);
+                f.str(name);
+            }
+            LogRecord::Insert(stmt) => {
+                f.u8(2);
+                f.statement(stmt);
+            }
+            LogRecord::Delete(stmt) => {
+                f.u8(3);
+                f.statement(stmt);
+            }
+            LogRecord::Update {
+                path,
+                rel,
+                old_row,
+                new_row,
+            } => {
+                f.u8(4);
+                f.path(path);
+                f.u32(rel.0);
+                f.row(old_row);
+                f.row(new_row);
+            }
+        }
+        f.0
+    }
+
+    #[test]
+    fn fixed_width_records_of_wal_v1_still_decode() {
+        let records = [
+            LogRecord::AddUser("Alice".into()),
+            LogRecord::Insert(stmt()),
+            LogRecord::Delete(stmt()),
+            LogRecord::Update {
+                path: path(&[1]),
+                rel: RelId(0),
+                old_row: row!["s1", "crow", 3],
+                new_row: row!["s1", "raven", -3],
+            },
+        ];
+        for rec in records {
+            let fixed = fixed_record(&rec);
+            assert_eq!(LogRecord::decode(&fixed).unwrap(), rec, "{rec:?}");
+            // The varint layout of the same record is shorter.
+            assert!(rec.encode().len() < fixed.len(), "{rec:?}");
+            for cut in 0..fixed.len() {
+                assert!(LogRecord::decode(&fixed[..cut]).is_err(), "cut {cut}");
+            }
+        }
     }
 
     /// A store with two users, statements at three worlds, a rejected
@@ -580,40 +854,49 @@ mod tests {
         store
     }
 
-    /// The version-1 or -2 layout of `data` with `statements` spelled out
-    /// in place of `data.statements`.
+    /// The version-1, -2 or -3 layout of `data`; versions 1 and 2 list
+    /// `statements` spelled out in place of `data.statements`.
     fn legacy_encode(version: u8, data: &SnapshotData, statements: &[BeliefStatement]) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.put_u8(version);
-        if version == 2 {
-            e.put_u8(policy_code(data.policy));
+        let mut f = Fixed::default();
+        f.u8(version);
+        if version >= 2 {
+            f.u8(policy_code(data.policy));
         }
-        e.put_u32(data.relations.len() as u32);
+        f.u32(data.relations.len() as u32);
         for (name, cols) in &data.relations {
-            e.put_str(name);
-            e.put_u32(cols.len() as u32);
+            f.str(name);
+            f.u32(cols.len() as u32);
             for c in cols {
-                e.put_str(c);
+                f.str(c);
             }
         }
-        e.put_u32(data.users.len() as u32);
+        f.u32(data.users.len() as u32);
         for name in &data.users {
-            e.put_str(name);
+            f.str(name);
         }
-        e.put_u32(data.worlds.len() as u32);
+        f.u32(data.worlds.len() as u32);
         for p in &data.worlds {
-            put_path(&mut e, p);
+            f.path(p);
         }
-        e.put_u32(data.tuples.len() as u32);
+        f.u32(data.tuples.len() as u32);
         for t in &data.tuples {
-            e.put_u32(t.rel.0);
-            e.put_row(&t.row);
+            f.u32(t.rel.0);
+            f.row(&t.row);
         }
-        e.put_u32(statements.len() as u32);
-        for stmt in statements {
-            put_statement(&mut e, stmt);
+        if version == 3 {
+            f.u32(data.statements.len() as u32);
+            for s in &data.statements {
+                f.u32(s.wid.0);
+                f.u32(s.tid.0);
+                f.u8(s.sign.code());
+            }
+        } else {
+            f.u32(statements.len() as u32);
+            for stmt in statements {
+                f.statement(stmt);
+            }
         }
-        e.into_bytes()
+        f.0
     }
 
     #[test]
@@ -669,8 +952,17 @@ mod tests {
         let mut bad = bytes.clone();
         bad[1] = 7;
         assert!(SnapshotData::decode(&bad).is_err());
-        // Versions 1 and 2 spell the statements out and decode to the same
-        // ids; a version-1 image has no policy byte and is an `Eager` store's.
+        // Version 3 is the same image in the fixed-width layout; versions 1
+        // and 2 spell the statements out and decode to the same ids; a
+        // version-1 image has no policy byte and is an `Eager` store's.
+        let v3 = legacy_encode(3, &data, &[]);
+        assert_eq!(SnapshotData::decode(&v3).unwrap(), data);
+        assert!(
+            bytes.len() * 2 < v3.len(),
+            "{} B vs {} B",
+            bytes.len(),
+            v3.len()
+        );
         let v2 = legacy_encode(2, &data, &spelled);
         assert_eq!(SnapshotData::decode(&v2).unwrap(), data);
         let eager = SnapshotData::decode(&legacy_encode(1, &data, &spelled)).unwrap();
@@ -688,27 +980,187 @@ mod tests {
         }
     }
 
-    /// Version 3 spends 9 bytes on an explicit statement (`wid` and `tid`
-    /// as u32, the sign byte) beyond the world and tuple sections, and
-    /// nothing on the implicit rows `Eager` keeps in `V`. Deleting every
-    /// statement keeps the worlds and tuples, so the difference in size is
-    /// the statement section alone.
+    /// Version 4 spends two varints on an explicit statement beyond the
+    /// world and tuple sections — its wid, and its tid with the sign in
+    /// the low bit — and nothing on the implicit rows `Eager` keeps in `V`.
+    /// Deleting every statement keeps the worlds and tuples, so the
+    /// difference in size is the statement section alone.
     #[test]
-    fn version_3_costs_nine_bytes_per_explicit_statement() {
+    fn version_4_costs_two_varints_per_explicit_statement() {
         for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
             let mut store = sample(policy);
             let stated = store.to_belief_database().unwrap().statements();
             assert_eq!(stated.len(), 4);
-            let full = encode_snapshot(&store).unwrap().len();
+            let full = encode_snapshot(&store).unwrap();
+            let refs = SnapshotData::decode(&full).unwrap().statements;
+            let mut section = Enc::new();
+            for s in &refs {
+                section.put_var(s.wid.0.into());
+                section.put_var((u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg));
+            }
+            let varints = section.bytes().len();
+            assert_eq!(varints, 2 * stated.len(), "small ids take a byte each");
             for stmt in &stated {
                 assert!(store.delete_statement(stmt).unwrap());
             }
             let bare = encode_snapshot(&store).unwrap();
             assert!(SnapshotData::decode(&bare).unwrap().statements.is_empty());
-            assert_eq!(full - bare.len(), 9 * stated.len(), "{policy:?}");
+            assert_eq!(full.len() - bare.len(), varints, "{policy:?}");
         }
         let eager = sample(DefaultPolicy::Eager);
         let v_rows = eager.v_of(RelId(0)).unwrap().len();
         assert!(v_rows > 4, "Eager's V holds implicit rows too: {v_rows}");
+    }
+
+    /// A store whose `R*` has every column kind: strings with a NULL, an
+    /// integer column, a mixed one, and a relation without tuples.
+    fn mixed_store() -> InternalStore {
+        let schema = ExternalSchema::new()
+            .with_relation("S", &["sid", "species", "count", "note"])
+            .with_relation("Empty", &["k"]);
+        let mut store = InternalStore::with_policy(schema, DefaultPolicy::Lazy).unwrap();
+        store.add_user("Alice").unwrap();
+        let rows = [
+            row!["s1", "crow", 3, "seen"],
+            row!["s2", Value::Null, -70_000, 4],
+            row!["s3", "raven", i64::MIN, Value::Null],
+            row!["s4", "crow", i64::MAX, true],
+        ];
+        for (i, r) in rows.into_iter().enumerate() {
+            let p = if i % 2 == 0 {
+                path(&[1])
+            } else {
+                BeliefPath::root()
+            };
+            let stmt = BeliefStatement::positive(p, GroundTuple::new(RelId(0), r));
+            assert!(store.insert_statement(&stmt).unwrap().accepted());
+        }
+        store
+    }
+
+    #[test]
+    fn version_4_round_trips_every_column_kind() {
+        let store = mixed_store();
+        let bytes = encode_snapshot(&store).unwrap();
+        let data = SnapshotData::decode(&bytes).unwrap();
+        assert_eq!(data.tuples.len(), 4);
+        for (i, t) in data.tuples.iter().enumerate() {
+            assert_eq!(store.tid_of(t).unwrap(), Some(Tid(i as u32)), "{t}");
+        }
+        let restored = data.restore().unwrap();
+        assert_eq!(restored.table_sizes(), store.table_sizes());
+        assert_eq!(encode_snapshot(&restored).unwrap(), bytes);
+        // The same image through the version-3 layout.
+        assert_eq!(
+            SnapshotData::decode(&legacy_encode(3, &data, &[])).unwrap(),
+            data
+        );
+    }
+
+    /// Every strict prefix of a version-4 payload is `Corrupt`, and every
+    /// single-byte flip decodes to an error or to some image (a flipped
+    /// letter of a string is still a string; the file's checksum is what
+    /// catches that), never a panic, in decoding or in restoring.
+    #[test]
+    fn version_4_prefixes_are_corrupt_and_flips_never_panic() {
+        for store in [sample(DefaultPolicy::Lazy), mixed_store()] {
+            let bytes = encode_snapshot(&store).unwrap();
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(
+                        SnapshotData::decode(&bytes[..cut]),
+                        Err(BeliefError::Storage(StorageError::Corrupt(_)))
+                    ),
+                    "prefix of {cut} bytes"
+                );
+            }
+            for at in 0..bytes.len() {
+                for flip in [0x01, 0x80, 0xFF] {
+                    let mut forged = bytes.clone();
+                    forged[at] ^= flip;
+                    if let Ok(data) = SnapshotData::decode(&forged) {
+                        let _ = data.restore();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hand-made faults in the tuple section: a relation past the schema,
+    /// a string code past its dictionary, an unknown column kind.
+    #[test]
+    fn forged_version_4_tuple_sections_are_corrupt() {
+        let store = mixed_store();
+        let bytes = encode_snapshot(&store).unwrap();
+        let data = SnapshotData::decode(&bytes).unwrap();
+        // The tuple section starts after the worlds: re-encode the prefix.
+        let mut e = Enc::new();
+        e.put_u8(SNAPSHOT_VERSION);
+        e.put_u8(policy_code(data.policy));
+        e.put_var(data.relations.len() as u64);
+        for (name, cols) in &data.relations {
+            e.put_str(name);
+            e.put_var(cols.len() as u64);
+            for c in cols {
+                e.put_str(c);
+            }
+        }
+        e.put_var(data.users.len() as u64);
+        for u in &data.users {
+            e.put_str(u);
+        }
+        e.put_var(data.worlds.len() as u64);
+        for w in &data.worlds {
+            put_path(&mut e, w);
+        }
+        let prefix = e.into_bytes();
+        assert_eq!(bytes[..prefix.len()], prefix[..]);
+        // One tuple of relation 1 (`Empty`, one column), then no statement.
+        let forge = |rel: u64, column: &[u8]| {
+            let mut e = Enc::new();
+            e.put_var(1);
+            e.put_var(rel);
+            for r in 0..data.relations.len() as u64 {
+                if r == rel {
+                    continue;
+                }
+                // The other relation's columns, for no tuple.
+                for _ in &data.relations[r as usize].1 {
+                    e.put_u8(COLUMN_INT);
+                }
+            }
+            let mut forged = prefix.clone();
+            forged.extend_from_slice(e.bytes());
+            if rel == 1 {
+                forged.extend_from_slice(column);
+            }
+            forged.push(0);
+            forged
+        };
+        // A well-formed one decodes, so each fault below is the only one.
+        let good = forge(1, &[COLUMN_STR, 1, 1, b'k', 1]);
+        assert_eq!(SnapshotData::decode(&good).unwrap().tuples.len(), 1);
+        let cases = [
+            ("relation past the schema", forge(2, &[])),
+            (
+                "code past the dictionary",
+                forge(1, &[COLUMN_STR, 1, 1, b'k', 2]),
+            ),
+            ("unknown column kind", forge(1, &[9, 0])),
+            ("tuple count past the payload", {
+                let mut f = good.clone();
+                f[prefix.len()] = 0x7F;
+                f
+            }),
+        ];
+        for (fault, forged) in cases {
+            assert!(
+                matches!(
+                    SnapshotData::decode(&forged),
+                    Err(BeliefError::Storage(StorageError::Corrupt(_)))
+                ),
+                "{fault}"
+            );
+        }
     }
 }

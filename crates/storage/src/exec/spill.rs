@@ -41,24 +41,25 @@
 //!
 //! Run files reuse the durability layer's codec ([`crate::persist::format`]):
 //! each record is a **block** of rows,
-//! `[payload_len: u32 LE][crc32: u32 LE][tag: u8][count: u32 LE][fmt: u8][data…]`,
+//! `[payload_len: u32 LE][crc32: u32 LE][tag: u8][count: var][fmt: u8][data…]`,
 //! with the CRC covering everything after itself, so a torn or
 //! bit-flipped spill file surfaces as [`StorageError::Corrupt`], never
-//! as wrong answers. `fmt` selects the block body:
+//! as wrong answers. Counts, lengths and codes are varints and integers
+//! zig-zag varints, as everywhere in the codec. `fmt` selects the block
+//! body:
 //!
 //! * **`0` — row-major**: `count` `put_row` records (the fallback when a
 //!   block mixes row arities);
-//! * **`1` — columnar**: `[arity: u32]`, then per column a type byte —
+//! * **`1` — columnar**: `[arity: var]`, then per column a type byte —
 //!   `0` NULL (no data), `1` Bool (validity + one byte per cell), `2`
-//!   Int (validity + one `i64` per cell), `3` Str (validity + a sorted
-//!   dictionary of length-prefixed strings + one `u16 LE` code per
-//!   cell; a block holds at most `BLOCK_ROWS` rows, so codes cannot
-//!   overflow), `4` Mixed (one `put_value` per cell) — where `validity`
+//!   Int (validity + one zig-zag varint per cell), `3` Str (validity + a
+//!   sorted dictionary of length-prefixed strings + one varint code per
+//!   cell), `4` Mixed (one `put_value` per cell) — where `validity`
 //!   is `[has: u8]` plus, when `has == 1`, `ceil(count / 8)` LSB-first
 //!   bitmap bytes (bit set = value present). This is the same column
 //!   classification the executor's scan chunks use
-//!   ([`crate::column::ColumnSet`]), so typed columns cost 1–8 bytes per
-//!   cell instead of a tagged boxed value, and repeated strings are
+//!   ([`crate::column::ColumnSet`]), so typed columns cost a few bytes
+//!   per cell instead of a tagged boxed value, and repeated strings are
 //!   written once per block.
 //!
 //! Every writer — sort runs and hash partitioners alike — buffers rows
@@ -349,7 +350,7 @@ impl RunFile {
         }
         self.enc.clear();
         self.enc.put_u8(self.block_tag);
-        self.enc.put_u32(self.block.len() as u32);
+        self.enc.put_var(self.block.len() as u64);
         encode_block(&mut self.enc, &self.block);
         self.block.clear();
         self.block_bytes = 0;
@@ -459,9 +460,7 @@ impl Drop for RunFile {
 
 /// Encode a block body: the columnar transpose when every row shares
 /// one arity (the normal case), plain rows otherwise. `rows` is
-/// non-empty and holds at most `BLOCK_ROWS` rows — which also caps a
-/// string dictionary at `BLOCK_ROWS` entries, so the `u16` code
-/// encoding cannot overflow.
+/// non-empty and holds at most `BLOCK_ROWS` rows.
 fn encode_block(enc: &mut Enc, rows: &[Row]) {
     let arity = rows[0].arity();
     if rows.iter().any(|r| r.arity() != arity) {
@@ -472,7 +471,7 @@ fn encode_block(enc: &mut Enc, rows: &[Row]) {
         return;
     }
     enc.put_u8(FMT_COLUMNAR);
-    enc.put_u32(arity as u32);
+    enc.put_var(arity as u64);
     let refs: Vec<&Row> = rows.iter().collect();
     let set = ColumnSet::from_rows(arity, &refs);
     let put_validity = |enc: &mut Enc, validity: &Option<Bitmap>| match validity {
@@ -498,7 +497,7 @@ fn encode_block(enc: &mut Enc, rows: &[Row]) {
                 enc.put_u8(2);
                 put_validity(enc, validity);
                 for &x in vals {
-                    enc.put_i64(x);
+                    enc.put_zig(x);
                 }
             }
             Column::Str {
@@ -506,17 +505,14 @@ fn encode_block(enc: &mut Enc, rows: &[Row]) {
                 codes,
                 validity,
             } => {
-                debug_assert!(dict.len() <= u16::MAX as usize, "BLOCK_ROWS caps the dict");
                 enc.put_u8(3);
                 put_validity(enc, validity);
-                enc.put_u32(dict.len() as u32);
+                enc.put_var(dict.len() as u64);
                 for s in dict {
                     enc.put_str(s);
                 }
                 for &code in codes {
-                    let code = code as u16;
-                    enc.put_u8((code & 0xFF) as u8);
-                    enc.put_u8((code >> 8) as u8);
+                    enc.put_var(u64::from(code));
                 }
             }
             Column::Mixed(vals) => {
@@ -562,7 +558,7 @@ fn take_column(dec: &mut Dec, count: usize) -> Result<Vec<Value>> {
             let validity = take_validity(dec)?;
             let mut vals = Vec::with_capacity(count);
             for i in 0..count {
-                let x = dec.take_i64()?;
+                let x = dec.take_zig()?;
                 vals.push(if valid(&validity, i) {
                     Value::Int(x)
                 } else {
@@ -573,7 +569,7 @@ fn take_column(dec: &mut Dec, count: usize) -> Result<Vec<Value>> {
         }
         3 => {
             let validity = take_validity(dec)?;
-            let dict_len = dec.take_u32()? as usize;
+            let dict_len = dec.take_len()?;
             if dict_len > count {
                 return Err(StorageError::Corrupt(format!(
                     "spill block dictionary of {dict_len} entries for {count} rows"
@@ -585,14 +581,12 @@ fn take_column(dec: &mut Dec, count: usize) -> Result<Vec<Value>> {
             }
             let mut vals = Vec::with_capacity(count);
             for i in 0..count {
-                let lo = dec.take_u8()? as usize;
-                let hi = dec.take_u8()? as usize;
-                let code = hi << 8 | lo;
+                let code = dec.take_var()?;
                 if !valid(&validity, i) {
                     vals.push(Value::Null);
                     continue;
                 }
-                let Some(v) = dict.get(code) else {
+                let Some(v) = usize::try_from(code).ok().and_then(|c| dict.get(c)) else {
                     return Err(StorageError::Corrupt(format!(
                         "spill block string code {code} out of dictionary range {dict_len}"
                     )));
@@ -662,13 +656,15 @@ impl RunReader {
         }
         let mut dec = Dec::new(&self.scratch);
         let tag = dec.take_u8()?;
-        let count = dec.take_u32()? as usize;
-        if count == 0 || count as u64 > self.remaining {
+        // Not `take_len`: a block of NULL columns holds no byte per row.
+        let count = dec.take_var()?;
+        if count == 0 || count > self.remaining {
             return Err(StorageError::Corrupt(format!(
                 "spill block of {count} rows with {} remaining",
                 self.remaining
             )));
         }
+        let count = count as usize;
         let mut rows = VecDeque::with_capacity(count);
         match dec.take_u8()? {
             FMT_ROWS => {
@@ -677,16 +673,9 @@ impl RunReader {
                 }
             }
             FMT_COLUMNAR => {
-                let arity = dec.take_u32()? as usize;
-                if arity > dec.remaining() {
-                    // Each column costs at least its type byte; reject
-                    // absurd arities before allocating.
-                    return Err(StorageError::Corrupt(format!(
-                        "spill block arity {arity} exceeds remaining {} bytes",
-                        dec.remaining()
-                    )));
-                }
-                let mut cols = Vec::with_capacity(arity);
+                // Each column costs at least its type byte.
+                let arity = dec.take_len()?;
+                let mut cols = Vec::new();
                 for _ in 0..arity {
                     cols.push(take_column(&mut dec, count)?.into_iter());
                 }

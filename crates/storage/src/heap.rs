@@ -24,6 +24,7 @@
 
 use crate::column::{build_column, Bitmap, Column, ColumnSet};
 use crate::index::{CellHash, IndexRid};
+use crate::persist::format::{unzigzag, zigzag};
 use crate::row::Row;
 use crate::value::{Cell, Value};
 use std::collections::HashMap;
@@ -152,16 +153,6 @@ impl Lanes {
             put(vals, slot, lane);
         })
     }
-}
-
-/// An integer as [`Lanes`] hold it: the sign in the lowest bit, so that
-/// small values of either sign take narrow lanes.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)).cast_unsigned()
-}
-
-fn unzigzag(lane: u64) -> i64 {
-    (lane >> 1).cast_signed() ^ -(lane & 1).cast_signed()
 }
 
 /// Record in the validity bitmap of a typed column of `len` cells whether
@@ -554,6 +545,28 @@ impl Heap {
     /// about to drop) and `col` must be in range.
     pub(crate) fn cell(&self, slot: usize, col: usize) -> Cell<'_> {
         self.cols[col].cell(slot)
+    }
+
+    /// The dictionary of column `col` when it is a string column: every
+    /// string it has held, in the order it first met them. `None` for
+    /// any other column.
+    pub(crate) fn dictionary(&self, col: usize) -> Option<&[Arc<str>]> {
+        match &self.cols[col] {
+            HeapColumn::Str { dict, .. } => Some(&dict.strings),
+            _ => None,
+        }
+    }
+
+    /// The dictionary code of the cell at `slot` of string column `col`;
+    /// `None` when the cell is NULL or the column holds no strings. Same
+    /// precondition as [`Heap::cell`].
+    pub(crate) fn code(&self, slot: usize, col: usize) -> Option<u32> {
+        match &self.cols[col] {
+            HeapColumn::Str { codes, valid, .. } if is_valid(valid, slot) => {
+                Some(codes.get(slot) as u32)
+            }
+            _ => None,
+        }
     }
 
     /// The row in `slot`, materialized. Same precondition as

@@ -1,11 +1,21 @@
-//! Binary encoding primitives for the durability layer: CRC32, a
-//! little-endian writer/reader pair, and [`Value`]/[`Row`] codecs.
+//! Binary encoding primitives for the durability layer: CRC32, one
+//! compact codec (an [`Enc`] writer and a [`Dec`] reader), and the
+//! [`Value`]/[`Row`] encodings built on it.
 //!
-//! Everything on disk is built from these: WAL frames length-prefix and
+//! The codec writes lengths, counts and ids as LEB128 varints (seven bits
+//! a byte, low group first, the high bit set on every byte but the last)
+//! and integers as zig-zag varints, so small values of either sign take
+//! one byte. A varint is read back only in its shortest form: an overlong,
+//! unterminated or more than ten-byte one is [`StorageError::Corrupt`], so
+//! one value has one encoding and a decoder never panics on hostile input.
+//!
+//! Everything on disk is built from these: WAL frames varint-prefix and
 //! checksum their payload (see [`super::wal`]), snapshots checksum the
-//! serialized store (see [`super::snapshot`]), and `beliefdb-core`
-//! encodes its logical log records with the same primitives so the
-//! format is defined in exactly one place.
+//! serialized store (see [`super::snapshot`]), spill runs write their rows
+//! with them, and `beliefdb-core` encodes its log records and snapshot
+//! payloads with the same primitives, so the format is defined in exactly
+//! one place. [`Dec::fixed`] reads the fixed-width layout that WAL v1
+//! segments and snapshots v1 to v3 were written in; nothing writes it.
 
 use crate::error::{Result, StorageError};
 use crate::row::Row;
@@ -24,6 +34,13 @@ use crate::value::{Cell, Value};
 /// the executor's spill files checksum every frame, so this is on the
 /// per-row write path.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// The CRC-32 of `a` followed by `data`, given `crc = crc32(a)`: a
+/// checksum over bytes that are not contiguous in memory (a WAL frame's
+/// implied LSN and its payload) without copying them together.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     const fn tables() -> [[u32; 256]; 8] {
         let mut t = [[0u32; 256]; 8];
         let mut i = 0;
@@ -53,7 +70,7 @@ pub fn crc32(data: &[u8]) -> u32 {
         t
     }
     static T: [[u32; 256]; 8] = tables();
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = !crc;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         let lo = u32::from_le_bytes(c[0..4].try_into().expect("4")) ^ crc;
@@ -70,14 +87,75 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = T[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xFFFF_FFFF
+    !crc
+}
+
+// ---------------------------------------------------------------------------
+// Varints
+// ---------------------------------------------------------------------------
+
+/// Longest varint: ten bytes hold 64 bits.
+pub const MAX_VAR_LEN: usize = 10;
+
+/// `v` as a LEB128 varint at the start of `out`; returns the bytes used.
+pub fn encode_var(mut v: u64, out: &mut [u8; MAX_VAR_LEN]) -> usize {
+    let mut n = 0;
+    while v >= 0x80 {
+        out[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    out[n] = v as u8;
+    n + 1
+}
+
+/// The varint at the start of `buf` and the bytes it took, or why it is
+/// not one: unterminated, longer than ten bytes, past 64 bits, or longer
+/// than the shortest encoding of its value.
+pub fn decode_var(buf: &[u8]) -> std::result::Result<(u64, usize), &'static str> {
+    let mut v = 0u64;
+    for (i, &b) in buf.iter().take(MAX_VAR_LEN).enumerate() {
+        if i == MAX_VAR_LEN - 1 && b & 0x80 != 0 {
+            return Err("varint longer than ten bytes");
+        }
+        if i == MAX_VAR_LEN - 1 && b > 1 {
+            return Err("varint past 64 bits");
+        }
+        v |= u64::from(b & 0x7F) << (7 * i);
+        if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return Err("overlong varint");
+            }
+            return Ok((v, i + 1));
+        }
+    }
+    Err("unterminated varint")
+}
+
+/// An integer with its sign in the lowest bit, so that small values of
+/// either sign make short varints (and narrow heap lanes).
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)).cast_unsigned()
+}
+
+/// Inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(v: u64) -> i64 {
+    (v >> 1).cast_signed() ^ -(v & 1).cast_signed()
 }
 
 // ---------------------------------------------------------------------------
 // Writer / reader
 // ---------------------------------------------------------------------------
 
-/// Little-endian append-only byte writer.
+/// Value tags of [`Enc::put_cell`] / [`Dec::take_value`].
+const VALUE_NULL: u8 = 0;
+const VALUE_BOOL: u8 = 1;
+const VALUE_INT: u8 = 2;
+const VALUE_STR: u8 = 3;
+
+/// Append-only byte writer in the varint codec.
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
@@ -98,16 +176,6 @@ impl Enc {
         self.buf.clear();
     }
 
-    /// Overwrite a previously written `u32` at byte offset `pos`
-    /// (length/count fields that are only known after the payload is
-    /// encoded — e.g. the row count of a streaming spill block).
-    ///
-    /// # Panics
-    /// Panics if `pos + 4` exceeds the encoded length.
-    pub fn patch_u32(&mut self, pos: usize, v: u32) {
-        self.buf[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
     pub fn bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -116,21 +184,26 @@ impl Enc {
         self.buf.push(v);
     }
 
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// A length, count or id: a LEB128 varint.
+    #[inline]
+    pub fn put_var(&mut self, v: u64) {
+        if v < 0x80 {
+            self.buf.push(v as u8);
+            return;
+        }
+        let mut out = [0; MAX_VAR_LEN];
+        let n = encode_var(v, &mut out);
+        self.buf.extend_from_slice(&out[..n]);
     }
 
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// An integer: a zig-zag varint.
+    pub fn put_zig(&mut self, v: i64) {
+        self.put_var(zigzag(v));
     }
 
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed (u32) byte slice.
+    /// Length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u32(v.len() as u32);
+        self.put_var(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
 
@@ -144,48 +217,80 @@ impl Enc {
     }
 
     /// A table cell in [`Enc::put_value`]'s encoding, read back by
-    /// [`Dec::take_value`]: a heap can be written out without building
-    /// its rows.
+    /// [`Dec::take_value`]: a tag byte, then nothing (NULL), one byte
+    /// (Bool), a zig-zag varint (Int) or a string. A heap can be written
+    /// out without building its rows.
     pub fn put_cell(&mut self, c: Cell<'_>) {
         match c {
-            Cell::Null => self.put_u8(0),
+            Cell::Null => self.put_u8(VALUE_NULL),
             Cell::Bool(b) => {
-                self.put_u8(1);
+                self.put_u8(VALUE_BOOL);
                 self.put_u8(b as u8);
             }
             Cell::Int(i) => {
-                self.put_u8(2);
-                self.put_i64(i);
+                self.put_u8(VALUE_INT);
+                self.put_zig(i);
             }
             Cell::Str(s) => {
-                self.put_u8(3);
+                self.put_u8(VALUE_STR);
                 self.put_str(s);
             }
         }
     }
 
+    /// A varint arity, then one value per column.
     pub fn put_row(&mut self, row: &Row) {
-        self.put_u32(row.arity() as u32);
+        self.put_var(row.arity() as u64);
         for v in row.values() {
             self.put_value(v);
         }
     }
 }
 
-/// Little-endian cursor over an encoded byte slice. Every read is
-/// bounds-checked and surfaces [`StorageError::Corrupt`] on truncation,
-/// so a decoder never panics on hostile input.
+/// Cursor over an encoded byte slice. Every read is bounds-checked and
+/// surfaces [`StorageError::Corrupt`] on truncation, so a decoder never
+/// panics on hostile input. A count is checked against the bytes left
+/// before anything is read or allocated for it.
 #[derive(Debug)]
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Read the fixed-width layout instead of varints (see [`Dec::fixed`]).
+    fixed: bool,
 }
 
 impl<'a> Dec<'a> {
+    /// A reader of the varint codec [`Enc`] writes.
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec {
+            buf,
+            pos: 0,
+            fixed: false,
+        }
     }
 
+    /// A reader of the fixed-width layout of WAL v1 payloads and
+    /// snapshots v1 to v3: lengths, counts and ids as little-endian `u32`,
+    /// integers as little-endian `i64`, the same value tags. Only
+    /// [`Dec::take_len`], [`Dec::take_id`], [`Dec::take_int`] and the reads
+    /// built on them differ from the varint codec.
+    pub fn fixed(buf: &'a [u8]) -> Dec<'a> {
+        Dec {
+            buf,
+            pos: 0,
+            fixed: true,
+        }
+    }
+
+    fn corrupt(&self, what: impl std::fmt::Display) -> StorageError {
+        StorageError::Corrupt(format!(
+            "{what} at offset {} of {}",
+            self.pos,
+            self.buf.len()
+        ))
+    }
+
+    #[inline]
     fn need(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         match end {
@@ -194,65 +299,121 @@ impl<'a> Dec<'a> {
                 self.pos = end;
                 Ok(s)
             }
-            None => Err(StorageError::Corrupt(format!(
-                "truncated record: wanted {n} bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            ))),
+            None => Err(self.corrupt(format_args!("truncated record: wanted {n} bytes"))),
         }
     }
 
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8> {
         Ok(self.need(1)?[0])
     }
 
-    pub fn take_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.need(4)?.try_into().expect("4")))
+    #[inline]
+    fn take_fixed<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.need(N)?.try_into().expect("need returns N bytes"))
     }
 
-    pub fn take_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.need(8)?.try_into().expect("8")))
+    /// A varint in its shortest form; the fixed layout's counts and ids
+    /// are read by [`Dec::take_len`] and [`Dec::take_id`] instead.
+    #[inline]
+    pub fn take_var(&mut self) -> Result<u64> {
+        // Most lengths, counts and ids fit one byte.
+        if let Some(&b) = self.buf.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(b));
+        }
+        self.take_long_var()
     }
 
-    pub fn take_i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.need(8)?.try_into().expect("8")))
+    /// [`Dec::take_var`] past its one-byte case, kept out of line so that
+    /// the one-byte case inlines into every read built on it.
+    #[inline(never)]
+    fn take_long_var(&mut self) -> Result<u64> {
+        match decode_var(&self.buf[self.pos..]) {
+            Ok((v, n)) => {
+                self.pos += n;
+                Ok(v)
+            }
+            Err(why) => Err(self.corrupt(why)),
+        }
+    }
+
+    /// A zig-zag varint.
+    pub fn take_zig(&mut self) -> Result<i64> {
+        Ok(unzigzag(self.take_var()?))
+    }
+
+    /// A length or a count of items that take at least a byte each: a
+    /// varint (a `u32` in the fixed layout), rejected when it exceeds the
+    /// bytes left, so no caller sizes anything from a count the payload
+    /// cannot back.
+    #[inline]
+    pub fn take_len(&mut self) -> Result<usize> {
+        let n = self.take_count()?;
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(self.corrupt(format_args!(
+                "count {n} exceeds the {} bytes left",
+                self.remaining()
+            ))),
+        }
+    }
+
+    /// A length or count as written: a varint, or a `u32` in the fixed
+    /// layout.
+    #[inline]
+    fn take_count(&mut self) -> Result<u64> {
+        if self.fixed {
+            Ok(u64::from(u32::from_le_bytes(self.take_fixed()?)))
+        } else {
+            self.take_var()
+        }
+    }
+
+    /// A 32-bit id: a varint below 2^32 (a `u32` in the fixed layout).
+    #[inline]
+    pub fn take_id(&mut self) -> Result<u32> {
+        if self.fixed {
+            return Ok(u32::from_le_bytes(self.take_fixed()?));
+        }
+        let v = self.take_var()?;
+        u32::try_from(v).map_err(|_| self.corrupt(format_args!("id {v} past 32 bits")))
+    }
+
+    /// An integer: a zig-zag varint (an `i64` in the fixed layout).
+    pub fn take_int(&mut self) -> Result<i64> {
+        if self.fixed {
+            return Ok(i64::from_le_bytes(self.take_fixed()?));
+        }
+        self.take_zig()
     }
 
     pub fn take_bytes(&mut self) -> Result<&'a [u8]> {
-        let n = self.take_u32()? as usize;
-        self.need(n)
+        // `need` checks the length against the bytes left (and is cheaper
+        // on this, the hottest read, than `take_len`'s check and message).
+        let n = self.take_count()?;
+        self.need(usize::try_from(n).unwrap_or(usize::MAX))
     }
 
     pub fn take_str(&mut self) -> Result<&'a str> {
         std::str::from_utf8(self.take_bytes()?)
-            .map_err(|_| StorageError::Corrupt("invalid UTF-8 in string field".into()))
+            .map_err(|_| self.corrupt("invalid UTF-8 in string field"))
     }
 
     pub fn take_value(&mut self) -> Result<Value> {
         Ok(match self.take_u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.take_u8()? != 0),
-            2 => Value::Int(self.take_i64()?),
-            3 => Value::str(self.take_str()?),
-            t => {
-                return Err(StorageError::Corrupt(format!(
-                    "unknown value tag {t} at offset {}",
-                    self.pos - 1
-                )))
-            }
+            VALUE_NULL => Value::Null,
+            VALUE_BOOL => Value::Bool(self.take_u8()? != 0),
+            VALUE_INT => Value::Int(self.take_int()?),
+            VALUE_STR => Value::str(self.take_str()?),
+            t => return Err(self.corrupt(format_args!("unknown value tag {t}"))),
         })
     }
 
     pub fn take_row(&mut self) -> Result<Row> {
-        let n = self.take_u32()? as usize;
-        if n > self.remaining() {
-            // Each value costs at least one byte; reject absurd arities
-            // before allocating.
-            return Err(StorageError::Corrupt(format!(
-                "row arity {n} exceeds remaining {} bytes",
-                self.remaining()
-            )));
-        }
+        // Each value costs at least its tag byte, so `take_len` has checked
+        // that the payload holds `n` more values before this allocates.
+        let n = self.take_len()?;
         let mut vals = Vec::with_capacity(n);
         for _ in 0..n {
             vals.push(self.take_value()?);
@@ -282,6 +443,7 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
     use crate::row;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -289,26 +451,30 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+        // Extending a checksum equals checksumming the concatenation.
+        assert_eq!(crc32_extend(crc32(b"1234"), b"56789"), 0xCBF4_3926);
     }
 
     #[test]
     fn scalar_round_trips() {
         let mut e = Enc::new();
         e.put_u8(7);
-        e.put_u32(0xDEAD_BEEF);
-        e.put_u64(u64::MAX - 1);
-        e.put_i64(-42);
+        e.put_var(0xDEAD_BEEF);
+        e.put_var(u64::MAX - 1);
+        e.put_zig(-42);
         e.put_str("crow");
         e.put_bytes(&[1, 2, 3]);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.take_u8().unwrap(), 7);
-        assert_eq!(d.take_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(d.take_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(d.take_i64().unwrap(), -42);
+        assert_eq!(d.take_id().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(d.take_var().unwrap(), u64::MAX - 1);
+        assert_eq!(d.take_int().unwrap(), -42);
         assert_eq!(d.take_str().unwrap(), "crow");
         assert_eq!(d.take_bytes().unwrap(), &[1, 2, 3]);
         d.finish().unwrap();
+        // One byte for each of the small ones.
+        assert_eq!(bytes.len(), 1 + 5 + 10 + 1 + 5 + 4);
     }
 
     #[test]
@@ -317,8 +483,28 @@ mod tests {
         let mut e = Enc::new();
         e.put_row(&r);
         let bytes = e.into_bytes();
+        // Arity, then a tag and a body per value: 1 + 1 + 2 + 2 + 12 bytes.
+        assert_eq!(bytes.len(), 18);
         let mut d = Dec::new(&bytes);
         assert_eq!(d.take_row().unwrap(), r);
+        d.finish().unwrap();
+    }
+
+    /// The fixed-width layout of WAL v1 payloads and snapshots v1 to v3,
+    /// written here by hand because nothing else writes it any more.
+    #[test]
+    fn fixed_layout_reads_what_the_old_writer_wrote() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // arity
+        bytes.push(2);
+        bytes.extend_from_slice(&(-7i64).to_le_bytes());
+        bytes.push(3);
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(b"crow");
+        bytes.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes()); // an id
+        let mut d = Dec::fixed(&bytes);
+        assert_eq!(d.take_row().unwrap(), row![-7, "crow"]);
+        assert_eq!(d.take_id().unwrap(), 0xDEAD_BEEF);
         d.finish().unwrap();
     }
 
@@ -344,12 +530,22 @@ mod tests {
         // Unknown value tag.
         let mut d = Dec::new(&[9]);
         assert!(matches!(d.take_value(), Err(StorageError::Corrupt(_))));
-        // Absurd arity rejected before allocation.
+        // Absurd arity rejected before allocation, in both layouts.
         let mut e = Enc::new();
-        e.put_u32(u32::MAX);
+        e.put_var(u64::MAX);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert!(matches!(d.take_row(), Err(StorageError::Corrupt(_))));
+        let mut d = Dec::fixed(&[0xFF; 4]);
+        assert!(matches!(d.take_row(), Err(StorageError::Corrupt(_))));
+        // An id past 32 bits.
+        let mut e = Enc::new();
+        e.put_var(1 << 32);
+        let bytes = e.into_bytes();
+        assert!(matches!(
+            Dec::new(&bytes).take_id(),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -359,5 +555,137 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert!(matches!(d.take_str(), Err(StorageError::Corrupt(_))));
+    }
+
+    fn var_bytes(v: u64) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.put_var(v);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn varints_at_their_edges() {
+        let edges: [(u64, &[u8]); 6] = [
+            (0, &[0x00]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xAC, 0x02]),
+            (
+                1 << 63,
+                &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            ),
+            (
+                u64::MAX,
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01],
+            ),
+        ];
+        for (v, encoded) in edges {
+            assert_eq!(var_bytes(v), encoded, "{v}");
+            assert_eq!(decode_var(encoded), Ok((v, encoded.len())), "{v}");
+        }
+        for v in [i64::MIN, -1, 0, 1, i64::MAX] {
+            let mut e = Enc::new();
+            e.put_zig(v);
+            let bytes = e.into_bytes();
+            assert_eq!(Dec::new(&bytes).take_zig().unwrap(), v);
+        }
+        assert_eq!(
+            (zigzag(i64::MAX), zigzag(i64::MIN)),
+            (u64::MAX - 1, u64::MAX)
+        );
+    }
+
+    #[test]
+    fn malformed_varints_are_errors() {
+        let cases: [(&[u8], &str); 6] = [
+            (&[], "unterminated varint"),
+            (&[0x80], "unterminated varint"),
+            (&[0xFF; 9], "unterminated varint"),
+            // Zero and 1 spelled in two bytes: a value has one encoding.
+            (&[0x80, 0x00], "overlong varint"),
+            (&[0x81, 0x80, 0x00], "overlong varint"),
+            (&[0xFF; 11], "varint longer than ten bytes"),
+        ];
+        for (bytes, why) in cases {
+            assert_eq!(decode_var(bytes), Err(why), "{bytes:x?}");
+            let mut d = Dec::new(bytes);
+            assert!(matches!(d.take_var(), Err(StorageError::Corrupt(_))));
+        }
+        // A tenth byte may carry bit 63 and nothing more.
+        let mut past = [0xFF; 10];
+        past[9] = 0x02;
+        assert_eq!(decode_var(&past), Err("varint past 64 bits"));
+    }
+
+    fn any_u64() -> impl Strategy<Value = u64> {
+        // Both halves, shifted so that every length from 1 to 10 bytes
+        // comes up.
+        (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..64)
+            .prop_map(|(hi, lo, shift)| ((u64::from(hi) << 32) | u64::from(lo)) >> shift)
+    }
+
+    fn any_value() -> impl Strategy<Value = Value> {
+        let text = proptest::collection::vec(
+            prop_oneof![
+                Just('a'),
+                Just('z'),
+                Just(' '),
+                Just('é'),
+                Just('鳥'),
+                Just('🦉')
+            ],
+            0..12,
+        )
+        .prop_map(|chars| Value::str(chars.into_iter().collect::<String>()));
+        prop_oneof![
+            Just(Value::Null),
+            proptest::bool::ANY.prop_map(Value::Bool),
+            any_u64().prop_map(|v| Value::Int(v.cast_signed())),
+            text,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn varints_round_trip_in_their_shortest_form(v in any_u64(), z in any_u64()) {
+            let bytes = var_bytes(v);
+            // Shortest form: seven bits a byte, at least one byte.
+            prop_assert_eq!(bytes.len(), (64 - (v | 1).leading_zeros() as usize).div_ceil(7));
+            prop_assert_eq!(decode_var(&bytes), Ok((v, bytes.len())));
+            let z = z.cast_signed();
+            let mut e = Enc::new();
+            e.put_zig(z);
+            let bytes = e.into_bytes();
+            prop_assert_eq!(bytes.len(), var_bytes(zigzag(z)).len());
+            prop_assert_eq!(Dec::new(&bytes).take_zig().unwrap(), z);
+        }
+
+        #[test]
+        fn rows_round_trip_and_every_prefix_is_corrupt(
+            vals in proptest::collection::vec(any_value(), 0..6),
+        ) {
+            let r = Row::new(vals);
+            let mut e = Enc::new();
+            e.put_row(&r);
+            let bytes = e.into_bytes();
+            let mut d = Dec::new(&bytes);
+            prop_assert_eq!(d.take_row().unwrap(), r);
+            prop_assert!(d.finish().is_ok());
+            for cut in 0..bytes.len() {
+                let mut d = Dec::new(&bytes[..cut]);
+                prop_assert!(matches!(d.take_row(), Err(StorageError::Corrupt(_))), "cut {}", cut);
+            }
+        }
+
+        #[test]
+        fn garbage_decodes_to_an_error_or_a_value_never_a_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..24),
+        ) {
+            let _ = Dec::new(&bytes).take_row();
+            let _ = Dec::fixed(&bytes).take_row();
+            let _ = decode_var(&bytes);
+        }
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! | Module | Responsibility |
 //! |---|---|
-//! | [`format`](mod@format) | CRC32 + little-endian codec primitives ([`Value`](crate::Value)/[`Row`](crate::Row) included) |
-//! | [`wal`] | segmented, checksummed, length-prefixed log of opaque payloads |
+//! | [`format`](mod@format) | CRC32 + the varint codec ([`Value`](crate::Value)/[`Row`](crate::Row) included), and a reader of the old fixed-width layout |
+//! | [`wal`] | segmented, checksummed, varint-length-prefixed log of opaque payloads, LSNs implied |
 //! | [`snapshot`] | atomically-written full-state images with a WAL high-water mark |
 //! | [`recover`] | [`PersistEngine`]: open/create a directory, stitch snapshot + log tail |
 //!

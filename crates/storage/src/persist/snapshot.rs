@@ -9,6 +9,14 @@
 //! [b"BDBSNAP1"][hwm: u64 LE][payload_len: u64 LE][crc32: u32 LE][payload]
 //! ```
 //!
+//! This 28-byte envelope has not changed since the first release; what
+//! changed is the payload. `beliefdb-core` writes version 4 of it in the
+//! varint codec of [`super::format`] (the world directory, `R*` column by
+//! column with string dictionaries, statements as two varints each) and
+//! reads versions 1 to 3, the fixed-width layouts, as well. The CRC is
+//! what catches damage the payload decoder cannot see, such as a flipped
+//! letter inside a string.
+//!
 //! Writes go to a `.tmp` file, are fsynced, and renamed into place, so
 //! a crash mid-snapshot leaves the previous snapshot untouched and at
 //! most a stray temp file (ignored and cleaned on the next write).

@@ -4,18 +4,25 @@
 //! ## On-disk layout
 //!
 //! A log is a directory of segment files `wal-<first_lsn:016x>.log`.
-//! Each segment starts with a 16-byte header (`b"BDBWAL01"` + the
+//! Each segment starts with a 16-byte header (`b"BDBWAL02"` + the
 //! segment's first LSN, little-endian) followed by frames:
 //!
 //! ```text
-//! [payload_len: u32 LE][crc32: u32 LE][lsn: u64 LE][payload bytes]
+//! [payload_len: varint][crc32: u32 LE][payload bytes]
 //! ```
 //!
-//! The CRC covers the LSN and the payload, so a frame that was torn
-//! mid-write (partial tail after a crash) or bit-flipped at rest never
-//! decodes as valid. LSNs are assigned densely starting at the
-//! segment's `first_lsn`; replay verifies the sequence, so a dropped or
-//! duplicated frame is also detected.
+//! A frame's LSN is not written: frames are numbered densely from the
+//! segment's `first_lsn`, and the CRC covers the LSN the frame must have
+//! (8 bytes, little-endian) followed by the payload. A frame that was
+//! torn mid-write (partial tail after a crash), bit-flipped at rest, or
+//! dropped, duplicated or moved (its CRC was taken over another LSN) never
+//! decodes as valid.
+//!
+//! Version-1 segments (`b"BDBWAL01"`) wrote the LSN out, in a 16-byte
+//! frame header `[payload_len: u32][crc32: u32][lsn: u64]`. They are
+//! still replayed, but never appended to: [`Wal::open_from_replay`]
+//! starts a version-2 segment after one, so no segment mixes the two
+//! frame formats.
 //!
 //! ## Recovery contract
 //!
@@ -31,30 +38,51 @@
 //! power-loss durability additionally needs an fsync, which the log
 //! issues at three points: [`Wal::sync`] (called by the engine after
 //! every mutation batch when `sync_on_commit` is on — group commit, one
-//! `sync_data` per batch, and at every checkpoint), on segment rotation
-//! (the sealed file is `sync_all`ed before its successor opens), and on
+//! `sync_data` per batch), on segment rotation (the sealed file is
+//! `sync_all`ed before its successor opens; a checkpoint rotates), and on
 //! close (best-effort in `Drop`). Without `sync_on_commit` a power cut
 //! can lose frames still in the OS page cache — never tear the log —
 //! so the default trades the last few records for append throughput.
 
-use super::format::crc32;
+use super::format::{crc32, crc32_extend, decode_var, encode_var, MAX_VAR_LEN};
 use crate::error::{Result, StorageError};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes starting every segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"BDBWAL01";
+/// Magic bytes starting every segment file this log writes.
+pub const SEGMENT_MAGIC: &[u8; 8] = b"BDBWAL02";
+
+/// Frame format of the segments this log writes.
+const SEGMENT_VERSION: u8 = 2;
+
+/// Magic bytes of a version-1 segment (read, never written).
+const SEGMENT_MAGIC_V1: &[u8; 8] = b"BDBWAL01";
 
 /// Bytes before the first frame of a segment.
 pub const SEGMENT_HEADER_LEN: u64 = 16;
 
-/// Fixed bytes per frame in addition to the payload.
-pub const FRAME_HEADER_LEN: u64 = 16;
+/// Bytes of the shortest frame: a one-byte length and the CRC.
+const MIN_FRAME_LEN: u64 = 5;
+
+/// Fixed bytes per frame of a version-1 segment in addition to the
+/// payload.
+const FRAME_HEADER_LEN_V1: usize = 16;
 
 /// Upper bound on a single frame payload; a corrupt length field must
 /// not trigger a giant allocation.
-const MAX_FRAME_PAYLOAD: u32 = 1 << 26;
+const MAX_FRAME_PAYLOAD: usize = 1 << 26;
+
+/// Refuse a payload the reader would refuse. Compares in `usize`, so a
+/// payload of 4 GiB or more cannot wrap past the limit.
+fn check_frame_len(len: usize) -> Result<()> {
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(StorageError::Io(format!(
+            "WAL payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte frame limit"
+        )));
+    }
+    Ok(())
+}
 
 /// File name of the segment whose first record is `first_lsn`.
 pub fn segment_file_name(first_lsn: u64) -> String {
@@ -72,6 +100,8 @@ pub struct SegmentMeta {
     pub first_lsn: u64,
     pub frames: u64,
     pub bytes: u64,
+    /// Frame format: 2, or 1 for a segment an older writer left.
+    pub version: u8,
 }
 
 /// Everything [`replay`] learned from a log directory.
@@ -112,27 +142,41 @@ impl Wal {
             active,
             sealed: Vec::new(),
             next_lsn: start_lsn,
-            segment_limit: segment_limit.max(SEGMENT_HEADER_LEN + FRAME_HEADER_LEN),
+            segment_limit: segment_limit.max(SEGMENT_HEADER_LEN + MIN_FRAME_LEN),
             syncs: 0,
         })
     }
 
     /// Reopen the log after [`replay`]: appends continue in the last
-    /// live segment (or a fresh one when the directory has none).
+    /// live segment, or in a fresh one when the directory has none or
+    /// the last one is a version-1 segment. That one is sealed as it is
+    /// (fsynced first, as rotation does), or deleted when it holds no
+    /// frame, since its successor takes its file name.
     pub fn open_from_replay(dir: &Path, replay: &WalReplay, segment_limit: u64) -> Result<Wal> {
         let Some((last, sealed)) = replay.segments.split_last() else {
             return Wal::create(dir, replay.next_lsn, segment_limit);
         };
-        let file = OpenOptions::new()
-            .append(true)
-            .open(dir.join(segment_file_name(last.first_lsn)))?;
+        let path = dir.join(segment_file_name(last.first_lsn));
+        if last.version != SEGMENT_VERSION {
+            let mut sealed = sealed.to_vec();
+            if last.frames == 0 {
+                std::fs::remove_file(&path)?;
+            } else {
+                File::open(&path)?.sync_all()?;
+                sealed.push(last.clone());
+            }
+            let mut wal = Wal::create(dir, replay.next_lsn, segment_limit)?;
+            wal.sealed = sealed;
+            return Ok(wal);
+        }
+        let file = OpenOptions::new().append(true).open(path)?;
         Ok(Wal {
             dir: dir.to_path_buf(),
             writer: BufWriter::new(file),
             active: last.clone(),
             sealed: sealed.to_vec(),
             next_lsn: replay.next_lsn,
-            segment_limit: segment_limit.max(SEGMENT_HEADER_LEN + FRAME_HEADER_LEN),
+            segment_limit: segment_limit.max(SEGMENT_HEADER_LEN + MIN_FRAME_LEN),
             syncs: 0,
         })
     }
@@ -141,27 +185,22 @@ impl Wal {
     /// OS before returning. Rotates to a new segment when the active
     /// one exceeds the segment size limit.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
-        if payload.len() as u32 > MAX_FRAME_PAYLOAD {
-            return Err(StorageError::Io(format!(
-                "WAL payload of {} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte frame limit",
-                payload.len()
-            )));
-        }
+        check_frame_len(payload.len())?;
         if self.active.bytes >= self.segment_limit {
             self.rotate()?;
         }
         let lsn = self.next_lsn;
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.extend_from_slice(&lsn.to_le_bytes());
-        crc_input.extend_from_slice(payload);
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc32(&crc_input).to_le_bytes())?;
-        self.writer.write_all(&crc_input)?;
+        let mut header = [0u8; MAX_VAR_LEN + 4];
+        let varint = header.first_chunk_mut().expect("the header holds a varint");
+        let n = encode_var(payload.len() as u64, varint);
+        let crc = crc32_extend(crc32(&lsn.to_le_bytes()), payload);
+        header[n..n + 4].copy_from_slice(&crc.to_le_bytes());
+        self.writer.write_all(&header[..n + 4])?;
+        self.writer.write_all(payload)?;
         self.writer.flush()?;
         self.next_lsn += 1;
         self.active.frames += 1;
-        self.active.bytes += FRAME_HEADER_LEN + payload.len() as u64;
+        self.active.bytes += (n + 4 + payload.len()) as u64;
         crate::obs::metrics().incr(crate::obs::Metric::WalAppends);
         Ok(lsn)
     }
@@ -169,7 +208,7 @@ impl Wal {
     /// Flush buffered frames and `sync_data` the active segment: after
     /// this returns, every appended frame survives power loss. The
     /// engine calls this once per mutation batch when `sync_on_commit`
-    /// is on (group commit) and at every checkpoint.
+    /// is on (group commit).
     pub fn sync(&mut self) -> Result<()> {
         self.writer.flush()?;
         self.writer.get_ref().sync_data()?;
@@ -269,6 +308,7 @@ fn new_segment(dir: &Path, first_lsn: u64) -> Result<(BufWriter<File>, SegmentMe
             first_lsn,
             frames: 0,
             bytes: SEGMENT_HEADER_LEN,
+            version: SEGMENT_VERSION,
         },
     ))
 }
@@ -327,6 +367,7 @@ pub fn replay_covered(dir: &Path, hwm: u64) -> Result<WalReplay> {
                 records: Vec::new(),
                 valid_bytes: None,
                 clean: false,
+                version: 0,
             }
         };
         match scan.valid_bytes {
@@ -345,6 +386,7 @@ pub fn replay_covered(dir: &Path, hwm: u64) -> Result<WalReplay> {
                     first_lsn: *first_lsn,
                     frames,
                     bytes: valid_bytes,
+                    version: scan.version,
                 });
                 if !scan.clean {
                     // Torn or corrupt tail: cut it off and stop here.
@@ -380,92 +422,132 @@ struct SegmentScan {
     valid_bytes: Option<u64>,
     /// True iff the whole file was valid.
     clean: bool,
+    /// Frame format named by the header.
+    version: u8,
+}
+
+/// The frame format and first LSN a segment's header names, or `None`
+/// when it is not a segment header.
+fn segment_header(bytes: &[u8]) -> Option<(u8, u64)> {
+    let header = bytes.get(..SEGMENT_HEADER_LEN as usize)?;
+    let version = match &header[..8] {
+        m if m == SEGMENT_MAGIC => SEGMENT_VERSION,
+        m if m == SEGMENT_MAGIC_V1 => 1,
+        _ => return None,
+    };
+    Some((
+        version,
+        u64::from_le_bytes(header[8..].try_into().expect("8")),
+    ))
+}
+
+/// Walk the frames of a segment file after its header: `(offset, frame
+/// length, payload range)` of each valid one, in order. Stops at the
+/// first frame that is torn or corrupt.
+fn frames(
+    bytes: &[u8],
+    version: u8,
+    first_lsn: u64,
+) -> Vec<(usize, usize, std::ops::Range<usize>)> {
+    let mut out = Vec::new();
+    let mut pos = SEGMENT_HEADER_LEN as usize;
+    let mut lsn = first_lsn;
+    while pos < bytes.len() {
+        let buf = &bytes[pos..];
+        let frame = match version {
+            SEGMENT_VERSION => decode_frame(buf, lsn),
+            _ => decode_frame_v1(buf, lsn),
+        };
+        let Some((payload, frame_len)) = frame else {
+            break;
+        };
+        out.push((pos, frame_len, pos + payload.start..pos + payload.end));
+        pos += frame_len;
+        lsn += 1;
+    }
+    out
 }
 
 fn scan_segment(path: &Path, first_lsn: u64) -> Result<SegmentScan> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < SEGMENT_HEADER_LEN as usize
-        || &bytes[..8] != SEGMENT_MAGIC
-        || u64::from_le_bytes(bytes[8..16].try_into().expect("8")) != first_lsn
-    {
-        return Ok(SegmentScan {
-            records: Vec::new(),
-            valid_bytes: None,
-            clean: false,
-        });
-    }
-    let mut records = Vec::new();
-    let mut pos = SEGMENT_HEADER_LEN as usize;
-    let mut lsn = first_lsn;
-    let mut clean = true;
-    while pos < bytes.len() {
-        let Some(frame) = decode_frame(&bytes[pos..], lsn) else {
-            clean = false;
-            break;
-        };
-        let (payload, frame_len) = frame;
-        records.push((lsn, payload));
-        lsn += 1;
-        pos += frame_len;
-    }
+    let version = match segment_header(&bytes) {
+        Some((version, lsn)) if lsn == first_lsn => version,
+        _ => {
+            return Ok(SegmentScan {
+                records: Vec::new(),
+                valid_bytes: None,
+                clean: false,
+                version: 0,
+            })
+        }
+    };
+    let valid = frames(&bytes, version, first_lsn);
+    let end = valid
+        .last()
+        .map_or(SEGMENT_HEADER_LEN as usize, |(off, len, _)| off + len);
+    let records = (first_lsn..)
+        .zip(valid)
+        .map(|(lsn, (_, _, payload))| (lsn, bytes[payload].to_vec()))
+        .collect();
     Ok(SegmentScan {
         records,
-        valid_bytes: Some(pos as u64),
-        clean,
+        valid_bytes: Some(end as u64),
+        clean: end == bytes.len(),
+        version,
     })
 }
 
-/// Decode one frame at the start of `buf`, verifying length, CRC, and
-/// the expected LSN. Returns `(payload, frame length)` or `None` when
-/// the frame is torn or corrupt.
-fn decode_frame(buf: &[u8], expected_lsn: u64) -> Option<(Vec<u8>, usize)> {
-    if buf.len() < FRAME_HEADER_LEN as usize {
-        return None;
-    }
-    let payload_len = u32::from_le_bytes(buf[0..4].try_into().expect("4"));
+/// Decode one version-2 frame at the start of `buf`, which must be the
+/// frame of `expected_lsn`. Returns `(payload range, frame length)` or
+/// `None` when the frame is torn or corrupt.
+fn decode_frame(buf: &[u8], expected_lsn: u64) -> Option<(std::ops::Range<usize>, usize)> {
+    let (len, n) = decode_var(buf).ok()?;
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&l| l <= MAX_FRAME_PAYLOAD)?;
+    let total = n + 4 + len;
+    let frame = buf.get(..total)?;
+    let crc = u32::from_le_bytes(frame[n..n + 4].try_into().expect("4"));
+    let payload = n + 4..total;
+    (crc32_extend(crc32(&expected_lsn.to_le_bytes()), &frame[payload.clone()]) == crc)
+        .then_some((payload, total))
+}
+
+/// [`decode_frame`] for a version-1 frame, whose header holds its length,
+/// CRC and LSN in 16 fixed bytes.
+fn decode_frame_v1(buf: &[u8], expected_lsn: u64) -> Option<(std::ops::Range<usize>, usize)> {
+    let header = buf.get(..FRAME_HEADER_LEN_V1)?;
+    let payload_len = u32::from_le_bytes(header[0..4].try_into().expect("4")) as usize;
     if payload_len > MAX_FRAME_PAYLOAD {
         return None;
     }
-    let total = FRAME_HEADER_LEN as usize + payload_len as usize;
-    if buf.len() < total {
+    let total = FRAME_HEADER_LEN_V1 + payload_len;
+    let frame = buf.get(..total)?;
+    let crc = u32::from_le_bytes(frame[4..8].try_into().expect("4"));
+    let body = &frame[8..];
+    if crc32(body) != crc || u64::from_le_bytes(body[..8].try_into().expect("8")) != expected_lsn {
         return None;
     }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4"));
-    let body = &buf[8..total];
-    if crc32(body) != crc {
-        return None;
-    }
-    let lsn = u64::from_le_bytes(body[..8].try_into().expect("8"));
-    if lsn != expected_lsn {
-        return None;
-    }
-    Some((body[8..].to_vec(), total))
+    Some((FRAME_HEADER_LEN_V1..total, total))
 }
 
 /// Byte spans `(offset, length)` of the valid frames in a segment file
-/// — exposed for fault-injection tests and offline inspection tools.
+/// of either version — exposed for fault-injection tests and offline
+/// inspection tools.
 pub fn frame_spans(path: &Path) -> Result<Vec<(u64, u64)>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < SEGMENT_HEADER_LEN as usize || &bytes[..8] != SEGMENT_MAGIC {
+    let Some((version, first_lsn)) = segment_header(&bytes) else {
         return Err(StorageError::Corrupt(format!(
             "{} is not a WAL segment",
             path.display()
         )));
-    }
-    let mut lsn = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
-    let mut pos = SEGMENT_HEADER_LEN as usize;
-    let mut spans = Vec::new();
-    while pos < bytes.len() {
-        let Some((_, frame_len)) = decode_frame(&bytes[pos..], lsn) else {
-            break;
-        };
-        spans.push((pos as u64, frame_len as u64));
-        pos += frame_len;
-        lsn += 1;
-    }
-    Ok(spans)
+    };
+    Ok(frames(&bytes, version, first_lsn)
+        .into_iter()
+        .map(|(off, len, _)| (off as u64, len as u64))
+        .collect())
 }
 
 #[cfg(test)]
@@ -563,8 +645,8 @@ mod tests {
         let spans = frame_spans(&seg).unwrap();
         let mut bytes = std::fs::read(&seg).unwrap();
         // Flip one payload byte of frame 2.
-        let (off, _) = spans[2];
-        bytes[(off + FRAME_HEADER_LEN) as usize] ^= 0x40;
+        let (off, len) = spans[2];
+        bytes[(off + len - 1) as usize] ^= 0x40;
         std::fs::write(&seg, &bytes).unwrap();
         let replay = replay(&dir).unwrap();
         assert!(replay.truncated);
@@ -656,5 +738,134 @@ mod tests {
         assert!(replay.truncated);
         assert!(list_segments(&dir).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn frame_limit_is_checked_without_wrapping() {
+        assert!(check_frame_len(0).is_ok());
+        assert!(check_frame_len(MAX_FRAME_PAYLOAD).is_ok());
+        for len in [
+            MAX_FRAME_PAYLOAD + 1,
+            u32::MAX as usize,
+            u32::MAX as usize + 1,
+        ] {
+            assert!(
+                matches!(check_frame_len(len), Err(StorageError::Io(_))),
+                "{len} bytes"
+            );
+        }
+        // `u32::MAX + 1` wrapped to 0 under a `u32` comparison.
+        assert_eq!((u32::MAX as usize + 1) as u32, 0);
+    }
+
+    #[test]
+    fn a_frame_costs_its_varint_length_and_crc() {
+        let dir = temp_dir("size");
+        let mut wal = Wal::create(&dir, 7, 1 << 20).unwrap();
+        for len in [0usize, 127, 128, 300] {
+            let before = wal.bytes();
+            wal.append(&vec![0xAB; len]).unwrap();
+            let header = if len < 128 { 1 } else { 2 };
+            assert_eq!(wal.bytes() - before, (header + 4 + len) as u64, "{len}");
+        }
+        drop(wal);
+        let seg = dir.join(segment_file_name(7));
+        assert_eq!(&std::fs::read(&seg).unwrap()[..8], SEGMENT_MAGIC);
+        let lens: Vec<u64> = frame_spans(&seg).unwrap().iter().map(|s| s.1).collect();
+        assert_eq!(lens, [5, 132, 134, 306]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// No frame carries its LSN, so the CRC is all that ties a frame to
+    /// its place: a frame dropped, repeated or swapped with its neighbour
+    /// ends the valid prefix where it lands.
+    #[test]
+    fn a_dropped_repeated_or_swapped_frame_fails_its_crc() {
+        let dir = temp_dir("implied");
+        let mut wal = Wal::create(&dir, 0, 1 << 20).unwrap();
+        for p in [b"one", b"two", b"six"] {
+            wal.append(p).unwrap();
+        }
+        drop(wal);
+        let seg = dir.join(segment_file_name(0));
+        let full = std::fs::read(&seg).unwrap();
+        let spans = frame_spans(&seg).unwrap();
+        let frame = |k: usize| {
+            let (off, len) = spans[k];
+            &full[off as usize..(off + len) as usize]
+        };
+        let header = &full[..SEGMENT_HEADER_LEN as usize];
+        let layouts: [(&str, Vec<&[u8]>, usize); 3] = [
+            ("dropped", vec![frame(0), frame(2)], 1),
+            ("repeated", vec![frame(0), frame(0), frame(1)], 1),
+            ("swapped", vec![frame(1), frame(0), frame(2)], 0),
+        ];
+        for (what, frames, valid) in layouts {
+            let mut bytes = header.to_vec();
+            for f in &frames {
+                bytes.extend_from_slice(f);
+            }
+            std::fs::write(&seg, &bytes).unwrap();
+            let replay = replay(&dir).unwrap();
+            assert!(replay.truncated, "{what}");
+            assert_eq!(replay.records.len(), valid, "{what}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A version-1 segment as the old writer framed it: 16-byte header
+    /// with the LSN written out.
+    fn write_v1_segment(dir: &Path, first_lsn: u64, payloads: &[&[u8]]) {
+        let mut bytes = SEGMENT_MAGIC_V1.to_vec();
+        bytes.extend_from_slice(&first_lsn.to_le_bytes());
+        for (lsn, p) in (first_lsn..).zip(payloads) {
+            let mut body = lsn.to_le_bytes().to_vec();
+            body.extend_from_slice(p);
+            bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+            bytes.extend_from_slice(&body);
+        }
+        std::fs::write(dir.join(segment_file_name(first_lsn)), bytes).unwrap();
+    }
+
+    #[test]
+    fn version_1_segments_replay_and_appends_go_to_a_version_2_one() {
+        let dir = temp_dir("v1");
+        write_v1_segment(&dir, 0, &[b"old", b"older"]);
+        let seg0 = dir.join(segment_file_name(0));
+        assert_eq!(frame_spans(&seg0).unwrap(), [(16, 19), (35, 21)]);
+        let replayed = replay(&dir).unwrap();
+        assert!(!replayed.truncated);
+        assert_eq!(payloads(&replayed), [b"old".to_vec(), b"older".to_vec()]);
+        assert_eq!(replayed.segments[0].version, 1);
+        let v1_bytes = std::fs::read(&seg0).unwrap();
+        let mut wal = Wal::open_from_replay(&dir, &replayed, 1 << 20).unwrap();
+        assert_eq!(wal.append(b"new").unwrap(), 2);
+        drop(wal);
+        // The old segment is untouched; the append opened segment 2.
+        assert_eq!(std::fs::read(&seg0).unwrap(), v1_bytes);
+        let live = list_segments(&dir).unwrap();
+        assert_eq!(live.iter().map(|s| s.0).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(&std::fs::read(&live[1].1).unwrap()[..8], SEGMENT_MAGIC);
+        let again = replay(&dir).unwrap();
+        assert_eq!(
+            again.segments.iter().map(|s| s.version).collect::<Vec<_>>(),
+            [1, 2]
+        );
+        assert_eq!(payloads(&again).len(), 3);
+
+        // An empty version-1 segment is replaced by a version-2 one.
+        let dir2 = temp_dir("v1-empty");
+        write_v1_segment(&dir2, 5, &[]);
+        let replayed = replay(&dir2).unwrap();
+        let mut wal = Wal::open_from_replay(&dir2, &replayed, 1 << 20).unwrap();
+        assert_eq!(wal.append(b"x").unwrap(), 5);
+        drop(wal);
+        let live = list_segments(&dir2).unwrap();
+        assert_eq!(live.len(), 1);
+        assert_eq!(&std::fs::read(&live[0].1).unwrap()[..8], SEGMENT_MAGIC);
+        assert_eq!(payloads(&replay(&dir2).unwrap()), [b"x".to_vec()]);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir2).unwrap();
     }
 }

@@ -395,6 +395,26 @@ impl Table {
         Ok(self.heap.cell(rid, col))
     }
 
+    /// The string dictionary of column `col` when the column holds
+    /// strings and NULLs only: every string it has held, in the order it
+    /// first met them, deleted rows' included. `None` for any other
+    /// column. With [`Table::code`], a column can be written out as
+    /// dictionary codes without hashing a string.
+    pub fn dictionary(&self, col: usize) -> Result<Option<&[Arc<str>]>> {
+        self.check_column(col)?;
+        Ok(self.heap.dictionary(col))
+    }
+
+    /// The position in [`Table::dictionary`] of a live row's string cell;
+    /// `None` when the cell is NULL or the column has no dictionary.
+    pub fn code(&self, rid: RowId, col: usize) -> Result<Option<u32>> {
+        if !self.heap.is_live(rid) {
+            return Err(self.invalid_row_id(rid));
+        }
+        self.check_column(col)?;
+        Ok(self.heap.code(rid, col))
+    }
+
     /// Delete a row by id, returning it.
     pub fn delete(&mut self, rid: RowId) -> Result<Row> {
         let row = self.get(rid)?;

@@ -17,19 +17,22 @@
 //! * **snapshot loss** — the only snapshot corrupted: open must fail
 //!   cleanly, not panic or half-recover.
 //!
-//! The snapshot format is pinned too. A version-1 snapshot (written
-//! before the policy byte existed) opens as an `Eager` store, and a
-//! version-2 one (statements spelled out) opens as its store and is
-//! rewritten as version 3 (statements as `(wid, tid, sign)` ids) by the
-//! next checkpoint. `Lazy` and `Eager` stores come back as themselves,
-//! and forged version-3 payloads with a valid checksum fail the open as
-//! `Corrupt`.
+//! The formats are pinned too. A version-1 snapshot (written before the
+//! policy byte existed) opens as an `Eager` store, and a version-2 one
+//! (statements spelled out) opens as its store and is rewritten as
+//! version 4 (the varint codec, `R*` column by column) by the next
+//! checkpoint. A directory the previous release left — a version-3
+//! snapshot and version-1 WAL segments — opens as its store, takes new
+//! appends in a version-2 segment and checkpoints to version 4. `Lazy`
+//! and `Eager` stores come back as themselves, and forged version-3 and
+//! version-4 payloads with a valid checksum fail the open as `Corrupt`.
 
 use beliefdb::core::persist::SnapshotData;
 use beliefdb::core::prelude::*;
 use beliefdb::core::DefaultPolicy;
 use beliefdb::storage::persist::{
-    frame_spans, list_segments, snapshot, Enc, PersistEngine, PersistOptions,
+    crc32, frame_spans, list_segments, segment_file_name, snapshot, Enc, PersistEngine,
+    PersistOptions,
 };
 use beliefdb::storage::row;
 use beliefdb::storage::StorageError;
@@ -440,44 +443,91 @@ fn auto_checkpoint_kicks_in_and_bounds_the_log() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A snapshot of `store` in the version-1 or -2 layout, which the
-/// production writer no longer emits: schema, users, worlds in wid order,
-/// `R*` tuples in tid order, then every explicit statement spelled out as
-/// path, relation, row and sign. Version 2 puts the policy byte after the
-/// version byte; version 1 has none.
-fn legacy_image(version: u8, store: &Bdms) -> Vec<u8> {
-    fn put_path(e: &mut Enc, path: &BeliefPath) {
-        e.put_u32(path.depth() as u32);
-        for u in path.users() {
-            e.put_u32(u.0);
+/// The fixed-width layout of the previous release's formats (u32 counts,
+/// ids and lengths, i64 integers, little-endian), which the production
+/// writers no longer emit.
+#[derive(Default)]
+struct Fixed(Vec<u8>);
+
+impl Fixed {
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    fn str(&mut self, v: &str) {
+        self.u32(v.len() as u32);
+        self.0.extend_from_slice(v.as_bytes());
+    }
+    fn row(&mut self, row: &beliefdb::storage::Row) {
+        use beliefdb::storage::Value;
+        self.u32(row.arity() as u32);
+        for v in row.values() {
+            match v {
+                Value::Null => self.u8(0),
+                Value::Bool(b) => {
+                    self.u8(1);
+                    self.u8(*b as u8);
+                }
+                Value::Int(i) => {
+                    self.u8(2);
+                    self.0.extend_from_slice(&i.to_le_bytes());
+                }
+                Value::Str(s) => {
+                    self.u8(3);
+                    self.str(s);
+                }
+            }
         }
     }
+    fn path(&mut self, path: &BeliefPath) {
+        self.u32(path.depth() as u32);
+        for u in path.users() {
+            self.u32(u.0);
+        }
+    }
+    fn statement(&mut self, stmt: &BeliefStatement) {
+        self.path(&stmt.path);
+        self.u32(stmt.tuple.rel.0);
+        self.row(&stmt.tuple.row);
+        self.u8(stmt.sign.code());
+    }
+}
+
+/// A snapshot of `store` in the version-1, -2 or -3 layout, which the
+/// production writer no longer emits: schema, users, worlds in wid order,
+/// `R*` tuples in tid order, then every explicit statement — spelled out
+/// as path, relation, row and sign (versions 1 and 2), or as
+/// `(wid u32, tid u32, sign u8)` (version 3). Versions 2 and 3 put the
+/// policy byte after the version byte; version 1 has none.
+fn legacy_image(version: u8, store: &Bdms) -> Vec<u8> {
     let internal = store.internal();
-    let mut e = Enc::new();
-    e.put_u8(version);
-    if version == 2 {
-        e.put_u8(match store.policy() {
+    let mut f = Fixed::default();
+    f.u8(version);
+    if version >= 2 {
+        f.u8(match store.policy() {
             DefaultPolicy::Eager => 0,
             DefaultPolicy::Lazy => 1,
         });
     }
     let relations = store.schema().relations();
-    e.put_u32(relations.len() as u32);
+    f.u32(relations.len() as u32);
     for r in relations {
-        e.put_str(r.name());
-        e.put_u32(r.columns().len() as u32);
+        f.str(r.name());
+        f.u32(r.columns().len() as u32);
         for c in r.columns() {
-            e.put_str(c);
+            f.str(c);
         }
     }
     let users = store.users();
-    e.put_u32(users.len() as u32);
+    f.u32(users.len() as u32);
     for u in users {
-        e.put_str(store.user_name(u).unwrap());
+        f.str(store.user_name(u).unwrap());
     }
-    e.put_u32(internal.directory().len() as u32);
+    f.u32(internal.directory().len() as u32);
     for (_, path) in internal.directory().iter() {
-        put_path(&mut e, path);
+        f.path(path);
     }
     // `R*` rows by tid: `(tid, attributes...)` in every relation's table.
     let mut tuples = std::collections::BTreeMap::new();
@@ -488,20 +538,78 @@ fn legacy_image(version: u8, store: &Bdms) -> Vec<u8> {
             tuples.insert(Tid::from_value(&r[0]).unwrap(), (rel as u32, row));
         }
     }
-    e.put_u32(tuples.len() as u32);
+    f.u32(tuples.len() as u32);
     for (rel, row) in tuples.values() {
-        e.put_u32(*rel);
-        e.put_row(row);
+        f.u32(*rel);
+        f.row(row);
     }
     let statements = store.to_belief_database().unwrap().statements();
-    e.put_u32(statements.len() as u32);
+    f.u32(statements.len() as u32);
     for stmt in &statements {
-        put_path(&mut e, &stmt.path);
-        e.put_u32(stmt.tuple.rel.0);
-        e.put_row(&stmt.tuple.row);
-        e.put_u8(stmt.sign.code());
+        if version < 3 {
+            f.statement(stmt);
+            continue;
+        }
+        let (wid, _) = internal
+            .directory()
+            .iter()
+            .find(|(_, p)| **p == stmt.path)
+            .unwrap();
+        let key = (stmt.tuple.rel.0, stmt.tuple.row.clone());
+        let (tid, _) = tuples.iter().find(|(_, t)| **t == key).unwrap();
+        f.u32(wid.0);
+        f.u32(tid.0);
+        f.u8(stmt.sign.code());
     }
-    e.into_bytes()
+    f.0
+}
+
+/// The WAL v1 payload of `op`: tag 1 to 4, then its fields fixed-width.
+fn legacy_record(op: &Op) -> Vec<u8> {
+    let mut f = Fixed::default();
+    match op {
+        Op::User(name) => {
+            f.u8(1);
+            f.str(name);
+        }
+        Op::Insert(stmt) => {
+            f.u8(2);
+            f.statement(stmt);
+        }
+        Op::Delete(stmt) => {
+            f.u8(3);
+            f.statement(stmt);
+        }
+        Op::Update(path, rel, old, new) => {
+            f.u8(4);
+            f.path(path);
+            f.u32(rel.0);
+            f.row(old);
+            f.row(new);
+        }
+    }
+    f.0
+}
+
+/// A directory as the previous release left it after `ops[..k]`: its
+/// last checkpoint, a version-3 snapshot of `ops[..hwm]`, and one
+/// version-1 segment (16-byte frame headers, the LSN written out) holding
+/// `ops[hwm..k]`.
+fn legacy_dir(tag: &str, hwm: usize, k: usize) -> PathBuf {
+    let dir = temp_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    snapshot::write_snapshot(&dir, hwm as u64, &legacy_image(3, &expected_after(hwm))).unwrap();
+    let mut seg = b"BDBWAL01".to_vec();
+    seg.extend_from_slice(&(hwm as u64).to_le_bytes());
+    for (lsn, op) in (hwm as u64..).zip(&history()[hwm..k]) {
+        let mut body = lsn.to_le_bytes().to_vec();
+        body.extend_from_slice(&legacy_record(op));
+        seg.extend_from_slice(&((body.len() - 8) as u32).to_le_bytes());
+        seg.extend_from_slice(&crc32(&body).to_le_bytes());
+        seg.extend_from_slice(&body);
+    }
+    std::fs::write(dir.join(segment_file_name(hwm as u64)), seg).unwrap();
+    dir
 }
 
 /// A fresh durable directory whose only state is a snapshot with `payload`.
@@ -533,10 +641,10 @@ fn version_1_snapshot_opens_as_eager() {
 }
 
 /// A version-2 snapshot (statements spelled out) opens as the store it
-/// was taken of; the next checkpoint writes version 3, which opens as the
+/// was taken of; the next checkpoint writes version 4, which opens as the
 /// same store again.
 #[test]
-fn version_2_snapshot_opens_and_is_rewritten_as_version_3() {
+fn version_2_snapshot_opens_and_is_rewritten_as_version_4() {
     for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
         let want = expected_under(policy, history().len());
         let v2 = legacy_image(2, &want);
@@ -546,12 +654,12 @@ fn version_2_snapshot_opens_and_is_rewritten_as_version_3() {
         assert_same(&reopened, &want, "version-2 snapshot");
         reopened.checkpoint().unwrap();
         drop(reopened);
-        let v3 = latest_snapshot(&dir);
-        assert_eq!(v3[..2], [3, v2[1]], "version and policy bytes");
-        assert!(v3.len() < v2.len(), "{} B vs {} B", v3.len(), v2.len());
+        let v4 = latest_snapshot(&dir);
+        assert_eq!(v4[..2], [4, v2[1]], "version and policy bytes");
+        assert!(v4.len() < v2.len(), "{} B vs {} B", v4.len(), v2.len());
         let again = Bdms::open(&dir).unwrap();
         assert_eq!(again.policy(), policy);
-        assert_same(&again, &want, "version-3 rewrite of a version-2 snapshot");
+        assert_same(&again, &want, "version-4 rewrite of a version-2 snapshot");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -606,14 +714,9 @@ fn eager_store_survives_checkpoint_and_reopen() {
 /// with `Corrupt`, without a panic.
 #[test]
 fn forged_version_3_snapshots_are_corrupt() {
-    let dir = temp_dir("forge-src");
-    let mut built = build(&dir, None);
-    built.checkpoint().unwrap();
-    let image = latest_snapshot(&dir);
+    let image = legacy_image(3, &expected_after(history().len()));
     let parsed = SnapshotData::decode(&image).unwrap();
     let (nworlds, ntuples) = (parsed.worlds.len() as u32, parsed.tuples.len() as u32);
-    drop(built);
-    std::fs::remove_dir_all(&dir).unwrap();
     // The statement section closes the payload: a u32 count, then 9 bytes
     // (wid u32, tid u32, sign u8) per statement.
     let n = parsed.statements.len();
@@ -690,4 +793,170 @@ fn lazy_store_survives_checkpoint_and_reopen() {
         assert_eq!(reopened.query(&q).unwrap(), eager.query(&q).unwrap());
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Version-4 payloads with a valid checksum but one fault each in the
+/// statement section — a world or a tuple past the image's lists, a tid
+/// past 32 bits, a statement count larger than the payload, malformed
+/// varints — fail the open with `Corrupt`, without a panic.
+#[test]
+fn forged_version_4_snapshots_are_corrupt() {
+    let dir = temp_dir("forge4-src");
+    let mut built = build(&dir, None);
+    built.checkpoint().unwrap();
+    let image = latest_snapshot(&dir);
+    drop(built);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(image[0], 4);
+    let parsed = SnapshotData::decode(&image).unwrap();
+    let (nworlds, ntuples) = (parsed.worlds.len() as u64, parsed.tuples.len() as u64);
+    // The statement section closes the payload: a varint count, then per
+    // statement its wid and its tid doubled plus the sign bit.
+    let mut section = Enc::new();
+    section.put_var(parsed.statements.len() as u64);
+    for s in &parsed.statements {
+        section.put_var(s.wid.0.into());
+        section.put_var((u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg));
+    }
+    let at = image.len() - section.bytes().len();
+    assert_eq!(image[at..], section.bytes()[..]);
+    let forge = |statements: &[&[u64]], tail: &[u8]| {
+        let mut e = Enc::new();
+        e.put_var(statements.len() as u64);
+        for s in statements {
+            for &v in *s {
+                e.put_var(v);
+            }
+        }
+        let mut forged = image[..at].to_vec();
+        forged.extend_from_slice(e.bytes());
+        forged.extend_from_slice(tail);
+        forged
+    };
+    // A well-formed forgery opens, so each fault below is the only one.
+    let dir = dir_with_snapshot("forged4-ok", &forge(&[&[0, 0]], &[]));
+    Bdms::open(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let count_past = {
+        let mut f = forge(&[&[0, 0]], &[]);
+        f[at] = 2;
+        f
+    };
+    let section = |bytes: &[u8]| [&image[..at], bytes].concat();
+    let cases = [
+        ("wid past the worlds", forge(&[&[nworlds, 0]], &[])),
+        ("wid past 32 bits", forge(&[&[1 << 32, 0]], &[])),
+        ("tid past the tuples", forge(&[&[0, ntuples << 1]], &[])),
+        ("tid past 32 bits", forge(&[&[0, 1 << 33]], &[])),
+        ("count past the payload", count_past),
+        (
+            "count u64::MAX",
+            section(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]),
+        ),
+        ("overlong count", section(&[0x81, 0x00, 0, 0])),
+        ("unterminated varint", section(&[1, 0, 0x80])),
+        ("varint past ten bytes", section(&[0xFF; 11])),
+    ];
+    for (fault, forged) in cases {
+        let dir = dir_with_snapshot("forged4", &forged);
+        match Bdms::open(&dir) {
+            Err(BeliefError::Storage(StorageError::Corrupt(_))) => {}
+            other => panic!("{fault}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A directory in the previous release's formats — a version-3 snapshot
+/// and a version-1 segment — opens as its store, appends into a fresh
+/// version-2 segment (never into the version-1 one), reopens unchanged,
+/// and comes out as version 4 after a checkpoint.
+#[test]
+fn previous_release_directory_opens_appends_and_upgrades() {
+    let n = history().len();
+    let (hwm, k) = (6, 10);
+    let dir = legacy_dir("legacy", hwm, k);
+    let v1_segment = dir.join(segment_file_name(hwm as u64));
+    let v1_bytes = std::fs::read(&v1_segment).unwrap();
+    assert_eq!(frame_spans(&v1_segment).unwrap().len(), k - hwm);
+
+    let mut reopened = Bdms::open(&dir).unwrap();
+    assert_same(&reopened, &expected_after(k), "previous-release directory");
+    let stats = reopened.wal_stats().unwrap();
+    assert_eq!((stats.snapshot_hwm, stats.next_lsn), (hwm as u64, k as u64));
+
+    for op in &history()[k..] {
+        apply(&mut reopened, op);
+    }
+    assert_same(&reopened, &expected_after(n), "appends after the upgrade");
+    drop(reopened);
+    assert_eq!(
+        std::fs::read(&v1_segment).unwrap(),
+        v1_bytes,
+        "v1 segment untouched"
+    );
+    let segments = list_segments(&dir).unwrap();
+    assert_eq!(
+        segments.iter().map(|s| s.0).collect::<Vec<_>>(),
+        [hwm as u64, k as u64]
+    );
+    let new_segment = std::fs::read(&segments[1].1).unwrap();
+    assert_eq!(&new_segment[..8], b"BDBWAL02");
+    assert_eq!(frame_spans(&segments[1].1).unwrap().len(), n - k);
+
+    let mut again = Bdms::open(&dir).unwrap();
+    assert_same(&again, &expected_after(n), "reopen after the upgrade");
+    assert_eq!(list_segments(&dir).unwrap().len(), 2);
+    again.checkpoint().unwrap();
+    assert_eq!(latest_snapshot(&dir)[0], 4);
+    let segments = list_segments(&dir).unwrap();
+    assert_eq!(segments.len(), 1);
+    assert_eq!(&std::fs::read(&segments[0].1).unwrap()[..8], b"BDBWAL02");
+    drop(again);
+    let upgraded = Bdms::open(&dir).unwrap();
+    assert_same(&upgraded, &expected_after(n), "version-4 checkpoint");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The fault matrix on a version-1 segment: its last frame torn at every
+/// byte offset, and one byte flipped per frame in the header and in the
+/// payload, each recover exactly the ops before the damaged frame.
+#[test]
+fn version_1_segment_faults_keep_the_valid_prefix() {
+    let (hwm, n) = (4, history().len());
+    let src = legacy_dir("legacy-faults", hwm, n);
+    let (_, seg_path) = list_segments(&src).unwrap()[0].clone();
+    let seg_name = seg_path.file_name().unwrap().to_owned();
+    let spans = frame_spans(&seg_path).unwrap();
+    assert_eq!(spans.len(), n - hwm);
+    let full = std::fs::read(&seg_path).unwrap();
+    let scratch = temp_dir("legacy-faults-cut");
+    let (last_off, last_len) = *spans.last().unwrap();
+    let mut damaged = Vec::new();
+    for cut in last_off..last_off + last_len {
+        damaged.push((
+            n - 1,
+            full[..cut as usize].to_vec(),
+            format!("cut at byte {cut}"),
+        ));
+    }
+    for (j, &(off, len)) in spans.iter().enumerate() {
+        for flip_at in [off + len - 1, off + 1, off + 9] {
+            let mut bytes = full.clone();
+            bytes[flip_at as usize] ^= 0x20;
+            damaged.push((
+                hwm + j,
+                bytes,
+                format!("byte {flip_at} flipped in frame {j}"),
+            ));
+        }
+    }
+    for (k, bytes, what) in damaged {
+        copy_dir(&src, &scratch);
+        std::fs::write(scratch.join(&seg_name), &bytes).unwrap();
+        let recovered = Bdms::open(&scratch).unwrap();
+        assert_same(&recovered, &expected_after(k), &what);
+    }
+    std::fs::remove_dir_all(&src).unwrap();
+    std::fs::remove_dir_all(&scratch).unwrap();
 }
