@@ -150,8 +150,8 @@ impl Session {
     }
 
     /// Bound the memory each query's materialization points (hash-join
-    /// builds, aggregates, sorts, distincts) may hold; past the budget
-    /// they spill to disk (grace hash join, external merge sort). The
+    /// builds, sorts, distincts) may hold; past the budget they spill to
+    /// disk (grace hash join, external merge sort). The
     /// shell exposes this as `\set memory <bytes>`. `None` (the
     /// default) keeps everything in memory.
     pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
@@ -195,7 +195,7 @@ impl Session {
     /// The statement is lowered to a belief conjunctive query and
     /// translated through Algorithm 1 exactly as execution would, then
     /// the resulting Datalog program is linted: safety violations,
-    /// stratification problems, comparison type mismatches, and
+    /// program-order errors, comparison type mismatches, and
     /// provably-empty conditions all come back as structured
     /// [`Diagnostic`]s (code, severity, message, context) in a
     /// deterministic order. An empty vector means the analyzer found

@@ -1,8 +1,8 @@
 //! Spill-to-disk materialization points: memory-budgeted vs in-memory
 //! execution.
 //!
-//! Four plans over the fanout-4 join schema — full sort, high-
-//! cardinality aggregate, distinct, wide join — each run at budgets ∞
+//! Three plans over the fanout-4 join schema — full sort, distinct,
+//! wide join — each run at budgets ∞
 //! (identical code path to the unbudgeted executor; the <5% regression
 //! guard), ½·input, and ⅒·input (`tests/exec_spill.rs` asserts that a
 //! sort and a distinct spill at such budgets). The budgeted executor is

@@ -367,21 +367,12 @@ pub fn exec_streaming_db(n: usize) -> Result<beliefdb_storage::Database> {
     Ok(db)
 }
 
-/// The spill workload plans: a full sort, a high-cardinality aggregate,
-/// a distinct, and the wide join — each materializing O(input) without
-/// a budget.
+/// The spill workload plans: a full sort, a distinct, and the wide join
+/// — each materializing O(input) without a budget.
 pub fn spill_plans() -> Vec<(&'static str, beliefdb_storage::Plan)> {
-    use beliefdb_storage::{Agg, Plan};
+    use beliefdb_storage::Plan;
     vec![
         ("sort", Plan::scan("F").sort(vec![2, 0])),
-        (
-            "aggregate",
-            Plan::Aggregate {
-                input: Box::new(Plan::scan("F")),
-                group_by: vec![2],
-                aggs: vec![Agg::Count, Agg::Max(0)],
-            },
-        ),
         ("distinct", Plan::scan("F").distinct()),
         ("join", Plan::scan("F").join(Plan::scan("D"), vec![(1, 0)])),
     ]

@@ -90,7 +90,7 @@ pub struct Bdms {
     persist: Option<Arc<Mutex<Durability>>>,
     /// Per-query memory budget (bytes) for the chunked executor's
     /// materialization points; past it they spill to disk (grace hash
-    /// join, external merge sort, partitioned aggregate/distinct).
+    /// join, external merge sort, partitioned distinct).
     /// `None` = unlimited.
     memory_budget: Option<usize>,
     /// Apply the magic-sets / sideways-information-passing rewrite to
@@ -247,9 +247,9 @@ impl Bdms {
     }
 
     /// Bound the memory each query's materialization points (hash-join
-    /// builds, aggregates, sorts, distincts) may hold; past the budget
-    /// they spill to disk — grace hash join, external merge sort,
-    /// partitioned aggregate/distinct (`beliefdb_storage::exec::spill`).
+    /// builds, sorts, distincts) may hold; past the budget they spill to
+    /// disk — grace hash join, external merge sort, partitioned distinct
+    /// (`beliefdb_storage::exec::spill`).
     /// `None` (the default) keeps everything in memory. Affects
     /// [`Bdms::query`], [`Bdms::query_streaming`], and EXPLAIN tags;
     /// the differential/naive paths are unaffected.

@@ -8,12 +8,12 @@
 //! disjunctions with negation" — a DNF disjunction literal.
 //!
 //! Rules compile to [`Plan`]s: positive atoms become joins, negated atoms
-//! anti-joins, comparisons selections. Non-recursive programs (everything
-//! Algorithm 1 emits) materialize derived relations rule-at-a-time in
-//! definition order. Recursive programs — which the magic-sets rewrite
-//! ([`crate::opt::magic`]) produces for recursive demand — are evaluated
-//! stratum-by-stratum with semi-naive fixpoint iteration: each round
-//! joins only against the previous round's newly derived tuples.
+//! anti-joins, comparisons selections. A program runs rule-at-a-time in
+//! program order, materializing each derived relation for the rules
+//! after it. Every relation a rule reads must be complete by then: the
+//! one program-order rule, [`crate::sema::read_before_defined`] (BD002),
+//! rejects a body atom that reads a head at or before its last defining
+//! rule — which also rules out recursion.
 
 use crate::catalog::Database;
 use crate::error::{Result, StorageError};
@@ -45,9 +45,7 @@ const PLAN_CACHE_ROW_BUDGET: usize = 200_000;
 /// Invalidation is precise to the program's *read set*
 /// ([`PlanCache::read_versions`]): entries record the version of every
 /// base table the program's rules reference, so a mutation of an
-/// unrelated table leaves cached answers valid. (The coarse
-/// whole-database vector, [`PlanCache::db_versions`], remains available
-/// for callers that key manually.)
+/// unrelated table leaves cached answers valid.
 ///
 /// Only the plans of rules deriving the final head are stored: by
 /// compile time every derived relation they read is embedded as a
@@ -59,9 +57,6 @@ const PLAN_CACHE_ROW_BUDGET: usize = 200_000;
 /// attaches the first time it replays the entry's plans, so a program
 /// that is never repeated pays nothing for it. A hit on an entry with an
 /// answer ([`PlanCache::lookup_entry`]) needs no execution at all.
-/// For the same reason cached plans may only be run by, and collected
-/// from, evaluators with **no pre-registered derived relations**
-/// ([`Evaluator::define`]) — those rows are outside the cache key.
 ///
 /// Locking discipline: [`PlanCache::lookup`] and [`PlanCache::store`]
 /// are brief (a version compare plus an `Arc` clone), and
@@ -124,19 +119,6 @@ impl PlanCache {
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// The coarse version vector: every table in the database. Kept for
-    /// callers that key entries manually; [`PlanCache::read_versions`]
-    /// is the precise (and default) choice.
-    pub fn db_versions(db: &Database) -> Vec<(String, u64)> {
-        db.table_names()
-            .into_iter()
-            .map(|n| {
-                let v = db.table(n).expect("name from catalog").version();
-                (n.to_string(), v)
-            })
-            .collect()
     }
 
     /// The version vector of the base tables `program` actually reads:
@@ -396,10 +378,9 @@ pub struct Rule {
 }
 
 /// An ordered list of rules. Rules deriving the same head relation union
-/// their results. Non-recursive programs use derived relations defined by
-/// earlier rules only, and evaluate rule-at-a-time in order; programs
-/// whose head-dependency graph has cycles are evaluated by stratified
-/// semi-naive fixpoint iteration instead.
+/// their results. A rule reads only base tables and relations whose last
+/// defining rule comes before it ([`crate::sema::read_before_defined`]),
+/// so the program evaluates rule-at-a-time in order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     pub rules: Vec<Rule>,
@@ -417,7 +398,6 @@ pub enum Output<'s> {
     Profile,
     /// Hand each answer row to the callback as the executor produces it,
     /// deduplicated and unsorted; the answer head is never materialized.
-    /// Rows an earlier [`Evaluator::define`] put in the head come first.
     Stream(&'s mut dyn FnMut(Row)),
 }
 
@@ -427,8 +407,7 @@ pub struct Ran<'p> {
     pub answer: Option<String>,
     /// The answer rules' optimized plans in program order: the cached
     /// plans when they ran, else the freshly planned ones — the list a
-    /// miss hands to [`PlanCache::store`]. Empty for a recursive program,
-    /// whose fixpoint rounds have no fixed answer-plan list.
+    /// miss hands to [`PlanCache::store`].
     pub plans: std::borrow::Cow<'p, [Plan]>,
     /// Under [`Output::Profile`], the execution profile of each plan in
     /// `plans`; empty otherwise.
@@ -517,123 +496,6 @@ fn drive(
     result
 }
 
-/// Reserved name prefix for the per-round delta relations the
-/// semi-naive evaluator publishes while iterating a recursive stratum.
-const DELTA_PREFIX: &str = "__sn_delta__";
-
-/// Dependency graph over a program's head relations: one node per head
-/// (first-definition order), an edge from a head to every head relation
-/// its rules' bodies read (positively or negatively).
-pub(crate) struct HeadGraph {
-    pub(crate) rels: Vec<String>,
-    deps: Vec<Vec<usize>>,
-}
-
-pub(crate) fn head_graph(program: &Program) -> HeadGraph {
-    let mut rels: Vec<String> = Vec::new();
-    let mut idx: HashMap<&str, usize> = HashMap::new();
-    for rule in &program.rules {
-        if !idx.contains_key(rule.head.relation.as_str()) {
-            idx.insert(rule.head.relation.as_str(), rels.len());
-            rels.push(rule.head.relation.clone());
-        }
-    }
-    let mut deps: Vec<std::collections::BTreeSet<usize>> =
-        vec![std::collections::BTreeSet::new(); rels.len()];
-    for rule in &program.rules {
-        let head = idx[rule.head.relation.as_str()];
-        for lit in &rule.body {
-            if let BodyLit::Pos(a) | BodyLit::Neg(a) = lit {
-                if let Some(&dep) = idx.get(a.relation.as_str()) {
-                    deps[head].insert(dep);
-                }
-            }
-        }
-    }
-    HeadGraph {
-        rels,
-        deps: deps.into_iter().map(|s| s.into_iter().collect()).collect(),
-    }
-}
-
-impl HeadGraph {
-    /// Strongly connected components in dependency order: a component
-    /// appears after every component it reads from, so evaluating the
-    /// returned list front to back always finds dependencies
-    /// materialized. Iterative Tarjan, deterministic.
-    pub(crate) fn sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.rels.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut comps: Vec<Vec<usize>> = Vec::new();
-        for root in 0..n {
-            if index[root] != usize::MAX {
-                continue;
-            }
-            // Explicit call stack of (node, next-dependency cursor).
-            let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-            while let Some(&(v, cursor)) = call.last() {
-                if cursor == 0 {
-                    index[v] = next_index;
-                    low[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if cursor < self.deps[v].len() {
-                    call.last_mut().expect("just peeked").1 += 1;
-                    let w = self.deps[v][cursor];
-                    if index[w] == usize::MAX {
-                        call.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    call.pop();
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        comps.push(comp);
-                    }
-                    if let Some(&(parent, _)) = call.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                }
-            }
-        }
-        comps
-    }
-
-    /// Whether a component needs fixpoint iteration: more than one
-    /// member, or a single member that reads itself.
-    pub(crate) fn component_recursive(&self, comp: &[usize]) -> bool {
-        comp.len() > 1 || self.deps[comp[0]].binary_search(&comp[0]).is_ok()
-    }
-}
-
-/// Whether any head relation of `program` participates in a dependency
-/// cycle (direct or mutual recursion). Recursive programs take the
-/// semi-naive fixpoint path in [`Evaluator::run`] and are excluded from
-/// plan caching, streaming plan collection, and `EXPLAIN`.
-pub fn program_recursive(program: &Program) -> bool {
-    let graph = head_graph(program);
-    graph
-        .sccs()
-        .iter()
-        .any(|comp| graph.component_recursive(comp))
-}
-
 impl<'a> Evaluator<'a> {
     pub fn new(db: &'a Database) -> Self {
         Evaluator {
@@ -666,7 +528,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Bound the memory the chunked executor's materialization points
-    /// (hash-join builds, aggregates, sorts, distincts) may hold per
+    /// (hash-join builds, sorts, distincts) may hold per
     /// query; past the budget they spill to disk (grace hash join,
     /// external merge sort — see [`crate::exec::spill`]). `None` (the
     /// default) keeps every materialization fully in memory.
@@ -712,17 +574,14 @@ impl<'a> Evaluator<'a> {
     /// real derived relations (their sizes drive the cost estimates shown);
     /// the final rule — the query answer — is planned but **not** executed.
     /// Rules produced by the magic-sets rewrite carry a deterministic
-    /// `[magic … adorn=…]` tag after their header line. Recursive
-    /// programs have no static rule-at-a-time plan and are rejected.
+    /// `[magic … adorn=…]` tag after their header line. A program out of
+    /// definition order is rejected with BD002, as [`Evaluator::run_answer`]
+    /// rejects it.
     pub fn explain_program(&mut self, program: &Program) -> Result<String> {
-        if program_recursive(program) {
-            return Err(StorageError::DatalogError(
-                "cannot EXPLAIN a recursive program (plans vary per fixpoint round)".into(),
-            ));
-        }
+        check_program_order(program)?;
         let mut out = String::new();
         for (i, rule) in program.rules.iter().enumerate() {
-            self.check_nonrecursive(rule)?;
+            self.check_head(rule)?;
             out.push_str(&format!("-- {rule}"));
             if let Some(tag) = crate::opt::magic::rule_tag(rule) {
                 out.push_str(&tag);
@@ -817,23 +676,15 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Register a pre-materialized relation (e.g. a literal temp table).
-    pub fn define(&mut self, name: impl Into<String>, arity: usize, rows: Vec<Row>) {
-        self.head_seen = None;
-        self.derived.insert(name.into(), (arity, rows));
-    }
-
     /// Materialized rows of a derived relation.
     pub fn relation(&self, name: &str) -> Option<&[Row]> {
         self.derived.get(name).map(|(_, rows)| rows.as_slice())
     }
 
     /// Run every rule, materializing head relations. Returns the name of
-    /// the last head (by convention the query answer). Non-recursive
-    /// programs evaluate rule-at-a-time in definition order, rows
-    /// streaming from the executor into the derived relations. Programs
-    /// whose head-dependency graph has cycles switch to stratified
-    /// semi-naive fixpoint evaluation (`Evaluator::run_recursive`).
+    /// the last head (by convention the query answer). Rules evaluate
+    /// rule-at-a-time in program order, rows streaming from the executor
+    /// into the derived relations.
     pub fn run(&mut self, program: &Program) -> Result<Option<String>> {
         self.run_answer(program, None, Output::Collect)
             .map(|ran| ran.answer)
@@ -846,14 +697,13 @@ impl<'a> Evaluator<'a> {
     /// With `cached` plans (from [`PlanCache::lookup`]) that line up with
     /// the program's answer rules, only those plans run — they embed
     /// every derived relation they read as `Values` — and no other head
-    /// is derived. Otherwise every rule is planned and run in definition
-    /// order, and [`Ran::plans`] returns the answer rules' fresh plans
-    /// for [`PlanCache::store`]; a plan list that does not line up (a
-    /// stale or foreign cache entry) falls back to this full run.
-    /// Recursive programs take the semi-naive fixpoint path, and under
-    /// [`Output::Stream`] their answer rows are emitted once it finishes.
-    /// The answer rules share one dedup set, whether their rows go to the
-    /// head or to the sink.
+    /// is derived. Otherwise the program's order is checked
+    /// ([`crate::sema::read_before_defined`], BD002), every rule is
+    /// planned and run in program order, and [`Ran::plans`] returns the
+    /// answer rules' fresh plans for [`PlanCache::store`]; a plan list
+    /// that does not line up (a stale or foreign cache entry) falls back
+    /// to this full run. The answer rules share one dedup set, whether
+    /// their rows go to the head or to the sink.
     pub fn run_answer<'p>(
         &mut self,
         program: &Program,
@@ -877,29 +727,9 @@ impl<'a> Evaluator<'a> {
         for rule in answer_rules.clone() {
             check_arity(head, rule.head.terms.len(), width)?;
         }
-        if replay.is_none() {
-            let graph = head_graph(program);
-            let comps = graph.sccs();
-            if comps.iter().any(|c| graph.component_recursive(c)) {
-                self.run_recursive(program, &graph, &comps)?;
-                if let (Output::Stream(sink), Some(rows)) = (out, self.relation(head)) {
-                    rows.iter().cloned().for_each(sink);
-                }
-                return Ok(ran);
-            }
-        }
-        // Answer rows already in the head (pre-registered ones) seed the
-        // dedup set; a streamed answer starts with them.
+        // The answer starts empty: `seen` is its whole dedup set.
+        self.derived.remove(head);
         let mut seen: HashSet<Row, CellHash> = HashSet::default();
-        if let Some((arity, rows)) = self.derived.get(head) {
-            check_arity(head, *arity, width)?;
-            seen.extend(rows.iter().cloned());
-            if let Output::Stream(sink) = &mut out {
-                for row in rows {
-                    sink(row.clone());
-                }
-            }
-        }
         if let Some(plans) = replay {
             for (rule, plan) in answer_rules.zip(plans) {
                 ran.profiles
@@ -908,9 +738,10 @@ impl<'a> Evaluator<'a> {
             ran.plans = plans.into();
             return Ok(ran);
         }
+        check_program_order(program)?;
         let mut plans = Vec::new();
         for rule in &program.rules {
-            self.check_nonrecursive(rule)?;
+            self.check_head(rule)?;
             let plan = self.plan_rule(rule)?;
             if &rule.head.relation == head {
                 ran.profiles
@@ -954,178 +785,6 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Stratified semi-naive evaluation for recursive programs.
-    ///
-    /// Head relations are grouped into strongly connected components of
-    /// the dependency graph and evaluated in dependency order (a
-    /// component runs only after everything it reads from). Rules in a
-    /// non-recursive component run exactly like [`Evaluator::run`]'s
-    /// loop. A recursive component iterates to a fixpoint: round zero
-    /// evaluates each member rule in full, and every later round
-    /// evaluates, per rule and per positive in-component body atom, a
-    /// variant that reads that one atom from the previous round's delta
-    /// relation — so per-round work tracks newly derived tuples, not the
-    /// accumulated relation. Negation on a relation inside its own
-    /// component is not stratifiable and is rejected.
-    fn run_recursive(
-        &mut self,
-        program: &Program,
-        graph: &HeadGraph,
-        comps: &[Vec<usize>],
-    ) -> Result<Option<String>> {
-        for rule in &program.rules {
-            if self.db.has_table(&rule.head.relation) {
-                return Err(StorageError::DatalogError(format!(
-                    "cannot derive into base table `{}`",
-                    rule.head.relation
-                )));
-            }
-            if rule.head.relation.starts_with(DELTA_PREFIX) {
-                return Err(StorageError::DatalogError(format!(
-                    "relation name `{}` uses the reserved semi-naive delta prefix",
-                    rule.head.relation
-                )));
-            }
-        }
-        for comp in comps {
-            let members: HashSet<&str> = comp.iter().map(|&i| graph.rels[i].as_str()).collect();
-            let rules: Vec<&Rule> = program
-                .rules
-                .iter()
-                .filter(|r| members.contains(r.head.relation.as_str()))
-                .collect();
-            if graph.component_recursive(comp) {
-                self.eval_stratum(&rules, &members)?;
-            } else {
-                for rule in rules {
-                    let plan = self.plan_rule(rule)?;
-                    self.consume_into_head(rule, &plan)?;
-                }
-            }
-        }
-        Ok(program.rules.last().map(|r| r.head.relation.clone()))
-    }
-
-    /// Fixpoint-evaluate one recursive component (see
-    /// [`Evaluator::run_recursive`] for the semi-naive scheme).
-    fn eval_stratum(&mut self, rules: &[&Rule], members: &HashSet<&str>) -> Result<()> {
-        for rule in rules {
-            for lit in &rule.body {
-                if let BodyLit::Neg(a) = lit {
-                    if members.contains(a.relation.as_str()) {
-                        // BD002, naming the whole offending cycle — the
-                        // same diagnostic `sema::lint_program` reports
-                        // statically.
-                        let cycle: Vec<&str> = members.iter().copied().collect();
-                        return Err(StorageError::DatalogError(
-                            crate::sema::unstratifiable(&rule.head.relation, &a.relation, &cycle)
-                                .with_context(format!("rule `{rule}`"))
-                                .code_message(),
-                        ));
-                    }
-                }
-            }
-        }
-        // Create every member relation (empty if nothing pre-registered)
-        // before any rule reads a fellow member, and snapshot the
-        // pre-existing rows as the dedup baseline. Pre-existing rows feed
-        // derivations through round zero's full evaluation.
-        let mut seen: HashMap<String, HashSet<Row, CellHash>> = HashMap::new();
-        for rule in rules {
-            let entry = self.head_entry(rule)?;
-            seen.entry(rule.head.relation.clone())
-                .or_insert_with(|| entry.1.iter().cloned().collect());
-        }
-        // Round zero: full evaluation of every member rule.
-        let mut candidates: Vec<(String, Vec<Row>)> = Vec::new();
-        for rule in rules {
-            let rows = self.eval_rule_rows(rule)?;
-            candidates.push((rule.head.relation.clone(), rows));
-        }
-        let mut delta = self.absorb_round(members, candidates, &mut seen);
-        while delta.values().any(|rows| !rows.is_empty()) {
-            // Publish this round's deltas as reserved derived relations.
-            for (rel, rows) in &delta {
-                let arity = self.derived.get(rel).expect("member created above").0;
-                self.define(format!("{DELTA_PREFIX}{rel}"), arity, rows.clone());
-            }
-            let mut candidates: Vec<(String, Vec<Row>)> = Vec::new();
-            for rule in rules {
-                for pos in 0..rule.body.len() {
-                    let rel = match &rule.body[pos] {
-                        BodyLit::Pos(a) if members.contains(a.relation.as_str()) => {
-                            a.relation.clone()
-                        }
-                        _ => continue,
-                    };
-                    if delta[&rel].is_empty() {
-                        continue;
-                    }
-                    let mut variant = (*rule).clone();
-                    if let BodyLit::Pos(a) = &mut variant.body[pos] {
-                        a.relation = format!("{DELTA_PREFIX}{}", a.relation);
-                    }
-                    let rows = self.eval_rule_rows(&variant)?;
-                    candidates.push((rule.head.relation.clone(), rows));
-                }
-            }
-            delta = self.absorb_round(members, candidates, &mut seen);
-        }
-        let stale: Vec<String> = self
-            .derived
-            .keys()
-            .filter(|name| name.starts_with(DELTA_PREFIX))
-            .cloned()
-            .collect();
-        for name in stale {
-            self.derived.remove(&name);
-        }
-        Ok(())
-    }
-
-    /// Fold one fixpoint round's candidate rows into the derived
-    /// relations, returning per-relation vectors of the genuinely new
-    /// rows (the next round's deltas).
-    fn absorb_round(
-        &mut self,
-        members: &HashSet<&str>,
-        candidates: Vec<(String, Vec<Row>)>,
-        seen: &mut HashMap<String, HashSet<Row, CellHash>>,
-    ) -> HashMap<String, Vec<Row>> {
-        let mut delta: HashMap<String, Vec<Row>> = members
-            .iter()
-            .map(|rel| ((*rel).to_string(), Vec::new()))
-            .collect();
-        for (rel, rows) in candidates {
-            let seen_rel = seen.get_mut(&rel).expect("member seeded in eval_stratum");
-            let entry = self.derived.get_mut(&rel).expect("member created above");
-            let fresh = delta.get_mut(&rel).expect("delta seeded per member");
-            for row in rows {
-                if seen_rel.insert(row.clone()) {
-                    entry.1.push(row.clone());
-                    fresh.push(row);
-                }
-            }
-        }
-        delta
-    }
-
-    /// Plan and execute one rule, returning its rows in executor order
-    /// (head-level deduplication is the caller's job).
-    fn eval_rule_rows(&mut self, rule: &Rule) -> Result<Vec<Row>> {
-        let plan = self.plan_rule(rule)?;
-        let mut rows = Vec::new();
-        drive(
-            self.db,
-            &plan,
-            self.materialized,
-            &self.spill,
-            false,
-            |row| rows.push(row),
-        )?;
-        Ok(rows)
-    }
-
     /// Execute cached answer plans (from [`PlanCache::lookup`]) for
     /// `program`: [`Evaluator::run_answer`] under [`Output::Collect`], kept
     /// with this signature for callers that replay plans themselves.
@@ -1149,17 +808,8 @@ impl<'a> Evaluator<'a> {
         Ok((ran.answer, ran.plans.into_owned()))
     }
 
-    fn check_nonrecursive(&self, rule: &Rule) -> Result<()> {
-        for lit in &rule.body {
-            if let BodyLit::Pos(a) | BodyLit::Neg(a) = lit {
-                if a.relation == rule.head.relation {
-                    return Err(StorageError::DatalogError(format!(
-                        "rule for `{}` references its own head (recursion is not supported)",
-                        a.relation
-                    )));
-                }
-            }
-        }
+    /// A rule may derive into neither a base table nor a `sys.*` relation.
+    fn check_head(&self, rule: &Rule) -> Result<()> {
         if self.db.has_table(&rule.head.relation) {
             return Err(StorageError::DatalogError(format!(
                 "cannot derive into base table `{}`",
@@ -1181,7 +831,16 @@ impl<'a> Evaluator<'a> {
     /// Evaluate a single rule to its (deduplicated) head rows, planned
     /// through [`Evaluator::plan_rule`].
     pub fn eval_rule(&mut self, rule: &Rule) -> Result<Vec<Row>> {
-        let mut rows = self.eval_rule_rows(rule)?;
+        let plan = self.plan_rule(rule)?;
+        let mut rows = Vec::new();
+        drive(
+            self.db,
+            &plan,
+            self.materialized,
+            &self.spill,
+            false,
+            |row| rows.push(row),
+        )?;
         dedup_rows(&mut rows);
         Ok(rows)
     }
@@ -1422,6 +1081,15 @@ impl<'a> Evaluator<'a> {
             )));
         }
         Ok((Plan::scan(&atom.relation), arity))
+    }
+}
+
+/// BD002 for the first atom of `program` that reads a head relation at
+/// or before its last defining rule.
+fn check_program_order(program: &Program) -> Result<()> {
+    match crate::sema::read_before_defined(program).first() {
+        Some(d) => Err(StorageError::DatalogError(d.code_message())),
+        None => Ok(()),
     }
 }
 
@@ -1712,59 +1380,10 @@ mod tests {
     }
 
     #[test]
-    fn recursion_evaluates_to_fixpoint() {
-        let db = db();
-        // A self-loop over an undefined-but-created head: fixpoint is
-        // empty, and evaluation terminates instead of erroring.
-        let mut ev = Evaluator::new(&db);
-        let prog = Program {
-            rules: vec![rule("R", vec![v("w")], vec![pos("R", vec![v("w")])])],
-        };
-        assert_eq!(ev.run(&prog).unwrap(), Some("R".to_string()));
-        assert_eq!(ev.relation("R").unwrap(), &[] as &[Row]);
-        // Transitive closure over E's (w1, u) edges: base edges 0→1,
-        // 0→2, 0→3, 1→2, 2→1 plus the derived cycles (1,1) and (2,2).
-        let mut ev = Evaluator::new(&db);
-        let tc = Program {
-            rules: vec![
-                rule(
-                    "TC",
-                    vec![v("a"), v("b")],
-                    vec![pos("E", vec![v("a"), v("b"), any()])],
-                ),
-                rule(
-                    "TC",
-                    vec![v("a"), v("c")],
-                    vec![
-                        pos("TC", vec![v("a"), v("b")]),
-                        pos("E", vec![v("b"), v("c"), any()]),
-                    ],
-                ),
-            ],
-        };
-        assert_eq!(ev.run(&tc).unwrap(), Some("TC".to_string()));
-        let mut got = ev.relation("TC").unwrap().to_vec();
-        got.sort();
-        assert_eq!(
-            got,
-            vec![
-                row![0, 1],
-                row![0, 2],
-                row![0, 3],
-                row![1, 1],
-                row![1, 2],
-                row![2, 1],
-                row![2, 2],
-            ]
-        );
-    }
-
-    #[test]
     fn recursive_negation_is_rejected_as_unstratifiable() {
         let db = db();
         let mut ev = Evaluator::new(&db);
-        // win(x) :- E(x, y, _), not win(y): negation through the head's
-        // own recursive component.
+        // win(x) :- E(x, y, _), not win(y): the rule reads its own head.
         let prog = Program {
             rules: vec![rule(
                 "Win",
@@ -1777,7 +1396,58 @@ mod tests {
         };
         let err = ev.run(&prog).unwrap_err();
         assert_eq!(err.code(), Some("BD002"), "{err}");
-        assert!(err.to_string().contains("cycle: Win -> Win"), "{err}");
+        assert!(
+            err.to_string().contains("rule for `Win` reads `Win`"),
+            "{err}"
+        );
+    }
+
+    /// One rule per `(head, body)` pair: `head(u) :- Users(u, 'Alice').`
+    /// for the bodies `Alice` and `Bob`, `head(u) :- body(u).` otherwise.
+    fn order_program(rules: &[(&str, &str)]) -> Program {
+        let rules = rules
+            .iter()
+            .map(|&(head, body)| match body {
+                "Alice" | "Bob" => rule(
+                    head,
+                    vec![v("u")],
+                    vec![pos("Users", vec![v("u"), c(body)])],
+                ),
+                read => rule(head, vec![v("u")], vec![pos(read, vec![v("u")])]),
+            })
+            .collect();
+        Program { rules }
+    }
+
+    #[test]
+    fn reads_before_the_last_definition_are_bd002_everywhere() {
+        let db = db();
+        // Q would read T = {1} while T ends up {1, 2}.
+        let half_derived = order_program(&[("T", "Alice"), ("Q", "T"), ("T", "Bob")]);
+        // Q reads T before any rule defines it.
+        let undefined_yet = order_program(&[("Q", "T"), ("T", "Alice")]);
+        for prog in [&half_derived, &undefined_yet] {
+            let err = Evaluator::new(&db).run(prog).unwrap_err();
+            assert_eq!(err.code(), Some("BD002"), "{err}");
+            assert!(err.to_string().contains("rule for `Q` reads `T`"), "{err}");
+            let err = Evaluator::new(&db).explain_program(prog).unwrap_err();
+            assert_eq!(err.code(), Some("BD002"), "{err}");
+            let diags = crate::sema::lint_program(&db, prog);
+            assert!(
+                diags.iter().any(|d| d.code == "BD002" && d.is_error()),
+                "{diags:?}"
+            );
+        }
+        // In definition order the same rules run, and Q sees all of T.
+        let ordered = order_program(&[("T", "Alice"), ("T", "Bob"), ("Q", "T")]);
+        let mut ev = Evaluator::new(&db);
+        ev.run(&ordered).unwrap();
+        let mut q = ev.relation("Q").unwrap().to_vec();
+        q.sort();
+        assert_eq!(q, vec![row![1], row![2]]);
+        assert!(crate::sema::lint_program(&db, &ordered)
+            .iter()
+            .all(|d| !d.is_error()));
     }
 
     #[test]
@@ -1796,18 +1466,25 @@ mod tests {
 
     #[test]
     fn manual_temp_tables() {
+        // A literal temp table is a relation defined by fact rules.
         let db = db();
         let mut ev = Evaluator::new(&db);
-        ev.define("T", 2, vec![row![1, "x"], row![2, "y"]]);
-        let r = rule(
-            "Q",
-            vec![v("n"), v("tag")],
-            vec![
-                pos("Users", vec![v("u"), v("n")]),
-                pos("T", vec![v("u"), v("tag")]),
+        let prog = Program {
+            rules: vec![
+                rule("T", vec![c(1), c("x")], vec![]),
+                rule("T", vec![c(2), c("y")], vec![]),
+                rule(
+                    "Q",
+                    vec![v("n"), v("tag")],
+                    vec![
+                        pos("Users", vec![v("u"), v("n")]),
+                        pos("T", vec![v("u"), v("tag")]),
+                    ],
+                ),
             ],
-        );
-        let mut rows = ev.eval_rule(&r).unwrap();
+        };
+        ev.run(&prog).unwrap();
+        let mut rows = ev.relation("Q").unwrap().to_vec();
         rows.sort();
         assert_eq!(rows, vec![row!["Alice", "x"], row!["Bob", "y"]]);
     }
@@ -1934,15 +1611,10 @@ mod tests {
     /// A plan-cache round trip as a caller sharing a cache makes it: look
     /// the program up under its read versions, run the hit's plans (or the
     /// whole program), and store the plans a miss collected. An evaluator
-    /// with pre-registered relations or the optimizer off, and a recursive
-    /// or `sys.*`-reading program, run uncached: their rows or plans are
-    /// outside the cache key.
+    /// with the optimizer off, and a `sys.*`-reading program, run
+    /// uncached: their plans or rows are outside the cache key.
     fn run_cached(ev: &mut Evaluator<'_>, prog: &Program, cache: &mut PlanCache) {
-        if !ev.derived.is_empty()
-            || !ev.optimize
-            || program_recursive(prog)
-            || PlanCache::program_reads_virtual(ev.db, prog)
-        {
+        if !ev.optimize || PlanCache::program_reads_virtual(ev.db, prog) {
             ev.run(prog).unwrap();
             return;
         }
@@ -2033,17 +1705,20 @@ mod tests {
     #[test]
     fn row_layout_evaluator_matches_columnar() {
         // The same edges twice: as the base table `E`, which scans as
-        // columnar windows, and as a relation defined on the evaluator,
-        // which reaches the executor as row-major `Values` chunks.
+        // columnar windows, and as a relation derived from it, which
+        // reaches the executor as row-major `Values` chunks.
         let db = db();
         let mut cols = Evaluator::new(&db);
         cols.run(&reach_program()).unwrap();
 
-        let edges = execute(&db, &Plan::scan("E")).unwrap();
         let mut rows_ev = Evaluator::new(&db);
-        rows_ev.define("ERows", 3, edges);
         let prog = Program {
             rules: vec![
+                rule(
+                    "ERows",
+                    vec![v("a"), v("b"), v("c")],
+                    vec![pos("E", vec![v("a"), v("b"), v("c")])],
+                ),
                 rule(
                     "Reach1",
                     vec![v("w")],
@@ -2067,25 +1742,6 @@ mod tests {
         b.sort();
         assert!(!a.is_empty());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn plan_cache_declines_predefined_relations() {
-        let db = db();
-        let mut cache = PlanCache::new();
-        let prog = Program {
-            rules: vec![rule("Q", vec![v("x")], vec![pos("T", vec![v("x")])])],
-        };
-        for rows in [vec![row![1]], vec![row![2]]] {
-            let mut ev = Evaluator::new(&db);
-            ev.define("T", 1, rows.clone());
-            run_cached(&mut ev, &prog, &mut cache);
-            // The evaluator carries out-of-program state: the cache must
-            // not serve (or record) plans embedding it.
-            assert_eq!(ev.relation("Q").unwrap(), rows.as_slice());
-        }
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
     }
 
     #[test]
@@ -2183,13 +1839,17 @@ mod tests {
             .unwrap()
             .plans
             .into_owned();
-        cache.store(prog.to_string(), PlanCache::db_versions(&db), plans);
+        cache.store(
+            prog.to_string(),
+            PlanCache::read_versions(&db, &prog),
+            plans,
+        );
         first.sort();
 
         // Hit path: stream the cached plans — same rows, nothing but the
         // answer computed.
         let cached = cache
-            .lookup(&prog.to_string(), &PlanCache::db_versions(&db))
+            .lookup(&prog.to_string(), &PlanCache::read_versions(&db, &prog))
             .expect("entry just stored");
         let mut ev = Evaluator::new(&db);
         let mut second = Vec::new();

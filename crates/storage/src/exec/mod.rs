@@ -12,11 +12,11 @@
 //!   a whole chunk per call. Scan, Selection, Projection, Union, Limit,
 //!   and the probe side of (anti-)joins pipeline; the **materialization
 //!   points** are the hash build sides of keyed joins and anti-joins,
-//!   cross-join right sides, Aggregate, Sort, and Distinct's seen-set
+//!   cross-join right sides, Sort, and Distinct's seen-set
 //!   (Distinct streams first occurrences but still accumulates every
 //!   distinct row). Each of those points can spill to disk under a
 //!   per-query memory budget — grace hash (anti-)join, external merge
-//!   sort, partial-aggregate and distinct partitioning, cross-join and
+//!   sort, distinct partitioning, cross-join and
 //!   residual-only anti-join right-side overflow runs; see [`spill`].
 //!   [`Executor::open_chunks`] (and its profiled twin
 //!   [`Executor::open_chunks_profiled`], the `EXPLAIN ANALYZE` backend)
@@ -43,10 +43,10 @@ pub(crate) use stream::{chunked_owned, selection_kernel_label};
 pub use stream::{stream_chunks, Chunk, ChunkStream, Executor, BATCH_SIZE};
 
 use crate::catalog::Database;
-use crate::error::{Result, StorageError};
+use crate::error::Result;
 use crate::expr::{CmpOp, Expr};
 use crate::index::CellHash;
-use crate::plan::{Agg, Plan};
+use crate::plan::Plan;
 use crate::row::Row;
 use crate::table::Table;
 use crate::value::Value;
@@ -150,14 +150,6 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
                 out.extend(run(db, p)?);
             }
             Ok(out)
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let rows = run(db, input)?;
-            aggregate_stream(chunked_owned(rows, BATCH_SIZE), group_by, aggs)
         }
         Plan::Values { rows, .. } => Ok(rows.clone()),
         Plan::Sort { input, by } => {
@@ -495,125 +487,6 @@ fn anti_join_rows(
     Ok(out)
 }
 
-/// One aggregate accumulator. Deliberately **mergeable**: counts sum and
-/// min/max compose, so the spilling aggregate ([`spill`]) can write
-/// partial accumulator rows to disk and combine them later. A `None`
-/// min/max means "no row seen yet" and encodes as `Null` in a partial
-/// row — sound because `Null` is the bottom of the value order (max
-/// ignores it) and a group is only ever created by a real row (min never
-/// sees a phantom `None` next to real values).
-#[derive(Clone)]
-pub(crate) enum Acc {
-    Count(i64),
-    Max(Option<Value>),
-    Min(Option<Value>),
-}
-
-/// Fresh accumulators for an aggregate list.
-pub(crate) fn fresh_accs(aggs: &[Agg]) -> Vec<Acc> {
-    aggs.iter()
-        .map(|a| match a {
-            Agg::Count => Acc::Count(0),
-            Agg::Max(_) => Acc::Max(None),
-            Agg::Min(_) => Acc::Min(None),
-        })
-        .collect()
-}
-
-/// Fold one input row into a group's accumulators.
-pub(crate) fn update_accs(accs: &mut [Acc], aggs: &[Agg], row: &Row) -> Result<()> {
-    for (acc, agg) in accs.iter_mut().zip(aggs) {
-        match (acc, agg) {
-            (Acc::Count(n), Agg::Count) => *n += 1,
-            (Acc::Max(m), Agg::Max(c)) => {
-                let v = &row[*c];
-                if m.as_ref().is_none_or(|cur| v > cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            (Acc::Min(m), Agg::Min(c)) => {
-                let v = &row[*c];
-                if m.as_ref().is_none_or(|cur| v < cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            _ => {
-                return Err(StorageError::PlanError(
-                    "aggregate accumulator mismatch".into(),
-                ))
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Merge one set of partial accumulators into another (the spilling
-/// aggregate's combine step). Counts sum; min/max take the extremum,
-/// with `None` acting as the identity.
-pub(crate) fn merge_accs(into: &mut [Acc], from: &[Acc]) {
-    for (a, b) in into.iter_mut().zip(from) {
-        match (a, b) {
-            (Acc::Count(x), Acc::Count(y)) => *x += y,
-            (Acc::Max(x), Acc::Max(y)) => {
-                if let Some(v) = y {
-                    if x.as_ref().is_none_or(|cur| v > cur) {
-                        *x = Some(v.clone());
-                    }
-                }
-            }
-            (Acc::Min(x), Acc::Min(y)) => {
-                if let Some(v) = y {
-                    if x.as_ref().is_none_or(|cur| v < cur) {
-                        *x = Some(v.clone());
-                    }
-                }
-            }
-            _ => debug_assert!(false, "merging mismatched accumulators"),
-        }
-    }
-}
-
-/// Hash aggregation over a stream of chunks. Shared by both executors
-/// (the materializing one re-batches its input): the
-/// accumulators consume rows one at a time, so only one row per group is
-/// ever held (the aggregate's output, not its input, bounds the memory).
-/// The memory-budgeted counterpart is [`spill::grace_aggregate`].
-fn aggregate_stream(
-    chunks: impl Iterator<Item = Result<Chunk>>,
-    group_by: &[usize],
-    aggs: &[Agg],
-) -> Result<Vec<Row>> {
-    let mut groups: HashMap<Box<[Value]>, Vec<Acc>, CellHash> = HashMap::default();
-    // Global aggregation over zero rows must still produce one row.
-    if group_by.is_empty() {
-        groups.insert(Box::from([]), fresh_accs(aggs));
-    }
-    for chunk in chunks {
-        let mut chunk = chunk?;
-        chunk.ensure_rows();
-        for row in chunk.iter() {
-            let key: Box<[Value]> = group_by.iter().map(|&c| row[c].clone()).collect();
-            let accs = groups.entry(key).or_insert_with(|| fresh_accs(aggs));
-            update_accs(accs, aggs, row)?;
-        }
-        chunk.recycle();
-    }
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, accs) in groups {
-        let mut vals: Vec<Value> = key.to_vec();
-        for acc in accs {
-            vals.push(match acc {
-                Acc::Count(n) => Value::Int(n),
-                Acc::Max(m) | Acc::Min(m) => m.unwrap_or(Value::Null),
-            });
-        }
-        out.push(Row::new(vals));
-    }
-    // Deterministic output order.
-    out.sort();
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,44 +649,6 @@ mod tests {
         assert_eq!(execute(&db, &p).unwrap().len(), 6);
         let p = p.distinct();
         assert_eq!(execute(&db, &p).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn aggregate_count_and_max() {
-        let db = db();
-        let p = Plan::Aggregate {
-            input: Box::new(Plan::scan("E")),
-            group_by: vec![0],
-            aggs: vec![Agg::Count, Agg::Max(2)],
-        };
-        let rows = execute(&db, &p).unwrap();
-        assert_eq!(rows, vec![row![0, 3, 2], row![1, 2, 2]]);
-    }
-
-    #[test]
-    fn global_aggregate_on_empty_input() {
-        let db = db();
-        let p = Plan::Aggregate {
-            input: Box::new(Plan::Values {
-                arity: 2,
-                rows: vec![],
-            }),
-            group_by: vec![],
-            aggs: vec![Agg::Count, Agg::Max(0)],
-        };
-        let rows = execute(&db, &p).unwrap();
-        assert_eq!(rows, vec![row![0, Value::Null]]);
-    }
-
-    #[test]
-    fn min_aggregate() {
-        let db = db();
-        let p = Plan::Aggregate {
-            input: Box::new(Plan::scan("E")),
-            group_by: vec![],
-            aggs: vec![Agg::Min(2)],
-        };
-        assert_eq!(execute(&db, &p).unwrap(), vec![row![0]]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The chunked executor ([`super::stream`](mod@super::stream)) pipelines most operators,
 //! but several places materialize: the hash build sides of keyed joins
-//! and anti-joins, `Aggregate`, `Sort`, and `Distinct`'s seen-set.
+//! and anti-joins, `Sort`, and `Distinct`'s seen-set.
 //! Without a budget those grow with the input and cap the
 //! larger-than-memory story. This module supplies the standard fixes,
 //! all sharing one framed run-file format:
@@ -21,10 +21,6 @@
 //!   capped at `MAX_MERGE_FANIN`, multi-pass beyond that) streams the
 //!   result back out in chunks. Ties break by run index, so the output
 //!   order is **identical** to the in-memory stable sort;
-//! * **spilling aggregate** — accumulators are *mergeable* (count sums,
-//!   min/max compose), so when the group table exceeds the budget the
-//!   partial accumulator rows are hash-partitioned to disk and the table
-//!   cleared; partitions merge their partials independently at the end;
 //! * **spilling distinct** — first occurrences stream out exactly as in
 //!   memory until the seen-set exceeds the budget; then the seen rows
 //!   (tagged "already emitted") and all remaining input (tagged "fresh")
@@ -73,7 +69,7 @@
 //! ## Error semantics
 //!
 //! Materialization points that already consumed their input eagerly
-//! (sort, aggregate, the join build side) keep erroring at open time.
+//! (sort, the join build side) keep erroring at open time.
 //! The spilling paths of the *lazy* operators (the grace join's probe
 //! partitioning, distinct's drain phase) must consume upstream before
 //! emitting, so upstream errors are surfaced in encounter order but
@@ -82,7 +78,6 @@
 //! suite pins this), only the interleaving may differ once spilling has
 //! actually engaged.
 
-use super::{fresh_accs, merge_accs, update_accs, Acc};
 use crate::column::{Bitmap, Column, ColumnSet};
 use crate::error::{Result, StorageError};
 use crate::expr::Expr;
@@ -90,7 +85,7 @@ use crate::index::CellHash;
 use crate::obs::metrics::{metrics, Metric};
 use crate::obs::profile::{bump, raise, ProfNode};
 use crate::persist::format::{crc32, Dec, Enc};
-use crate::plan::{Agg, Plan, SortKey};
+use crate::plan::{Plan, SortKey};
 use crate::row::Row;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -104,9 +99,9 @@ use std::rc::Rc;
 /// otherwise (every hook is then a single branch).
 pub(crate) type SpillProf = Option<Rc<ProfNode>>;
 
-/// Fan-out of one partitioning pass (join, aggregate, and distinct
-/// spills). 16 partitions cut an over-budget input to 1/16 per pass;
-/// two levels cover a 256× overshoot.
+/// Fan-out of one partitioning pass (join and distinct spills). 16
+/// partitions cut an over-budget input to 1/16 per pass; two levels
+/// cover a 256× overshoot.
 pub const SPILL_PARTITIONS: usize = 16;
 
 /// Maximum re-partitioning depth before an oversized partition is
@@ -213,18 +208,14 @@ impl SpillCtx {
 }
 
 /// Number of memory-budgeted materialization points in a plan: every
-/// `Sort`, `Aggregate`, `Distinct`, and `Join` (the hash build side of
+/// `Sort`, `Distinct`, and `Join` (the hash build side of
 /// a keyed join, the materialized right side of a cross join), plus
 /// every `AntiJoin` (the hash build side when keyed, the collected
 /// right side when residual-only). The global budget is divided by
 /// this count.
 pub fn spill_points(plan: &Plan) -> usize {
     let own = match plan {
-        Plan::Sort { .. }
-        | Plan::Aggregate { .. }
-        | Plan::Distinct { .. }
-        | Plan::Join { .. }
-        | Plan::AntiJoin { .. } => 1,
+        Plan::Sort { .. } | Plan::Distinct { .. } | Plan::Join { .. } | Plan::AntiJoin { .. } => 1,
         _ => 0,
     };
     own + plan.children().into_iter().map(spill_points).sum::<usize>()
@@ -884,207 +875,6 @@ impl MergeState {
 }
 
 // ---------------------------------------------------------------------------
-// Spilling aggregate
-// ---------------------------------------------------------------------------
-
-/// Encode one group's partial accumulators as a row `key ++ acc-values`
-/// (count as `Int`, min/max as the value or `Null` for "none yet" — the
-/// encodings compose under [`merge_accs`], see `super::Acc`).
-fn partial_row(key: &[Value], accs: &[Acc]) -> Row {
-    let mut vals: Vec<Value> = key.to_vec();
-    for acc in accs {
-        vals.push(match acc {
-            Acc::Count(n) => Value::Int(*n),
-            Acc::Max(m) | Acc::Min(m) => m.clone().unwrap_or(Value::Null),
-        });
-    }
-    Row::new(vals)
-}
-
-/// Decode a partial row written by [`partial_row`].
-fn partial_accs(aggs: &[Agg], row: &Row, key_len: usize) -> Result<Vec<Acc>> {
-    let mut out = Vec::with_capacity(aggs.len());
-    for (i, agg) in aggs.iter().enumerate() {
-        let v = &row[key_len + i];
-        out.push(match agg {
-            Agg::Count => match v {
-                Value::Int(n) => Acc::Count(*n),
-                _ => {
-                    return Err(StorageError::Corrupt(
-                        "spilled aggregate partial: count is not an int".into(),
-                    ))
-                }
-            },
-            Agg::Max(_) => Acc::Max(Some(v.clone())),
-            Agg::Min(_) => Acc::Min(Some(v.clone())),
-        });
-    }
-    Ok(out)
-}
-
-/// Approximate footprint of one group-table entry.
-fn group_bytes(key: &[Value], aggs_len: usize) -> usize {
-    HASH_ENTRY_OVERHEAD
-        + key
-            .iter()
-            .map(|v| {
-                std::mem::size_of::<Value>()
-                    + match v {
-                        Value::Str(s) => s.len(),
-                        _ => 0,
-                    }
-            })
-            .sum::<usize>()
-        + aggs_len * std::mem::size_of::<Value>()
-}
-
-/// Hash aggregation with grace-style partial spilling: when the group
-/// table exceeds `budget`, the partial accumulator rows are partitioned
-/// to disk and the table cleared; partitions then merge independently
-/// (recursing on oversized partitions with a deeper hash level).
-///
-/// The input is consumed here, so input errors surface at open time —
-/// exactly like the in-memory aggregate. Output rows are sorted within
-/// the in-memory case (identical to `aggregate_stream`) and within each
-/// partition otherwise (same multiset, deterministic order).
-pub(crate) fn grace_aggregate<'a>(
-    input: impl Iterator<Item = Result<super::Chunk>> + 'a,
-    group_by: &'a [usize],
-    aggs: &'a [Agg],
-    budget: usize,
-    dir: &Path,
-    batch: usize,
-    prof: SpillProf,
-) -> Result<Box<dyn Iterator<Item = Result<super::Chunk>> + 'a>> {
-    let mut groups: HashMap<Box<[Value]>, Vec<Acc>, CellHash> = HashMap::default();
-    let mut bytes = 0usize;
-    let mut partitions: Option<Vec<RunFile>> = None;
-    if group_by.is_empty() {
-        bytes += group_bytes(&[], aggs.len());
-        groups.insert(Box::from([]), fresh_accs(aggs));
-    }
-    let mut scratch: Vec<Row> = Vec::new();
-    for chunk in input {
-        let chunk = chunk?;
-        if chunk.is_empty() {
-            chunk.recycle();
-            continue;
-        }
-        chunk.drain_into(&mut scratch);
-        for row in scratch.drain(..) {
-            let key: Box<[Value]> = group_by.iter().map(|&c| row[c].clone()).collect();
-            let key_bytes = group_bytes(&key, aggs.len());
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    update_accs(e.get_mut(), aggs, &row)?
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    bytes += key_bytes;
-                    update_accs(e.insert(fresh_accs(aggs)), aggs, &row)?
-                }
-            }
-        }
-        // Flush the group table past the budget (the footprint estimate
-        // counts keys and accumulator slots, not transient string
-        // growth inside min/max — approximate but monotone).
-        if let Some(n) = &prof {
-            raise(&n.peak_bytes, bytes as u64);
-        }
-        if bytes > budget && !groups.is_empty() {
-            let parts = match &mut partitions {
-                Some(p) => p,
-                None => partitions.insert(new_partitions(dir, &prof)?),
-            };
-            for (key, accs) in groups.drain() {
-                let p = partition_of(key.iter(), 0);
-                parts[p].write(0, &partial_row(&key, &accs))?;
-            }
-            bytes = 0;
-        }
-    }
-    let Some(mut parts) = partitions else {
-        // Everything fit: identical to the in-memory aggregate
-        // (including the sorted output order).
-        let mut out: Vec<Row> = groups
-            .into_iter()
-            .map(|(k, accs)| partial_row(&k, &accs))
-            .collect();
-        out.sort();
-        return Ok(super::chunked_owned(out, batch));
-    };
-    // Flush the remainder, then merge partition by partition, lazily.
-    for (key, accs) in groups.drain() {
-        let p = partition_of(key.iter(), 0);
-        parts[p].write(0, &partial_row(&key, &accs))?;
-    }
-    let key_len = group_by.len();
-    for f in &mut parts {
-        f.seal()?;
-    }
-    let mut tasks: VecDeque<(RunFile, u32)> = parts.drain(..).map(|f| (f, 1)).collect();
-    let mut ready: VecDeque<Row> = VecDeque::new();
-    let mut failed = false;
-    let dir = dir.to_path_buf();
-    Ok(Box::new(std::iter::from_fn(move || loop {
-        if failed {
-            return None;
-        }
-        if !ready.is_empty() {
-            let take = ready.len().min(batch);
-            let rows: Vec<Row> = ready.drain(..take).collect();
-            return Some(Ok(super::Chunk::new(rows)));
-        }
-        let (mut file, level) = tasks.pop_front()?;
-        let result = (|| -> Result<()> {
-            if file.should_recurse(budget, level) {
-                // Oversized partition: re-partition at a deeper level.
-                if let Some(n) = &prof {
-                    bump(&n.spill_passes, 1);
-                }
-                let mut sub = new_partitions(&dir, &prof)?;
-                let mut reader = file.reader()?;
-                while let Some((_, row)) = reader.next()? {
-                    let p = partition_of(row.values()[..key_len].iter(), level);
-                    sub[p].write(0, &row)?;
-                }
-                for mut f in sub {
-                    if f.rows() > 0 {
-                        f.seal()?;
-                        tasks.push_back((f, level + 1));
-                    }
-                }
-                return Ok(());
-            }
-            let mut merged: HashMap<Box<[Value]>, Vec<Acc>, CellHash> = HashMap::default();
-            let mut reader = file.reader()?;
-            while let Some((_, row)) = reader.next()? {
-                let key: Box<[Value]> = row.values()[..key_len].to_vec().into();
-                let accs = partial_accs(aggs, &row, key_len)?;
-                match merged.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        merge_accs(e.get_mut(), &accs)
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(accs);
-                    }
-                }
-            }
-            let mut rows: Vec<Row> = merged
-                .into_iter()
-                .map(|(k, accs)| partial_row(&k, &accs))
-                .collect();
-            rows.sort();
-            ready.extend(rows);
-            Ok(())
-        })();
-        if let Err(e) = result {
-            failed = true;
-            return Some(Err(e));
-        }
-    })))
-}
-
-// ---------------------------------------------------------------------------
 // Spilling distinct
 // ---------------------------------------------------------------------------
 
@@ -1716,18 +1506,12 @@ mod tests {
             .distinct()
             .sort(vec![0]);
         assert_eq!(spill_points(&plan), 3);
-        let agg = Plan::Aggregate {
-            input: Box::new(Plan::scan("T").join_where(
-                Plan::scan("S"),
-                vec![],
-                Expr::col_eq_col(0, 1),
-            )),
-            group_by: vec![0],
-            aggs: vec![Agg::Count],
-        };
+        let cross = Plan::scan("T")
+            .join_where(Plan::scan("S"), vec![], Expr::col_eq_col(0, 1))
+            .distinct();
         // The cross join's materialized right side counts alongside the
-        // aggregate.
-        assert_eq!(spill_points(&agg), 2);
+        // distinct.
+        assert_eq!(spill_points(&cross), 2);
         // Anti-joins count whether keyed (hash build) or residual-only
         // (collected right side with overflow runs).
         let keyed = Plan::scan("T").anti_join(Plan::scan("S"), vec![(0, 0)]);
@@ -1814,16 +1598,6 @@ mod tests {
             Plan::scan("T").sort(vec![1, 0]),
             Plan::scan("T").distinct(),
             Plan::scan("T").join(Plan::scan("S"), vec![(0, 0)]),
-            Plan::Aggregate {
-                input: Box::new(Plan::scan("T")),
-                group_by: vec![0],
-                aggs: vec![Agg::Count, Agg::Max(1), Agg::Min(1)],
-            },
-            Plan::Aggregate {
-                input: Box::new(Plan::scan("T")),
-                group_by: vec![],
-                aggs: vec![Agg::Count, Agg::Min(1)],
-            },
         ];
         for plan in &plans {
             let unlimited = Executor::new(&db)

@@ -33,8 +33,8 @@
 //!   **Limit** truncates mid-chunk and stops pulling upstream — and
 //!   additionally caps its subtree's batch size at `n`, so a `LIMIT 100`
 //!   never drags 1024-row batches through the pipeline;
-//! * **Aggregate**, **Sort**, and join build sides remain the
-//!   materialization points, exactly as before.
+//! * **Sort** and join build sides remain the materialization points,
+//!   exactly as before.
 //!
 //! ## Error order is preserved
 //!
@@ -46,7 +46,7 @@
 //! satisfied by the prefix therefore never observes the error.
 
 use super::spill::{self, SpillCtx, SpillOptions};
-use super::{aggregate_stream, try_index_selection};
+use super::try_index_selection;
 use crate::catalog::Database;
 use crate::column::{self, Column, ColumnSet};
 use crate::error::{Result, StorageError};
@@ -167,7 +167,7 @@ mod pool {
 /// moves or clones rows — it writes the **window-relative** indices of
 /// surviving rows into `sel`; downstream operators iterate only the live
 /// rows. Compaction to rows happens where boxed rows are needed anyway
-/// (join probes, sort inputs, aggregate inputs) via
+/// (join probes, sort inputs) via
 /// [`Chunk::ensure_rows`].
 #[derive(Debug, Clone)]
 pub struct Chunk {
@@ -545,7 +545,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Open a plan as a chunk stream. Arities are validated once up
-    /// front; materialization points (aggregate/sort inputs, join build
+    /// front; materialization points (sort inputs, join build
     /// sides) do their buffering eagerly here, pipelined operators do no
     /// work until the stream is pulled.
     pub fn open_chunks(&self, plan: &'a Plan) -> Result<ChunkStream<'a>> {
@@ -919,7 +919,7 @@ pub(crate) fn selection_kernel_label(pred: &Expr) -> Option<String> {
 /// or [`BATCH_SIZE`]); `effective` is what pipelined operators in the
 /// current subtree actually use — a `Limit n` caps it at `n` so
 /// first-rows queries pull right-sized batches. Materialization points
-/// (Aggregate, Sort, join build and cross-join right sides) consume
+/// (Sort, join build and cross-join right sides) consume
 /// their whole input regardless of any Limit above, so they restore
 /// `effective` to `configured` — never to a hard-coded constant, which
 /// would override the embedder's configured bound.
@@ -1050,34 +1050,6 @@ fn open_node<'a>(
                 streams.push(open_node(db, p, batch, spill, &obs.child(i))?);
             }
             Box::new(streams.into_iter().flatten())
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            // Materialization point: the accumulators must see every input
-            // row, but only one row per group is ever held. The input runs
-            // at the executor's full batch size regardless of any Limit
-            // above (the aggregate consumes everything anyway).
-            let input = open_node(db, input, batch.full(), spill, &obs.child(0))?;
-            match spill.per_point {
-                None => {
-                    let rows = aggregate_stream(input, group_by, aggs)?;
-                    chunked_owned(rows, batch.effective)
-                }
-                // Budgeted: partial accumulators partition to disk when
-                // the group table exceeds its share.
-                Some(budget) => spill::grace_aggregate(
-                    input,
-                    group_by,
-                    aggs,
-                    budget,
-                    &spill.dir,
-                    batch.effective,
-                    obs.spill_prof(),
-                )?,
-            }
         }
         Plan::Sort { input, by } => {
             // Materialization point.
@@ -2259,11 +2231,6 @@ mod tests {
                 inputs: vec![Plan::scan("Users"), Plan::scan("Users")],
             }
             .distinct(),
-            Plan::Aggregate {
-                input: Box::new(Plan::scan("E")),
-                group_by: vec![0],
-                aggs: vec![crate::plan::Agg::Count, crate::plan::Agg::Max(2)],
-            },
             Plan::scan("Users").sort(vec![1]).limit(2),
         ];
         for plan in &plans {

@@ -15,13 +15,13 @@ use crate::exec::{
     access_path_note, selection_kernel_label, spill_points, BATCH_SIZE, SPILL_PARTITIONS,
 };
 use crate::obs::profile::{ProfNode, Profile};
-use crate::plan::{Agg, Plan};
+use crate::plan::Plan;
 use std::rc::Rc;
 
 /// Render a plan as an indented tree. Deterministic: node order follows
 /// the plan structure, estimates are integers, and no hash-map iteration
 /// is involved. Under a per-query memory `budget` every materialization
-/// point (sort, aggregate, distinct, hash-join build) additionally
+/// point (sort, distinct, hash-join build) additionally
 /// carries a `[spill budget=… partitions=…]` tag showing its share of
 /// the budget and the partition fan-out a spill would use.
 pub fn render(db: &Database, catalog: &StatsCatalog, plan: &Plan, budget: Option<usize>) -> String {
@@ -187,15 +187,15 @@ fn exec_note(plan: &Plan) -> &'static str {
         | Plan::Distinct { .. }
         | Plan::Limit { .. } => " [pipeline]",
         Plan::Join { .. } | Plan::AntiJoin { .. } => " [pipeline; build=right]",
-        Plan::Aggregate { .. } | Plan::Sort { .. } => " [materialize]",
+        Plan::Sort { .. } => " [materialize]",
     }
 }
 
 /// The vectorization annotation: pipelined operators exchange chunks of
 /// up to [`BATCH_SIZE`] rows. Scans additionally report the columnar
 /// layout — they emit zero-copy windows over the table's column cache
-/// rather than cloned row batches. Aggregate and Sort consume chunks
-/// but emit materialized output, so they carry no tag of their own; the
+/// rather than cloned row batches. Sort consumes chunks but emits
+/// materialized output, so it carries no tag of its own; the
 /// `Selection` kernel annotation is handled in [`render_node`] because
 /// it depends on the access path (an index-served selection runs no
 /// filter kernel at all).
@@ -210,7 +210,7 @@ fn vectorized_note(plan: &Plan) -> String {
         | Plan::Limit { .. }
         | Plan::Join { .. }
         | Plan::AntiJoin { .. } => format!(" [vectorized batch={BATCH_SIZE}]"),
-        Plan::Aggregate { .. } | Plan::Sort { .. } => String::new(),
+        Plan::Sort { .. } => String::new(),
     }
 }
 
@@ -230,11 +230,9 @@ fn on_note(on: &[(usize, usize)]) -> String {
 /// overflows to a replayed run, like the cross join's).
 fn spill_note<'s>(plan: &Plan, tag: &'s str) -> &'s str {
     match plan {
-        Plan::Sort { .. }
-        | Plan::Aggregate { .. }
-        | Plan::Distinct { .. }
-        | Plan::Join { .. }
-        | Plan::AntiJoin { .. } => tag,
+        Plan::Sort { .. } | Plan::Distinct { .. } | Plan::Join { .. } | Plan::AntiJoin { .. } => {
+            tag
+        }
         _ => "",
     }
 }
@@ -346,27 +344,6 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
         }
         Plan::Distinct { .. } => format!("Distinct{}{exec}", est_note(est)),
         Plan::Union { .. } => format!("Union{}{exec}", est_note(est)),
-        Plan::Aggregate {
-            input: _,
-            group_by,
-            aggs,
-        } => {
-            let aggs: Vec<String> = aggs
-                .iter()
-                .map(|a| match a {
-                    Agg::Count => "count".to_string(),
-                    Agg::Max(c) => format!("max(#{c})"),
-                    Agg::Min(c) => format!("min(#{c})"),
-                })
-                .collect();
-            let groups: Vec<String> = group_by.iter().map(|g| format!("#{g}")).collect();
-            format!(
-                "Aggregate group=[{}] aggs=[{}]{}{exec}",
-                groups.join(", "),
-                aggs.join(", "),
-                est_note(est)
-            )
-        }
         Plan::Values { arity, rows } => format!("Values {}x{arity}{exec}", rows.len()),
         Plan::Sort { input: _, by } => {
             // Ascending keys render exactly as before the direction flag
@@ -491,13 +468,6 @@ mod tests {
         assert!(text.contains("Sort by [#0] [materialize]"), "{text}");
         assert!(text.contains("[pipeline; build=right]"), "{text}");
         assert!(text.contains("Scan R (rows=1) [pipeline]"), "{text}");
-        let agg = Plan::Aggregate {
-            input: Box::new(Plan::scan("V")),
-            group_by: vec![0],
-            aggs: vec![Agg::Count],
-        };
-        let text = render_with_snapshot(&db, &agg);
-        assert!(text.contains("[materialize]"), "{text}");
     }
 
     #[test]

@@ -154,15 +154,6 @@ pub fn reorder_joins(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Resul
                 .map(|p| reorder_joins(db, catalog, p))
                 .collect::<Result<_>>()?,
         }),
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => Ok(Plan::Aggregate {
-            input: Box::new(reorder_joins(db, catalog, *input)?),
-            group_by,
-            aggs,
-        }),
         Plan::Sort { input, by } => Ok(Plan::Sort {
             input: Box::new(reorder_joins(db, catalog, *input)?),
             by,

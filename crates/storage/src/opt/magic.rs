@@ -436,9 +436,8 @@ fn const_subst(body: &[BodyLit]) -> HashMap<String, Value> {
 /// algorithm over the head-relation dependency graph with
 /// first-definition-order tie-breaking; rules keep their relative order
 /// within a relation. Relations left over by cycles (recursive
-/// programs) are appended in first-definition order — the recursive
-/// evaluator stratifies by strongly connected component itself, so
-/// within-cycle order only needs to be stable.
+/// programs) are appended in first-definition order, which
+/// [`crate::sema::read_before_defined`] then rejects with BD002.
 fn order_rules(rules: Vec<Rule>) -> Vec<Rule> {
     let mut rels: Vec<String> = Vec::new();
     let mut idx: HashMap<String, usize> = HashMap::new();
@@ -767,52 +766,6 @@ mod tests {
         assert!(
             ev.relation("hop").is_none(),
             "original rules must be dropped"
-        );
-    }
-
-    #[test]
-    fn recursive_closure_is_rewritten_with_recursive_magic() {
-        // tc(x, y) :- e(x, y).  tc(x, y) :- e(x, z), tc(z, y).
-        // ans(y) :- tc(1, y).
-        let prog = Program {
-            rules: vec![
-                rule(
-                    "tc",
-                    vec![v("x"), v("y")],
-                    vec![pos("e", vec![v("x"), v("y")])],
-                ),
-                rule(
-                    "tc",
-                    vec![v("x"), v("y")],
-                    vec![
-                        pos("e", vec![v("x"), v("z")]),
-                        pos("tc", vec![v("z"), v("y")]),
-                    ],
-                ),
-                rule("ans", vec![v("y")], vec![pos("tc", vec![c(1), v("y")])]),
-            ],
-        };
-        let rewritten = rewrite(&prog);
-        let text = rewritten.to_string();
-        // The textbook recursive demand rule: a new source is demanded
-        // for every edge out of an already-demanded one.
-        assert!(
-            text.contains("__magic__tc__bf(z) :- __magic__tc__bf(x), e(x, z)."),
-            "{text}"
-        );
-        let db = db();
-        let mut ev = Evaluator::new(&db);
-        ev.run(&rewritten).unwrap();
-        let mut got = ev.relation("ans").unwrap().to_vec();
-        got.sort();
-        assert_eq!(got, vec![row![2], row![3], row![4], row![5]]);
-        // Demand never reaches the 7→8 component.
-        let restricted = ev.relation("tc__bf").unwrap();
-        assert!(
-            !restricted
-                .iter()
-                .any(|r| r[0] == crate::value::Value::int(7)),
-            "{restricted:?}"
         );
     }
 

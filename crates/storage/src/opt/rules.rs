@@ -207,15 +207,6 @@ pub fn fold_plan(plan: Plan) -> Plan {
         Plan::Union { inputs } => Plan::Union {
             inputs: inputs.into_iter().map(fold_plan).collect(),
         },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => Plan::Aggregate {
-            input: Box::new(fold_plan(*input)),
-            group_by,
-            aggs,
-        },
         Plan::Sort { input, by } => Plan::Sort {
             input: Box::new(fold_plan(*input)),
             by,
@@ -282,15 +273,6 @@ pub fn push_selections(db: &Database, plan: Plan) -> Result<Plan> {
                 .into_iter()
                 .map(|p| push_selections(db, p))
                 .collect::<Result<_>>()?,
-        }),
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => Ok(Plan::Aggregate {
-            input: Box::new(push_selections(db, *input)?),
-            group_by,
-            aggs,
         }),
         Plan::Sort { input, by } => Ok(Plan::Sort {
             input: Box::new(push_selections(db, *input)?),
@@ -454,45 +436,6 @@ fn sink(db: &Database, input: Plan, mut conjuncts: Vec<Expr>) -> Result<Plan> {
             }
             Ok(Plan::Values { arity, rows: kept })
         }
-        // σ over γ: a conjunct that reads only group-by *output* columns
-        // filters whole groups, and filtering the input rows by the same
-        // key predicate (remapped through `group_by`) removes exactly
-        // those groups — multiset-safe. Conjuncts touching aggregate
-        // outputs stay above, and a global aggregate (empty `group_by`)
-        // is a hard barrier: it emits one row even over empty input, so
-        // nothing may move below it (not even a constant-false filter).
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let key_arity = group_by.len();
-            let (push, keep): (Vec<Expr>, Vec<Expr>) = conjuncts
-                .into_iter()
-                .partition(|c| key_arity > 0 && cols_of(c).iter().all(|&i| i < key_arity));
-            let input = if push.is_empty() {
-                input
-            } else {
-                let rewritten: Vec<Expr> = push
-                    .iter()
-                    .map(|c| c.remap_cols(&|i| group_by[i]))
-                    .collect();
-                Box::new(sink(db, *input, rewritten)?)
-            };
-            let agg = Plan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            };
-            Ok(if keep.is_empty() {
-                agg
-            } else {
-                Plan::Selection {
-                    input: Box::new(agg),
-                    predicate: join_and(keep),
-                }
-            })
-        }
         // Scans keep their selection on top: the executor turns it into an
         // index lookup when the predicate pins indexed columns. Limits are
         // barriers — filtering before a limit changes which rows survive.
@@ -582,15 +525,6 @@ pub fn simplify(db: &Database, plan: Plan) -> Result<Plan> {
                 .into_iter()
                 .map(|p| simplify(db, p))
                 .collect::<Result<_>>()?,
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => Plan::Aggregate {
-            input: Box::new(simplify(db, *input)?),
-            group_by,
-            aggs,
         },
         Plan::Sort { input, by } => Plan::Sort {
             input: Box::new(simplify(db, *input)?),
@@ -777,15 +711,6 @@ pub fn fuse_projections(plan: Plan) -> Plan {
         Plan::Union { inputs } => Plan::Union {
             inputs: inputs.into_iter().map(fuse_projections).collect(),
         },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => Plan::Aggregate {
-            input: Box::new(fuse_projections(*input)),
-            group_by,
-            aggs,
-        },
         Plan::Sort { input, by } => Plan::Sort {
             input: Box::new(fuse_projections(*input)),
             by,
@@ -904,15 +829,6 @@ pub fn prune_columns(db: &Database, plan: Plan) -> Result<Plan> {
                 .map(|p| prune_columns(db, p))
                 .collect::<Result<_>>()?,
         },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => Plan::Aggregate {
-            input: Box::new(prune_columns(db, *input)?),
-            group_by,
-            aggs,
-        },
         Plan::Sort { input, by } => Plan::Sort {
             input: Box::new(prune_columns(db, *input)?),
             by,
@@ -928,7 +844,7 @@ pub fn prune_columns(db: &Database, plan: Plan) -> Result<Plan> {
 /// Narrow `plan` to (at least) the columns in `needed`. Returns the new
 /// plan and the ascending list of *original* column indices it retains.
 /// Nodes that cannot be narrowed safely (scans — narrowing would hide the
-/// executor's index access paths — plus distinct/aggregate/anti-join/sort
+/// executor's index access paths — plus distinct/anti-join/sort
 /// barriers) are returned unchanged with the identity retention list.
 fn prune(db: &Database, plan: Plan, needed: &BTreeSet<usize>) -> Result<(Plan, Vec<usize>)> {
     let identity = |p: Plan| -> Result<(Plan, Vec<usize>)> {
@@ -1443,94 +1359,6 @@ mod tests {
         }
         assert_eq!(find_values_arity(&pruned), Some(1));
         assert_equivalent(&db, &original, &pruned);
-    }
-
-    #[test]
-    fn group_key_selection_pushes_through_aggregate() {
-        let db = db();
-        // γ_{#0; count, max(#2)}(E) filtered on the group key (#0 = 0):
-        // the predicate must sink below the aggregate, remapped to the
-        // input column the key comes from.
-        let agg = Plan::Aggregate {
-            input: Box::new(Plan::scan("E")),
-            group_by: vec![0],
-            aggs: vec![crate::plan::Agg::Count, crate::plan::Agg::Max(2)],
-        };
-        let original = agg.select(Expr::col_eq_lit(0, 0i64));
-        let pushed = push_selections(&db, original.clone()).unwrap();
-        let Plan::Aggregate { input, .. } = &pushed else {
-            panic!("selection did not sink below the aggregate: {pushed:?}");
-        };
-        let Plan::Selection { predicate, .. } = input.as_ref() else {
-            panic!("expected the pushed selection over the scan: {pushed:?}");
-        };
-        assert_eq!(predicate, &Expr::col_eq_lit(0, 0i64));
-        assert_equivalent(&db, &original, &pushed);
-
-        // Key taken from a non-leading input column: remap must follow
-        // `group_by`, not the output position.
-        let agg = Plan::Aggregate {
-            input: Box::new(Plan::scan("E")),
-            group_by: vec![2, 1],
-            aggs: vec![crate::plan::Agg::Count],
-        };
-        let original = agg.select(Expr::col_eq_lit(1, 2i64));
-        let pushed = push_selections(&db, original.clone()).unwrap();
-        let Plan::Aggregate { input, .. } = &pushed else {
-            panic!("expected aggregate on top: {pushed:?}");
-        };
-        let Plan::Selection { predicate, .. } = input.as_ref() else {
-            panic!("expected pushed selection: {pushed:?}");
-        };
-        assert_eq!(predicate, &Expr::col_eq_lit(1, 2i64));
-        assert_equivalent(&db, &original, &pushed);
-    }
-
-    #[test]
-    fn aggregate_value_selection_stays_above() {
-        let db = db();
-        let agg = Plan::Aggregate {
-            input: Box::new(Plan::scan("E")),
-            group_by: vec![0],
-            aggs: vec![crate::plan::Agg::Count],
-        };
-        // #1 is the count output — not a group key; must not move.
-        let original = agg.select(Expr::and(vec![
-            Expr::col_eq_lit(1, 2i64),
-            Expr::col_eq_lit(0, 0i64),
-        ]));
-        let pushed = push_selections(&db, original.clone()).unwrap();
-        let Plan::Selection { predicate, input } = &pushed else {
-            panic!("count conjunct must stay above the aggregate: {pushed:?}");
-        };
-        assert_eq!(predicate, &Expr::col_eq_lit(1, 2i64));
-        let Plan::Aggregate { input: below, .. } = input.as_ref() else {
-            panic!("expected aggregate under the kept selection: {pushed:?}");
-        };
-        assert!(matches!(below.as_ref(), Plan::Selection { .. }));
-        assert_equivalent(&db, &original, &pushed);
-    }
-
-    #[test]
-    fn global_aggregate_is_a_hard_barrier() {
-        let db = db();
-        // A global count emits one row even over an empty input; pushing
-        // the (constant-false after folding) filter below would turn
-        // "empty result" into "count of zero rows".
-        let agg = Plan::Aggregate {
-            input: Box::new(Plan::scan("E")),
-            group_by: vec![],
-            aggs: vec![crate::plan::Agg::Count],
-        };
-        let original = agg.select(Expr::cmp(CmpOp::Lt, Expr::Col(0), Expr::lit(0i64)));
-        let pushed = push_selections(&db, original.clone()).unwrap();
-        assert!(
-            matches!(&pushed, Plan::Selection { input, .. }
-                if matches!(input.as_ref(), Plan::Aggregate { .. })),
-            "global aggregate must stay a barrier: {pushed:?}"
-        );
-        assert_equivalent(&db, &original, &pushed);
-        assert_eq!(execute(&db, &pushed).unwrap().len(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::catalog::Database;
 use crate::expr::{CmpOp, Expr};
 use crate::index::CellHash;
-use crate::plan::{Agg, Plan};
+use crate::plan::Plan;
 use crate::row::Row;
 use crate::table::Table;
 use crate::value::Value;
@@ -300,8 +300,8 @@ pub struct RelEstimate {
     /// tables through column-preserving operators (selection,
     /// projection-of-columns, join concatenation, sort, limit). May be
     /// shorter than `distinct` — columns past the end simply have no
-    /// list. Operators that reshape frequencies (distinct, union,
-    /// aggregate) drop the lists.
+    /// list. Operators that reshape frequencies (distinct, union) drop
+    /// the lists.
     pub mcv: Vec<Vec<(Value, f64)>>,
     /// Per-column equi-depth histograms, propagated exactly like `mcv`.
     pub hist: Vec<Option<Histogram>>,
@@ -485,29 +485,6 @@ pub fn combine(catalog: &StatsCatalog, plan: &Plan, children: &[RelEstimate]) ->
                     }
                 }
             }
-            RelEstimate {
-                rows,
-                distinct,
-                mcv: Vec::new(),
-                hist: Vec::new(),
-            }
-            .capped()
-        }
-        Plan::Aggregate { group_by, aggs, .. } => {
-            let inner = &children[0];
-            let groups: f64 = group_by
-                .iter()
-                .map(|&g| inner.distinct.get(g).copied().unwrap_or(inner.rows))
-                .fold(1.0f64, |acc, d| (acc * d.max(1.0)).min(inner.rows.max(1.0)));
-            let rows = if group_by.is_empty() { 1.0 } else { groups };
-            let mut distinct: Vec<f64> = group_by
-                .iter()
-                .map(|&g| inner.distinct.get(g).copied().unwrap_or(rows))
-                .collect();
-            distinct.extend(aggs.iter().map(|a| match a {
-                Agg::Count => rows,
-                Agg::Max(c) | Agg::Min(c) => inner.distinct.get(*c).copied().unwrap_or(rows),
-            }));
             RelEstimate {
                 rows,
                 distinct,

@@ -4,24 +4,13 @@
 //! arity and column references are indexes into those rows. It covers
 //! exactly the relational algebra the paper's translation needs —
 //! selections, projections, equi/theta joins, anti-joins (for the
-//! `not exists` consistency checks of Algorithms 2–4), distinct, union, and
-//! MAX/MIN/COUNT aggregation (Algorithm 3's deepest-suffix-state query).
+//! `not exists` consistency checks of Algorithms 2–4), distinct, union,
+//! sort and limit.
 
 use crate::catalog::Database;
 use crate::error::{Result, StorageError};
 use crate::expr::Expr;
 use crate::row::Row;
-
-/// Aggregate functions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Agg {
-    /// Number of input rows in the group.
-    Count,
-    /// Maximum of a column within the group.
-    Max(usize),
-    /// Minimum of a column within the group.
-    Min(usize),
-}
 
 /// One sort criterion: a column position plus direction. `usize`
 /// converts into an ascending key, so `plan.sort(vec![0, 1])` keeps
@@ -81,12 +70,6 @@ pub enum Plan {
     Distinct { input: Box<Plan> },
     /// Bag union of plans with identical arity.
     Union { inputs: Vec<Plan> },
-    /// Hash aggregation. Output row = group-by columns ++ aggregate values.
-    Aggregate {
-        input: Box<Plan>,
-        group_by: Vec<usize>,
-        aggs: Vec<Agg>,
-    },
     /// A literal relation.
     Values { arity: usize, rows: Vec<Row> },
     /// Sort by the given keys (deterministic output for tests and
@@ -185,7 +168,6 @@ impl Plan {
             Plan::Selection { input, .. }
             | Plan::Projection { input, .. }
             | Plan::Distinct { input }
-            | Plan::Aggregate { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. } => vec![input],
             Plan::Join { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
@@ -293,30 +275,6 @@ impl Plan {
                 }
                 Ok(a)
             }
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let a = input.arity(db)?;
-                for &g in group_by {
-                    if g >= a {
-                        return Err(StorageError::PlanError(format!(
-                            "group-by column {g} out of range for arity {a}"
-                        )));
-                    }
-                }
-                for agg in aggs {
-                    if let Agg::Max(c) | Agg::Min(c) = agg {
-                        if *c >= a {
-                            return Err(StorageError::PlanError(format!(
-                                "aggregate column {c} out of range for arity {a}"
-                            )));
-                        }
-                    }
-                }
-                Ok(group_by.len() + aggs.len())
-            }
             Plan::Values { arity, rows } => {
                 for r in rows {
                     if r.arity() != *arity {
@@ -411,23 +369,6 @@ mod tests {
         assert!(bad.arity(&db).is_err());
         let empty = Plan::Union { inputs: vec![] };
         assert!(empty.arity(&db).is_err());
-    }
-
-    #[test]
-    fn aggregate_arity() {
-        let db = db();
-        let p = Plan::Aggregate {
-            input: Box::new(Plan::scan("E")),
-            group_by: vec![0],
-            aggs: vec![Agg::Count, Agg::Max(2)],
-        };
-        assert_eq!(p.arity(&db).unwrap(), 3);
-        let bad = Plan::Aggregate {
-            input: Box::new(Plan::scan("E")),
-            group_by: vec![9],
-            aggs: vec![],
-        };
-        assert!(bad.arity(&db).is_err());
     }
 
     #[test]

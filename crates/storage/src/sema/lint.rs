@@ -2,7 +2,7 @@
 //!
 //! [`lint_program`] walks a translated program and reports every
 //! statically detectable problem as a [`Diagnostic`] — in a fixed,
-//! deterministic order (stratification first, then per-rule checks in
+//! deterministic order (program order first, then per-rule checks in
 //! program order, unused rules last; within a rule, variables in first-
 //! occurrence order), so lint output is byte-identical across runs and
 //! safe to snapshot in tests.
@@ -14,9 +14,9 @@
 //! of rows they consider satisfiable, so "contradictory" always means
 //! "derives zero rows" (the fuzzed property in `tests/sema.rs`).
 
-use super::{codes, unstratifiable, Diagnostic};
+use super::{codes, read_before_defined, Diagnostic};
 use crate::catalog::Database;
-use crate::datalog::{head_graph, BodyLit, CmpLit, Program, Rule, Term};
+use crate::datalog::{BodyLit, CmpLit, Program, Rule, Term};
 use crate::expr::{CmpOp, Expr};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,42 +24,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Lint a Datalog program against `db`. Read-only; diagnostics come
 /// back in a deterministic order (see the module docs).
 pub fn lint_program(db: &Database, program: &Program) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    lint_stratification(program, &mut out);
+    let mut out = read_before_defined(program);
     for rule in &program.rules {
         lint_rule(db, rule, &mut out);
     }
     lint_unused(program, &mut out);
     out
-}
-
-/// BD002: negation through a relation's own recursive component — the
-/// same check (and the same diagnostic) the evaluator enforces, caught
-/// before evaluation and naming the whole offending cycle.
-fn lint_stratification(program: &Program, out: &mut Vec<Diagnostic>) {
-    let graph = head_graph(program);
-    for comp in graph.sccs() {
-        if !graph.component_recursive(&comp) {
-            continue;
-        }
-        let members: BTreeSet<&str> = comp.iter().map(|&i| graph.rels[i].as_str()).collect();
-        let cycle: Vec<&str> = members.iter().copied().collect();
-        for rule in &program.rules {
-            if !members.contains(rule.head.relation.as_str()) {
-                continue;
-            }
-            for lit in &rule.body {
-                if let BodyLit::Neg(a) = lit {
-                    if members.contains(a.relation.as_str()) {
-                        out.push(
-                            unstratifiable(&rule.head.relation, &a.relation, &cycle)
-                                .with_context(format!("rule `{rule}`")),
-                        );
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// BD005: a head relation nothing reads, other than the answer (the

@@ -1,7 +1,7 @@
 //! # sema — static semantic analysis
 //!
 //! Deductive-database practice checks programs *statically* — safety /
-//! range restriction, stratification, type soundness — before a single
+//! range restriction, program order, type soundness — before a single
 //! tuple is derived, and rejects ill-formed input with structured,
 //! explainable diagnostics instead of a bare error string. This module
 //! is that layer for the belief-database stack, in two parts:
@@ -9,12 +9,13 @@
 //! 1. **The linter** ([`lint_program`]): analyzes a translated Datalog
 //!    program before evaluation and reports [`Diagnostic`]s with stable
 //!    `BD0xx` codes — unsafe rules (head/negation/comparison variables
-//!    with no positive binding), unstratifiable negation (naming the
-//!    offending rule cycle), comparison type mismatches, provably-empty
-//!    rules (`x = 1, x = 2`, empty ranges), unused rules, and singleton
-//!    variables. [`expr_contradictory`] is the same contradiction
-//!    analysis over plan predicates; the optimizer uses it to fold
-//!    provably-false selections to an empty `Values`.
+//!    with no positive binding), relations read before their last
+//!    defining rule ([`read_before_defined`]), comparison type
+//!    mismatches, provably-empty rules (`x = 1, x = 2`, empty ranges),
+//!    unused rules, and singleton variables. [`expr_contradictory`] is
+//!    the same contradiction analysis over plan predicates; the
+//!    optimizer uses it to fold provably-false selections to an empty
+//!    `Values`.
 //!
 //! 2. **The plan verifier** ([`verify_plan`]): an independent invariant
 //!    checker run after every optimizer rewrite pass. It re-derives the
@@ -42,6 +43,8 @@ pub use lint::{expr_contradictory, lint_program};
 pub(crate) use verify::verify_magic_if_enabled;
 pub use verify::{verify_magic, verify_plan, verify_plan_if_enabled};
 
+use crate::datalog::{BodyLit, Program};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -51,8 +54,9 @@ pub mod codes {
     /// A head / negated / comparison variable has no positive binding
     /// (the rule is unsafe — not range-restricted).
     pub const UNSAFE_RULE: &str = "BD001";
-    /// Negation through the relation's own recursive component.
-    pub const UNSTRATIFIABLE: &str = "BD002";
+    /// A body atom reads a head relation at or before that relation's
+    /// last defining rule (the program is not in definition order).
+    pub const READ_BEFORE_DEFINED: &str = "BD002";
     /// A comparison mixes value types (int vs string vs bool).
     pub const TYPE_MISMATCH: &str = "BD003";
     /// The rule (or selection) is provably empty: contradictory
@@ -154,24 +158,43 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The shared BD002 constructor: both the linter and the evaluator's
-/// stratification check emit exactly this shape, so the code, the cycle
-/// rendering, and the message stay in lockstep.
-pub fn unstratifiable(head: &str, negated: &str, cycle: &[&str]) -> Diagnostic {
-    let mut loop_names: Vec<&str> = cycle.to_vec();
-    loop_names.sort_unstable();
-    let mut rendered = loop_names.join(" -> ");
-    if let Some(first) = loop_names.first() {
-        rendered.push_str(" -> ");
-        rendered.push_str(first);
+/// BD002, the one program-order rule: every body atom, positive or
+/// negated, that names a head relation must come after that relation's
+/// last defining rule. A program in this order is non-recursive, and
+/// every relation a rule reads is complete when the rule runs; the
+/// programs Algorithm 1 and the magic-sets rewrite emit are all in it.
+/// One error per offending atom, in program order.
+pub fn read_before_defined(program: &Program) -> Vec<Diagnostic> {
+    let mut last_def: HashMap<&str, usize> = HashMap::new();
+    for (i, rule) in program.rules.iter().enumerate() {
+        last_def.insert(rule.head.relation.as_str(), i);
     }
-    Diagnostic::error(
-        codes::UNSTRATIFIABLE,
-        format!(
-            "rule for `{head}` negates `{negated}` inside its own recursive component \
-             (not stratifiable); cycle: {rendered}"
-        ),
-    )
+    let mut out = Vec::new();
+    for (i, rule) in program.rules.iter().enumerate() {
+        for lit in &rule.body {
+            let (BodyLit::Pos(a) | BodyLit::Neg(a)) = lit else {
+                continue;
+            };
+            if let Some(&def) = last_def.get(a.relation.as_str()) {
+                if def >= i {
+                    let (head, read) = (&rule.head.relation, &a.relation);
+                    out.push(
+                        Diagnostic::error(
+                            codes::READ_BEFORE_DEFINED,
+                            format!(
+                                "rule for `{head}` reads `{read}` before its last defining \
+                                 rule (rule {} of {})",
+                                def + 1,
+                                program.rules.len()
+                            ),
+                        )
+                        .with_context(format!("rule `{rule}`")),
+                    );
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Verifier switch: 0 = default (follow `debug_assertions`), 1 = forced
@@ -221,12 +244,35 @@ mod tests {
     }
 
     #[test]
-    fn unstratifiable_names_the_cycle() {
-        let d = unstratifiable("Win", "Win", &["Win"]);
-        assert_eq!(d.code, codes::UNSTRATIFIABLE);
-        assert!(d.message.contains("cycle: Win -> Win"), "{}", d.message);
-        let d = unstratifiable("B", "A", &["B", "A"]);
-        assert!(d.message.contains("cycle: A -> B -> A"), "{}", d.message);
+    fn read_before_defined_names_the_head_and_the_read() {
+        use crate::datalog::dsl::*;
+        let program = |rules| Program { rules };
+        // win(x) :- e(x, y), not win(y): reads its own head.
+        let win = program(vec![rule(
+            "win",
+            vec![v("x")],
+            vec![pos("e", vec![v("x"), v("y")]), neg("win", vec![v("y")])],
+        )]);
+        let d = read_before_defined(&win);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].code, codes::READ_BEFORE_DEFINED);
+        assert!(d[0].is_error());
+        assert!(
+            d[0].message.contains("rule for `win` reads `win`"),
+            "{}",
+            d[0].message
+        );
+        // B reads A before A's second rule; definition order passes.
+        let a1 = rule("A", vec![v("x")], vec![pos("E", vec![v("x")])]);
+        let b = rule("B", vec![v("x")], vec![pos("A", vec![v("x")])]);
+        let d = read_before_defined(&program(vec![a1.clone(), b.clone(), a1.clone()]));
+        assert_eq!(d.len(), 1);
+        assert!(
+            d[0].message.contains("rule for `B` reads `A`"),
+            "{}",
+            d[0].message
+        );
+        assert!(read_before_defined(&program(vec![a1.clone(), a1, b])).is_empty());
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! Invariants checked per operator:
 //!
 //! - **column resolution**: every column reference in a selection
-//!   predicate, projection expression, join key, join residual, sort
-//!   key, group-by, or aggregate is within its input's arity;
+//!   predicate, projection expression, join key, join residual or sort
+//!   key is within its input's arity;
 //! - **schema flow**: arities compose (join output = left + right,
-//!   anti-join = left, projection = expression count, aggregate =
-//!   groups + aggregates, union inputs agree, `Values` rows match the
-//!   declared arity);
+//!   anti-join = left, projection = expression count, union inputs
+//!   agree, `Values` rows match the declared arity);
 //! - **spill accounting**: the verifier's own count of materialization
 //!   points equals [`crate::exec::spill_points`]' — so an operator
 //!   added to the executor but forgotten by the budget splitter (or
@@ -165,26 +164,6 @@ fn shape(db: &Database, plan: &Plan) -> std::result::Result<usize, Diagnostic> {
                 None => bad("union with no inputs".into()),
             }
         }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let a = shape(db, input)?;
-            for &g in group_by {
-                if g >= a {
-                    return bad(format!("group-by column {g} unresolvable at arity {a}"));
-                }
-            }
-            for agg in aggs {
-                if let crate::plan::Agg::Max(c) | crate::plan::Agg::Min(c) = agg {
-                    if *c >= a {
-                        return bad(format!("aggregate column {c} unresolvable at arity {a}"));
-                    }
-                }
-            }
-            Ok(group_by.len() + aggs.len())
-        }
         Plan::Values { arity, rows } => {
             for r in rows {
                 if r.arity() != *arity {
@@ -238,16 +217,12 @@ fn check_expr(e: &Expr, arity: usize, what: &str) -> std::result::Result<(), Dia
 
 /// The verifier's own notion of a materialization point, kept in
 /// deliberate lockstep with the contract documented on
-/// [`crate::exec::spill_points`]: `Sort`, `Aggregate`, `Distinct`,
-/// `Join`, and `AntiJoin` each hold state; everything else pipelines.
+/// [`crate::exec::spill_points`]: `Sort`, `Distinct`, `Join`, and
+/// `AntiJoin` each hold state; everything else pipelines.
 fn materialization_points(plan: &Plan) -> usize {
     let own = matches!(
         plan,
-        Plan::Sort { .. }
-            | Plan::Aggregate { .. }
-            | Plan::Distinct { .. }
-            | Plan::Join { .. }
-            | Plan::AntiJoin { .. }
+        Plan::Sort { .. } | Plan::Distinct { .. } | Plan::Join { .. } | Plan::AntiJoin { .. }
     ) as usize;
     own + plan
         .children()

@@ -175,7 +175,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     println!("                 renders sys.slowlog");
                     println!("  \\set memory <n[k|m|g]|off>");
                     println!("                 per-query memory budget for joins/sorts/");
-                    println!("                 aggregates/distincts — past it they spill to");
+                    println!("                 distincts — past it they spill to");
                     println!("                 disk (grace hash join, external merge sort)");
                     println!("  \\set magic <on|off>");
                     println!("                 magic-sets / SIP rewrite: evaluate bound belief");

@@ -5,14 +5,13 @@
 //!
 //! The plan generator produces arity-correct random plans over a
 //! mixed-size database: joins, anti-joins, unions, selections,
-//! projections, distinct, aggregates, sort, limit, and literal
-//! relations.
+//! projections, distinct, sort, limit, and literal relations.
 
 #![allow(dead_code)]
 
 pub mod bcq;
 
-use beliefdb::storage::{row, Agg, CmpOp, Database, Expr, Plan, Row, TableSchema, Value};
+use beliefdb::storage::{row, CmpOp, Database, Expr, Plan, Row, TableSchema, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -109,7 +108,7 @@ pub fn gen_plan(rng: &mut StdRng, depth: usize) -> (Plan, usize) {
             }
         };
     }
-    match rng.gen_range(0..9u32) {
+    match rng.gen_range(0..8u32) {
         0 => {
             let (p, a) = gen_plan(rng, depth - 1);
             (p.select(gen_pred(rng, a, 2)), a)
@@ -166,28 +165,6 @@ pub fn gen_plan(rng: &mut StdRng, depth: usize) -> (Plan, usize) {
             let by: Vec<usize> = (0..a.min(2)).map(|_| rng.gen_range(0..a)).collect();
             (p.sort(by), a)
         }
-        7 => {
-            let (p, a) = gen_plan(rng, depth - 1);
-            let group_by: Vec<usize> = (0..rng.gen_range(0..a.min(2) + 1))
-                .map(|_| rng.gen_range(0..a))
-                .collect();
-            let aggs: Vec<Agg> = (0..rng.gen_range(1..3usize))
-                .map(|_| match rng.gen_range(0..3u32) {
-                    0 => Agg::Count,
-                    1 => Agg::Max(rng.gen_range(0..a)),
-                    _ => Agg::Min(rng.gen_range(0..a)),
-                })
-                .collect();
-            let arity = group_by.len() + aggs.len();
-            (
-                Plan::Aggregate {
-                    input: Box::new(p),
-                    group_by,
-                    aggs,
-                },
-                arity,
-            )
-        }
         _ => {
             let (p, a) = gen_plan(rng, depth - 1);
             (p.limit(rng.gen_range(0..50usize)), a)
@@ -227,6 +204,5 @@ pub fn contains_order_sensitive_limit(p: &Plan) -> bool {
             contains_order_sensitive_limit(left) || contains_order_sensitive_limit(right)
         }
         Plan::Union { inputs } => inputs.iter().any(contains_order_sensitive_limit),
-        Plan::Aggregate { input, .. } => contains_order_sensitive_limit(input),
     }
 }

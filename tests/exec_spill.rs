@@ -11,11 +11,11 @@
 //!    generator, evaluated unlimited and at budgets {0, one row, well
 //!    below input, far above input};
 //! 2. **dedicated operator workloads** — sort (stability across runs),
-//!    grace join (partition recursion), aggregate partial merging,
-//!    hybrid distinct — at a just-below-input budget chosen from the
+//!    grace join (partition recursion), hybrid distinct — at a
+//!    just-below-input budget chosen from the
 //!    actual input volume;
 //! 3. **error-semantics parity** — fallible expressions error at open
-//!    for eager points (sort/aggregate/build) and split lazily for the
+//!    for eager points (sort/build) and split lazily for the
 //!    others: same Ok-row multiset, same error count, at every budget;
 //! 4. **cleanup** — a dedicated spill directory is empty after success,
 //!    after an error, and after dropping a half-consumed stream.
@@ -23,7 +23,7 @@
 mod common;
 
 use beliefdb::storage::{
-    execute, row, Agg, Database, Executor, Expr, Plan, Row, SpillOptions, TableSchema,
+    execute, row, Database, Executor, Expr, Plan, Row, SpillOptions, TableSchema,
 };
 use common::{contains_order_sensitive_limit, gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
@@ -80,13 +80,13 @@ fn drain_items(
 const BUDGET_LADDER: [usize; 4] = [0, 48, 4 << 10, 64 << 20];
 
 /// Whether spilling preserves this subtree's row *order* (multisets are
-/// always preserved). Grace joins, partitioned aggregates, and spilled
-/// distincts emit partition by partition, so a `Sort` above one of them
+/// always preserved). Grace joins and spilled distincts emit partition
+/// by partition, so a `Sort` above one of them
 /// may break ties differently — its exact output order is only pinned
 /// when everything below is order-stable.
 fn spill_order_stable(p: &Plan) -> bool {
     match p {
-        Plan::Distinct { .. } | Plan::Aggregate { .. } | Plan::Join { .. } => false,
+        Plan::Distinct { .. } | Plan::Join { .. } => false,
         Plan::Scan { .. } | Plan::Values { .. } => true,
         Plan::Selection { input, .. }
         | Plan::Projection { input, .. }
@@ -181,11 +181,6 @@ fn dedicated_workloads_spill_at_just_below_input_budgets() {
         Plan::scan("T").sort(vec![2, 1]),
         Plan::scan("T").distinct(),
         Plan::scan("T").join(Plan::scan("S"), vec![(0, 0)]),
-        Plan::Aggregate {
-            input: Box::new(Plan::scan("T")),
-            group_by: vec![2],
-            aggs: vec![Agg::Count, Agg::Min(1), Agg::Max(0)],
-        },
     ];
     // The rows, and the bytes and run files the root operator spilled.
     let run = |exec: &Executor, plan: &Plan| {
@@ -201,8 +196,7 @@ fn dedicated_workloads_spill_at_just_below_input_budgets() {
         for budget in [just_below, just_below / 10] {
             let (got, bytes, files) = run(&budgeted(&db, budget, &dir), plan);
             // A sort and a distinct hold their whole input, so any budget
-            // below it makes them spill; the aggregate's groups and the
-            // join's build side may fit.
+            // below it makes them spill; the join's build side may fit.
             if matches!(plan, Plan::Sort { .. } | Plan::Distinct { .. }) {
                 assert!(bytes > 0 && files > 0, "no spill at {budget}: {plan:?}");
             }
@@ -344,11 +338,6 @@ fn error_semantics_match_at_every_budget() {
     let cases: Vec<Plan> = vec![
         // Eager materialization points: the whole query fails at open.
         poisoned(2_000).sort(vec![1]),
-        Plan::Aggregate {
-            input: Box::new(poisoned(2_000)),
-            group_by: vec![1],
-            aggs: vec![Agg::Count],
-        },
         // Lazy operators: errors split the stream.
         poisoned(2_000).distinct(),
         poisoned(2_000).join(Plan::scan("E"), vec![(1, 0)]),

@@ -89,7 +89,7 @@ fn fuzzed_plans_stream_and_materialize_identically() {
 fn fuzzed_optimized_plans_stream_and_materialize_identically() {
     // Same comparison, but on the *optimized* plan shape on both sides —
     // exercises the streaming operators over pushed-down/reordered trees
-    // (index probes, fused filters, aggregate pushdown).
+    // (index probes, fused filters, selection pushdown).
     let db = plan_db();
     let mut rng = StdRng::seed_from_u64(0xD1FFE2);
     for case in 0..200 {

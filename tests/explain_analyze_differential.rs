@@ -4,10 +4,10 @@
 //! participant. Three angles:
 //!
 //! 1. Fuzzed plans (selects, projects, joins, anti-joins, distincts,
-//!    sorts, limits, unions, aggregates over two tables and literal
-//!    `Values`) run three times per budget: once plain, once profiled;
-//!    the row counts and (limit-free) row multisets must agree, and the
-//!    profile root's `rows_out` must equal the drained count.
+//!    sorts, limits, unions over two tables and literal `Values`) run
+//!    three times per budget: once plain, once profiled; the row counts
+//!    and (limit-free) row multisets must agree, and the profile root's
+//!    `rows_out` must equal the drained count.
 //! 2. Budgets of `None`, `1` byte (everything spills — grace hash
 //!    joins, external sorts), and 64 KiB must all produce the same
 //!    answers, and at least some fuzzed case must actually report
@@ -20,7 +20,7 @@
 
 use beliefdb::storage::opt::render_analyze;
 use beliefdb::storage::{
-    row, Agg, CmpOp, Database, Executor, Expr, Plan, Row, SpillOptions, StatsCatalog, TableSchema,
+    row, CmpOp, Database, Executor, Expr, Plan, Row, SpillOptions, StatsCatalog, TableSchema,
 };
 
 /// Small deterministic LCG so every run fuzzes the same plan space.
@@ -78,7 +78,7 @@ fn gen_plan(rng: &mut Rng, depth: usize) -> (Plan, usize) {
     if depth == 0 {
         return leaf(rng);
     }
-    match rng.below(9) {
+    match rng.below(8) {
         0 => {
             let (p, a) = gen_plan(rng, depth - 1);
             let col = rng.below(a as u64) as usize;
@@ -119,26 +119,13 @@ fn gen_plan(rng: &mut Rng, depth: usize) -> (Plan, usize) {
             let (p, a) = gen_plan(rng, depth - 1);
             (p.limit(rng.below(40) as usize), a)
         }
-        7 => {
+        _ => {
             let (p, a) = gen_plan(rng, depth - 1);
             (
                 Plan::Union {
                     inputs: vec![p.clone(), p],
                 },
                 a,
-            )
-        }
-        _ => {
-            let (p, a) = gen_plan(rng, depth - 1);
-            let g = rng.below(a as u64) as usize;
-            let m = rng.below(a as u64) as usize;
-            (
-                Plan::Aggregate {
-                    input: Box::new(p),
-                    group_by: vec![g],
-                    aggs: vec![Agg::Count, Agg::Max(m)],
-                },
-                3,
             )
         }
     }

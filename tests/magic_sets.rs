@@ -12,7 +12,7 @@ use beliefdb::core::bcq::translate::{self, Answer, EvalOptions, TranslatedQuery}
 use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
-use beliefdb::storage::datalog::{Atom, BodyLit, Evaluator, Program, Rule, Term};
+use beliefdb::storage::datalog::{Evaluator, Program};
 use beliefdb::storage::opt::magic;
 use beliefdb::storage::{CmpOp, Recorder, Row};
 use rand::rngs::StdRng;
@@ -287,65 +287,6 @@ fn bdms_toggle_agrees_on_fuzzed_queries() {
         let off = bdms.query(&q).unwrap();
         bdms.set_magic(true);
         assert_eq!(on, off, "magic toggle changed answers on {name}");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recursion: semi-naive fixpoint × executors, rewritten and not
-// ---------------------------------------------------------------------------
-
-#[test]
-fn recursive_reachability_matches_under_rewrite_and_executors() {
-    // Transitive closure over the belief graph's E edges, demanded from
-    // the root world only. The rewrite turns the full closure into a
-    // forward frontier seeded at world 0; both must agree on the
-    // demanded slice.
-    let bdms = workload();
-    let pos = |rel: &str, terms: Vec<Term>| BodyLit::Pos(Atom::new(rel, terms));
-    let program = Program {
-        rules: vec![
-            // reach(x, y) :- E(x, u, y).
-            Rule {
-                head: Atom::new("reach", vec![Term::var("x"), Term::var("y")]),
-                body: vec![pos(
-                    "E",
-                    vec![Term::var("x"), Term::var("u"), Term::var("y")],
-                )],
-            },
-            // reach(x, y) :- reach(x, z), E(z, u, y).
-            Rule {
-                head: Atom::new("reach", vec![Term::var("x"), Term::var("y")]),
-                body: vec![
-                    pos("reach", vec![Term::var("x"), Term::var("z")]),
-                    pos("E", vec![Term::var("z"), Term::var("u"), Term::var("y")]),
-                ],
-            },
-            // ans(y) :- reach(0, y).
-            Rule {
-                head: Atom::new("ans", vec![Term::var("y")]),
-                body: vec![pos("reach", vec![Term::val(0i64), Term::var("y")])],
-            },
-        ],
-    };
-    let magicked = magic::rewrite(&program);
-    assert_ne!(
-        magicked.to_string(),
-        program.to_string(),
-        "bound recursive closure should be rewritten"
-    );
-    let reference = run_program(&bdms, &program, "ans", Voice::Chunked(None));
-    assert!(!reference.is_empty(), "workload has no reachable worlds");
-    for voice in VOICES {
-        assert_eq!(
-            reference,
-            run_program(&bdms, &program, "ans", voice),
-            "plain recursion diverged at {voice:?}"
-        );
-        assert_eq!(
-            reference,
-            run_program(&bdms, &magicked, "ans", voice),
-            "rewritten recursion diverged at {voice:?}"
-        );
     }
 }
 

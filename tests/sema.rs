@@ -18,9 +18,16 @@
 //!    armed, `optimize` itself re-checks after every pass). Malformed
 //!    plans and tampered magic programs are rejected with the right
 //!    `BD10x` code.
+//!
+//! A fourth, program order, is checked against the evaluator: over
+//! seeded permutations of the Table 2 programs, raw and magic-rewritten,
+//! `lint_program` reports `BD002` exactly when `Evaluator::run` rejects
+//! the program, and every accepted permutation keeps the answer.
 
 mod common;
 
+use beliefdb::gen::generate_bdms;
+use beliefdb::gen::scenarios::table2_config;
 use beliefdb::sql::Session;
 use beliefdb::storage::datalog::{Atom, BodyLit, CmpLit, Evaluator, Program, Rule, Term};
 use beliefdb::storage::opt::magic::{self, MAGIC_PREFIX};
@@ -317,7 +324,7 @@ fn stratification_and_reserved_name_errors_carry_codes() {
         e.insert(row![0, 1]).unwrap();
         e.insert(row![1, 2]).unwrap();
     }
-    // win(x) :- e(x, y), ¬win(y). — negation through its own component.
+    // win(x) :- e(x, y), ¬win(y). — reads its own head.
     let program = Program {
         rules: vec![rule(
             "win",
@@ -327,7 +334,10 @@ fn stratification_and_reserved_name_errors_carry_codes() {
     };
     let err = Evaluator::new(&db).run(&program).unwrap_err();
     assert_eq!(err.code(), Some("BD002"));
-    assert!(err.to_string().contains("cycle: win -> win"), "{err}");
+    assert!(
+        err.to_string().contains("rule for `win` reads `win`"),
+        "{err}"
+    );
     assert!(matches!(err, StorageError::DatalogError(_)));
 
     // The linter reports the same condition without evaluating.
@@ -335,7 +345,7 @@ fn stratification_and_reserved_name_errors_carry_codes() {
     assert!(
         diags
             .iter()
-            .any(|d| d.code == codes::UNSTRATIFIABLE && d.is_error()),
+            .any(|d| d.code == codes::READ_BEFORE_DEFINED && d.is_error()),
         "{diags:?}"
     );
 
@@ -345,6 +355,62 @@ fn stratification_and_reserved_name_errors_carry_codes() {
         .unwrap_err();
     assert_eq!(err.code(), Some("BD010"));
     assert!(matches!(err, StorageError::ReservedName(_)));
+}
+
+// ---------------------------------------------------------------------------
+// Program order: the linter and the evaluator agree
+// ---------------------------------------------------------------------------
+
+/// `program`'s rules in a seeded random order (Fisher–Yates).
+fn permuted(program: &Program, rng: &mut StdRng) -> Program {
+    let mut rules = program.rules.clone();
+    for i in (1..rules.len()).rev() {
+        rules.swap(i, rng.gen_range(0..i + 1));
+    }
+    Program { rules }
+}
+
+#[test]
+fn linter_and_evaluator_agree_on_program_order() {
+    let (bdms, _) = generate_bdms(&table2_config(300, 42)).unwrap();
+    let db = bdms.internal().database();
+    let mut rng = StdRng::seed_from_u64(0x0bd0_0002);
+    let (mut rejected, mut accepted) = (0, 0);
+    for (name, q) in beliefdb_bench::table2_queries(&bdms).unwrap() {
+        let translated = bdms.translate(&q).unwrap();
+        let magicked = magic::rewrite_checked(&translated.program).unwrap();
+        for program in [&translated.program, &magicked] {
+            let mut ev = Evaluator::new(db);
+            ev.run(program).unwrap();
+            let mut want = ev.relation(&translated.answer).unwrap().to_vec();
+            want.sort();
+            for _ in 0..12 {
+                let perm = permuted(program, &mut rng);
+                let lint_bd002 = lint_program(db, &perm)
+                    .iter()
+                    .any(|d| d.code == codes::READ_BEFORE_DEFINED && d.is_error());
+                let mut ev = Evaluator::new(db);
+                match ev.run(&perm) {
+                    Err(err) => {
+                        assert_eq!(err.code(), Some("BD002"), "{name}: {err}\n{perm}");
+                        assert!(lint_bd002, "{name}: only the evaluator rejects\n{perm}");
+                        rejected += 1;
+                    }
+                    Ok(_) => {
+                        assert!(!lint_bd002, "{name}: only the linter rejects\n{perm}");
+                        let mut got = ev.relation(&translated.answer).unwrap().to_vec();
+                        got.sort();
+                        assert_eq!(got, want, "{name}: answer moved\n{perm}");
+                        accepted += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        rejected > 0 && accepted > 0,
+        "{rejected} rejected, {accepted} accepted"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 //! Peak-allocation guard for the spill-to-disk materialization points:
-//! with a budget of ~1/10 of the input, sort / distinct / aggregate /
-//! join queries over larger-than-budget inputs must complete with peak
-//! executor memory **O(budget)** — far below the in-memory executor's
-//! O(input) peak, and (the sharper claim) *unchanged when the input
-//! quadruples at a fixed budget*.
+//! with a budget of ~1/10 of the input, sort / distinct / join queries
+//! over larger-than-budget inputs must complete with peak executor
+//! memory **O(budget)** — far below the in-memory executor's O(input)
+//! peak, and (the sharper claim) *unchanged when the input quadruples
+//! at a fixed budget*.
 //!
 //! Measured with a counting global allocator tracking live bytes (same
 //! technique as `tests/streaming_allocation.rs`; this binary holds
@@ -11,7 +11,7 @@
 //! Results are drained chunk-by-chunk without collecting, so the output
 //! itself does not dominate the measurement.
 
-use beliefdb::storage::{row, Agg, Database, Executor, Plan, SpillOptions, TableSchema};
+use beliefdb::storage::{row, Database, Executor, Plan, SpillOptions, TableSchema};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
@@ -124,19 +124,6 @@ fn budgeted_queries_peak_at_o_budget_not_o_input() {
             "distinct",
             Plan::scan("T").distinct(),
             Plan::scan("T4").distinct(),
-        ),
-        (
-            "aggregate",
-            Plan::Aggregate {
-                input: Box::new(Plan::scan("T")),
-                group_by: vec![1],
-                aggs: vec![Agg::Count, Agg::Max(2)],
-            },
-            Plan::Aggregate {
-                input: Box::new(Plan::scan("T4")),
-                group_by: vec![1],
-                aggs: vec![Agg::Count, Agg::Max(2)],
-            },
         ),
         (
             "join",
