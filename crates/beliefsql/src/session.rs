@@ -144,6 +144,13 @@ impl Session {
         Ok(self.bdms.checkpoint()?)
     }
 
+    /// Close the session's store ([`Bdms::close`]): a durable log that
+    /// has outgrown its newest snapshot is folded into one new snapshot.
+    /// Dropping the session does the same, best-effort.
+    pub fn close(self) -> Result<()> {
+        Ok(self.bdms.close()?)
+    }
+
     /// Wrap an existing BDMS.
     pub fn from_bdms(bdms: Bdms) -> Self {
         Session { bdms }

@@ -23,7 +23,7 @@ use beliefdb_storage::{
     metrics, Database, MetricsSnapshot, QueryTrace, Recorder, Row, SlowLog, StorageError, Value,
 };
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Size report for the internal database (`|R*|` of Sect. 5.4).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,11 +82,14 @@ impl PlanCacheStats {
 /// In-memory by default ([`Bdms::new`]); durable when opened over a
 /// directory ([`Bdms::create`] / [`Bdms::open`]), in which case every
 /// mutation is appended to a write-ahead log before it is applied and
-/// snapshots bound recovery time (see `docs/persistence.md`).
+/// snapshots bound recovery time (see `docs/persistence.md`). A durable
+/// store is closed by [`Bdms::close`], or best-effort when dropped.
 pub struct Bdms {
     store: InternalStore,
     /// `Arc<Mutex<_>>` so the `sys.wal` virtual table can poll WAL
-    /// counters at scan time; mutations lock it only briefly to append.
+    /// counters at scan time (through a `Weak`, so this is the only
+    /// strong handle and close can take the engine back); mutations lock
+    /// it only briefly to append.
     persist: Option<Arc<Mutex<Durability>>>,
     /// Per-query memory budget (bytes) for the chunked executor's
     /// materialization points; past it they spill to disk (grace hash
@@ -103,6 +106,13 @@ pub struct Bdms {
     /// and crossings are captured with their full span + profile trace.
     /// `Arc`-shared with the `sys.slowlog` virtual table.
     slowlog: Arc<SlowLog>,
+}
+
+impl Drop for Bdms {
+    /// [`Bdms::close`], best-effort: there is no one to report an error to.
+    fn drop(&mut self) {
+        let _ = self.close_durable();
+    }
 }
 
 impl std::fmt::Debug for Bdms {
@@ -143,7 +153,8 @@ impl Bdms {
     /// Initialize a durable BDMS in `dir` (created if missing; must not
     /// already hold a belief database) under [`DefaultPolicy::Lazy`]. An
     /// initial snapshot is written immediately, so [`Bdms::open`] always
-    /// finds the schema and the policy.
+    /// finds the schema and the policy. The store holds `dir`'s lock
+    /// until it is closed or dropped.
     pub fn create(dir: impl AsRef<Path>, schema: ExternalSchema) -> Result<Self> {
         Bdms::create_with_options(dir, schema, PersistOptions::default())
     }
@@ -157,7 +168,7 @@ impl Bdms {
     ) -> Result<Self> {
         let store = InternalStore::new(schema)?;
         let engine = PersistEngine::create(dir.as_ref(), options)?;
-        let mut durability = Durability { engine };
+        let mut durability = Durability::new(engine);
         durability.checkpoint(&store)?;
         let mut bdms = Bdms {
             store,
@@ -174,7 +185,8 @@ impl Bdms {
     /// snapshot, then replay the WAL tail through the normal update
     /// algorithms. A torn or corrupt log tail is truncated, never
     /// applied; everything up to the last durable record is restored
-    /// exactly (wids, tids, and `SizeStats` included).
+    /// exactly (wids, tids, and `SizeStats` included). Fails with
+    /// [`StorageError::Locked`] while another store has `dir` open.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         Bdms::open_with_options(dir, PersistOptions::default())
     }
@@ -195,9 +207,7 @@ impl Bdms {
         }
         let mut bdms = Bdms {
             store,
-            persist: Some(Arc::new(Mutex::new(Durability {
-                engine: recovered.engine,
-            }))),
+            persist: Some(Arc::new(Mutex::new(Durability::new(recovered.engine)))),
             memory_budget: None,
             magic: true,
             slowlog: Arc::new(SlowLog::new()),
@@ -222,7 +232,7 @@ impl Bdms {
         };
         let cache = self.store.plan_cache_handle();
         let slowlog = Arc::clone(&self.slowlog);
-        let persist = self.persist.clone();
+        let persist = self.persist.as_ref().map(Arc::downgrade);
         let db = self.store.database_mut();
         db.register_virtual(metrics_table());
         db.register_virtual(statements_table());
@@ -232,6 +242,7 @@ impl Bdms {
         db.register_virtual(wal_table(move || {
             persist
                 .as_ref()
+                .and_then(Weak::upgrade)
                 .map(|d| d.lock().expect("durability poisoned").engine.stats())
         }));
     }
@@ -288,7 +299,8 @@ impl Bdms {
 
     /// Write a snapshot of the current state and truncate the WAL it
     /// covers. Returns the snapshot's high-water mark (the LSN of the
-    /// next record). Errors on an in-memory BDMS.
+    /// next record). Errors on an in-memory BDMS, and with
+    /// [`StorageError::Diverged`] once a logged mutation failed to apply.
     pub fn checkpoint(&mut self) -> Result<u64> {
         match &self.persist {
             Some(durability) => durability
@@ -317,6 +329,53 @@ impl Bdms {
                 .append(rec)?;
         }
         Ok(())
+    }
+
+    /// Close the store. A durable one whose log has outgrown its newest
+    /// snapshot is folded into one new snapshot and its log deleted, so
+    /// the directory holds that snapshot alone; a smaller log is kept and
+    /// replayed by the next open. Either way the directory lock is
+    /// released. A store that diverged from its log (a logged mutation
+    /// failed to apply) writes nothing and returns
+    /// [`StorageError::Diverged`]: its log is still the truth, and the
+    /// next open replays it. An in-memory store has nothing to do.
+    ///
+    /// Dropping a store runs the same close and ignores its error; a
+    /// store dropped while its thread panics, or whose durability lock a
+    /// panic poisoned, only releases the directory.
+    pub fn close(mut self) -> Result<()> {
+        self.close_durable()
+    }
+
+    fn close_durable(&mut self) -> Result<()> {
+        let Some(shared) = self.persist.take() else {
+            return Ok(());
+        };
+        if std::thread::panicking() {
+            return Ok(());
+        }
+        // `persist` is the only strong handle, so the unwrap fails only
+        // when a panic poisoned the lock in the middle of a mutation.
+        match Arc::try_unwrap(shared).map(Mutex::into_inner) {
+            Ok(Ok(durability)) => durability.close(&self.store),
+            _ => Err(BeliefError::Storage(StorageError::Diverged(
+                "the durability lock was poisoned by a panic; no snapshot is taken, and \
+                 reopening replays the log"
+                    .into(),
+            ))),
+        }
+    }
+
+    /// The result of applying a mutation whose record is already logged:
+    /// an error leaves the store disagreeing with its log, which then
+    /// blocks every snapshot of it.
+    fn applied<T>(&self, result: Result<T>) -> Result<T> {
+        if result.is_err() {
+            if let Some(durability) = &self.persist {
+                durability.lock().expect("durability poisoned").diverged = true;
+            }
+        }
+        result
     }
 
     /// Checkpoint automatically once the live log passes the threshold.
@@ -358,7 +417,8 @@ impl Bdms {
             }
             self.log(&LogRecord::AddUser(name.clone()))?;
         }
-        let id = self.store.add_user(name)?;
+        let result = self.store.add_user(name);
+        let id = self.applied(result)?;
         self.auto_checkpoint()?;
         Ok(id)
     }
@@ -397,7 +457,8 @@ impl Bdms {
             self.store.check_statement(&stmt.path, &stmt.tuple)?;
             self.log(&LogRecord::Insert(stmt.clone()))?;
         }
-        let outcome = self.store.insert_statement(stmt)?;
+        let result = self.store.insert_statement(stmt);
+        let outcome = self.applied(result)?;
         self.auto_checkpoint()?;
         Ok(outcome)
     }
@@ -413,7 +474,8 @@ impl Bdms {
             self.store.check_statement(&stmt.path, &stmt.tuple)?;
             self.log(&LogRecord::Delete(stmt.clone()))?;
         }
-        let present = self.store.delete_statement(stmt)?;
+        let result = self.store.delete_statement(stmt);
+        let present = self.applied(result)?;
         self.auto_checkpoint()?;
         Ok(present)
     }
@@ -443,7 +505,8 @@ impl Bdms {
                 new_row: new.row.clone(),
             })?;
         }
-        let outcome = self.store.update(&path, &old, &new)?;
+        let result = self.store.update(&path, &old, &new);
+        let outcome = self.applied(result)?;
         // Count one logical update on the content table (the rows written
         // to `V` bumped their own counters).
         if let Ok(t) = self.store.star_of(rel) {
@@ -1200,6 +1263,31 @@ mod tests {
         ))
     }
 
+    /// A crash image of the open store in `dir`: a copy of its files
+    /// taken while it runs, which is what recovery after a crash sees.
+    fn crash_image(dir: &Path, tag: &str) -> std::path::PathBuf {
+        let image = temp_dir(tag);
+        std::fs::create_dir_all(&image).unwrap();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+        }
+        image
+    }
+
+    /// Every file of `dir` with its bytes, by name.
+    fn files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut out: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
     #[test]
     fn durable_round_trip_reproduces_state_and_stats() {
         let dir = temp_dir("roundtrip");
@@ -1223,12 +1311,16 @@ mod tests {
                 Sign::Pos,
             )
             .unwrap();
-            let reopened = Bdms::open(&dir).unwrap();
+            let image = crash_image(&dir, "roundtrip-crash");
+            let reopened = Bdms::open(&image).unwrap();
+            assert!(reopened.wal_stats().unwrap().frames > 0);
             assert_eq!(reopened.stats(), bdms.stats());
             assert_eq!(
                 reopened.to_belief_database().unwrap().statements(),
                 bdms.to_belief_database().unwrap().statements()
             );
+            drop(reopened);
+            std::fs::remove_dir_all(&image).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1263,7 +1355,9 @@ mod tests {
             row!["s2", "heron"],
         )
         .unwrap();
-        let reopened = Bdms::open(&dir).unwrap();
+        let image = crash_image(&dir, "sideeffects-crash");
+        let reopened = Bdms::open(&image).unwrap();
+        assert!(reopened.wal_stats().unwrap().frames > 0);
         assert_eq!(reopened.stats(), bdms.stats());
         assert_eq!(
             reopened.internal().directory().len(),
@@ -1275,8 +1369,70 @@ mod tests {
             .insert(crate::path::path(&[9]), s, row!["x", "y"], Sign::Pos)
             .is_err());
         assert!(bdms.add_user("Alice").is_err());
-        let again = Bdms::open(&dir).unwrap();
+        let image_again = crash_image(&dir, "sideeffects-crash-again");
+        let again = Bdms::open(&image_again).unwrap();
+        assert!(again.wal_stats().unwrap().frames > 0);
         assert_eq!(again.stats(), bdms.stats());
+        drop((reopened, again));
+        std::fs::remove_dir_all(&image).unwrap();
+        std::fs::remove_dir_all(&image_again).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_apply_after_its_append_blocks_every_snapshot() {
+        use crate::internal::U_TABLE;
+        let dir = temp_dir("diverged");
+        let schema = ExternalSchema::new().with_relation("S", &["sid", "species"]);
+        // Threshold 0: every mutation is followed by an auto-checkpoint.
+        let options = PersistOptions {
+            checkpoint_threshold: 0,
+            ..PersistOptions::default()
+        };
+        let mut bdms = Bdms::create_with_options(&dir, schema, options).unwrap();
+        let alice = bdms.add_user("Alice").unwrap();
+        let s = bdms.schema().relation_id("S").unwrap();
+        let hwm = bdms.wal_stats().unwrap().snapshot_hwm;
+        assert_eq!(hwm, 1, "the registration was checkpointed");
+        // A row the user table should not hold: the next registration
+        // passes validation and is logged, then fails to apply.
+        bdms.store
+            .database_mut()
+            .table_mut(U_TABLE)
+            .unwrap()
+            .insert(Row::new(vec![UserId(2).value(), Value::str("ghost")]))
+            .unwrap();
+        assert!(bdms.add_user("Bob").is_err());
+        assert_eq!(
+            bdms.wal_stats().unwrap().frames,
+            1,
+            "Bob's record is logged"
+        );
+        let diverged =
+            |e: BeliefError| matches!(e, BeliefError::Storage(StorageError::Diverged(_)));
+        assert!(diverged(bdms.checkpoint().unwrap_err()));
+        // The next mutation applies; its auto-checkpoint is refused.
+        let crow = row!["s1", "crow"];
+        let err = bdms
+            .insert(BeliefPath::user(alice), s, crow.clone(), Sign::Pos)
+            .unwrap_err();
+        assert!(diverged(err));
+        let stats = bdms.wal_stats().unwrap();
+        assert_eq!((stats.snapshot_hwm, stats.frames), (hwm, 2));
+        // Close writes nothing; reopening replays the log.
+        let before = files(&dir);
+        assert!(diverged(bdms.close().unwrap_err()));
+        assert_eq!(files(&dir), before);
+        let reopened = Bdms::open(&dir).unwrap();
+        assert_eq!(reopened.wal_stats().unwrap().frames, 2);
+        assert_eq!(reopened.user_by_name("Bob").unwrap(), UserId(2));
+        assert!(reopened
+            .entails(&BeliefStatement::positive(
+                BeliefPath::user(alice),
+                GroundTuple::new(s, crow)
+            ))
+            .unwrap());
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -26,7 +26,8 @@
 //! `Durability` glues a [`PersistEngine`] to a store: append a record
 //! before applying it ("append-then-apply" — mutations are validated
 //! first so a logged record always replays cleanly), checkpoint on
-//! demand or when the live log passes the configured threshold.
+//! demand or when the live log passes the configured threshold, and on
+//! close fold a log that has outgrown the newest snapshot into a new one.
 
 use crate::error::{BeliefError, Result};
 use crate::ids::{RelId, Tid, UserId, Wid};
@@ -636,9 +637,19 @@ impl SnapshotData {
 #[derive(Debug)]
 pub(crate) struct Durability {
     pub(crate) engine: PersistEngine,
+    /// A logged mutation failed to apply: the store may disagree with
+    /// its log, so it must never be snapshotted, and the log must stay.
+    pub(crate) diverged: bool,
 }
 
 impl Durability {
+    pub(crate) fn new(engine: PersistEngine) -> Durability {
+        Durability {
+            engine,
+            diverged: false,
+        }
+    }
+
     /// Append one validated record (append-then-apply: callers apply to
     /// the in-memory store only after this returns).
     pub(crate) fn append(&mut self, rec: &LogRecord) -> Result<()> {
@@ -646,9 +657,38 @@ impl Durability {
         Ok(())
     }
 
-    /// Snapshot `store` and truncate the log it covers.
+    /// Snapshot `store` and truncate the log it covers. Refused once the
+    /// store has diverged from its log.
     pub(crate) fn checkpoint(&mut self, store: &InternalStore) -> Result<u64> {
+        if self.diverged {
+            return Err(self.diverged_error());
+        }
         self.engine.checkpoint_with(|| encode_snapshot(store))
+    }
+
+    /// Close the directory. When records lie past the newest snapshot and
+    /// the live log has grown larger than that snapshot, `store` is
+    /// checkpointed first — the close then costs about what the log it
+    /// retires cost — and the engine's close step deletes the emptied log.
+    /// A smaller log stays for the next open to replay. A diverged store
+    /// writes nothing and keeps its log.
+    pub(crate) fn close(mut self, store: &InternalStore) -> Result<()> {
+        if self.diverged {
+            return Err(self.diverged_error());
+        }
+        let stats = self.engine.stats();
+        if stats.next_lsn > stats.snapshot_hwm && stats.wal_bytes > stats.snapshot_bytes {
+            self.checkpoint(store)?;
+        }
+        Ok(self.engine.close()?)
+    }
+
+    fn diverged_error(&self) -> BeliefError {
+        BeliefError::Storage(StorageError::Diverged(format!(
+            "{}: a logged mutation failed to apply; no snapshot is taken, and \
+             reopening replays the log",
+            self.engine.dir().display()
+        )))
     }
 }
 

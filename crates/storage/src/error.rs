@@ -48,6 +48,13 @@ pub enum StorageError {
     /// On-disk state failed validation during recovery (bad magic, CRC
     /// mismatch beyond the torn tail, truncated snapshot, LSN gap).
     Corrupt(String),
+    /// The durable directory is open in another live engine, which holds
+    /// the exclusive lock on its `LOCK` file.
+    Locked(String),
+    /// A mutation was logged but failed to apply, so the store in memory
+    /// may disagree with its log: no snapshot may be taken of it, and the
+    /// log stays for the next open to replay.
+    Diverged(String),
     /// The name is reserved for system objects (the `sys.` namespace) or
     /// the operation is not supported on a virtual system table.
     ReservedName(String),
@@ -94,6 +101,8 @@ impl fmt::Display for StorageError {
             StorageError::DatalogError(msg) => write!(f, "datalog error: {msg}"),
             StorageError::Io(msg) => write!(f, "io error: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt durable state: {msg}"),
+            StorageError::Locked(msg) => write!(f, "durable directory in use: {msg}"),
+            StorageError::Diverged(msg) => write!(f, "store diverged from its log: {msg}"),
             StorageError::ReservedName(msg) => write!(f, "reserved system name: {msg}"),
         }
     }

@@ -9,7 +9,7 @@
 //! | [`format`](mod@format) | CRC32 + the varint codec ([`Value`](crate::Value)/[`Row`](crate::Row) included), and a reader of the old fixed-width layout |
 //! | [`wal`] | segmented, checksummed, varint-length-prefixed log of opaque payloads, LSNs implied |
 //! | [`snapshot`] | atomically-written full-state images with a WAL high-water mark |
-//! | [`recover`] | [`PersistEngine`]: open/create a directory, stitch snapshot + log tail |
+//! | [`recover`] | [`PersistEngine`]: lock and open/create a directory, stitch snapshot + log tail, retire a covered log on close |
 //!
 //! The engine deliberately treats payloads as opaque bytes: the
 //! *logical* record encoding (belief-statement mutations) and the

@@ -13,12 +13,45 @@
 //!
 //! The engine itself never interprets payloads — `beliefdb-core` owns
 //! the logical record and snapshot encodings.
+//!
+//! One engine at a time: [`PersistEngine::create`] and
+//! [`PersistEngine::open`] take an exclusive lock on a zero-byte `LOCK`
+//! file in the directory and hold it until the engine is dropped or
+//! closed, so a second engine cannot append to the same segments or
+//! retire a log the first one still writes. [`PersistEngine::close`]
+//! retires a log the newest snapshot covers entirely.
 
 use super::snapshot;
 use super::wal::{self, Wal};
 use crate::error::{Result, StorageError};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// Name of the file whose exclusive lock marks a directory as open.
+const LOCK_FILE: &str = "LOCK";
+
+/// Take the exclusive lock on `dir`'s `LOCK` file (created empty if
+/// missing); the lock lasts as long as the returned handle.
+fn lock_dir(dir: &Path) -> Result<File> {
+    let path = dir.join(LOCK_FILE);
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(|e| StorageError::Io(format!("open {}: {e}", path.display())))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(TryLockError::WouldBlock) => Err(StorageError::Locked(format!(
+            "{} is open in another store",
+            dir.display()
+        ))),
+        Err(TryLockError::Error(e)) => {
+            Err(StorageError::Io(format!("lock {}: {e}", path.display())))
+        }
+    }
+}
 
 /// Tuning knobs for a durable directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +119,13 @@ pub struct PersistEngine {
     opts: PersistOptions,
     snapshot_hwm: u64,
     checkpoints: u64,
-    snapshot_bytes: u64,
+    /// Payload bytes of the newest snapshot; `None` while there is none.
+    snapshot_bytes: Option<u64>,
     checkpoint_us: u64,
     truncated_on_open: bool,
+    /// The directory's `LOCK` file, exclusively locked for the engine's
+    /// whole life.
+    lock: File,
 }
 
 /// What [`PersistEngine::open`] recovered.
@@ -103,9 +140,11 @@ pub struct Recovered {
 
 impl PersistEngine {
     /// Initialize a fresh durable directory. The directory is created if
-    /// missing and must not already contain belief-database state.
+    /// missing and must not already contain belief-database state; a
+    /// directory another engine has open is [`StorageError::Locked`].
     pub fn create(dir: &Path, opts: PersistOptions) -> Result<PersistEngine> {
         std::fs::create_dir_all(dir)?;
+        let lock = lock_dir(dir)?;
         if !wal::list_segments(dir)?.is_empty() || !snapshot::list_snapshots(dir)?.is_empty() {
             return Err(StorageError::Io(format!(
                 "{} already holds a belief database (use open)",
@@ -118,13 +157,15 @@ impl PersistEngine {
             opts,
             snapshot_hwm: 0,
             checkpoints: 0,
-            snapshot_bytes: 0,
+            snapshot_bytes: None,
             checkpoint_us: 0,
             truncated_on_open: false,
+            lock,
         })
     }
 
-    /// Recover an existing durable directory (see module docs).
+    /// Recover an existing durable directory (see module docs). A
+    /// directory another engine has open is [`StorageError::Locked`].
     pub fn open(dir: &Path, opts: PersistOptions) -> Result<Recovered> {
         if !dir.is_dir() {
             return Err(StorageError::Io(format!(
@@ -132,12 +173,21 @@ impl PersistEngine {
                 dir.display()
             )));
         }
+        // A directory with neither snapshot nor log is rejected before
+        // anything, the lock file included, is written into it.
+        if snapshot::list_snapshots(dir)?.is_empty() && wal::list_segments(dir)?.is_empty() {
+            return Err(StorageError::Corrupt(format!(
+                "{}: no snapshot and no WAL — not a belief database directory",
+                dir.display()
+            )));
+        }
+        // Everything below reads state another engine could be changing,
+        // so it runs under the lock.
+        let lock = lock_dir(dir)?;
         // The snapshot is consulted *first*: its high-water mark tells
         // the log scan which segments are fully covered (and may be
         // dropped unscanned — corruption inside them must not cascade
-        // into valid post-snapshot records), and a directory with
-        // neither snapshot nor log is rejected before anything is
-        // written into it.
+        // into valid post-snapshot records).
         let loaded = snapshot::load_latest(dir)?;
         let (snapshot_hwm, snapshot) = match loaded {
             Some((hwm, payload)) => (hwm, Some(payload)),
@@ -145,7 +195,7 @@ impl PersistEngine {
         };
         if snapshot.is_none() && wal::list_segments(dir)?.is_empty() {
             return Err(StorageError::Corrupt(format!(
-                "{}: no snapshot and no WAL — not a belief database directory",
+                "{}: no valid snapshot and no WAL — not a belief database directory",
                 dir.display()
             )));
         }
@@ -196,9 +246,10 @@ impl PersistEngine {
                 opts,
                 snapshot_hwm,
                 checkpoints: 0,
-                snapshot_bytes: snapshot.as_ref().map_or(0, |p| p.len() as u64),
+                snapshot_bytes: snapshot.as_ref().map(|p| p.len() as u64),
                 checkpoint_us: 0,
                 truncated_on_open: replay.truncated,
+                lock,
             },
             snapshot,
             tail,
@@ -271,11 +322,41 @@ impl PersistEngine {
         self.wal.prune_sealed()?;
         snapshot::prune(&self.dir, hwm)?;
         self.snapshot_hwm = hwm;
-        self.snapshot_bytes = payload.len() as u64;
+        self.snapshot_bytes = Some(payload.len() as u64);
         self.checkpoint_us = started.elapsed().as_micros() as u64;
         self.checkpoints += 1;
         crate::obs::metrics().incr(crate::obs::Metric::WalCheckpoints);
         Ok(hwm)
+    }
+
+    /// Close the engine. When there is a snapshot and no record lies past
+    /// it (a checkpoint has just covered them all, or none was appended
+    /// since the snapshot was loaded), the log is retired: every live
+    /// segment is deleted, and so is any older snapshot or stray `.tmp`
+    /// file a crash left, so the directory keeps the snapshot alone and
+    /// the next [`PersistEngine::open`] restarts the log at its
+    /// high-water mark. Otherwise the log stays for that open to replay.
+    /// The directory lock is released last.
+    pub fn close(self) -> Result<()> {
+        let PersistEngine {
+            dir,
+            wal,
+            snapshot_hwm,
+            snapshot_bytes,
+            lock,
+            ..
+        } = self;
+        let retire = snapshot_bytes.is_some() && wal.next_lsn() == snapshot_hwm;
+        let segments = wal.segments();
+        drop(wal);
+        if retire {
+            for seg in segments {
+                std::fs::remove_file(dir.join(wal::segment_file_name(seg.first_lsn)))?;
+            }
+            snapshot::prune(&dir, snapshot_hwm)?;
+        }
+        drop(lock);
+        Ok(())
     }
 
     pub fn dir(&self) -> &Path {
@@ -294,7 +375,7 @@ impl PersistEngine {
             next_lsn: self.wal.next_lsn(),
             snapshot_hwm: self.snapshot_hwm,
             checkpoints: self.checkpoints,
-            snapshot_bytes: self.snapshot_bytes,
+            snapshot_bytes: self.snapshot_bytes.unwrap_or(0),
             checkpoint_us: self.checkpoint_us,
             syncs: self.wal.syncs(),
             truncated_on_open: self.truncated_on_open,
@@ -492,6 +573,57 @@ mod tests {
         assert_eq!(engine.stats().syncs, 1);
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();
+    }
+
+    #[test]
+    fn a_live_directory_refuses_a_second_engine() {
+        let dir = temp_dir("locked");
+        let mut engine = PersistEngine::create(&dir, opts()).unwrap();
+        engine.append(b"one").unwrap();
+        assert!(matches!(
+            PersistEngine::open(&dir, opts()),
+            Err(StorageError::Locked(_))
+        ));
+        assert!(matches!(
+            PersistEngine::create(&dir, opts()),
+            Err(StorageError::Locked(_))
+        ));
+        assert!(dir.join(LOCK_FILE).exists());
+        drop(engine);
+        let rec = PersistEngine::open(&dir, opts()).unwrap();
+        assert_eq!(rec.tail, vec![b"one".to_vec()]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn close_retires_only_a_log_the_snapshot_covers() {
+        let dir = temp_dir("close");
+        // No snapshot yet: even an empty log stays.
+        PersistEngine::create(&dir, opts())
+            .unwrap()
+            .close()
+            .unwrap();
+        assert_eq!(wal::list_segments(&dir).unwrap().len(), 1);
+        let mut engine = PersistEngine::open(&dir, opts()).unwrap().engine;
+        for i in 0..3u8 {
+            engine.append(&[i; 4]).unwrap();
+        }
+        // Records past the (absent) snapshot: the log stays.
+        engine.close().unwrap();
+        assert_eq!(wal::list_segments(&dir).unwrap().len(), 1);
+        let mut engine = PersistEngine::open(&dir, opts()).unwrap().engine;
+        engine.checkpoint(b"STATE@3").unwrap();
+        engine.close().unwrap();
+        assert!(wal::list_segments(&dir).unwrap().is_empty());
+        assert_eq!(snapshot::list_snapshots(&dir).unwrap().len(), 1);
+        // Reopened, the log restarts at the high-water mark; closed
+        // without an append, it is retired again.
+        let rec = PersistEngine::open(&dir, opts()).unwrap();
+        assert_eq!(rec.snapshot.as_deref(), Some(&b"STATE@3"[..]));
+        assert_eq!(rec.engine.stats().next_lsn, 3);
+        rec.engine.close().unwrap();
+        assert!(wal::list_segments(&dir).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! `\statements` shows the top statement fingerprints by cumulative
 //! time, `\slowlog` shows captured slow statements, `\open <dir>`
 //! switches to a durable database (recovering it if it exists,
-//! creating it otherwise), `\checkpoint` snapshots it, `\wal` prints
-//! the WAL section of `\stats`, `\help`, `\quit`. Everything else is
+//! creating it otherwise, and closing the one it leaves), `\checkpoint`
+//! snapshots it, `\wal` prints the WAL section of `\stats`, `\help`,
+//! `\quit` (which closes a durable database: a log that has outgrown its
+//! snapshot is folded into one). Everything else is
 //! parsed as BeliefSQL — including scans of the `sys.*` system catalog
 //! (`sys.metrics`, `sys.statements`, `sys.tables`, `sys.plan_cache`,
 //! `sys.slowlog`, `sys.wal`), which the introspection meta-commands
@@ -191,10 +193,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     println!("                 \\set alone shows the current settings");
                     println!("  \\open <dir>    switch to a durable database in <dir> (recover it");
                     println!("                 if present, create it with the NatureMapping");
-                    println!("                 schema otherwise); mutations are WAL-logged");
+                    println!("                 schema otherwise); mutations are WAL-logged.");
+                    println!("                 The database left is closed as \\quit closes it");
                     println!("  \\checkpoint    snapshot the durable database, truncate the WAL");
                     println!("  \\wal           the WAL section of \\stats on its own");
-                    println!("  \\quit (\\q)     exit");
+                    println!("  \\quit (\\q)     close the database and exit; a durable WAL");
+                    println!("                 larger than the last snapshot is folded into");
+                    println!("                 one new snapshot and deleted, a smaller one kept");
                     println!("  system catalog: sys.metrics, sys.statements, sys.tables,");
                     println!("                 sys.plan_cache, sys.slowlog, sys.wal are ordinary");
                     println!("                 read-only relations — select from them directly,");
@@ -411,7 +416,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                                 // switching databases.
                                 s.set_memory_budget(session.memory_budget());
                                 s.set_magic(session.magic_enabled());
-                                session = s;
+                                if let Err(e) = std::mem::replace(&mut session, s).close() {
+                                    println!("error: {e}");
+                                }
                                 let stats = session.bdms().stats();
                                 println!(
                                     "opened {dir}: {} tuples, {} worlds, {} users",
@@ -465,6 +472,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(result) => println!("{result}"),
             Err(e) => println!("error: {e}"),
         }
+    }
+    if let Err(e) = session.close() {
+        println!("error: {e}");
     }
     Ok(())
 }

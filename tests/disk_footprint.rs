@@ -15,6 +15,11 @@
 //! annotation in the fixed-width formats (WAL v1, snapshot v3); 46.8 B and
 //! 11.7 B in these (93,630 and 23,419 B for 2,000 annotations).
 //!
+//! A third figure is what a user keeps: the whole directory after a clean
+//! close. The log has outgrown the snapshot, so close folds it into one
+//! and deletes it; the snapshot file, its 28-byte header included, is held
+//! to the snapshot budget.
+//!
 //! It also checks that the image is a function of the store: two
 //! checkpoints of one store, and one of the store reopened from the first,
 //! write the same bytes.
@@ -23,7 +28,7 @@ use beliefdb::core::prelude::*;
 use beliefdb::core::{DefaultPolicy, PersistOptions};
 use beliefdb::gen::generate_bdms_with_policy;
 use beliefdb::gen::scenarios::table2_config;
-use beliefdb::storage::persist::snapshot;
+use beliefdb::storage::persist::{list_segments, snapshot};
 use std::path::Path;
 
 /// Upper bound on live WAL bytes per annotation.
@@ -35,6 +40,14 @@ fn latest_snapshot(dir: &Path) -> Vec<u8> {
     snapshot::load_latest(dir).unwrap().unwrap().1
 }
 
+/// Bytes of every file in `dir`.
+fn dir_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum()
+}
+
 #[test]
 fn table2_store_stays_under_the_per_annotation_disk_budget() {
     let (src, _) =
@@ -43,22 +56,33 @@ fn table2_store_stays_under_the_per_annotation_disk_budget() {
     let annotations = statements.len();
     assert!(annotations >= 2_000, "{annotations} annotations");
 
-    let dir = std::env::temp_dir().join(format!("beliefdb-disk-footprint-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!(
+            "beliefdb-disk-footprint-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
     // Everything stays in the log until the explicit checkpoint below.
     let options = PersistOptions {
         checkpoint_threshold: u64::MAX,
         ..PersistOptions::default()
     };
-    let mut copy = Bdms::create_with_options(&dir, src.schema().clone(), options).unwrap();
-    for u in src.users() {
-        copy.add_user(src.user_name(u).unwrap().to_string())
-            .unwrap();
-    }
-    for stmt in &statements {
-        assert!(copy.insert_statement(stmt).unwrap().accepted(), "{stmt}");
-    }
-    assert_eq!(copy.to_belief_database().unwrap().len(), annotations);
+    let durable_copy = |dir: &Path| {
+        let mut copy = Bdms::create_with_options(dir, src.schema().clone(), options).unwrap();
+        for u in src.users() {
+            copy.add_user(src.user_name(u).unwrap().to_string())
+                .unwrap();
+        }
+        for stmt in &statements {
+            assert!(copy.insert_statement(stmt).unwrap().accepted(), "{stmt}");
+        }
+        assert_eq!(copy.to_belief_database().unwrap().len(), annotations);
+        copy
+    };
+    let dir = scratch("checkpointed");
+    let mut copy = durable_copy(&dir);
 
     let wal = copy.wal_stats().unwrap();
     let wal_per_annotation = wal.wal_bytes as f64 / annotations as f64;
@@ -99,5 +123,23 @@ fn table2_store_stays_under_the_per_annotation_disk_budget() {
         "the reopened store wrote other bytes"
     );
     drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The directory a clean close leaves: one snapshot, no log.
+    let dir = scratch("closed");
+    durable_copy(&dir).close().unwrap();
+    assert!(list_segments(&dir).unwrap().is_empty());
+    assert_eq!(snapshot::list_snapshots(&dir).unwrap().len(), 1);
+    assert!(latest_snapshot(&dir) == image, "close wrote other bytes");
+    let closed_per_annotation = dir_bytes(&dir) as f64 / annotations as f64;
+    println!(
+        "closed directory {} B, {closed_per_annotation:.1} B per annotation",
+        dir_bytes(&dir)
+    );
+    assert!(
+        closed_per_annotation <= MAX_SNAPSHOT_BYTES_PER_ANNOTATION,
+        "{closed_per_annotation:.1} B on disk per annotation after close, \
+         budget {MAX_SNAPSHOT_BYTES_PER_ANNOTATION} B"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -60,6 +60,20 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
+/// A crash image of the open store in `dir`: a copy of its files taken
+/// while it runs, which is what recovery after a crash sees. (Closing the
+/// store instead would fold its log into one snapshot.)
+fn crash_image(dir: &Path, tag: &str) -> PathBuf {
+    let image = temp_dir(tag);
+    copy_dir(dir, &image);
+    image
+}
+
+/// Valid WAL frames the recovered store found past its snapshot.
+fn frames(bdms: &Bdms) -> u64 {
+    bdms.wal_stats().unwrap().frames
+}
+
 fn schema() -> ExternalSchema {
     ExternalSchema::new()
         .with_relation("Sightings", &["sid", "species"])
@@ -218,20 +232,25 @@ fn build(dir: &Path, checkpoint_at: Option<usize>) -> Bdms {
 fn clean_reopen_reproduces_everything() {
     let dir = temp_dir("clean");
     let built = build(&dir, None);
-    let reopened = Bdms::open(&dir).unwrap();
+    let image = crash_image(&dir, "clean-crash");
+    let reopened = Bdms::open(&image).unwrap();
+    assert_eq!(frames(&reopened), history().len() as u64);
     assert_same(&reopened, &built, "clean reopen");
     assert_same(
         &reopened,
         &expected_after(history().len()),
         "clean vs reference",
     );
+    drop((built, reopened));
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&image).unwrap();
 }
 
 #[test]
 fn torn_tail_truncated_at_every_byte_offset() {
-    let dir = temp_dir("torn-src");
-    build(&dir, None);
+    let live = temp_dir("torn-live");
+    let built = build(&live, None);
+    let dir = crash_image(&live, "torn-src");
     let segments = list_segments(&dir).unwrap();
     assert_eq!(segments.len(), 1, "history fits one segment");
     let seg_name = segments[0].1.file_name().unwrap().to_owned();
@@ -246,6 +265,7 @@ fn torn_tail_truncated_at_every_byte_offset() {
         copy_dir(&dir, &scratch);
         std::fs::write(scratch.join(&seg_name), &full[..cut as usize]).unwrap();
         let recovered = Bdms::open(&scratch).unwrap();
+        assert_eq!(frames(&recovered), history().len() as u64 - 1);
         assert_same(
             &recovered,
             &expected,
@@ -260,20 +280,24 @@ fn torn_tail_truncated_at_every_byte_offset() {
         copy_dir(&dir, &scratch);
         std::fs::write(scratch.join(&seg_name), &full[..cut as usize]).unwrap();
         let recovered = Bdms::open(&scratch).unwrap();
+        assert_eq!(frames(&recovered), k as u64);
         assert_same(
             &recovered,
             &expected_after(k),
             &format!("tail torn mid-frame {k}"),
         );
     }
+    drop(built);
+    std::fs::remove_dir_all(&live).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]
 fn one_flipped_byte_per_frame_keeps_the_valid_prefix() {
-    let dir = temp_dir("flip-src");
-    build(&dir, None);
+    let live = temp_dir("flip-live");
+    let built = build(&live, None);
+    let dir = crash_image(&live, "flip-src");
     let segments = list_segments(&dir).unwrap();
     let seg_name = segments[0].1.file_name().unwrap().to_owned();
     let spans = frame_spans(&segments[0].1).unwrap();
@@ -288,6 +312,7 @@ fn one_flipped_byte_per_frame_keeps_the_valid_prefix() {
             copy_dir(&dir, &scratch);
             std::fs::write(scratch.join(&seg_name), &bytes).unwrap();
             let recovered = Bdms::open(&scratch).unwrap();
+            assert_eq!(frames(&recovered), k as u64);
             assert_same(
                 &recovered,
                 &expected_after(k),
@@ -295,6 +320,8 @@ fn one_flipped_byte_per_frame_keeps_the_valid_prefix() {
             );
         }
     }
+    drop(built);
+    std::fs::remove_dir_all(&live).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&scratch).unwrap();
 }
@@ -303,11 +330,13 @@ fn one_flipped_byte_per_frame_keeps_the_valid_prefix() {
 fn checkpoint_with_concurrent_appends_recovers_snapshot_plus_tail() {
     let n = history().len();
     let mid = 6;
-    let dir = temp_dir("ckpt-src");
-    let built = build(&dir, Some(mid));
+    let live = temp_dir("ckpt-live");
+    let built = build(&live, Some(mid));
+    let dir = crash_image(&live, "ckpt-src");
 
     // Clean reopen first: snapshot + whole tail.
     let reopened = Bdms::open(&dir).unwrap();
+    assert_eq!(frames(&reopened), (n - mid) as u64);
     assert_same(&reopened, &built, "checkpoint + clean tail");
 
     // The post-checkpoint appends live in the segment starting at the
@@ -329,6 +358,7 @@ fn checkpoint_with_concurrent_appends_recovers_snapshot_plus_tail() {
             copy_dir(&dir, &scratch);
             std::fs::write(scratch.join(&seg_name), &full[..cut as usize]).unwrap();
             let recovered = Bdms::open(&scratch).unwrap();
+            assert_eq!(frames(&recovered), j as u64);
             assert_same(
                 &recovered,
                 &expected_after(k),
@@ -342,15 +372,21 @@ fn checkpoint_with_concurrent_appends_recovers_snapshot_plus_tail() {
     let (off, _) = spans[1];
     std::fs::write(scratch.join(&seg_name), &full[..(off + 2) as usize]).unwrap();
     let mut recovered = Bdms::open(&scratch).unwrap();
+    assert_eq!(frames(&recovered), 1);
     recovered.checkpoint().unwrap();
-    let after = Bdms::open(&scratch).unwrap();
+    let checkpointed = crash_image(&scratch, "ckpt-after");
+    let after = Bdms::open(&checkpointed).unwrap();
     assert_same(
         &after,
         &expected_after(mid + 1),
         "checkpoint after torn recovery",
     );
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&scratch).unwrap();
+    // Closing the reopened image would fold its tail into a snapshot, so
+    // it stays open until the tail's frames have been cut.
+    drop((built, reopened, recovered, after));
+    for d in [&live, &dir, &scratch, &checkpointed] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }
 
 #[test]
@@ -400,12 +436,13 @@ fn sync_on_commit_group_commits_and_round_trips() {
     // the default path issues none outside checkpoints/rotations.
     let stats = bdms.wal_stats().unwrap();
     assert!(stats.syncs >= 6, "{stats:?}");
-    let want = bdms.stats();
-    drop(bdms);
-    let reopened = Bdms::open_with_options(&dir, opts).unwrap();
-    assert_eq!(reopened.stats(), want);
-    drop(reopened);
+    let image = crash_image(&dir, "sync-commit-crash");
+    let reopened = Bdms::open_with_options(&image, opts).unwrap();
+    assert_eq!(frames(&reopened), 6);
+    assert_eq!(reopened.stats(), bdms.stats());
+    drop((bdms, reopened));
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&image).unwrap();
 }
 
 #[test]
@@ -438,9 +475,14 @@ fn auto_checkpoint_kicks_in_and_bounds_the_log() {
     );
     // Old segments were deleted along the way.
     assert!(list_segments(&dir).unwrap().len() <= 2);
-    let reopened = Bdms::open_with_options(&dir, opts).unwrap();
+    let image = crash_image(&dir, "auto-crash");
+    let reopened = Bdms::open_with_options(&image, opts).unwrap();
+    assert!(frames(&reopened) > 0);
+    assert_eq!(frames(&reopened), stats.frames);
     assert_same(&reopened, &bdms, "auto-checkpointed history");
+    drop((bdms, reopened));
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&image).unwrap();
 }
 
 /// The fixed-width layout of the previous release's formats (u32 counts,
@@ -699,12 +741,19 @@ fn eager_store_survives_checkpoint_and_reopen() {
             let image = SnapshotData::decode(&latest_snapshot(&dir)).unwrap();
             assert_eq!(image.statements.len(), explicit);
         }
-        let reopened = Bdms::open(&dir).unwrap();
+        let crashed = crash_image(&dir, "eager-crash");
+        let reopened = Bdms::open(&crashed).unwrap();
+        // Before the second checkpoint the tail replays the history
+        // written after the first one.
+        assert_eq!(frames(&reopened) > 0, !checkpoint);
         assert_eq!(reopened.policy(), DefaultPolicy::Eager);
         assert_eq!(v_rows(&reopened), v_rows(&built));
         assert_same(&reopened, &built, "eager reopen");
         assert_same(&reopened, &want, "eager vs reference");
+        drop(reopened);
+        std::fs::remove_dir_all(&crashed).unwrap();
     }
+    drop(built);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -773,7 +822,11 @@ fn lazy_store_survives_checkpoint_and_reopen() {
         if checkpoint {
             built.checkpoint().unwrap();
         }
-        let reopened = Bdms::open(&dir).unwrap();
+        let crashed = crash_image(&dir, "lazy-crash");
+        let reopened = Bdms::open(&crashed).unwrap();
+        // Before the second checkpoint the tail replays the history
+        // written after the first one.
+        assert_eq!(frames(&reopened) > 0, !checkpoint);
         assert_eq!(reopened.policy(), DefaultPolicy::Lazy);
         assert_eq!(v_rows(&reopened), explicit);
         assert_same(&reopened, &built, "lazy reopen");
@@ -791,7 +844,10 @@ fn lazy_store_survives_checkpoint_and_reopen() {
             .build(reopened.schema())
             .unwrap();
         assert_eq!(reopened.query(&q).unwrap(), eager.query(&q).unwrap());
+        drop(reopened);
+        std::fs::remove_dir_all(&crashed).unwrap();
     }
+    drop(built);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -889,7 +945,9 @@ fn previous_release_directory_opens_appends_and_upgrades() {
         apply(&mut reopened, op);
     }
     assert_same(&reopened, &expected_after(n), "appends after the upgrade");
-    drop(reopened);
+    let live = dir;
+    let dir = crash_image(&live, "legacy-crash");
+    let v1_segment = dir.join(segment_file_name(hwm as u64));
     assert_eq!(
         std::fs::read(&v1_segment).unwrap(),
         v1_bytes,
@@ -905,6 +963,7 @@ fn previous_release_directory_opens_appends_and_upgrades() {
     assert_eq!(frame_spans(&segments[1].1).unwrap().len(), n - k);
 
     let mut again = Bdms::open(&dir).unwrap();
+    assert_eq!(frames(&again), (n - hwm) as u64);
     assert_same(&again, &expected_after(n), "reopen after the upgrade");
     assert_eq!(list_segments(&dir).unwrap().len(), 2);
     again.checkpoint().unwrap();
@@ -915,6 +974,8 @@ fn previous_release_directory_opens_appends_and_upgrades() {
     drop(again);
     let upgraded = Bdms::open(&dir).unwrap();
     assert_same(&upgraded, &expected_after(n), "version-4 checkpoint");
+    drop((reopened, upgraded));
+    std::fs::remove_dir_all(&live).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

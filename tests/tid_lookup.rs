@@ -146,6 +146,18 @@ fn fresh_dir() -> PathBuf {
     ))
 }
 
+/// A copy of the files of the open store in `dir`, which is what
+/// recovery after a crash sees.
+fn crash_image(dir: &PathBuf) -> PathBuf {
+    let image = fresh_dir();
+    std::fs::create_dir_all(&image).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+    }
+    image
+}
+
 fn durable(dir: &PathBuf) -> Bdms {
     let mut bdms = Bdms::create(dir, schema()).unwrap();
     for u in 1..=USERS {
@@ -166,20 +178,25 @@ proptest! {
             tids(&bdms);
         }
         let live = tids(&bdms);
+        // A crash image: closing the store would fold its log into a
+        // snapshot, and the reopen below would replay nothing.
+        let crashed = crash_image(&dir);
         drop(bdms);
 
         // The WAL replays every statement onto the creation snapshot.
-        let mut bdms = Bdms::open(&dir).unwrap();
+        let mut bdms = Bdms::open(&crashed).unwrap();
+        prop_assert!(bdms.wal_stats().unwrap().frames > 0);
         prop_assert_eq!(tids(&bdms), live.clone());
 
         // A checkpoint writes R* out; the reopened store rebuilds the
         // index from it.
         bdms.checkpoint().unwrap();
         drop(bdms);
-        let bdms = Bdms::open(&dir).unwrap();
+        let bdms = Bdms::open(&crashed).unwrap();
         prop_assert_eq!(tids(&bdms), live);
         drop(bdms);
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&crashed).unwrap();
     }
 }
 
