@@ -215,34 +215,30 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             '\'' => {
-                // Collect raw bytes (a quote is ASCII and can never occur
-                // inside a multi-byte UTF-8 sequence), then re-validate.
-                let mut out: Vec<u8> = Vec::new();
-                i += 1;
+                // A quote is ASCII and never occurs inside a multi-byte
+                // UTF-8 sequence, so every quote is on a char boundary:
+                // the text is copied in slices, a literal without a `''`
+                // escape in one.
+                let mut text = String::new();
+                let mut from = i + 1;
                 loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(SqlError::Lex {
-                                message: "unterminated string literal".into(),
-                                offset: start,
-                            })
-                        }
-                        Some(b'\'') => {
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                out.push(b'\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            out.push(b);
-                            i += 1;
-                        }
+                    let Some(quote) = bytes[from..].iter().position(|&b| b == b'\'') else {
+                        return Err(SqlError::Lex {
+                            message: "unterminated string literal".into(),
+                            offset: start,
+                        });
+                    };
+                    let end = from + quote;
+                    if bytes.get(end + 1) == Some(&b'\'') {
+                        // Keep one quote of the pair.
+                        text.push_str(&input[from..=end]);
+                        from = end + 2;
+                    } else {
+                        text.push_str(&input[from..end]);
+                        i = end + 1;
+                        break;
                     }
                 }
-                let text = String::from_utf8(out).expect("input was valid UTF-8");
                 tokens.push(Token {
                     kind: TokenKind::Str(text),
                     offset: start,
@@ -287,11 +283,15 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 });
                 i = j;
             }
-            other => {
+            _ => {
+                // Every arm above matches an ASCII byte, so `start` is on a
+                // char boundary: name the whole character, not its first
+                // byte.
+                let other = input[start..].chars().next().expect("start < len");
                 return Err(SqlError::Lex {
                     message: format!("unexpected character `{other}`"),
                     offset: start,
-                })
+                });
             }
         }
     }
@@ -369,7 +369,18 @@ mod tests {
             kinds("'it''s'"),
             vec![TokenKind::Str("it's".into()), TokenKind::Eof]
         );
+        assert_eq!(
+            kinds("'''' 'a''''b' '' 'é''鳥'"),
+            vec![
+                TokenKind::Str("'".into()),
+                TokenKind::Str("a''b".into()),
+                TokenKind::Str("".into()),
+                TokenKind::Str("é'鳥".into()),
+                TokenKind::Eof
+            ]
+        );
         assert!(matches!(tokenize("'open"), Err(SqlError::Lex { .. })));
+        assert!(matches!(tokenize("'open''"), Err(SqlError::Lex { .. })));
     }
 
     #[test]
@@ -416,6 +427,27 @@ mod tests {
         assert!(toks.contains(&TokenKind::Keyword(Keyword::Not)));
         assert!(toks.contains(&TokenKind::Str("bald eagle".into())));
         assert_eq!(toks.iter().filter(|t| **t == TokenKind::Comma).count(), 4);
+    }
+
+    /// A character outside ASCII is named whole in the error, at the
+    /// byte offset where it starts.
+    #[test]
+    fn names_a_non_ascii_character_whole() {
+        for (input, ch, offset) in [
+            ("select S.sid from S where S.sid = é", "é", 34),
+            ("select S.sid from S where ¬ S.sid = 1", "¬", 26),
+        ] {
+            match tokenize(input) {
+                Err(SqlError::Lex {
+                    message,
+                    offset: at,
+                }) => {
+                    assert_eq!(message, format!("unexpected character `{ch}`"));
+                    assert_eq!(at, offset);
+                }
+                other => panic!("{input}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -37,12 +37,23 @@ impl Parser {
         &self.tokens[self.pos].kind
     }
 
-    fn advance(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+    /// Step past the current token (never past the trailing `Eof`).
+    fn advance(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Move the text out of the current token, an identifier or a string,
+    /// and step past it. The parser never looks back, so the token is left
+    /// empty instead of cloned.
+    fn take_text(&mut self) -> String {
+        let text = match &mut self.tokens[self.pos].kind {
+            TokenKind::Ident(s) | TokenKind::Str(s) => std::mem::take(s),
+            other => unreachable!("take_text on {other}"),
+        };
+        self.advance();
+        text
     }
 
     fn accept(&mut self, kind: &TokenKind) -> bool {
@@ -78,11 +89,8 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
-            TokenKind::Ident(s) => {
-                self.advance();
-                Ok(s)
-            }
+        match self.peek() {
+            TokenKind::Ident(_) => Ok(self.take_text()),
             _ => Err(self.error("expected identifier")),
         }
     }
@@ -184,7 +192,7 @@ impl Parser {
         if !self.accept_word("limit") {
             return Ok(None);
         }
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(n) if n >= 0 => {
                 self.advance();
                 Ok(Some(n as usize))
@@ -229,11 +237,8 @@ impl Parser {
     }
 
     fn user_ref(&mut self) -> Result<UserRef> {
-        match self.peek().clone() {
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(UserRef::Name(s))
-            }
+        match self.peek() {
+            TokenKind::Str(_) => Ok(UserRef::Name(self.take_text())),
             TokenKind::Ident(_) => Ok(UserRef::Column(self.column_ref()?)),
             _ => Err(self.error("expected a user name or column after BELIEF")),
         }
@@ -284,16 +289,9 @@ impl Parser {
     }
 
     fn operand(&mut self) -> Result<Operand> {
-        match self.peek().clone() {
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Operand::Literal(Literal::Str(s)))
-            }
-            TokenKind::Int(i) => {
-                self.advance();
-                Ok(Operand::Literal(Literal::Int(i)))
-            }
+        match self.peek() {
             TokenKind::Ident(_) => Ok(Operand::Column(self.column_ref()?)),
+            TokenKind::Str(_) | TokenKind::Int(_) => Ok(Operand::Literal(self.literal()?)),
             _ => Err(self.error("expected a column or literal")),
         }
     }
@@ -331,11 +329,8 @@ impl Parser {
     }
 
     fn literal(&mut self) -> Result<Literal> {
-        match self.peek().clone() {
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Literal::Str(s))
-            }
+        match *self.peek() {
+            TokenKind::Str(_) => Ok(Literal::Str(self.take_text())),
             TokenKind::Int(i) => {
                 self.advance();
                 Ok(Literal::Int(i))

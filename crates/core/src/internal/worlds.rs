@@ -204,17 +204,17 @@ impl InternalStore {
         }
 
         // (5) redirect w[d]-edges of deeper worlds that should now reach x:
-        // y ends with w[1,d−1], can take a w[d]-edge, and its current target
-        // is shallower than d.
-        let w_prefix = path.prefix(d - 1);
-        let redirect: Vec<Wid> = self
+        // y ends with w[1,d−1] — it is a dependent of the parent in the
+        // suffix tree, so only those are walked — can take a w[d]-edge, and
+        // its current target is shallower than d. In wid order, so `E` is
+        // written in the order a scan of every world would write it.
+        let mut redirect: Vec<Wid> = self
             .dir
-            .iter()
-            .filter(|(y, y_path)| {
-                *y != x && *y != parent && w_prefix.is_suffix_of(y_path) && y_path.can_push(last)
-            })
-            .map(|(y, _)| y)
+            .dependents(&path.prefix(d - 1))
+            .into_iter()
+            .filter(|&y| y != x && self.dir.path(y).can_push(last))
             .collect();
+        redirect.sort_unstable();
         for y in redirect {
             let current = self.edge_target(y, last)?;
             let current_depth = self.dir.path(current).depth();

@@ -17,7 +17,8 @@
 //!   as a `(wid, tid, sign)` reference into those two lists.
 //!   `encode_snapshot` writes it straight from the store's tables, `R*`
 //!   column by column with each string column as the heap's own
-//!   dictionary and one code per tuple.
+//!   dictionary and its codes bit-packed, and the statements grouped by
+//!   world in `(wid, tid)` order, so one store has one image.
 //!   Worlds and tuples are snapshotted separately from the statements because
 //!   Algorithm 4 creates them even for *rejected* inserts (Sect. 5.3);
 //!   restoring them in id order reproduces the exact wid/tid
@@ -35,6 +36,7 @@ use crate::internal::{slice_entry, DefaultPolicy, InternalStore};
 use crate::path::BeliefPath;
 use crate::schema::ExternalSchema;
 use crate::statement::{BeliefStatement, GroundTuple, Sign};
+use beliefdb_storage::persist::format::bit_width;
 use beliefdb_storage::persist::{Dec, Enc, PersistEngine};
 use beliefdb_storage::{Cell, CellHash, Row, RowId, StorageError, Table, Value};
 use std::collections::HashMap;
@@ -206,19 +208,21 @@ impl LogRecord {
 // ---------------------------------------------------------------------------
 
 /// Snapshot format version (bumped on incompatible layout changes).
-/// Version 4 is version 3 in the varint codec, with `R*` written column
-/// by column (see [`encode_snapshot`]). Version 3 stores each statement as
-/// `(wid, tid, sign)`, ids into the image's own world and tuple sections,
-/// in the fixed-width layout. Version 2 spelled each statement out (path,
-/// relation, row, sign) and version 1 also lacks the policy byte after the
-/// version: it was written by an `Eager` store and opens as one. Only
-/// version 4 is written; all four are read.
-const SNAPSHOT_VERSION: u8 = 4;
+/// Version 5 is version 4 with `R*`'s relations written as runs, its
+/// string codes bit-packed, and the statements grouped by world and
+/// delta-coded (see [`encode_snapshot`]). Version 4 is version 3 in the
+/// varint codec, with `R*` written column by column. Version 3 stores each
+/// statement as `(wid, tid, sign)`, ids into the image's own world and
+/// tuple sections, in the fixed-width layout. Version 2 spelled each
+/// statement out (path, relation, row, sign) and version 1 also lacks the
+/// policy byte after the version: it was written by an `Eager` store and
+/// opens as one. Only version 5 is written; all five are read.
+const SNAPSHOT_VERSION: u8 = 5;
 
-/// How a version-4 image writes one attribute column of a relation's
-/// `R*` tuples, in tid order: a string dictionary and a varint code per
-/// tuple (0 for NULL, `i + 1` for entry `i`), a zig-zag varint per tuple,
-/// or a tagged value per tuple.
+/// How a version-4 or -5 image writes one attribute column of a
+/// relation's `R*` tuples, in tid order: a string dictionary and a code
+/// per tuple (0 for NULL, `i + 1` for entry `i`; see [`put_codes`]), a
+/// zig-zag varint per tuple, or a tagged value per tuple.
 const COLUMN_STR: u8 = 1;
 const COLUMN_INT: u8 = 2;
 const COLUMN_MIXED: u8 = 3;
@@ -254,27 +258,46 @@ pub struct SnapshotData {
     pub worlds: Vec<BeliefPath>,
     /// Ground tuples of the `R*` tables in tid order.
     pub tuples: Vec<GroundTuple>,
-    /// Every explicit belief statement, by id into `worlds` and `tuples`.
+    /// Every explicit belief statement, by id into `worlds` and `tuples`;
+    /// in `(wid, tid)` order from a version-5 image.
     pub statements: Vec<StatementRef>,
 }
 
-/// Encode the version-4 image of `store` straight from its tables: the
+/// The bytes each section of a snapshot payload takes; they sum to the
+/// payload's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotSections {
+    /// Version and policy bytes, external schema and user names.
+    pub header: usize,
+    /// World paths.
+    pub worlds: usize,
+    /// The `R*` tuples.
+    pub tuples: usize,
+    /// The explicit statements.
+    pub statements: usize,
+}
+
+/// Encode the version-5 image of `store` straight from its tables: the
 /// world directory in wid order, the `R*` heaps in tid order, and the
-/// explicit rows of every `V` table as `(wid, tid, sign)`. Its cost is
-/// proportional to worlds + tuples + explicit statements; no logical
-/// copy of the store is built, and nothing is hashed.
+/// explicit rows of every `V` table in `(wid, tid)` order. Its cost is
+/// proportional to worlds + tuples + explicit statements (plus sorting
+/// the statements); no logical copy of the store is built, and nothing
+/// is hashed.
 ///
 /// ```text
-/// [version: u8 = 4] [policy: u8]
+/// [version: u8 = 5] [policy: u8]
 /// [n] n × ([name: str] [k] k × [column: str])     external schema
 /// [n] n × [user name: str]                        UserId 1, 2, … in order
 /// [n] n × ([depth] depth × [uid])                 world paths, wid order
-/// [n] n × [rel]                                   each R* tuple's relation
+/// [r] r × ([rel] [count])                         R* tuples' relations, runs in tid order
 /// per relation, per attribute column: [kind: u8] + its tuples' cells
-/// [n] n × ([wid] [tid · 2 + (sign = '-')])        explicit statements
+/// [n] [g] g × ([wid delta] [k] k × [tid delta · 2 + (sign = '-')])
+///                                                 explicit statements, by world
 /// ```
 ///
 /// Every number is a varint and every `str` a varint length and UTF-8.
+/// Each world's group holds its statements in ascending tid order; the
+/// first wid and the first tid of each group are deltas from 0.
 pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
     let mut e = Enc::new();
     e.put_u8(SNAPSHOT_VERSION);
@@ -298,8 +321,8 @@ pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
     }
 
     // Tids are dense across relations: place every `R*` row by its tid
-    // column, write the relation of each tid, then each relation's rows
-    // in tid order, column by column.
+    // column, write the relations of the tids as runs, then each
+    // relation's rows in tid order, column by column.
     let stars = store
         .rel_ids()
         .map(|rel| store.star_of(rel))
@@ -319,11 +342,19 @@ pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
         }
     }
     let mut rows_of = vec![Vec::new(); stars.len()];
-    e.put_var(by_tid.len() as u64);
+    let mut runs: Vec<(usize, u64)> = Vec::new();
     for (tid, slot) in by_tid.iter().enumerate() {
         let (rel, rid) = slot.ok_or_else(|| corrupt(format!("tid {tid} missing from R*")))?;
-        e.put_var(rel as u64);
+        match runs.last_mut() {
+            Some((last, n)) if *last == rel => *n += 1,
+            _ => runs.push((rel, 1)),
+        }
         rows_of[rel].push(rid);
+    }
+    e.put_var(runs.len() as u64);
+    for (rel, n) in runs {
+        e.put_var(rel as u64);
+        e.put_var(n);
     }
     for (star, rids) in stars.iter().zip(&rows_of) {
         for col in 1..star.schema().arity() {
@@ -332,26 +363,45 @@ pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
     }
 
     // Under `Eager`, `V` also holds the implicit rows the default rule
-    // derives; only the explicit ones are written.
-    let mut statements = Enc::new();
-    let mut count = 0u64;
+    // derives; only the explicit ones are written, in `(wid, tid)` order
+    // whatever the heap order of `V`. Each is one key — its wid above its
+    // tid doubled plus the sign bit, the low 33 bits — so sorting the keys
+    // sorts the statements.
+    let mut stated = Vec::new();
     for rel in store.rel_ids() {
         let vt = store.v_of(rel)?;
         for rid in vt.row_ids() {
             let entry = slice_entry(vt, rid)?;
-            if !entry.explicit {
-                continue;
+            if entry.explicit {
+                let wid =
+                    Wid::from_cell(vt.cell(rid, 0)?).ok_or_else(|| corrupt("bad wid in V"))?;
+                stated.push(
+                    (u64::from(wid.0) << 33)
+                        | (u64::from(entry.tid.0) << 1)
+                        | u64::from(entry.sign == Sign::Neg),
+                );
             }
-            let wid = Wid::from_cell(vt.cell(rid, 0)?).ok_or_else(|| corrupt("bad wid in V"))?;
-            statements.put_var(wid.0.into());
-            statements.put_var((u64::from(entry.tid.0) << 1) | u64::from(entry.sign == Sign::Neg));
-            count += 1;
         }
     }
-    e.put_var(count);
-    let mut bytes = e.into_bytes();
-    bytes.extend_from_slice(statements.bytes());
-    Ok(bytes)
+    stated.sort_unstable();
+    e.put_var(stated.len() as u64);
+    let groups = stated.chunk_by(|a, b| a >> 33 == b >> 33);
+    e.put_var(groups.clone().count() as u64);
+    let mut wid = 0;
+    for group in groups {
+        e.put_var((group[0] >> 33) - wid);
+        wid = group[0] >> 33;
+        e.put_var(group.len() as u64);
+        // `tid · 2 + sign` less the previous tid doubled: the distance
+        // between the tids, doubled, plus the sign bit.
+        let mut prev = 0;
+        for &key in group {
+            let signed = key & ((1 << 33) - 1);
+            e.put_var(signed - prev);
+            prev = signed & !1;
+        }
+    }
+    Ok(e.into_bytes())
 }
 
 /// Write column `col` of the `R*` rows `rids` (see [`COLUMN_STR`]). A
@@ -364,9 +414,11 @@ fn put_column(e: &mut Enc, star: &Table, col: usize, rids: &[RowId]) -> Result<(
         for s in dict {
             e.put_str(s);
         }
-        for &rid in rids {
-            e.put_var(star.code(rid, col)?.map_or(0, |c| u64::from(c) + 1));
-        }
+        let codes = rids
+            .iter()
+            .map(|&rid| Ok(star.code(rid, col)?.map_or(0, |c| c + 1)))
+            .collect::<Result<Vec<u32>>>()?;
+        put_codes(e, &codes);
         return Ok(());
     }
     let mut ints = true;
@@ -383,27 +435,67 @@ fn put_column(e: &mut Enc, star: &Table, col: usize, rids: &[RowId]) -> Result<(
     Ok(())
 }
 
-/// Read back one column [`put_column`] wrote for `count` tuples.
-fn take_column(d: &mut Dec, count: usize) -> Result<Vec<Value>> {
+/// A string column's codes as version 5 writes them: a width byte `w`
+/// and every code bit-packed at `w` bits, the width of the largest one;
+/// or, when every tuple has the same code (or there is no tuple), `w = 0`
+/// and that one code as a varint.
+fn put_codes(e: &mut Enc, codes: &[u32]) {
+    let first = codes.first().copied().unwrap_or(0);
+    if codes.iter().all(|&c| c == first) {
+        e.put_u8(0);
+        e.put_var(first.into());
+        return;
+    }
+    let width = bit_width(codes.iter().copied().max().unwrap_or(0));
+    e.put_u8(width as u8);
+    e.put_packed(width, codes.iter().copied());
+}
+
+/// Read back the `count` codes [`put_codes`] wrote. Only the shortest
+/// form is accepted: a packed run wider than its largest code, or one
+/// whose codes are all equal, is `Corrupt`.
+fn take_codes(d: &mut Dec, count: usize) -> Result<Vec<u32>> {
+    let width = u32::from(d.take_u8()?);
+    if width == 0 {
+        return Ok(vec![d.take_id()?; count]);
+    }
+    let codes: Vec<u32> = d.take_packed(count, width)?.collect();
+    let (min, max) = codes
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+    if bit_width(max) != width {
+        return Err(corrupt(format!(
+            "string codes packed at {width} bits, the largest takes {}",
+            bit_width(max)
+        )));
+    }
+    if min == max {
+        return Err(corrupt(format!("one string code packed {count} times")));
+    }
+    Ok(codes)
+}
+
+/// Read back one column [`put_column`] wrote for `count` tuples in the
+/// layout of `version` (4 or 5).
+fn take_column(d: &mut Dec, count: usize, version: u8) -> Result<Vec<Value>> {
     let mut vals = Vec::new();
     match d.take_u8()? {
         COLUMN_STR => {
             let n = d.take_len()?;
-            let mut dict = Vec::new();
+            let mut dict = vec![Value::Null];
             for _ in 0..n {
                 dict.push(Value::str(d.take_str()?));
             }
-            for _ in 0..count {
-                vals.push(match d.take_var()? {
-                    0 => Value::Null,
-                    code => usize::try_from(code - 1)
-                        .ok()
-                        .and_then(|i| dict.get(i))
-                        .cloned()
-                        .ok_or_else(|| {
-                            corrupt(format!("string code {code} past a dictionary of {n}"))
-                        })?,
-                });
+            let codes = if version == 4 {
+                (0..count).map(|_| d.take_id()).collect::<Result<_, _>>()?
+            } else {
+                take_codes(d, count)?
+            };
+            for code in codes {
+                let v = dict.get(code as usize).ok_or_else(|| {
+                    corrupt(format!("string code {code} past a dictionary of {n}"))
+                })?;
+                vals.push(v.clone());
             }
         }
         COLUMN_INT => {
@@ -421,46 +513,161 @@ fn take_column(d: &mut Dec, count: usize) -> Result<Vec<Value>> {
     Ok(vals)
 }
 
-/// Read back the tuple section of a version-4 image: each tid's relation,
-/// then each relation's columns, zipped into rows in tid order.
-fn take_tuples(d: &mut Dec, relations: &[(String, Vec<String>)]) -> Result<Vec<GroundTuple>> {
-    let n = d.take_len()?;
-    let mut rels = Vec::new();
-    let mut counts = vec![0; relations.len()];
-    for _ in 0..n {
-        let rel = d.take_id()?;
+/// Read back the tuple section of a version-4 or -5 image: the relation
+/// of each tid (one varint per tid in version 4, runs in version 5), then
+/// each relation's columns, zipped into rows in tid order.
+fn take_tuples(
+    d: &mut Dec,
+    relations: &[(String, Vec<String>)],
+    version: u8,
+) -> Result<Vec<GroundTuple>> {
+    let mut runs: Vec<(u32, usize)> = Vec::new();
+    let mut counts = vec![0usize; relations.len()];
+    let mut add_run = |runs: &mut Vec<(u32, usize)>, rel: u32, n: usize| -> Result<()> {
         *counts
             .get_mut(rel as usize)
-            .ok_or_else(|| corrupt(format!("tuple of relation {rel}, past the schema")))? += 1;
-        rels.push(RelId(rel));
+            .ok_or_else(|| corrupt(format!("tuple of relation {rel}, past the schema")))? += n;
+        match runs.last_mut() {
+            Some((last, k)) if *last == rel => *k += n,
+            _ => runs.push((rel, n)),
+        }
+        Ok(())
+    };
+    if version == 4 {
+        for _ in 0..d.take_len()? {
+            let rel = d.take_id()?;
+            add_run(&mut runs, rel, 1)?;
+        }
+    } else {
+        // A relation's tuples are distinct rows, so all but one of them
+        // cost at least a bit of some column: a tuple count past eight a
+        // byte left is `Corrupt` before anything is allocated for it.
+        let mut total = 0usize;
+        for _ in 0..d.take_len()? {
+            let rel = d.take_id()?;
+            let n = d.take_var()?;
+            total = usize::try_from(n)
+                .ok()
+                .and_then(|n| total.checked_add(n))
+                .filter(|&t| t / 8 <= d.remaining())
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "a run of {n} tuples past the {} bytes left",
+                        d.remaining()
+                    ))
+                })?;
+            if n == 0 || runs.last().is_some_and(|&(last, _)| last == rel) {
+                return Err(corrupt(format!(
+                    "run of {n} tuples of relation {rel} not in shortest form"
+                )));
+            }
+            add_run(&mut runs, rel, n as usize)?;
+        }
     }
     let mut columns = Vec::new();
     for ((_, cols), &count) in relations.iter().zip(&counts) {
         let mut rel_columns = Vec::new();
         for _ in cols {
-            rel_columns.push(take_column(d, count)?.into_iter());
+            rel_columns.push(take_column(d, count, version)?.into_iter());
         }
         columns.push(rel_columns);
     }
-    Ok(rels
-        .into_iter()
-        .map(|rel| {
-            let cells = columns[rel.0 as usize]
+    let mut tuples = Vec::with_capacity(counts.iter().sum());
+    for (rel, n) in runs {
+        let rel_columns = &mut columns[rel as usize];
+        for _ in 0..n {
+            let cells = rel_columns
                 .iter_mut()
                 .map(|c| c.next().expect("count cells per column"));
-            GroundTuple::new(rel, Row::new(cells))
-        })
-        .collect())
+            tuples.push(GroundTuple::new(RelId(rel), Row::new(cells)));
+        }
+    }
+    Ok(tuples)
+}
+
+/// Read back the statement section of a version-5 image (see
+/// [`encode_snapshot`]): every world and tuple id must lie inside the
+/// image's lists, wids ascend from group to group and tids inside a
+/// group, no group is empty, and the groups hold exactly the count.
+fn take_statement_groups(d: &mut Dec, nworlds: usize, ntuples: usize) -> Result<Vec<StatementRef>> {
+    let n = d.take_len()?;
+    let ngroups = d.take_len()?;
+    let mut statements = Vec::with_capacity(n);
+    let mut wid: Option<u64> = None;
+    for _ in 0..ngroups {
+        let delta = d.take_var()?;
+        let w = match wid {
+            Some(_) if delta == 0 => return Err(corrupt("statement worlds do not ascend")),
+            Some(prev) => prev.saturating_add(delta),
+            None => delta,
+        };
+        if w >= nworlds as u64 {
+            return Err(corrupt(format!(
+                "statement world {w} past the {nworlds} worlds"
+            )));
+        }
+        wid = Some(w);
+        let k = d.take_len()?;
+        if k == 0 || statements.len() + k > n {
+            return Err(corrupt(format!(
+                "a group of {k} statements after {} of {n}",
+                statements.len()
+            )));
+        }
+        let mut tid: Option<u64> = None;
+        for _ in 0..k {
+            let signed = d.take_var()?;
+            let delta = signed >> 1;
+            let t = match tid {
+                Some(_) if delta == 0 => {
+                    return Err(corrupt(format!(
+                        "statement tuples of world {w} do not ascend"
+                    )))
+                }
+                Some(prev) => prev.saturating_add(delta),
+                None => delta,
+            };
+            if t >= ntuples as u64 {
+                return Err(corrupt(format!(
+                    "statement tuple {t} past the {ntuples} tuples"
+                )));
+            }
+            tid = Some(t);
+            statements.push(StatementRef {
+                wid: Wid(w as u32),
+                tid: Tid(t as u32),
+                sign: if signed & 1 == 1 {
+                    Sign::Neg
+                } else {
+                    Sign::Pos
+                },
+            });
+        }
+    }
+    if statements.len() != n {
+        return Err(corrupt(format!(
+            "statement groups hold {} statements, the count is {n}",
+            statements.len()
+        )));
+    }
+    Ok(statements)
 }
 
 impl SnapshotData {
-    /// Decode a snapshot payload of any version (1 to 4).
+    /// Decode a snapshot payload of any version (1 to 5).
     pub fn decode(bytes: &[u8]) -> Result<SnapshotData> {
+        Ok(SnapshotData::decode_sections(bytes)?.0)
+    }
+
+    /// [`SnapshotData::decode`], and the bytes each section of `bytes`
+    /// took.
+    pub fn decode_sections(bytes: &[u8]) -> Result<(SnapshotData, SnapshotSections)> {
         let version = *bytes.first().ok_or_else(|| corrupt("empty snapshot"))?;
         let mut d = match version {
-            SNAPSHOT_VERSION => Dec::new(bytes),
+            4.. => Dec::new(bytes),
             _ => Dec::fixed(bytes),
         };
+        let at = |d: &Dec| bytes.len() - d.remaining();
         d.take_u8()?;
         let policy = match version {
             1 => DefaultPolicy::Eager,
@@ -487,13 +694,15 @@ impl SnapshotData {
         for _ in 0..nusers {
             users.push(d.take_str()?.to_string());
         }
+        let worlds_at = at(&d);
         let nworlds = d.take_len()?;
         let mut worlds = Vec::new();
         for _ in 0..nworlds {
             worlds.push(take_path(&mut d)?);
         }
-        let tuples = if version == SNAPSHOT_VERSION {
-            take_tuples(&mut d, &relations)?
+        let tuples_at = at(&d);
+        let tuples = if version >= 4 {
+            take_tuples(&mut d, &relations, version)?
         } else {
             let ntuples = d.take_len()?;
             let mut tuples = Vec::new();
@@ -504,65 +713,83 @@ impl SnapshotData {
             }
             tuples
         };
-        let nstmts = d.take_len()?;
-        let mut statements = Vec::new();
-        if version == SNAPSHOT_VERSION {
-            for _ in 0..nstmts {
-                let wid = Wid(d.take_id()?);
-                let signed = d.take_var()?;
-                let tid = u32::try_from(signed >> 1)
-                    .map_err(|_| corrupt(format!("statement tid {} past 32 bits", signed >> 1)))?;
-                let sign = if signed & 1 == 1 {
-                    Sign::Neg
-                } else {
-                    Sign::Pos
-                };
-                statements.push(StatementRef {
-                    wid,
-                    tid: Tid(tid),
-                    sign,
-                });
-            }
-        } else if version == 3 {
-            for _ in 0..nstmts {
-                statements.push(StatementRef {
-                    wid: Wid(d.take_id()?),
-                    tid: Tid(d.take_id()?),
-                    sign: take_sign(&mut d)?,
-                });
-            }
-        } else {
-            // Versions 1 and 2 spell each statement out: find its ids in
-            // the image's own world and tuple sections.
-            let wids: HashMap<&BeliefPath, Wid, CellHash> =
-                (0..).map(Wid).zip(&worlds).map(|(w, p)| (p, w)).collect();
-            let tids: HashMap<&GroundTuple, Tid, CellHash> =
-                (0..).map(Tid).zip(&tuples).map(|(t, g)| (g, t)).collect();
-            for _ in 0..nstmts {
-                let stmt = take_statement(&mut d)?;
-                match (wids.get(&stmt.path), tids.get(&stmt.tuple)) {
-                    (Some(&wid), Some(&tid)) => statements.push(StatementRef {
+        let statements_at = at(&d);
+        let statements = match version {
+            SNAPSHOT_VERSION => take_statement_groups(&mut d, worlds.len(), tuples.len())?,
+            4 => {
+                let mut statements = Vec::new();
+                for _ in 0..d.take_len()? {
+                    let wid = Wid(d.take_id()?);
+                    let signed = d.take_var()?;
+                    let tid = u32::try_from(signed >> 1).map_err(|_| {
+                        corrupt(format!("statement tid {} past 32 bits", signed >> 1))
+                    })?;
+                    let sign = if signed & 1 == 1 {
+                        Sign::Neg
+                    } else {
+                        Sign::Pos
+                    };
+                    statements.push(StatementRef {
                         wid,
-                        tid,
-                        sign: stmt.sign,
-                    }),
-                    _ => {
-                        return Err(corrupt(format!(
-                            "snapshot statement {stmt} names no world or tuple of the snapshot"
-                        )))
+                        tid: Tid(tid),
+                        sign,
+                    });
+                }
+                statements
+            }
+            3 => {
+                let mut statements = Vec::new();
+                for _ in 0..d.take_len()? {
+                    statements.push(StatementRef {
+                        wid: Wid(d.take_id()?),
+                        tid: Tid(d.take_id()?),
+                        sign: take_sign(&mut d)?,
+                    });
+                }
+                statements
+            }
+            _ => {
+                // Versions 1 and 2 spell each statement out: find its ids
+                // in the image's own world and tuple sections.
+                let wids: HashMap<&BeliefPath, Wid, CellHash> =
+                    (0..).map(Wid).zip(&worlds).map(|(w, p)| (p, w)).collect();
+                let tids: HashMap<&GroundTuple, Tid, CellHash> =
+                    (0..).map(Tid).zip(&tuples).map(|(t, g)| (g, t)).collect();
+                let mut statements = Vec::new();
+                for _ in 0..d.take_len()? {
+                    let stmt = take_statement(&mut d)?;
+                    match (wids.get(&stmt.path), tids.get(&stmt.tuple)) {
+                        (Some(&wid), Some(&tid)) => statements.push(StatementRef {
+                            wid,
+                            tid,
+                            sign: stmt.sign,
+                        }),
+                        _ => {
+                            return Err(corrupt(format!(
+                                "snapshot statement {stmt} names no world or tuple of the snapshot"
+                            )))
+                        }
                     }
                 }
+                statements
             }
-        }
+        };
         d.finish()?;
-        Ok(SnapshotData {
+        let sections = SnapshotSections {
+            header: worlds_at,
+            worlds: tuples_at - worlds_at,
+            tuples: statements_at - tuples_at,
+            statements: bytes.len() - statements_at,
+        };
+        let data = SnapshotData {
             policy,
             relations,
             users,
             worlds,
             tuples,
             statements,
-        })
+        };
+        Ok((data, sections))
     }
 
     /// Rebuild the store this snapshot describes. Users, worlds, and
@@ -939,6 +1166,96 @@ mod tests {
         f.0
     }
 
+    /// The header and world sections of `data` in the varint codec, as
+    /// versions 4 and 5 write them.
+    fn header(version: u8, data: &SnapshotData) -> Enc {
+        let mut e = Enc::new();
+        e.put_u8(version);
+        e.put_u8(policy_code(data.policy));
+        e.put_var(data.relations.len() as u64);
+        for (name, cols) in &data.relations {
+            e.put_str(name);
+            e.put_var(cols.len() as u64);
+            for c in cols {
+                e.put_str(c);
+            }
+        }
+        e.put_var(data.users.len() as u64);
+        for u in &data.users {
+            e.put_str(u);
+        }
+        e.put_var(data.worlds.len() as u64);
+        for w in &data.worlds {
+            put_path(&mut e, w);
+        }
+        e
+    }
+
+    /// The version-4 layout of `data`, which only these tests still write:
+    /// a relation varint per tuple, a code varint per string cell, and two
+    /// varints per statement (its wid, its tid doubled plus the sign bit).
+    fn version_4_encode(data: &SnapshotData) -> Vec<u8> {
+        let mut e = header(4, data);
+        e.put_var(data.tuples.len() as u64);
+        for t in &data.tuples {
+            e.put_var(t.rel.0.into());
+        }
+        for (rel, (_, cols)) in data.relations.iter().enumerate() {
+            let rows: Vec<&Row> = data
+                .tuples
+                .iter()
+                .filter(|t| t.rel.0 as usize == rel)
+                .map(|t| &t.row)
+                .collect();
+            for col in 0..cols.len() {
+                let cells: Vec<&Value> = rows.iter().map(|r| &r[col]).collect();
+                if cells
+                    .iter()
+                    .all(|v| matches!(v, Value::Str(_) | Value::Null))
+                {
+                    let mut dict: Vec<&str> = Vec::new();
+                    let mut codes = Vec::new();
+                    for v in &cells {
+                        codes.push(match v {
+                            Value::Str(s) => match dict.iter().position(|d| *d == &**s) {
+                                Some(i) => i + 1,
+                                None => {
+                                    dict.push(s);
+                                    dict.len()
+                                }
+                            },
+                            _ => 0,
+                        });
+                    }
+                    e.put_u8(COLUMN_STR);
+                    e.put_var(dict.len() as u64);
+                    for s in dict {
+                        e.put_str(s);
+                    }
+                    for c in codes {
+                        e.put_var(c as u64);
+                    }
+                } else if cells.iter().all(|v| matches!(v, Value::Int(_))) {
+                    e.put_u8(COLUMN_INT);
+                    for v in cells {
+                        e.put_zig(v.as_int().unwrap());
+                    }
+                } else {
+                    e.put_u8(COLUMN_MIXED);
+                    for v in cells {
+                        e.put_value(v);
+                    }
+                }
+            }
+        }
+        e.put_var(data.statements.len() as u64);
+        for s in &data.statements {
+            e.put_var(s.wid.0.into());
+            e.put_var((u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg));
+        }
+        e.into_bytes()
+    }
+
     #[test]
     fn snapshot_round_trips_through_bytes() {
         let store = sample(DefaultPolicy::Lazy);
@@ -992,9 +1309,14 @@ mod tests {
         let mut bad = bytes.clone();
         bad[1] = 7;
         assert!(SnapshotData::decode(&bad).is_err());
-        // Version 3 is the same image in the fixed-width layout; versions 1
-        // and 2 spell the statements out and decode to the same ids; a
-        // version-1 image has no policy byte and is an `Eager` store's.
+        // Versions 4 and 3 are the same image in the varint and the
+        // fixed-width layout; versions 1 and 2 spell the statements out and
+        // decode to the same ids; a version-1 image has no policy byte and
+        // is an `Eager` store's.
+        assert_eq!(
+            SnapshotData::decode(&version_4_encode(&data)).unwrap(),
+            data
+        );
         let v3 = legacy_encode(3, &data, &[]);
         assert_eq!(SnapshotData::decode(&v3).unwrap(), data);
         assert!(
@@ -1020,36 +1342,78 @@ mod tests {
         }
     }
 
-    /// Version 4 spends two varints on an explicit statement beyond the
-    /// world and tuple sections — its wid, and its tid with the sign in
-    /// the low bit — and nothing on the implicit rows `Eager` keeps in `V`.
-    /// Deleting every statement keeps the worlds and tuples, so the
-    /// difference in size is the statement section alone.
+    /// Version 5 spends one varint on an explicit statement beyond the
+    /// world and tuple sections — its tid's distance from the one before it
+    /// in its world's group, doubled, plus the sign bit — and two varints
+    /// on each world that states anything (the distance from the world
+    /// before it and the group's count). Implicit rows of `Eager`'s `V` cost
+    /// nothing. Deleting every statement keeps the worlds and tuples, so
+    /// the difference in size is the statement section alone.
     #[test]
-    fn version_4_costs_two_varints_per_explicit_statement() {
+    fn version_5_statements_cost_a_varint_each_and_two_a_world() {
         for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
             let mut store = sample(policy);
             let stated = store.to_belief_database().unwrap().statements();
             assert_eq!(stated.len(), 4);
             let full = encode_snapshot(&store).unwrap();
             let refs = SnapshotData::decode(&full).unwrap().statements;
-            let mut section = Enc::new();
-            for s in &refs {
-                section.put_var(s.wid.0.into());
-                section.put_var((u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg));
-            }
-            let varints = section.bytes().len();
-            assert_eq!(varints, 2 * stated.len(), "small ids take a byte each");
+            let mut order: Vec<_> = refs.iter().map(|s| (s.wid, s.tid)).collect();
+            order.sort();
+            assert_eq!(
+                refs.iter().map(|s| (s.wid, s.tid)).collect::<Vec<_>>(),
+                order
+            );
+            let mut worlds: Vec<_> = refs.iter().map(|s| s.wid).collect();
+            worlds.dedup();
+            assert_eq!(worlds.len(), 3, "ε, Alice and Bob·Alice state something");
             for stmt in &stated {
                 assert!(store.delete_statement(stmt).unwrap());
             }
             let bare = encode_snapshot(&store).unwrap();
             assert!(SnapshotData::decode(&bare).unwrap().statements.is_empty());
-            assert_eq!(full.len() - bare.len(), varints, "{policy:?}");
+            // Small ids and counts take a byte each.
+            assert_eq!(
+                full.len() - bare.len(),
+                stated.len() + 2 * worlds.len(),
+                "{policy:?}"
+            );
         }
         let eager = sample(DefaultPolicy::Eager);
         let v_rows = eager.v_of(RelId(0)).unwrap().len();
         assert!(v_rows > 4, "Eager's V holds implicit rows too: {v_rows}");
+    }
+
+    /// The statement section is in `(wid, tid)` order, not in the order of
+    /// `V`'s heap: two stores with the same statements, tids and worlds,
+    /// whose `V` rows lie in other slots, write the same bytes.
+    #[test]
+    fn version_5_image_ignores_the_layout_of_v() {
+        let store = sample(DefaultPolicy::Lazy);
+        let mut moved = sample(DefaultPolicy::Lazy);
+        let stated = moved.to_belief_database().unwrap().statements();
+        // Freed slots are reused last-freed first, so the two come back
+        // into each other's slots.
+        for stmt in &stated[..2] {
+            assert!(moved.delete_statement(stmt).unwrap());
+        }
+        for stmt in &stated[..2] {
+            assert!(moved.insert_statement(stmt).unwrap().accepted());
+        }
+        let v_order = |s: &InternalStore| {
+            let vt = s.v_of(RelId(0)).unwrap();
+            vt.row_ids()
+                .map(|rid| vt.cell(rid, 0).unwrap().as_int().unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(
+            v_order(&store),
+            v_order(&moved),
+            "V's layout did not change"
+        );
+        assert_eq!(
+            encode_snapshot(&moved).unwrap(),
+            encode_snapshot(&store).unwrap()
+        );
     }
 
     /// A store whose `R*` has every column kind: strings with a NULL, an
@@ -1078,82 +1442,157 @@ mod tests {
         store
     }
 
-    #[test]
-    fn version_4_round_trips_every_column_kind() {
-        let store = mixed_store();
-        let bytes = encode_snapshot(&store).unwrap();
-        let data = SnapshotData::decode(&bytes).unwrap();
-        assert_eq!(data.tuples.len(), 4);
-        for (i, t) in data.tuples.iter().enumerate() {
-            assert_eq!(store.tid_of(t).unwrap(), Some(Tid(i as u32)), "{t}");
+    /// A store whose tids alternate between two relations, and one of
+    /// whose string columns holds a single string: the tuple section has
+    /// several runs and a column written as one code.
+    fn interleaved_store() -> InternalStore {
+        let schema = ExternalSchema::new()
+            .with_relation("S", &["sid", "species"])
+            .with_relation("C", &["cid", "sid", "note"]);
+        let mut store = InternalStore::with_policy(schema, DefaultPolicy::Lazy).unwrap();
+        store.add_user("Alice").unwrap();
+        let tuples = [
+            GroundTuple::new(RelId(0), row!["s1", "crow"]),
+            GroundTuple::new(RelId(0), row!["s2", "crow"]),
+            GroundTuple::new(RelId(1), row!["c1", "s1", "same"]),
+            GroundTuple::new(RelId(0), row!["s3", "crow"]),
+            GroundTuple::new(RelId(1), row!["c2", "s3", "same"]),
+        ];
+        for t in tuples {
+            let stmt = BeliefStatement::positive(path(&[1]), t);
+            assert!(store.insert_statement(&stmt).unwrap().accepted());
         }
-        let restored = data.restore().unwrap();
-        assert_eq!(restored.table_sizes(), store.table_sizes());
-        assert_eq!(encode_snapshot(&restored).unwrap(), bytes);
-        // The same image through the version-3 layout.
-        assert_eq!(
-            SnapshotData::decode(&legacy_encode(3, &data, &[])).unwrap(),
-            data
-        );
+        store
     }
 
-    /// Every strict prefix of a version-4 payload is `Corrupt`, and every
-    /// single-byte flip decodes to an error or to some image (a flipped
-    /// letter of a string is still a string; the file's checksum is what
-    /// catches that), never a panic, in decoding or in restoring.
     #[test]
-    fn version_4_prefixes_are_corrupt_and_flips_never_panic() {
-        for store in [sample(DefaultPolicy::Lazy), mixed_store()] {
+    fn version_5_round_trips_every_column_kind() {
+        for store in [mixed_store(), interleaved_store()] {
             let bytes = encode_snapshot(&store).unwrap();
-            for cut in 0..bytes.len() {
-                assert!(
-                    matches!(
-                        SnapshotData::decode(&bytes[..cut]),
-                        Err(BeliefError::Storage(StorageError::Corrupt(_)))
-                    ),
-                    "prefix of {cut} bytes"
-                );
+            let (data, sections) = SnapshotData::decode_sections(&bytes).unwrap();
+            assert_eq!(
+                sections.header + sections.worlds + sections.tuples + sections.statements,
+                bytes.len()
+            );
+            for (i, t) in data.tuples.iter().enumerate() {
+                assert_eq!(store.tid_of(t).unwrap(), Some(Tid(i as u32)), "{t}");
             }
-            for at in 0..bytes.len() {
-                for flip in [0x01, 0x80, 0xFF] {
-                    let mut forged = bytes.clone();
-                    forged[at] ^= flip;
-                    if let Ok(data) = SnapshotData::decode(&forged) {
-                        let _ = data.restore();
-                    }
+            let restored = data.restore().unwrap();
+            assert_eq!(restored.table_sizes(), store.table_sizes());
+            assert_eq!(encode_snapshot(&restored).unwrap(), bytes);
+        }
+        // Runs (0, 2) (1, 1) (0, 1) (1, 1); "crow", "same" and the
+        // relations' one-string columns as a zero width and one code.
+        let bytes = encode_snapshot(&interleaved_store()).unwrap();
+        let (data, sections) = SnapshotData::decode_sections(&bytes).unwrap();
+        let at = sections.header + sections.worlds;
+        assert_eq!(bytes[at..at + 9], [4, 0, 2, 1, 1, 0, 1, 1, 1]);
+        assert_eq!(data.tuples.len(), 5);
+    }
+
+    #[test]
+    fn version_4_round_trips_every_column_kind() {
+        for store in [mixed_store(), interleaved_store()] {
+            let bytes = encode_snapshot(&store).unwrap();
+            let data = SnapshotData::decode(&bytes).unwrap();
+            // The same image through the version-4 and -3 layouts; the
+            // store a version-4 image restores writes version 5.
+            let v4 = SnapshotData::decode(&version_4_encode(&data)).unwrap();
+            assert_eq!(v4, data);
+            assert_eq!(encode_snapshot(&v4.restore().unwrap()).unwrap(), bytes);
+            assert_eq!(
+                SnapshotData::decode(&legacy_encode(3, &data, &[])).unwrap(),
+                data
+            );
+        }
+    }
+
+    /// Every strict prefix of `bytes` is `Corrupt`, and every single-byte
+    /// flip decodes to an error or to some image (a flipped letter of a
+    /// string is still a string; the file's checksum is what catches
+    /// that), never a panic, in decoding or in restoring.
+    fn assert_prefixes_corrupt_and_flips_harmless(bytes: &[u8]) {
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    SnapshotData::decode(&bytes[..cut]),
+                    Err(BeliefError::Storage(StorageError::Corrupt(_)))
+                ),
+                "prefix of {cut} bytes"
+            );
+        }
+        for at in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut forged = bytes.to_vec();
+                forged[at] ^= flip;
+                if let Ok(data) = SnapshotData::decode(&forged) {
+                    let _ = data.restore();
                 }
             }
         }
     }
 
-    /// Hand-made faults in the tuple section: a relation past the schema,
-    /// a string code past its dictionary, an unknown column kind.
+    #[test]
+    fn version_4_prefixes_are_corrupt_and_flips_never_panic() {
+        for store in [sample(DefaultPolicy::Lazy), mixed_store()] {
+            let data = SnapshotData::decode(&encode_snapshot(&store).unwrap()).unwrap();
+            assert_prefixes_corrupt_and_flips_harmless(&version_4_encode(&data));
+        }
+    }
+
+    #[test]
+    fn version_5_prefixes_are_corrupt_and_flips_never_panic() {
+        for store in [
+            sample(DefaultPolicy::Lazy),
+            mixed_store(),
+            interleaved_store(),
+        ] {
+            assert_prefixes_corrupt_and_flips_harmless(&encode_snapshot(&store).unwrap());
+        }
+    }
+
+    /// A version-5 run may claim many tuples for a few bytes when every
+    /// column of its relation is one code: a count past eight tuples per
+    /// byte left is `Corrupt` before the decoder builds any of them.
+    #[test]
+    fn version_5_tuple_counts_are_bounded_by_the_bytes_left() {
+        let data =
+            SnapshotData::decode(&encode_snapshot(&sample(DefaultPolicy::Lazy)).unwrap()).unwrap();
+        let forge = |tuples: u64| {
+            let mut e = header(SNAPSHOT_VERSION, &data);
+            e.put_var(1);
+            e.put_var(0);
+            e.put_var(tuples);
+            for _ in 0..2 {
+                // A dictionary of one string, every tuple its code 1.
+                e.put_u8(COLUMN_STR);
+                e.put_var(1);
+                e.put_str("k");
+                e.put_u8(0);
+                e.put_var(1);
+            }
+            // No statement.
+            e.put_var(0);
+            e.put_var(0);
+            e.into_bytes()
+        };
+        assert_eq!(SnapshotData::decode(&forge(1)).unwrap().tuples.len(), 1);
+        assert!(matches!(
+            SnapshotData::decode(&forge(100_000)),
+            Err(BeliefError::Storage(StorageError::Corrupt(_)))
+        ));
+    }
+
+    /// Hand-made faults in the tuple section of a version-4 image: a
+    /// relation past the schema, a string code past its dictionary, an
+    /// unknown column kind.
     #[test]
     fn forged_version_4_tuple_sections_are_corrupt() {
         let store = mixed_store();
-        let bytes = encode_snapshot(&store).unwrap();
-        let data = SnapshotData::decode(&bytes).unwrap();
-        // The tuple section starts after the worlds: re-encode the prefix.
-        let mut e = Enc::new();
-        e.put_u8(SNAPSHOT_VERSION);
-        e.put_u8(policy_code(data.policy));
-        e.put_var(data.relations.len() as u64);
-        for (name, cols) in &data.relations {
-            e.put_str(name);
-            e.put_var(cols.len() as u64);
-            for c in cols {
-                e.put_str(c);
-            }
-        }
-        e.put_var(data.users.len() as u64);
-        for u in &data.users {
-            e.put_str(u);
-        }
-        e.put_var(data.worlds.len() as u64);
-        for w in &data.worlds {
-            put_path(&mut e, w);
-        }
-        let prefix = e.into_bytes();
+        let data = SnapshotData::decode(&encode_snapshot(&store).unwrap()).unwrap();
+        let bytes = version_4_encode(&data);
+        // The tuple section starts after the worlds.
+        let prefix = header(4, &data).into_bytes();
         assert_eq!(bytes[..prefix.len()], prefix[..]);
         // One tuple of relation 1 (`Empty`, one column), then no statement.
         let forge = |rel: u64, column: &[u8]| {

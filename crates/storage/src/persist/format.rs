@@ -16,6 +16,10 @@
 //! payloads with the same primitives, so the format is defined in exactly
 //! one place. [`Dec::fixed`] reads the fixed-width layout that WAL v1
 //! segments and snapshots v1 to v3 were written in; nothing writes it.
+//!
+//! Beside the varints, [`Enc::put_packed`] and [`Dec::take_packed`] write
+//! and read a run of small codes bit-packed at one width (snapshot v5
+//! writes `R*`'s string codes with them).
 
 use crate::error::{Result, StorageError};
 use crate::row::Row;
@@ -146,6 +150,25 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 // ---------------------------------------------------------------------------
+// Bit packing
+// ---------------------------------------------------------------------------
+
+/// Widest code [`Enc::put_packed`] writes and [`Dec::take_packed`] reads.
+pub const MAX_PACKED_WIDTH: u32 = 32;
+
+/// Bits that hold `v`: 0 for 0, else one past its highest set bit.
+#[inline]
+pub fn bit_width(v: u32) -> u32 {
+    u32::BITS - v.leading_zeros()
+}
+
+/// Bytes that `n` codes of `width` bits take packed, or `None` when the
+/// bit count overflows.
+fn packed_len(n: usize, width: u32) -> Option<usize> {
+    n.checked_mul(width as usize).map(|bits| bits.div_ceil(8))
+}
+
+// ---------------------------------------------------------------------------
 // Writer / reader
 // ---------------------------------------------------------------------------
 
@@ -235,6 +258,30 @@ impl Enc {
                 self.put_u8(VALUE_STR);
                 self.put_str(s);
             }
+        }
+    }
+
+    /// `values` as one bit string, `width` bits each (at most
+    /// [`MAX_PACKED_WIDTH`]): the first value in the lowest bits of the
+    /// first byte, each byte filled from its low bit up, the last byte
+    /// padded with zero bits. Nothing marks the width or the count; the
+    /// reader is told both ([`Dec::take_packed`]). Width 0 writes nothing.
+    pub fn put_packed(&mut self, width: u32, values: impl IntoIterator<Item = u32>) {
+        debug_assert!(width <= MAX_PACKED_WIDTH);
+        let mut acc = 0u64;
+        let mut bits = 0;
+        for v in values {
+            debug_assert!(bit_width(v) <= width, "{v} wider than {width} bits");
+            acc |= u64::from(v) << bits;
+            bits += width;
+            while bits >= 8 {
+                self.buf.push(acc as u8);
+                acc >>= 8;
+                bits -= 8;
+            }
+        }
+        if bits > 0 {
+            self.buf.push(acc as u8);
         }
     }
 
@@ -421,6 +468,37 @@ impl<'a> Dec<'a> {
         Ok(Row::new(vals))
     }
 
+    /// `n` codes of `width` bits as [`Enc::put_packed`] wrote them. A width
+    /// past [`MAX_PACKED_WIDTH`], fewer than `n · width` bits left, or a
+    /// set padding bit is [`StorageError::Corrupt`]. The bytes are checked
+    /// and consumed here; the codes are read as the iterator is walked.
+    /// At width 0 nothing backs the `n` codes, so the caller bounds `n`.
+    pub fn take_packed(&mut self, n: usize, width: u32) -> Result<Packed<'a>> {
+        if width > MAX_PACKED_WIDTH {
+            return Err(self.corrupt(format_args!("bit width {width} past {MAX_PACKED_WIDTH}")));
+        }
+        let len = packed_len(n, width)
+            .filter(|&len| len <= self.remaining())
+            .ok_or_else(|| {
+                self.corrupt(format_args!(
+                    "{n} codes of {width} bits past the {} bytes left",
+                    self.remaining()
+                ))
+            })?;
+        let bytes = self.need(len)?;
+        let tail = (n * width as usize % 8) as u32;
+        if tail > 0 && bytes[len - 1] >> tail != 0 {
+            return Err(self.corrupt("set padding bits after packed codes"));
+        }
+        Ok(Packed {
+            bytes,
+            width,
+            left: n,
+            acc: 0,
+            bits: 0,
+        })
+    }
+
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -438,6 +516,48 @@ impl<'a> Dec<'a> {
         }
     }
 }
+
+/// The codes of [`Dec::take_packed`], in the order they were written.
+#[derive(Debug, Clone)]
+pub struct Packed<'a> {
+    /// The packed bytes not yet loaded into `acc`.
+    bytes: &'a [u8],
+    width: u32,
+    /// Codes not yet returned.
+    left: usize,
+    acc: u64,
+    /// Bits loaded in `acc`.
+    bits: u32,
+}
+
+impl Iterator for Packed<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        while self.bits < self.width {
+            // `take_packed` checked that the bytes hold every code.
+            let (&b, rest) = self.bytes.split_first().expect("packed bytes checked");
+            self.acc |= u64::from(b) << self.bits;
+            self.bytes = rest;
+            self.bits += 8;
+        }
+        let v = (self.acc & ((1u64 << self.width) - 1)) as u32;
+        self.acc >>= self.width;
+        self.bits -= self.width;
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Packed<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -617,6 +737,48 @@ mod tests {
         assert_eq!(decode_var(&past), Err("varint past 64 bits"));
     }
 
+    #[test]
+    fn packed_codes_at_their_edges() {
+        assert_eq!((bit_width(0), bit_width(1), bit_width(255)), (0, 1, 8));
+        assert_eq!((bit_width(256), bit_width(u32::MAX)), (9, 32));
+        // Low bits first: 1, 2, 3 at three bits fill bits 0–8.
+        let mut e = Enc::new();
+        e.put_packed(3, [1, 2, 3]);
+        assert_eq!(e.bytes(), [0b1101_0001, 0b0000_0000]);
+        let codes: Vec<u32> = Dec::new(e.bytes()).take_packed(3, 3).unwrap().collect();
+        assert_eq!(codes, [1, 2, 3]);
+        // Full width, and width 0 (no bytes at all).
+        let mut e = Enc::new();
+        e.put_packed(32, [u32::MAX, 0, 7]);
+        e.put_packed(0, [0, 0]);
+        assert_eq!(e.bytes().len(), 12);
+        let mut d = Dec::new(e.bytes());
+        let codes: Vec<u32> = d.take_packed(3, 32).unwrap().collect();
+        assert_eq!(codes, [u32::MAX, 0, 7]);
+        assert_eq!(d.take_packed(5, 0).unwrap().collect::<Vec<_>>(), [0; 5]);
+        d.finish().unwrap();
+    }
+
+    #[test]
+    fn malformed_packed_runs_are_corrupt() {
+        let mut e = Enc::new();
+        e.put_packed(5, [31, 0, 17]);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes.len(), 2);
+        let corrupt = |r: Result<Packed<'_>>| matches!(r, Err(StorageError::Corrupt(_)));
+        // A width past 32 bits, with bytes enough for it.
+        assert!(corrupt(Dec::new(&[0; 8]).take_packed(1, 33)));
+        // Fewer bytes than n · width bits, and a bit count past usize.
+        assert!(corrupt(Dec::new(&bytes).take_packed(4, 5)));
+        assert!(corrupt(Dec::new(&bytes[..1]).take_packed(3, 5)));
+        assert!(corrupt(Dec::new(&bytes).take_packed(usize::MAX, 2)));
+        // A set padding bit: 15 bits used of 16.
+        let mut padded = bytes.clone();
+        padded[1] |= 0x80;
+        assert!(corrupt(Dec::new(&padded).take_packed(3, 5)));
+        assert!(Dec::new(&bytes).take_packed(3, 5).is_ok());
+    }
+
     fn any_u64() -> impl Strategy<Value = u64> {
         // Both halves, shifted so that every length from 1 to 10 bytes
         // comes up.
@@ -677,6 +839,25 @@ mod tests {
                 let mut d = Dec::new(&bytes[..cut]);
                 prop_assert!(matches!(d.take_row(), Err(StorageError::Corrupt(_))), "cut {}", cut);
             }
+        }
+
+        #[test]
+        fn packed_codes_round_trip_in_n_times_width_bits(
+            width in 0u32..=MAX_PACKED_WIDTH,
+            raw in proptest::collection::vec(0u32..=u32::MAX, 0..40),
+        ) {
+            let mask = (1u64 << width) - 1;
+            let codes: Vec<u32> = raw.iter().map(|&v| (u64::from(v) & mask) as u32).collect();
+            let mut e = Enc::new();
+            e.put_packed(width, codes.iter().copied());
+            e.put_u8(0xAB);
+            let bytes = e.into_bytes();
+            prop_assert_eq!(bytes.len(), packed_len(codes.len(), width).unwrap() + 1);
+            let mut d = Dec::new(&bytes);
+            let back: Vec<u32> = d.take_packed(codes.len(), width).unwrap().collect();
+            prop_assert_eq!(back, codes);
+            prop_assert_eq!(d.take_u8().unwrap(), 0xAB);
+            prop_assert!(d.finish().is_ok());
         }
 
         #[test]

@@ -10,10 +10,11 @@
 //! ```
 //!
 //! This 28-byte envelope has not changed since the first release; what
-//! changed is the payload. `beliefdb-core` writes version 4 of it in the
+//! changed is the payload. `beliefdb-core` writes version 5 of it in the
 //! varint codec of [`super::format`] (the world directory, `R*` column by
-//! column with string dictionaries, statements as two varints each) and
-//! reads versions 1 to 3, the fixed-width layouts, as well. The CRC is
+//! column with string dictionaries and bit-packed codes, statements
+//! grouped by world and delta-coded) and reads version 4 and versions 1 to
+//! 3, the fixed-width layouts, as well. The CRC is
 //! what catches damage the payload decoder cannot see, such as a flipped
 //! letter inside a string.
 //!

@@ -8,12 +8,15 @@
 //!
 //! * the live WAL (format v2: a varint length and a CRC a frame, the LSN
 //!   implied, varint records) per annotation;
-//! * the snapshot payload (format v4: worlds and statements as varints,
-//!   `R*` column by column with string dictionaries) per annotation.
+//! * the snapshot payload (format v5: worlds as varints, `R*` column by
+//!   column with string dictionaries and bit-packed codes, statements
+//!   grouped by world and delta-coded) per annotation, printed with the
+//!   bytes of each section, so a regression names its section.
 //!
 //! History of the same store: 86.4 B of WAL and 68.1 B of snapshot an
 //! annotation in the fixed-width formats (WAL v1, snapshot v3); 46.8 B and
-//! 11.7 B in these (93,630 and 23,419 B for 2,000 annotations).
+//! 11.7 B in WAL v2 and snapshot v4 (93,630 and 23,419 B for 2,000
+//! annotations); 5.9 B of snapshot in v5 (11,750 B).
 //!
 //! A third figure is what a user keeps: the whole directory after a clean
 //! close. The log has outgrown the snapshot, so close folds it into one
@@ -24,6 +27,7 @@
 //! checkpoints of one store, and one of the store reopened from the first,
 //! write the same bytes.
 
+use beliefdb::core::persist::SnapshotData;
 use beliefdb::core::prelude::*;
 use beliefdb::core::{DefaultPolicy, PersistOptions};
 use beliefdb::gen::generate_bdms_with_policy;
@@ -34,7 +38,7 @@ use std::path::Path;
 /// Upper bound on live WAL bytes per annotation.
 const MAX_WAL_BYTES_PER_ANNOTATION: f64 = 53.8;
 /// Upper bound on snapshot payload bytes per annotation.
-const MAX_SNAPSHOT_BYTES_PER_ANNOTATION: f64 = 13.5;
+const MAX_SNAPSHOT_BYTES_PER_ANNOTATION: f64 = 6.8;
 
 fn latest_snapshot(dir: &Path) -> Vec<u8> {
     snapshot::load_latest(dir).unwrap().unwrap().1
@@ -96,7 +100,12 @@ fn table2_store_stays_under_the_per_annotation_disk_budget() {
         wal.segments,
         image.len()
     );
-    assert_eq!(image[0], 4, "snapshot format version");
+    let (_, sections) = SnapshotData::decode_sections(&image).unwrap();
+    println!(
+        "snapshot sections: header {} B, worlds {} B, tuples {} B, statements {} B",
+        sections.header, sections.worlds, sections.tuples, sections.statements
+    );
+    assert_eq!(image[0], 5, "snapshot format version");
     assert!(
         wal_per_annotation <= MAX_WAL_BYTES_PER_ANNOTATION,
         "{wal_per_annotation:.1} B of WAL per annotation, budget {MAX_WAL_BYTES_PER_ANNOTATION} B"

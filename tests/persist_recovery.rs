@@ -19,15 +19,16 @@
 //!
 //! The formats are pinned too. A version-1 snapshot (written before the
 //! policy byte existed) opens as an `Eager` store, and a version-2 one
-//! (statements spelled out) opens as its store and is rewritten as
-//! version 4 (the varint codec, `R*` column by column) by the next
-//! checkpoint. A directory the previous release left — a version-3
-//! snapshot and version-1 WAL segments — opens as its store, takes new
-//! appends in a version-2 segment and checkpoints to version 4. `Lazy`
-//! and `Eager` stores come back as themselves, and forged version-3 and
-//! version-4 payloads with a valid checksum fail the open as `Corrupt`.
+//! (statements spelled out) and a version-4 one (the varint codec, `R*`
+//! column by column) open as their store and are rewritten as version 5
+//! (bit-packed string codes, statements grouped by world) by the next
+//! checkpoint. A directory an older release left — a version-3 snapshot
+//! and version-1 WAL segments — opens as its store, takes new appends in
+//! a version-2 segment and checkpoints to version 5. `Lazy` and `Eager`
+//! stores come back as themselves, and forged version-3, -4 and -5
+//! payloads with a valid checksum fail the open as `Corrupt`.
 
-use beliefdb::core::persist::SnapshotData;
+use beliefdb::core::persist::{SnapshotData, SnapshotSections};
 use beliefdb::core::prelude::*;
 use beliefdb::core::DefaultPolicy;
 use beliefdb::storage::persist::{
@@ -35,7 +36,7 @@ use beliefdb::storage::persist::{
     PersistOptions,
 };
 use beliefdb::storage::row;
-use beliefdb::storage::StorageError;
+use beliefdb::storage::{StorageError, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -606,6 +607,74 @@ fn legacy_image(version: u8, store: &Bdms) -> Vec<u8> {
     f.0
 }
 
+/// The version-4 payload of `data`, which no release writes any more:
+/// version 5's header and worlds, then a relation varint per tuple, each
+/// relation's columns (a string column as its dictionary, in the order
+/// its tuples meet the strings, and a code varint per tuple), and two
+/// varints per statement: its wid, and its tid doubled plus the sign bit.
+fn version_4_image(data: &SnapshotData) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.put_u8(4);
+    e.put_u8(match data.policy {
+        DefaultPolicy::Eager => 0,
+        DefaultPolicy::Lazy => 1,
+    });
+    e.put_var(data.relations.len() as u64);
+    for (name, cols) in &data.relations {
+        e.put_str(name);
+        e.put_var(cols.len() as u64);
+        for c in cols {
+            e.put_str(c);
+        }
+    }
+    e.put_var(data.users.len() as u64);
+    for u in &data.users {
+        e.put_str(u);
+    }
+    e.put_var(data.worlds.len() as u64);
+    for w in &data.worlds {
+        e.put_var(w.depth() as u64);
+        for u in w.users() {
+            e.put_var(u.0.into());
+        }
+    }
+    e.put_var(data.tuples.len() as u64);
+    for t in &data.tuples {
+        e.put_var(t.rel.0.into());
+    }
+    for (rel, (_, cols)) in data.relations.iter().enumerate() {
+        for col in 0..cols.len() {
+            let cells: Vec<&Value> = data
+                .tuples
+                .iter()
+                .filter(|t| t.rel.0 as usize == rel)
+                .map(|t| &t.row[col])
+                .collect();
+            // The history's columns are strings.
+            e.put_u8(1);
+            let mut dict: Vec<&Value> = Vec::new();
+            for v in &cells {
+                if !dict.contains(v) {
+                    dict.push(v);
+                }
+            }
+            e.put_var(dict.len() as u64);
+            for v in &dict {
+                e.put_str(v.as_str().unwrap());
+            }
+            for v in &cells {
+                e.put_var(dict.iter().position(|d| d == v).unwrap() as u64 + 1);
+            }
+        }
+    }
+    e.put_var(data.statements.len() as u64);
+    for s in &data.statements {
+        e.put_var(s.wid.0.into());
+        e.put_var((u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg));
+    }
+    e.into_bytes()
+}
+
 /// The WAL v1 payload of `op`: tag 1 to 4, then its fields fixed-width.
 fn legacy_record(op: &Op) -> Vec<u8> {
     let mut f = Fixed::default();
@@ -683,10 +752,10 @@ fn version_1_snapshot_opens_as_eager() {
 }
 
 /// A version-2 snapshot (statements spelled out) opens as the store it
-/// was taken of; the next checkpoint writes version 4, which opens as the
+/// was taken of; the next checkpoint writes version 5, which opens as the
 /// same store again.
 #[test]
-fn version_2_snapshot_opens_and_is_rewritten_as_version_4() {
+fn version_2_snapshot_opens_and_is_rewritten_as_version_5() {
     for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
         let want = expected_under(policy, history().len());
         let v2 = legacy_image(2, &want);
@@ -696,12 +765,63 @@ fn version_2_snapshot_opens_and_is_rewritten_as_version_4() {
         assert_same(&reopened, &want, "version-2 snapshot");
         reopened.checkpoint().unwrap();
         drop(reopened);
-        let v4 = latest_snapshot(&dir);
-        assert_eq!(v4[..2], [4, v2[1]], "version and policy bytes");
-        assert!(v4.len() < v2.len(), "{} B vs {} B", v4.len(), v2.len());
+        let v5 = latest_snapshot(&dir);
+        assert_eq!(v5[..2], [5, v2[1]], "version and policy bytes");
+        assert!(v5.len() < v2.len(), "{} B vs {} B", v5.len(), v2.len());
         let again = Bdms::open(&dir).unwrap();
         assert_eq!(again.policy(), policy);
-        assert_same(&again, &want, "version-4 rewrite of a version-2 snapshot");
+        assert_same(&again, &want, "version-5 rewrite of a version-2 snapshot");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A version-4 snapshot — what the previous release wrote — opens as
+/// the store it was taken of, and the next checkpoint writes version 5:
+/// the very bytes a checkpoint of that store writes. Opening and closing the version-5 directory without a write
+/// changes no byte.
+#[test]
+fn version_4_snapshot_opens_and_is_rewritten_as_version_5() {
+    for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
+        let want = expected_under(policy, history().len());
+        let dir = dir_with_snapshot("v4-src", &legacy_image(2, &want));
+        Bdms::open(&dir).unwrap().checkpoint().unwrap();
+        let v5 = latest_snapshot(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let v4 = version_4_image(&SnapshotData::decode(&v5).unwrap());
+        assert_eq!(
+            SnapshotData::decode(&v4).unwrap(),
+            SnapshotData::decode(&v5).unwrap()
+        );
+
+        let dir = dir_with_snapshot("v4", &v4);
+        let mut reopened = Bdms::open(&dir).unwrap();
+        assert_eq!(reopened.policy(), policy);
+        assert_same(&reopened, &want, "version-4 snapshot");
+        reopened.checkpoint().unwrap();
+        drop(reopened);
+        assert!(
+            latest_snapshot(&dir) == v5,
+            "version-5 rewrite of version 4"
+        );
+        let files = |dir: &Path| {
+            let mut files: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    (e.file_name(), std::fs::read(e.path()).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = files(&dir);
+        let again = Bdms::open(&dir).unwrap();
+        assert_same(&again, &want, "version-5 rewrite of a version-4 snapshot");
+        again.close().unwrap();
+        assert!(
+            files(&dir) == before,
+            "open and close changed the directory"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -860,7 +980,7 @@ fn forged_version_4_snapshots_are_corrupt() {
     let dir = temp_dir("forge4-src");
     let mut built = build(&dir, None);
     built.checkpoint().unwrap();
-    let image = latest_snapshot(&dir);
+    let image = version_4_image(&SnapshotData::decode(&latest_snapshot(&dir)).unwrap());
     drop(built);
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(image[0], 4);
@@ -923,10 +1043,180 @@ fn forged_version_4_snapshots_are_corrupt() {
     }
 }
 
+/// Version-5 payloads with a valid checksum but one fault each — in a
+/// string column, a bit width past 32, packed codes shorter than their
+/// count times their width, a code past its dictionary, a width wider
+/// than the largest code; in the runs of tuple relations, a count past
+/// the bytes left, a relation past the schema, two runs of one relation;
+/// in the statement groups, a world or tuple past the image's lists,
+/// group counts that do not sum to the statement count, worlds or tuples
+/// that do not ascend, an empty group — fail the open with `Corrupt`,
+/// without a panic.
+#[test]
+fn forged_version_5_snapshots_are_corrupt() {
+    // Three worlds (ε, Alice, Bob) and three tuples of one relation.
+    let dir = temp_dir("forge5-src");
+    let schema = ExternalSchema::new().with_relation("S", &["sid", "species"]);
+    let mut built = Bdms::create(&dir, schema).unwrap();
+    let alice = built.add_user("Alice").unwrap();
+    let bob = built.add_user("Bob").unwrap();
+    let stated = [
+        (vec![], ["s1", "crow"], Sign::Pos),
+        (vec![alice], ["s2", "raven"], Sign::Pos),
+        (vec![alice], ["s3", "owl"], Sign::Pos),
+        (vec![bob], ["s1", "crow"], Sign::Neg),
+    ];
+    for (users, [sid, species], sign) in stated {
+        let path = BeliefPath::new(users).unwrap();
+        let outcome = built
+            .insert(path, RelId(0), row![sid, species], sign)
+            .unwrap();
+        assert!(outcome.accepted());
+    }
+    built.checkpoint().unwrap();
+    let image = latest_snapshot(&dir);
+    drop(built);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(image[0], 5);
+    let (parsed, sections): (SnapshotData, SnapshotSections) =
+        SnapshotData::decode_sections(&image).unwrap();
+    assert_eq!((parsed.worlds.len(), parsed.tuples.len()), (3, 3));
+
+    // The tuple section: one run of three tuples of relation 0, then each
+    // column's dictionary and its codes 1, 2, 3 packed at two bits
+    // (0b11_10_01). The statement section: four statements in three
+    // groups — ε states tid 0; Alice (wid + 1) tids 1 and 2 (+ 1); Bob
+    // (wid + 1) tid 0, its sign bit set.
+    let column = |dict: [&str; 3], codes: &[u8]| {
+        let mut e = Enc::new();
+        e.put_u8(1);
+        e.put_var(3);
+        for s in dict {
+            e.put_str(s);
+        }
+        [e.bytes(), codes].concat()
+    };
+    let sid = |codes: &[u8]| column(["s1", "s2", "s3"], codes);
+    let species = column(["crow", "raven", "owl"], &[2, 0b11_10_01]);
+    let tuples = |runs: &[u8], sid_column: &[u8]| [runs, sid_column, &species].concat();
+    let good_tuples = tuples(&[1, 0, 3], &sid(&[2, 0b11_10_01]));
+    let good_statements = [4, 3, 0, 1, 0, 1, 2, 2, 2, 1, 1, 1];
+    let tuples_at = sections.header + sections.worlds;
+    let statements_at = tuples_at + sections.tuples;
+    assert_eq!(image[tuples_at..statements_at], good_tuples[..]);
+    assert_eq!(image[statements_at..], good_statements[..]);
+    let forge =
+        |tuples: &[u8], statements: &[u8]| [&image[..tuples_at], tuples, statements].concat();
+    // A well-formed forgery opens, so each fault below is the only one.
+    let dir = dir_with_snapshot("forged5-ok", &forge(&good_tuples, &[1, 1, 1, 1, 2]));
+    assert_eq!(
+        Bdms::open(&dir)
+            .unwrap()
+            .to_belief_database()
+            .unwrap()
+            .len(),
+        1
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let bad_tuples =
+        |runs: &[u8], sid_column: &[u8]| forge(&tuples(runs, sid_column), &good_statements);
+    let bad_statements = |statements: &[u8]| forge(&good_tuples, statements);
+    let cases = [
+        (
+            "bit width 33",
+            bad_tuples(&[1, 0, 3], &sid(&[33, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])),
+        ),
+        // Three codes of five bits need two bytes; the payload ends after one.
+        (
+            "packed codes cut short",
+            [&image[..tuples_at], &[1, 0, 3][..], &sid(&[5, 0x41])].concat(),
+        ),
+        // 1, 2, 4 at three bits: 0b0_100_010_001.
+        (
+            "code past the dictionary",
+            bad_tuples(&[1, 0, 3], &sid(&[3, 0b00_010_001, 0b1])),
+        ),
+        (
+            "one code past the dictionary",
+            bad_tuples(&[1, 0, 3], &sid(&[0, 4])),
+        ),
+        // 1, 2, 3 at three bits, one more than 3 needs.
+        (
+            "width past the largest code",
+            bad_tuples(&[1, 0, 3], &sid(&[3, 0b11_010_001, 0])),
+        ),
+        (
+            "one code packed three times",
+            bad_tuples(&[1, 0, 3], &sid(&[1, 0b111])),
+        ),
+        (
+            "set padding bits",
+            bad_tuples(&[1, 0, 3], &sid(&[2, 0b1011_1001])),
+        ),
+        (
+            "run past the bytes left",
+            bad_tuples(&[1, 0, 0xFF, 0xFF, 0xFF, 0x7F], &sid(&[2, 0b11_10_01])),
+        ),
+        (
+            "relation past the schema",
+            bad_tuples(&[1, 1, 3], &sid(&[2, 0b11_10_01])),
+        ),
+        (
+            "two runs of one relation",
+            bad_tuples(&[2, 0, 1, 0, 2], &sid(&[2, 0b11_10_01])),
+        ),
+        (
+            "empty run",
+            bad_tuples(&[2, 0, 3, 0, 0], &sid(&[2, 0b11_10_01])),
+        ),
+        ("wid past the worlds", bad_statements(&[1, 1, 3, 1, 0])),
+        (
+            "wid past 32 bits",
+            bad_statements(&[1, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 0]),
+        ),
+        ("tid past the tuples", bad_statements(&[1, 1, 0, 1, 6])),
+        (
+            "tid past 32 bits",
+            bad_statements(&[1, 1, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x20]),
+        ),
+        (
+            "groups short of the count",
+            bad_statements(&[4, 1, 0, 1, 0]),
+        ),
+        (
+            "groups past the count",
+            bad_statements(&[1, 2, 0, 1, 0, 1, 1, 2]),
+        ),
+        (
+            "tids that do not ascend",
+            bad_statements(&[2, 1, 1, 2, 2, 0]),
+        ),
+        (
+            "a repeated tid of the other sign",
+            bad_statements(&[2, 1, 1, 2, 2, 1]),
+        ),
+        (
+            "wids that do not ascend",
+            bad_statements(&[2, 2, 1, 1, 2, 0, 1, 2]),
+        ),
+        ("an empty group", bad_statements(&[1, 2, 0, 0, 1, 1, 2])),
+        ("count past the payload", bad_statements(&[9, 1, 0, 1, 0])),
+    ];
+    for (fault, forged) in cases {
+        let dir = dir_with_snapshot("forged5", &forged);
+        match Bdms::open(&dir) {
+            Err(BeliefError::Storage(StorageError::Corrupt(_))) => {}
+            other => panic!("{fault}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// A directory in the previous release's formats — a version-3 snapshot
 /// and a version-1 segment — opens as its store, appends into a fresh
 /// version-2 segment (never into the version-1 one), reopens unchanged,
-/// and comes out as version 4 after a checkpoint.
+/// and comes out as version 5 after a checkpoint.
 #[test]
 fn previous_release_directory_opens_appends_and_upgrades() {
     let n = history().len();
@@ -967,13 +1257,13 @@ fn previous_release_directory_opens_appends_and_upgrades() {
     assert_same(&again, &expected_after(n), "reopen after the upgrade");
     assert_eq!(list_segments(&dir).unwrap().len(), 2);
     again.checkpoint().unwrap();
-    assert_eq!(latest_snapshot(&dir)[0], 4);
+    assert_eq!(latest_snapshot(&dir)[0], 5);
     let segments = list_segments(&dir).unwrap();
     assert_eq!(segments.len(), 1);
     assert_eq!(&std::fs::read(&segments[0].1).unwrap()[..8], b"BDBWAL02");
     drop(again);
     let upgraded = Bdms::open(&dir).unwrap();
-    assert_same(&upgraded, &expected_after(n), "version-4 checkpoint");
+    assert_same(&upgraded, &expected_after(n), "version-5 checkpoint");
     drop((reopened, upgraded));
     std::fs::remove_dir_all(&live).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -9,10 +9,11 @@
 //! core of Algorithm 1) purely through the storage layer.
 
 use beliefdb::core::internal::{D_TABLE, E_TABLE};
-use beliefdb::core::{Bdms, BeliefPath, DefaultPolicy, UserId, Wid};
+use beliefdb::core::{Bdms, BeliefPath, DefaultPolicy, ExternalSchema, RelId, Sign, UserId, Wid};
 use beliefdb::gen::{generate_bdms_with_policy, DepthDist, GeneratorConfig};
 use beliefdb::storage::datalog::{dsl, Evaluator};
-use beliefdb::storage::{Row, Value};
+use beliefdb::storage::{row, Row, Value};
+use proptest::prelude::*;
 
 /// Algorithm 3 in its relational form: for `p = 1 .. d+1`, run
 /// `T(z, y) :− E*(0, w[p,d], z), D(z, y)` and return the `z` with maximum
@@ -159,23 +160,120 @@ fn world_contents_via_pure_relational_walk() {
 
 /// The E relation is exactly Def. 16's edge set: `|E| = Σ_w |{u : u ≠
 /// last(w)}|` and every row points at a deepest suffix state.
-#[test]
-fn edge_relation_matches_def16() {
-    let bdms = test_bdms();
+fn check_edges_match_def16(bdms: &Bdms) -> Result<(), TestCaseError> {
     let dir = bdms.internal().directory();
     let e = bdms.storage().table(E_TABLE).unwrap();
     let m = bdms.users().len();
-    let mut expected_rows = 0;
-    for (_, path) in dir.iter() {
-        expected_rows += if path.is_root() { m } else { m - 1 };
-    }
-    assert_eq!(e.len(), expected_rows);
+    let expected_rows: usize = dir
+        .iter()
+        .map(|(_, path)| if path.is_root() { m } else { m - 1 })
+        .sum();
+    prop_assert_eq!(e.len(), expected_rows);
     for (_, row) in e.iter() {
         let src = Wid::from_value(&row[0]).unwrap();
         let user = UserId::from_value(&row[1]).unwrap();
         let dst = Wid::from_value(&row[2]).unwrap();
         let extended = dir.path(src).push(user).expect("edge implies u ≠ last");
-        assert_eq!(dir.dss(&extended), dst, "edge target is not the dss");
+        prop_assert_eq!(
+            dir.dss(&extended),
+            dst,
+            "edge ({}, {}) is not the dss",
+            src,
+            user
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn edge_relation_matches_def16() {
+    check_edges_match_def16(&test_bdms()).unwrap();
+}
+
+/// Users a random history may name; it starts with two registered.
+const MAX_USERS: u32 = 4;
+
+/// One step of a random history over `S(sid, species)`.
+#[derive(Debug, Clone)]
+enum Step {
+    AddUser,
+    Insert(BeliefPath, u8, u8, Sign),
+    Delete(BeliefPath, u8, u8, Sign),
+    /// Replace the tuple `(k<key>, v<old>)` by `(k<key>, v<new>)`.
+    Update(BeliefPath, u8, u8, u8),
+}
+
+fn arb_path() -> impl Strategy<Value = BeliefPath> {
+    proptest::collection::vec(1..=MAX_USERS, 0..=3)
+        .prop_filter_map("adjacent-distinct paths", |raw| {
+            BeliefPath::new(raw.into_iter().map(UserId).collect::<Vec<_>>()).ok()
+        })
+}
+
+fn arb_sign() -> impl Strategy<Value = Sign> {
+    prop_oneof![Just(Sign::Pos), Just(Sign::Neg)]
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        1 => Just(Step::AddUser),
+        4 => (arb_path(), 0..4u8, 0..3u8, arb_sign())
+            .prop_map(|(p, k, v, s)| Step::Insert(p, k, v, s)),
+        2 => (arb_path(), 0..4u8, 0..3u8, arb_sign())
+            .prop_map(|(p, k, v, s)| Step::Delete(p, k, v, s)),
+        2 => (arb_path(), 0..4u8, 0..3u8, 0..3u8)
+            .prop_map(|(p, k, a, b)| Step::Update(p, k, a, b)),
+    ]
+}
+
+/// Apply `step`; a step naming a user not registered yet does nothing.
+fn apply(bdms: &mut Bdms, step: &Step) {
+    let users = bdms.users().len() as u32;
+    let known = |p: &BeliefPath| p.users().iter().all(|u| u.0 <= users);
+    let tuple = |k: u8, v: u8| row![format!("k{k}").as_str(), format!("v{v}").as_str()];
+    // Root-world statements are positive (grammar of Fig. 1).
+    let sign = |p: &BeliefPath, s: Sign| if p.is_root() { Sign::Pos } else { s };
+    match step {
+        Step::AddUser if users < MAX_USERS => {
+            bdms.add_user(format!("u{}", users + 1)).unwrap();
+        }
+        Step::Insert(p, k, v, s) if known(p) => {
+            bdms.insert(p.clone(), RelId(0), tuple(*k, *v), sign(p, *s))
+                .unwrap();
+        }
+        Step::Delete(p, k, v, s) if known(p) => {
+            bdms.delete(p.clone(), RelId(0), tuple(*k, *v), sign(p, *s))
+                .unwrap();
+        }
+        Step::Update(p, k, old, new) if known(p) => {
+            bdms.update(p.clone(), RelId(0), tuple(*k, *old), tuple(*k, *new))
+                .unwrap();
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// After every step of a random history of registrations, inserts,
+    /// deletes and updates — worlds are created whenever a path is first
+    /// written to, before or after the worlds below them in the suffix
+    /// tree — `E` is Def. 16's edge set, under both policies.
+    #[test]
+    fn edge_relation_matches_def16_after_every_step(
+        steps in proptest::collection::vec(arb_step(), 1..40)
+    ) {
+        for policy in [DefaultPolicy::Eager, DefaultPolicy::Lazy] {
+            let schema = ExternalSchema::new().with_relation("S", &["sid", "species"]);
+            let mut bdms = Bdms::with_policy(schema, policy).unwrap();
+            bdms.add_user("u1").unwrap();
+            bdms.add_user("u2").unwrap();
+            for step in &steps {
+                apply(&mut bdms, step);
+                check_edges_match_def16(&bdms)?;
+            }
+        }
     }
 }
 
