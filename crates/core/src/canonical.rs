@@ -38,8 +38,7 @@ pub struct CanonicalKripke {
 impl CanonicalKripke {
     /// Build `K(D)`.
     pub fn build(db: &BeliefDatabase) -> Self {
-        let mut closure = Closure::new(db);
-        let state_worlds = closure.state_worlds();
+        let state_worlds = Closure::new(db).into_state_worlds();
 
         let mut paths = Vec::with_capacity(state_worlds.len());
         let mut worlds = Vec::with_capacity(state_worlds.len());

@@ -55,13 +55,18 @@ impl<'a> Closure<'a> {
     /// states — non-state paths simply inherit their whole content).
     pub fn entailed_world(&mut self, path: &BeliefPath) -> &BeliefWorld {
         if !self.cache.contains_key(path) {
+            let db = self.db;
             let world = if path.is_root() {
                 // The root world is purely explicit: no default rule feeds it.
-                self.db.explicit_world(path)
+                db.explicit_world(path)
             } else {
-                let parent = self.entailed_world(&path.drop_first()).clone();
-                let explicit = self.db.explicit_world(path);
-                explicit.override_with(&parent)
+                // One copy of the explicit world, extended from a borrow of
+                // the cached parent.
+                let parent = self.entailed_world(&path.drop_first());
+                let empty = BeliefWorld::new();
+                db.explicit_world_ref(path)
+                    .unwrap_or(&empty)
+                    .override_with(parent)
             };
             self.cache.insert(path.clone(), world);
         }
@@ -86,14 +91,17 @@ impl<'a> Closure<'a> {
             .contains(&stmt.tuple, stmt.sign)
     }
 
-    /// Entailed worlds at every state of `D` (used to build the canonical
-    /// Kripke structure).
-    pub fn state_worlds(&mut self) -> Vec<(BeliefPath, BeliefWorld)> {
+    /// Entailed worlds at every state of `D`, moved out of the cache (used
+    /// to build the canonical Kripke structure, which keeps them).
+    pub fn into_state_worlds(mut self) -> Vec<(BeliefPath, BeliefWorld)> {
         let states = self.db.states();
+        for p in &states {
+            self.entailed_world(p);
+        }
         states
             .into_iter()
             .map(|p| {
-                let w = self.entailed_world(&p).clone();
+                let w = self.cache.remove(&p).expect("computed above");
                 (p, w)
             })
             .collect()
@@ -396,8 +404,8 @@ mod tests {
         let a = cl.entailed_world(&p).clone();
         let b = cl.entailed_world(&p).clone();
         assert_eq!(a, b);
-        // state_worlds covers every state
-        let worlds = cl.state_worlds();
+        // into_state_worlds covers every state
+        let worlds = cl.into_state_worlds();
         assert_eq!(worlds.len(), 4);
     }
 }

@@ -158,16 +158,26 @@ impl BeliefDatabase {
     }
 
     /// `dss(w)`: the deepest suffix of `w` that is a state of `D`.
+    ///
+    /// A suffix `s` is a state iff it is `ε` or a prefix of a support path;
+    /// the paths that have `s` as a prefix sort contiguously from `s`, so
+    /// one `range(s..)` probe of the support map answers it.
     pub fn dss(&self, path: &BeliefPath) -> BeliefPath {
-        let states: std::collections::BTreeSet<BeliefPath> = self.states().into_iter().collect();
         path.suffixes()
-            .find(|s| states.contains(s))
+            .find(|s| {
+                s.is_root()
+                    || self
+                        .worlds
+                        .range(s..)
+                        .next()
+                        .is_some_and(|(w, _)| s.is_prefix_of(w))
+            })
             .unwrap_or_else(BeliefPath::root)
     }
 
     /// All explicit statements, in deterministic order.
     pub fn statements(&self) -> Vec<BeliefStatement> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.len());
         for (path, world) in &self.worlds {
             for (tuple, sign) in world.signed_tuples() {
                 out.push(BeliefStatement::new(path.clone(), tuple, sign));

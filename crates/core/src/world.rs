@@ -13,14 +13,19 @@
 //! * `W |= t−`  ⇔  `t ∈ I−` (*stated*) or some other tuple with the same
 //!   key is in `I+` (*unstated*).
 //!
-//! Tuples are grouped by `(relation, key)` so both checks are O(1) hash
-//! lookups; iteration order is deterministic (BTree) for reproducible tests.
+//! Each instance is one ordered set of tuples. A tuple sorts by relation,
+//! then by its row, and the row's first value is the key, so the tuples
+//! sharing a `(relation, key)` — a *key group* — form one contiguous range
+//! that starts at `(rel, [key])`. Both checks above are O(log n) probes of
+//! that range (or of a tuple's two neighbours), and iteration order is
+//! deterministic for reproducible tests.
 
 use crate::ids::RelId;
 use crate::statement::{GroundTuple, Sign};
 use beliefdb_storage::{Row, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Bound;
 
 /// Key of a tuple group: relation plus the value of the key attribute.
 pub type TupleKey = (RelId, Value);
@@ -32,10 +37,34 @@ pub type TupleKey = (RelId, Value);
 /// test Γ1/Γ2.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BeliefWorld {
-    pos: BTreeMap<TupleKey, BTreeSet<Row>>,
-    neg: BTreeMap<TupleKey, BTreeSet<Row>>,
-    pos_count: usize,
-    neg_count: usize,
+    pos: BTreeSet<GroundTuple>,
+    neg: BTreeSet<GroundTuple>,
+}
+
+/// Same relation and key: `a` and `b` are in one key group.
+fn same_group(a: &GroundTuple, b: &GroundTuple) -> bool {
+    a.rel == b.rel && a.key() == b.key()
+}
+
+/// The rows of one key group of `set`, in order.
+fn group_rows<'s>(set: &'s BTreeSet<GroundTuple>, key: &TupleKey) -> impl Iterator<Item = &'s Row> {
+    let (rel, key) = key.clone();
+    // `(rel, [key])` sorts before every tuple of the group and after every
+    // tuple of a smaller key.
+    let start = GroundTuple::new(rel, Row::new([key.clone()]));
+    set.range(start..)
+        .take_while(move |t| t.rel == rel && *t.key() == key)
+        .map(|t| &t.row)
+}
+
+/// Does `set` hold a tuple other than `t` in `t`'s key group? The group is
+/// contiguous, so it does iff one of `t`'s two neighbours is in it.
+fn has_other_in_group(set: &BTreeSet<GroundTuple>, t: &GroundTuple) -> bool {
+    let before = set.range(..t).next_back();
+    let after = set
+        .range::<GroundTuple, _>((Bound::Excluded(t), Bound::Unbounded))
+        .next();
+    before.is_some_and(|u| same_group(u, t)) || after.is_some_and(|u| same_group(u, t))
 }
 
 impl BeliefWorld {
@@ -43,27 +72,15 @@ impl BeliefWorld {
         BeliefWorld::default()
     }
 
-    fn key_of(t: &GroundTuple) -> TupleKey {
-        (t.rel, t.key().clone())
-    }
-
     /// Add `t` to `I+` (no consistency check; Def. 2 allows raw worlds).
     /// Returns true iff the tuple was not already present.
     pub fn add_pos(&mut self, t: GroundTuple) -> bool {
-        let added = self.pos.entry(Self::key_of(&t)).or_default().insert(t.row);
-        if added {
-            self.pos_count += 1;
-        }
-        added
+        self.pos.insert(t)
     }
 
     /// Add `t` to `I−`. Returns true iff the tuple was not already present.
     pub fn add_neg(&mut self, t: GroundTuple) -> bool {
-        let added = self.neg.entry(Self::key_of(&t)).or_default().insert(t.row);
-        if added {
-            self.neg_count += 1;
-        }
-        added
+        self.neg.insert(t)
     }
 
     /// Add with an explicit sign.
@@ -76,35 +93,20 @@ impl BeliefWorld {
 
     /// Remove a tuple from the signed instance. Returns true iff present.
     pub fn remove(&mut self, t: &GroundTuple, sign: Sign) -> bool {
-        let (map, count) = match sign {
-            Sign::Pos => (&mut self.pos, &mut self.pos_count),
-            Sign::Neg => (&mut self.neg, &mut self.neg_count),
-        };
-        let key = Self::key_of(t);
-        if let Some(set) = map.get_mut(&key) {
-            if set.remove(&t.row) {
-                *count -= 1;
-                if set.is_empty() {
-                    map.remove(&key);
-                }
-                return true;
-            }
+        match sign {
+            Sign::Pos => self.pos.remove(t),
+            Sign::Neg => self.neg.remove(t),
         }
-        false
     }
 
     /// `t ∈ I+`?
     pub fn contains_pos(&self, t: &GroundTuple) -> bool {
-        self.pos
-            .get(&Self::key_of(t))
-            .is_some_and(|s| s.contains(&t.row))
+        self.pos.contains(t)
     }
 
     /// `t ∈ I−`?
     pub fn contains_neg(&self, t: &GroundTuple) -> bool {
-        self.neg
-            .get(&Self::key_of(t))
-            .is_some_and(|s| s.contains(&t.row))
+        self.neg.contains(t)
     }
 
     pub fn contains(&self, t: &GroundTuple, sign: Sign) -> bool {
@@ -122,12 +124,7 @@ impl BeliefWorld {
     /// `W |= t−` (Prop. 7): stated negative, or unstated negative (another
     /// tuple with the same key is positive).
     pub fn entails_neg(&self, t: &GroundTuple) -> bool {
-        if self.contains_neg(t) {
-            return true;
-        }
-        self.pos
-            .get(&Self::key_of(t))
-            .is_some_and(|s| s.iter().any(|row| *row != t.row))
+        self.contains_neg(t) || has_other_in_group(&self.pos, t)
     }
 
     pub fn entails(&self, t: &GroundTuple, sign: Sign) -> bool {
@@ -139,16 +136,15 @@ impl BeliefWorld {
 
     /// Γ1: no two positive tuples share a key.
     pub fn gamma1(&self) -> bool {
-        self.pos.values().all(|s| s.len() <= 1)
+        self.pos
+            .iter()
+            .zip(self.pos.iter().skip(1))
+            .all(|(a, b)| !same_group(a, b))
     }
 
     /// Γ2: `I+ ∩ I− = ∅`.
     pub fn gamma2(&self) -> bool {
-        self.pos.iter().all(|(key, rows)| {
-            self.neg
-                .get(key)
-                .is_none_or(|nrows| rows.iter().all(|r| !nrows.contains(r)))
-        })
+        self.pos.intersection(&self.neg).next().is_none()
     }
 
     /// Consistency per Prop. 5 (`[[W]] ≠ ∅` ⇔ Γ1 ∧ Γ2).
@@ -158,22 +154,27 @@ impl BeliefWorld {
 
     /// Consistency with a diagnostic.
     pub fn check_consistent(&self) -> Result<(), String> {
-        for (key, rows) in &self.pos {
-            if rows.len() > 1 {
+        let mut tuples = self.pos.iter().peekable();
+        while let Some(head) = tuples.next() {
+            let mut size = 1;
+            let mut clash = self.neg.contains(head);
+            while let Some(t) = tuples.next_if(|t| same_group(t, head)) {
+                size += 1;
+                clash |= self.neg.contains(t);
+            }
+            if size > 1 {
                 return Err(format!(
-                    "Γ1 violated: {} positive tuples share key {} in relation R{}",
-                    rows.len(),
-                    key.1,
-                    key.0
+                    "Γ1 violated: {size} positive tuples share key {} in relation R{}",
+                    head.key(),
+                    head.rel
                 ));
             }
-            if let Some(nrows) = self.neg.get(key) {
-                if rows.iter().any(|r| nrows.contains(r)) {
-                    return Err(format!(
-                        "Γ2 violated: tuple with key {} in relation R{} is both positive and negative",
-                        key.1, key.0
-                    ));
-                }
+            if clash {
+                return Err(format!(
+                    "Γ2 violated: tuple with key {} in relation R{} is both positive and negative",
+                    head.key(),
+                    head.rel
+                ));
             }
         }
         Ok(())
@@ -183,15 +184,9 @@ impl BeliefWorld {
     /// validating user inserts and by the default-rule closure of Def. 9.)
     pub fn can_accept(&self, t: &GroundTuple, sign: Sign) -> bool {
         match sign {
-            Sign::Pos => {
-                // Γ2: not stated negative; Γ1: no *other* positive with the
-                // same key.
-                !self.contains_neg(t)
-                    && self
-                        .pos
-                        .get(&Self::key_of(t))
-                        .is_none_or(|s| s.iter().all(|row| *row == t.row))
-            }
+            // Γ2: not stated negative; Γ1: no *other* positive with the
+            // same key.
+            Sign::Pos => !self.contains_neg(t) && !has_other_in_group(&self.pos, t),
             Sign::Neg => !self.contains_pos(t),
         }
     }
@@ -202,14 +197,14 @@ impl BeliefWorld {
     /// world; `parent` is the entailed world of the suffix `w[2,d]`.
     pub fn override_with(&self, parent: &BeliefWorld) -> BeliefWorld {
         let mut out = self.clone();
-        for t in parent.pos_tuples() {
-            if out.can_accept(&t, Sign::Pos) {
-                out.add_pos(t);
+        for t in &parent.pos {
+            if out.can_accept(t, Sign::Pos) {
+                out.pos.insert(t.clone());
             }
         }
-        for t in parent.neg_tuples() {
-            if out.can_accept(&t, Sign::Neg) {
-                out.add_neg(t);
+        for t in &parent.neg {
+            if out.can_accept(t, Sign::Neg) {
+                out.neg.insert(t.clone());
             }
         }
         out
@@ -217,16 +212,12 @@ impl BeliefWorld {
 
     /// Iterate `I+` in deterministic order.
     pub fn pos_tuples(&self) -> impl Iterator<Item = GroundTuple> + '_ {
-        self.pos.iter().flat_map(|((rel, _), rows)| {
-            rows.iter().map(move |r| GroundTuple::new(*rel, r.clone()))
-        })
+        self.pos.iter().cloned()
     }
 
     /// Iterate `I−` in deterministic order.
     pub fn neg_tuples(&self) -> impl Iterator<Item = GroundTuple> + '_ {
-        self.neg.iter().flat_map(|((rel, _), rows)| {
-            rows.iter().map(move |r| GroundTuple::new(*rel, r.clone()))
-        })
+        self.neg.iter().cloned()
     }
 
     /// Iterate all tuples with their signs.
@@ -238,24 +229,24 @@ impl BeliefWorld {
 
     /// Positive rows of one key group (for per-key slice maintenance).
     pub fn pos_rows_for_key(&self, key: &TupleKey) -> impl Iterator<Item = &Row> {
-        self.pos.get(key).into_iter().flatten()
+        group_rows(&self.pos, key)
     }
 
     /// Negative rows of one key group.
     pub fn neg_rows_for_key(&self, key: &TupleKey) -> impl Iterator<Item = &Row> {
-        self.neg.get(key).into_iter().flatten()
+        group_rows(&self.neg, key)
     }
 
     pub fn pos_len(&self) -> usize {
-        self.pos_count
+        self.pos.len()
     }
 
     pub fn neg_len(&self) -> usize {
-        self.neg_count
+        self.neg.len()
     }
 
     pub fn len(&self) -> usize {
-        self.pos_count + self.neg_count
+        self.pos.len() + self.neg.len()
     }
 
     /// `Dw = (∅, ∅)`? (Empty worlds are not support states, Sect. 4.)

@@ -13,14 +13,17 @@
 //!   of the explicit statements under the `Eager` default policy — no stale
 //!   row, no duplicate, the right rows flagged explicit — and exactly the
 //!   explicit statements under `Lazy`, whose fold equals the closure; and
-//!   an update leaves what `delete` followed by `insert` leaves, under both.
+//!   an update leaves what `delete` followed by `insert` leaves, under both;
+//! * a `BeliefWorld` answers every query as a plain list of signed tuples
+//!   does, under any add/remove sequence, and `override_with` is Fig. 9's
+//!   overriding union.
 
 use beliefdb::core::closure::Closure;
 use beliefdb::core::{
-    Bdms, BeliefDatabase, BeliefPath, BeliefStatement, CanonicalKripke, DefaultPolicy,
+    Bdms, BeliefDatabase, BeliefPath, BeliefStatement, BeliefWorld, CanonicalKripke, DefaultPolicy,
     ExternalSchema, GroundTuple, RelId, Sign, UserId,
 };
-use beliefdb::storage::{row, Value};
+use beliefdb::storage::{row, Row, Value};
 use proptest::prelude::*;
 
 const MAX_USERS: u32 = 4;
@@ -794,4 +797,243 @@ fn pinned_edge_cases() {
     // Value total order sanity for the slice index keys.
     assert!(Value::str("k1") < Value::str("k2"));
     assert_ne!(Value::Int(1), Value::str("1"));
+}
+
+// ---------------------------------------------------------------------------
+// `BeliefWorld` against a plain list of signed tuples: the representation
+// checked on its own, with no store involved.
+// ---------------------------------------------------------------------------
+
+/// One edit of a raw world: add (`true`) or remove a signed tuple.
+type WorldEdit = (bool, GroundTuple, Sign);
+
+/// Tuple `val` of key `key` in relation `rel`: four keys (three strings and
+/// an integer, so keys of two types share a relation), and rows of arity
+/// one — the key alone, which equals the start of its key group's range —
+/// for `val = 0`, of arity two otherwise.
+fn world_tuple(rel: u32, key: u8, val: u8) -> GroundTuple {
+    let key = if key == 3 {
+        Value::int(7)
+    } else {
+        Value::str(format!("k{key}"))
+    };
+    let row = if val == 0 {
+        Row::new([key])
+    } else {
+        Row::new([key, Value::str(format!("v{val}"))])
+    };
+    GroundTuple::new(RelId(rel), row)
+}
+
+fn arb_world_tuple() -> impl Strategy<Value = GroundTuple> {
+    (0..2u32, 0..4u8, 0..4u8).prop_map(|(rel, key, val)| world_tuple(rel, key, val))
+}
+
+fn arb_world_edits() -> impl Strategy<Value = Vec<WorldEdit>> {
+    let sign = prop_oneof![Just(Sign::Pos), Just(Sign::Neg)];
+    // Three adds to one remove, so worlds grow.
+    let add = (0..4u8).prop_map(|n| n > 0);
+    proptest::collection::vec((add, arb_world_tuple(), sign), 0..40)
+}
+
+/// The model: a list of signed tuples with set semantics.
+#[derive(Default, Clone)]
+struct WorldModel(Vec<(GroundTuple, Sign)>);
+
+impl WorldModel {
+    fn contains(&self, t: &GroundTuple, sign: Sign) -> bool {
+        self.0.iter().any(|(u, s)| u == t && *s == sign)
+    }
+
+    fn add(&mut self, t: GroundTuple, sign: Sign) -> bool {
+        let added = !self.contains(&t, sign);
+        if added {
+            self.0.push((t, sign));
+        }
+        added
+    }
+
+    fn remove(&mut self, t: &GroundTuple, sign: Sign) -> bool {
+        let before = self.0.len();
+        self.0.retain(|(u, s)| !(u == t && *s == sign));
+        self.0.len() < before
+    }
+
+    fn sorted(&self, sign: Sign) -> Vec<GroundTuple> {
+        let mut out: Vec<GroundTuple> = self
+            .0
+            .iter()
+            .filter(|(_, s)| *s == sign)
+            .map(|(t, _)| t.clone())
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Some positive tuple has `t`'s key but another row.
+    fn key_taken(&self, t: &GroundTuple) -> bool {
+        self.0
+            .iter()
+            .any(|(u, s)| *s == Sign::Pos && u.conflicts_with(t))
+    }
+
+    fn entails(&self, t: &GroundTuple, sign: Sign) -> bool {
+        match sign {
+            Sign::Pos => self.contains(t, Sign::Pos),
+            Sign::Neg => self.contains(t, Sign::Neg) || self.key_taken(t),
+        }
+    }
+
+    fn can_accept(&self, t: &GroundTuple, sign: Sign) -> bool {
+        match sign {
+            Sign::Pos => !self.contains(t, Sign::Neg) && !self.key_taken(t),
+            Sign::Neg => !self.contains(t, Sign::Pos),
+        }
+    }
+
+    fn gamma1(&self) -> bool {
+        self.0
+            .iter()
+            .all(|(t, s)| *s == Sign::Neg || !self.key_taken(t))
+    }
+
+    fn gamma2(&self) -> bool {
+        self.0
+            .iter()
+            .all(|(t, s)| *s == Sign::Neg || !self.contains(t, Sign::Neg))
+    }
+
+    /// Fig. 9's overriding union `self ⊕ parent` for a consistent parent:
+    /// the explicit (child) tuples, every parent positive that is neither
+    /// stated negative nor key-blocked by a child positive, and every parent
+    /// negative that is not a child positive.
+    fn override_with(&self, parent: &WorldModel) -> WorldModel {
+        let mut out = self.clone();
+        for (t, s) in &parent.0 {
+            let inherited = match s {
+                Sign::Pos => !self.contains(t, Sign::Neg) && !self.key_taken(t),
+                Sign::Neg => !self.contains(t, Sign::Pos),
+            };
+            if inherited {
+                out.add(t.clone(), *s);
+            }
+        }
+        out
+    }
+}
+
+/// Apply `edits` to a world and to the model, asserting that both report
+/// the same change; with `gated`, an add goes in only if the model accepts
+/// it (a consistent world, as `BeliefDatabase::insert` keeps).
+fn apply_edits(
+    edits: &[WorldEdit],
+    gated: bool,
+) -> Result<(BeliefWorld, WorldModel), TestCaseError> {
+    let mut world = BeliefWorld::new();
+    let mut model = WorldModel::default();
+    for (add, t, sign) in edits {
+        if *add {
+            if gated && !model.can_accept(t, *sign) {
+                continue;
+            }
+            prop_assert_eq!(world.add(t.clone(), *sign), model.add(t.clone(), *sign));
+        } else {
+            prop_assert_eq!(world.remove(t, *sign), model.remove(t, *sign));
+        }
+    }
+    Ok((world, model))
+}
+
+/// Every query of the world agrees with the model, on every tuple and key
+/// group of the generators' universe.
+fn check_world_against_model(world: &BeliefWorld, model: &WorldModel) -> Result<(), TestCaseError> {
+    let pos = model.sorted(Sign::Pos);
+    let neg = model.sorted(Sign::Neg);
+    prop_assert_eq!(world.pos_tuples().collect::<Vec<_>>(), pos.clone());
+    prop_assert_eq!(world.neg_tuples().collect::<Vec<_>>(), neg.clone());
+    let signed: Vec<(GroundTuple, Sign)> = pos
+        .iter()
+        .map(|t| (t.clone(), Sign::Pos))
+        .chain(neg.iter().map(|t| (t.clone(), Sign::Neg)))
+        .collect();
+    prop_assert_eq!(world.signed_tuples().collect::<Vec<_>>(), signed);
+    prop_assert_eq!(world.pos_len(), pos.len());
+    prop_assert_eq!(world.neg_len(), neg.len());
+    prop_assert_eq!(world.len(), model.0.len());
+    prop_assert_eq!(world.is_empty(), model.0.is_empty());
+    prop_assert_eq!(world.gamma1(), model.gamma1());
+    prop_assert_eq!(world.gamma2(), model.gamma2());
+    prop_assert_eq!(
+        world.check_consistent().is_ok(),
+        model.gamma1() && model.gamma2()
+    );
+    for rel in 0..2u32 {
+        for key in 0..4u8 {
+            let group = (RelId(rel), world_tuple(rel, key, 0).key().clone());
+            let rows_of = |tuples: &[GroundTuple]| -> Vec<Row> {
+                tuples
+                    .iter()
+                    .filter(|t| (t.rel, t.key()) == (group.0, &group.1))
+                    .map(|t| t.row.clone())
+                    .collect()
+            };
+            prop_assert_eq!(
+                world.pos_rows_for_key(&group).cloned().collect::<Vec<_>>(),
+                rows_of(&pos)
+            );
+            prop_assert_eq!(
+                world.neg_rows_for_key(&group).cloned().collect::<Vec<_>>(),
+                rows_of(&neg)
+            );
+            for val in 0..4u8 {
+                let t = world_tuple(rel, key, val);
+                for sign in [Sign::Pos, Sign::Neg] {
+                    prop_assert_eq!(
+                        world.contains(&t, sign),
+                        model.contains(&t, sign),
+                        "contains {}{}",
+                        t,
+                        sign
+                    );
+                    prop_assert_eq!(
+                        world.entails(&t, sign),
+                        model.entails(&t, sign),
+                        "entails {}{}",
+                        t,
+                        sign
+                    );
+                    prop_assert_eq!(
+                        world.can_accept(&t, sign),
+                        model.can_accept(&t, sign),
+                        "can_accept {}{}",
+                        t,
+                        sign
+                    );
+                }
+                prop_assert_eq!(world.entails_pos(&t), model.entails(&t, Sign::Pos));
+                prop_assert_eq!(world.entails_neg(&t), model.entails(&t, Sign::Neg));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `BeliefWorld` behaves as a list of signed tuples under any sequence
+    /// of adds and removes, and its overriding union is Fig. 9's.
+    #[test]
+    fn belief_world_matches_a_list_model(
+        child_edits in arb_world_edits(),
+        parent_edits in arb_world_edits(),
+    ) {
+        let (child, child_model) = apply_edits(&child_edits, false)?;
+        check_world_against_model(&child, &child_model)?;
+        let (parent, parent_model) = apply_edits(&parent_edits, true)?;
+        prop_assert!(parent.is_consistent());
+        check_world_against_model(&parent, &parent_model)?;
+        let merged = child.override_with(&parent);
+        check_world_against_model(&merged, &child_model.override_with(&parent_model))?;
+    }
 }
