@@ -496,6 +496,31 @@ fn drive(
     result
 }
 
+/// An atom's own constraints on its source: `col = constant` for every
+/// constant and `col = col` for every repeat of a variable, as one
+/// selection over `src`. Returns the constrained source and each
+/// variable's first position, in position order.
+fn constrain(src: Plan, atom: &Atom) -> (Plan, Vec<(&str, usize)>) {
+    let mut preds: Vec<Expr> = Vec::new();
+    let mut vars: Vec<(&str, usize)> = Vec::new();
+    for (pos, term) in atom.terms.iter().enumerate() {
+        match term {
+            Term::Const(v) => preds.push(Expr::col_eq_lit(pos, v.clone())),
+            Term::Any => {}
+            Term::Var(name) => match vars.iter().find(|&&(seen, _)| seen == name.as_str()) {
+                Some(&(_, first)) => preds.push(Expr::col_eq_col(first, pos)),
+                None => vars.push((name, pos)),
+            },
+        }
+    }
+    let src = if preds.is_empty() {
+        src
+    } else {
+        src.select(Expr::and(preds))
+    };
+    (src, vars)
+}
+
 impl<'a> Evaluator<'a> {
     pub fn new(db: &'a Database) -> Self {
         Evaluator {
@@ -872,34 +897,16 @@ impl<'a> Evaluator<'a> {
 
         for atom in positives {
             let (src, src_arity) = self.atom_source(atom)?;
-            // Intra-atom constraints: constants and repeated variables.
-            let mut local_preds: Vec<Expr> = Vec::new();
-            let mut first_seen: HashMap<&str, usize> = HashMap::new();
+            let (src, vars) = constrain(src, atom);
             let mut joins: Vec<(usize, usize)> = Vec::new();
             let mut new_binds: Vec<(String, usize)> = Vec::new();
-            for (pos, term) in atom.terms.iter().enumerate() {
-                match term {
-                    Term::Const(v) => local_preds.push(Expr::col_eq_lit(pos, v.clone())),
-                    Term::Any => {}
-                    Term::Var(name) => {
-                        if let Some(&prev) = first_seen.get(name.as_str()) {
-                            local_preds.push(Expr::col_eq_col(prev, pos));
-                        } else {
-                            first_seen.insert(name, pos);
-                            if let Some(&acc_col) = bind.get(name) {
-                                joins.push((acc_col, pos));
-                            } else {
-                                new_binds.push((name.clone(), acc_arity + pos));
-                            }
-                        }
-                    }
+            for (name, pos) in vars {
+                if let Some(&acc_col) = bind.get(name) {
+                    joins.push((acc_col, pos));
+                } else {
+                    new_binds.push((name.to_string(), acc_arity + pos));
                 }
             }
-            let src = if local_preds.is_empty() {
-                src
-            } else {
-                src.select(Expr::and(local_preds))
-            };
             acc = acc.join(src, joins);
             acc_arity += src_arity;
             for (name, col) in new_binds {
@@ -989,7 +996,7 @@ impl<'a> Evaluator<'a> {
         match lit {
             BodyLit::Pos(_) => unreachable!("positive atoms are joined, not applied"),
             BodyLit::Cmp(c) => {
-                let e = self.cmp_expr(c, bind, 0)?;
+                let e = self.cmp_expr(c, bind)?;
                 Ok(acc.select(e))
             }
             BodyLit::Or(disjuncts) => {
@@ -997,7 +1004,7 @@ impl<'a> Evaluator<'a> {
                 for conj in disjuncts {
                     let mut es = Vec::with_capacity(conj.len());
                     for c in conj {
-                        es.push(self.cmp_expr(c, bind, 0)?);
+                        es.push(self.cmp_expr(c, bind)?);
                     }
                     parts.push(Expr::and(es));
                 }
@@ -1005,44 +1012,22 @@ impl<'a> Evaluator<'a> {
             }
             BodyLit::Neg(atom) => {
                 let (src, _src_arity) = self.atom_source(atom)?;
-                let mut local_preds: Vec<Expr> = Vec::new();
-                let mut joins: Vec<(usize, usize)> = Vec::new();
-                let mut first_seen: HashMap<&str, usize> = HashMap::new();
-                for (pos, term) in atom.terms.iter().enumerate() {
-                    match term {
-                        Term::Const(v) => local_preds.push(Expr::col_eq_lit(pos, v.clone())),
-                        Term::Any => {}
-                        Term::Var(name) => {
-                            if let Some(&prev) = first_seen.get(name.as_str()) {
-                                local_preds.push(Expr::col_eq_col(prev, pos));
-                            } else {
-                                first_seen.insert(name, pos);
-                                let acc_col = bind[name.as_str()];
-                                joins.push((acc_col, pos));
-                            }
-                        }
-                    }
-                }
-                let src = if local_preds.is_empty() {
-                    src
-                } else {
-                    src.select(Expr::and(local_preds))
-                };
+                let (src, vars) = constrain(src, atom);
+                let joins = vars.iter().map(|&(name, pos)| (bind[name], pos)).collect();
                 Ok(acc.anti_join(src, joins))
             }
         }
     }
 
-    /// Comparison over bound columns/constants. `offset` shifts column
-    /// positions (unused today, kept for joined-row contexts).
-    fn cmp_expr(&self, c: &CmpLit, bind: &HashMap<String, usize>, offset: usize) -> Result<Expr> {
+    /// Comparison over bound columns/constants.
+    fn cmp_expr(&self, c: &CmpLit, bind: &HashMap<String, usize>) -> Result<Expr> {
         let side = |t: &Term| -> Result<Expr> {
             match t {
                 Term::Var(n) => {
                     let col = bind.get(n).ok_or_else(|| {
                         StorageError::DatalogError(format!("comparison variable `{n}` unbound"))
                     })?;
-                    Ok(Expr::Col(col + offset))
+                    Ok(Expr::Col(*col))
                 }
                 Term::Const(v) => Ok(Expr::Lit(v.clone())),
                 Term::Any => Err(StorageError::DatalogError(

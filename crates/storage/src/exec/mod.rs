@@ -25,30 +25,31 @@
 //! * The **materializing executor** ([`execute_materialized`]) is the
 //!   original operator-at-a-time evaluator: every operator's full output
 //!   is built before its parent runs. It is the reference side of the
-//!   differential suites, not a production path.
+//!   differential suites, not a production path, and a plain
+//!   specification: it scans every table and hash-joins every keyed join,
+//!   so the suites check the streaming executor's index paths against
+//!   scans rather than against a second copy of the index logic.
 //!
-//! Both apply the same access-path optimization, mirroring what the
-//! paper gets from SQL Server's "clustered indexes over the internal
-//! keys": a `Selection` directly over a `Scan` uses the table's primary
-//! key or a covering secondary index when the predicate pins those
-//! columns with equality conjuncts, and small join inputs probe indexes
-//! on a base-table right side instead of materializing it.
+//! Which key or index serves a base-table read — a `Selection` directly
+//! over a `Scan` whose predicate pins columns with equality conjuncts, or
+//! the base-table right side of a join or anti-join — is decided once, in
+//! `exec::access`, mirroring what the paper gets from SQL
+//! Server's "clustered indexes over the internal keys".
 
+pub(crate) mod access;
 pub mod spill;
 pub mod stream;
 
 pub use spill::{spill_points, SpillOptions, SPILL_PARTITIONS};
-use stream::base_access;
 pub(crate) use stream::{chunked_owned, selection_kernel_label};
 pub use stream::{stream_chunks, Chunk, ChunkStream, Executor, BATCH_SIZE};
 
 use crate::catalog::Database;
 use crate::error::Result;
-use crate::expr::{CmpOp, Expr};
+use crate::expr::Expr;
 use crate::index::CellHash;
 use crate::plan::Plan;
 use crate::row::Row;
-use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
 
@@ -78,13 +79,6 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
             Err(e) => db.virtual_table(table).map(|vt| vt.rows(db)).ok_or(e),
         },
         Plan::Selection { input, predicate } => {
-            if let Plan::Scan { table } = input.as_ref() {
-                if let Ok(t) = db.table(table) {
-                    if let Some(rows) = try_index_selection(t, predicate)? {
-                        return Ok(rows);
-                    }
-                }
-            }
             let rows = run(db, input)?;
             let mut out = Vec::new();
             for r in rows {
@@ -113,9 +107,6 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
             residual,
         } => {
             let lrows = run(db, left)?;
-            if let Some(out) = try_index_join(db, &lrows, right, on, residual.as_ref())? {
-                return Ok(out);
-            }
             let rrows = run(db, right)?;
             join_rows(&lrows, &rrows, on, residual.as_ref())
         }
@@ -162,218 +153,6 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
             rows.truncate(*n);
             Ok(rows)
         }
-    }
-}
-
-/// Index nested-loop join: when the right side is a base-table access
-/// (scan, or selection over a scan) whose join columns are covered by the
-/// primary key or a secondary index, and the left side is small relative to
-/// the table, probe the index per left row instead of materializing the
-/// whole table. This is what turns the Algorithm 1 plans — a one-row world
-/// walk joined against the multi-million-row `V` relation — from scans into
-/// point lookups, mirroring the paper's "clustered indexes over the
-/// internal keys".
-fn try_index_join(
-    db: &Database,
-    lrows: &[Row],
-    right: &Plan,
-    on: &[(usize, usize)],
-    residual: Option<&Expr>,
-) -> Result<Option<Vec<Row>>> {
-    if on.is_empty() {
-        return Ok(None);
-    }
-    let Some((table_name, pred)) = base_access(right) else {
-        return Ok(None);
-    };
-    let Ok(table) = db.table(table_name) else {
-        // Virtual relation (or resolution error): no index to probe; the
-        // generic join path will re-resolve and report any real error.
-        return Ok(None);
-    };
-    // Heuristic: probing must beat building a hash table over the base
-    // table (which also clones every row).
-    if lrows.len().saturating_mul(4) > table.len().max(1) {
-        return Ok(None);
-    }
-    let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-
-    // Primary-key fast path: the join columns include the key column.
-    let pk_path = table.pk_within(&rcols);
-    let index = if pk_path {
-        None
-    } else {
-        table.find_index_for(&rcols)
-    };
-    if !pk_path && index.is_none() {
-        return Ok(None);
-    }
-
-    let mut out = Vec::new();
-    let mut emit = |lrow: &Row, rrow: &Row| -> Result<()> {
-        // Re-verify every join pair: with duplicate right columns in `on`
-        // the index key only pins one left column per right column.
-        for &(lc, rc) in on {
-            if lrow[lc] != rrow[rc] {
-                return Ok(());
-            }
-        }
-        if let Some(p) = pred {
-            if !p.eval_bool(rrow)? {
-                return Ok(());
-            }
-        }
-        let joined = lrow.concat(rrow);
-        if match residual {
-            Some(e) => e.eval_bool(&joined)?,
-            None => true,
-        } {
-            out.push(joined);
-        }
-        Ok(())
-    };
-    if pk_path {
-        let (lc, _) = on
-            .iter()
-            .find(|&&(_, rc)| rc == 0)
-            .expect("key column joined");
-        for lrow in lrows {
-            if let Some(rrow) = table.get_by_key(&lrow[*lc]) {
-                emit(lrow, &rrow)?;
-            }
-        }
-    } else {
-        let (index_name, order) = index.expect("checked above");
-        let index_name = index_name.to_string();
-        let order: Vec<usize> = order.to_vec();
-        for lrow in lrows {
-            let key: Vec<Value> = order
-                .iter()
-                .map(|rc| {
-                    let (lc, _) = on.iter().find(|(_, r)| r == rc).expect("covered");
-                    lrow[*lc].clone()
-                })
-                .collect();
-            for rrow in table.index_rows(&index_name, &key)? {
-                emit(lrow, &rrow)?;
-            }
-        }
-    }
-    Ok(Some(out))
-}
-
-/// If `predicate` pins the table's key or an indexed column set with
-/// equality conjuncts, fetch candidates through the index and post-filter.
-fn try_index_selection(table: &Table, predicate: &Expr) -> Result<Option<Vec<Row>>> {
-    let eqs = equality_conjuncts(predicate);
-    if eqs.is_empty() {
-        return Ok(None);
-    }
-    // Primary key: a single exact match.
-    if let Some(kc) = table.schema().key_column() {
-        if let Some((_, v)) = eqs.iter().find(|(c, _)| *c == kc) {
-            let mut out = Vec::new();
-            if let Some(row) = table.get_by_key(v) {
-                if predicate.eval_bool(&row)? {
-                    out.push(row);
-                }
-            }
-            return Ok(Some(out));
-        }
-    }
-    // Secondary index whose columns are all pinned: try the widest covering
-    // index first so the candidate set coming back is smallest.
-    let pinned: Vec<usize> = eqs.iter().map(|(c, _)| *c).collect();
-    let candidates: Vec<Vec<usize>> = subsets_in_order(&pinned);
-    for cols in candidates {
-        if let Some((name, index_order)) = table.find_index_for(&cols) {
-            let key: Vec<Value> = index_order
-                .iter()
-                .map(|c| {
-                    eqs.iter()
-                        .find(|(ec, _)| ec == c)
-                        .map(|(_, v)| v.clone())
-                        .expect("pinned column")
-                })
-                .collect();
-            let mut out = Vec::new();
-            for row in table.index_rows(name, &key)? {
-                if predicate.eval_bool(&row)? {
-                    out.push(row);
-                }
-            }
-            return Ok(Some(out));
-        }
-    }
-    Ok(None)
-}
-
-/// All non-empty subsets of `cols` (as sorted column lists), widest first.
-/// `cols` is small (a handful of equality conjuncts), so the 2^n blowup is
-/// irrelevant; we cap it defensively anyway.
-fn subsets_in_order(cols: &[usize]) -> Vec<Vec<usize>> {
-    let mut cols: Vec<usize> = cols.to_vec();
-    cols.sort_unstable();
-    cols.dedup();
-    let n = cols.len().min(6);
-    let mut subsets: Vec<Vec<usize>> = Vec::new();
-    for mask in 1u32..(1 << n) {
-        let mut s = Vec::new();
-        for (i, &c) in cols.iter().take(n).enumerate() {
-            if mask & (1 << i) != 0 {
-                s.push(c);
-            }
-        }
-        subsets.push(s);
-    }
-    subsets.sort_by_key(|s| std::cmp::Reverse(s.len()));
-    subsets
-}
-
-/// Extract `col = literal` conjuncts from the top-level AND structure.
-fn equality_conjuncts(e: &Expr) -> Vec<(usize, Value)> {
-    let mut out = Vec::new();
-    collect_eqs(e, &mut out);
-    out
-}
-
-/// Which access path [`try_index_selection`] would take for this
-/// predicate over this table — used by `EXPLAIN` so the rendered plan
-/// reports what the executor will actually do.
-pub(crate) fn access_path_note(db: &Database, table: &str, predicate: &Expr) -> Option<String> {
-    let table = db.table(table).ok()?;
-    let eqs = equality_conjuncts(predicate);
-    if eqs.is_empty() {
-        return None;
-    }
-    if let Some(kc) = table.schema().key_column() {
-        if eqs.iter().any(|(c, _)| *c == kc) {
-            return Some("access=pk".to_string());
-        }
-    }
-    let pinned: Vec<usize> = eqs.iter().map(|(c, _)| *c).collect();
-    for cols in subsets_in_order(&pinned) {
-        if let Some((name, _)) = table.find_index_for(&cols) {
-            return Some(format!("access=index:{name}"));
-        }
-    }
-    None
-}
-
-fn collect_eqs(e: &Expr, out: &mut Vec<(usize, Value)>) {
-    match e {
-        Expr::And(parts) => {
-            for p in parts {
-                collect_eqs(p, out);
-            }
-        }
-        Expr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Col(c), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(c)) => {
-                out.push((*c, v.clone()));
-            }
-            _ => {}
-        },
-        _ => {}
     }
 }
 
@@ -490,6 +269,7 @@ fn anti_join_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::CmpOp;
     use crate::row;
     use crate::schema::TableSchema;
 
@@ -679,6 +459,7 @@ mod tests {
 #[cfg(test)]
 mod index_join_tests {
     use super::*;
+    use crate::expr::CmpOp;
     use crate::row;
     use crate::schema::TableSchema;
 
@@ -798,7 +579,7 @@ mod index_join_tests {
     #[test]
     fn heuristic_declines_large_left_sides() {
         let db = big_db();
-        // Left side as big as the table: try_index_join must decline (and
+        // Left side as big as the table: the index join must decline (and
         // the hash join still gives the right answer).
         let plan = Plan::scan("V").join(Plan::scan("V"), vec![(1, 1)]);
         let rows = execute(&db, &plan).unwrap();

@@ -45,19 +45,18 @@
 //! error after it, and processing resumes behind it. A `Limit` that is
 //! satisfied by the prefix therefore never observes the error.
 
+use super::access::{self, IndexAccess, Read};
 use super::spill::{self, SpillCtx, SpillOptions};
-use super::try_index_selection;
 use crate::catalog::Database;
 use crate::column::{self, Column, ColumnSet};
-use crate::error::{Result, StorageError};
-use crate::expr::{CmpOp, ColumnSource, Expr};
-use crate::index::{CellHash, RowId};
+use crate::error::Result;
+use crate::expr::{CmpOp, Expr};
+use crate::index::CellHash;
 use crate::obs::metrics::{metrics, Metric};
 use crate::obs::profile::{bump, raise, NodeObs, ProfNode, Profile};
 use crate::plan::Plan;
 use crate::row::{Projector, Row};
-use crate::table::{IndexId, Table};
-use crate::value::{Cell, Value};
+use crate::value::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -1166,7 +1165,7 @@ fn open_selection<'a>(
     // columnar cache: they fall through to the generic path below.
     if let Plan::Scan { table } = input {
         if let Ok(t) = db.table(table) {
-            if let Some(rows) = try_index_selection(t, predicate)? {
+            if let Some(rows) = access::select_rows(t, predicate)? {
                 if let Some(n) = obs.node() {
                     bump(&n.rows_in, rows.len() as u64);
                 }
@@ -1596,229 +1595,6 @@ impl Iterator for LimitChunks<'_> {
 // Joins
 // ---------------------------------------------------------------------------
 
-/// The right side of a join as a base-table access: `(table, selection)`
-/// for a `Scan`, or a `Selection` directly over one — the shape the
-/// index-nested-loop paths of both executors can probe.
-pub(super) fn base_access(plan: &Plan) -> Option<(&str, Option<&Expr>)> {
-    match plan {
-        Plan::Scan { table } => Some((table, None)),
-        Plan::Selection { input, predicate } => match input.as_ref() {
-            Plan::Scan { table } => Some((table, Some(predicate))),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// How an index-nested loop finds a left row's candidates in the right
-/// table, resolved once per join.
-enum ProbePath {
-    /// The primary key, by the left column joined to column 0 (see
-    /// [`crate::table::Table::pk_within`]).
-    Key(usize),
-    /// A secondary index, by the left columns that fill its key, in key
-    /// order: all indexed columns or the first alone.
-    Index {
-        id: IndexId,
-        key_cols: Vec<usize>,
-        /// The key is the first column alone, whose rows the index lists
-        /// by tag; they are visited in slot order instead, as
-        /// [`crate::table::Table::index_rows`] returns them.
-        prefix: bool,
-    },
-}
-
-/// A base-table right side that an index-nested loop can probe for the
-/// join columns `on`: the table, the selection over it and the path to
-/// the candidates.
-struct IndexAccess<'a> {
-    table: &'a Table,
-    pred: Option<&'a Expr>,
-    path: ProbePath,
-}
-
-/// The columns of a left row followed by those of a table row, read in
-/// place: what the right-side selection (no left columns) and the
-/// residual test a probe candidate on before a joined row is built.
-struct Probed<'a> {
-    left: &'a [Value],
-    table: &'a Table,
-    rid: RowId,
-}
-
-impl ColumnSource for Probed<'_> {
-    fn cell(&self, i: usize) -> Result<Cell<'_>> {
-        let arity = self.left.len() + self.table.schema().arity();
-        match i.checked_sub(self.left.len()) {
-            None => Ok(self.left[i].as_cell()),
-            Some(c) if i < arity => self.table.cell(self.rid, c),
-            Some(_) => Err(StorageError::ColumnOutOfRange { index: i, arity }),
-        }
-    }
-}
-
-/// Key cells a probe carries inline; a longer key is collected.
-const INLINE_KEY: usize = 8;
-
-impl IndexAccess<'_> {
-    /// Call `hit` with the id of every table row that joins `lrow` under
-    /// `on`, the selection and `residual`, until it returns false. Join
-    /// pairs (re-checked: with duplicate right columns in `on` the key
-    /// pins one left column per right column), selection and residual
-    /// are tested against the heap's cells; no row is built here.
-    fn each_match(
-        &self,
-        lrow: &Row,
-        on: &[(usize, usize)],
-        residual: Option<&Expr>,
-        mut hit: impl FnMut(RowId) -> Result<bool>,
-    ) -> Result<()> {
-        let table = self.table;
-        let joins = |rid: RowId| -> Result<bool> {
-            for &(lc, rc) in on {
-                if table.cell(rid, rc)? != lrow[lc] {
-                    return Ok(false);
-                }
-            }
-            if let Some(p) = self.pred {
-                if !p.eval_bool(&Probed {
-                    left: &[],
-                    table,
-                    rid,
-                })? {
-                    return Ok(false);
-                }
-            }
-            match residual {
-                None => Ok(true),
-                Some(e) => e.eval_bool(&Probed {
-                    left: lrow.values(),
-                    table,
-                    rid,
-                }),
-            }
-        };
-        let (id, key_cols, prefix) = match &self.path {
-            ProbePath::Key(lc) => {
-                if let Some(rid) = table.rid_by_key(&lrow[*lc]) {
-                    if joins(rid)? {
-                        hit(rid)?;
-                    }
-                }
-                return Ok(());
-            }
-            ProbePath::Index {
-                id,
-                key_cols,
-                prefix,
-            } => (*id, key_cols, *prefix),
-        };
-        let mut inline = [Cell::Null; INLINE_KEY];
-        let collected: Vec<Cell<'_>>;
-        let key: &[Cell<'_>] = if key_cols.len() <= INLINE_KEY {
-            for (slot, &lc) in inline.iter_mut().zip(key_cols) {
-                *slot = lrow[lc].as_cell();
-            }
-            &inline[..key_cols.len()]
-        } else {
-            collected = key_cols.iter().map(|&lc| lrow[lc].as_cell()).collect();
-            &collected
-        };
-        let mut visit = |rids: &mut dyn Iterator<Item = RowId>| -> Result<()> {
-            for rid in rids {
-                if joins(rid)? && !hit(rid)? {
-                    break;
-                }
-            }
-            Ok(())
-        };
-        let mut rids = table.probe(id, key)?;
-        if prefix {
-            let mut sorted: Vec<RowId> = rids.collect();
-            sorted.sort_unstable();
-            visit(&mut sorted.into_iter())
-        } else {
-            visit(&mut rids)
-        }
-    }
-
-    /// Push the joined rows `lrow` has in the table under `on` and
-    /// `residual`: each built once, from the left row and the heap cells.
-    fn probe(
-        &self,
-        lrow: &Row,
-        on: &[(usize, usize)],
-        residual: Option<&Expr>,
-        out: &mut Vec<Row>,
-    ) -> Result<()> {
-        let arity = self.table.schema().arity();
-        self.each_match(lrow, on, residual, |rid| {
-            let mut vals = Vec::with_capacity(lrow.arity() + arity);
-            vals.extend_from_slice(lrow.values());
-            for c in 0..arity {
-                vals.push(self.table.cell(rid, c)?.to_value());
-            }
-            out.push(Row::from(vals));
-            Ok(true)
-        })
-    }
-
-    /// Does `lrow` have a row in the table under `on` and `residual`?
-    /// Stops at the first, building nothing.
-    fn any_match(
-        &self,
-        lrow: &Row,
-        on: &[(usize, usize)],
-        residual: Option<&Expr>,
-    ) -> Result<bool> {
-        let mut found = false;
-        self.each_match(lrow, on, residual, |_| {
-            found = true;
-            Ok(false)
-        })?;
-        Ok(found)
-    }
-}
-
-/// The index access to `right` for `on`, if it is a base table (virtual
-/// `sys.*` relations have no indexes) with a primary key or an index that
-/// [`crate::table::Table::find_index_for`] offers for the right columns —
-/// or, when `covering` is set, [`crate::table::Table::index_within`] them
-/// (the probe re-checks every pair of `on`). Joins take the first, anti-
-/// joins the second (`EXPLAIN` notes both as `[probe …]`).
-fn index_access<'a>(
-    db: &'a Database,
-    right: &'a Plan,
-    on: &[(usize, usize)],
-    covering: bool,
-) -> Result<Option<IndexAccess<'a>>> {
-    let Some((table_name, pred)) = base_access(right).filter(|(n, _)| db.has_table(n)) else {
-        return Ok(None);
-    };
-    let table = db.table(table_name)?;
-    let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-    let left_of = |rc: &usize| on.iter().find(|(_, r)| r == rc).expect("covered").0;
-    let path = if table.pk_within(&rcols) {
-        Some(ProbePath::Key(left_of(&0)))
-    } else {
-        let index = table
-            .find_index_for(&rcols)
-            .or_else(|| covering.then(|| table.index_within(&rcols)).flatten());
-        match index {
-            Some((name, order)) => {
-                let id = table.index_id(name)?;
-                Some(ProbePath::Index {
-                    id,
-                    key_cols: order.iter().map(left_of).collect(),
-                    prefix: table.index_columns(id)?.len() != order.len(),
-                })
-            }
-            None => None,
-        }
-    };
-    Ok(path.map(|path| IndexAccess { table, pred, path }))
-}
-
 #[allow(clippy::too_many_arguments)]
 fn open_join<'a>(
     db: &'a Database,
@@ -1831,7 +1607,7 @@ fn open_join<'a>(
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
     if !on.is_empty() {
-        if let Some(access) = index_access(db, right, on, false)? {
+        if let Some(access) = IndexAccess::resolve(db, right, on, residual, Read::Join) {
             // Adaptive index-nested-loop: buffer left rows (by whole
             // chunks) up to the break-even point of the materializing
             // heuristic (`4·|left| ≤ |table|`) — and, under a memory
@@ -1864,7 +1640,7 @@ fn open_join<'a>(
             if small_left {
                 let probe = chunked_owned(buf, batch.effective);
                 return Ok(map_chunks(probe, batch.effective, move |lrow, out| {
-                    access.probe(lrow, on, residual, out)
+                    access.probe(lrow, out)
                 }));
             }
             // Too many left rows: replay the buffer in front of the
@@ -1876,19 +1652,54 @@ fn open_join<'a>(
         let probe = open_node(db, left, batch, spill, &obs.child(0))?;
         return hash_join(db, probe, right, on, residual, batch, spill, obs);
     }
-    // Cross/theta join: the right side is a materialization point. Under
-    // a memory budget only this point's byte share stays in memory; once
-    // the share is exceeded every further right row overflows — in
-    // arrival order — to a spill run file, which the probe loop replays
-    // after the in-memory prefix for each left row. The replay reopens
-    // the run per left row (sequential reads of an OS-cached file), a
-    // deliberate trade: right-side memory stays bounded by the budget
-    // while the output order stays byte-for-byte the left-major order of
-    // the unbudgeted nested loop.
-    let mut mem: Vec<Row> = Vec::new();
-    let mut mem_bytes = 0usize;
-    let mut overflow: Option<spill::RunFile> = None;
-    {
+    // Cross/theta join: the right side is a materialization point,
+    // replayed for every left row in the left-major order of a nested
+    // loop.
+    let mut right = BoundedSide::collect(db, right, batch, spill, obs)?;
+    let left = open_node(db, left, batch, spill, &obs.child(0))?;
+    Ok(map_chunks(left, batch.effective, move |lrow, out| {
+        let emit = |joined: Row, out: &mut Vec<Row>| -> Result<()> {
+            match residual {
+                None => out.push(joined),
+                Some(e) => {
+                    if e.eval_bool(&joined)? {
+                        out.push(joined);
+                    }
+                }
+            }
+            Ok(())
+        };
+        right.each(|rrow| {
+            emit(lrow.concat(rrow), out)?;
+            Ok(true)
+        })
+    }))
+}
+
+/// The right side of a cross join or of a residual-only anti-join, which
+/// every left row replays. Under a memory budget only this point's byte
+/// share stays in memory; past it every further right row overflows, in
+/// arrival order, to a spill run file replayed after the in-memory prefix.
+/// The replay reopens the run per left row (sequential reads of an
+/// OS-cached file), a deliberate trade: right-side memory stays bounded by
+/// the budget while the output order stays byte-for-byte that of the
+/// unbudgeted nested loop.
+struct BoundedSide {
+    mem: Vec<Row>,
+    overflow: Option<spill::RunFile>,
+}
+
+impl BoundedSide {
+    fn collect(
+        db: &Database,
+        right: &Plan,
+        batch: Batch,
+        spill: &SpillCtx,
+        obs: &NodeObs,
+    ) -> Result<BoundedSide> {
+        let mut mem: Vec<Row> = Vec::new();
+        let mut mem_bytes = 0usize;
+        let mut overflow: Option<spill::RunFile> = None;
         let right_stream = open_node(db, right, batch.full(), spill, &obs.child(1))?;
         let mut scratch: Vec<Row> = Vec::new();
         for chunk in right_stream {
@@ -1917,31 +1728,26 @@ fn open_join<'a>(
         if let Some(run) = &mut overflow {
             run.seal()?;
         }
+        Ok(BoundedSide { mem, overflow })
     }
-    let left = open_node(db, left, batch, spill, &obs.child(0))?;
-    Ok(map_chunks(left, batch.effective, move |lrow, out| {
-        let emit = |joined: Row, out: &mut Vec<Row>| -> Result<()> {
-            match residual {
-                None => out.push(joined),
-                Some(e) => {
-                    if e.eval_bool(&joined)? {
-                        out.push(joined);
-                    }
-                }
+
+    /// Call `f` on every row, in arrival order, until it returns false.
+    fn each(&mut self, mut f: impl FnMut(&Row) -> Result<bool>) -> Result<()> {
+        for row in &self.mem {
+            if !f(row)? {
+                return Ok(());
             }
-            Ok(())
-        };
-        for rrow in &mem {
-            emit(lrow.concat(rrow), out)?;
         }
-        if let Some(run) = &mut overflow {
+        if let Some(run) = &mut self.overflow {
             let mut reader = run.reader()?;
-            while let Some((_, rrow)) = reader.next()? {
-                emit(lrow.concat(&rrow), out)?;
+            while let Some((_, row)) = reader.next()? {
+                if !f(&row)? {
+                    return Ok(());
+                }
             }
         }
         Ok(())
-    }))
+    }
 }
 
 /// Build a hash table over the right side, then probe whole chunks.
@@ -2049,54 +1855,18 @@ fn open_anti_join<'a>(
         // rows stream through, nothing is materialized, and a selective
         // index (`V`'s `(wid, key)` under the lazy view) makes each probe
         // a few entries.
-        if let Some(access) = index_access(db, right, on, true)? {
+        if let Some(access) = IndexAccess::resolve(db, right, on, residual, Read::AntiJoin) {
             return Ok(filter_chunks(left_stream, move |lrow| {
-                Ok(!access.any_match(lrow, on, residual)?)
+                Ok(!access.any_match(lrow)?)
             }));
         }
     }
     if on.is_empty() {
         // A left row survives iff no right row makes the residual hold.
         // Anti-joins keep left rows unchanged, so this is a pure
-        // selection-vector filter. The collected right side is a
-        // materialization point: under a memory budget only its byte
-        // share stays in memory; past it further right rows overflow —
-        // in arrival order — to a spill run the filter replays after
-        // the in-memory prefix for each left row (the same bounded
-        // template as the cross-join build).
-        let mut mem: Vec<Row> = Vec::new();
-        let mut mem_bytes = 0usize;
-        let mut overflow: Option<spill::RunFile> = None;
-        {
-            let right_stream = open_node(db, right, batch.full(), spill, &obs.child(1))?;
-            let mut scratch: Vec<Row> = Vec::new();
-            for chunk in right_stream {
-                chunk?.drain_into(&mut scratch);
-                for row in scratch.drain(..) {
-                    if let Some(run) = &mut overflow {
-                        run.write(0, &row)?;
-                        continue;
-                    }
-                    match spill.per_point {
-                        Some(budget) if mem_bytes + spill::row_bytes(&row) > budget => {
-                            let mut run = spill::RunFile::create(&spill.dir, obs.spill_prof())?;
-                            run.write(0, &row)?;
-                            overflow = Some(run);
-                        }
-                        _ => {
-                            mem_bytes += spill::row_bytes(&row);
-                            mem.push(row);
-                        }
-                    }
-                }
-            }
-            if let Some(n) = obs.node() {
-                raise(&n.peak_bytes, mem_bytes as u64);
-            }
-            if let Some(run) = &mut overflow {
-                run.seal()?;
-            }
-        }
+        // selection-vector filter over the collected right side, bounded
+        // like the cross join's.
+        let mut right = BoundedSide::collect(db, right, batch, spill, obs)?;
         return Ok(filter_chunks(left_stream, move |lrow| {
             let killed = |rrow: &Row| -> Result<bool> {
                 match residual {
@@ -2104,20 +1874,12 @@ fn open_anti_join<'a>(
                     Some(e) => e.eval_bool(&lrow.concat(rrow)),
                 }
             };
-            for rrow in &mem {
-                if killed(rrow)? {
-                    return Ok(false);
-                }
-            }
-            if let Some(run) = &mut overflow {
-                let mut reader = run.reader()?;
-                while let Some((_, rrow)) = reader.next()? {
-                    if killed(&rrow)? {
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(true)
+            let mut survives = true;
+            right.each(|rrow| {
+                survives = !killed(rrow)?;
+                Ok(survives)
+            })?;
+            Ok(survives)
         }));
     }
     // Keyed anti-join: the build side is a materialization point, so

@@ -557,7 +557,11 @@ fn group_copies_reuse_slots_and_demote() {
         );
     }
     assert_eq!(t.slots(), 6);
-    let flagged = |flag: &str| t.index_rows("by_flag", &[Value::str(flag)]).unwrap().len();
+    let flagged = |flag: &str| {
+        t.index_lookup("by_flag", &[Value::str(flag)])
+            .unwrap()
+            .count()
+    };
     assert_eq!((flagged("y"), flagged("n")), (3, 3));
 
     // The integer column takes a string: demoted, the copies hold the
@@ -568,10 +572,17 @@ fn group_copies_reuse_slots_and_demote() {
             .unwrap(),
         3
     );
-    let demoted = t.index_rows("by_w_k", std::slice::from_ref(&w)).unwrap();
+    let demoted: Vec<Row> = t
+        .index_lookup("by_w_k", std::slice::from_ref(&w))
+        .unwrap()
+        .map(|rid| t.get(rid).unwrap())
+        .collect();
     assert_eq!(demoted.len(), 3);
     assert!(demoted.iter().all(|r| r[0] == w && r[2] == n));
-    assert_eq!(t.index_rows("by_w_k", &[Value::int(2)]).unwrap().len(), 3);
+    assert_eq!(
+        t.index_lookup("by_w_k", &[Value::int(2)]).unwrap().count(),
+        3
+    );
     let rows = t.scan();
     let refs: Vec<&Row> = rows.iter().collect();
     assert_eq!(*t.columnar(), ColumnSet::from_rows(3, &refs));

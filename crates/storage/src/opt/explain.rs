@@ -11,9 +11,8 @@
 
 use super::stats::{combine, RelEstimate, StatsCatalog};
 use crate::catalog::Database;
-use crate::exec::{
-    access_path_note, selection_kernel_label, spill_points, BATCH_SIZE, SPILL_PARTITIONS,
-};
+use crate::exec::access::explain_label;
+use crate::exec::{selection_kernel_label, spill_points, BATCH_SIZE, SPILL_PARTITIONS};
 use crate::obs::profile::{ProfNode, Profile};
 use crate::plan::Plan;
 use std::rc::Rc;
@@ -281,10 +280,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
             format!("Scan {table} (rows={rows}){exec}")
         }
         Plan::Selection { input, predicate } => {
-            let access = match input.as_ref() {
-                Plan::Scan { table } => access_path_note(db, table, predicate),
-                _ => None,
-            };
+            let access = explain_label(db, plan);
             // The filter kernel only runs when no index serves the
             // selection — an access-path hit fetches pre-filtered rows
             // and never evaluates the kernel, so report one or the
@@ -309,7 +305,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                     )
                 }
             };
-            let access = access.map(|a| format!(" [{a}]")).unwrap_or_default();
+            let access = access.map(|a| format!(" {a}")).unwrap_or_default();
             format!("Select {predicate}{access}{}{exec}", est_note(est))
         }
         Plan::Projection { input: _, exprs } => {
@@ -318,7 +314,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
         }
         Plan::Join {
             left: _,
-            right,
+            right: _,
             on,
             residual,
         } => {
@@ -326,12 +322,12 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                 .as_ref()
                 .map(|r| format!(" where {r}"))
                 .unwrap_or_default();
-            let probe = join_probe_note(db, right, on, false);
+            let probe = probe_note(db, plan);
             format!("Join{}{res}{probe}{}{exec}", on_note(on), est_note(est))
         }
         Plan::AntiJoin {
             left: _,
-            right,
+            right: _,
             on,
             residual,
         } => {
@@ -339,7 +335,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                 .as_ref()
                 .map(|r| format!(" where {r}"))
                 .unwrap_or_default();
-            let probe = join_probe_note(db, right, on, true);
+            let probe = probe_note(db, plan);
             format!("AntiJoin{}{res}{probe}{}{exec}", on_note(on), est_note(est))
         }
         Plan::Distinct { .. } => format!("Distinct{}{exec}", est_note(est)),
@@ -364,35 +360,12 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
     }
 }
 
-/// Annotation when the executor's index-nested-loop join can probe the
-/// right side of a join through an index instead of materializing it — or,
-/// for an anti-join (`anti`), through an index within its key columns.
-fn join_probe_note(db: &Database, right: &Plan, on: &[(usize, usize)], anti: bool) -> String {
-    if on.is_empty() {
-        return String::new();
-    }
-    let table = match right {
-        Plan::Scan { table } => table,
-        Plan::Selection { input, .. } => match input.as_ref() {
-            Plan::Scan { table } => table,
-            _ => return String::new(),
-        },
-        _ => return String::new(),
-    };
-    let Ok(t) = db.table(table) else {
-        return String::new();
-    };
-    let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-    if t.pk_within(&rcols) {
-        return format!(" [probe {table}.pk]");
-    }
-    let index = t
-        .find_index_for(&rcols)
-        .or_else(|| anti.then(|| t.index_within(&rcols)).flatten());
-    match index {
-        Some((name, _)) => format!(" [probe {table}.{name}]"),
-        None => String::new(),
-    }
+/// The ` [probe …]` note of a join or anti-join whose right side the
+/// executor probes through the key or an index (empty otherwise).
+fn probe_note(db: &Database, plan: &Plan) -> String {
+    explain_label(db, plan)
+        .map(|label| format!(" {label}"))
+        .unwrap_or_default()
 }
 
 #[cfg(test)]

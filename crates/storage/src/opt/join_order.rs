@@ -19,6 +19,7 @@ use super::rules::{cols_of, join_and, split_and};
 use super::stats::{equi_join_rows, estimate, RelEstimate, StatsCatalog};
 use crate::catalog::Database;
 use crate::error::Result;
+use crate::exec::access::{base_table, resolve, select_path, Read};
 use crate::expr::Expr;
 use crate::plan::Plan;
 
@@ -84,38 +85,18 @@ fn values_rows(plan: &Plan) -> usize {
     own + plan.children().into_iter().map(values_rows).sum::<usize>()
 }
 
-/// True iff the executor's index-nested-loop join could probe this plan:
-/// a base-table access whose given columns are covered by the primary key
-/// or a secondary index.
+/// True iff the executor's index-nested-loop join could probe this plan
+/// by the given columns: the join rule of `exec::access`.
 fn index_probeable(db: &Database, plan: &Plan, cols: &[usize]) -> bool {
-    let table = match plan {
-        Plan::Scan { table } => table,
-        Plan::Selection { input, .. } => match input.as_ref() {
-            Plan::Scan { table } => table,
-            _ => return false,
-        },
-        _ => return false,
-    };
-    if cols.is_empty() {
-        return false;
-    }
-    let Ok(t) = db.table(table) else { return false };
-    t.pk_within(cols) || t.find_index_for(cols).is_some()
+    base_table(db, plan).is_some_and(|(t, _)| resolve(t, cols, Read::Join).is_some())
 }
 
 /// Rows a hash join reads to build `leaf` (estimated at `est` rows): a
 /// selection over a base table that no index serves scans the whole table
 /// and filters; any other leaf reads what it yields.
 fn build_rows(db: &Database, leaf: &Plan, est: f64) -> f64 {
-    match leaf {
-        Plan::Selection { input, predicate } => match input.as_ref() {
-            Plan::Scan { table }
-                if crate::exec::access_path_note(db, table, predicate).is_none() =>
-            {
-                db.table(table).map_or(est, |t| t.len() as f64)
-            }
-            _ => est,
-        },
+    match base_table(db, leaf) {
+        Some((t, Some(predicate))) if select_path(t, predicate).is_none() => t.len() as f64,
         _ => est,
     }
 }

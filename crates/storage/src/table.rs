@@ -6,16 +6,18 @@
 //! narrowest lanes that have held every value of their column; a row is a
 //! slot number there. A column re-typed to wider lanes by a write is not an
 //! event at this level: [`Table::version`] counts rows written, whatever
-//! their width, and only [`Table::heap_bytes`] tells. The methods that hand out rows (`get`, `iter`, `scan`,
-//! `index_rows`, `get_by_key`, `delete`) materialize owned copies; `cell`,
-//! `row_ids`, `index_lookup` and `probe` read in place, and `insert_cells`,
-//! `copy_row`, `copy_group` and `remove` write without a [`Row`] in
-//! between.
+//! their width, and only [`Table::heap_bytes`] tells. `get`, `iter`,
+//! `scan` and `delete` hand out owned rows; `cell`, `row_ids`,
+//! `rid_by_key`, `index_lookup` and `probe` read in place, and
+//! `insert_cells`, `copy_row`, `copy_group` and `remove` write without a
+//! [`Row`] in between.
 //!
 //! A secondary index ([`crate::index`]) groups the rows by its first
 //! column, so one index over `(a, b)` answers probes for `(a, b)` and for
 //! `a` alone, and [`Table::copy_group`] copies all rows of one `a` at once.
-//! See `docs/execution.md`, "Heap and index layout".
+//! A table only lists its indexes (`Table::indexes`); which key or index
+//! serves a read is decided by the executor's access-path resolver. See
+//! `docs/execution.md`, "Heap and index layout".
 
 use crate::column::ColumnSet;
 use crate::error::{Result, StorageError};
@@ -97,9 +99,9 @@ pub struct IndexId(usize);
 /// convention), and any number of secondary indexes.
 ///
 /// Rows are not stored as [`Row`]s. [`Table::get`], [`Table::iter`],
-/// [`Table::index_rows`], [`Table::get_by_key`], [`Table::scan`] and
-/// [`Table::delete`] materialize owned rows; [`Table::cell`] and
-/// [`Table::index_lookup`] read the heap without allocating.
+/// [`Table::scan`] and [`Table::delete`] materialize owned rows;
+/// [`Table::cell`], [`Table::rid_by_key`] and [`Table::probe`] read the
+/// heap without allocating.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
@@ -488,11 +490,6 @@ impl Table {
         self.remove_all(victims)
     }
 
-    /// Look up a row by primary key.
-    pub fn get_by_key(&self, key: &Value) -> Option<Row> {
-        self.pk.get(key).map(|&rid| self.heap.row(rid))
-    }
-
     /// Row id for a primary key.
     pub fn rid_by_key(&self, key: &Value) -> Option<RowId> {
         self.pk.get(key).copied()
@@ -542,6 +539,16 @@ impl Table {
         Ok(self.index(index)?.columns())
     }
 
+    /// Every secondary index — its handle, name and columns in key order —
+    /// in the order they were created. Which one serves a read is decided
+    /// in one place, `exec::access`.
+    pub(crate) fn indexes(&self) -> impl Iterator<Item = (IndexId, &str, &[usize])> + '_ {
+        self.indexes
+            .iter()
+            .enumerate()
+            .map(|(i, idx)| (IndexId(i), idx.name(), idx.columns()))
+    }
+
     fn index(&self, index: IndexId) -> Result<&Index> {
         self.indexes
             .get(index.0)
@@ -549,23 +556,6 @@ impl Table {
                 table: self.schema.name().to_string(),
                 name: format!("#{}", index.0),
             })
-    }
-
-    /// Rows matching `key` on the named secondary index, materialized, in
-    /// slot order rather than index order: the heap's column vectors are
-    /// read front to back, and what an executor builds from the rows (join
-    /// sides, the relations a cached plan embeds) keeps the locality of the
-    /// order they were written in. The rows of one full key are in slot
-    /// order as the index lists them; those of a group are sorted here.
-    pub fn index_rows(&self, index: &str, key: &[Value]) -> Result<Vec<Row>> {
-        let id = self.index_id(index)?;
-        let rids = self.probe(id, key)?;
-        if key.len() == self.indexes[id.0].columns().len() {
-            return Ok(rids.map(|rid| self.heap.row(rid)).collect());
-        }
-        let mut rids: Vec<RowId> = rids.collect();
-        rids.sort_unstable();
-        Ok(rids.into_iter().map(|rid| self.heap.row(rid)).collect())
     }
 
     /// Ids of the live rows, ascending. Read their cells with
@@ -601,14 +591,6 @@ impl Table {
         *cache = Some((self.version, Arc::clone(&set)));
         TableAccess::bump(&self.access.transpose_rebuilds, 1);
         set
-    }
-
-    /// The index a probe for exactly this column list goes to: one over
-    /// these columns in this order, else one whose first column this is.
-    pub fn has_index_on(&self, cols: &[usize]) -> Option<&str> {
-        let exact = self.indexes.iter().find(|i| i.columns() == cols);
-        let prefix = || self.indexes.iter().find(|i| i.columns()[..1] == *cols);
-        exact.or_else(prefix).map(|i| i.name())
     }
 
     /// Monotone mutation counter (insert/delete), used by the optimizer's
@@ -652,45 +634,6 @@ impl Table {
     pub fn index_bytes(&self) -> usize {
         self.indexes.iter().map(Index::approx_bytes).sum()
     }
-
-    /// True iff a probe keyed by `cols` can go through the primary key:
-    /// the table is keyed on column 0 and `cols` includes it. A key
-    /// matches at most one row, so the probe re-checks the other columns
-    /// on that row instead of looking for an index over all of them.
-    pub fn pk_within(&self, cols: &[usize]) -> bool {
-        self.schema().key_column() == Some(0) && cols.contains(&0)
-    }
-
-    /// Find an index serving probes on this *set* of columns
-    /// (order-insensitive): one over exactly these columns, else one whose
-    /// first column is the only column asked for. Returns the index name
-    /// and the column order of the key to probe it with.
-    pub fn find_index_for(&self, cols: &[usize]) -> Option<(&str, &[usize])> {
-        let mut want: Vec<usize> = cols.to_vec();
-        want.sort_unstable();
-        let exact = self.indexes.iter().find(|i| {
-            let mut have: Vec<usize> = i.columns().to_vec();
-            have.sort_unstable();
-            have == want
-        });
-        let prefix = || {
-            let first = self.indexes.iter().find(|i| i.columns()[..1] == *cols)?;
-            Some((first.name(), &first.columns()[..1]))
-        };
-        exact.map(|i| (i.name(), i.columns())).or_else(prefix)
-    }
-
-    /// The index over the most of `cols` that covers no other column (an
-    /// index counts with its first column alone too): what a probe keyed
-    /// by all of `cols` can narrow its candidates with before it re-checks
-    /// the rest.
-    pub fn index_within(&self, cols: &[usize]) -> Option<(&str, &[usize])> {
-        self.index_stats()
-            .into_iter()
-            .filter(|(_, indexed, _)| indexed.iter().all(|c| cols.contains(c)))
-            .max_by_key(|(_, indexed, _)| indexed.len())
-            .map(|(name, indexed, _)| (name, indexed))
-    }
 }
 
 #[cfg(test)]
@@ -710,8 +653,9 @@ mod tests {
     fn insert_and_key_lookup() {
         let t = users();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.get_by_key(&Value::int(2)).unwrap()[1], Value::str("Bob"));
-        assert!(t.get_by_key(&Value::int(9)).is_none());
+        let bob = t.rid_by_key(&Value::int(2)).unwrap();
+        assert_eq!(t.get(bob).unwrap()[1], Value::str("Bob"));
+        assert!(t.rid_by_key(&Value::int(9)).is_none());
     }
 
     #[test]
@@ -751,13 +695,11 @@ mod tests {
         assert_eq!(row[1], Value::str("Bob"));
         assert_eq!(t.len(), 2);
         assert!(t.get(rid).is_err());
-        assert!(t.get_by_key(&Value::int(2)).is_none());
+        assert!(t.rid_by_key(&Value::int(2)).is_none());
         // key can be reused after delete
         t.insert(row![2, "Bobby"]).unwrap();
-        assert_eq!(
-            t.get_by_key(&Value::int(2)).unwrap()[1],
-            Value::str("Bobby")
-        );
+        let bobby = t.rid_by_key(&Value::int(2)).unwrap();
+        assert_eq!(t.get(bobby).unwrap()[1], Value::str("Bobby"));
     }
 
     #[test]
@@ -783,7 +725,10 @@ mod tests {
         );
         assert_eq!(t.rid_by_key(&Value::int(42)), Some(keeper));
         assert_eq!(t.get(keeper).unwrap(), row![42, 0]);
-        assert_eq!(t.index_rows("by_v", &[Value::int(0)]).unwrap().len(), 15);
+        assert_eq!(
+            t.index_lookup("by_v", &[Value::int(0)]).unwrap().count(),
+            15
+        );
         // Several free slots are handed out last-freed first.
         let freed: Vec<RowId> = (0..3)
             .map(|k| t.rid_by_key(&Value::int(k)).unwrap())
@@ -836,10 +781,10 @@ mod tests {
         t.insert(row![2, "t1", "s1", "+", "n"]).unwrap();
 
         let key = [Value::int(1), Value::str("s1")];
-        assert_eq!(t.index_rows("by_wid_key", &key).unwrap().len(), 2);
+        assert_eq!(t.index_lookup("by_wid_key", &key).unwrap().count(), 2);
 
         t.delete_where(|r| r[3] == Value::str("-")).unwrap();
-        assert_eq!(t.index_rows("by_wid_key", &key).unwrap().len(), 1);
+        assert_eq!(t.index_lookup("by_wid_key", &key).unwrap().count(), 1);
         assert_eq!(t.len(), 2);
     }
 
@@ -847,9 +792,10 @@ mod tests {
     fn index_created_after_data_backfills() {
         let mut t = users();
         t.create_index("by_name", &["name"]).unwrap();
-        let hits = t.index_rows("by_name", &[Value::str("Carol")]).unwrap();
+        let carol = [Value::str("Carol")];
+        let hits: Vec<RowId> = t.index_lookup("by_name", &carol).unwrap().collect();
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0][0], Value::int(3));
+        assert_eq!(t.cell(hits[0], 0).unwrap(), Value::int(3));
     }
 
     #[test]
@@ -863,52 +809,27 @@ mod tests {
     }
 
     #[test]
-    fn has_index_on_matches_exact_columns() {
-        let mut t = users();
-        t.create_index("by_name", &["name"]).unwrap();
-        assert_eq!(t.has_index_on(&[1]), Some("by_name"));
-        assert_eq!(t.has_index_on(&[0]), None);
-        assert_eq!(t.has_index_on(&[1, 0]), None);
-    }
-
-    #[test]
     fn an_index_serves_its_first_column_alone() {
         let mut t = Table::new(TableSchema::keyless("V", &["wid", "tid", "key"]));
         t.create_index("by_wid_key", &["wid", "key"]).unwrap();
         for (wid, tid, key) in [(1, 10, "s1"), (1, 11, "s2"), (2, 10, "s1")] {
             t.insert(row![wid, tid, key]).unwrap();
         }
-        assert_eq!(t.has_index_on(&[0]), Some("by_wid_key"));
-        assert_eq!(t.has_index_on(&[2]), None);
-        assert_eq!(t.find_index_for(&[0]), Some(("by_wid_key", &[0][..])));
-        assert_eq!(t.find_index_for(&[2, 0]), Some(("by_wid_key", &[0, 2][..])));
-        assert_eq!(t.find_index_for(&[2]), None);
-        // Within a wider key the whole index narrows a probe best, the
-        // first column alone when the second is not in the key.
-        let within = |cols: &[usize]| t.index_within(cols).map(|(_, c)| c.to_vec());
-        assert_eq!(within(&[2, 1, 0]), Some(vec![0, 2]));
-        assert_eq!(within(&[1, 0]), Some(vec![0]));
-        assert_eq!(within(&[1, 2]), None);
         // Both probe shapes have their statistics row, both exact.
         assert_eq!(
             t.index_stats(),
             [("by_wid_key", &[0, 2][..], 3), ("by_wid_key", &[0][..], 2)]
         );
         assert_eq!(t.index_count(), 1);
-        assert_eq!(
-            t.index_rows("by_wid_key", &[Value::int(1)]).unwrap().len(),
-            2
-        );
+        let first = [Value::int(1)];
+        assert_eq!(t.index_lookup("by_wid_key", &first).unwrap().count(), 2);
         assert_eq!(
             t.delete_by_index("by_wid_key", &[Value::int(1)]).unwrap(),
             2
         );
         assert_eq!(t.scan(), [row![2, 10, "s1"]]);
 
-        // An index over exactly the column goes first.
         t.create_index("by_wid", &["wid"]).unwrap();
-        assert_eq!(t.has_index_on(&[0]), Some("by_wid"));
-        assert_eq!(t.find_index_for(&[0]), Some(("by_wid", &[0][..])));
         assert_eq!(t.index_stats().len(), 3);
     }
 
@@ -953,7 +874,10 @@ mod tests {
             assert_eq!(second.len(), 202);
             assert_eq!(second.row_at(100), row![1, k]);
             assert!((101..202).all(|n| second.row_at(n)[0] == Value::int(w)));
-            assert_eq!(t.index_rows("by_w_k", &[Value::int(w)]).unwrap().len(), 101);
+            assert_eq!(
+                t.index_lookup("by_w_k", &[Value::int(w)]).unwrap().count(),
+                101
+            );
             let rebuilds = t.access().snapshot()[6];
             (t.version() - version, rebuilds, t.heap_bytes() - bytes)
         };
@@ -1009,11 +933,9 @@ mod tests {
         let err = t.insert(row![4, "Dave"]).unwrap_err();
         assert_eq!(err, StorageError::ColumnOutOfRange { index: 7, arity: 2 });
         assert_eq!(footprint(&t), before);
-        assert!(t.get_by_key(&Value::int(4)).is_none());
-        assert!(t
-            .index_rows("by_name", &[Value::str("Dave")])
-            .unwrap()
-            .is_empty());
+        assert!(t.rid_by_key(&Value::int(4)).is_none());
+        let dave = [Value::str("Dave")];
+        assert_eq!(t.index_lookup("by_name", &dave).unwrap().count(), 0);
 
         t.indexes.pop();
         let before = footprint(&t);
@@ -1021,10 +943,8 @@ mod tests {
             t.insert(bad).unwrap_err();
             assert_eq!(footprint(&t), before);
         }
-        assert!(t
-            .index_rows("by_name", &[Value::str("Imposter")])
-            .unwrap()
-            .is_empty());
+        let imposter = [Value::str("Imposter")];
+        assert_eq!(t.index_lookup("by_name", &imposter).unwrap().count(), 0);
     }
 
     #[test]
@@ -1047,14 +967,14 @@ mod tests {
             Err(StorageError::InvalidRowId { .. })
         ));
         assert_eq!(footprint(&t), before);
-        assert!(t.get_by_key(&Value::int(9)).is_none());
+        assert!(t.rid_by_key(&Value::int(9)).is_none());
 
         // With a fresh key the copy goes through, name and all.
         let rid = t.copy_row(src, &[(0, Cell::Int(9))]).unwrap();
         assert_eq!(t.get(rid).unwrap(), row![9, "Alice"]);
         assert_eq!(t.rid_by_key(&Value::int(9)), Some(rid));
         let alice = [Value::str("Alice")];
-        assert_eq!(t.index_rows("by_name", &alice).unwrap().len(), 2);
+        assert_eq!(t.index_lookup("by_name", &alice).unwrap().count(), 2);
     }
 
     #[test]
@@ -1095,7 +1015,7 @@ mod tests {
         );
         t.indexes.pop();
         assert_eq!(footprint(&t), before);
-        assert!(t.get_by_key(&Value::int(9)).is_none());
+        assert!(t.rid_by_key(&Value::int(9)).is_none());
 
         // A key nobody holds copies nothing; one row with a fresh key goes
         // through, name and all.
@@ -1106,8 +1026,9 @@ mod tests {
             t.copy_group(by_name, &bob, &[(0, Cell::Int(9))]).unwrap(),
             1
         );
-        assert_eq!(t.get_by_key(&Value::int(9)).unwrap(), row![9, "Bob"]);
-        assert_eq!(t.index_rows("by_name", &bob).unwrap().len(), 2);
+        let nine = t.rid_by_key(&Value::int(9)).unwrap();
+        assert_eq!(t.get(nine).unwrap(), row![9, "Bob"]);
+        assert_eq!(t.index_lookup("by_name", &bob).unwrap().count(), 2);
         assert_eq!(t.version(), before.2 + 1);
     }
 

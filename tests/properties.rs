@@ -190,7 +190,7 @@ proptest! {
         let d = storage.table("D").unwrap();
         prop_assert_eq!(d.len(), dir.len());
         for (wid, path) in dir.iter() {
-            let row = d.get_by_key(&wid.value()).unwrap();
+            let row = d.get(d.rid_by_key(&wid.value()).unwrap()).unwrap();
             prop_assert_eq!(row[1].as_int().unwrap() as usize, path.depth());
         }
 
@@ -199,9 +199,11 @@ proptest! {
         let mut edge_count = 0;
         for (wid, path) in dir.iter() {
             for &u in &users {
-                let hits = e
-                    .index_rows("by_src_user", &[wid.value(), u.value()])
-                    .unwrap();
+                let hits: Vec<Row> = e
+                    .index_lookup("by_src_user", &[wid.value(), u.value()])
+                    .unwrap()
+                    .map(|rid| e.get(rid).unwrap())
+                    .collect();
                 if !path.can_push(u) {
                     prop_assert!(hits.is_empty(), "forbidden edge at {} user {}", path, u);
                     continue;
@@ -221,7 +223,7 @@ proptest! {
             if path.is_root() {
                 continue;
             }
-            let row = s.get_by_key(&wid.value()).unwrap();
+            let row = s.get(s.rid_by_key(&wid.value()).unwrap()).unwrap();
             let target = beliefdb::core::Wid::from_value(&row[1]).unwrap();
             prop_assert_eq!(dir.dss(&path.drop_first()), target);
         }
@@ -245,7 +247,7 @@ proptest! {
             let s = bdms.storage().table("S").unwrap();
             for (wid, path) in dir.iter() {
                 let parent = dir.suffix_parent(wid);
-                match s.get_by_key(&wid.value()) {
+                match s.rid_by_key(&wid.value()).map(|rid| s.get(rid).unwrap()) {
                     Some(row) => prop_assert_eq!(&row[1], &parent.value(), "S({})", path),
                     None => prop_assert!(path.is_root() && parent == wid),
                 }
@@ -527,7 +529,11 @@ fn check_v_is_the_closure(
         // World equality is set equality: a stale or doubled row hides
         // behind it, the row count does not.
         // One probe of `by_wid_key` for the first column alone: the world.
-        let rows = v.index_rows("by_wid_key", &[wid.value()]).unwrap();
+        let rows: Vec<Row> = v
+            .index_lookup("by_wid_key", &[wid.value()])
+            .unwrap()
+            .map(|rid| v.get(rid).unwrap())
+            .collect();
         let stated_here = shadow.iter().filter(|s| s.path == *p).count();
         let expected = match bdms.policy() {
             DefaultPolicy::Eager => spec.len(),

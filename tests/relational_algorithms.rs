@@ -287,10 +287,10 @@ fn depth_and_suffix_relations_match() {
     assert_eq!(d.len(), dir.len());
     assert_eq!(s.len(), dir.len() - 1);
     for (wid, path) in dir.iter() {
-        let drow = d.get_by_key(&wid.value()).unwrap();
+        let drow = d.get(d.rid_by_key(&wid.value()).unwrap()).unwrap();
         assert_eq!(drow[1], Value::Int(path.depth() as i64));
         if !path.is_root() {
-            let srow = s.get_by_key(&wid.value()).unwrap();
+            let srow = s.get(s.rid_by_key(&wid.value()).unwrap()).unwrap();
             let parent = Wid::from_value(&srow[1]).unwrap();
             assert_eq!(parent, dir.dss(&path.drop_first()), "S backlink at {path}");
         }
