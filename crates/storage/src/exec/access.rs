@@ -97,11 +97,14 @@ pub(crate) fn resolve<'t>(table: &'t Table, cols: &[usize], read: Read) -> Optio
     }
     let mut best: Option<((usize, bool), AccessPath<'t>)> = None;
     for (id, name, index_cols) in table.indexes() {
-        let first = index_cols.get(..1).unwrap_or_default();
-        let shapes = [(index_cols, false), (first, index_cols.len() > 1)];
+        // An index covers at least one column (`Index::new`).
+        let shapes = [
+            (index_cols, false),
+            (&index_cols[..1], index_cols.len() > 1),
+        ];
         let Some(&(shape, prefix)) = shapes
             .iter()
-            .find(|(shape, _)| !shape.is_empty() && shape.iter().all(|c| cols.contains(c)))
+            .find(|(shape, _)| shape.iter().all(|c| cols.contains(c)))
         else {
             continue;
         };

@@ -280,32 +280,29 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
             format!("Scan {table} (rows={rows}){exec}")
         }
         Plan::Selection { input, predicate } => {
-            let access = explain_label(db, plan);
+            let access = access_note(db, plan);
             // The filter kernel only runs when no index serves the
             // selection — an access-path hit fetches pre-filtered rows
             // and never evaluates the kernel, so report one or the
             // other, not both.
-            let exec = match &access {
-                Some(_) => exec.clone(),
-                None => {
-                    // A compiled kernel fused directly over a scan runs
-                    // its selection passes on the columnar windows (a
-                    // selection vector over primitive column slices);
-                    // the row-wise interpreter and non-scan inputs see
-                    // row chunks.
-                    let kernel = selection_kernel_label(predicate);
-                    let layout = match (&kernel, input.as_ref()) {
-                        (Some(_), Plan::Scan { .. }) => " layout=columnar",
-                        _ => "",
-                    };
-                    let kernel = kernel.unwrap_or_else(|| "rowwise".to_string());
-                    format!(
-                        "{} [vectorized batch={BATCH_SIZE} kernel={kernel}{layout}]",
-                        exec_note(plan)
-                    )
-                }
+            let exec = if access.is_empty() {
+                // A compiled kernel fused directly over a scan runs its
+                // selection passes on the columnar windows (a selection
+                // vector over primitive column slices); the row-wise
+                // interpreter and non-scan inputs see row chunks.
+                let kernel = selection_kernel_label(predicate);
+                let layout = match (&kernel, input.as_ref()) {
+                    (Some(_), Plan::Scan { .. }) => " layout=columnar",
+                    _ => "",
+                };
+                let kernel = kernel.unwrap_or_else(|| "rowwise".to_string());
+                format!(
+                    "{} [vectorized batch={BATCH_SIZE} kernel={kernel}{layout}]",
+                    exec_note(plan)
+                )
+            } else {
+                exec
             };
-            let access = access.map(|a| format!(" {a}")).unwrap_or_default();
             format!("Select {predicate}{access}{}{exec}", est_note(est))
         }
         Plan::Projection { input: _, exprs } => {
@@ -322,7 +319,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                 .as_ref()
                 .map(|r| format!(" where {r}"))
                 .unwrap_or_default();
-            let probe = probe_note(db, plan);
+            let probe = access_note(db, plan);
             format!("Join{}{res}{probe}{}{exec}", on_note(on), est_note(est))
         }
         Plan::AntiJoin {
@@ -335,7 +332,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                 .as_ref()
                 .map(|r| format!(" where {r}"))
                 .unwrap_or_default();
-            let probe = probe_note(db, plan);
+            let probe = access_note(db, plan);
             format!("AntiJoin{}{res}{probe}{}{exec}", on_note(on), est_note(est))
         }
         Plan::Distinct { .. } => format!("Distinct{}{exec}", est_note(est)),
@@ -360,9 +357,10 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
     }
 }
 
-/// The ` [probe …]` note of a join or anti-join whose right side the
-/// executor probes through the key or an index (empty otherwise).
-fn probe_note(db: &Database, plan: &Plan) -> String {
+/// The ` [access=…]` note of a selection the executor serves through the
+/// key or an index, or the ` [probe …]` note of a join or anti-join whose
+/// right side it probes; empty otherwise.
+fn access_note(db: &Database, plan: &Plan) -> String {
     explain_label(db, plan)
         .map(|label| format!(" {label}"))
         .unwrap_or_default()
