@@ -115,7 +115,7 @@ fn match_user_atoms(
     let pattern = [ua.uid.clone(), ua.name.clone()];
     for u in db.users() {
         let name = db.user_name(u)?;
-        let row = Row::new(vec![u.value(), Value::str(name)]);
+        let row = Row::new([u.value(), Value::str(name)]);
         if let Some(extended) = unify(&pattern, &row, &bindings) {
             match_user_atoms(db, closure, q, grounded, idx + 1, extended, answers)?;
         }

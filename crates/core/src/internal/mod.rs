@@ -278,7 +278,7 @@ impl InternalStore {
         let root = dir.insert(BeliefPath::root());
         debug_assert_eq!(root, Wid::ROOT);
         db.table_mut(D_TABLE)?
-            .insert(Row::new(vec![Wid::ROOT.value(), Value::Int(0)]))?;
+            .insert(Row::new([Wid::ROOT.value(), Value::Int(0)]))?;
 
         Ok(InternalStore {
             db,
@@ -404,7 +404,7 @@ impl InternalStore {
         let id = UserId(self.users.len() as u32 + 1);
         self.db
             .table_mut(U_TABLE)?
-            .insert(Row::new(vec![id.value(), Value::str(&name)]))?;
+            .insert(Row::new([id.value(), Value::str(&name)]))?;
         self.users.push((id, name));
         for wid in self.dir.wids() {
             let path = self.dir.path(wid).clone();
@@ -412,7 +412,7 @@ impl InternalStore {
                 Ok(extended) => self.dir.dss(&extended),
                 Err(_) => continue,
             };
-            self.db.table_mut(E_TABLE)?.insert(Row::new(vec![
+            self.db.table_mut(E_TABLE)?.insert(Row::new([
                 wid.value(),
                 id.value(),
                 target.value(),

@@ -180,13 +180,13 @@ impl InternalStore {
         let x = self.dir.insert(path.clone());
         self.db
             .table_mut(D_TABLE)?
-            .insert(Row::new(vec![x.value(), Value::Int(d as i64)]))?;
+            .insert(Row::new([x.value(), Value::Int(d as i64)]))?;
 
         // (3) redirect the parent's w[d]-edge to x
         {
             let e = self.db.table_mut(E_TABLE)?;
             e.delete_by_index(super::E_BY_SRC_USER, &[parent.value(), last.value()])?;
-            e.insert(Row::new(vec![parent.value(), last.value(), x.value()]))?;
+            e.insert(Row::new([parent.value(), last.value(), x.value()]))?;
         }
 
         // (4) outgoing edges of x: u-edge to dss(w·u) for u ≠ w[d]
@@ -196,11 +196,9 @@ impl InternalStore {
                 continue;
             }
             let target = self.dir.dss(&path.push(u).expect("u ≠ last"));
-            self.db.table_mut(E_TABLE)?.insert(Row::new(vec![
-                x.value(),
-                u.value(),
-                target.value(),
-            ]))?;
+            self.db
+                .table_mut(E_TABLE)?
+                .insert(Row::new([x.value(), u.value(), target.value()]))?;
         }
 
         // (5) redirect w[d]-edges of deeper worlds that should now reach x:
@@ -221,7 +219,7 @@ impl InternalStore {
             if current_depth < d {
                 let e = self.db.table_mut(E_TABLE)?;
                 e.delete_by_index(super::E_BY_SRC_USER, &[y.value(), last.value()])?;
-                e.insert(Row::new(vec![y.value(), last.value(), x.value()]))?;
+                e.insert(Row::new([y.value(), last.value(), x.value()]))?;
             }
         }
 
@@ -232,12 +230,12 @@ impl InternalStore {
         // The directory found both when it registered x.
         let s_parent = self.dir.suffix_parent(x);
         let s = self.db.table_mut(S_TABLE)?;
-        s.insert(Row::new(vec![x.value(), s_parent.value()]))?;
+        s.insert(Row::new([x.value(), s_parent.value()]))?;
         for z in self.dir.children(x) {
             if let Some(rid) = s.rid_by_key(&z.value()) {
                 s.delete(rid)?;
             }
-            s.insert(Row::new(vec![z.value(), x.value()]))?;
+            s.insert(Row::new([z.value(), x.value()]))?;
         }
 
         // (7) copy the suffix parent's tuples into x as implicit beliefs —

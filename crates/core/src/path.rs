@@ -9,19 +9,64 @@
 //! the *deepest suffix state*), and the `drop_first` operation `w ↦ w[2,d]`
 //! along which implicit beliefs flow (user `i` prefixes statements of world
 //! `w` into world `i·w`).
+//!
+//! A path is cloned into every statement, world and answer that mentions
+//! it, so a path of up to five users is stored inline and costs no
+//! allocation, to build or to clone; a longer one spills to a boxed slice.
+//! Either way a path compares, hashes and prints as its slice of users.
 
 use crate::error::{BeliefError, Result};
 use crate::ids::UserId;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A validated belief path in `Û*`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct BeliefPath(Vec<UserId>);
+/// The longest path kept inline.
+const INLINE: usize = 5;
+
+/// A validated belief path in `Û*`. `Eq`, `Ord`, `Hash` and `Debug` are
+/// those of its slice of users ([`BeliefPath::users`]).
+#[derive(Clone)]
+pub struct BeliefPath(Repr);
+
+/// The users of a path: inline up to `INLINE` of them (the first `len`
+/// slots are the path), else on the heap. A path of at most `INLINE` users
+/// is always inline.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, users: [UserId; INLINE] },
+    Spilled(Box<[UserId]>),
+}
+
+// Three words — a tag, a length and five users, or a tag and a boxed slice —
+// so a statement or a world's key is no larger than with a `Vec`.
+const _: () = assert!(std::mem::size_of::<BeliefPath>() == 24);
 
 impl BeliefPath {
+    /// The path `a · b`, which must not repeat a user in adjacent
+    /// positions; inline when it fits.
+    fn joined(a: &[UserId], b: &[UserId]) -> Self {
+        let len = a.len() + b.len();
+        if len <= INLINE {
+            let mut users = [UserId(0); INLINE];
+            users[..a.len()].copy_from_slice(a);
+            users[a.len()..len].copy_from_slice(b);
+            BeliefPath(Repr::Inline {
+                len: len as u8,
+                users,
+            })
+        } else {
+            BeliefPath(Repr::Spilled(a.iter().chain(b).copied().collect()))
+        }
+    }
+
+    fn from_users(users: &[UserId]) -> Self {
+        BeliefPath::joined(users, &[])
+    }
+
     /// The empty path `ε` (the database-content world).
     pub fn root() -> Self {
-        BeliefPath(Vec::new())
+        BeliefPath::from_users(&[])
     }
 
     /// Build a path, validating the adjacent-distinctness invariant.
@@ -35,79 +80,85 @@ impl BeliefPath {
                 )));
             }
         }
-        Ok(BeliefPath(users))
+        Ok(BeliefPath::from_users(&users))
     }
 
     /// Single-user path.
     pub fn user(u: UserId) -> Self {
-        BeliefPath(vec![u])
+        BeliefPath::from_users(&[u])
     }
 
     /// Depth `d = |w|` (the paper's nesting depth).
     pub fn depth(&self) -> usize {
-        self.0.len()
+        self.users().len()
     }
 
     pub fn is_root(&self) -> bool {
-        self.0.is_empty()
+        self.users().is_empty()
     }
 
     pub fn users(&self) -> &[UserId] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, users } => &users[..*len as usize],
+            Repr::Spilled(users) => users,
+        }
     }
 
     /// First user `w[1]`, if any.
     pub fn first(&self) -> Option<UserId> {
-        self.0.first().copied()
+        self.users().first().copied()
     }
 
     /// Last user `w[d]`, if any.
     pub fn last(&self) -> Option<UserId> {
-        self.0.last().copied()
+        self.users().last().copied()
     }
 
     /// Prefix `w[1,len]`.
     pub fn prefix(&self, len: usize) -> BeliefPath {
-        BeliefPath(self.0[..len.min(self.0.len())].to_vec())
+        let users = self.users();
+        BeliefPath::from_users(&users[..len.min(users.len())])
     }
 
     /// The suffix `w[2,d]` (drop the first user). Implicit beliefs at `w`
     /// are inherited from the world at `w[2,d]` (Def. 9: `iϕ` lands in
     /// world `i·v` when `ϕ` is in world `v`).
     pub fn drop_first(&self) -> BeliefPath {
-        BeliefPath(self.0.get(1..).unwrap_or(&[]).to_vec())
+        BeliefPath::from_users(self.users().get(1..).unwrap_or(&[]))
     }
 
     /// The suffix `w[p,d]` using the paper's 1-based indexing (`p = 1` is
     /// the whole path; `p = d+1` is `ε`).
     pub fn suffix_from(&self, p: usize) -> BeliefPath {
-        let start = p.saturating_sub(1).min(self.0.len());
-        BeliefPath(self.0[start..].to_vec())
+        let users = self.users();
+        BeliefPath::from_users(&users[p.saturating_sub(1).min(users.len())..])
     }
 
     /// All suffixes from longest (the path itself) to shortest (`ε`).
     pub fn suffixes(&self) -> impl Iterator<Item = BeliefPath> + '_ {
-        (0..=self.0.len()).map(move |i| BeliefPath(self.0[i..].to_vec()))
+        let users = self.users();
+        (0..=users.len()).map(move |i| BeliefPath::from_users(&users[i..]))
     }
 
     /// All proper prefixes plus the path itself, from `ε` to `w`.
     pub fn prefixes(&self) -> impl Iterator<Item = BeliefPath> + '_ {
-        (0..=self.0.len()).map(move |i| BeliefPath(self.0[..i].to_vec()))
+        let users = self.users();
+        (0..=users.len()).map(move |i| BeliefPath::from_users(&users[..i]))
     }
 
     /// True iff `self` is a suffix of `other`.
     pub fn is_suffix_of(&self, other: &BeliefPath) -> bool {
-        other.0.ends_with(&self.0)
+        other.users().ends_with(self.users())
     }
 
     /// True iff `self` is a *proper* suffix of `other`.
     pub fn is_proper_suffix_of(&self, other: &BeliefPath) -> bool {
-        self.0.len() < other.0.len() && self.is_suffix_of(other)
+        self.depth() < other.depth() && self.is_suffix_of(other)
     }
 
     /// True iff `self` is a prefix of `other`.
     pub fn is_prefix_of(&self, other: &BeliefPath) -> bool {
-        other.0.starts_with(&self.0)
+        other.users().starts_with(self.users())
     }
 
     /// Append a user: `w · i`. Fails if `i` equals the last user.
@@ -117,9 +168,7 @@ impl BeliefPath {
                 "cannot extend path {self} with user {u}: adjacent repetition"
             )));
         }
-        let mut v = self.0.clone();
-        v.push(u);
-        Ok(BeliefPath(v))
+        Ok(BeliefPath::joined(self.users(), &[u]))
     }
 
     /// Prepend a user: `i · w` (the default-rule direction of Def. 9).
@@ -130,10 +179,7 @@ impl BeliefPath {
                 "cannot prepend user {u} to path {self}: adjacent repetition"
             )));
         }
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.push(u);
-        v.extend_from_slice(&self.0);
-        Ok(BeliefPath(v))
+        Ok(BeliefPath::joined(&[u], self.users()))
     }
 
     /// Can `w · i` be formed (i.e. `i ≠ last(w)`)?
@@ -142,12 +188,50 @@ impl BeliefPath {
     }
 }
 
+impl Default for BeliefPath {
+    fn default() -> Self {
+        BeliefPath::root()
+    }
+}
+
+impl PartialEq for BeliefPath {
+    fn eq(&self, other: &Self) -> bool {
+        self.users() == other.users()
+    }
+}
+
+impl Eq for BeliefPath {}
+
+impl PartialOrd for BeliefPath {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for BeliefPath {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.users().cmp(other.users())
+    }
+}
+
+impl Hash for BeliefPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.users().hash(state)
+    }
+}
+
+impl fmt::Debug for BeliefPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("BeliefPath").field(&self.users()).finish()
+    }
+}
+
 impl fmt::Display for BeliefPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_empty() {
+        if self.is_root() {
             return write!(f, "ε");
         }
-        for (i, u) in self.0.iter().enumerate() {
+        for (i, u) in self.users().iter().enumerate() {
             if i > 0 {
                 write!(f, "·")?;
             }

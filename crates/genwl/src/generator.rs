@@ -144,7 +144,7 @@ impl CandidateStream {
         let species_idx = self.rng.gen_range(0..self.species_pool);
         let reporter = self.sampler.sample(&mut self.rng);
         let location_idx = key_idx % 17;
-        let row = Row::new(vec![
+        let row = Row::new([
             Value::str(format!("s{key_idx}")),
             Value::str(format!("u{reporter}")),
             Value::str(format!("species{species_idx}")),

@@ -387,13 +387,14 @@ impl<'a> IndexAccess<'a> {
     /// the left row and the heap cells.
     pub(crate) fn probe(&self, lrow: &Row, out: &mut Vec<Row>) -> Result<()> {
         let arity = self.table.schema().arity();
+        let left = lrow.arity();
         self.each_match(lrow, |rid| {
-            let mut vals = Vec::with_capacity(lrow.arity() + arity);
-            vals.extend_from_slice(lrow.values());
-            for c in 0..arity {
-                vals.push(self.table.cell(rid, c)?.to_value());
-            }
-            out.push(Row::from(vals));
+            out.push(Row::try_from_fn(left + arity, |i| {
+                match i.checked_sub(left) {
+                    None => Ok(lrow[i].clone()),
+                    Some(c) => self.table.cell(rid, c).map(|cell| cell.to_value()),
+                }
+            })?);
             Ok(true)
         })
     }

@@ -92,11 +92,7 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
             let rows = run(db, input)?;
             let mut out = Vec::with_capacity(rows.len());
             for r in rows {
-                let mut vals = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    vals.push(e.eval(&r)?);
-                }
-                out.push(Row::new(vals));
+                out.push(Row::try_from_fn(exprs.len(), |i| exprs[i].eval(&r))?);
             }
             Ok(out)
         }

@@ -289,7 +289,7 @@ impl Chunk {
                 let mut rows = rows;
                 let mut out = pool::take_rows(sel.len());
                 for &i in &sel {
-                    out.push(std::mem::replace(&mut rows[i as usize], Row::new(vec![])));
+                    out.push(std::mem::replace(&mut rows[i as usize], Row::empty()));
                 }
                 pool::give_sel(sel);
                 pool::give_rows(rows);
@@ -327,7 +327,7 @@ impl Chunk {
                 Some(sel) => {
                     out.reserve(sel.len());
                     for &i in &sel {
-                        out.push(std::mem::replace(&mut rows[i as usize], Row::new(vec![])));
+                        out.push(std::mem::replace(&mut rows[i as usize], Row::empty()));
                     }
                     pool::give_sel(sel);
                     rows.clear();
@@ -410,7 +410,7 @@ impl Chunk {
     /// materialize the row — the window is immutable shared storage).
     fn take_row(&mut self, i: u32) -> Row {
         match &mut self.repr {
-            Repr::Rows(rows) => std::mem::replace(&mut rows[i as usize], Row::new(vec![])),
+            Repr::Rows(rows) => std::mem::replace(&mut rows[i as usize], Row::empty()),
             Repr::Cols(w) => w.cols.row_at(w.start + i as usize),
         }
     }
@@ -434,12 +434,8 @@ impl Chunk {
             Repr::Rows(rows) => rows[i as usize].concat(right),
             Repr::Cols(w) => {
                 let at = w.start + i as usize;
-                let mut vals = Vec::with_capacity(w.cols.arity() + right.arity());
-                for c in 0..w.cols.arity() {
-                    vals.push(w.cols.value_at(c, at));
-                }
-                vals.extend_from_slice(right.values());
-                Row::new(vals)
+                let left = (0..w.cols.arity()).map(|c| w.cols.value_at(c, at));
+                Row::new(left.chain(right.values().iter().cloned()))
             }
         }
     }
@@ -1003,11 +999,7 @@ fn open_node<'a>(
                 Box::new(ProjectChunks { input, proj })
             } else {
                 map_chunks(input, batch.effective, move |row, out| {
-                    let mut vals = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        vals.push(e.eval(row)?);
-                    }
-                    out.push(Row::new(vals));
+                    out.push(Row::try_from_fn(exprs.len(), |i| exprs[i].eval(row))?);
                     Ok(())
                 })
             }
@@ -1645,6 +1637,7 @@ fn open_join<'a>(
             }
             // Too many left rows: replay the buffer in front of the
             // rest of the stream and hash-join instead.
+            metrics().incr(Metric::JoinFallbacks);
             let probe: BoxChunkIter<'a> =
                 Box::new(chunked_owned(buf, batch.effective).chain(left_stream));
             return hash_join(db, probe, right, on, residual, batch, spill, obs);

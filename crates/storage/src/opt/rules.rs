@@ -736,10 +736,8 @@ pub fn fuse_projections(plan: Plan) -> Plan {
                 // Evaluate eagerly when every expression evaluates cleanly.
                 let mut out = Vec::with_capacity(rows.len());
                 for r in &rows {
-                    let vals: std::result::Result<Vec<Value>, _> =
-                        exprs.iter().map(|e| e.eval(r)).collect();
-                    match vals {
-                        Ok(vals) => out.push(Row::new(vals)),
+                    match Row::try_from_fn(exprs.len(), |i| exprs[i].eval(r)) {
+                        Ok(row) => out.push(row),
                         Err(_) => {
                             return Plan::Projection {
                                 input: Box::new(Plan::Values { arity, rows }),

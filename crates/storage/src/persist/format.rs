@@ -461,11 +461,7 @@ impl<'a> Dec<'a> {
         // Each value costs at least its tag byte, so `take_len` has checked
         // that the payload holds `n` more values before this allocates.
         let n = self.take_len()?;
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            vals.push(self.take_value()?);
-        }
-        Ok(Row::new(vals))
+        Row::try_from_fn(n, |_| self.take_value())
     }
 
     /// `n` codes of `width` bits as [`Enc::put_packed`] wrote them. A width

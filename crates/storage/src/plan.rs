@@ -156,7 +156,7 @@ impl Plan {
     pub fn unit() -> Plan {
         Plan::Values {
             arity: 0,
-            rows: vec![Row::new(vec![])],
+            rows: vec![Row::empty()],
         }
     }
 

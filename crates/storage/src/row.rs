@@ -3,21 +3,66 @@
 //! A [`Row`] is what goes into and comes out of the engine: the argument of
 //! `Table::insert`, the rows of a query result, what `Table::get` or
 //! `Table::iter` materialize. A table does not keep `Row`s — its cells live
-//! in the column heap (`crate::heap`) — so a row read from a table is an
-//! owned copy, built at the API edge.
+//! in the column heap (`crate::heap`) — so a row read from a table is built
+//! at the API edge, once.
+//!
+//! Once built a row is immutable and *shared*: its values sit in one
+//! reference-counted slice, so cloning a row (into a plan cache's answer, a
+//! `Values` leaf, a belief world or an exported statement) bumps a count
+//! and allocates nothing. Building a row costs one allocation — the
+//! constructors collect straight into the shared slice — and moving one
+//! costs none.
 
 use crate::error::{Result, StorageError};
 use crate::value::{Cell, Value};
 use std::fmt;
+use std::sync::Arc;
 
-/// An immutable tuple of [`Value`]s: a boxed slice, two words plus payload.
+/// An immutable, shared tuple of [`Value`]s: a reference-counted slice, two
+/// words plus one allocation holding the counts and the values. `Eq`,
+/// `Ord`, `Hash` and `Debug` are those of the slice.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Row(Box<[Value]>);
+pub struct Row(Arc<[Value]>);
+
+// A row is a fat pointer and a value three words; a layout change would
+// silently grow every chunk buffer, answer and belief world.
+const _: () = assert!(std::mem::size_of::<Row>() == 16);
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Row {
-    /// Build a row from any iterable of values.
+    /// Build a row from any iterable of values. An iterator of known
+    /// length (a `Vec`, an array, a mapped slice or range) is collected
+    /// straight into the row's one allocation.
     pub fn new(values: impl IntoIterator<Item = Value>) -> Self {
         Row(values.into_iter().collect())
+    }
+
+    /// A row of `n` values, the `i`-th computed by `value(i)`, in one
+    /// allocation; the first error stops the calls and is returned.
+    pub(crate) fn try_from_fn<E>(
+        n: usize,
+        mut value: impl FnMut(usize) -> std::result::Result<Value, E>,
+    ) -> std::result::Result<Row, E> {
+        let mut failed = None;
+        let row = Row::new((0..n).map(|i| {
+            if failed.is_some() {
+                return Value::Null;
+            }
+            value(i).unwrap_or_else(|e| {
+                failed = Some(e);
+                Value::Null
+            })
+        }));
+        match failed {
+            None => Ok(row),
+            Some(e) => Err(e),
+        }
+    }
+
+    /// The empty row, without an allocation: the placeholder a row moved
+    /// out of a buffer leaves behind.
+    pub(crate) fn empty() -> Row {
+        Row(Arc::default())
     }
 
     /// Number of columns.
@@ -43,18 +88,14 @@ impl Row {
         self.0.iter().map(Value::as_cell).collect()
     }
 
-    /// Take the values out of the row.
+    /// The values as an owned vector (a copy: the row may be shared).
     pub fn into_values(self) -> Vec<Value> {
-        self.0.into_vec()
+        self.0.to_vec()
     }
 
     /// Build a new row keeping only the columns at `indices`, in order.
     pub fn project(&self, indices: &[usize]) -> Result<Row> {
-        let mut out = Vec::with_capacity(indices.len());
-        for &i in indices {
-            out.push(self.get(i)?.clone());
-        }
-        Ok(Row::new(out))
+        Row::try_from_fn(indices.len(), |k| self.get(indices[k]).cloned())
     }
 
     /// [`Row::project`] without the per-column range check. Callers must
@@ -65,15 +106,12 @@ impl Row {
     /// # Panics
     /// Panics if any index is out of range.
     pub fn project_unchecked(&self, indices: &[usize]) -> Row {
-        Row(indices.iter().map(|&i| self.0[i].clone()).collect())
+        Row::new(indices.iter().map(|&i| self.0[i].clone()))
     }
 
     /// Concatenate two rows (used by join operators).
     pub fn concat(&self, other: &Row) -> Row {
-        let mut out = Vec::with_capacity(self.arity() + other.arity());
-        out.extend_from_slice(&self.0);
-        out.extend_from_slice(&other.0);
-        Row::new(out)
+        Row::new(self.0.iter().chain(other.0.iter()).cloned())
     }
 
     /// Extract the sub-row `[at..]` — the complement of a prefix.
@@ -97,7 +135,7 @@ impl fmt::Display for Row {
 
 impl From<Vec<Value>> for Row {
     fn from(v: Vec<Value>) -> Self {
-        Row(v.into_boxed_slice())
+        Row(v.into())
     }
 }
 
@@ -165,7 +203,7 @@ impl Projector {
 #[macro_export]
 macro_rules! row {
     ($($v:expr),* $(,)?) => {
-        $crate::Row::new(vec![$($crate::Value::from($v)),*])
+        $crate::Row::new([$($crate::Value::from($v)),*])
     };
 }
 

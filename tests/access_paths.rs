@@ -11,6 +11,7 @@
 //!   included;
 //! * the rows equal the reference executor's, which scans and hash-joins.
 
+use beliefdb::storage::obs::metrics_table;
 use beliefdb::storage::opt::render_with_snapshot;
 use beliefdb::storage::{
     execute, execute_materialized, row, Database, Expr, Plan, Row, TableSchema, Value,
@@ -204,4 +205,52 @@ fn a_seventh_pinned_column_still_finds_its_index() {
     assert_eq!(ran.as_deref(), Some("index"));
     assert_eq!(rows.len(), 16);
     assert_eq!(rows, execute_materialized(&db, &plan).unwrap());
+}
+
+/// `exec.join_fallbacks` in `sys.metrics`.
+fn join_fallbacks(db: &Database) -> i64 {
+    let rows = execute(db, &Plan::scan("sys.metrics")).unwrap();
+    let row = rows
+        .iter()
+        .find(|r| r[0] == Value::str("exec.join_fallbacks"))
+        .expect("sys.metrics lists exec.join_fallbacks");
+    row[1].as_int().unwrap()
+}
+
+/// An index-nested-loop join probes for at most `|table|/4` left rows: a
+/// join of the 240-row `T(k, b)` on its index over `b` probes for 10
+/// `Values` rows, and for 70 it replays them into a hash join and counts
+/// one `exec.join_fallbacks`. No other test of this binary buffers more
+/// than four left rows, so the process-wide counter moves only here.
+#[test]
+fn a_join_past_a_quarter_of_its_table_falls_back_and_counts_it() {
+    let mut db = Database::new();
+    db.register_virtual(metrics_table());
+    let t = db
+        .create_table(TableSchema::with_key("T", &["k", "b"]))
+        .unwrap();
+    t.create_index("i_b", &["b"]).unwrap();
+    for k in 0..240i64 {
+        t.insert(row![k, k % 60]).unwrap();
+    }
+    for (left, fallbacks) in [(10i64, 0), (70, 1)] {
+        let values = Plan::Values {
+            arity: 1,
+            rows: (0..left).map(|b| row![b]).collect(),
+        };
+        let plan = values.join(Plan::scan("T"), vec![(0, 1)]);
+        assert_eq!(explained(&db, &plan).as_deref(), Some("i_b"));
+        let before = join_fallbacks(&db);
+        let probing = if fallbacks == 0 { left as u64 } else { 0 };
+        let (rows, ran) = executed(&db, &plan, probing);
+        assert_eq!(join_fallbacks(&db) - before, fallbacks, "{left} left rows");
+        let want = if fallbacks == 0 { Some("index") } else { None };
+        assert_eq!(ran.as_deref(), want, "{left} left rows");
+        let mut expect = execute_materialized(&db, &plan).unwrap();
+        let mut got = rows;
+        expect.sort();
+        got.sort();
+        assert_eq!(got, expect);
+        assert_eq!(got.len(), 4 * left.min(60) as usize);
+    }
 }

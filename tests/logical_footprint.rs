@@ -3,31 +3,48 @@
 //! (`Bdms::query_naive`) that answers over its closure — the oracle the
 //! differential tests and beliefbench's checks run after every step.
 //!
+//! A clone of a `Row`, a `GroundTuple`, a `BeliefPath` of up to five users
+//! or a `BeliefStatement` must allocate nothing: rows are shared slices and
+//! short paths are inline, so a tuple that many statements, worlds and
+//! answers mention is held once.
+//!
 //! On the `Lazy` Table 2 store at n = 2,000 (seed 7) this test bounds
 //!
 //! * the live bytes the exported belief database holds per explicit
-//!   statement, and
+//!   statement,
+//! * the live bytes `BeliefDatabase::statements()` adds per statement on
+//!   top of the export, and
 //! * the peak bytes `query_naive` allocates on top of the store for q3
 //!   (the export, the entailed worlds of its closure and the answers).
 //!
 //! With a belief world kept as a map of one `BTreeSet` of rows per
 //! `(relation, key)` the export held 500 B per statement and q3's oracle
 //! peaked at 1,767 KB above the store; with the world as two ordered sets
-//! of tuples, 213 B and 720 KB (each budget is that + 15 %).
+//! of tuples, 213 B and 720 KB. With boxed rows and paths `statements()`
+//! copied every tuple and path (182 B a statement); with shared rows and
+//! inline paths it holds 56 B a statement (the statement itself), the
+//! export 227 B (a row's reference counts cost 16 B) and q3's oracle peaks
+//! at 525 KB. The budgets are the last figures + 15 %, except the export's,
+//! which stays 245 B.
 //!
 //! Measured with a counting global allocator (the whole binary holds
 //! exactly one `#[test]`, so no other thread skews the counters).
 
-use beliefdb::core::DefaultPolicy;
+use beliefdb::core::path::path;
+use beliefdb::core::{BeliefStatement, DefaultPolicy, GroundTuple, RelId};
 use beliefdb::gen::generate_bdms_with_policy;
 use beliefdb::gen::scenarios::table2_config;
+use beliefdb::storage::row;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 struct CountingBytes;
 
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 static PEAK: AtomicIsize = AtomicIsize::new(0);
+/// Bytes ever requested, frees not subtracted.
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 
 fn grow(by: isize) {
     let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
@@ -39,6 +56,7 @@ unsafe impl GlobalAlloc for CountingBytes {
         let p = System.alloc(layout);
         if !p.is_null() {
             grow(layout.size() as isize);
+            ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
         }
         p
     }
@@ -47,6 +65,7 @@ unsafe impl GlobalAlloc for CountingBytes {
         let q = System.realloc(p, layout, new_size);
         if !q.is_null() {
             grow(new_size as isize - layout.size() as isize);
+            ALLOCATED.fetch_add(new_size, Ordering::Relaxed);
         }
         q
     }
@@ -63,11 +82,44 @@ static ALLOCATOR: CountingBytes = CountingBytes;
 /// Upper bound on live bytes per explicit statement of the exported
 /// belief database.
 const MAX_EXPORT_BYTES_PER_STATEMENT: f64 = 245.0;
+/// Upper bound on the live bytes `statements()` adds per statement.
+const MAX_LISTED_BYTES_PER_STATEMENT: f64 = 64.0;
 /// Upper bound on the peak bytes of `query_naive` on q3 above the store.
-const MAX_ORACLE_PEAK_KB: f64 = 828.0;
+const MAX_ORACLE_PEAK_KB: f64 = 604.0;
+
+/// The bytes `f` allocates, whatever it frees.
+fn allocated_by(f: impl FnOnce()) -> usize {
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    f();
+    ALLOCATED.load(Ordering::Relaxed) - before
+}
 
 #[test]
 fn the_logical_export_and_the_oracle_stay_under_budget() {
+    let tuple = GroundTuple::new(RelId(0), row!["s1", "Carol", "crow", 614]);
+    let row = tuple.row.clone();
+    assert_eq!(allocated_by(|| drop(black_box(row.clone()))), 0, "Row");
+    assert_eq!(
+        allocated_by(|| drop(black_box(tuple.clone()))),
+        0,
+        "GroundTuple"
+    );
+    let mut users = vec![];
+    for u in [1, 2, 1, 3, 2] {
+        let w = path(&users);
+        assert_eq!(allocated_by(|| drop(black_box(w.clone()))), 0, "path {w}");
+        users.push(u);
+    }
+    let w = path(&users);
+    assert_eq!(allocated_by(|| drop(black_box(w.clone()))), 0, "path {w}");
+    let stmt = BeliefStatement::negative(w, tuple);
+    assert_eq!(
+        allocated_by(|| drop(black_box(stmt.clone()))),
+        0,
+        "BeliefStatement"
+    );
+    println!("clones: 0 B for a Row, a GroundTuple, a 0-5 user BeliefPath and a BeliefStatement");
+
     let (bdms, _) =
         generate_bdms_with_policy(&table2_config(2_000, 7), DefaultPolicy::Lazy).unwrap();
     let (_, q3) = beliefdb_bench::table2_queries(&bdms)
@@ -84,10 +136,20 @@ fn the_logical_export_and_the_oracle_stay_under_budget() {
         statements >= 2_000,
         "not the Table 2 store: {statements} statements"
     );
-    drop(logical);
     let per_statement = held / statements as f64;
     println!(
         "export: {held} B live for {statements} statements: {per_statement:.0} B per statement"
+    );
+    let before = LIVE.load(Ordering::Relaxed);
+    let listed = logical.statements();
+    let listed_bytes = (LIVE.load(Ordering::Relaxed) - before) as f64;
+    assert_eq!(listed.len(), statements);
+    drop(listed);
+    drop(logical);
+    let listed_per_statement = listed_bytes / statements as f64;
+    println!(
+        "statements(): {listed_bytes} B live on top of the export: \
+         {listed_per_statement:.0} B per statement"
     );
 
     let base = LIVE.load(Ordering::Relaxed);
@@ -107,6 +169,11 @@ fn the_logical_export_and_the_oracle_stay_under_budget() {
     assert!(
         per_statement <= MAX_EXPORT_BYTES_PER_STATEMENT,
         "{per_statement:.0} B per exported statement, budget {MAX_EXPORT_BYTES_PER_STATEMENT} B"
+    );
+    assert!(
+        listed_per_statement <= MAX_LISTED_BYTES_PER_STATEMENT,
+        "statements() holds {listed_per_statement:.0} B per statement, \
+         budget {MAX_LISTED_BYTES_PER_STATEMENT} B"
     );
     assert!(
         peak_kb <= MAX_ORACLE_PEAK_KB,

@@ -16,15 +16,18 @@
 //!   an update leaves what `delete` followed by `insert` leaves, under both;
 //! * a `BeliefWorld` answers every query as a plain list of signed tuples
 //!   does, under any add/remove sequence, and `override_with` is Fig. 9's
-//!   overriding union.
+//!   overriding union;
+//! * a `BeliefPath`, inline (up to five users) or spilled, orders, hashes,
+//!   prints and composes exactly as its `Vec<UserId>` of users does.
 
 use beliefdb::core::closure::Closure;
 use beliefdb::core::{
     Bdms, BeliefDatabase, BeliefPath, BeliefStatement, BeliefWorld, CanonicalKripke, DefaultPolicy,
     ExternalSchema, GroundTuple, RelId, Sign, UserId,
 };
-use beliefdb::storage::{row, Row, Value};
+use beliefdb::storage::{row, CellHash, Row, Value};
 use proptest::prelude::*;
+use std::hash::BuildHasher;
 
 const MAX_USERS: u32 = 4;
 
@@ -1041,5 +1044,139 @@ proptest! {
         check_world_against_model(&parent, &parent_model)?;
         let merged = child.override_with(&parent);
         check_world_against_model(&merged, &child_model.override_with(&parent_model))?;
+    }
+}
+
+/// A path of 0–8 users out of four, never the same user twice in a row:
+/// a first user and then steps of 1–3 around the four.
+fn arb_users() -> impl Strategy<Value = Vec<UserId>> {
+    (
+        1..=MAX_USERS,
+        proptest::collection::vec(1..MAX_USERS, 0..=7),
+        0..=1u8,
+    )
+        .prop_map(|(first, steps, empty)| {
+            if empty == 0 && steps.is_empty() {
+                return vec![];
+            }
+            let mut users = vec![UserId(first)];
+            for step in steps {
+                let last = users.last().unwrap().0;
+                users.push(UserId((last - 1 + step) % MAX_USERS + 1));
+            }
+            users
+        })
+}
+
+mod model {
+    /// A path as a plain vector, with the `Debug` the compiler derives
+    /// (which is all that reads its field).
+    #[derive(Debug)]
+    pub struct BeliefPath(#[allow(dead_code)] pub Vec<beliefdb::core::UserId>);
+}
+
+/// The model of a path's `Display`.
+fn shown(users: &[UserId]) -> String {
+    if users.is_empty() {
+        return "ε".into();
+    }
+    let users: Vec<String> = users.iter().map(|u| u.to_string()).collect();
+    users.join("·")
+}
+
+/// The path of `users` and `users` agree on everything a path answers
+/// alone.
+fn check_path_against_model(w: &BeliefPath, users: &[UserId]) -> Result<(), TestCaseError> {
+    let hash = CellHash::default();
+    prop_assert_eq!(w.users(), users);
+    prop_assert_eq!(w.depth(), users.len());
+    prop_assert_eq!(w.is_root(), users.is_empty());
+    prop_assert_eq!(w.first(), users.first().copied());
+    prop_assert_eq!(w.last(), users.last().copied());
+    prop_assert_eq!(hash.hash_one(w), hash.hash_one(users.to_vec()));
+    prop_assert_eq!(w.to_string(), shown(users));
+    let derived = model::BeliefPath(users.to_vec());
+    prop_assert_eq!(format!("{w:?}"), format!("{derived:?}"));
+    prop_assert_eq!(format!("{w:#?}"), format!("{derived:#?}"));
+    prop_assert_eq!(
+        w.drop_first().users().to_vec(),
+        users.get(1..).unwrap_or(&[])
+    );
+    let prefixes: Vec<Vec<UserId>> = w.prefixes().map(|p| p.users().to_vec()).collect();
+    let want: Vec<Vec<UserId>> = (0..=users.len()).map(|i| users[..i].to_vec()).collect();
+    prop_assert_eq!(prefixes, want);
+    let suffixes: Vec<Vec<UserId>> = w.suffixes().map(|p| p.users().to_vec()).collect();
+    let want: Vec<Vec<UserId>> = (0..=users.len()).map(|i| users[i..].to_vec()).collect();
+    prop_assert_eq!(suffixes, want);
+    for len in 0..=users.len() + 1 {
+        prop_assert_eq!(
+            w.prefix(len).users().to_vec(),
+            &users[..len.min(users.len())]
+        );
+        let from = len.saturating_sub(1).min(users.len());
+        prop_assert_eq!(w.suffix_from(len).users().to_vec(), &users[from..]);
+    }
+    for u in (1..=MAX_USERS).map(UserId) {
+        let pushed = w.push(u).ok().map(|p| p.users().to_vec());
+        let want = (users.last() != Some(&u)).then(|| [users, &[u]].concat());
+        prop_assert_eq!(pushed, want);
+        prop_assert_eq!(w.can_push(u), users.last() != Some(&u));
+        let prepended = w.prepend(u).ok().map(|p| p.users().to_vec());
+        let want = (users.first() != Some(&u)).then(|| [&[u], users].concat());
+        prop_assert_eq!(prepended, want);
+    }
+    Ok(())
+}
+
+/// Two paths and their users agree on every comparison between them.
+fn check_pair_against_model(
+    a: &BeliefPath,
+    ua: &[UserId],
+    b: &BeliefPath,
+    ub: &[UserId],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.cmp(b), ua.cmp(ub));
+    prop_assert_eq!(a.partial_cmp(b), ua.partial_cmp(ub));
+    prop_assert_eq!(a == b, ua == ub);
+    prop_assert_eq!(a.is_prefix_of(b), ub.starts_with(ua));
+    prop_assert_eq!(a.is_suffix_of(b), ub.ends_with(ua));
+    prop_assert_eq!(
+        a.is_proper_suffix_of(b),
+        ua.len() < ub.len() && ub.ends_with(ua)
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A `BeliefPath` of 0–8 users — inline up to five, spilled beyond —
+    /// behaves as its `Vec<UserId>`: validation, ordering, equality,
+    /// `CellHash` hashes, `Display` and `Debug`, and the path algebra.
+    #[test]
+    fn belief_path_matches_a_vec_model(
+        raw in proptest::collection::vec(1..=MAX_USERS, 0..=8),
+        ua in arb_users(),
+        ub in arb_users(),
+    ) {
+        let raw: Vec<UserId> = raw.into_iter().map(UserId).collect();
+        let repeats = raw.windows(2).any(|p| p[0] == p[1]);
+        prop_assert_eq!(BeliefPath::new(raw.clone()).is_err(), repeats);
+        let a = BeliefPath::new(ua.clone()).unwrap();
+        let b = BeliefPath::new(ub.clone()).unwrap();
+        check_path_against_model(&a, &ua)?;
+        check_path_against_model(&b, &ub)?;
+        check_pair_against_model(&a, &ua, &b, &ub)?;
+        check_pair_against_model(&b, &ub, &a, &ua)?;
+        // Against its own prefixes and suffixes, where equality, prefix
+        // and suffix relations hold and lengths cross the inline bound.
+        for (p, q) in a.prefixes().zip(a.suffixes()) {
+            check_pair_against_model(&p, p.users(), &a, &ua)?;
+            check_pair_against_model(&a, &ua, &q, q.users())?;
+            check_pair_against_model(&q, q.users(), &b, &ub)?;
+        }
+        let copy = BeliefPath::new(ua.clone()).unwrap();
+        check_pair_against_model(&a, &ua, &copy, &ua)?;
+        prop_assert_eq!(CellHash::default().hash_one(&a), CellHash::default().hash_one(&copy));
     }
 }
