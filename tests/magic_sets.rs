@@ -7,6 +7,10 @@
 //! the same invalid queries
 //! with the same errors. The rewrite only prunes *irrelevant* derivations;
 //! any answer-row difference is a soundness bug.
+//!
+//! The metrics registry is process-global, so every test here holds
+//! `METRICS` while it runs: the deltas of `exec.rows_emitted` are then
+//! exact.
 
 use beliefdb::core::bcq::translate::{self, Answer, EvalOptions, TranslatedQuery};
 use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
@@ -14,9 +18,12 @@ use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::datalog::{Evaluator, Program};
 use beliefdb::storage::opt::magic;
-use beliefdb::storage::{CmpOp, Recorder, Row};
+use beliefdb::storage::{metrics, CmpOp, Metric, Recorder, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
+
+static METRICS: Mutex<()> = Mutex::new(());
 
 const USERS: u32 = 3;
 const ARITY: usize = 5;
@@ -164,6 +171,7 @@ fn run_program(bdms: &Bdms, program: &Program, answer: &str, voice: Voice) -> Ve
 
 #[test]
 fn rewritten_matches_unrewritten_across_executors_and_budgets() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     // Arm the verifier: every rewritten program passes the magic-guard
     // check and every compiled plan is invariant-checked per pass.
     beliefdb::storage::sema::set_verify(true);
@@ -249,6 +257,7 @@ fn rewritten_matches_unrewritten_across_executors_and_budgets() {
 
 #[test]
 fn bdms_toggle_agrees_on_fuzzed_queries() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     let mut bdms = workload();
     let mut rng = StdRng::seed_from_u64(0xB0B5);
     let mut checked = 0usize;
@@ -326,13 +335,9 @@ fn q3_forms(bdms: &Bdms) -> Vec<(String, Bcq, &'static str)> {
     forms
 }
 
-/// `sys.tables`' `rows_read`, summed over the store's tables.
-fn rows_read(bdms: &Bdms) -> u64 {
-    let db = bdms.storage();
-    db.table_names()
-        .into_iter()
-        .map(|name| db.table(name).unwrap().access().snapshot()[1])
-        .sum()
+/// `exec.rows_emitted`: the rows every rule plan of a query derived.
+fn rows_emitted() -> u64 {
+    metrics().snapshot().get(Metric::RowsEmitted)
 }
 
 /// The plan lines of every rule in a `Bdms::explain_query` text, keyed by
@@ -380,6 +385,7 @@ fn hash_builds_of(plan: &[&str], table: &str) -> usize {
 
 #[test]
 fn q3_selective_subgoal_drives_the_rewrite() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     use beliefdb::core::DefaultPolicy;
     use beliefdb::gen::generate_bdms_with_policy;
     use beliefdb::gen::scenarios::table2_config;
@@ -388,22 +394,22 @@ fn q3_selective_subgoal_drives_the_rewrite() {
         for (name, q, negative_temp) in q3_forms(&bdms) {
             let context = format!("{name} under {policy:?}");
             // Answers: the oracle, and the rule stack without the rewrite.
-            // The cold runs count the rows their scans read.
+            // The cold runs count the rows their rule plans derive.
             let naive = bdms.query_naive(&q).unwrap();
             assert!(!naive.is_empty(), "{context}: empty answer");
-            let before = rows_read(&bdms);
+            let before = rows_emitted();
             let on = bdms.query(&q).unwrap();
-            let read_on = rows_read(&bdms) - before;
+            let derived_on = rows_emitted() - before;
             bdms.set_magic(false);
-            let before = rows_read(&bdms);
+            let before = rows_emitted();
             let off = bdms.query(&q).unwrap();
-            let read_off = rows_read(&bdms) - before;
+            let derived_off = rows_emitted() - before;
             bdms.set_magic(true);
             assert_eq!(on, naive, "{context}: magic on disagrees with the oracle");
             assert_eq!(off, naive, "{context}: magic off disagrees with the oracle");
             assert!(
-                read_on * 5 < read_off,
-                "{context}: a cold read scanned {read_on} rows, magic off {read_off}"
+                derived_on * 5 < derived_off,
+                "{context}: a cold read derived {derived_on} rows, magic off {derived_off}"
             );
 
             // Mechanism: the positive subgoal, with its three constants,
