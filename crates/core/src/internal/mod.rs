@@ -463,11 +463,12 @@ impl InternalStore {
             let star = table.schema().name();
             BeliefError::MalformedQuery(format!("dangling tid {tid} in table {star}"))
         })?;
-        // Everything but the tid column, straight from the heap's cells.
-        let attrs = (1..table.schema().arity())
-            .map(|c| Ok(table.cell(rid, c)?.to_value()))
-            .collect::<Result<Vec<Value>>>()?;
-        Ok(GroundTuple::new(rel, Row::from(attrs)))
+        // Everything but the tid column, straight from the heap's cells
+        // into the row's one allocation.
+        let row = Row::try_from_fn(table.schema().arity() - 1, |i| {
+            table.cell(rid, i + 1).map(|cell| cell.to_value())
+        })?;
+        Ok(GroundTuple::new(rel, row))
     }
 
     /// Total number of tuples in the internal database — the paper's

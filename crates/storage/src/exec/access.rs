@@ -306,7 +306,7 @@ impl ColumnSource for Probed<'_> {
 /// pairs `on` and the `residual`: the table, the selection over it, its
 /// access path and the left column that fills each key column.
 pub(crate) struct IndexAccess<'a> {
-    pub(crate) table: &'a Table,
+    table: &'a Table,
     pred: Option<&'a Expr>,
     path: AccessPath<'a>,
     key_from: Vec<usize>,

@@ -459,7 +459,7 @@ mod index_join_tests {
     use crate::row;
     use crate::schema::TableSchema;
 
-    /// A database large enough that the index-join heuristic fires.
+    /// `V` indexed on `wid`, `R` keyed on `tid`, and a two-row probe side.
     fn big_db() -> Database {
         let mut db = Database::new();
         let v = db
@@ -575,8 +575,8 @@ mod index_join_tests {
     #[test]
     fn heuristic_declines_large_left_sides() {
         let db = big_db();
-        // Left side as big as the table: the index join must decline (and
-        // the hash join still gives the right answer).
+        // Left side as big as the table, joined on `V.tid`, which no index
+        // covers: the hash join gives the right answer.
         let plan = Plan::scan("V").join(Plan::scan("V"), vec![(1, 1)]);
         let rows = execute(&db, &plan).unwrap();
         assert_eq!(rows.len(), 500);

@@ -23,12 +23,10 @@
 //!   at open time when all expressions are plain columns — the per-row
 //!   `Result` and bounds re-check disappear from the inner loop;
 //! * **hash joins** build once, then probe an entire chunk per call;
-//!   a base-table right side takes the adaptive bounded-buffer
-//!   index-nested-loop path instead (buffer left rows up to
-//!   `|table|/4`, probe the index if the left side exhausts, replay into
-//!   a hash join if not); a keyed anti-join over a base table with an index
-//!   on some of its key columns probes it for every left row as they
-//!   stream by;
+//!   a join over a base table with its key or an index on the join
+//!   columns, and a keyed anti-join over one with its key or an index on
+//!   some of its key columns, instead probe it for every left row as they
+//!   stream by, building nothing;
 //! * **Distinct** marks first occurrences in the selection vector;
 //!   **Limit** truncates mid-chunk and stops pulling upstream — and
 //!   additionally caps its subtree's batch size at `n`, so a `LIMIT 100`
@@ -1599,51 +1597,16 @@ fn open_join<'a>(
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
     if !on.is_empty() {
+        let left = open_node(db, left, batch, spill, &obs.child(0))?;
+        // A base-table right side with a path for the join columns is
+        // probed for every left row as it streams by, building nothing;
+        // any other right side is hashed.
         if let Some(access) = IndexAccess::resolve(db, right, on, residual, Read::Join) {
-            // Adaptive index-nested-loop: buffer left rows (by whole
-            // chunks) up to the break-even point of the materializing
-            // heuristic (`4·|left| ≤ |table|`) — and, under a memory
-            // budget, no further than this join's byte share (the
-            // buffered left side is materialized state like any
-            // other; past the share we fall back to the hash join,
-            // which spills).
-            let budget = access.table.len().max(1) / 4;
-            let mut left_stream = open_node(db, left, batch, spill, &obs.child(0))?;
-            let mut buf: Vec<Row> = Vec::new();
-            let mut buf_bytes = 0usize;
-            let mut small_left = true;
-            loop {
-                if buf.len() > budget || spill.per_point.is_some_and(|b| buf_bytes > b) {
-                    small_left = false;
-                    break;
-                }
-                match left_stream.next() {
-                    Some(chunk) => {
-                        let before = buf.len();
-                        chunk?.drain_into(&mut buf);
-                        buf_bytes += buf[before..].iter().map(spill::row_bytes).sum::<usize>();
-                        if let Some(n) = obs.node() {
-                            raise(&n.peak_bytes, buf_bytes as u64);
-                        }
-                    }
-                    None => break,
-                }
-            }
-            if small_left {
-                let probe = chunked_owned(buf, batch.effective);
-                return Ok(map_chunks(probe, batch.effective, move |lrow, out| {
-                    access.probe(lrow, out)
-                }));
-            }
-            // Too many left rows: replay the buffer in front of the
-            // rest of the stream and hash-join instead.
-            metrics().incr(Metric::JoinFallbacks);
-            let probe: BoxChunkIter<'a> =
-                Box::new(chunked_owned(buf, batch.effective).chain(left_stream));
-            return hash_join(db, probe, right, on, residual, batch, spill, obs);
+            return Ok(map_chunks(left, batch.effective, move |lrow, out| {
+                access.probe(lrow, out)
+            }));
         }
-        let probe = open_node(db, left, batch, spill, &obs.child(0))?;
-        return hash_join(db, probe, right, on, residual, batch, spill, obs);
+        return hash_join(db, left, right, on, residual, batch, spill, obs);
     }
     // Cross/theta join: the right side is a materialization point,
     // replayed for every left row in the left-major order of a nested
@@ -2071,7 +2034,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_index_join_takes_index_path_for_small_left() {
+    fn index_join_probes_a_small_left_side() {
         let mut db = Database::new();
         let v = db
             .create_table(TableSchema::keyless("V", &["wid", "tid"]))
@@ -2241,7 +2204,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_index_join_falls_back_for_large_left() {
+    fn index_join_probes_a_large_left_side() {
         let mut db = Database::new();
         let v = db
             .create_table(TableSchema::keyless("V", &["wid", "tid"]))
@@ -2253,14 +2216,18 @@ mod tests {
         let probe = db
             .create_table(TableSchema::keyless("Probe", &["w"]))
             .unwrap();
-        // More probe rows than |V|/4: the buffer overflows and the join
-        // falls back to a hash build, replaying the buffered rows.
+        // Almost as many probe rows as `V` has: the join still probes
+        // `by_wid` for each of them and never scans `V`.
         for i in 0..30i64 {
             probe.insert(row![i % 5]).unwrap();
         }
         let plan = Plan::scan("Probe").join(Plan::scan("V"), vec![(0, 0)]);
+        let scans = || db.table("V").unwrap().access().snapshot()[0];
+        let before = scans();
+        let rows = execute(&db, &plan).unwrap();
+        assert_eq!(scans(), before, "the join must probe V, not scan it");
         assert_eq!(
-            sorted(execute(&db, &plan).unwrap()),
+            sorted(rows),
             sorted(execute_materialized(&db, &plan).unwrap())
         );
     }

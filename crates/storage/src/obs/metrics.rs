@@ -49,14 +49,10 @@ pub enum Metric {
     ColumnarChunks,
     /// Bytes written to spill run files (framed block payloads).
     SpillBytes,
-    /// Index-nested-loop joins that stopped probing — past `|table|/4`
-    /// left rows or past the join's byte share — and replayed their
-    /// buffered left rows into a hash join.
-    JoinFallbacks,
 }
 
 impl Metric {
-    pub const ALL: [Metric; 15] = [
+    pub const ALL: [Metric; 14] = [
         Metric::QueriesExecuted,
         Metric::PlanCacheHits,
         Metric::PlanCacheMisses,
@@ -71,7 +67,6 @@ impl Metric {
         Metric::SlowQueries,
         Metric::ColumnarChunks,
         Metric::SpillBytes,
-        Metric::JoinFallbacks,
     ];
 
     const COUNT: usize = Metric::ALL.len();
@@ -93,7 +88,6 @@ impl Metric {
             Metric::SlowQueries => "slowlog.captured",
             Metric::ColumnarChunks => "exec.columnar_chunks",
             Metric::SpillBytes => "spill.bytes",
-            Metric::JoinFallbacks => "exec.join_fallbacks",
         }
     }
 }

@@ -174,9 +174,10 @@ fn est_note(est: &EstTree) -> String {
 
 /// How the streaming executor evaluates this operator: forwarding rows
 /// one at a time, or consuming its whole input first. Joins and
-/// anti-joins pipeline their probe (left) side while the build (right)
-/// side is materialized into the hash table.
-fn exec_note(plan: &Plan) -> &'static str {
+/// anti-joins pipeline their probe (left) side; unless the executor
+/// probes the right side in place (`probed`), it is materialized into
+/// the hash table first.
+fn exec_note(plan: &Plan, probed: bool) -> &'static str {
     match plan {
         Plan::Scan { .. }
         | Plan::Values { .. }
@@ -185,6 +186,7 @@ fn exec_note(plan: &Plan) -> &'static str {
         | Plan::Union { .. }
         | Plan::Distinct { .. }
         | Plan::Limit { .. } => " [pipeline]",
+        Plan::Join { .. } | Plan::AntiJoin { .. } if probed => " [pipeline]",
         Plan::Join { .. } | Plan::AntiJoin { .. } => " [pipeline; build=right]",
         Plan::Sort { .. } => " [materialize]",
     }
@@ -268,9 +270,10 @@ fn render_node(
 
 /// One operator's line, without indentation, profile suffix, or newline.
 fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> String {
+    let access = access_note(db, plan);
     let exec = format!(
         "{}{}{}",
-        exec_note(plan),
+        exec_note(plan, !access.is_empty()),
         vectorized_note(plan),
         spill_note(plan, spill_tag)
     );
@@ -280,7 +283,6 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
             format!("Scan {table} (rows={rows}){exec}")
         }
         Plan::Selection { input, predicate } => {
-            let access = access_note(db, plan);
             // The filter kernel only runs when no index serves the
             // selection — an access-path hit fetches pre-filtered rows
             // and never evaluates the kernel, so report one or the
@@ -298,7 +300,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                 let kernel = kernel.unwrap_or_else(|| "rowwise".to_string());
                 format!(
                     "{} [vectorized batch={BATCH_SIZE} kernel={kernel}{layout}]",
-                    exec_note(plan)
+                    exec_note(plan, false)
                 )
             } else {
                 exec
@@ -319,8 +321,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                 .as_ref()
                 .map(|r| format!(" where {r}"))
                 .unwrap_or_default();
-            let probe = access_note(db, plan);
-            format!("Join{}{res}{probe}{}{exec}", on_note(on), est_note(est))
+            format!("Join{}{res}{access}{}{exec}", on_note(on), est_note(est))
         }
         Plan::AntiJoin {
             left: _,
@@ -332,8 +333,11 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
                 .as_ref()
                 .map(|r| format!(" where {r}"))
                 .unwrap_or_default();
-            let probe = access_note(db, plan);
-            format!("AntiJoin{}{res}{probe}{}{exec}", on_note(on), est_note(est))
+            format!(
+                "AntiJoin{}{res}{access}{}{exec}",
+                on_note(on),
+                est_note(est)
+            )
         }
         Plan::Distinct { .. } => format!("Distinct{}{exec}", est_note(est)),
         Plan::Union { .. } => format!("Union{}{exec}", est_note(est)),
@@ -437,8 +441,15 @@ mod tests {
         let text = render_with_snapshot(&db, &plan);
         assert!(text.contains("Limit 3 [pipeline]"), "{text}");
         assert!(text.contains("Sort by [#0] [materialize]"), "{text}");
-        assert!(text.contains("[pipeline; build=right]"), "{text}");
+        // R's key serves the join: it probes R in place and builds nothing.
+        let join = text.lines().find(|l| l.contains("Join on")).unwrap();
+        assert!(join.contains("[probe R.pk]"), "{text}");
+        assert!(join.contains("[pipeline] [vectorized"), "{text}");
         assert!(text.contains("Scan R (rows=1) [pipeline]"), "{text}");
+        // No index on V's third column: the join hashes its right side.
+        let hashed = Plan::scan("R").join(Plan::scan("V"), vec![(1, 2)]);
+        let text = render_with_snapshot(&db, &hashed);
+        assert!(text.contains("[pipeline; build=right]"), "{text}");
     }
 
     #[test]
@@ -651,9 +662,9 @@ mod tests {
     #[test]
     fn analyze_marks_unopened_probe_side_fused() {
         let db = db();
-        // A small left side over indexed V takes the index-nested-loop
-        // path: the right child is never opened as an operator, so it
-        // renders as fused.
+        // A join over indexed V takes the index-nested-loop path: the
+        // right child is never opened as an operator, so it renders as
+        // fused.
         let plan = Plan::Values {
             arity: 1,
             rows: vec![row![1]],

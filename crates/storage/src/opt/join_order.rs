@@ -6,7 +6,7 @@
 //! original join output, left to right). The chain is then rebuilt
 //! left-deep: start from the leaf with the smallest estimated
 //! cardinality, and repeatedly join the leaf whose addition is cheapest —
-//! its estimated result, discounted when the executor can probe the leaf
+//! its estimated result, discounted when the executor probes the leaf
 //! through an index (a scan, or a selection over a scan, whose join
 //! columns include the primary key or are covered by a secondary index),
 //! and otherwise charged the rows building it reads. A leaf with no edge
@@ -85,8 +85,8 @@ fn values_rows(plan: &Plan) -> usize {
     own + plan.children().into_iter().map(values_rows).sum::<usize>()
 }
 
-/// True iff the executor's index-nested-loop join could probe this plan
-/// by the given columns: the join rule of `exec::access`.
+/// True iff the executor's index-nested-loop join probes this plan by
+/// the given columns: the join rule of `exec::access`.
 fn index_probeable(db: &Database, plan: &Plan, cols: &[usize]) -> bool {
     base_table(db, plan).is_some_and(|(t, _)| resolve(t, cols, Read::Join).is_some())
 }
@@ -247,7 +247,7 @@ fn reorder_chain(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Result<Pl
         join_cols.dedup();
         let rows = equi_join_rows(acc_rows, ests[cand].rows, pairs);
         let score = if index_probeable(db, &chain.leaves[cand], &join_cols) {
-            // The executor can turn this join into index probes.
+            // The executor turns this join into index probes.
             rows * 0.9
         } else {
             rows + builds[cand]

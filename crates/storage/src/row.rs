@@ -39,7 +39,7 @@ impl Row {
 
     /// A row of `n` values, the `i`-th computed by `value(i)`, in one
     /// allocation; the first error stops the calls and is returned.
-    pub(crate) fn try_from_fn<E>(
+    pub fn try_from_fn<E>(
         n: usize,
         mut value: impl FnMut(usize) -> std::result::Result<Value, E>,
     ) -> std::result::Result<Row, E> {

@@ -11,7 +11,6 @@
 //!   included;
 //! * the rows equal the reference executor's, which scans and hash-joins.
 
-use beliefdb::storage::obs::metrics_table;
 use beliefdb::storage::opt::render_with_snapshot;
 use beliefdb::storage::{
     execute, execute_materialized, row, Database, Expr, Plan, Row, TableSchema, Value,
@@ -207,25 +206,13 @@ fn a_seventh_pinned_column_still_finds_its_index() {
     assert_eq!(rows, execute_materialized(&db, &plan).unwrap());
 }
 
-/// `exec.join_fallbacks` in `sys.metrics`.
-fn join_fallbacks(db: &Database) -> i64 {
-    let rows = execute(db, &Plan::scan("sys.metrics")).unwrap();
-    let row = rows
-        .iter()
-        .find(|r| r[0] == Value::str("exec.join_fallbacks"))
-        .expect("sys.metrics lists exec.join_fallbacks");
-    row[1].as_int().unwrap()
-}
-
-/// An index-nested-loop join probes for at most `|table|/4` left rows: a
-/// join of the 240-row `T(k, b)` on its index over `b` probes for 10
-/// `Values` rows, and for 70 it replays them into a hash join and counts
-/// one `exec.join_fallbacks`. No other test of this binary buffers more
-/// than four left rows, so the process-wide counter moves only here.
+/// An index join probes for every left row, however many there are: a
+/// join of the 240-row `T(k, b)` on its index over `b` from 10, 70, 240
+/// and 1,000 `Values` rows probes `i_b` once per left row and never scans
+/// `T`, as `EXPLAIN` says.
 #[test]
-fn a_join_past_a_quarter_of_its_table_falls_back_and_counts_it() {
+fn an_index_join_probes_for_every_left_row() {
     let mut db = Database::new();
-    db.register_virtual(metrics_table());
     let t = db
         .create_table(TableSchema::with_key("T", &["k", "b"]))
         .unwrap();
@@ -233,24 +220,24 @@ fn a_join_past_a_quarter_of_its_table_falls_back_and_counts_it() {
     for k in 0..240i64 {
         t.insert(row![k, k % 60]).unwrap();
     }
-    for (left, fallbacks) in [(10i64, 0), (70, 1)] {
+    for left in [10i64, 70, 240, 1000] {
         let values = Plan::Values {
             arity: 1,
             rows: (0..left).map(|b| row![b]).collect(),
         };
         let plan = values.join(Plan::scan("T"), vec![(0, 1)]);
-        assert_eq!(explained(&db, &plan).as_deref(), Some("i_b"));
-        let before = join_fallbacks(&db);
-        let probing = if fallbacks == 0 { left as u64 } else { 0 };
-        let (rows, ran) = executed(&db, &plan, probing);
-        assert_eq!(join_fallbacks(&db) - before, fallbacks, "{left} left rows");
-        let want = if fallbacks == 0 { Some("index") } else { None };
-        assert_eq!(ran.as_deref(), want, "{left} left rows");
+        assert_eq!(
+            explained(&db, &plan).as_deref(),
+            Some("i_b"),
+            "{left} left rows"
+        );
+        let (rows, ran) = executed(&db, &plan, left as u64);
+        assert_eq!(ran.as_deref(), Some("index"), "{left} left rows");
         let mut expect = execute_materialized(&db, &plan).unwrap();
         let mut got = rows;
         expect.sort();
         got.sort();
-        assert_eq!(got, expect);
+        assert_eq!(got, expect, "{left} left rows");
         assert_eq!(got.len(), 4 * left.min(60) as usize);
     }
 }

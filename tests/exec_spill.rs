@@ -251,11 +251,9 @@ fn external_sort_is_stable_across_run_boundaries() {
 
 #[test]
 fn indexed_join_path_respects_the_budget_and_agrees() {
-    // An equi-join whose right side is an indexed base table takes the
-    // adaptive index-nested-loop path, which buffers left rows. Under a
-    // budget that buffer is capped at the join's byte share; past it
-    // the join must fall back to the (spillable) hash join and still
-    // agree with the unlimited executor.
+    // An equi-join whose right side is an indexed base table probes the
+    // index for every left row and buffers nothing, so a budget changes
+    // nothing: every budget agrees with the unlimited executor.
     let mut db = Database::new();
     let v = db
         .create_table(TableSchema::keyless("V", &["wid", "tid"]))
@@ -269,8 +267,6 @@ fn indexed_join_path_respects_the_budget_and_agrees() {
         probe.insert(row![i % 50]).unwrap();
     }
     let dir = temp_dir("indexed");
-    // 600 probe rows < |V|/4 = 1000: unlimited execution takes the
-    // index path; a small budget must not buffer them all.
     let plan = Plan::scan("P").join(Plan::scan("V"), vec![(0, 0)]);
     let reference = execute(&db, &plan).unwrap();
     assert_eq!(reference.len(), 600 * 80);

@@ -11,7 +11,8 @@
 //! On the `Lazy` Table 2 store at n = 2,000 (seed 7) this test bounds
 //!
 //! * the live bytes the exported belief database holds per explicit
-//!   statement,
+//!   statement, and the bytes the export allocates per statement,
+//!   temporaries included,
 //! * the live bytes `BeliefDatabase::statements()` adds per statement on
 //!   top of the export, and
 //! * the peak bytes `query_naive` allocates on top of the store for q3
@@ -25,7 +26,8 @@
 //! inline paths it holds 56 B a statement (the statement itself), the
 //! export 227 B (a row's reference counts cost 16 B) and q3's oracle peaks
 //! at 525 KB. The budgets are the last figures + 15 %, except the export's,
-//! which stays 245 B.
+//! which stays 245 B. Reading a tuple through a `Vec` allocated 515 B a
+//! statement for the export; straight into the row, 227 B, what it keeps.
 //!
 //! Measured with a counting global allocator (the whole binary holds
 //! exactly one `#[test]`, so no other thread skews the counters).
@@ -82,6 +84,9 @@ static ALLOCATOR: CountingBytes = CountingBytes;
 /// Upper bound on live bytes per explicit statement of the exported
 /// belief database.
 const MAX_EXPORT_BYTES_PER_STATEMENT: f64 = 245.0;
+/// Upper bound on the bytes the export allocates per explicit statement,
+/// whatever it frees.
+const MAX_EXPORT_ALLOCATED_BYTES_PER_STATEMENT: f64 = 261.0;
 /// Upper bound on the live bytes `statements()` adds per statement.
 const MAX_LISTED_BYTES_PER_STATEMENT: f64 = 64.0;
 /// Upper bound on the peak bytes of `query_naive` on q3 above the store.
@@ -129,7 +134,9 @@ fn the_logical_export_and_the_oracle_stay_under_budget() {
         .unwrap();
 
     let before = LIVE.load(Ordering::Relaxed);
+    let allocated_before = ALLOCATED.load(Ordering::Relaxed);
     let logical = bdms.to_belief_database().unwrap();
+    let allocated = (ALLOCATED.load(Ordering::Relaxed) - allocated_before) as f64;
     let held = (LIVE.load(Ordering::Relaxed) - before) as f64;
     let statements = logical.len();
     assert!(
@@ -137,8 +144,10 @@ fn the_logical_export_and_the_oracle_stay_under_budget() {
         "not the Table 2 store: {statements} statements"
     );
     let per_statement = held / statements as f64;
+    let allocated_per_statement = allocated / statements as f64;
     println!(
-        "export: {held} B live for {statements} statements: {per_statement:.0} B per statement"
+        "export: {held} B live for {statements} statements: {per_statement:.0} B per statement \
+         ({allocated_per_statement:.0} B allocated per statement)"
     );
     let before = LIVE.load(Ordering::Relaxed);
     let listed = logical.statements();
@@ -169,6 +178,11 @@ fn the_logical_export_and_the_oracle_stay_under_budget() {
     assert!(
         per_statement <= MAX_EXPORT_BYTES_PER_STATEMENT,
         "{per_statement:.0} B per exported statement, budget {MAX_EXPORT_BYTES_PER_STATEMENT} B"
+    );
+    assert!(
+        allocated_per_statement <= MAX_EXPORT_ALLOCATED_BYTES_PER_STATEMENT,
+        "the export allocates {allocated_per_statement:.0} B per statement, \
+         budget {MAX_EXPORT_ALLOCATED_BYTES_PER_STATEMENT} B"
     );
     assert!(
         listed_per_statement <= MAX_LISTED_BYTES_PER_STATEMENT,
