@@ -98,8 +98,8 @@ use crate::path::BeliefPath;
 use crate::schema::ExternalSchema;
 use crate::statement::{GroundTuple, Sign};
 use crate::world::BeliefWorld;
-use beliefdb_storage::{Cell, Database, IndexId, Row, Table, TableSchema, Value};
-use std::sync::{Arc, OnceLock};
+use beliefdb_storage::{Cell, Database, IndexId, Row, Str, Table, TableSchema, Value};
+use std::sync::Arc;
 
 /// Result of an insert attempt (Algorithm 4's return value, refined).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,15 +143,12 @@ pub enum DefaultPolicy {
     Lazy,
 }
 
-/// The interned `'y'` / `'n'` of the explicitness flag, as a table cell.
+/// The `'y'` / `'n'` of the explicitness flag, as a table cell borrowed
+/// from a static.
 pub(crate) fn explicit_cell(explicit: bool) -> Cell<'static> {
-    static YES: OnceLock<Arc<str>> = OnceLock::new();
-    static NO: OnceLock<Arc<str>> = OnceLock::new();
-    if explicit {
-        Cell::Str(YES.get_or_init(|| Arc::from("y")))
-    } else {
-        Cell::Str(NO.get_or_init(|| Arc::from("n")))
-    }
+    static YES: Str = Str::inline("y");
+    static NO: Str = Str::inline("n");
+    Cell::Str(if explicit { &YES } else { &NO })
 }
 
 /// Name of the internal content table `R*_i` for external relation `name`.

@@ -55,7 +55,7 @@ pub(crate) fn slice_entry(vt: &Table, rid: RowId) -> Result<SliceEntry> {
     Ok(SliceEntry {
         tid: Tid::from_cell(vt.cell(rid, 1)?).expect("tid column"),
         sign: Sign::from_cell(vt.cell(rid, 3)?).expect("sign column"),
-        explicit: vt.cell(rid, 4)?.as_str() == Some("y"),
+        explicit: vt.cell(rid, 4)? == explicit_cell(true),
     })
 }
 

@@ -412,7 +412,7 @@ fn put_column(e: &mut Enc, star: &Table, col: usize, rids: &[RowId]) -> Result<(
         e.put_u8(COLUMN_STR);
         e.put_var(dict.len() as u64);
         for s in dict {
-            e.put_str(s);
+            e.put_bytes(s.as_bytes());
         }
         let codes = rids
             .iter()
@@ -1017,7 +1017,7 @@ mod tests {
                     }
                     Value::Str(s) => {
                         self.u8(3);
-                        self.str(s);
+                        self.str(s.as_str());
                     }
                 }
             }
@@ -1217,10 +1217,10 @@ mod tests {
                     let mut codes = Vec::new();
                     for v in &cells {
                         codes.push(match v {
-                            Value::Str(s) => match dict.iter().position(|d| *d == &**s) {
+                            Value::Str(s) => match dict.iter().position(|d| *d == s.as_str()) {
                                 Some(i) => i + 1,
                                 None => {
-                                    dict.push(s);
+                                    dict.push(s.as_str());
                                     dict.len()
                                 }
                             },

@@ -2,9 +2,8 @@
 
 use crate::ids::RelId;
 use crate::path::BeliefPath;
-use beliefdb_storage::{Cell, Row, Value};
+use beliefdb_storage::{Cell, Row, Str, Value};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 /// The sign of a belief: positive (`t` holds) or negative (`t` is impossible).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,19 +28,18 @@ impl Sign {
     }
 
     /// The sign as a storage value (`'+'` / `'-'`, as in Fig. 5's `s`
-    /// attribute). The two strings are interned once so the millions of `V`
-    /// rows the encoding creates share a single allocation each.
+    /// attribute): an inline string, so it allocates nothing.
     pub fn value(self) -> Value {
         self.cell().to_value()
     }
 
-    /// The sign as a table cell: the interned string itself, borrowed.
+    /// The sign as a table cell, borrowed from a static.
     pub fn cell(self) -> Cell<'static> {
-        static POS: OnceLock<Arc<str>> = OnceLock::new();
-        static NEG: OnceLock<Arc<str>> = OnceLock::new();
+        static POS: Str = Str::inline("+");
+        static NEG: Str = Str::inline("-");
         match self {
-            Sign::Pos => Cell::Str(POS.get_or_init(|| Arc::from("+"))),
-            Sign::Neg => Cell::Str(NEG.get_or_init(|| Arc::from("-"))),
+            Sign::Pos => Cell::Str(&POS),
+            Sign::Neg => Cell::Str(&NEG),
         }
     }
 
@@ -49,13 +47,12 @@ impl Sign {
         Sign::from_cell(v.as_cell())
     }
 
-    /// The sign held by a table cell of the `s` attribute.
+    /// The sign held by a table cell of the `s` attribute (compared as
+    /// bytes).
     pub fn from_cell(cell: Cell<'_>) -> Option<Sign> {
-        match cell.as_str() {
-            Some("+") => Some(Sign::Pos),
-            Some("-") => Some(Sign::Neg),
-            _ => None,
-        }
+        [Sign::Pos, Sign::Neg]
+            .into_iter()
+            .find(|s| s.cell() == cell)
     }
 
     /// Stable one-byte code used by the durability layer's binary log
@@ -182,16 +179,6 @@ mod tests {
         assert_eq!(Sign::from_code(Sign::Pos.code()), Some(Sign::Pos));
         assert_eq!(Sign::from_code(Sign::Neg.code()), Some(Sign::Neg));
         assert_eq!(Sign::from_code(b'x'), None);
-    }
-
-    #[test]
-    fn sign_values_share_allocation() {
-        let a = Sign::Pos.value();
-        let b = Sign::Pos.value();
-        match (a, b) {
-            (Value::Str(x), Value::Str(y)) => assert!(Arc::ptr_eq(&x, &y)),
-            _ => unreachable!(),
-        }
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! block encoding.
 
 use crate::row::Row;
-use crate::value::Value;
-use std::sync::Arc;
+use crate::value::{Str, Value};
 
 /// A fixed-length bitmap (one bit per row position). Used as a validity
 /// mask: bit set means the cell holds a value, cleared means NULL.
@@ -169,7 +168,7 @@ pub enum Column {
     /// deduplicated, `codes[i]` indexes into it. Code order therefore
     /// *is* string order, which the `<`/`<=` kernels exploit.
     Str {
-        dict: Vec<Arc<str>>,
+        dict: Vec<Str>,
         codes: Vec<u32>,
         validity: Option<Bitmap>,
     },
@@ -212,7 +211,7 @@ impl Column {
                 validity,
             } => match validity {
                 Some(v) if !v.get(i) => Value::Null,
-                _ => Value::Str(Arc::clone(&dict[codes[i] as usize])),
+                _ => Value::Str(dict[codes[i] as usize].clone()),
             },
             Column::Null(_) => Value::Null,
             Column::Mixed(vals) => vals[i].clone(),
@@ -221,22 +220,20 @@ impl Column {
 }
 
 /// The dictionary code of exactly `s`, if present.
-pub fn dict_code(dict: &[Arc<str>], s: &str) -> Option<u32> {
-    dict.binary_search_by(|d| d.as_ref().cmp(s))
-        .ok()
-        .map(|i| i as u32)
+pub fn dict_code(dict: &[Str], s: &Str) -> Option<u32> {
+    dict.binary_search(s).ok().map(|i| i as u32)
 }
 
 /// Number of dictionary entries strictly below `s` — codes `< bound`
 /// are exactly the strings `< s`.
-pub fn dict_lower_bound(dict: &[Arc<str>], s: &str) -> u32 {
-    dict.partition_point(|d| d.as_ref() < s) as u32
+pub fn dict_lower_bound(dict: &[Str], s: &Str) -> u32 {
+    dict.partition_point(|d| d < s) as u32
 }
 
 /// Number of dictionary entries at or below `s` — codes `< bound` are
 /// exactly the strings `<= s`.
-pub fn dict_upper_bound(dict: &[Arc<str>], s: &str) -> u32 {
-    dict.partition_point(|d| d.as_ref() <= s) as u32
+pub fn dict_upper_bound(dict: &[Str], s: &Str) -> u32 {
+    dict.partition_point(|d| d <= s) as u32
 }
 
 /// A columnar batch: one [`Column`] per schema position, all the same
@@ -338,14 +335,14 @@ pub(crate) fn build_column<'a>(cells: impl Iterator<Item = &'a Value> + Clone) -
         };
     }
     if strs + nulls == n {
-        let mut dict: Vec<Arc<str>> = cells
+        let mut dict: Vec<Str> = cells
             .clone()
             .filter_map(|v| match v {
-                Value::Str(s) => Some(Arc::clone(s)),
+                Value::Str(s) => Some(s.clone()),
                 _ => None,
             })
             .collect();
-        dict.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
+        dict.sort_unstable();
         dict.dedup();
         let codes = cells
             .clone()
@@ -420,15 +417,16 @@ mod tests {
         let Column::Str { dict, codes, .. } = set.col(0) else {
             panic!("expected a string column");
         };
-        let names: Vec<&str> = dict.iter().map(|s| s.as_ref()).collect();
+        let names: Vec<&str> = dict.iter().map(Str::as_str).collect();
         assert_eq!(names, vec!["apple", "fig", "pear"]);
         assert_eq!(codes, &vec![2, 0, 2, 1]);
         // Sorted codes mean order-preserving bounds.
-        assert_eq!(dict_code(dict, "fig"), Some(1));
-        assert_eq!(dict_code(dict, "grape"), None);
-        assert_eq!(dict_lower_bound(dict, "fig"), 1);
-        assert_eq!(dict_upper_bound(dict, "fig"), 2);
-        assert_eq!(dict_lower_bound(dict, "zzz"), 3);
-        assert_eq!(dict_upper_bound(dict, ""), 0);
+        let s = Str::new;
+        assert_eq!(dict_code(dict, &s("fig")), Some(1));
+        assert_eq!(dict_code(dict, &s("grape")), None);
+        assert_eq!(dict_lower_bound(dict, &s("fig")), 1);
+        assert_eq!(dict_upper_bound(dict, &s("fig")), 2);
+        assert_eq!(dict_lower_bound(dict, &s("zzz")), 3);
+        assert_eq!(dict_upper_bound(dict, &s("")), 0);
     }
 }

@@ -19,7 +19,7 @@ use crate::expr::{CmpOp, ColumnSource, Expr};
 use crate::index::RowId;
 use crate::plan::Plan;
 use crate::row::Row;
-use crate::table::{IndexId, Table};
+use crate::table::{IndexId, Table, TableAccess};
 use crate::value::{Cell, Value};
 
 /// The three reads of a base table by equal columns, each with its rule
@@ -215,14 +215,27 @@ pub(crate) fn explain_label(db: &Database, plan: &Plan) -> Option<String> {
             let (path, _) = select_path(table, predicate)?;
             Some(path.label(table, Read::Select))
         }
-        Plan::Join { right, on, .. } => IndexAccess::resolve(db, right, on, None, Read::Join)
-            .map(|a| a.path.label(a.table, Read::Join)),
-        Plan::AntiJoin { right, on, .. } => {
-            IndexAccess::resolve(db, right, on, None, Read::AntiJoin)
-                .map(|a| a.path.label(a.table, Read::AntiJoin))
-        }
-        _ => None,
+        _ => probe_access(db, plan).map(|(a, read)| a.path.label(a.table, read)),
     }
+}
+
+/// The access a join or an anti-join probes its right side by, and the
+/// read it makes; `None` for any other operator and for a join that
+/// hashes or buffers its right side.
+fn probe_access<'a>(db: &'a Database, plan: &'a Plan) -> Option<(IndexAccess<'a>, Read)> {
+    let (right, on, read) = match plan {
+        Plan::Join { right, on, .. } => (right, on, Read::Join),
+        Plan::AntiJoin { right, on, .. } => (right, on, Read::AntiJoin),
+        _ => return None,
+    };
+    IndexAccess::resolve(db, right, on, None, read).map(|a| (a, read))
+}
+
+/// True iff `plan` is a join or an anti-join whose right side the
+/// executor probes row by row. Such a join builds nothing, so it is no
+/// materialization point ([`crate::exec::spill_points`]).
+pub(crate) fn probes_right(db: &Database, plan: &Plan) -> bool {
+    probe_access(db, plan).is_some()
 }
 
 /// Key cells a probe carries inline; a longer key is collected.
@@ -230,8 +243,8 @@ const INLINE_KEY: usize = 8;
 
 /// Call `visit` with the id of every live row of `table` whose key under
 /// `path` is `key(0), key(1), …`, until it returns false: one primary-key
-/// lookup, or one index probe (counted in the table's `index_probes`). A
-/// first-column probe visits its rows in slot order.
+/// lookup or one index probe, either counted in the table's
+/// `index_probes`. A first-column probe visits its rows in slot order.
 fn each_row<'k>(
     table: &Table,
     path: &AccessPath<'_>,
@@ -242,6 +255,7 @@ fn each_row<'k>(
         id, cols, prefix, ..
     } = *path
     else {
+        TableAccess::bump(&table.access().index_probes, 1);
         if let Some(rid) = table.rid_by_key(key(0)) {
             visit(rid)?;
         }

@@ -78,8 +78,10 @@
 //! suite pins this), only the interleaving may differ once spilling has
 //! actually engaged.
 
+use crate::catalog::Database;
 use crate::column::{Bitmap, Column, ColumnSet};
 use crate::error::{Result, StorageError};
+use crate::exec::access::probes_right;
 use crate::expr::Expr;
 use crate::index::CellHash;
 use crate::obs::metrics::{metrics, Metric};
@@ -198,27 +200,32 @@ pub(crate) struct SpillCtx {
 
 impl SpillCtx {
     /// Split `opts` across the materialization points of `plan`.
-    pub(crate) fn for_plan(opts: &SpillOptions, plan: &Plan) -> SpillCtx {
-        let points = spill_points(plan).max(1);
+    pub(crate) fn for_plan(opts: &SpillOptions, db: &Database, plan: &Plan) -> SpillCtx {
         SpillCtx {
-            per_point: opts.budget.map(|b| b / points),
+            per_point: opts.budget.map(|b| b / spill_points(db, plan).max(1)),
             dir: opts.dir.clone().unwrap_or_else(std::env::temp_dir),
         }
     }
 }
 
-/// Number of memory-budgeted materialization points in a plan: every
-/// `Sort`, `Distinct`, and `Join` (the hash build side of
-/// a keyed join, the materialized right side of a cross join), plus
-/// every `AntiJoin` (the hash build side when keyed, the collected
-/// right side when residual-only). The global budget is divided by
-/// this count.
-pub fn spill_points(plan: &Plan) -> usize {
+/// Number of memory-budgeted materialization points in a plan over `db`:
+/// every `Sort`, `Distinct`, and `Join` (the hash build side of a keyed
+/// join, the materialized right side of a cross join), plus every
+/// `AntiJoin` (the hash build side when keyed, the collected right side
+/// when residual-only) — except a join or an anti-join that probes its
+/// right side through an index, which builds nothing. The global budget
+/// is divided by this count.
+pub fn spill_points(db: &Database, plan: &Plan) -> usize {
     let own = match plan {
-        Plan::Sort { .. } | Plan::Distinct { .. } | Plan::Join { .. } | Plan::AntiJoin { .. } => 1,
+        Plan::Sort { .. } | Plan::Distinct { .. } => 1,
+        Plan::Join { .. } | Plan::AntiJoin { .. } => usize::from(!probes_right(db, plan)),
         _ => 0,
     };
-    own + plan.children().into_iter().map(spill_points).sum::<usize>()
+    own + plan
+        .children()
+        .into_iter()
+        .map(|child| spill_points(db, child))
+        .sum::<usize>()
 }
 
 /// Approximate in-memory footprint of a row: the `Row` header, one
@@ -233,7 +240,7 @@ pub(crate) fn row_bytes(row: &Row) -> usize {
             .map(|v| {
                 std::mem::size_of::<Value>()
                     + match v {
-                        Value::Str(s) => s.len(),
+                        Value::Str(s) => s.as_bytes().len(),
                         _ => 0,
                     }
             })
@@ -500,7 +507,7 @@ fn encode_block(enc: &mut Enc, rows: &[Row]) {
                 put_validity(enc, validity);
                 enc.put_var(dict.len() as u64);
                 for s in dict {
-                    enc.put_str(s);
+                    enc.put_bytes(s.as_bytes());
                 }
                 for &code in codes {
                     enc.put_var(u64::from(code));
@@ -1501,28 +1508,108 @@ mod tests {
 
     #[test]
     fn spill_points_counts_materialization_points() {
+        use crate::schema::TableSchema;
+        // Index-free tables: every join builds or buffers its right side.
+        let mut db = crate::catalog::Database::new();
+        db.create_table(TableSchema::keyless("T", &["a", "b"]))
+            .unwrap();
+        db.create_table(TableSchema::keyless("S", &["k", "tag"]))
+            .unwrap();
         let plan = Plan::scan("T")
             .join(Plan::scan("S"), vec![(0, 0)])
             .distinct()
             .sort(vec![0]);
-        assert_eq!(spill_points(&plan), 3);
+        assert_eq!(spill_points(&db, &plan), 3);
         let cross = Plan::scan("T")
             .join_where(Plan::scan("S"), vec![], Expr::col_eq_col(0, 1))
             .distinct();
         // The cross join's materialized right side counts alongside the
         // distinct.
-        assert_eq!(spill_points(&cross), 2);
+        assert_eq!(spill_points(&db, &cross), 2);
         // Anti-joins count whether keyed (hash build) or residual-only
         // (collected right side with overflow runs).
         let keyed = Plan::scan("T").anti_join(Plan::scan("S"), vec![(0, 0)]);
-        assert_eq!(spill_points(&keyed), 1);
+        assert_eq!(spill_points(&db, &keyed), 1);
         let residual_only = Plan::AntiJoin {
             left: Box::new(Plan::scan("T")),
             right: Box::new(Plan::scan("S")),
             on: vec![],
             residual: Some(Expr::col_eq_col(0, 2)),
         };
-        assert_eq!(spill_points(&residual_only), 1);
+        assert_eq!(spill_points(&db, &residual_only), 1);
+        // An index on `S.k` turns the keyed join and anti-join into
+        // probes, which build nothing; the cross join still buffers.
+        db.table_mut("S")
+            .unwrap()
+            .create_index("by_k", &["k"])
+            .unwrap();
+        assert_eq!(spill_points(&db, &plan), 2);
+        assert_eq!(spill_points(&db, &keyed), 0);
+        assert_eq!(spill_points(&db, &cross), 2);
+        assert_eq!(spill_points(&db, &residual_only), 1);
+    }
+
+    #[test]
+    fn a_probed_join_leaves_the_whole_budget_to_the_sort() {
+        use crate::exec::Executor;
+        use crate::schema::TableSchema;
+        let dir = tmp();
+        let mut db = crate::catalog::Database::new();
+        let t = db
+            .create_table(TableSchema::keyless("T", &["a", "b"]))
+            .unwrap();
+        for i in 0..300i64 {
+            t.insert(row![i % 50, (i * 7) % 97]).unwrap();
+        }
+        let s = db
+            .create_table(TableSchema::with_key("S", &["k", "tag"]))
+            .unwrap();
+        for k in 0..40i64 {
+            s.insert(row![k, format!("tag{k}").as_str()]).unwrap();
+        }
+        let plan = Plan::scan("T")
+            .join(Plan::scan("S"), vec![(0, 0)])
+            .sort(vec![1, 0]);
+        assert_eq!(spill_points(&db, &plan), 1);
+        let budget = 4096;
+        let opts = SpillOptions::with_budget(budget).in_dir(&dir);
+        assert_eq!(
+            SpillCtx::for_plan(&opts, &db, &plan).per_point,
+            Some(budget)
+        );
+        let explain = crate::opt::render(
+            &db,
+            &crate::opt::StatsCatalog::snapshot(&db),
+            &plan,
+            Some(budget),
+        );
+        let lines: Vec<&str> = explain.lines().collect();
+        assert!(
+            lines[0].starts_with("Sort") && lines[0].contains("[spill budget=4096 "),
+            "{explain}"
+        );
+        assert!(
+            lines[1].contains("[probe S.pk]") && !lines[1].contains("[spill"),
+            "{explain}"
+        );
+        let unlimited = Executor::new(&db)
+            .open_chunks(&plan)
+            .unwrap()
+            .collect_rows()
+            .unwrap();
+        assert_eq!(unlimited.len(), 240);
+        let budgeted = Executor::with_spill(&db, opts)
+            .open_chunks(&plan)
+            .unwrap()
+            .collect_rows()
+            .unwrap();
+        assert_eq!(budgeted, unlimited);
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "spill files left behind"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

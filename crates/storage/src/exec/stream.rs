@@ -54,7 +54,7 @@ use crate::obs::metrics::{metrics, Metric};
 use crate::obs::profile::{bump, raise, NodeObs, ProfNode, Profile};
 use crate::plan::Plan;
 use crate::row::{Projector, Row};
-use crate::value::Value;
+use crate::value::{Str, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -563,7 +563,7 @@ impl<'a> Executor<'a> {
         // plan reaches the executor — optimized, cached, or hand-built —
         // is checked once more with the verifier armed.
         crate::sema::verify_plan_if_enabled(self.db, plan, "exec_open")?;
-        let spill = SpillCtx::for_plan(&self.spill, plan);
+        let spill = SpillCtx::for_plan(&self.spill, self.db, plan);
         let batch = Batch::new(self.batch);
         Ok(ChunkStream::new(open_node(
             self.db, plan, batch, &spill, &obs,
@@ -591,9 +591,9 @@ pub(crate) enum ColLitKernel {
     EqInt(usize, i64),
     LtInt(usize, i64),
     LeInt(usize, i64),
-    EqStr(usize, Arc<str>),
-    LtStr(usize, Arc<str>),
-    LeStr(usize, Arc<str>),
+    EqStr(usize, Str),
+    LtStr(usize, Str),
+    LeStr(usize, Str),
     /// Any other `column op literal` comparison: still a tight loop over
     /// [`CmpOp::eval`], just without the specialized match.
     Cmp(usize, CmpOp, Value),
@@ -615,9 +615,9 @@ impl ColLitKernel {
             (CmpOp::Eq, Value::Int(i)) => ColLitKernel::EqInt(col, *i),
             (CmpOp::Lt, Value::Int(i)) => ColLitKernel::LtInt(col, *i),
             (CmpOp::Le, Value::Int(i)) => ColLitKernel::LeInt(col, *i),
-            (CmpOp::Eq, Value::Str(s)) => ColLitKernel::EqStr(col, Arc::clone(s)),
-            (CmpOp::Lt, Value::Str(s)) => ColLitKernel::LtStr(col, Arc::clone(s)),
-            (CmpOp::Le, Value::Str(s)) => ColLitKernel::LeStr(col, Arc::clone(s)),
+            (CmpOp::Eq, Value::Str(s)) => ColLitKernel::EqStr(col, s.clone()),
+            (CmpOp::Lt, Value::Str(s)) => ColLitKernel::LtStr(col, s.clone()),
+            (CmpOp::Le, Value::Str(s)) => ColLitKernel::LeStr(col, s.clone()),
             _ => ColLitKernel::Cmp(col, op, lit.clone()),
         })
     }
@@ -665,14 +665,14 @@ impl ColLitKernel {
                 Value::Null | Value::Bool(_) => true,
                 Value::Str(_) => false,
             },
-            ColLitKernel::EqStr(_, s) => matches!(v, Value::Str(x) if **x == **s),
+            ColLitKernel::EqStr(_, s) => matches!(v, Value::Str(x) if x == s),
             // Null, Bool, and Int all rank below Str.
             ColLitKernel::LtStr(_, s) => match v {
-                Value::Str(x) => **x < **s,
+                Value::Str(x) => x < s,
                 _ => true,
             },
             ColLitKernel::LeStr(_, s) => match v {
-                Value::Str(x) => **x <= **s,
+                Value::Str(x) => x <= s,
                 _ => true,
             },
             ColLitKernel::Cmp(_, op, lit) => op.eval(v, lit),

@@ -26,35 +26,35 @@ use crate::column::{build_column, Bitmap, Column, ColumnSet};
 use crate::index::{CellHash, IndexRid};
 use crate::persist::format::{unzigzag, zigzag};
 use crate::row::Row;
-use crate::value::{Cell, Value};
+use crate::value::{Cell, Str, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Append-only string dictionary of one column: code → string and back.
 #[derive(Debug, Clone, Default)]
 struct Interner {
-    strings: Vec<Arc<str>>,
-    codes: HashMap<Arc<str>, u32, CellHash>,
+    strings: Vec<Str>,
+    codes: HashMap<Str, u32, CellHash>,
     /// The code handed out last. Runs of one value (a key propagated
     /// through the worlds, a sign, a flag) skip the map.
     last: u32,
 }
 
 impl Interner {
-    /// The code of `s`; the string is shared (a reference-count bump),
-    /// and only the first time the column sees it.
-    fn intern(&mut self, s: &Arc<str>) -> u32 {
+    /// The code of `s`; the string is cloned (a copy of a short one's
+    /// bytes, a reference-count bump for a long one), and only the first
+    /// time the column sees it.
+    fn intern(&mut self, s: &Str) -> u32 {
         if self.strings.get(self.last as usize) == Some(s) {
             return self.last;
         }
-        if let Some(&code) = self.codes.get(s.as_ref()) {
+        if let Some(&code) = self.codes.get(s) {
             self.last = code;
             return code;
         }
         // Each entry costs tens of bytes, so memory runs out long before.
         let code = u32::try_from(self.strings.len()).expect("fewer than 2^32 distinct strings");
-        self.strings.push(Arc::clone(s));
-        self.codes.insert(Arc::clone(s), code);
+        self.strings.push(s.clone());
+        self.codes.insert(s.clone(), code);
         self.last = code;
         code
     }
@@ -371,7 +371,7 @@ impl HeapColumn {
                     remap[old] = new as u32;
                 }
                 Column::Str {
-                    dict: used.iter().map(|&c| Arc::clone(&dict.strings[c])).collect(),
+                    dict: used.iter().map(|&c| dict.strings[c].clone()).collect(),
                     codes: live
                         .ones()
                         .map(|slot| match is_valid(valid, slot) {
@@ -386,9 +386,10 @@ impl HeapColumn {
     }
 
     /// Estimated bytes: data vector at the width its cells have, validity
-    /// bitmap and dictionary entries (pointer, map entry and control byte;
-    /// the text itself is a shared `Arc<str>` and not counted). Capacity
-    /// slack is not counted.
+    /// bitmap and dictionary entries (vector entry, map entry and control
+    /// byte; a short string's text is inside the entries, a long one's is
+    /// a shared `Arc<str>` and not counted). Capacity slack is not
+    /// counted.
     fn approx_bytes(&self) -> usize {
         let bitmap = |valid: &Option<Bitmap>| valid.as_ref().map_or(0, Bitmap::byte_len);
         match self {
@@ -403,11 +404,11 @@ impl HeapColumn {
     }
 }
 
-/// What one dictionary entry costs besides its text: the `Arc<str>` in the
-/// code → string vector, and the string → code map entry with its control
-/// byte.
+/// What one dictionary entry costs besides a long string's text: the
+/// [`Str`] in the code → string vector, and the string → code map entry
+/// with its control byte.
 pub(crate) const DICT_ENTRY_BYTES: usize =
-    std::mem::size_of::<Arc<str>>() + std::mem::size_of::<(Arc<str>, u32)>() + 1;
+    std::mem::size_of::<Str>() + std::mem::size_of::<(Str, u32)>() + 1;
 
 /// A slotted heap of rows, stored column-wise.
 #[derive(Debug, Clone)]
@@ -550,7 +551,7 @@ impl Heap {
     /// The dictionary of column `col` when it is a string column: every
     /// string it has held, in the order it first met them. `None` for
     /// any other column.
-    pub(crate) fn dictionary(&self, col: usize) -> Option<&[Arc<str>]> {
+    pub(crate) fn dictionary(&self, col: usize) -> Option<&[Str]> {
         match &self.cols[col] {
             HeapColumn::Str { dict, .. } => Some(&dict.strings),
             _ => None,

@@ -766,7 +766,7 @@ mod tests {
         // The layout docs/execution.md and docs/observability.md quote.
         assert_eq!(std::mem::size_of::<RunEntry>(), 8);
         assert_eq!(std::mem::size_of::<(u64, Group)>(), 56);
-        assert_eq!(crate::heap::DICT_ENTRY_BYTES, 41);
+        assert_eq!(crate::heap::DICT_ENTRY_BYTES, 57);
         // A run starts with four slots, taken or not.
         assert_eq!(two_groups, 2 * 4 * 8 + 2 * (56 + 1));
         t.insert(row![2]);

@@ -75,4 +75,4 @@ pub use row::{Projector, Row};
 pub use schema::{ColumnDef, KeyMode, TableSchema};
 pub use sema::{lint_program, set_verify, verify_enabled, verify_plan, Diagnostic, Severity};
 pub use table::{IndexId, Table};
-pub use value::{AsCell, Cell, Value};
+pub use value::{AsCell, Cell, Str, Value};

@@ -328,7 +328,7 @@ mod tests {
 
         // Two slots: an integer column and a code column with two
         // dictionary entries, a byte a cell, and one word of live bits.
-        let heap = 2 + (2 + 2 * 41) + 8;
+        let heap = 2 + (2 + 2 * 57) + 8;
         assert_eq!(r.get(12).unwrap().as_int(), Some(heap)); // heap_bytes
         assert_eq!(r.get(13).unwrap().as_int(), Some(0)); // index_bytes: no index
 
@@ -339,7 +339,7 @@ mod tests {
             .insert(row![300, "a"])
             .unwrap();
         let r = &vt.rows(&db)[0];
-        let heap = 3 * 2 + (3 + 2 * 41) + 8;
+        let heap = 3 * 2 + (3 + 2 * 57) + 8;
         assert_eq!(r.get(12).unwrap().as_int(), Some(heap));
     }
 

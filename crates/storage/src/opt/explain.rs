@@ -11,7 +11,7 @@
 
 use super::stats::{combine, RelEstimate, StatsCatalog};
 use crate::catalog::Database;
-use crate::exec::access::explain_label;
+use crate::exec::access::{explain_label, probes_right};
 use crate::exec::{selection_kernel_label, spill_points, BATCH_SIZE, SPILL_PARTITIONS};
 use crate::obs::profile::{ProfNode, Profile};
 use crate::plan::Plan;
@@ -31,7 +31,7 @@ pub fn render(db: &Database, catalog: &StatsCatalog, plan: &Plan, budget: Option
         plan,
         &est,
         0,
-        &spill_tag(plan, budget),
+        &spill_tag(db, plan, budget),
         &ProfCtx::Off,
         &mut out,
     );
@@ -40,10 +40,10 @@ pub fn render(db: &Database, catalog: &StatsCatalog, plan: &Plan, budget: Option
 
 /// The `[spill …]` suffix of every materialization point under `budget`
 /// (empty without one).
-fn spill_tag(plan: &Plan, budget: Option<usize>) -> String {
+fn spill_tag(db: &Database, plan: &Plan, budget: Option<usize>) -> String {
     budget
         .map(|b| {
-            let per_point = b / spill_points(plan).max(1);
+            let per_point = b / spill_points(db, plan).max(1);
             format!(" [spill budget={per_point} partitions={SPILL_PARTITIONS}]")
         })
         .unwrap_or_default()
@@ -74,7 +74,15 @@ pub fn render_analyze(
     let est = EstTree::build(catalog, plan);
     let mut out = String::new();
     let prof = ProfCtx::On(Some(Rc::clone(profile.root())));
-    render_node(db, plan, &est, 0, &spill_tag(plan, budget), &prof, &mut out);
+    render_node(
+        db,
+        plan,
+        &est,
+        0,
+        &spill_tag(db, plan, budget),
+        &prof,
+        &mut out,
+    );
     out
 }
 
@@ -224,16 +232,15 @@ fn on_note(on: &[(usize, usize)]) -> String {
 }
 
 /// The `[spill …]` tag for this node, or empty when it is not a
-/// materialization point (pipelined operators never spill). Every join
-/// materializes its right side — keyed joins build a hash table, cross
-/// joins buffer the right input — so every join and anti-join is a
-/// spill point (the residual-only anti-join's buffered right side
-/// overflows to a replayed run, like the cross join's).
-fn spill_note<'s>(plan: &Plan, tag: &'s str) -> &'s str {
+/// materialization point (pipelined operators never spill). A join or an
+/// anti-join materializes its right side — keyed ones build a hash
+/// table, cross joins buffer the right input, the residual-only
+/// anti-join's buffered right side overflows to a replayed run — unless
+/// it probes that side through an index, which builds nothing.
+fn spill_note<'s>(db: &Database, plan: &Plan, tag: &'s str) -> &'s str {
     match plan {
-        Plan::Sort { .. } | Plan::Distinct { .. } | Plan::Join { .. } | Plan::AntiJoin { .. } => {
-            tag
-        }
+        Plan::Sort { .. } | Plan::Distinct { .. } => tag,
+        Plan::Join { .. } | Plan::AntiJoin { .. } if !probes_right(db, plan) => tag,
         _ => "",
     }
 }
@@ -275,7 +282,7 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
         "{}{}{}",
         exec_note(plan, !access.is_empty()),
         vectorized_note(plan),
-        spill_note(plan, spill_tag)
+        spill_note(db, plan, spill_tag)
     );
     match plan {
         Plan::Scan { table } => {
@@ -537,8 +544,9 @@ mod tests {
     #[test]
     fn budget_tags_materialization_points_only() {
         let db = db();
+        // `V.s = R.val`: no index serves `R.val`, so the join builds.
         let plan = Plan::scan("V")
-            .join(Plan::scan("R"), vec![(1, 0)])
+            .join(Plan::scan("R"), vec![(2, 1)])
             .distinct()
             .sort(vec![0])
             .limit(3);
@@ -547,6 +555,19 @@ mod tests {
         // third of the budget, and the fan-out is reported.
         let text = render(&db, &catalog, &plan, Some(3 * 4096));
         assert_eq!(text.matches("[spill budget=4096 partitions=16]").count(), 3);
+        // `V.tid = R.tid` probes `R`'s key and builds nothing: the
+        // distinct and the sort split the budget, the join has no tag.
+        let probed = Plan::scan("V")
+            .join(Plan::scan("R"), vec![(1, 0)])
+            .distinct()
+            .sort(vec![0]);
+        let text = render(&db, &catalog, &probed, Some(2 * 4096));
+        assert_eq!(text.matches("[spill budget=4096 partitions=16]").count(), 2);
+        assert!(
+            text.lines()
+                .any(|l| l.contains("[probe R.pk]") && !l.contains("spill")),
+            "{text}"
+        );
         assert!(
             !text
                 .lines()

@@ -256,7 +256,7 @@ impl Enc {
             }
             Cell::Str(s) => {
                 self.put_u8(VALUE_STR);
-                self.put_str(s);
+                self.put_bytes(s.as_bytes());
             }
         }
     }

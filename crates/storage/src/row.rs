@@ -24,10 +24,12 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Row(Arc<[Value]>);
 
-// A row is a fat pointer and a value three words; a layout change would
-// silently grow every chunk buffer, answer and belief world.
+// A row is a fat pointer and a value three words: a string's `Str` is a
+// tag, a length and 22 inline bytes, or a tag and a fat pointer. A layout
+// change would silently grow every chunk buffer, answer and belief world.
 const _: () = assert!(std::mem::size_of::<Row>() == 16);
 const _: () = assert!(std::mem::size_of::<Value>() == 24);
+const _: () = assert!(std::mem::size_of::<crate::value::Str>() == 24);
 
 impl Row {
     /// Build a row from any iterable of values. An iterator of known

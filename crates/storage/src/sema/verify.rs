@@ -30,6 +30,7 @@ use super::{codes, verify_enabled, Diagnostic};
 use crate::catalog::Database;
 use crate::datalog::{BodyLit, Program, Rule};
 use crate::error::{Result, StorageError};
+use crate::exec::access::probes_right;
 use crate::exec::spill_points;
 use crate::expr::Expr;
 use crate::opt::magic::MAGIC_PREFIX;
@@ -59,8 +60,8 @@ pub fn verify_plan(db: &Database, plan: &Plan) -> std::result::Result<(), Diagno
     }
     // Spill accounting: our independent count of materialization points
     // must match the executor's budget splitter.
-    let ours = materialization_points(plan);
-    let theirs = spill_points(plan);
+    let ours = materialization_points(db, plan);
+    let theirs = spill_points(db, plan);
     if ours != theirs {
         return Err(Diagnostic::error(
             codes::SPILL_POINTS,
@@ -218,16 +219,19 @@ fn check_expr(e: &Expr, arity: usize, what: &str) -> std::result::Result<(), Dia
 /// The verifier's own notion of a materialization point, kept in
 /// deliberate lockstep with the contract documented on
 /// [`crate::exec::spill_points`]: `Sort`, `Distinct`, `Join`, and
-/// `AntiJoin` each hold state; everything else pipelines.
-fn materialization_points(plan: &Plan) -> usize {
-    let own = matches!(
-        plan,
-        Plan::Sort { .. } | Plan::Distinct { .. } | Plan::Join { .. } | Plan::AntiJoin { .. }
-    ) as usize;
+/// `AntiJoin` each hold state, except a join that probes its right side
+/// (the same [`probes_right`] the executor asks); everything else
+/// pipelines.
+fn materialization_points(db: &Database, plan: &Plan) -> usize {
+    let own = match plan {
+        Plan::Sort { .. } | Plan::Distinct { .. } => true,
+        Plan::Join { .. } | Plan::AntiJoin { .. } => !probes_right(db, plan),
+        _ => false,
+    } as usize;
     own + plan
         .children()
         .into_iter()
-        .map(materialization_points)
+        .map(|child| materialization_points(db, child))
         .sum::<usize>()
 }
 

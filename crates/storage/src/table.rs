@@ -25,7 +25,7 @@ use crate::heap::Heap;
 use crate::index::{CellHash, Index, IndexRid, RowId};
 use crate::row::Row;
 use crate::schema::{KeyMode, TableSchema};
-use crate::value::{AsCell, Cell, Value};
+use crate::value::{AsCell, Cell, Str, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,7 +43,7 @@ pub struct TableAccess {
     pub seq_scans: AtomicU64,
     /// Rows made visible to sequential scans (live rows at scan open).
     pub rows_read: AtomicU64,
-    /// Secondary-index point lookups.
+    /// Key and secondary-index point lookups.
     pub index_probes: AtomicU64,
     /// Rows inserted.
     pub inserts: AtomicU64,
@@ -65,7 +65,7 @@ pub struct TableAccess {
 
 impl TableAccess {
     #[inline]
-    fn bump(counter: &AtomicU64, by: u64) {
+    pub(crate) fn bump(counter: &AtomicU64, by: u64) {
         counter.fetch_add(by, Ordering::Relaxed);
     }
 
@@ -402,7 +402,7 @@ impl Table {
     /// first met them, deleted rows' included. `None` for any other
     /// column. With [`Table::code`], a column can be written out as
     /// dictionary codes without hashing a string.
-    pub fn dictionary(&self, col: usize) -> Result<Option<&[Arc<str>]>> {
+    pub fn dictionary(&self, col: usize) -> Result<Option<&[Str]>> {
         self.check_column(col)?;
         Ok(self.heap.dictionary(col))
     }
@@ -623,8 +623,9 @@ impl Table {
     /// Estimated bytes of the column heap, from the widths its column
     /// vectors have now (1, 2, 4 or 8 bytes a cell for integers and string
     /// codes) over all slots, its dictionary entries and its bitmaps (the
-    /// formula is in `docs/observability.md`). The text of strings is
-    /// shared `Arc<str>` and not counted.
+    /// formula is in `docs/observability.md`). A short string's text is
+    /// inside its dictionary entry; a long one's is a shared `Arc<str>`
+    /// and not counted.
     pub fn heap_bytes(&self) -> usize {
         self.heap.approx_bytes()
     }

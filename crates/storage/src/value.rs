@@ -4,13 +4,126 @@
 //! insert, of query results and of lookup keys. Tables do not store
 //! `Value`s — the column heap (`crate::heap`) keeps integers unboxed and
 //! strings as dictionary codes — and hand out either materialized `Value`s
-//! or a borrowed [`Cell`]. Strings are reference-counted (`Arc<str>`), so
-//! materializing a cell of a string column is a reference-count bump on
-//! the table's dictionary entry, never a copy of the text.
+//! or a borrowed [`Cell`].
+//!
+//! A string is a [`Str`]: up to 22 bytes are kept inline, in the value
+//! itself, so building or cloning a short string (an id, a species, a
+//! date, a sign) allocates nothing; a longer one is a shared `Arc<str>`,
+//! so cloning it — materializing a cell of a table's dictionary, say — is
+//! a reference-count bump, never a copy of the text.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
+
+/// The longest string kept inline, in bytes.
+const INLINE: usize = 22;
+
+/// An immutable UTF-8 string, inline up to 22 bytes and shared above.
+/// `Eq`, `Ord`, `Hash`, `Display` and `Debug` are those of its text.
+#[derive(Clone)]
+pub struct Str(Repr);
+
+/// The text of a [`Str`]: inline (the first `len` bytes of `bytes`) when it
+/// is at most `INLINE` bytes long — always so, since the constructor picks
+/// — else behind a reference count.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Shared(Arc<str>),
+}
+
+impl Str {
+    /// The string `s`: inline when it fits, else a new shared block.
+    pub fn new(s: &str) -> Self {
+        if s.len() <= INLINE {
+            Str::inline(s)
+        } else {
+            Str(Repr::Shared(Arc::from(s)))
+        }
+    }
+
+    /// The string `s` of at most 22 bytes, inline; for `static`s and
+    /// `const`s. Panics (at compile time in a constant) on a longer one.
+    pub const fn inline(s: &str) -> Self {
+        let src = s.as_bytes();
+        assert!(src.len() <= INLINE, "Str::inline takes at most 22 bytes");
+        let mut bytes = [0; INLINE];
+        let mut i = 0;
+        while i < src.len() {
+            bytes[i] = src[i];
+            i += 1;
+        }
+        Str(Repr::Inline {
+            len: src.len() as u8,
+            bytes,
+        })
+    }
+
+    /// The UTF-8 bytes of the text: what `Eq`, `Ord` and `Hash` compare.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// The text. An inline string's bytes are re-checked as UTF-8 (they
+    /// were copied from a `str`, so this cannot fail).
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..*len as usize]).expect("inline bytes are a copied str")
+            }
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// True iff the text is kept inline (exactly when it is at most 22
+    /// bytes long).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+}
+
+impl PartialEq for Str {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Str {}
+
+impl PartialOrd for Str {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Str {
+    /// Byte order, which is `str`'s.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::hash::Hash for Str {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl fmt::Display for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// A dynamically-typed scalar value.
 #[derive(Debug, Clone)]
@@ -22,14 +135,14 @@ pub enum Value {
     Bool(bool),
     /// 64-bit signed integer.
     Int(i64),
-    /// Interned UTF-8 string.
-    Str(Arc<str>),
+    /// UTF-8 string: inline up to 22 bytes, shared above ([`Str`]).
+    Str(Str),
 }
 
 impl Value {
-    /// Build a string value.
+    /// Build a string value (inline when it is at most 22 bytes long).
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Str::new(s.as_ref()))
     }
 
     /// Build an integer value.
@@ -53,7 +166,7 @@ impl Value {
     /// Extract a string slice, if this value is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -85,7 +198,7 @@ pub enum Cell<'a> {
     Null,
     Bool(bool),
     Int(i64),
-    Str(&'a Arc<str>),
+    Str(&'a Str),
 }
 
 impl<'a> Cell<'a> {
@@ -100,7 +213,7 @@ impl<'a> Cell<'a> {
     /// Extract a string slice, if this cell holds one.
     pub fn as_str(self) -> Option<&'a str> {
         match self {
-            Cell::Str(s) => Some(s),
+            Cell::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -113,13 +226,14 @@ impl<'a> Cell<'a> {
         }
     }
 
-    /// Materialize the cell (a reference-count bump for strings).
+    /// Materialize the cell: a copy of a short string's bytes, a
+    /// reference-count bump for a long one.
     pub fn to_value(self) -> Value {
         match self {
             Cell::Null => Value::Null,
             Cell::Bool(b) => Value::Bool(b),
             Cell::Int(i) => Value::Int(i),
-            Cell::Str(s) => Value::Str(Arc::clone(s)),
+            Cell::Str(s) => Value::Str(s.clone()),
         }
     }
 }
@@ -149,7 +263,7 @@ impl Ord for Cell<'_> {
             (Cell::Null, Cell::Null) => Ordering::Equal,
             (Cell::Bool(a), Cell::Bool(b)) => a.cmp(b),
             (Cell::Int(a), Cell::Int(b)) => a.cmp(b),
-            (Cell::Str(a), Cell::Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Cell::Str(a), Cell::Str(b)) => a.cmp(b),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
@@ -250,7 +364,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(Arc::from(s.as_str()))
+        Value::str(s)
     }
 }
 
@@ -352,11 +466,11 @@ mod tests {
 
     #[test]
     fn string_clone_is_cheap_refcount() {
-        let a = Value::str("a long species name that would be expensive to copy");
+        let a = Str::new("a long species name that would be expensive to copy");
         let b = a.clone();
-        match (&a, &b) {
-            (Value::Str(x), Value::Str(y)) => assert!(Arc::ptr_eq(x, y)),
-            _ => unreachable!(),
+        match (&a.0, &b.0) {
+            (Repr::Shared(x), Repr::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
+            _ => panic!("a string past 22 bytes is shared"),
         }
     }
 }

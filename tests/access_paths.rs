@@ -4,9 +4,9 @@
 //! sharing a first column, two over the same columns in different orders),
 //!
 //! * `EXPLAIN` names the path the executor really takes, read from the
-//!   table's `seq_scans` / `index_probes` counters: a key lookup counts
-//!   neither, an index probe counts one probe per probing row, a scan or a
-//!   hash build counts one scan;
+//!   table's `seq_scans` / `index_probes` counters: a key lookup and an
+//!   index probe count one probe per probing row and no scan, a scan or a
+//!   hash build counts one scan and no probe;
 //! * the path is the one the access-path rule below picks, tie-break
 //!   included;
 //! * the rows equal the reference executor's, which scans and hash-joins.
@@ -101,8 +101,8 @@ fn explained(db: &Database, plan: &Plan) -> Option<String> {
     Some(note[..note.find(']').unwrap()].to_string())
 }
 
-/// Run `plan` and report the path the counters of `T` show, as
-/// `EXPLAIN` names it: `Some("pk")`, `Some("index")` or `None` for a scan.
+/// Run `plan` and report the path the counters of `T` show:
+/// `Some("probe")` for a key or an index path, `None` for a scan.
 fn executed(db: &Database, plan: &Plan, probing_rows: u64) -> (Vec<Row>, Option<String>) {
     let counters = || {
         let [scans, _, probes, ..] = db.table("T").unwrap().access().snapshot();
@@ -112,8 +112,7 @@ fn executed(db: &Database, plan: &Plan, probing_rows: u64) -> (Vec<Row>, Option<
     let rows = execute(db, plan).unwrap();
     let after = counters();
     let path = match (after.0 - before.0, after.1 - before.1) {
-        (0, 0) => Some("pk".to_string()),
-        (0, probes) if probes == probing_rows => Some("index".to_string()),
+        (0, probes) if probes == probing_rows => Some("probe".to_string()),
         (1, 0) => None,
         deltas => panic!("{plan:?}: unexpected counter deltas {deltas:?}"),
     };
@@ -134,7 +133,7 @@ fn column_sets() -> Vec<Vec<usize>> {
 fn check(read: Read, cols: &[usize], explain: Option<String>, ran: Option<String>) {
     let want = expected(cols, read);
     assert_eq!(explain, want, "columns {cols:?}: EXPLAIN against the rule");
-    let kind = want.map(|name| if name == "pk" { name } else { "index".into() });
+    let kind = want.map(|_| "probe".to_string());
     assert_eq!(ran, kind, "columns {cols:?}: the executor against EXPLAIN");
 }
 
@@ -201,7 +200,7 @@ fn a_seventh_pinned_column_still_finds_its_index() {
     let plan = Plan::scan("T").select(Expr::and(pins.collect()));
     assert_eq!(explained(&db, &plan).as_deref(), Some("by_c6"));
     let (rows, ran) = executed(&db, &plan, 1);
-    assert_eq!(ran.as_deref(), Some("index"));
+    assert_eq!(ran.as_deref(), Some("probe"));
     assert_eq!(rows.len(), 16);
     assert_eq!(rows, execute_materialized(&db, &plan).unwrap());
 }
@@ -232,7 +231,7 @@ fn an_index_join_probes_for_every_left_row() {
             "{left} left rows"
         );
         let (rows, ran) = executed(&db, &plan, left as u64);
-        assert_eq!(ran.as_deref(), Some("index"), "{left} left rows");
+        assert_eq!(ran.as_deref(), Some("probe"), "{left} left rows");
         let mut expect = execute_materialized(&db, &plan).unwrap();
         let mut got = rows;
         expect.sort();

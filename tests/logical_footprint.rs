@@ -6,7 +6,10 @@
 //! A clone of a `Row`, a `GroundTuple`, a `BeliefPath` of up to five users
 //! or a `BeliefStatement` must allocate nothing: rows are shared slices and
 //! short paths are inline, so a tuple that many statements, worlds and
-//! answers mention is held once.
+//! answers mention is held once. Building a row of five short strings (a
+//! `Sightings` row of the paper's §6.1 workload) allocates exactly one
+//! block, the row's own 136 B: strings of up to 22 bytes are inline in
+//! their `Value`. A sign's value allocates nothing.
 //!
 //! On the `Lazy` Table 2 store at n = 2,000 (seed 7) this test bounds
 //!
@@ -33,7 +36,7 @@
 //! exactly one `#[test]`, so no other thread skews the counters).
 
 use beliefdb::core::path::path;
-use beliefdb::core::{BeliefStatement, DefaultPolicy, GroundTuple, RelId};
+use beliefdb::core::{BeliefStatement, DefaultPolicy, GroundTuple, RelId, Sign};
 use beliefdb::gen::generate_bdms_with_policy;
 use beliefdb::gen::scenarios::table2_config;
 use beliefdb::storage::row;
@@ -47,6 +50,8 @@ static LIVE: AtomicIsize = AtomicIsize::new(0);
 static PEAK: AtomicIsize = AtomicIsize::new(0);
 /// Bytes ever requested, frees not subtracted.
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+/// Blocks ever requested (a `realloc` counts as one).
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
 
 fn grow(by: isize) {
     let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
@@ -59,6 +64,7 @@ unsafe impl GlobalAlloc for CountingBytes {
         if !p.is_null() {
             grow(layout.size() as isize);
             ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+            BLOCKS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -68,6 +74,7 @@ unsafe impl GlobalAlloc for CountingBytes {
         if !q.is_null() {
             grow(new_size as isize - layout.size() as isize);
             ALLOCATED.fetch_add(new_size, Ordering::Relaxed);
+            BLOCKS.fetch_add(1, Ordering::Relaxed);
         }
         q
     }
@@ -94,9 +101,20 @@ const MAX_ORACLE_PEAK_KB: f64 = 604.0;
 
 /// The bytes `f` allocates, whatever it frees.
 fn allocated_by(f: impl FnOnce()) -> usize {
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    blocks_and_bytes_by(f).1
+}
+
+/// The blocks and the bytes `f` allocates, whatever it frees.
+fn blocks_and_bytes_by(f: impl FnOnce()) -> (usize, usize) {
+    let (blocks, bytes) = (
+        BLOCKS.load(Ordering::Relaxed),
+        ALLOCATED.load(Ordering::Relaxed),
+    );
     f();
-    ALLOCATED.load(Ordering::Relaxed) - before
+    (
+        BLOCKS.load(Ordering::Relaxed) - blocks,
+        ALLOCATED.load(Ordering::Relaxed) - bytes,
+    )
 }
 
 #[test]
@@ -124,6 +142,26 @@ fn the_logical_export_and_the_oracle_stay_under_budget() {
         "BeliefStatement"
     );
     println!("clones: 0 B for a Row, a GroundTuple, a 0-5 user BeliefPath and a BeliefStatement");
+
+    let sighting = blocks_and_bytes_by(|| {
+        drop(black_box(row![
+            black_box("s1234"),
+            black_box("u17"),
+            black_box("species3"),
+            black_box("6-14-08"),
+            black_box("loc5")
+        ]))
+    });
+    assert_eq!(sighting, (1, 136), "a row of five short strings");
+    assert_eq!(
+        allocated_by(|| drop(black_box(Sign::Pos.value()))),
+        0,
+        "Sign::Pos.value()"
+    );
+    println!(
+        "rows: {} block of {} B for five short strings; 0 B for a sign's value",
+        sighting.0, sighting.1
+    );
 
     let (bdms, _) =
         generate_bdms_with_policy(&table2_config(2_000, 7), DefaultPolicy::Lazy).unwrap();

@@ -519,7 +519,7 @@ impl Fixed {
                 }
                 Value::Str(s) => {
                     self.u8(3);
-                    self.str(s);
+                    self.str(s.as_str());
                 }
             }
         }

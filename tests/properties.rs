@@ -18,14 +18,18 @@
 //!   does, under any add/remove sequence, and `override_with` is Fig. 9's
 //!   overriding union;
 //! * a `BeliefPath`, inline (up to five users) or spilled, orders, hashes,
-//!   prints and composes exactly as its `Vec<UserId>` of users does.
+//!   prints and composes exactly as its `Vec<UserId>` of users does;
+//! * a string `Value`, inline (up to 22 bytes) or shared, compares,
+//!   hashes, prints, materializes and goes through the WAL's value codec
+//!   exactly as its `String` does.
 
 use beliefdb::core::closure::Closure;
 use beliefdb::core::{
     Bdms, BeliefDatabase, BeliefPath, BeliefStatement, BeliefWorld, CanonicalKripke, DefaultPolicy,
     ExternalSchema, GroundTuple, RelId, Sign, UserId,
 };
-use beliefdb::storage::{row, CellHash, Row, Value};
+use beliefdb::storage::persist::{Dec, Enc};
+use beliefdb::storage::{row, CellHash, Row, Str, Value};
 use proptest::prelude::*;
 use std::hash::BuildHasher;
 
@@ -704,7 +708,7 @@ fn v_stays_the_closure_while_wid_and_tid_outgrow_their_lanes() {
     assert_eq!(v.slots(), v.len(), "no slot is free");
     assert_eq!(
         v.heap_bytes(),
-        v.len() * (2 + 2 + 1 + 1 + 1) + (keys.len() + 2 + 2) * 41 + v.len().div_ceil(64) * 8
+        v.len() * (2 + 2 + 1 + 1 + 1) + (keys.len() + 2 + 2) * 57 + v.len().div_ceil(64) * 8
     );
 
     let s = bdms.schema().relation_id("S").unwrap();
@@ -1178,5 +1182,84 @@ proptest! {
         let copy = BeliefPath::new(ua.clone()).unwrap();
         check_pair_against_model(&a, &ua, &copy, &ua)?;
         prop_assert_eq!(CellHash::default().hash_one(&a), CellHash::default().hash_one(&copy));
+    }
+}
+
+/// Text of 0–40 bytes: 0–24 ASCII bytes, then up to six characters of one
+/// to four bytes each, so lengths around the 22-byte inline bound come up
+/// often, with a multi-byte character straddling byte 22 among them.
+fn arb_text() -> impl Strategy<Value = String> {
+    const TAIL: [&str; 5] = ["a", "z", "é", "€", "🦅"];
+    (0..=24usize, proptest::collection::vec(0..TAIL.len(), 0..=6)).prop_map(|(ascii, tail)| {
+        let mut text: String = (0..ascii)
+            .map(|i| (b'a' + (i % 26) as u8) as char)
+            .collect();
+        for c in tail {
+            if text.len() + TAIL[c].len() <= 40 {
+                text.push_str(TAIL[c]);
+            }
+        }
+        text
+    })
+}
+
+/// A string value and its text agree on everything a caller can see.
+fn check_str_against_model(v: &Value, text: &str) -> Result<(), TestCaseError> {
+    let hash = CellHash::default();
+    let Value::Str(s) = v else {
+        return Err(TestCaseError::fail(format!("{v:?} is not a string")));
+    };
+    prop_assert_eq!(s.is_inline(), text.len() <= 22, "{} bytes", text.len());
+    prop_assert_eq!((s.as_str(), s.as_bytes()), (text, text.as_bytes()));
+    prop_assert_eq!(v.as_str(), Some(text));
+    prop_assert_eq!(v.to_string(), text);
+    prop_assert_eq!(format!("{s:>44}|{s:<3}"), format!("{text:>44}|{text:<3}"));
+    prop_assert_eq!(format!("{v:?}"), format!("Str({text:?})"));
+    // `Value`'s hash is its cell's: the type tag, then the text's bytes.
+    prop_assert_eq!(hash.hash_one(v), hash.hash_one((3u8, text.as_bytes())));
+    prop_assert_eq!(hash.hash_one(v), hash.hash_one(v.as_cell()));
+    prop_assert_eq!(hash.hash_one(s), hash.hash_one(Str::new(text)));
+    let back = v.as_cell().to_value();
+    prop_assert_eq!(&back, v);
+    prop_assert_eq!(back.as_str(), Some(text));
+    // The WAL's value encoding: the string tag, the length, the bytes.
+    let mut enc = Enc::new();
+    enc.put_value(v);
+    let bytes = enc.into_bytes();
+    prop_assert_eq!(
+        &bytes,
+        &[&[3, text.len() as u8][..], text.as_bytes()].concat()
+    );
+    let decoded = Dec::new(&bytes).take_value().unwrap();
+    prop_assert_eq!(decoded.as_str(), Some(text));
+    prop_assert_eq!(&decoded, v);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A string `Value` of 0–40 bytes — inline up to 22, shared beyond —
+    /// behaves as its `String`: equality, order, `CellHash` hashes,
+    /// `Display`, `Debug`, the borrowed cell and the WAL codec.
+    #[test]
+    fn value_str_matches_a_string_model(ta in arb_text(), tb in arb_text()) {
+        let (a, b) = (Value::str(&ta), Value::str(&tb));
+        check_str_against_model(&a, &ta)?;
+        check_str_against_model(&b, &tb)?;
+        for (x, tx, y, ty) in [(&a, &ta, &b, &tb), (&b, &tb, &a, &ta), (&a, &ta, &a, &ta)] {
+            prop_assert_eq!(x == y, tx == ty);
+            prop_assert_eq!(x.cmp(y), tx.cmp(ty));
+            prop_assert_eq!(x.as_cell().cmp(&y.as_cell()), tx.cmp(ty));
+            let (Value::Str(sx), Value::Str(sy)) = (x, y) else { unreachable!() };
+            prop_assert_eq!(sx.cmp(sy), tx.cmp(ty));
+        }
+        // Every prefix that ends on a character boundary crosses the bound.
+        for end in (0..=ta.len()).filter(|&i| ta.is_char_boundary(i)) {
+            check_str_against_model(&Value::str(&ta[..end]), &ta[..end])?;
+        }
+        let copy = Value::str(ta.clone());
+        prop_assert_eq!(CellHash::default().hash_one(&a), CellHash::default().hash_one(&copy));
+        prop_assert_eq!(&a, &copy);
     }
 }
