@@ -182,6 +182,26 @@ mod tests {
     }
 
     #[test]
+    fn sign_values_share_allocation() {
+        // Every cell of a sign borrows the one static string, and an owned
+        // value is inline, so the `V` rows need no heap block per sign.
+        for sign in [Sign::Pos, Sign::Neg] {
+            match (sign.cell(), sign.cell()) {
+                (Cell::Str(x), Cell::Str(y)) => assert!(std::ptr::eq(x, y)),
+                _ => unreachable!(),
+            }
+            match sign.value() {
+                Value::Str(s) => assert!(s.is_inline()),
+                _ => unreachable!(),
+            }
+        }
+        assert!(!matches!(
+            (Sign::Pos.cell(), Sign::Neg.cell()),
+            (Cell::Str(x), Cell::Str(y)) if std::ptr::eq(x, y)
+        ));
+    }
+
+    #[test]
     fn tuple_key_and_conflicts() {
         let eagle = t("s1", "bald eagle");
         let fish_eagle = t("s1", "fish eagle");
