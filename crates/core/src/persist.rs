@@ -15,10 +15,12 @@
 //!   external schema, user table, the world directory (in wid order), the
 //!   `R*` tuple table (in tid order), and every explicit belief statement
 //!   as a `(wid, tid, sign)` reference into those two lists.
-//!   `encode_snapshot` writes it straight from the store's tables, `R*`
-//!   column by column with each string column as the heap's own
-//!   dictionary and its codes bit-packed, and the statements grouped by
-//!   world in `(wid, tid)` order, so one store has one image.
+//!   `encode_snapshot` writes version 6 of it straight from the store's
+//!   tables: each world as its parent and its last user, `R*` column by
+//!   column with each string column as the sorted, front-coded dictionary
+//!   of the strings its tuples use and its codes (ranks in it) bit-packed,
+//!   and the statements grouped by world in `(wid, tid)` order, so one
+//!   store has one image. [`SnapshotData::decode`] reads versions 1 to 6.
 //!   Worlds and tuples are snapshotted separately from the statements because
 //!   Algorithm 4 creates them even for *rejected* inserts (Sect. 5.3);
 //!   restoring them in id order reproduces the exact wid/tid
@@ -208,24 +210,31 @@ impl LogRecord {
 // ---------------------------------------------------------------------------
 
 /// Snapshot format version (bumped on incompatible layout changes).
+/// Version 6 is version 5 with each world written as its parent and its
+/// last user, and each string column of `R*` as a sorted, front-coded
+/// dictionary of the strings its tuples use, codes ranked in it and
+/// written from 0 when the column has no NULL (see [`encode_snapshot`]).
 /// Version 5 is version 4 with `R*`'s relations written as runs, its
 /// string codes bit-packed, and the statements grouped by world and
-/// delta-coded (see [`encode_snapshot`]). Version 4 is version 3 in the
-/// varint codec, with `R*` written column by column. Version 3 stores each
-/// statement as `(wid, tid, sign)`, ids into the image's own world and
-/// tuple sections, in the fixed-width layout. Version 2 spelled each
-/// statement out (path, relation, row, sign) and version 1 also lacks the
-/// policy byte after the version: it was written by an `Eager` store and
-/// opens as one. Only version 5 is written; all five are read.
-const SNAPSHOT_VERSION: u8 = 5;
+/// delta-coded. Version 4 is version 3 in the varint codec, with `R*`
+/// written column by column. Version 3 stores each statement as
+/// `(wid, tid, sign)`, ids into the image's own world and tuple sections,
+/// in the fixed-width layout. Version 2 spelled each statement out (path,
+/// relation, row, sign) and version 1 also lacks the policy byte after the
+/// version: it was written by an `Eager` store and opens as one. Only
+/// version 6 is written; all six are read.
+const SNAPSHOT_VERSION: u8 = 6;
 
-/// How a version-4 or -5 image writes one attribute column of a
+/// How a version-4 to -6 image writes one attribute column of a
 /// relation's `R*` tuples, in tid order: a string dictionary and a code
 /// per tuple (0 for NULL, `i + 1` for entry `i`; see [`put_codes`]), a
-/// zig-zag varint per tuple, or a tagged value per tuple.
+/// zig-zag varint per tuple, or a tagged value per tuple. Version 6 flags
+/// a string column without NULLs as [`COLUMN_STR_NO_NULL`], whose codes
+/// are the entries' ranks, from 0.
 const COLUMN_STR: u8 = 1;
 const COLUMN_INT: u8 = 2;
 const COLUMN_MIXED: u8 = 3;
+const COLUMN_STR_NO_NULL: u8 = 4;
 
 fn policy_code(policy: DefaultPolicy) -> u8 {
     match policy {
@@ -259,7 +268,7 @@ pub struct SnapshotData {
     /// Ground tuples of the `R*` tables in tid order.
     pub tuples: Vec<GroundTuple>,
     /// Every explicit belief statement, by id into `worlds` and `tuples`;
-    /// in `(wid, tid)` order from a version-5 image.
+    /// in `(wid, tid)` order from a version-5 or -6 image.
     pub statements: Vec<StatementRef>,
 }
 
@@ -277,27 +286,33 @@ pub struct SnapshotSections {
     pub statements: usize,
 }
 
-/// Encode the version-5 image of `store` straight from its tables: the
+/// Encode the version-6 image of `store` straight from its tables: the
 /// world directory in wid order, the `R*` heaps in tid order, and the
 /// explicit rows of every `V` table in `(wid, tid)` order. Its cost is
 /// proportional to worlds + tuples + explicit statements (plus sorting
-/// the statements); no logical copy of the store is built, and nothing
-/// is hashed.
+/// the statements and each string column's dictionary); no logical copy
+/// of the store is built.
 ///
 /// ```text
-/// [version: u8 = 5] [policy: u8]
+/// [version: u8 = 6] [policy: u8]
 /// [n] n × ([name: str] [k] k × [column: str])     external schema
 /// [n] n × [user name: str]                        UserId 1, 2, … in order
-/// [n] n × ([depth] depth × [uid])                 world paths, wid order
+/// [n] (n − 1) × ([wid − parent wid] [last uid])   worlds 1, 2, … (ε is 0)
 /// [r] r × ([rel] [count])                         R* tuples' relations, runs in tid order
 /// per relation, per attribute column: [kind: u8] + its tuples' cells
 /// [n] [g] g × ([wid delta] [k] k × [tid delta · 2 + (sign = '-')])
 ///                                                 explicit statements, by world
 /// ```
 ///
-/// Every number is a varint and every `str` a varint length and UTF-8.
-/// Each world's group holds its statements in ascending tid order; the
-/// first wid and the first tid of each group are deltas from 0.
+/// Every number is a varint and every `str` a varint length and UTF-8. A
+/// world's parent is its path less the last user, which `ensure_world`
+/// creates first, so the parent's wid is the smaller. A string column is
+/// the strings its tuples use in byte order, front-coded
+/// ([`Enc::put_sorted_strs`]), then each tuple's code: the rank of its
+/// string, plus one and 0 for NULL unless the kind says the column has no
+/// NULL ([`put_codes`]). Each world's group holds its statements in
+/// ascending tid order; the first wid and the first tid of each group are
+/// deltas from 0.
 pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
     let mut e = Enc::new();
     e.put_u8(SNAPSHOT_VERSION);
@@ -316,8 +331,14 @@ pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
         e.put_str(name);
     }
     e.put_var(store.dir.len() as u64);
-    for (_, path) in store.dir.iter() {
-        put_path(&mut e, path);
+    for (wid, path) in store.dir.iter().skip(1) {
+        let parent = store
+            .dir
+            .get(&path.prefix(path.depth().saturating_sub(1)))
+            .filter(|parent| parent.0 < wid.0)
+            .ok_or_else(|| corrupt(format!("world {path} has no parent before it")))?;
+        e.put_var((wid.0 - parent.0).into());
+        e.put_var(path.last().map_or(0, |u| u.0).into());
     }
 
     // Tids are dense across relations: place every `R*` row by its tid
@@ -405,19 +426,20 @@ pub(crate) fn encode_snapshot(store: &InternalStore) -> Result<Vec<u8>> {
 }
 
 /// Write column `col` of the `R*` rows `rids` (see [`COLUMN_STR`]). A
-/// string column is written as the heap keeps it: its dictionary, in the
-/// order the column met the strings, and each row's code.
+/// string column is written as the strings the rows use, in byte order,
+/// and each row's rank among them (see [`encode_snapshot`]).
 fn put_column(e: &mut Enc, star: &Table, col: usize, rids: &[RowId]) -> Result<()> {
-    if let Some(dict) = star.dictionary(col)? {
-        e.put_u8(COLUMN_STR);
-        e.put_var(dict.len() as u64);
-        for s in dict {
-            e.put_bytes(s.as_bytes());
-        }
-        let codes = rids
-            .iter()
-            .map(|&rid| Ok(star.code(rid, col)?.map_or(0, |c| c + 1)))
-            .collect::<Result<Vec<u32>>>()?;
+    if let Some((strs, ranks)) = star.ranked_strings(col, rids)? {
+        let nullable = ranks.contains(&None);
+        e.put_u8(if nullable {
+            COLUMN_STR
+        } else {
+            COLUMN_STR_NO_NULL
+        });
+        let strs: Vec<&str> = strs.iter().map(|s| s.as_str()).collect();
+        e.put_sorted_strs(&strs);
+        let first = u32::from(nullable);
+        let codes: Vec<u32> = ranks.iter().map(|r| r.map_or(0, |r| r + first)).collect();
         put_codes(e, &codes);
         return Ok(());
     }
@@ -435,10 +457,10 @@ fn put_column(e: &mut Enc, star: &Table, col: usize, rids: &[RowId]) -> Result<(
     Ok(())
 }
 
-/// A string column's codes as version 5 writes them: a width byte `w`
-/// and every code bit-packed at `w` bits, the width of the largest one;
-/// or, when every tuple has the same code (or there is no tuple), `w = 0`
-/// and that one code as a varint.
+/// A string column's codes as versions 5 and 6 write them: a width byte
+/// `w` and every code bit-packed at `w` bits, the width of the largest
+/// one; or, when every tuple has the same code (or there is no tuple, and
+/// the code is 0), `w = 0` and that one code as a varint.
 fn put_codes(e: &mut Enc, codes: &[u32]) {
     let first = codes.first().copied().unwrap_or(0);
     if codes.iter().all(|&c| c == first) {
@@ -453,11 +475,16 @@ fn put_codes(e: &mut Enc, codes: &[u32]) {
 
 /// Read back the `count` codes [`put_codes`] wrote. Only the shortest
 /// form is accepted: a packed run wider than its largest code, or one
-/// whose codes are all equal, is `Corrupt`.
+/// whose codes are all equal, is `Corrupt`, and so is a code other than 0
+/// for no tuple.
 fn take_codes(d: &mut Dec, count: usize) -> Result<Vec<u32>> {
     let width = u32::from(d.take_u8()?);
     if width == 0 {
-        return Ok(vec![d.take_id()?; count]);
+        let code = d.take_id()?;
+        if count == 0 && code != 0 {
+            return Err(corrupt(format!("string code {code} for no tuple")));
+        }
+        return Ok(vec![code; count]);
     }
     let codes: Vec<u32> = d.take_packed(count, width)?.collect();
     let (min, max) = codes
@@ -476,10 +503,13 @@ fn take_codes(d: &mut Dec, count: usize) -> Result<Vec<u32>> {
 }
 
 /// Read back one column [`put_column`] wrote for `count` tuples in the
-/// layout of `version` (4 or 5).
+/// layout of `version` (4 to 6).
 fn take_column(d: &mut Dec, count: usize, version: u8) -> Result<Vec<Value>> {
     let mut vals = Vec::new();
     match d.take_u8()? {
+        kind @ (COLUMN_STR | COLUMN_STR_NO_NULL) if version >= 6 => {
+            return take_ranked_strings(d, count, kind == COLUMN_STR);
+        }
         COLUMN_STR => {
             let n = d.take_len()?;
             let mut dict = vec![Value::Null];
@@ -513,8 +543,74 @@ fn take_column(d: &mut Dec, count: usize, version: u8) -> Result<Vec<Value>> {
     Ok(vals)
 }
 
-/// Read back the tuple section of a version-4 or -5 image: the relation
-/// of each tid (one varint per tid in version 4, runs in version 5), then
+/// Read back a version-6 string column of `count` tuples: its sorted
+/// dictionary and each tuple's code, 0 for NULL and the rank plus one when
+/// the column is `nullable`, the rank otherwise. Besides the dictionary's
+/// own form ([`Dec::take_sorted_strs`]) and the codes' ([`take_codes`]),
+/// every entry must be used, and a `nullable` column must hold a NULL.
+fn take_ranked_strings(d: &mut Dec, count: usize, nullable: bool) -> Result<Vec<Value>> {
+    let dict = d.take_sorted_strs()?;
+    let codes = take_codes(d, count)?;
+    let first = usize::from(nullable);
+    let mut used = vec![false; first + dict.len()];
+    for &code in &codes {
+        *used.get_mut(code as usize).ok_or_else(|| {
+            corrupt(format!(
+                "string code {code} past a dictionary of {}",
+                dict.len()
+            ))
+        })? = true;
+    }
+    match used.iter().position(|&u| !u) {
+        None => {}
+        Some(0) if nullable => {
+            return Err(corrupt("a string column flagged with NULLs holds none"))
+        }
+        Some(code) => {
+            return Err(corrupt(format!(
+                "dictionary entry {} used by no tuple",
+                code - first
+            )))
+        }
+    }
+    Ok(codes
+        .into_iter()
+        .map(|code| match (code as usize).checked_sub(first) {
+            Some(entry) => Value::Str(dict[entry].clone()),
+            None => Value::Null,
+        })
+        .collect())
+}
+
+/// Read back the world section of a version-6 image: the count, then
+/// each world after ε as the distance back to its parent and its last
+/// user. A parent at or past the world's own wid, or a user equal to the
+/// parent's last one, is `Corrupt`.
+fn take_worlds(d: &mut Dec) -> Result<Vec<BeliefPath>> {
+    let n = d.take_len()?;
+    if n == 0 {
+        return Err(corrupt("a world directory without ε"));
+    }
+    let mut worlds = Vec::with_capacity(n);
+    worlds.push(BeliefPath::root());
+    for wid in 1..n {
+        let back = d.take_var()?;
+        let parent = usize::try_from(back)
+            .ok()
+            .filter(|back| (1..=wid).contains(back))
+            .map(|back| &worlds[wid - back])
+            .ok_or_else(|| corrupt(format!("world {wid} has its parent {back} worlds back")))?;
+        let user = UserId(d.take_id()?);
+        let path = parent
+            .push(user)
+            .map_err(|_| corrupt(format!("world {wid} repeats its parent's last user {user}")))?;
+        worlds.push(path);
+    }
+    Ok(worlds)
+}
+
+/// Read back the tuple section of a version-4 to -6 image: the relation
+/// of each tid (one varint per tid in version 4, runs from version 5), then
 /// each relation's columns, zipped into rows in tid order.
 fn take_tuples(
     d: &mut Dec,
@@ -585,7 +681,7 @@ fn take_tuples(
     Ok(tuples)
 }
 
-/// Read back the statement section of a version-5 image (see
+/// Read back the statement section of a version-5 or -6 image (see
 /// [`encode_snapshot`]): every world and tuple id must lie inside the
 /// image's lists, wids ascend from group to group and tids inside a
 /// group, no group is empty, and the groups hold exactly the count.
@@ -654,7 +750,7 @@ fn take_statement_groups(d: &mut Dec, nworlds: usize, ntuples: usize) -> Result<
 }
 
 impl SnapshotData {
-    /// Decode a snapshot payload of any version (1 to 5).
+    /// Decode a snapshot payload of any version (1 to 6).
     pub fn decode(bytes: &[u8]) -> Result<SnapshotData> {
         Ok(SnapshotData::decode_sections(bytes)?.0)
     }
@@ -695,11 +791,16 @@ impl SnapshotData {
             users.push(d.take_str()?.to_string());
         }
         let worlds_at = at(&d);
-        let nworlds = d.take_len()?;
-        let mut worlds = Vec::new();
-        for _ in 0..nworlds {
-            worlds.push(take_path(&mut d)?);
-        }
+        let worlds = if version >= 6 {
+            take_worlds(&mut d)?
+        } else {
+            let nworlds = d.take_len()?;
+            let mut worlds = Vec::new();
+            for _ in 0..nworlds {
+                worlds.push(take_path(&mut d)?);
+            }
+            worlds
+        };
         let tuples_at = at(&d);
         let tuples = if version >= 4 {
             take_tuples(&mut d, &relations, version)?
@@ -715,7 +816,7 @@ impl SnapshotData {
         };
         let statements_at = at(&d);
         let statements = match version {
-            SNAPSHOT_VERSION => take_statement_groups(&mut d, worlds.len(), tuples.len())?,
+            5.. => take_statement_groups(&mut d, worlds.len(), tuples.len())?,
             4 => {
                 let mut statements = Vec::new();
                 for _ in 0..d.take_len()? {
@@ -1167,7 +1268,9 @@ mod tests {
     }
 
     /// The header and world sections of `data` in the varint codec, as
-    /// versions 4 and 5 write them.
+    /// `version` (4 to 6) writes them: each world's path, or from version
+    /// 6 each world after ε as the distance back to its parent and its
+    /// last user.
     fn header(version: u8, data: &SnapshotData) -> Enc {
         let mut e = Enc::new();
         e.put_u8(version);
@@ -1185,20 +1288,43 @@ mod tests {
             e.put_str(u);
         }
         e.put_var(data.worlds.len() as u64);
-        for w in &data.worlds {
-            put_path(&mut e, w);
+        if version < 6 {
+            for w in &data.worlds {
+                put_path(&mut e, w);
+            }
+            return e;
+        }
+        for (wid, w) in data.worlds.iter().enumerate().skip(1) {
+            let parent = w.prefix(w.depth() - 1);
+            let back = wid - data.worlds.iter().position(|p| *p == parent).unwrap();
+            e.put_var(back as u64);
+            e.put_var(w.last().unwrap().0.into());
         }
         e
     }
 
-    /// The version-4 layout of `data`, which only these tests still write:
-    /// a relation varint per tuple, a code varint per string cell, and two
-    /// varints per statement (its wid, its tid doubled plus the sign bit).
-    fn version_4_encode(data: &SnapshotData) -> Vec<u8> {
-        let mut e = header(4, data);
-        e.put_var(data.tuples.len() as u64);
-        for t in &data.tuples {
-            e.put_var(t.rel.0.into());
+    /// The version-4 or -5 layout of `data`, which only these tests still
+    /// write: the header and the worlds as paths; the relation of each
+    /// tuple (a varint per tuple in version 4, runs in version 5); each
+    /// column, a string column as its dictionary in the order its tuples
+    /// meet the strings and each tuple's code (a varint per tuple in
+    /// version 4, [`put_codes`] in version 5); and the statements (two
+    /// varints each, wid and tid doubled plus the sign bit, in version 4;
+    /// grouped by world and delta-coded in version 5).
+    fn varint_encode(version: u8, data: &SnapshotData) -> Vec<u8> {
+        let mut e = header(version, data);
+        if version == 4 {
+            e.put_var(data.tuples.len() as u64);
+            for t in &data.tuples {
+                e.put_var(t.rel.0.into());
+            }
+        } else {
+            let runs: Vec<&[GroundTuple]> = data.tuples.chunk_by(|a, b| a.rel == b.rel).collect();
+            e.put_var(runs.len() as u64);
+            for run in runs {
+                e.put_var(run[0].rel.0.into());
+                e.put_var(run.len() as u64);
+            }
         }
         for (rel, (_, cols)) in data.relations.iter().enumerate() {
             let rows: Vec<&Row> = data
@@ -1218,10 +1344,10 @@ mod tests {
                     for v in &cells {
                         codes.push(match v {
                             Value::Str(s) => match dict.iter().position(|d| *d == s.as_str()) {
-                                Some(i) => i + 1,
+                                Some(i) => i as u32 + 1,
                                 None => {
                                     dict.push(s.as_str());
-                                    dict.len()
+                                    dict.len() as u32
                                 }
                             },
                             _ => 0,
@@ -1232,8 +1358,12 @@ mod tests {
                     for s in dict {
                         e.put_str(s);
                     }
-                    for c in codes {
-                        e.put_var(c as u64);
+                    if version == 4 {
+                        for c in codes {
+                            e.put_var(c.into());
+                        }
+                    } else {
+                        put_codes(&mut e, &codes);
                     }
                 } else if cells.iter().all(|v| matches!(v, Value::Int(_))) {
                     e.put_u8(COLUMN_INT);
@@ -1248,10 +1378,29 @@ mod tests {
                 }
             }
         }
+        let signed = |s: &StatementRef| (u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg);
         e.put_var(data.statements.len() as u64);
-        for s in &data.statements {
-            e.put_var(s.wid.0.into());
-            e.put_var((u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg));
+        if version == 4 {
+            for s in &data.statements {
+                e.put_var(s.wid.0.into());
+                e.put_var(signed(s));
+            }
+            return e.into_bytes();
+        }
+        let mut sorted = data.statements.clone();
+        sorted.sort_by_key(|s| (s.wid, s.tid));
+        let groups: Vec<&[StatementRef]> = sorted.chunk_by(|a, b| a.wid == b.wid).collect();
+        e.put_var(groups.len() as u64);
+        let mut wid = 0;
+        for group in groups {
+            e.put_var((group[0].wid.0 - wid).into());
+            wid = group[0].wid.0;
+            e.put_var(group.len() as u64);
+            let mut prev = 0;
+            for s in group {
+                e.put_var(signed(s) - prev);
+                prev = signed(s) & !1;
+            }
         }
         e.into_bytes()
     }
@@ -1309,14 +1458,14 @@ mod tests {
         let mut bad = bytes.clone();
         bad[1] = 7;
         assert!(SnapshotData::decode(&bad).is_err());
-        // Versions 4 and 3 are the same image in the varint and the
-        // fixed-width layout; versions 1 and 2 spell the statements out and
-        // decode to the same ids; a version-1 image has no policy byte and
-        // is an `Eager` store's.
-        assert_eq!(
-            SnapshotData::decode(&version_4_encode(&data)).unwrap(),
-            data
-        );
+        // Versions 5 and 4 are the same image in older varint layouts, and
+        // version 3 in the fixed-width one; versions 1 and 2 spell the
+        // statements out and decode to the same ids; a version-1 image has
+        // no policy byte and is an `Eager` store's.
+        for version in [4, 5] {
+            let older = varint_encode(version, &data);
+            assert_eq!(SnapshotData::decode(&older).unwrap(), data, "v{version}");
+        }
         let v3 = legacy_encode(3, &data, &[]);
         assert_eq!(SnapshotData::decode(&v3).unwrap(), data);
         assert!(
@@ -1342,7 +1491,8 @@ mod tests {
         }
     }
 
-    /// Version 5 spends one varint on an explicit statement beyond the
+    /// Version 5, and version 6 after it, spend one varint on an explicit
+    /// statement beyond the
     /// world and tuple sections — its tid's distance from the one before it
     /// in its world's group, doubled, plus the sign bit — and two varints
     /// on each world that states anything (the distance from the world
@@ -1383,8 +1533,8 @@ mod tests {
         assert!(v_rows > 4, "Eager's V holds implicit rows too: {v_rows}");
     }
 
-    /// The statement section is in `(wid, tid)` order, not in the order of
-    /// `V`'s heap: two stores with the same statements, tids and worlds,
+    /// The statement section (version 5's, which version 6 keeps) is in
+    /// `(wid, tid)` order, not in the order of `V`'s heap: two stores with the same statements, tids and worlds,
     /// whose `V` rows lie in other slots, write the same bytes.
     #[test]
     fn version_5_image_ignores_the_layout_of_v() {
@@ -1466,7 +1616,7 @@ mod tests {
     }
 
     #[test]
-    fn version_5_round_trips_every_column_kind() {
+    fn version_6_round_trips_every_column_kind() {
         for store in [mixed_store(), interleaved_store()] {
             let bytes = encode_snapshot(&store).unwrap();
             let (data, sections) = SnapshotData::decode_sections(&bytes).unwrap();
@@ -1481,12 +1631,81 @@ mod tests {
             assert_eq!(restored.table_sizes(), store.table_sizes());
             assert_eq!(encode_snapshot(&restored).unwrap(), bytes);
         }
+        // Worlds ε and Alice (one back, user 1). One run of four tuples;
+        // `sid` without NULLs: "s1" to "s4" front-coded, ranks 0 to 3 at
+        // two bits; `species` with a NULL: "crow" and "raven", codes 1, 0
+        // (NULL), 2, 1 at two bits.
+        let bytes = encode_snapshot(&mixed_store()).unwrap();
+        let (_, sections) = SnapshotData::decode_sections(&bytes).unwrap();
+        let at = sections.header;
+        assert_eq!(bytes[at..at + sections.worlds], [2, 1, 1]);
+        let at = at + sections.worlds;
+        let sid = [
+            COLUMN_STR_NO_NULL,
+            4,
+            0,
+            2,
+            b's',
+            b'1',
+            1,
+            1,
+            b'2',
+            1,
+            1,
+            b'3',
+            1,
+            1,
+            b'4',
+        ];
+        let species = [
+            COLUMN_STR, 2, 0, 4, b'c', b'r', b'o', b'w', 0, 5, b'r', b'a', b'v', b'e', b'n',
+        ];
+        let want = [
+            &[1, 0, 4][..],
+            &sid,
+            &[2, 0b11_10_01_00],
+            &species,
+            &[2, 0b01_10_00_01],
+        ]
+        .concat();
+        assert_eq!(bytes[at..at + want.len()], want[..]);
+        // ε, Alice, Bob and Bob·Alice: each world one back or two from its
+        // parent, and its last user.
+        let bytes = encode_snapshot(&sample(DefaultPolicy::Lazy)).unwrap();
+        let (_, sections) = SnapshotData::decode_sections(&bytes).unwrap();
+        let worlds = &bytes[sections.header..sections.header + sections.worlds];
+        assert_eq!(worlds, [4, 1, 1, 2, 2, 1, 1]);
+    }
+
+    /// A version-5 image — string dictionaries in the order the tuples
+    /// meet the strings, codes from 1, worlds as paths — decodes to the
+    /// image the version-6 one does, and the store it restores writes the
+    /// version-6 bytes.
+    #[test]
+    fn version_5_round_trips_every_column_kind() {
+        for store in [
+            mixed_store(),
+            interleaved_store(),
+            sample(DefaultPolicy::Eager),
+        ] {
+            let bytes = encode_snapshot(&store).unwrap();
+            let data = SnapshotData::decode(&bytes).unwrap();
+            let v5 = varint_encode(5, &data);
+            let (back, sections) = SnapshotData::decode_sections(&v5).unwrap();
+            assert_eq!(back, data);
+            assert_eq!(
+                sections.header + sections.worlds + sections.tuples + sections.statements,
+                v5.len()
+            );
+            assert_eq!(encode_snapshot(&back.restore().unwrap()).unwrap(), bytes);
+        }
         // Runs (0, 2) (1, 1) (0, 1) (1, 1); "crow", "same" and the
         // relations' one-string columns as a zero width and one code.
         let bytes = encode_snapshot(&interleaved_store()).unwrap();
-        let (data, sections) = SnapshotData::decode_sections(&bytes).unwrap();
+        let v5 = varint_encode(5, &SnapshotData::decode(&bytes).unwrap());
+        let (data, sections) = SnapshotData::decode_sections(&v5).unwrap();
         let at = sections.header + sections.worlds;
-        assert_eq!(bytes[at..at + 9], [4, 0, 2, 1, 1, 0, 1, 1, 1]);
+        assert_eq!(v5[at..at + 9], [4, 0, 2, 1, 1, 0, 1, 1, 1]);
         assert_eq!(data.tuples.len(), 5);
     }
 
@@ -1496,8 +1715,8 @@ mod tests {
             let bytes = encode_snapshot(&store).unwrap();
             let data = SnapshotData::decode(&bytes).unwrap();
             // The same image through the version-4 and -3 layouts; the
-            // store a version-4 image restores writes version 5.
-            let v4 = SnapshotData::decode(&version_4_encode(&data)).unwrap();
+            // store a version-4 image restores writes version 6.
+            let v4 = SnapshotData::decode(&varint_encode(4, &data)).unwrap();
             assert_eq!(v4, data);
             assert_eq!(encode_snapshot(&v4.restore().unwrap()).unwrap(), bytes);
             assert_eq!(
@@ -1536,7 +1755,7 @@ mod tests {
     fn version_4_prefixes_are_corrupt_and_flips_never_panic() {
         for store in [sample(DefaultPolicy::Lazy), mixed_store()] {
             let data = SnapshotData::decode(&encode_snapshot(&store).unwrap()).unwrap();
-            assert_prefixes_corrupt_and_flips_harmless(&version_4_encode(&data));
+            assert_prefixes_corrupt_and_flips_harmless(&varint_encode(4, &data));
         }
     }
 
@@ -1547,40 +1766,64 @@ mod tests {
             mixed_store(),
             interleaved_store(),
         ] {
+            let data = SnapshotData::decode(&encode_snapshot(&store).unwrap()).unwrap();
+            assert_prefixes_corrupt_and_flips_harmless(&varint_encode(5, &data));
+        }
+    }
+
+    #[test]
+    fn version_6_prefixes_are_corrupt_and_flips_never_panic() {
+        for store in [
+            sample(DefaultPolicy::Lazy),
+            mixed_store(),
+            interleaved_store(),
+        ] {
             assert_prefixes_corrupt_and_flips_harmless(&encode_snapshot(&store).unwrap());
         }
     }
 
-    /// A version-5 run may claim many tuples for a few bytes when every
-    /// column of its relation is one code: a count past eight tuples per
-    /// byte left is `Corrupt` before the decoder builds any of them.
+    /// A version-5 or -6 run may claim many tuples for a few bytes when
+    /// every column of its relation is one code: a count past eight tuples
+    /// per byte left is `Corrupt` before the decoder builds any of them.
     #[test]
     fn version_5_tuple_counts_are_bounded_by_the_bytes_left() {
         let data =
             SnapshotData::decode(&encode_snapshot(&sample(DefaultPolicy::Lazy)).unwrap()).unwrap();
-        let forge = |tuples: u64| {
-            let mut e = header(SNAPSHOT_VERSION, &data);
+        let forge = |version: u8, tuples: u64| {
+            let mut e = header(version, &data);
             e.put_var(1);
             e.put_var(0);
             e.put_var(tuples);
             for _ in 0..2 {
-                // A dictionary of one string, every tuple its code 1.
-                e.put_u8(COLUMN_STR);
-                e.put_var(1);
-                e.put_str("k");
+                // A dictionary of one string, every tuple its code: 1 in
+                // version 5, 0 in a version-6 column without NULLs.
+                if version == 5 {
+                    e.put_u8(COLUMN_STR);
+                    e.put_var(1);
+                    e.put_str("k");
+                } else {
+                    e.put_u8(COLUMN_STR_NO_NULL);
+                    e.put_sorted_strs(&["k"]);
+                }
                 e.put_u8(0);
-                e.put_var(1);
+                e.put_var((version == 5).into());
             }
             // No statement.
             e.put_var(0);
             e.put_var(0);
             e.into_bytes()
         };
-        assert_eq!(SnapshotData::decode(&forge(1)).unwrap().tuples.len(), 1);
-        assert!(matches!(
-            SnapshotData::decode(&forge(100_000)),
-            Err(BeliefError::Storage(StorageError::Corrupt(_)))
-        ));
+        for version in [5, 6] {
+            let one = SnapshotData::decode(&forge(version, 1)).unwrap();
+            assert_eq!(one.tuples.len(), 1, "v{version}");
+            assert!(
+                matches!(
+                    SnapshotData::decode(&forge(version, 100_000)),
+                    Err(BeliefError::Storage(StorageError::Corrupt(_)))
+                ),
+                "v{version}"
+            );
+        }
     }
 
     /// Hand-made faults in the tuple section of a version-4 image: a
@@ -1590,7 +1833,7 @@ mod tests {
     fn forged_version_4_tuple_sections_are_corrupt() {
         let store = mixed_store();
         let data = SnapshotData::decode(&encode_snapshot(&store).unwrap()).unwrap();
-        let bytes = version_4_encode(&data);
+        let bytes = varint_encode(4, &data);
         // The tuple section starts after the worlds.
         let prefix = header(4, &data).into_bytes();
         assert_eq!(bytes[..prefix.len()], prefix[..]);

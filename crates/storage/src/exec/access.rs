@@ -244,7 +244,8 @@ const INLINE_KEY: usize = 8;
 /// Call `visit` with the id of every live row of `table` whose key under
 /// `path` is `key(0), key(1), …`, until it returns false: one primary-key
 /// lookup or one index probe, either counted in the table's
-/// `index_probes`. A first-column probe visits its rows in slot order.
+/// `index_probes`, a key lookup in its `key_probes` as well. A
+/// first-column probe visits its rows in slot order.
 fn each_row<'k>(
     table: &Table,
     path: &AccessPath<'_>,
@@ -256,6 +257,7 @@ fn each_row<'k>(
     } = *path
     else {
         TableAccess::bump(&table.access().index_probes, 1);
+        TableAccess::bump(&table.access().key_probes, 1);
         if let Some(rid) = table.rid_by_key(key(0)) {
             visit(rid)?;
         }

@@ -23,17 +23,24 @@
 //! width: [`Heap::cell`] and [`Heap::columnar`] decode to `i64` and `u32`.
 
 use crate::column::{build_column, Bitmap, Column, ColumnSet};
-use crate::index::{CellHash, IndexRid};
+use crate::index::{hash_cells, IndexRid, PassThrough};
 use crate::persist::format::{unzigzag, zigzag};
 use crate::row::Row;
 use crate::value::{Cell, Str, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Append-only string dictionary of one column: code → string and back.
+/// Each string is held once, in `strings`; the way back is a map from 32
+/// bits of its hash to its code, checked against `strings[code]`. A string
+/// whose key another string holds takes the next free key, as open
+/// addressing does, so a lookup walks on from its hash until it meets the
+/// string or a free key; entries are never removed, so that walk is exact.
 #[derive(Debug, Clone, Default)]
 struct Interner {
     strings: Vec<Str>,
-    codes: HashMap<Str, u32, CellHash>,
+    codes: HashMap<u32, u32, BuildHasherDefault<PassThrough>>,
     /// The code handed out last. Runs of one value (a key propagated
     /// through the worlds, a sign, a flag) skip the map.
     last: u32,
@@ -47,14 +54,21 @@ impl Interner {
         if self.strings.get(self.last as usize) == Some(s) {
             return self.last;
         }
-        if let Some(&code) = self.codes.get(s) {
-            self.last = code;
-            return code;
-        }
         // Each entry costs tens of bytes, so memory runs out long before.
-        let code = u32::try_from(self.strings.len()).expect("fewer than 2^32 distinct strings");
-        self.strings.push(s.clone());
-        self.codes.insert(s.clone(), code);
+        let next = u32::try_from(self.strings.len()).expect("fewer than 2^32 distinct strings");
+        let mut key = hash_cells(std::iter::once(Cell::Str(s))) as u32;
+        let code = loop {
+            match self.codes.entry(key) {
+                Entry::Vacant(free) => break *free.insert(next),
+                Entry::Occupied(held) if self.strings[*held.get() as usize] == *s => {
+                    break *held.get()
+                }
+                Entry::Occupied(_) => key = key.wrapping_add(1),
+            }
+        };
+        if code == next {
+            self.strings.push(s.clone());
+        }
         self.last = code;
         code
     }
@@ -357,19 +371,12 @@ impl HeapColumn {
                 let Some(validity) = live_validity(valid, live) else {
                     return Column::Null(n);
                 };
-                // Keep the entries live rows use, sort them once, and
-                // renumber the codes: O(n + d log d).
-                const UNUSED: u32 = u32::MAX;
-                let mut remap = vec![UNUSED; dict.strings.len()];
-                for slot in live.ones().filter(|&slot| is_valid(valid, slot)) {
-                    remap[codes.get(slot) as usize] = 0;
-                }
-                let mut used: Vec<usize> =
-                    (0..remap.len()).filter(|&c| remap[c] != UNUSED).collect();
-                used.sort_unstable_by(|&a, &b| dict.strings[a].cmp(&dict.strings[b]));
-                for (new, &old) in used.iter().enumerate() {
-                    remap[old] = new as u32;
-                }
+                let (used, remap) = rank_used(
+                    &dict.strings,
+                    live.ones()
+                        .filter(|&slot| is_valid(valid, slot))
+                        .map(|slot| codes.get(slot) as u32),
+                );
                 Column::Str {
                     dict: used.iter().map(|&c| dict.strings[c].clone()).collect(),
                     codes: live
@@ -386,10 +393,10 @@ impl HeapColumn {
     }
 
     /// Estimated bytes: data vector at the width its cells have, validity
-    /// bitmap and dictionary entries (vector entry, map entry and control
-    /// byte; a short string's text is inside the entries, a long one's is
-    /// a shared `Arc<str>` and not counted). Capacity slack is not
-    /// counted.
+    /// bitmap and dictionary entries (vector entry, hash → code map entry
+    /// and control byte; a short string's text is inside the entry, a long
+    /// one's is a shared `Arc<str>` and not counted). Capacity slack is
+    /// not counted.
     fn approx_bytes(&self) -> usize {
         let bitmap = |valid: &Option<Bitmap>| valid.as_ref().map_or(0, Bitmap::byte_len);
         match self {
@@ -404,11 +411,28 @@ impl HeapColumn {
     }
 }
 
+/// The entries of `strings` that `codes` use, in the byte order of their
+/// strings, and the rank of each entry among them (`u32::MAX` for an
+/// entry no code uses): O(codes + d log d) for a dictionary of d entries.
+fn rank_used(strings: &[Str], codes: impl Iterator<Item = u32>) -> (Vec<usize>, Vec<u32>) {
+    const UNUSED: u32 = u32::MAX;
+    let mut rank = vec![UNUSED; strings.len()];
+    for code in codes {
+        rank[code as usize] = 0;
+    }
+    let mut used: Vec<usize> = (0..rank.len()).filter(|&c| rank[c] != UNUSED).collect();
+    used.sort_unstable_by(|&a, &b| strings[a].cmp(&strings[b]));
+    for (r, &code) in used.iter().enumerate() {
+        rank[code] = r as u32;
+    }
+    (used, rank)
+}
+
 /// What one dictionary entry costs besides a long string's text: the
-/// [`Str`] in the code → string vector, and the string → code map entry
+/// [`Str`] in the code → string vector, and the hash → code map entry
 /// with its control byte.
 pub(crate) const DICT_ENTRY_BYTES: usize =
-    std::mem::size_of::<Str>() + std::mem::size_of::<(Str, u32)>() + 1;
+    std::mem::size_of::<Str>() + std::mem::size_of::<(u32, u32)>() + 1;
 
 /// A slotted heap of rows, stored column-wise.
 #[derive(Debug, Clone)]
@@ -548,26 +572,29 @@ impl Heap {
         self.cols[col].cell(slot)
     }
 
-    /// The dictionary of column `col` when it is a string column: every
-    /// string it has held, in the order it first met them. `None` for
-    /// any other column.
-    pub(crate) fn dictionary(&self, col: usize) -> Option<&[Str]> {
-        match &self.cols[col] {
-            HeapColumn::Str { dict, .. } => Some(&dict.strings),
-            _ => None,
-        }
-    }
-
-    /// The dictionary code of the cell at `slot` of string column `col`;
-    /// `None` when the cell is NULL or the column holds no strings. Same
-    /// precondition as [`Heap::cell`].
-    pub(crate) fn code(&self, slot: usize, col: usize) -> Option<u32> {
-        match &self.cols[col] {
-            HeapColumn::Str { codes, valid, .. } if is_valid(valid, slot) => {
-                Some(codes.get(slot) as u32)
-            }
-            _ => None,
-        }
+    /// The strings the cells at `slots` of string column `col` hold, in
+    /// byte order, and each cell's rank among them (`None` for NULL);
+    /// `None` for any other column. Same precondition as [`Heap::cell`].
+    pub(crate) fn ranked_strings(
+        &self,
+        col: usize,
+        slots: &[usize],
+    ) -> Option<(Vec<&Str>, Vec<Option<u32>>)> {
+        let HeapColumn::Str { codes, dict, valid } = &self.cols[col] else {
+            return None;
+        };
+        let cells: Vec<Option<u32>> = slots
+            .iter()
+            .map(|&slot| is_valid(valid, slot).then(|| codes.get(slot) as u32))
+            .collect();
+        let (used, rank) = rank_used(&dict.strings, cells.iter().flatten().copied());
+        Some((
+            used.iter().map(|&code| &dict.strings[code]).collect(),
+            cells
+                .iter()
+                .map(|cell| cell.map(|code| rank[code as usize]))
+                .collect(),
+        ))
     }
 
     /// The row in `slot`, materialized. Same precondition as
@@ -814,6 +841,26 @@ mod tests {
         t.insert(vec![int(7), name(1)]);
         t.check();
         assert!(matches!(t.heap.cols[0], HeapColumn::Mixed(_)));
+    }
+
+    /// Strings whose hashes collide each keep a code of their own: with
+    /// every hash equal, each string takes the key after the last one
+    /// taken, and a string met again walks to its own.
+    #[test]
+    fn colliding_strings_keep_their_own_codes() {
+        let _collide = crate::index::CollideAll::on();
+        let mut dict = Interner::default();
+        let names: Vec<Str> = (0..40).map(|n| Str::new(&format!("s{n}"))).collect();
+        for (n, s) in names.iter().enumerate() {
+            assert_eq!(dict.intern(s), n as u32);
+        }
+        for (n, s) in names.iter().enumerate().rev() {
+            assert_eq!(dict.intern(s), n as u32, "{s}");
+        }
+        assert_eq!(dict.strings, names);
+        let mut keys: Vec<(u32, u32)> = dict.codes.iter().map(|(&k, &c)| (k, c)).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, (0..40).map(|n| (n, n)).collect::<Vec<_>>());
     }
 
     /// An integer column whose lanes are `width` bytes, with a NULL in it.

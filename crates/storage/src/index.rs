@@ -34,9 +34,12 @@ pub type RowId = usize;
 /// `Table::insert` refuses to grow a heap past `u32::MAX` slots.
 pub(crate) type IndexRid = u32;
 
-/// Hasher for the directory's `u64` keys, which already are hashes.
+/// Hasher for map keys that already are hashes: the directory's `u64`
+/// ones, and the `u32` ones of a column's string dictionary
+/// (`crate::heap`), spread over all 64 bits by one multiply so that the
+/// high bits a table's control bytes take are not all zero.
 #[derive(Debug, Default, Clone, Copy)]
-struct PassThrough(u64);
+pub(crate) struct PassThrough(u64);
 
 impl Hasher for PassThrough {
     fn finish(&self) -> u64 {
@@ -44,7 +47,11 @@ impl Hasher for PassThrough {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("directory keys are u64 hashes");
+        unreachable!("keys are hashes");
+    }
+
+    fn write_u32(&mut self, hash: u32) {
+        self.0 = u64::from(hash).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
     fn write_u64(&mut self, hash: u64) {
@@ -145,7 +152,7 @@ impl Hasher for KeyHasher {
 /// Hash of a list of cells, the same for the cells of a lookup key and for
 /// those of a row holding it, and the same in every run. No cells hash to
 /// zero.
-fn hash_cells<'a>(cells: impl Iterator<Item = Cell<'a>>) -> u64 {
+pub(crate) fn hash_cells<'a>(cells: impl Iterator<Item = Cell<'a>>) -> u64 {
     #[cfg(test)]
     if COLLIDE_ALL.with(|c| c.get()) {
         return 0;
@@ -766,7 +773,7 @@ mod tests {
         // The layout docs/execution.md and docs/observability.md quote.
         assert_eq!(std::mem::size_of::<RunEntry>(), 8);
         assert_eq!(std::mem::size_of::<(u64, Group)>(), 56);
-        assert_eq!(crate::heap::DICT_ENTRY_BYTES, 57);
+        assert_eq!(crate::heap::DICT_ENTRY_BYTES, 33);
         // A run starts with four slots, taken or not.
         assert_eq!(two_groups, 2 * 4 * 8 + 2 * (56 + 1));
         t.insert(row![2]);

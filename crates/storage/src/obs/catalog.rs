@@ -21,6 +21,7 @@ use crate::obs::trace::SlowLog;
 use crate::persist::WalStats;
 use crate::row::Row;
 use crate::schema::TableSchema;
+use crate::table::TableAccess;
 use crate::value::Value;
 use std::sync::{Arc, Mutex};
 
@@ -121,7 +122,7 @@ pub fn statements_table() -> Arc<dyn VirtualTable> {
 
 /// `sys.tables` — one row per *base* table in the scanned database:
 /// shape (rows, columns, indexes, version), the cumulative
-/// [`TableAccess`](crate::table::TableAccess) counters, and where its
+/// [`TableAccess`] counters, and where its
 /// memory is (`heap_bytes`, `index_bytes`: estimates from slot counts at
 /// the width each column's cells have, dictionary entries and the slots of
 /// the index runs, not allocator measurements).
@@ -137,6 +138,7 @@ pub fn tables_table() -> Arc<dyn VirtualTable> {
             "seq_scans",
             "rows_read",
             "index_probes",
+            "key_probes",
             "inserts",
             "deletes",
             "updates",
@@ -159,6 +161,7 @@ pub fn tables_table() -> Arc<dyn VirtualTable> {
                         uint(seq),
                         uint(read),
                         uint(probes),
+                        uint(TableAccess::get(&t.access().key_probes)),
                         uint(ins),
                         uint(del),
                         uint(upd),
@@ -324,13 +327,13 @@ mod tests {
         assert_eq!(r.get(0).unwrap().as_str(), Some("Users"));
         assert_eq!(r.get(1).unwrap().as_int(), Some(2)); // rows
         assert_eq!(r.get(2).unwrap().as_int(), Some(2)); // columns
-        assert_eq!(r.get(8).unwrap().as_int(), Some(2)); // inserts
+        assert_eq!(r.get(9).unwrap().as_int(), Some(2)); // inserts
 
         // Two slots: an integer column and a code column with two
         // dictionary entries, a byte a cell, and one word of live bits.
-        let heap = 2 + (2 + 2 * 57) + 8;
-        assert_eq!(r.get(12).unwrap().as_int(), Some(heap)); // heap_bytes
-        assert_eq!(r.get(13).unwrap().as_int(), Some(0)); // index_bytes: no index
+        let heap = 2 + (2 + 2 * 33) + 8;
+        assert_eq!(r.get(13).unwrap().as_int(), Some(heap)); // heap_bytes
+        assert_eq!(r.get(14).unwrap().as_int(), Some(0)); // index_bytes: no index
 
         // An integer past the byte lanes re-types its column, and the
         // estimate follows the width.
@@ -339,8 +342,8 @@ mod tests {
             .insert(row![300, "a"])
             .unwrap();
         let r = &vt.rows(&db)[0];
-        let heap = 3 * 2 + (3 + 2 * 57) + 8;
-        assert_eq!(r.get(12).unwrap().as_int(), Some(heap));
+        let heap = 3 * 2 + (3 + 2 * 33) + 8;
+        assert_eq!(r.get(13).unwrap().as_int(), Some(heap));
     }
 
     #[test]

@@ -18,12 +18,14 @@
 //! segments and snapshots v1 to v3 were written in; nothing writes it.
 //!
 //! Beside the varints, [`Enc::put_packed`] and [`Dec::take_packed`] write
-//! and read a run of small codes bit-packed at one width (snapshot v5
-//! writes `R*`'s string codes with them).
+//! and read a run of small codes bit-packed at one width (snapshots v5 and
+//! v6 write `R*`'s string codes with them), and [`Enc::put_sorted_strs`]
+//! and [`Dec::take_sorted_strs`] a sorted string dictionary front-coded
+//! (snapshot v6 writes `R*`'s dictionaries with them).
 
 use crate::error::{Result, StorageError};
 use crate::row::Row;
-use crate::value::{Cell, Value};
+use crate::value::{Cell, Str, Value};
 
 // ---------------------------------------------------------------------------
 // CRC32
@@ -285,6 +287,24 @@ impl Enc {
         }
     }
 
+    /// Strictly ascending strings, front-coded in the layout of Parquet's
+    /// `DELTA_BYTE_ARRAY`: a varint count, then per string the number of
+    /// bytes it shares with the one before (a varint, the longest common
+    /// prefix, which may end inside a character) and the rest of its bytes
+    /// length-prefixed. Read back by [`Dec::take_sorted_strs`].
+    pub fn put_sorted_strs(&mut self, strs: &[&str]) {
+        self.put_var(strs.len() as u64);
+        let mut prev: &[u8] = &[];
+        for (i, s) in strs.iter().enumerate() {
+            let s = s.as_bytes();
+            debug_assert!(i == 0 || prev < s, "strings not strictly ascending");
+            let shared = prev.iter().zip(s).take_while(|(a, b)| a == b).count();
+            self.put_var(shared as u64);
+            self.put_bytes(&s[shared..]);
+            prev = s;
+        }
+    }
+
     /// A varint arity, then one value per column.
     pub fn put_row(&mut self, row: &Row) {
         self.put_var(row.arity() as u64);
@@ -445,6 +465,49 @@ impl<'a> Dec<'a> {
     pub fn take_str(&mut self) -> Result<&'a str> {
         std::str::from_utf8(self.take_bytes()?)
             .map_err(|_| self.corrupt("invalid UTF-8 in string field"))
+    }
+
+    /// The strings [`Enc::put_sorted_strs`] wrote. Only that form is
+    /// accepted: after the first string, each one shares exactly its
+    /// longest common prefix with the one before and is greater, so a
+    /// shared count past the string before, a rest that is empty, starts
+    /// with the byte the prefix could have taken, or sorts lower, is
+    /// [`StorageError::Corrupt`]; so is a string that is not UTF-8 once
+    /// put together.
+    pub fn take_sorted_strs(&mut self) -> Result<Vec<Str>> {
+        // Each string takes two bytes at least.
+        let n = self.take_len()?;
+        let mut strs = Vec::with_capacity(n);
+        let mut cur: Vec<u8> = Vec::new();
+        for i in 0..n {
+            let shared = self.take_var()?;
+            let rest = self.take_bytes()?;
+            let shared = usize::try_from(shared)
+                .ok()
+                .filter(|&p| p <= cur.len())
+                .ok_or_else(|| {
+                    self.corrupt(format_args!(
+                        "string {i} shares {shared} bytes of {}",
+                        cur.len()
+                    ))
+                })?;
+            let canonical = i == 0
+                || match (rest.first(), cur.get(shared)) {
+                    (Some(next), Some(prev)) => next > prev,
+                    (next, _) => next.is_some(),
+                };
+            if !canonical {
+                return Err(self.corrupt(format_args!(
+                    "string {i} not above the one before on its longest common prefix"
+                )));
+            }
+            cur.truncate(shared);
+            cur.extend_from_slice(rest);
+            let s = std::str::from_utf8(&cur)
+                .map_err(|_| self.corrupt(format_args!("string {i} is not UTF-8")))?;
+            strs.push(Str::new(s));
+        }
+        Ok(strs)
     }
 
     pub fn take_value(&mut self) -> Result<Value> {
@@ -775,6 +838,66 @@ mod tests {
         assert!(Dec::new(&bytes).take_packed(3, 5).is_ok());
     }
 
+    fn sorted_strs_bytes(strs: &[&str]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.put_sorted_strs(strs);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn sorted_strs_share_prefixes_inside_characters() {
+        // "é" is C3 A9 and "ê" C3 AA: the second shares one byte, half a
+        // character, and is not UTF-8 on its own.
+        let bytes = sorted_strs_bytes(&["", "é", "ê", "êa"]);
+        assert_eq!(bytes, [4, 0, 0, 0, 2, 0xC3, 0xA9, 1, 1, 0xAA, 2, 1, b'a']);
+        let mut d = Dec::new(&bytes);
+        let back = d.take_sorted_strs().unwrap();
+        assert_eq!(back, ["", "é", "ê", "êa"].map(Str::new));
+        assert!(d.finish().is_ok());
+        assert_eq!(sorted_strs_bytes(&["k"]), [1, 0, 1, b'k']);
+        assert_eq!(sorted_strs_bytes(&[]), [0]);
+    }
+
+    #[test]
+    fn sorted_strs_in_any_other_form_are_corrupt() {
+        let corrupt = |bytes: &[u8]| {
+            matches!(
+                Dec::new(bytes).take_sorted_strs(),
+                Err(StorageError::Corrupt(_))
+            )
+        };
+        // "ab" then "ac": the canonical form shares one byte.
+        assert!(!corrupt(&[2, 0, 2, b'a', b'b', 1, 1, b'c']));
+        let cases: [(&str, &[u8]); 8] = [
+            ("first string shares a byte", &[1, 1, 1, b'a']),
+            (
+                "shared past the string before",
+                &[2, 0, 1, b'a', 2, 1, b'b'],
+            ),
+            (
+                "shorter than the longest prefix",
+                &[2, 0, 2, b'a', b'b', 0, 2, b'a', b'c'],
+            ),
+            ("repeated string", &[2, 0, 1, b'a', 1, 0]),
+            ("repeated empty string", &[2, 0, 0, 0, 0]),
+            ("descending", &[2, 0, 2, b'a', b'c', 1, 1, b'b']),
+            ("half a character", &[2, 0, 2, 0xC3, 0xA9, 1, 0]),
+            ("a lone continuation byte", &[1, 0, 1, 0xA9]),
+        ];
+        for (fault, bytes) in cases {
+            assert!(corrupt(bytes), "{fault}");
+        }
+        // Each string is checked whole: half a character is corrupt even
+        // where the next string completes it.
+        assert!(corrupt(&[2, 0, 1, 0xC3, 1, 1, 0xA9]));
+        for cut in 0..8 {
+            assert!(
+                corrupt(&[2, 0, 2, b'a', b'b', 1, 1, b'c'][..cut]),
+                "cut {cut}"
+            );
+        }
+    }
+
     fn any_u64() -> impl Strategy<Value = u64> {
         // Both halves, shifted so that every length from 1 to 10 bytes
         // comes up.
@@ -857,11 +980,46 @@ mod tests {
         }
 
         #[test]
+        fn sorted_strs_round_trip_and_every_prefix_is_corrupt(
+            words in proptest::collection::vec(
+                proptest::collection::vec(
+                    prop_oneof![
+                        Just('a'),
+                        Just('b'),
+                        Just('é'),
+                        Just('ê'),
+                        Just('鳥'),
+                        Just('鳩'),
+                        Just('🦉')
+                    ],
+                    0..5,
+                ),
+                0..10,
+            ),
+        ) {
+            // Byte order is `String`'s order; the set may hold "" and may
+            // be one string.
+            let set: std::collections::BTreeSet<String> =
+                words.into_iter().map(|w| w.into_iter().collect()).collect();
+            let strs: Vec<&str> = set.iter().map(String::as_str).collect();
+            let bytes = sorted_strs_bytes(&strs);
+            let mut d = Dec::new(&bytes);
+            let back = d.take_sorted_strs().unwrap();
+            prop_assert!(d.finish().is_ok());
+            prop_assert_eq!(back.iter().map(Str::as_str).collect::<Vec<_>>(), strs);
+            for cut in 0..bytes.len() {
+                let mut d = Dec::new(&bytes[..cut]);
+                prop_assert!(matches!(d.take_sorted_strs(), Err(StorageError::Corrupt(_))), "cut {}", cut);
+            }
+        }
+
+        #[test]
         fn garbage_decodes_to_an_error_or_a_value_never_a_panic(
             bytes in proptest::collection::vec(0u8..=255, 0..24),
         ) {
             let _ = Dec::new(&bytes).take_row();
             let _ = Dec::fixed(&bytes).take_row();
+            let _ = Dec::new(&bytes).take_sorted_strs();
             let _ = decode_var(&bytes);
         }
     }

@@ -10,12 +10,14 @@
 //! ```
 //!
 //! This 28-byte envelope has not changed since the first release; what
-//! changed is the payload. `beliefdb-core` writes version 5 of it in the
-//! varint codec of [`super::format`] (the world directory, `R*` column by
-//! column with string dictionaries and bit-packed codes, statements
-//! grouped by world and delta-coded) and reads version 4 and versions 1 to
-//! 3, the fixed-width layouts, as well. The CRC is
-//! what catches damage the payload decoder cannot see, such as a flipped
+//! changed is the payload. `beliefdb-core` writes version 6 of it in the
+//! varint codec of [`super::format`] (each world as its parent and its
+//! last user, `R*` column by column with sorted front-coded string
+//! dictionaries and bit-packed codes, statements grouped by world and
+//! delta-coded) and reads versions 4 and 5, the older varint layouts, and
+//! versions 1 to 3, the fixed-width ones, as well. The payload's version
+//! byte is the file's 29th, right after this envelope. The CRC is what
+//! catches damage the payload decoder cannot see, such as a flipped
 //! letter inside a string.
 //!
 //! Writes go to a `.tmp` file, are fsynced, and renamed into place, so

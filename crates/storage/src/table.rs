@@ -45,6 +45,11 @@ pub struct TableAccess {
     pub rows_read: AtomicU64,
     /// Key and secondary-index point lookups.
     pub index_probes: AtomicU64,
+    /// The executor's primary-key lookups (`[access=pk]`, `[probe T.pk]`),
+    /// counted in `index_probes` too, so `index_probes - key_probes` are
+    /// the probes of secondary indexes. Not part of
+    /// [`TableAccess::snapshot`].
+    pub key_probes: AtomicU64,
     /// Rows inserted.
     pub inserts: AtomicU64,
     /// Rows deleted.
@@ -69,7 +74,7 @@ impl TableAccess {
         counter.fetch_add(by, Ordering::Relaxed);
     }
 
-    fn get(counter: &AtomicU64) -> u64 {
+    pub(crate) fn get(counter: &AtomicU64) -> u64 {
         counter.load(Ordering::Relaxed)
     }
 
@@ -397,24 +402,21 @@ impl Table {
         Ok(self.heap.cell(rid, col))
     }
 
-    /// The string dictionary of column `col` when the column holds
-    /// strings and NULLs only: every string it has held, in the order it
-    /// first met them, deleted rows' included. `None` for any other
-    /// column. With [`Table::code`], a column can be written out as
-    /// dictionary codes without hashing a string.
-    pub fn dictionary(&self, col: usize) -> Result<Option<&[Str]>> {
+    /// The strings the live rows `rids` hold in column `col`, in byte
+    /// order, and each row's rank among them (`None` for a NULL cell):
+    /// what a column of strings and NULLs is written out as without
+    /// hashing a string. `None` for any other column.
+    #[allow(clippy::type_complexity)]
+    pub fn ranked_strings(
+        &self,
+        col: usize,
+        rids: &[RowId],
+    ) -> Result<Option<(Vec<&Str>, Vec<Option<u32>>)>> {
         self.check_column(col)?;
-        Ok(self.heap.dictionary(col))
-    }
-
-    /// The position in [`Table::dictionary`] of a live row's string cell;
-    /// `None` when the cell is NULL or the column has no dictionary.
-    pub fn code(&self, rid: RowId, col: usize) -> Result<Option<u32>> {
-        if !self.heap.is_live(rid) {
+        if let Some(&rid) = rids.iter().find(|&&rid| !self.heap.is_live(rid)) {
             return Err(self.invalid_row_id(rid));
         }
-        self.check_column(col)?;
-        Ok(self.heap.code(rid, col))
+        Ok(self.heap.ranked_strings(col, rids))
     }
 
     /// Delete a row by id, returning it.

@@ -4,9 +4,10 @@
 //! sharing a first column, two over the same columns in different orders),
 //!
 //! * `EXPLAIN` names the path the executor really takes, read from the
-//!   table's `seq_scans` / `index_probes` counters: a key lookup and an
-//!   index probe count one probe per probing row and no scan, a scan or a
-//!   hash build counts one scan and no probe;
+//!   table's `seq_scans` / `index_probes` / `key_probes` counters: a key
+//!   lookup counts one probe and one key probe per probing row and no
+//!   scan, an index probe one probe per probing row and no key probe or
+//!   scan, a scan or a hash build one scan and no probe;
 //! * the path is the one the access-path rule below picks, tie-break
 //!   included;
 //! * the rows equal the reference executor's, which scans and hash-joins.
@@ -15,6 +16,7 @@ use beliefdb::storage::opt::render_with_snapshot;
 use beliefdb::storage::{
     execute, execute_materialized, row, Database, Expr, Plan, Row, TableSchema, Value,
 };
+use std::sync::atomic::Ordering;
 
 const COLUMNS: [&str; 5] = ["k", "a", "b", "c", "d"];
 
@@ -101,22 +103,25 @@ fn explained(db: &Database, plan: &Plan) -> Option<String> {
     Some(note[..note.find(']').unwrap()].to_string())
 }
 
-/// Run `plan` and report the path the counters of `T` show:
-/// `Some("probe")` for a key or an index path, `None` for a scan.
+/// Run `plan` and report the path the counters of `T` show: `Some("pk")`
+/// for the key, `Some("index")` for an index path, `None` for a scan.
 fn executed(db: &Database, plan: &Plan, probing_rows: u64) -> (Vec<Row>, Option<String>) {
     let counters = || {
-        let [scans, _, probes, ..] = db.table("T").unwrap().access().snapshot();
-        (scans, probes)
+        let access = db.table("T").unwrap().access();
+        let [scans, _, probes, ..] = access.snapshot();
+        (scans, probes, access.key_probes.load(Ordering::Relaxed))
     };
     let before = counters();
     let rows = execute(db, plan).unwrap();
     let after = counters();
-    let path = match (after.0 - before.0, after.1 - before.1) {
-        (0, probes) if probes == probing_rows => Some("probe".to_string()),
-        (1, 0) => None,
+    let deltas = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+    let path = match deltas {
+        (0, probes, keys) if probes == probing_rows && keys == probing_rows => Some("pk"),
+        (0, probes, 0) if probes == probing_rows => Some("index"),
+        (1, 0, 0) => None,
         deltas => panic!("{plan:?}: unexpected counter deltas {deltas:?}"),
     };
-    (rows, path)
+    (rows, path.map(str::to_string))
 }
 
 /// Every subset of the columns of `T`, as sorted column lists.
@@ -133,7 +138,8 @@ fn column_sets() -> Vec<Vec<usize>> {
 fn check(read: Read, cols: &[usize], explain: Option<String>, ran: Option<String>) {
     let want = expected(cols, read);
     assert_eq!(explain, want, "columns {cols:?}: EXPLAIN against the rule");
-    let kind = want.map(|_| "probe".to_string());
+    // The key, or which index: the counters tell the key apart.
+    let kind = want.map(|path| if path == "pk" { path } else { "index".into() });
     assert_eq!(ran, kind, "columns {cols:?}: the executor against EXPLAIN");
 }
 
@@ -200,7 +206,7 @@ fn a_seventh_pinned_column_still_finds_its_index() {
     let plan = Plan::scan("T").select(Expr::and(pins.collect()));
     assert_eq!(explained(&db, &plan).as_deref(), Some("by_c6"));
     let (rows, ran) = executed(&db, &plan, 1);
-    assert_eq!(ran.as_deref(), Some("probe"));
+    assert_eq!(ran.as_deref(), Some("index"));
     assert_eq!(rows.len(), 16);
     assert_eq!(rows, execute_materialized(&db, &plan).unwrap());
 }
@@ -231,7 +237,7 @@ fn an_index_join_probes_for_every_left_row() {
             "{left} left rows"
         );
         let (rows, ran) = executed(&db, &plan, left as u64);
-        assert_eq!(ran.as_deref(), Some("probe"), "{left} left rows");
+        assert_eq!(ran.as_deref(), Some("index"), "{left} left rows");
         let mut expect = execute_materialized(&db, &plan).unwrap();
         let mut got = rows;
         expect.sort();

@@ -19,14 +19,16 @@
 //!
 //! The formats are pinned too. A version-1 snapshot (written before the
 //! policy byte existed) opens as an `Eager` store, and a version-2 one
-//! (statements spelled out) and a version-4 one (the varint codec, `R*`
-//! column by column) open as their store and are rewritten as version 5
-//! (bit-packed string codes, statements grouped by world) by the next
-//! checkpoint. A directory an older release left — a version-3 snapshot
-//! and version-1 WAL segments — opens as its store, takes new appends in
-//! a version-2 segment and checkpoints to version 5. `Lazy` and `Eager`
-//! stores come back as themselves, and forged version-3, -4 and -5
-//! payloads with a valid checksum fail the open as `Corrupt`.
+//! (statements spelled out), a version-4 one (the varint codec, `R*`
+//! column by column) and a version-5 one (bit-packed string codes,
+//! statements grouped by world) open as their store and are rewritten as
+//! version 6 (sorted front-coded dictionaries, NULL-free code widths,
+//! worlds as parent and user) by the next checkpoint. A directory an
+//! older release left — a version-3 snapshot and version-1 WAL segments —
+//! opens as its store, takes new appends in a version-2 segment and
+//! checkpoints to version 6. `Lazy` and `Eager` stores come back as
+//! themselves, and forged version-3 to -6 payloads with a valid checksum
+//! fail the open as `Corrupt`.
 
 use beliefdb::core::persist::{SnapshotData, SnapshotSections};
 use beliefdb::core::prelude::*;
@@ -607,14 +609,11 @@ fn legacy_image(version: u8, store: &Bdms) -> Vec<u8> {
     f.0
 }
 
-/// The version-4 payload of `data`, which no release writes any more:
-/// version 5's header and worlds, then a relation varint per tuple, each
-/// relation's columns (a string column as its dictionary, in the order
-/// its tuples meet the strings, and a code varint per tuple), and two
-/// varints per statement: its wid, and its tid doubled plus the sign bit.
-fn version_4_image(data: &SnapshotData) -> Vec<u8> {
+/// The header of a version-4 or -5 payload of `data`: version and policy
+/// bytes, schema, user names, and each world's path.
+fn varint_header(version: u8, data: &SnapshotData) -> Enc {
     let mut e = Enc::new();
-    e.put_u8(4);
+    e.put_u8(version);
     e.put_u8(match data.policy {
         DefaultPolicy::Eager => 0,
         DefaultPolicy::Lazy => 1,
@@ -638,10 +637,13 @@ fn version_4_image(data: &SnapshotData) -> Vec<u8> {
             e.put_var(u.0.into());
         }
     }
-    e.put_var(data.tuples.len() as u64);
-    for t in &data.tuples {
-        e.put_var(t.rel.0.into());
-    }
+    e
+}
+
+/// Each relation's columns as versions 4 and 5 write them. The history's
+/// columns are strings: a dictionary in the order the tuples meet the
+/// strings, and each tuple's code (entry + 1), written by `codes`.
+fn varint_columns(e: &mut Enc, data: &SnapshotData, codes: fn(&mut Enc, &[u32])) {
     for (rel, (_, cols)) in data.relations.iter().enumerate() {
         for col in 0..cols.len() {
             let cells: Vec<&Value> = data
@@ -650,7 +652,6 @@ fn version_4_image(data: &SnapshotData) -> Vec<u8> {
                 .filter(|t| t.rel.0 as usize == rel)
                 .map(|t| &t.row[col])
                 .collect();
-            // The history's columns are strings.
             e.put_u8(1);
             let mut dict: Vec<&Value> = Vec::new();
             for v in &cells {
@@ -662,15 +663,79 @@ fn version_4_image(data: &SnapshotData) -> Vec<u8> {
             for v in &dict {
                 e.put_str(v.as_str().unwrap());
             }
-            for v in &cells {
-                e.put_var(dict.iter().position(|d| d == v).unwrap() as u64 + 1);
-            }
+            let coded: Vec<u32> = cells
+                .iter()
+                .map(|v| dict.iter().position(|d| d == v).unwrap() as u32 + 1)
+                .collect();
+            codes(e, &coded);
         }
     }
+}
+
+/// The version-4 payload of `data`, which no release writes any more:
+/// version 5's header and worlds, then a relation varint per tuple, each
+/// relation's columns (a code varint per tuple), and two varints per
+/// statement: its wid, and its tid doubled plus the sign bit.
+fn version_4_image(data: &SnapshotData) -> Vec<u8> {
+    let mut e = varint_header(4, data);
+    e.put_var(data.tuples.len() as u64);
+    for t in &data.tuples {
+        e.put_var(t.rel.0.into());
+    }
+    varint_columns(&mut e, data, |e, codes| {
+        for &c in codes {
+            e.put_var(c.into());
+        }
+    });
     e.put_var(data.statements.len() as u64);
     for s in &data.statements {
         e.put_var(s.wid.0.into());
         e.put_var((u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg));
+    }
+    e.into_bytes()
+}
+
+/// The version-5 payload of `data`, which no release writes any more:
+/// the header and worlds as paths; the tuples' relations as runs; each
+/// relation's columns, the codes bit-packed at the width of the largest
+/// (or a zero width and the one code when all are equal); and the
+/// statements grouped by world, a world's delta, its count, then per
+/// statement its tid's delta doubled plus the sign bit.
+fn version_5_image(data: &SnapshotData) -> Vec<u8> {
+    let mut e = varint_header(5, data);
+    let runs: Vec<&[GroundTuple]> = data.tuples.chunk_by(|a, b| a.rel == b.rel).collect();
+    e.put_var(runs.len() as u64);
+    for run in runs {
+        e.put_var(run[0].rel.0.into());
+        e.put_var(run.len() as u64);
+    }
+    varint_columns(&mut e, data, |e, codes| {
+        let max = codes.iter().copied().max().unwrap_or(0);
+        if codes.iter().all(|&c| c == max) {
+            e.put_u8(0);
+            e.put_var(max.into());
+        } else {
+            let width = u32::BITS - max.leading_zeros();
+            e.put_u8(width as u8);
+            e.put_packed(width, codes.iter().copied());
+        }
+    });
+    let mut sorted = data.statements.clone();
+    sorted.sort_by_key(|s| (s.wid, s.tid));
+    let groups: Vec<_> = sorted.chunk_by(|a, b| a.wid == b.wid).collect();
+    e.put_var(sorted.len() as u64);
+    e.put_var(groups.len() as u64);
+    let mut wid = 0;
+    for group in groups {
+        e.put_var((group[0].wid.0 - wid).into());
+        wid = group[0].wid.0;
+        e.put_var(group.len() as u64);
+        let mut prev = 0;
+        for s in group {
+            let signed = (u64::from(s.tid.0) << 1) | u64::from(s.sign == Sign::Neg);
+            e.put_var(signed - prev);
+            prev = signed & !1;
+        }
     }
     e.into_bytes()
 }
@@ -752,10 +817,10 @@ fn version_1_snapshot_opens_as_eager() {
 }
 
 /// A version-2 snapshot (statements spelled out) opens as the store it
-/// was taken of; the next checkpoint writes version 5, which opens as the
+/// was taken of; the next checkpoint writes version 6, which opens as the
 /// same store again.
 #[test]
-fn version_2_snapshot_opens_and_is_rewritten_as_version_5() {
+fn version_2_snapshot_opens_and_is_rewritten_as_version_6() {
     for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
         let want = expected_under(policy, history().len());
         let v2 = legacy_image(2, &want);
@@ -765,64 +830,64 @@ fn version_2_snapshot_opens_and_is_rewritten_as_version_5() {
         assert_same(&reopened, &want, "version-2 snapshot");
         reopened.checkpoint().unwrap();
         drop(reopened);
-        let v5 = latest_snapshot(&dir);
-        assert_eq!(v5[..2], [5, v2[1]], "version and policy bytes");
-        assert!(v5.len() < v2.len(), "{} B vs {} B", v5.len(), v2.len());
+        let v6 = latest_snapshot(&dir);
+        assert_eq!(v6[..2], [6, v2[1]], "version and policy bytes");
+        assert!(v6.len() < v2.len(), "{} B vs {} B", v6.len(), v2.len());
         let again = Bdms::open(&dir).unwrap();
         assert_eq!(again.policy(), policy);
-        assert_same(&again, &want, "version-5 rewrite of a version-2 snapshot");
+        assert_same(&again, &want, "version-6 rewrite of a version-2 snapshot");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
-/// A version-4 snapshot — what the previous release wrote — opens as
-/// the store it was taken of, and the next checkpoint writes version 5:
-/// the very bytes a checkpoint of that store writes. Opening and closing the version-5 directory without a write
-/// changes no byte.
+/// A version-4 snapshot and a version-5 one — what the previous release
+/// wrote — open as the store they were taken of, and the next checkpoint
+/// writes version 6: the very bytes a checkpoint of that store writes.
+/// Opening and closing the version-6 directory without a write changes
+/// no byte.
 #[test]
-fn version_4_snapshot_opens_and_is_rewritten_as_version_5() {
+fn version_4_and_5_snapshots_open_and_are_rewritten_as_version_6() {
     for policy in [DefaultPolicy::Lazy, DefaultPolicy::Eager] {
         let want = expected_under(policy, history().len());
-        let dir = dir_with_snapshot("v4-src", &legacy_image(2, &want));
+        let dir = dir_with_snapshot("v6-src", &legacy_image(2, &want));
         Bdms::open(&dir).unwrap().checkpoint().unwrap();
-        let v5 = latest_snapshot(&dir);
+        let v6 = latest_snapshot(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
-        let v4 = version_4_image(&SnapshotData::decode(&v5).unwrap());
-        assert_eq!(
-            SnapshotData::decode(&v4).unwrap(),
-            SnapshotData::decode(&v5).unwrap()
-        );
+        assert_eq!(v6[0], 6);
+        let data = SnapshotData::decode(&v6).unwrap();
+        for (version, older) in [(4, version_4_image(&data)), (5, version_5_image(&data))] {
+            assert_eq!(older[0], version);
+            assert_eq!(SnapshotData::decode(&older).unwrap(), data, "v{version}");
+            let what = format!("version-{version} snapshot");
 
-        let dir = dir_with_snapshot("v4", &v4);
-        let mut reopened = Bdms::open(&dir).unwrap();
-        assert_eq!(reopened.policy(), policy);
-        assert_same(&reopened, &want, "version-4 snapshot");
-        reopened.checkpoint().unwrap();
-        drop(reopened);
-        assert!(
-            latest_snapshot(&dir) == v5,
-            "version-5 rewrite of version 4"
-        );
-        let files = |dir: &Path| {
-            let mut files: Vec<_> = std::fs::read_dir(dir)
-                .unwrap()
-                .map(|e| {
-                    let e = e.unwrap();
-                    (e.file_name(), std::fs::read(e.path()).unwrap())
-                })
-                .collect();
-            files.sort();
-            files
-        };
-        let before = files(&dir);
-        let again = Bdms::open(&dir).unwrap();
-        assert_same(&again, &want, "version-5 rewrite of a version-4 snapshot");
-        again.close().unwrap();
-        assert!(
-            files(&dir) == before,
-            "open and close changed the directory"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+            let dir = dir_with_snapshot("older", &older);
+            let mut reopened = Bdms::open(&dir).unwrap();
+            assert_eq!(reopened.policy(), policy);
+            assert_same(&reopened, &want, &what);
+            reopened.checkpoint().unwrap();
+            drop(reopened);
+            assert!(latest_snapshot(&dir) == v6, "version-6 rewrite of {what}");
+            let files = |dir: &Path| {
+                let mut files: Vec<_> = std::fs::read_dir(dir)
+                    .unwrap()
+                    .map(|e| {
+                        let e = e.unwrap();
+                        (e.file_name(), std::fs::read(e.path()).unwrap())
+                    })
+                    .collect();
+                files.sort();
+                files
+            };
+            let before = files(&dir);
+            let again = Bdms::open(&dir).unwrap();
+            assert_same(&again, &want, &format!("version-6 rewrite of {what}"));
+            again.close().unwrap();
+            assert!(
+                files(&dir) == before,
+                "open and close changed the directory"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
 
@@ -1043,19 +1108,11 @@ fn forged_version_4_snapshots_are_corrupt() {
     }
 }
 
-/// Version-5 payloads with a valid checksum but one fault each — in a
-/// string column, a bit width past 32, packed codes shorter than their
-/// count times their width, a code past its dictionary, a width wider
-/// than the largest code; in the runs of tuple relations, a count past
-/// the bytes left, a relation past the schema, two runs of one relation;
-/// in the statement groups, a world or tuple past the image's lists,
-/// group counts that do not sum to the statement count, worlds or tuples
-/// that do not ascend, an empty group — fail the open with `Corrupt`,
-/// without a panic.
-#[test]
-fn forged_version_5_snapshots_are_corrupt() {
-    // Three worlds (ε, Alice, Bob) and three tuples of one relation.
-    let dir = temp_dir("forge5-src");
+/// The version-6 image of a store of three worlds (ε, Alice, Bob) and
+/// three tuples of one relation: `s1 crow` stated by ε and denied by Bob,
+/// `s2 raven` and `s3 owl` stated by Alice.
+fn forgery_source() -> Vec<u8> {
+    let dir = temp_dir("forge-src");
     let schema = ExternalSchema::new().with_relation("S", &["sid", "species"]);
     let mut built = Bdms::create(&dir, schema).unwrap();
     let alice = built.add_user("Alice").unwrap();
@@ -1077,6 +1134,34 @@ fn forged_version_5_snapshots_are_corrupt() {
     let image = latest_snapshot(&dir);
     drop(built);
     std::fs::remove_dir_all(&dir).unwrap();
+    image
+}
+
+/// Open a directory whose only snapshot is each of `cases`, and expect
+/// `Corrupt` for every one.
+fn assert_corrupt_opens(cases: Vec<(&str, Vec<u8>)>) {
+    for (fault, forged) in cases {
+        let dir = dir_with_snapshot("forged", &forged);
+        match Bdms::open(&dir) {
+            Err(BeliefError::Storage(StorageError::Corrupt(_))) => {}
+            other => panic!("{fault}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Version-5 payloads with a valid checksum but one fault each — in a
+/// string column, a bit width past 32, packed codes shorter than their
+/// count times their width, a code past its dictionary, a width wider
+/// than the largest code; in the runs of tuple relations, a count past
+/// the bytes left, a relation past the schema, two runs of one relation;
+/// in the statement groups, a world or tuple past the image's lists,
+/// group counts that do not sum to the statement count, worlds or tuples
+/// that do not ascend, an empty group — fail the open with `Corrupt`,
+/// without a panic.
+#[test]
+fn forged_version_5_snapshots_are_corrupt() {
+    let image = version_5_image(&SnapshotData::decode(&forgery_source()).unwrap());
     assert_eq!(image[0], 5);
     let (parsed, sections): (SnapshotData, SnapshotSections) =
         SnapshotData::decode_sections(&image).unwrap();
@@ -1203,20 +1288,140 @@ fn forged_version_5_snapshots_are_corrupt() {
         ("an empty group", bad_statements(&[1, 2, 0, 0, 1, 1, 2])),
         ("count past the payload", bad_statements(&[9, 1, 0, 1, 0])),
     ];
-    for (fault, forged) in cases {
-        let dir = dir_with_snapshot("forged5", &forged);
-        match Bdms::open(&dir) {
-            Err(BeliefError::Storage(StorageError::Corrupt(_))) => {}
-            other => panic!("{fault}: expected Corrupt, got {:?}", other.map(|_| ())),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    assert_corrupt_opens(cases.into());
+}
+
+/// Version-6 payloads with a valid checksum but one fault each against
+/// the canonical form of what version 6 changed — in a string dictionary,
+/// entries that do not ascend, a repeated entry, a shared prefix shorter
+/// than the longest or past the entry before, an entry that is not UTF-8,
+/// an entry no tuple uses; in the codes, a column flagged with NULLs that
+/// holds none, a code past the dictionary of a column without NULLs; in
+/// the worlds, no root, a parent at or past the world's own wid, a user
+/// equal to the parent's last, a user never registered — fail the open
+/// with `Corrupt`, without a panic.
+#[test]
+fn forged_version_6_snapshots_are_corrupt() {
+    let image = forgery_source();
+    assert_eq!(image[0], 6);
+    let sections: SnapshotSections = SnapshotData::decode_sections(&image).unwrap().1;
+    let tuples_at = sections.header + sections.worlds;
+    let statements_at = tuples_at + sections.tuples;
+
+    // The worlds: three, Alice and Bob each one and two back from ε. The
+    // tuple section: one run of three tuples of relation 0; `sid` flagged
+    // without NULLs (kind 4), "s1" "s2" "s3" front-coded, ranks 0, 1, 2 at
+    // two bits (0b10_01_00); `species`, "crow" "owl" "raven", ranks 0
+    // (crow), 2 (raven), 1 (owl) (0b01_10_00).
+    let good_worlds = [3, 1, 1, 2, 2];
+    // Each dictionary entry as its shared count, rest length and rest.
+    let column = |kind: u8, dict: &[&[u8]], codes: &[u8]| {
+        [&[kind, dict.len() as u8][..], &dict.concat(), codes].concat()
+    };
+    let species = column(
+        4,
+        &[b"\0\x04crow", b"\0\x03owl", b"\0\x05raven"],
+        &[2, 0b01_10_00],
+    );
+    let sid = |kind: u8, dict: &[&[u8]], codes: &[u8]| {
+        [&[1, 0, 3][..], &column(kind, dict, codes), &species].concat()
+    };
+    let sids: [&[u8]; 3] = [b"\0\x02s1", b"\x01\x012", b"\x01\x013"];
+    let good_tuples = sid(4, &sids, &[2, 0b10_01_00]);
+    assert_eq!(image[sections.header..tuples_at], good_worlds);
+    assert_eq!(image[tuples_at..statements_at], good_tuples[..]);
+    let forge = |worlds: &[u8], tuples: &[u8]| {
+        [
+            &image[..sections.header],
+            worlds,
+            tuples,
+            &image[statements_at..],
+        ]
+        .concat()
+    };
+    // A well-formed forgery opens, so each fault below is the only one:
+    // Bob's world (wid 2) as Alice·Bob, one back from Alice.
+    let dir = dir_with_snapshot("forged6-ok", &forge(&[3, 1, 1, 1, 2], &good_tuples));
+    let opened = Bdms::open(&dir).unwrap();
+    let alice_bob = BeliefPath::new(vec![UserId(1), UserId(2)]).unwrap();
+    assert!(opened.internal().directory().get(&alice_bob).is_some());
+    drop(opened);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let bad_sid =
+        |kind: u8, dict: &[&[u8]], codes: &[u8]| forge(&good_worlds, &sid(kind, dict, codes));
+    let bad_worlds = |worlds: &[u8]| forge(worlds, &good_tuples);
+    let codes = [2, 0b10_01_00];
+    let cases = vec![
+        (
+            "entries that do not ascend",
+            bad_sid(4, &[b"\0\x02s1", b"\x01\x013", b"\x01\x012"], &codes),
+        ),
+        (
+            "a repeated entry",
+            bad_sid(4, &[b"\0\x02s1", b"\x02\0", b"\x01\x012"], &codes),
+        ),
+        (
+            "a shared prefix short of the longest",
+            bad_sid(4, &[b"\0\x02s1", b"\0\x02s2", b"\x01\x013"], &codes),
+        ),
+        (
+            "a shared prefix past the entry before",
+            bad_sid(4, &[b"\0\x02s1", b"\x03\x012", b"\x01\x013"], &codes),
+        ),
+        (
+            "the first entry sharing a prefix",
+            bad_sid(4, &[b"\x01\x02s1", b"\x01\x012", b"\x01\x013"], &codes),
+        ),
+        // 0xC3 opens a two-byte character that nothing completes.
+        (
+            "an entry that is not UTF-8",
+            bad_sid(4, &[b"\0\x02s1", b"\x01\x012", b"\0\x01\xC3"], &codes),
+        ),
+        (
+            "an entry no tuple uses",
+            bad_sid(
+                4,
+                &[b"\0\x02s1", b"\x01\x012", b"\x01\x013", b"\x01\x014"],
+                &codes,
+            ),
+        ),
+        // Ranks plus one, 1, 2, 3 at two bits: a NULL flag and no NULL.
+        (
+            "a column flagged with NULLs that holds none",
+            bad_sid(1, &sids, &[2, 0b11_10_01]),
+        ),
+        // Ranks 0, 1, 3 at two bits, three entries.
+        (
+            "a code past the dictionary",
+            bad_sid(4, &sids, &[2, 0b11_01_00]),
+        ),
+        (
+            "a packed run wider than its codes",
+            bad_sid(4, &sids, &[3, 0b10_001_000, 0]),
+        ),
+        ("no root world", bad_worlds(&[0])),
+        (
+            "a parent at the world's own wid",
+            bad_worlds(&[3, 0, 1, 2, 2]),
+        ),
+        (
+            "a parent past the world's own wid",
+            bad_worlds(&[3, 2, 1, 2, 2]),
+        ),
+        (
+            "a user equal to the parent's last",
+            bad_worlds(&[3, 1, 1, 1, 1]),
+        ),
+        ("a user never registered", bad_worlds(&[3, 1, 1, 2, 9])),
+    ];
+    assert_corrupt_opens(cases);
 }
 
 /// A directory in the previous release's formats — a version-3 snapshot
 /// and a version-1 segment — opens as its store, appends into a fresh
 /// version-2 segment (never into the version-1 one), reopens unchanged,
-/// and comes out as version 5 after a checkpoint.
+/// and comes out as version 6 after a checkpoint.
 #[test]
 fn previous_release_directory_opens_appends_and_upgrades() {
     let n = history().len();
@@ -1257,13 +1462,13 @@ fn previous_release_directory_opens_appends_and_upgrades() {
     assert_same(&again, &expected_after(n), "reopen after the upgrade");
     assert_eq!(list_segments(&dir).unwrap().len(), 2);
     again.checkpoint().unwrap();
-    assert_eq!(latest_snapshot(&dir)[0], 5);
+    assert_eq!(latest_snapshot(&dir)[0], 6);
     let segments = list_segments(&dir).unwrap();
     assert_eq!(segments.len(), 1);
     assert_eq!(&std::fs::read(&segments[0].1).unwrap()[..8], b"BDBWAL02");
     drop(again);
     let upgraded = Bdms::open(&dir).unwrap();
-    assert_same(&upgraded, &expected_after(n), "version-5 checkpoint");
+    assert_same(&upgraded, &expected_after(n), "version-6 checkpoint");
     drop((reopened, upgraded));
     std::fs::remove_dir_all(&live).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -708,7 +708,7 @@ fn v_stays_the_closure_while_wid_and_tid_outgrow_their_lanes() {
     assert_eq!(v.slots(), v.len(), "no slot is free");
     assert_eq!(
         v.heap_bytes(),
-        v.len() * (2 + 2 + 1 + 1 + 1) + (keys.len() + 2 + 2) * 57 + v.len().div_ceil(64) * 8
+        v.len() * (2 + 2 + 1 + 1 + 1) + (keys.len() + 2 + 2) * 33 + v.len().div_ceil(64) * 8
     );
 
     let s = bdms.schema().relation_id("S").unwrap();

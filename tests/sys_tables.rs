@@ -362,13 +362,13 @@ fn sys_tables_says_where_the_memory_is() {
     // integer cell and a string cell (a dictionary code) in the narrowest
     // lanes that have held every value of the column — one byte below 128
     // and for the first 256 strings —, one dictionary entry (a string in
-    // the vector, one in the map entry, the control byte; a string of up
-    // to 22 bytes is inline in both, a longer one's text is shared and
-    // not counted), one word of live bits per 64 slots, and one free-list
+    // the vector, a hash → code map entry, the control byte; a string of
+    // up to 22 bytes is inline in the vector's `Str`, a longer one's text
+    // is shared and not counted), one word of live bits per 64 slots, and one free-list
     // entry per dead slot.
     const INT: i64 = 1;
     const CODE: i64 = 1;
-    const DICT_ENTRY: i64 = 24 + 32 + 1;
+    const DICT_ENTRY: i64 = 24 + 8 + 1;
     const FREE_SLOT: i64 = 4;
     let live_bits = |slots: i64| (slots + 63) / 64 * 8;
     // The sizes below are those of the `Eager` layout, where a new world
