@@ -9,8 +9,8 @@ use beliefdb_core::{Bdms, BeliefError, BeliefPath, ExternalSchema, Sign};
 use beliefdb_storage::obs::{note_statement_peak, record_statement, statements_enabled};
 use beliefdb_storage::sema::{self, codes, lint_program, Diagnostic};
 use beliefdb_storage::{
-    metrics, Expr, Metric, MetricsSnapshot, Plan, QueryTrace, Recorder, Row, SortKey, StatementObs,
-    Value, SYS_PREFIX,
+    metrics, Expr, Metric, MetricsSnapshot, Plan, QueryTrace, Recorder, Row, StatementObs, Value,
+    SYS_PREFIX,
 };
 use std::fmt;
 use std::ops::ControlFlow;
@@ -157,10 +157,10 @@ impl Session {
     }
 
     /// Bound the memory each query's materialization points (hash-join
-    /// builds, sorts, distincts) may hold; past the budget they spill to
-    /// disk (grace hash join, external merge sort). The
-    /// shell exposes this as `\set memory <bytes>`. `None` (the
-    /// default) keeps everything in memory.
+    /// builds, distincts) may hold; past the budget they spill to disk
+    /// (grace hash join, distinct partitioning). The shell exposes this
+    /// as `\set memory <bytes>`. `None` (the default) keeps everything
+    /// in memory.
     pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
         self.bdms.set_memory_budget(bytes);
     }
@@ -526,25 +526,21 @@ impl Session {
         };
         // ORDER BY / LIMIT post-process the (already sorted, distinct)
         // belief-query answer; keys must appear in the select list.
-        if !sel.order_by.is_empty() {
-            let keys = resolve_order_keys(&lowered.columns, &sel.order_by)?;
-            rows.sort_by(|a, b| cmp_order(&keys, a, b));
-        }
-        if let Some(n) = sel.limit {
-            rows.truncate(n);
-        }
+        let keys = resolve_order_keys(&lowered.columns, &sel.order_by)?;
+        order_and_limit(&mut rows, &keys, sel.limit);
         Ok(ExecResult::Rows {
             columns: lowered.columns,
             rows,
         })
     }
 
-    /// A `SELECT` over one `sys.*` virtual table: built directly as a
-    /// storage-layer plan (Scan → Selection → Sort → Limit → Projection)
-    /// and run through the normal optimizer and chunked executor. The
-    /// provider snapshots its source at scan time; nothing is cached.
+    /// A `SELECT` over one `sys.*` virtual table: its scan and WHERE are
+    /// built directly as a storage-layer plan and run through the normal
+    /// optimizer and chunked executor; ORDER BY, LIMIT and the select
+    /// list then shape the rows as they do a belief answer. The provider
+    /// snapshots its source at scan time; nothing is cached.
     fn run_sys_select(&self, sel: &SelectStmt, rec: &mut Recorder) -> Result<ExecResult> {
-        let (columns, plan) = self.sys_select_plan(sel)?;
+        let (plan, shape) = self.sys_select(sel)?;
         let db = self.bdms.internal().database();
         let plan = rec.span("optimize", || {
             beliefdb_storage::optimize(db, plan).map_err(storage_err)
@@ -552,12 +548,17 @@ impl Session {
         let rows = rec.span("execute", || {
             beliefdb_storage::execute(db, &plan).map_err(storage_err)
         })?;
-        Ok(ExecResult::Rows { columns, rows })
+        let rows = shape.finish(rows);
+        Ok(ExecResult::Rows {
+            columns: shape.columns,
+            rows,
+        })
     }
 
-    /// Lower a validated `sys.*` SELECT into column labels plus an
-    /// unoptimized storage plan.
-    fn sys_select_plan(&self, sel: &SelectStmt) -> Result<(Vec<String>, Plan)> {
+    /// Lower a validated `sys.*` SELECT into the unoptimized scan (with
+    /// the WHERE as a selection) and what shapes the scanned rows
+    /// afterwards.
+    fn sys_select(&self, sel: &SelectStmt) -> Result<(Plan, SysShape)> {
         if sel.from.len() != 1 {
             return Err(SqlError::Lower(
                 "system tables cannot be joined or mixed with other tables in one FROM".into(),
@@ -589,18 +590,18 @@ impl Session {
             })
         };
         let mut columns = Vec::new();
-        let mut exprs = Vec::new();
+        let mut project = Vec::new();
         for it in &sel.items {
             match it {
                 SelectItem::Wildcard => {
                     for (i, col) in schema.columns().iter().enumerate() {
                         columns.push(col.name.clone());
-                        exprs.push(Expr::Col(i));
+                        project.push(i);
                     }
                 }
                 SelectItem::Column(c) => {
                     columns.push(c.to_string());
-                    exprs.push(Expr::Col(resolve(c)?));
+                    project.push(resolve(c)?);
                 }
             }
         }
@@ -618,35 +619,34 @@ impl Session {
             }
             plan = plan.select(Expr::And(conj));
         }
-        if !sel.order_by.is_empty() {
-            let mut keys = Vec::with_capacity(sel.order_by.len());
-            for (c, desc) in &sel.order_by {
-                let i = resolve(c)?;
-                keys.push(if *desc {
-                    SortKey::desc(i)
-                } else {
-                    SortKey::asc(i)
-                });
-            }
-            plan = plan.sort(keys);
-        }
-        if let Some(n) = sel.limit {
-            plan = plan.limit(n);
-        }
-        Ok((columns, plan.project(exprs)))
+        // Sort keys resolve against the table's schema, so a sys query
+        // may order by a column it does not select.
+        let keys = sel
+            .order_by
+            .iter()
+            .map(|(c, desc)| Ok((resolve(c)?, *desc)))
+            .collect::<Result<_>>()?;
+        let shape = SysShape {
+            columns,
+            keys,
+            limit: sel.limit,
+            project,
+        };
+        Ok((plan, shape))
     }
 
     /// `EXPLAIN [ANALYZE]` for a `sys.*` SELECT: render the optimized
-    /// virtual-scan plan (with actuals when analyzing).
+    /// virtual-scan plan (with actuals when analyzing), then the ORDER BY
+    /// and LIMIT that run over its rows.
     fn explain_sys(&self, sel: &SelectStmt, analyze: bool) -> Result<String> {
-        let (_, plan) = self.sys_select_plan(sel)?;
+        let (plan, shape) = self.sys_select(sel)?;
         let db = self.bdms.internal().database();
         let plan = beliefdb_storage::optimize(db, plan).map_err(storage_err)?;
         let mut out = String::from("-- system-catalog query (virtual table scan):\n");
         if analyze {
             let executor = beliefdb_storage::Executor::new(db);
             let (stream, profile) = executor.open_chunks_profiled(&plan).map_err(storage_err)?;
-            let rows = stream.collect_rows().map_err(storage_err)?;
+            let rows = shape.finish(stream.collect_rows().map_err(storage_err)?);
             out.push_str("-- analyzed physical plan (est vs actual):\n");
             out.push_str(&beliefdb_storage::opt::render_analyze(
                 db,
@@ -655,6 +655,7 @@ impl Session {
                 &profile,
                 None,
             ));
+            out.push_str(&order_note(sel));
             out.push_str(&format!(
                 "-- {} row{} returned\n",
                 rows.len(),
@@ -663,6 +664,7 @@ impl Session {
         } else {
             out.push_str("-- optimized physical plan:\n");
             out.push_str(&beliefdb_storage::opt::render_with_snapshot(db, &plan));
+            out.push_str(&order_note(sel));
         }
         Ok(out)
     }
@@ -931,6 +933,60 @@ fn cmp_order(keys: &[(usize, bool)], a: &Row, b: &Row) -> std::cmp::Ordering {
         }
     }
     std::cmp::Ordering::Equal
+}
+
+/// ORDER BY and LIMIT over a finished result, for belief and `sys.*`
+/// SELECTs alike: a stable sort on resolved `(column, descending)` keys,
+/// then the first `limit` rows.
+fn order_and_limit(rows: &mut Vec<Row>, keys: &[(usize, bool)], limit: Option<usize>) {
+    if !keys.is_empty() {
+        rows.sort_by(|a, b| cmp_order(keys, a, b));
+    }
+    if let Some(n) = limit {
+        rows.truncate(n);
+    }
+}
+
+/// What shapes the rows a `sys.*` SELECT's scan returned: the ORDER BY
+/// keys and LIMIT over the table's columns, then the select list.
+struct SysShape {
+    columns: Vec<String>,
+    keys: Vec<(usize, bool)>,
+    limit: Option<usize>,
+    /// Table column of each select-list column.
+    project: Vec<usize>,
+}
+
+impl SysShape {
+    /// Order, truncate and project the rows the scan plan returned.
+    fn finish(&self, mut rows: Vec<Row>) -> Vec<Row> {
+        order_and_limit(&mut rows, &self.keys, self.limit);
+        rows.iter()
+            .map(|r| r.project_unchecked(&self.project))
+            .collect()
+    }
+}
+
+/// The `EXPLAIN` line naming a SELECT's ORDER BY and LIMIT, which run
+/// over the result after the plan; empty when it has neither.
+fn order_note(sel: &SelectStmt) -> String {
+    let mut parts = Vec::new();
+    if !sel.order_by.is_empty() {
+        let keys: Vec<String> = sel
+            .order_by
+            .iter()
+            .map(|(c, desc)| format!("{c}{}", if *desc { " desc" } else { "" }))
+            .collect();
+        parts.push(format!("order by {}", keys.join(", ")));
+    }
+    if let Some(n) = sel.limit {
+        parts.push(format!("limit {n}"));
+    }
+    if parts.is_empty() {
+        String::new()
+    } else {
+        format!("-- then, over the result: {}\n", parts.join(" "))
+    }
 }
 
 /// The largest ` peak_bytes=N` figure in an `EXPLAIN ANALYZE` profile
@@ -1359,12 +1415,14 @@ mod tests {
             .query("explain select * from sys.metrics")
             .unwrap()
             .to_string();
-        assert!(text.contains("Scan sys.metrics"), "{text}");
+        // A virtual scan has no stored rows to count.
+        assert!(text.contains("Scan sys.metrics (virtual)"), "{text}");
         let text = s
             .query("explain analyze select * from sys.metrics")
             .unwrap()
             .to_string();
         assert!(text.contains("| actual"), "{text}");
+        assert!(text.contains("Scan sys.metrics (virtual)"), "{text}");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Spill-to-disk materialization points: memory-budgeted vs in-memory
 //! execution.
 //!
-//! Three plans over the fanout-4 join schema — full sort, distinct,
-//! wide join — each run at budgets ∞
-//! (identical code path to the unbudgeted executor; the <5% regression
-//! guard), ½·input, and ⅒·input (`tests/exec_spill.rs` asserts that a
-//! sort and a distinct spill at such budgets). The budgeted executor is
+//! Two plans over the fanout-4 join schema — distinct and wide join —
+//! each run at budgets ∞ (identical code path to the unbudgeted
+//! executor; the <5% regression guard), ½·input, and ⅒·input
+//! (`tests/exec_spill.rs` asserts that a distinct spills at such
+//! budgets). The budgeted executor is
 //! asserted to agree with the in-memory one before anything is timed.
 
 use beliefdb_bench::{exec_streaming_db, spill_budget, spill_plans};

@@ -367,12 +367,11 @@ pub fn exec_streaming_db(n: usize) -> Result<beliefdb_storage::Database> {
     Ok(db)
 }
 
-/// The spill workload plans: a full sort, a distinct, and the wide join
-/// — each materializing O(input) without a budget.
+/// The spill workload plans: a distinct and the wide join — each
+/// materializing O(input) without a budget.
 pub fn spill_plans() -> Vec<(&'static str, beliefdb_storage::Plan)> {
     use beliefdb_storage::Plan;
     vec![
-        ("sort", Plan::scan("F").sort(vec![2, 0])),
         ("distinct", Plan::scan("F").distinct()),
         ("join", Plan::scan("F").join(Plan::scan("D"), vec![(1, 0)])),
     ]

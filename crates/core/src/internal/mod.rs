@@ -218,10 +218,12 @@ pub struct InternalStore {
     /// store has not mutated).
     pub(crate) stats: std::sync::Mutex<beliefdb_storage::StatsCatalog>,
     /// Optimized-plan cache for the Datalog programs BCQ translation
-    /// emits, keyed by (program text, table versions): repeat queries
-    /// against an unmutated store skip every optimizer rewrite pass.
-    /// Invalidation is coarse — entries record every table's version,
-    /// so any insert/delete makes *all* entries stale until re-planned.
+    /// emits, keyed by (program text, versions of the tables it reads):
+    /// repeat queries against an unmutated store skip every optimizer
+    /// rewrite pass. An entry records only the versions of the base
+    /// tables its program reads (`PlanCache::read_versions`), so a write
+    /// makes stale exactly the entries whose programs read the written
+    /// table.
     /// `Arc`-shared so the `sys.plan_cache` virtual table can snapshot
     /// it at scan time without a reference back into the store.
     pub(crate) plan_cache: Arc<std::sync::Mutex<beliefdb_storage::datalog::PlanCache>>,

@@ -204,23 +204,30 @@ impl InternalStore {
         // (5) redirect w[d]-edges of deeper worlds that should now reach x:
         // y ends with w[1,d−1] — it is a dependent of the parent in the
         // suffix tree, so only those are walked — can take a w[d]-edge, and
-        // its current target is shallower than d. In wid order, so `E` is
-        // written in the order a scan of every world would write it.
+        // its current target is shallower than d. That target is the
+        // deepest state ending y·w[d], and every such state shallower than
+        // d is a suffix of w, so it is shallower exactly when x is now that
+        // deepest state: the directory answers without reading `E`. In wid
+        // order, so `E` is written in the order a scan of every world would
+        // write it.
         let mut redirect: Vec<Wid> = self
             .dir
             .dependents(&path.prefix(d - 1))
             .into_iter()
-            .filter(|&y| y != x && self.dir.path(y).can_push(last))
+            .filter(|&y| {
+                y != x
+                    && self
+                        .dir
+                        .path(y)
+                        .push(last)
+                        .is_ok_and(|p| self.dir.dss(&p) == x)
+            })
             .collect();
         redirect.sort_unstable();
+        let e = self.db.table_mut(E_TABLE)?;
         for y in redirect {
-            let current = self.edge_target(y, last)?;
-            let current_depth = self.dir.path(current).depth();
-            if current_depth < d {
-                let e = self.db.table_mut(E_TABLE)?;
-                e.delete_by_index(super::E_BY_SRC_USER, &[y.value(), last.value()])?;
-                e.insert(Row::new([y.value(), last.value(), x.value()]))?;
-            }
+            e.delete_by_index(super::E_BY_SRC_USER, &[y.value(), last.value()])?;
+            e.insert(Row::new([y.value(), last.value(), x.value()]))?;
         }
 
         // (6) S entry for x: the deepest suffix state of w[2,d] (errata),
@@ -245,30 +252,6 @@ impl InternalStore {
         }
 
         Ok(x)
-    }
-
-    /// The unique `E` target of `(world, user)`.
-    pub(crate) fn edge_target(&self, wid: Wid, user: crate::ids::UserId) -> Result<Wid> {
-        let e = self.db.table(E_TABLE)?;
-        let key = [wid.value(), user.value()];
-        let mut hits = e.index_lookup(super::E_BY_SRC_USER, &key)?;
-        let first = hits.next();
-        debug_assert!(
-            hits.next().is_none(),
-            "E must be deterministic per (world, user)"
-        );
-        match first {
-            Some(rid) => Ok(Wid::from_cell(e.cell(rid, 2)?).expect("wid column")),
-            // No edge materialized (e.g. user registered after queries
-            // started, or u = last(w)): fall back to the directory.
-            None => {
-                let path = self.dir.path(wid);
-                match path.push(user) {
-                    Ok(p) => Ok(self.dir.dss(&p)),
-                    Err(_) => Ok(wid),
-                }
-            }
-        }
     }
 
     /// Copy every `V` row of `from` into `to` with `e = 'n'` (Alg. 2
@@ -302,6 +285,20 @@ mod tests {
             store.add_user(format!("user{i}")).unwrap();
         }
         store
+    }
+
+    /// The target of `world`'s `user`-edge, read off `E`'s rows: exactly
+    /// one row must match.
+    fn edge_target(store: &InternalStore, world: Wid, user: UserId) -> Wid {
+        let e = store.database().table(E_TABLE).unwrap();
+        let targets: Vec<Wid> = e
+            .scan()
+            .iter()
+            .filter(|r| r[0] == world.value() && r[1] == user.value())
+            .map(|r| Wid::from_cell(r[2].as_cell()).expect("wid column"))
+            .collect();
+        assert_eq!(targets.len(), 1, "E({world:?}, {user:?}) must be one row");
+        targets[0]
     }
 
     #[test]
@@ -405,15 +402,15 @@ mod tests {
         let w21 = store.dir.get(&path(&[2, 1])).unwrap();
         let (u1, u2, u3) = (UserId(1), UserId(2), UserId(3));
 
-        assert_eq!(store.edge_target(root, u1).unwrap(), w1);
-        assert_eq!(store.edge_target(root, u2).unwrap(), w2);
-        assert_eq!(store.edge_target(root, u3).unwrap(), root);
-        assert_eq!(store.edge_target(w1, u2).unwrap(), w2);
-        assert_eq!(store.edge_target(w1, u3).unwrap(), root);
-        assert_eq!(store.edge_target(w2, u1).unwrap(), w21);
-        assert_eq!(store.edge_target(w2, u3).unwrap(), root);
-        assert_eq!(store.edge_target(w21, u2).unwrap(), w2);
-        assert_eq!(store.edge_target(w21, u3).unwrap(), root);
+        assert_eq!(edge_target(&store, root, u1), w1);
+        assert_eq!(edge_target(&store, root, u2), w2);
+        assert_eq!(edge_target(&store, root, u3), root);
+        assert_eq!(edge_target(&store, w1, u2), w2);
+        assert_eq!(edge_target(&store, w1, u3), root);
+        assert_eq!(edge_target(&store, w2, u1), w21);
+        assert_eq!(edge_target(&store, w2, u3), root);
+        assert_eq!(edge_target(&store, w21, u2), w2);
+        assert_eq!(edge_target(&store, w21, u3), root);
         // Edge count matches Fig. 5's E table: 9 rows.
         assert_eq!(store.database().table(E_TABLE).unwrap().len(), 9);
     }
@@ -427,12 +424,12 @@ mod tests {
         let root = Wid::ROOT;
         let (u1, _u2) = (UserId(1), UserId(2));
         // Before: dss(1) = ε.
-        assert_eq!(store.edge_target(root, u1).unwrap(), root);
+        assert_eq!(edge_target(&store, root, u1), root);
         assert_eq!(store.dir.suffix_parent(w21), root);
 
         let w1 = store.ensure_world(&path(&[1])).unwrap();
         // Root's 1-edge now reaches the new world.
-        assert_eq!(store.edge_target(root, u1).unwrap(), w1);
+        assert_eq!(edge_target(&store, root, u1), w1);
         // S(2·1) repointed to the deeper suffix parent [1].
         assert_eq!(store.dir.suffix_parent(w21), w1);
         // S(1) = root.
@@ -450,10 +447,10 @@ mod tests {
         store.ensure_world(&path(&[2, 1])).unwrap();
         let w32 = store.ensure_world(&path(&[3, 2])).unwrap();
         let w21 = store.dir.get(&path(&[2, 1])).unwrap();
-        assert_eq!(store.edge_target(w32, UserId(1)).unwrap(), w21);
+        assert_eq!(edge_target(&store, w32, UserId(1)), w21);
         // Creating the shallower state [1] must NOT steal the edge.
         store.ensure_world(&path(&[1])).unwrap();
-        assert_eq!(store.edge_target(w32, UserId(1)).unwrap(), w21);
+        assert_eq!(edge_target(&store, w32, UserId(1)), w21);
     }
 
     #[test]

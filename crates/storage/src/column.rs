@@ -286,7 +286,7 @@ impl ColumnSet {
     }
 
     /// Materialize row `i` (the row-boundary adapter: join build keys,
-    /// sort inputs, the row codec).
+    /// spill inputs, the row codec).
     pub fn row_at(&self, i: usize) -> Row {
         Row::new(self.cols.iter().map(|c| c.value_at(i)))
     }

@@ -553,9 +553,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Bound the memory the chunked executor's materialization points
-    /// (hash-join builds, sorts, distincts) may hold per
+    /// (hash-join builds, distincts, buffered right sides) may hold per
     /// query; past the budget they spill to disk (grace hash join,
-    /// external merge sort — see [`crate::exec::spill`]). `None` (the
+    /// distinct partitioning — see [`crate::exec::spill`]). `None` (the
     /// default) keeps every materialization fully in memory.
     pub fn with_memory_budget(mut self, budget: Option<usize>) -> Self {
         self.spill.budget = budget;

@@ -9,15 +9,16 @@
 //!   cloning a row, filters run kernel passes over primitive column
 //!   slices into the selection vector, projections precompile their
 //!   column maps and gather straight from columns, and hash joins probe
-//!   a whole chunk per call. Scan, Selection, Projection, Union, Limit,
-//!   and the probe side of (anti-)joins pipeline; the **materialization
-//!   points** are the hash build sides of keyed joins and anti-joins,
-//!   cross-join right sides, Sort, and Distinct's seen-set
+//!   a whole chunk per call. Scan, Selection, Projection, Union, and the
+//!   probe side of (anti-)joins pipeline; the **materialization points**
+//!   are the hash build sides of keyed joins and anti-joins, cross-join
+//!   and residual-only anti-join right sides, and Distinct's seen-set
 //!   (Distinct streams first occurrences but still accumulates every
 //!   distinct row). Each of those points can spill to disk under a
-//!   per-query memory budget — grace hash (anti-)join, external merge
-//!   sort, distinct partitioning, cross-join and
-//!   residual-only anti-join right-side overflow runs; see [`spill`].
+//!   per-query memory budget — grace hash (anti-)join, distinct
+//!   partitioning, cross-join and residual-only anti-join right-side
+//!   overflow runs; see [`spill`]. ORDER BY and LIMIT are not plan
+//!   operators: they shape a finished answer in the SQL session.
 //!   [`Executor::open_chunks`] (and its profiled twin
 //!   [`Executor::open_chunks_profiled`], the `EXPLAIN ANALYZE` backend)
 //!   is the one way a plan is opened; [`stream_chunks`] opens one with
@@ -41,7 +42,7 @@ pub mod spill;
 pub mod stream;
 
 pub use spill::{spill_points, SpillOptions, SPILL_PARTITIONS};
-pub(crate) use stream::{chunked_owned, selection_kernel_label};
+pub(crate) use stream::selection_kernel_label;
 pub use stream::{stream_chunks, Chunk, ChunkStream, Executor, BATCH_SIZE};
 
 use crate::catalog::Database;
@@ -139,16 +140,6 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
             Ok(out)
         }
         Plan::Values { rows, .. } => Ok(rows.clone()),
-        Plan::Sort { input, by } => {
-            let mut rows = run(db, input)?;
-            rows.sort_by(|a, b| spill::cmp_by(by, a, b));
-            Ok(rows)
-        }
-        Plan::Limit { input, n } => {
-            let mut rows = run(db, input)?;
-            rows.truncate(*n);
-            Ok(rows)
-        }
     }
 }
 
@@ -333,9 +324,9 @@ mod tests {
         let db = db();
         let p = Plan::scan("Users")
             .join(Plan::scan("E"), vec![(0, 1)])
-            .project_cols(&[1, 2, 4])
-            .sort(vec![0, 1, 2]);
-        let rows = execute(&db, &p).unwrap();
+            .project_cols(&[1, 2, 4]);
+        let mut rows = execute(&db, &p).unwrap();
+        rows.sort();
         // Each user joins to the E rows with u = uid.
         assert_eq!(
             rows,
@@ -359,9 +350,9 @@ mod tests {
                 vec![],
                 Expr::cmp(CmpOp::Lt, Expr::Col(0), Expr::Col(2)),
             )
-            .project_cols(&[1, 3])
-            .sort(vec![0, 1]);
-        let rows = execute(&db, &p).unwrap();
+            .project_cols(&[1, 3]);
+        let mut rows = execute(&db, &p).unwrap();
+        rows.sort();
         assert_eq!(
             rows,
             vec![
@@ -425,16 +416,6 @@ mod tests {
         assert_eq!(execute(&db, &p).unwrap().len(), 6);
         let p = p.distinct();
         assert_eq!(execute(&db, &p).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn sort_limit_values_unit() {
-        let db = db();
-        let p = Plan::scan("Users")
-            .sort(vec![1])
-            .limit(2)
-            .project_cols(&[1]);
-        assert_eq!(execute(&db, &p).unwrap(), vec![row!["Alice"], row!["Bob"]]);
         assert_eq!(execute(&db, &Plan::unit()).unwrap().len(), 1);
     }
 

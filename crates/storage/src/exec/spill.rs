@@ -3,7 +3,8 @@
 //!
 //! The chunked executor ([`super::stream`](mod@super::stream)) pipelines most operators,
 //! but several places materialize: the hash build sides of keyed joins
-//! and anti-joins, `Sort`, and `Distinct`'s seen-set.
+//! and anti-joins, the right sides of cross joins and residual-only
+//! anti-joins, and `Distinct`'s seen-set.
 //! Without a budget those grow with the input and cap the
 //! larger-than-memory story. This module supplies the standard fixes,
 //! all sharing one framed run-file format:
@@ -16,11 +17,6 @@
 //!   spills the same way, with the probe phase inverted: a left row is
 //!   emitted iff its partition's build table holds no residual-
 //!   satisfying match;
-//! * **external merge sort** — input rows accumulate up to the budget,
-//!   are sorted (stably) into run files, and a k-way merge (fan-in
-//!   capped at `MAX_MERGE_FANIN`, multi-pass beyond that) streams the
-//!   result back out in chunks. Ties break by run index, so the output
-//!   order is **identical** to the in-memory stable sort;
 //! * **spilling distinct** — first occurrences stream out exactly as in
 //!   memory until the seen-set exceeds the budget; then the seen rows
 //!   (tagged "already emitted") and all remaining input (tagged "fresh")
@@ -58,7 +54,7 @@
 //!   per cell instead of a tagged boxed value, and repeated strings are
 //!   written once per block.
 //!
-//! Every writer — sort runs and hash partitioners alike — buffers rows
+//! Every writer — hash partitioners and bounded right sides alike — buffers rows
 //! into a per-file block builder that flushes a frame per
 //! `BLOCK_ROWS` rows, so the header, CRC, and transpose amortize over
 //! the block. Files
@@ -69,7 +65,7 @@
 //! ## Error semantics
 //!
 //! Materialization points that already consumed their input eagerly
-//! (sort, the join build side) keep erroring at open time.
+//! (the join build side) keep erroring at open time.
 //! The spilling paths of the *lazy* operators (the grace join's probe
 //! partitioning, distinct's drain phase) must consume upstream before
 //! emitting, so upstream errors are surfaced in encounter order but
@@ -87,7 +83,7 @@ use crate::index::CellHash;
 use crate::obs::metrics::{metrics, Metric};
 use crate::obs::profile::{bump, raise, ProfNode};
 use crate::persist::format::{crc32, Dec, Enc};
-use crate::plan::{Plan, SortKey};
+use crate::plan::Plan;
 use crate::row::Row;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -118,21 +114,14 @@ const MAX_RECURSION: u32 = 4;
 /// working set at a few dozen rows per point, not at zero.
 const MIN_PARTITION_ROWS: u64 = 64;
 
-/// Rows per block record: every writer (sort runs and hash
-/// partitioners alike) buffers rows into the current block and flushes
-/// a frame once it holds this many — amortizing the frame header, CRC,
-/// and encode-buffer fill — while keeping one decoded block per merge
-/// input small.
+/// Rows per block record: every writer buffers rows into the current
+/// block and flushes a frame once it holds this many — amortizing the
+/// frame header, CRC, and encode-buffer fill — while keeping one decoded
+/// block per reader small.
 const BLOCK_ROWS: usize = 128;
 
 /// Soft payload cap forcing an early block flush for very wide rows.
 const SOFT_BLOCK_PAYLOAD: usize = 1 << 20;
-
-/// Maximum runs merged in one pass of the external sort; more runs
-/// first merge in groups of this size (multi-pass). This bounds merge
-/// memory at `fan-in x (decoded block + file buffers)` — a constant —
-/// no matter how many runs a large input produced.
-const MAX_MERGE_FANIN: usize = 16;
 
 /// Upper bound on one spill-block payload; a corrupt length field must
 /// surface as [`StorageError::Corrupt`], not a giant allocation (same
@@ -209,7 +198,7 @@ impl SpillCtx {
 }
 
 /// Number of memory-budgeted materialization points in a plan over `db`:
-/// every `Sort`, `Distinct`, and `Join` (the hash build side of a keyed
+/// every `Distinct` and `Join` (the hash build side of a keyed
 /// join, the materialized right side of a cross join), plus every
 /// `AntiJoin` (the hash build side when keyed, the collected right side
 /// when residual-only) — except a join or an anti-join that probes its
@@ -217,7 +206,7 @@ impl SpillCtx {
 /// is divided by this count.
 pub fn spill_points(db: &Database, plan: &Plan) -> usize {
     let own = match plan {
-        Plan::Sort { .. } | Plan::Distinct { .. } => 1,
+        Plan::Distinct { .. } => 1,
         Plan::Join { .. } | Plan::AntiJoin { .. } => usize::from(!probes_right(db, plan)),
         _ => 0,
     };
@@ -704,181 +693,6 @@ fn new_partitions(dir: &Path, prof: &SpillProf) -> Result<Vec<RunFile>> {
     (0..SPILL_PARTITIONS)
         .map(|_| RunFile::create(dir, prof.clone()))
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// External merge sort
-// ---------------------------------------------------------------------------
-
-/// The sort comparator shared with the in-memory `Plan::Sort` path.
-pub(crate) fn cmp_by(by: &[SortKey], a: &Row, b: &Row) -> std::cmp::Ordering {
-    for k in by {
-        let ord = a[k.col].cmp(&b[k.col]);
-        if ord != std::cmp::Ordering::Equal {
-            return if k.desc { ord.reverse() } else { ord };
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Sort `input` by `by`, spilling sorted runs past `budget` bytes and
-/// k-way merging them back. With zero runs spilled the result is the
-/// plain in-memory stable sort; with runs, stability is preserved by
-/// breaking ties toward the earlier run, so the output order is
-/// identical either way.
-pub(crate) fn external_sort<'a>(
-    input: impl Iterator<Item = Result<super::Chunk>> + 'a,
-    by: &'a [SortKey],
-    budget: usize,
-    dir: &Path,
-    batch: usize,
-    prof: SpillProf,
-) -> Result<Box<dyn Iterator<Item = Result<super::Chunk>> + 'a>> {
-    let mut buf: Vec<Row> = Vec::new();
-    let mut buf_bytes = 0usize;
-    let mut runs: Vec<RunFile> = Vec::new();
-    for chunk in input {
-        let before = buf.len();
-        chunk?.drain_into(&mut buf);
-        buf_bytes += buf[before..].iter().map(row_bytes).sum::<usize>();
-        if let Some(n) = &prof {
-            raise(&n.peak_bytes, buf_bytes as u64);
-        }
-        if buf_bytes > budget && !buf.is_empty() {
-            buf.sort_by(|a, b| cmp_by(by, a, b));
-            let mut run = RunFile::create(dir, prof.clone())?;
-            for row in &buf {
-                run.write(0, row)?;
-            }
-            buf.clear();
-            run.seal()?;
-            runs.push(run);
-            buf_bytes = 0;
-        }
-    }
-    buf.sort_by(|a, b| cmp_by(by, a, b));
-    if runs.is_empty() {
-        // Everything fit: exactly the in-memory path.
-        return Ok(super::chunked_owned(buf, batch));
-    }
-    if !buf.is_empty() {
-        let mut run = RunFile::create(dir, prof.clone())?;
-        for row in &buf {
-            run.write(0, row)?;
-        }
-        buf.clear();
-        run.seal()?;
-        runs.push(run);
-    }
-    // Multi-pass merge down to a final-mergeable set of runs: each pass
-    // merges *disjoint* groups of up to MAX_MERGE_FANIN runs, in order,
-    // into a new generation — total I/O is O(input · log₁₆ runs), and
-    // because groups are disjoint and kept in order, run order still
-    // equals input order, so the tie-break toward the earlier run keeps
-    // the overall sort stable.
-    while runs.len() > MAX_MERGE_FANIN {
-        if let Some(n) = &prof {
-            bump(&n.spill_passes, 1);
-        }
-        let mut next: Vec<RunFile> = Vec::with_capacity(runs.len().div_ceil(MAX_MERGE_FANIN));
-        while !runs.is_empty() {
-            let take = MAX_MERGE_FANIN.min(runs.len());
-            let mut group: Vec<RunFile> = runs.drain(..take).collect();
-            if group.len() == 1 {
-                next.push(group.pop().expect("one run"));
-                continue;
-            }
-            let mut merged = RunFile::create(dir, prof.clone())?;
-            let mut merge = MergeState::open(group, by.to_vec())?;
-            while let Some(row) = merge.next_row()? {
-                merged.write(0, &row)?;
-            }
-            merged.seal()?;
-            next.push(merged);
-        }
-        runs = next;
-    }
-    let mut merge = MergeState::open(runs, by.to_vec())?;
-    let mut done = false;
-    Ok(Box::new(std::iter::from_fn(move || {
-        if done {
-            return None;
-        }
-        let mut out: Vec<Row> = Vec::with_capacity(batch);
-        loop {
-            match merge.next_row() {
-                Err(e) => {
-                    done = true;
-                    return Some(Err(e));
-                }
-                Ok(Some(row)) => {
-                    out.push(row);
-                    if out.len() >= batch {
-                        return Some(Ok(super::Chunk::new(out)));
-                    }
-                }
-                Ok(None) => {
-                    done = true;
-                    if out.is_empty() {
-                        return None;
-                    }
-                    return Some(Ok(super::Chunk::new(out)));
-                }
-            }
-        }
-    })))
-}
-
-/// K-way merge over sorted runs: one head row per run, minimum picked
-/// by the sort key with ties toward the earlier run (stability).
-struct MergeState {
-    /// Keeps the run files alive (and their deletion armed).
-    _runs: Vec<RunFile>,
-    readers: Vec<RunReader>,
-    heads: Vec<Option<Row>>,
-    by: Vec<SortKey>,
-}
-
-impl MergeState {
-    fn open(mut runs: Vec<RunFile>, by: Vec<SortKey>) -> Result<MergeState> {
-        let mut readers = Vec::with_capacity(runs.len());
-        for run in &mut runs {
-            readers.push(run.reader()?);
-        }
-        let mut heads = Vec::with_capacity(readers.len());
-        for r in &mut readers {
-            heads.push(r.next()?.map(|(_, row)| row));
-        }
-        Ok(MergeState {
-            _runs: runs,
-            readers,
-            heads,
-            by,
-        })
-    }
-
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        let mut best: Option<usize> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            let Some(row) = head else { continue };
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    if cmp_by(
-                        &self.by,
-                        row,
-                        self.heads[b].as_ref().expect("best head present"),
-                    ) == std::cmp::Ordering::Less
-                    {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        let Some(i) = best else { return Ok(None) };
-        let next = self.readers[i].next()?.map(|(_, row)| row);
-        Ok(std::mem::replace(&mut self.heads[i], next))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1517,9 +1331,8 @@ mod tests {
             .unwrap();
         let plan = Plan::scan("T")
             .join(Plan::scan("S"), vec![(0, 0)])
-            .distinct()
-            .sort(vec![0]);
-        assert_eq!(spill_points(&db, &plan), 3);
+            .distinct();
+        assert_eq!(spill_points(&db, &plan), 2);
         let cross = Plan::scan("T")
             .join_where(Plan::scan("S"), vec![], Expr::col_eq_col(0, 1))
             .distinct();
@@ -1543,14 +1356,14 @@ mod tests {
             .unwrap()
             .create_index("by_k", &["k"])
             .unwrap();
-        assert_eq!(spill_points(&db, &plan), 2);
+        assert_eq!(spill_points(&db, &plan), 1);
         assert_eq!(spill_points(&db, &keyed), 0);
         assert_eq!(spill_points(&db, &cross), 2);
         assert_eq!(spill_points(&db, &residual_only), 1);
     }
 
     #[test]
-    fn a_probed_join_leaves_the_whole_budget_to_the_sort() {
+    fn a_probed_join_leaves_the_whole_budget_to_the_distinct() {
         use crate::exec::Executor;
         use crate::schema::TableSchema;
         let dir = tmp();
@@ -1569,7 +1382,7 @@ mod tests {
         }
         let plan = Plan::scan("T")
             .join(Plan::scan("S"), vec![(0, 0)])
-            .sort(vec![1, 0]);
+            .distinct();
         assert_eq!(spill_points(&db, &plan), 1);
         let budget = 4096;
         let opts = SpillOptions::with_budget(budget).in_dir(&dir);
@@ -1585,24 +1398,27 @@ mod tests {
         );
         let lines: Vec<&str> = explain.lines().collect();
         assert!(
-            lines[0].starts_with("Sort") && lines[0].contains("[spill budget=4096 "),
+            lines[0].starts_with("Distinct") && lines[0].contains("[spill budget=4096 "),
             "{explain}"
         );
         assert!(
             lines[1].contains("[probe S.pk]") && !lines[1].contains("[spill"),
             "{explain}"
         );
-        let unlimited = Executor::new(&db)
+        let mut unlimited = Executor::new(&db)
             .open_chunks(&plan)
             .unwrap()
             .collect_rows()
             .unwrap();
         assert_eq!(unlimited.len(), 240);
-        let budgeted = Executor::with_spill(&db, opts)
+        let mut budgeted = Executor::with_spill(&db, opts)
             .open_chunks(&plan)
             .unwrap()
             .collect_rows()
             .unwrap();
+        // Distinct's spill keeps the multiset, not the order.
+        budgeted.sort();
+        unlimited.sort();
         assert_eq!(budgeted, unlimited);
         assert_eq!(
             std::fs::read_dir(&dir).unwrap().count(),
@@ -1682,7 +1498,6 @@ mod tests {
             s.insert(row![i % 331, i]).unwrap();
         }
         let plans = vec![
-            Plan::scan("T").sort(vec![1, 0]),
             Plan::scan("T").distinct(),
             Plan::scan("T").join(Plan::scan("S"), vec![(0, 0)]),
         ];
@@ -1700,15 +1515,9 @@ mod tests {
                     .collect_rows()
                     .unwrap();
                 let mut want = unlimited.clone();
-                // Sort output must match exactly; everything else as a
-                // multiset.
-                if matches!(plan, Plan::Sort { .. }) {
-                    assert_eq!(got, want, "sort order diverged at budget {budget}");
-                } else {
-                    got.sort();
-                    want.sort();
-                    assert_eq!(got, want, "budget {budget} diverged on {plan:?}");
-                }
+                got.sort();
+                want.sort();
+                assert_eq!(got, want, "budget {budget} diverged on {plan:?}");
             }
         }
         // Every spill file was cleaned up.

@@ -28,11 +28,8 @@
 //!   some of its key columns, instead probe it for every left row as they
 //!   stream by, building nothing;
 //! * **Distinct** marks first occurrences in the selection vector;
-//!   **Limit** truncates mid-chunk and stops pulling upstream — and
-//!   additionally caps its subtree's batch size at `n`, so a `LIMIT 100`
-//!   never drags 1024-row batches through the pipeline;
-//! * **Sort** and join build sides remain the materialization points,
-//!   exactly as before.
+//! * join build sides and Distinct's seen-set are the materialization
+//!   points.
 //!
 //! ## Error order is preserved
 //!
@@ -40,8 +37,8 @@
 //! that row is demanded; rows before it flow through untouched. Chunked
 //! operators keep that contract by **splitting** a chunk at the first
 //! failing row: the successfully processed prefix is emitted first, the
-//! error after it, and processing resumes behind it. A `Limit` that is
-//! satisfied by the prefix therefore never observes the error.
+//! error after it, and processing resumes behind it. A consumer that
+//! stops pulling after the prefix therefore never observes the error.
 
 use super::access::{self, IndexAccess, Read};
 use super::spill::{self, SpillCtx, SpillOptions};
@@ -164,7 +161,7 @@ mod pool {
 /// moves or clones rows — it writes the **window-relative** indices of
 /// surviving rows into `sel`; downstream operators iterate only the live
 /// rows. Compaction to rows happens where boxed rows are needed anyway
-/// (join probes, sort inputs) via
+/// (join probes, build sides) via
 /// [`Chunk::ensure_rows`].
 #[derive(Debug, Clone)]
 pub struct Chunk {
@@ -375,17 +372,6 @@ impl Chunk {
         self.sel = Some(sel);
     }
 
-    /// Keep only the first `n` live rows (a `Limit` landing mid-chunk).
-    fn truncate_live(&mut self, n: usize) {
-        match &mut self.sel {
-            Some(sel) => sel.truncate(n),
-            None => match &mut self.repr {
-                Repr::Rows(rows) => rows.truncate(n),
-                Repr::Cols(w) => w.len = w.len.min(n),
-            },
-        }
-    }
-
     /// Window-relative index of the `k`-th live row.
     fn live_at(&self, k: usize) -> u32 {
         match &self.sel {
@@ -518,7 +504,7 @@ impl<'a> Executor<'a> {
     }
 
     /// An executor with an explicit batch size: the seam tests use to
-    /// force chunk boundaries (batch-edge cases, Limit caps, re-batching
+    /// force chunk boundaries (batch-edge cases, re-batching
     /// at materialization points) without building kilorow inputs.
     pub fn with_batch_size(db: &'a Database, batch: usize) -> Self {
         Executor {
@@ -538,9 +524,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Open a plan as a chunk stream. Arities are validated once up
-    /// front; materialization points (sort inputs, join build
-    /// sides) do their buffering eagerly here, pipelined operators do no
-    /// work until the stream is pulled.
+    /// front; materialization points (join build sides) do their
+    /// buffering eagerly here, pipelined operators do no work until the
+    /// stream is pulled.
     pub fn open_chunks(&self, plan: &'a Plan) -> Result<ChunkStream<'a>> {
         self.open_with(plan, NodeObs::disabled())
     }
@@ -564,9 +550,8 @@ impl<'a> Executor<'a> {
         // is checked once more with the verifier armed.
         crate::sema::verify_plan_if_enabled(self.db, plan, "exec_open")?;
         let spill = SpillCtx::for_plan(&self.spill, self.db, plan);
-        let batch = Batch::new(self.batch);
         Ok(ChunkStream::new(open_node(
-            self.db, plan, batch, &spill, &obs,
+            self.db, plan, self.batch, &spill, &obs,
         )?))
     }
 }
@@ -906,51 +891,10 @@ pub(crate) fn selection_kernel_label(pred: &Expr) -> Option<String> {
 // Plan compilation
 // ---------------------------------------------------------------------------
 
-/// The batch size in effect while compiling a subtree.
-///
-/// `configured` is the executor's batch size ([`Executor::with_batch_size`]
-/// or [`BATCH_SIZE`]); `effective` is what pipelined operators in the
-/// current subtree actually use — a `Limit n` caps it at `n` so
-/// first-rows queries pull right-sized batches. Materialization points
-/// (Sort, join build and cross-join right sides) consume
-/// their whole input regardless of any Limit above, so they restore
-/// `effective` to `configured` — never to a hard-coded constant, which
-/// would override the embedder's configured bound.
-#[derive(Clone, Copy)]
-struct Batch {
-    configured: usize,
-    effective: usize,
-}
-
-impl Batch {
-    fn new(configured: usize) -> Batch {
-        Batch {
-            configured,
-            effective: configured,
-        }
-    }
-
-    /// Cap the effective size (a `Limit n` subtree).
-    fn capped(self, n: usize) -> Batch {
-        Batch {
-            effective: self.effective.min(n.max(1)),
-            ..self
-        }
-    }
-
-    /// Restore the configured size (a materialization point's input).
-    fn full(self) -> Batch {
-        Batch {
-            effective: self.configured,
-            ..self
-        }
-    }
-}
-
 fn open_node<'a>(
     db: &'a Database,
     plan: &'a Plan,
-    batch: Batch,
+    batch: usize,
     spill: &SpillCtx,
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
@@ -961,7 +905,7 @@ fn open_node<'a>(
         Plan::Scan { table } => match db.table(table) {
             Ok(t) => {
                 t.note_seq_scan(t.len() as u64);
-                chunked_cols(t.columnar(), batch.effective)
+                chunked_cols(t.columnar(), batch)
             }
             // Virtual (`sys.*`) relation: snapshot the provider's rows
             // into a ColumnSet at open time and stream it through the
@@ -973,10 +917,10 @@ fn open_node<'a>(
                 let rows = vt.rows(db);
                 let refs: Vec<&Row> = rows.iter().collect();
                 let set = Arc::new(ColumnSet::from_rows(vt.schema().arity(), &refs));
-                chunked_cols(set, batch.effective)
+                chunked_cols(set, batch)
             }
         },
-        Plan::Values { rows, .. } => chunked_rows(rows.iter().cloned(), batch.effective),
+        Plan::Values { rows, .. } => chunked_rows(rows.iter().cloned(), batch),
         Plan::Selection { input, predicate } => {
             open_selection(db, input, predicate, batch, spill, obs)?
         }
@@ -996,7 +940,7 @@ fn open_node<'a>(
                 let proj = Projector::new(cols, arity)?;
                 Box::new(ProjectChunks { input, proj })
             } else {
-                map_chunks(input, batch.effective, move |row, out| {
+                map_chunks(input, batch, move |row, out| {
                     out.push(Row::try_from_fn(exprs.len(), |i| exprs[i].eval(row))?);
                     Ok(())
                 })
@@ -1028,7 +972,7 @@ fn open_node<'a>(
                     input,
                     budget,
                     &spill.dir,
-                    batch.effective,
+                    batch,
                     obs.spill_prof(),
                 )),
             }
@@ -1040,44 +984,13 @@ fn open_node<'a>(
             }
             Box::new(streams.into_iter().flatten())
         }
-        Plan::Sort { input, by } => {
-            // Materialization point.
-            let input = open_node(db, input, batch.full(), spill, &obs.child(0))?;
-            match spill.per_point {
-                None => {
-                    let mut rows = ChunkStream::new(input).collect_rows()?;
-                    rows.sort_by(|a, b| spill::cmp_by(by, a, b));
-                    chunked_owned(rows, batch.effective)
-                }
-                // Budgeted: sorted run generation + k-way merge. Produces
-                // the identical (stable) order.
-                Some(budget) => spill::external_sort(
-                    input,
-                    by,
-                    budget,
-                    &spill.dir,
-                    batch.effective,
-                    obs.spill_prof(),
-                )?,
-            }
-        }
-        Plan::Limit { input, n } => {
-            // Cap the subtree's batch size at n: a first-rows query pulls
-            // one right-sized batch through the pipeline instead of a full
-            // one (materialization points below reset to the full batch).
-            let input = open_node(db, input, batch.capped(*n), spill, &obs.child(0))?;
-            Box::new(LimitChunks {
-                input,
-                remaining: *n,
-            })
-        }
     };
     Ok(obs.wrap(iter))
 }
 
 /// First-chunk size of the leaf ramp-up: scans and literal relations
 /// start with a small batch and double up to the configured size, so a
-/// first-rows consumer (`Limit`, an abandoned stream) touches tens of
+/// first-rows consumer (an abandoned stream) touches tens of
 /// rows, not a full batch, while steady-state throughput still runs at
 /// `batch`.
 const RAMP_START: usize = 32;
@@ -1119,9 +1032,10 @@ fn chunked_cols<'a>(cols: Arc<ColumnSet>, batch: usize) -> BoxChunkIter<'a> {
     }))
 }
 
-/// Batch an owned row vector (materialization-point outputs). A vector
-/// that fits one batch is passed through as-is — no copy, no split.
-pub(crate) fn chunked_owned<'a>(rows: Vec<Row>, batch: usize) -> BoxChunkIter<'a> {
+/// Batch an owned row vector (an index-served selection's rows). A
+/// vector that fits one batch is passed through as-is — no copy, no
+/// split.
+fn chunked_owned<'a>(rows: Vec<Row>, batch: usize) -> BoxChunkIter<'a> {
     if rows.len() <= batch {
         if rows.is_empty() {
             return Box::new(std::iter::empty());
@@ -1145,7 +1059,7 @@ fn open_selection<'a>(
     db: &'a Database,
     input: &'a Plan,
     predicate: &'a Expr,
-    batch: Batch,
+    batch: usize,
     spill: &SpillCtx,
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
@@ -1159,7 +1073,7 @@ fn open_selection<'a>(
                 if let Some(n) = obs.node() {
                     bump(&n.rows_in, rows.len() as u64);
                 }
-                return Ok(chunked_owned(rows, batch.effective));
+                return Ok(chunked_owned(rows, batch));
             }
             t.note_seq_scan(t.len() as u64);
             // Filter-over-scan fusion: slice the table's column vectors
@@ -1168,25 +1082,23 @@ fn open_selection<'a>(
             // anywhere, survivors included.
             if let Some(kernel) = FilterKernel::compile(predicate) {
                 let prof = obs.spill_prof();
-                return Ok(Box::new(
-                    chunked_cols(t.columnar(), batch.effective).filter_map(
-                        move |item| match item {
-                            Ok(mut chunk) => {
-                                if let Some(n) = &prof {
-                                    bump(&n.rows_in, chunk.len() as u64);
-                                    bump(&n.kernel_rows, chunk.len() as u64);
-                                }
-                                kernel.filter_chunk(&mut chunk);
-                                if chunk.is_empty() {
-                                    chunk.recycle();
-                                    return None;
-                                }
-                                Some(Ok(chunk))
+                return Ok(Box::new(chunked_cols(t.columnar(), batch).filter_map(
+                    move |item| match item {
+                        Ok(mut chunk) => {
+                            if let Some(n) = &prof {
+                                bump(&n.rows_in, chunk.len() as u64);
+                                bump(&n.kernel_rows, chunk.len() as u64);
                             }
-                            Err(e) => Some(Err(e)),
-                        },
-                    ),
-                ));
+                            kernel.filter_chunk(&mut chunk);
+                            if chunk.is_empty() {
+                                chunk.recycle();
+                                return None;
+                            }
+                            Some(Ok(chunk))
+                        }
+                        Err(e) => Some(Err(e)),
+                    },
+                )));
             }
             let rows = t.iter().map(|(_, r)| r);
             let prof = obs.spill_prof();
@@ -1198,7 +1110,7 @@ fn open_selection<'a>(
                     }
                 }),
                 predicate,
-                batch.effective,
+                batch,
             ));
         }
     }
@@ -1361,7 +1273,7 @@ fn filter_chunks<'a>(
 /// Fallible per-row flat-map over chunks: `f` pushes zero or more output
 /// rows per live input row. Output flushes the moment a `batch`-sized
 /// chunk fills — **mid-input-chunk** — and processing resumes from the
-/// saved position on the next pull, so a satisfied `Limit` downstream
+/// saved position on the next pull, so a consumer that stops pulling
 /// never pays for the rest of the batch (first-rows latency does not
 /// regress under chunking). An error splits the output so rows produced
 /// before it are emitted first (tuple-at-a-time error order).
@@ -1539,48 +1451,6 @@ impl Iterator for ProjectChunks<'_> {
     }
 }
 
-/// `Limit`: pass chunks through, truncating the one that crosses the
-/// boundary; once satisfied, upstream is never pulled again. An error
-/// consumes one of the remaining slots, exactly like the row executor's
-/// `take(n)` over an `Iterator<Item = Result<Row>>` — a consumer
-/// pulling past errors sees the same item sequence from both executors.
-struct LimitChunks<'a> {
-    input: BoxChunkIter<'a>,
-    remaining: usize,
-}
-
-impl Iterator for LimitChunks<'_> {
-    type Item = Result<Chunk>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.remaining == 0 {
-                return None;
-            }
-            match self.input.next()? {
-                Err(e) => {
-                    self.remaining -= 1;
-                    return Some(Err(e));
-                }
-                Ok(mut chunk) => {
-                    let n = chunk.len();
-                    if n == 0 {
-                        chunk.recycle();
-                        continue;
-                    }
-                    if n <= self.remaining {
-                        self.remaining -= n;
-                    } else {
-                        chunk.truncate_live(self.remaining);
-                        self.remaining = 0;
-                    }
-                    return Some(Ok(chunk));
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Joins
 // ---------------------------------------------------------------------------
@@ -1592,7 +1462,7 @@ fn open_join<'a>(
     right: &'a Plan,
     on: &'a [(usize, usize)],
     residual: Option<&'a Expr>,
-    batch: Batch,
+    batch: usize,
     spill: &SpillCtx,
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
@@ -1602,7 +1472,7 @@ fn open_join<'a>(
         // probed for every left row as it streams by, building nothing;
         // any other right side is hashed.
         if let Some(access) = IndexAccess::resolve(db, right, on, residual, Read::Join) {
-            return Ok(map_chunks(left, batch.effective, move |lrow, out| {
+            return Ok(map_chunks(left, batch, move |lrow, out| {
                 access.probe(lrow, out)
             }));
         }
@@ -1613,7 +1483,7 @@ fn open_join<'a>(
     // loop.
     let mut right = BoundedSide::collect(db, right, batch, spill, obs)?;
     let left = open_node(db, left, batch, spill, &obs.child(0))?;
-    Ok(map_chunks(left, batch.effective, move |lrow, out| {
+    Ok(map_chunks(left, batch, move |lrow, out| {
         let emit = |joined: Row, out: &mut Vec<Row>| -> Result<()> {
             match residual {
                 None => out.push(joined),
@@ -1649,14 +1519,14 @@ impl BoundedSide {
     fn collect(
         db: &Database,
         right: &Plan,
-        batch: Batch,
+        batch: usize,
         spill: &SpillCtx,
         obs: &NodeObs,
     ) -> Result<BoundedSide> {
         let mut mem: Vec<Row> = Vec::new();
         let mut mem_bytes = 0usize;
         let mut overflow: Option<spill::RunFile> = None;
-        let right_stream = open_node(db, right, batch.full(), spill, &obs.child(1))?;
+        let right_stream = open_node(db, right, batch, spill, &obs.child(1))?;
         let mut scratch: Vec<Row> = Vec::new();
         for chunk in right_stream {
             chunk?.drain_into(&mut scratch);
@@ -1716,7 +1586,7 @@ fn hash_join<'a>(
     right: &'a Plan,
     on: &'a [(usize, usize)],
     residual: Option<&'a Expr>,
-    batch: Batch,
+    batch: usize,
     spill: &SpillCtx,
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
@@ -1725,7 +1595,7 @@ fn hash_join<'a>(
         None => build_side(db, right, on, batch, spill, &obs.child(1))?,
         Some(budget) => {
             let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-            let input = ChunkStream::new(open_node(db, right, batch.full(), spill, &obs.child(1))?);
+            let input = ChunkStream::new(open_node(db, right, batch, spill, &obs.child(1))?);
             match spill::build_or_spill(input, &rcols, budget, &spill.dir, obs.spill_prof())? {
                 spill::BuildSide::InMemory(map) => map,
                 spill::BuildSide::Spilled(parts) => {
@@ -1736,7 +1606,7 @@ fn hash_join<'a>(
                         residual,
                         budget,
                         &spill.dir,
-                        batch.effective,
+                        batch,
                         obs.spill_prof(),
                     )))
                 }
@@ -1747,28 +1617,23 @@ fn hash_join<'a>(
     // (one cell clone per key column), and full joined rows are only
     // built for matches — a columnar probe side never materializes
     // unmatched rows at all.
-    Ok(map_cells(
-        probe,
-        batch.effective,
-        false,
-        move |chunk, i, out| {
-            let key: Box<[Value]> = on.iter().map(|&(lc, _)| chunk.cell(i, lc)).collect();
-            if let Some(hits) = build.get(&key) {
-                for rrow in hits {
-                    let joined = chunk.concat_row(i, rrow);
-                    match residual {
-                        None => out.push(joined),
-                        Some(e) => {
-                            if e.eval_bool(&joined)? {
-                                out.push(joined);
-                            }
+    Ok(map_cells(probe, batch, false, move |chunk, i, out| {
+        let key: Box<[Value]> = on.iter().map(|&(lc, _)| chunk.cell(i, lc)).collect();
+        if let Some(hits) = build.get(&key) {
+            for rrow in hits {
+                let joined = chunk.concat_row(i, rrow);
+                match residual {
+                    None => out.push(joined),
+                    Some(e) => {
+                        if e.eval_bool(&joined)? {
+                            out.push(joined);
                         }
                     }
                 }
             }
-            Ok(())
-        },
-    ))
+        }
+        Ok(())
+    }))
 }
 
 /// Materialize a join's build (right) side into a hash table keyed by
@@ -1777,13 +1642,13 @@ fn build_side(
     db: &Database,
     right: &Plan,
     on: &[(usize, usize)],
-    batch: Batch,
+    batch: usize,
     spill: &SpillCtx,
     obs: &NodeObs,
 ) -> Result<HashMap<Box<[Value]>, Vec<Row>, CellHash>> {
     let mut build: HashMap<Box<[Value]>, Vec<Row>, CellHash> = HashMap::default();
     let mut scratch: Vec<Row> = Vec::new();
-    for chunk in ChunkStream::new(open_node(db, right, batch.full(), spill, obs)?) {
+    for chunk in ChunkStream::new(open_node(db, right, batch, spill, obs)?) {
         chunk?.drain_into(&mut scratch);
         for row in scratch.drain(..) {
             let key: Box<[Value]> = on.iter().map(|&(_, rc)| row[rc].clone()).collect();
@@ -1800,7 +1665,7 @@ fn open_anti_join<'a>(
     right: &'a Plan,
     on: &'a [(usize, usize)],
     residual: Option<&'a Expr>,
-    batch: Batch,
+    batch: usize,
     spill: &SpillCtx,
     obs: &NodeObs,
 ) -> Result<BoxChunkIter<'a>> {
@@ -1843,7 +1708,7 @@ fn open_anti_join<'a>(
     // and grace-partitions to disk past it (mirroring `hash_join`).
     if let Some(budget) = spill.per_point {
         let rcols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
-        let input = ChunkStream::new(open_node(db, right, batch.full(), spill, &obs.child(1))?);
+        let input = ChunkStream::new(open_node(db, right, batch, spill, &obs.child(1))?);
         let build =
             match spill::build_or_spill(input, &rcols, budget, &spill.dir, obs.spill_prof())? {
                 spill::BuildSide::InMemory(map) => map,
@@ -1855,7 +1720,7 @@ fn open_anti_join<'a>(
                         residual,
                         budget,
                         &spill.dir,
-                        batch.effective,
+                        batch,
                         obs.spill_prof(),
                     )));
                 }
@@ -1949,7 +1814,6 @@ mod tests {
                 inputs: vec![Plan::scan("Users"), Plan::scan("Users")],
             }
             .distinct(),
-            Plan::scan("Users").sort(vec![1]).limit(2),
         ];
         for plan in &plans {
             assert_eq!(
@@ -1974,17 +1838,20 @@ mod tests {
     #[test]
     fn limit_short_circuits_upstream_errors_mid_chunk() {
         // Both Values rows land in the *same* chunk; the selection splits
-        // the chunk at the failing row, so Limit(1) is satisfied by the
-        // prefix and the error is never demanded — identical to the
-        // tuple-at-a-time semantics.
+        // the chunk at the failing row, so a consumer that wants one row
+        // is served by the prefix and never demands the error — identical
+        // to the tuple-at-a-time semantics.
         let db = db();
         let plan = Plan::Values {
             arity: 1,
             rows: vec![row![true], row![1]],
         }
-        .select(Expr::Col(0))
-        .limit(1);
-        assert_eq!(execute(&db, &plan).unwrap(), vec![row![true]]);
+        .select(Expr::Col(0));
+        let mut stream = stream_chunks(&db, &plan).unwrap();
+        let first = stream.next().unwrap().unwrap().into_rows();
+        assert_eq!(first, vec![row![true]]);
+        drop(stream);
+        assert!(execute(&db, &plan).is_err());
         assert!(execute_materialized(&db, &plan).is_err());
     }
 
@@ -2403,13 +2270,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_bounds_chunks_and_limit_caps_them() {
+    fn batch_size_bounds_chunks() {
         let mut db = Database::new();
         let t = db.create_table(TableSchema::keyless("T", &["a"])).unwrap();
         for i in 0..2500i64 {
             t.insert(row![i]).unwrap();
         }
-        // Scan chunks ramp up from 64 and saturate at the batch size.
+        // Scan chunks ramp up from 32 and saturate at the batch size.
         let plan = Plan::scan("T");
         let sizes: Vec<usize> = Executor::new(&db)
             .open_chunks(&plan)
@@ -2425,102 +2292,38 @@ mod tests {
             .collect();
         assert!(sizes.iter().all(|&s| s <= 100), "{sizes:?}");
         assert_eq!(sizes.iter().sum::<usize>(), 2500);
-        // A Limit caps its subtree's batch: one 10-row chunk, not 1024.
-        let limited = Plan::scan("T").limit(10);
-        let sizes: Vec<usize> = Executor::new(&db)
-            .open_chunks(&limited)
-            .unwrap()
-            .map(|c| c.unwrap().len())
-            .collect();
-        assert_eq!(sizes, vec![10]);
-    }
-
-    /// Every item of `plan`'s chunk stream flattened to rows in order, an
-    /// `Err` chunk standing as one `Err` item: the sequence a consumer
-    /// pulling past errors sees.
-    fn pull_items(db: &Database, plan: &Plan) -> Vec<Result<Row>> {
-        let mut items = Vec::new();
-        for chunk in stream_chunks(db, plan).unwrap() {
-            match chunk {
-                Ok(chunk) => items.extend(chunk.into_rows().into_iter().map(Ok)),
-                Err(e) => items.push(Err(e)),
-            }
-        }
-        items
-    }
-
-    #[test]
-    fn limit_counts_errors_like_the_row_executor() {
-        // A tuple-at-a-time `take(n)` over `Result<Row>` items counts an
-        // Err toward the limit; the chunked Limit does too, so a consumer
-        // pulling past errors sees exactly that item sequence.
-        let db = db();
-        let plan = Plan::Values {
-            arity: 1,
-            rows: vec![row![7], row![true], row![true]],
-        }
-        .select(Expr::Col(0))
-        .limit(1);
-        let chunked = pull_items(&db, &plan);
-        assert_eq!(chunked.len(), 1, "{chunked:?}");
-        assert!(chunked[0].is_err());
-        // With room for two items: the error plus exactly one row.
-        let plan = Plan::Values {
-            arity: 1,
-            rows: vec![row![7], row![true], row![true]],
-        }
-        .select(Expr::Col(0))
-        .limit(2);
-        let chunked = pull_items(&db, &plan);
-        assert_eq!(chunked.len(), 2, "{chunked:?}");
-        assert!(chunked[0].is_err());
-        assert_eq!(chunked[1].as_ref().unwrap(), &row![true]);
     }
 
     #[test]
     fn with_batch_size_is_honored_through_materialization_points() {
         let mut db = Database::new();
         let t = db.create_table(TableSchema::keyless("T", &["a"])).unwrap();
-        for i in 0..300i64 {
-            t.insert(row![(i * 7) % 300]).unwrap();
+        for i in 0..5000i64 {
+            t.insert(row![(i * 7) % 5000]).unwrap();
         }
-        // A Sort (materialization point) between the scan and the
-        // output: chunks on both sides of it respect the configured
-        // batch, not a hard-coded constant.
-        let plan = Plan::scan("T").sort(vec![0]).distinct();
-        let small = Executor::with_batch_size(&db, 8);
-        let sizes: Vec<usize> = small
+        // A hash join (its build side is a materialization point) and a
+        // Distinct between the scan and the output: chunks on every side
+        // respect the configured batch, not a hard-coded constant.
+        let plan = Plan::scan("T")
+            .join(Plan::scan("T"), vec![(0, 0)])
+            .distinct();
+        let sizes: Vec<usize> = Executor::with_batch_size(&db, 8)
             .open_chunks(&plan)
             .unwrap()
             .map(|c| c.unwrap().len())
             .collect();
         assert!(sizes.iter().all(|&s| s <= 8), "{sizes:?}");
-        assert_eq!(sizes.iter().sum::<usize>(), 300);
-        // And a configured batch *larger* than the default survives a
-        // Limit cap: the sort output above the Limit's subtree is
-        // re-batched at min(configured, n), not min(1024, n).
-        let plan = Plan::scan("T").sort(vec![0]).limit(290);
-        let big = Executor::with_batch_size(&db, 4096);
-        let sizes: Vec<usize> = big
+        assert_eq!(sizes.iter().sum::<usize>(), 5000);
+        // And a configured batch *larger* than the default is reached,
+        // not clipped at BATCH_SIZE.
+        let sizes: Vec<usize> = Executor::with_batch_size(&db, 4096)
             .open_chunks(&plan)
             .unwrap()
             .map(|c| c.unwrap().len())
             .collect();
-        assert_eq!(sizes, vec![290]);
-    }
-
-    #[test]
-    fn limit_truncates_mid_chunk() {
-        let db = db();
-        let plan = Plan::Values {
-            arity: 1,
-            rows: (0..7i64).map(|i| row![i]).collect(),
-        }
-        .limit(3);
-        assert_eq!(
-            execute(&db, &plan).unwrap(),
-            vec![row![0], row![1], row![2]]
-        );
+        assert!(sizes.iter().all(|&s| s <= 4096), "{sizes:?}");
+        assert!(sizes.iter().any(|&s| s > BATCH_SIZE), "{sizes:?}");
+        assert_eq!(sizes.iter().sum::<usize>(), 5000);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   relations, plus secondary hash indexes ("clustered indexes over the
 //!   internal keys"),
 //! * **logical plans** with selections, projections, equi/theta joins,
-//!   anti-joins, distinct, union, sort and limit,
+//!   anti-joins, distinct and union,
 //! * a **non-recursive Datalog** layer ([`datalog`]) — the target language of
 //!   the paper's query translation (Algorithm 1), including the "nested
 //!   disjunctions with negation" required for negative subgoals.
@@ -70,7 +70,7 @@ pub use obs::{
 };
 pub use opt::{optimize, StatsCatalog};
 pub use persist::{PersistEngine, PersistOptions, WalStats};
-pub use plan::{Plan, SortKey};
+pub use plan::Plan;
 pub use row::{Projector, Row};
 pub use schema::{ColumnDef, KeyMode, TableSchema};
 pub use sema::{lint_program, set_verify, verify_enabled, verify_plan, Diagnostic, Severity};

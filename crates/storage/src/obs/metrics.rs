@@ -32,7 +32,8 @@ pub enum Metric {
     WalSyncs,
     /// Snapshot checkpoints written.
     WalCheckpoints,
-    /// Spill run files created (partitions, sort runs, merge outputs).
+    /// Spill run files created (join and distinct partitions, overflow
+    /// runs of buffered right sides).
     SpillRunFiles,
     /// Chunk-buffer requests served from the thread-local pool.
     PoolHits,

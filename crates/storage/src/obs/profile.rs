@@ -47,8 +47,8 @@ pub struct ProfNode {
     pub spill_bytes: Cell<u64>,
     /// Spill run files created on behalf of this operator.
     pub spill_partitions: Cell<u64>,
-    /// Extra passes over spilled data (merge passes, recursive
-    /// re-partitioning levels).
+    /// Extra passes over spilled data (recursive re-partitioning
+    /// levels).
     pub spill_passes: Cell<u64>,
     /// Peak accounted bytes held in memory by this operator's
     /// materialization point (budgeted builds only).

@@ -20,7 +20,7 @@ use std::rc::Rc;
 /// Render a plan as an indented tree. Deterministic: node order follows
 /// the plan structure, estimates are integers, and no hash-map iteration
 /// is involved. Under a per-query memory `budget` every materialization
-/// point (sort, distinct, hash-join build) additionally
+/// point (distinct, hash-join build, buffered right side) additionally
 /// carries a `[spill budget=… partitions=…]` tag showing its share of
 /// the budget and the partition fan-out a spill would use.
 pub fn render(db: &Database, catalog: &StatsCatalog, plan: &Plan, budget: Option<usize>) -> String {
@@ -180,46 +180,27 @@ fn est_note(est: &EstTree) -> String {
     format!(" (est={})", est.est.rows.round().max(0.0) as u64)
 }
 
-/// How the streaming executor evaluates this operator: forwarding rows
-/// one at a time, or consuming its whole input first. Joins and
-/// anti-joins pipeline their probe (left) side; unless the executor
-/// probes the right side in place (`probed`), it is materialized into
-/// the hash table first.
+/// How the streaming executor evaluates this operator. Every operator
+/// forwards rows as they arrive; joins and anti-joins pipeline their
+/// probe (left) side and, unless the executor probes the right side in
+/// place (`probed`), materialize it into the hash table first.
 fn exec_note(plan: &Plan, probed: bool) -> &'static str {
     match plan {
-        Plan::Scan { .. }
-        | Plan::Values { .. }
-        | Plan::Selection { .. }
-        | Plan::Projection { .. }
-        | Plan::Union { .. }
-        | Plan::Distinct { .. }
-        | Plan::Limit { .. } => " [pipeline]",
-        Plan::Join { .. } | Plan::AntiJoin { .. } if probed => " [pipeline]",
-        Plan::Join { .. } | Plan::AntiJoin { .. } => " [pipeline; build=right]",
-        Plan::Sort { .. } => " [materialize]",
+        Plan::Join { .. } | Plan::AntiJoin { .. } if !probed => " [pipeline; build=right]",
+        _ => " [pipeline]",
     }
 }
 
-/// The vectorization annotation: pipelined operators exchange chunks of
-/// up to [`BATCH_SIZE`] rows. Scans additionally report the columnar
-/// layout — they emit zero-copy windows over the table's column cache
-/// rather than cloned row batches. Sort consumes chunks but emits
-/// materialized output, so it carries no tag of its own; the
-/// `Selection` kernel annotation is handled in [`render_node`] because
-/// it depends on the access path (an index-served selection runs no
-/// filter kernel at all).
+/// The vectorization annotation: operators exchange chunks of up to
+/// [`BATCH_SIZE`] rows. Scans additionally report the columnar layout —
+/// they emit zero-copy windows over the table's column cache rather than
+/// cloned row batches. The `Selection` kernel annotation is handled in
+/// [`render_node`] because it depends on the access path (an
+/// index-served selection runs no filter kernel at all).
 fn vectorized_note(plan: &Plan) -> String {
     match plan {
         Plan::Scan { .. } => format!(" [vectorized batch={BATCH_SIZE} layout=columnar]"),
-        Plan::Values { .. }
-        | Plan::Selection { .. }
-        | Plan::Projection { .. }
-        | Plan::Union { .. }
-        | Plan::Distinct { .. }
-        | Plan::Limit { .. }
-        | Plan::Join { .. }
-        | Plan::AntiJoin { .. } => format!(" [vectorized batch={BATCH_SIZE}]"),
-        Plan::Sort { .. } => String::new(),
+        _ => format!(" [vectorized batch={BATCH_SIZE}]"),
     }
 }
 
@@ -239,7 +220,7 @@ fn on_note(on: &[(usize, usize)]) -> String {
 /// it probes that side through an index, which builds nothing.
 fn spill_note<'s>(db: &Database, plan: &Plan, tag: &'s str) -> &'s str {
     match plan {
-        Plan::Sort { .. } | Plan::Distinct { .. } => tag,
+        Plan::Distinct { .. } => tag,
         Plan::Join { .. } | Plan::AntiJoin { .. } if !probes_right(db, plan) => tag,
         _ => "",
     }
@@ -285,6 +266,11 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
         spill_note(db, plan, spill_tag)
     );
     match plan {
+        // A `sys.*` relation has no stored rows to count: its provider
+        // snapshots them when the scan opens.
+        Plan::Scan { table } if db.virtual_table(table).is_some() => {
+            format!("Scan {table} (virtual){exec}")
+        }
         Plan::Scan { table } => {
             let rows = db.table(table).map(|t| t.len()).unwrap_or(0);
             format!("Scan {table} (rows={rows}){exec}")
@@ -349,22 +335,6 @@ fn node_line(db: &Database, plan: &Plan, est: &EstTree, spill_tag: &str) -> Stri
         Plan::Distinct { .. } => format!("Distinct{}{exec}", est_note(est)),
         Plan::Union { .. } => format!("Union{}{exec}", est_note(est)),
         Plan::Values { arity, rows } => format!("Values {}x{arity}{exec}", rows.len()),
-        Plan::Sort { input: _, by } => {
-            // Ascending keys render exactly as before the direction flag
-            // existed ("#0"), keeping pinned EXPLAIN output stable.
-            let by: Vec<String> = by
-                .iter()
-                .map(|k| {
-                    if k.desc {
-                        format!("#{} desc", k.col)
-                    } else {
-                        format!("#{}", k.col)
-                    }
-                })
-                .collect();
-            format!("Sort by [{}]{exec}", by.join(", "))
-        }
-        Plan::Limit { input: _, n } => format!("Limit {n}{exec}"),
     }
 }
 
@@ -443,11 +413,14 @@ mod tests {
         let plan = Plan::scan("V")
             .select(Expr::col_eq_lit(2, "+"))
             .join(Plan::scan("R"), vec![(1, 0)])
-            .sort(vec![0])
-            .limit(3);
+            .distinct();
         let text = render_with_snapshot(&db, &plan);
-        assert!(text.contains("Limit 3 [pipeline]"), "{text}");
-        assert!(text.contains("Sort by [#0] [materialize]"), "{text}");
+        assert!(
+            text.lines()
+                .next()
+                .is_some_and(|l| l.starts_with("Distinct") && l.contains("[pipeline]")),
+            "{text}"
+        );
         // R's key serves the join: it probes R in place and builds nothing.
         let join = text.lines().find(|l| l.contains("Join on")).unwrap();
         assert!(join.contains("[probe R.pk]"), "{text}");
@@ -464,25 +437,21 @@ mod tests {
         let db = db();
         let plan = Plan::scan("V")
             .select(Expr::col_eq_lit(1, 3i64))
-            .project_cols(&[1])
-            .sort(vec![0])
-            .limit(3);
+            .project_cols(&[1]);
         let text = render_with_snapshot(&db, &plan);
-        // Pipelined operators carry the batch size; the int-equality
-        // selection reports its specialized kernel.
+        // Operators carry the batch size; the int-equality selection
+        // reports its specialized kernel.
         assert!(
-            text.contains("Limit 3 [pipeline] [vectorized batch=1024]"),
+            text.lines()
+                .next()
+                .is_some_and(|l| l.starts_with("Project [#1]")
+                    && l.ends_with("[pipeline] [vectorized batch=1024]")),
             "{text}"
         );
         assert!(text.contains("kernel=eq:int layout=columnar"), "{text}");
         // Scans report the zero-copy columnar window layout.
         assert!(
             text.contains("[vectorized batch=1024 layout=columnar]"),
-            "{text}"
-        );
-        // Materialization points carry no vectorized tag.
-        assert!(
-            !text.contains("Sort by [#0] [materialize] [vectorized"),
             "{text}"
         );
         // An AND of col-op-lit comparisons fuses into a sequence of
@@ -547,31 +516,22 @@ mod tests {
         // `V.s = R.val`: no index serves `R.val`, so the join builds.
         let plan = Plan::scan("V")
             .join(Plan::scan("R"), vec![(2, 1)])
-            .distinct()
-            .sort(vec![0])
-            .limit(3);
+            .distinct();
         let catalog = StatsCatalog::snapshot(&db);
-        // Three spill points (join build, distinct, sort): each gets a
-        // third of the budget, and the fan-out is reported.
-        let text = render(&db, &catalog, &plan, Some(3 * 4096));
-        assert_eq!(text.matches("[spill budget=4096 partitions=16]").count(), 3);
+        // Two spill points (join build, distinct): each gets half of the
+        // budget, and the fan-out is reported.
+        let text = render(&db, &catalog, &plan, Some(2 * 4096));
+        assert_eq!(text.matches("[spill budget=4096 partitions=16]").count(), 2);
         // `V.tid = R.tid` probes `R`'s key and builds nothing: the
-        // distinct and the sort split the budget, the join has no tag.
+        // distinct takes the whole budget, the join has no tag.
         let probed = Plan::scan("V")
             .join(Plan::scan("R"), vec![(1, 0)])
-            .distinct()
-            .sort(vec![0]);
-        let text = render(&db, &catalog, &probed, Some(2 * 4096));
-        assert_eq!(text.matches("[spill budget=4096 partitions=16]").count(), 2);
+            .distinct();
+        let text = render(&db, &catalog, &probed, Some(4096));
+        assert_eq!(text.matches("[spill budget=4096 partitions=16]").count(), 1);
         assert!(
             text.lines()
                 .any(|l| l.contains("[probe R.pk]") && !l.contains("spill")),
-            "{text}"
-        );
-        assert!(
-            !text
-                .lines()
-                .any(|l| l.contains("Limit") && l.contains("spill")),
             "{text}"
         );
         assert!(

@@ -135,14 +135,6 @@ pub fn reorder_joins(db: &Database, catalog: &StatsCatalog, plan: Plan) -> Resul
                 .map(|p| reorder_joins(db, catalog, p))
                 .collect::<Result<_>>()?,
         }),
-        Plan::Sort { input, by } => Ok(Plan::Sort {
-            input: Box::new(reorder_joins(db, catalog, *input)?),
-            by,
-        }),
-        Plan::Limit { input, n } => Ok(Plan::Limit {
-            input: Box::new(reorder_joins(db, catalog, *input)?),
-            n,
-        }),
     }
 }
 

@@ -8,7 +8,7 @@
 //!   flattening with identity/absorbing elements, double negation;
 //! * **selection pushdown + filter fusion** ([`push_selections`]):
 //!   conjuncts sink through projections (by substitution), unions,
-//!   distinct, sort, anti-join left inputs, and into join sides; equality
+//!   distinct, anti-join left inputs, and into join sides; equality
 //!   conjuncts that span a join become hash-join keys;
 //! * **plan simplification** ([`simplify`]): always-false selections,
 //!   empty inputs, singleton-union collapse, nested-union flattening,
@@ -207,14 +207,6 @@ pub fn fold_plan(plan: Plan) -> Plan {
         Plan::Union { inputs } => Plan::Union {
             inputs: inputs.into_iter().map(fold_plan).collect(),
         },
-        Plan::Sort { input, by } => Plan::Sort {
-            input: Box::new(fold_plan(*input)),
-            by,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(fold_plan(*input)),
-            n,
-        },
     }
 }
 
@@ -274,14 +266,6 @@ pub fn push_selections(db: &Database, plan: Plan) -> Result<Plan> {
                 .map(|p| push_selections(db, p))
                 .collect::<Result<_>>()?,
         }),
-        Plan::Sort { input, by } => Ok(Plan::Sort {
-            input: Box::new(push_selections(db, *input)?),
-            by,
-        }),
-        Plan::Limit { input, n } => Ok(Plan::Limit {
-            input: Box::new(push_selections(db, *input)?),
-            n,
-        }),
         Plan::Scan { .. } | Plan::Values { .. } => Ok(plan),
     }
 }
@@ -330,11 +314,6 @@ fn sink(db: &Database, input: Plan, mut conjuncts: Vec<Expr>) -> Result<Plan> {
         // σ and δ commute under bag semantics.
         Plan::Distinct { input: inner } => Ok(Plan::Distinct {
             input: Box::new(sink(db, *inner, conjuncts)?),
-        }),
-        // Filtering before a sort preserves the sorted order of survivors.
-        Plan::Sort { input: inner, by } => Ok(Plan::Sort {
-            input: Box::new(sink(db, *inner, conjuncts)?),
-            by,
         }),
         // σ over π: substitute the projection expressions into the
         // predicate and push the rewritten predicate below.
@@ -437,10 +416,9 @@ fn sink(db: &Database, input: Plan, mut conjuncts: Vec<Expr>) -> Result<Plan> {
             Ok(Plan::Values { arity, rows: kept })
         }
         // Scans keep their selection on top: the executor turns it into an
-        // index lookup when the predicate pins indexed columns. Limits are
-        // barriers — filtering before a limit changes which rows survive.
-        other @ (Plan::Scan { .. } | Plan::Limit { .. }) => Ok(Plan::Selection {
-            input: Box::new(other),
+        // index lookup when the predicate pins indexed columns.
+        scan @ Plan::Scan { .. } => Ok(Plan::Selection {
+            input: Box::new(scan),
             predicate: join_and(conjuncts),
         }),
     }
@@ -525,14 +503,6 @@ pub fn simplify(db: &Database, plan: Plan) -> Result<Plan> {
                 .into_iter()
                 .map(|p| simplify(db, p))
                 .collect::<Result<_>>()?,
-        },
-        Plan::Sort { input, by } => Plan::Sort {
-            input: Box::new(simplify(db, *input)?),
-            by,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(simplify(db, *input)?),
-            n,
         },
     };
 
@@ -646,22 +616,6 @@ pub fn simplify(db: &Database, plan: Plan) -> Result<Plan> {
                 _ => Plan::Union { inputs: flat },
             }
         }
-        Plan::Sort { input, by } => {
-            if is_empty_values(&input) {
-                *input
-            } else {
-                Plan::Sort { input, by }
-            }
-        }
-        Plan::Limit { input, n } => {
-            if n == 0 {
-                empty_of(input.arity(db)?)
-            } else if is_empty_values(&input) {
-                *input
-            } else {
-                Plan::Limit { input, n }
-            }
-        }
         other => other,
     })
 }
@@ -710,14 +664,6 @@ pub fn fuse_projections(plan: Plan) -> Plan {
         },
         Plan::Union { inputs } => Plan::Union {
             inputs: inputs.into_iter().map(fuse_projections).collect(),
-        },
-        Plan::Sort { input, by } => Plan::Sort {
-            input: Box::new(fuse_projections(*input)),
-            by,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(fuse_projections(*input)),
-            n,
         },
     };
     match rebuilt {
@@ -827,14 +773,6 @@ pub fn prune_columns(db: &Database, plan: Plan) -> Result<Plan> {
                 .map(|p| prune_columns(db, p))
                 .collect::<Result<_>>()?,
         },
-        Plan::Sort { input, by } => Plan::Sort {
-            input: Box::new(prune_columns(db, *input)?),
-            by,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(prune_columns(db, *input)?),
-            n,
-        },
     };
     Ok(rebuilt)
 }
@@ -842,8 +780,8 @@ pub fn prune_columns(db: &Database, plan: Plan) -> Result<Plan> {
 /// Narrow `plan` to (at least) the columns in `needed`. Returns the new
 /// plan and the ascending list of *original* column indices it retains.
 /// Nodes that cannot be narrowed safely (scans — narrowing would hide the
-/// executor's index access paths — plus distinct/anti-join/sort
-/// barriers) are returned unchanged with the identity retention list.
+/// executor's index access paths — plus distinct/anti-join barriers) are
+/// returned unchanged with the identity retention list.
 fn prune(db: &Database, plan: Plan, needed: &BTreeSet<usize>) -> Result<(Plan, Vec<usize>)> {
     let identity = |p: Plan| -> Result<(Plan, Vec<usize>)> {
         let keep = (0..p.arity(db)?).collect();
@@ -1345,9 +1283,7 @@ mod tests {
                 Plan::Values { arity, .. } => Some(*arity),
                 Plan::Projection { input, .. }
                 | Plan::Selection { input, .. }
-                | Plan::Distinct { input }
-                | Plan::Sort { input, .. }
-                | Plan::Limit { input, .. } => find_values_arity(input),
+                | Plan::Distinct { input } => find_values_arity(input),
                 Plan::Join { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
                     find_values_arity(left).or_else(|| find_values_arity(right))
                 }

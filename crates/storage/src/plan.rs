@@ -4,41 +4,13 @@
 //! arity and column references are indexes into those rows. It covers
 //! exactly the relational algebra the paper's translation needs —
 //! selections, projections, equi/theta joins, anti-joins (for the
-//! `not exists` consistency checks of Algorithms 2–4), distinct, union,
-//! sort and limit.
+//! `not exists` consistency checks of Algorithms 2–4), distinct and union.
+//! ORDER BY and LIMIT shape a finished answer, outside the plan.
 
 use crate::catalog::Database;
 use crate::error::{Result, StorageError};
 use crate::expr::Expr;
 use crate::row::Row;
-
-/// One sort criterion: a column position plus direction. `usize`
-/// converts into an ascending key, so `plan.sort(vec![0, 1])` keeps
-/// reading naturally; descending keys come from [`SortKey::desc`]
-/// (`ORDER BY ... DESC` in the SQL front-end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SortKey {
-    pub col: usize,
-    pub desc: bool,
-}
-
-impl SortKey {
-    /// Ascending sort on `col`.
-    pub fn asc(col: usize) -> SortKey {
-        SortKey { col, desc: false }
-    }
-
-    /// Descending sort on `col`.
-    pub fn desc(col: usize) -> SortKey {
-        SortKey { col, desc: true }
-    }
-}
-
-impl From<usize> for SortKey {
-    fn from(col: usize) -> SortKey {
-        SortKey::asc(col)
-    }
-}
 
 /// A logical plan node.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,11 +44,6 @@ pub enum Plan {
     Union { inputs: Vec<Plan> },
     /// A literal relation.
     Values { arity: usize, rows: Vec<Row> },
-    /// Sort by the given keys (deterministic output for tests and
-    /// reports; `ORDER BY` in the SQL front-end).
-    Sort { input: Box<Plan>, by: Vec<SortKey> },
-    /// At most `n` rows.
-    Limit { input: Box<Plan>, n: usize },
 }
 
 impl Plan {
@@ -138,20 +105,6 @@ impl Plan {
         }
     }
 
-    pub fn sort<K: Into<SortKey>>(self, by: Vec<K>) -> Plan {
-        Plan::Sort {
-            input: Box::new(self),
-            by: by.into_iter().map(Into::into).collect(),
-        }
-    }
-
-    pub fn limit(self, n: usize) -> Plan {
-        Plan::Limit {
-            input: Box::new(self),
-            n,
-        }
-    }
-
     /// Single-row, zero-column relation — the unit for join chains.
     pub fn unit() -> Plan {
         Plan::Values {
@@ -167,9 +120,7 @@ impl Plan {
             Plan::Scan { .. } | Plan::Values { .. } => Vec::new(),
             Plan::Selection { input, .. }
             | Plan::Projection { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => vec![input],
+            | Plan::Distinct { input } => vec![input],
             Plan::Join { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
                 vec![left, right]
             }
@@ -286,19 +237,6 @@ impl Plan {
                 }
                 Ok(*arity)
             }
-            Plan::Sort { input, by } => {
-                let a = input.arity(db)?;
-                for k in by {
-                    let c = k.col;
-                    if c >= a {
-                        return Err(StorageError::PlanError(format!(
-                            "sort column {c} out of range for arity {a}"
-                        )));
-                    }
-                }
-                Ok(a)
-            }
-            Plan::Limit { input, .. } => input.arity(db),
         }
     }
 }

@@ -11,8 +11,8 @@
 //! Invariants checked per operator:
 //!
 //! - **column resolution**: every column reference in a selection
-//!   predicate, projection expression, join key, join residual or sort
-//!   key is within its input's arity;
+//!   predicate, projection expression, join key or join residual is
+//!   within its input's arity;
 //! - **schema flow**: arities compose (join output = left + right,
 //!   anti-join = left, projection = expression count, union inputs
 //!   agree, `Values` rows match the declared arity);
@@ -176,16 +176,6 @@ fn shape(db: &Database, plan: &Plan) -> std::result::Result<usize, Diagnostic> {
             }
             Ok(*arity)
         }
-        Plan::Sort { input, by } => {
-            let a = shape(db, input)?;
-            for k in by {
-                if k.col >= a {
-                    return bad(format!("sort key {} unresolvable at arity {a}", k.col));
-                }
-            }
-            Ok(a)
-        }
-        Plan::Limit { input, .. } => shape(db, input),
     }
 }
 
@@ -218,13 +208,13 @@ fn check_expr(e: &Expr, arity: usize, what: &str) -> std::result::Result<(), Dia
 
 /// The verifier's own notion of a materialization point, kept in
 /// deliberate lockstep with the contract documented on
-/// [`crate::exec::spill_points`]: `Sort`, `Distinct`, `Join`, and
+/// [`crate::exec::spill_points`]: `Distinct`, `Join`, and
 /// `AntiJoin` each hold state, except a join that probes its right side
 /// (the same [`probes_right`] the executor asks); everything else
 /// pipelines.
 fn materialization_points(db: &Database, plan: &Plan) -> usize {
     let own = match plan {
-        Plan::Sort { .. } | Plan::Distinct { .. } => true,
+        Plan::Distinct { .. } => true,
         Plan::Join { .. } | Plan::AntiJoin { .. } => !probes_right(db, plan),
         _ => false,
     } as usize;

@@ -176,9 +176,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     println!("  \\slowlog       show captured slow statements (spans + profiles);");
                     println!("                 renders sys.slowlog");
                     println!("  \\set memory <n[k|m|g]|off>");
-                    println!("                 per-query memory budget for joins/sorts/");
-                    println!("                 distincts — past it they spill to");
-                    println!("                 disk (grace hash join, external merge sort)");
+                    println!("                 per-query memory budget for joins and");
+                    println!("                 distincts — past it they spill to disk");
+                    println!("                 (grace hash join, distinct partitioning)");
                     println!("  \\set magic <on|off>");
                     println!("                 magic-sets / SIP rewrite: evaluate bound belief");
                     println!("                 queries demand-driven (on by default; off runs");

@@ -5,7 +5,7 @@
 //!
 //! The plan generator produces arity-correct random plans over a
 //! mixed-size database: joins, anti-joins, unions, selections,
-//! projections, distinct, sort, limit, and literal relations.
+//! projections, distinct, and literal relations.
 
 #![allow(dead_code)]
 
@@ -108,7 +108,7 @@ pub fn gen_plan(rng: &mut StdRng, depth: usize) -> (Plan, usize) {
             }
         };
     }
-    match rng.gen_range(0..8u32) {
+    match rng.gen_range(0..6u32) {
         0 => {
             let (p, a) = gen_plan(rng, depth - 1);
             (p.select(gen_pred(rng, a, 2)), a)
@@ -156,18 +156,9 @@ pub fn gen_plan(rng: &mut StdRng, depth: usize) -> (Plan, usize) {
                 a,
             )
         }
-        5 => {
-            let (p, a) = gen_plan(rng, depth - 1);
-            (p.distinct(), a)
-        }
-        6 => {
-            let (p, a) = gen_plan(rng, depth - 1);
-            let by: Vec<usize> = (0..a.min(2)).map(|_| rng.gen_range(0..a)).collect();
-            (p.sort(by), a)
-        }
         _ => {
             let (p, a) = gen_plan(rng, depth - 1);
-            (p.limit(rng.gen_range(0..50usize)), a)
+            (p.distinct(), a)
         }
     }
 }
@@ -187,22 +178,4 @@ pub fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 pub fn boundary_values(n: usize) -> Plan {
     let rows: Vec<Row> = (0..n).map(|i| row![(i % 700) as i64]).collect();
     Plan::Values { arity: 1, rows }
-}
-
-/// `Limit` over anything whose order the optimizer (or a different
-/// executor) may change picks different rows; that is allowed behaviour,
-/// so those plans are skipped by the differential suites.
-pub fn contains_order_sensitive_limit(p: &Plan) -> bool {
-    match p {
-        Plan::Limit { input, .. } => !matches!(input.as_ref(), Plan::Sort { .. }),
-        Plan::Scan { .. } | Plan::Values { .. } => false,
-        Plan::Selection { input, .. }
-        | Plan::Projection { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Sort { input, .. } => contains_order_sensitive_limit(input),
-        Plan::Join { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
-            contains_order_sensitive_limit(left) || contains_order_sensitive_limit(right)
-        }
-        Plan::Union { inputs } => inputs.iter().any(contains_order_sensitive_limit),
-    }
 }

@@ -1,21 +1,19 @@
 //! Differential suite for the spill-to-disk materialization points
 //! (`beliefdb_storage::exec::spill`): the memory-budgeted executor must
 //! produce exactly the in-memory executor's results at every budget —
-//! identical multisets everywhere, identical *order* for `Sort` — split
-//! mid-stream errors the same way, and leave no run files behind on
-//! success, error, or early abandonment.
+//! identical multisets — split mid-stream errors the same way, and leave
+//! no run files behind on success, error, or early abandonment.
 //!
 //! Layers:
 //!
 //! 1. **fuzzed plans × budget ladder** — the shared `tests/common` plan
 //!    generator, evaluated unlimited and at budgets {0, one row, well
 //!    below input, far above input};
-//! 2. **dedicated operator workloads** — sort (stability across runs),
-//!    grace join (partition recursion), hybrid distinct — at a
-//!    just-below-input budget chosen from the
-//!    actual input volume;
+//! 2. **dedicated operator workloads** — grace join (partition
+//!    recursion), hybrid distinct — at a just-below-input budget chosen
+//!    from the actual input volume;
 //! 3. **error-semantics parity** — fallible expressions error at open
-//!    for eager points (sort/build) and split lazily for the
+//!    for eager points (a join's build side) and split lazily for the
 //!    others: same Ok-row multiset, same error count, at every budget;
 //! 4. **cleanup** — a dedicated spill directory is empty after success,
 //!    after an error, and after dropping a half-consumed stream.
@@ -25,7 +23,7 @@ mod common;
 use beliefdb::storage::{
     execute, row, Database, Executor, Expr, Plan, Row, SpillOptions, TableSchema,
 };
-use common::{contains_order_sensitive_limit, gen_plan, plan_db, sorted};
+use common::{gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -79,26 +77,6 @@ fn drain_items(
 /// budget, clearly below the fuzz inputs, clearly above them.
 const BUDGET_LADDER: [usize; 4] = [0, 48, 4 << 10, 64 << 20];
 
-/// Whether spilling preserves this subtree's row *order* (multisets are
-/// always preserved). Grace joins and spilled distincts emit partition
-/// by partition, so a `Sort` above one of them
-/// may break ties differently — its exact output order is only pinned
-/// when everything below is order-stable.
-fn spill_order_stable(p: &Plan) -> bool {
-    match p {
-        Plan::Distinct { .. } | Plan::Join { .. } => false,
-        Plan::Scan { .. } | Plan::Values { .. } => true,
-        Plan::Selection { input, .. }
-        | Plan::Projection { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => spill_order_stable(input),
-        // The anti-join build never spills and the left side only gets
-        // filtered, so order stability follows the left input.
-        Plan::AntiJoin { left, .. } => spill_order_stable(left),
-        Plan::Union { inputs } => inputs.iter().all(spill_order_stable),
-    }
-}
-
 #[test]
 fn fuzzed_plans_agree_at_every_budget() {
     let db = plan_db();
@@ -107,9 +85,6 @@ fn fuzzed_plans_agree_at_every_budget() {
     let mut nontrivial = 0usize;
     for case in 0..250 {
         let (plan, _) = gen_plan(&mut rng, 3);
-        if contains_order_sensitive_limit(&plan) {
-            continue;
-        }
         let reference = match execute(&db, &plan) {
             Ok(rows) => rows,
             Err(_) => continue, // error parity has its own layer below
@@ -123,18 +98,11 @@ fn fuzzed_plans_agree_at_every_budget() {
                 .expect("budgeted open failed")
                 .collect_rows()
                 .unwrap_or_else(|e| panic!("case {case} budget {budget}: {e}"));
-            if matches!(plan, Plan::Sort { .. }) && spill_order_stable(&plan) {
-                assert_eq!(
-                    got, reference,
-                    "case {case} budget {budget}: sort order diverged on {plan:?}"
-                );
-            } else {
-                assert_eq!(
-                    sorted(got),
-                    sorted(reference.clone()),
-                    "case {case} budget {budget}: multiset diverged on {plan:?}"
-                );
-            }
+            assert_eq!(
+                sorted(got),
+                sorted(reference.clone()),
+                "case {case} budget {budget}: multiset diverged on {plan:?}"
+            );
         }
     }
     assert!(
@@ -178,7 +146,6 @@ fn dedicated_workloads_spill_at_just_below_input_budgets() {
     // one-spill regime (some rows in memory, some on disk).
     let just_below = (n as usize) * 35;
     let plans = vec![
-        Plan::scan("T").sort(vec![2, 1]),
         Plan::scan("T").distinct(),
         Plan::scan("T").join(Plan::scan("S"), vec![(0, 0)]),
     ];
@@ -195,55 +162,13 @@ fn dedicated_workloads_spill_at_just_below_input_budgets() {
         assert_eq!((bytes, files), (0, 0), "spilled without a budget: {plan:?}");
         for budget in [just_below, just_below / 10] {
             let (got, bytes, files) = run(&budgeted(&db, budget, &dir), plan);
-            // A sort and a distinct hold their whole input, so any budget
-            // below it makes them spill; the join's build side may fit.
-            if matches!(plan, Plan::Sort { .. } | Plan::Distinct { .. }) {
+            // A distinct holds its whole input, so any budget below it
+            // makes it spill; the join's build side may fit.
+            if matches!(plan, Plan::Distinct { .. }) {
                 assert!(bytes > 0 && files > 0, "no spill at {budget}: {plan:?}");
             }
-            if matches!(plan, Plan::Sort { .. }) {
-                assert_eq!(got, reference, "sort order diverged at budget {budget}");
-            } else {
-                assert_eq!(sorted(got), sorted(reference.clone()));
-            }
+            assert_eq!(sorted(got), sorted(reference.clone()));
         }
-    }
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn external_sort_is_stable_across_run_boundaries() {
-    // Duplicate sort keys with distinct payloads in a known input
-    // order: the merge must preserve it (ties break toward the earlier
-    // run), so the output sequence is identical at every budget. 20k
-    // rows at budget 0 produce well over MAX_MERGE_FANIN (16) runs, so
-    // the *multi-pass* merge is exercised too — a merged group must
-    // re-enter the run list at the front (it holds the earliest-input
-    // rows), or later-input runs would win ties.
-    let mut db = Database::new();
-    let t = db
-        .create_table(TableSchema::keyless("T", &["k", "seq"]))
-        .unwrap();
-    for i in 0..20_000i64 {
-        t.insert(row![i % 13, i]).unwrap();
-    }
-    let dir = temp_dir("stable");
-    let plan = Plan::scan("T").sort(vec![0]);
-    let reference = execute(&db, &plan).unwrap();
-    // Stability visible in the reference itself: within a key, seq
-    // ascends.
-    for w in reference.windows(2) {
-        if w[0][0] == w[1][0] {
-            assert!(w[0][1] < w[1][1], "in-memory sort is not stable");
-        }
-    }
-    for budget in [0usize, 1 << 10, 16 << 10, 1 << 20] {
-        let got = budgeted(&db, budget, &dir)
-            .open_chunks(&plan)
-            .unwrap()
-            .collect_rows()
-            .unwrap();
-        assert_eq!(got, reference, "order diverged at budget {budget}");
     }
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -332,8 +257,9 @@ fn error_semantics_match_at_every_budget() {
         Plan::Values { arity: 2, rows }.select(Expr::Col(0))
     };
     let cases: Vec<Plan> = vec![
-        // Eager materialization points: the whole query fails at open.
-        poisoned(2_000).sort(vec![1]),
+        // An eager materialization point (the join's build side): the
+        // whole query fails at open.
+        Plan::scan("E").join(poisoned(2_000), vec![(0, 1)]),
         // Lazy operators: errors split the stream.
         poisoned(2_000).distinct(),
         poisoned(2_000).join(Plan::scan("E"), vec![(1, 0)]),
@@ -380,17 +306,21 @@ fn spill_files_are_cleaned_up_on_abandonment_and_error() {
 
     // Success path: exercised (and asserted) by the other tests; here
     // the two non-happy paths. First: drop a stream after one chunk.
-    let plan = Plan::scan("T").sort(vec![1]);
+    let plan = Plan::scan("T").join(Plan::scan("S"), vec![(0, 0)]);
     {
         let mut stream = budgeted(&db, budget, &dir).open_chunks(&plan).unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_empty());
-        // `stream` dropped here with runs still queued.
+        assert!(
+            std::fs::read_dir(&dir).unwrap().count() > 0,
+            "the join did not spill"
+        );
+        // `stream` dropped here with partitions still queued.
     }
     assert_eq!(
         std::fs::read_dir(&dir).unwrap().count(),
         0,
-        "abandoned sort leaked run files"
+        "abandoned grace join leaked run files"
     );
 
     // Error path: a poisoned row surfaces after spilling started.

@@ -10,12 +10,13 @@
 //!    vs materializing;
 //! 2. **fuzzed belief conjunctive queries** — `Bdms::query` (chunked)
 //!    vs `Bdms::query_materialized`, plus `Bdms::query_streaming`;
-//! 3. **batch boundaries** — inputs of size 1, 1023, 1024, 1025, 2048
-//!    driven through Limit/Distinct/Union operators straddling a chunk
-//!    edge, compared exactly (both executors preserve order here);
+//! 3. **batch boundaries** — literal inputs of size 1, 1023, 1024, 1025,
+//!    2048 and tables of 1023, 1024 and 1025 rows driven through
+//!    Distinct/Union/Selection operators straddling a chunk edge,
+//!    compared exactly (both executors preserve order here);
 //! 4. **laziness semantics** — streaming is allowed to do strictly less
-//!    work (a `Limit` stops pulling; errors surface only if the failing
-//!    row is actually demanded), never more — including when the
+//!    work (a consumer that stops pulling; errors surface only if the
+//!    failing row is actually demanded), never more — including when the
 //!    poisoned row shares a chunk with the demanded one.
 
 mod common;
@@ -24,9 +25,10 @@ use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::{
-    execute, execute_materialized, optimize, row, stream_chunks, CmpOp, Expr, Plan, Row,
+    execute, execute_materialized, optimize, row, stream_chunks, CmpOp, Database, Expr, Plan, Row,
+    TableSchema,
 };
-use common::{contains_order_sensitive_limit, gen_plan, plan_db, sorted};
+use common::{gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,12 +44,10 @@ fn fuzzed_plans_stream_and_materialize_identically() {
     let mut skipped_errors = 0usize;
     for case in 0..300 {
         let (plan, _) = gen_plan(&mut rng, 3);
-        if contains_order_sensitive_limit(&plan) {
-            continue;
-        }
-        // Streaming evaluates a subset of what materializing evaluates
-        // (a Limit stops pulling), so an error from the reference side
-        // need not reproduce; the other direction must agree exactly.
+        // Streaming may evaluate less than materializing does (an
+        // operator can finish without pulling all of an input), so an
+        // error from the reference side need not reproduce; the other
+        // direction must agree exactly.
         let reference = match execute_materialized(&db, &plan) {
             Ok(rows) => rows,
             Err(_) => {
@@ -94,9 +94,6 @@ fn fuzzed_optimized_plans_stream_and_materialize_identically() {
     let mut rng = StdRng::seed_from_u64(0xD1FFE2);
     for case in 0..200 {
         let (plan, _) = gen_plan(&mut rng, 3);
-        if contains_order_sensitive_limit(&plan) {
-            continue;
-        }
         let Ok(optimized) = optimize(&db, plan.clone()) else {
             continue;
         };
@@ -231,26 +228,36 @@ const BOUNDARY_SIZES: [usize; 5] = [1, 1023, 1024, 1025, 2048];
 
 use common::boundary_values;
 
+/// Tables `B1023`, `B1024` and `B1025` of that many `boundary_values`
+/// rows: one short of a full batch, exactly one, one past it. Their scans
+/// take the columnar path that literal relations never do.
+const TABLE_SIZES: [usize; 3] = [1023, 1024, 1025];
+
+fn boundary_db() -> Database {
+    let mut db = plan_db();
+    for n in TABLE_SIZES {
+        let t = db
+            .create_table(TableSchema::keyless(format!("B{n}"), &["v"]))
+            .unwrap();
+        for i in 0..n {
+            t.insert(row![(i % 700) as i64]).unwrap();
+        }
+    }
+    db
+}
+
 #[test]
 fn batch_boundaries_agree_exactly_across_executors() {
     // Both executors preserve input order on these operators, so the
     // comparison is exact (not just multiset equality).
-    let db = plan_db();
+    let db = boundary_db();
     for n in BOUNDARY_SIZES {
         let v = boundary_values(n);
-        let plans = vec![
-            // Limit straddling the chunk edge in both directions.
-            v.clone().limit(1),
-            v.clone().limit(n.saturating_sub(1)),
-            v.clone().limit(n),
-            v.clone().limit(n + 17),
-            v.clone().limit(1023),
-            v.clone().limit(1024),
-            v.clone().limit(1025),
+        let mut plans = vec![
+            v.clone(),
             // Distinct with first occurrences below the edge and
             // duplicates above (and vice versa).
             v.clone().distinct(),
-            v.clone().distinct().limit(701),
             // Union straddling: the second input starts mid-batch; the
             // pipeline must handle partial trailing chunks.
             Plan::Union {
@@ -260,21 +267,37 @@ fn batch_boundaries_agree_exactly_across_executors() {
                 inputs: vec![v.clone(), v.clone()],
             }
             .distinct(),
-            Plan::Union {
-                inputs: vec![v.clone(), v.clone()],
-            }
-            .limit(n + 1),
             // Selection + projection across the edge for good measure.
             v.clone()
                 .select(Expr::cmp(CmpOp::Lt, Expr::Col(0), Expr::lit(350i64)))
                 .project_cols(&[0]),
         ];
+        // Table scans whose last window ends one short of, at, or one
+        // past a batch, behind and ahead of a literal input.
+        for k in TABLE_SIZES {
+            let t = Plan::scan(format!("B{k}"));
+            plans.push(t.clone());
+            plans.push(t.clone().distinct());
+            plans.push(
+                t.clone()
+                    .select(Expr::cmp(CmpOp::Ge, Expr::Col(0), Expr::lit(300i64))),
+            );
+            plans.push(Plan::Union {
+                inputs: vec![t.clone(), v.clone()],
+            });
+            plans.push(
+                Plan::Union {
+                    inputs: vec![v.clone(), t],
+                }
+                .distinct(),
+            );
+        }
         for plan in &plans {
             let chunked = execute(&db, plan).expect("chunked failed");
             let materialized = execute_materialized(&db, plan).expect("materializing failed");
             assert_eq!(
                 chunked, materialized,
-                "n={n}: chunked vs materialized diverged"
+                "n={n}: chunked vs materialized diverged on {plan:?}"
             );
         }
     }
@@ -295,38 +318,52 @@ fn batch_boundary_distinct_dedups_across_the_chunk_edge() {
 // Layer 4: laziness semantics
 // ---------------------------------------------------------------------------
 
+/// The first `n` rows of `plan`'s chunk stream, pulling no chunk past
+/// the one that completes them: a consumer that stops early.
+fn first_rows(db: &Database, plan: &Plan, n: usize) -> beliefdb::storage::Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    let mut stream = stream_chunks(db, plan)?;
+    while rows.len() < n {
+        match stream.next() {
+            Some(chunk) => chunk?.drain_into(&mut rows),
+            None => break,
+        }
+    }
+    rows.truncate(n);
+    Ok(rows)
+}
+
 #[test]
 fn limit_short_circuits_instead_of_materializing() {
     let db = plan_db();
     // A plan whose full evaluation errors (bare-column predicate over a
-    // non-boolean later row) but whose first row is fine: the streaming
-    // Limit never demands the poisoned row — even though chunked
-    // execution sees both rows in the same batch (the selection splits
-    // the chunk at the error instead of failing it wholesale).
+    // non-boolean later row) but whose first row is fine: a consumer
+    // that wants one row never demands the poisoned one — even though
+    // chunked execution sees both rows in the same batch (the selection
+    // splits the chunk at the error instead of failing it wholesale).
     let plan = Plan::Values {
         arity: 1,
         rows: vec![row![true], row![7]],
     }
-    .select(Expr::Col(0))
-    .limit(1);
-    assert_eq!(execute(&db, &plan).unwrap(), vec![row![true]]);
+    .select(Expr::Col(0));
+    assert_eq!(first_rows(&db, &plan, 1).unwrap(), vec![row![true]]);
+    assert!(execute(&db, &plan).is_err());
     assert!(execute_materialized(&db, &plan).is_err());
     // Same shape at a chunk boundary: 1023 good rows, a poisoned one at
-    // index 1023, and a Limit satisfied just before it.
+    // index 1023, and a consumer satisfied just before it.
     let mut rows: Vec<Row> = (0..1023).map(|_| row![true]).collect();
     rows.push(row![7]);
-    let plan = Plan::Values { arity: 1, rows }
-        .select(Expr::Col(0))
-        .limit(1023);
-    assert_eq!(execute(&db, &plan).unwrap().len(), 1023);
+    let plan = Plan::Values { arity: 1, rows }.select(Expr::Col(0));
+    assert_eq!(first_rows(&db, &plan, 1023).unwrap().len(), 1023);
+    assert!(execute(&db, &plan).is_err());
     assert!(execute_materialized(&db, &plan).is_err());
 }
 
 #[test]
 fn streaming_surfaces_demanded_errors() {
     let db = plan_db();
-    // Without the limit the poisoned row *is* demanded: both executors
-    // must fail.
+    // A consumer that drains the stream demands the poisoned row: both
+    // executors must fail, and so does one that asks for both rows.
     let plan = Plan::Values {
         arity: 1,
         rows: vec![row![true], row![7]],
@@ -334,6 +371,7 @@ fn streaming_surfaces_demanded_errors() {
     .select(Expr::Col(0));
     assert!(execute(&db, &plan).is_err());
     assert!(execute_materialized(&db, &plan).is_err());
+    assert!(first_rows(&db, &plan, 2).is_err());
 }
 
 #[test]

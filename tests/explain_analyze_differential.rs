@@ -4,12 +4,12 @@
 //! participant. Three angles:
 //!
 //! 1. Fuzzed plans (selects, projects, joins, anti-joins, distincts,
-//!    sorts, limits, unions over two tables and literal `Values`) run
-//!    three times per budget: once plain, once profiled; the row counts
-//!    and (limit-free) row multisets must agree, and the profile root's
-//!    `rows_out` must equal the drained count.
+//!    unions over two tables and literal `Values`) run twice per
+//!    budget: once plain, once profiled; the row counts and row
+//!    multisets must agree, and the profile root's `rows_out` must
+//!    equal the drained count.
 //! 2. Budgets of `None`, `1` byte (everything spills — grace hash
-//!    joins, external sorts), and 64 KiB must all produce the same
+//!    joins, distinct partitions), and 64 KiB must all produce the same
 //!    answers, and at least some fuzzed case must actually report
 //!    spill traffic in its rendered profile.
 //! 3. A runtime error mid-stream (a non-boolean predicate discovered
@@ -78,7 +78,7 @@ fn gen_plan(rng: &mut Rng, depth: usize) -> (Plan, usize) {
     if depth == 0 {
         return leaf(rng);
     }
-    match rng.below(8) {
+    match rng.below(6) {
         0 => {
             let (p, a) = gen_plan(rng, depth - 1);
             let col = rng.below(a as u64) as usize;
@@ -110,15 +110,6 @@ fn gen_plan(rng: &mut Rng, depth: usize) -> (Plan, usize) {
             let (p, a) = gen_plan(rng, depth - 1);
             (p.distinct(), a)
         }
-        5 => {
-            let (p, a) = gen_plan(rng, depth - 1);
-            let c = rng.below(a as u64) as usize;
-            (p.sort(vec![c]), a)
-        }
-        6 => {
-            let (p, a) = gen_plan(rng, depth - 1);
-            (p.limit(rng.below(40) as usize), a)
-        }
         _ => {
             let (p, a) = gen_plan(rng, depth - 1);
             (
@@ -129,12 +120,6 @@ fn gen_plan(rng: &mut Rng, depth: usize) -> (Plan, usize) {
             )
         }
     }
-}
-
-/// `LIMIT` over unordered input picks arbitrary rows: counts stay
-/// comparable across budgets, multisets do not.
-fn contains_limit(plan: &Plan) -> bool {
-    matches!(plan, Plan::Limit { .. }) || plan.children().iter().any(|c| contains_limit(c))
 }
 
 fn executor<'a>(db: &'a Database, budget: Option<usize>, dir: &std::path::Path) -> Executor<'a> {
@@ -156,7 +141,6 @@ fn profiles_match_materialized_results_across_fuzzed_plans_and_budgets() {
     for seed in 0..80u64 {
         let mut rng = Rng(seed * 2 + 1);
         let (plan, _arity) = gen_plan(&mut rng, 1 + (seed % 3) as usize);
-        let limit_free = !contains_limit(&plan);
         let mut per_budget: Vec<(usize, Vec<Row>)> = Vec::new();
 
         for budget in budgets {
@@ -177,13 +161,11 @@ fn profiles_match_materialized_results_across_fuzzed_plans_and_budgets() {
                 profiled.len(),
                 "seed {seed} budget {budget:?}: profiling changed the row count"
             );
-            if limit_free {
-                let mut a = plain.clone();
-                let mut b = profiled.clone();
-                a.sort();
-                b.sort();
-                assert_eq!(a, b, "seed {seed} budget {budget:?}: multiset diverged");
-            }
+            let mut a = plain.clone();
+            let mut b = profiled.clone();
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "seed {seed} budget {budget:?}: multiset diverged");
             // The headline invariant: actual rows in the profile ==
             // materialized result size, exactly.
             assert_eq!(
@@ -200,10 +182,7 @@ fn profiles_match_materialized_results_across_fuzzed_plans_and_budgets() {
             if text.contains("spill_bytes=") {
                 spilled_renders += 1;
             }
-            per_budget.push((
-                profiled.len(),
-                if limit_free { profiled } else { Vec::new() },
-            ));
+            per_budget.push((profiled.len(), profiled));
         }
 
         // All budgets agree with each other.

@@ -86,13 +86,12 @@ fn database() -> Database {
     db
 }
 
-/// A representative pipeline: scan → filter → join → distinct → sort.
+/// A representative pipeline: scan → filter → join → distinct.
 fn workload() -> Plan {
     Plan::scan("T")
         .select(Expr::cmp(CmpOp::Gt, Expr::Col(1), Expr::lit(100i64)))
         .join(Plan::scan("B"), vec![(0, 0)])
         .distinct()
-        .sort(vec![1])
 }
 
 /// Drain the plan with obs disabled; returns the produced row count.

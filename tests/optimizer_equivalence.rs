@@ -21,7 +21,7 @@ use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::{
     execute, optimize, row, CmpOp, Database, Expr, Plan, StatsCatalog, TableSchema,
 };
-use common::{contains_order_sensitive_limit, gen_plan, plan_db, sorted};
+use common::{gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,14 +39,6 @@ fn fuzzed_plans_agree_with_and_without_optimizer() {
     let mut nontrivial = 0usize;
     for case in 0..300 {
         let (plan, _) = gen_plan(&mut rng, 3);
-        // Limit-of-unsorted input is inherently nondeterministic under
-        // reordering; only compare when the limit keeps everything or the
-        // plan contains no limit over unsorted joins. We sidestep by
-        // skipping plans containing Limit (kept rows depend on physical
-        // order, which the optimizer legitimately changes).
-        if contains_order_sensitive_limit(&plan) {
-            continue;
-        }
         let base = execute(&db, &plan).expect("unoptimized execution failed");
         let optimized = optimize(&db, plan.clone())
             .and_then(|p| execute(&db, &p))

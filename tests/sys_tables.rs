@@ -7,7 +7,10 @@
 //! `beliefdb-storage::obs`):
 //!
 //! * the acceptance query `SELECT * FROM sys.statements ORDER BY
-//!   total_time_ns DESC LIMIT 5` end-to-end through a session;
+//!   total_time_ns DESC LIMIT 5` end-to-end through a session, and an
+//!   ORDER BY on a column outside the select list, checked row for row
+//!   against the catalog sorted in the test, with `LIMIT 4` and
+//!   `LIMIT 0`;
 //! * plan-cache non-interaction — sys scans are never cached and never
 //!   count as hits or misses, and their snapshots are never stale;
 //! * `sys.plan_cache.answer_rows` — an answer is kept from the first
@@ -111,6 +114,48 @@ fn acceptance_query_end_to_end() {
         assert_eq!(cell_str(row, 0).len(), 16);
         assert!(cell_int(row, 2) >= 1, "calls is at least 1");
     }
+}
+
+#[test]
+fn sys_order_by_sorts_on_unselected_columns_and_limit_cuts_after_it() {
+    let session = session_with_rows(5);
+    // The catalog's (name, rows), sorted here: rows descending, ties by
+    // name in either direction. Several tables share a row count, and the
+    // scan lists them by name, so only `name desc` tells a sort on both
+    // keys from one on `rows` alone.
+    let catalog = session.query("select name, rows from sys.tables").unwrap();
+    let catalog: Vec<(i64, String)> = catalog
+        .rows()
+        .iter()
+        .map(|r| (cell_int(r, 1), cell_str(r, 0)))
+        .collect();
+    for (order, names_desc) in [("rows desc, name", false), ("rows desc, name desc", true)] {
+        let mut want = catalog.clone();
+        want.sort_by(|a, b| {
+            let by_name = if names_desc {
+                b.1.cmp(&a.1)
+            } else {
+                a.1.cmp(&b.1)
+            };
+            b.0.cmp(&a.0).then(by_name)
+        });
+        let want: Vec<String> = want.into_iter().take(4).map(|(_, name)| name).collect();
+        assert_eq!(want.len(), 4, "fewer than four tables");
+
+        let sql = format!("select name from sys.tables order by {order} limit 4");
+        let got = session.query(&sql).unwrap();
+        assert_eq!(got.columns(), ["name"]);
+        let got: Vec<String> = got.rows().iter().map(|r| cell_str(r, 0)).collect();
+        assert_eq!(got, want, "{sql}");
+        assert_eq!(explain_analyze_rows(&session, &sql), 4);
+    }
+
+    // LIMIT 0 keeps the columns and returns no row.
+    let sql = "select name from sys.tables order by rows desc, name limit 0";
+    let none = session.query(sql).unwrap();
+    assert_eq!(none.columns(), ["name"]);
+    assert!(none.rows().is_empty());
+    assert_eq!(explain_analyze_rows(&session, sql), 0);
 }
 
 #[test]
