@@ -35,8 +35,6 @@ pub enum StorageError {
     TableFull { table: String, max_slots: usize },
     /// An expression referenced a column index beyond the row arity.
     ColumnOutOfRange { index: usize, arity: usize },
-    /// An expression was applied to operands of incompatible types.
-    TypeError(String),
     /// A query plan is malformed (arity mismatches between operators, etc.).
     PlanError(String),
     /// A Datalog program is malformed (unsafe rule, unknown relation, ...).
@@ -96,7 +94,6 @@ impl fmt::Display for StorageError {
             StorageError::ColumnOutOfRange { index, arity } => {
                 write!(f, "column index {index} out of range for arity {arity}")
             }
-            StorageError::TypeError(msg) => write!(f, "type error: {msg}"),
             StorageError::PlanError(msg) => write!(f, "plan error: {msg}"),
             StorageError::DatalogError(msg) => write!(f, "datalog error: {msg}"),
             StorageError::Io(msg) => write!(f, "io error: {msg}"),
@@ -115,8 +112,7 @@ impl StorageError {
     /// and tools match on this instead of message text.
     pub fn code(&self) -> Option<&str> {
         let msg = match self {
-            StorageError::TypeError(m)
-            | StorageError::PlanError(m)
+            StorageError::PlanError(m)
             | StorageError::DatalogError(m)
             | StorageError::ReservedName(m) => m,
             _ => return None,
@@ -163,6 +159,6 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn takes_error<E: std::error::Error>(_: E) {}
-        takes_error(StorageError::TypeError("bad".into()));
+        takes_error(StorageError::PlanError("bad".into()));
     }
 }

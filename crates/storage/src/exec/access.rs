@@ -14,7 +14,7 @@
 //! built only for a survivor. See `docs/execution.md`, "Probing in place".
 
 use crate::catalog::Database;
-use crate::error::{Result, StorageError};
+use crate::error::Result;
 use crate::expr::{CmpOp, ColumnSource, Expr};
 use crate::index::RowId;
 use crate::plan::Plan;
@@ -196,7 +196,7 @@ pub(crate) fn select_rows(table: &Table, predicate: &Expr) -> Result<Option<Vec<
         &path,
         |i| key[i],
         |rid| {
-            if predicate.eval_bool(&Probed::new(&[], table, rid))? {
+            if predicate.eval_bool(&Probed::new(&[], table, rid)) {
                 out.push(table.get(rid)?);
             }
             Ok(true)
@@ -294,7 +294,9 @@ fn each_row<'k>(
 
 /// The columns of a left row followed by those of a table row, read in
 /// place: what a selection (no left columns) and a residual test a
-/// candidate on before a row is built.
+/// candidate on before a row is built. The row id comes from the table's
+/// own key or index and the columns were checked when the plan opened, so
+/// the heap's cells are read unchecked.
 struct Probed<'a> {
     left: &'a [Value],
     table: &'a Table,
@@ -308,12 +310,10 @@ impl<'a> Probed<'a> {
 }
 
 impl ColumnSource for Probed<'_> {
-    fn cell(&self, i: usize) -> Result<Cell<'_>> {
-        let arity = self.left.len() + self.table.schema().arity();
+    fn cell(&self, i: usize) -> Cell<'_> {
         match i.checked_sub(self.left.len()) {
-            None => Ok(self.left[i].as_cell()),
-            Some(c) if i < arity => self.table.cell(self.rid, c),
-            Some(_) => Err(StorageError::ColumnOutOfRange { index: i, arity }),
+            None => self.left[i].as_cell(),
+            Some(c) => self.table.heap_cell(self.rid, c),
         }
     }
 }
@@ -375,27 +375,22 @@ impl<'a> IndexAccess<'a> {
     /// here.
     fn each_match(&self, lrow: &Row, mut hit: impl FnMut(RowId) -> Result<bool>) -> Result<()> {
         let table = self.table;
-        let joins = |rid: RowId| -> Result<bool> {
-            for &(lc, rc) in self.on {
-                if table.cell(rid, rc)? != lrow[lc] {
-                    return Ok(false);
-                }
-            }
-            if let Some(p) = self.pred {
-                if !p.eval_bool(&Probed::new(&[], table, rid))? {
-                    return Ok(false);
-                }
-            }
-            match self.residual {
-                None => Ok(true),
-                Some(e) => e.eval_bool(&Probed::new(lrow.values(), table, rid)),
-            }
+        let joins = |rid: RowId| {
+            self.on
+                .iter()
+                .all(|&(lc, rc)| table.heap_cell(rid, rc) == lrow[lc])
+                && self
+                    .pred
+                    .is_none_or(|p| p.eval_bool(&Probed::new(&[], table, rid)))
+                && self
+                    .residual
+                    .is_none_or(|e| e.eval_bool(&Probed::new(lrow.values(), table, rid)))
         };
         each_row(
             table,
             &self.path,
             |i| &lrow[self.key_from[i]],
-            |rid| Ok(!joins(rid)? || hit(rid)?),
+            |rid| Ok(!joins(rid) || hit(rid)?),
         )
     }
 
@@ -405,12 +400,12 @@ impl<'a> IndexAccess<'a> {
         let arity = self.table.schema().arity();
         let left = lrow.arity();
         self.each_match(lrow, |rid| {
-            out.push(Row::try_from_fn(left + arity, |i| {
-                match i.checked_sub(left) {
-                    None => Ok(lrow[i].clone()),
-                    Some(c) => self.table.cell(rid, c).map(|cell| cell.to_value()),
-                }
-            })?);
+            out.push(Row::new((0..left + arity).map(
+                |i| match i.checked_sub(left) {
+                    None => lrow[i].clone(),
+                    Some(c) => self.table.heap_cell(rid, c).to_value(),
+                },
+            )));
             Ok(true)
         })
     }

@@ -80,22 +80,16 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
             Err(e) => db.virtual_table(table).map(|vt| vt.rows(db)).ok_or(e),
         },
         Plan::Selection { input, predicate } => {
-            let rows = run(db, input)?;
-            let mut out = Vec::new();
-            for r in rows {
-                if predicate.eval_bool(&r)? {
-                    out.push(r);
-                }
-            }
-            Ok(out)
+            let mut rows = run(db, input)?;
+            rows.retain(|r| predicate.eval_bool(r));
+            Ok(rows)
         }
         Plan::Projection { input, exprs } => {
             let rows = run(db, input)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for r in rows {
-                out.push(Row::try_from_fn(exprs.len(), |i| exprs[i].eval(&r))?);
-            }
-            Ok(out)
+            Ok(rows
+                .iter()
+                .map(|r| Row::new(exprs.iter().map(|e| e.eval(r))))
+                .collect())
         }
         Plan::Join {
             left,
@@ -105,7 +99,7 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
         } => {
             let lrows = run(db, left)?;
             let rrows = run(db, right)?;
-            join_rows(&lrows, &rrows, on, residual.as_ref())
+            Ok(join_rows(&lrows, &rrows, on, residual.as_ref()))
         }
         Plan::AntiJoin {
             left,
@@ -115,7 +109,7 @@ fn run(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
         } => {
             let lrows = run(db, left)?;
             let rrows = run(db, right)?;
-            anti_join_rows(lrows, &rrows, on, residual.as_ref())
+            Ok(anti_join_rows(lrows, &rrows, on, residual.as_ref()))
         }
         Plan::Distinct { input } => {
             let rows = run(db, input)?;
@@ -148,22 +142,20 @@ fn join_rows(
     rrows: &[Row],
     on: &[(usize, usize)],
     residual: Option<&Expr>,
-) -> Result<Vec<Row>> {
+) -> Vec<Row> {
+    let holds = |joined: &Row| residual.is_none_or(|e| e.eval_bool(joined));
     let mut out = Vec::new();
     if on.is_empty() {
         // Nested loop (theta or cross join).
         for l in lrows {
             for r in rrows {
                 let joined = l.concat(r);
-                if match residual {
-                    Some(e) => e.eval_bool(&joined)?,
-                    None => true,
-                } {
+                if holds(&joined) {
                     out.push(joined);
                 }
             }
         }
-        return Ok(out);
+        return out;
     }
     // Hash join: build on the smaller side.
     let build_left = lrows.len() <= rrows.len();
@@ -191,40 +183,27 @@ fn join_rows(
                 } else {
                     probe_row.concat(&build[i])
                 };
-                if match residual {
-                    Some(e) => e.eval_bool(&joined)?,
-                    None => true,
-                } {
+                if holds(&joined) {
                     out.push(joined);
                 }
             }
         }
     }
-    Ok(out)
+    out
 }
 
 fn anti_join_rows(
-    lrows: Vec<Row>,
+    mut lrows: Vec<Row>,
     rrows: &[Row],
     on: &[(usize, usize)],
     residual: Option<&Expr>,
-) -> Result<Vec<Row>> {
+) -> Vec<Row> {
+    // A left row survives iff no right row matches it on `on` and the
+    // residual.
+    let matches = |l: &Row, r: &Row| residual.is_none_or(|e| e.eval_bool(&l.concat(r)));
     if on.is_empty() {
-        // A left row survives iff no right row matches the residual.
-        let mut out = Vec::new();
-        'next: for l in lrows {
-            for r in rrows {
-                let joined = l.concat(r);
-                if match residual {
-                    Some(e) => e.eval_bool(&joined)?,
-                    None => true,
-                } {
-                    continue 'next;
-                }
-            }
-            out.push(l);
-        }
-        return Ok(out);
+        lrows.retain(|l| !rrows.iter().any(|r| matches(l, r)));
+        return lrows;
     }
     let mut map: HashMap<Box<[Value]>, Vec<usize>, CellHash> =
         HashMap::with_capacity_and_hasher(rrows.len(), CellHash::default());
@@ -232,25 +211,12 @@ fn anti_join_rows(
         let key: Box<[Value]> = on.iter().map(|&(_, rc)| row[rc].clone()).collect();
         map.entry(key).or_default().push(i);
     }
-    let mut out = Vec::new();
-    'outer: for l in lrows {
+    lrows.retain(|l| {
         let key: Box<[Value]> = on.iter().map(|&(lc, _)| l[lc].clone()).collect();
-        if let Some(hits) = map.get(&key) {
-            match residual {
-                None => continue 'outer,
-                Some(e) => {
-                    for &i in hits {
-                        let joined = l.concat(&rrows[i]);
-                        if e.eval_bool(&joined)? {
-                            continue 'outer;
-                        }
-                    }
-                }
-            }
-        }
-        out.push(l);
-    }
-    Ok(out)
+        map.get(&key)
+            .is_none_or(|hits| !hits.iter().any(|&i| matches(l, &rrows[i])))
+    });
+    lrows
 }
 
 #[cfg(test)]
@@ -479,7 +445,7 @@ mod index_join_tests {
         {
             let l = execute(db, left).unwrap();
             let r = execute(db, right).unwrap();
-            let mut generic = join_rows(&l, &r, on, residual.as_ref()).unwrap();
+            let mut generic = join_rows(&l, &r, on, residual.as_ref());
             let mut indexed = via_exec;
             generic.sort();
             indexed.sort();

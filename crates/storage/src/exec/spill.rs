@@ -721,7 +721,6 @@ pub(crate) struct SpillDistinct<'a> {
     dir: PathBuf,
     batch: usize,
     state: DistinctState,
-    pending: VecDeque<Result<super::Chunk>>,
     prof: SpillProf,
 }
 
@@ -753,7 +752,6 @@ impl<'a> SpillDistinct<'a> {
             dir: dir.to_path_buf(),
             batch,
             state: DistinctState::Streaming,
-            pending: VecDeque::new(),
             prof,
         }
     }
@@ -771,142 +769,113 @@ impl<'a> SpillDistinct<'a> {
     }
 }
 
+impl SpillDistinct<'_> {
+    /// One unit of work in the current state, returning the chunk it
+    /// made, if any.
+    fn step(&mut self) -> Result<Option<super::Chunk>> {
+        match &mut self.state {
+            // The seen-set outgrew the budget with the chunk streamed
+            // last: partition it before reading on.
+            DistinctState::Streaming if self.seen_bytes > self.budget => self.spill_seen()?,
+            DistinctState::Streaming => match self.input.next().transpose()? {
+                Some(mut chunk) => {
+                    let seen = &mut self.seen;
+                    let mut added = 0usize;
+                    chunk.filter_in_place(|row| {
+                        if seen.insert(row.clone()) {
+                            added += row_bytes(row) + HASH_ENTRY_OVERHEAD;
+                            true
+                        } else {
+                            false
+                        }
+                    });
+                    self.seen_bytes += added;
+                    if let Some(n) = &self.prof {
+                        raise(&n.peak_bytes, self.seen_bytes as u64);
+                    }
+                    if !chunk.is_empty() {
+                        return Ok(Some(chunk));
+                    }
+                    chunk.recycle();
+                }
+                None => self.state = DistinctState::Done,
+            },
+            DistinctState::Spilling { parts } => match self.input.next().transpose()? {
+                Some(mut chunk) => {
+                    chunk.ensure_rows();
+                    for row in chunk.iter() {
+                        let p = partition_of(row.values().iter(), 0);
+                        parts[p].write(TAG_FRESH, row)?;
+                    }
+                    chunk.recycle();
+                }
+                None => {
+                    let mut parts = std::mem::take(parts);
+                    parts.iter_mut().try_for_each(RunFile::seal)?;
+                    self.state = DistinctState::Draining {
+                        tasks: parts.into_iter().map(|f| (f, 1)).collect(),
+                        ready: VecDeque::new(),
+                    };
+                }
+            },
+            DistinctState::Draining { tasks, ready } => {
+                if !ready.is_empty() {
+                    let take = ready.len().min(self.batch);
+                    let rows: Vec<Row> = ready.drain(..take).collect();
+                    return Ok(Some(super::Chunk::new(rows)));
+                }
+                let Some((mut file, level)) = tasks.pop_front() else {
+                    self.state = DistinctState::Done;
+                    return Ok(None);
+                };
+                if file.should_recurse(self.budget, level) {
+                    if let Some(n) = &self.prof {
+                        bump(&n.spill_passes, 1);
+                    }
+                    let mut sub = new_partitions(&self.dir, &self.prof)?;
+                    let mut reader = file.reader()?;
+                    while let Some((tag, row)) = reader.next()? {
+                        let p = partition_of(row.values().iter(), level);
+                        sub[p].write(tag, &row)?;
+                    }
+                    for mut f in sub {
+                        if f.rows() > 0 {
+                            f.seal()?;
+                            tasks.push_back((f, level + 1));
+                        }
+                    }
+                } else {
+                    let mut local: HashSet<Row, CellHash> = HashSet::default();
+                    let mut reader = file.reader()?;
+                    while let Some((tag, row)) = reader.next()? {
+                        let fresh = local.insert(row.clone());
+                        if fresh && tag == TAG_FRESH {
+                            ready.push_back(row);
+                        }
+                    }
+                }
+            }
+            DistinctState::Done => {}
+        }
+        Ok(None)
+    }
+}
+
 impl Iterator for SpillDistinct<'_> {
     type Item = Result<super::Chunk>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.pending.pop_front() {
-                return Some(item);
-            }
-            match &mut self.state {
-                DistinctState::Streaming => match self.input.next() {
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(mut chunk)) => {
-                        let seen = &mut self.seen;
-                        let mut added = 0usize;
-                        chunk.filter_in_place(|row| {
-                            if seen.insert(row.clone()) {
-                                added += row_bytes(row) + HASH_ENTRY_OVERHEAD;
-                                true
-                            } else {
-                                false
-                            }
-                        });
-                        self.seen_bytes += added;
-                        if let Some(n) = &self.prof {
-                            raise(&n.peak_bytes, self.seen_bytes as u64);
-                        }
-                        let over = self.seen_bytes > self.budget;
-                        let out = if chunk.is_empty() {
-                            chunk.recycle();
-                            None
-                        } else {
-                            Some(Ok(chunk))
-                        };
-                        if over {
-                            if let Err(e) = self.spill_seen() {
-                                self.state = DistinctState::Done;
-                                if let Some(out) = out {
-                                    self.pending.push_back(out);
-                                }
-                                self.pending.push_back(Err(e));
-                                continue;
-                            }
-                        }
-                        match out {
-                            Some(out) => return Some(out),
-                            None => continue,
-                        }
-                    }
-                    None => {
-                        self.state = DistinctState::Done;
-                        return None;
-                    }
-                },
-                DistinctState::Spilling { parts } => match self.input.next() {
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(mut chunk)) => {
-                        chunk.ensure_rows();
-                        let mut failed = None;
-                        for row in chunk.iter() {
-                            let p = partition_of(row.values().iter(), 0);
-                            if let Err(e) = parts[p].write(TAG_FRESH, row) {
-                                failed = Some(e);
-                                break;
-                            }
-                        }
-                        chunk.recycle();
-                        if let Some(e) = failed {
-                            self.state = DistinctState::Done;
-                            return Some(Err(e));
-                        }
-                    }
-                    None => {
-                        let mut parts =
-                            match std::mem::replace(&mut self.state, DistinctState::Done) {
-                                DistinctState::Spilling { parts } => parts,
-                                _ => unreachable!("matched Spilling above"),
-                            };
-                        if let Err(e) = parts.iter_mut().try_for_each(RunFile::seal) {
-                            return Some(Err(e));
-                        }
-                        self.state = DistinctState::Draining {
-                            tasks: parts.into_iter().map(|f| (f, 1)).collect(),
-                            ready: VecDeque::new(),
-                        };
-                    }
-                },
-                DistinctState::Draining { tasks, ready } => {
-                    if !ready.is_empty() {
-                        let take = ready.len().min(self.batch);
-                        let rows: Vec<Row> = ready.drain(..take).collect();
-                        return Some(Ok(super::Chunk::new(rows)));
-                    }
-                    let Some((mut file, level)) = tasks.pop_front() else {
-                        self.state = DistinctState::Done;
-                        return None;
-                    };
-                    let budget = self.budget;
-                    let dir = self.dir.clone();
-                    let prof = self.prof.clone();
-                    let result = (|| -> Result<()> {
-                        if file.should_recurse(budget, level) {
-                            if let Some(n) = &prof {
-                                bump(&n.spill_passes, 1);
-                            }
-                            let mut sub = new_partitions(&dir, &prof)?;
-                            let mut reader = file.reader()?;
-                            while let Some((tag, row)) = reader.next()? {
-                                let p = partition_of(row.values().iter(), level);
-                                sub[p].write(tag, &row)?;
-                            }
-                            for mut f in sub {
-                                if f.rows() > 0 {
-                                    f.seal()?;
-                                    tasks.push_back((f, level + 1));
-                                }
-                            }
-                            return Ok(());
-                        }
-                        let mut local: HashSet<Row, CellHash> = HashSet::default();
-                        let mut reader = file.reader()?;
-                        while let Some((tag, row)) = reader.next()? {
-                            let fresh = local.insert(row.clone());
-                            if fresh && tag == TAG_FRESH {
-                                ready.push_back(row);
-                            }
-                        }
-                        Ok(())
-                    })();
-                    if let Err(e) = result {
-                        self.state = DistinctState::Done;
-                        return Some(Err(e));
-                    }
+        while !matches!(self.state, DistinctState::Done) {
+            match self.step() {
+                Ok(Some(chunk)) => return Some(Ok(chunk)),
+                Ok(None) => {}
+                Err(e) => {
+                    self.state = DistinctState::Done;
+                    return Some(Err(e));
                 }
-                DistinctState::Done => return None,
             }
         }
+        None
     }
 }
 
@@ -993,8 +962,6 @@ pub(crate) struct GraceJoin<'a> {
     prof: SpillProf,
     /// (build partition, probe partition, level) pairs awaiting work.
     tasks: VecDeque<(RunFile, RunFile, u32)>,
-    /// Queued output (chunks and split-off residual errors) in order.
-    pending: VecDeque<Result<super::Chunk>>,
     /// The partition pair currently streaming probes.
     current: Option<CurrentPair>,
     build_parts: Option<Vec<RunFile>>,
@@ -1031,7 +998,6 @@ impl<'a> GraceJoin<'a> {
             anti: false,
             prof,
             tasks: VecDeque::new(),
-            pending: VecDeque::new(),
             current: None,
             build_parts: Some(build_parts),
             done: false,
@@ -1057,24 +1023,18 @@ impl<'a> GraceJoin<'a> {
         join
     }
 
-    /// Drain the probe stream into partitions matching the build's. Probe
-    /// errors are queued in encounter order (they precede all join
-    /// output: nothing has been emitted yet).
+    /// Drain the probe stream into partitions matching the build's.
     fn partition_probe(&mut self) -> Result<()> {
         let probe = self.probe.take().expect("probe partitioned once");
         let mut parts = new_partitions(&self.dir, &self.prof)?;
-        for item in probe {
-            match item {
-                Err(e) => self.pending.push_back(Err(e)),
-                Ok(mut chunk) => {
-                    chunk.ensure_rows();
-                    for row in chunk.iter() {
-                        let p = partition_of(self.on.iter().map(|&(lc, _)| &row[lc]), 0);
-                        parts[p].write(0, row)?;
-                    }
-                    chunk.recycle();
-                }
+        for chunk in probe {
+            let mut chunk = chunk?;
+            chunk.ensure_rows();
+            for row in chunk.iter() {
+                let p = partition_of(self.on.iter().map(|&(lc, _)| &row[lc]), 0);
+                parts[p].write(0, row)?;
             }
+            chunk.recycle();
         }
         let build = self.build_parts.take().expect("build partitions present");
         for (b, mut p) in build.into_iter().zip(parts) {
@@ -1134,87 +1094,55 @@ impl<'a> GraceJoin<'a> {
         Ok(())
     }
 
-    /// Probe up to `batch` output rows from the current pair. Residual
-    /// evaluation errors split the output exactly like the in-memory
-    /// probe loop: the successful prefix first, then the error.
-    fn pump_current(&mut self) -> Result<()> {
+    /// Probe up to `batch` output rows from the current pair.
+    fn pump_current(&mut self) -> Result<Option<super::Chunk>> {
         let Some(pair) = &mut self.current else {
-            return Ok(());
+            return Ok(None);
         };
         let mut out: Vec<Row> = Vec::with_capacity(self.batch);
-        loop {
+        while out.len() < self.batch {
             let Some((_, lrow)) = pair.reader.next()? else {
                 self.current = None;
                 break;
             };
             let key: Box<[Value]> = self.on.iter().map(|&(lc, _)| lrow[lc].clone()).collect();
+            let hits = pair.table.get(&key);
             if self.anti {
                 // Emit the left row iff no build row satisfies the
-                // residual; a residual error drops the row and splits
-                // the output, like the in-memory anti filter.
-                match pair.table.get(&key) {
-                    None => out.push(lrow),
-                    Some(hits) => match self.residual {
-                        None => {}
-                        Some(e) => {
-                            let mut keep = true;
-                            for rrow in hits {
-                                match e.eval_bool(&lrow.concat(rrow)) {
-                                    Ok(true) => {
-                                        keep = false;
-                                        break;
-                                    }
-                                    Ok(false) => {}
-                                    Err(err) => {
-                                        if !out.is_empty() {
-                                            self.pending.push_back(Ok(super::Chunk::new(
-                                                std::mem::take(&mut out),
-                                            )));
-                                        }
-                                        self.pending.push_back(Err(err));
-                                        keep = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            if keep {
-                                out.push(lrow);
-                            }
-                        }
-                    },
+                // residual.
+                let matched = hits.is_some_and(|hits| {
+                    self.residual
+                        .is_none_or(|e| hits.iter().any(|rrow| e.eval_bool(&lrow.concat(rrow))))
+                });
+                if !matched {
+                    out.push(lrow);
                 }
-            } else if let Some(hits) = pair.table.get(&key) {
-                for rrow in hits {
+            } else {
+                for rrow in hits.into_iter().flatten() {
                     let joined = lrow.concat(rrow);
-                    match self.residual {
-                        None => out.push(joined),
-                        Some(e) => match e.eval_bool(&joined) {
-                            Ok(true) => out.push(joined),
-                            Ok(false) => {}
-                            Err(err) => {
-                                if !out.is_empty() {
-                                    self.pending
-                                        .push_back(Ok(super::Chunk::new(std::mem::take(&mut out))));
-                                }
-                                self.pending.push_back(Err(err));
-                                // One error per failing probe row: its
-                                // remaining matches are abandoned,
-                                // exactly like the in-memory probe
-                                // closure returning `Err`.
-                                break;
-                            }
-                        },
+                    if self.residual.is_none_or(|e| e.eval_bool(&joined)) {
+                        out.push(joined);
                     }
                 }
             }
-            if out.len() >= self.batch {
-                break;
-            }
         }
-        if !out.is_empty() {
-            self.pending.push_back(Ok(super::Chunk::new(out)));
+        Ok((!out.is_empty()).then(|| super::Chunk::new(out)))
+    }
+
+    /// One unit of work: partition the probe side, set up the next
+    /// partition pair, or probe the current pair, returning its rows.
+    /// Sets `done` when no work is left.
+    fn step(&mut self) -> Result<Option<super::Chunk>> {
+        if self.probe.is_some() {
+            self.partition_probe()?;
+        } else if self.current.is_some() {
+            return self.pump_current();
+        } else if let Some((b, p, level)) = self.tasks.pop_front() {
+            self.start_task(b, p, level)?;
+        } else {
+            self.done = true;
         }
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -1222,42 +1150,17 @@ impl Iterator for GraceJoin<'_> {
     type Item = Result<super::Chunk>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.pending.pop_front() {
-                return Some(item);
-            }
-            if self.done {
-                return None;
-            }
-            let step = (|| -> Result<bool> {
-                if self.probe.is_some() {
-                    self.partition_probe()?;
-                    return Ok(true);
-                }
-                if self.current.is_some() {
-                    self.pump_current()?;
-                    return Ok(true);
-                }
-                match self.tasks.pop_front() {
-                    Some((b, p, level)) => {
-                        self.start_task(b, p, level)?;
-                        Ok(true)
-                    }
-                    None => Ok(false),
-                }
-            })();
-            match step {
+        while !self.done {
+            match self.step() {
+                Ok(Some(chunk)) => return Some(Ok(chunk)),
+                Ok(None) => {}
                 Err(e) => {
                     self.done = true;
                     return Some(Err(e));
                 }
-                Ok(true) => continue,
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
             }
         }
+        None
     }
 }
 

@@ -31,14 +31,13 @@
 //! * join build sides and Distinct's seen-set are the materialization
 //!   points.
 //!
-//! ## Error order is preserved
+//! ## Errors
 //!
-//! Tuple-at-a-time execution surfaces a row's evaluation error only when
-//! that row is demanded; rows before it flow through untouched. Chunked
-//! operators keep that contract by **splitting** a chunk at the first
-//! failing row: the successfully processed prefix is emitted first, the
-//! error after it, and processing resumes behind it. A consumer that
-//! stops pulling after the prefix therefore never observes the error.
+//! A plan that opens cannot fail per row: [`Plan::arity`] checked every
+//! column and every predicate's shape, so evaluating an expression cannot
+//! fail. The errors left are a spill file's I/O errors and internal
+//! ones. A stream ends at its first error: the operator that meets one
+//! yields it and stops, and [`ChunkStream`] yields nothing after it.
 
 use super::access::{self, IndexAccess, Read};
 use super::spill::{self, SpillCtx, SpillOptions};
@@ -52,7 +51,7 @@ use crate::obs::profile::{bump, raise, NodeObs, ProfNode, Profile};
 use crate::plan::Plan;
 use crate::row::{Projector, Row};
 use crate::value::{Str, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -389,16 +388,6 @@ impl Chunk {
         &rows[i as usize]
     }
 
-    /// Move the backing row at a window-relative index out of the chunk
-    /// (row-major chunks leave a placeholder; columnar chunks
-    /// materialize the row — the window is immutable shared storage).
-    fn take_row(&mut self, i: u32) -> Row {
-        match &mut self.repr {
-            Repr::Rows(rows) => std::mem::replace(&mut rows[i as usize], Row::empty()),
-            Repr::Cols(w) => w.cols.row_at(w.start + i as usize),
-        }
-    }
-
     /// Clone the single cell at window-relative index `i`, column `c`,
     /// without materializing the row — how the join probe reads its key
     /// columns from a columnar window.
@@ -452,9 +441,8 @@ type BoxChunkIter<'a> = Box<dyn Iterator<Item = Result<Chunk>> + 'a>;
 /// A pull-based stream of chunks produced by [`Executor::open_chunks`].
 ///
 /// Chunks are computed on demand: dropping the stream early abandons the
-/// rest of the computation. An `Err` item reports an evaluation error at
-/// its position in row order; pulling past it is allowed and yields
-/// whatever the underlying operators produce next.
+/// rest of the computation. An `Err` item is the last item: the stream
+/// drops its operators (and their spill files) and ends there.
 pub struct ChunkStream<'a> {
     inner: BoxChunkIter<'a>,
 }
@@ -479,7 +467,11 @@ impl Iterator for ChunkStream<'_> {
     type Item = Result<Chunk>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
+        let item = self.inner.next()?;
+        if item.is_err() {
+            self.inner = Box::new(std::iter::empty());
+        }
+        Some(item)
     }
 }
 
@@ -920,7 +912,10 @@ fn open_node<'a>(
                 chunked_cols(set, batch)
             }
         },
-        Plan::Values { rows, .. } => chunked_rows(rows.iter().cloned(), batch),
+        Plan::Values { rows, .. } => Box::new(batches(rows.iter().cloned(), batch).map(|rows| {
+            metrics().add(Metric::RowsScanned, rows.len() as u64);
+            Ok(Chunk::new(rows))
+        })),
         Plan::Selection { input, predicate } => {
             open_selection(db, input, predicate, batch, spill, obs)?
         }
@@ -941,7 +936,7 @@ fn open_node<'a>(
                 Box::new(ProjectChunks { input, proj })
             } else {
                 map_chunks(input, batch, move |row, out| {
-                    out.push(Row::try_from_fn(exprs.len(), |i| exprs[i].eval(row))?);
+                    out.push(Row::new(exprs.iter().map(|e| e.eval(row))));
                     Ok(())
                 })
             }
@@ -988,47 +983,34 @@ fn open_node<'a>(
     Ok(obs.wrap(iter))
 }
 
-/// First-chunk size of the leaf ramp-up: scans and literal relations
-/// start with a small batch and double up to the configured size, so a
-/// first-rows consumer (an abandoned stream) touches tens of
-/// rows, not a full batch, while steady-state throughput still runs at
-/// `batch`.
-const RAMP_START: usize = 32;
-
-/// Gather the rows of a literal relation into batches, lazily, ramping
-/// the chunk size up from [`RAMP_START`] to `batch`. Batch buffers come
-/// from the thread-local pool.
-fn chunked_rows<'a>(iter: impl Iterator<Item = Row> + 'a, batch: usize) -> BoxChunkIter<'a> {
+/// Gather rows into batches of `batch` rows, lazily, the last one
+/// shorter. Each buffer comes from the thread-local pool, sized for the
+/// rows the iterator can still yield, so a three-row literal relation
+/// does not take a batch-sized buffer.
+fn batches<'a>(
+    iter: impl Iterator<Item = Row> + 'a,
+    batch: usize,
+) -> impl Iterator<Item = Vec<Row>> + 'a {
     let mut iter = iter.peekable();
-    let mut size = RAMP_START.min(batch);
-    Box::new(std::iter::from_fn(move || {
+    std::iter::from_fn(move || {
         iter.peek()?;
-        let mut rows = pool::take_rows(size);
-        rows.extend(iter.by_ref().take(size));
-        size = (size * 2).min(batch);
-        metrics().add(Metric::RowsScanned, rows.len() as u64);
-        Some(Ok(Chunk::new(rows)))
-    }))
+        let left = iter.size_hint().1.unwrap_or(batch);
+        let mut rows = pool::take_rows(left.min(batch));
+        rows.extend(iter.by_ref().take(batch));
+        Some(rows)
+    })
 }
 
-/// Slice a columnar batch into window chunks without touching a single
-/// row, ramping the chunk size up from [`RAMP_START`] to `batch` exactly
-/// like [`chunked_rows`]. Each chunk is an `Arc` clone plus two offsets.
+/// Slice a columnar batch into window chunks of `batch` rows (the last
+/// one shorter) without touching a single row. Each chunk is an `Arc`
+/// clone plus two offsets.
 fn chunked_cols<'a>(cols: Arc<ColumnSet>, batch: usize) -> BoxChunkIter<'a> {
     let total = cols.len();
-    let mut start = 0usize;
-    let mut size = RAMP_START.min(batch);
-    Box::new(std::iter::from_fn(move || {
-        if start >= total {
-            return None;
-        }
-        let n = size.min(total - start);
-        let chunk = Chunk::from_cols(Arc::clone(&cols), start, n);
-        start += n;
-        size = (size * 2).min(batch);
+    Box::new((0..total).step_by(batch).map(move |start| {
+        let n = batch.min(total - start);
         metrics().add(Metric::RowsScanned, n as u64);
         metrics().incr(Metric::ColumnarChunks);
-        Some(Ok(chunk))
+        Ok(Chunk::from_cols(Arc::clone(&cols), start, n))
     }))
 }
 
@@ -1042,13 +1024,7 @@ fn chunked_owned<'a>(rows: Vec<Row>, batch: usize) -> BoxChunkIter<'a> {
         }
         return Box::new(std::iter::once(Ok(Chunk::new(rows))));
     }
-    let mut iter = rows.into_iter().peekable();
-    Box::new(std::iter::from_fn(move || {
-        iter.peek()?;
-        let mut rows = pool::take_rows(batch);
-        rows.extend(iter.by_ref().take(batch));
-        Some(Ok(Chunk::new(rows)))
-    }))
+    Box::new(batches(rows.into_iter(), batch).map(|rows| Ok(Chunk::new(rows))))
 }
 
 // ---------------------------------------------------------------------------
@@ -1137,146 +1113,64 @@ fn open_selection<'a>(
             bump(&n.rows_in, 1);
             bump(&n.fallback_rows, 1);
         }
-        predicate.eval_bool(row)
+        Ok(predicate.eval_bool(row))
     }))
 }
 
-/// Interpreter filter over scan rows with error splitting: rows before a
-/// failing row are emitted ahead of the error, and scanning resumes
-/// behind it.
+/// Interpreter filter over scan rows, batching the rows that pass.
 fn filtered_scan<'a>(
     rows: impl Iterator<Item = Row> + 'a,
     predicate: &'a Expr,
     batch: usize,
 ) -> BoxChunkIter<'a> {
-    let mut refs = rows.peekable();
-    let mut pending: VecDeque<Result<Chunk>> = VecDeque::new();
-    Box::new(std::iter::from_fn(move || loop {
-        if let Some(item) = pending.pop_front() {
-            return Some(item);
-        }
-        refs.peek()?;
-        let mut out: Vec<Row> = pool::take_rows(batch.min(RAMP_START));
-        for row in refs.by_ref() {
-            match predicate.eval_bool(&row) {
-                Ok(true) => {
-                    out.push(row);
-                    if out.len() >= batch {
-                        break;
-                    }
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    if !out.is_empty() {
-                        pending.push_back(Ok(Chunk::new(std::mem::take(&mut out))));
-                    }
-                    pending.push_back(Err(e));
-                    break;
-                }
-            }
-        }
-        if !out.is_empty() {
-            pending.push_back(Ok(Chunk::new(out)));
-        }
-    }))
+    let passed = rows.filter(move |row| predicate.eval_bool(row));
+    Box::new(batches(passed, batch).map(|rows| Ok(Chunk::new(rows))))
 }
 
-/// Selection-vector filter with a fallible per-row predicate.
-///
-/// Clean chunks (the overwhelmingly common case) are filtered in place —
-/// only the selection vector is written. A chunk containing failing rows
-/// is split: passing rows before each error are emitted (cloned) ahead
-/// of it, preserving tuple-at-a-time error order.
+/// Selection-vector filter: only the selection vector is written, no row
+/// is moved. A `pred` error (a spill file's read) ends the stream.
 fn filter_chunks<'a>(
-    input: BoxChunkIter<'a>,
+    mut input: BoxChunkIter<'a>,
     mut pred: impl FnMut(&Row) -> Result<bool> + 'a,
 ) -> BoxChunkIter<'a> {
-    let mut input = input;
-    let mut pending: VecDeque<Result<Chunk>> = VecDeque::new();
     Box::new(std::iter::from_fn(move || loop {
-        if let Some(item) = pending.pop_front() {
-            return Some(item);
-        }
-        match input.next()? {
+        let mut chunk = match input.next()? {
+            Ok(chunk) => chunk,
             Err(e) => return Some(Err(e)),
-            Ok(mut chunk) => {
-                // Fallible predicates want `&Row`s: materialize columnar
-                // windows once per chunk (live rows only).
-                chunk.ensure_rows();
-                let n = chunk.len();
-                let mut sel = pool::take_sel(n);
-                let mut first_err = None;
-                let mut k = 0;
-                while k < n {
-                    let i = chunk.live_at(k);
-                    match pred(chunk.row(i)) {
-                        Ok(true) => sel.push(i),
-                        Ok(false) => {}
-                        Err(e) => {
-                            first_err = Some(e);
-                            k += 1;
-                            break;
-                        }
-                    }
-                    k += 1;
+        };
+        // The predicate wants `&Row`s: materialize columnar windows once
+        // per chunk (live rows only).
+        chunk.ensure_rows();
+        let mut sel = pool::take_sel(chunk.len());
+        for k in 0..chunk.len() {
+            let i = chunk.live_at(k);
+            match pred(chunk.row(i)) {
+                Ok(true) => sel.push(i),
+                Ok(false) => {}
+                Err(e) => {
+                    pool::give_sel(sel);
+                    chunk.recycle();
+                    return Some(Err(e));
                 }
-                let Some(first_err) = first_err else {
-                    // Clean chunk (the overwhelmingly common case):
-                    // only the selection vector changes hands.
-                    if sel.is_empty() {
-                        pool::give_sel(sel);
-                        chunk.recycle();
-                        continue;
-                    }
-                    if let Some(old) = chunk.sel.take() {
-                        pool::give_sel(old);
-                    }
-                    chunk.sel = Some(sel);
-                    return Some(Ok(chunk));
-                };
-                // Rare error path: emit the passing prefix (rows moved
-                // out — the chunk is recycled below), then the error,
-                // then keep splitting the remainder in row order.
-                let emit_segment =
-                    |sel: &mut Vec<u32>,
-                     chunk: &mut Chunk,
-                     pending: &mut VecDeque<Result<Chunk>>| {
-                        if sel.is_empty() {
-                            return;
-                        }
-                        let mut rows = pool::take_rows(sel.len());
-                        rows.extend(sel.drain(..).map(|i| chunk.take_row(i)));
-                        pending.push_back(Ok(Chunk::new(rows)));
-                    };
-                emit_segment(&mut sel, &mut chunk, &mut pending);
-                pending.push_back(Err(first_err));
-                while k < n {
-                    let i = chunk.live_at(k);
-                    match pred(chunk.row(i)) {
-                        Ok(true) => sel.push(i),
-                        Ok(false) => {}
-                        Err(e) => {
-                            emit_segment(&mut sel, &mut chunk, &mut pending);
-                            pending.push_back(Err(e));
-                        }
-                    }
-                    k += 1;
-                }
-                emit_segment(&mut sel, &mut chunk, &mut pending);
-                pool::give_sel(sel);
-                chunk.recycle();
             }
         }
+        if sel.is_empty() {
+            pool::give_sel(sel);
+            chunk.recycle();
+            continue;
+        }
+        if let Some(old) = chunk.sel.replace(sel) {
+            pool::give_sel(old);
+        }
+        return Some(Ok(chunk));
     }))
 }
 
-/// Fallible per-row flat-map over chunks: `f` pushes zero or more output
-/// rows per live input row. Output flushes the moment a `batch`-sized
-/// chunk fills — **mid-input-chunk** — and processing resumes from the
-/// saved position on the next pull, so a consumer that stops pulling
-/// never pays for the rest of the batch (first-rows latency does not
-/// regress under chunking). An error splits the output so rows produced
-/// before it are emitted first (tuple-at-a-time error order).
+/// Per-row flat-map over chunks: `f` pushes zero or more output rows per
+/// live input row. Output chunks hold `batch` rows (the last one fewer):
+/// rows past a full batch wait for the next pull, and processing resumes
+/// from the saved input position. An error from `f` (a spill file's
+/// read) ends the stream.
 fn map_chunks<'a>(
     input: BoxChunkIter<'a>,
     batch: usize,
@@ -1304,7 +1198,6 @@ fn map_cells<'a>(
         f,
         batch,
         materialize,
-        pending: VecDeque::new(),
         current: None,
         out: Vec::new(),
         done: false,
@@ -1318,8 +1211,6 @@ struct MapChunks<'a, F> {
     /// Convert incoming columnar windows to rows up front (required by
     /// closures that borrow `&Row`s via [`Chunk::row`]).
     materialize: bool,
-    /// Emitted-but-not-yet-pulled items, in row order.
-    pending: VecDeque<Result<Chunk>>,
     /// The partially processed input chunk and the next live position —
     /// resumption state for mid-chunk flushes.
     current: Option<(Chunk, usize)>,
@@ -1334,47 +1225,31 @@ impl<F: FnMut(&Chunk, u32, &mut Vec<Row>) -> Result<()>> Iterator for MapChunks<
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(item) = self.pending.pop_front() {
-                return Some(item);
+            if self.done {
+                return None;
+            }
+            if self.out.len() >= self.batch {
+                // Emit one batch; rows past it (a row's fan-out) stay.
+                let mut full = std::mem::replace(&mut self.out, pool::take_rows(self.batch));
+                self.out.extend(full.drain(self.batch..));
+                return Some(Ok(Chunk::new(full)));
             }
             if let Some((chunk, pos)) = &mut self.current {
                 let n = chunk.len();
-                while *pos < n {
+                while *pos < n && self.out.len() < self.batch {
                     let i = chunk.live_at(*pos);
                     *pos += 1;
-                    match (self.f)(chunk, i, &mut self.out) {
-                        Ok(()) => {
-                            if self.out.len() >= self.batch {
-                                let out =
-                                    std::mem::replace(&mut self.out, pool::take_rows(self.batch));
-                                self.pending.push_back(Ok(Chunk::new(out)));
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            if !self.out.is_empty() {
-                                let out =
-                                    std::mem::replace(&mut self.out, pool::take_rows(self.batch));
-                                self.pending.push_back(Ok(Chunk::new(out)));
-                            }
-                            self.pending.push_back(Err(e));
-                            break;
-                        }
+                    if let Err(e) = (self.f)(chunk, i, &mut self.out) {
+                        self.done = true;
+                        return Some(Err(e));
                     }
                 }
-                if self
-                    .current
-                    .as_ref()
-                    .is_some_and(|(chunk, pos)| *pos >= chunk.len())
-                {
+                if *pos >= n {
                     if let Some((chunk, _)) = self.current.take() {
                         chunk.recycle();
                     }
                 }
                 continue;
-            }
-            if self.done {
-                return None;
             }
             match self.input.next() {
                 None => {
@@ -1385,13 +1260,8 @@ impl<F: FnMut(&Chunk, u32, &mut Vec<Row>) -> Result<()>> Iterator for MapChunks<
                     return None;
                 }
                 Some(Err(e)) => {
-                    // Flush accumulated output first: it precedes the
-                    // error in row order.
-                    if !self.out.is_empty() {
-                        let out = std::mem::replace(&mut self.out, pool::take_rows(self.batch));
-                        self.pending.push_back(Ok(Chunk::new(out)));
-                    }
-                    self.pending.push_back(Err(e));
+                    self.done = true;
+                    return Some(Err(e));
                 }
                 Some(Ok(mut chunk)) => {
                     // `&Row`-borrowing closures need row-major storage:
@@ -1484,20 +1354,12 @@ fn open_join<'a>(
     let mut right = BoundedSide::collect(db, right, batch, spill, obs)?;
     let left = open_node(db, left, batch, spill, &obs.child(0))?;
     Ok(map_chunks(left, batch, move |lrow, out| {
-        let emit = |joined: Row, out: &mut Vec<Row>| -> Result<()> {
-            match residual {
-                None => out.push(joined),
-                Some(e) => {
-                    if e.eval_bool(&joined)? {
-                        out.push(joined);
-                    }
-                }
-            }
-            Ok(())
-        };
         right.each(|rrow| {
-            emit(lrow.concat(rrow), out)?;
-            Ok(true)
+            let joined = lrow.concat(rrow);
+            if residual.is_none_or(|e| e.eval_bool(&joined)) {
+                out.push(joined);
+            }
+            true
         })
     }))
 }
@@ -1558,16 +1420,17 @@ impl BoundedSide {
     }
 
     /// Call `f` on every row, in arrival order, until it returns false.
-    fn each(&mut self, mut f: impl FnMut(&Row) -> Result<bool>) -> Result<()> {
+    /// The one error is reading the overflow run back.
+    fn each(&mut self, mut f: impl FnMut(&Row) -> bool) -> Result<()> {
         for row in &self.mem {
-            if !f(row)? {
+            if !f(row) {
                 return Ok(());
             }
         }
         if let Some(run) = &mut self.overflow {
             let mut reader = run.reader()?;
             while let Some((_, row)) = reader.next()? {
-                if !f(&row)? {
+                if !f(&row) {
                     return Ok(());
                 }
             }
@@ -1622,13 +1485,8 @@ fn hash_join<'a>(
         if let Some(hits) = build.get(&key) {
             for rrow in hits {
                 let joined = chunk.concat_row(i, rrow);
-                match residual {
-                    None => out.push(joined),
-                    Some(e) => {
-                        if e.eval_bool(&joined)? {
-                            out.push(joined);
-                        }
-                    }
+                if residual.is_none_or(|e| e.eval_bool(&joined)) {
+                    out.push(joined);
                 }
             }
         }
@@ -1689,16 +1547,10 @@ fn open_anti_join<'a>(
         // like the cross join's.
         let mut right = BoundedSide::collect(db, right, batch, spill, obs)?;
         return Ok(filter_chunks(left_stream, move |lrow| {
-            let killed = |rrow: &Row| -> Result<bool> {
-                match residual {
-                    None => Ok(true),
-                    Some(e) => e.eval_bool(&lrow.concat(rrow)),
-                }
-            };
             let mut survives = true;
             right.each(|rrow| {
-                survives = !killed(rrow)?;
-                Ok(survives)
+                survives = residual.is_some_and(|e| !e.eval_bool(&lrow.concat(rrow)));
+                survives
             })?;
             Ok(survives)
         }));
@@ -1742,20 +1594,9 @@ fn anti_filter<'a>(
 ) -> BoxChunkIter<'a> {
     filter_chunks(left, move |lrow| {
         let key: Box<[Value]> = on.iter().map(|&(lc, _)| lrow[lc].clone()).collect();
-        match build.get(&key) {
-            None => Ok(true),
-            Some(hits) => match residual {
-                None => Ok(false),
-                Some(e) => {
-                    for rrow in hits {
-                        if e.eval_bool(&lrow.concat(rrow))? {
-                            return Ok(false);
-                        }
-                    }
-                    Ok(true)
-                }
-            },
-        }
+        Ok(build.get(&key).is_none_or(|hits| {
+            residual.is_some_and(|e| !hits.iter().any(|rrow| e.eval_bool(&lrow.concat(rrow))))
+        }))
     })
 }
 
@@ -1836,26 +1677,6 @@ mod tests {
     }
 
     #[test]
-    fn limit_short_circuits_upstream_errors_mid_chunk() {
-        // Both Values rows land in the *same* chunk; the selection splits
-        // the chunk at the failing row, so a consumer that wants one row
-        // is served by the prefix and never demands the error — identical
-        // to the tuple-at-a-time semantics.
-        let db = db();
-        let plan = Plan::Values {
-            arity: 1,
-            rows: vec![row![true], row![1]],
-        }
-        .select(Expr::Col(0));
-        let mut stream = stream_chunks(&db, &plan).unwrap();
-        let first = stream.next().unwrap().unwrap().into_rows();
-        assert_eq!(first, vec![row![true]]);
-        drop(stream);
-        assert!(execute(&db, &plan).is_err());
-        assert!(execute_materialized(&db, &plan).is_err());
-    }
-
-    #[test]
     fn distinct_streams_first_occurrences_in_order() {
         let db = db();
         let plan = Plan::Values {
@@ -1870,34 +1691,40 @@ mod tests {
     #[test]
     fn errors_propagate_through_pipelines() {
         let db = db();
-        // Bare-column predicate over non-boolean rows errors mid-stream.
+        // A bare-column predicate is refused when the plan opens ...
         let plan = Plan::Values {
             arity: 1,
             rows: vec![row![1]],
         }
         .select(Expr::Col(0));
         assert!(execute(&db, &plan).is_err());
-        // And through a projection above it.
+        // ... and so is a plan above it.
         let plan = plan.project_cols(&[0]);
         assert!(execute(&db, &plan).is_err());
     }
 
     #[test]
-    fn error_splitting_preserves_row_order_around_errors() {
-        // Rows 1 and 3 pass, row 2 errors: the stream must yield
-        // Ok(1), Err, Ok(3) in that order.
-        let db = db();
-        let plan = Plan::Values {
-            arity: 1,
-            rows: vec![row![true], row![7], row![true]],
+    fn fan_out_keeps_output_chunks_at_the_batch_size() {
+        // Every left row matches ten right rows, more than a batch: the
+        // join's output chunks hold the batch, never more, and no row is
+        // lost.
+        let mut db = Database::new();
+        let t = db.create_table(TableSchema::keyless("T", &["a"])).unwrap();
+        for i in 0..100i64 {
+            t.insert(row![i % 10]).unwrap();
         }
-        .select(Expr::Col(0));
-        let stream = stream_chunks(&db, &plan).unwrap();
-        let items: Vec<Result<Vec<Row>>> = stream.map(|item| item.map(Chunk::into_rows)).collect();
-        assert_eq!(items.len(), 3, "{items:?}");
-        assert_eq!(items[0].as_ref().unwrap(), &vec![row![true]]);
-        assert!(items[1].is_err());
-        assert_eq!(items[2].as_ref().unwrap(), &vec![row![true]]);
+        let plan = Plan::scan("T")
+            .join(Plan::scan("T"), vec![(0, 0)])
+            .project_cols(&[0, 1]);
+        let sizes: Vec<usize> = Executor::with_batch_size(&db, 7)
+            .open_chunks(&plan)
+            .unwrap()
+            .map(|c| c.unwrap().len())
+            .collect();
+        let (last, full) = sizes.split_last().unwrap();
+        assert!(full.iter().all(|&s| s == 7), "{sizes:?}");
+        assert_eq!(*last, 1000 % 7);
+        assert_eq!(sizes.iter().sum::<usize>(), 1000);
     }
 
     #[test]
@@ -2135,7 +1962,7 @@ mod tests {
                     for r in &rows {
                         assert_eq!(
                             kernel.test(r),
-                            pred.eval_bool(r).unwrap(),
+                            pred.eval_bool(r),
                             "kernel disagrees with interpreter on {pred} over {r}"
                         );
                     }
@@ -2185,7 +2012,7 @@ mod tests {
                 for r in &rows {
                     assert_eq!(
                         kernel.test(r),
-                        pred.eval_bool(r).unwrap(),
+                        pred.eval_bool(r),
                         "fused kernel disagrees with interpreter on {pred} over {r}"
                     );
                 }
@@ -2276,14 +2103,14 @@ mod tests {
         for i in 0..2500i64 {
             t.insert(row![i]).unwrap();
         }
-        // Scan chunks ramp up from 32 and saturate at the batch size.
+        // Scan chunks hold the batch size, the last one the rest.
         let plan = Plan::scan("T");
         let sizes: Vec<usize> = Executor::new(&db)
             .open_chunks(&plan)
             .unwrap()
             .map(|c| c.unwrap().len())
             .collect();
-        assert_eq!(sizes, vec![32, 64, 128, 256, 512, 1024, 484]);
+        assert_eq!(sizes, vec![1024, 1024, 452]);
         assert_eq!(sizes.iter().sum::<usize>(), 2500);
         let sizes: Vec<usize> = Executor::with_batch_size(&db, 100)
             .open_chunks(&plan)

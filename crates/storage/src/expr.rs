@@ -9,22 +9,25 @@
 //! An expression reads its columns from a [`ColumnSource`]: a [`Row`], or
 //! cells read in place where no row has been built (an index probe tests a
 //! table's heap cells, and the join pair they would form, this way).
+//!
+//! Evaluation cannot fail. `Plan::arity` checks every expression of a plan
+//! when it opens: each column is in range, and each predicate has a
+//! boolean shape (`Expr::non_boolean_part`).
 
-use crate::error::{Result, StorageError};
 use crate::row::Row;
 use crate::value::{Cell, Value};
 use std::fmt;
 
 /// Where an [`Expr`] reads column `i` from.
 pub trait ColumnSource {
-    /// The cell in column `i`, borrowed; an error if there is no such
-    /// column.
-    fn cell(&self, i: usize) -> Result<Cell<'_>>;
+    /// The cell in column `i`, borrowed. `i` is in range: the plan that
+    /// holds the expression was checked when it opened.
+    fn cell(&self, i: usize) -> Cell<'_>;
 }
 
 impl ColumnSource for Row {
-    fn cell(&self, i: usize) -> Result<Cell<'_>> {
-        Ok(self.get(i)?.as_cell())
+    fn cell(&self, i: usize) -> Cell<'_> {
+        self[i].as_cell()
     }
 }
 
@@ -140,47 +143,50 @@ impl Expr {
     }
 
     /// Evaluate to a [`Value`].
-    pub fn eval<S: ColumnSource + ?Sized>(&self, src: &S) -> Result<Value> {
-        Ok(self.eval_cell(src)?.to_value())
+    pub fn eval<S: ColumnSource + ?Sized>(&self, src: &S) -> Value {
+        self.eval_cell(src).to_value()
     }
 
     /// Evaluate to a cell borrowed from `src` or from this expression.
-    fn eval_cell<'a, S: ColumnSource + ?Sized>(&'a self, src: &'a S) -> Result<Cell<'a>> {
-        Ok(match self {
-            Expr::Col(i) => src.cell(*i)?,
+    fn eval_cell<'a, S: ColumnSource + ?Sized>(&'a self, src: &'a S) -> Cell<'a> {
+        match self {
+            Expr::Col(i) => src.cell(*i),
             Expr::Lit(v) => v.as_cell(),
-            predicate => Cell::Bool(predicate.eval_bool(src)?),
-        })
+            predicate => Cell::Bool(predicate.eval_bool(src)),
+        }
     }
 
-    /// Evaluate as a boolean predicate.
-    pub fn eval_bool<S: ColumnSource + ?Sized>(&self, src: &S) -> Result<bool> {
+    /// Evaluate as a boolean predicate. A bare column or literal counts as
+    /// true only if it holds `true`; a plan that would use a non-boolean
+    /// one as a predicate is refused when it opens.
+    pub fn eval_bool<S: ColumnSource + ?Sized>(&self, src: &S) -> bool {
         match self {
-            Expr::Cmp(op, a, b) => Ok(op.test(a.eval_cell(src)?, b.eval_cell(src)?)),
-            Expr::And(parts) => {
-                for p in parts {
-                    if !p.eval_bool(src)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+            Expr::Cmp(op, a, b) => op.test(a.eval_cell(src), b.eval_cell(src)),
+            Expr::And(parts) => parts.iter().all(|p| p.eval_bool(src)),
+            Expr::Or(parts) => parts.iter().any(|p| p.eval_bool(src)),
+            Expr::Not(inner) => !inner.eval_bool(src),
+            Expr::Col(_) | Expr::Lit(_) => matches!(self.eval_cell(src), Cell::Bool(true)),
+        }
+    }
+
+    /// The first part of this expression that is not boolean-shaped where
+    /// a boolean is needed, or `None` if there is none. A boolean-shaped
+    /// expression is a comparison, a boolean literal, or an AND / OR / NOT
+    /// of boolean-shaped parts. The expression itself must be one when
+    /// `predicate` is set (a selection predicate, a join residual); every
+    /// part of an AND / OR / NOT inside it must be one in any case,
+    /// comparison operands included.
+    pub(crate) fn non_boolean_part(&self, predicate: bool) -> Option<&Expr> {
+        match self {
+            Expr::Lit(Value::Bool(_)) => None,
+            Expr::Col(_) | Expr::Lit(_) => predicate.then_some(self),
+            Expr::Cmp(_, a, b) => a
+                .non_boolean_part(false)
+                .or_else(|| b.non_boolean_part(false)),
+            Expr::And(parts) | Expr::Or(parts) => {
+                parts.iter().find_map(|p| p.non_boolean_part(true))
             }
-            Expr::Or(parts) => {
-                for p in parts {
-                    if p.eval_bool(src)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Expr::Not(inner) => Ok(!inner.eval_bool(src)?),
-            Expr::Col(_) | Expr::Lit(_) => match self.eval_cell(src)? {
-                Cell::Bool(b) => Ok(b),
-                other => Err(StorageError::TypeError(format!(
-                    "expected boolean predicate, got `{}`",
-                    other.to_value()
-                ))),
-            },
+            Expr::Not(inner) => inner.non_boolean_part(true),
         }
     }
 
@@ -286,43 +292,51 @@ mod tests {
     #[test]
     fn eval_column_and_literal() {
         let r = row!["s1", "crow", 3];
-        assert_eq!(Expr::col(1).eval(&r).unwrap(), Value::str("crow"));
-        assert_eq!(Expr::lit(7).eval(&r).unwrap(), Value::int(7));
-        assert!(Expr::col(9).eval(&r).is_err());
+        assert_eq!(Expr::col(1).eval(&r), Value::str("crow"));
+        assert_eq!(Expr::lit(7).eval(&r), Value::int(7));
     }
 
     #[test]
     fn eval_predicates() {
         let r = row!["s1", "crow", 3];
-        assert!(Expr::col_eq_lit(1, "crow").eval_bool(&r).unwrap());
-        assert!(!Expr::col_eq_lit(1, "raven").eval_bool(&r).unwrap());
+        assert!(Expr::col_eq_lit(1, "crow").eval_bool(&r));
+        assert!(!Expr::col_eq_lit(1, "raven").eval_bool(&r));
         let pred = Expr::and(vec![
             Expr::col_eq_lit(0, "s1"),
             Expr::cmp(CmpOp::Gt, Expr::col(2), Expr::lit(2)),
         ]);
-        assert!(pred.eval_bool(&r).unwrap());
+        assert!(pred.eval_bool(&r));
         let pred = Expr::or(vec![
             Expr::col_eq_lit(1, "raven"),
             Expr::col_eq_lit(1, "crow"),
         ]);
-        assert!(pred.eval_bool(&r).unwrap());
-        assert!(!Expr::Not(Box::new(Expr::lit(true))).eval_bool(&r).unwrap());
+        assert!(pred.eval_bool(&r));
+        assert!(!Expr::Not(Box::new(Expr::lit(true))).eval_bool(&r));
     }
 
     #[test]
     fn empty_and_or() {
         let r = row![1];
-        assert!(Expr::And(vec![]).eval_bool(&r).unwrap());
-        assert!(!Expr::Or(vec![]).eval_bool(&r).unwrap());
+        assert!(Expr::And(vec![]).eval_bool(&r));
+        assert!(!Expr::Or(vec![]).eval_bool(&r));
     }
 
     #[test]
-    fn eval_bool_rejects_non_bool() {
-        let r = row![1];
-        assert!(matches!(
-            Expr::col(0).eval_bool(&r),
-            Err(StorageError::TypeError(_))
-        ));
+    fn non_boolean_parts_are_found_anywhere() {
+        let not_col = Expr::Not(Box::new(Expr::col(2)));
+        assert_eq!(Expr::col(0).non_boolean_part(true), Some(&Expr::col(0)));
+        assert_eq!(Expr::lit(1).non_boolean_part(true), Some(&Expr::lit(1)));
+        assert_eq!(Expr::lit(true).non_boolean_part(true), None);
+        assert_eq!(Expr::col(0).non_boolean_part(false), None);
+        // Inside a comparison, an operand may be any value ...
+        assert_eq!(Expr::col_eq_lit(0, 1).non_boolean_part(true), None);
+        // ... but a NOT, AND or OR needs boolean parts wherever it sits.
+        let cmp = Expr::cmp(CmpOp::Eq, not_col, Expr::lit(true));
+        assert_eq!(cmp.non_boolean_part(true), Some(&Expr::col(2)));
+        let and = Expr::And(vec![Expr::col_eq_lit(0, 1), Expr::lit("x")]);
+        assert_eq!(and.non_boolean_part(false), Some(&Expr::lit("x")));
+        let or = Expr::Or(vec![Expr::lit(false), Expr::col_eq_col(0, 1)]);
+        assert_eq!(Expr::Not(Box::new(or)).non_boolean_part(true), None);
     }
 
     #[test]
@@ -333,7 +347,7 @@ mod tests {
         let shifted = e.remap_cols(&|i| i + 10);
         assert_eq!(shifted.max_col(), Some(14));
         let r = row![0, "a", "x", 0, "a", 0, 0, 0, 0, 0, 0, "a", "x", 0, "a"];
-        assert!(shifted.eval_bool(&r).unwrap());
+        assert!(shifted.eval_bool(&r));
     }
 
     #[test]
@@ -367,12 +381,12 @@ mod tests {
             ]),
         ]);
         // stated negative: matches
-        assert!(cond.eval_bool(&row!["c1", "o1", "c1", "o1", "-"]).unwrap());
+        assert!(cond.eval_bool(&row!["c1", "o1", "c1", "o1", "-"]));
         // unstated negative: same key, different category
-        assert!(cond.eval_bool(&row!["c1", "o1", "c2", "o1", "+"]).unwrap());
+        assert!(cond.eval_bool(&row!["c1", "o1", "c2", "o1", "+"]));
         // identical positive: no conflict
-        assert!(!cond.eval_bool(&row!["c1", "o1", "c1", "o1", "+"]).unwrap());
+        assert!(!cond.eval_bool(&row!["c1", "o1", "c1", "o1", "+"]));
         // different negative: not a match
-        assert!(!cond.eval_bool(&row!["c1", "o1", "c2", "o1", "-"]).unwrap());
+        assert!(!cond.eval_bool(&row!["c1", "o1", "c2", "o1", "-"]));
     }
 }

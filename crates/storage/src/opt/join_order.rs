@@ -41,18 +41,12 @@ struct Chain {
 
 fn flatten(db: &Database, plan: Plan, start: usize, chain: &mut Chain) -> Result<usize> {
     match plan {
-        // A residual that is not boolean-shaped could raise a TypeError if
-        // re-evaluated at a different point in the chain; keep such joins
-        // intact as leaves.
         Plan::Join {
             left,
             right,
             on,
             residual,
-        } if residual
-            .as_ref()
-            .is_none_or(super::rules::is_boolean_shaped) =>
-        {
+        } => {
             let la = flatten(db, *left, start, chain)?;
             let ra = flatten(db, *right, start + la, chain)?;
             for &(lc, rc) in &on {

@@ -141,23 +141,6 @@ fn is_true(e: &Expr) -> bool {
     matches!(e, Expr::Lit(Value::Bool(true)))
 }
 
-/// Conservatively true when evaluating `e` as a predicate can never raise
-/// a `TypeError` on rows of a validated arity: comparisons always yield
-/// booleans, and AND/OR/NOT of boolean-shaped parts stay boolean. A bare
-/// column (or non-boolean literal) may fail `eval_bool` at runtime, and
-/// moving such a predicate to a different position would surface errors
-/// the unoptimized plan never evaluates — so the rules leave those where
-/// they are.
-pub(crate) fn is_boolean_shaped(e: &Expr) -> bool {
-    match e {
-        Expr::Cmp(..) => true,
-        Expr::Lit(Value::Bool(_)) => true,
-        Expr::And(ps) | Expr::Or(ps) => ps.iter().all(is_boolean_shaped),
-        Expr::Not(inner) => is_boolean_shaped(inner),
-        Expr::Col(_) | Expr::Lit(_) => false,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Constant folding over plans
 // ---------------------------------------------------------------------------
@@ -271,27 +254,10 @@ pub fn push_selections(db: &Database, plan: Plan) -> Result<Plan> {
 }
 
 /// Sink `conjuncts` into `input` as deep as possible. `input` has already
-/// been rewritten by [`push_selections`].
-///
-/// Only boolean-shaped conjuncts move ([`is_boolean_shaped`]); anything
-/// that could raise a `TypeError` at evaluation time stays exactly where
-/// the original plan evaluated it, so pushdown never surfaces an error
-/// the unoptimized plan would not have hit.
+/// been rewritten by [`push_selections`]. Every conjunct can move: the
+/// plan passed [`Plan::arity`], so none of them can fail to evaluate.
 fn sink(db: &Database, input: Plan, mut conjuncts: Vec<Expr>) -> Result<Plan> {
     conjuncts.retain(|c| !is_true(c));
-    let kept: Vec<Expr> = conjuncts
-        .iter()
-        .filter(|c| !is_boolean_shaped(c))
-        .cloned()
-        .collect();
-    if !kept.is_empty() {
-        conjuncts.retain(is_boolean_shaped);
-        let pushed = sink(db, input, conjuncts)?;
-        return Ok(Plan::Selection {
-            input: Box::new(pushed),
-            predicate: join_and(kept),
-        });
-    }
     if conjuncts.is_empty() {
         return Ok(input);
     }
@@ -395,25 +361,11 @@ fn sink(db: &Database, input: Plan, mut conjuncts: Vec<Expr>) -> Result<Plan> {
                 },
             })
         }
-        // Literal relations can be filtered right now — unless evaluation
-        // errors (a predicate the executor would also reject), in which
-        // case keep the selection for the executor to report.
-        Plan::Values { arity, rows } => {
+        // Literal relations can be filtered right now.
+        Plan::Values { arity, mut rows } => {
             let pred = join_and(conjuncts);
-            let mut kept = Vec::with_capacity(rows.len());
-            for r in &rows {
-                match pred.eval_bool(r) {
-                    Ok(true) => kept.push(r.clone()),
-                    Ok(false) => {}
-                    Err(_) => {
-                        return Ok(Plan::Selection {
-                            input: Box::new(Plan::Values { arity, rows }),
-                            predicate: pred,
-                        })
-                    }
-                }
-            }
-            Ok(Plan::Values { arity, rows: kept })
+            rows.retain(|r| pred.eval_bool(r));
+            Ok(Plan::Values { arity, rows })
         }
         // Scans keep their selection on top: the executor turns it into an
         // index lookup when the predicate pins indexed columns.
@@ -678,25 +630,14 @@ pub fn fuse_projections(plan: Plan) -> Plan {
                     .map(|e| fold_expr(&subst_expr(e, &inner_exprs)))
                     .collect(),
             },
-            Plan::Values { arity, rows } => {
-                // Evaluate eagerly when every expression evaluates cleanly.
-                let mut out = Vec::with_capacity(rows.len());
-                for r in &rows {
-                    match Row::try_from_fn(exprs.len(), |i| exprs[i].eval(r)) {
-                        Ok(row) => out.push(row),
-                        Err(_) => {
-                            return Plan::Projection {
-                                input: Box::new(Plan::Values { arity, rows }),
-                                exprs,
-                            }
-                        }
-                    }
-                }
-                Plan::Values {
-                    arity: exprs.len(),
-                    rows: out,
-                }
-            }
+            // Literal relations are projected right now.
+            Plan::Values { rows, .. } => Plan::Values {
+                arity: exprs.len(),
+                rows: rows
+                    .iter()
+                    .map(|r| Row::new(exprs.iter().map(|e| e.eval(r))))
+                    .collect(),
+            },
             inner => Plan::Projection {
                 input: Box::new(inner),
                 exprs,
@@ -1177,37 +1118,6 @@ mod tests {
         };
         let s = simplify(&db, u).unwrap();
         assert_eq!(s, Plan::scan("E"));
-    }
-
-    #[test]
-    fn non_boolean_predicates_stay_put() {
-        // A bare-column predicate over an empty join: the unoptimized plan
-        // never evaluates it (no rows reach the selection), so pushdown
-        // must not move it somewhere it would see rows and raise a
-        // TypeError.
-        let db = db();
-        let empty = Plan::Values {
-            arity: 3,
-            rows: vec![],
-        };
-        let original = Plan::scan("Users").join(empty, vec![]).select(Expr::Col(0));
-        assert_eq!(execute(&db, &original).unwrap(), vec![]);
-        let optimized = crate::opt::optimize(&db, original.clone()).unwrap();
-        assert_eq!(
-            execute(&db, &optimized).unwrap(),
-            vec![],
-            "optimizer moved a fallible predicate: {optimized:?}"
-        );
-        // Boolean-shaped conjuncts still sink while the fallible one stays.
-        let mixed = Plan::scan("Users")
-            .join(Plan::scan("E"), vec![(0, 1)])
-            .select(Expr::and(vec![Expr::col_eq_lit(1, "Bob"), Expr::Col(0)]));
-        let pushed = push_selections(&db, mixed).unwrap();
-        let Plan::Selection { predicate, input } = &pushed else {
-            panic!("fallible conjunct must stay on top: {pushed:?}");
-        };
-        assert_eq!(predicate, &Expr::Col(0));
-        assert!(matches!(input.as_ref(), Plan::Join { .. }));
     }
 
     #[test]

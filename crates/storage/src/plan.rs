@@ -128,7 +128,11 @@ impl Plan {
         }
     }
 
-    /// Number of output columns, validated against the catalog.
+    /// Number of output columns, validated against the catalog. This is
+    /// the check a plan passes when it opens: every column an expression
+    /// reads is in range, and every predicate is boolean-shaped
+    /// (`Expr::non_boolean_part`), so evaluating the plan's expressions
+    /// cannot fail.
     pub fn arity(&self, db: &Database) -> Result<usize> {
         match self {
             Plan::Scan { table } => match db.table(table) {
@@ -141,25 +145,13 @@ impl Plan {
             },
             Plan::Selection { input, predicate } => {
                 let a = input.arity(db)?;
-                if let Some(m) = predicate.max_col() {
-                    if m >= a {
-                        return Err(StorageError::PlanError(format!(
-                            "selection references column {m} but input arity is {a}"
-                        )));
-                    }
-                }
+                check_expr(predicate, a, "selection", true)?;
                 Ok(a)
             }
             Plan::Projection { input, exprs } => {
                 let a = input.arity(db)?;
                 for e in exprs {
-                    if let Some(m) = e.max_col() {
-                        if m >= a {
-                            return Err(StorageError::PlanError(format!(
-                                "projection references column {m} but input arity is {a}"
-                            )));
-                        }
-                    }
+                    check_expr(e, a, "projection", false)?;
                 }
                 Ok(exprs.len())
             }
@@ -168,50 +160,32 @@ impl Plan {
                 right,
                 on,
                 residual,
-            } => {
-                let la = left.arity(db)?;
-                let ra = right.arity(db)?;
-                for &(l, r) in on {
-                    if l >= la || r >= ra {
-                        return Err(StorageError::PlanError(format!(
-                            "join key ({l},{r}) out of range for arities ({la},{ra})"
-                        )));
-                    }
-                }
-                if let Some(m) = residual.as_ref().and_then(|e| e.max_col()) {
-                    if m >= la + ra {
-                        return Err(StorageError::PlanError(format!(
-                            "join residual references column {m} but joined arity is {}",
-                            la + ra
-                        )));
-                    }
-                }
-                Ok(la + ra)
             }
-            Plan::AntiJoin {
+            | Plan::AntiJoin {
                 left,
                 right,
                 on,
                 residual,
             } => {
+                let anti = matches!(self, Plan::AntiJoin { .. });
+                let (what, residual_what) = if anti {
+                    ("anti-join", "anti-join residual")
+                } else {
+                    ("join", "join residual")
+                };
                 let la = left.arity(db)?;
                 let ra = right.arity(db)?;
                 for &(l, r) in on {
                     if l >= la || r >= ra {
                         return Err(StorageError::PlanError(format!(
-                            "anti-join key ({l},{r}) out of range for arities ({la},{ra})"
+                            "{what} key ({l},{r}) out of range for arities ({la},{ra})"
                         )));
                     }
                 }
-                if let Some(m) = residual.as_ref().and_then(|e| e.max_col()) {
-                    if m >= la + ra {
-                        return Err(StorageError::PlanError(format!(
-                            "anti-join residual references column {m} but joined arity is {}",
-                            la + ra
-                        )));
-                    }
+                if let Some(e) = residual {
+                    check_expr(e, la + ra, residual_what, true)?;
                 }
-                Ok(la)
+                Ok(if anti { la } else { la + ra })
             }
             Plan::Distinct { input } => input.arity(db),
             Plan::Union { inputs } => {
@@ -239,6 +213,23 @@ impl Plan {
             }
         }
     }
+}
+
+/// Refuse an expression of `what` over `arity` input columns that reads a
+/// column out of range or is not boolean-shaped where a boolean is needed
+/// (`predicate`: a selection predicate or a join residual).
+fn check_expr(e: &Expr, arity: usize, what: &str, predicate: bool) -> Result<()> {
+    if let Some(m) = e.max_col().filter(|&m| m >= arity) {
+        return Err(StorageError::PlanError(format!(
+            "{what} references column {m} but its input arity is {arity}"
+        )));
+    }
+    if let Some(part) = e.non_boolean_part(predicate) {
+        return Err(StorageError::PlanError(format!(
+            "{what} uses `{part}` where a boolean is needed"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -285,6 +276,40 @@ mod tests {
         let ok =
             Plan::scan("Users").join_where(Plan::scan("E"), vec![(0, 1)], Expr::col_eq_lit(4, 1));
         assert_eq!(ok.arity(&db).unwrap(), 5);
+    }
+
+    #[test]
+    fn predicates_must_be_boolean_shaped() {
+        let db = db();
+        let refused = [
+            Plan::scan("Users").select(Expr::col(0)),
+            Plan::scan("Users").select(Expr::lit(1)),
+            Plan::scan("Users").join_where(Plan::scan("E"), vec![(0, 1)], Expr::col(2)),
+            Plan::scan("Users").project(vec![Expr::Not(Box::new(Expr::col(1)))]),
+            Plan::scan("Users").select(Expr::cmp(
+                crate::expr::CmpOp::Eq,
+                Expr::And(vec![Expr::col(0)]),
+                Expr::lit(true),
+            )),
+        ];
+        for plan in refused {
+            assert!(
+                matches!(plan.arity(&db), Err(StorageError::PlanError(m)) if m.contains("where a boolean is needed")),
+                "{plan:?}"
+            );
+        }
+        let accepted = [
+            Plan::scan("Users").select(Expr::lit(true)),
+            Plan::scan("Users").project(vec![Expr::col_eq_lit(0, 1), Expr::lit(2)]),
+            Plan::scan("Users").select(Expr::cmp(
+                crate::expr::CmpOp::Eq,
+                Expr::Not(Box::new(Expr::col_eq_lit(0, 1))),
+                Expr::col(1),
+            )),
+        ];
+        for plan in accepted {
+            assert!(plan.arity(&db).is_ok(), "{plan:?}");
+        }
     }
 
     #[test]

@@ -69,7 +69,8 @@ pub mod codes {
     /// A reserved (`sys.*` / internal-prefix) name where a user name is
     /// required.
     pub const RESERVED_NAME: &str = "BD010";
-    /// Plan-verifier violation: arity / column resolution / schema flow.
+    /// Plan-verifier violation: arity / column resolution / predicate
+    /// shape / schema flow.
     pub const PLAN_SHAPE: &str = "BD101";
     /// Plan-verifier violation: spill-point accounting disagrees with
     /// the executor's.

@@ -13,6 +13,10 @@
 //! - **column resolution**: every column reference in a selection
 //!   predicate, projection expression, join key or join residual is
 //!   within its input's arity;
+//! - **predicate shape**: a selection predicate and a join residual are
+//!   boolean-shaped — a comparison, a boolean literal, or an AND / OR /
+//!   NOT of boolean-shaped parts — and so is every part of an AND / OR /
+//!   NOT anywhere, so evaluation cannot fail;
 //! - **schema flow**: arities compose (join output = left + right,
 //!   anti-join = left, projection = expression count, union inputs
 //!   agree, `Values` rows match the declared arity);
@@ -35,6 +39,7 @@ use crate::exec::spill_points;
 use crate::expr::Expr;
 use crate::opt::magic::MAGIC_PREFIX;
 use crate::plan::Plan;
+use crate::value::Value;
 
 /// Check every structural invariant of `plan`. `Ok(())` means the plan
 /// is well-formed; `Err` carries the first violation as a `BD10x`
@@ -105,13 +110,13 @@ fn shape(db: &Database, plan: &Plan) -> std::result::Result<usize, Diagnostic> {
         },
         Plan::Selection { input, predicate } => {
             let a = shape(db, input)?;
-            check_expr(predicate, a, "selection predicate")?;
+            check_expr(predicate, a, "selection predicate", true)?;
             Ok(a)
         }
         Plan::Projection { input, exprs } => {
             let a = shape(db, input)?;
             for e in exprs {
-                check_expr(e, a, "projection expression")?;
+                check_expr(e, a, "projection expression", false)?;
             }
             Ok(exprs.len())
         }
@@ -137,7 +142,7 @@ fn shape(db: &Database, plan: &Plan) -> std::result::Result<usize, Diagnostic> {
                 }
             }
             if let Some(e) = residual {
-                check_expr(e, la + ra, "join residual")?;
+                check_expr(e, la + ra, "join residual", true)?;
             }
             // Anti-join filters the left side; join concatenates.
             match plan {
@@ -179,30 +184,36 @@ fn shape(db: &Database, plan: &Plan) -> std::result::Result<usize, Diagnostic> {
     }
 }
 
-/// Every column an expression references must resolve at `arity`.
-fn check_expr(e: &Expr, arity: usize, what: &str) -> std::result::Result<(), Diagnostic> {
+/// Every column an expression references must resolve at `arity`, and
+/// every part that must be a boolean must have a boolean shape: the
+/// expression itself when it is a `predicate`, and each part of an AND /
+/// OR / NOT wherever one sits.
+fn check_expr(
+    e: &Expr,
+    arity: usize,
+    what: &str,
+    predicate: bool,
+) -> std::result::Result<(), Diagnostic> {
+    let bad = |msg: String| Err(Diagnostic::error(codes::PLAN_SHAPE, msg));
     match e {
-        Expr::Col(c) => {
-            if *c >= arity {
-                return Err(Diagnostic::error(
-                    codes::PLAN_SHAPE,
-                    format!("{what} references column {c} but input arity is {arity}"),
-                ));
-            }
-            Ok(())
+        Expr::Col(c) if *c >= arity => bad(format!(
+            "{what} references column {c} but input arity is {arity}"
+        )),
+        Expr::Col(_) | Expr::Lit(_) if predicate && !matches!(e, Expr::Lit(Value::Bool(_))) => {
+            bad(format!("{what} uses `{e}` where a boolean is needed"))
         }
-        Expr::Lit(_) => Ok(()),
+        Expr::Col(_) | Expr::Lit(_) => Ok(()),
         Expr::Cmp(_, a, b) => {
-            check_expr(a, arity, what)?;
-            check_expr(b, arity, what)
+            check_expr(a, arity, what, false)?;
+            check_expr(b, arity, what, false)
         }
         Expr::And(ps) | Expr::Or(ps) => {
             for p in ps {
-                check_expr(p, arity, what)?;
+                check_expr(p, arity, what, true)?;
             }
             Ok(())
         }
-        Expr::Not(inner) => check_expr(inner, arity, what),
+        Expr::Not(inner) => check_expr(inner, arity, what, true),
     }
 }
 

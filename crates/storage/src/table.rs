@@ -402,6 +402,14 @@ impl Table {
         Ok(self.heap.cell(rid, col))
     }
 
+    /// [`Table::cell`] without its checks: for a row id this table's key or
+    /// one of its indexes just handed out, and a column checked against
+    /// the schema (the executor's probes, whose plan was checked when it
+    /// opened).
+    pub(crate) fn heap_cell(&self, rid: RowId, col: usize) -> Cell<'_> {
+        self.heap.cell(rid, col)
+    }
+
     /// The strings the live rows `rids` hold in column `col`, in byte
     /// order, and each row's rank among them (`None` for a NULL cell):
     /// what a column of strings and NULLs is written out as without

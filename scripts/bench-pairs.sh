@@ -173,7 +173,8 @@ for name in names:
 traced = {s: f"{runs}/traced-{s}.txt" for s in ("parent", "change")}
 if all(os.path.exists(p) for p in traced.values()):
     # The counters that repeat exactly for a seed (ROADMAP: the regression gate).
-    exact = ["exec.rows_scanned", "exec.rows_emitted", "table.seq_scans", "table.rows_read",
+    exact = ["exec.rows_scanned", "exec.rows_emitted", "exec.columnar_chunks", "exec.spill_bytes",
+             "table.seq_scans", "table.rows_read",
              "table.index_probes", "table.transpose_rebuilds", "datalog.plan_cache_hits",
              "datalog.plan_cache_misses", "ops.attempted", "ops.accepted", "worlds.count",
              "wal.bytes", "wal.appends", "snapshot.bytes", "session.rows_returned"]

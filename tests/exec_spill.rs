@@ -1,8 +1,9 @@
 //! Differential suite for the spill-to-disk materialization points
 //! (`beliefdb_storage::exec::spill`): the memory-budgeted executor must
 //! produce exactly the in-memory executor's results at every budget —
-//! identical multisets — split mid-stream errors the same way, and leave
-//! no run files behind on success, error, or early abandonment.
+//! identical multisets — end a stream at a spill file's I/O error the
+//! same way, and leave no run files behind on success, error, or early
+//! abandonment.
 //!
 //! Layers:
 //!
@@ -12,16 +13,19 @@
 //! 2. **dedicated operator workloads** — grace join (partition
 //!    recursion), hybrid distinct — at a just-below-input budget chosen
 //!    from the actual input volume;
-//! 3. **error-semantics parity** — fallible expressions error at open
-//!    for eager points (a join's build side) and split lazily for the
-//!    others: same Ok-row multiset, same error count, at every budget;
+//! 3. **error-semantics parity** — a spill directory that is a regular
+//!    file makes the first run file's creation fail: eager points (a
+//!    join's build side) fail at open, a distinct after its first chunk,
+//!    with the same rows before the one error at every budget that
+//!    spills;
 //! 4. **cleanup** — a dedicated spill directory is empty after success,
 //!    after an error, and after dropping a half-consumed stream.
 
 mod common;
 
 use beliefdb::storage::{
-    execute, row, Database, Executor, Expr, Plan, Row, SpillOptions, TableSchema,
+    execute, row, CmpOp, Database, Executor, Expr, Plan, Row, SpillOptions, StorageError,
+    TableSchema,
 };
 use common::{gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
@@ -44,33 +48,42 @@ fn budgeted<'a>(db: &'a Database, budget: usize, dir: &PathBuf) -> Executor<'a> 
     Executor::with_spill(db, SpillOptions::with_budget(budget).in_dir(dir))
 }
 
-/// Drain a plan under a budget into `(ok rows, error count)` — errors do
-/// not stop the stream, mirroring how the differential suites pull the
-/// in-memory executors past errors.
+/// Drain a plan under a budget into the rows it delivered and the error
+/// that ended it, if any (at open or mid-stream).
 fn drain_items(
     db: &Database,
     plan: &Plan,
     budget: Option<usize>,
     dir: &PathBuf,
-) -> (Vec<Row>, usize) {
+) -> (Vec<Row>, Option<StorageError>) {
     let exec = match budget {
         Some(b) => budgeted(db, b, dir),
         None => Executor::new(db),
     };
     let mut rows = Vec::new();
-    let mut errors = 0;
-    match exec.open_chunks(plan) {
-        Err(_) => errors += 1,
-        Ok(stream) => {
-            for item in stream {
-                match item {
-                    Ok(chunk) => chunk.drain_into(&mut rows),
-                    Err(_) => errors += 1,
-                }
-            }
+    let stream = match exec.open_chunks(plan) {
+        Ok(stream) => stream,
+        Err(e) => return (rows, Some(e)),
+    };
+    let mut error = None;
+    for item in stream {
+        assert!(error.is_none(), "an item after the stream's error");
+        match item {
+            Ok(chunk) => chunk.drain_into(&mut rows),
+            Err(e) => error = Some(e),
         }
     }
-    (rows, errors)
+    (rows, error)
+}
+
+/// A directory holding one regular file, and that file's path: as a
+/// spill directory it makes the first run file's creation fail with a
+/// real I/O error (not a directory).
+fn file_as_spill_dir(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = temp_dir(tag);
+    let file = dir.join("not-a-directory");
+    std::fs::write(&file, b"").unwrap();
+    (dir, file)
 }
 
 /// Budgets the fuzz layer sweeps: everything spills, a single-row
@@ -239,61 +252,47 @@ fn skewed_join_keys_terminate_and_agree() {
 
 #[test]
 fn error_semantics_match_at_every_budget() {
-    let db = plan_db();
-    let dir = temp_dir("errors");
-    // A poisoned relation: selecting on a bare non-boolean column
-    // errors only for the rows where it is demanded (value 1), so both
-    // Ok rows and errors flow mid-stream.
-    let poisoned = |n: i64| -> Plan {
-        let rows: Vec<Row> = (0..n)
-            .map(|i| {
-                if i % 500 == 250 {
-                    row![7, i]
-                } else {
-                    row![true, i]
-                }
-            })
-            .collect();
-        Plan::Values { arity: 2, rows }.select(Expr::Col(0))
-    };
+    let db = wide_db(4_000);
+    let (dir, spill_dir) = file_as_spill_dir("errors");
     let cases: Vec<Plan> = vec![
-        // An eager materialization point (the join's build side): the
-        // whole query fails at open.
-        Plan::scan("E").join(poisoned(2_000), vec![(0, 1)]),
-        // Lazy operators: errors split the stream.
-        poisoned(2_000).distinct(),
-        poisoned(2_000).join(Plan::scan("E"), vec![(1, 0)]),
-        // Residual errors inside the join's probe loop: the residual is
-        // a bare column that is boolean for most rows, an int for a few.
-        {
-            let rows: Vec<Row> = (0..2_000i64)
-                .map(|i| {
-                    if i % 700 == 350 {
-                        row![1, i % 30]
-                    } else {
-                        row![true, i % 30]
-                    }
-                })
-                .collect();
-            Plan::Values { arity: 2, rows }.join_where(Plan::scan("E"), vec![(1, 0)], Expr::Col(0))
-        },
+        // Eager materialization points — a keyed join's and anti-join's
+        // build side, a cross join's right side: the query fails at open.
+        Plan::scan("T").join(Plan::scan("S"), vec![(0, 0)]),
+        Plan::scan("T").anti_join(Plan::scan("S"), vec![(0, 0)]),
+        Plan::scan("T")
+            .select(Expr::cmp(CmpOp::Lt, Expr::Col(1), Expr::lit(3i64)))
+            .join(Plan::scan("S"), vec![]),
+        // A distinct streams its first chunk, then spills and fails.
+        Plan::scan("T").distinct(),
     ];
     for (i, plan) in cases.iter().enumerate() {
-        let (want_rows, want_errors) = drain_items(&db, plan, None, &dir);
-        for budget in BUDGET_LADDER {
-            let (got_rows, got_errors) = drain_items(&db, plan, Some(budget), &dir);
-            assert_eq!(
-                sorted(got_rows),
-                sorted(want_rows.clone()),
-                "case {i} budget {budget}: Ok-row multiset diverged"
+        let (want, error) = drain_items(&db, plan, None, &spill_dir);
+        assert!(error.is_none(), "case {i}: {error:?}");
+        // A budget above the input never spills, so never fails.
+        let (got, error) = drain_items(&db, plan, Some(64 << 20), &spill_dir);
+        assert!(error.is_none(), "case {i}: {error:?}");
+        assert_eq!(sorted(got), sorted(want));
+        let mut before_error = None;
+        for budget in [0, 48, 4 << 10] {
+            let (got, error) = drain_items(&db, plan, Some(budget), &spill_dir);
+            assert!(
+                matches!(error, Some(StorageError::Io(_))),
+                "case {i} budget {budget}: {error:?}"
             );
+            let before = before_error.get_or_insert_with(|| got.clone());
             assert_eq!(
-                got_errors, want_errors,
-                "case {i} budget {budget}: error count diverged"
+                &got, before,
+                "case {i} budget {budget}: rows before the error"
             );
         }
+        let expect_rows = if i == 3 { 1024 } else { 0 };
+        assert_eq!(before_error.unwrap().len(), expect_rows, "case {i}");
     }
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        1,
+        "only the regular file is left"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -323,20 +322,22 @@ fn spill_files_are_cleaned_up_on_abandonment_and_error() {
         "abandoned grace join leaked run files"
     );
 
-    // Error path: a poisoned row surfaces after spilling started.
-    let rows: Vec<Row> = (0..4_000i64)
-        .map(|i| if i == 3_500 { row![7] } else { row![true] })
-        .collect();
-    let plan = Plan::Values { arity: 1, rows }
-        .select(Expr::Col(0))
-        .distinct();
-    let (ok_rows, errors) = drain_items(&db, &plan, Some(64), &dir);
-    assert_eq!(errors, 1);
-    assert_eq!(ok_rows, vec![row![true]]);
+    // Error path: the distinct spills after its first chunk into a
+    // "directory" that is a regular file, and the stream ends at the I/O
+    // error, leaving nothing next to that file.
+    let (error_dir, spill_dir) = file_as_spill_dir("cleanup-error");
+    let (ok_rows, error) = drain_items(&db, &Plan::scan("T").distinct(), Some(64), &spill_dir);
+    assert!(matches!(error, Some(StorageError::Io(_))), "{error:?}");
     assert_eq!(
-        std::fs::read_dir(&dir).unwrap().count(),
-        0,
-        "errored distinct leaked run files"
+        ok_rows.len(),
+        1024,
+        "the first chunk, streamed before the spill"
     );
+    assert_eq!(
+        std::fs::read_dir(&error_dir).unwrap().count(),
+        1,
+        "errored distinct left files behind"
+    );
+    std::fs::remove_dir_all(&error_dir).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

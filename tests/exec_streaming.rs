@@ -14,10 +14,8 @@
 //!    2048 and tables of 1023, 1024 and 1025 rows driven through
 //!    Distinct/Union/Selection operators straddling a chunk edge,
 //!    compared exactly (both executors preserve order here);
-//! 4. **laziness semantics** — streaming is allowed to do strictly less
-//!    work (a consumer that stops pulling; errors surface only if the
-//!    failing row is actually demanded), never more — including when the
-//!    poisoned row shares a chunk with the demanded one.
+//! 4. **laziness semantics** — a consumer that stops pulling gets a
+//!    prefix of the full answer and abandons the rest of the pipeline.
 
 mod common;
 
@@ -25,7 +23,7 @@ use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::{
-    execute, execute_materialized, optimize, row, stream_chunks, CmpOp, Database, Expr, Plan, Row,
+    execute, execute_materialized, optimize, row, stream_chunks, CmpOp, Database, Expr, Plan,
     TableSchema,
 };
 use common::{gen_plan, plan_db, sorted};
@@ -317,62 +315,6 @@ fn batch_boundary_distinct_dedups_across_the_chunk_edge() {
 // ---------------------------------------------------------------------------
 // Layer 4: laziness semantics
 // ---------------------------------------------------------------------------
-
-/// The first `n` rows of `plan`'s chunk stream, pulling no chunk past
-/// the one that completes them: a consumer that stops early.
-fn first_rows(db: &Database, plan: &Plan, n: usize) -> beliefdb::storage::Result<Vec<Row>> {
-    let mut rows = Vec::new();
-    let mut stream = stream_chunks(db, plan)?;
-    while rows.len() < n {
-        match stream.next() {
-            Some(chunk) => chunk?.drain_into(&mut rows),
-            None => break,
-        }
-    }
-    rows.truncate(n);
-    Ok(rows)
-}
-
-#[test]
-fn limit_short_circuits_instead_of_materializing() {
-    let db = plan_db();
-    // A plan whose full evaluation errors (bare-column predicate over a
-    // non-boolean later row) but whose first row is fine: a consumer
-    // that wants one row never demands the poisoned one — even though
-    // chunked execution sees both rows in the same batch (the selection
-    // splits the chunk at the error instead of failing it wholesale).
-    let plan = Plan::Values {
-        arity: 1,
-        rows: vec![row![true], row![7]],
-    }
-    .select(Expr::Col(0));
-    assert_eq!(first_rows(&db, &plan, 1).unwrap(), vec![row![true]]);
-    assert!(execute(&db, &plan).is_err());
-    assert!(execute_materialized(&db, &plan).is_err());
-    // Same shape at a chunk boundary: 1023 good rows, a poisoned one at
-    // index 1023, and a consumer satisfied just before it.
-    let mut rows: Vec<Row> = (0..1023).map(|_| row![true]).collect();
-    rows.push(row![7]);
-    let plan = Plan::Values { arity: 1, rows }.select(Expr::Col(0));
-    assert_eq!(first_rows(&db, &plan, 1023).unwrap().len(), 1023);
-    assert!(execute(&db, &plan).is_err());
-    assert!(execute_materialized(&db, &plan).is_err());
-}
-
-#[test]
-fn streaming_surfaces_demanded_errors() {
-    let db = plan_db();
-    // A consumer that drains the stream demands the poisoned row: both
-    // executors must fail, and so does one that asks for both rows.
-    let plan = Plan::Values {
-        arity: 1,
-        rows: vec![row![true], row![7]],
-    }
-    .select(Expr::Col(0));
-    assert!(execute(&db, &plan).is_err());
-    assert!(execute_materialized(&db, &plan).is_err());
-    assert!(first_rows(&db, &plan, 2).is_err());
-}
 
 #[test]
 fn streaming_iterator_yields_incrementally() {

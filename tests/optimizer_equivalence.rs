@@ -4,8 +4,8 @@
 //! Three layers:
 //!
 //! 1. **fuzzed relational plans** — arity-correct random plans (joins,
-//!    anti-joins, unions, selections, projections, distinct, sort, limit,
-//!    literal relations) over a mixed-size database, `execute` of the
+//!    anti-joins, unions, selections, projections, distinct, literal
+//!    relations) over a mixed-size database, `execute` of the
 //!    plan vs `execute` of its `optimize`d form;
 //! 2. **fuzzed belief conjunctive queries** — random BCQs over a
 //!    generated annotation workload, `Bdms::query` (optimizer on) vs
@@ -19,7 +19,7 @@ use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
 use beliefdb::storage::{
-    execute, optimize, row, CmpOp, Database, Expr, Plan, StatsCatalog, TableSchema,
+    execute, execute_materialized, optimize, row, CmpOp, Executor, Expr, Plan,
 };
 use common::{gen_plan, plan_db, sorted};
 use rand::rngs::StdRng;
@@ -58,25 +58,48 @@ fn fuzzed_plans_agree_with_and_without_optimizer() {
     );
 }
 
-/// Regression (formerly `tests/tmp_repro.rs`): a join whose residual is
-/// not boolean-shaped (`Expr::Col(0)` can raise a TypeError at eval time)
-/// must survive the reorder pass without panicking, and the optimized
-/// plan must fail or succeed exactly like the original.
+/// A predicate that is not boolean-shaped — a bare column or literal, or
+/// one under a NOT / AND / OR anywhere, comparison operands included — is
+/// refused when the plan opens, with the same error, by both executors and
+/// by the optimizer: no rewrite can move it somewhere it would fail on a
+/// row. The last case once passed `execute` (no row reached the conjunct)
+/// while the optimizer pushed it onto `E` and the optimized plan failed.
 #[test]
-fn reorder_keeps_fallible_residuals_intact() {
-    let mut db = Database::new();
-    let t = db.create_table(TableSchema::keyless("T", &["a"])).unwrap();
-    t.insert(row![1]).unwrap();
-    let u = db.create_table(TableSchema::keyless("U", &["b"])).unwrap();
-    u.insert(row![2]).unwrap();
-    let plan = Plan::scan("T").join_where(Plan::scan("U"), vec![], Expr::Col(0));
-    let stats = StatsCatalog::snapshot(&db);
-    let optimized = beliefdb::storage::opt::join_order::reorder_joins(&db, &stats, plan.clone())
-        .expect("reorder must not reject a fallible residual");
-    // Both plans evaluate the residual over a real row pair, so both must
-    // surface the same TypeError instead of silently dropping rows.
-    assert!(execute(&db, &plan).is_err());
-    assert!(execute(&db, &optimized).is_err());
+fn non_boolean_predicates_are_refused_at_open_everywhere() {
+    let db = plan_db();
+    let not_w1_is_true = Expr::cmp(
+        CmpOp::Eq,
+        Expr::Not(Box::new(Expr::Col(2))),
+        Expr::lit(true),
+    );
+    let cases = [
+        Plan::Values {
+            arity: 1,
+            rows: vec![row![true], row![7]],
+        }
+        .select(Expr::Col(0)),
+        Plan::scan("Users").join_where(Plan::scan("E"), vec![(0, 1)], Expr::Col(2)),
+        Plan::scan("Users")
+            .join(Plan::scan("E"), vec![(0, 1)])
+            .select(Expr::and(vec![
+                Expr::col_eq_lit(1, "Nobody"),
+                not_w1_is_true,
+            ])),
+    ];
+    for plan in &cases {
+        let want = plan.arity(&db).expect_err("refused by Plan::arity");
+        assert!(
+            want.to_string().contains("where a boolean is needed"),
+            "{want}"
+        );
+        assert_eq!(execute(&db, plan).unwrap_err(), want, "{plan:?}");
+        assert_eq!(execute_materialized(&db, plan).unwrap_err(), want);
+        assert_eq!(
+            Executor::new(&db).open_chunks(plan).err(),
+            Some(want.clone())
+        );
+        assert_eq!(optimize(&db, plan.clone()).unwrap_err(), want);
+    }
 }
 
 /// The provably-empty fold (`sema::expr_contradictory`): a selection
