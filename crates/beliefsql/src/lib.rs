@@ -312,7 +312,14 @@ mod explain_tests {
         assert!(text.contains("belief conjunctive query"), "{text}");
         assert!(text.contains("Algorithm 1"), "{text}");
         assert!(text.contains("__bcq_T1"), "{text}");
-        assert!(text.contains("E("), "temp rule walks E: {text}");
+        // Each user's valuation of `U.uid`, mapped to its world (both
+        // resolve to the root), is a fact the temp rule joins.
+        assert!(text.contains("__bcq_W1(1, 0) :- ."), "{text}");
+        assert!(text.contains("__bcq_W1(2, 0) :- ."), "{text}");
+        assert!(
+            !text.contains("E("),
+            "no stored world relation is read: {text}"
+        );
         assert!(text.contains("__bcq_answer"), "{text}");
         // DML is rejected.
         assert!(s.explain("update Sightings set species = 'x'").is_err());

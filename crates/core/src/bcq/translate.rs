@@ -1,8 +1,7 @@
 //! Algorithm 1: translating BCQs to non-recursive Datalog over the
 //! canonical relational representation.
 //!
-//! For each subgoal `w̄_i R^s_i(x̄_i)` the translation creates a temporary
-//! table
+//! For each subgoal `w̄_i R^s_i(x̄_i)` the paper creates a temporary table
 //!
 //! ```text
 //! T_i(w̄_i, x̄, s) :− E*(0, w̄_i, z), V(z, t, x₁, s, _), R*(t, x̄)
@@ -11,8 +10,8 @@
 //! where `E*` is the chain of edge joins walking the belief path from the
 //! root and `x₁` is the key attribute of `R*(t, x̄)`, which `V`'s key column
 //! repeats (the paper writes `_` there; naming it lets a rule restricted to
-//! demanded keys probe `V` on `(wid, key)`), and then composes a final rule joining the temp tables with the
-//! paper's conditions `C_i`:
+//! demanded keys probe `V` on `(wid, key)`), and then composes a final rule
+//! joining the temp tables with the paper's conditions `C_i`:
 //!
 //! * positive subgoal: sign `'+'` and the subgoal's own terms (constants
 //!   select, repeated variables join);
@@ -20,45 +19,62 @@
 //!   `(s = '−' ∧ x̄t[2..] = x̄[2..]) ∨ (s = '+' ∧ ⋁_j x̄t[j] ≠ x̄[j])`
 //!   covering *stated* and *unstated* negatives (Prop. 7).
 //!
-//! Two fidelity refinements over the paper's pseudo-code:
+//! The `E*` walk from the root ends at `dss(w̄)` (Algorithm 3), and the
+//! store keeps no `E`: the translation applies Algorithm 3 itself, through
+//! the world directory, when it translates.
 //!
-//! * adjacent path positions involving a variable get an explicit `≠`
-//!   condition, keeping valuations inside `Û*` (back-edges in `E` would
-//!   otherwise admit paths like `1·1`);
-//! * positive subgoals push their constants and the `s = '+'` filter into
-//!   the temp-table rule (the paper notes selections *can* be pushed for
-//!   positive subgoals, and must not be for negative ones).
+//! * A constant path becomes the constant world `z = dss(w̄)`.
+//! * A path with variables becomes a relation of fact rules,
+//!   `__bcq_W{i}(ȳ, z)`, one per valuation `ȳ` of its variables over the
+//!   registered users that keeps the path inside `Û*` (adjacent users
+//!   differ, a repeated variable takes one user), mapped to its world. It
+//!   takes the place of the `E*` join, with exactly the rows that join
+//!   enumerated.
+//! * A path with no such valuation makes the whole conjunction
+//!   unsatisfiable: the query translates to the empty program.
 //!
-//! Under [`DefaultPolicy::Lazy`] `V` holds the explicit statements only,
-//! and the `V(z, t, x₁, s, _)` atom becomes the entailed view of Sect. 6.3:
-//! the temp table is a union of one rule per sign and per chain position
-//! `j = 0..d` (`d` the smaller of the subgoal's path length and the depth
-//! of the directory's deepest state), each reading `V` at `Sʲ(z)` through
-//! `j` joins with `S` and anti-joining the overrides at `S⁰(z) … Sʲ⁻¹(z)`:
+//! The worlds are part of the program's text, which keys the plan cache:
+//! a new world or user that changes a path's resolution changes the key.
+//!
+//! Positive subgoals push their constants and the `s = '+'` filter into
+//! the temp-table rule (the paper notes selections *can* be pushed for
+//! positive subgoals, and must not be for negative ones).
+//!
+//! Under [`DefaultPolicy::Lazy`](crate::internal::DefaultPolicy) `V` holds
+//! the explicit statements only, and the `V(z, t, x₁, s, _)` atom becomes
+//! the entailed view of Sect. 6.3: the temp table is a union of one rule
+//! per sign and per position `j` of the world's suffix chain
+//! `z = z₀, z₁ = S(z), …, ε`, each reading `V` at `zⱼ` and anti-joining the
+//! overrides at `z₀ … zⱼ₋₁`:
 //!
 //! ```text
-//! T_i(w̄, x̄, +) :− E*(0, w̄, z), S(z, z1), …, S(zj−1, zj), V(zj, t, x₁, +, _),
-//!                 R*(t, x̄), ⋀_{h<j} ¬V(zh, _, x₁, +, _) ∧ ¬V(zh, t, x₁, −, _)
-//! T_i(w̄, x̄, −) :− E*(0, w̄, z), S(z, z1), …, S(zj−1, zj), V(zj, t, x₁, −, _),
-//!                 R*(t, x̄), ⋀_{h<j} ¬V(zh, t, x₁, +, _)
+//! T_i(w̄, x̄, +) :− V(zj, t, x₁, +, _), R*(t, x̄),
+//!                 ⋀_{h<j} ¬V(zh, _, x₁, +, _) ∧ ¬V(zh, t, x₁, −, _)
+//! T_i(w̄, x̄, −) :− V(zj, t, x₁, −, _), R*(t, x̄), ⋀_{h<j} ¬V(zh, t, x₁, +, _)
 //! ```
 //!
 //! — a positive is inherited unless a nearer world states a positive for
 //! its key (Γ1) or its negative (Γ2), a negative unless a nearer world
 //! states its positive (Γ2): the overriding union of Thm. 17(2a), unrolled.
-//! The program stays non-recursive, so it is plan-cached and `EXPLAIN`ed
-//! like the eager one.
+//! The chain is the one the store's slice read folds (under `Eager`, the
+//! world alone). For a constant path the `zⱼ` are constants, one rule for
+//! every position the world has and for no other. For a path with
+//! variables, each valuation fact holds its world's whole chain,
+//! `__bcq_W{i}(ȳ, z₀, z₁, …)`, padded to the longest chain of the path's
+//! valuations with an id no world has, so rule `j` derives nothing for a
+//! valuation whose chain is shorter. The program stays non-recursive, so it
+//! is plan-cached and `EXPLAIN`ed under both policies alike.
 
 use super::{Bcq, PathElem, QueryTerm};
 use crate::error::{BeliefError, Result};
-use crate::internal::{
-    star_table, v_table, DefaultPolicy, InternalStore, E_TABLE, S_TABLE, U_TABLE,
-};
+use crate::ids::{UserId, Wid};
+use crate::internal::{star_table, v_table, InternalStore, U_TABLE};
+use crate::path::BeliefPath;
 use crate::statement::Sign;
 use beliefdb_storage::datalog::{
     Atom, BodyLit, CmpLit, Evaluator, Output, PlanCache, Program, Rule, Term,
 };
-use beliefdb_storage::{metrics, CmpOp, Metric, Recorder, Row};
+use beliefdb_storage::{metrics, CmpOp, Metric, Recorder, Row, Value};
 use std::time::Instant;
 
 /// A translated query: the Datalog program plus the name of the answer
@@ -69,10 +85,22 @@ pub struct TranslatedQuery {
     pub answer: String,
 }
 
+/// Pads a valuation's chain past `ε` in its subgoal's valuation facts: no
+/// world has this id, so a rule reading `V` there derives nothing.
+const NO_WORLD: Value = Value::Int(-1);
+
+/// What [`explain`] prints for the empty program [`translate`] returns
+/// when a belief path has no valuation.
+pub const NO_VALUATION: &str =
+    "-- a belief path has no valuation over the registered users: empty result\n";
+
 /// Translate a BCQ into a non-recursive Datalog program over the internal
-/// schema (Algorithm 1).
+/// schema (Algorithm 1). A query with a subgoal whose path has no
+/// valuation inside `Û*` over the registered users (`resolve_path`)
+/// translates to the empty program: its answer is empty.
 pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
     q.validate(store.schema())?;
+    let answer = "__bcq_answer".to_string();
     let mut rules = Vec::with_capacity(q.subgoals.len() + 1);
     let mut final_body: Vec<BodyLit> = Vec::new();
 
@@ -90,46 +118,52 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
         let temp = format!("__bcq_T{}", i + 1);
         let arity = rel_def.arity();
 
-        // ---- temp-table rule: E* chain, V, R* ----------------------------
-        let mut body: Vec<BodyLit> = Vec::new();
-        let mut head_terms: Vec<Term> = Vec::new();
-
-        // E*(0, w̄_i, z): one E atom per path element.
-        let mut prev = Term::val(0i64); // the root world id
-        for (j, elem) in sg.path.iter().enumerate() {
-            let label = path_term(elem);
-            let next = Term::var(format!("__z{i}_{j}"));
-            body.push(BodyLit::Pos(Atom::new(
-                E_TABLE,
-                vec![prev.clone(), label.clone(), next.clone()],
-            )));
-            head_terms.push(label);
-            prev = next;
-        }
-        // Û* guard: adjacent path elements must differ when variables are
-        // involved (constants were validated already).
-        for j in 1..sg.path.len() {
-            let a = path_term(&sg.path[j - 1]);
-            let b = path_term(&sg.path[j]);
-            if matches!(sg.path[j - 1], PathElem::Var(_)) || matches!(sg.path[j], PathElem::Var(_))
-            {
-                body.push(BodyLit::Cmp(CmpLit {
-                    left: a,
-                    op: CmpOp::Ne,
-                    right: b,
-                }));
+        // ---- the worlds the path reaches (Algorithm 3) -------------------
+        let vars = path_vars(&sg.path);
+        let reached = resolve_path(store, &sg.path, &vars);
+        let Some(positions) = reached.iter().map(|(_, chain)| chain.len()).max() else {
+            // No valuation of the path lies inside Û* over the registered
+            // users: the subgoal, and so the conjunction, holds nowhere.
+            return Ok(TranslatedQuery {
+                program: Program::default(),
+                answer,
+            });
+        };
+        // Chain position `h`: a constant for a constant path, else a column
+        // of the valuation facts `__bcq_W{i}(vars, z₀, …)`, one per
+        // valuation, its chain padded with `NO_WORLD` to the longest one.
+        let facts = format!("__bcq_W{}", i + 1);
+        if !vars.is_empty() {
+            for (users, chain) in &reached {
+                let worlds = (0..positions).map(|h| chain.get(h).map_or(NO_WORLD, |w| w.value()));
+                let row = users.iter().map(|u| u.value()).chain(worlds);
+                rules.push(Rule {
+                    head: Atom::new(&facts, row.map(Term::Const).collect()),
+                    body: Vec::new(),
+                });
             }
         }
+        let world = |h: usize| match &reached[..] {
+            [(_, chain)] if vars.is_empty() => Term::Const(chain[h].value()),
+            _ => Term::var(format!("__z{i}_{h}")),
+        };
+        let mut chains: Vec<(Vec<Term>, Vec<BodyLit>)> = Vec::with_capacity(positions);
+        for j in 0..positions {
+            let chain: Vec<Term> = (0..=j).map(world).collect();
+            let mut valuation = Vec::new();
+            if !vars.is_empty() {
+                let unread = (j + 1..positions).map(|_| Term::Any);
+                let terms = vars.iter().map(|&n| Term::var(n)).chain(chain.clone());
+                let terms = terms.chain(unread).collect();
+                valuation.push(BodyLit::Pos(Atom::new(&facts, terms)));
+            }
+            chains.push((chain, valuation));
+        }
 
-        // V(z, t, x₁, s, _)
+        // ---- temp-table rules: V, R* at the reached worlds -----------------
+        let mut head_terms: Vec<Term> = sg.path.iter().map(path_term).collect();
         let v = v_table(rel_def.name());
         let tid = Term::var(format!("__t{i}"));
-        let sign_term: Term = match sg.sign {
-            // Positive subgoals only need stated positives: filter early.
-            Sign::Pos => Term::val("+"),
-            // Negative subgoals need both signs in the temp table.
-            Sign::Neg => Term::var(format!("__s{i}")),
-        };
 
         // R*(t, x̄): fresh column variables; positive subgoals additionally
         // push their constant selections here.
@@ -150,39 +184,23 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
         // into the stated `V` atom lets a rule restricted on the key probe
         // `(wid, key)` instead of reading the whole world.
         let key = &col_terms[0];
-        match store.policy() {
-            DefaultPolicy::Eager => {
-                body.push(BodyLit::Pos(Atom::new(
-                    v,
-                    vec![prev, tid, key.clone(), sign_term.clone(), Term::Any],
-                )));
-                body.push(star);
-                head_terms.push(sign_term);
+        // Positive subgoals only need stated positives: filter early.
+        // Negative subgoals need both signs in the temp table.
+        let signs: &[Sign] = match sg.sign {
+            Sign::Pos => &[Sign::Pos],
+            Sign::Neg => &[Sign::Pos, Sign::Neg],
+        };
+        for &sign in signs {
+            for (chain, valuation) in &chains {
+                let mut body = valuation.clone();
+                body.extend(entailed_v(&v, chain, &tid, key, sign));
+                body.push(star.clone());
+                let mut head = head_terms.clone();
+                head.push(Term::Const(sign.value()));
                 rules.push(Rule {
-                    head: Atom::new(&temp, head_terms),
+                    head: Atom::new(&temp, head),
                     body,
                 });
-            }
-            DefaultPolicy::Lazy => {
-                let signs: &[Sign] = match sg.sign {
-                    Sign::Pos => &[Sign::Pos],
-                    Sign::Neg => &[Sign::Pos, Sign::Neg],
-                };
-                // The world `z` of a path of length l has depth ≤ l.
-                let deepest = sg.path.len().min(store.directory().max_depth());
-                for &sign in signs {
-                    for j in 0..=deepest {
-                        let mut rule_body = body.clone();
-                        rule_body.extend(entailed_v(&v, &prev, &tid, key, sign, i, j));
-                        rule_body.push(star.clone());
-                        let mut head = head_terms.clone();
-                        head.push(Term::Const(sign.value()));
-                        rules.push(Rule {
-                            head: Atom::new(&temp, head),
-                            body: rule_body,
-                        });
-                    }
-                }
             }
         }
 
@@ -259,14 +277,63 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
 
     let head_terms: Vec<Term> = q.head.iter().map(query_term).collect();
     rules.push(Rule {
-        head: Atom::new("__bcq_answer", head_terms),
+        head: Atom::new(&answer, head_terms),
         body: final_body,
     });
 
     Ok(TranslatedQuery {
         program: Program { rules },
-        answer: "__bcq_answer".to_string(),
+        answer,
     })
+}
+
+/// The worlds a belief path reaches, resolved through the world directory
+/// (Algorithm 3): for every valuation of the path's variables
+/// ([`path_vars`]) over the registered users that keeps the path inside
+/// `Û*` — adjacent users differ, a repeated variable takes one user — the
+/// users it assigns and the chain of worlds the translation reads. The
+/// chain starts at `dss(w̄)`; under `Lazy` it goes on through the suffix
+/// parents down to `ε`. A constant path has one valuation, or none when
+/// it names a user who is not registered.
+fn resolve_path(
+    store: &InternalStore,
+    path: &[PathElem],
+    vars: &[&str],
+) -> Vec<(Vec<UserId>, Vec<Wid>)> {
+    // `users^k`, the first variable most significant.
+    let mut valuations: Vec<Vec<UserId>> = vec![Vec::new()];
+    for _ in vars {
+        valuations = (valuations.into_iter())
+            .flat_map(|v| store.users().map(move |u| [&v[..], &[u]].concat()))
+            .collect();
+    }
+    (valuations.into_iter())
+        .filter_map(|valuation| {
+            let grounded = path.iter().map(|elem| match elem {
+                PathElem::User(u) => *u,
+                PathElem::Var(n) => valuation[vars.iter().position(|v| v == n).expect("a var")],
+            });
+            let w = BeliefPath::new(grounded.collect::<Vec<_>>()).ok()?;
+            w.users().iter().all(|&u| store.has_user(u)).then(|| {
+                // `stored_chain` lists the chain root-most first.
+                let chain = store.stored_chain(store.resolve(&w));
+                (valuation, chain.into_iter().rev().collect())
+            })
+        })
+        .collect()
+}
+
+/// The distinct variables of a belief path, in order of first appearance.
+fn path_vars(path: &[PathElem]) -> Vec<&str> {
+    let mut vars: Vec<&str> = Vec::new();
+    for elem in path {
+        if let PathElem::Var(n) = elem {
+            if !vars.contains(&n.as_str()) {
+                vars.push(n);
+            }
+        }
+    }
+    vars
 }
 
 /// Per-query evaluation options the surface layers thread down.
@@ -486,46 +553,36 @@ fn collect_answer(ev: &Evaluator<'_>, translated: &TranslatedQuery) -> Vec<Row> 
 /// the per-point share and partition fan-out.
 pub fn explain(store: &InternalStore, q: &Bcq, opts: &EvalOptions) -> Result<String> {
     let (_, program) = prepare(store, q, opts, &mut Recorder::disabled())?;
+    if program.rules.is_empty() {
+        return Ok(NO_VALUATION.to_string());
+    }
     evaluator(store, opts)
         .explain_program(&program)
         .map_err(BeliefError::from)
 }
 
-/// The body literals under which world `z` entails `tid` (whose key is
-/// `key`) with `sign` because its `j`-th suffix ancestor `Sʲ(z)` states it
-/// and no world nearer on the chain overrides it: `j` hops along `S`, the
-/// stated row, and an anti-join against `V` per nearer world (subgoal `i`
-/// names the variables).
-fn entailed_v(
-    v: &str,
-    z: &Term,
-    tid: &Term,
-    key: &Term,
-    sign: Sign,
-    i: usize,
-    j: usize,
-) -> Vec<BodyLit> {
-    let chain: Vec<Term> = std::iter::once(z.clone())
-        .chain((1..=j).map(|h| Term::var(format!("__c{i}_{h}"))))
-        .collect();
-    let mut body: Vec<BodyLit> = chain
-        .windows(2)
-        .map(|hop| BodyLit::Pos(Atom::new(S_TABLE, hop.to_vec())))
-        .collect();
-    let stated = |world: &Term, t: Term, k: Term, s: Sign| {
+/// The body literals under which the world `chain[0]` entails `tid`
+/// (whose key is `key`) with `sign` because the last world of its suffix
+/// chain `chain` states it and no world nearer on the chain overrides it:
+/// the stated row, and an anti-join against `V` per nearer world (none
+/// for the world's own rows).
+fn entailed_v(v: &str, chain: &[Term], tid: &Term, key: &Term, sign: Sign) -> Vec<BodyLit> {
+    let stated = |world: &Term, t: Term, s: Sign| {
         Atom::new(
             v,
-            vec![world.clone(), t, k, Term::Const(s.value()), Term::Any],
+            vec![
+                world.clone(),
+                t,
+                key.clone(),
+                Term::Const(s.value()),
+                Term::Any,
+            ],
         )
     };
-    body.push(BodyLit::Pos(stated(
-        &chain[j],
-        tid.clone(),
-        key.clone(),
-        sign,
-    )));
-    for nearer in &chain[..j] {
-        let overridden_by = |t: Term, s: Sign| BodyLit::Neg(stated(nearer, t, key.clone(), s));
+    let (from, nearer) = chain.split_last().expect("a chain holds its world");
+    let mut body = vec![BodyLit::Pos(stated(from, tid.clone(), sign))];
+    for world in nearer {
+        let overridden_by = |t: Term, s: Sign| BodyLit::Neg(stated(world, t, s));
         match sign {
             // Γ1: no positive for the key; Γ2: not the tuple's negative.
             Sign::Pos => {
@@ -560,6 +617,7 @@ mod tests {
     use crate::bcq::dsl::*;
     use crate::bcq::naive;
     use crate::database::running_example;
+    use crate::internal::DefaultPolicy;
     use crate::schema::ExternalSchema;
     use beliefdb_storage::row;
 
@@ -603,14 +661,32 @@ mod tests {
             .build(st.schema())
             .unwrap();
         let t = translate(&st, &q).unwrap();
-        assert_eq!(t.program.rules.len(), 2);
         assert_eq!(t.answer, "__bcq_answer");
-        // The temp rule walks E once (depth-1 path).
-        let temp = &t.program.rules[0];
-        assert!(temp
+        // One valuation fact per user, mapping it to its world ([Alice],
+        // [Bob], and ε for Carol, who has no state), then the temp rule
+        // and the answer.
+        let world = |path: &[u32]| st.directory().get(&crate::path::path(path)).unwrap();
+        let facts: Vec<String> = t.program.rules[..3].iter().map(|r| r.to_string()).collect();
+        assert_eq!(
+            facts,
+            [
+                format!("__bcq_W1(1, {}) :- .", world(&[1]).value()),
+                format!("__bcq_W1(2, {}) :- .", world(&[2]).value()),
+                "__bcq_W1(3, 0) :- .".to_string(),
+            ]
+        );
+        assert_eq!(t.program.rules.len(), 5);
+        // The temp rule joins the facts; no stored world relation is read.
+        let temp = &t.program.rules[3];
+        let relations: Vec<&str> = temp
             .body
             .iter()
-            .any(|b| matches!(b, BodyLit::Pos(a) if a.relation == "E")));
+            .map(|b| match b {
+                BodyLit::Pos(a) | BodyLit::Neg(a) => a.relation.as_str(),
+                other => panic!("unexpected literal {other:?}"),
+            })
+            .collect();
+        assert_eq!(relations, ["__bcq_W1", "V__Sightings", "Sightings__star"]);
         // `V(z, t, x₁, s, _)`: the stated row names the key `R*(t, x̄)`
         // binds, so a rule restricted on the key probes `(wid, key)`.
         let atom = |rel: &str| {
@@ -624,17 +700,83 @@ mod tests {
         };
         assert_eq!(atom("V__Sightings")[2], atom("Sightings__star")[1]);
 
-        // Under `Lazy` the temp table is the unrolled view: the world
-        // itself and its suffix parent (a depth-1 world has no more).
+        // Under `Lazy` the temp table is the unrolled view over each
+        // world's chain: a depth-1 state and its suffix parent ε, or ε
+        // alone for Carol, whose chain is padded — two rules.
         let lazy = store_with(DefaultPolicy::Lazy);
         let t = translate(&lazy, &q).unwrap();
-        assert_eq!(t.program.rules.len(), 3);
-        let (own, inherited) = (&t.program.rules[0], &t.program.rules[1]);
-        let count = |r: &Rule, f: fn(&BodyLit) -> bool| r.body.iter().filter(|b| f(b)).count();
-        let hop = |b: &BodyLit| matches!(b, BodyLit::Pos(a) if a.relation == "S");
-        let blocker = |b: &BodyLit| matches!(b, BodyLit::Neg(_));
-        assert_eq!((count(own, hop), count(own, blocker)), (0, 0));
-        assert_eq!((count(inherited, hop), count(inherited, blocker)), (1, 2));
+        let facts: Vec<String> = t.program.rules[..3].iter().map(|r| r.to_string()).collect();
+        assert_eq!(facts[2], format!("__bcq_W1(3, 0, {NO_WORLD}) :- ."));
+        assert_eq!(t.program.rules.len(), 3 + 2 + 1);
+        let temps: Vec<&Rule> = t
+            .program
+            .rules
+            .iter()
+            .filter(|r| r.head.relation == "__bcq_T1")
+            .collect();
+        let blocker = |b: &&BodyLit| matches!(b, BodyLit::Neg(_));
+        let blockers: Vec<usize> = temps
+            .iter()
+            .map(|r| r.body.iter().filter(blocker).count())
+            .collect();
+        assert_eq!(blockers, [0, 2]);
+
+        // A constant path reads its worlds as constants: Bob's chain is
+        // [Bob], ε — two rules, and no valuation facts.
+        let bob = Bcq::builder(vec![qv("sid")])
+            .positive(
+                vec![pu(crate::ids::UserId(2))],
+                s,
+                vec![qv("sid"), qany(), qany(), qany(), qany()],
+            )
+            .build(lazy.schema())
+            .unwrap();
+        let t = translate(&lazy, &bob).unwrap();
+        let bob_world = lazy.directory().get(&crate::path::path(&[2])).unwrap();
+        let texts: Vec<String> = t.program.rules.iter().map(|r| r.to_string()).collect();
+        assert_eq!(texts.len(), 3, "{texts:?}");
+        assert!(
+            texts[0].contains(&format!(
+                "V__Sightings({}, __t0, __x0_0, '+', _)",
+                bob_world.value()
+            )),
+            "{texts:?}"
+        );
+        assert!(
+            texts[1].contains("V__Sightings(0, __t0, __x0_0, '+', _)"),
+            "{texts:?}"
+        );
+        assert!(
+            texts[1].contains(&format!(
+                "not V__Sightings({}, _, __x0_0, '+', _)",
+                bob_world.value()
+            )),
+            "{texts:?}"
+        );
+    }
+
+    #[test]
+    fn a_path_without_a_valuation_translates_to_the_empty_program() {
+        let st = store();
+        let s = st.schema().relation_id("Sightings").unwrap();
+        let args = || vec![qv("sid"), qany(), qany(), qany(), qany()];
+        // A user nobody registered, and two adjacent variables that must
+        // take one user.
+        let unknown = Bcq::builder(vec![qv("sid")])
+            .positive(vec![pu(crate::ids::UserId(9))], s, args())
+            .build(st.schema())
+            .unwrap();
+        let repeated = Bcq::builder(vec![qv("sid")])
+            .positive(vec![pv("x"), pv("x")], s, args())
+            .build(st.schema())
+            .unwrap();
+        for q in [unknown, repeated] {
+            let t = translate(&st, &q).unwrap();
+            assert!(t.program.rules.is_empty(), "{}", t.program);
+            assert!(collected(&st, &q).is_empty());
+            assert!(evaluate_unoptimized(&st, &q).unwrap().is_empty());
+            assert!(evaluate_materialized(&st, &q).unwrap().is_empty());
+        }
     }
 
     #[test]

@@ -1197,7 +1197,11 @@ mod tests {
             "internal size exceeds annotation count"
         );
         assert!(stats.relative_overhead(8) > 1.0);
-        assert_eq!(stats.per_table.len(), bdms.storage().table_names().len());
+        // The stored tables and the world relations `D`, `E` and `S`.
+        assert_eq!(
+            stats.per_table.len(),
+            bdms.storage().table_names().len() + 3
+        );
         // Fig. 5 check: E has 9 rows for this example.
         let e = stats.per_table.iter().find(|(n, _)| n == "E").unwrap();
         assert_eq!(e.1, 9);

@@ -10,18 +10,24 @@
 //! | `{R}__star` | `tid, key, att2, ...` | `tid`, index `(key, att2, ...)` |
 //! | `U` | `uid, name` | `uid` |
 //! | `V__{R}` | `wid, tid, key, s, e` | multiset, index `(wid, key)` |
-//! | `E` | `wid1, uid, wid2` | multiset, index `(wid1, uid)` |
 //!
-//! `R*`, `V` and `E` carry one index each. The storage engine groups an
-//! index by its first column, so the same index answers the slice probe
-//! `(wid, key)` of Alg. 4, the whole-world probe `(wid)` of world dumps and
-//! of Alg. 2 line 9, and the `(wid1)` hops of the `E*` walk. `R*`'s
-//! [`R_BY_TUPLE`] over every attribute column is how a tuple finds its
-//! tid (Alg. 4 line 1): one probe on the tuple's cells, the collisions
-//! resolved against `R*`'s own heap, and no copy of the tuples anywhere
-//! else; a query's selection on the key probes it by its first column.
-//! | `D` | `wid, d` | `wid` |
-//! | `S` | `wid1, wid2` | `wid1` |
+//! `R*` and `V` carry one index each. The storage engine groups an index
+//! by its first column, so the same index answers the slice probe
+//! `(wid, key)` of Alg. 4 and the whole-world probe `(wid)` of world
+//! dumps and of Alg. 2 line 9. `R*`'s [`R_BY_TUPLE`] over every attribute
+//! column is how a tuple finds its tid (Alg. 4 line 1): one probe on the
+//! tuple's cells, the collisions resolved against `R*`'s own heap, and no
+//! copy of the tuples anywhere else; a query's selection on the key
+//! probes it by its first column.
+//!
+//! The paper's world relations `E(wid1, uid, wid2)`, `D(wid, d)` and
+//! `S(wid1, wid2)` are not stored: every row of them is a function of the
+//! canonical structure's states (Def. 16), which the [`WorldDirectory`]
+//! holds — its paths are `D`, its suffix parents `S`, and its `dss` is
+//! where every `E` edge leads. Algorithm 1 resolves belief paths through
+//! the directory when it translates (`bcq::translate`), and
+//! [`InternalStore::table_sizes`] still counts the three relations' rows
+//! in the paper's size measure.
 //!
 //! `s` is the sign (`'+'`/`'-'`), `e` records whether the tuple is explicit
 //! (`'y'`) or implied by the message-board assumption (`'n'`).
@@ -37,10 +43,12 @@
 //! and the default rule is applied on read: a slice is the overriding union
 //! folded down the suffix chain `Sᵈ(w) … S(w), w`, and Algorithm 1 reads
 //! the same fold as an unrolled union (`bcq::translate`). The policy is
-//! read in three places only: the slice read ([`InternalStore::world`] and
-//! the slice reads behind the gate, `believed_at` and `entails`), the write
-//! path after the explicit row (propagation and Alg. 2 line 9), and
-//! Algorithm 1's `V` atom.
+//! read in two places only: the chain of worlds whose stored rows make up
+//! a world's content (`stored_chain`: the world alone under `Eager`),
+//! which the slice read ([`InternalStore::world`] and the slice reads
+//! behind the gate, `believed_at` and `entails`) and Algorithm 1's `V`
+//! atom both fold, and the write path after the explicit row (propagation
+//! and Alg. 2 line 9).
 //!
 //! `|R*|` is the paper's cost axis, and almost all of it is `V`. What a `V`
 //! row costs is the storage engine's business, but the shape helps it:
@@ -50,10 +58,10 @@
 //!
 //! ## Fidelity notes
 //!
-//! * The world directory (`wid ↔ belief path`) is kept in memory as a cache
-//!   of what `E`/`D` encode relationally; `dss` walks it directly instead of
-//!   running Algorithm 3's `E*`-join + MAX query each time (same result,
-//!   same information source).
+//! * The world directory (`wid ↔ belief path`) is the one copy of the
+//!   world structure; `dss` walks it directly instead of running
+//!   Algorithm 3's `E*`-join + MAX query (same result, see
+//!   `tests/relational_algorithms.rs`).
 //! * `insertTuple` is implemented as Algorithm 4 *reformulated per key
 //!   slice and applied as a delta*: an insert, delete or update of key `k`
 //!   at world `w` walks `w` and its dependent worlds (those having `w` as
@@ -72,13 +80,12 @@
 //!   parent) is one group copy per relation: `V`'s rows of the parent are
 //!   duplicated under the new `wid` inside the table, and their index run
 //!   is cloned rather than rebuilt (`Table::copy_group`).
-//! * The suffix-parent relation `S` has an in-memory mirror in the world
-//!   directory, with the children of every world: the dependents of a
-//!   world are its subtree there, and propagation reads parents from it
-//!   instead of from the `S` table, which stays as what queries read.
+//! * The suffix-parent relation `S` is the world directory's suffix tree,
+//!   with the children of every world: the dependents of a world are its
+//!   subtree there, and propagation reads parents from it.
 //! * Under `Lazy` the last three notes describe work that is not done:
 //!   a statement writes or removes its one explicit row, and a new world
-//!   starts empty (`E`, `D`, `S` are maintained exactly as under `Eager`).
+//!   starts empty.
 //!   The Alg. 4 gate still sees the entailed slice, now folded from the
 //!   suffix chain, so outcomes are the same under both policies.
 //! * Worlds are never destroyed by deletes; a state with an empty explicit
@@ -161,11 +168,8 @@ pub fn v_table(name: &str) -> String {
     format!("V__{name}")
 }
 
-/// Fixed internal table names.
+/// The user table's name.
 pub const U_TABLE: &str = "U";
-pub const E_TABLE: &str = "E";
-pub const D_TABLE: &str = "D";
-pub const S_TABLE: &str = "S";
 
 /// Index name on every `{R}__star` table covering the attribute columns
 /// `(key, att2, ...)`: the tid of a tuple by the full tuple, its rows by
@@ -174,9 +178,6 @@ pub const R_BY_TUPLE: &str = "by_tuple";
 /// Index name on every `V__{R}` table covering `(wid, key)`: slices by the
 /// full key, whole worlds (Alg. 2 line 9, world dumps) by `wid` alone.
 pub const V_BY_WID_KEY: &str = "by_wid_key";
-/// Index name on `E` covering `(wid1, uid)`: one edge by the full key, the
-/// hops of the `E*` walk by `wid1` alone.
-pub const E_BY_SRC_USER: &str = "by_src_user";
 
 /// The two internal tables of one external relation, by name, and the
 /// handles of their indexes.
@@ -267,17 +268,11 @@ impl InternalStore {
         }
 
         db.create_table(TableSchema::with_key(U_TABLE, &["uid", "name"]))?;
-        let e = db.create_table(TableSchema::keyless(E_TABLE, &["wid1", "uid", "wid2"]))?;
-        e.create_index(E_BY_SRC_USER, &["wid1", "uid"])?;
-        db.create_table(TableSchema::with_key(D_TABLE, &["wid", "d"]))?;
-        db.create_table(TableSchema::with_key(S_TABLE, &["wid1", "wid2"]))?;
 
-        // Root world ε: D(0, 0). No S entry (ε has no suffix parent).
+        // The root world ε.
         let mut dir = WorldDirectory::new();
         let root = dir.insert(BeliefPath::root());
         debug_assert_eq!(root, Wid::ROOT);
-        db.table_mut(D_TABLE)?
-            .insert(Row::new([Wid::ROOT.value(), Value::Int(0)]))?;
 
         Ok(InternalStore {
             db,
@@ -392,9 +387,10 @@ impl InternalStore {
         self.users.iter().any(|(u, _)| *u == id)
     }
 
-    /// Register a new user (Sect. 5.3 "Other updates"): a `U` row plus an
-    /// edge labelled by the new user from every world to the root (the new
-    /// user has no states, so `dss(w·u) = ε` everywhere).
+    /// Register a new user (Sect. 5.3 "Other updates"): a `U` row. The
+    /// paper also adds an `E` edge labelled by the new user from every
+    /// world to the root (the new user has no states, so `dss(w·u) = ε`
+    /// everywhere); the directory's `dss` answers that by itself.
     pub fn add_user(&mut self, name: impl Into<String>) -> Result<UserId> {
         let name = name.into();
         if self.users.iter().any(|(_, n)| *n == name) {
@@ -405,18 +401,6 @@ impl InternalStore {
             .table_mut(U_TABLE)?
             .insert(Row::new([id.value(), Value::str(&name)]))?;
         self.users.push((id, name));
-        for wid in self.dir.wids() {
-            let path = self.dir.path(wid).clone();
-            let target = match path.push(id) {
-                Ok(extended) => self.dir.dss(&extended),
-                Err(_) => continue,
-            };
-            self.db.table_mut(E_TABLE)?.insert(Row::new([
-                wid.value(),
-                id.value(),
-                target.value(),
-            ]))?;
-        }
         Ok(id)
     }
 
@@ -470,19 +454,34 @@ impl InternalStore {
         Ok(GroundTuple::new(rel, row))
     }
 
-    /// Total number of tuples in the internal database — the paper's
-    /// `|R*|` size measure.
+    /// Total number of tuples in the internal schema — the paper's `|R*|`
+    /// size measure: the stored tables and the world relations `D`, `E`
+    /// and `S`, which the world directory holds.
     pub fn total_tuples(&self) -> usize {
-        self.db.total_tuples()
+        let worlds: usize = self.world_relation_sizes().iter().map(|(_, n)| n).sum();
+        self.db.total_tuples() + worlds
     }
 
-    /// Per-table sizes for reporting.
+    /// Per-relation sizes of the internal schema for reporting, sorted by
+    /// name: the stored tables and the world relations.
     pub fn table_sizes(&self) -> Vec<(String, usize)> {
-        self.db
-            .table_sizes()
-            .into_iter()
+        let stored = self.db.table_sizes().into_iter();
+        let mut sizes: Vec<(String, usize)> = stored
+            .chain(self.world_relation_sizes())
             .map(|(n, c)| (n.to_string(), c))
-            .collect()
+            .collect();
+        sizes.sort();
+        sizes
+    }
+
+    /// The row counts of Fig. 5's world relations, which only the world
+    /// directory holds: `D(wid, d)` has a row per world, `S(wid1, wid2)`
+    /// one per world but the root, and `E(wid1, uid, wid2)` an edge per
+    /// world and user other than the world's last user (Def. 16).
+    fn world_relation_sizes(&self) -> [(&'static str, usize); 3] {
+        let (worlds, users) = (self.dir.len(), self.users.len());
+        let edges = users + users.saturating_sub(1) * (worlds - 1);
+        [("D", worlds), ("E", edges), ("S", worlds - 1)]
     }
 
     /// Resolve a belief path to the state whose world carries its entailed
@@ -580,9 +579,12 @@ mod tests {
     fn fresh_store_has_internal_schema_and_root() {
         let store = InternalStore::new(schema()).unwrap();
         let names = store.database().table_names();
-        assert_eq!(names, vec!["D", "E", "S", "S__star", "U", "V__S"]);
-        // Root world: exactly the D(0,0) row.
+        assert_eq!(names, vec!["S__star", "U", "V__S"]);
+        // Root world: exactly the D(0,0) row, which the directory holds.
         assert_eq!(store.total_tuples(), 1);
+        let sizes = store.table_sizes();
+        let names: Vec<&str> = sizes.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["D", "E", "S", "S__star", "U", "V__S"]);
         assert_eq!(store.resolve(&BeliefPath::root()), Wid::ROOT);
         assert_eq!(store.directory().len(), 1);
     }
@@ -593,10 +595,17 @@ mod tests {
         let alice = store.add_user("Alice").unwrap();
         assert_eq!(alice, UserId(1));
         // E(0, 1, 0): Alice loops on the root.
-        let e = store.database().table(E_TABLE).unwrap();
-        assert_eq!(e.len(), 1);
-        let rows = e.scan();
-        assert_eq!(rows[0], row![0, 1, 0]);
+        let size = |store: &InternalStore, name: &str| {
+            let sizes = store.table_sizes();
+            sizes.iter().find(|(n, _)| n == name).unwrap().1
+        };
+        assert_eq!(size(&store, "E"), 1);
+        assert_eq!(store.resolve(&BeliefPath::user(alice)), Wid::ROOT);
+        // Bob adds his root edge and one from the new world [Alice].
+        store.add_user("Bob").unwrap();
+        store.ensure_world(&BeliefPath::user(alice)).unwrap();
+        assert_eq!(size(&store, "E"), 2 + 1);
+        assert_eq!(store.total_tuples(), 2 + 2 + 1 + 3);
         assert_eq!(store.user_by_name("Alice").unwrap(), alice);
         assert_eq!(store.user_name(alice).unwrap(), "Alice");
         assert!(store.add_user("Alice").is_err());

@@ -121,7 +121,7 @@ impl InternalStore {
     /// `wid`, root-most first: `wid` alone under `Eager`, where `V` holds
     /// the closure, and its suffix chain `Sᵈ(w) … S(w), w` under `Lazy`,
     /// where it holds the explicit statements only.
-    fn stored_chain(&self, wid: Wid) -> Vec<Wid> {
+    pub(crate) fn stored_chain(&self, wid: Wid) -> Vec<Wid> {
         let mut chain = vec![wid];
         if self.policy == DefaultPolicy::Lazy {
             let mut x = wid;

@@ -1,21 +1,26 @@
 //! World management: the world directory, `dss` (Algorithm 3) and
 //! `idWorld` (Algorithm 2, with the tech-report errata applied).
+//!
+//! The directory is the store's only copy of the world structure: the
+//! paper's `D`, `S` and `E` relations are functions of it (the depth of a
+//! world's path, its suffix parent, and `E(w, u) = dss(w·u)`), so none of
+//! them is stored.
 
-use super::{DefaultPolicy, InternalStore, D_TABLE, E_TABLE, S_TABLE};
+use super::{DefaultPolicy, InternalStore};
 use crate::error::Result;
 use crate::ids::Wid;
 use crate::path::BeliefPath;
-use beliefdb_storage::{CellHash, Row, Value};
+use beliefdb_storage::CellHash;
 use std::collections::HashMap;
 
 /// Bidirectional mapping `wid ↔ belief path`, and the suffix tree of the
 /// worlds.
 ///
-/// This mirrors what the `E`, `D` and `S` relations encode (a path is the
-/// label sequence of forward edges from the root; `S` maps a world to its
-/// suffix parent); keeping it in memory turns Algorithm 3's
-/// `E*`-join-plus-MAX query into a suffix walk and Algorithm 4's
-/// dependent-world query into a subtree walk.
+/// It holds what the paper's `E`, `D` and `S` relations encode (a path is
+/// the label sequence of forward edges from the root; `S` maps a world to
+/// its suffix parent), which turns Algorithm 3's `E*`-join-plus-MAX query
+/// into a suffix walk and Algorithm 4's dependent-world query into a
+/// subtree walk.
 #[derive(Debug, Clone, Default)]
 pub struct WorldDirectory {
     paths: Vec<BeliefPath>,
@@ -25,8 +30,6 @@ pub struct WorldDirectory {
     suffix_parents: Vec<Wid>,
     /// The worlds a world is the suffix parent of, ascending.
     children: Vec<Vec<Wid>>,
-    /// The depth of the deepest world.
-    max_depth: usize,
 }
 
 impl WorldDirectory {
@@ -66,7 +69,6 @@ impl WorldDirectory {
         }
         self.suffix_parents.push(parent);
         self.children.push(adopted);
-        self.max_depth = self.max_depth.max(path.depth());
         self.ids.insert(path.clone(), wid);
         self.paths.push(path);
         wid
@@ -86,16 +88,6 @@ impl WorldDirectory {
 
     pub fn is_empty(&self) -> bool {
         self.paths.is_empty()
-    }
-
-    /// The depth of the deepest world: no suffix chain has more than
-    /// `max_depth() + 1` worlds.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    pub fn wids(&self) -> Vec<Wid> {
-        (0..self.paths.len() as u32).map(Wid).collect()
     }
 
     /// Iterate `(wid, path)` pairs.
@@ -154,103 +146,32 @@ impl InternalStore {
     /// `idWorld` (Algorithm 2): return the id of world `w`, creating it —
     /// and every missing prefix — if needed.
     ///
-    /// Creation performs the paper's steps:
+    /// Creation performs the paper's steps that change what the store
+    /// holds:
     /// 1. recursively ensure the parent `w[1,d−1]` exists,
-    /// 2. allocate `x`, insert `D(x, d)`,
-    /// 3. redirect the parent's `w[d]`-edge from `dss(w)` to `x`,
-    /// 4. add edges `E(x, u, dss(w·u))` for every user `u ≠ w[d]`,
-    /// 5. redirect the `w[d]`-edge of every world `y = v·w[1,d−1]` whose
-    ///    current target is shallower than `d` (those edges now reach `x`),
-    /// 6. insert `S(x, dss(w[2,d]))` (errata version) and also repoint the
-    ///    `S` entry of any world whose deepest suffix parent is now `x`,
-    /// 7. copy all tuples of the suffix parent into `x` as implicit (under
+    /// 2. register `x` in the directory, which places it in the suffix
+    ///    tree: its suffix parent is `dss(w[2,d])` (errata version), and
+    ///    it becomes the suffix parent of every world whose deepest
+    ///    proper suffix state it now is,
+    /// 3. copy all tuples of the suffix parent into `x` as implicit (under
     ///    [`DefaultPolicy::Eager`] only).
+    ///
+    /// The paper's other steps write `D(x, d)`, `x`'s outgoing `E` edges,
+    /// the edges redirected to `x`, and the `S` rows; the directory
+    /// answers all of them once `x` is registered.
     pub fn ensure_world(&mut self, path: &BeliefPath) -> Result<Wid> {
         if let Some(wid) = self.dir.get(path) {
             return Ok(wid);
         }
-        let d = path.depth();
-        debug_assert!(d >= 1, "the root world always exists");
-        let last = path.last().expect("non-root path");
-
-        // (1) parent prefix w[1,d-1]
-        let parent = self.ensure_world(&path.prefix(d - 1))?;
-
-        // (2) allocate x
+        debug_assert!(!path.is_root(), "the root world always exists");
+        self.ensure_world(&path.prefix(path.depth() - 1))?;
         let x = self.dir.insert(path.clone());
-        self.db
-            .table_mut(D_TABLE)?
-            .insert(Row::new([x.value(), Value::Int(d as i64)]))?;
-
-        // (3) redirect the parent's w[d]-edge to x
-        {
-            let e = self.db.table_mut(E_TABLE)?;
-            e.delete_by_index(super::E_BY_SRC_USER, &[parent.value(), last.value()])?;
-            e.insert(Row::new([parent.value(), last.value(), x.value()]))?;
-        }
-
-        // (4) outgoing edges of x: u-edge to dss(w·u) for u ≠ w[d]
-        let users: Vec<_> = self.users().collect();
-        for u in users {
-            if u == last {
-                continue;
-            }
-            let target = self.dir.dss(&path.push(u).expect("u ≠ last"));
-            self.db
-                .table_mut(E_TABLE)?
-                .insert(Row::new([x.value(), u.value(), target.value()]))?;
-        }
-
-        // (5) redirect w[d]-edges of deeper worlds that should now reach x:
-        // y ends with w[1,d−1] — it is a dependent of the parent in the
-        // suffix tree, so only those are walked — can take a w[d]-edge, and
-        // its current target is shallower than d. That target is the
-        // deepest state ending y·w[d], and every such state shallower than
-        // d is a suffix of w, so it is shallower exactly when x is now that
-        // deepest state: the directory answers without reading `E`. In wid
-        // order, so `E` is written in the order a scan of every world would
-        // write it.
-        let mut redirect: Vec<Wid> = self
-            .dir
-            .dependents(&path.prefix(d - 1))
-            .into_iter()
-            .filter(|&y| {
-                y != x
-                    && self
-                        .dir
-                        .path(y)
-                        .push(last)
-                        .is_ok_and(|p| self.dir.dss(&p) == x)
-            })
-            .collect();
-        redirect.sort_unstable();
-        let e = self.db.table_mut(E_TABLE)?;
-        for y in redirect {
-            e.delete_by_index(super::E_BY_SRC_USER, &[y.value(), last.value()])?;
-            e.insert(Row::new([y.value(), last.value(), x.value()]))?;
-        }
-
-        // (6) S entry for x: the deepest suffix state of w[2,d] (errata),
-        // and repoint S of worlds whose suffix parent is now x. Repointing
-        // needs no content rebuild: x was just created with exactly the
-        // entailed content of the old parent chain.
-        // The directory found both when it registered x.
-        let s_parent = self.dir.suffix_parent(x);
-        let s = self.db.table_mut(S_TABLE)?;
-        s.insert(Row::new([x.value(), s_parent.value()]))?;
-        for z in self.dir.children(x) {
-            if let Some(rid) = s.rid_by_key(&z.value()) {
-                s.delete(rid)?;
-            }
-            s.insert(Row::new([z.value(), x.value()]))?;
-        }
-
-        // (7) copy the suffix parent's tuples into x as implicit beliefs —
-        // under `Lazy` x starts empty and reads them through `S`.
+        // Repointing the suffix parent of the worlds below x needs no
+        // content rebuild: x starts with exactly the entailed content of
+        // their old parent chain.
         if self.policy == DefaultPolicy::Eager {
-            self.copy_world_as_implicit(s_parent, x)?;
+            self.copy_world_as_implicit(self.dir.suffix_parent(x), x)?;
         }
-
         Ok(x)
     }
 
@@ -287,18 +208,16 @@ mod tests {
         store
     }
 
-    /// The target of `world`'s `user`-edge, read off `E`'s rows: exactly
-    /// one row must match.
+    /// The target of `world`'s `user`-edge (Def. 16): `dss(w·u)`.
     fn edge_target(store: &InternalStore, world: Wid, user: UserId) -> Wid {
-        let e = store.database().table(E_TABLE).unwrap();
-        let targets: Vec<Wid> = e
-            .scan()
-            .iter()
-            .filter(|r| r[0] == world.value() && r[1] == user.value())
-            .map(|r| Wid::from_cell(r[2].as_cell()).expect("wid column"))
-            .collect();
-        assert_eq!(targets.len(), 1, "E({world:?}, {user:?}) must be one row");
-        targets[0]
+        let extended = store.dir.path(world).push(user).expect("u ≠ last(w)");
+        store.dir.dss(&extended)
+    }
+
+    /// The row count of world relation `name` in the store's size report.
+    fn size(store: &InternalStore, name: &str) -> usize {
+        let sizes = store.table_sizes();
+        sizes.iter().find(|(n, _)| n == name).expect("reported").1
     }
 
     #[test]
@@ -311,7 +230,8 @@ mod tests {
         assert_eq!(dir.get(&path(&[2])), None);
         assert_eq!(dir.path(w1), &path(&[1]));
         assert_eq!(dir.len(), 2);
-        assert_eq!(dir.wids(), vec![Wid(0), Wid(1)]);
+        let wids: Vec<Wid> = dir.iter().map(|(wid, _)| wid).collect();
+        assert_eq!(wids, vec![Wid(0), Wid(1)]);
     }
 
     #[test]
@@ -412,7 +332,7 @@ mod tests {
         assert_eq!(edge_target(&store, w21, u2), w2);
         assert_eq!(edge_target(&store, w21, u3), root);
         // Edge count matches Fig. 5's E table: 9 rows.
-        assert_eq!(store.database().table(E_TABLE).unwrap().len(), 9);
+        assert_eq!(size(&store, "E"), 9);
     }
 
     #[test]
@@ -473,13 +393,10 @@ mod tests {
     fn depth_relation_is_maintained() {
         let mut store = store_with_users(2);
         store.ensure_world(&path(&[1, 2])).unwrap();
-        let d = store.database().table(D_TABLE).unwrap();
-        // ε, 1, 1·2
-        assert_eq!(d.len(), 3);
-        let mut rows = d.scan();
-        rows.sort();
-        assert_eq!(rows[0], beliefdb_storage::row![0, 0]);
-        assert_eq!(rows[1], beliefdb_storage::row![1, 1]);
-        assert_eq!(rows[2], beliefdb_storage::row![2, 2]);
+        // ε, 1, 1·2: D(0, 0), D(1, 1), D(2, 2), and S for the two others.
+        assert_eq!(size(&store, "D"), 3);
+        assert_eq!(size(&store, "S"), 2);
+        let depths: Vec<(Wid, usize)> = store.dir.iter().map(|(w, p)| (w, p.depth())).collect();
+        assert_eq!(depths, vec![(Wid(0), 0), (Wid(1), 1), (Wid(2), 2)]);
     }
 }

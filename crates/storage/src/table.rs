@@ -494,12 +494,6 @@ impl Table {
         self.remove_all(victims)
     }
 
-    /// Delete all rows with this index key.
-    pub fn delete_by_index(&mut self, index: &str, key: &[Value]) -> Result<usize> {
-        let victims = self.index_lookup(index, key)?.collect();
-        self.remove_all(victims)
-    }
-
     /// Row id for a primary key.
     pub fn rid_by_key(&self, key: &Value) -> Option<RowId> {
         self.pk.get(key).copied()
@@ -834,10 +828,8 @@ mod tests {
         assert_eq!(t.index_count(), 1);
         let first = [Value::int(1)];
         assert_eq!(t.index_lookup("by_wid_key", &first).unwrap().count(), 2);
-        assert_eq!(
-            t.delete_by_index("by_wid_key", &[Value::int(1)]).unwrap(),
-            2
-        );
+        let wid_1 = t.delete_by_index_where("by_wid_key", &[Value::int(1)], |_| true);
+        assert_eq!(wid_1.unwrap(), 2);
         assert_eq!(t.scan(), [row![2, 10, "s1"]]);
 
         t.create_index("by_wid", &["wid"]).unwrap();

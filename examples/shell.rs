@@ -223,8 +223,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 },
                 Some("stats") => {
                     let stats = session.bdms().stats();
+                    // The world relations are counted, not stored: the
+                    // world directory holds them.
+                    let world_rows: usize = (stats.per_table.iter())
+                        .filter(|(name, _)| ["D", "E", "S"].contains(&name.as_str()))
+                        .map(|(_, rows)| rows)
+                        .sum();
                     println!(
-                        "{} tuples, {} worlds, {} users",
+                        "{} tuples, {} worlds, {} users ({world_rows} of the tuples in D, E \
+                         and S, which the world directory holds)",
                         stats.total_tuples, stats.worlds, stats.users
                     );
                     for row in sys_rows(&session, "select name, rows from sys.tables order by name")

@@ -176,7 +176,8 @@ if all(os.path.exists(p) for p in traced.values()):
     exact = ["exec.rows_scanned", "exec.rows_emitted", "exec.columnar_chunks", "exec.spill_bytes",
              "table.seq_scans", "table.rows_read",
              "table.index_probes", "table.transpose_rebuilds", "datalog.plan_cache_hits",
-             "datalog.plan_cache_misses", "ops.attempted", "ops.accepted", "worlds.count",
+             "datalog.plan_cache_misses", "translate.rules", "magic.rules_out",
+             "ops.attempted", "ops.accepted", "worlds.count",
              "wal.bytes", "wal.appends", "snapshot.bytes", "session.rows_returned"]
     def counters(path):
         closing = {}

@@ -15,6 +15,7 @@
 
 mod common;
 
+use beliefdb::core::bcq::translate::NO_VALUATION;
 use beliefdb::core::bcq::{Bcq, CmpPred, PathElem, QueryTerm, Subgoal};
 use beliefdb::core::{Bdms, RelId, Sign, UserId};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
@@ -264,6 +265,13 @@ fn explain_output_is_deterministic_across_runs() {
         let a = bdms.explain_query(&q).expect("explain failed");
         let b = bdms.explain_query(&q).expect("explain failed");
         assert_eq!(a, b, "EXPLAIN unstable for {q}");
+        // A path with no valuation inside Û* (such as `x·x`) translates
+        // to the empty program, whose answer is empty.
+        if bdms.translate(&q).unwrap().program.rules.is_empty() {
+            assert_eq!(a, NO_VALUATION, "{q}");
+            assert!(bdms.query_naive(&q).unwrap().is_empty(), "{q}");
+            continue;
+        }
         assert!(
             a.contains("Scan") || a.contains("Values"),
             "implausible plan: {a}"

@@ -13,19 +13,25 @@
 //!   `query_naive` and `query_materialized`;
 //! * the counters: a third repeat scans no row and counts one hit, a
 //!   write outside a program's read set keeps its answer, and a write
-//!   inside it forces a miss.
+//!   inside it forces a miss;
+//! * the world directory: a program reads the worlds its belief paths
+//!   resolve to as constants and valuation facts, so a new world or user
+//!   that changes a resolution changes the program's text — the cache
+//!   key — and the repeat misses.
 //!
 //! The metrics registry is process-global, so every test here holds
 //! `METRICS` while it runs: the deltas are then exact.
 
 use beliefdb::core::bcq::dsl::*;
 use beliefdb::core::bcq::Bcq;
-use beliefdb::core::internal::{E_TABLE, U_TABLE};
-use beliefdb::core::{Bdms, BeliefPath, BeliefStatement, DefaultPolicy, GroundTuple, Sign, UserId};
+use beliefdb::core::internal::U_TABLE;
+use beliefdb::core::{
+    Bdms, BeliefPath, BeliefStatement, DefaultPolicy, ExternalSchema, GroundTuple, Sign, UserId,
+};
 use beliefdb::gen::scenarios::table2_config;
 use beliefdb::gen::{fresh_bdms_with_policy, CandidateStream};
 use beliefdb::storage::datalog::PlanCache;
-use beliefdb::storage::{metrics, CmpOp, Metric, Recorder, Row, Value};
+use beliefdb::storage::{metrics, row, CmpOp, Metric, Recorder, Row, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -126,10 +132,11 @@ fn interleaving(policy: DefaultPolicy, seed: u64, steps: usize) -> (u64, usize) 
         match rng.gen_range(0..10) {
             0 => {
                 // Every other insert lands in a world the `q1` queries
-                // read, so most inserts change some answer.
+                // read, so most inserts change some answer; the deeper two
+                // may create the world a path resolved below until then.
                 let mut stmt = stream.next_candidate();
                 if rng.gen_range(0..2) == 0 {
-                    let paths: &[&[u32]] = &[&[], &[1], &[2, 1]];
+                    let paths: &[&[u32]] = &[&[], &[1], &[2, 1], &[1, 2, 1], &[2, 1, 2, 1]];
                     let path = paths[rng.gen_range(0..paths.len())]
                         .iter()
                         .map(|&u| UserId(u));
@@ -260,25 +267,33 @@ fn writes_outside_the_read_set_keep_the_answer_and_writes_inside_do_not() {
         let (mut bdms, mut stream, _) = table2_store(policy, 9);
         let key = probe_key(&bdms);
         let queries = reads(&bdms, &key);
-        // Which queries read the two tables a new user writes.
-        let reads_users = |q: &Bcq| {
+        // A new user writes `U` and gives every path variable one more
+        // value: a query is touched when it reads `U` or when its
+        // program's text — valuation facts included — changes.
+        let programs = |bdms: &Bdms| -> Vec<String> {
+            let translated = queries.iter().map(|(_, q)| bdms.translate(q).unwrap());
+            translated.map(|t| t.program.to_string()).collect()
+        };
+        let reads_users = |bdms: &Bdms, q: &Bcq| {
             let program = bdms.translate(q).unwrap().program;
             PlanCache::read_versions(bdms.storage(), &program)
                 .iter()
-                .any(|(t, _)| t == U_TABLE || t == E_TABLE)
+                .any(|(t, _)| t == U_TABLE)
         };
-        let touched: Vec<bool> = queries.iter().map(|(_, q)| reads_users(q)).collect();
-        assert!(
-            touched.contains(&true) && touched.contains(&false),
-            "{touched:?}"
-        );
+        let before = programs(&bdms);
         for (_, q) in &queries {
             bdms.query(q).unwrap();
             bdms.query(q).unwrap();
         }
 
-        // A new user writes `U` and `E` only.
         bdms.add_user("newcomer").unwrap();
+        let touched: Vec<bool> = (queries.iter().zip(before).zip(programs(&bdms)))
+            .map(|(((_, q), before), after)| reads_users(&bdms, q) || before != after)
+            .collect();
+        // q3 ranges over the users; the constant paths do not.
+        let names: Vec<&str> = queries.iter().map(|(n, _)| n.as_str()).collect();
+        let expected: Vec<bool> = names.iter().map(|&n| n == "q3").collect();
+        assert_eq!(touched, expected, "{policy:?} {names:?}");
         for ((name, q), touched) in queries.iter().zip(&touched) {
             let naive = bdms.query_naive(q).unwrap();
             let (scanned, hits, misses) = deltas(|| assert_eq!(bdms.query(q).unwrap(), naive));
@@ -312,5 +327,114 @@ fn writes_outside_the_read_set_keep_the_answer_and_writes_inside_do_not() {
             let (_, hits, misses) = deltas(|| assert_eq!(bdms.query(q).unwrap(), naive));
             assert_eq!((hits, misses), (0, 1), "{policy:?} {name}: after an insert");
         }
+    }
+}
+
+/// A store over two relations, `S` and `C`, with three users and stated
+/// worlds `ε`, `[1]` and `[2]`: `[2·1]` resolves to `[1]`.
+fn two_relation_store(policy: DefaultPolicy) -> Bdms {
+    let schema = ExternalSchema::new()
+        .with_relation("S", &["sid", "species"])
+        .with_relation("C", &["cid", "text"]);
+    let mut bdms = Bdms::with_policy(schema, policy).unwrap();
+    for name in ["u1", "u2", "u3"] {
+        bdms.add_user(name).unwrap();
+    }
+    let s = bdms.schema().relation_id("S").unwrap();
+    let at = |users: &[u32]| BeliefPath::new(users.iter().map(|&u| UserId(u)).collect::<Vec<_>>());
+    let statements = [
+        (at(&[]), row!["s1", "crow"], Sign::Pos),
+        (at(&[1]), row!["s1", "raven"], Sign::Pos),
+        (at(&[1]), row!["s2", "owl"], Sign::Pos),
+        (at(&[2]), row!["s1", "crow"], Sign::Neg),
+    ];
+    for (path, tuple, sign) in statements {
+        bdms.insert(path.unwrap(), s, tuple, sign).unwrap();
+    }
+    bdms
+}
+
+/// The hits and misses of one `query` of `q`, whose answer must equal
+/// `query_naive`'s.
+fn counted_read(bdms: &Bdms, q: &Bcq, ctx: &str) -> (u64, u64) {
+    let naive = bdms.query_naive(q).unwrap();
+    let (_, hits, misses) = deltas(|| assert_eq!(bdms.query(q).unwrap(), naive, "{ctx}"));
+    (hits, misses)
+}
+
+#[test]
+fn a_new_world_or_user_that_changes_a_resolution_forces_a_miss() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    for policy in POLICIES {
+        // A deeper world appears between two identical reads at `[2·1]`,
+        // written through the other relation: under `Lazy` no table the
+        // read reads changes, only the world its path resolves to.
+        let mut bdms = two_relation_store(policy);
+        let s = bdms.schema().relation_id("S").unwrap();
+        let c = bdms.schema().relation_id("C").unwrap();
+        let q = Bcq::builder(vec![qv("x"), qv("y")])
+            .positive(
+                vec![pu(UserId(2)), pu(UserId(1))],
+                s,
+                vec![qv("x"), qv("y")],
+            )
+            .build(bdms.schema())
+            .unwrap();
+        let ctx = format!("{policy:?} [2·1]");
+        let w21 = BeliefPath::new(vec![UserId(2), UserId(1)]).unwrap();
+        let w1 = bdms
+            .internal()
+            .directory()
+            .get(&BeliefPath::user(UserId(1)));
+        assert_eq!(Some(bdms.internal().resolve(&w21)), w1, "{ctx}");
+        assert_eq!(counted_read(&bdms, &q, &ctx), (0, 1), "{ctx}: first read");
+        assert_eq!(counted_read(&bdms, &q, &ctx), (1, 0), "{ctx}: repeat");
+        let before = bdms.translate(&q).unwrap().program.to_string();
+        let v_s = |bdms: &Bdms| bdms.storage().table("V__S").unwrap().version();
+        let version = v_s(&bdms);
+        let outcome = bdms.insert(w21.clone(), c, row!["c1", "seen"], Sign::Pos);
+        assert!(outcome.unwrap().accepted(), "{ctx}");
+        assert_eq!(
+            bdms.internal().directory().get(&w21),
+            Some(bdms.internal().resolve(&w21))
+        );
+        if policy == DefaultPolicy::Lazy {
+            assert_eq!(v_s(&bdms), version, "{ctx}: `V__S` is untouched");
+        }
+        assert_ne!(
+            bdms.translate(&q).unwrap().program.to_string(),
+            before,
+            "{ctx}"
+        );
+        assert_eq!(
+            counted_read(&bdms, &q, &ctx),
+            (0, 1),
+            "{ctx}: after the new world"
+        );
+        assert_eq!(counted_read(&bdms, &q, &ctx), (1, 0), "{ctx}: its repeat");
+
+        // A new user before q3, whose negative subgoal ranges over the
+        // users: the valuation facts gain a row.
+        let (mut bdms, _, _) = table2_store(policy, 11);
+        let q3 = &beliefdb_bench::table2_queries(&bdms).unwrap()[6];
+        assert_eq!(q3.0, "q3");
+        let ctx = format!("{policy:?} q3");
+        assert_eq!(
+            counted_read(&bdms, &q3.1, &ctx),
+            (0, 1),
+            "{ctx}: first read"
+        );
+        assert_eq!(counted_read(&bdms, &q3.1, &ctx), (1, 0), "{ctx}: repeat");
+        bdms.add_user("newcomer").unwrap();
+        assert_eq!(
+            counted_read(&bdms, &q3.1, &ctx),
+            (0, 1),
+            "{ctx}: after add_user"
+        );
+        assert_eq!(
+            counted_read(&bdms, &q3.1, &ctx),
+            (1, 0),
+            "{ctx}: its repeat"
+        );
     }
 }

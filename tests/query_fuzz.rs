@@ -3,24 +3,55 @@
 //! Def. 14 evaluator (logical closure). Any disagreement is a bug in the
 //! translation, the executor, or the closure — historically the richest
 //! source of subtle defects in this kind of system.
+//!
+//! The translation resolves belief paths through the world directory, so
+//! a translated program — magic-rewritten or not, under either policy —
+//! reads no stored table but `R*`, `V` and `U`.
 
 mod common;
 
 use beliefdb::core::bcq::{Bcq, PathElem, QueryTerm, Subgoal};
-use beliefdb::core::{bcq::naive, Bdms, Sign};
+use beliefdb::core::{bcq::naive, Bdms, DefaultPolicy, Sign};
 use beliefdb::gen::{generate_logical, DepthDist, GeneratorConfig};
+use beliefdb::storage::datalog::PlanCache;
+use beliefdb::storage::opt::magic;
 use beliefdb::storage::Value;
 use common::bcq::{arb_query, ARITY, USERS};
 use proptest::prelude::*;
 
 fn workload() -> Bdms {
+    workload_under(DefaultPolicy::default())
+}
+
+fn workload_under(policy: DefaultPolicy) -> Bdms {
     let cfg = GeneratorConfig::new(USERS as usize, 100)
         .with_depth(DepthDist::new(&[0.25, 0.45, 0.3]))
         .with_key_space(6)
         .with_negative_rate(0.3)
         .with_seed(99);
     let (db, _) = generate_logical(&cfg).unwrap();
-    Bdms::from_belief_database(&db).unwrap()
+    let mut bdms = Bdms::with_policy(db.schema().clone(), policy).unwrap();
+    for u in db.users() {
+        bdms.add_user(db.user_name(u).unwrap()).unwrap();
+    }
+    for stmt in db.statements() {
+        bdms.insert_statement(&stmt).unwrap();
+    }
+    bdms
+}
+
+/// The stored tables a program reads that are neither an `R*`, a `V` nor
+/// `U`.
+fn world_tables_read(bdms: &Bdms, q: &Bcq, magic_on: bool) -> Vec<String> {
+    let mut program = bdms.translate(q).unwrap().program;
+    if magic_on {
+        program = magic::rewrite(&program);
+    }
+    PlanCache::read_versions(bdms.storage(), &program)
+        .into_iter()
+        .map(|(name, _)| name)
+        .filter(|name| !(name.ends_with("__star") || name.starts_with("V__") || name == "U"))
+        .collect()
 }
 
 proptest! {
@@ -30,13 +61,19 @@ proptest! {
     fn translated_equals_naive_on_random_queries(q in arb_query()) {
         // Only evaluate queries that pass the Def. 13 safety check; the
         // generators above produce plenty of safe ones.
-        let bdms = workload();
-        prop_assume!(q.validate(bdms.schema()).is_ok());
-        let translated = bdms.query(&q).unwrap();
-        let logical = bdms.to_belief_database().unwrap();
-        let mut reference = naive::evaluate(&logical, &q).unwrap();
-        reference.sort();
-        prop_assert_eq!(translated, reference, "divergence on query {}", q);
+        for policy in [DefaultPolicy::Eager, DefaultPolicy::Lazy] {
+            let bdms = workload_under(policy);
+            prop_assume!(q.validate(bdms.schema()).is_ok());
+            for magic_on in [false, true] {
+                let read = world_tables_read(&bdms, &q, magic_on);
+                prop_assert!(read.is_empty(), "{:?} magic {}: {} reads {:?}", policy, magic_on, q, read);
+            }
+            let translated = bdms.query(&q).unwrap();
+            let logical = bdms.to_belief_database().unwrap();
+            let mut reference = naive::evaluate(&logical, &q).unwrap();
+            reference.sort();
+            prop_assert_eq!(translated, reference, "{:?}: divergence on query {}", policy, q);
+        }
     }
 
     #[test]

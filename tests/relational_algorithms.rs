@@ -1,25 +1,64 @@
 //! Fidelity tests: the paper's algorithms expressed *relationally* — as
-//! non-recursive Datalog over the materialized internal schema — agree with
-//! the engine's in-memory implementations.
+//! non-recursive Datalog over the internal schema — agree with the
+//! engine's in-memory implementations.
 //!
-//! The store keeps a world directory in memory as a cache of what `E` and
-//! `D` encode (see `internal::worlds`); these tests demonstrate that the
-//! relational encoding alone carries the same information by re-running
-//! Algorithm 3 (`dss`) and the world-content walk (`E*` ⋈ `V` ⋈ `R*`, the
-//! core of Algorithm 1) purely through the storage layer.
+//! The store keeps the world structure in its world directory only (see
+//! `internal::worlds`); the paper's `E` and `D` relations are functions
+//! of it. These tests build the two relations from the directory as
+//! Datalog fact rules — Def. 16's edges `E(w, u, dss(path(w)·u))` for
+//! `u ≠ last(w)`, and `D(w, depth)` — and re-run Algorithm 3 (`dss`) and
+//! the world-content walk (`E*` ⋈ `V` ⋈ `R*`, the core of the paper's
+//! Algorithm 1) purely through the storage layer over them.
 
-use beliefdb::core::internal::{D_TABLE, E_TABLE};
 use beliefdb::core::{Bdms, BeliefPath, DefaultPolicy, ExternalSchema, RelId, Sign, UserId, Wid};
 use beliefdb::gen::{generate_bdms_with_policy, DepthDist, GeneratorConfig};
-use beliefdb::storage::datalog::{dsl, Evaluator};
-use beliefdb::storage::{row, Row, Value};
+use beliefdb::storage::datalog::{dsl, Evaluator, Program, Rule};
+use beliefdb::storage::{row, Row};
 use proptest::prelude::*;
+
+/// Def. 16's edges of the canonical structure, read off the directory:
+/// `(w, u, dss(path(w)·u))` for every world `w` and user `u ≠ last(w)`.
+fn edges(bdms: &Bdms) -> Vec<(Wid, UserId, Wid)> {
+    let dir = bdms.internal().directory();
+    let mut out = Vec::new();
+    for (wid, path) in dir.iter() {
+        for u in bdms.users() {
+            if let Ok(extended) = path.push(u) {
+                out.push((wid, u, dir.dss(&extended)));
+            }
+        }
+    }
+    out
+}
+
+/// `E(wid1, uid, wid2)` and `D(wid, d)` as fact rules.
+fn world_relations(bdms: &Bdms) -> Program {
+    let fact = |rel: &str, terms: Vec<i64>| -> Rule {
+        dsl::rule(rel, terms.into_iter().map(dsl::c).collect(), vec![])
+    };
+    let mut rules: Vec<Rule> = edges(bdms)
+        .into_iter()
+        .map(|(w, u, z)| fact("E", vec![w.0.into(), u.0.into(), z.0.into()]))
+        .collect();
+    let dir = bdms.internal().directory();
+    rules.extend(
+        dir.iter()
+            .map(|(w, p)| fact("D", vec![w.0.into(), p.depth() as i64])),
+    );
+    Program { rules }
+}
+
+/// An evaluator over the store's tables that holds `E` and `D`.
+fn evaluator(bdms: &Bdms) -> Evaluator<'_> {
+    let mut ev = Evaluator::new(bdms.storage());
+    ev.run(&world_relations(bdms)).expect("fact rules");
+    ev
+}
 
 /// Algorithm 3 in its relational form: for `p = 1 .. d+1`, run
 /// `T(z, y) :− E*(0, w[p,d], z), D(z, y)` and return the `z` with maximum
 /// depth `y` (the paper's max-operator step).
-fn relational_dss(bdms: &Bdms, path: &BeliefPath) -> Wid {
-    let mut ev = Evaluator::new(bdms.storage());
+fn relational_dss(ev: &mut Evaluator<'_>, path: &BeliefPath) -> Wid {
     let mut best: Option<(i64, i64)> = None; // (depth, wid)
     let d = path.depth();
     for p in 1..=d + 1 {
@@ -30,12 +69,12 @@ fn relational_dss(bdms: &Bdms, path: &BeliefPath) -> Wid {
         for (j, u) in suffix.users().iter().enumerate() {
             let next = dsl::v(&format!("z{j}"));
             body.push(dsl::pos(
-                E_TABLE,
+                "E",
                 vec![prev.clone(), dsl::c(u.value()), next.clone()],
             ));
             prev = next;
         }
-        body.push(dsl::pos(D_TABLE, vec![prev.clone(), dsl::v("y")]));
+        body.push(dsl::pos("D", vec![prev.clone(), dsl::v("y")]));
         let rule = dsl::rule("T", vec![prev, dsl::v("y")], body);
         let rows = ev.eval_rule(&rule).expect("algorithm 3 query");
         // The walk is deterministic: at most one row. But faithfully apply
@@ -90,9 +129,10 @@ fn algorithm3_relational_form_agrees_with_directory() {
         frontier = next;
     }
     let dir = bdms.internal().directory();
+    let mut ev = evaluator(&bdms);
     for p in &paths {
         assert_eq!(
-            relational_dss(&bdms, p),
+            relational_dss(&mut ev, p),
             dir.dss(p),
             "Algorithm 3 disagrees with the directory at {p}"
         );
@@ -100,13 +140,13 @@ fn algorithm3_relational_form_agrees_with_directory() {
 }
 
 /// The world-content walk of Algorithm 1's temp tables, run directly as a
-/// Datalog rule over the internal schema:
+/// Datalog rule over the internal schema and the directory's `E`:
 /// `W(sid, species, s) :− E*(0, w, z), V__S(z, t, _, s, _), S__star(t, sid, _, species, _, _)`.
 #[test]
 fn world_contents_via_pure_relational_walk() {
     // `V` holds every world's content only under `Eager`.
     let bdms = test_bdms_under(DefaultPolicy::Eager);
-    let mut ev = Evaluator::new(bdms.storage());
+    let mut ev = evaluator(&bdms);
     let users: Vec<UserId> = bdms.users();
 
     for &u in &users {
@@ -117,8 +157,8 @@ fn world_contents_via_pure_relational_walk() {
                 "W",
                 vec![dsl::v("sid"), dsl::v("species"), dsl::v("s")],
                 vec![
-                    dsl::pos(E_TABLE, vec![dsl::c(0i64), dsl::c(u.value()), dsl::v("z1")]),
-                    dsl::pos(E_TABLE, vec![dsl::v("z1"), dsl::c(v.value()), dsl::v("z2")]),
+                    dsl::pos("E", vec![dsl::c(0i64), dsl::c(u.value()), dsl::v("z1")]),
+                    dsl::pos("E", vec![dsl::v("z1"), dsl::c(v.value()), dsl::v("z2")]),
                     dsl::pos(
                         "V__S",
                         vec![
@@ -158,29 +198,42 @@ fn world_contents_via_pure_relational_walk() {
     }
 }
 
-/// The E relation is exactly Def. 16's edge set: `|E| = Σ_w |{u : u ≠
-/// last(w)}|` and every row points at a deepest suffix state.
+/// The size report counts exactly Def. 16's edge set, `|E| = Σ_w |{u :
+/// u ≠ last(w)}|`, and every edge points at the deepest suffix state of
+/// `path(w)·u`: a suffix of it that is a state, with no longer suffix a
+/// state.
 fn check_edges_match_def16(bdms: &Bdms) -> Result<(), TestCaseError> {
     let dir = bdms.internal().directory();
-    let e = bdms.storage().table(E_TABLE).unwrap();
     let m = bdms.users().len();
     let expected_rows: usize = dir
         .iter()
         .map(|(_, path)| if path.is_root() { m } else { m - 1 })
         .sum();
-    prop_assert_eq!(e.len(), expected_rows);
-    for (_, row) in e.iter() {
-        let src = Wid::from_value(&row[0]).unwrap();
-        let user = UserId::from_value(&row[1]).unwrap();
-        let dst = Wid::from_value(&row[2]).unwrap();
+    let stats = bdms.stats();
+    let reported = stats
+        .per_table
+        .iter()
+        .find(|(n, _)| n == "E")
+        .map(|&(_, n)| n);
+    prop_assert_eq!(reported, Some(expected_rows));
+    let edges = edges(bdms);
+    prop_assert_eq!(edges.len(), expected_rows);
+    for (src, user, dst) in edges {
         let extended = dir.path(src).push(user).expect("edge implies u ≠ last");
-        prop_assert_eq!(
-            dir.dss(&extended),
-            dst,
-            "edge ({}, {}) is not the dss",
-            src,
-            user
-        );
+        let target = dir.path(dst);
+        prop_assert!(target.is_suffix_of(&extended), "edge ({}, {})", src, user);
+        for longer in extended
+            .suffixes()
+            .take_while(|s| s.depth() > target.depth())
+        {
+            prop_assert!(
+                dir.get(&longer).is_none(),
+                "edge ({}, {}) skips the deeper state {}",
+                src,
+                user,
+                longer
+            );
+        }
     }
     Ok(())
 }
@@ -259,7 +312,7 @@ proptest! {
     /// After every step of a random history of registrations, inserts,
     /// deletes and updates — worlds are created whenever a path is first
     /// written to, before or after the worlds below them in the suffix
-    /// tree — `E` is Def. 16's edge set, under both policies.
+    /// tree — the edges are Def. 16's edge set, under both policies.
     #[test]
     fn edge_relation_matches_def16_after_every_step(
         steps in proptest::collection::vec(arb_step(), 1..40)
@@ -277,21 +330,30 @@ proptest! {
     }
 }
 
-/// `D` and `S` are exactly the depth and suffix-backlink relations.
+/// The size report counts `D` and `S` as the depth and suffix-backlink
+/// relations, and the directory's suffix parent is the errata's
+/// `S(w) = dss(w[2,d])`.
 #[test]
 fn depth_and_suffix_relations_match() {
     let bdms = test_bdms();
     let dir = bdms.internal().directory();
-    let d = bdms.storage().table(D_TABLE).unwrap();
-    let s = bdms.storage().table("S").unwrap();
-    assert_eq!(d.len(), dir.len());
-    assert_eq!(s.len(), dir.len() - 1);
+    let stats = bdms.stats();
+    let size = |name: &str| stats.per_table.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!(size("D"), dir.len());
+    assert_eq!(size("S"), dir.len() - 1);
+    let mut ev = evaluator(&bdms);
+    let depths = ev
+        .eval_rule(&dsl::rule(
+            "Q",
+            vec![dsl::v("w"), dsl::v("d")],
+            vec![dsl::pos("D", vec![dsl::v("w"), dsl::v("d")])],
+        ))
+        .unwrap();
+    assert_eq!(depths.len(), dir.len());
     for (wid, path) in dir.iter() {
-        let drow = d.get(d.rid_by_key(&wid.value()).unwrap()).unwrap();
-        assert_eq!(drow[1], Value::Int(path.depth() as i64));
+        assert!(depths.contains(&row![wid.0 as i64, path.depth() as i64]));
         if !path.is_root() {
-            let srow = s.get(s.rid_by_key(&wid.value()).unwrap()).unwrap();
-            let parent = Wid::from_value(&srow[1]).unwrap();
+            let parent = dir.suffix_parent(wid);
             assert_eq!(parent, dir.dss(&path.drop_first()), "S backlink at {path}");
         }
     }
