@@ -1165,11 +1165,11 @@ mod tests {
     fn query_streaming_feeds_the_slowlog_when_armed() {
         let s = session();
         let sql = "select S.sid, S.species from BELIEF 'Bob' Sightings as S";
-        let collected = s.query(sql).unwrap();
         s.set_slowlog_threshold_ms(Some(0));
         let mut streamed = Vec::new();
         let (columns, n) = s.query_streaming(sql, |row| streamed.push(row)).unwrap();
         s.set_slowlog_threshold_ms(None);
+        let collected = s.query(sql).unwrap();
         // Same answers as the unarmed path...
         streamed.sort();
         assert_eq!(streamed, collected.rows());
@@ -1565,8 +1565,11 @@ mod tests {
     fn slowlog_captures_sql_statements_with_spans() {
         let s = session();
         let sql = "select S.sid, S.species from BELIEF 'Bob' Sightings as S";
+        // Unarmed, nothing is captured. (Another statement, so that the
+        // armed run of `sql` below plans and executes.)
         assert_eq!(s.slowlog_threshold_ms(), None);
-        s.query(sql).unwrap();
+        s.query("select S.sid from BELIEF 'Bob' Sightings as S")
+            .unwrap();
         assert!(s.slowlog_entries().is_empty());
 
         s.set_slowlog_threshold_ms(Some(0));

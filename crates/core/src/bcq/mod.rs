@@ -123,6 +123,41 @@ pub struct UserAtom {
     pub name: QueryTerm,
 }
 
+fn put_len(out: &mut Vec<u8>, n: usize) {
+    out.extend((n as u64).to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_len(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+/// [`Bcq::encode`] of one term.
+fn put_term(out: &mut Vec<u8>, t: &QueryTerm) {
+    match t {
+        QueryTerm::Const(v) => {
+            out.push(0);
+            match v {
+                Value::Null => out.push(0),
+                Value::Bool(b) => out.extend([1, *b as u8]),
+                Value::Int(i) => {
+                    out.push(2);
+                    out.extend(i.to_le_bytes());
+                }
+                Value::Str(s) => {
+                    out.push(3);
+                    put_str(out, s.as_bytes());
+                }
+            }
+        }
+        QueryTerm::Var(n) => {
+            out.push(1);
+            put_str(out, n.as_bytes());
+        }
+        QueryTerm::Any => out.push(2),
+    }
+}
+
 /// A belief conjunctive query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bcq {
@@ -208,6 +243,59 @@ impl Bcq {
             }
         }
         vars
+    }
+
+    /// Reject a belief path that names a user who is not registered
+    /// (`has_user` says no) with [`BeliefError::NoSuchUser`]. Algorithm 1
+    /// and the naive evaluator both run this check, so they refuse such a
+    /// query alike instead of answering it differently.
+    pub fn check_path_users(&self, has_user: impl Fn(UserId) -> bool) -> Result<()> {
+        let mut named = self.subgoals.iter().flat_map(|sg| &sg.path);
+        match named.find(|e| matches!(e, PathElem::User(u) if !has_user(*u))) {
+            Some(PathElem::User(u)) => Err(BeliefError::NoSuchUser(format!("#{u}"))),
+            _ => Ok(()),
+        }
+    }
+
+    /// A canonical byte encoding of the query, appended to `out`: two
+    /// queries encode alike exactly when they are equal. Every alternative
+    /// is tagged and every list and string length-prefixed, so no two
+    /// queries share an encoding. It keys the plan cache's query memo
+    /// ([`translate::evaluate`]).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_len(out, self.head.len());
+        self.head.iter().for_each(|t| put_term(out, t));
+        put_len(out, self.subgoals.len());
+        for sg in &self.subgoals {
+            put_len(out, sg.path.len());
+            for elem in &sg.path {
+                match elem {
+                    PathElem::User(u) => {
+                        out.push(0);
+                        out.extend(u.0.to_le_bytes());
+                    }
+                    PathElem::Var(n) => {
+                        out.push(1);
+                        put_str(out, n.as_bytes());
+                    }
+                }
+            }
+            out.push(sg.sign as u8);
+            out.extend(sg.rel.0.to_le_bytes());
+            put_len(out, sg.args.len());
+            sg.args.iter().for_each(|t| put_term(out, t));
+        }
+        put_len(out, self.predicates.len());
+        for p in &self.predicates {
+            put_term(out, &p.left);
+            out.push(p.op as u8);
+            put_term(out, &p.right);
+        }
+        put_len(out, self.user_atoms.len());
+        for ua in &self.user_atoms {
+            put_term(out, &ua.uid);
+            put_term(out, &ua.name);
+        }
     }
 
     /// The safety check of Def. 13 plus structural validation against the

@@ -24,6 +24,7 @@ type Bindings = BTreeMap<String, Value>;
 /// Evaluate a query against a belief database per Def. 14.
 pub fn evaluate(db: &BeliefDatabase, q: &Bcq) -> Result<Vec<Row>> {
     q.validate(db.schema())?;
+    q.check_path_users(|u| db.has_user(u))?;
     let mut closure = Closure::new(db);
 
     // Enumerate assignments for path variables (over registered users).

@@ -35,6 +35,10 @@
 //!
 //! The worlds are part of the program's text, which keys the plan cache:
 //! a new world or user that changes a path's resolution changes the key.
+//! [`evaluate`] consults the cache's query memo before it translates at
+//! all: keyed by [`Bcq::encode`] and the options, stamped with the number
+//! of worlds and users, a repeated query is answered from the stored
+//! answer without running Algorithm 1.
 //!
 //! Positive subgoals push their constants and the `s = '+'` filter into
 //! the temp-table rule (the paper notes selections *can* be pushed for
@@ -95,11 +99,14 @@ pub const NO_VALUATION: &str =
     "-- a belief path has no valuation over the registered users: empty result\n";
 
 /// Translate a BCQ into a non-recursive Datalog program over the internal
-/// schema (Algorithm 1). A query with a subgoal whose path has no
-/// valuation inside `Û*` over the registered users (`resolve_path`)
-/// translates to the empty program: its answer is empty.
+/// schema (Algorithm 1). A path naming a user who is not registered is
+/// refused with [`BeliefError::NoSuchUser`], as the naive evaluator
+/// refuses it. A query with a subgoal whose path has no valuation inside
+/// `Û*` over the registered users (`resolve_path`) translates to the empty
+/// program: its answer is empty.
 pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
     q.validate(store.schema())?;
+    q.check_path_users(|u| store.has_user(u))?;
     let answer = "__bcq_answer".to_string();
     let mut rules = Vec::with_capacity(q.subgoals.len() + 1);
     let mut final_body: Vec<BodyLit> = Vec::new();
@@ -293,8 +300,8 @@ pub fn translate(store: &InternalStore, q: &Bcq) -> Result<TranslatedQuery> {
 /// `Û*` — adjacent users differ, a repeated variable takes one user — the
 /// users it assigns and the chain of worlds the translation reads. The
 /// chain starts at `dss(w̄)`; under `Lazy` it goes on through the suffix
-/// parents down to `ε`. A constant path has one valuation, or none when
-/// it names a user who is not registered.
+/// parents down to `ε`. A constant path, whose users [`translate`] has
+/// checked, has one valuation.
 fn resolve_path(
     store: &InternalStore,
     path: &[PathElem],
@@ -314,11 +321,9 @@ fn resolve_path(
                 PathElem::Var(n) => valuation[vars.iter().position(|v| v == n).expect("a var")],
             });
             let w = BeliefPath::new(grounded.collect::<Vec<_>>()).ok()?;
-            w.users().iter().all(|&u| store.has_user(u)).then(|| {
-                // `stored_chain` lists the chain root-most first.
-                let chain = store.stored_chain(store.resolve(&w));
-                (valuation, chain.into_iter().rev().collect())
-            })
+            // `stored_chain` lists the chain root-most first.
+            let chain = store.stored_chain(store.resolve(&w));
+            Some((valuation, chain.into_iter().rev().collect()))
         })
         .collect()
 }
@@ -425,20 +430,28 @@ pub enum Answer<'k> {
 ///
 /// Optimized rule plans are cached in the store keyed by the program text
 /// and the versions of the tables it reads (rewritten and unrewritten
-/// programs have distinct texts, hence distinct entries): a miss derives
-/// fresh plans and stores them; the first hit executes the cached plans,
-/// skipping the rewrite passes and intermediate re-derivation, and
-/// attaches the sorted answer to the entry; every later hit returns that
-/// answer without building an evaluator, executing or sorting (except
-/// under [`Answer::Analyze`], which always profiles the plans). Every call
-/// bumps `query.executed` and feeds the latency histogram, however the
-/// answer is delivered.
+/// programs have distinct texts, hence distinct entries). A miss derives
+/// fresh plans and stores them; a hit executes the cached plans, skipping
+/// the rewrite passes and intermediate re-derivation. Every run that
+/// collects the answer keeps it, sorted, with the entry.
 ///
-/// An enabled `rec` gets `translate` / `cache_lookup` / `execute` /
-/// `sort` spans and, whenever plans run, the `EXPLAIN ANALYZE` report of
-/// the run as its profile; a query answered from the cache records
-/// neither `execute` nor `sort` and attaches no profile. A disabled `rec`
-/// profiles nothing (unless analyzing).
+/// In front of that sits the cache's query memo, keyed by [`Bcq::encode`]
+/// of `q` plus `opts`. A query translates the same way as long as the
+/// world directory and the user list have not grown (the policy and
+/// schema are fixed per store), so `(worlds, users)` stamps the memo
+/// entry. A repeat at the same stamp, whose program's read set is still
+/// at its versions, is answered from the stored answer without
+/// translating, rewriting or rendering the program; only a miss there
+/// takes the path above. [`Answer::Analyze`] always runs the plans.
+/// Every call bumps `query.executed` and feeds the latency histogram,
+/// however the answer is delivered.
+///
+/// An enabled `rec` gets `query_lookup` / `translate` / `cache_lookup` /
+/// `execute` / `sort` spans and, whenever plans run, the `EXPLAIN
+/// ANALYZE` report of the run as its profile; a query answered from the
+/// cache records neither `execute` nor `sort` and attaches no profile,
+/// and one answered by the memo records `query_lookup` alone. A disabled
+/// `rec` profiles nothing (unless analyzing).
 ///
 /// Returns the sorted answer rows (empty when streamed) and the report
 /// (empty unless analyzing).
@@ -452,28 +465,36 @@ pub fn evaluate(
     metrics().incr(Metric::QueriesExecuted);
     let t0 = Instant::now();
     let out = (|| -> Result<(Vec<Row>, String)> {
-        let (translated, program) = prepare(store, q, opts, rec)?;
+        let analyze = matches!(answer, Answer::Analyze);
         // The cache lock is held only for the brief lookup/store/attach
         // calls — never while plans execute — so concurrent queries don't
         // serialize on each other's evaluation.
+        let query = query_key(q, opts);
+        let stamp = (store.directory().len(), store.user_count());
+        if !analyze {
+            let memo = rec.span("query_lookup", || {
+                store.with_plan_cache(|cache| cache.lookup_query(store.database(), &query, stamp))
+            });
+            if let Some(rows) = memo {
+                return Ok(stored_answer(&rows, answer));
+            }
+        }
+        let (translated, program) = prepare(store, q, opts, rec)?;
         let key = program.to_string();
         let versions = PlanCache::read_versions(store.database(), &program);
         let cached = rec.span("cache_lookup", || {
-            store.with_plan_cache(|cache| cache.lookup_entry(&key, &versions))
+            store.with_plan_cache(|cache| {
+                let hit = cache.lookup_entry(&key, &versions)?;
+                cache.remember_query(&query, stamp, &key, &versions);
+                Some(hit)
+            })
         });
-        let analyze = matches!(answer, Answer::Analyze);
         let (plans, stored) = match cached {
             Some(hit) => (Some(hit.plans), hit.answer.filter(|_| !analyze)),
             None => (None, None),
         };
         if let Some(rows) = stored {
-            return Ok(match answer {
-                Answer::Stream(sink) => {
-                    rows.iter().cloned().for_each(sink);
-                    (Vec::new(), String::new())
-                }
-                _ => (rows.to_vec(), String::new()),
-            });
+            return Ok(stored_answer(&rows, answer));
         }
         let out = match answer {
             Answer::Stream(sink) => Output::Stream(sink),
@@ -495,13 +516,15 @@ pub fn evaluate(
         } else {
             Vec::new()
         };
-        if plans.is_none() {
-            let fresh = ran.plans.into_owned();
-            store.with_plan_cache(|cache| cache.store(key, versions, fresh));
-        } else if collect {
-            // The first replay of cached plans: keep the answer with them.
-            store.with_plan_cache(|cache| cache.attach_answer(&key, &versions, &rows));
-        }
+        store.with_plan_cache(|cache| {
+            if plans.is_none() {
+                cache.store(key.clone(), versions.clone(), ran.plans.into_owned());
+                cache.remember_query(&query, stamp, &key, &versions);
+            }
+            if collect {
+                cache.attach_answer(&key, &versions, &rows);
+            }
+        });
         if !analyze && !report.is_empty() {
             rec.set_profile(std::mem::take(&mut report));
         }
@@ -509,6 +532,38 @@ pub fn evaluate(
     })();
     metrics().record_latency(t0.elapsed().as_nanos() as u64);
     out
+}
+
+/// The query memo's key: [`Bcq::encode`] of `q`, then the options it runs
+/// under.
+fn query_key(q: &Bcq, opts: &EvalOptions) -> Vec<u8> {
+    let EvalOptions {
+        memory_budget,
+        magic,
+    } = opts;
+    let mut key = Vec::with_capacity(256);
+    q.encode(&mut key);
+    key.push(*magic as u8);
+    match memory_budget {
+        None => key.push(0),
+        Some(bytes) => {
+            key.push(1);
+            key.extend((*bytes as u64).to_le_bytes());
+        }
+    }
+    key
+}
+
+/// Deliver an answer the cache stored: handed to the sink row by row, or
+/// returned as the sorted rows.
+fn stored_answer(rows: &[Row], answer: Answer<'_>) -> (Vec<Row>, String) {
+    match answer {
+        Answer::Stream(sink) => {
+            rows.iter().cloned().for_each(sink);
+            (Vec::new(), String::new())
+        }
+        _ => (rows.to_vec(), String::new()),
+    }
 }
 
 /// Translate and execute without the optimizer: plans run exactly as
@@ -760,22 +815,46 @@ mod tests {
         let st = store();
         let s = st.schema().relation_id("Sightings").unwrap();
         let args = || vec![qv("sid"), qany(), qany(), qany(), qany()];
-        // A user nobody registered, and two adjacent variables that must
-        // take one user.
-        let unknown = Bcq::builder(vec![qv("sid")])
-            .positive(vec![pu(crate::ids::UserId(9))], s, args())
-            .build(st.schema())
-            .unwrap();
+        // Two adjacent variables that must take one user.
         let repeated = Bcq::builder(vec![qv("sid")])
             .positive(vec![pv("x"), pv("x")], s, args())
             .build(st.schema())
             .unwrap();
-        for q in [unknown, repeated] {
-            let t = translate(&st, &q).unwrap();
-            assert!(t.program.rules.is_empty(), "{}", t.program);
-            assert!(collected(&st, &q).is_empty());
-            assert!(evaluate_unoptimized(&st, &q).unwrap().is_empty());
-            assert!(evaluate_materialized(&st, &q).unwrap().is_empty());
+        let t = translate(&st, &repeated).unwrap();
+        assert!(t.program.rules.is_empty(), "{}", t.program);
+        assert!(collected(&st, &repeated).is_empty());
+        assert!(evaluate_unoptimized(&st, &repeated).unwrap().is_empty());
+        assert!(evaluate_materialized(&st, &repeated).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_path_naming_an_unregistered_user_is_refused_like_naive() {
+        let st = store();
+        let (db, ..) = running_example();
+        let s = st.schema().relation_id("Sightings").unwrap();
+        let args = || vec![qv("sid"), qany(), qany(), qany(), qany()];
+        // `BELIEF 9 Sightings`, and user 9 nested under a registered one
+        // beside a path variable.
+        let alone = Bcq::builder(vec![qv("sid")])
+            .positive(vec![pu(crate::ids::UserId(9))], s, args())
+            .build(st.schema())
+            .unwrap();
+        let nested = Bcq::builder(vec![qv("sid"), qv("x")])
+            .positive(vec![pv("x"), pu(crate::ids::UserId(9))], s, args())
+            .build(st.schema())
+            .unwrap();
+        for q in [alone, nested] {
+            let refused = |r: Result<Vec<Row>>| matches!(r, Err(BeliefError::NoSuchUser(_)));
+            assert!(refused(naive::evaluate(&db, &q)), "{q}");
+            assert!(
+                matches!(translate(&st, &q), Err(BeliefError::NoSuchUser(_))),
+                "{q}"
+            );
+            let mut rec = Recorder::disabled();
+            let opts = EvalOptions::default();
+            let evaluated = evaluate(&st, &q, &opts, &mut rec, Answer::Collect);
+            assert!(refused(evaluated.map(|(rows, _)| rows)), "{q}");
+            assert!(refused(evaluate_unoptimized(&st, &q)), "{q}");
         }
     }
 

@@ -56,10 +56,14 @@ pub struct PlanCacheStats {
     /// Queries served from the cache (cached answer plans or a stored
     /// answer).
     pub hits: u64,
+    /// The hits the query memo answered, without translating the query.
+    pub query_hits: u64,
     /// Queries that had to plan from scratch.
     pub misses: u64,
     /// Programs currently cached.
     pub entries: usize,
+    /// Queries the memo maps to a cached program.
+    pub queries: usize,
     /// Rows pinned inside cached plans as `Values` leaves.
     pub embedded_rows: usize,
     /// Rows of the sorted answers kept with cached plans.
@@ -538,11 +542,12 @@ impl Bdms {
     }
 
     /// [`Bdms::query`] with caller-owned span recording: an enabled
-    /// recorder gets `translate` / `cache_lookup` / `execute` / `sort`
-    /// spans plus the full `EXPLAIN ANALYZE` report attached whenever
-    /// plans run (a query answered from the plan cache has neither
-    /// `execute` nor `sort` nor a profile); a disabled recorder makes this
-    /// exactly the plain query path (no profiling).
+    /// recorder gets `query_lookup` / `translate` / `cache_lookup` /
+    /// `execute` / `sort` spans plus the full `EXPLAIN ANALYZE` report
+    /// attached whenever plans run (a query answered from the plan cache
+    /// has neither `execute` nor `sort` nor a profile, and one the query
+    /// memo answers has `query_lookup` alone); a disabled recorder makes
+    /// this exactly the plain query path (no profiling).
     pub fn query_traced(&self, q: &Bcq, rec: &mut Recorder) -> Result<Vec<Row>> {
         let (rows, _) = evaluate(&self.store, q, &self.eval_options(), rec, Answer::Collect)?;
         Ok(rows)
@@ -650,13 +655,16 @@ impl Bdms {
         self.store.explicit_at(path, rel, key)
     }
 
-    /// Snapshot of the Datalog plan-cache counters (hits, misses, cached
-    /// programs, embedded rows, answer rows). Takes the cache lock
+    /// Snapshot of the Datalog plan-cache counters (hits, query hits,
+    /// misses, cached programs, memoized queries, embedded rows, answer
+    /// rows). Takes the cache lock
     /// briefly.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.store.with_plan_cache(|cache| PlanCacheStats {
             hits: cache.hits(),
+            query_hits: cache.query_hits(),
             misses: cache.misses(),
+            queries: cache.query_count(),
             entries: cache.len(),
             embedded_rows: cache.embedded_row_count(),
             answer_rows: cache.answer_row_count(),
@@ -968,8 +976,8 @@ mod tests {
         assert_eq!(h3, 2);
 
         // The analyze path takes the same lookup-or-store protocol: on a
-        // fresh store it is the miss that stores the plans, and every
-        // other entry point then hits them.
+        // fresh store it is the miss that stores the plans, with the answer
+        // it collected, and every other entry point then hits them.
         let (fresh, _, _, _) = running_bdms();
         let counts = || {
             fresh
@@ -979,11 +987,37 @@ mod tests {
         let (rows, report) = fresh.explain_analyze_query(&q).unwrap();
         assert!(report.contains("actual"), "{report}");
         assert_eq!(counts(), (0, 1, 1));
-        // The first hit replays the plans — profiled, on the traced path —
-        // and keeps the answer with them.
+        assert_eq!(fresh.plan_cache_stats().answer_rows, rows.len());
+        // Later hits read the stored answer, on every path but EXPLAIN
+        // ANALYZE, which still profiles the cached plans.
+        assert_eq!(fresh.query(&q).unwrap(), rows);
+        assert_eq!(counts(), (1, 1, 1));
+        let mut streamed = Vec::new();
+        fresh.query_streaming(&q, |row| streamed.push(row)).unwrap();
+        streamed.sort();
+        assert_eq!(streamed, rows);
+        assert_eq!(counts(), (2, 1, 1));
         let mut rec = Recorder::enabled(q.to_string());
         assert_eq!(fresh.query_traced(&q, &mut rec).unwrap(), rows);
-        assert_eq!(counts(), (1, 1, 1));
+        assert_eq!(counts(), (3, 1, 1));
+        let trace = rec.finish().expect("enabled recorder yields a trace");
+        assert!(trace.profile.is_none(), "{trace:?}");
+        let (again, report) = fresh.explain_analyze_query(&q).unwrap();
+        assert_eq!(again, rows);
+        assert!(report.contains("actual"), "{report}");
+        assert_eq!(counts(), (4, 1, 1));
+        assert_eq!(fresh.plan_cache_stats().query_hits, 3);
+
+        // A streamed miss collects no answer: the first hit replays the
+        // plans — profiled, on the traced path — and keeps the answer.
+        let (replayed, _, _, _) = running_bdms();
+        replayed.query_streaming(&q, |_| {}).unwrap();
+        assert_eq!(replayed.plan_cache_stats().answer_rows, 0);
+        let mut rec = Recorder::enabled(q.to_string());
+        assert_eq!(replayed.query_traced(&q, &mut rec).unwrap(), rows);
+        let stats = replayed.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.query_hits), (1, 1, 0));
+        assert_eq!(stats.answer_rows, rows.len());
         let trace = rec.finish().expect("enabled recorder yields a trace");
         assert!(
             trace
@@ -992,25 +1026,6 @@ mod tests {
                 .is_some_and(|p| p.contains("actual")),
             "{trace:?}"
         );
-        assert_eq!(fresh.plan_cache_stats().answer_rows, rows.len());
-        // Later hits read the stored answer, on every path but EXPLAIN
-        // ANALYZE, which still profiles the cached plans.
-        assert_eq!(fresh.query(&q).unwrap(), rows);
-        assert_eq!(counts(), (2, 1, 1));
-        let mut streamed = Vec::new();
-        fresh.query_streaming(&q, |row| streamed.push(row)).unwrap();
-        streamed.sort();
-        assert_eq!(streamed, rows);
-        assert_eq!(counts(), (3, 1, 1));
-        let mut rec = Recorder::enabled(q.to_string());
-        assert_eq!(fresh.query_traced(&q, &mut rec).unwrap(), rows);
-        assert_eq!(counts(), (4, 1, 1));
-        let trace = rec.finish().expect("enabled recorder yields a trace");
-        assert!(trace.profile.is_none(), "{trace:?}");
-        let (again, report) = fresh.explain_analyze_query(&q).unwrap();
-        assert_eq!(again, rows);
-        assert!(report.contains("actual"), "{report}");
-        assert_eq!(counts(), (5, 1, 1));
     }
 
     #[test]
@@ -1123,8 +1138,18 @@ mod tests {
             )
             .build(bdms.schema())
             .unwrap();
+        // Unarmed, nothing is captured. (Another query, so that the armed
+        // run of `q` below plans and executes.)
+        let other = Bcq::builder(vec![qv("sp")])
+            .positive(
+                vec![pu(bob)],
+                s,
+                vec![qany(), qany(), qv("sp"), qany(), qany()],
+            )
+            .build(bdms.schema())
+            .unwrap();
         assert_eq!(bdms.slowlog_threshold_ms(), None);
-        bdms.query(&q).unwrap();
+        bdms.query(&other).unwrap();
         assert!(bdms.slowlog_entries().is_empty());
 
         // Threshold 0: every query is captured, with spans + profile.
@@ -1144,15 +1169,16 @@ mod tests {
             "{trace:?}"
         );
 
-        // That run kept the answer; the next one is served from it, and
-        // its capture shows no execution, no sort and no profile.
+        // That run kept the answer; the next one is served from it by the
+        // query memo, and its capture shows no translation, no execution,
+        // no sort and no profile.
         bdms.clear_slowlog();
         bdms.query(&q).unwrap();
         let entries = bdms.slowlog_entries();
         assert_eq!(entries.len(), 1);
         let trace = &entries[0];
         let names: Vec<&str> = trace.spans.iter().map(|sp| sp.name).collect();
-        assert_eq!(names, ["translate", "cache_lookup"], "{trace:?}");
+        assert_eq!(names, ["query_lookup"], "{trace:?}");
         assert!(trace.profile.is_none(), "{trace:?}");
 
         bdms.clear_slowlog();

@@ -54,9 +54,19 @@ const PLAN_CACHE_ROW_BUDGET: usize = 200_000;
 /// base-table versions every derived relation is reproduced exactly.
 /// The same argument covers the last step: an entry can also keep the
 /// program's sorted answer ([`PlanCache::attach_answer`]), which a caller
-/// attaches the first time it replays the entry's plans, so a program
-/// that is never repeated pays nothing for it. A hit on an entry with an
-/// answer ([`PlanCache::lookup_entry`]) needs no execution at all.
+/// attaches as soon as a run of the program has collected it. A hit on
+/// an entry with an answer ([`PlanCache::lookup_entry`]) needs no
+/// execution at all.
+///
+/// In front of the program-keyed entries sits a *query memo*
+/// ([`PlanCache::lookup_query`]): a caller-made key of the query a
+/// program was translated from, mapped to the program's key and a
+/// [`QueryStamp`] of everything else the translation read. A memo hit at
+/// the same stamp, on an entry with an answer whose read set is still at
+/// its versions, returns that answer without translating the query or
+/// rendering the program. Memo entries belong to the program entry they
+/// name and leave with it (eviction or replacement), so the row budget
+/// and FIFO bound the memo too.
 ///
 /// Locking discipline: [`PlanCache::lookup`] and [`PlanCache::store`]
 /// are brief (a version compare plus an `Arc` clone), and
@@ -64,9 +74,11 @@ const PLAN_CACHE_ROW_BUDGET: usize = 200_000;
 /// the cache behind a mutex should release it while the plans execute
 /// (see `beliefdb-core`'s `bcq::translate::evaluate`).
 pub struct PlanCache {
-    entries: HashMap<String, CachedProgram>,
+    entries: HashMap<Arc<str>, CachedProgram>,
     /// Insertion order for FIFO eviction.
-    order: VecDeque<String>,
+    order: VecDeque<Arc<str>>,
+    /// The query memo: a query's key → the program it translated to.
+    queries: HashMap<Box<[u8]>, MemoEntry>,
     /// Rows embedded across all cached entries' plans.
     embedded_rows: usize,
     /// Rows of the answers stored with cached entries. Tracked against
@@ -75,6 +87,20 @@ pub struct PlanCache {
     row_budget: usize,
     hits: u64,
     misses: u64,
+    /// Hits answered by the query memo, a subset of `hits`.
+    query_hits: u64,
+}
+
+/// A version of what translating a query read besides the tables: the
+/// caller's to define (`beliefdb-core` uses the number of worlds and of
+/// users, both of which only grow). Equal stamps mean the query
+/// translates to the same program.
+pub type QueryStamp = (usize, usize);
+
+/// A query memo entry: the program a query translated to, at a stamp.
+struct MemoEntry {
+    program: Arc<str>,
+    stamp: QueryStamp,
 }
 
 struct CachedProgram {
@@ -87,6 +113,8 @@ struct CachedProgram {
     rows: usize,
     /// The program's sorted answer at `versions`, once attached.
     answer: Option<Arc<Vec<Row>>>,
+    /// Keys of the memo entries naming this program.
+    queries: Vec<Box<[u8]>>,
 }
 
 /// What a hit on a [`PlanCache`] entry returns: the cached answer plans,
@@ -115,9 +143,11 @@ impl PlanCache {
             order: VecDeque::new(),
             embedded_rows: 0,
             answer_rows: 0,
+            queries: HashMap::new(),
             row_budget,
             hits: 0,
             misses: 0,
+            query_hits: 0,
         }
     }
 
@@ -190,14 +220,69 @@ impl PlanCache {
         }
     }
 
+    /// The stored answer of the query under `query`, when the memo maps
+    /// it at `stamp` to a program whose entry holds an answer and whose
+    /// read set is still at the versions the entry was planned at.
+    /// Counts a hit (and a query hit) when it answers, and nothing when
+    /// it does not: the caller then translates and looks the program up,
+    /// which counts.
+    pub fn lookup_query(
+        &mut self,
+        db: &Database,
+        query: &[u8],
+        stamp: QueryStamp,
+    ) -> Option<Arc<Vec<Row>>> {
+        let memo = self.queries.get(query).filter(|m| m.stamp == stamp)?;
+        let entry = &self.entries[&memo.program];
+        let current = (entry.versions.iter())
+            .all(|(name, v)| db.table(name).is_ok_and(|t| t.version() == *v));
+        let answer = entry.answer.clone().filter(|_| current)?;
+        self.hits += 1;
+        self.query_hits += 1;
+        crate::obs::metrics().incr(crate::obs::Metric::PlanCacheHits);
+        Some(answer)
+    }
+
+    /// Remember that `query`, at `stamp`, translates to the program
+    /// cached under `key` at `versions`, replacing what the memo held for
+    /// `query`. Does nothing when no entry is cached under `key` at those
+    /// versions.
+    pub fn remember_query(
+        &mut self,
+        query: &[u8],
+        stamp: QueryStamp,
+        key: &str,
+        versions: &[(String, u64)],
+    ) {
+        let Some((program, _)) = self
+            .entries
+            .get_key_value(key)
+            .filter(|(_, e)| e.versions == versions)
+        else {
+            return;
+        };
+        let program = Arc::clone(program);
+        if let Some(old) = self.queries.remove(query) {
+            let listed = self
+                .entries
+                .get_mut(&old.program)
+                .expect("memo names an entry");
+            listed.queries.retain(|q| **q != *query);
+        }
+        let query: Box<[u8]> = query.into();
+        let entry = self.entries.get_mut(key).expect("entry checked above");
+        entry.queries.push(query.clone());
+        self.queries.insert(query, MemoEntry { program, stamp });
+    }
+
     /// Record the answer plans of a freshly planned program. Oversized
     /// entries (more embedded rows than the whole budget) are dropped;
     /// otherwise older entries are evicted FIFO until both the entry
     /// count and the row budget fit. Either way an entry already stored
     /// under `key` is replaced: it is removed first.
     pub fn store(&mut self, key: String, versions: Vec<(String, u64)>, plans: Vec<Plan>) {
-        if self.entries.contains_key(&key) {
-            self.order.retain(|k| k != &key);
+        if self.entries.contains_key(key.as_str()) {
+            self.order.retain(|k| **k != *key);
             self.forget(&key);
         }
         let rows: usize = plans.iter().map(embedded_rows).sum();
@@ -211,7 +296,8 @@ impl PlanCache {
             self.forget(&victim);
         }
         self.embedded_rows += rows;
-        self.order.push_back(key.clone());
+        let key: Arc<str> = key.into();
+        self.order.push_back(Arc::clone(&key));
         self.entries.insert(
             key,
             CachedProgram {
@@ -219,6 +305,7 @@ impl PlanCache {
                 plans: Arc::new(plans),
                 rows,
                 answer: None,
+                queries: Vec::new(),
             },
         );
     }
@@ -244,7 +331,7 @@ impl PlanCache {
             let at = self
                 .order
                 .iter()
-                .position(|k| k != key)
+                .position(|k| **k != *key)
                 .expect("another entry");
             let victim = self.order.remove(at).expect("position in range");
             self.forget(&victim);
@@ -255,11 +342,15 @@ impl PlanCache {
         true
     }
 
-    /// Drop the entry under `key` (already out of `order`) and its rows.
+    /// Drop the entry under `key` (already out of `order`), its rows and
+    /// the memo entries naming it.
     fn forget(&mut self, key: &str) {
         if let Some(old) = self.entries.remove(key) {
             self.embedded_rows -= old.rows;
             self.answer_rows -= old.answer.map_or(0, |a| a.len());
+            for query in &old.queries {
+                self.queries.remove(query);
+            }
         }
     }
 
@@ -295,6 +386,16 @@ impl PlanCache {
     /// Lookups that had to plan from scratch.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Hits the query memo answered, without translating the query.
+    pub fn query_hits(&self) -> u64 {
+        self.query_hits
+    }
+
+    /// Queries the memo maps to a cached program.
+    pub fn query_count(&self) -> usize {
+        self.queries.len()
     }
 }
 

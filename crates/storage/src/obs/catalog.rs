@@ -175,12 +175,22 @@ pub fn tables_table() -> Arc<dyn VirtualTable> {
     )
 }
 
-/// `sys.plan_cache (hits, misses, entries, embedded_rows, answer_rows)` —
-/// a single row snapshotting the engine's plan cache.
+/// `sys.plan_cache (hits, misses, entries, embedded_rows, answer_rows,
+/// query_hits, queries)` — a single row snapshotting the engine's plan
+/// cache; `query_hits` are the hits its query memo answered and `queries`
+/// the memo's entries.
 pub fn plan_cache_table(cache: Arc<Mutex<PlanCache>>) -> Arc<dyn VirtualTable> {
     FnTable::new(
         "sys.plan_cache",
-        &["hits", "misses", "entries", "embedded_rows", "answer_rows"],
+        &[
+            "hits",
+            "misses",
+            "entries",
+            "embedded_rows",
+            "answer_rows",
+            "query_hits",
+            "queries",
+        ],
         move |_db| {
             let c = cache.lock().expect("plan cache poisoned");
             vec![Row::new([
@@ -189,6 +199,8 @@ pub fn plan_cache_table(cache: Arc<Mutex<PlanCache>>) -> Arc<dyn VirtualTable> {
                 uint(c.len() as u64),
                 uint(c.embedded_row_count() as u64),
                 uint(c.answer_row_count() as u64),
+                uint(c.query_hits()),
+                uint(c.query_count() as u64),
             ])]
         },
     )
@@ -353,7 +365,7 @@ mod tests {
         let vt = plan_cache_table(Arc::clone(&cache));
         let rows = vt.rows(&db);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].arity(), 5);
+        assert_eq!(rows[0].arity(), 7);
 
         let log = Arc::new(SlowLog::new());
         log.set_threshold_ms(Some(0));

@@ -12,12 +12,11 @@
 
 use crate::catalog::Database;
 use crate::expr::{CmpOp, Expr};
-use crate::index::CellHash;
 use crate::plan::Plan;
 use crate::row::Row;
 use crate::table::Table;
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Rows sampled per column when no index covers it.
 const SAMPLE_CAP: usize = 512;
@@ -45,20 +44,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Build from one column's sample; `None` when the sample is too
-    /// small or constant (a histogram adds nothing over MCVs there).
-    fn from_sample(mut vals: Vec<Value>) -> Option<Histogram> {
-        let n = vals.len();
-        if n < HIST_BUCKETS || vals.iter().min() == vals.iter().max() {
-            return None;
-        }
-        vals.sort();
-        let bounds = (0..=HIST_BUCKETS)
-            .map(|i| vals[i * (n - 1) / HIST_BUCKETS].clone())
-            .collect();
-        Some(Histogram { bounds })
-    }
-
     /// Estimated fraction of rows with value strictly below `k`.
     pub fn frac_lt(&self, k: &Value) -> f64 {
         self.frac(k, |b| b < k)
@@ -91,15 +76,54 @@ impl Histogram {
     }
 }
 
-/// Build per-column histograms from a bounded row sample.
-fn hist_lists<'a>(arity: usize, rows: impl Iterator<Item = &'a Row>) -> Vec<Option<Histogram>> {
-    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); arity];
-    for row in rows {
-        for (c, col) in cols.iter_mut().enumerate() {
-            col.push(row[c].clone());
+/// What one column of a bounded row sample gives the estimates, read off
+/// a single sort of its values.
+struct ColumnSample {
+    /// Distinct values in the sample.
+    distinct: usize,
+    /// Top `MCV_CAP` values seen at least twice, as fractions of the
+    /// sample, most frequent first (ties in value order, for determinism).
+    mcv: Vec<(Value, f64)>,
+    /// The equi-depth histogram of the sorted values; `None` when the
+    /// sample is too small or constant (a histogram adds nothing over
+    /// MCVs there).
+    hist: Option<Histogram>,
+}
+
+impl ColumnSample {
+    /// Column `c` of `rows`: sort its values once, then count the runs of
+    /// equal values (distinct count and MCVs) and pick the values at the
+    /// histogram's rank positions.
+    fn of(rows: &[Row], c: usize) -> ColumnSample {
+        let mut vals: Vec<&Value> = rows.iter().map(|r| &r[c]).collect();
+        vals.sort_unstable();
+        let n = vals.len();
+        let mut runs: Vec<(&Value, usize)> = Vec::new();
+        for &v in &vals {
+            match runs.last_mut() {
+                Some((last, k)) if *last == v => *k += 1,
+                _ => runs.push((v, 1)),
+            }
+        }
+        let distinct = runs.len();
+        runs.retain(|&(_, k)| k >= 2);
+        // Stable: equal counts keep the runs' value order.
+        runs.sort_by_key(|&(_, k)| std::cmp::Reverse(k));
+        runs.truncate(MCV_CAP);
+        let mcv = (runs.into_iter())
+            .map(|(v, k)| (v.clone(), k as f64 / n as f64))
+            .collect();
+        let hist = (n >= HIST_BUCKETS && distinct > 1).then(|| Histogram {
+            bounds: (0..=HIST_BUCKETS)
+                .map(|i| vals[i * (n - 1) / HIST_BUCKETS].clone())
+                .collect(),
+        });
+        ColumnSample {
+            distinct,
+            mcv,
+            hist,
         }
     }
-    cols.into_iter().map(Histogram::from_sample).collect()
 }
 
 /// Statistics for one table.
@@ -151,32 +175,22 @@ impl TableStats {
             }
         }
 
-        // Deterministic bounded sample for the rest, materialized once.
+        // A deterministic bounded sample, materialized once: distinct
+        // estimates for the rest, and most-common values and histograms
+        // for every column.
         let sample: Vec<Row> = table.iter().map(|(_, r)| r).take(SAMPLE_CAP).collect();
-        let unresolved: Vec<usize> = (0..arity).filter(|&c| !resolved[c]).collect();
-        if !unresolved.is_empty() && rows > 0 {
-            let mut seen: Vec<HashSet<&crate::value::Value, CellHash>> =
-                unresolved.iter().map(|_| HashSet::default()).collect();
-            for row in &sample {
-                for (slot, &c) in unresolved.iter().enumerate() {
-                    seen[slot].insert(&row[c]);
+        let mut mcv = vec![Vec::new(); arity];
+        let mut hist = vec![None; arity];
+        if rows > 0 {
+            for c in 0..arity {
+                let col = ColumnSample::of(&sample, c);
+                if !resolved[c] {
+                    distinct[c] = extrapolate_distinct(col.distinct, sample.len(), rows);
                 }
-            }
-            for (slot, &c) in unresolved.iter().enumerate() {
-                distinct[c] = extrapolate_distinct(seen[slot].len(), sample.len(), rows);
+                mcv[c] = col.mcv;
+                hist[c] = col.hist;
             }
         }
-
-        // Most-common values and histograms from the same deterministic
-        // sample prefix.
-        let (mcv, hist) = if rows > 0 {
-            (
-                mcv_lists(arity, sample.iter()),
-                hist_lists(arity, sample.iter()),
-            )
-        } else {
-            (vec![Vec::new(); arity], vec![None; arity])
-        };
         TableStats {
             rows,
             distinct,
@@ -185,36 +199,6 @@ impl TableStats {
             version: table.version(),
         }
     }
-}
-
-/// Count a bounded row sample into per-column most-common-value lists:
-/// top `MCV_CAP` values seen at least twice, as fractions of the
-/// sample, most frequent first (ties broken by value for determinism).
-fn mcv_lists<'a>(arity: usize, rows: impl Iterator<Item = &'a Row>) -> Vec<Vec<(Value, f64)>> {
-    let mut counts: Vec<HashMap<&Value, usize, CellHash>> = vec![HashMap::default(); arity];
-    let mut sampled = 0usize;
-    for row in rows {
-        sampled += 1;
-        for (c, col_counts) in counts.iter_mut().enumerate() {
-            *col_counts.entry(&row[c]).or_insert(0) += 1;
-        }
-    }
-    if sampled == 0 {
-        return vec![Vec::new(); arity];
-    }
-    counts
-        .into_iter()
-        .map(|col_counts| {
-            let mut common: Vec<(&Value, usize)> =
-                col_counts.into_iter().filter(|&(_, n)| n >= 2).collect();
-            common.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-            common.truncate(MCV_CAP);
-            common
-                .into_iter()
-                .map(|(v, n)| (v.clone(), n as f64 / sampled as f64))
-                .collect()
-        })
-        .collect()
 }
 
 /// Scale a sampled distinct count up to the full table: if nearly every
@@ -528,13 +512,13 @@ fn values_estimate(arity: usize, rows: &[Row]) -> RelEstimate {
     let mut mcv = vec![Vec::new(); arity];
     let mut hist = vec![None; arity];
     if !rows.is_empty() {
-        let cap = rows.len().min(SAMPLE_CAP);
-        for (c, d) in distinct.iter_mut().enumerate() {
-            let seen: HashSet<_, CellHash> = rows[..cap].iter().map(|r| &r[c]).collect();
-            *d = extrapolate_distinct(seen.len(), cap, rows.len());
+        let sample = &rows[..rows.len().min(SAMPLE_CAP)];
+        for c in 0..arity {
+            let col = ColumnSample::of(sample, c);
+            distinct[c] = extrapolate_distinct(col.distinct, sample.len(), rows.len());
+            mcv[c] = col.mcv;
+            hist[c] = col.hist;
         }
-        mcv = mcv_lists(arity, rows[..cap].iter());
-        hist = hist_lists(arity, rows[..cap].iter());
     }
     RelEstimate {
         rows: rows.len() as f64,
@@ -641,6 +625,7 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::schema::TableSchema;
+    use proptest::prelude::*;
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -778,6 +763,69 @@ mod tests {
         let cat = StatsCatalog::default();
         let est = estimate(&cat, &Plan::scan("Ghost"));
         assert!(est.rows > 0.0);
+    }
+
+    /// The hash-based estimates [`ColumnSample::of`] replaces: a
+    /// `HashSet` pass for the distinct count, a `HashMap` pass for the
+    /// MCVs, and a clone-and-sort for the histogram bounds.
+    fn hashed_reference(rows: &[Row], c: usize) -> (usize, Vec<(Value, f64)>, Option<Histogram>) {
+        use std::collections::{HashMap, HashSet};
+        let col: Vec<&Value> = rows.iter().map(|r| &r[c]).collect();
+        let distinct = col.iter().collect::<HashSet<_>>().len();
+        let mut counts: HashMap<&Value, usize> = HashMap::new();
+        for &v in &col {
+            *counts.entry(v).or_insert(0) += 1;
+        }
+        let mut common: Vec<(&Value, usize)> =
+            counts.into_iter().filter(|&(_, n)| n >= 2).collect();
+        common.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        common.truncate(MCV_CAP);
+        let mcv = (common.into_iter())
+            .map(|(v, n)| (v.clone(), n as f64 / col.len() as f64))
+            .collect();
+        let mut vals: Vec<Value> = col.into_iter().cloned().collect();
+        let n = vals.len();
+        let hist = if n < HIST_BUCKETS || vals.iter().min() == vals.iter().max() {
+            None
+        } else {
+            vals.sort();
+            let bounds = (0..=HIST_BUCKETS).map(|i| vals[i * (n - 1) / HIST_BUCKETS].clone());
+            Some(Histogram {
+                bounds: bounds.collect(),
+            })
+        };
+        (distinct, mcv, hist)
+    }
+
+    /// NULLs, small and large ints, and strings stored inline (up to 22
+    /// bytes) and on the heap, from domains small enough to repeat.
+    fn any_value() -> impl Strategy<Value = Value> {
+        let heap = |i: i64| Value::str(format!("a heap-sized string, number {i}"));
+        prop_oneof![
+            Just(Value::Null),
+            (0i64..6).prop_map(Value::Int),
+            (0i64..3).prop_map(|i| Value::Int(i64::MAX - i)),
+            (0i64..5).prop_map(|i| Value::str(format!("s{i}"))),
+            (0i64..5).prop_map(heap),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_sort_per_column_matches_the_hash_based_estimates(
+            rows in proptest::collection::vec(proptest::collection::vec(any_value(), 2), 0..80),
+        ) {
+            let rows: Vec<Row> = rows.into_iter().map(Row::new).collect();
+            for c in 0..2 {
+                let col = ColumnSample::of(&rows, c);
+                let (distinct, mcv, hist) = hashed_reference(&rows, c);
+                prop_assert_eq!(col.distinct, distinct);
+                prop_assert_eq!(col.mcv, mcv);
+                prop_assert_eq!(col.hist, hist);
+            }
+        }
     }
 
     #[test]

@@ -248,10 +248,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                             hits as f64 / (hits + misses) as f64
                         };
                         println!(
-                            "plan cache: {hits} hits, {misses} misses ({:.0}% hit rate), \
-                             {} cached program(s), {} embedded row(s), {} answer row(s)",
+                            "plan cache: {hits} hits ({} by query), {misses} misses \
+                             ({:.0}% hit rate), {} cached program(s), {} memoized \
+                             quer(ies), {} embedded row(s), {} answer row(s)",
+                            v[5],
                             rate * 100.0,
                             v[2],
+                            v[6],
                             v[3],
                             v[4]
                         );

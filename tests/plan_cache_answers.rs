@@ -30,6 +30,7 @@ use beliefdb::core::{
 };
 use beliefdb::gen::scenarios::table2_config;
 use beliefdb::gen::{fresh_bdms_with_policy, CandidateStream};
+use beliefdb::sql::Session;
 use beliefdb::storage::datalog::PlanCache;
 use beliefdb::storage::{metrics, row, CmpOp, Metric, Recorder, Row, Value};
 use rand::rngs::StdRng;
@@ -437,4 +438,194 @@ fn a_new_world_or_user_that_changes_a_resolution_forces_a_miss() {
             "{ctx}: its repeat"
         );
     }
+}
+
+/// The counters one `query` of `q` moves, whose answer must equal
+/// `query_naive`'s: rows scanned, hits, misses, and the hits the query
+/// memo answered.
+fn memo_read(bdms: &Bdms, q: &Bcq, ctx: &str) -> (u64, u64, u64, u64) {
+    let naive = bdms.query_naive(q).unwrap();
+    let before = bdms.plan_cache_stats().query_hits;
+    let (scanned, hits, misses) = deltas(|| assert_eq!(bdms.query(q).unwrap(), naive, "{ctx}"));
+    (
+        scanned,
+        hits,
+        misses,
+        bdms.plan_cache_stats().query_hits - before,
+    )
+}
+
+#[test]
+fn a_second_repeat_scans_nothing_and_counts_one_query_hit() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    for policy in POLICIES {
+        let (bdms, _, _) = table2_store(policy, 3);
+        let key = probe_key(&bdms);
+        for (name, q) in reads(&bdms, &key) {
+            let ctx = format!("{policy:?} {name}");
+            let (scanned, hits, misses, query_hits) = memo_read(&bdms, &q, &ctx);
+            assert_eq!((hits, misses, query_hits), (0, 1, 0), "{ctx}: first run");
+            assert!(scanned > 0, "{ctx}: a miss executes");
+            // The miss kept its answer: the first repeat is already
+            // answered by the memo, without translating or executing.
+            let repeat = memo_read(&bdms, &q, &ctx);
+            assert_eq!(repeat, (0, 1, 0, 1), "{ctx}: second run");
+        }
+        let stats = bdms.plan_cache_stats();
+        assert_eq!(stats.queries, stats.entries, "{policy:?}");
+    }
+}
+
+#[test]
+fn the_memo_follows_worlds_users_and_options() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    for policy in POLICIES {
+        // A deeper world appears between two identical reads at `[2·1]`:
+        // the memo's stamp moves, and the program the query translates to
+        // changes with it.
+        let mut bdms = two_relation_store(policy);
+        let s = bdms.schema().relation_id("S").unwrap();
+        let c = bdms.schema().relation_id("C").unwrap();
+        let q = Bcq::builder(vec![qv("x"), qv("y")])
+            .positive(
+                vec![pu(UserId(2)), pu(UserId(1))],
+                s,
+                vec![qv("x"), qv("y")],
+            )
+            .build(bdms.schema())
+            .unwrap();
+        let ctx = format!("{policy:?} [2·1]");
+        let (_, hits, misses, _) = memo_read(&bdms, &q, &ctx);
+        assert_eq!((hits, misses), (0, 1), "{ctx}: first read");
+        assert_eq!(memo_read(&bdms, &q, &ctx), (0, 1, 0, 1), "{ctx}: repeat");
+        let w21 = BeliefPath::new(vec![UserId(2), UserId(1)]).unwrap();
+        let outcome = bdms.insert(w21, c, row!["c1", "seen"], Sign::Pos);
+        assert!(outcome.unwrap().accepted(), "{ctx}");
+        let (_, hits, misses, query_hits) = memo_read(&bdms, &q, &ctx);
+        assert_eq!((hits, misses, query_hits), (0, 1, 0), "{ctx}: new world");
+        assert_eq!(
+            memo_read(&bdms, &q, &ctx),
+            (0, 1, 0, 1),
+            "{ctx}: its repeat"
+        );
+
+        // A world the query never reads moves the stamp too, but the
+        // program it translates to is the same: a program-level hit on the
+        // stored answer, then the memo again.
+        let w3 = BeliefPath::user(UserId(3));
+        let outcome = bdms.insert(w3, c, row!["c2", "elsewhere"], Sign::Pos);
+        assert!(outcome.unwrap().accepted(), "{ctx}");
+        let unrelated = memo_read(&bdms, &q, &ctx);
+        if policy == DefaultPolicy::Lazy {
+            assert_eq!(unrelated, (0, 1, 0, 0), "{ctx}: unrelated world");
+        } else {
+            // Under `Eager` the new world's copy writes `V__S`: a miss.
+            let (_, hits, misses, query_hits) = unrelated;
+            assert_eq!((hits, misses, query_hits), (0, 1, 0), "{ctx}");
+        }
+        assert_eq!(
+            memo_read(&bdms, &q, &ctx),
+            (0, 1, 0, 1),
+            "{ctx}: its repeat"
+        );
+
+        // The magic toggle and the memory budget are part of the key: a
+        // flip is a query-level miss. For a join the rewrite changes, magic
+        // off runs another program; flipping it back finds the first entry
+        // still answered.
+        let join = Bcq::builder(vec![qv("x"), qv("y"), qv("z")])
+            .positive(
+                vec![pu(UserId(2)), pu(UserId(1))],
+                s,
+                vec![qv("x"), qv("y")],
+            )
+            .positive(vec![], s, vec![qv("x"), qv("z")])
+            .build(bdms.schema())
+            .unwrap();
+        let translated = bdms.translate(&join).unwrap().program;
+        let rewritten = beliefdb::storage::opt::magic::rewrite_checked(&translated).unwrap();
+        assert_ne!(rewritten.to_string(), translated.to_string(), "{ctx}");
+        let (_, hits, misses, _) = memo_read(&bdms, &join, &ctx);
+        assert_eq!((hits, misses), (0, 1), "{ctx}: join");
+        bdms.set_magic(false);
+        let (_, hits, misses, query_hits) = memo_read(&bdms, &join, &ctx);
+        assert_eq!((hits, misses, query_hits), (0, 1, 0), "{ctx}: magic off");
+        assert_eq!(memo_read(&bdms, &join, &ctx), (0, 1, 0, 1), "{ctx}: repeat");
+        bdms.set_magic(true);
+        assert_eq!(
+            memo_read(&bdms, &join, &ctx),
+            (0, 1, 0, 1),
+            "{ctx}: magic on"
+        );
+        // A budget leaves the program as it was: its stored answer serves
+        // the first read under it, the memo the next.
+        bdms.set_memory_budget(Some(1 << 20));
+        assert_eq!(memo_read(&bdms, &q, &ctx), (0, 1, 0, 0), "{ctx}: budget");
+        assert_eq!(memo_read(&bdms, &q, &ctx), (0, 1, 0, 1), "{ctx}: repeat");
+        bdms.set_memory_budget(None);
+        assert_eq!(memo_read(&bdms, &q, &ctx), (0, 1, 0, 1), "{ctx}: no budget");
+
+        // A new user before q3, whose negative subgoal ranges over the
+        // users.
+        let (mut bdms, _, _) = table2_store(policy, 11);
+        let q3 = &beliefdb_bench::table2_queries(&bdms).unwrap()[6];
+        assert_eq!(q3.0, "q3");
+        let ctx = format!("{policy:?} q3");
+        let (_, hits, misses, _) = memo_read(&bdms, &q3.1, &ctx);
+        assert_eq!((hits, misses), (0, 1), "{ctx}: first read");
+        assert_eq!(memo_read(&bdms, &q3.1, &ctx), (0, 1, 0, 1), "{ctx}: repeat");
+        bdms.add_user("newcomer").unwrap();
+        let (_, hits, misses, query_hits) = memo_read(&bdms, &q3.1, &ctx);
+        assert_eq!((hits, misses, query_hits), (0, 1, 0), "{ctx}: add_user");
+        assert_eq!(
+            memo_read(&bdms, &q3.1, &ctx),
+            (0, 1, 0, 1),
+            "{ctx}: its repeat"
+        );
+    }
+}
+
+#[test]
+fn two_sql_spellings_of_one_query_share_an_entry() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    for policy in POLICIES {
+        let session = Session::from_bdms(two_relation_store(policy));
+        let spellings = [
+            "select X.sid, X.species from BELIEF 'u2' BELIEF 'u1' S as X where X.sid = 's1'",
+            "SELECT  X.sid ,X.species FROM belief 'u2' belief 'u1' S X WHERE 's1' = X.sid",
+        ];
+        let first = session.query(spellings[0]).unwrap();
+        let second = session.query(spellings[1]).unwrap();
+        assert_eq!(first.rows(), second.rows(), "{policy:?}");
+        assert_eq!(first.rows(), [row!["s1", "raven"]], "{policy:?}");
+        let stats = session.bdms().plan_cache_stats();
+        assert_eq!(
+            (stats.hits, stats.query_hits, stats.misses),
+            (1, 1, 1),
+            "{policy:?}"
+        );
+        assert_eq!((stats.entries, stats.queries), (1, 1), "{policy:?}");
+    }
+}
+
+#[test]
+fn probes_in_a_row_keep_the_memo_within_the_programs() {
+    let _guard = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let (bdms, _, _) = table2_store(DefaultPolicy::Lazy, 13);
+    let q12 = &beliefdb_bench::table2_queries(&bdms).unwrap()[2].1;
+    let keys: Vec<String> = (bdms.query_naive(q12).unwrap().iter())
+        .map(|r| r.values()[0].to_string())
+        .chain((0..200).map(|i| format!("absent{i}")))
+        .take(200)
+        .collect();
+    for key in &keys {
+        let probe = reads(&bdms, key).pop().unwrap().1;
+        let naive = bdms.query_naive(&probe).unwrap();
+        assert_eq!(bdms.query(&probe).unwrap(), naive, "probe {key}");
+        let stats = bdms.plan_cache_stats();
+        assert!(stats.queries <= stats.entries, "probe {key}: {stats:?}");
+    }
+    let stats = bdms.plan_cache_stats();
+    assert_eq!(stats.misses, 200, "{stats:?}");
+    assert!(stats.entries < 200, "FIFO evicted nothing: {stats:?}");
 }

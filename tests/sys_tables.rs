@@ -13,9 +13,9 @@
 //!   `LIMIT 0`;
 //! * plan-cache non-interaction — sys scans are never cached and never
 //!   count as hits or misses, and their snapshots are never stale;
-//! * `sys.plan_cache.answer_rows` — an answer is kept from the first
-//!   repeat of a query on, apart from `embedded_rows`, and agrees with
-//!   `Bdms::plan_cache_stats`;
+//! * `sys.plan_cache.answer_rows` — an answer is kept from the miss
+//!   that collected it, apart from `embedded_rows`, its repeat counts a
+//!   `query_hits`, and the row agrees with `Bdms::plan_cache_stats`;
 //! * `sys.metrics` vs `metrics().snapshot()` — every counter row is
 //!   bracketed by snapshots taken around the scan (counters are
 //!   monotonic, so `before ≤ scanned ≤ after` is exact under
@@ -238,10 +238,18 @@ fn sys_plan_cache_counts_answer_rows_apart_from_embedded_rows() {
         let result = s.query("select * from sys.plan_cache").unwrap();
         assert_eq!(
             result.columns(),
-            ["hits", "misses", "entries", "embedded_rows", "answer_rows"]
+            [
+                "hits",
+                "misses",
+                "entries",
+                "embedded_rows",
+                "answer_rows",
+                "query_hits",
+                "queries"
+            ]
         );
         let row = &result.rows()[0];
-        let cells: Vec<i64> = (0..5).map(|i| cell_int(row, i)).collect();
+        let cells: Vec<i64> = (0..7).map(|i| cell_int(row, i)).collect();
         // The engine's own snapshot says the same.
         let stats = s.bdms().plan_cache_stats();
         assert_eq!(
@@ -252,37 +260,37 @@ fn sys_plan_cache_counts_answer_rows_apart_from_embedded_rows() {
                 stats.entries as i64,
                 stats.embedded_rows as i64,
                 stats.answer_rows as i64,
+                stats.query_hits as i64,
+                stats.queries as i64,
             ]
         );
         cells
     };
-    assert_eq!(cache(&session), [0, 0, 0, 0, 0]);
+    assert_eq!(cache(&session), [0, 0, 0, 0, 0, 0, 0]);
 
-    // The miss stores the plans only.
+    // The miss stores the plans and keeps the answer it collected beside
+    // them; the memo maps the query to them.
     let answer = session.query(sql).unwrap().rows().to_vec();
     assert_eq!(answer.len(), 5);
     let miss = cache(&session);
-    assert_eq!((miss[1], miss[2], miss[4]), (1, 1, 0));
-    // The first hit replays them and keeps the answer beside them.
+    assert_eq!((miss[1], miss[2], miss[4], miss[6]), (1, 1, 5, 1));
+    // A repeat reads it through the memo; nothing is added.
     assert_eq!(session.query(sql).unwrap().rows(), answer);
-    let first_hit = cache(&session);
-    assert_eq!(first_hit[0], 1);
-    assert_eq!(first_hit[3], miss[3], "embedded_rows keeps its meaning");
-    assert_eq!(first_hit[4], 5);
-    // A later hit reads it; nothing is added.
-    assert_eq!(session.query(sql).unwrap().rows(), answer);
-    let later = cache(&session);
-    assert_eq!(later[0], 2);
-    assert_eq!(later[2..], first_hit[2..]);
+    let hit = cache(&session);
+    assert_eq!((hit[0], hit[5]), (1, 1));
+    assert_eq!(hit[3], miss[3], "embedded_rows keeps its meaning");
+    assert_eq!(hit[1..5], miss[1..5]);
+    assert_eq!(hit[6], miss[6]);
 
     // A write to the program's read set voids the entry; replanning
-    // under its key drops the answer with it.
+    // under its key drops the answer with it, and the miss keeps the new
+    // one.
     session
         .execute("insert into Sightings values ('s9','owl')")
         .unwrap();
     assert_eq!(session.query(sql).unwrap().rows().len(), 6);
     let after = cache(&session);
-    assert_eq!((after[1], after[2], after[4]), (2, 1, 0));
+    assert_eq!((after[1], after[2], after[4], after[6]), (2, 1, 6, 1));
 }
 
 #[test]
